@@ -138,7 +138,8 @@ func newBCExec(in *interp, bc *bytecode.Program) (*bcExec, error) {
 // run is the fetch-decode loop. Control opcodes are handled inline; plan
 // opcodes dispatch to their handlers. Every instruction is an op
 // boundary for cancellation, a superset of the tree walk's plan-node
-// boundaries; on the plain path the check is a constant-nil load.
+// boundaries; the check (interp.cancelled) is a non-blocking receive on
+// the run's done channel and shares no state between ranks.
 func (b *bcExec) run(startNode, startIter int) error {
 	in, bc := b.in, b.bc
 	code := bc.Code
@@ -161,8 +162,8 @@ func (b *bcExec) run(startNode, startIter int) error {
 	}
 	var nodeStart float64
 	for int(pc) < len(code) {
-		if err := in.ctx.Err(); err != nil {
-			return fmt.Errorf("cancelled at op boundary: %w", err)
+		if err := in.cancelled(); err != nil {
+			return err
 		}
 		ins := &code[pc]
 		switch ins.Op {

@@ -322,7 +322,8 @@ func TestBytecodeCancelledAtOpBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunCtx(newCancelAfter(5), res.Program, sim.Delta(4), Options{Bytecode: bc})
+	ctx, fs := cancelAtOp(5)
+	_, err = RunCtx(ctx, res.Program, sim.Delta(4), Options{FS: fs, Bytecode: bc})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled bytecode run must surface context.Canceled, got: %v", err)
 	}

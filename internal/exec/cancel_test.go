@@ -3,6 +3,9 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,29 +14,85 @@ import (
 	"github.com/ooc-hpf/passion/internal/compiler"
 	"github.com/ooc-hpf/passion/internal/gaxpy"
 	"github.com/ooc-hpf/passion/internal/hpf"
+	"github.com/ooc-hpf/passion/internal/iosim"
 	"github.com/ooc-hpf/passion/internal/oocarray"
 	"github.com/ooc-hpf/passion/internal/sim"
 )
 
-// cancelAfter is a deterministic context: it reports Canceled after its
-// Err has been consulted n times across all ranks, landing the
-// cancellation mid-run at a reproducible op boundary without any timers.
-type cancelAfter struct {
-	context.Context
-	left atomic.Int64
+// cancelFS lands a real cancellation mid-run at a reproducible point
+// without timers: it counts the run's file operations (create, open,
+// remove, read, write, truncate) across all ranks and calls fire from
+// inside the at'th. The context under test is an ordinary
+// context.WithCancel, so Done and Err behave as the engine may assume of
+// any context. only, when set, restricts the count to files whose name
+// contains it (".p0." selects rank 0's local array files).
+type cancelFS struct {
+	iosim.FS
+	at   int64
+	only string
+	fire func()
+	ops  atomic.Int64
 }
 
-func newCancelAfter(n int64) *cancelAfter {
-	c := &cancelAfter{Context: context.Background()}
-	c.left.Store(n)
-	return c
-}
-
-func (c *cancelAfter) Err() error {
-	if c.left.Add(-1) < 0 {
-		return context.Canceled
+func (c *cancelFS) op(name string) {
+	if c.only != "" && !strings.Contains(name, c.only) {
+		return
 	}
-	return nil
+	if c.ops.Add(1) == c.at {
+		c.fire()
+	}
+}
+
+func (c *cancelFS) wrap(name string, f iosim.File, err error) (iosim.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &cancelFile{File: f, fs: c, name: name}, nil
+}
+
+func (c *cancelFS) Create(name string) (iosim.File, error) {
+	c.op(name)
+	f, err := c.FS.Create(name)
+	return c.wrap(name, f, err)
+}
+
+func (c *cancelFS) Open(name string) (iosim.File, error) {
+	c.op(name)
+	f, err := c.FS.Open(name)
+	return c.wrap(name, f, err)
+}
+
+func (c *cancelFS) Remove(name string) error {
+	c.op(name)
+	return c.FS.Remove(name)
+}
+
+type cancelFile struct {
+	iosim.File
+	fs   *cancelFS
+	name string
+}
+
+func (f *cancelFile) ReadAt(p []byte, off int64) (int, error) {
+	f.fs.op(f.name)
+	return f.File.ReadAt(p, off)
+}
+
+func (f *cancelFile) WriteAt(p []byte, off int64) (int, error) {
+	f.fs.op(f.name)
+	return f.File.WriteAt(p, off)
+}
+
+func (f *cancelFile) Truncate(size int64) error {
+	f.fs.op(f.name)
+	return f.File.Truncate(size)
+}
+
+// cancelAtOp returns a cancellable context and the FS that cancels it
+// from inside the run's at'th file operation (never, when at is 0).
+func cancelAtOp(at int64) (context.Context, *cancelFS) {
+	ctx, cancel := context.WithCancel(context.Background())
+	return ctx, &cancelFS{FS: iosim.NewMemFS(), at: at, fire: cancel}
 }
 
 func compileGaxpy(t *testing.T, n, procs, mem int) *compiler.Result {
@@ -47,39 +106,104 @@ func compileGaxpy(t *testing.T, n, procs, mem int) *compiler.Result {
 	return res
 }
 
-// TestCancelStopsAndReleasesBuffers proves the two cancellation
-// contracts: a cancelled run surfaces context.Canceled (wrapped through
-// the per-rank error join), and every arena buffer — named slabs,
-// staging, prefetched reader slabs, stranded mailbox payloads — is back
-// in the pool afterwards. Checked mode counts every Get against a Put
-// and panics on double release, so the balance below is exact.
+// checkCancelled asserts the two cancellation contracts on a run made
+// in checked arena mode: the error wraps context.Canceled (through the
+// per-rank error join), and every arena buffer — named slabs, staging,
+// prefetched reader slabs, stranded mailbox payloads — is back in the
+// pool. Checked mode counts every Get against a Put and panics on double
+// release, so the balance is exact.
+func checkCancelled(t *testing.T, label string, err error) {
+	t.Helper()
+	s := bufpool.Snapshot()
+	if err == nil {
+		t.Fatalf("%s: cancelled run completed", label)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("%s: error does not wrap context.Canceled: %v", label, err)
+	}
+	if s.Gets != s.Puts+s.Drops {
+		t.Fatalf("%s: arena leak on cancel: %+v", label, s)
+	}
+}
+
+// TestCancelStopsAndReleasesBuffers sweeps the cancellation point from
+// "before the first node" (the first array file is being created) to
+// deep into the slab loops, with prefetch and write-behind on so the
+// overlapped-I/O buffers are in flight when the run stops.
 func TestCancelStopsAndReleasesBuffers(t *testing.T) {
 	res := compileGaxpy(t, 64, 4, 1<<12)
-	fills := map[string]func(int, int) float64{
-		res.Analysis.A: gaxpy.FillA, res.Analysis.B: gaxpy.FillB,
+	opts := Options{
+		Fill:    sweepFills(),
+		Runtime: oocarray.Options{Prefetch: true, WriteBehind: true},
 	}
-	// Sweep the cancellation point from "before the first node" to deep
-	// into the slab loops, with prefetch and write-behind on so the
-	// overlapped-I/O buffers are in flight when the run stops.
-	for _, after := range []int64{0, 1, 7, 40, 200, 1000} {
-		bufpool.SetChecked(true)
+	// A counting run that never cancels sizes the sweep: the deepest
+	// point must still have op boundaries after it.
+	ctx, fs := cancelAtOp(0)
+	opts.FS = fs
+	out, err := RunCtx(ctx, res.Program, sim.Delta(4), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := fs.ops.Load()
+	out.Close()
+	if total < 64 {
+		t.Fatalf("run made only %d file operations; the sweep needs a multi-slab plan", total)
+	}
+	bufpool.SetChecked(true)
+	defer bufpool.SetChecked(false)
+	for _, at := range []int64{1, 2, 8, total / 8, total / 3, total / 2, 3 * total / 4} {
 		bufpool.ResetStats()
-		_, err := RunCtx(newCancelAfter(after), res.Program, sim.Delta(4), Options{
-			Fill:    fills,
-			Runtime: oocarray.Options{Prefetch: true, WriteBehind: true},
-		})
-		if err == nil {
-			t.Fatalf("after=%d: cancelled run completed", after)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("after=%d: error does not wrap context.Canceled: %v", after, err)
-		}
-		s := bufpool.Snapshot()
-		bufpool.SetChecked(false)
-		if s.Gets != s.Puts+s.Drops {
-			t.Fatalf("after=%d: arena leak on cancel: %+v", after, s)
+		ctx, fs := cancelAtOp(at)
+		opts.FS = fs
+		_, err := RunCtx(ctx, res.Program, sim.Delta(4), opts)
+		checkCancelled(t, fmt.Sprintf("cancel at file op %d of %d", at, total), err)
+	}
+}
+
+// parkedInRecv reports whether some goroutine is parked in mp's blocking
+// mailbox receive, read off the goroutine dump.
+func parkedInRecv() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		head, _, _ := strings.Cut(g, "\n")
+		if strings.Contains(head, "[chan receive") && strings.Contains(g, "mp.(*Proc).recvMsg") {
+			return true
 		}
 	}
+	return false
+}
+
+// TestCancelWhilePeerParkedInRecv lands the cancellation while another
+// rank sits in a blocking Recv, where it polls nothing: rank 0 is held
+// inside a file operation of its slab loop until a peer is seen parked
+// waiting for the reduction rank 0 has not joined, and only then is the
+// context cancelled. Rank 0 stops at its next op boundary; the parked
+// peer must be woken by rank 0's exit (its mailboxes close) rather than
+// hang, and the run reports the cancellation with the arena balanced.
+func TestCancelWhilePeerParkedInRecv(t *testing.T) {
+	res := compileGaxpy(t, 64, 4, 1<<12)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sawParked := false
+	fs := &cancelFS{FS: iosim.NewMemFS(), only: ".p0.", at: 40, fire: func() {
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if sawParked = parkedInRecv(); sawParked {
+				break
+			}
+		}
+		cancel()
+	}}
+	bufpool.SetChecked(true)
+	defer bufpool.SetChecked(false)
+	bufpool.ResetStats()
+	_, err := RunCtx(ctx, res.Program, sim.Delta(4), Options{
+		FS: fs, Fill: sweepFills(),
+	})
+	if !sawParked {
+		t.Fatal("no peer parked in Recv while rank 0 was held: the cancel did not land where the test means it to")
+	}
+	checkCancelled(t, "cancel with a peer parked in Recv", err)
 }
 
 // TestCompletedRunReleasesBuffers pins the same balance on the success
@@ -122,11 +246,13 @@ func TestDeadlineExpiredBeforeStart(t *testing.T) {
 // "failed" attempt.
 func TestCancelledResilientRunDoesNotRecover(t *testing.T) {
 	res := compileGaxpy(t, 48, 4, 1<<12)
+	ctx, fs := cancelAtOp(60)
 	opts := Options{
+		FS:         fs,
 		Parity:     true,
 		Checkpoint: &CheckpointSpec{Every: 1},
 	}
-	rr, err := RunResilientCtx(newCancelAfter(100), res.Program, sim.Delta(4), opts, 2)
+	rr, err := RunResilientCtx(ctx, res.Program, sim.Delta(4), opts, 2)
 	if err == nil {
 		rr.Close()
 		t.Fatal("cancelled resilient run completed")

@@ -191,8 +191,9 @@ func Run(p *plan.Program, mach sim.Config, opts Options) (*Result, error) {
 // every processor at its next plan-node boundary, the run unwinds like
 // any other failed attempt (files removed unless checkpointed, slab
 // buffers returned to the arena), and the returned error wraps
-// ctx.Err(). The check is free on the plain path — context.Background's
-// Err is a constant nil.
+// ctx.Err(). The check is one non-blocking receive on ctx.Done(), taken
+// once per run (see interp.cancelled): free only for a context that can
+// never be cancelled, whose Done is nil, and lock-free for any other.
 func RunCtx(ctx context.Context, p *plan.Program, mach sim.Config, opts Options) (*Result, error) {
 	res, err := run(ctx, p, mach, opts, nil, nil)
 	if err != nil {
@@ -427,6 +428,7 @@ func (r *Result) ReadArray(name string) (*matrix.Matrix, error) {
 
 type interp struct {
 	ctx     context.Context
+	done    <-chan struct{} // ctx.Done(), captured once; see cancelled
 	prog    *plan.Program
 	proc    *mp.Proc
 	phantom bool
@@ -487,6 +489,7 @@ type interp struct {
 func newInterp(ctx context.Context, p *plan.Program, proc *mp.Proc, fs iosim.FS, opts Options, pstore *parity.Store) *interp {
 	return &interp{
 		ctx:          ctx,
+		done:         ctx.Done(),
 		prog:         p,
 		proc:         proc,
 		phantom:      opts.Phantom,
@@ -703,13 +706,35 @@ func (in *interp) runBody(body []plan.Node) error {
 	return nil
 }
 
+// cancelled is the op-boundary cancellation check shared by the tree
+// walk and the bytecode loop: one non-blocking receive on the run's done
+// channel. It touches no shared lock — a receive on an open, empty
+// channel is two atomic loads, and on the nil channel of a
+// non-cancellable context (context.Background, the plain path the
+// wallbench gates pin) it returns at once. ctx.Err() must not be polled
+// here instead: on a cancellable context it takes the context's mutex,
+// one lock shared by all P rank goroutines at every instruction, which
+// was half the host time of a served GAXPY. Err is consulted only after
+// done has closed, when it is guaranteed non-nil.
+func (in *interp) cancelled() error {
+	select {
+	case <-in.done:
+		return in.cancelErr()
+	default:
+		return nil
+	}
+}
+
+// cancelErr is cancelled's slow path, split out so the check inlines.
+func (in *interp) cancelErr() error {
+	return fmt.Errorf("cancelled at op boundary: %w", in.ctx.Err())
+}
+
 func (in *interp) run(n plan.Node) error {
 	// Every plan node is an op boundary: a cancelled or expired context
-	// stops the rank here, before the node's I/O or communication. The
-	// plain path runs under context.Background, whose Err is a constant
-	// nil — the wallbench allocs/ns gates pin that at zero overhead.
-	if err := in.ctx.Err(); err != nil {
-		return fmt.Errorf("cancelled at op boundary: %w", err)
+	// stops the rank here, before the node's I/O or communication.
+	if err := in.cancelled(); err != nil {
+		return err
 	}
 	switch n := n.(type) {
 	case *plan.Loop:

@@ -460,7 +460,7 @@ func (p *Proc) participate() {
 // destination died (or the watchdog fired) before it could be delivered.
 func (p *Proc) postCtl(dst, tag int, payload []float64) bool {
 	f := p.m.fail
-	ch := p.m.chans[p.rank][dst]
+	ch := p.m.box(p.rank, dst)
 	msg := message{tag: tag, data: payload, atTime: p.clock.Seconds()}
 	down := f.down[dst]
 	for {
@@ -506,7 +506,7 @@ func (p *Proc) recvCtl(src int) ([]float64, int, bool) {
 			return msg.data, msg.tag, true
 		}
 	}
-	ch := p.m.chans[src][p.rank]
+	ch := p.m.box(src, p.rank)
 	down := f.down[src]
 	wd := p.m.wd
 	for {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/ooc-hpf/passion/internal/bufpool"
@@ -31,11 +32,70 @@ type message struct {
 }
 
 // Machine is one SPMD execution context: P processors and their mailboxes.
+//
+// A mailbox exists per ordered pair that actually communicates, not per
+// pair: boxes is a flat P×P table of slots (src*P+dst), each empty until
+// either endpoint first touches it (see box). A binomial collective
+// touches O(P log P) pairs, so the table's 16 bytes a slot are the only
+// cost that grows with P².
 type Machine struct {
 	cfg   sim.Config
-	chans [][]chan message // chans[src][dst]
-	fail  *failState       // nil on plain runs
+	boxes []atomic.Value // each holds a chan message once published
+	rows  []sync.Mutex   // rows[src] orders making and closing src's outgoing boxes
+	fail  *failState     // nil on plain runs
 	wd    *watchdog
+}
+
+// closedBox is what an exiting rank publishes into every outgoing slot
+// nobody used: one shared, empty, closed channel, so a peer that parks in
+// Recv on that pair afterwards observes the termination exactly as it
+// would on a mailbox the sender had closed.
+var closedBox = func() chan message {
+	ch := make(chan message)
+	close(ch)
+	return ch
+}()
+
+// box returns the mailbox from src to dst, making it on first use. The
+// fast path is one atomic load. Sender and receiver may both arrive
+// first; the row lock lets exactly one of them make the channel, so both
+// see the same mailbox, per-pair FIFO order holds from the first message
+// on, and a run allocates one channel per pair used — a reproducible
+// count. A slot never changes once published.
+func (m *Machine) box(src, dst int) chan message {
+	slot := &m.boxes[src*m.cfg.Procs+dst]
+	if ch := slot.Load(); ch != nil {
+		return ch.(chan message)
+	}
+	m.rows[src].Lock()
+	defer m.rows[src].Unlock()
+	if ch := slot.Load(); ch != nil {
+		return ch.(chan message)
+	}
+	// Generous buffering keeps the deterministic plans deadlock-free
+	// without a progress engine; a full mailbox is ordinary backpressure,
+	// and one that never drains is diagnosed by the deadlock watchdog
+	// rather than blocking.
+	ch := make(chan message, mailboxCap(m.cfg.Procs))
+	slot.Store(ch)
+	return ch
+}
+
+// closeBoxes ends rank src's outgoing traffic: mailboxes in use are
+// closed (already-buffered messages still drain first), and every slot
+// nobody touched gets closedBox. Only the sender closes, and only here,
+// after its last post.
+func (m *Machine) closeBoxes(src int) {
+	p := m.cfg.Procs
+	m.rows[src].Lock()
+	defer m.rows[src].Unlock()
+	for i := src * p; i < (src+1)*p; i++ {
+		if ch := m.boxes[i].Load(); ch != nil {
+			close(ch.(chan message))
+		} else {
+			m.boxes[i].Store(closedBox)
+		}
+	}
 }
 
 // pendingMsg is an agreement-protocol message that arrived at a rank
@@ -138,18 +198,7 @@ func RunOpts(cfg sim.Config, opts Options, node NodeFunc) (*trace.Stats, error) 
 		return nil, err
 	}
 	p := cfg.Procs
-	m := &Machine{cfg: cfg, chans: make([][]chan message, p)}
-	depth := mailboxCap(p)
-	for src := 0; src < p; src++ {
-		m.chans[src] = make([]chan message, p)
-		for dst := 0; dst < p; dst++ {
-			// Generous buffering keeps the deterministic plans
-			// deadlock-free without a progress engine; a full mailbox is
-			// ordinary backpressure, and one that never drains is
-			// diagnosed by the deadlock watchdog rather than blocking.
-			m.chans[src][dst] = make(chan message, depth)
-		}
-	}
+	m := &Machine{cfg: cfg, boxes: make([]atomic.Value, p*p), rows: make([]sync.Mutex, p)}
 	if opts.active() {
 		m.fail = newFailState(p, opts)
 	}
@@ -211,13 +260,9 @@ func RunOpts(cfg sim.Config, opts Options, node NodeFunc) (*trace.Stats, error) 
 				if opts.OpCounts != nil && rank < len(opts.OpCounts) {
 					opts.OpCounts[rank] = proc.ops
 				}
-				// Close this processor's outgoing channels so peers
-				// blocked in Recv observe the termination instead of
-				// deadlocking; already-buffered messages still drain
-				// first.
-				for dst := 0; dst < p; dst++ {
-					close(m.chans[rank][dst])
-				}
+				// Peers blocked in Recv — now or later — observe the
+				// termination instead of deadlocking.
+				m.closeBoxes(rank)
 			}()
 			err := node(proc)
 			if f := m.fail; f != nil && f.detectOn() && f.anyDead() {
@@ -237,13 +282,12 @@ func RunOpts(cfg sim.Config, opts Options, node NodeFunc) (*trace.Stats, error) 
 	// never received still sit in the (now closed) mailboxes, and ranks
 	// may hold stashed agreement traffic. Return all of it to the arena
 	// so failed runs do not leak buffers — checked-mode tests assert the
-	// Gets/Puts balance. Clean runs have empty mailboxes, so this costs
-	// nothing on the ordinary path.
-	for _, row := range m.chans {
-		for _, ch := range row {
-			for msg := range ch {
-				ReleaseBuf(msg.data)
-			}
+	// Gets/Puts balance. Every slot is closed by now (each rank's exit
+	// ran closeBoxes), and clean runs have empty mailboxes, so this costs
+	// one load per slot on the ordinary path.
+	for i := range m.boxes {
+		for msg := range m.boxes[i].Load().(chan message) {
+			ReleaseBuf(msg.data)
 		}
 	}
 	for _, proc := range procs {
@@ -328,10 +372,11 @@ func (p *Proc) Compute(flops int64) {
 	p.stats.ComputeSeconds += dt
 }
 
-// mailboxCap sizes the per-pair mailboxes from the machine size, with a
-// floor covering deep one-directional streams (a sender goroutine may
-// race many plan iterations ahead of a lagging receiver). A full mailbox
-// is ordinary backpressure — the sender parks until the receiver drains;
+// mailboxCap sizes a mailbox from the machine size — the same depth for
+// every pair, whenever in the run the mailbox is made — with a floor
+// covering deep one-directional streams (a sender goroutine may race
+// many plan iterations ahead of a lagging receiver). A full mailbox is
+// ordinary backpressure — the sender parks until the receiver drains;
 // only a machine-wide quiet period is diagnosed as a broken plan (see
 // the deadlock watchdog in failure.go).
 func mailboxCap(procs int) int {
@@ -373,7 +418,7 @@ func (p *Proc) sendCharge(dst int, elems int) {
 // rank's diagnostics; with failure detection active, a destination that
 // died or aborted resolves the send into the abort path instead.
 func (p *Proc) post(dst, tag int, buf []float64) {
-	ch := p.m.chans[p.rank][dst]
+	ch := p.m.box(p.rank, dst)
 	msg := message{tag: tag, data: buf, atTime: p.clock.Seconds()}
 	select {
 	case ch <- msg:
@@ -478,7 +523,7 @@ func (p *Proc) Recv(src, tag int) []float64 {
 // scheduling. Agreement-protocol messages that arrive early are stashed
 // for the epilogue.
 func (p *Proc) recvMsg(src, tag int) message {
-	ch := p.m.chans[src][p.rank]
+	ch := p.m.box(src, p.rank)
 	f := p.m.fail
 	if f == nil && p.m.wd == nil {
 		// Uninstrumented run: a plain blocking receive, the cheapest park
