@@ -23,7 +23,8 @@ package collio
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"github.com/ooc-hpf/passion/internal/bufpool"
 	"github.com/ooc-hpf/passion/internal/dist"
@@ -95,13 +96,6 @@ func (s Side) charge(kind string, seconds float64) {
 	}
 }
 
-// globalIndex translates a local (row, col) index to global indices.
-func (s Side) globalIndex(li, lj int) (gi, gj int) {
-	gi = s.Map.Dims[0].ToGlobal(s.Map.ProcCoord(s.Rank, 0), li)
-	gj = s.Map.Dims[1].ToGlobal(s.Map.ProcCoord(s.Rank, 1), lj)
-	return gi, gj
-}
-
 // SrcSlabWidth returns the conforming-partition slab width in columns for
 // phase 1: each round reads one contiguous run of full local columns,
 // sized to half the memory budget (the other half is left for staging
@@ -131,13 +125,6 @@ func clampWidth(budget, rows, cols int) int {
 	return w
 }
 
-// pair is one shuffled element: its linear index in the destination
-// owner's local array file, and its value.
-type pair struct {
-	lin int
-	val float64
-}
-
 // Redistribute copies the distributed array described by src into the one
 // described by dst, applying transform to every global index pair (nil
 // means the identity, in which case the global shapes must agree). All
@@ -149,25 +136,50 @@ type pair struct {
 // routes each element to its destination owner through mp.AllToAll as
 // (linear index, value) pairs. The method only decides how the receiving
 // rank applies the incoming pairs to its own LAF.
+//
+// Both mappings are regular, so the routing is inspected once and
+// executed by lookup: the source side's local-to-global indices and the
+// destination side's owner and local index come from the mappings'
+// dist.Tables2, and the per-element loop only calls transform, checks its
+// result against the destination shape and indexes.
 func Redistribute(p *mp.Proc, src, dst Side, memElems, tag int, transform func(gi, gj int) (di, dj int), method Method) error {
+	return redistribute(p, src, dst, memElems, tag, transform, method, p.AllToAll)
+}
+
+// redistribute is Redistribute with the shuffle passed in, so the
+// wire-level witness test can see every round's payloads on their way to
+// p.AllToAll.
+func redistribute(p *mp.Proc, src, dst Side, memElems, tag int, transform func(gi, gj int) (di, dj int), method Method,
+	exchange func(tag int, parts [][]float64) [][]float64) error {
 	if src.Rank != p.Rank() || dst.Rank != p.Rank() {
 		return fmt.Errorf("collio: redistribute on rank %d given sides of ranks %d and %d",
 			p.Rank(), src.Rank, dst.Rank)
 	}
+	ss, ds := src.Map.GlobalShape(), dst.Map.GlobalShape()
+	if len(ss) != 2 || len(ds) != 2 {
+		return fmt.Errorf("collio: redistribute wants two-dimensional arrays, got global shapes %v and %v", ss, ds)
+	}
 	if transform == nil {
-		ss, ds := src.Map.GlobalShape(), dst.Map.GlobalShape()
-		if len(ss) != 2 || len(ds) != 2 || ss[0] != ds[0] || ss[1] != ds[1] {
+		if ss[0] != ds[0] || ss[1] != ds[1] {
 			return fmt.Errorf("collio: redistribute between different global shapes %v and %v", ss, ds)
 		}
 		transform = func(gi, gj int) (int, int) { return gi, gj }
 	}
 	size := p.Size()
+	rowG, colG := src.Map.LocalGlobals(src.Rank)
+	dstT := dst.Map.Tables2()
+	if len(rowG) != src.Rows || len(colG) != src.Cols {
+		return fmt.Errorf("collio: source side of rank %d is %dx%d but its mapping gives the rank %dx%d",
+			src.Rank, src.Rows, src.Cols, len(rowG), len(colG))
+	}
+	if len(dstT.Rows) > size {
+		return fmt.Errorf("collio: destination mapping spans %d processors on a machine of %d", len(dstT.Rows), size)
+	}
+	own0, loc0 := dstT.Dim[0].Own, dstT.Dim[0].Loc
+	own1, loc1 := dstT.Dim[1].Own, dstT.Dim[1].Loc
 	// Destination linear indices use the owner's local row count, which
 	// under ragged block sizes differs between ranks.
-	dstRowsOf := make([]int, size)
-	for q := 0; q < size; q++ {
-		dstRowsOf[q] = dst.Map.LocalShape(q)[0]
-	}
+	dstRowsOf := dstT.Rows
 
 	w := SrcSlabWidth(memElems, src.Rows, src.Cols)
 	myRounds := 0
@@ -206,11 +218,9 @@ func Redistribute(p *mp.Proc, src, dst Side, memElems, tag int, transform func(g
 		// start out zeroed like the make it replaced.
 		clear(buf)
 	}
-	// parts, pairs and the per-round shuffle payloads are reused across
-	// rounds: lengths reset, capacities kept, so steady-state rounds stop
-	// allocating.
+	// parts and the receiver's scratch are reused across rounds: lengths
+	// reset, capacities kept, so steady-state rounds stop allocating.
 	parts := make([][]float64, size)
-	var pairs []pair
 	for round := 0; round < rounds; round++ {
 		t0 := clock.Seconds()
 		for q := range parts {
@@ -228,37 +238,36 @@ func Redistribute(p *mp.Proc, src, dst Side, memElems, tag int, transform func(g
 				return err
 			}
 			src.charge("io-read", sec)
-			for lj := 0; lj < cw; lj++ {
-				for li := 0; li < src.Rows; li++ {
-					gi, gj := src.globalIndex(li, c0+lj)
-					di, dj := transform(gi, gj)
-					owner, lli, llj := dst.Map.ToLocal2(di, dj)
-					lin := llj*dstRowsOf[owner] + lli
-					parts[owner] = append(parts[owner], float64(lin), data[lj*src.Rows+li])
+			for lj, gj := range colG[c0 : c0+cw] {
+				col := data[lj*src.Rows : (lj+1)*src.Rows]
+				for li, gi := range rowG {
+					di, dj := transform(int(gi), int(gj))
+					// One unsigned compare per index also rejects negatives.
+					if uint(di) >= uint(len(own0)) || uint(dj) >= uint(len(own1)) {
+						return fmt.Errorf("collio: transform maps (gi,gj)=(%d,%d) to (%d,%d) outside destination shape %v",
+							gi, gj, di, dj, ds)
+					}
+					owner := own0[di] + own1[dj]
+					lin := int(loc1[dj])*int(dstRowsOf[owner]) + int(loc0[di])
+					parts[owner] = append(parts[owner], float64(lin), col[li])
 				}
 			}
 		}
 		phase("collio:read", t0)
 		t1 := clock.Seconds()
-		incoming := p.AllToAll(tag, parts)
+		incoming := exchange(tag, parts)
 		phase("collio:shuffle", t1)
 		t2 := clock.Seconds()
-		pairs = pairs[:0]
-		for i, in := range incoming {
-			if len(in)%2 != 0 {
-				// The payloads are arena buffers: release the rest of the
-				// round before failing or the error path leaks them.
-				for _, rest := range incoming[i:] {
-					mp.ReleaseBuf(rest)
-				}
-				return fmt.Errorf("collio: redistribute payload of %d values is not index/value pairs", len(in))
-			}
-			for i := 0; i < len(in); i += 2 {
-				pairs = append(pairs, pair{lin: int(in[i]), val: in[i+1]})
-			}
+		err := checkPayloads(incoming)
+		if err == nil {
+			err = recv.absorb(incoming)
+		}
+		// The payloads are arena buffers: the whole round goes back
+		// whether or not it could be applied.
+		for _, in := range incoming {
 			mp.ReleaseBuf(in)
 		}
-		if err := recv.absorb(pairs); err != nil {
+		if err != nil {
 			return err
 		}
 		phase("collio:write", t2)
@@ -271,10 +280,23 @@ func Redistribute(p *mp.Proc, src, dst Side, memElems, tag int, transform func(g
 	return nil
 }
 
-// receiver applies each round's incoming pairs to the destination LAF
-// under one of the write strategies.
+// checkPayloads rejects a round in which some peer's payload is not a
+// sequence of index/value pairs, before any of it is applied.
+func checkPayloads(incoming [][]float64) error {
+	for _, in := range incoming {
+		if len(in)%2 != 0 {
+			return fmt.Errorf("collio: redistribute payload of %d values is not index/value pairs", len(in))
+		}
+	}
+	return nil
+}
+
+// receiver applies each round's incoming payloads — per source rank, a
+// flat sequence of (linear index, value) floats — to the destination LAF
+// under one of the write strategies. absorb only reads the payloads; the
+// caller releases them.
 type receiver interface {
-	absorb(pairs []pair) error
+	absorb(incoming [][]float64) error
 	finish() error
 	cleanup()
 }
@@ -297,15 +319,19 @@ func newReceiver(dst Side, memElems int, method Method) (receiver, error) {
 type runReceiver struct {
 	dst    Side
 	sieve  bool
+	keys   []uint64
+	flat   []float64
 	chunks []iosim.Chunk
 	vals   []float64
 }
 
-func (r *runReceiver) absorb(pairs []pair) error {
-	if len(pairs) == 0 {
+func (r *runReceiver) absorb(incoming [][]float64) error {
+	if err := r.coalescePairs(incoming); err != nil {
+		return err
+	}
+	if len(r.chunks) == 0 {
 		return nil
 	}
-	r.chunks, r.vals = coalescePairs(pairs, r.chunks[:0], r.vals[:0])
 	var sec float64
 	var err error
 	if r.sieve {
@@ -323,23 +349,50 @@ func (r *runReceiver) absorb(pairs []pair) error {
 func (r *runReceiver) finish() error { return nil }
 func (r *runReceiver) cleanup()      {}
 
-// coalescePairs sorts the pairs by destination index and merges
-// consecutive indices into contiguous chunks, returning the chunks and
-// the values packed in chunk order, appended to the passed-in scratch
-// slices. Duplicate indices are kept in arrival order (each starts a
-// fresh one-element chunk), so the last writer wins as it would element
-// by element.
-func coalescePairs(pairs []pair, chunks []iosim.Chunk, vals []float64) ([]iosim.Chunk, []float64) {
-	sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].lin < pairs[j].lin })
-	for i, pr := range pairs {
-		vals = append(vals, pr.val)
-		if i > 0 && pr.lin == pairs[i-1].lin+1 {
-			chunks[len(chunks)-1].Len++
-		} else {
-			chunks = append(chunks, iosim.Chunk{Off: int64(pr.lin), Len: 1})
+// coalescePairs orders the round's pairs by destination index and merges
+// consecutive indices into contiguous chunks, leaving the chunks in
+// r.chunks and the values packed in chunk order in r.vals. Duplicate
+// indices are kept in arrival order — source rank, then position in its
+// payload — and each starts a fresh one-element chunk, so the last writer
+// wins as it would element by element.
+//
+// Each pair becomes one integer, its index above its arrival number, so
+// a plain ascending sort of the keys is the stable sort by index.
+func (r *runReceiver) coalescePairs(incoming [][]float64) error {
+	r.keys, r.flat, r.chunks, r.vals = r.keys[:0], r.flat[:0], r.chunks[:0], r.vals[:0]
+	n := 0
+	for _, in := range incoming {
+		n += len(in) / 2
+	}
+	local := r.dst.Rows * r.dst.Cols
+	seqBits := bits.Len(uint(n))
+	if bits.Len(uint(local))+seqBits > 64 {
+		return fmt.Errorf("collio: %d pairs into a local array of %d elements are too many to order in one round", n, local)
+	}
+	for _, in := range incoming {
+		for i := 0; i+1 < len(in); i += 2 {
+			lin := int(in[i])
+			if uint(lin) >= uint(local) {
+				return fmt.Errorf("collio: destination index %d outside local array of %d elements", lin, local)
+			}
+			r.keys = append(r.keys, uint64(lin)<<seqBits|uint64(len(r.flat)))
+			r.flat = append(r.flat, in[i+1])
 		}
 	}
-	return chunks, vals
+	slices.Sort(r.keys)
+	seqMask := uint64(1)<<seqBits - 1
+	next := int64(-1) // the index that would extend the current chunk
+	for _, k := range r.keys {
+		lin := int64(k >> seqBits)
+		r.vals = append(r.vals, r.flat[k&seqMask])
+		if lin == next {
+			r.chunks[len(r.chunks)-1].Len++
+		} else {
+			r.chunks = append(r.chunks, iosim.Chunk{Off: lin, Len: 1})
+		}
+		next = lin + 1
+	}
+	return nil
 }
 
 // twoPhaseReceiver stages incoming pairs per destination window (a run
@@ -357,7 +410,7 @@ type twoPhaseReceiver struct {
 	base   []int64
 	elems  []int
 	bufs   [][]float64 // in-memory regime: pair floats per window
-	per    [][]float64 // absorb scratch: pair floats per window, reused per round
+	per    [][]float64 // spill regime: the round's pair floats per window, reused per round
 
 	scratch     *iosim.LAF
 	scratchName string
@@ -404,37 +457,47 @@ func newTwoPhaseReceiver(dst Side, memElems int) (*twoPhaseReceiver, error) {
 	return r, nil
 }
 
-func (r *twoPhaseReceiver) absorb(pairs []pair) error {
-	if len(pairs) == 0 {
-		return nil
-	}
+func (r *twoPhaseReceiver) absorb(incoming [][]float64) error {
 	winElems := r.dst.Rows * r.winW
-	if r.per == nil {
-		r.per = make([][]float64, r.nWin)
-	}
-	per := r.per
-	for i := range per {
-		per[i] = per[i][:0]
-	}
-	for _, pr := range pairs {
-		wdx := 0
-		if winElems > 0 {
-			wdx = pr.lin / winElems
+	// In memory the pairs go straight to their window's buffer; spilling,
+	// they gather per window for one contiguous scratch append each.
+	into := r.bufs
+	if !r.inMem {
+		if r.per == nil {
+			r.per = make([][]float64, r.nWin)
 		}
-		if wdx < 0 || wdx >= r.nWin {
-			return fmt.Errorf("collio: destination index %d outside local array of %d elements",
-				pr.lin, r.dst.Rows*r.dst.Cols)
+		into = r.per
+		for i := range into {
+			into[i] = into[i][:0]
 		}
-		per[wdx] = append(per[wdx], float64(pr.lin), pr.val)
-		r.counts[wdx]++
+	}
+	// A pair often falls into the window of the one before (always, inside
+	// a run of consecutive indices), so the window is looked up only on
+	// leaving [lo, hi); the empty initial range sends the first pair
+	// through the lookup and its checks.
+	wdx, lo, hi := 0, 0, 0
+	for _, in := range incoming {
+		for i := 0; i+1 < len(in); i += 2 {
+			lin := int(in[i])
+			if lin < lo || lin >= hi {
+				wdx = 0
+				if winElems > 0 {
+					wdx = lin / winElems
+				}
+				if lin < 0 || wdx >= r.nWin {
+					return fmt.Errorf("collio: destination index %d outside local array of %d elements",
+						lin, r.dst.Rows*r.dst.Cols)
+				}
+				lo, hi = wdx*winElems, (wdx+1)*winElems
+			}
+			into[wdx] = append(into[wdx], in[i], in[i+1])
+			r.counts[wdx]++
+		}
 	}
 	if r.inMem {
-		for wdx, fl := range per {
-			r.bufs[wdx] = append(r.bufs[wdx], fl...)
-		}
 		return nil
 	}
-	for wdx, fl := range per {
+	for wdx, fl := range into {
 		if len(fl) == 0 {
 			continue
 		}

@@ -2,6 +2,8 @@ package collio
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -13,6 +15,14 @@ import (
 )
 
 func valueAt(gi, gj int) float64 { return float64(gi*1000 + gj + 1) }
+
+// globalIndex translates a local (row, col) index to global indices the
+// readable way — the oracle for the tables Redistribute routes by.
+func (s Side) globalIndex(li, lj int) (gi, gj int) {
+	gi = s.Map.Dims[0].ToGlobal(s.Map.ProcCoord(s.Rank, 0), li)
+	gj = s.Map.Dims[1].ToGlobal(s.Map.ProcCoord(s.Rank, 1), lj)
+	return gi, gj
+}
 
 // sideFor builds the collective Side of one rank's local array file,
 // creating and filling the LAF from the global fill function.
@@ -142,16 +152,18 @@ func runCase(t *testing.T, tc redistCase, method Method, chaos bool) {
 		fs = iosim.NewChaosFS(fs, iosim.ChaosConfig{Seed: 7, PTransient: 0.05})
 		resil = iosim.NewResilience(iosim.DefaultRetryPolicy())
 	}
-	_, err := mp.Run(sim.Delta(tc.p), func(proc *mp.Proc) error {
+	// One mapping per side, shared by all ranks as exec shares them: the
+	// ranks race to publish its routing tables (run under -race in CI).
+	srcMap, err := tc.mkSrc(tc.n, tc.p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dstMap, err := tc.mkDst(tc.n, tc.p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = mp.Run(sim.Delta(tc.p), func(proc *mp.Proc) error {
 		disk := iosim.NewResilientDisk(fs, proc.Config(), &proc.Stats().IO, resil)
-		srcMap, err := tc.mkSrc(tc.n, tc.p)
-		if err != nil {
-			return err
-		}
-		dstMap, err := tc.mkDst(tc.n, tc.p)
-		if err != nil {
-			return err
-		}
 		src := sideFor(t, disk, srcMap, proc.Rank(), valueAt)
 		dst := sideFor(t, disk, dstMap, proc.Rank(), nil)
 		if err := Redistribute(proc, src, dst, tc.memElems, 30, tc.transform, method); err != nil {
@@ -290,28 +302,98 @@ func TestSlabWidthClamps(t *testing.T) {
 }
 
 func TestCoalescePairsLastWriterWins(t *testing.T) {
-	chunks, vals := coalescePairs([]pair{
-		{lin: 3, val: 30}, {lin: 4, val: 40}, {lin: 3, val: 31}, {lin: 0, val: 1},
-	}, nil, nil)
+	r := &runReceiver{dst: Side{Rows: 5, Cols: 1}}
+	// Two sources; index 3 arrives twice.
+	if err := r.coalescePairs([][]float64{{3, 30, 4, 40}, {3, 31, 0, 1}}); err != nil {
+		t.Fatal(err)
+	}
 	// Sorted stably: 0, 3(first), 3(second), 4. The duplicate 3 starts a
 	// fresh chunk, so writing chunks in order leaves 31 at index 3.
-	if len(chunks) != 3 {
-		t.Fatalf("chunks = %v, want 3 entries", chunks)
+	if len(r.chunks) != 3 {
+		t.Fatalf("chunks = %v, want 3 entries", r.chunks)
 	}
 	applied := make([]float64, 5)
 	i := 0
-	for _, c := range chunks {
+	for _, c := range r.chunks {
 		for k := 0; k < c.Len; k++ {
-			applied[int(c.Off)+k] = vals[i]
+			applied[int(c.Off)+k] = r.vals[i]
 			i++
 		}
 	}
 	if applied[3] != 31 || applied[4] != 40 || applied[0] != 1 {
 		t.Fatalf("applied = %v", applied)
 	}
+	if err := r.coalescePairs([][]float64{{5, 50}}); err == nil || !strings.Contains(err.Error(), "outside local array") {
+		t.Fatalf("index past the local array: got %v", err)
+	}
+	if err := r.coalescePairs([][]float64{{-1, 50}}); err == nil || !strings.Contains(err.Error(), "outside local array") {
+		t.Fatalf("negative index: got %v", err)
+	}
 }
 
-// TestRedistributeRankMismatch pins the misuse error.
+// referenceCoalesce is the definition coalescePairs must reproduce: the
+// round's pairs in arrival order, sorted by index with the reflection-
+// based stable sort it replaced, then merged into runs.
+func referenceCoalesce(incoming [][]float64) ([]iosim.Chunk, []float64) {
+	type pair struct {
+		lin int
+		val float64
+	}
+	var pairs []pair
+	for _, in := range incoming {
+		for i := 0; i+1 < len(in); i += 2 {
+			pairs = append(pairs, pair{lin: int(in[i]), val: in[i+1]})
+		}
+	}
+	sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].lin < pairs[j].lin })
+	var chunks []iosim.Chunk
+	var vals []float64
+	for i, pr := range pairs {
+		vals = append(vals, pr.val)
+		if i > 0 && pr.lin == pairs[i-1].lin+1 {
+			chunks[len(chunks)-1].Len++
+		} else {
+			chunks = append(chunks, iosim.Chunk{Off: int64(pr.lin), Len: 1})
+		}
+	}
+	return chunks, vals
+}
+
+// FuzzCoalescePairs compares coalescePairs with referenceCoalesce on
+// arbitrary rounds: each input byte is one pair (low seven bits the
+// destination index, so duplicates and runs are common; the top bit
+// starts the next source's payload), values number the arrivals.
+func FuzzCoalescePairs(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 4, 0x83, 0})                             // the last-writer-wins case above
+	f.Add([]byte{0, 1, 2, 3, 0x84, 5, 6, 0x87})              // one run across three sources
+	f.Add([]byte{9, 9, 9, 0x89, 9, 8, 10})                   // one index five times
+	f.Add([]byte{127, 0x80, 0xff, 64, 0xc0, 1})              // both ends of the local array
+	f.Add([]byte{0, 64, 1, 65, 2, 66, 0x80, 32, 96, 33, 97}) // a transpose's strided runs
+	r := &runReceiver{dst: Side{Rows: 16, Cols: 8}}          // reused, as across rounds
+	f.Fuzz(func(t *testing.T, data []byte) {
+		incoming := [][]float64{nil}
+		for i, b := range data {
+			if b&0x80 != 0 {
+				incoming = append(incoming, nil)
+			}
+			last := len(incoming) - 1
+			incoming[last] = append(incoming[last], float64(b&0x7f), float64(i)+0.5)
+		}
+		if err := r.coalescePairs(incoming); err != nil {
+			t.Fatal(err)
+		}
+		wantChunks, wantVals := referenceCoalesce(incoming)
+		if !slices.Equal(r.chunks, wantChunks) {
+			t.Fatalf("chunks %v, reference %v", r.chunks, wantChunks)
+		}
+		if !slices.Equal(r.vals, wantVals) {
+			t.Fatalf("values %v, reference %v", r.vals, wantVals)
+		}
+	})
+}
+
+// TestRedistributeRankMismatch pins the misuse errors.
 func TestRedistributeRankMismatch(t *testing.T) {
 	fs := iosim.NewMemFS()
 	_, err := mp.Run(sim.Delta(2), func(proc *mp.Proc) error {
@@ -325,6 +407,16 @@ func TestRedistributeRankMismatch(t *testing.T) {
 		wrong.Rank = (proc.Rank() + 1) % 2
 		if err := Redistribute(proc, wrong, s, 8, 32, nil, Direct); err == nil {
 			return fmt.Errorf("rank mismatch not detected")
+		}
+		// A destination mapped over more processors than the machine has
+		// would route elements to ranks that do not exist.
+		wide, err := colBlock("wide")(8, 4)
+		if err != nil {
+			return err
+		}
+		d := sideFor(t, disk, wide, proc.Rank(), nil)
+		if err := Redistribute(proc, s, d, 8, 32, nil, Direct); err == nil || !strings.Contains(err.Error(), "spans 4 processors") {
+			return fmt.Errorf("mapping wider than the machine: got %v", err)
 		}
 		return nil
 	})
@@ -372,5 +464,62 @@ func TestMalformedPayloadReleasesRound(t *testing.T) {
 	}
 	if s := bufpool.Snapshot(); s.Gets != s.Puts+s.Drops {
 		t.Fatalf("arena leak on malformed-payload error: %+v", s)
+	}
+}
+
+// TestTransformOutsideDestination pins the range check on transform's
+// result: an index pair outside the destination's global shape is an
+// error naming the element, raised before the round's shuffle, for every
+// method — not a garbage linear index on the wire. The run must come
+// back (no rank left parked in the collective, whether every rank hits
+// the bad element or a single one does) with the arena balanced.
+func TestTransformOutsideDestination(t *testing.T) {
+	const n, p = 8, 4
+	transforms := map[string]func(gi, gj int) (int, int){
+		"every-rank-past-the-end": func(gi, gj int) (int, int) { return gi, gj + n },
+		"every-rank-negative":     func(gi, gj int) (int, int) { return gi - n, gj },
+		"one-element": func(gi, gj int) (int, int) {
+			if gi == 3 && gj == n-1 { // a second-round element of the last rank only
+				return n, gj
+			}
+			return gi, gj
+		},
+	}
+	bufpool.SetChecked(true)
+	defer bufpool.SetChecked(false)
+	for name, transform := range transforms {
+		for _, method := range []Method{Direct, Sieved, TwoPhase} {
+			t.Run(name+"/"+method.String(), func(t *testing.T) {
+				bufpool.ResetStats()
+				fs := iosim.NewMemFS()
+				_, err := mp.Run(sim.Delta(p), func(proc *mp.Proc) error {
+					disk := iosim.NewDisk(fs, proc.Config(), &proc.Stats().IO)
+					srcMap, err := colBlock("src")(n, p)
+					if err != nil {
+						return err
+					}
+					dstMap, err := dist.NewArray("dst", dist.NewBlock(n, p), dist.NewCollapsed(n))
+					if err != nil {
+						return err
+					}
+					src := sideFor(t, disk, srcMap, proc.Rank(), valueAt)
+					dst := sideFor(t, disk, dstMap, proc.Rank(), nil)
+					// One column per round; a spilling two-phase receiver.
+					return Redistribute(proc, src, dst, n, 33, transform, method)
+				})
+				if err == nil || !strings.Contains(err.Error(), "outside destination shape [8 8]") ||
+					!strings.Contains(err.Error(), "collio: transform maps (gi,gj)=(") {
+					t.Fatalf("want the out-of-range transform error, got %v", err)
+				}
+				if s := bufpool.Snapshot(); s.Gets != s.Puts+s.Drops {
+					t.Fatalf("arena leak on the error path: %+v", s)
+				}
+				for _, file := range fs.Names() {
+					if strings.Contains(file, "collio.scratch") {
+						t.Fatalf("scratch file %s left behind", file)
+					}
+				}
+			})
+		}
 	}
 }

@@ -9,6 +9,7 @@ package dist
 
 import (
 	"fmt"
+	"sync"
 )
 
 // Scheme identifies how one array dimension is mapped.
@@ -244,6 +245,10 @@ type Array struct {
 	// calls) and read-only afterwards, so sharing the Array across rank
 	// goroutines stays race-free.
 	axes []int
+	// tables caches Tables2(), published once by whichever rank asks
+	// first.
+	tablesOnce sync.Once
+	tables     *Tables2
 }
 
 // NewArray builds an array mapping and validates it.

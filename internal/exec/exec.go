@@ -14,6 +14,7 @@ import (
 	"github.com/ooc-hpf/passion/internal/bufpool"
 	"github.com/ooc-hpf/passion/internal/bytecode"
 	"github.com/ooc-hpf/passion/internal/collio"
+	"github.com/ooc-hpf/passion/internal/dist"
 	"github.com/ooc-hpf/passion/internal/iosim"
 	"github.com/ooc-hpf/passion/internal/matrix"
 	"github.com/ooc-hpf/passion/internal/mp"
@@ -265,6 +266,17 @@ func run(ctx context.Context, p *plan.Program, mach sim.Config, opts Options, re
 			pstore.Protect(spec.Name)
 		}
 	}
+	// One mapping per array for the whole run: they are read-only, and
+	// the routing tables a mapping caches (dist.Tables2) are then built
+	// once per run rather than once per rank.
+	dmaps := make([]*dist.Array, len(p.Arrays))
+	for i, spec := range p.Arrays {
+		dm, err := spec.DistArray(p.Procs)
+		if err != nil {
+			return nil, err
+		}
+		dmaps[i] = dm
+	}
 	perArray := make([]map[string]*trace.IOStats, mach.Procs)
 	stats, err := mp.RunOpts(mach, opts.mpOptions(), func(proc *mp.Proc) error {
 		proc.SetTracer(opts.Trace.Rank(proc.Rank()))
@@ -285,7 +297,7 @@ func run(ctx context.Context, p *plan.Program, mach sim.Config, opts Options, re
 		if resume != nil {
 			man = resume[proc.Rank()]
 		}
-		in := newInterp(ctx, p, proc, fs, opts, pstore)
+		in := newInterp(ctx, p, proc, fs, opts, pstore, dmaps)
 		perArray[proc.Rank()] = in.perArray
 		// Runs last (defers are LIFO): whatever path the run leaves by —
 		// success, cancellation, fault abort, plan-bug panic — the slab
@@ -430,6 +442,7 @@ type interp struct {
 	ctx     context.Context
 	done    <-chan struct{} // ctx.Done(), captured once; see cancelled
 	prog    *plan.Program
+	dmaps   []*dist.Array // mapping of prog.Arrays[i], shared by all ranks
 	proc    *mp.Proc
 	phantom bool
 	fs      iosim.FS
@@ -486,11 +499,12 @@ type interp struct {
 // The split lets the node closure register the per-array statistics map
 // before any I/O happens, so even a rank killed during array fill leaves
 // reconcilable statistics behind.
-func newInterp(ctx context.Context, p *plan.Program, proc *mp.Proc, fs iosim.FS, opts Options, pstore *parity.Store) *interp {
+func newInterp(ctx context.Context, p *plan.Program, proc *mp.Proc, fs iosim.FS, opts Options, pstore *parity.Store, dmaps []*dist.Array) *interp {
 	return &interp{
 		ctx:          ctx,
 		done:         ctx.Done(),
 		prog:         p,
+		dmaps:        dmaps,
 		proc:         proc,
 		phantom:      opts.Phantom,
 		fs:           fs,
@@ -519,11 +533,8 @@ func newInterp(ctx context.Context, p *plan.Program, proc *mp.Proc, fs iosim.FS,
 // I/O operations exactly as they can between message operations.
 func (in *interp) initArrays(opts Options, resume *ckptManifest) error {
 	p, proc, fs, pstore := in.prog, in.proc, in.fs, in.pstore
-	for _, spec := range p.Arrays {
-		dm, err := spec.DistArray(p.Procs)
-		if err != nil {
-			return err
-		}
+	for i, spec := range p.Arrays {
+		dm := in.dmaps[i]
 		arrStats := &trace.IOStats{}
 		in.perArray[spec.Name] = arrStats
 		disk := iosim.NewResilientDisk(fs, proc.Config(), arrStats, opts.Resilience)
@@ -536,6 +547,7 @@ func (in *interp) initArrays(opts Options, resume *ckptManifest) error {
 			disk.SetParity(pstore)
 		}
 		var arr *oocarray.Array
+		var err error
 		if resume != nil {
 			// Resuming: the local array files already exist; attach to
 			// them without truncation (their contents are rebuilt from

@@ -124,45 +124,53 @@ const (
 	tagSubcolSum = 2
 )
 
-// setup validates the configuration and builds the distributed arrays of
-// Figure 3 on one processor: a(n,n) column-block, b(n,n) row-block,
-// c(n,n) column-block. Each array gets its own disk view so I/O
-// statistics can be attributed per array.
-func setup(p *mp.Proc, c Config, fs iosim.FS, perArray *ArrayIO) (*arrays, error) {
-	if c.N <= 0 || c.N%p.Size() != 0 {
-		return nil, fmt.Errorf("gaxpy: N=%d must be a positive multiple of P=%d", c.N, p.Size())
+// maps holds the mappings of Figure 3's arrays — a(n,n) column-block,
+// b(n,n) row-block, c(n,n) column-block — built once per run and shared
+// by all ranks, so each mapping's index tables are built once too.
+type maps struct{ a, b, c *dist.Array }
+
+// newMaps validates the configuration against the processor count and
+// builds the mappings.
+func newMaps(c Config, procs int) (*maps, error) {
+	if c.N <= 0 || c.N%procs != 0 {
+		return nil, fmt.Errorf("gaxpy: N=%d must be a positive multiple of P=%d", c.N, procs)
 	}
 	if c.SlabA <= 0 || c.SlabB <= 0 {
 		return nil, fmt.Errorf("gaxpy: slab sizes must be positive (A=%d, B=%d)", c.SlabA, c.SlabB)
 	}
+	var m maps
+	var err error
+	if m.a, err = dist.NewArray("a", dist.NewCollapsed(c.N), dist.NewBlock(c.N, procs)); err != nil {
+		return nil, err
+	}
+	if m.b, err = dist.NewArray("b", dist.NewBlock(c.N, procs), dist.NewCollapsed(c.N)); err != nil {
+		return nil, err
+	}
+	if m.c, err = dist.NewArray("c", dist.NewCollapsed(c.N), dist.NewBlock(c.N, procs)); err != nil {
+		return nil, err
+	}
+	return &m, nil
+}
+
+// setup builds the distributed arrays of Figure 3 on one processor. Each
+// array gets its own disk view so I/O statistics can be attributed per
+// array.
+func setup(p *mp.Proc, c Config, fs iosim.FS, perArray *ArrayIO, m *maps) (*arrays, error) {
 	newDisk := func(stats *trace.IOStats, label string) *iosim.Disk {
 		d := iosim.NewDisk(fs, p.Config(), stats)
 		d.SetPhantom(c.Phantom)
 		d.SetTracer(p.Tracer(), p.Clock(), label)
 		return d
 	}
-
-	mapA, err := dist.NewArray("a", dist.NewCollapsed(c.N), dist.NewBlock(c.N, p.Size()))
+	a, err := oocarray.New(newDisk(&perArray.A, "a"), m.a, p.Rank(), p.Clock(), c.Opts)
 	if err != nil {
 		return nil, err
 	}
-	mapB, err := dist.NewArray("b", dist.NewBlock(c.N, p.Size()), dist.NewCollapsed(c.N))
+	b, err := oocarray.New(newDisk(&perArray.B, "b"), m.b, p.Rank(), p.Clock(), c.Opts)
 	if err != nil {
 		return nil, err
 	}
-	mapC, err := dist.NewArray("c", dist.NewCollapsed(c.N), dist.NewBlock(c.N, p.Size()))
-	if err != nil {
-		return nil, err
-	}
-	a, err := oocarray.New(newDisk(&perArray.A, "a"), mapA, p.Rank(), p.Clock(), c.Opts)
-	if err != nil {
-		return nil, err
-	}
-	b, err := oocarray.New(newDisk(&perArray.B, "b"), mapB, p.Rank(), p.Clock(), c.Opts)
-	if err != nil {
-		return nil, err
-	}
-	cc, err := oocarray.New(newDisk(&perArray.C, "c"), mapC, p.Rank(), p.Clock(), c.Opts)
+	cc, err := oocarray.New(newDisk(&perArray.C, "c"), m.c, p.Rank(), p.Clock(), c.Opts)
 	if err != nil {
 		return nil, err
 	}
@@ -186,10 +194,14 @@ func run(mach sim.Config, c Config, variant string, node func(p *mp.Proc, ar *ar
 	if c.SlabC == 0 {
 		c.SlabC = c.SlabA
 	}
+	m, err := newMaps(c, mach.Procs)
+	if err != nil {
+		return nil, fmt.Errorf("gaxpy %s: %w", variant, err)
+	}
 	perArray := make([]ArrayIO, mach.Procs)
 	stats, err := mp.Run(mach, func(p *mp.Proc) error {
 		p.SetTracer(c.Trace.Rank(p.Rank()))
-		ar, err := setup(p, c, fs, &perArray[p.Rank()])
+		ar, err := setup(p, c, fs, &perArray[p.Rank()], m)
 		if err != nil {
 			return err
 		}

@@ -406,10 +406,12 @@ func (a *Array) FillGlobal(f func(gi, gj int) float64) error {
 	}
 	quiet := a.laf.Quiet()
 	buf := make([]float64, a.rows)
-	for lj := 0; lj < a.cols; lj++ {
-		for li := 0; li < a.rows; li++ {
-			gi, gj := a.GlobalIndex(li, lj)
-			buf[li] = f(gi, gj)
+	// The local-to-global translation is separable: one shared table per
+	// dimension instead of a GlobalIndex per element.
+	rowG, colG := a.dmap.LocalGlobals(a.proc)
+	for lj, gj := range colG {
+		for li, gi := range rowG {
+			buf[li] = f(int(gi), int(gj))
 		}
 		chunk := []iosim.Chunk{{Off: int64(lj) * int64(a.rows), Len: a.rows}}
 		if _, err := quiet.WriteChunks(chunk, buf); err != nil {

@@ -125,8 +125,10 @@ func (g *Grid) Sweep(slabCols, tag int, update UpdateFunc) error {
 	}
 	defer mp.ReleaseBuf(ghostTop)
 	defer mp.ReleaseBuf(ghostBot)
-	rank := g.proc.Rank()
 	n, rows := g.n, g.rows
+	// Rows are BLOCK distributed: the local rows are one contiguous global
+	// range, so one translation per sweep places them all.
+	g0, _ := g.cur.GlobalIndex(0, 0)
 	for c0 := 0; c0 < n; c0 += slabCols {
 		w := slabCols
 		if c0+w > n {
@@ -152,7 +154,7 @@ func (g *Grid) Sweep(slabCols, tag int, update UpdateFunc) error {
 			j := c0 + cc // columns collapsed: local == global
 			hj := j - h0
 			for i := 0; i < rows; i++ {
-				gi, _ := g.cur.GlobalIndex(i, j)
+				gi := g0 + i
 				center := halo.At(i, hj)
 				if gi == 0 || gi == n-1 || j == 0 || j == n-1 {
 					out.Set(i, cc, center)
@@ -179,7 +181,6 @@ func (g *Grid) Sweep(slabCols, tag int, update UpdateFunc) error {
 		g.next.Recycle(out)
 		g.cur.Recycle(halo)
 	}
-	_ = rank
 	g.cur, g.next = g.next, g.cur
 	return nil
 }
