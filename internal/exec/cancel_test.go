@@ -160,6 +160,24 @@ func TestCancelStopsAndReleasesBuffers(t *testing.T) {
 	}
 }
 
+// TestBytecodeCancelledAtOpBoundary: a cancellation that lands while the
+// dispatch loop is running stops the ranks between two instructions and
+// says so, wrapping context.Canceled.
+func TestBytecodeCancelledAtOpBoundary(t *testing.T) {
+	res, err := compiler.CompileSource(hpf.GaxpySource, gaxpyScenarioOpts("row-slab"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, fs := cancelAtOp(5)
+	_, err = RunCtx(ctx, res.Program, sim.Delta(4), Options{FS: fs})
+	if err == nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run must surface context.Canceled, got: %v", err)
+	}
+	if !strings.Contains(err.Error(), "cancelled at op boundary") {
+		t.Fatalf("cancellation must happen at an op boundary, got: %v", err)
+	}
+}
+
 // parkedInRecv reports whether some goroutine is parked in mp's blocking
 // mailbox receive, read off the goroutine dump.
 func parkedInRecv() bool {

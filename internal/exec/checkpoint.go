@@ -7,13 +7,15 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	iofs "io/fs"
 	"math"
 
+	"github.com/ooc-hpf/passion/internal/bytecode"
+	"github.com/ooc-hpf/passion/internal/dist"
 	"github.com/ooc-hpf/passion/internal/iosim"
 	"github.com/ooc-hpf/passion/internal/matrix"
 	"github.com/ooc-hpf/passion/internal/oocarray"
-	"github.com/ooc-hpf/passion/internal/plan"
 	"github.com/ooc-hpf/passion/internal/trace"
 )
 
@@ -163,9 +165,13 @@ func writeManifest(fs iosim.FS, name string, m *ckptManifest) error {
 	if err != nil {
 		return fmt.Errorf("exec: create checkpoint manifest %s: %w", name, err)
 	}
-	defer f.Close()
-	if n, err := f.WriteAt(frame, 0); err != nil || n != len(frame) {
-		return fmt.Errorf("exec: write checkpoint manifest %s: %d of %d bytes: %v", name, n, len(frame), err)
+	n, werr := f.WriteAt(frame, 0)
+	cerr := f.Close()
+	if werr != nil || n != len(frame) {
+		return fmt.Errorf("exec: write checkpoint manifest %s: %d of %d bytes: %v", name, n, len(frame), werr)
+	}
+	if cerr != nil {
+		return fmt.Errorf("exec: close checkpoint manifest %s: %w", name, cerr)
 	}
 	return nil
 }
@@ -187,9 +193,12 @@ func readManifest(fs iosim.FS, name string) (*ckptManifest, error) {
 	}
 	plen := binary.BigEndian.Uint32(head[len(ckptMagic):])
 	want := binary.BigEndian.Uint32(head[len(ckptMagic)+4:])
-	payload := make([]byte, plen)
-	if n, err := f.ReadAt(payload, int64(len(head))); n != len(payload) {
-		return nil, fmt.Errorf("exec: manifest %s payload: %d of %d bytes: %v", name, n, len(payload), err)
+	// The length is not yet vouched for by the checksum: read through a
+	// section reader so memory follows the bytes the file really holds,
+	// not a length field one flipped bit can turn into gigabytes.
+	payload, err := io.ReadAll(io.NewSectionReader(f, int64(len(head)), int64(plen)))
+	if err != nil || uint32(len(payload)) != plen {
+		return nil, fmt.Errorf("exec: manifest %s payload: %d of %d bytes: %v", name, len(payload), plen, err)
 	}
 	if crc32.ChecksumIEEE(payload) != want {
 		return nil, fmt.Errorf("exec: manifest %s: payload checksum mismatch", name)
@@ -201,58 +210,57 @@ func readManifest(fs iosim.FS, name string) (*ckptManifest, error) {
 	return &m, nil
 }
 
-// mutatedArrays returns the names of arrays the program writes, walking
-// the body rather than trusting ArraySpec.Role (elementwise programs mark
-// read-and-written arrays as inputs).
-func mutatedArrays(body []plan.Node) []string {
-	seen := make(map[string]bool)
-	var order []string
-	add := func(name string) {
-		if name != "" && !seen[name] {
-			seen[name] = true
-			order = append(order, name)
-		}
-	}
-	var walk func(nodes []plan.Node)
-	walk = func(nodes []plan.Node) {
-		for _, n := range nodes {
-			switch n := n.(type) {
-			case *plan.Loop:
-				walk(n.Body)
-			case *plan.WriteBuf:
-				add(n.Array)
-			case *plan.SumStore:
-				add(n.Array)
-			case *plan.FlushStage:
-				add(n.Array)
-			case *plan.ShiftEwise:
-				add(n.Out)
-			}
-		}
-	}
-	walk(body)
-	return order
+// writeSet is the arrays a program writes, in first-write order — what a
+// checkpoint snapshots. It is computed once per run and shared read-only
+// by every rank.
+type writeSet struct {
+	idx   []int32  // array-table indices
+	names []string // the same arrays by name, as manifests list them
 }
 
-// doCheckpoint commits one checkpoint with cursor (nodeIdx, iter): array
+// mutatedArrays collects the arrays the stream's instructions write,
+// rather than trusting ArraySpec.Role (elementwise programs mark
+// read-and-written arrays as inputs).
+func mutatedArrays(code *bytecode.Program) writeSet {
+	var ws writeSet
+	seen := make([]bool, len(code.Arrays))
+	for i := range code.Code {
+		ins := &code.Code[i]
+		var a int32
+		switch ins.Op {
+		case bytecode.OpStoreSlab, bytecode.OpFlushStage, bytecode.OpShiftEwise:
+			a = ins.A
+		case bytecode.OpSumStore:
+			a = ins.B
+		default:
+			continue
+		}
+		if !seen[a] {
+			seen[a] = true
+			ws.idx = append(ws.idx, a)
+			ws.names = append(ws.names, code.Arrays[a].Name)
+		}
+	}
+	return ws
+}
+
+// checkpoint commits one checkpoint with cursor (nodeIdx, iter): array
 // snapshots and the manifest go to the slot epoch%2, then a barrier
 // makes the epoch globally committed before anyone can start the next
 // one (so the slots of any two processors never diverge by more than one
 // epoch, and the minimum of the per-processor maxima is always a
-// complete, consistent generation). Checkpoint I/O is unaccounted except
-// for the commit barrier's synchronization.
-func (in *interp) doCheckpoint(nodeIdx, iter int) error {
+// complete, consistent generation). The manifest is keyed by array name
+// (code.Arrays[i].Name), written straight from the slot tables.
+// Checkpoint I/O is unaccounted except for the commit barrier's
+// synchronization.
+func (in *interp) checkpoint(nodeIdx, iter int) error {
 	ckptStart := in.proc.Clock().Seconds()
 	spec := in.ckptSpec
 	slot := in.ckptEpoch % ckptSlots
 	rank := in.proc.Rank()
-	arrays := mutatedArrays(in.prog.Body)
-	for _, name := range arrays {
-		arr, err := in.array(name)
-		if err != nil {
-			return err
-		}
-		m, err := arr.ReadLocal()
+	for k, ai := range in.mutated.idx {
+		name := in.mutated.names[k]
+		m, err := in.arrays[ai].ReadLocal()
 		if err != nil {
 			return fmt.Errorf("exec: checkpoint snapshot of %q: %w", name, err)
 		}
@@ -275,32 +283,28 @@ func (in *interp) doCheckpoint(nodeIdx, iter int) error {
 		NodeIdx: nodeIdx,
 		Iter:    iter,
 		Counter: in.counter,
-		Arrays:  arrays,
+		Arrays:  in.mutated.names,
 		Run:     in.snapshotStats(ckptStart),
 	}
-	if len(in.auto) > 0 {
-		man.Auto = make(map[string]bool, len(in.auto))
-		for k, v := range in.auto {
-			man.Auto[k] = v
+	for i := range in.code.Arrays {
+		name := in.code.Arrays[i].Name
+		if in.autoOn[i] {
+			if man.Auto == nil {
+				man.Auto = make(map[string]bool)
+				man.AutoIdx = make(map[string]int)
+			}
+			man.Auto[name] = true
+			man.AutoIdx[name] = in.autoIdx[i]
 		}
-	}
-	if len(in.autoIdx) > 0 {
-		man.AutoIdx = make(map[string]int, len(in.autoIdx))
-		for k, v := range in.autoIdx {
-			man.AutoIdx[k] = v
-		}
-	}
-	for name, s := range in.staging {
-		if s == nil {
-			continue
-		}
-		if man.Staging == nil {
-			man.Staging = make(map[string]*ckptICLA)
-		}
-		man.Staging[name] = &ckptICLA{
-			RowOff: s.RowOff, ColOff: s.ColOff,
-			Rows: s.Rows, Cols: s.Cols,
-			Data: floatsToB64(s.Data),
+		if s := in.staging[i]; s != nil {
+			if man.Staging == nil {
+				man.Staging = make(map[string]*ckptICLA)
+			}
+			man.Staging[name] = &ckptICLA{
+				RowOff: s.RowOff, ColOff: s.ColOff,
+				Rows: s.Rows, Cols: s.Cols,
+				Data: floatsToB64(s.Data),
+			}
 		}
 	}
 	if err := writeManifest(in.fs, spec.manifestName(rank, slot), man); err != nil {
@@ -345,18 +349,91 @@ func (in *interp) snapshotStats(clock float64) *ckptStats {
 	return s
 }
 
-// restoreFromManifest rebuilds the interpreter's cross-boundary state and
-// the mutated arrays' local files from a committed checkpoint. It runs
-// after the arrays have been opened (not created) by newInterp.
-func (in *interp) restoreFromManifest(m *ckptManifest) error {
+// restored is one rank's checkpoint manifest resolved against the
+// program it is about to resume: every array name looked up in the
+// stream's array table, the cross-boundary state laid out as the
+// interpreter's per-array tables.
+type restored struct {
+	man     *ckptManifest
+	arrays  []int32 // table indices of man.Arrays, the snapshots to copy back
+	staging []*oocarray.ICLA
+	autoOn  []bool
+	autoIdx []int
+}
+
+// resolveManifest checks a manifest against the program and lays its
+// state out by array-table index. A manifest is bytes from disk: a name
+// the program does not have, or a staging buffer that does not fit the
+// array's local block on this rank, is an error here — before any rank
+// starts — rather than state silently carried into the run.
+func resolveManifest(code *bytecode.Program, dmaps []*dist.Array, rank int, m *ckptManifest) (*restored, error) {
+	index := func(name string) (int32, error) {
+		for i := range code.Arrays {
+			if code.Arrays[i].Name == name {
+				return int32(i), nil
+			}
+		}
+		return 0, fmt.Errorf("exec: restore: manifest names array %q, not in program %s", name, code.Name)
+	}
+	na := len(code.Arrays)
+	r := &restored{man: m, staging: make([]*oocarray.ICLA, na), autoOn: make([]bool, na), autoIdx: make([]int, na)}
+	for _, name := range m.Arrays {
+		i, err := index(name)
+		if err != nil {
+			return nil, err
+		}
+		r.arrays = append(r.arrays, i)
+	}
+	for name, on := range m.Auto {
+		i, err := index(name)
+		if err != nil {
+			return nil, err
+		}
+		r.autoOn[i] = on
+	}
+	for name, idx := range m.AutoIdx {
+		i, err := index(name)
+		if err != nil {
+			return nil, err
+		}
+		r.autoIdx[i] = idx
+	}
+	for name, c := range m.Staging {
+		i, err := index(name)
+		if err != nil {
+			return nil, err
+		}
+		if c == nil {
+			continue
+		}
+		shape := dmaps[i].LocalShape(rank)
+		if c.RowOff < 0 || c.RowOff > shape[0] || c.Rows < 0 || c.Rows > shape[0]-c.RowOff ||
+			c.ColOff < 0 || c.ColOff > shape[1] || c.Cols < 0 || c.Cols > shape[1]-c.ColOff {
+			return nil, fmt.Errorf("exec: restore: manifest staging %dx%d@(%d,%d) outside local shape %dx%d of array %q on rank %d",
+				c.Rows, c.Cols, c.RowOff, c.ColOff, shape[0], shape[1], name, rank)
+		}
+		data, err := b64ToFloats(c.Data)
+		if err != nil {
+			return nil, fmt.Errorf("exec: restore staging of %q: %w", name, err)
+		}
+		if len(data) != c.Rows*c.Cols {
+			return nil, fmt.Errorf("exec: restore staging of %q: %d elements for %dx%d", name, len(data), c.Rows, c.Cols)
+		}
+		r.staging[i] = &oocarray.ICLA{RowOff: c.RowOff, ColOff: c.ColOff, Rows: c.Rows, Cols: c.Cols, Data: data}
+	}
+	return r, nil
+}
+
+// restore rebuilds the mutated arrays' local files from a committed
+// checkpoint's snapshots and adopts its cross-boundary state. It runs
+// after the arrays have been opened (not created) by initArrays.
+func (in *interp) restore(r *restored) error {
+	m := r.man
 	spec := in.ckptSpec
 	slot := m.Epoch % ckptSlots
 	rank := in.proc.Rank()
-	for _, name := range m.Arrays {
-		arr, err := in.array(name)
-		if err != nil {
-			return err
-		}
+	for _, ai := range r.arrays {
+		arr, name := in.arrays[ai], in.code.Arrays[ai].Name
 		disk := iosim.NewResilientDisk(in.fs, in.proc.Config(), nil, in.res)
 		laf, err := disk.OpenLAF(spec.snapshotName(name, rank, slot), int64(arr.LocalElems()))
 		if err != nil {
@@ -377,22 +454,7 @@ func (in *interp) restoreFromManifest(m *ckptManifest) error {
 		}
 	}
 	in.counter = m.Counter
-	for k, v := range m.Auto {
-		in.auto[k] = v
-	}
-	for k, v := range m.AutoIdx {
-		in.autoIdx[k] = v
-	}
-	for name, c := range m.Staging {
-		data, err := b64ToFloats(c.Data)
-		if err != nil {
-			return fmt.Errorf("exec: restore staging of %q: %w", name, err)
-		}
-		if len(data) != c.Rows*c.Cols {
-			return fmt.Errorf("exec: restore staging of %q: %d elements for %dx%d", name, len(data), c.Rows, c.Cols)
-		}
-		in.staging[name] = &oocarray.ICLA{RowOff: c.RowOff, ColOff: c.ColOff, Rows: c.Rows, Cols: c.Cols, Data: data}
-	}
+	in.staging, in.autoOn, in.autoIdx = r.staging, r.autoOn, r.autoIdx
 	in.ckptEpoch = m.Epoch + 1
 	if in.restoreStats && m.Run != nil {
 		// Put the clock and counters exactly where the original run's
@@ -405,6 +467,9 @@ func (in *interp) restoreFromManifest(m *ckptManifest) error {
 		st.Flops = m.Run.Flops
 		st.ComputeSeconds = m.Run.ComputeSeconds
 		for name, io := range m.Run.PerArray {
+			if io == nil {
+				continue
+			}
 			if dst := in.perArray[name]; dst != nil {
 				*dst = *io
 			} else {
@@ -457,12 +522,13 @@ func loadResumeManifests(fs iosim.FS, spec *CheckpointSpec, procs int) ([]*ckptM
 	return out, nil
 }
 
-// removeCheckpointFiles deletes every checkpoint artifact of the program
-// (manifests and snapshots, both slots). Missing files are expected — the
+// removeCheckpointFiles deletes every checkpoint artifact of a run over
+// procs processors that snapshots arrays (manifests and snapshots, both
+// slots). Missing files are expected — the
 // run may have checkpointed fewer epochs than there are slots — but any
 // other removal failure is returned, joined, so failed GC of stale
 // snapshots is visible to the caller instead of silently leaking files.
-func removeCheckpointFiles(fs iosim.FS, p *plan.Program, spec *CheckpointSpec) error {
+func removeCheckpointFiles(fs iosim.FS, procs int, arrays []string, spec *CheckpointSpec) error {
 	if spec == nil {
 		return nil
 	}
@@ -474,8 +540,7 @@ func removeCheckpointFiles(fs iosim.FS, p *plan.Program, spec *CheckpointSpec) e
 		return err
 	}
 	var errs []error
-	arrays := mutatedArrays(p.Body)
-	for rank := 0; rank < p.Procs; rank++ {
+	for rank := 0; rank < procs; rank++ {
 		for slot := 0; slot < ckptSlots; slot++ {
 			errs = append(errs, remove(spec.manifestName(rank, slot)))
 			for _, name := range arrays {

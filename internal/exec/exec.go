@@ -1,8 +1,10 @@
-// Package exec interprets compiled node programs (plan.Program) on the
-// simulated distributed memory machine: P processor goroutines run the
-// program's Body in SPMD style against their out-of-core local arrays,
-// performing real file I/O, real message passing and real arithmetic
-// while the simulated clocks accumulate the machine-model costs.
+// Package exec executes compiled node programs (plan.Program) on the
+// simulated distributed memory machine. Every run first lowers the
+// program to its flat opcode stream (internal/bytecode); P processor
+// goroutines then execute that one stream in SPMD style against their
+// out-of-core local arrays, performing real file I/O, real message
+// passing and real arithmetic while the simulated clocks accumulate the
+// machine-model costs.
 package exec
 
 import (
@@ -13,7 +15,6 @@ import (
 
 	"github.com/ooc-hpf/passion/internal/bufpool"
 	"github.com/ooc-hpf/passion/internal/bytecode"
-	"github.com/ooc-hpf/passion/internal/collio"
 	"github.com/ooc-hpf/passion/internal/dist"
 	"github.com/ooc-hpf/passion/internal/iosim"
 	"github.com/ooc-hpf/passion/internal/matrix"
@@ -92,15 +93,6 @@ type Options struct {
 	// number. Chaos and test harnesses use it to crash, cancel or
 	// observe a run at a deterministic mid-run boundary.
 	CkptHook func(epoch int)
-	// Bytecode, when non-nil, executes the program through its compiled
-	// opcode stream (internal/bytecode) instead of walking the plan tree:
-	// a tight fetch-decode loop over preresolved slots replaces the
-	// per-node type switch and name lookups. The stream must have been
-	// compiled from this exact program — the fingerprints are verified
-	// before the run starts. Execution is semantically identical to the
-	// tree walk down to the bit: same I/O, messages, float operation
-	// order, checkpoint cursors and trace spans.
-	Bytecode *bytecode.Program
 }
 
 // mpOptions maps the execution options onto the message-passing
@@ -131,6 +123,9 @@ type Result struct {
 	res     *iosim.Resilience
 	ckpt    *CheckpointSpec
 	pstore  *parity.Store
+	// mutated names the arrays the program writes — the ones whose
+	// checkpoint snapshots Close has to remove.
+	mutated []string
 }
 
 // ParityStore returns the run's parity store (nil when Options.Parity was
@@ -147,7 +142,7 @@ func (r *Result) Close() error {
 	if r.pstore != nil {
 		r.pstore.Close()
 	}
-	return removeCheckpointFiles(r.fs, r.Program, r.ckpt)
+	return removeCheckpointFiles(r.fs, r.Program.Procs, r.mutated, r.ckpt)
 }
 
 // removeRunFiles deletes every local array file the program creates,
@@ -189,18 +184,40 @@ func Run(p *plan.Program, mach sim.Config, opts Options) (*Result, error) {
 }
 
 // RunCtx is Run under a context: a cancelled or expired context stops
-// every processor at its next plan-node boundary, the run unwinds like
-// any other failed attempt (files removed unless checkpointed, slab
-// buffers returned to the arena), and the returned error wraps
-// ctx.Err(). The check is one non-blocking receive on ctx.Done(), taken
-// once per run (see interp.cancelled): free only for a context that can
-// never be cancelled, whose Done is nil, and lock-free for any other.
+// every processor before its next instruction (every opcode of the
+// lowered stream is a boundary — a superset of the plan-node boundaries,
+// since loop control and node markers are instructions too), the run
+// unwinds like any other failed attempt (files removed unless
+// checkpointed, slab buffers returned to the arena), and the returned
+// error wraps ctx.Err(). The check is one non-blocking receive on
+// ctx.Done(), taken once per run (see interp.cancelled): free only for a
+// context that can never be cancelled, whose Done is nil, and lock-free
+// for any other.
+//
+// A program the lowering rejects (a buffer read before any definition, a
+// dead loop variable, an unknown array) fails with an "exec: lower: ..."
+// error before any file is created or processor started.
 func RunCtx(ctx context.Context, p *plan.Program, mach sim.Config, opts Options) (*Result, error) {
-	res, err := run(ctx, p, mach, opts, nil, nil)
+	code, err := lower(p)
+	if err != nil {
+		return nil, err
+	}
+	res, err := run(ctx, p, code, mach, opts, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// lower compiles the program to the opcode stream the run executes. It
+// is the first thing every entry point does, so a program the lowering
+// rejects fails before any file or processor exists.
+func lower(p *plan.Program) (*bytecode.Program, error) {
+	code, err := bytecode.Compile(p)
+	if err != nil {
+		return nil, fmt.Errorf("exec: lower: %w", err)
+	}
+	return code, nil
 }
 
 // Resume restarts a killed or failed checkpointed run from its last
@@ -222,38 +239,58 @@ func ResumeCtx(ctx context.Context, p *plan.Program, mach sim.Config, opts Optio
 	if opts.FS == nil {
 		return nil, fmt.Errorf("exec: Resume requires the original Options.FS")
 	}
+	code, err := lower(p)
+	if err != nil {
+		return nil, err
+	}
 	manifests, err := loadResumeManifests(opts.FS, opts.Checkpoint, p.Procs)
 	if err != nil {
 		return nil, err
 	}
-	res, err := run(ctx, p, mach, opts, manifests, nil)
+	res, err := run(ctx, p, code, mach, opts, manifests, nil)
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// run executes the program, optionally restarting every processor from
-// its entry in resume (indexed by rank; nil means a fresh run).
-// respawned lists ranks restarted after a fail-stop loss — they record a
-// respawn instant at attempt start. On failure the partial Result (with
-// the attempt's statistics) is returned alongside the error so the
-// recovery loop can report and reconcile aborted attempts; the exported
-// entry points discard it.
-func run(ctx context.Context, p *plan.Program, mach sim.Config, opts Options, resume []*ckptManifest, respawned []int) (*Result, error) {
+// run executes the program's opcode stream, optionally restarting every
+// processor from its entry in resume (indexed by rank; nil means a fresh
+// run). respawned lists ranks restarted after a fail-stop loss — they
+// record a respawn instant at attempt start. On failure the partial
+// Result (with the attempt's statistics) is returned alongside the error
+// so the recovery loop can report and reconcile aborted attempts; the
+// exported entry points discard it.
+func run(ctx context.Context, p *plan.Program, code *bytecode.Program, mach sim.Config, opts Options, resume []*ckptManifest, respawned []int) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if opts.Bytecode != nil {
-		// Verify once, before any rank starts: a stream compiled from a
-		// different program would execute the wrong access pattern
-		// against this program's arrays.
-		if fp := plan.Fingerprint(p, nil); fp != opts.Bytecode.Fingerprint {
-			return nil, fmt.Errorf("exec: bytecode fingerprint %s does not match plan fingerprint %s",
-				opts.Bytecode.Fingerprint, fp)
+	mach.Procs = p.Procs
+	// One mapping per array for the whole run: they are read-only, and
+	// the routing tables a mapping caches (dist.Tables2) are then built
+	// once per run rather than once per rank.
+	dmaps := make([]*dist.Array, len(code.Arrays))
+	for i, spec := range code.Arrays {
+		dm, err := spec.DistArray(p.Procs)
+		if err != nil {
+			return nil, err
+		}
+		dmaps[i] = dm
+	}
+	// Manifests are checked against the program here, before any rank
+	// starts: a name or staging shape the program does not have fails the
+	// resume without touching a file.
+	var restores []*restored
+	if resume != nil {
+		restores = make([]*restored, len(resume))
+		for rank, m := range resume {
+			r, err := resolveManifest(code, dmaps, rank, m)
+			if err != nil {
+				return nil, err
+			}
+			restores[rank] = r
 		}
 	}
-	mach.Procs = p.Procs
 	fs := opts.FS
 	if fs == nil {
 		fs = iosim.NewMemFS()
@@ -262,21 +299,11 @@ func run(ctx context.Context, p *plan.Program, mach sim.Config, opts Options, re
 	if opts.Parity {
 		pstore = parity.NewStore(fs, mach, p.Procs, opts.Resilience)
 		pstore.SetPhantom(opts.Phantom)
-		for _, spec := range p.Arrays {
+		for _, spec := range code.Arrays {
 			pstore.Protect(spec.Name)
 		}
 	}
-	// One mapping per array for the whole run: they are read-only, and
-	// the routing tables a mapping caches (dist.Tables2) are then built
-	// once per run rather than once per rank.
-	dmaps := make([]*dist.Array, len(p.Arrays))
-	for i, spec := range p.Arrays {
-		dm, err := spec.DistArray(p.Procs)
-		if err != nil {
-			return nil, err
-		}
-		dmaps[i] = dm
-	}
+	mutated := mutatedArrays(code)
 	perArray := make([]map[string]*trace.IOStats, mach.Procs)
 	stats, err := mp.RunOpts(mach, opts.mpOptions(), func(proc *mp.Proc) error {
 		proc.SetTracer(opts.Trace.Rank(proc.Rank()))
@@ -293,11 +320,11 @@ func run(ctx context.Context, p *plan.Program, mach sim.Config, opts Options, re
 		if pstore != nil {
 			pstore.SetCommSink(proc.Rank(), &proc.Stats().Comm)
 		}
-		var man *ckptManifest
-		if resume != nil {
-			man = resume[proc.Rank()]
+		var rst *restored
+		if restores != nil {
+			rst = restores[proc.Rank()]
 		}
-		in := newInterp(ctx, p, proc, fs, opts, pstore, dmaps)
+		in := newInterp(ctx, code, proc, fs, opts, pstore, dmaps, mutated)
 		perArray[proc.Rank()] = in.perArray
 		// Runs last (defers are LIFO): whatever path the run leaves by —
 		// success, cancellation, fault abort, plan-bug panic — the slab
@@ -337,14 +364,12 @@ func run(ctx context.Context, p *plan.Program, mach sim.Config, opts Options, re
 				in.close()
 			}
 		}()
-		if err := in.initArrays(opts, man); err != nil {
+		if err := in.initArrays(opts, rst); err != nil {
 			return err
 		}
 		startNode, startIter := 0, 0
-		if man != nil {
-			startNode, startIter = man.NodeIdx, man.Iter
-		}
-		if man != nil {
+		if rst != nil {
+			startNode, startIter = rst.man.NodeIdx, rst.man.Iter
 			// Resuming attaches to pre-existing local array files whose
 			// parity may be stale (the crash can have interrupted a
 			// read-modify-write); rebuild redundancy before computing.
@@ -358,11 +383,7 @@ func run(ctx context.Context, p *plan.Program, mach sim.Config, opts Options, re
 				proc.Barrier(ckptTag)
 			}
 		}
-		if opts.Bytecode != nil {
-			if err := in.runBytecode(opts.Bytecode, startNode, startIter); err != nil {
-				return err
-			}
-		} else if err := in.runTop(p.Body, startNode, startIter); err != nil {
+		if err := in.run(startNode, startIter); err != nil {
 			return err
 		}
 		// A degraded run (lost parity during a fault) must restore full
@@ -374,7 +395,8 @@ func run(ctx context.Context, p *plan.Program, mach sim.Config, opts Options, re
 		return nil
 	})
 	res := &Result{Stats: stats, Program: p, PerArray: perArray, fs: fs, mach: mach,
-		phantom: opts.Phantom, res: opts.Resilience, ckpt: opts.Checkpoint, pstore: pstore}
+		phantom: opts.Phantom, res: opts.Resilience, ckpt: opts.Checkpoint, pstore: pstore,
+		mutated: mutated.names}
 	if err != nil {
 		// Without a checkpoint there is nothing to resume from, so a
 		// failed run must not leave local array files behind; with one,
@@ -438,11 +460,19 @@ func (r *Result) ReadArray(name string) (*matrix.Matrix, error) {
 // ---------------------------------------------------------------------------
 // Interpreter
 
+// interp executes the run's opcode stream for one rank (the fetch-decode
+// loop and the opcode handlers are in bytecode.go). All state lives in
+// flat tables the lowering laid out: loop variables, slab buffers and
+// accumulation vectors by slot, arrays — with their slabbings, writers,
+// staging and auto-staging state — by array-table index, prefetch readers
+// by reader slot. Names appear only where they leave the process: error
+// messages, the per-array statistics and the checkpoint manifest, all
+// through code.Arrays[i].Name.
 type interp struct {
 	ctx     context.Context
 	done    <-chan struct{} // ctx.Done(), captured once; see cancelled
-	prog    *plan.Program
-	dmaps   []*dist.Array // mapping of prog.Arrays[i], shared by all ranks
+	code    *bytecode.Program
+	dmaps   []*dist.Array // mapping of code.Arrays[i], shared by all ranks
 	proc    *mp.Proc
 	phantom bool
 	fs      iosim.FS
@@ -453,57 +483,60 @@ type interp struct {
 	// checkpointing is off. ckptHook observes committed epochs on rank 0;
 	// restoreStats requests exact clock/counter restoration on resume and
 	// statsRestored records that it actually happened (the manifest
-	// carried a stats snapshot).
+	// carried a stats snapshot). mutated is what a checkpoint snapshots.
 	ckptSpec      *CheckpointSpec
 	ckptEpoch     int
 	ckptHook      func(epoch int)
 	restoreStats  bool
 	statsRestored bool
+	mutated       writeSet
 
-	arrays    map[string]*oocarray.Array
-	slabbings map[string]oocarray.Slabbing
-	vars      map[string]int
-	bufs      map[string]*oocarray.ICLA
-	vecs      map[string][]float64
+	// Per array-table index. staging holds each output array's current
+	// staging buffer; autoIdx tracks the counter-driven slab index of
+	// AUTO_STAGE arrays (-1 when none is active); writers holds the
+	// write-behind pipelines when Options.Runtime.WriteBehind is set.
+	arrays  []*oocarray.Array
+	slabs   []oocarray.Slabbing
+	writers []*oocarray.SlabWriter
+	staging []*oocarray.ICLA
+	autoOn  []bool
+	autoIdx []int
 
-	// staging holds each output array's current staging buffer; autoIdx
-	// tracks the counter-driven slab index for AutoStage arrays (-1 when
-	// none is active).
-	staging map[string]*oocarray.ICLA
-	auto    map[string]bool
-	autoIdx map[string]int
+	// Slot tables.
+	vars []int
+	bufs []*oocarray.ICLA
+	vecs [][]float64
 
-	// counter is the implicit global column counter of SumStore.
+	// counter is the implicit global column counter of SUM_STORE.
 	counter int
 
-	// readers caches a SlabReader per Stream-marked ReadSlab node, so
+	// Prefetch readers, one slot per stream-marked LOAD_SLAB, so
 	// sequential scans can be prefetched; readerNext tracks the slab
 	// index each reader will deliver.
-	readers    map[*plan.ReadSlab]*oocarray.SlabReader
-	readerNext map[*plan.ReadSlab]int
+	readers    []*oocarray.SlabReader
+	readerNext []int
+
+	// frames is the live loop stack.
+	frames []frame
+
+	// estack is the expression evaluation scratch stack, sized once to
+	// the deepest expression in the program.
+	estack [][]float64
 
 	// perArray attributes I/O statistics to individual arrays.
 	perArray map[string]*trace.IOStats
-
-	// writers holds per-array write-behind pipelines when
-	// Options.Runtime.WriteBehind is set.
-	writers map[string]*oocarray.SlabWriter
-
-	// bce is the bytecode executor when the run dispatches through a
-	// compiled opcode stream (Options.Bytecode); releaseBufs drains its
-	// slot tables alongside the interpreter's maps.
-	bce *bcExec
 }
 
 // newInterp builds the interpreter shell; initArrays creates the arrays.
 // The split lets the node closure register the per-array statistics map
 // before any I/O happens, so even a rank killed during array fill leaves
 // reconcilable statistics behind.
-func newInterp(ctx context.Context, p *plan.Program, proc *mp.Proc, fs iosim.FS, opts Options, pstore *parity.Store, dmaps []*dist.Array) *interp {
+func newInterp(ctx context.Context, code *bytecode.Program, proc *mp.Proc, fs iosim.FS, opts Options, pstore *parity.Store, dmaps []*dist.Array, mutated writeSet) *interp {
+	na := len(code.Arrays)
 	return &interp{
 		ctx:          ctx,
 		done:         ctx.Done(),
-		prog:         p,
+		code:         code,
 		dmaps:        dmaps,
 		proc:         proc,
 		phantom:      opts.Phantom,
@@ -513,17 +546,20 @@ func newInterp(ctx context.Context, p *plan.Program, proc *mp.Proc, fs iosim.FS,
 		ckptSpec:     opts.Checkpoint,
 		ckptHook:     opts.CkptHook,
 		restoreStats: opts.RestoreStats,
-		arrays:       make(map[string]*oocarray.Array),
-		slabbings:    make(map[string]oocarray.Slabbing),
-		vars:         make(map[string]int),
-		bufs:         make(map[string]*oocarray.ICLA),
-		vecs:         make(map[string][]float64),
-		staging:      make(map[string]*oocarray.ICLA),
-		auto:         make(map[string]bool),
-		autoIdx:      make(map[string]int),
-		readers:      make(map[*plan.ReadSlab]*oocarray.SlabReader),
-		readerNext:   make(map[*plan.ReadSlab]int),
-		perArray:     make(map[string]*trace.IOStats),
+		mutated:      mutated,
+		arrays:       make([]*oocarray.Array, na),
+		slabs:        make([]oocarray.Slabbing, na),
+		writers:      make([]*oocarray.SlabWriter, na),
+		staging:      make([]*oocarray.ICLA, na),
+		autoOn:       make([]bool, na),
+		autoIdx:      make([]int, na),
+		vars:         make([]int, len(code.VarNames)),
+		bufs:         make([]*oocarray.ICLA, len(code.BufNames)),
+		vecs:         make([][]float64, len(code.VecNames)),
+		readers:      make([]*oocarray.SlabReader, code.Readers),
+		readerNext:   make([]int, code.Readers),
+		estack:       make([][]float64, 0, code.MaxExprDepth()),
+		perArray:     make(map[string]*trace.IOStats, na),
 	}
 }
 
@@ -531,20 +567,20 @@ func newInterp(ctx context.Context, p *plan.Program, proc *mp.Proc, fs iosim.FS,
 // array files and fills input arrays. When fault injection is active the
 // array disks feed the processor's op counter, so kills can land between
 // I/O operations exactly as they can between message operations.
-func (in *interp) initArrays(opts Options, resume *ckptManifest) error {
-	p, proc, fs, pstore := in.prog, in.proc, in.fs, in.pstore
-	for i, spec := range p.Arrays {
+func (in *interp) initArrays(opts Options, resume *restored) error {
+	proc := in.proc
+	for i, spec := range in.code.Arrays {
 		dm := in.dmaps[i]
 		arrStats := &trace.IOStats{}
 		in.perArray[spec.Name] = arrStats
-		disk := iosim.NewResilientDisk(fs, proc.Config(), arrStats, opts.Resilience)
+		disk := iosim.NewResilientDisk(in.fs, proc.Config(), arrStats, opts.Resilience)
 		disk.SetPhantom(opts.Phantom)
 		disk.SetTracer(proc.Tracer(), proc.Clock(), spec.Name)
 		if opts.failureActive() {
 			disk.SetOpHook(proc.StepOp)
 		}
-		if pstore != nil {
-			disk.SetParity(pstore)
+		if in.pstore != nil {
+			disk.SetParity(in.pstore)
 		}
 		var arr *oocarray.Array
 		var err error
@@ -559,13 +595,10 @@ func (in *interp) initArrays(opts Options, resume *ckptManifest) error {
 		if err != nil {
 			return err
 		}
-		in.arrays[spec.Name] = arr
-		in.slabbings[spec.Name] = arr.Slabbing(spec.SlabDim, spec.SlabElems)
+		in.arrays[i] = arr
+		in.slabs[i] = arr.Slabbing(spec.SlabDim, spec.SlabElems)
 		if opts.Runtime.WriteBehind {
-			if in.writers == nil {
-				in.writers = make(map[string]*oocarray.SlabWriter)
-			}
-			in.writers[spec.Name] = arr.NewSlabWriter()
+			in.writers[i] = arr.NewSlabWriter()
 		}
 		if spec.Role == plan.In && !opts.Phantom && resume == nil {
 			if fill, ok := opts.Fill[spec.Name]; ok {
@@ -576,9 +609,7 @@ func (in *interp) initArrays(opts Options, resume *ckptManifest) error {
 		}
 	}
 	if resume != nil {
-		if err := in.restoreFromManifest(resume); err != nil {
-			return err
-		}
+		return in.restore(resume)
 	}
 	return nil
 }
@@ -629,105 +660,27 @@ func (in *interp) paritySync() error {
 
 func (in *interp) close() {
 	for _, w := range in.writers {
-		w.Flush()
+		if w != nil {
+			w.Flush()
+		}
 	}
 	for _, a := range in.arrays {
-		a.Close()
+		if a != nil {
+			a.Close()
+		}
 	}
 }
 
-// runTop executes the program's top-level body from the cursor
-// (startNode, startIter), committing checkpoints at eligible boundaries
-// when checkpointing is on. startIter only applies to the loop at
-// startNode (per-iteration cursors are recorded only for SumStore loops).
-func (in *interp) runTop(body []plan.Node, startNode, startIter int) error {
-	if in.ckptSpec != nil && startNode == 0 && startIter == 0 && !in.statsRestored {
-		// Commit an initial checkpoint at cursor (0,0) so even a program
-		// whose body is a single non-loop node (e.g. one Redistribute) has
-		// an epoch to resume from if it crashes mid-node. A stats-exact
-		// resume at cursor (0,0) skips the re-commit: the uninterrupted
-		// run checkpointed here exactly once, and an extra barrier would
-		// shift the restored clocks.
-		if err := in.doCheckpoint(0, 0); err != nil {
-			return err
-		}
-	}
-	for i := startNode; i < len(body); i++ {
-		nodeStart := in.proc.Clock().Seconds()
-		loop, isLoop := body[i].(*plan.Loop)
-		first := 0
-		if i == startNode {
-			first = startIter
-		}
-		if isLoop && in.ckptSpec != nil && plan.HasSumStore(loop.Body) {
-			// Iterate here instead of in run() so a checkpoint with
-			// cursor (i, v) can be committed between iterations. The
-			// SumStore restriction makes the trip count globally
-			// uniform, so the checkpoint barrier is collective-safe.
-			count, err := in.count(loop.Count)
-			if err != nil {
-				return err
-			}
-			every := in.ckptSpec.every()
-			for v := first; v < count; v++ {
-				if v != first && v%every == 0 {
-					if err := in.doCheckpoint(i, v); err != nil {
-						return err
-					}
-				}
-				in.vars[loop.Var] = v
-				if err := in.runBody(loop.Body); err != nil {
-					return err
-				}
-			}
-			delete(in.vars, loop.Var)
-		} else if isLoop && first > 0 {
-			// Resuming into a loop checkpointed only at its boundary
-			// cannot happen (per-iteration cursors are only recorded for
-			// SumStore loops), but guard against a foreign manifest.
-			return fmt.Errorf("exec: checkpoint cursor (%d,%d) points into a non-resumable loop", i, first)
-		} else {
-			if err := in.run(body[i]); err != nil {
-				return err
-			}
-		}
-		if tr := in.proc.Tracer(); tr != nil {
-			if end := in.proc.Clock().Seconds(); end > nodeStart {
-				tr.Emit(trace.Span{Kind: trace.KindNode, Label: nodeLabel(body[i]),
-					Start: nodeStart, Dur: end - nodeStart, N: int64(i)})
-			}
-		}
-		if in.ckptSpec != nil && i+1 < len(body) {
-			if err := in.doCheckpoint(i+1, 0); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// nodeLabel names a plan node for the trace overlay track.
-func nodeLabel(n plan.Node) string { return plan.NodeLabel(n) }
-
-func (in *interp) runBody(body []plan.Node) error {
-	for _, n := range body {
-		if err := in.run(n); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// cancelled is the op-boundary cancellation check shared by the tree
-// walk and the bytecode loop: one non-blocking receive on the run's done
-// channel. It touches no shared lock — a receive on an open, empty
-// channel is two atomic loads, and on the nil channel of a
-// non-cancellable context (context.Background, the plain path the
-// wallbench gates pin) it returns at once. ctx.Err() must not be polled
-// here instead: on a cancellable context it takes the context's mutex,
-// one lock shared by all P rank goroutines at every instruction, which
-// was half the host time of a served GAXPY. Err is consulted only after
-// done has closed, when it is guaranteed non-nil.
+// cancelled is the op-boundary cancellation check of the dispatch loop:
+// one non-blocking receive on the run's done channel. It touches no
+// shared lock — a receive on an open, empty channel is two atomic loads,
+// and on the nil channel of a non-cancellable context
+// (context.Background, the plain path the wallbench gates pin) it returns
+// at once. ctx.Err() must not be polled here instead: on a cancellable
+// context it takes the context's mutex, one lock shared by all P rank
+// goroutines at every instruction, which was half the host time of a
+// served GAXPY. Err is consulted only after done has closed, when it is
+// guaranteed non-nil.
 func (in *interp) cancelled() error {
 	select {
 	case <-in.done:
@@ -742,366 +695,9 @@ func (in *interp) cancelErr() error {
 	return fmt.Errorf("cancelled at op boundary: %w", in.ctx.Err())
 }
 
-func (in *interp) run(n plan.Node) error {
-	// Every plan node is an op boundary: a cancelled or expired context
-	// stops the rank here, before the node's I/O or communication.
-	if err := in.cancelled(); err != nil {
-		return err
-	}
-	switch n := n.(type) {
-	case *plan.Loop:
-		count, err := in.count(n.Count)
-		if err != nil {
-			return err
-		}
-		for v := 0; v < count; v++ {
-			in.vars[n.Var] = v
-			if err := in.runBody(n.Body); err != nil {
-				return err
-			}
-		}
-		delete(in.vars, n.Var)
-		return nil
-
-	case *plan.ReadSlab:
-		arr, err := in.array(n.Array)
-		if err != nil {
-			return err
-		}
-		idx, ok := in.vars[n.Index]
-		if !ok {
-			return fmt.Errorf("exec: ReadSlab index %q is not a live loop variable", n.Index)
-		}
-		icla, err := in.readSlab(n, arr, idx)
-		if err != nil {
-			return err
-		}
-		old := in.bufs[n.Buf]
-		in.bufs[n.Buf] = icla
-		in.recycle(arr, old)
-		return nil
-
-	case *plan.NewStaging:
-		arr, err := in.array(n.Array)
-		if err != nil {
-			return err
-		}
-		like, ok := in.bufs[n.RowsLike]
-		if !ok {
-			return fmt.Errorf("exec: NewStaging rows-like buffer %q not read yet", n.RowsLike)
-		}
-		s := &oocarray.ICLA{
-			RowOff: like.RowOff, ColOff: 0,
-			Rows: like.Rows, Cols: arr.LocalCols(),
-			Data: bufpool.GetF64(like.Rows * arr.LocalCols()),
-		}
-		clear(s.Data)
-		oldStage := in.staging[n.Array]
-		oldBuf := in.bufs[n.Buf]
-		in.staging[n.Array] = s
-		in.bufs[n.Buf] = s
-		in.recycle(arr, oldStage)
-		in.recycle(arr, oldBuf)
-		return nil
-
-	case *plan.AutoStage:
-		in.auto[n.Array] = true
-		in.autoIdx[n.Array] = -1
-		return nil
-
-	case *plan.FlushStage:
-		return in.flushStage(n.Array)
-
-	case *plan.WriteBuf:
-		arr, err := in.array(n.Array)
-		if err != nil {
-			return err
-		}
-		buf, ok := in.bufs[n.Buf]
-		if !ok {
-			return fmt.Errorf("exec: WriteBuf of unknown buffer %q", n.Buf)
-		}
-		if w := in.writers[n.Array]; w != nil {
-			return w.Write(buf)
-		}
-		return arr.WriteSection(buf)
-
-	case *plan.ZeroVec:
-		rows, err := in.vecRows(n)
-		if err != nil {
-			return err
-		}
-		v := in.vecs[n.Vec]
-		if len(v) != rows {
-			v = make([]float64, rows)
-			in.vecs[n.Vec] = v
-		} else if !in.phantom {
-			for i := range v {
-				v[i] = 0
-			}
-		}
-		return nil
-
-	case *plan.Axpy:
-		return in.axpy(n)
-
-	case *plan.SumStore:
-		return in.sumStore(n)
-
-	case *plan.ResetCounter:
-		in.counter = 0
-		return nil
-
-	case *plan.NewSlab:
-		return in.runNewSlab(n)
-
-	case *plan.Ewise:
-		return in.runEwise(n)
-
-	case *plan.ShiftEwise:
-		return in.runShiftEwise(n)
-
-	case *plan.Redistribute:
-		return in.runRedistribute(n)
-
-	default:
-		return fmt.Errorf("exec: unknown node %T", n)
-	}
-}
-
-// runRedistribute executes a collective redistribution through the
-// two-phase I/O layer, with the write strategy the cost model chose.
-func (in *interp) runRedistribute(n *plan.Redistribute) error {
-	src, err := in.array(n.Src)
-	if err != nil {
-		return err
-	}
-	dst, err := in.array(n.Dst)
-	if err != nil {
-		return err
-	}
-	method, err := collio.ParseMethod(n.Method)
-	if err != nil {
-		return err
-	}
-	var transform func(gi, gj int) (int, int)
-	if n.Transpose {
-		transform = func(gi, gj int) (int, int) { return gj, gi }
-	}
-	return oocarray.RedistributeVia(in.proc, src, dst, n.MemElems, redistTag, transform, method)
-}
-
-// readSlab fetches one slab, going through a prefetch-capable reader for
-// Stream-marked sequential scans and falling back to a direct read
-// otherwise.
-func (in *interp) readSlab(n *plan.ReadSlab, arr *oocarray.Array, idx int) (*oocarray.ICLA, error) {
-	if !n.Stream {
-		return arr.ReadSlab(in.slabbings[n.Array], idx)
-	}
-	r := in.readers[n]
-	if idx == 0 {
-		if r == nil {
-			r = arr.NewSlabReader(in.slabbings[n.Array])
-			in.readers[n] = r
-		} else {
-			r.Reset()
-		}
-		in.readerNext[n] = 0
-	}
-	if r == nil || in.readerNext[n] != idx {
-		// The scan hypothesis does not hold at runtime; stay correct
-		// with a direct read.
-		return arr.ReadSlab(in.slabbings[n.Array], idx)
-	}
-	icla, ok, err := r.Next()
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("exec: stream reader for %q exhausted at slab %d", n.Array, idx)
-	}
-	in.readerNext[n] = idx + 1
-	return icla, nil
-}
-
-func (in *interp) array(name string) (*oocarray.Array, error) {
-	a, ok := in.arrays[name]
-	if !ok {
-		return nil, fmt.Errorf("exec: unknown array %q", name)
-	}
-	return a, nil
-}
-
-func (in *interp) count(c plan.CountExpr) (int, error) {
-	switch {
-	case c.SlabsOf != "":
-		s, ok := in.slabbings[c.SlabsOf]
-		if !ok {
-			return 0, fmt.Errorf("exec: slabs of unknown array %q", c.SlabsOf)
-		}
-		return s.Count, nil
-	case c.ColsOf != "":
-		b, ok := in.bufs[c.ColsOf]
-		if !ok {
-			return 0, fmt.Errorf("exec: cols of unread buffer %q", c.ColsOf)
-		}
-		return b.Cols, nil
-	default:
-		return c.Lit, nil
-	}
-}
-
-func (in *interp) vecRows(n *plan.ZeroVec) (int, error) {
-	if n.RowsLike != "" {
-		b, ok := in.bufs[n.RowsLike]
-		if !ok {
-			return 0, fmt.Errorf("exec: ZeroVec rows-like buffer %q not read yet", n.RowsLike)
-		}
-		return b.Rows, nil
-	}
-	arr, err := in.array(n.RowsOfArray)
-	if err != nil {
-		return 0, err
-	}
-	return arr.LocalRows(), nil
-}
-
-func (in *interp) axpy(n *plan.Axpy) error {
-	vec, ok := in.vecs[n.Vec]
-	if !ok {
-		return fmt.Errorf("exec: Axpy into unallocated vector %q", n.Vec)
-	}
-	a, ok := in.bufs[n.A]
-	if !ok {
-		return fmt.Errorf("exec: Axpy reads unread buffer %q", n.A)
-	}
-	b, ok := in.bufs[n.B]
-	if !ok {
-		return fmt.Errorf("exec: Axpy reads unread buffer %q", n.B)
-	}
-	aCol, ok := in.vars[n.ACol]
-	if !ok {
-		return fmt.Errorf("exec: Axpy column variable %q not live", n.ACol)
-	}
-	bCol, ok := in.vars[n.BCol]
-	if !ok {
-		return fmt.Errorf("exec: Axpy column variable %q not live", n.BCol)
-	}
-	row := 0
-	if n.BRowBase != "" {
-		base, ok := in.vars[n.BRowBase]
-		if !ok {
-			return fmt.Errorf("exec: Axpy row variable %q not live", n.BRowBase)
-		}
-		scale := 1
-		if n.BRowScale != "" {
-			s, ok := in.slabbings[n.BRowScale]
-			if !ok {
-				return fmt.Errorf("exec: Axpy slab width of unknown array %q", n.BRowScale)
-			}
-			scale = s.Width
-		}
-		row = base * scale
-	}
-	if n.BRowPlus != "" {
-		plus, ok := in.vars[n.BRowPlus]
-		if !ok {
-			return fmt.Errorf("exec: Axpy row variable %q not live", n.BRowPlus)
-		}
-		row += plus
-	}
-	if a.Rows != len(vec) {
-		return fmt.Errorf("exec: Axpy shape mismatch: vector %d vs slab rows %d", len(vec), a.Rows)
-	}
-	if !in.phantom {
-		col := a.Col(aCol)
-		bval := b.At(row, bCol)
-		for i, v := range col {
-			vec[i] += bval * v
-		}
-	}
-	in.proc.Compute(2 * int64(a.Rows))
-	return nil
-}
-
-func (in *interp) sumStore(n *plan.SumStore) error {
-	vec, ok := in.vecs[n.Vec]
-	if !ok {
-		return fmt.Errorf("exec: SumStore of unallocated vector %q", n.Vec)
-	}
-	arr, err := in.array(n.Array)
-	if err != nil {
-		return err
-	}
-	gj := in.counter
-	in.counter++
-	owner := arr.Dist().Dims[1].Owner(gj)
-	mine := owner == in.proc.Rank()
-
-	// The owner positions its (auto) staging slab before the reduction.
-	if mine && in.auto[n.Array] {
-		_, local := arr.Dist().Dims[1].ToLocal(gj)
-		slb := in.slabbings[n.Array]
-		idx := local / slb.Width
-		if idx != in.autoIdx[n.Array] {
-			if err := in.flushStage(n.Array); err != nil {
-				return err
-			}
-			s, err := arr.NewSlab(slb, idx)
-			if err != nil {
-				return err
-			}
-			in.staging[n.Array] = s
-			in.autoIdx[n.Array] = idx
-		}
-	}
-
-	sum := in.proc.Reduce(owner, reduceTag, vec)
-	if !mine {
-		return nil
-	}
-	s := in.staging[n.Array]
-	if s == nil {
-		return fmt.Errorf("exec: SumStore into %q with no staging buffer", n.Array)
-	}
-	_, local := arr.Dist().Dims[1].ToLocal(gj)
-	lj := local - s.ColOff
-	if lj < 0 || lj >= s.Cols {
-		return fmt.Errorf("exec: SumStore column %d outside staging [%d,+%d)", gj, s.ColOff, s.Cols)
-	}
-	if len(sum) != s.Rows {
-		return fmt.Errorf("exec: SumStore length %d vs staging rows %d", len(sum), s.Rows)
-	}
-	copy(s.Col(lj), sum)
-	mp.ReleaseBuf(sum)
-	return nil
-}
-
-func (in *interp) flushStage(name string) error {
-	s := in.staging[name]
-	if s == nil {
-		return nil
-	}
-	arr, err := in.array(name)
-	if err != nil {
-		return err
-	}
-	if w := in.writers[name]; w != nil {
-		if err := w.Write(s); err != nil {
-			return err
-		}
-	} else if err := arr.WriteSection(s); err != nil {
-		return err
-	}
-	in.staging[name] = nil
-	in.recycle(arr, s)
-	return nil
-}
-
-// recycle returns a slab buffer to the arena once no binding references
-// it anymore. Both interpreter tables are small (a handful of named
-// buffers), so the alias scan costs nothing next to the slab I/O it
-// follows.
+// recycle returns a slab buffer to the arena once no slot references it
+// anymore. Both tables are small (a handful of buffers), so the alias
+// scan costs nothing next to the slab I/O it follows.
 func (in *interp) recycle(arr *oocarray.Array, s *oocarray.ICLA) {
 	if s == nil {
 		return
@@ -1120,7 +716,7 @@ func (in *interp) recycle(arr *oocarray.Array, s *oocarray.ICLA) {
 }
 
 // releaseBufs returns every slab buffer the interpreter still holds —
-// named ICLAs, staging slabs, prefetched-but-undelivered reader slabs —
+// buffer slots, staging slabs, prefetched-but-undelivered reader slabs —
 // to the arena. It runs on every exit path (success, cancellation,
 // fault abort), so a checked-mode Gets/Puts balance holds across a
 // whole run, not just across the collective layers. Tables can alias
@@ -1144,19 +740,8 @@ func (in *interp) releaseBufs() {
 		rel(s)
 	}
 	for _, r := range in.readers {
-		r.Close()
-	}
-	if b := in.bce; b != nil {
-		for _, s := range b.bufs {
-			rel(s)
-		}
-		for _, s := range b.staging {
-			rel(s)
-		}
-		for _, r := range b.readers {
-			if r != nil {
-				r.Close()
-			}
+		if r != nil {
+			r.Close()
 		}
 	}
 }

@@ -78,6 +78,10 @@ func RunResilientCtx(ctx context.Context, p *plan.Program, mach sim.Config, opts
 		// Recovery spans several runs over one backing store.
 		opts.FS = iosim.NewMemFS()
 	}
+	code, err := lower(p)
+	if err != nil {
+		return nil, err
+	}
 	traceOn := opts.Trace != nil
 	rr := &ResilientResult{}
 	respawned := []int(nil)
@@ -93,7 +97,7 @@ func RunResilientCtx(ctx context.Context, p *plan.Program, mach sim.Config, opts
 			opts.Trace.AdoptSink(prev)
 		}
 		rr.Attempts++
-		res, err := run(ctx, p, mach, opts, manifests, respawned)
+		res, err := run(ctx, p, code, mach, opts, manifests, respawned)
 		if err == nil {
 			rr.Result = res
 			rr.Trace = opts.Trace

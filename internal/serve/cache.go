@@ -26,17 +26,12 @@ type cacheEntry struct {
 	key         string
 	res         *compiler.Result
 	fingerprint string
-	// bytecode is the plan's compiled opcode stream in its encoded wire
-	// form (internal/bytecode.Encode) — the persistable representation,
-	// decoded per job so every dispatch runs a freshly validated copy.
-	bytecode []byte
 }
 
 type pendingCompile struct {
 	done chan struct{}
 	res  *compiler.Result
 	fp   string
-	bc   []byte
 	err  error
 }
 
@@ -54,34 +49,34 @@ func newPlanCache(capacity int) *planCache {
 // shared by reference across jobs: execution never mutates a
 // plan.Program, which the concurrency tests pin down under the race
 // detector.
-func (c *planCache) getOrCompile(key string, compile func() (*compiler.Result, string, []byte, error)) (*compiler.Result, string, []byte, bool, error) {
+func (c *planCache) getOrCompile(key string, compile func() (*compiler.Result, string, error)) (*compiler.Result, string, bool, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
 		c.hits++
 		e := el.Value.(*cacheEntry)
 		c.mu.Unlock()
-		return e.res, e.fingerprint, e.bytecode, true, nil
+		return e.res, e.fingerprint, true, nil
 	}
 	if p, ok := c.pending[key]; ok {
 		// Someone is compiling this key right now; wait for them.
 		c.hits++
 		c.mu.Unlock()
 		<-p.done
-		return p.res, p.fp, p.bc, true, p.err
+		return p.res, p.fp, true, p.err
 	}
 	p := &pendingCompile{done: make(chan struct{})}
 	c.pending[key] = p
 	c.misses++
 	c.mu.Unlock()
 
-	p.res, p.fp, p.bc, p.err = compile()
+	p.res, p.fp, p.err = compile()
 	close(p.done)
 
 	c.mu.Lock()
 	delete(c.pending, key)
 	if p.err == nil {
-		el := c.lru.PushFront(&cacheEntry{key: key, res: p.res, fingerprint: p.fp, bytecode: p.bc})
+		el := c.lru.PushFront(&cacheEntry{key: key, res: p.res, fingerprint: p.fp})
 		c.entries[key] = el
 		for c.lru.Len() > c.cap {
 			old := c.lru.Back()
@@ -90,7 +85,7 @@ func (c *planCache) getOrCompile(key string, compile func() (*compiler.Result, s
 		}
 	}
 	c.mu.Unlock()
-	return p.res, p.fp, p.bc, false, p.err
+	return p.res, p.fp, false, p.err
 }
 
 // CacheStats is the cache's metrics view.

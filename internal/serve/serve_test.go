@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"github.com/ooc-hpf/passion/internal/exec"
 	"github.com/ooc-hpf/passion/internal/hpf"
 	"github.com/ooc-hpf/passion/internal/mp"
+	"github.com/ooc-hpf/passion/internal/plan"
 	"github.com/ooc-hpf/passion/internal/trace"
 )
 
@@ -337,19 +339,19 @@ func TestDrainFinishesQueuedJobs(t *testing.T) {
 func TestCacheEvictsLRU(t *testing.T) {
 	c := newPlanCache(2)
 	compileCalls := 0
-	compile := func() (*compiler.Result, string, []byte, error) {
+	compile := func() (*compiler.Result, string, error) {
 		compileCalls++
-		return &compiler.Result{}, "fp", nil, nil
+		return &compiler.Result{}, "fp", nil
 	}
 	for _, key := range []string{"k1", "k2", "k1", "k3"} { // k3 evicts k2
-		if _, _, _, _, err := c.getOrCompile(key, compile); err != nil {
+		if _, _, _, err := c.getOrCompile(key, compile); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, _, hit, _ := c.getOrCompile("k1", compile); !hit {
+	if _, _, hit, _ := c.getOrCompile("k1", compile); !hit {
 		t.Error("k1 should have survived eviction")
 	}
-	if _, _, _, hit, _ := c.getOrCompile("k2", compile); hit {
+	if _, _, hit, _ := c.getOrCompile("k2", compile); hit {
 		t.Error("k2 should have been evicted as least recently used")
 	}
 	if compileCalls != 4 {
@@ -361,18 +363,18 @@ func TestCacheEvictsLRU(t *testing.T) {
 	var wg sync.WaitGroup
 	var n int64
 	var mu sync.Mutex
-	slow := func() (*compiler.Result, string, []byte, error) {
+	slow := func() (*compiler.Result, string, error) {
 		mu.Lock()
 		n++
 		mu.Unlock()
 		time.Sleep(5 * time.Millisecond)
-		return &compiler.Result{}, "fp", nil, nil
+		return &compiler.Result{}, "fp", nil
 	}
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, _, _, err := c.getOrCompile("shared", slow); err != nil {
+			if _, _, _, err := c.getOrCompile("shared", slow); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -386,26 +388,44 @@ func TestCacheEvictsLRU(t *testing.T) {
 	}
 }
 
-// TestJobsRunThroughBytecode pins the serving dispatch path: every
-// admitted job carries an opcode stream decoded from the cache's encoded
-// form and reports that it executed through it.
-func TestJobsRunThroughBytecode(t *testing.T) {
+// TestUnlowerablePlanFailsJob pins what happens when a cached plan cannot
+// be lowered to the opcode stream: the job fails with exec's typed
+// lowering error — there is no other engine to fall back to — and the
+// server keeps serving. The compiler never emits such a plan, so the
+// test plants one in the cache under the request's own key.
+func TestUnlowerablePlanFailsJob(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
-	for i, req := range []Request{
-		{N: 64, Procs: 4, MemElems: 1 << 12},
-		{N: 64, Procs: 4, MemElems: 1 << 12}, // cache hit: decoded again from the entry
-	} {
-		r, err := s.Submit(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !r.Bytecode {
-			t.Errorf("submit %d did not execute through the compiled opcode stream", i)
-		}
-		if i == 1 && !r.CacheHit {
-			t.Error("second identical submit should hit the plan cache")
-		}
+	req := Request{N: 64, Procs: 4, MemElems: 1 << 12}.withDefaults()
+	machineFor, err := cliutil.MachineFor(req.Machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach := machineFor(req.Procs)
+	good, err := compiler.CompileSource(hpf.GaxpySource, compiler.Options{
+		N: req.N, Procs: req.Procs, MemElems: req.MemElems, Machine: mach,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := *good.Program
+	bad.Body = []plan.Node{&plan.Loop{Var: "i", Count: plan.CountExpr{Lit: 1}, Body: []plan.Node{
+		&plan.ZeroVec{Vec: "temp", RowsOfArray: bad.Arrays[0].Name},
+		&plan.Axpy{Vec: "temp", A: "never_read", ACol: "i", B: "never_read", BCol: "i"},
+	}}}
+	if _, _, _, err := s.cache.getOrCompile(req.cacheKey(mach), func() (*compiler.Result, string, error) {
+		return &compiler.Result{Program: &bad, Analysis: good.Analysis}, "planted", nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(context.Background(), req); err == nil || !strings.Contains(err.Error(), "exec: lower:") {
+		t.Fatalf("job on an unlowerable plan: err = %v, want exec: lower: ...", err)
+	}
+	if m := s.MetricsSnapshot(); m.Failed != 1 || m.Completed != 0 {
+		t.Errorf("metrics after the failed job: failed=%d completed=%d, want 1/0", m.Failed, m.Completed)
+	}
+	if _, err := s.Submit(context.Background(), Request{N: 32, Procs: 4, MemElems: 1 << 12}); err != nil {
+		t.Fatalf("server stopped serving after a lowering failure: %v", err)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"github.com/ooc-hpf/passion/internal/bufpool"
-	"github.com/ooc-hpf/passion/internal/bytecode"
 	"github.com/ooc-hpf/passion/internal/cliutil"
 	"github.com/ooc-hpf/passion/internal/compiler"
 	"github.com/ooc-hpf/passion/internal/exec"
@@ -147,10 +146,7 @@ type job struct {
 	res         *compiler.Result
 	mach        sim.Config
 	fingerprint string
-	// bc is the plan's compiled opcode stream, decoded from the cache's
-	// encoded form; nil falls back to the tree-walk interpreter.
-	bc       *bytecode.Program
-	cacheHit bool
+	cacheHit    bool
 	footprint   int64
 	ctx         context.Context
 
@@ -517,7 +513,7 @@ func (s *Server) build(ctx context.Context, req Request) (*job, error) {
 	if src == "" {
 		src = hpf.GaxpySource
 	}
-	res, fp, bcEnc, hit, err := s.cache.getOrCompile(req.cacheKey(mach), func() (*compiler.Result, string, []byte, error) {
+	res, fp, hit, err := s.cache.getOrCompile(req.cacheKey(mach), func() (*compiler.Result, string, error) {
 		start := time.Now()
 		r, cerr := compiler.CompileSource(src, compiler.Options{
 			N: req.N, Procs: req.Procs, MemElems: req.MemElems,
@@ -525,33 +521,14 @@ func (s *Server) build(ctx context.Context, req Request) (*job, error) {
 			Policy: compiler.PolicyWeighted,
 		})
 		if cerr != nil {
-			return nil, "", nil, &compileError{fmt.Errorf("serve: compile: %w", cerr)}
+			return nil, "", &compileError{fmt.Errorf("serve: compile: %w", cerr)}
 		}
 		// Cache misses only: hits cost a map lookup, not a compile.
 		s.histCompile.observe(time.Since(start).Seconds())
-		// Lower the plan to its opcode stream and cache the encoded form
-		// alongside the plan. A lowering failure is not a compile failure:
-		// the job falls back to the tree walk.
-		var enc []byte
-		if bc, berr := bytecode.Compile(r.Program); berr == nil {
-			enc = bytecode.Encode(bc)
-		} else {
-			s.log.Warn("bytecode lowering failed; jobs on this plan run the tree walk",
-				"program", r.Program.Name, "error", berr.Error())
-		}
-		return r, plan.Fingerprint(r.Program, fingerprintExtras(mach, req.MemElems)), enc, nil
+		return r, plan.Fingerprint(r.Program, fingerprintExtras(mach, req.MemElems)), nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	var bc *bytecode.Program
-	if len(bcEnc) > 0 {
-		if dec, derr := bytecode.Decode(bcEnc); derr == nil {
-			bc = dec
-		} else {
-			s.log.Warn("cached bytecode failed to decode; job runs the tree walk",
-				"error", derr.Error())
-		}
 	}
 	footprint := EstimateFootprint(res.Program, req.Phantom, req.Parity)
 	if footprint > s.cfg.MemoryBudget {
@@ -562,7 +539,6 @@ func (s *Server) build(ctx context.Context, req Request) (*job, error) {
 		res:         res,
 		mach:        mach,
 		fingerprint: fp,
-		bc:          bc,
 		cacheHit:    hit,
 		footprint:   footprint,
 		ctx:         ctx,
@@ -1058,7 +1034,6 @@ func (s *Server) runJob(j *job) (*Response, error) {
 		return nil, err
 	}
 	eopts.Fill = cliutil.FillsFor(j.res)
-	eopts.Bytecode = j.bc
 	if durable {
 		eopts.RestoreStats = resume
 		if c := s.cfg.Crash; c != nil && c.Point == CrashMidrun {
@@ -1092,7 +1067,6 @@ func (s *Server) runJob(j *job) (*Response, error) {
 		Strategy:        j.res.Program.Strategy,
 		PlanFingerprint: j.fingerprint,
 		CacheHit:        j.cacheHit,
-		Bytecode:        j.bc != nil,
 		Attempts:        1,
 	}
 	var out *exec.Result

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/ooc-hpf/passion/internal/bytecode"
 	"github.com/ooc-hpf/passion/internal/collio"
 	"github.com/ooc-hpf/passion/internal/compiler"
 	"github.com/ooc-hpf/passion/internal/dist"
@@ -26,53 +25,39 @@ import (
 var Kernels = []Kernel{
 	{Name: "sendrecv", Make: mkSendRecv},
 	{Name: "gaxpy", Make: mkGaxpy},
-	{Name: "gaxpy-plan", Make: mkPlan(hpf.GaxpySource, gaxpyPlanOpts, false, false)},
-	{Name: "gaxpy-plan-bc", Make: mkPlan(hpf.GaxpySource, gaxpyPlanOpts, true, false)},
-	{Name: "gaxpy-plan-deadline", Make: mkPlan(hpf.GaxpySource, gaxpyPlanOpts, true, true)},
-	{Name: "transpose", Make: mkTranspose},
-	{Name: "transpose-bc", Make: mkPlan(hpf.TransposeSource, transposePlanOpts, true, false)},
+	{Name: "gaxpy-plan", Make: mkPlan(hpf.GaxpySource, gaxpyPlanOpts, false)},
+	{Name: "gaxpy-plan-deadline", Make: mkPlan(hpf.GaxpySource, gaxpyPlanOpts, true)},
+	{Name: "transpose", Make: mkPlan(hpf.TransposeSource, compiler.Options{N: 256, Procs: 4, MemElems: 16 * 256, Force: "two-phase"}, false)},
 	{Name: "transpose-spill", Make: mkTransposeSpill},
 	{Name: "redistribute", Make: mkRedistribute},
 	{Name: "parity-diskloss", Make: mkParityDiskLoss},
-	{Name: "ewise", Make: mkEwise},
-	{Name: "ewise-bc", Make: mkPlan(hpf.EwiseSource, ewisePlanOpts, true, false)},
+	{Name: "ewise", Make: mkPlan(hpf.EwiseSource, compiler.Options{N: 256, Procs: 4, MemElems: 8 * 256}, false)},
 }
 
-// Compile options of the dispatch-comparison pairs. Each *-bc kernel runs
-// the identical compiled program and options as its tree-walk partner, so
-// the ns/op delta is purely the interpreter dispatch cost and sim_s must
-// agree to the digit between the two.
-var (
-	gaxpyPlanOpts     = compiler.Options{N: 128, Procs: 4, MemElems: 16 * 128}
-	transposePlanOpts = compiler.Options{N: 256, Procs: 4, MemElems: 16 * 256, Force: "two-phase"}
-	ewisePlanOpts     = compiler.Options{N: 256, Procs: 4, MemElems: 8 * 256}
-)
+// gaxpyPlanOpts compiles the one program gaxpy-plan and
+// gaxpy-plan-deadline both run: their sim_s must agree to the digit.
+var gaxpyPlanOpts = compiler.Options{N: 128, Procs: 4, MemElems: 16 * 128}
 
-// mkPlan builds a compiled-program kernel in phantom mode, executed
-// through the selected dispatch engine: the plan-tree walk (bc=false) or
-// the lowered opcode stream (bc=true). Lowering happens in setup, outside
-// the timed region — matching a serving system that compiles once and
-// dispatches many runs.
+// mkPlan builds a compiled-program kernel in phantom mode: the loop-dense
+// GAXPY plan, the two-phase transpose (the shuffle's message traffic and
+// the collio staging machinery, with disk payloads elided) and the
+// elementwise pattern (slab pipeline bookkeeping). Compilation happens in
+// setup, outside the timed region; lowering to the opcode stream is part
+// of every exec.Run and therefore of the op.
 //
 // deadline runs each op under its own context.WithTimeout, the way
 // serve.runJob does. Every other kernel runs under context.Background,
 // whose nil Done channel makes the engine's per-instruction cancellation
 // check free; a cancellable context is what a served job really pays
-// for: gaxpy-plan-deadline reads 15-20 % above gaxpy-plan-bc on this
+// for: gaxpy-plan-deadline reads 15-20 % above gaxpy-plan on this
 // loop-dense plan (one non-blocking channel receive per instruction),
 // where a check that takes a lock shared by the ranks reads 2.3x, and
 // it must report the same sim_s to the digit.
-func mkPlan(src string, copts compiler.Options, bc, deadline bool) func() (func() (float64, error), error) {
+func mkPlan(src string, copts compiler.Options, deadline bool) func() (func() (float64, error), error) {
 	return func() (func() (float64, error), error) {
 		res, err := compiler.CompileSource(src, copts)
 		if err != nil {
 			return nil, err
-		}
-		var prog *bytecode.Program
-		if bc {
-			if prog, err = bytecode.Compile(res.Program); err != nil {
-				return nil, err
-			}
 		}
 		op := func() (float64, error) {
 			ctx := context.Background()
@@ -81,9 +66,7 @@ func mkPlan(src string, copts compiler.Options, bc, deadline bool) func() (func(
 				ctx, cancel = context.WithTimeout(ctx, time.Minute)
 				defer cancel()
 			}
-			out, err := exec.RunCtx(ctx, res.Program, sim.Delta(copts.Procs), exec.Options{
-				Phantom: true, Bytecode: prog,
-			})
+			out, err := exec.RunCtx(ctx, res.Program, sim.Delta(copts.Procs), exec.Options{Phantom: true})
 			if err != nil {
 				return 0, err
 			}
@@ -139,27 +122,6 @@ func mkGaxpy() (func() (float64, error), error) {
 			return 0, err
 		}
 		return r.Stats.ElapsedSeconds(), nil
-	}
-	return op, nil
-}
-
-// mkTranspose measures the compiled out-of-core transpose over two-phase
-// collective I/O in phantom mode: the shuffle's message traffic and the
-// collio staging machinery, with disk payloads elided.
-func mkTranspose() (func() (float64, error), error) {
-	const n, procs = 256, 4
-	res, err := compiler.CompileSource(hpf.TransposeSource, compiler.Options{
-		N: n, Procs: procs, MemElems: 16 * n, Force: "two-phase",
-	})
-	if err != nil {
-		return nil, err
-	}
-	op := func() (float64, error) {
-		out, err := exec.Run(res.Program, sim.Delta(procs), exec.Options{Phantom: true})
-		if err != nil {
-			return 0, err
-		}
-		return out.Stats.ElapsedSeconds(), nil
 	}
 	return op, nil
 }
@@ -273,26 +235,6 @@ func mkParityDiskLoss() (func() (float64, error), error) {
 		sec := out.Stats.ElapsedSeconds()
 		out.Close()
 		return sec, nil
-	}
-	return op, nil
-}
-
-// mkEwise measures the compiled elementwise pattern in phantom mode: the
-// ghost-exchange Send/Recv path plus the slab pipeline bookkeeping.
-func mkEwise() (func() (float64, error), error) {
-	const n, procs = 256, 4
-	res, err := compiler.CompileSource(hpf.EwiseSource, compiler.Options{
-		N: n, Procs: procs, MemElems: 8 * n,
-	})
-	if err != nil {
-		return nil, err
-	}
-	op := func() (float64, error) {
-		out, err := exec.Run(res.Program, sim.Delta(procs), exec.Options{Phantom: true})
-		if err != nil {
-			return 0, err
-		}
-		return out.Stats.ElapsedSeconds(), nil
 	}
 	return op, nil
 }
