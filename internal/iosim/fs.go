@@ -127,10 +127,21 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 		return 0, fmt.Errorf("iosim: negative offset %d", off)
 	}
 	end := off + int64(len(p))
-	if end > int64(len(f.data)) {
-		grown := make([]byte, end)
-		copy(grown, f.data)
-		f.data = grown
+	if size := int64(len(f.data)); end > size {
+		if end <= int64(cap(f.data)) {
+			// The capacity may hold bytes a shrinking Truncate cut off;
+			// the gap this write skips over must read as zeros.
+			f.data = f.data[:end]
+			if off > size {
+				clear(f.data[size:off])
+			}
+		} else {
+			// Grow geometrically, so an append-only file costs O(bytes
+			// appended) in copies and not O(bytes × writes).
+			grown := make([]byte, end, max(end, 2*int64(cap(f.data))))
+			copy(grown, f.data)
+			f.data = grown
+		}
 	}
 	copy(f.data[off:end], p)
 	return len(p), nil

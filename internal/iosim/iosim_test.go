@@ -1,6 +1,7 @@
 package iosim
 
 import (
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -413,5 +414,69 @@ func TestPhantomModeAccountsButSkipsData(t *testing.T) {
 	}
 	if got := stats.BytesRead - before; got != 48 { // span = 12 elems * 4 B
 		t.Errorf("phantom sieved bytes = %d, want 48", got)
+	}
+}
+
+// TestMemFileExtendAfterShrinkReadsZeros: a write that extends a file
+// within the capacity a shrinking Truncate left behind must not expose
+// the bytes that Truncate cut off — the gap it skips over reads as zeros.
+func TestMemFileExtendAfterShrinkReadsZeros(t *testing.T) {
+	f, err := NewMemFS().Create("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := make([]byte, 4096)
+	for i := range old {
+		old[i] = 0xFF
+	}
+	if _, err := f.WriteAt(old, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(100); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{7}, 3000); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 4096)
+	n, err := f.ReadAt(got, 0)
+	if n != 3001 || err != io.EOF {
+		t.Fatalf("ReadAt = %d, %v; want the 3001 bytes up to the write, then EOF", n, err)
+	}
+	for i, b := range got[:n] {
+		want := byte(0)
+		switch {
+		case i < 100:
+			want = 0xFF
+		case i == 3000:
+			want = 7
+		}
+		if b != want {
+			t.Fatalf("byte %d = %#x, want %#x", i, b, want)
+		}
+	}
+}
+
+// TestMemFileAppendGrowsGeometrically: N sequential extending writes
+// reallocate the file O(log N) times, where growing it to exactly the
+// write's end copied the whole file on every one of them.
+func TestMemFileAppendGrowsGeometrically(t *testing.T) {
+	const n = 1024
+	block := make([]byte, 1024)
+	fs := NewMemFS()
+	allocs := testing.AllocsPerRun(5, func() {
+		f, err := fs.Create("log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if _, err := f.WriteAt(block, int64(i)*int64(len(block))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	// One doubling per power of two up to n, plus the file itself.
+	if limit := math.Log2(n) + 4; allocs > limit {
+		t.Fatalf("%d appends allocated %.0f times, want at most %.0f", n, allocs, limit)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -53,11 +54,9 @@ func (s *Server) Handler() http.Handler {
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	var req Request
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	req, err := decodeRequest(r.Body)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	resp, err := s.Submit(r.Context(), req)
@@ -75,6 +74,18 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// decodeRequest reads one job spec off the wire. A field the server does
+// not know is an error, not a silently ignored option.
+func decodeRequest(r io.Reader) (Request, error) {
+	var req Request
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return Request{}, fmt.Errorf("decoding request: %w", err)
+	}
+	return req, nil
 }
 
 // statusFor maps submission outcomes to status codes: rejected for

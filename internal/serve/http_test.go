@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -154,13 +155,31 @@ func TestHTTPHealthAndMetricsAcrossDrain(t *testing.T) {
 	}
 }
 
-// TestHTTPDegradedMode: a dead journal disk flips /healthz to 503 with
-// a degraded flag, and job submissions get the long Retry-After hint.
+// TestHTTPDegradedMode: a dead journal disk — a write that fails, or an
+// fsync that does — flips /healthz to 503 with a degraded flag, and job
+// submissions get the long Retry-After hint.
 func TestHTTPDegradedMode(t *testing.T) {
-	chaos := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{Schedule: []iosim.ScheduledFault{
+	// The first job costs the segment its create and snapshot write, then
+	// three records; the next submit is the write (op 5) or the fsync
+	// (the 5th) that fails.
+	writeFault := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{Schedule: []iosim.ScheduledFault{
 		{File: segName(1), Op: 5, Kind: iosim.KindPermanent},
 	}})
-	s, err := Open(Config{Workers: 1, Journal: &JournalConfig{FS: chaos, WorkFS: iosim.NewMemFS()}})
+	syncFault := &scriptFS{FS: iosim.NewMemFS(), onSync: func(n int64) error {
+		if n >= 5 {
+			return errors.New("fsync: input/output error")
+		}
+		return nil
+	}}
+	for name, fs := range map[string]iosim.FS{"write fault": writeFault, "fsync fault": syncFault} {
+		t.Run(name, func(t *testing.T) {
+			testHTTPDegradedMode(t, fs)
+		})
+	}
+}
+
+func testHTTPDegradedMode(t *testing.T, journalFS iosim.FS) {
+	s, err := Open(Config{Workers: 1, Journal: &JournalConfig{FS: journalFS, WorkFS: iosim.NewMemFS()}})
 	if err != nil {
 		t.Fatal(err)
 	}

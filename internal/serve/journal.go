@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -18,7 +20,8 @@ import (
 // durable: every state transition of a job — submitted, dispatched,
 // completed, cancelled — is appended as a checksummed record and fsynced
 // before the transition takes effect, so a restarted server can rebuild
-// exactly the work it owed at crash time (DESIGN §14).
+// exactly the work it owed at crash time (DESIGN §14). Appends that
+// arrive together share one write and one fsync (group commit).
 //
 // Format: segment files named wal-%08d.seg, each starting with the magic
 // "OOCWAL1\n" followed by length-prefixed records:
@@ -30,10 +33,14 @@ import (
 // fails its checksum — everything after a corrupt record is untrusted,
 // and the startup compaction rewrites the surviving state into a fresh
 // segment, so a torn tail is truncated exactly once and never reparsed.
-// Startup and size-triggered rotation both compact: the full live state
-// is written as one snapshot record into a brand-new segment and the old
-// segments are deleted, which keeps the journal bounded by the live job
-// set (completed jobs survive only as bounded idempotency outcomes).
+// Startup and rotation both compact: the full live state is written as
+// one snapshot record into a brand-new segment and the old segments are
+// deleted, which keeps the journal bounded by the live job set (completed
+// jobs survive only as bounded idempotency outcomes). Rotation is
+// proportional — it fires when the records appended since the snapshot
+// weigh as much as the snapshot, RotateBytes at least — so the journal
+// stays within twice its snapshot plus RotateBytes and writes at most
+// two bytes per byte appended, whatever the retained state weighs.
 
 // walMagic heads every journal segment.
 const walMagic = "OOCWAL1\n"
@@ -171,12 +178,18 @@ func (st *walState) apply(rec *walRec) {
 		}
 		fresh := newWALState(st.maxOutcomes)
 		fresh.jobNum = rec.Snapshot.JobNum
+		// A checksummed snapshot can still hold null entries if something
+		// other than this journal wrote it; skip them rather than panic.
 		for _, jb := range rec.Snapshot.Jobs {
-			fresh.jobs = append(fresh.jobs, jb)
-			fresh.byID[jb.ID] = jb
+			if jb != nil {
+				fresh.jobs = append(fresh.jobs, jb)
+				fresh.byID[jb.ID] = jb
+			}
 		}
 		for _, o := range rec.Snapshot.Outcomes {
-			fresh.addOutcome(o.Key, o.Response)
+			if o != nil {
+				fresh.addOutcome(o.Key, o.Response)
+			}
 		}
 		for t, w := range rec.Snapshot.Weights {
 			fresh.weights[t] = w
@@ -256,18 +269,47 @@ type JournalStats struct {
 }
 
 // journal is the write-ahead log. All methods are safe for concurrent
-// use.
+// use. mu guards the fields below it but is never held across a write or
+// an fsync: the segment, its end offset and the replay state are moved
+// only by the one appender holding the flusher role (flushing), so the
+// readers — outcome, statsSnapshot, degraded — wait for a map lookup at
+// most.
 type journal struct {
-	mu       sync.Mutex
 	fs       iosim.FS
-	seg      iosim.File
-	segIdx   int
-	segOff   int64
 	rotateAt int64
 	retry    iosim.RetryPolicy
-	dead     bool // no further appends (degraded or crash-simulated)
+
+	mu      sync.Mutex
+	seg     iosim.File
+	segIdx  int
+	segOff  int64 // end of the durable records
+	snapEnd int64 // end of the segment's snapshot frame
+	dead    bool  // no further appends (degraded, killed or closed)
+	// Group commit: appends join the open batch; the append that opened
+	// it flushes it as soon as the flush before it is over.
+	open     *walBatch
+	flushing bool
+	turn     sync.Cond // signalled when flushing clears
 	stats    JournalStats
 	state    *walState
+}
+
+// walBatch is the records one write and one fsync make durable together.
+type walBatch struct {
+	buf  []byte // the records' frames, back to back
+	recs []*walRec
+	done chan struct{} // closed once err is set
+	err  error
+}
+
+func (b *walBatch) add(rec *walRec, payload []byte) {
+	b.buf = appendFrame(b.buf, payload)
+	b.recs = append(b.recs, rec)
+}
+
+func (b *walBatch) finish(err error) {
+	b.err = err
+	close(b.done)
 }
 
 func segName(idx int) string { return fmt.Sprintf("wal-%08d.seg", idx) }
@@ -301,6 +343,7 @@ func openJournal(fs iosim.FS, rotateAt int64, retry iosim.RetryPolicy, maxOutcom
 		maxOutcomes = 256
 	}
 	j := &journal{fs: fs, rotateAt: rotateAt, retry: retry, state: newWALState(maxOutcomes)}
+	j.turn.L = &j.mu
 
 	var segs []int
 	for _, name := range nm.Names() {
@@ -312,12 +355,13 @@ func openJournal(fs iosim.FS, rotateAt int64, retry iosim.RetryPolicy, maxOutcom
 	for _, idx := range segs {
 		j.scanSegment(segName(idx))
 	}
-	maxIdx := 0
 	if len(segs) > 0 {
-		maxIdx = segs[len(segs)-1]
+		j.segIdx = segs[len(segs)-1]
 	}
-	j.segIdx = maxIdx
-	if err := j.compactLocked(); err != nil {
+	j.mu.Lock()
+	err := j.compact()
+	j.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
 	// The old segments' state now lives in the fresh segment's snapshot.
@@ -331,175 +375,235 @@ func openJournal(fs iosim.FS, rotateAt int64, retry iosim.RetryPolicy, maxOutcom
 // torn or corrupt frame (counted as one truncated tail). It never
 // returns an error: an unreadable segment simply contributes nothing.
 func (j *journal) scanSegment(name string) {
+	if !j.replaySegment(name) {
+		j.stats.TruncatedTails++
+	}
+}
+
+// replaySegment reports whether the segment was whole. It reads what the
+// file holds once and frames from memory, so a length field read from
+// disk is bounded by the bytes present before anything is sized by it.
+func (j *journal) replaySegment(name string) bool {
 	f, err := j.fs.Open(name)
 	if err != nil {
-		j.stats.TruncatedTails++
-		return
+		return false
 	}
 	defer f.Close()
-	head := make([]byte, len(walMagic))
-	if n, _ := f.ReadAt(head, 0); n != len(head) || string(head) != walMagic {
-		j.stats.TruncatedTails++
-		return
+	data, rerr := io.ReadAll(io.NewSectionReader(f, 0, math.MaxInt64))
+	if !bytes.HasPrefix(data, []byte(walMagic)) {
+		return false
 	}
-	off := int64(len(walMagic))
-	for {
-		fh := make([]byte, walFrameHead)
-		n, err := f.ReadAt(fh, off)
-		if n == 0 && err == io.EOF {
-			return // clean end of segment
+	for data = data[len(walMagic):]; len(data) > 0; {
+		if len(data) < walFrameHead {
+			return false
 		}
-		if n != walFrameHead {
-			j.stats.TruncatedTails++
-			return
+		plen := binary.BigEndian.Uint32(data)
+		want := binary.BigEndian.Uint32(data[4:])
+		data = data[walFrameHead:]
+		if uint64(plen) > uint64(len(data)) {
+			return false // torn, or the length bytes are corrupt
 		}
-		plen := binary.BigEndian.Uint32(fh)
-		want := binary.BigEndian.Uint32(fh[4:])
-		if plen > 64<<20 {
-			// A frame this size was never written; the length bytes are
-			// corrupt.
-			j.stats.TruncatedTails++
-			return
-		}
-		payload := make([]byte, plen)
-		if n, _ := f.ReadAt(payload, off+walFrameHead); n != len(payload) {
-			j.stats.TruncatedTails++
-			return
-		}
+		payload := data[:plen]
 		if crc32.ChecksumIEEE(payload) != want {
-			j.stats.TruncatedTails++
-			return
+			return false
 		}
 		var rec walRec
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			// Checksummed but unparsable — treat like any other torn
 			// tail rather than surfacing a parse error.
-			j.stats.TruncatedTails++
-			return
+			return false
 		}
 		j.state.apply(&rec)
-		off += walFrameHead + int64(plen)
+		data = data[plen:]
 	}
+	return rerr == nil // a read fault hides whatever followed
 }
 
-func frameRec(rec *walRec) ([]byte, error) {
+// appendFrame appends payload's frame — length, checksum, payload — to
+// dst.
+func appendFrame(dst, payload []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
+}
+
+// append durably adds one record and returns once it is on disk, fsynced
+// and applied to the replay state — or has failed, in which case it was
+// not applied. Appends that arrive while a flush is in flight share the
+// next one (group commit): the first of them opens a batch and becomes
+// its flusher, the rest add their frames and wait for its result. A
+// batch that cannot be made durable fails every member with ErrDegraded
+// and degrades the journal — sticky.
+func (j *journal) append(rec *walRec) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		return nil, fmt.Errorf("serve: encode journal record: %w", err)
+		return fmt.Errorf("serve: encode journal record: %w", err)
 	}
-	frame := make([]byte, walFrameHead+len(payload))
-	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-	copy(frame[walFrameHead:], payload)
-	return frame, nil
-}
-
-// append durably adds one record: write, fsync, then apply to the replay
-// state. Transient write faults are retried with capped wall-clock
-// backoff (a torn short write is healed by rewriting the same offset);
-// a persistent fault marks the journal degraded — sticky — and the
-// error surfaces as ErrDegraded to the admission path.
-func (j *journal) append(rec *walRec) error {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.dead {
+		j.mu.Unlock()
 		return ErrDegraded
 	}
-	frame, err := frameRec(rec)
-	if err != nil {
-		return err
+	if b := j.open; b != nil {
+		b.add(rec, payload)
+		j.mu.Unlock()
+		<-b.done
+		return b.err
 	}
-	if err := j.writeRetry(frame, j.segOff); err != nil {
-		j.dead = true
-		j.stats.AppendErrors++
-		j.stats.Degraded = true
-		return fmt.Errorf("%w: %v", ErrDegraded, err)
+	b := &walBatch{done: make(chan struct{})}
+	b.add(rec, payload)
+	j.open = b
+	for j.flushing {
+		j.turn.Wait()
 	}
-	j.segOff += int64(len(frame))
-	j.stats.RecordsAppended++
-	j.stats.Bytes = j.segOff
-	j.state.apply(rec)
-	if j.segOff >= j.rotateAt {
-		if err := j.compactLocked(); err != nil {
-			j.dead = true
-			j.stats.AppendErrors++
-			j.stats.Degraded = true
-			return nil // the record itself is durable; degradation surfaces on the next append
-		}
-	}
-	return nil
+	j.open = nil
+	err = j.flush(b)
+	j.mu.Unlock()
+	return err
 }
 
-// writeRetry writes frame at off on the live segment, retrying transient
-// faults. Callers hold j.mu.
-func (j *journal) writeRetry(frame []byte, off int64) error {
-	var lastErr error
+// flush makes b durable with one write and one fsync, applies its
+// records in arrival order and releases its members, then — still in
+// the flusher role, so between batches — compacts if the tail has
+// outgrown the snapshot under it. Callers hold j.mu; it is released
+// around the I/O. The returned error is the batch's, or the failed
+// compaction's: the flusher is the append that triggered it.
+func (j *journal) flush(b *walBatch) error {
+	if j.dead {
+		// Killed, closed or degraded while the batch waited its turn.
+		b.finish(ErrDegraded)
+		return ErrDegraded
+	}
+	j.flushing = true
+	seg, off := j.seg, j.segOff
+	j.mu.Unlock()
+	err := j.writeSync(seg, b.buf, off)
+	j.mu.Lock()
+	if err != nil {
+		err = j.degrade(err)
+	} else {
+		j.segOff += int64(len(b.buf))
+		j.stats.Bytes = j.segOff
+		j.stats.RecordsAppended += int64(len(b.recs))
+		j.countSync(seg)
+		for _, rec := range b.recs {
+			j.state.apply(rec)
+		}
+	}
+	b.finish(err)
+	// Proportional rotation: rewrite the snapshot when the records
+	// appended since the last one weigh as much as it does (RotateBytes
+	// at least), so the bytes written stay within twice the bytes
+	// appended however large the retained state is.
+	if err == nil && !j.dead && j.segOff-j.snapEnd >= max(j.rotateAt, j.snapEnd) {
+		if cerr := j.compact(); cerr != nil {
+			err = j.degrade(cerr)
+		}
+	}
+	j.flushing = false
+	j.turn.Broadcast()
+	return err
+}
+
+// degrade marks the journal as having given up on its disk — sticky —
+// and wraps cause as ErrDegraded for the admission path. Callers hold
+// j.mu.
+func (j *journal) degrade(cause error) error {
+	j.dead = true
+	j.stats.AppendErrors++
+	j.stats.Degraded = true
+	return fmt.Errorf("%w: %v", ErrDegraded, cause)
+}
+
+// syncer is the fsync primitive of the backing stores that have one (OS
+// files do; MemFS is always "durable").
+type syncer interface{ Sync() error }
+
+// countSync counts the fsync that made a write to f durable, if f has
+// one. Callers hold j.mu.
+func (j *journal) countSync(f iosim.File) {
+	if _, ok := f.(syncer); ok {
+		j.stats.Fsyncs++
+	}
+}
+
+// writeSync makes buf durable at off on f: one write, then one fsync,
+// whose error is a write error like any other. Transient faults are
+// retried with capped wall-clock backoff by writing buf at off again —
+// which heals a torn short write and re-dirties the pages a failed fsync
+// may have dropped. Callers do not hold j.mu.
+func (j *journal) writeSync(f iosim.File, buf []byte, off int64) error {
 	for attempt := 0; ; attempt++ {
-		n, err := j.seg.WriteAt(frame, off)
-		if err == nil && n == len(frame) {
-			j.syncLocked()
+		n, err := f.WriteAt(buf, off)
+		if err == nil && n != len(buf) {
+			err = io.ErrShortWrite
+		}
+		if sf, ok := f.(syncer); ok && err == nil {
+			err = sf.Sync()
+		}
+		if err == nil {
 			return nil
 		}
-		lastErr = err
-		if lastErr == nil {
-			lastErr = io.ErrShortWrite
-		}
 		if attempt >= j.retry.MaxRetries || !iosim.IsTransient(err) {
-			return lastErr
+			return err
 		}
 		time.Sleep(time.Duration(j.retry.Backoff(attempt) * float64(time.Second)))
 	}
 }
 
-// syncLocked fsyncs the live segment when the backing store has a sync
-// primitive (OS files do; MemFS is always "durable").
-func (j *journal) syncLocked() {
-	if sf, ok := j.seg.(interface{ Sync() error }); ok {
-		if sf.Sync() == nil {
-			j.stats.Fsyncs++
-		}
-	}
-}
-
-// compactLocked rewrites the live state as one snapshot record in a
-// brand-new segment and switches appends to it. The predecessor segment
-// is deleted only after the snapshot is durable, so a crash anywhere in
-// between leaves at least one self-contained lineage to replay. Callers
-// hold j.mu.
-func (j *journal) compactLocked() error {
-	oldSeg, oldIdx := j.seg, j.segIdx
-	idx := j.segIdx + 1
-	f, err := j.fs.Create(segName(idx))
-	if err != nil {
-		return fmt.Errorf("serve: create journal segment: %w", err)
-	}
-	frame, err := frameRec(&walRec{Kind: recCompact, Snapshot: j.state.snapshot()})
-	if err != nil {
-		f.Close()
-		return err
-	}
-	buf := append([]byte(walMagic), frame...)
-	j.seg = f
-	if err := j.writeRetry(buf, 0); err != nil {
-		j.seg = oldSeg
-		f.Close()
-		j.fs.Remove(segName(idx))
-		return fmt.Errorf("serve: write journal snapshot: %w", err)
-	}
-	j.segIdx = idx
-	j.segOff = int64(len(buf))
-	j.stats.Bytes = j.segOff
-	j.stats.Compactions++
-	if oldSeg != nil {
-		oldSeg.Close()
+// compact rewrites the live state as one snapshot record in a brand-new
+// segment and switches appends to it. The predecessor segment is deleted
+// only after the snapshot is durable, so a crash anywhere in between
+// leaves at least one self-contained lineage to replay; on failure the
+// predecessor stays the live segment. Callers hold j.mu and the flusher
+// role (or are alone, at open); the lock is released around the I/O.
+func (j *journal) compact() error {
+	snap := j.state.snapshot()
+	old, oldIdx := j.seg, j.segIdx
+	name := segName(oldIdx + 1)
+	j.mu.Unlock()
+	f, size, err := j.writeSnapshot(name, snap)
+	if err == nil && old != nil {
+		old.Close()
 		j.fs.Remove(segName(oldIdx))
 	}
+	j.mu.Lock()
+	if err != nil {
+		return err
+	}
+	j.seg, j.segIdx = f, oldIdx+1
+	j.segOff, j.snapEnd = size, size
+	j.stats.Bytes = size
+	j.stats.Compactions++
+	j.countSync(f)
 	return nil
 }
 
-// kill simulates the process dying mid-flight: no further records are
-// written (without marking the journal degraded — the "disk" is fine,
-// the process is gone). Crash-harness only.
+// writeSnapshot creates the named segment holding the magic and snap's
+// frame, durably; a segment it cannot finish is removed again.
+func (j *journal) writeSnapshot(name string, snap *walSnapshot) (iosim.File, int64, error) {
+	payload, err := json.Marshal(&walRec{Kind: recCompact, Snapshot: snap})
+	if err != nil {
+		return nil, 0, fmt.Errorf("serve: encode journal snapshot: %w", err)
+	}
+	f, err := j.fs.Create(name)
+	if err != nil {
+		return nil, 0, fmt.Errorf("serve: create journal segment: %w", err)
+	}
+	buf := make([]byte, 0, len(walMagic)+walFrameHead+len(payload))
+	buf = appendFrame(append(buf, walMagic...), payload)
+	if err := j.writeSync(f, buf, 0); err != nil {
+		f.Close()
+		j.fs.Remove(name)
+		return nil, 0, fmt.Errorf("serve: write journal snapshot: %w", err)
+	}
+	return f, int64(len(buf)), nil
+}
+
+// kill simulates the process dying mid-flight: the batch being flushed
+// finishes or fails, no other starts — its members get ErrDegraded when
+// their flusher's turn comes — and the journal is not marked degraded
+// (the "disk" is fine, the process is gone). Crash-harness only.
 func (j *journal) kill() {
 	j.mu.Lock()
 	j.dead = true
@@ -513,10 +617,15 @@ func (j *journal) degraded() bool {
 	return j.stats.Degraded
 }
 
+// close stops the journal: the batch being flushed finishes first, then
+// the segment is closed; a batch still waiting its turn fails.
 func (j *journal) close() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.dead = true
+	for j.flushing {
+		j.turn.Wait()
+	}
 	if j.seg != nil {
 		j.seg.Close()
 		j.seg = nil

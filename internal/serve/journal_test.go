@@ -3,8 +3,14 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/ooc-hpf/passion/internal/iosim"
 )
@@ -39,6 +45,104 @@ func segNames(fs iosim.FS) []string {
 		}
 	}
 	return out
+}
+
+// scriptFS gives the files of a store an fsync the test scripts, and
+// counts what the journal hands to the disk: onSync receives the 1-based
+// index of every Sync call on the store and returns its result (nil: all
+// succeed).
+type scriptFS struct {
+	iosim.FS
+	onSync func(n int64) error
+	syncs  atomic.Int64
+	wrote  atomic.Int64 // bytes handed to WriteAt
+}
+
+func (s *scriptFS) Names() []string { return s.FS.(namer).Names() }
+
+func (s *scriptFS) Create(name string) (iosim.File, error) {
+	f, err := s.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &scriptFile{File: f, fs: s}, nil
+}
+
+type scriptFile struct {
+	iosim.File
+	fs *scriptFS
+}
+
+func (f *scriptFile) WriteAt(p []byte, off int64) (int, error) {
+	f.fs.wrote.Add(int64(len(p)))
+	return f.File.WriteAt(p, off)
+}
+
+func (f *scriptFile) Sync() error {
+	n := f.fs.syncs.Add(1)
+	if f.fs.onSync == nil {
+		return nil
+	}
+	return f.fs.onSync(n)
+}
+
+// heldAppend opens a journal on fs and starts appending job-0, returning
+// once that append's fsync (the store's second: the first is the startup
+// snapshot's) is in flight and held. Closing release lets it return;
+// first then delivers the append's result.
+func heldAppend(t *testing.T, fs *scriptFS) (j *journal, first <-chan error, release chan struct{}) {
+	t.Helper()
+	entered, release := make(chan struct{}), make(chan struct{})
+	fs.onSync = func(n int64) error {
+		if n == 2 {
+			close(entered)
+			<-release
+		}
+		return nil
+	}
+	j = testJournal(t, fs, 0, 0)
+	result := make(chan error, 1)
+	go func() { result <- j.append(submitRec("job-0", "a", "")) }()
+	<-entered
+	return j, result, release
+}
+
+// queued is the number of records waiting in the open batch.
+func (j *journal) queued() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.open == nil {
+		return 0
+	}
+	return len(j.open.recs)
+}
+
+// appendBehind starts one appender per id, each only after the one
+// before it has joined the open batch, so the batch's arrival order is
+// ids' order. It must be called while a flush is held. The returned
+// function waits for all of them and returns their errors.
+func appendBehind(j *journal, ids []string) (wait func() []error) {
+	errs := make([]error, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = j.append(submitRec(id, "a", ""))
+		}()
+		for j.queued() != i+1 {
+			runtime.Gosched()
+		}
+	}
+	return func() []error { wg.Wait(); return errs }
+}
+
+func liveIDs(j *journal) []string {
+	var ids []string
+	for _, jb := range j.liveJobs() {
+		ids = append(ids, jb.ID)
+	}
+	return ids
 }
 
 // TestJournalReplayRoundTrip: submits, a dispatch, completions and a
@@ -159,29 +263,141 @@ func TestJournalCorruptRecordDropsSuffix(t *testing.T) {
 	}
 }
 
-// TestJournalRotationCompacts: a tiny rotation threshold compacts on
-// every append; the journal stays one segment holding the live state.
+// TestJournalRotationCompacts: the journal compacts when the records
+// appended since the last snapshot weigh as much as that snapshot, and
+// never before RotateBytes of them — so with every job staying live the
+// snapshot doubles between rewrites and the rewrites are logarithmic in
+// the appends, where comparing the segment's absolute size to the
+// threshold rewrote it on every append once the snapshot outgrew it.
 func TestJournalRotationCompacts(t *testing.T) {
-	fs := iosim.NewMemFS()
-	j := testJournal(t, fs, 1, 0)
-	for _, id := range []string{"job-1", "job-2", "job-3"} {
-		mustAppend(t, j, submitRec(id, "a", ""))
-	}
-	mustAppend(t, j, &walRec{Kind: recComplete, Job: "job-2", OK: true})
-	st := j.statsSnapshot()
-	if st.Compactions < 4 { // startup + one per append
-		t.Fatalf("Compactions = %d, want >= 4", st.Compactions)
-	}
-	if segs := segNames(fs); len(segs) != 1 {
-		t.Fatalf("segments after rotation = %v, want exactly one", segs)
-	}
-	j.close()
+	for _, tc := range []struct {
+		name     string
+		rotateAt int64
+		want     int64 // compactions over 40 submits, startup's included
+	}{
+		{"snapshot-bound", 1, 7},
+		{"floor-bound", 2048, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := iosim.NewMemFS()
+			j := testJournal(t, fs, tc.rotateAt, 0)
+			// The rule, restated: tail is the bytes appended since the
+			// snapshot, snap that snapshot's size (the segment's size
+			// right after a compaction).
+			snap, tail, want := j.statsSnapshot().Bytes, int64(0), int64(1)
+			var ids []string
+			for i := 1; i <= 40; i++ {
+				rec := submitRec(fmt.Sprintf("job-%d", i), "a", "")
+				ids = append(ids, rec.Job)
+				mustAppend(t, j, rec)
+				payload, err := json.Marshal(rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tail += walFrameHead + int64(len(payload))
+				st := j.statsSnapshot()
+				if tail >= max(tc.rotateAt, snap) {
+					want, tail, snap = want+1, 0, st.Bytes
+				}
+				if st.Compactions != want {
+					t.Fatalf("after append %d: Compactions = %d, the rule gives %d", i, st.Compactions, want)
+				}
+				if st.Bytes != snap+tail {
+					t.Fatalf("after append %d: segment is %d bytes, want snapshot %d + tail %d", i, st.Bytes, snap, tail)
+				}
+			}
+			if want != tc.want {
+				t.Fatalf("Compactions = %d over 40 appends, want %d", want, tc.want)
+			}
+			if segs := segNames(fs); len(segs) != 1 {
+				t.Fatalf("segments after rotation = %v, want exactly one", segs)
+			}
+			j.close()
 
-	re := testJournal(t, fs, 0, 0)
-	defer re.close()
-	live := re.liveJobs()
-	if len(live) != 2 || live[0].ID != "job-1" || live[1].ID != "job-3" {
-		t.Fatalf("live after compaction = %+v, want job-1, job-3", live)
+			re := testJournal(t, fs, 0, 0)
+			defer re.close()
+			if got := liveIDs(re); !slices.Equal(got, ids) {
+				t.Fatalf("live after compaction = %v, want %v", got, ids)
+			}
+		})
+	}
+}
+
+// TestJournalSteadyStateWriteAmplification: with the retained outcomes
+// full (256 of ~4 KB, a ~1 MB snapshot — the state in which the old
+// absolute-size trigger rewrote the snapshot on every append), every
+// snapshot but the last is paid for by the tail that follows it, so the
+// bytes written stay within twice the bytes appended plus one snapshot,
+// and the segment within twice its snapshot plus RotateBytes.
+func TestJournalSteadyStateWriteAmplification(t *testing.T) {
+	fs := &scriptFS{FS: iosim.NewMemFS()}
+	j := testJournal(t, fs, 0, 256)
+	defer j.close()
+	wrote0 := fs.wrote.Load()
+	var appended, maxFrame int64
+	for i := 0; i < 1000; i++ {
+		rec := &walRec{Kind: recComplete, Job: fmt.Sprintf("job-%d", i), OK: true,
+			Key: fmt.Sprintf("key-%d", i), Outcome: outcome4K}
+		mustAppend(t, j, rec)
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := walFrameHead + int64(len(payload))
+		appended, maxFrame = appended+frame, max(maxFrame, frame)
+		if size := j.statsSnapshot().Bytes; size > 2*j.snapEnd+j.rotateAt+maxFrame {
+			t.Fatalf("after append %d: segment is %d bytes over a %d-byte snapshot", i, size, j.snapEnd)
+		}
+	}
+	wrote := fs.wrote.Load() - wrote0
+	if wrote > 2*appended+j.snapEnd {
+		t.Fatalf("wrote %d bytes for %d appended over a %d-byte snapshot: amplification above 2", wrote, appended, j.snapEnd)
+	}
+	if st := j.statsSnapshot(); st.Compactions < 2 || st.Compactions > 5 {
+		t.Fatalf("Compactions = %d over 1000 appends (~4 MB) at a ~1 MB snapshot, want a handful", st.Compactions)
+	}
+	t.Logf("appended %d B, wrote %d B (x%.2f), %d compactions, snapshot %d B",
+		appended, wrote, float64(wrote)/float64(appended), j.statsSnapshot().Compactions, j.snapEnd)
+}
+
+// TestJournalFailedCompactionSurfaces: a compaction that cannot create
+// or write its new segment degrades the journal and is returned by the
+// append that triggered it; that append's record is durable all the
+// same, in the old segment, which is left in place and still replays.
+func TestJournalFailedCompactionSurfaces(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   int64 // on the new segment: 0 is its create, 1 its snapshot write
+	}{{"create", 0}, {"write", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := iosim.NewMemFS()
+			chaos := iosim.NewChaosFS(mem, iosim.ChaosConfig{Schedule: []iosim.ScheduledFault{
+				{File: segName(2), Op: tc.op, Kind: iosim.KindPermanent},
+			}})
+			// With a 1-byte floor the first record outweighs the empty
+			// startup snapshot, so the first append compacts.
+			j := testJournal(t, chaos, 1, 0)
+			err := j.append(submitRec("job-1", "a", ""))
+			if !errors.Is(err, ErrDegraded) || !strings.Contains(err.Error(), "journal s") {
+				t.Fatalf("append whose compaction failed = %v, want ErrDegraded naming the segment step", err)
+			}
+			st := j.statsSnapshot()
+			if !st.Degraded || st.AppendErrors != 1 || st.RecordsAppended != 1 || st.Compactions != 1 {
+				t.Fatalf("stats after failed compaction = %+v", st)
+			}
+			if err := j.append(submitRec("job-2", "a", "")); !errors.Is(err, ErrDegraded) {
+				t.Fatalf("append after failed compaction = %v, want ErrDegraded", err)
+			}
+			j.close()
+			if segs := segNames(mem); len(segs) != 1 || segs[0] != segName(1) {
+				t.Fatalf("segments after failed compaction = %v, want only %s", segs, segName(1))
+			}
+			re := testJournal(t, mem, 0, 0)
+			defer re.close()
+			if got := liveIDs(re); !slices.Equal(got, []string{"job-1"}) {
+				t.Fatalf("live after failed compaction = %v, want job-1", got)
+			}
+		})
 	}
 }
 
@@ -347,4 +563,290 @@ func TestJournalOutcomeRetentionBounded(t *testing.T) {
 	if _, ok := re.outcome("k3"); !ok {
 		t.Fatal("retained outcome lost across restart")
 	}
+}
+
+// TestJournalSyncFailureDegrades: an fsync that fails for good is a
+// write that failed — the record is refused with ErrDegraded, counted
+// neither as appended nor as synced, and not visible in the replay
+// state — where the error used to be dropped and the record acknowledged.
+func TestJournalSyncFailureDegrades(t *testing.T) {
+	fs := &scriptFS{FS: iosim.NewMemFS()}
+	fs.onSync = func(n int64) error {
+		if n >= 3 { // 1 is the startup snapshot, 2 the first append
+			return errors.New("fsync: input/output error")
+		}
+		return nil
+	}
+	j := testJournal(t, fs, 0, 0)
+	defer j.close()
+	mustAppend(t, j, submitRec("job-1", "a", "k1"))
+	before := j.statsSnapshot()
+
+	err := j.append(&walRec{Kind: recComplete, Job: "job-1", OK: true, Key: "k1",
+		Outcome: json.RawMessage(`{"job_id":"job-1"}`)})
+	if !errors.Is(err, ErrDegraded) {
+		t.Fatalf("append whose fsync failed = %v, want ErrDegraded", err)
+	}
+	st := j.statsSnapshot()
+	if st.Fsyncs != before.Fsyncs || st.RecordsAppended != before.RecordsAppended {
+		t.Fatalf("failed fsync counted: before %+v, after %+v", before, st)
+	}
+	if !st.Degraded || st.AppendErrors != 1 || !j.degraded() {
+		t.Fatalf("journal not degraded after a failed fsync: %+v", st)
+	}
+	if _, ok := j.outcome("k1"); ok {
+		t.Fatal("outcome of an unsynced completion is visible")
+	}
+	if got := liveIDs(j); !slices.Equal(got, []string{"job-1"}) {
+		t.Fatalf("live = %v, want job-1 still live (its completion was refused)", got)
+	}
+	if got := fs.syncs.Load(); got != 3 {
+		t.Fatalf("Sync calls = %d, want 3 (a persistent error is not retried)", got)
+	}
+}
+
+// TestJournalSyncFailureTransientRetried: a transient fsync error is
+// healed the way a torn write is — the batch is written and synced again
+// — and the record is appended once and replays.
+func TestJournalSyncFailureTransientRetried(t *testing.T) {
+	mem := iosim.NewMemFS()
+	fs := &scriptFS{FS: mem}
+	fs.onSync = func(n int64) error {
+		if n == 2 {
+			return iosim.MarkTransient(errors.New("fsync: interrupted"))
+		}
+		return nil
+	}
+	j, err := openJournal(fs, 0, iosim.RetryPolicy{MaxRetries: 1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrote := fs.wrote.Load()
+	mustAppend(t, j, submitRec("job-1", "a", ""))
+	st := j.statsSnapshot()
+	if st.Degraded || st.RecordsAppended != 1 || st.Fsyncs != 2 || fs.syncs.Load() != 3 {
+		t.Fatalf("stats after a retried fsync = %+v with %d Sync calls, want 1 record, 2 counted fsyncs, 3 calls", st, fs.syncs.Load())
+	}
+	if got := fs.wrote.Load() - wrote; got != 2*(st.Bytes-j.snapEnd) {
+		t.Fatalf("wrote %d bytes for a %d-byte record: the retry must rewrite the batch, not only sync again", got, st.Bytes-j.snapEnd)
+	}
+	j.close()
+
+	re := testJournal(t, mem, 0, 0)
+	defer re.close()
+	if got := liveIDs(re); !slices.Equal(got, []string{"job-1"}) {
+		t.Fatalf("live after reopen = %v, want job-1 exactly once", got)
+	}
+}
+
+// TestJournalGroupCommit: appends that arrive while an fsync is in
+// flight share the next one — k+1 records cost two fsyncs — replay in
+// arrival order, and the readers do not wait behind the held fsync.
+func TestJournalGroupCommit(t *testing.T) {
+	mem := iosim.NewMemFS()
+	fs := &scriptFS{FS: mem}
+	j, first, release := heldAppend(t, fs)
+	ids := []string{"job-1", "job-2", "job-3", "job-4", "job-5"}
+	wait := appendBehind(j, ids)
+
+	// Nothing is acknowledged or visible yet, and asking does not block.
+	if st := j.statsSnapshot(); st.RecordsAppended != 0 || st.Fsyncs != 1 {
+		t.Fatalf("stats while the first fsync is held = %+v", st)
+	}
+	if _, ok := j.outcome("none"); ok || j.degraded() || len(j.liveJobs()) != 0 {
+		t.Fatal("replay state moved before the fsync returned")
+	}
+
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatalf("first append: %v", err)
+	}
+	for i, err := range wait() {
+		if err != nil {
+			t.Fatalf("append %s: %v", ids[i], err)
+		}
+	}
+	st := j.statsSnapshot()
+	if got := fs.syncs.Load(); got != 3 || st.Fsyncs != 3 || st.RecordsAppended != 6 {
+		t.Fatalf("%d Sync calls, stats %+v; want the startup snapshot's fsync plus 2 for 6 records", got, st)
+	}
+	j.close()
+
+	re := testJournal(t, mem, 0, 0)
+	defer re.close()
+	if got, want := liveIDs(re), append([]string{"job-0"}, ids...); !slices.Equal(got, want) {
+		t.Fatalf("replay order = %v, want arrival order %v", got, want)
+	}
+}
+
+// TestJournalFailedBatchFailsEveryMember: a batch whose write fails is
+// refused whole — every member gets ErrDegraded and none of its records
+// is applied.
+func TestJournalFailedBatchFailsEveryMember(t *testing.T) {
+	chaos := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{Schedule: []iosim.ScheduledFault{
+		// Ops 0-1 are the segment's create and snapshot write, 2 the
+		// first batch, 3 the second.
+		{File: segName(1), Op: 3, Kind: iosim.KindPermanent},
+	}})
+	j, first, release := heldAppend(t, &scriptFS{FS: chaos})
+	defer j.close()
+	ids := []string{"job-1", "job-2", "job-3"}
+	wait := appendBehind(j, ids)
+	close(release)
+
+	if err := <-first; err != nil {
+		t.Fatalf("first append: %v", err)
+	}
+	for i, err := range wait() {
+		if !errors.Is(err, ErrDegraded) {
+			t.Fatalf("append %s in the failed batch = %v, want ErrDegraded", ids[i], err)
+		}
+	}
+	if got := liveIDs(j); !slices.Equal(got, []string{"job-0"}) {
+		t.Fatalf("live = %v, want only job-0: a failed batch applies nothing", got)
+	}
+	if st := j.statsSnapshot(); st.RecordsAppended != 1 || st.AppendErrors != 1 || !st.Degraded {
+		t.Fatalf("stats after the failed batch = %+v", st)
+	}
+}
+
+// TestJournalKillAndCloseDuringFlush: kill and close arriving while a
+// flush is held let it finish — its record is acknowledged and replays —
+// and start no other: the batch queued behind it fails with ErrDegraded,
+// and nothing deadlocks.
+func TestJournalKillAndCloseDuringFlush(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		stop func(j *journal) (stopped chan struct{})
+	}{
+		{"kill", func(j *journal) chan struct{} {
+			j.kill() // does not wait for the flush
+			return nil
+		}},
+		{"close", func(j *journal) chan struct{} {
+			stopped := make(chan struct{})
+			go func() { j.close(); close(stopped) }()
+			for dead := false; !dead; runtime.Gosched() {
+				j.mu.Lock()
+				dead = j.dead
+				j.mu.Unlock()
+			}
+			return stopped
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := iosim.NewMemFS()
+			j, first, release := heldAppend(t, &scriptFS{FS: mem})
+			ids := []string{"job-1", "job-2"}
+			wait := appendBehind(j, ids)
+			stopped := tc.stop(j)
+			close(release)
+
+			if err := <-first; err != nil {
+				t.Fatalf("the append in flight = %v, want it acknowledged", err)
+			}
+			for i, err := range wait() {
+				if !errors.Is(err, ErrDegraded) {
+					t.Fatalf("append %s queued behind the stop = %v, want ErrDegraded", ids[i], err)
+				}
+			}
+			if stopped != nil {
+				<-stopped
+			}
+			if st := j.statsSnapshot(); st.Degraded || st.RecordsAppended != 1 {
+				t.Fatalf("stats after %s = %+v: the disk is fine, one record landed", tc.name, st)
+			}
+			j.close()
+
+			re := testJournal(t, mem, 0, 0)
+			defer re.close()
+			if got := liveIDs(re); !slices.Equal(got, []string{"job-0"}) {
+				t.Fatalf("live after reopen = %v, want the acknowledged job-0 only", got)
+			}
+		})
+	}
+}
+
+// outcome4K is a retained outcome of about 4 KB, the size served
+// responses have.
+var outcome4K = func() json.RawMessage {
+	raw, err := json.Marshal(map[string]string{"pad": strings.Repeat("x", 4000)})
+	if err != nil {
+		panic(err)
+	}
+	return raw
+}()
+
+// benchJournal opens a journal on fs whose 256 retained outcomes are
+// already full, so every measured append sees the steady state.
+func benchJournal(b *testing.B, fs *scriptFS) *journal {
+	b.Helper()
+	j, err := openJournal(fs, 0, iosim.DefaultRetryPolicy(), 256)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 256; i++ {
+		if err := j.append(benchRec(-1 - int64(i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return j
+}
+
+func benchRec(n int64) *walRec {
+	id := fmt.Sprintf("job-%d", n)
+	return &walRec{Kind: recComplete, Job: id, OK: true, Key: id, Outcome: outcome4K}
+}
+
+// reportJournal reports what the measured appends cost the disk.
+func reportJournal(b *testing.B, fs *scriptFS, syncs0, wrote0 int64) {
+	b.ReportMetric(float64(fs.syncs.Load()-syncs0)/float64(b.N), "fsyncs/op")
+	b.ReportMetric(float64(fs.wrote.Load()-wrote0)/float64(b.N), "B-written/op")
+}
+
+// BenchmarkJournalAppend is the per-record cost of a durable append in
+// the steady state (256 retained ~4 KB outcomes, MemFS, compactions
+// included): serial, and from parallel appenders over an fsync that
+// costs a fixed 50 µs, where group commit shows as fsyncs/op below 1.
+func BenchmarkJournalAppend(b *testing.B) {
+	b.Run("serial", func(b *testing.B) {
+		fs := &scriptFS{FS: iosim.NewMemFS()}
+		j := benchJournal(b, fs)
+		defer j.close()
+		syncs0, wrote0 := fs.syncs.Load(), fs.wrote.Load()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := j.append(benchRec(int64(i))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		reportJournal(b, fs, syncs0, wrote0)
+	})
+	b.Run("parallel", func(b *testing.B) {
+		fs := &scriptFS{FS: iosim.NewMemFS()}
+		fs.onSync = func(int64) error {
+			for start := time.Now(); time.Since(start) < 50*time.Microsecond; {
+			}
+			return nil
+		}
+		j := benchJournal(b, fs)
+		defer j.close()
+		syncs0, wrote0 := fs.syncs.Load(), fs.wrote.Load()
+		var seq atomic.Int64
+		b.ReportAllocs()
+		b.SetParallelism(8)
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if err := j.append(benchRec(seq.Add(1))); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+		b.StopTimer()
+		reportJournal(b, fs, syncs0, wrote0)
+	})
 }

@@ -54,7 +54,10 @@ type JournalConfig struct {
 	// WorkFS stores the array files and exec checkpoints of resumable
 	// jobs, namespaced per job attempt; nil shares FS.
 	WorkFS iosim.FS
-	// RotateBytes triggers a compacting segment rotation (default 1 MiB).
+	// RotateBytes is the floor of the compaction trigger (default 1 MiB):
+	// the journal rewrites its snapshot into a fresh segment once the
+	// records appended since the last snapshot amount to that snapshot's
+	// size, and never before RotateBytes of them.
 	RotateBytes int64
 	// MaxOutcomes bounds the retained idempotency outcomes (default 256).
 	MaxOutcomes int

@@ -5,7 +5,8 @@
 # submit a batch of idempotency-keyed jobs, SIGKILL the process mid-run,
 # restart it on the same journal, and require that every job completes
 # with stats bitwise identical to a journal-less reference run, with
-# replayed_jobs >= 1 reported in /metrics.
+# replayed_jobs >= 1 and fsyncs <= records_appended + compactions
+# reported in /metrics.
 #
 # Gate 2 (journal-corruption): flip bytes in the tail of the surviving
 # journal segment and require a clean restart (healthz 200, no parse
@@ -94,8 +95,11 @@ m = json.load(open(sys.argv[1]))
 j = m["journal"]
 assert j["replayed_jobs"] >= 1, f"no jobs replayed after SIGKILL: {j}"
 assert j["records_appended"] >= 1 and j["fsyncs"] >= 1, j
+# One fsync per batch of records and one per compaction, never one
+# compaction (and its fsync) per record.
+assert j["fsyncs"] <= j["records_appended"] + j["compactions"], f"more fsyncs than records + compactions: {j}"
 print(f"gate 1 ok: replayed={j['replayed_jobs']} resumed={j['resumed_jobs']} "
-      f"records={j['records_appended']} fsyncs={j['fsyncs']}")
+      f"records={j['records_appended']} fsyncs={j['fsyncs']} compactions={j['compactions']}")
 PY
 stop_server
 
