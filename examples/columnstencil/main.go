@@ -52,6 +52,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Closing the result removes the run's local array files and, on the
+	// in-memory store, hands their storage back for the next run.
+	defer out.Close()
 	comm := out.Stats.TotalComm()
 	fmt.Printf("simulated execution: %s\n", out.Stats)
 	fmt.Printf("shift communication: %d boundary-column messages\n", comm.MessagesSent)

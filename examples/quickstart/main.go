@@ -27,6 +27,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Done with the arrays: remove the run's local array files.
+	defer out.Executed.Close()
 
 	fmt.Printf("strategy chosen by the compiler: %s\n", out.Compiled.Program.Strategy)
 	fmt.Printf("simulated execution: %s\n", out.Stats())

@@ -44,10 +44,12 @@ func main() {
 	}
 
 	auto, res := run("")
+	defer auto.Close()
 	fmt.Printf("compiled pattern: %s; strategy chosen: %s\n", res.Analysis.Pattern, res.Program.Strategy)
 	fmt.Printf("cost comparison:\n%s\n", res.Report)
 
 	forced, _ := run("row-slab")
+	defer forced.Close()
 	fmt.Printf("simulated time: %-12s %8.3fs (%d requests)\n",
 		res.Program.Strategy, auto.Stats.ElapsedSeconds(), auto.Stats.TotalIO().Requests())
 	fmt.Printf("simulated time: %-12s %8.3fs (%d requests)\n",

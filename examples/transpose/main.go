@@ -43,6 +43,7 @@ func main() {
 		if err != nil {
 			return err
 		}
+		defer src.Close()
 		if err := src.FillGlobal(value); err != nil {
 			return err
 		}
@@ -50,6 +51,7 @@ func main() {
 		if err != nil {
 			return err
 		}
+		defer rowBlocked.Close()
 		if err := oocarray.Redistribute(p, src, rowBlocked, slabMem, 31); err != nil {
 			return err
 		}
@@ -72,6 +74,7 @@ func main() {
 		if err != nil {
 			return err
 		}
+		defer transposed.Close()
 		swap := func(gi, gj int) (int, int) { return gj, gi }
 		if err := oocarray.RedistributeMapped(p, src, transposed, slabMem, 32, swap); err != nil {
 			return err

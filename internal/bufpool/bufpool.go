@@ -11,6 +11,14 @@
 // AllocsPerRun pins hold — and overflows into a sync.Pool, which trades
 // a boxed pointer per overflow for letting the GC trim idle memory.
 //
+// The free list's bound is in bytes, because the arena also backs file
+// storage (iosim.MemFS) and multi-megabyte classes are routine: a class
+// retains at most 64 buffers or 64 MiB, whichever is smaller. That is 64
+// buffers up to 1 MiB, 32 at 2 MiB, one at 64 MiB and none above; summed
+// over every class of both element types the lists can pin just under
+// 1 GiB, and only after a process has had that much live at once. What a
+// list refuses goes to the sync.Pool and is the GC's to reclaim.
+//
 // A buffer obtained from Get* has arbitrary contents. Callers either
 // overwrite every element or clear() explicitly where they previously
 // relied on make's zeroing; SetChecked poisons released buffers to make
@@ -34,10 +42,18 @@ const (
 	// release.
 	maxBits    = 26
 	numClasses = maxBits - minBits + 1
-	// perClassCap bounds each class's mutex free list; further releases
-	// overflow into the class's sync.Pool.
-	perClassCap = 64
+	// perClassCap and classBudgetBytes bound each class's mutex free list
+	// (the smaller wins); further releases overflow into the class's
+	// sync.Pool.
+	perClassCap      = 64
+	classBudgetBytes = 64 << 20
 )
+
+// freeListCap returns how many buffers of capacity c elements of size
+// elemSize bytes a class's free list may hold.
+func freeListCap(c int, elemSize uintptr) int {
+	return min(perClassCap, classBudgetBytes/(c*int(elemSize)))
+}
 
 // classFor returns the class index whose buffers hold at least n
 // elements, or numClasses when n exceeds the largest class.
@@ -195,8 +211,9 @@ func (a *arena[T]) put(b []T, poison T) {
 	}
 	atomic.AddInt64(&stats.Puts, 1)
 	cl := &a.classes[c]
+	limit := freeListCap(len(b), unsafe.Sizeof(poison))
 	cl.mu.Lock()
-	if len(cl.free) < perClassCap || checked.Load() {
+	if len(cl.free) < limit || checked.Load() {
 		// Checked mode keeps everything on the free list: the sync.Pool
 		// would let the GC drop tracked buffers and leak checker entries.
 		cl.free = append(cl.free, b)

@@ -2,6 +2,7 @@ package bufpool
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -144,4 +145,40 @@ func TestCheckedReacquireClearsTracking(t *testing.T) {
 	PutF64(b)
 	c := GetF64(64) // same storage back
 	PutF64(c)       // must not be treated as a double release
+}
+
+// The free list of a class is bounded in bytes: of 2× the budget released
+// at once, half is retained and the rest is the garbage collector's.
+func TestFreeListBoundedInBytes(t *testing.T) {
+	const size = 4 << 20 // byte class whose bound is the budget, not the count
+	budget := classBudgetBytes / size
+	if budget >= perClassCap {
+		t.Fatalf("class of %d bytes is bounded by count, not bytes", size)
+	}
+	// One transpose_real job's file storage must fit the lists it lands on.
+	if a, b := freeListCap(1<<20, 1), freeListCap(2<<20, 1); a < 16 || b < 8 {
+		t.Fatalf("free lists hold %d x 1 MiB and %d x 2 MiB, want at least 16 and 8", a, b)
+	}
+	if n := freeListCap(1<<maxBits, 8); n != 0 {
+		t.Fatalf("the top float64 class retains %d buffers, want 0", n)
+	}
+	// Never written, so the 2× budget stays virtual memory.
+	bufs := make([][]byte, 2*budget)
+	for i := range bufs {
+		bufs[i] = GetBytes(size)
+	}
+	for _, b := range bufs {
+		PutBytes(b)
+	}
+	clear(bufs)
+	// Two collections empty the overflow pool (primary, then victim cache).
+	runtime.GC()
+	runtime.GC()
+	ResetStats()
+	for i := range bufs {
+		bufs[i] = GetBytes(size)
+	}
+	if s := Snapshot(); s.Gets != int64(2*budget) || s.Hits != int64(budget) {
+		t.Errorf("burst of %d gets hit %d retained buffers, want %d", s.Gets, s.Hits, budget)
+	}
 }

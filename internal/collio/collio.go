@@ -218,9 +218,12 @@ func redistribute(p *mp.Proc, src, dst Side, memElems, tag int, transform func(g
 		// start out zeroed like the make it replaced.
 		clear(buf)
 	}
-	// parts and the receiver's scratch are reused across rounds: lengths
-	// reset, capacities kept, so steady-state rounds stop allocating.
+	// parts and the receiver's buckets are arena buffers reused across
+	// rounds: lengths reset, capacities kept, so after the first rounds
+	// have grown them nothing is taken from the arena or the heap, and
+	// every exit hands them back.
 	parts := make([][]float64, size)
+	defer releaseBuckets(parts)
 	for round := 0; round < rounds; round++ {
 		t0 := clock.Seconds()
 		for q := range parts {
@@ -249,7 +252,7 @@ func redistribute(p *mp.Proc, src, dst Side, memElems, tag int, transform func(g
 					}
 					owner := own0[di] + own1[dj]
 					lin := int(loc1[dj])*int(dstRowsOf[owner]) + int(loc0[di])
-					parts[owner] = append(parts[owner], float64(lin), col[li])
+					parts[owner] = appendPair(parts[owner], float64(lin), col[li])
 				}
 			}
 		}
@@ -278,6 +281,33 @@ func redistribute(p *mp.Proc, src, dst Side, memElems, tag int, transform func(g
 	}
 	phase("collio:write", tEnd)
 	return nil
+}
+
+// appendPair appends one (index, value) pair to an arena-backed bucket.
+// The full-bucket path is growBucket's so that this one inlines into the
+// per-element loops.
+func appendPair(b []float64, idx, val float64) []float64 {
+	if len(b)+2 > cap(b) {
+		b = growBucket(b)
+	}
+	return append(b, idx, val) // within capacity: never the heap's growth
+}
+
+// growBucket moves a full bucket to an arena buffer of twice its
+// capacity.
+func growBucket(b []float64) []float64 {
+	grown := bufpool.GetF64(max(2*cap(b), 2))[:len(b)]
+	copy(grown, b)
+	bufpool.PutF64(b)
+	return grown
+}
+
+// releaseBuckets returns every bucket to the arena.
+func releaseBuckets(buckets [][]float64) {
+	for i, b := range buckets {
+		bufpool.PutF64(b)
+		buckets[i] = nil
+	}
 }
 
 // checkPayloads rejects a round in which some peer's payload is not a
@@ -401,21 +431,31 @@ func (r *runReceiver) coalescePairs(incoming [][]float64) error {
 // the memory budget the pairs stay in memory; otherwise they spill to a
 // scratch file on the same disk, appended contiguously per window, which
 // keeps every scratch access a single-request transfer too.
+//
+// The receiver owns its in-memory buckets (bufs) or its scratch file from
+// newTwoPhaseReceiver to cleanup, which returns the buckets to the arena
+// and closes and removes the scratch file on every exit of the
+// redistribution. A spilling round and a window's flush only borrow from
+// the arena — the round's sorted pairs, a window's pairs and staging —
+// and return it before they are done.
 type twoPhaseReceiver struct {
-	dst    Side
-	winW   int
-	nWin   int
-	inMem  bool
-	counts []int // pairs received per window
-	base   []int64
-	elems  []int
-	bufs   [][]float64 // in-memory regime: pair floats per window
-	per    [][]float64 // spill regime: the round's pair floats per window, reused per round
+	dst  Side
+	winW int
+	nWin int
+	// winElems is the element count of a full window: local linear index
+	// lin lies in window lin/winElems.
+	winElems int
+	inMem    bool
+	counts   []int // pairs received per window
+	base     []int64
+	elems    []int
+	bufs     [][]float64 // in-memory regime: pair floats per window (arena)
 
 	scratch     *iosim.LAF
 	scratchName string
 	off         []int64 // scratch region start per window, in floats
 	spilled     []int64 // floats appended so far per window
+	at          []int   // the round's fill position per window in spill's buffer
 }
 
 func newTwoPhaseReceiver(dst Side, memElems int) (*twoPhaseReceiver, error) {
@@ -423,6 +463,7 @@ func newTwoPhaseReceiver(dst Side, memElems int) (*twoPhaseReceiver, error) {
 	local := rows * cols
 	r := &twoPhaseReceiver{dst: dst}
 	r.winW = WindowWidth(memElems, rows, cols)
+	r.winElems = rows * r.winW
 	if local > 0 {
 		r.nWin = (cols + r.winW - 1) / r.winW
 	}
@@ -448,6 +489,7 @@ func newTwoPhaseReceiver(dst Side, memElems int) (*twoPhaseReceiver, error) {
 		return r, nil
 	}
 	r.spilled = make([]int64, r.nWin)
+	r.at = make([]int, r.nWin)
 	r.scratchName = fmt.Sprintf("%s.p%d.collio.scratch", dst.Map.Name, dst.Rank)
 	scratch, err := dst.LAF.Disk().CreateLAF(r.scratchName, acc)
 	if err != nil {
@@ -458,46 +500,106 @@ func newTwoPhaseReceiver(dst Side, memElems int) (*twoPhaseReceiver, error) {
 }
 
 func (r *twoPhaseReceiver) absorb(incoming [][]float64) error {
-	winElems := r.dst.Rows * r.winW
-	// In memory the pairs go straight to their window's buffer; spilling,
-	// they gather per window for one contiguous scratch append each.
-	into := r.bufs
 	if !r.inMem {
-		if r.per == nil {
-			r.per = make([][]float64, r.nWin)
-		}
-		into = r.per
-		for i := range into {
-			into[i] = into[i][:0]
-		}
+		return r.spill(incoming)
 	}
-	// A pair often falls into the window of the one before (always, inside
-	// a run of consecutive indices), so the window is looked up only on
-	// leaving [lo, hi); the empty initial range sends the first pair
-	// through the lookup and its checks.
+	// In memory the pairs go straight to their window's bucket. A pair
+	// often falls into the window of the one before (always, inside a run
+	// of consecutive indices), so the window is looked up only on leaving
+	// [lo, hi); the empty initial range sends the first pair through the
+	// lookup and its checks.
 	wdx, lo, hi := 0, 0, 0
 	for _, in := range incoming {
 		for i := 0; i+1 < len(in); i += 2 {
 			lin := int(in[i])
 			if lin < lo || lin >= hi {
-				wdx = 0
-				if winElems > 0 {
-					wdx = lin / winElems
+				var err error
+				if wdx, err = r.windowOf(lin); err != nil {
+					return err
 				}
-				if lin < 0 || wdx >= r.nWin {
-					return fmt.Errorf("collio: destination index %d outside local array of %d elements",
-						lin, r.dst.Rows*r.dst.Cols)
-				}
-				lo, hi = wdx*winElems, (wdx+1)*winElems
+				lo, hi = wdx*r.winElems, (wdx+1)*r.winElems
 			}
-			into[wdx] = append(into[wdx], in[i], in[i+1])
+			r.bufs[wdx] = appendPair(r.bufs[wdx], in[i], in[i+1])
 			r.counts[wdx]++
 		}
 	}
-	if r.inMem {
-		return nil
+	return nil
+}
+
+// windowOf returns the window holding local linear index lin.
+func (r *twoPhaseReceiver) windowOf(lin int) (int, error) {
+	wdx := 0
+	if r.winElems > 0 {
+		wdx = lin / r.winElems
 	}
-	for wdx, fl := range into {
+	if lin < 0 || wdx >= r.nWin {
+		return 0, fmt.Errorf("collio: destination index %d outside local array of %d elements",
+			lin, r.dst.Rows*r.dst.Cols)
+	}
+	return wdx, nil
+}
+
+// spill appends the round's pairs to the scratch file, one contiguous
+// request per window that received any. The pairs are first sorted by
+// window into one exactly sized arena buffer: a counting pass gives each
+// window its offset in it, a second pass places every pair, and each
+// window's stretch is then written where its scratch region has got to.
+func (r *twoPhaseReceiver) spill(incoming [][]float64) error {
+	winElems := r.winElems
+	at := r.at
+	clear(at)
+	// A pair often falls into the window of the one before (always, inside
+	// a run of consecutive indices), so a window's tally stays in n — and,
+	// placing, its fill position in k — until a pair leaves [lo, hi); the
+	// empty initial range sends the first pair through the lookup and its
+	// checks.
+	total := 0
+	wdx, lo, hi, n := 0, 0, 0, 0
+	for _, in := range incoming {
+		total += len(in)
+		for i := 0; i+1 < len(in); i += 2 {
+			lin := int(in[i])
+			if lin < lo || lin >= hi {
+				at[wdx] += n
+				n = 0
+				var err error
+				if wdx, err = r.windowOf(lin); err != nil {
+					return err
+				}
+				lo, hi = wdx*winElems, (wdx+1)*winElems
+			}
+			n += 2
+		}
+	}
+	at[wdx] += n
+	// Counts become start offsets; every index was checked above.
+	sum := 0
+	for w, n := range at {
+		at[w] = sum
+		sum += n
+	}
+	round := bufpool.GetF64(total)
+	defer bufpool.PutF64(round)
+	wdx, lo, hi = 0, 0, 0
+	k := at[0]
+	for _, in := range incoming {
+		for i := 0; i+1 < len(in); i += 2 {
+			lin := int(in[i])
+			if lin < lo || lin >= hi {
+				at[wdx] = k
+				wdx = lin / winElems
+				lo, hi = wdx*winElems, (wdx+1)*winElems
+				k = at[wdx]
+			}
+			round[k], round[k+1] = in[i], in[i+1]
+			k += 2
+		}
+	}
+	at[wdx] = k
+	start := 0
+	for wdx, end := range at {
+		fl := round[start:end]
+		start = end
 		if len(fl) == 0 {
 			continue
 		}
@@ -510,6 +612,7 @@ func (r *twoPhaseReceiver) absorb(incoming [][]float64) error {
 		}
 		r.dst.charge("io-write", sec)
 		r.spilled[wdx] += int64(len(fl))
+		r.counts[wdx] += len(fl) / 2
 	}
 	return nil
 }
@@ -579,6 +682,7 @@ func (r *twoPhaseReceiver) finish() error {
 }
 
 func (r *twoPhaseReceiver) cleanup() {
+	releaseBuckets(r.bufs)
 	if r.scratch == nil {
 		return
 	}

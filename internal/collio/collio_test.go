@@ -26,7 +26,7 @@ func (s Side) globalIndex(li, lj int) (gi, gj int) {
 
 // sideFor builds the collective Side of one rank's local array file,
 // creating and filling the LAF from the global fill function.
-func sideFor(t *testing.T, disk *iosim.Disk, dm *dist.Array, rank int, fill func(gi, gj int) float64) Side {
+func sideFor(t testing.TB, disk *iosim.Disk, dm *dist.Array, rank int, fill func(gi, gj int) float64) Side {
 	t.Helper()
 	shape := dm.LocalShape(rank)
 	rows, cols := shape[0], shape[1]
@@ -48,6 +48,17 @@ func sideFor(t *testing.T, disk *iosim.Disk, dm *dist.Array, rank int, fill func
 		}
 	}
 	return s
+}
+
+// discard closes the sides' files and removes them from the disk's store
+// — the two halves of giving their storage back to the arena, which the
+// balance checks below count like any other buffer. A name another side
+// already replaced or removed is skipped.
+func discard(disk *iosim.Disk, sides ...Side) {
+	for _, s := range sides {
+		s.LAF.Close()
+		disk.RemoveLAF(s.LAF.Name())
+	}
 }
 
 // checkSide verifies every element of the rank's destination file.
@@ -453,6 +464,7 @@ func TestMalformedPayloadReleasesRound(t *testing.T) {
 		}
 		src := sideFor(t, disk, dm, 0, valueAt)
 		dst := sideFor(t, disk, dm, 0, nil)
+		defer discard(disk, src, dst)
 		rerr := Redistribute(proc, src, dst, 16, tag, nil, Direct)
 		if rerr == nil || !strings.Contains(rerr.Error(), "index/value pairs") {
 			return fmt.Errorf("want malformed-payload failure, got %v", rerr)
@@ -504,6 +516,7 @@ func TestTransformOutsideDestination(t *testing.T) {
 					}
 					src := sideFor(t, disk, srcMap, proc.Rank(), valueAt)
 					dst := sideFor(t, disk, dstMap, proc.Rank(), nil)
+					defer discard(disk, src, dst)
 					// One column per round; a spilling two-phase receiver.
 					return Redistribute(proc, src, dst, n, 33, transform, method)
 				})
@@ -522,4 +535,71 @@ func TestTransformOutsideDestination(t *testing.T) {
 			})
 		}
 	}
+}
+
+// BenchmarkRedistributeTwoPhase is the redistribution of the benchmark's
+// transpose_real job on its own: N=1024 over 8 ranks, memElems 16·1024, so
+// the receiver spills 16 rounds of pairs to scratch and flushes 32
+// windows per rank. The files are made once; an op opens them, runs the
+// collective and closes them, the way a warm server's job finds the arena
+// — so allocs/op is what a redistribution costs in steady state.
+func BenchmarkRedistributeTwoPhase(b *testing.B) {
+	const n, p, memElems = 1024, 8, 16 * 1024
+	srcMap, err := colBlock("src")(n, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dstMap, err := colBlock("dst")(n, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	swap := func(gi, gj int) (int, int) { return gj, gi }
+	fs := iosim.NewMemFS()
+	run := func(body func(proc *mp.Proc, disk *iosim.Disk) error) {
+		b.Helper()
+		if _, err := mp.Run(sim.Delta(p), func(proc *mp.Proc) error {
+			return body(proc, iosim.NewDisk(fs, proc.Config(), &proc.Stats().IO))
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run(func(proc *mp.Proc, disk *iosim.Disk) error {
+		sideFor(b, disk, srcMap, proc.Rank(), valueAt).LAF.Close()
+		sideFor(b, disk, dstMap, proc.Rank(), nil).LAF.Close()
+		return nil
+	})
+	open := func(disk *iosim.Disk, dm *dist.Array, rank int) (Side, error) {
+		shape := dm.LocalShape(rank)
+		laf, err := disk.OpenLAF(fmt.Sprintf("%s.p%d.laf", dm.Name, rank), int64(shape[0]*shape[1]))
+		return Side{Map: dm, LAF: laf, Rank: rank, Rows: shape[0], Cols: shape[1]}, err
+	}
+	op := func(proc *mp.Proc, disk *iosim.Disk) error {
+		src, err := open(disk, srcMap, proc.Rank())
+		if err != nil {
+			return err
+		}
+		defer src.LAF.Close()
+		dst, err := open(disk, dstMap, proc.Rank())
+		if err != nil {
+			return err
+		}
+		defer dst.LAF.Close()
+		return Redistribute(proc, src, dst, memElems, 30, swap, TwoPhase)
+	}
+	run(op) // warm-up: the arena holds every class the op takes
+	b.SetBytes(n * n * 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(op)
+	}
+	b.StopTimer()
+	run(func(proc *mp.Proc, disk *iosim.Disk) error {
+		dst, err := open(disk, dstMap, proc.Rank())
+		if err != nil {
+			return err
+		}
+		defer dst.LAF.Close()
+		return checkSide(dst, func(gi, gj int) float64 { return valueAt(gj, gi) })
+	})
 }

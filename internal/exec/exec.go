@@ -358,12 +358,10 @@ func run(ctx context.Context, p *plan.Program, code *bytecode.Program, mach sim.
 			}
 		}()
 		// A dead or aborting rank is fail-stop: it must not flush
-		// write-behind buffers or touch its files during the unwind.
-		defer func() {
-			if !proc.Aborted() {
-				in.close()
-			}
-		}()
+		// write-behind buffers or touch its files during the unwind. It
+		// still closes its handles — closing is not a file operation, and
+		// the file storage behind them is the arena's to have back.
+		defer func() { in.close(!proc.Aborted()) }()
 		if err := in.initArrays(opts, rst); err != nil {
 			return err
 		}
@@ -658,9 +656,9 @@ func (in *interp) paritySync() error {
 	return nil
 }
 
-func (in *interp) close() {
+func (in *interp) close(flush bool) {
 	for _, w := range in.writers {
-		if w != nil {
+		if w != nil && flush {
 			w.Flush()
 		}
 	}

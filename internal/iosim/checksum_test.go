@@ -66,7 +66,7 @@ func TestIncrementalEdgeCRCMatchesFullRecompute(t *testing.T) {
 		// Recompute every block checksum from the raw file image and
 		// compare with the store.
 		img := make([]byte, elems*elemBytes)
-		if err := laf.rawRead(img, 0, nil); err != nil {
+		if err := laf.rawRead(img, 0); err != nil {
 			t.Fatal(err)
 		}
 		for b := int64(0); b < int64(len(img))/ChecksumBlockBytes; b++ {
@@ -122,7 +122,7 @@ func FuzzEdgeCRCPartialWrite(f *testing.F) {
 		}
 
 		img := make([]byte, elems*elemBytes)
-		if err := laf.rawRead(img, 0, nil); err != nil {
+		if err := laf.rawRead(img, 0); err != nil {
 			t.Fatal(err)
 		}
 		for b := int64(0); b*ChecksumBlockBytes < int64(len(img)); b++ {

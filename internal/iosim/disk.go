@@ -575,9 +575,13 @@ func (l *LAF) readRunOnce(c Chunk, dst []float64) (float64, error) {
 		return 0, nil
 	}
 	if l.disk.res == nil {
-		buf := bufpool.GetBytes(c.Len * elemBytes)
-		err := l.rawRead(buf, c.Off*elemBytes, func() { decode(dst, buf) })
-		bufpool.PutBytes(buf)
+		// The file's bytes land in dst itself; only a big-endian host has
+		// anything left to do, in place.
+		view := floatBytes(dst)
+		err := l.rawRead(view, c.Off*elemBytes)
+		if err == nil && !littleEndianHost {
+			decode(dst, view)
+		}
 		return 0, err
 	}
 	return l.readRunResilient(c, dst)
@@ -609,17 +613,14 @@ func (l *LAF) escalate(cause error) (float64, error) {
 	return sec, nil
 }
 
-// rawRead reads exactly len(buf) bytes at off and runs done on success.
-func (l *LAF) rawRead(buf []byte, off int64, done func()) error {
+// rawRead reads exactly len(buf) bytes at off.
+func (l *LAF) rawRead(buf []byte, off int64) error {
 	n, err := l.file.ReadAt(buf, off)
 	if err != nil && !(err == io.EOF && n == len(buf)) {
 		return fmt.Errorf("iosim: read %s @%d: %w", l.name, off/elemBytes, err)
 	}
 	if n != len(buf) {
 		return fmt.Errorf("iosim: short read on %s @%d: %d of %d bytes", l.name, off/elemBytes, n, len(buf))
-	}
-	if done != nil {
-		done()
 	}
 	return nil
 }
@@ -642,7 +643,7 @@ func (l *LAF) readRunResilient(c Chunk, dst []float64) (float64, error) {
 	defer bufpool.PutBytes(buf)
 	var retrySec float64
 	for attempt := 0; ; attempt++ {
-		err := l.rawRead(buf, lo, nil)
+		err := l.rawRead(buf, lo)
 		if err == nil {
 			block, ok := res.verifyBlocks(l.name, lo, buf)
 			if ok {
@@ -697,15 +698,16 @@ func (l *LAF) writeRun(c Chunk, src []float64) (float64, error) {
 	d := l.disk
 	byteOff := c.Off * elemBytes
 	byteLen := int64(c.Len) * elemBytes
-	if l.protected() {
-		// In phantom mode buf stays nil: WriteThrough accounts the
-		// parity traffic without moving data and never calls write.
-		var buf []byte
-		if !d.phantom {
-			buf = bufpool.GetBytes(int(byteLen))
+	// In phantom mode buf stays nil: nothing is stored, and WriteThrough
+	// accounts the parity traffic without moving data or calling write.
+	var buf []byte
+	if !d.phantom {
+		var pooled bool
+		if buf, pooled = fileImage(src[:c.Len]); pooled {
 			defer bufpool.PutBytes(buf)
-			encode(buf, src)
 		}
+	}
+	if l.protected() {
 		write := func() (float64, error) { return l.writeRunOnce(buf, byteOff) }
 		sec, err := d.parity.WriteThrough(d, l.name, byteOff, byteLen, buf, write)
 		if err == nil || IsTransient(err) {
@@ -722,15 +724,11 @@ func (l *LAF) writeRun(c Chunk, src []float64) (float64, error) {
 	if d.phantom {
 		return 0, nil
 	}
-	buf := bufpool.GetBytes(int(byteLen))
-	encode(buf, src)
-	sec, err := l.writeRunOnce(buf, byteOff)
-	bufpool.PutBytes(buf)
-	return sec, err
+	return l.writeRunOnce(buf, byteOff)
 }
 
-// writeRunOnce is one attempt at storing encoded bytes, without parity or
-// escalation.
+// writeRunOnce is one attempt at storing a run's on-file bytes, without
+// parity or escalation.
 func (l *LAF) writeRunOnce(buf []byte, byteOff int64) (float64, error) {
 	if l.disk.res == nil {
 		if _, err := l.file.WriteAt(buf, byteOff); err != nil {
@@ -849,7 +847,7 @@ func (l *LAF) stableEdgeCRC(bLo, bHi, wOff int64, wBuf []byte) (uint32, bool) {
 	defer bufpool.PutBytes(a)
 	defer bufpool.PutBytes(b)
 	for i := 0; i < attempts; i++ {
-		if l.rawRead(a, bLo, nil) != nil || l.rawRead(b, bLo, nil) != nil {
+		if l.rawRead(a, bLo) != nil || l.rawRead(b, bLo) != nil {
 			continue
 		}
 		if !bytes.Equal(a[:head], b[:head]) || !bytes.Equal(a[tail:], b[tail:]) {

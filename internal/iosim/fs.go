@@ -8,6 +8,24 @@
 // arrays) even though the Go implementation stores float64 values in the
 // files. The number of physical requests equals the number of
 // discontiguous file regions touched, unless data sieving coalesces them.
+//
+// On-file format: a local array file is its elements back to back, each
+// the eight bytes of its IEEE 754 bits in little-endian order, whatever
+// the store (MemFS, OSFS) and the wrappers around it (ChaosFS, FaultFS).
+// Parity blocks, block checksums and checkpoint snapshots are computed
+// over those bytes.
+//
+// On a little-endian host that image is the slab's own memory, so the
+// plain path moves every element once: ReadChunks hands File.ReadAt a
+// byte view of the destination slab and WriteChunks hands File.WriteAt a
+// view of the source (floatBytes) — one copy on MemFS, one pread or
+// pwrite on OSFS, and still plain ReadAt/WriteAt to anything in between.
+// Two paths keep a buffer of their own, because they need bytes the
+// caller's slab has no room for: the resilient read widens a run to
+// checksum-block boundaries and verifies the blocks before it copies the
+// run out, and data sieving reads the span covering its chunks. A
+// big-endian host converts element by element instead (decode in place
+// after a read, encode into an arena buffer before a write).
 package iosim
 
 import (
@@ -20,6 +38,9 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"unsafe"
+
+	"github.com/ooc-hpf/passion/internal/bufpool"
 )
 
 // File is the backing store of one local array file.
@@ -46,6 +67,17 @@ type FS interface {
 // MemFS is an in-memory FS used by tests and fast simulations. It is safe
 // for concurrent use by multiple processors as long as each file is used
 // by one processor at a time (the LAF ownership model of the paper).
+//
+// Its handles behave like *os.File: Create and Open return a distinct
+// handle each, Close is per handle, and a closed handle fails every
+// operation with an error wrapping fs.ErrClosed. File storage is borrowed
+// from the bufpool arena and goes back when the file is unlinked (Remove,
+// or replaced by a Create of the same name) and its last handle is
+// closed, whichever comes second; never under an open handle. A handle
+// that is dropped without Close keeps the storage until the garbage
+// collector takes both. Borrowed storage is never cleared up front: the
+// file knows how far it has been written, the rest of its length reads as
+// zeros, and Truncate costs nothing per byte it adds.
 type MemFS struct {
 	mu    sync.Mutex
 	files map[string]*memFile
@@ -56,18 +88,39 @@ func NewMemFS() *MemFS {
 	return &MemFS{files: make(map[string]*memFile)}
 }
 
+// memFile is the file behind a name; memHandle is what callers hold.
 type memFile struct {
-	mu   sync.Mutex
+	mu sync.Mutex
+	// data is arena storage with arbitrary contents beyond written.
+	// len(data) is the capacity reserved, at least size.
 	data []byte
+	// size is the file length; written <= size is the high-water mark of
+	// the bytes stored so far. Bytes in [written, size) read as zeros.
+	size, written int64
+	// handles counts open handles; unlinked is set once no name refers to
+	// the file. Both at rest release data.
+	handles  int
+	unlinked bool
+	// created is the handle Create returned, allocated with the file.
+	created memHandle
+}
+
+type memHandle struct {
+	f      *memFile
+	closed bool // under f.mu
 }
 
 // Create makes or truncates the named file.
 func (fs *MemFS) Create(name string) (File, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f := &memFile{}
+	if old := fs.files[name]; old != nil {
+		old.unlink()
+	}
+	f := &memFile{handles: 1}
+	f.created.f = f
 	fs.files[name] = f
-	return f, nil
+	return &f.created, nil
 }
 
 // Open opens an existing file.
@@ -78,7 +131,10 @@ func (fs *MemFS) Open(name string) (File, error) {
 	if !ok {
 		return nil, fmt.Errorf("iosim: open %s: %w", name, iofs.ErrNotExist)
 	}
-	return f, nil
+	f.mu.Lock()
+	f.handles++
+	f.mu.Unlock()
+	return &memHandle{f: f}, nil
 }
 
 // Names returns the names of all files currently in the file system, in
@@ -93,77 +149,164 @@ func (fs *MemFS) Names() []string {
 	return names
 }
 
-// Remove deletes the named file.
+// Remove deletes the named file. Open handles keep working on the
+// unlinked file, as they do on an OS file.
 func (fs *MemFS) Remove(name string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if _, ok := fs.files[name]; !ok {
+	f, ok := fs.files[name]
+	if !ok {
 		return fmt.Errorf("iosim: remove %s: %w", name, iofs.ErrNotExist)
 	}
 	delete(fs.files, name)
+	f.unlink()
 	return nil
 }
 
-func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
+// unlink records that no name refers to the file anymore.
+func (f *memFile) unlink() {
 	f.mu.Lock()
+	f.unlinked = true
+	f.releaseIfDead()
+	f.mu.Unlock()
+}
+
+// releaseIfDead returns the storage to the arena once the file can no
+// longer be reached: no name and no open handle. Called with f.mu held.
+func (f *memFile) releaseIfDead() {
+	if f.unlinked && f.handles == 0 && f.data != nil {
+		bufpool.PutBytes(f.data)
+		f.data = nil
+	}
+}
+
+// reserve makes room for n bytes, moving the written prefix when the
+// storage has to grow. Growth at least doubles, so an append-only file
+// costs O(bytes appended) in copies and not O(bytes × writes). Called
+// with f.mu held.
+func (f *memFile) reserve(n int64) {
+	if n <= int64(len(f.data)) {
+		return
+	}
+	grown := bufpool.GetBytes(int(max(n, 2*int64(len(f.data)))))
+	grown = grown[:cap(grown)]
+	copy(grown, f.data[:f.written])
+	bufpool.PutBytes(f.data)
+	f.data = grown
+}
+
+// use locks the file for one operation through h, refusing a closed
+// handle. The caller unlocks f.mu when err is nil.
+func (h *memHandle) use(op string) (*memFile, error) {
+	f := h.f
+	f.mu.Lock()
+	if h.closed {
+		f.mu.Unlock()
+		return nil, fmt.Errorf("iosim: %s: %w", op, iofs.ErrClosed)
+	}
+	return f, nil
+}
+
+func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
+	f, err := h.use("read")
+	if err != nil {
+		return 0, err
+	}
 	defer f.mu.Unlock()
 	if off < 0 {
 		return 0, fmt.Errorf("iosim: negative offset %d", off)
 	}
-	if off >= int64(len(f.data)) {
+	if off >= f.size {
 		return 0, io.EOF
 	}
-	n := copy(p, f.data[off:])
+	n := int(min(int64(len(p)), f.size-off))
+	stored := 0
+	if off < f.written {
+		stored = copy(p[:n], f.data[off:f.written])
+	}
+	clear(p[stored:n])
 	if n < len(p) {
 		return n, io.EOF
 	}
 	return n, nil
 }
 
-func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
-	f.mu.Lock()
+func (h *memHandle) WriteAt(p []byte, off int64) (int, error) {
+	f, err := h.use("write")
+	if err != nil {
+		return 0, err
+	}
 	defer f.mu.Unlock()
 	if off < 0 {
 		return 0, fmt.Errorf("iosim: negative offset %d", off)
 	}
+	if len(p) == 0 {
+		return 0, nil // like pwrite, an empty write does not extend the file
+	}
 	end := off + int64(len(p))
-	if size := int64(len(f.data)); end > size {
-		if end <= int64(cap(f.data)) {
-			// The capacity may hold bytes a shrinking Truncate cut off;
-			// the gap this write skips over must read as zeros.
-			f.data = f.data[:end]
-			if off > size {
-				clear(f.data[size:off])
-			}
-		} else {
-			// Grow geometrically, so an append-only file costs O(bytes
-			// appended) in copies and not O(bytes × writes).
-			grown := make([]byte, end, max(end, 2*int64(cap(f.data))))
-			copy(grown, f.data)
-			f.data = grown
-		}
+	f.reserve(end)
+	if off > f.written {
+		// The gap this write skips over must read as zeros.
+		clear(f.data[f.written:off])
 	}
 	copy(f.data[off:end], p)
+	f.written = max(f.written, end)
+	f.size = max(f.size, end)
 	return len(p), nil
 }
 
-func (f *memFile) Truncate(size int64) error {
-	f.mu.Lock()
+func (h *memHandle) Truncate(size int64) error {
+	f, err := h.use("truncate")
+	if err != nil {
+		return err
+	}
 	defer f.mu.Unlock()
 	if size < 0 {
 		return fmt.Errorf("iosim: negative truncate size %d", size)
 	}
-	if size <= int64(len(f.data)) {
-		f.data = f.data[:size]
-		return nil
-	}
-	grown := make([]byte, size)
-	copy(grown, f.data)
-	f.data = grown
+	f.reserve(size)
+	f.size = size
+	f.written = min(f.written, size)
 	return nil
 }
 
-func (f *memFile) Close() error { return nil }
+// Size returns the file length (see FileSize).
+func (h *memHandle) Size() int64 {
+	h.f.mu.Lock()
+	defer h.f.mu.Unlock()
+	return h.f.size
+}
+
+// Close releases the handle; closing it again is harmless.
+func (h *memHandle) Close() error {
+	f := h.f
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !h.closed {
+		h.closed = true
+		f.handles--
+		f.releaseIfDead()
+	}
+	return nil
+}
+
+// FileSize reports the current length of an open file when its handle
+// can tell: MemFS handles, OS files, and ChaosFS handles over either.
+// Wrappers that hide the method report false, and callers fall back to
+// reading until EOF.
+func FileSize(f File) (int64, bool) {
+	switch f := f.(type) {
+	case interface{ Size() int64 }:
+		return f.Size(), true
+	case *chaosFile:
+		return FileSize(f.inner)
+	case *os.File:
+		if st, err := f.Stat(); err == nil {
+			return st.Size(), true
+		}
+	}
+	return 0, false
+}
 
 // ---------------------------------------------------------------------------
 // OS file system
@@ -233,16 +376,48 @@ const elemBytes = 8 // on-file storage size of one float64
 // bytes (the parity stripe geometry and its cost closed forms).
 const FileElemBytes = elemBytes
 
+// littleEndianHost is true when a float64 in memory already is its
+// on-file image (little-endian IEEE 754 bits), so slabs move between
+// memory and files as views and the codec below is a copy.
+var littleEndianHost = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// floatBytes returns the memory of fl as bytes, without copying. Every
+// bit pattern survives, NaN payloads included: nothing is loaded as a
+// float.
+func floatBytes(fl []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(fl))), len(fl)*elemBytes)
+}
+
+// encode stores the on-file image of src in dst, element by element: the
+// big-endian half of fileImage.
 func encode(dst []byte, src []float64) {
 	for i, v := range src {
 		binary.LittleEndian.PutUint64(dst[i*elemBytes:], math.Float64bits(v))
 	}
 }
 
+// decode loads dst from its on-file image src. src may be dst's own
+// memory (floatBytes(dst)): element i is read whole before it is stored.
 func decode(dst []float64, src []byte) {
+	if littleEndianHost {
+		copy(floatBytes(dst), src)
+		return
+	}
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*elemBytes:]))
 	}
+}
+
+// fileImage returns the on-file bytes of src: src's own memory on a
+// little-endian host, an encoded arena buffer (pooled is true; return it
+// with bufpool.PutBytes) otherwise.
+func fileImage(src []float64) (img []byte, pooled bool) {
+	if littleEndianHost {
+		return floatBytes(src), false
+	}
+	img = bufpool.GetBytes(len(src) * elemBytes)
+	encode(img, src)
+	return img, true
 }
 
 // ---------------------------------------------------------------------------

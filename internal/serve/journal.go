@@ -389,7 +389,7 @@ func (j *journal) replaySegment(name string) bool {
 		return false
 	}
 	defer f.Close()
-	data, rerr := io.ReadAll(io.NewSectionReader(f, 0, math.MaxInt64))
+	data, rerr := readWhole(f)
 	if !bytes.HasPrefix(data, []byte(walMagic)) {
 		return false
 	}
@@ -417,6 +417,22 @@ func (j *journal) replaySegment(name string) bool {
 		data = data[plen:]
 	}
 	return rerr == nil // a read fault hides whatever followed
+}
+
+// readWhole returns what the file holds: one exactly sized read when the
+// handle can say how long the file is, a read until EOF — growing as it
+// goes — when a wrapper hides that.
+func readWhole(f iosim.File) ([]byte, error) {
+	size, ok := iosim.FileSize(f)
+	if !ok {
+		return io.ReadAll(io.NewSectionReader(f, 0, math.MaxInt64))
+	}
+	data := make([]byte, size)
+	n, err := f.ReadAt(data, 0)
+	if err == io.EOF {
+		err = nil // the file ends where it ends, as for io.ReadAll
+	}
+	return data[:n], err
 }
 
 // appendFrame appends payload's frame — length, checksum, payload — to

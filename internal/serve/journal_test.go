@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -849,4 +850,66 @@ func BenchmarkJournalAppend(b *testing.B) {
 		b.StopTimer()
 		reportJournal(b, fs, syncs0, wrote0)
 	})
+}
+
+// readCounter counts ReadAt calls; sized additionally forwards the
+// length of the file under it, which embedding alone hides.
+type readCounter struct {
+	iosim.File
+	reads int
+}
+
+func (r *readCounter) ReadAt(p []byte, off int64) (int, error) {
+	r.reads++
+	return r.File.ReadAt(p, off)
+}
+
+type sizedCounter struct{ readCounter }
+
+func (s *sizedCounter) Size() int64 {
+	n, _ := iosim.FileSize(s.File)
+	return n
+}
+
+// TestReadWholeSizedAndFallback: replay reads a segment with one exactly
+// sized request when the handle knows its length — in memory, on an OS
+// file, through ChaosFS — and by growing until EOF when a wrapper hides
+// it (bench's countFile does); both see the same bytes.
+func TestReadWholeSizedAndFallback(t *testing.T) {
+	want := bytes.Repeat([]byte("segment "), 5000) // 40 kB: several ReadAll growth steps
+	osfs, err := iosim.NewOSFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := map[string]iosim.FS{
+		"mem":   iosim.NewMemFS(),
+		"os":    osfs,
+		"chaos": iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{}),
+	}
+	for name, fs := range stores {
+		f, err := fs.Create("seg")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(want, 0); err != nil {
+			t.Fatal(err)
+		}
+		if n, ok := iosim.FileSize(f); !ok || n != int64(len(want)) {
+			t.Fatalf("%s: FileSize = %d, %v, want %d", name, n, ok, len(want))
+		}
+		sized := &sizedCounter{readCounter{File: f}}
+		if got, err := readWhole(sized); err != nil || !bytes.Equal(got, want) || sized.reads != 1 {
+			t.Fatalf("%s, sized: %d bytes in %d reads, err %v; want %d in 1", name, len(got), sized.reads, err, len(want))
+		}
+		hidden := &readCounter{File: f}
+		if _, ok := iosim.FileSize(hidden); ok {
+			t.Fatalf("%s: an embedding wrapper still reports a size", name)
+		}
+		if got, err := readWhole(hidden); err != nil || !bytes.Equal(got, want) || hidden.reads < 2 {
+			t.Fatalf("%s, hidden: %d bytes in %d reads, err %v", name, len(got), hidden.reads, err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

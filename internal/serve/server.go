@@ -1109,6 +1109,14 @@ func (s *Server) runJob(j *job) (*Response, error) {
 			return nil, err
 		}
 	}
+	// The run's array files (and a durable namespace's checkpoints) are
+	// dead weight once the stats are captured; closing the result is what
+	// returns an in-memory store's file storage to the arena.
+	defer func() {
+		if cerr := out.Close(); cerr != nil {
+			s.log.Warn("run cleanup failed", "job", j.id, "error", cerr.Error())
+		}
+	}()
 	resp.SimSeconds = out.Stats.ElapsedSeconds()
 	resp.Stats = out.Stats.Snapshot()
 	if j.req.Trace && tracer != nil {
@@ -1117,11 +1125,6 @@ func (s *Server) runJob(j *job) (*Response, error) {
 			return nil, err
 		}
 		resp.Trace = buf.Bytes()
-	}
-	if durable {
-		// The durable namespace's array files and checkpoints are dead
-		// weight once the stats are captured.
-		out.Close()
 	}
 	return resp, nil
 }

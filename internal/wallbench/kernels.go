@@ -172,6 +172,7 @@ func mkRedistribute() (func() (float64, error), error) {
 			if err != nil {
 				return err
 			}
+			defer src.Close()
 			if err := src.FillGlobal(fill); err != nil {
 				return err
 			}
@@ -183,10 +184,17 @@ func mkRedistribute() (func() (float64, error), error) {
 			if err != nil {
 				return err
 			}
+			defer dst.Close()
 			return oocarray.RedistributeVia(proc, src, dst, 2*n, 100, nil, collio.Direct)
 		})
 		if err != nil {
 			return 0, err
+		}
+		// Closed and removed, the files' storage serves the next op.
+		for _, name := range fs.Names() {
+			if err := fs.Remove(name); err != nil {
+				return 0, err
+			}
 		}
 		return st.ElapsedSeconds(), nil
 	}
