@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -141,6 +142,47 @@ func TestCancelDuringTwoPhaseFinish(t *testing.T) {
 		for _, name := range fs.FS.(*iosim.MemFS).Names() {
 			if strings.Contains(name, ".collio.scratch") {
 				t.Fatalf("cancel at scratch op %d of %d left %s behind", at, total, name)
+			}
+		}
+	}
+}
+
+// TestPhantomRunBalancesArena: a phantom run reduces counts, not payloads
+// (mp.ReduceElided), and takes its accumulators from the arena. A
+// completed run must leave the arena balanced, and so must one that
+// loses a rank in the middle of its reductions — resolving, as a real
+// run does, to the agreed failed set. The arrays fit in memory, so all
+// but the first and last few of a rank's operations are the reductions'
+// messages and the kills land among those.
+func TestPhantomRunBalancesArena(t *testing.T) {
+	const procs = 4
+	res := compileGaxpy(t, 32, procs, 1<<12)
+	bufpool.SetChecked(true)
+	defer bufpool.SetChecked(false)
+	for _, phantom := range []bool{false, true} {
+		counts := make([]int64, procs)
+		run := func(kill []mp.KillSpec) error {
+			bufpool.ResetStats()
+			out, err := Run(res.Program, sim.Delta(procs), Options{
+				Phantom: phantom, Fill: sweepFills(), OpCounts: counts, Kill: kill,
+				Detect: &mp.Detector{}, StallTimeout: surviveStall,
+			})
+			if err == nil {
+				err = out.Close()
+			}
+			if n := arenaOutstanding(); n != 0 {
+				t.Errorf("phantom %v, kill %v: %d arena buffers outstanding: %+v", phantom, kill, n, bufpool.Snapshot())
+			}
+			return err
+		}
+		if err := run(nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range []int64{counts[2] / 4, counts[2] / 2, 3 * counts[2] / 4} {
+			err := run([]mp.KillSpec{{Rank: 2, Op: op}})
+			var rf *mp.RankFailure
+			if !errors.As(err, &rf) || fmt.Sprint(rf.Failed) != "[2]" {
+				t.Errorf("phantom %v, kill at op %d: want a RankFailure of rank 2, got %v", phantom, op, err)
 			}
 		}
 	}

@@ -296,11 +296,12 @@ func (in *interp) zeroVec(ins *bytecode.Instr) error {
 	}
 	v := in.vecs[ins.A]
 	if len(v) != rows {
-		in.vecs[ins.A] = make([]float64, rows)
-	} else if !in.phantom {
-		for i := range v {
-			v[i] = 0
-		}
+		bufpool.PutF64(v)
+		v = bufpool.GetF64(rows)
+		in.vecs[ins.A] = v
+	}
+	if !in.phantom {
+		clear(v) // arena contents are arbitrary; a phantom run never reads them
 	}
 	return nil
 }
@@ -333,11 +334,7 @@ func (in *interp) axpy(ins *bytecode.Instr) error {
 		return fmt.Errorf("exec: Axpy shape mismatch: vector %d vs slab rows %d", len(vec), a.Rows)
 	}
 	if !in.phantom {
-		col := a.Col(in.vars[ins.C])
-		bval := bb.At(row, in.vars[ins.H])
-		for i, v := range col {
-			vec[i] += bval * v
-		}
+		oocarray.Axpy(vec, a.Col(in.vars[ins.C]), bb.At(row, in.vars[ins.H]))
 	}
 	in.proc.Compute(2 * int64(a.Rows))
 	return nil
@@ -372,7 +369,13 @@ func (in *interp) sumStore(ins *bytecode.Instr) error {
 		}
 	}
 
-	sum := in.proc.Reduce(owner, reduceTag, vec)
+	// A phantom run reduces the column's length: nobody reads the sum.
+	var sum []float64
+	if in.phantom {
+		in.proc.ReduceElided(owner, reduceTag, len(vec))
+	} else {
+		sum = in.proc.Reduce(owner, reduceTag, vec)
+	}
 	if !mine {
 		return nil
 	}
@@ -386,11 +389,13 @@ func (in *interp) sumStore(ins *bytecode.Instr) error {
 	if lj < 0 || lj >= s.Cols {
 		return fmt.Errorf("exec: SumStore column %d outside staging [%d,+%d)", gj, s.ColOff, s.Cols)
 	}
-	if len(sum) != s.Rows {
-		return fmt.Errorf("exec: SumStore length %d vs staging rows %d", len(sum), s.Rows)
+	if len(vec) != s.Rows {
+		return fmt.Errorf("exec: SumStore length %d vs staging rows %d", len(vec), s.Rows)
 	}
-	copy(s.Col(lj), sum)
-	mp.ReleaseBuf(sum)
+	if !in.phantom {
+		copy(s.Col(lj), sum)
+		mp.ReleaseBuf(sum)
+	}
 	return nil
 }
 

@@ -713,12 +713,12 @@ func (in *interp) recycle(arr *oocarray.Array, s *oocarray.ICLA) {
 	arr.Recycle(s)
 }
 
-// releaseBufs returns every slab buffer the interpreter still holds —
-// buffer slots, staging slabs, prefetched-but-undelivered reader slabs —
-// to the arena. It runs on every exit path (success, cancellation,
-// fault abort), so a checked-mode Gets/Puts balance holds across a
-// whole run, not just across the collective layers. Tables can alias
-// one ICLA; the seen set guarantees a single release.
+// releaseBufs returns every buffer the interpreter still holds — buffer
+// slots, staging slabs, accumulator vectors, prefetched-but-undelivered
+// reader slabs — to the arena. It runs on every exit path (success,
+// cancellation, fault abort), so a checked-mode Gets/Puts balance holds
+// across a whole run, not just across the collective layers. Tables can
+// alias one ICLA; the seen set guarantees a single release.
 func (in *interp) releaseBufs() {
 	seen := make(map[*oocarray.ICLA]bool, len(in.bufs)+len(in.staging))
 	rel := func(s *oocarray.ICLA) {
@@ -736,6 +736,10 @@ func (in *interp) releaseBufs() {
 	}
 	for _, s := range in.staging {
 		rel(s)
+	}
+	for i, v := range in.vecs {
+		bufpool.PutF64(v)
+		in.vecs[i] = nil
 	}
 	for _, r := range in.readers {
 		if r != nil {

@@ -41,9 +41,7 @@ var Variants = map[string]func(sim.Config, Config) (*Run, error){
 // flops in phantom mode.
 func axpyInto(p *mp.Proc, temp, a []float64, bval float64, phantom bool) {
 	if !phantom {
-		for i, v := range a {
-			temp[i] += bval * v
-		}
+		oocarray.Axpy(temp, a, bval)
 	}
 	p.Compute(2 * int64(len(a)))
 }
@@ -56,10 +54,17 @@ func zero(x []float64) {
 
 // cOwnerStore delivers a reduced (sub)column of C into the owner's staging
 // slab. Every processor participates in the reduction for global column
-// gj; the owner copies the result into column gj's local position.
-func cOwnerStore(p *mp.Proc, ar *arrays, gj, tag int, temp []float64, staging *oocarray.ICLA) error {
+// gj; the owner copies the result into column gj's local position. In
+// phantom mode the reduction carries the column's length and nothing is
+// copied: nobody reads the sum.
+func cOwnerStore(p *mp.Proc, ar *arrays, gj, tag int, temp []float64, staging *oocarray.ICLA, phantom bool) error {
 	owner := ar.c.Dist().Dims[1].Owner(gj)
-	sum := p.Reduce(owner, tag, temp)
+	var sum []float64
+	if phantom {
+		p.ReduceElided(owner, tag, len(temp))
+	} else {
+		sum = p.Reduce(owner, tag, temp)
+	}
 	if p.Rank() != owner {
 		return nil
 	}
@@ -68,8 +73,10 @@ func cOwnerStore(p *mp.Proc, ar *arrays, gj, tag int, temp []float64, staging *o
 	if lj < 0 || lj >= staging.Cols {
 		return fmt.Errorf("gaxpy: column %d outside staging slab [%d,+%d)", gj, staging.ColOff, staging.Cols)
 	}
-	copy(staging.Col(lj), sum)
-	mp.ReleaseBuf(sum)
+	if !phantom {
+		copy(staging.Col(lj), sum)
+		mp.ReleaseBuf(sum)
+	}
 	return nil
 }
 
@@ -100,7 +107,7 @@ func inCoreNode(p *mp.Proc, ar *arrays, cfg Config) error {
 		for i := 0; i < aAll.Cols; i++ {
 			axpyInto(p, temp, aAll.Col(i), bAll.At(i, gj), cfg.Phantom)
 		}
-		if err := cOwnerStore(p, ar, gj, tagColumnSum, temp, cAll); err != nil {
+		if err := cOwnerStore(p, ar, gj, tagColumnSum, temp, cAll, cfg.Phantom); err != nil {
 			return err
 		}
 	}
@@ -174,7 +181,7 @@ func columnSlabNode(p *mp.Proc, ar *arrays, cfg Config) error {
 					return err
 				}
 			}
-			if err := cOwnerStore(p, ar, gj, tagColumnSum, temp, staging); err != nil {
+			if err := cOwnerStore(p, ar, gj, tagColumnSum, temp, staging, cfg.Phantom); err != nil {
 				return err
 			}
 			gj++
@@ -235,7 +242,7 @@ func rowSlabNode(p *mp.Proc, ar *arrays, cfg Config) error {
 				for i := 0; i < aSlab.Cols; i++ {
 					axpyInto(p, temp, aSlab.Col(i), bSlab.At(i, m), cfg.Phantom)
 				}
-				if err := cOwnerStore(p, ar, gj, tagSubcolSum, temp, staging); err != nil {
+				if err := cOwnerStore(p, ar, gj, tagSubcolSum, temp, staging, cfg.Phantom); err != nil {
 					return err
 				}
 				gj++

@@ -17,6 +17,15 @@ import "github.com/ooc-hpf/passion/internal/bufpool"
 //
 // Steady-state traffic therefore allocates nothing: payload buffers
 // cycle sender → mailbox → receiver → arena → sender.
+//
+// A message is a payload or a count. Send, SendOwned and every
+// collective but one put payloads in their messages, and Recv accepts
+// nothing else. ReduceElided alone sends counts — the number of elements
+// a phantom-mode reduction would have carried, and no buffer — and only
+// its own walk receives them; there is nothing to own, release or leak.
+// The two never meet in a correct plan: all ranks of one reduction call
+// the same form, and a Recv or a reduction that meets the other kind
+// panics with rank, peer and tag rather than hand anyone a nil payload.
 
 // AcquireBuf returns an n-element payload buffer from the arena with
 // arbitrary contents, for use with SendOwned.

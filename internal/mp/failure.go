@@ -77,7 +77,7 @@ type Options struct {
 	// Kill schedules injected rank deaths.
 	Kill []KillSpec
 	// Detect enables failure detection; nil leaves a blocked operation
-	// on a dead peer to the closed-channel diagnostics (the run still
+	// on a dead peer to the closed-mailbox diagnostics (the run still
 	// terminates, but without agreement or typed errors).
 	Detect *Detector
 	// StallTimeout overrides the deadlock watchdog's quiet period
@@ -318,7 +318,8 @@ func (p *Proc) abortDead(peer, tag int) {
 	panic(deathPanic{err: &ErrRankDead{Rank: rep, Tag: tag, Agreed: agreed}})
 }
 
-// deadChannel handles a receive on a closed channel: the sender exited.
+// deadChannel handles a receive on a closed, drained mailbox: the sender
+// exited.
 // With detection on and a death recorded this is the abort path;
 // otherwise it is the pre-existing plan-bug diagnostic.
 func (p *Proc) deadChannel(src, tag int) {
@@ -353,7 +354,7 @@ func (p *Proc) deadPeer(src, tag int) {
 // whole exchange rides the ordinary per-pair mailboxes.
 func (p *Proc) agree() []int {
 	f := p.m.fail
-	exited := make(map[int]bool) // observed closed channels, not dead
+	exited := make(map[int]bool) // observed closed mailboxes, not dead
 	for round := 0; round < 2*p.Size()+4; round++ {
 		coord := p.rank
 		for r := 0; r < p.Size(); r++ {
@@ -460,33 +461,24 @@ func (p *Proc) participate() {
 // destination died (or the watchdog fired) before it could be delivered.
 func (p *Proc) postCtl(dst, tag int, payload []float64) bool {
 	f := p.m.fail
-	ch := p.m.box(p.rank, dst)
-	msg := message{tag: tag, data: payload, atTime: p.clock.Seconds()}
+	b := p.m.box(p.rank, dst)
+	msg := message{tag: int32(tag), count: noCount, data: payload, atTime: p.clock.Seconds()}
 	down := f.down[dst]
 	for {
 		if f.isDead(dst) {
 			ReleaseBuf(payload)
 			return false
 		}
-		select {
-		case ch <- msg:
+		if b.put(msg, p.wake) {
 			return true
+		}
+		select {
+		case <-p.wake:
 		case <-down:
-			// Dead or aborting; re-check which on the next pass, and stop
-			// selecting on the closed channel.
+			// Dead or aborting; the next pass checks which. An aborting
+			// rank still drains control traffic, so from here on only a
+			// freed slot or the watchdog ends the wait.
 			down = nil
-			if f.isDead(dst) {
-				ReleaseBuf(payload)
-				return false
-			}
-			// Aborting: it still drains control traffic; block on the send.
-			select {
-			case ch <- msg:
-				return true
-			case <-p.m.wd.abort:
-				ReleaseBuf(payload)
-				return false
-			}
 		case <-p.m.wd.abort:
 			ReleaseBuf(payload)
 			return false
@@ -503,46 +495,36 @@ func (p *Proc) recvCtl(src int) ([]float64, int, bool) {
 		if p.pending[i].src == src {
 			msg := p.pending[i].msg
 			p.pending = append(p.pending[:i], p.pending[i+1:]...)
-			return msg.data, msg.tag, true
+			return msg.data, int(msg.tag), true
 		}
 	}
-	ch := p.m.box(src, p.rank)
+	b := p.m.box(src, p.rank)
 	down := f.down[src]
 	wd := p.m.wd
+	srcDead := false
 	for {
-		wd.block(p, false, src, tagPrepare, len(ch))
-		select {
-		case msg, ok := <-ch:
-			wd.unblock(p)
-			if !ok {
-				return nil, 0, false
-			}
-			if msg.tag >= agreeTagBase {
-				return msg.data, msg.tag, true
-			}
+		msg, ok, closed := b.take(p.wake)
+		switch {
+		case ok && msg.tag >= agreeTagBase:
+			return msg.data, int(msg.tag), true
+		case ok:
 			ReleaseBuf(msg.data) // stale application payload
+			continue
+		case closed || srcDead:
+			// srcDead: everything it managed to send has been drained.
+			return nil, 0, false
+		}
+		wd.block(p, false, src, tagPrepare, b.depth())
+		select {
+		case <-p.wake:
 		case <-down:
-			wd.unblock(p)
-			if f.isDead(src) {
-				// Drain anything it managed to send first.
-				select {
-				case msg, ok := <-ch:
-					if ok && msg.tag >= agreeTagBase {
-						return msg.data, msg.tag, true
-					}
-					if ok {
-						ReleaseBuf(msg.data)
-						continue
-					}
-				default:
-				}
-				return nil, 0, false
-			}
-			down = nil // aborting: it will still send or close; block on the channel
+			srcDead = f.isDead(src)
+			down = nil // aborting: it will still send or close; wait for that
 		case <-wd.abort:
 			wd.unblock(p)
 			return nil, 0, false
 		}
+		wd.unblock(p)
 	}
 }
 

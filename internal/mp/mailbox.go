@@ -1,0 +1,213 @@
+package mp
+
+import (
+	"sync"
+	"sync/atomic"
+	"unsafe"
+)
+
+// A message carries its elements in data or — from a phantom-mode
+// reduction, which nobody reads — only their number (see buf.go).
+type message struct {
+	tag    int32
+	count  int32 // elements of a count-only message; noCount when data carries them
+	data   []float64
+	atTime float64 // sender clock when the message is fully injected
+}
+
+const noCount = -1
+
+// mailbox is the FIFO queue of one ordered pair of ranks: one sender, one
+// receiver. It holds what is in it — the ring starts at firstRing slots
+// and doubles on overflow up to the machine's mailboxCap, where put
+// refuses and the sender parks (backpressure) — and being closed is a
+// flag, so a finished run's mailboxes go back to boxPool and the next run
+// takes them, ring and all.
+//
+// Parking is by wake channel: a put that finds the mailbox full, or a
+// take that finds it empty, registers the caller's own cap-1 channel
+// (Proc.wake) under the lock, and the operation that changes the
+// condition drops a token into it. A rank parks on one mailbox at a time and re-checks
+// after every wake-up, so a stale token from an earlier registration
+// costs one spurious pass of the loop and nothing else.
+type mailbox struct {
+	mu     sync.Mutex
+	ring   []message
+	head   int // index of the oldest message
+	n      int // messages buffered
+	limit  int // mailboxCap of the machine that holds it
+	closed bool
+	// recvWake and sendWake are the wake channels of the receiver parked
+	// on empty and the sender parked on full (nil when nobody is).
+	recvWake, sendWake chan struct{}
+}
+
+const firstRing = 4
+
+// wake drops a token into a parked rank's channel (nil: nobody is
+// parked). It is called after the mailbox lock is released, so the woken
+// rank does not run straight into it.
+func wake(c chan struct{}) {
+	if c == nil {
+		return
+	}
+	select {
+	case c <- struct{}{}:
+	default: // a token is already there; the rank wakes and re-checks
+	}
+}
+
+// put appends msg and reports true, or reports false when the mailbox
+// holds limit messages; a refused put registers sendWake for a token when
+// a slot frees. Only the pair's sender calls it, and never
+// after close.
+func (b *mailbox) put(msg message, sendWake chan struct{}) bool {
+	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
+		panic("mp: post into a closed mailbox")
+	}
+	if b.n == len(b.ring) && !b.grow() {
+		b.sendWake = sendWake
+		b.mu.Unlock()
+		return false
+	}
+	i := b.head + b.n
+	if i >= len(b.ring) {
+		i -= len(b.ring)
+	}
+	b.ring[i] = msg
+	b.n++
+	w := b.recvWake
+	b.recvWake = nil
+	b.mu.Unlock()
+	wake(w)
+	return true
+}
+
+// grow doubles a full ring, up to limit; false means it is at the cap.
+func (b *mailbox) grow() bool {
+	size := min(max(2*len(b.ring), firstRing), b.limit)
+	if size <= len(b.ring) {
+		return false
+	}
+	ring := make([]message, size)
+	k := copy(ring, b.ring[b.head:])
+	copy(ring[k:], b.ring[:b.head])
+	b.ring, b.head = ring, 0
+	return true
+}
+
+// take removes the oldest message. With ok false the mailbox is empty:
+// closed tells that the sender has finished and nothing will ever come,
+// otherwise recvWake is registered for a token at the next put or close. Buffered messages drain before closed is reported. Only
+// the pair's receiver calls it.
+func (b *mailbox) take(recvWake chan struct{}) (msg message, ok, closed bool) {
+	b.mu.Lock()
+	if b.n == 0 {
+		closed = b.closed
+		if !closed {
+			b.recvWake = recvWake
+		}
+		b.mu.Unlock()
+		return message{}, false, closed
+	}
+	msg = b.ring[b.head]
+	b.ring[b.head].data = nil // the payload now belongs to the receiver alone
+	if b.head++; b.head == len(b.ring) {
+		b.head = 0
+	}
+	b.n--
+	w := b.sendWake
+	b.sendWake = nil
+	b.mu.Unlock()
+	wake(w)
+	return msg, true, false
+}
+
+// close ends the pair's traffic: what is buffered still drains, then a
+// receiver — parked now or arriving later — observes the termination.
+func (b *mailbox) close() {
+	b.mu.Lock()
+	b.closed = true
+	w := b.recvWake
+	b.recvWake = nil
+	b.mu.Unlock()
+	wake(w)
+}
+
+// depth is the number of messages buffered, for diagnostics.
+func (b *mailbox) depth() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.n
+}
+
+// closedBox is what an exiting rank publishes into every outgoing slot
+// nobody used: one shared, empty, closed mailbox, so a peer that parks in
+// Recv on that pair afterwards observes the termination exactly as it
+// would on a mailbox the sender had closed. It is never recycled.
+var closedBox = &mailbox{closed: true}
+
+// boxPool is the free list a finished run returns its mailboxes to. Its
+// bound is in bytes, as bufpool's are: it retains at most boxPoolBytes of
+// mailbox headers and rings (a P=512 GAXPY holds 4,608 mailboxes of about
+// 0.4 KiB, a P=64 one 384); what it refuses is the GC's to reclaim.
+var boxPool struct {
+	mu    sync.Mutex
+	free  []*mailbox
+	bytes int
+}
+
+const boxPoolBytes = 16 << 20
+
+func (b *mailbox) retained() int {
+	return int(unsafe.Sizeof(*b)) + cap(b.ring)*int(unsafe.Sizeof(message{}))
+}
+
+// newMailbox takes an empty, open mailbox from the free list, or makes
+// one; its ring is cut to limit if it grew under a larger machine.
+func newMailbox(limit int) *mailbox {
+	boxPool.mu.Lock()
+	var b *mailbox
+	if last := len(boxPool.free) - 1; last >= 0 {
+		b = boxPool.free[last]
+		boxPool.free[last] = nil
+		boxPool.free = boxPool.free[:last]
+		boxPool.bytes -= b.retained()
+	}
+	boxPool.mu.Unlock()
+	if b == nil {
+		b = &mailbox{}
+	}
+	b.limit = limit
+	if len(b.ring) > limit {
+		b.ring = b.ring[:limit]
+	}
+	return b
+}
+
+// recycleBoxes empties the mailboxes of a run every rank of which has
+// joined — releasing the payloads an abort stranded in them — and hands
+// them to the free list, a row of the slot table per hold of its lock.
+func recycleBoxes(slots []atomic.Pointer[mailbox], procs int) {
+	for row := 0; row < len(slots); row += procs {
+		boxPool.mu.Lock()
+		for i := row; i < row+procs; i++ {
+			b := slots[i].Load()
+			if b == closedBox {
+				continue
+			}
+			for msg, ok, _ := b.take(nil); ok; msg, ok, _ = b.take(nil) {
+				ReleaseBuf(msg.data)
+			}
+			b.head, b.closed, b.recvWake, b.sendWake = 0, false, nil, nil
+			b.ring = b.ring[:cap(b.ring)]
+			if size := b.retained(); boxPool.bytes+size <= boxPoolBytes {
+				boxPool.bytes += size
+				boxPool.free = append(boxPool.free, b)
+			}
+		}
+		boxPool.mu.Unlock()
+	}
+}

@@ -7,6 +7,12 @@
 // The collectives are built from point-to-point messages using binomial
 // trees, so their simulated cost emerges from the message cost model the
 // same way it would on a real distributed memory machine.
+//
+// What the machine costs on the host follows what it carries. A mailbox
+// (mailbox.go) exists per ordered pair that communicates, holds a ring as
+// deep as the pair ever ran ahead (up to mailboxCap) and outlives the run
+// on a bounded free list; a message is a payload or, where a phantom run
+// reduces elements nobody reads, only their count (buf.go, ReduceElided).
 package mp
 
 import (
@@ -25,60 +31,44 @@ import (
 // Tags at or above internalTagBase are reserved for collectives.
 const internalTagBase = 1 << 24
 
-type message struct {
-	tag    int
-	data   []float64
-	atTime float64 // sender clock when the message is fully injected
-}
-
 // Machine is one SPMD execution context: P processors and their mailboxes.
 //
 // A mailbox exists per ordered pair that actually communicates, not per
 // pair: boxes is a flat P×P table of slots (src*P+dst), each empty until
 // either endpoint first touches it (see box). A binomial collective
-// touches O(P log P) pairs, so the table's 16 bytes a slot are the only
+// touches O(P log P) pairs, so the table's 8 bytes a slot are the only
 // cost that grows with P².
 type Machine struct {
 	cfg   sim.Config
-	boxes []atomic.Value // each holds a chan message once published
-	rows  []sync.Mutex   // rows[src] orders making and closing src's outgoing boxes
-	fail  *failState     // nil on plain runs
+	boxes []atomic.Pointer[mailbox]
+	rows  []sync.Mutex // rows[src] orders making and closing src's outgoing boxes
+	fail  *failState   // nil on plain runs
 	wd    *watchdog
 }
 
-// closedBox is what an exiting rank publishes into every outgoing slot
-// nobody used: one shared, empty, closed channel, so a peer that parks in
-// Recv on that pair afterwards observes the termination exactly as it
-// would on a mailbox the sender had closed.
-var closedBox = func() chan message {
-	ch := make(chan message)
-	close(ch)
-	return ch
-}()
-
-// box returns the mailbox from src to dst, making it on first use. The
-// fast path is one atomic load. Sender and receiver may both arrive
-// first; the row lock lets exactly one of them make the channel, so both
-// see the same mailbox, per-pair FIFO order holds from the first message
-// on, and a run allocates one channel per pair used — a reproducible
-// count. A slot never changes once published.
-func (m *Machine) box(src, dst int) chan message {
+// box returns the mailbox from src to dst, taking one (see newMailbox) on
+// first use. The fast path is one atomic load. Sender and receiver may
+// both arrive first; the row lock lets exactly one of them publish the
+// mailbox, so both see the same one, per-pair FIFO order holds from the
+// first message on, and a run holds one mailbox per pair used — a
+// reproducible count. A slot never changes once published.
+func (m *Machine) box(src, dst int) *mailbox {
 	slot := &m.boxes[src*m.cfg.Procs+dst]
-	if ch := slot.Load(); ch != nil {
-		return ch.(chan message)
+	if b := slot.Load(); b != nil {
+		return b
 	}
 	m.rows[src].Lock()
 	defer m.rows[src].Unlock()
-	if ch := slot.Load(); ch != nil {
-		return ch.(chan message)
+	if b := slot.Load(); b != nil {
+		return b
 	}
-	// Generous buffering keeps the deterministic plans deadlock-free
-	// without a progress engine; a full mailbox is ordinary backpressure,
-	// and one that never drains is diagnosed by the deadlock watchdog
-	// rather than blocking.
-	ch := make(chan message, mailboxCap(m.cfg.Procs))
-	slot.Store(ch)
-	return ch
+	// A generous cap keeps the deterministic plans deadlock-free without a
+	// progress engine; a full mailbox is ordinary backpressure, and one
+	// that never drains is diagnosed by the deadlock watchdog rather than
+	// blocking.
+	b := newMailbox(mailboxCap(m.cfg.Procs))
+	slot.Store(b)
+	return b
 }
 
 // closeBoxes ends rank src's outgoing traffic: mailboxes in use are
@@ -90,8 +80,8 @@ func (m *Machine) closeBoxes(src int) {
 	m.rows[src].Lock()
 	defer m.rows[src].Unlock()
 	for i := src * p; i < (src+1)*p; i++ {
-		if ch := m.boxes[i].Load(); ch != nil {
-			close(ch.(chan message))
+		if b := m.boxes[i].Load(); b != nil {
+			b.close()
 		} else {
 			m.boxes[i].Store(closedBox)
 		}
@@ -122,6 +112,9 @@ type Proc struct {
 	clock sim.Clock
 	stats *trace.ProcStats
 	tr    *trace.RankTracer
+	// wake is the channel this rank parks on while a mailbox is full or
+	// empty (see mailbox).
+	wake chan struct{}
 
 	// a2aSeq numbers this processor's AllToAll calls; being collective,
 	// the counts agree across ranks, which lets matching send/wait pairs
@@ -172,6 +165,11 @@ func Run(cfg sim.Config, node NodeFunc) (*trace.Stats, error) {
 	return RunOpts(cfg, Options{}, node)
 }
 
+func newProc(m *Machine, rank int, stats *trace.Stats) *Proc {
+	// The wake channel holds one token: a rank parks on one mailbox at a time.
+	return &Proc{m: m, rank: rank, stats: &stats.Procs[rank], wake: make(chan struct{}, 1)}
+}
+
 // makeProcTable pre-builds the Proc table the failure layer and the
 // watchdog need for cross-rank visibility. A plain run returns nil and
 // each node goroutine allocates its own Proc, keeping the disabled path
@@ -182,7 +180,7 @@ func makeProcTable(m *Machine, stats *trace.Stats, p int) []*Proc {
 	}
 	procs := make([]*Proc, p)
 	for rank := range procs {
-		procs[rank] = &Proc{m: m, rank: rank, stats: &stats.Procs[rank]}
+		procs[rank] = newProc(m, rank, stats)
 		if m.fail != nil {
 			procs[rank].killAt = m.fail.kills[rank]
 		}
@@ -198,7 +196,7 @@ func RunOpts(cfg sim.Config, opts Options, node NodeFunc) (*trace.Stats, error) 
 		return nil, err
 	}
 	p := cfg.Procs
-	m := &Machine{cfg: cfg, boxes: make([]atomic.Value, p*p), rows: make([]sync.Mutex, p)}
+	m := &Machine{cfg: cfg, boxes: make([]atomic.Pointer[mailbox], p*p), rows: make([]sync.Mutex, p)}
 	if opts.active() {
 		m.fail = newFailState(p, opts)
 	}
@@ -236,7 +234,7 @@ func RunOpts(cfg sim.Config, opts Options, node NodeFunc) (*trace.Stats, error) 
 			if procs != nil {
 				proc = procs[rank]
 			} else {
-				proc = &Proc{m: m, rank: rank, stats: &stats.Procs[rank]}
+				proc = newProc(m, rank, stats)
 			}
 			defer func() {
 				if r := recover(); r != nil {
@@ -282,14 +280,11 @@ func RunOpts(cfg sim.Config, opts Options, node NodeFunc) (*trace.Stats, error) 
 	// never received still sit in the (now closed) mailboxes, and ranks
 	// may hold stashed agreement traffic. Return all of it to the arena
 	// so failed runs do not leak buffers — checked-mode tests assert the
-	// Gets/Puts balance. Every slot is closed by now (each rank's exit
-	// ran closeBoxes), and clean runs have empty mailboxes, so this costs
-	// one load per slot on the ordinary path.
-	for i := range m.boxes {
-		for msg := range m.boxes[i].Load().(chan message) {
-			ReleaseBuf(msg.data)
-		}
-	}
+	// Gets/Puts balance — and the mailboxes, emptied, to their free list.
+	// Every slot is closed by now (each rank's exit ran closeBoxes), and
+	// clean runs have empty mailboxes, so this costs one load per slot on
+	// the ordinary path.
+	recycleBoxes(m.boxes, p)
 	for _, proc := range procs {
 		for _, pm := range proc.pending {
 			ReleaseBuf(pm.msg.data)
@@ -411,56 +406,69 @@ func (p *Proc) sendCharge(dst int, elems int) {
 	p.stats.Comm.Seconds += dt
 }
 
-// post enqueues an owned buffer into the mailbox to dst. The fast path
-// is non-blocking; a full mailbox applies backpressure (the sender
-// parks until the receiver drains). A send that stays parked is watched
-// by the deadlock watchdog, which fails the run with every blocked
-// rank's diagnostics; with failure detection active, a destination that
-// died or aborted resolves the send into the abort path instead.
-func (p *Proc) post(dst, tag int, buf []float64) {
-	ch := p.m.box(p.rank, dst)
-	msg := message{tag: tag, data: buf, atTime: p.clock.Seconds()}
-	select {
-	case ch <- msg:
-		return
-	default:
+// post enqueues an owned buffer (or, with buf nil and count set, a
+// count-only message) into the mailbox to dst. The fast path is
+// non-blocking; a full mailbox applies backpressure (the sender parks
+// until the receiver drains). A send that stays parked is watched by the
+// deadlock watchdog, which fails the run with every blocked rank's
+// diagnostics; with failure detection active, a destination that died or
+// aborted resolves the send into the abort path instead.
+func (p *Proc) post(dst, tag int, buf []float64, count int32) {
+	if tag != int(int32(tag)) {
+		ReleaseBuf(buf)
+		panic(fmt.Sprintf("mp: rank %d: tag %d to rank %d does not fit a message", p.rank, tag, dst))
 	}
-	f := p.m.fail
-	wd := p.m.wd
-	if wd == nil {
-		// Uninstrumented run: park with a plain stall timer, exactly like
-		// the machine without the failure layer always has. A send still
-		// pending after the timeout means the receiver is not draining at
-		// all — a plan with a missing receive.
-		t := time.NewTimer(defaultStallTimeout)
-		defer t.Stop()
-		select {
-		case ch <- msg:
-		case <-t.C:
-			ReleaseBuf(buf)
-			panic(watchdogPanic{err: fmt.Errorf("mp: rank %d overran its mailbox to rank %d and stalled %v (tag %d, depth %d): the plan posts messages the receiver never takes",
-				p.rank, dst, defaultStallTimeout, tag, len(ch))})
-		}
-		return
+	b := p.m.box(p.rank, dst)
+	msg := message{tag: int32(tag), count: count, data: buf, atTime: p.clock.Seconds()}
+	if !b.put(msg, p.wake) {
+		p.postParked(b, msg, dst)
 	}
+}
+
+// postParked is post's slow path: the mailbox was full and the refused
+// put has registered this rank's wake channel.
+func (p *Proc) postParked(b *mailbox, msg message, dst int) {
+	f, wd := p.m.fail, p.m.wd
 	var down chan struct{}
 	if f != nil {
 		down = f.down[dst]
 	}
-	wd.block(p, true, dst, tag, len(ch))
-	select {
-	case ch <- msg:
-		wd.unblock(p)
-	case <-down:
-		wd.unblock(p)
-		// The destination is dead or aborting and will never drain the
-		// mailbox; drop the payload and abort.
-		ReleaseBuf(buf)
-		p.deadPeer(dst, tag)
-	case <-wd.abort:
-		wd.unblock(p)
-		ReleaseBuf(buf)
-		p.watchdogFail()
+	// An uninstrumented run parks with a plain stall timer, exactly like
+	// the machine without the failure layer always has. A send still
+	// pending after the timeout means the receiver is not draining at
+	// all — a plan with a missing receive.
+	var stalled <-chan time.Time
+	if wd == nil {
+		stall := time.NewTimer(defaultStallTimeout)
+		defer stall.Stop()
+		stalled = stall.C
+	}
+	for parked := true; parked; parked = !b.put(msg, p.wake) {
+		if wd == nil {
+			select {
+			case <-p.wake:
+			case <-stalled:
+				ReleaseBuf(msg.data)
+				panic(watchdogPanic{err: fmt.Errorf("mp: rank %d overran its mailbox to rank %d and stalled %v (tag %d, depth %d): the plan posts messages the receiver never takes",
+					p.rank, dst, defaultStallTimeout, msg.tag, b.depth())})
+			}
+			continue
+		}
+		wd.block(p, true, dst, int(msg.tag), b.depth())
+		select {
+		case <-p.wake:
+			wd.unblock(p)
+		case <-down:
+			wd.unblock(p)
+			// The destination is dead or aborting and will never drain the
+			// mailbox; drop the payload and abort.
+			ReleaseBuf(msg.data)
+			p.deadPeer(dst, int(msg.tag))
+		case <-wd.abort:
+			wd.unblock(p)
+			ReleaseBuf(msg.data)
+			p.watchdogFail()
+		}
 	}
 }
 
@@ -473,7 +481,7 @@ func (p *Proc) Send(dst, tag int, data []float64) {
 	p.sendCharge(dst, len(data))
 	buf := bufpool.GetF64(len(data))
 	copy(buf, data)
-	p.post(dst, tag, buf)
+	p.post(dst, tag, buf, noCount)
 }
 
 // SendOwned is Send without the copy: data must be an arena buffer the
@@ -486,7 +494,7 @@ func (p *Proc) SendOwned(dst, tag int, data []float64) {
 	p.sendBuf = data
 	p.sendCharge(dst, len(data))
 	p.sendBuf = nil
-	p.post(dst, tag, data)
+	p.post(dst, tag, data, noCount)
 }
 
 // Recv blocks until the next message from src arrives and returns its
@@ -498,12 +506,22 @@ func (p *Proc) SendOwned(dst, tag int, data []float64) {
 // ReleaseBuf once done, forward it with SendOwned, or adopt it (keep it
 // and never release — always safe, merely forgoing reuse).
 func (p *Proc) Recv(src, tag int) []float64 {
+	msg := p.recv(src, tag)
+	if msg.count != noCount {
+		panic(fmt.Sprintf("mp: rank %d expected a payload from %d (tag %d), got a count of %d elements", p.rank, src, tag, msg.count))
+	}
+	return msg.data
+}
+
+// recv is Recv for either kind of message: the wait, its span and its
+// statistics, leaving the payload-or-count check to the caller.
+func (p *Proc) recv(src, tag int) message {
 	if src < 0 || src >= p.Size() || src == p.rank {
 		panic(fmt.Sprintf("mp: Recv from invalid rank %d", src))
 	}
 	p.step()
 	msg := p.recvMsg(src, tag)
-	if msg.tag != tag {
+	if int(msg.tag) != tag {
 		panic(fmt.Sprintf("mp: rank %d expected tag %d from %d, got %d", p.rank, tag, src, msg.tag))
 	}
 	before := p.clock.Seconds()
@@ -514,79 +532,52 @@ func (p *Proc) Recv(src, tag int) []float64 {
 	}
 	p.flowIn = 0
 	p.stats.Comm.Seconds += wait
-	return msg.data
+	return msg
 }
 
 // recvMsg blocks for the next application message from src. Buffered
 // messages are always drained before a peer's death is acted on, so
 // the point at which a run aborts is determined by the program, not by
 // scheduling. Agreement-protocol messages that arrive early are stashed
-// for the epilogue.
+// for the epilogue. An uninstrumented run (no failure layer, no
+// watchdog) parks on its wake channel alone, the cheapest park there is;
+// the wall-clock benchmark gates pin that path.
 func (p *Proc) recvMsg(src, tag int) message {
-	ch := p.m.box(src, p.rank)
-	f := p.m.fail
-	if f == nil && p.m.wd == nil {
-		// Uninstrumented run: a plain blocking receive, the cheapest park
-		// the runtime offers. The wall-clock benchmark gates pin this
-		// path at zero overhead over the machine without a failure layer.
-		msg, ok := <-ch
-		if !ok {
-			p.deadChannel(src, tag)
-		}
-		return msg
-	}
+	b := p.m.box(src, p.rank)
+	f, wd := p.m.fail, p.m.wd
+	peerDown := false
 	for {
-		// Fast path: a message (or the sender's termination) is already here.
-		select {
-		case msg, ok := <-ch:
-			if !ok {
-				p.deadChannel(src, tag)
-			}
-			if f != nil && msg.tag >= agreeTagBase {
-				p.pending = append(p.pending, pendingMsg{src: src, msg: msg})
-				continue
-			}
+		msg, ok, closed := b.take(p.wake)
+		switch {
+		case ok && f != nil && msg.tag >= agreeTagBase:
+			p.pending = append(p.pending, pendingMsg{src: src, msg: msg})
+			continue
+		case ok:
 			return msg
-		default:
+		case closed:
+			p.deadChannel(src, tag)
+		case peerDown:
+			// The sender died or aborted and what it still delivered has
+			// been drained (drain preference).
+			p.deadPeer(src, tag)
+		case wd == nil:
+			<-p.wake
+			continue
 		}
 		var down chan struct{}
 		if f != nil {
 			down = f.down[src]
 		}
-		wd := p.m.wd
-		wd.block(p, false, src, tag, len(ch))
+		wd.block(p, false, src, tag, b.depth())
 		select {
-		case msg, ok := <-ch:
-			wd.unblock(p)
-			if !ok {
-				p.deadChannel(src, tag)
-			}
-			if f != nil && msg.tag >= agreeTagBase {
-				p.pending = append(p.pending, pendingMsg{src: src, msg: msg})
-				continue
-			}
-			return msg
+		case <-p.wake:
 		case <-down:
-			wd.unblock(p)
-			// The sender died or aborted; drain anything it still
-			// delivered before acting on that (drain preference).
-			select {
-			case msg, ok := <-ch:
-				if !ok {
-					p.deadChannel(src, tag)
-				}
-				if msg.tag >= agreeTagBase {
-					p.pending = append(p.pending, pendingMsg{src: src, msg: msg})
-					continue
-				}
-				return msg
-			default:
-				p.deadPeer(src, tag)
-			}
+			peerDown = true
 		case <-wd.abort:
 			wd.unblock(p)
 			p.watchdogFail()
 		}
+		wd.unblock(p)
 	}
 }
 
@@ -608,53 +599,6 @@ func (p *Proc) relRank(root int) int {
 // absRank maps a rotated rank back to an absolute one.
 func (p *Proc) absRank(rel, root int) int {
 	return (rel + root) % p.Size()
-}
-
-// Reduce computes the elementwise sum of data across all processors using
-// a binomial tree rooted at root. On root it returns the full sum (an
-// arena buffer the caller owns); on other processors it returns nil.
-// len(data) must match on all processors.
-func (p *Proc) Reduce(root, tag int, data []float64) []float64 {
-	p.collective("reduce")
-	acc := bufpool.GetF64(len(data))
-	copy(acc, data)
-	p.panicBufs[0] = acc
-	r := p.relRank(root)
-	size := p.Size()
-	for mask := 1; mask < size; mask <<= 1 {
-		if r&mask != 0 {
-			dst := p.absRank(r-mask, root)
-			p.panicBufs[0] = nil // ownership moves to the message
-			p.SendOwned(dst, internalTagBase+tag, acc)
-			if r != 0 {
-				return nil
-			}
-			p.panicBufs[0] = acc
-		} else if r+mask < size {
-			src := p.absRank(r+mask, root)
-			in := p.Recv(src, internalTagBase+tag)
-			p.panicBufs[1] = in
-			p.addInto(acc, in)
-			p.panicBufs[1] = nil
-			ReleaseBuf(in)
-		}
-	}
-	p.panicBufs[0] = nil
-	if r == 0 {
-		return acc
-	}
-	return nil
-}
-
-// addInto accumulates src into dst and charges the additions as compute.
-func (p *Proc) addInto(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("mp: reduction length mismatch %d vs %d", len(dst), len(src)))
-	}
-	for i, v := range src {
-		dst[i] += v
-	}
-	p.Compute(int64(len(src)))
 }
 
 // Bcast distributes root's data to every processor using a binomial tree

@@ -54,44 +54,83 @@ var (
 	OpMin Op = minOp{}
 )
 
-// ReduceWith performs a binomial-tree reduction with an arbitrary
-// operator, returning the result (an arena buffer the caller owns) on
-// root and nil elsewhere. Each combine step is charged as len(data)
-// flops.
+// Reduce computes the elementwise sum of data across all processors using
+// a binomial tree rooted at root. On root it returns the full sum (an
+// arena buffer the caller owns); on other processors it returns nil.
+// len(data) must match on all processors.
+func (p *Proc) Reduce(root, tag int, data []float64) []float64 {
+	return p.reduce("reduce", OpSum, root, tag, data, len(data))
+}
+
+// ReduceWith is Reduce with an arbitrary operator. Each combine step is
+// charged as len(data) flops.
 func (p *Proc) ReduceWith(root, tag int, data []float64, op Op) []float64 {
-	p.collective(op.Name())
-	acc := bufpool.GetF64(len(data))
-	copy(acc, data)
-	p.panicBufs[0] = acc
+	return p.reduce(op.Name(), op, root, tag, data, len(data))
+}
+
+// ReduceElided is Reduce over n elements nobody will read — what a
+// phantom-mode run reduces. Its messages carry the count n and no buffer:
+// the tree, the collective instant, every charge, wait and span are those
+// of Reduce on n elements, so clocks, statistics and kill-schedule op
+// indices are bitwise the same, and no element is allocated, copied or
+// summed. All processors of one reduction must call the same form.
+func (p *Proc) ReduceElided(root, tag, n int) {
+	if n != int(int32(n)) {
+		panic(fmt.Sprintf("mp: rank %d: a count of %d elements does not fit a message", p.rank, n))
+	}
+	p.reduce("reduce", nil, root, tag, nil, n)
+}
+
+// reduce is the one binomial-tree walk behind the three forms above: each
+// processor folds the contributions of its subtree into an accumulator in
+// a fixed rank order, then hands it to its parent. A nil op is the
+// count-only form: there is no accumulator, and a message is n.
+func (p *Proc) reduce(name string, op Op, root, tag int, data []float64, n int) []float64 {
+	p.collective(name)
+	var acc []float64
+	if op != nil {
+		acc = bufpool.GetF64(n)
+		copy(acc, data)
+		p.panicBufs[0] = acc
+	}
+	tag += internalTagBase
 	r := p.relRank(root)
 	size := p.Size()
 	for mask := 1; mask < size; mask <<= 1 {
 		if r&mask != 0 {
 			dst := p.absRank(r-mask, root)
 			p.panicBufs[0] = nil // ownership moves to the message
-			p.SendOwned(dst, internalTagBase+tag, acc)
-			if r != 0 {
-				return nil
+			if op != nil {
+				p.SendOwned(dst, tag, acc)
+			} else {
+				p.sendCharge(dst, n)
+				p.post(dst, tag, nil, int32(n))
 			}
-			p.panicBufs[0] = acc
-		} else if r+mask < size {
+			return nil
+		}
+		if r+mask < size {
 			src := p.absRank(r+mask, root)
-			in := p.Recv(src, internalTagBase+tag)
-			p.panicBufs[1] = in
-			if len(in) != len(acc) {
-				panic(fmt.Sprintf("mp: %s reduction length mismatch %d vs %d", op.Name(), len(in), len(acc)))
+			msg := p.recv(src, tag)
+			p.panicBufs[1] = msg.data
+			got := int(msg.count)
+			if msg.count == noCount {
+				got = len(msg.data)
 			}
-			op.Combine(acc, in)
-			p.Compute(int64(len(in)))
+			switch {
+			case (msg.count == noCount) != (op != nil):
+				panic(fmt.Sprintf("mp: rank %d: reduction (tag %d) mixes payloads and counts: rank %d sent the other form", p.rank, tag-internalTagBase, src))
+			case got != n:
+				panic(fmt.Sprintf("mp: rank %d: reduction length mismatch with rank %d (tag %d): %d vs %d", p.rank, src, tag-internalTagBase, n, got))
+			case op != nil:
+				op.Combine(acc, msg.data)
+			}
+			p.Compute(int64(n))
 			p.panicBufs[1] = nil
-			ReleaseBuf(in)
+			ReleaseBuf(msg.data)
 		}
 	}
 	p.panicBufs[0] = nil
-	if r == 0 {
-		return acc
-	}
-	return nil
+	return acc
 }
 
 // AllReduceWith is ReduceWith followed by a broadcast of the result,

@@ -250,6 +250,29 @@ func (s *ICLA) Set(i, j int, v float64) { s.Data[j*s.Rows+i] = v }
 // Col returns column j of the section, aliasing its storage.
 func (s *ICLA) Col(j int) []float64 { return s.Data[j*s.Rows : (j+1)*s.Rows] }
 
+// Axpy adds b·col into vec element by element — GAXPY's inner loop, for
+// the compiled engine and the hand-coded variants alike. It is a function
+// of its own, four elements a trip, because the one-element loop's speed
+// followed where the linker happened to put its caller: the 34-byte loop
+// ran 13 % slower when it straddled a 64-byte line, and any edit linked
+// ahead of it could move it there (EXPERIMENTS.md, "Host clock: message
+// passing"). Unrolling over elements reorders no floating-point
+// operation.
+func Axpy(vec, col []float64, b float64) {
+	vec = vec[:len(col)]
+	i := 0
+	for ; i+4 <= len(col); i += 4 {
+		v, c := vec[i:i+4:i+4], col[i:i+4:i+4]
+		v[0] += b * c[0]
+		v[1] += b * c[1]
+		v[2] += b * c[2]
+		v[3] += b * c[3]
+	}
+	for ; i < len(col); i++ {
+		vec[i] += b * col[i]
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Sectioned I/O
 

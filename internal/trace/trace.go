@@ -10,6 +10,8 @@ import (
 	"math/bits"
 	"reflect"
 	"strings"
+	"sync"
+	"unsafe"
 )
 
 // HistBuckets is the number of power-of-two size classes tracked by
@@ -168,10 +170,10 @@ type IOStats struct {
 }
 
 // Add accumulates other into s, field by field. Aggregation is driven by
-// the struct shape (see combineFields), so a newly added counter can
-// never be silently dropped from the fold.
+// the struct shape (see statShape), so a newly added counter can never
+// be silently dropped from the fold.
 func (s *IOStats) Add(other IOStats) {
-	combineFields(reflect.ValueOf(s).Elem(), reflect.ValueOf(&other).Elem(), sumInt, sumFloat, (*SizeHistogram).Add)
+	combineFields(ioShape(), unsafe.Pointer(s), unsafe.Pointer(&other), false)
 }
 
 // Requests returns the total physical request count.
@@ -214,9 +216,9 @@ type CommStats struct {
 	Respawns      int64
 }
 
-// Add accumulates other into s, field by field (see combineFields).
+// Add accumulates other into s, field by field (see statShape).
 func (s *CommStats) Add(other CommStats) {
-	combineFields(reflect.ValueOf(s).Elem(), reflect.ValueOf(&other).Elem(), sumInt, sumFloat, (*SizeHistogram).Add)
+	combineFields(commShape(), unsafe.Pointer(s), unsafe.Pointer(&other), false)
 }
 
 // ProcStats aggregates all activity of one processor.
@@ -260,8 +262,8 @@ func (s *Stats) ElapsedSeconds() float64 {
 // TotalIO returns the sum of I/O statistics across processors.
 func (s *Stats) TotalIO() IOStats {
 	var t IOStats
-	for _, p := range s.Procs {
-		t.Add(p.IO)
+	for i := range s.Procs {
+		combineFields(ioShape(), unsafe.Pointer(&t), unsafe.Pointer(&s.Procs[i].IO), false)
 	}
 	return t
 }
@@ -269,8 +271,8 @@ func (s *Stats) TotalIO() IOStats {
 // TotalComm returns the sum of communication statistics across processors.
 func (s *Stats) TotalComm() CommStats {
 	var t CommStats
-	for _, p := range s.Procs {
-		t.Add(p.Comm)
+	for i := range s.Procs {
+		combineFields(commShape(), unsafe.Pointer(&t), unsafe.Pointer(&s.Procs[i].Comm), false)
 	}
 	return t
 }
@@ -280,52 +282,72 @@ func (s *Stats) TotalComm() CommStats {
 // processor) correspond to this view on a load-balanced program.
 func (s *Stats) MaxIO() IOStats {
 	var m IOStats
-	mv := reflect.ValueOf(&m).Elem()
 	for i := range s.Procs {
-		combineFields(mv, reflect.ValueOf(&s.Procs[i].IO).Elem(), maxInt, maxFloat, (*SizeHistogram).MaxOf)
+		combineFields(ioShape(), unsafe.Pointer(&m), unsafe.Pointer(&s.Procs[i].IO), true)
 	}
 	return m
 }
 
-func sumInt(a, b int64) int64 { return a + b }
-func maxInt(a, b int64) int64 {
-	if b > a {
-		return b
-	}
-	return a
-}
-func sumFloat(a, b float64) float64 { return a + b }
-func maxFloat(a, b float64) float64 {
-	if b > a {
-		return b
-	}
-	return a
+// statField is one field of a statistics struct as the folds see it: its
+// kind (reflect.Struct stands for SizeHistogram) and its offset.
+type statField struct {
+	kind reflect.Kind
+	off  uintptr
 }
 
-// combineFields folds src into dst field by field: int64 fields through
-// ints, float64 fields through floats, SizeHistogram fields through
-// hists. Both values must be addressable views of the same statistics
-// struct type. Any other field kind panics, which — together with the
-// per-field probe in the aggregation test — guarantees a new counter
-// cannot be added without being picked up by Add, MaxIO and TotalIO.
-func combineFields(dst, src reflect.Value, ints func(a, b int64) int64, floats func(a, b float64) float64, hists func(h *SizeHistogram, o SizeHistogram)) {
-	for i := 0; i < dst.NumField(); i++ {
-		d, s := dst.Field(i), src.Field(i)
-		switch d.Kind() {
-		case reflect.Int64:
-			d.SetInt(ints(d.Int(), s.Int()))
-		case reflect.Float64:
-			d.SetFloat(floats(d.Float(), s.Float()))
-		case reflect.Struct:
-			h, ok := d.Addr().Interface().(*SizeHistogram)
-			if !ok {
-				panic(fmt.Sprintf("trace: cannot aggregate %s field %s",
-					dst.Type().Name(), dst.Type().Field(i).Name))
-			}
-			hists(h, s.Interface().(SizeHistogram))
+// statShape resolves the fields of statistics struct type t. Any field
+// that is not an int64, a float64 or a SizeHistogram panics, which —
+// together with the per-field probe in the aggregation test — guarantees
+// a new counter cannot be added without being picked up by Add, MaxIO and
+// TotalIO.
+func statShape(t reflect.Type) []statField {
+	shape := make([]statField, t.NumField())
+	for i := range shape {
+		f := t.Field(i)
+		switch kind := f.Type.Kind(); {
+		case kind == reflect.Int64, kind == reflect.Float64, f.Type == reflect.TypeOf(SizeHistogram{}):
+			shape[i] = statField{kind, f.Offset}
 		default:
-			panic(fmt.Sprintf("trace: cannot aggregate %s field %s of kind %s",
-				dst.Type().Name(), dst.Type().Field(i).Name, d.Kind()))
+			panic(fmt.Sprintf("trace: cannot aggregate %s field %s of kind %s", t.Name(), f.Name, kind))
+		}
+	}
+	return shape
+}
+
+// The shapes are resolved by reflection once per type, so that a fold
+// walks plain memory: a run folds its statistics once per rank per
+// consumer, and a reflect.Value per field per call boxed a histogram copy
+// and moved every by-value argument to the heap.
+var (
+	ioShape   = sync.OnceValue(func() []statField { return statShape(reflect.TypeOf(IOStats{})) })
+	commShape = sync.OnceValue(func() []statField { return statShape(reflect.TypeOf(CommStats{})) })
+)
+
+// combineFields folds src into dst, two values of the statistics struct
+// shape describes, field by field and in field order: the sum, or with
+// max the larger of the two (bucket by bucket in a histogram).
+func combineFields(shape []statField, dst, src unsafe.Pointer, max bool) {
+	for _, f := range shape {
+		d, s := unsafe.Add(dst, f.off), unsafe.Add(src, f.off)
+		switch f.kind {
+		case reflect.Int64:
+			if d, s := (*int64)(d), *(*int64)(s); !max {
+				*d += s
+			} else if s > *d {
+				*d = s
+			}
+		case reflect.Float64:
+			if d, s := (*float64)(d), *(*float64)(s); !max {
+				*d += s
+			} else if s > *d {
+				*d = s
+			}
+		default:
+			if d, s := (*SizeHistogram)(d), (*SizeHistogram)(s); !max {
+				d.Add(*s)
+			} else {
+				d.MaxOf(*s)
+			}
 		}
 	}
 }
