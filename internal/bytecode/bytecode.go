@@ -1,27 +1,31 @@
-// Package bytecode lowers compiled node programs (plan.Program) to a
-// flat, versioned, serializable per-rank opcode stream executed by a
-// tight fetch-decode loop in package exec. The tree-walking interpreter
-// re-dispatches through the plan node switch on every slab iteration,
-// re-resolving names through maps each time; the bytecode compiler
-// resolves every operand once — loop variables, slab buffers and
+// Package bytecode lowers compiled node programs (plan.Program) to the
+// flat per-rank opcode stream package exec runs: every run lowers its
+// plan first, and the stream is the only thing the engine executes. The
+// lowering resolves every operand once — loop variables, slab buffers and
 // accumulation vectors become slot indices, arrays become table indices
 // with their distribution and strip-mining decisions attached,
 // redistribution methods are pre-parsed, elementwise expressions are
 // flattened to postfix programs — so the hot path is an integer-indexed
-// dispatch over a fixed instruction array.
+// dispatch over a fixed instruction array, with no name looked up and no
+// plan node visited at run time.
 //
-// The lowering is semantics-preserving to the bit: a program executed
-// through its bytecode performs the identical sequence of file, message
-// and arithmetic operations as the tree walk, commits checkpoints at the
-// same (node, iteration) cursors, and emits the same trace spans, so
-// simulated seconds, statistics counters and trace.Reconcile agree
-// exactly between the two execution paths (pinned by the equivalence
-// matrix in package exec).
+// The stream performs the file, message and arithmetic operations of the
+// plan's statements in source order, commits checkpoints at the same
+// (node, iteration) cursors and emits the same trace spans. The engine is
+// pinned to a recorded witness of that behaviour — simulated seconds as
+// float bits, per-rank clocks, counters, span sequences, outputs and
+// manifest bytes of the tree walk it replaced
+// (internal/exec/testdata/engine_witness.txt) — so an execution strategy
+// over the stream (exec runs a loop whose body is one AXPY as a single
+// kernel) has to reproduce it to the bit.
 //
 // A Program has a stable binary encoding (magic, version, CRC-framed;
-// see Encode/Decode) so compiled plans can be persisted and replayed —
-// the artifact the serving layer's plan cache stores and the prerequisite
-// for cross-restart cache persistence keyed on plan.Fingerprint.
+// see Encode/Decode). Nothing at run time consumes it — exec lowers in
+// memory, and the serving layer's plan cache stores plans — so it is
+// kept as what ooc-compile -bytecode prints the size of and what the
+// end-to-end benchmark's compile_sweep encodes, decodes and round-trips
+// (bytecode.encoded_bytes, bytecode.encode_us, bytecode.decode_us), with
+// its decoder fuzzed and its golden bytes pinned here.
 package bytecode
 
 import (

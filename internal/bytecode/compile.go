@@ -7,18 +7,17 @@ import (
 	"github.com/ooc-hpf/passion/internal/plan"
 )
 
-// Compile lowers a plan program to its flat opcode stream. Every name the
-// tree-walking interpreter would resolve through a map at runtime — loop
-// variables, slab buffers, accumulation vectors, arrays — is resolved
-// here, once, to a slot or table index, and every structural property the
-// interpreter re-derives per node (checkpoint eligibility, redistribution
-// method, per-element operation counts, span labels) is precomputed into
-// instruction operands.
+// Compile lowers a plan program to its flat opcode stream. Every name in
+// the plan — loop variables, slab buffers, accumulation vectors, arrays —
+// is resolved here, once, to a slot or table index, and every structural
+// property of a node the engine needs (checkpoint eligibility,
+// redistribution method, per-element operation counts, span labels) is
+// precomputed into instruction operands.
 //
-// Compile also performs the static checks the interpreter performs
-// dynamically: a reference to an undefined buffer, a dead loop variable or
-// an unknown array — conditions the tree walk would hit on the first
-// iteration anyway — become compile errors.
+// Compile also performs statically the checks that would otherwise
+// surface on a loop's first trip: a reference to an undefined buffer, a
+// dead loop variable or an unknown array is a compile error, returned
+// before exec creates a file or starts a rank.
 func Compile(p *plan.Program) (*Program, error) {
 	c := &compiler{
 		bc: &Program{

@@ -13,6 +13,7 @@ import (
 	"github.com/ooc-hpf/passion/internal/hpf"
 	"github.com/ooc-hpf/passion/internal/iosim"
 	"github.com/ooc-hpf/passion/internal/mp"
+	"github.com/ooc-hpf/passion/internal/oocarray"
 	"github.com/ooc-hpf/passion/internal/sim"
 )
 
@@ -183,6 +184,99 @@ func TestPhantomRunBalancesArena(t *testing.T) {
 			var rf *mp.RankFailure
 			if !errors.As(err, &rf) || fmt.Sprint(rf.Failed) != "[2]" {
 				t.Errorf("phantom %v, kill at op %d: want a RankFailure of rank 2, got %v", phantom, op, err)
+			}
+		}
+	}
+}
+
+// TestFailedSlabReadReturnsItsBuffer: a slab read takes its buffer from
+// the arena before it touches the file, so a read that fails has to give
+// it back. One permanent fault lands on every operation of rank 0's array
+// files in turn — every chunk read of the run among them; nothing else
+// fails, so the run's clean-up works — and every failed run must leave
+// the arena balanced. Prefetch adds the reader's window: a slab taken out
+// of the pipeline while the read behind it fails.
+func TestFailedSlabReadReturnsItsBuffer(t *testing.T) {
+	res := sweepProgram(t)
+	mach := sim.Delta(res.Program.Procs)
+	bufpool.SetChecked(true)
+	defer bufpool.SetChecked(false)
+	for _, prefetch := range []bool{false, true} {
+		run := func(schedule []iosim.ScheduledFault) (*iosim.ChaosFS, error) {
+			bufpool.ResetStats()
+			fs := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{Schedule: schedule})
+			out, err := Run(res.Program, mach, Options{FS: fs, Fill: sweepFills(),
+				Runtime: oocarray.Options{Prefetch: prefetch}})
+			if err == nil {
+				err = out.Close()
+			}
+			if n := arenaOutstanding(); n != 0 {
+				t.Errorf("prefetch %v, fault %v: %d arena buffers outstanding: %+v", prefetch, schedule, n, bufpool.Snapshot())
+			}
+			return fs, err
+		}
+		clean, err := run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range res.Program.Arrays {
+			file := spec.Name + ".p0.laf"
+			ops := clean.FileOps(file)
+			if ops == 0 {
+				t.Fatalf("no operation on %s", file)
+			}
+			// The file's last operation is Close removing it: not the run's.
+			for k := int64(0); k < ops-1; k++ {
+				if _, err := run([]iosim.ScheduledFault{{File: file, Op: k, Kind: iosim.KindPermanent}}); err == nil {
+					t.Errorf("prefetch %v: a permanent fault at op %d of %s did not fail the run", prefetch, k, file)
+				}
+			}
+		}
+	}
+}
+
+// TestKillAtEveryOpBalancesArena lands a fail-stop kill of rank 2 on
+// every one of its operations in a real-data run over many slabs — chunk
+// reads and writes as well as messages. A kill inside a slab read unwinds
+// past the read with its buffer taken and not yet delivered
+// (oocarray.Array holds it for Close), and with prefetch on past the
+// reader's window too; every run must resolve to the agreed failed set
+// and leave the arena balanced.
+func TestKillAtEveryOpBalancesArena(t *testing.T) {
+	const procs, victim = 4, 2
+	res := chaosProgram(t, "row-slab")
+	bufpool.SetChecked(true)
+	defer bufpool.SetChecked(false)
+	for _, prefetch := range []bool{false, true} {
+		counts := make([]int64, procs)
+		run := func(kill []mp.KillSpec) error {
+			bufpool.ResetStats()
+			out, err := Run(res.Program, sim.Delta(procs), Options{
+				Fill: sweepFills(), OpCounts: counts, Kill: kill,
+				Runtime: oocarray.Options{Prefetch: prefetch},
+				Detect:  &mp.Detector{}, StallTimeout: surviveStall,
+			})
+			if err == nil {
+				err = out.Close()
+			}
+			if n := arenaOutstanding(); n != 0 {
+				t.Errorf("prefetch %v, kill %v: %d arena buffers outstanding: %+v", prefetch, kill, n, bufpool.Snapshot())
+			}
+			return err
+		}
+		if err := run(nil); err != nil {
+			t.Fatal(err)
+		}
+		total := counts[victim]
+		step := int64(1)
+		if testing.Short() {
+			step = 7
+		}
+		for op := int64(0); op < total; op += step {
+			err := run([]mp.KillSpec{{Rank: victim, Op: op}})
+			var rf *mp.RankFailure
+			if !errors.As(err, &rf) || fmt.Sprint(rf.Failed) != fmt.Sprint([]int{victim}) {
+				t.Errorf("prefetch %v, kill at op %d of %d: want a RankFailure of rank %d, got %v", prefetch, op, total, victim, err)
 			}
 		}
 	}

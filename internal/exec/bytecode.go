@@ -20,10 +20,27 @@ type frame struct {
 	v        int
 }
 
+// loopDepth returns the deepest LOOP/LOOP_CKPT nesting of the stream.
+func loopDepth(code []bytecode.Instr) int {
+	depth, peak := 0, 0
+	for i := range code {
+		switch code[i].Op {
+		case bytecode.OpLoop, bytecode.OpLoopCkpt:
+			depth++
+			if depth > peak {
+				peak = depth
+			}
+		case bytecode.OpEndLoop:
+			depth--
+		}
+	}
+	return peak
+}
+
 // run is the fetch-decode loop, executing the stream from the resume
 // cursor (startNode, startIter); (0,0) is a fresh run. Control opcodes
 // are handled inline; plan opcodes dispatch to their handlers. Every
-// instruction is an op boundary for cancellation; the check
+// dispatched instruction is an op boundary for cancellation; the check
 // (interp.cancelled) is a non-blocking receive on the run's done channel
 // and shares no state between ranks.
 func (in *interp) run(startNode, startIter int) error {
@@ -99,6 +116,19 @@ func (in *interp) run(startNode, startIter int) error {
 				pc = ins.D
 				continue
 			}
+			if ins.Op == bytecode.OpLoop && ins.D == pc+3 && code[pc+1].Op == bytecode.OpAxpy {
+				// A loop whose whole body is one AXPY — the innermost loop
+				// of both GAXPY translations — runs as one op: every trip
+				// is known here, so nothing is re-dispatched per trip and
+				// the kernel is a single op boundary (at most one slab of
+				// multiply-adds between cancellation checks, the order of
+				// the LOAD_SLAB that fetched it).
+				if err := in.axpy(&code[pc+1], ins.A, first, count); err != nil {
+					return err
+				}
+				pc = ins.D
+				continue
+			}
 			in.vars[ins.A] = first
 			ckptNode := int32(-1)
 			if ins.Op == bytecode.OpLoopCkpt {
@@ -166,7 +196,7 @@ func (in *interp) exec(ins *bytecode.Instr) error {
 	case bytecode.OpZeroVec:
 		return in.zeroVec(ins)
 	case bytecode.OpAxpy:
-		return in.axpy(ins)
+		return in.axpy(ins, -1, 0, 1)
 	case bytecode.OpSumStore:
 		return in.sumStore(ins)
 	case bytecode.OpResetCounter:
@@ -306,7 +336,14 @@ func (in *interp) zeroVec(ins *bytecode.Instr) error {
 	return nil
 }
 
-func (in *interp) axpy(ins *bytecode.Instr) error {
+// axpy executes AXPY for the trips [first, count) of loop variable slot
+// loopSlot — the whole of a loop whose body is this one instruction (see
+// run) — or, with loopSlot negative, the bare instruction's single trip.
+// The operand and shape checks happen once. So do the index expressions:
+// they are affine in every variable, so the kernel is handed their value
+// at the first trip and what one trip adds to it (the difference to the
+// second trip's value), whichever operands name the loop variable.
+func (in *interp) axpy(ins *bytecode.Instr, loopSlot int32, first, count int) error {
 	vec := in.vecs[ins.A]
 	if vec == nil {
 		return fmt.Errorf("exec: Axpy into unallocated vector %q", in.code.VecNames[ins.A])
@@ -319,24 +356,39 @@ func (in *interp) axpy(ins *bytecode.Instr) error {
 	if bb == nil {
 		return fmt.Errorf("exec: Axpy reads unread buffer %q", in.code.BufNames[ins.D])
 	}
-	row := 0
-	if ins.E >= 0 {
-		scale := 1
-		if ins.F >= 0 {
-			scale = in.slabs[ins.F].Width
-		}
-		row = in.vars[ins.E] * scale
-	}
-	if ins.G >= 0 {
-		row += in.vars[ins.G]
-	}
 	if a.Rows != len(vec) {
 		return fmt.Errorf("exec: Axpy shape mismatch: vector %d vs slab rows %d", len(vec), a.Rows)
 	}
-	if !in.phantom {
-		oocarray.Axpy(vec, a.Col(in.vars[ins.C]), bb.At(row, in.vars[ins.H]))
+	vars := in.vars
+	// at evaluates the operands under the current variables: where a's
+	// column and b's element start in their slabs' storage.
+	at := func() (aOff, bOff int) {
+		row := 0
+		if ins.E >= 0 {
+			row = vars[ins.E]
+			if ins.F >= 0 {
+				row *= in.slabs[ins.F].Width
+			}
+		}
+		if ins.G >= 0 {
+			row += vars[ins.G]
+		}
+		return vars[ins.C] * a.Rows, vars[ins.H]*bb.Rows + row
 	}
-	in.proc.Compute(2 * int64(a.Rows))
+	if loopSlot >= 0 {
+		vars[loopSlot] = first
+	}
+	aOff, bOff := at()
+	aStep, bStep := 0, 0
+	if loopSlot >= 0 {
+		if count-first > 1 {
+			vars[loopSlot] = first + 1
+			aNext, bNext := at()
+			aStep, bStep = aNext-aOff, bNext-bOff
+		}
+		vars[loopSlot] = count - 1 // where END_LOOP leaves it
+	}
+	oocarray.AxpyLoop(in.proc, vec, count-first, in.phantom, a.Data[aOff:], aStep, bb.Data[bOff:], bStep)
 	return nil
 }
 

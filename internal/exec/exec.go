@@ -514,7 +514,8 @@ type interp struct {
 	readers    []*oocarray.SlabReader
 	readerNext []int
 
-	// frames is the live loop stack.
+	// frames is the live loop stack, sized once to the stream's deepest
+	// loop nesting.
 	frames []frame
 
 	// estack is the expression evaluation scratch stack, sized once to
@@ -556,6 +557,7 @@ func newInterp(ctx context.Context, code *bytecode.Program, proc *mp.Proc, fs io
 		vecs:         make([][]float64, len(code.VecNames)),
 		readers:      make([]*oocarray.SlabReader, code.Readers),
 		readerNext:   make([]int, code.Readers),
+		frames:       make([]frame, 0, loopDepth(code.Code)),
 		estack:       make([][]float64, 0, code.MaxExprDepth()),
 		perArray:     make(map[string]*trace.IOStats, na),
 	}

@@ -356,15 +356,32 @@ func (p *Proc) Tracer() *trace.RankTracer { return p.tr }
 
 // Compute charges the given number of floating point operations to this
 // processor's clock.
-func (p *Proc) Compute(flops int64) {
+func (p *Proc) Compute(flops int64) { p.ComputeN(flops, 1) }
+
+// ComputeN charges n computations of flops operations each — the trips of
+// a loop whose body costs the same every time. It is n Compute calls to
+// the bit: the per-trip time is derived once, but the clock and
+// ComputeSeconds still take n separate additions in the same order (one
+// addition of n·dt would round differently), and an attached tracer still
+// sees one compute span per trip. Untraced, either sum is a chain of
+// dependent additions held in a register; through its pointer every
+// addition would wait for the previous one's store as well.
+func (p *Proc) ComputeN(flops int64, n int) {
 	dt := p.m.cfg.ComputeTime(flops)
-	start := p.clock.Seconds()
-	p.clock.Advance(dt)
 	if p.tr != nil {
-		p.tr.Emit(trace.Span{Kind: trace.KindCompute, Start: start, Dur: dt, N: flops})
+		for i := 0; i < n; i++ {
+			p.tr.Emit(trace.Span{Kind: trace.KindCompute, Start: p.clock.Seconds(), Dur: dt, N: flops})
+			p.clock.Advance(dt)
+		}
+	} else {
+		p.clock.AdvanceN(dt, n)
 	}
-	p.stats.Flops += flops
-	p.stats.ComputeSeconds += dt
+	busy := p.stats.ComputeSeconds
+	for i := 0; i < n; i++ {
+		busy += dt
+	}
+	p.stats.ComputeSeconds = busy
+	p.stats.Flops += int64(n) * flops
 }
 
 // mailboxCap sizes a mailbox from the machine size — the same depth for

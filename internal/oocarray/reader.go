@@ -64,11 +64,16 @@ func (r *SlabReader) Next() (icla *ICLA, ok bool, err error) {
 	}
 	r.next++
 	if r.arr.opts.Prefetch && r.next < r.slb.Count {
+		// The slab about to be delivered stays the reader's until the
+		// prefetch behind it has been issued: a prefetch read that fails,
+		// or is killed, must not strand it (Close releases it).
+		r.pending = icla
 		d := r.arr.laf.Disk()
 		d.SetDeferred(true)
 		pre, sec, err := r.arr.readSlabRaw(r.slb, r.next)
 		d.SetDeferred(false)
 		if err != nil {
+			r.Close()
 			return nil, false, err
 		}
 		r.pending = pre

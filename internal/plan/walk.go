@@ -7,9 +7,8 @@ import (
 
 // NodeLabel names an IR node for trace overlays and disassembly: loops by
 // their variable, redistributions by their endpoints, everything else by
-// its bare type name. The tree-walking interpreter and the bytecode
-// compiler both derive their KindNode span labels from it, so the two
-// execution paths emit identical timelines.
+// its bare type name. The bytecode compiler stores it as the node's
+// KindNode span label, so timelines name nodes the way the plan does.
 func NodeLabel(n Node) string {
 	switch n := n.(type) {
 	case *Loop:
@@ -24,8 +23,8 @@ func NodeLabel(n Node) string {
 // HasSumStore reports whether the body (recursively) performs a SumStore.
 // SumStore's reductions force globally uniform iteration counts, which is
 // what makes a loop's iteration boundaries collective-safe checkpoint
-// points; the interpreter and the bytecode compiler share this predicate
-// so they agree on where checkpoints may commit.
+// points: the bytecode compiler lowers a top-level loop it holds for to
+// LOOP_CKPT, the only loop a checkpoint may commit inside.
 func HasSumStore(body []Node) bool {
 	for _, n := range body {
 		switch n := n.(type) {

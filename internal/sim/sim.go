@@ -174,6 +174,18 @@ func (c *Clock) Advance(dt float64) {
 	}
 }
 
+// AdvanceN is n Advance(dt) calls: n separate additions, which is not
+// one addition of n·dt once the sum rounds.
+func (c *Clock) AdvanceN(dt float64, n int) {
+	if dt > 0 {
+		s := c.seconds
+		for ; n > 0; n-- {
+			s += dt
+		}
+		c.seconds = s
+	}
+}
+
 // SyncTo moves the clock forward to t if t is later than the current time.
 // Collective operations use it to model the implicit barrier: every
 // participant leaves at the time the slowest participant arrived plus the

@@ -49,10 +49,12 @@ var gaxpyPlanOpts = compiler.Options{N: 128, Procs: 4, MemElems: 16 * 128}
 // serve.runJob does. Every other kernel runs under context.Background,
 // whose nil Done channel makes the engine's per-instruction cancellation
 // check free; a cancellable context is what a served job really pays
-// for: gaxpy-plan-deadline reads 15-20 % above gaxpy-plan on this
-// loop-dense plan (one non-blocking channel receive per instruction),
-// where a check that takes a lock shared by the ranks reads 2.3x, and
-// it must report the same sim_s to the digit.
+// for: one non-blocking channel receive per dispatched instruction.
+// While every trip of the innermost loop was dispatched,
+// gaxpy-plan-deadline read 15-20 % above gaxpy-plan (and 2.3x with a
+// check that takes a lock shared by the ranks); with that loop one
+// kernel (exec's lone-AXPY rule) the two read the same within the noise.
+// It must report the same sim_s to the digit.
 func mkPlan(src string, copts compiler.Options, deadline bool) func() (func() (float64, error), error) {
 	return func() (func() (float64, error), error) {
 		res, err := compiler.CompileSource(src, copts)
