@@ -3,9 +3,19 @@
 // the distribution it *wants*, all processors first access their local
 // array files in the distribution the files *have* — one large contiguous
 // run per round — and then exchange elements in memory through
-// mp.AllToAll. Disk requests are traded for messages, which is the right
-// trade whenever the per-request overhead dominates (Eqs. 3-6 of the
-// paper: 15ms per request on the Touchstone Delta vs 80us per message).
+// mp.AllToAllOwned. Disk requests are traded for messages, which is the
+// right trade whenever the per-request overhead dominates (Eqs. 3-6 of
+// the paper: 15ms per request on the Touchstone Delta vs 80us per
+// message).
+//
+// The sender routes runs, not elements, whenever the index map lets it:
+// under the identity and the transpose — the only maps the compiler emits
+// — a column of a regularly mapped array falls into a few runs of rows
+// with one destination owner and a linear index affine in the row, so the
+// routing tables are consulted once per run (see Redistribute). The wire
+// still carries (linear index, value) pairs, the same ones in the same
+// order as routing element by element produces: what a message holds is
+// what the simulated machine is charged for.
 //
 // The layer offers three destination write strategies so the compiler's
 // cost model can choose per statement:
@@ -125,45 +135,98 @@ func clampWidth(budget, rows, cols int) int {
 	return w
 }
 
+// IndexMap says where a redistribution puts each element: the global
+// index pair of the destination at which source element (gi, gj) lands.
+// The zero value is the identity; Transpose swaps the indices; Func wraps
+// any other map. Redistribute inspects the kind: the two structured maps
+// are routed by runs, a func element by element.
+type IndexMap struct {
+	transpose bool
+	fn        func(gi, gj int) (di, dj int)
+}
+
+// Transpose is the index map (gi, gj) -> (gj, gi).
+func Transpose() IndexMap { return IndexMap{transpose: true} }
+
+// Func is the index map given by an arbitrary function; nil is the
+// identity.
+func Func(fn func(gi, gj int) (di, dj int)) IndexMap { return IndexMap{fn: fn} }
+
+// at applies the map to one global index pair.
+func (m IndexMap) at(gi, gj int) (di, dj int) {
+	switch {
+	case m.fn != nil:
+		return m.fn(gi, gj)
+	case m.transpose:
+		return gj, gi
+	}
+	return gi, gj
+}
+
+func (m IndexMap) identity() bool { return m.fn == nil && !m.transpose }
+
+// sweptDim is the destination dimension a structured map's index moves
+// along as the source row does; the column's index lies in the other.
+func (m IndexMap) sweptDim() int {
+	if m.transpose {
+		return 1
+	}
+	return 0
+}
+
 // Redistribute copies the distributed array described by src into the one
-// described by dst, applying transform to every global index pair (nil
-// means the identity, in which case the global shapes must agree). All
-// ranks must call it collectively with the same memElems, tag, transform
-// semantics and method.
+// described by dst, storing every source element where the index map m
+// puts it (under the identity the global shapes must agree). All ranks
+// must call it collectively with the same memElems, tag, map and method.
 //
 // Phase 1 is the same for every method: each rank reads its LAF in
 // conforming column slabs — one contiguous request per round — and
-// routes each element to its destination owner through mp.AllToAll as
-// (linear index, value) pairs. The method only decides how the receiving
-// rank applies the incoming pairs to its own LAF.
+// routes each element to its destination owner as a (linear index,
+// value) pair; the buckets, one per owner, are handed to
+// mp.AllToAllOwned, which moves them without a copy. The method only
+// decides how the receiving rank applies the incoming pairs to its own
+// LAF.
 //
 // Both mappings are regular, so the routing is inspected once and
-// executed by lookup: the source side's local-to-global indices and the
-// destination side's owner and local index come from the mappings'
-// dist.Tables2, and the per-element loop only calls transform, checks its
-// result against the destination shape and indexes.
-func Redistribute(p *mp.Proc, src, dst Side, memElems, tag int, transform func(gi, gj int) (di, dj int), method Method) error {
-	return redistribute(p, src, dst, memElems, tag, transform, method, p.AllToAll)
+// executed by lookup (the mappings' dist.Tables2). Under the identity and
+// the transpose the unit of routing is a run: the rank's local rows are
+// cut once per call into maximal segments whose destination index along
+// the swept dimension has one owner and consecutive local indices
+// (segments), and each column then sends every segment to one bucket with
+// a linear index affine in the row — one run per owner under BLOCK, not
+// one lookup per element. An arbitrary func is routed element by element
+// into the same buckets. Either way the wire carries the same pairs in
+// the same order: a run-encoded message would be shorter, and would move
+// the simulated clock with it.
+//
+// An index map that leaves the destination's global shape is an error
+// naming the element. The corners of the source shape are tried before
+// the first collective, so a structured map between mismatched shapes
+// (or any monotone func) fails on every rank at once; a func is checked
+// again at every element.
+func Redistribute(p *mp.Proc, src, dst Side, memElems, tag int, m IndexMap, method Method) error {
+	return redistribute(p, src, dst, memElems, tag, m, method, p.AllToAllOwned)
 }
 
 // redistribute is Redistribute with the shuffle passed in, so the
 // wire-level witness test can see every round's payloads on their way to
-// p.AllToAll.
-func redistribute(p *mp.Proc, src, dst Side, memElems, tag int, transform func(gi, gj int) (di, dj int), method Method,
+// p.AllToAllOwned.
+func redistribute(p *mp.Proc, src, dst Side, memElems, tag int, m IndexMap, method Method,
 	exchange func(tag int, parts [][]float64) [][]float64) error {
 	if src.Rank != p.Rank() || dst.Rank != p.Rank() {
 		return fmt.Errorf("collio: redistribute on rank %d given sides of ranks %d and %d",
 			p.Rank(), src.Rank, dst.Rank)
 	}
-	ss, ds := src.Map.GlobalShape(), dst.Map.GlobalShape()
-	if len(ss) != 2 || len(ds) != 2 {
-		return fmt.Errorf("collio: redistribute wants two-dimensional arrays, got global shapes %v and %v", ss, ds)
+	if len(src.Map.Dims) != 2 || len(dst.Map.Dims) != 2 {
+		return fmt.Errorf("collio: redistribute wants two-dimensional arrays, got global shapes %v and %v",
+			src.Map.GlobalShape(), dst.Map.GlobalShape())
 	}
-	if transform == nil {
-		if ss[0] != ds[0] || ss[1] != ds[1] {
-			return fmt.Errorf("collio: redistribute between different global shapes %v and %v", ss, ds)
-		}
-		transform = func(gi, gj int) (int, int) { return gi, gj }
+	// Arrays, not GlobalShape's slices: an error message boxes them, and a
+	// boxed slice would put both on the heap in every call.
+	ss := [2]int{src.Map.Dims[0].Extent, src.Map.Dims[1].Extent}
+	ds := [2]int{dst.Map.Dims[0].Extent, dst.Map.Dims[1].Extent}
+	if m.identity() && ss != ds {
+		return fmt.Errorf("collio: redistribute between different global shapes %v and %v", ss, ds)
 	}
 	size := p.Size()
 	rowG, colG := src.Map.LocalGlobals(src.Rank)
@@ -175,11 +238,19 @@ func redistribute(p *mp.Proc, src, dst Side, memElems, tag int, transform func(g
 	if len(dstT.Rows) > size {
 		return fmt.Errorf("collio: destination mapping spans %d processors on a machine of %d", len(dstT.Rows), size)
 	}
-	own0, loc0 := dstT.Dim[0].Own, dstT.Dim[0].Loc
-	own1, loc1 := dstT.Dim[1].Own, dstT.Dim[1].Loc
-	// Destination linear indices use the owner's local row count, which
-	// under ragged block sizes differs between ranks.
-	dstRowsOf := dstT.Rows
+	if ss[0] > 0 && ss[1] > 0 {
+		for _, gi := range [2]int{0, ss[0] - 1} {
+			for _, gj := range [2]int{0, ss[1] - 1} {
+				if di, dj := m.at(gi, gj); !inShape(di, dj, ds) {
+					return outsideShape(gi, gj, di, dj, ds)
+				}
+			}
+		}
+	}
+	var segs []seg
+	if m.fn == nil {
+		segs = segments(rowG, &dstT.Dim[m.sweptDim()])
+	}
 
 	w := SrcSlabWidth(memElems, src.Rows, src.Cols)
 	myRounds := 0
@@ -218,18 +289,22 @@ func redistribute(p *mp.Proc, src, dst Side, memElems, tag int, transform func(g
 		// start out zeroed like the make it replaced.
 		clear(buf)
 	}
-	// parts and the receiver's buckets are arena buffers reused across
-	// rounds: lengths reset, capacities kept, so after the first rounds
-	// have grown them nothing is taken from the arena or the heap, and
-	// every exit hands them back.
+	// parts holds the round's buckets, arena buffers one per owner. The
+	// exchange takes them all, so every round starts from nil and re-takes
+	// each bucket at the length the round before sent (sent): after round
+	// 0 has grown them by doubling nothing is copied to grow again. What
+	// an error or a panic finds still in parts goes back on the way out.
 	parts := make([][]float64, size)
 	defer releaseBuckets(parts)
+	sent := make([]int, size)
 	for round := 0; round < rounds; round++ {
 		t0 := clock.Seconds()
-		for q := range parts {
-			parts[q] = parts[q][:0]
-		}
 		if round < myRounds {
+			for q, n := range sent {
+				if n > 0 {
+					parts[q] = bufpool.GetF64(n)[:0]
+				}
+			}
 			c0 := round * w
 			cw := src.Cols - c0
 			if cw > w {
@@ -241,36 +316,21 @@ func redistribute(p *mp.Proc, src, dst Side, memElems, tag int, transform func(g
 				return err
 			}
 			src.charge("io-read", sec)
-			for lj, gj := range colG[c0 : c0+cw] {
-				col := data[lj*src.Rows : (lj+1)*src.Rows]
-				for li, gi := range rowG {
-					di, dj := transform(int(gi), int(gj))
-					// One unsigned compare per index also rejects negatives.
-					if uint(di) >= uint(len(own0)) || uint(dj) >= uint(len(own1)) {
-						return fmt.Errorf("collio: transform maps (gi,gj)=(%d,%d) to (%d,%d) outside destination shape %v",
-							gi, gj, di, dj, ds)
-					}
-					owner := own0[di] + own1[dj]
-					lin := int(loc1[dj])*int(dstRowsOf[owner]) + int(loc0[di])
-					parts[owner] = appendPair(parts[owner], float64(lin), col[li])
-				}
+			if m.fn == nil {
+				routeRuns(parts, data, src.Rows, colG[c0:c0+cw], segs, dstT, m.transpose)
+			} else if err := routeElems(parts, data, rowG, colG[c0:c0+cw], dstT, m.fn, ds); err != nil {
+				return err
 			}
+		}
+		for q, b := range parts {
+			sent[q] = len(b)
 		}
 		phase("collio:read", t0)
 		t1 := clock.Seconds()
 		incoming := exchange(tag, parts)
 		phase("collio:shuffle", t1)
 		t2 := clock.Seconds()
-		err := checkPayloads(incoming)
-		if err == nil {
-			err = recv.absorb(incoming)
-		}
-		// The payloads are arena buffers: the whole round goes back
-		// whether or not it could be applied.
-		for _, in := range incoming {
-			mp.ReleaseBuf(in)
-		}
-		if err != nil {
+		if err := absorbRound(recv, incoming); err != nil {
 			return err
 		}
 		phase("collio:write", t2)
@@ -283,20 +343,131 @@ func redistribute(p *mp.Proc, src, dst Side, memElems, tag int, transform func(g
 	return nil
 }
 
+// inShape reports whether (di, dj) lies in the global shape ds; one
+// unsigned compare per index also rejects negatives.
+func inShape(di, dj int, ds [2]int) bool {
+	return uint(di) < uint(ds[0]) && uint(dj) < uint(ds[1])
+}
+
+func outsideShape(gi, gj, di, dj int, ds [2]int) error {
+	return fmt.Errorf("collio: transform maps (gi,gj)=(%d,%d) to (%d,%d) outside destination shape %v",
+		gi, gj, di, dj, ds)
+}
+
+// seg is a run of a rank's local rows [li0, li0+n) whose destination
+// index along the swept dimension has one owner contribution (own, as in
+// dist.DimTable.Own) and the consecutive local indices loc0, loc0+1, ….
+type seg struct {
+	li0, n, own, loc0 int32
+}
+
+// segments cuts the local rows, given by their global indices, into the
+// maximal runs of the swept destination dimension: one per owner under
+// BLOCK, one per block under CYCLIC(k), one per row under CYCLIC.
+func segments(rowG []int32, swept *dist.DimTable) []seg {
+	cut := func(li int) bool {
+		g, prev := rowG[li], rowG[li-1]
+		return swept.Own[g] != swept.Own[prev] || swept.Loc[g] != swept.Loc[prev]+1
+	}
+	n := 0
+	for li := range rowG {
+		if li == 0 || cut(li) {
+			n++
+		}
+	}
+	segs := make([]seg, 0, n)
+	for li, g := range rowG {
+		if li == 0 || cut(li) {
+			segs = append(segs, seg{li0: int32(li), own: swept.Own[g], loc0: swept.Loc[g]})
+		}
+		segs[len(segs)-1].n++
+	}
+	return segs
+}
+
+// routeRuns routes one slab of full local columns (data, rows elements a
+// column, global column indices colG) under a structured map: every
+// segment of every column is one reservation in its owner's bucket and
+// one branch-free fill, the linear index stepping by 1 under the identity
+// and by the owner's row count under the transpose. It appends exactly
+// the pairs routeElems would, in the same order.
+func routeRuns(parts [][]float64, data []float64, rows int, colG []int32, segs []seg, dstT *dist.Tables2, transpose bool) {
+	fixed := &dstT.Dim[1]
+	if transpose {
+		fixed = &dstT.Dim[0]
+	}
+	// Destination linear indices use the owner's local row count, which
+	// under ragged block sizes differs between ranks.
+	rowsOf := dstT.Rows
+	for lj, gj := range colG {
+		col := data[lj*rows : (lj+1)*rows]
+		fown, floc := fixed.Own[gj], int(fixed.Loc[gj])
+		for _, s := range segs {
+			owner := s.own + fown
+			dstRows := int(rowsOf[owner])
+			lin, step := floc*dstRows+int(s.loc0), 1
+			if transpose {
+				lin, step = int(s.loc0)*dstRows+floc, dstRows
+			}
+			b := parts[owner]
+			k := len(b)
+			if k+2*int(s.n) > cap(b) {
+				b = growBucket(b, k+2*int(s.n))
+			}
+			b = b[:k+2*int(s.n)]
+			parts[owner] = b
+			fillRun(b[k:], col[s.li0:s.li0+s.n], lin, step)
+		}
+	}
+}
+
+// fillRun writes the pairs (lin + t*step, vals[t]) into out. The index is
+// stepped in float64, which is exact for every index a file can have.
+func fillRun(out, vals []float64, lin, step int) {
+	out = out[:2*len(vals)]
+	idx, d := float64(lin), float64(step)
+	for t, v := range vals {
+		out[2*t], out[2*t+1] = idx, v
+		idx += d
+	}
+}
+
+// routeElems is routeRuns for an arbitrary index function: one call, one
+// range check and one table lookup per element.
+func routeElems(parts [][]float64, data []float64, rowG, colG []int32, dstT *dist.Tables2,
+	fn func(gi, gj int) (di, dj int), ds [2]int) error {
+	own0, loc0 := dstT.Dim[0].Own, dstT.Dim[0].Loc
+	own1, loc1 := dstT.Dim[1].Own, dstT.Dim[1].Loc
+	rowsOf := dstT.Rows
+	for lj, gj := range colG {
+		col := data[lj*len(rowG) : (lj+1)*len(rowG)]
+		for li, gi := range rowG {
+			di, dj := fn(int(gi), int(gj))
+			if !inShape(di, dj, ds) {
+				return outsideShape(int(gi), int(gj), di, dj, ds)
+			}
+			owner := own0[di] + own1[dj]
+			lin := int(loc1[dj])*int(rowsOf[owner]) + int(loc0[di])
+			parts[owner] = appendPair(parts[owner], float64(lin), col[li])
+		}
+	}
+	return nil
+}
+
 // appendPair appends one (index, value) pair to an arena-backed bucket.
 // The full-bucket path is growBucket's so that this one inlines into the
 // per-element loops.
 func appendPair(b []float64, idx, val float64) []float64 {
 	if len(b)+2 > cap(b) {
-		b = growBucket(b)
+		b = growBucket(b, len(b)+2)
 	}
 	return append(b, idx, val) // within capacity: never the heap's growth
 }
 
 // growBucket moves a full bucket to an arena buffer of twice its
-// capacity.
-func growBucket(b []float64) []float64 {
-	grown := bufpool.GetF64(max(2*cap(b), 2))[:len(b)]
+// capacity, or of need elements if that is more.
+func growBucket(b []float64, need int) []float64 {
+	grown := bufpool.GetF64(max(2*cap(b), need))[:len(b)]
 	copy(grown, b)
 	bufpool.PutF64(b)
 	return grown
@@ -308,6 +479,21 @@ func releaseBuckets(buckets [][]float64) {
 		bufpool.PutF64(b)
 		buckets[i] = nil
 	}
+}
+
+// absorbRound applies one round's payloads and returns them to the arena
+// — all of them, whether the round could be applied, was malformed, or
+// died under a kill part-way through a write.
+func absorbRound(recv receiver, incoming [][]float64) error {
+	defer func() {
+		for _, in := range incoming {
+			mp.ReleaseBuf(in)
+		}
+	}()
+	if err := checkPayloads(incoming); err != nil {
+		return err
+	}
+	return recv.absorb(incoming)
 }
 
 // checkPayloads rejects a round in which some peer's payload is not a
@@ -493,6 +679,8 @@ func newTwoPhaseReceiver(dst Side, memElems int) (*twoPhaseReceiver, error) {
 	r.scratchName = fmt.Sprintf("%s.p%d.collio.scratch", dst.Map.Name, dst.Rank)
 	scratch, err := dst.LAF.Disk().CreateLAF(r.scratchName, acc)
 	if err != nil {
+		// A create that failed at sizing the file leaves it behind, empty.
+		dst.LAF.Disk().RemoveLAF(r.scratchName)
 		return nil, err
 	}
 	r.scratch = scratch
@@ -618,66 +806,68 @@ func (r *twoPhaseReceiver) spill(incoming [][]float64) error {
 }
 
 func (r *twoPhaseReceiver) finish() error {
-	// In phantom (accounting-only) mode scratch reads return zeros, not
-	// the indices written, so the scatter must be skipped; every request
-	// is still issued and counted identically.
-	phantom := r.dst.LAF.Disk().Phantom()
 	for wdx := 0; wdx < r.nWin; wdx++ {
 		if r.elems[wdx] == 0 {
 			continue
 		}
-		var pairFloats, pooledPF []float64
-		if r.inMem {
-			pairFloats = r.bufs[wdx]
-		} else if r.spilled[wdx] > 0 {
-			pooledPF = bufpool.GetF64(int(r.spilled[wdx]))
-			pairFloats = pooledPF
-			sec, err := r.scratch.ReadChunks([]iosim.Chunk{{Off: r.off[wdx], Len: len(pairFloats)}}, pairFloats)
-			if err != nil {
-				bufpool.PutF64(pooledPF)
-				return err
-			}
-			r.dst.charge("io-read", sec)
+		if err := r.flush(wdx); err != nil {
+			return err
 		}
-		// Cleared, never merely overwritten: with duplicate destination
-		// indices the received count can reach the window size without
-		// covering every element, so untouched elements must read as the
-		// zeros make used to provide.
-		staging := bufpool.GetF64(r.elems[wdx])
-		clear(staging)
-		release := func() {
-			bufpool.PutF64(staging)
-			bufpool.PutF64(pooledPF)
-		}
-		win := []iosim.Chunk{{Off: r.base[wdx], Len: r.elems[wdx]}}
-		if r.counts[wdx] < r.elems[wdx] {
-			// The window was only partially produced: pre-read it so the
-			// untouched elements survive the full-window writeback. One
-			// extra contiguous request.
-			sec, err := r.dst.LAF.ReadChunks(win, staging)
-			if err != nil {
-				release()
-				return err
-			}
-			r.dst.charge("io-read", sec)
-		}
-		if !phantom {
-			for i := 0; i+1 < len(pairFloats); i += 2 {
-				lin := int(pairFloats[i]) - int(r.base[wdx])
-				if lin < 0 || lin >= len(staging) {
-					release()
-					return fmt.Errorf("collio: staged index %d outside window %d", int(pairFloats[i]), wdx)
-				}
-				staging[lin] = pairFloats[i+1]
-			}
-		}
-		sec, err := r.dst.LAF.WriteChunks(win, staging)
-		release()
+	}
+	return nil
+}
+
+// flush scatters window wdx's pairs into a staging buffer and writes the
+// window back with one request. What it borrows from the arena it returns
+// on every way out, a kill inside one of its transfers included.
+func (r *twoPhaseReceiver) flush(wdx int) error {
+	var pairFloats []float64
+	if r.inMem {
+		pairFloats = r.bufs[wdx]
+	} else if r.spilled[wdx] > 0 {
+		pairFloats = bufpool.GetF64(int(r.spilled[wdx]))
+		defer bufpool.PutF64(pairFloats)
+		sec, err := r.scratch.ReadChunks([]iosim.Chunk{{Off: r.off[wdx], Len: len(pairFloats)}}, pairFloats)
 		if err != nil {
 			return err
 		}
-		r.dst.charge("io-write", sec)
+		r.dst.charge("io-read", sec)
 	}
+	// Cleared, never merely overwritten: with duplicate destination
+	// indices the received count can reach the window size without
+	// covering every element, so untouched elements must read as the
+	// zeros make used to provide.
+	staging := bufpool.GetF64(r.elems[wdx])
+	defer bufpool.PutF64(staging)
+	clear(staging)
+	win := []iosim.Chunk{{Off: r.base[wdx], Len: r.elems[wdx]}}
+	if r.counts[wdx] < r.elems[wdx] {
+		// The window was only partially produced: pre-read it so the
+		// untouched elements survive the full-window writeback. One
+		// extra contiguous request.
+		sec, err := r.dst.LAF.ReadChunks(win, staging)
+		if err != nil {
+			return err
+		}
+		r.dst.charge("io-read", sec)
+	}
+	// In phantom (accounting-only) mode scratch reads return zeros, not
+	// the indices written, so the scatter must be skipped; every request
+	// is still issued and counted identically.
+	if !r.dst.LAF.Disk().Phantom() {
+		for i := 0; i+1 < len(pairFloats); i += 2 {
+			lin := int(pairFloats[i]) - int(r.base[wdx])
+			if lin < 0 || lin >= len(staging) {
+				return fmt.Errorf("collio: staged index %d outside window %d", int(pairFloats[i]), wdx)
+			}
+			staging[lin] = pairFloats[i+1]
+		}
+	}
+	sec, err := r.dst.LAF.WriteChunks(win, staging)
+	if err != nil {
+		return err
+	}
+	r.dst.charge("io-write", sec)
 	return nil
 }
 

@@ -2,10 +2,14 @@ package collio
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/ooc-hpf/passion/internal/bufpool"
 	"github.com/ooc-hpf/passion/internal/dist"
@@ -84,15 +88,27 @@ func checkSide(s Side, want func(gi, gj int) float64) error {
 
 // redistCase is one distribution scenario of the method-equivalence
 // property: all three write strategies must land every element exactly
-// where the destination mapping (after transform) says.
+// where the destination mapping (after the index map) says.
 type redistCase struct {
 	name      string
 	n, p      int
 	memElems  int
 	mkSrc     func(n, p int) (*dist.Array, error)
 	mkDst     func(n, p int) (*dist.Array, error)
-	transform func(gi, gj int) (int, int)
+	transpose bool
 	wantAt    func(gi, gj int) float64
+}
+
+func swap(gi, gj int) (int, int) { return gj, gi }
+func same(gi, gj int) (int, int) { return gi, gj }
+
+// indexMaps returns the case's index map in its two forms: structured
+// (routed by runs) and as an opaque func (routed element by element).
+func (tc redistCase) indexMaps() map[string]IndexMap {
+	if tc.transpose {
+		return map[string]IndexMap{"runs": Transpose(), "func": Func(swap)}
+	}
+	return map[string]IndexMap{"runs": {}, "func": Func(same)}
 }
 
 func colBlock(name string) func(n, p int) (*dist.Array, error) {
@@ -121,9 +137,8 @@ func redistCases() []redistCase {
 		},
 		{
 			name: "ragged-transpose", n: 9, p: 4, memElems: 18,
-			mkSrc:     colBlock("src"),
-			mkDst:     colBlock("dst"),
-			transform: func(gi, gj int) (int, int) { return gj, gi },
+			mkSrc: colBlock("src"), mkDst: colBlock("dst"),
+			transpose: true,
 			wantAt:    func(gi, gj int) float64 { return valueAt(gj, gi) },
 		},
 		{
@@ -145,17 +160,17 @@ func redistCases() []redistCase {
 			// One-column slabs and one-column windows with a spilling
 			// two-phase receiver: the smallest legal budget.
 			name: "tiny-memory-spill", n: 10, p: 4, memElems: 1,
-			mkSrc:     colBlock("src"),
-			mkDst:     colBlock("dst"),
-			transform: func(gi, gj int) (int, int) { return gj, gi },
+			mkSrc: colBlock("src"), mkDst: colBlock("dst"),
+			transpose: true,
 			wantAt:    func(gi, gj int) float64 { return valueAt(gj, gi) },
 		},
 	}
 }
 
-// runCase executes one scenario under one method over a fresh in-memory
-// file system, optionally injecting faults, and checks the destination.
-func runCase(t *testing.T, tc redistCase, method Method, chaos bool) {
+// runCase executes one scenario under one index-map form and one method
+// over a fresh in-memory file system, optionally injecting faults, and
+// checks the destination.
+func runCase(t *testing.T, tc redistCase, form string, m IndexMap, method Method, chaos bool) {
 	t.Helper()
 	var fs iosim.FS = iosim.NewMemFS()
 	var resil *iosim.Resilience
@@ -177,13 +192,13 @@ func runCase(t *testing.T, tc redistCase, method Method, chaos bool) {
 		disk := iosim.NewResilientDisk(fs, proc.Config(), &proc.Stats().IO, resil)
 		src := sideFor(t, disk, srcMap, proc.Rank(), valueAt)
 		dst := sideFor(t, disk, dstMap, proc.Rank(), nil)
-		if err := Redistribute(proc, src, dst, tc.memElems, 30, tc.transform, method); err != nil {
+		if err := Redistribute(proc, src, dst, tc.memElems, 30, m, method); err != nil {
 			return err
 		}
 		return checkSide(dst, tc.wantAt)
 	})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("routed by %s: %v", form, err)
 	}
 }
 
@@ -195,7 +210,9 @@ func TestMethodsProduceIdenticalResults(t *testing.T) {
 	for _, tc := range redistCases() {
 		for _, method := range []Method{Direct, Sieved, TwoPhase} {
 			t.Run(tc.name+"/"+method.String(), func(t *testing.T) {
-				runCase(t, tc, method, false)
+				for form, m := range tc.indexMaps() {
+					runCase(t, tc, form, m, method, false)
+				}
 			})
 		}
 	}
@@ -208,7 +225,9 @@ func TestMethodsUnderChaos(t *testing.T) {
 	for _, tc := range redistCases() {
 		for _, method := range []Method{Direct, Sieved, TwoPhase} {
 			t.Run(tc.name+"/"+method.String(), func(t *testing.T) {
-				runCase(t, tc, method, true)
+				for form, m := range tc.indexMaps() {
+					runCase(t, tc, form, m, method, true)
+				}
 			})
 		}
 	}
@@ -231,8 +250,7 @@ func TestTwoPhaseScratchCleanup(t *testing.T) {
 		}
 		src := sideFor(t, disk, srcMap, proc.Rank(), valueAt)
 		dst := sideFor(t, disk, dstMap, proc.Rank(), nil)
-		swap := func(gi, gj int) (int, int) { return gj, gi }
-		return Redistribute(proc, src, dst, 1, 31, swap, TwoPhase)
+		return Redistribute(proc, src, dst, 1, 31, Transpose(), TwoPhase)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -416,7 +434,7 @@ func TestRedistributeRankMismatch(t *testing.T) {
 		s := sideFor(t, disk, dm, proc.Rank(), valueAt)
 		wrong := s
 		wrong.Rank = (proc.Rank() + 1) % 2
-		if err := Redistribute(proc, wrong, s, 8, 32, nil, Direct); err == nil {
+		if err := Redistribute(proc, wrong, s, 8, 32, IndexMap{}, Direct); err == nil {
 			return fmt.Errorf("rank mismatch not detected")
 		}
 		// A destination mapped over more processors than the machine has
@@ -426,7 +444,7 @@ func TestRedistributeRankMismatch(t *testing.T) {
 			return err
 		}
 		d := sideFor(t, disk, wide, proc.Rank(), nil)
-		if err := Redistribute(proc, s, d, 8, 32, nil, Direct); err == nil || !strings.Contains(err.Error(), "spans 4 processors") {
+		if err := Redistribute(proc, s, d, 8, 32, IndexMap{}, Direct); err == nil || !strings.Contains(err.Error(), "spans 4 processors") {
 			return fmt.Errorf("mapping wider than the machine: got %v", err)
 		}
 		return nil
@@ -465,7 +483,7 @@ func TestMalformedPayloadReleasesRound(t *testing.T) {
 		src := sideFor(t, disk, dm, 0, valueAt)
 		dst := sideFor(t, disk, dm, 0, nil)
 		defer discard(disk, src, dst)
-		rerr := Redistribute(proc, src, dst, 16, tag, nil, Direct)
+		rerr := Redistribute(proc, src, dst, 16, tag, IndexMap{}, Direct)
 		if rerr == nil || !strings.Contains(rerr.Error(), "index/value pairs") {
 			return fmt.Errorf("want malformed-payload failure, got %v", rerr)
 		}
@@ -518,7 +536,7 @@ func TestTransformOutsideDestination(t *testing.T) {
 					dst := sideFor(t, disk, dstMap, proc.Rank(), nil)
 					defer discard(disk, src, dst)
 					// One column per round; a spilling two-phase receiver.
-					return Redistribute(proc, src, dst, n, 33, transform, method)
+					return Redistribute(proc, src, dst, n, 33, Func(transform), method)
 				})
 				if err == nil || !strings.Contains(err.Error(), "outside destination shape [8 8]") ||
 					!strings.Contains(err.Error(), "collio: transform maps (gi,gj)=(") {
@@ -553,7 +571,6 @@ func BenchmarkRedistributeTwoPhase(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	swap := func(gi, gj int) (int, int) { return gj, gi }
 	fs := iosim.NewMemFS()
 	run := func(body func(proc *mp.Proc, disk *iosim.Disk) error) {
 		b.Helper()
@@ -584,7 +601,7 @@ func BenchmarkRedistributeTwoPhase(b *testing.B) {
 			return err
 		}
 		defer dst.LAF.Close()
-		return Redistribute(proc, src, dst, memElems, 30, swap, TwoPhase)
+		return Redistribute(proc, src, dst, memElems, 30, Transpose(), TwoPhase)
 	}
 	run(op) // warm-up: the arena holds every class the op takes
 	b.SetBytes(n * n * 8)
@@ -602,4 +619,283 @@ func BenchmarkRedistributeTwoPhase(b *testing.B) {
 		defer dst.LAF.Close()
 		return checkSide(dst, func(gi, gj int) float64 { return valueAt(gj, gi) })
 	})
+}
+
+// TestSegments pins the cut of a rank's local rows into runs of the swept
+// destination dimension.
+func TestSegments(t *testing.T) {
+	all := func(n int) []int32 { // a collapsed source dimension: every row is local
+		g := make([]int32, n)
+		for i := range g {
+			g[i] = int32(i)
+		}
+		return g
+	}
+	table := func(m dist.Map) *dist.DimTable {
+		a, err := dist.NewArray("t", m, dist.NewCollapsed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &a.Tables2().Dim[0]
+	}
+	cases := []struct {
+		name  string
+		rowG  []int32
+		swept dist.Map
+		want  []seg
+	}{
+		{"block: one segment per owner, the last one ragged", all(10), dist.NewBlock(10, 4),
+			[]seg{{0, 3, 0, 0}, {3, 3, 1, 0}, {6, 3, 2, 0}, {9, 1, 3, 0}}},
+		{"cyclic: a segment per row", all(5), dist.NewCyclic(5, 2),
+			[]seg{{0, 1, 0, 0}, {1, 1, 1, 0}, {2, 1, 0, 1}, {3, 1, 1, 1}, {4, 1, 0, 2}}},
+		{"cyclic(3): a segment per block, the tail cut", all(11), dist.NewBlockCyclic(11, 2, 3),
+			[]seg{{0, 3, 0, 0}, {3, 3, 1, 0}, {6, 3, 0, 3}, {9, 2, 1, 3}}},
+		{"collapsed: one segment", all(7), dist.NewCollapsed(7),
+			[]seg{{0, 7, 0, 0}}},
+		{"source rows cyclic like the destination's: one segment", []int32{1, 4, 7, 10}, dist.NewCyclic(12, 3),
+			[]seg{{0, 4, 1, 0}}},
+		{"source rows cyclic(2) into block: cut where the rows jump", []int32{2, 3, 6, 7}, dist.NewBlock(8, 2),
+			[]seg{{0, 2, 0, 2}, {2, 2, 1, 2}}},
+		{"an empty local section", nil, dist.NewBlock(6, 3), []seg{}},
+	}
+	for _, tc := range cases {
+		if got := segments(tc.rowG, table(tc.swept)); !slices.Equal(got, tc.want) {
+			t.Errorf("%s:\n got %v\nwant %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// mappingKinds are the regular mappings of an r x c array over p
+// processors the routing property below draws from — the families of
+// dist's TestTables2AgainstOracle: BLOCK, CYCLIC and CYCLIC(k) along
+// either dimension with the other collapsed (ragged and empty last
+// blocks come with the random extents), and two-dimensional grids.
+var mappingKinds = []func(name string, r, c, p, k int) (*dist.Array, error){
+	func(name string, r, c, p, k int) (*dist.Array, error) {
+		return dist.NewArray(name, dist.NewCollapsed(r), dist.NewBlock(c, p))
+	},
+	func(name string, r, c, p, k int) (*dist.Array, error) {
+		return dist.NewArray(name, dist.NewBlock(r, p), dist.NewCollapsed(c))
+	},
+	func(name string, r, c, p, k int) (*dist.Array, error) {
+		return dist.NewArray(name, dist.NewCollapsed(r), dist.NewCyclic(c, p))
+	},
+	func(name string, r, c, p, k int) (*dist.Array, error) {
+		return dist.NewArray(name, dist.NewCyclic(r, p), dist.NewCollapsed(c))
+	},
+	func(name string, r, c, p, k int) (*dist.Array, error) {
+		return dist.NewArray(name, dist.NewCollapsed(r), dist.NewBlockCyclic(c, p, k))
+	},
+	func(name string, r, c, p, k int) (*dist.Array, error) {
+		return dist.NewArray(name, dist.NewBlockCyclic(r, p, k), dist.NewCollapsed(c))
+	},
+	func(name string, r, c, p, k int) (*dist.Array, error) {
+		p0, p1 := gridOf(p)
+		return dist.NewGridArray(name, dist.NewGrid(p0, p1), dist.NewBlock(r, p0), dist.NewBlock(c, p1))
+	},
+	func(name string, r, c, p, k int) (*dist.Array, error) {
+		p0, p1 := gridOf(p)
+		return dist.NewGridArray(name, dist.NewGrid(p0, p1), dist.NewCyclic(r, p0), dist.NewBlockCyclic(c, p1, k))
+	},
+}
+
+// gridOf factors p into the most nearly square grid.
+func gridOf(p int) (p0, p1 int) {
+	p0 = 1
+	for f := 2; f*f <= p; f++ {
+		if p%f == 0 {
+			p0 = f
+		}
+	}
+	return p0, p / p0
+}
+
+// TestRunRouteEqualsElementRoute is the property the run route stands on:
+// over random shapes, machine sizes, memory budgets and pairs of regular
+// mappings, under the identity and the transpose, every bucket of every
+// round holds bit for bit what the element route puts there — and the
+// destination comes out right.
+func TestRunRouteEqualsElementRoute(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	trials := 120
+	if testing.Short() {
+		trials = 30
+	}
+	for trial := 0; trial < trials; trial++ {
+		p := []int{1, 2, 3, 4, 6}[rng.Intn(5)]
+		r, c, k := 1+rng.Intn(14), 1+rng.Intn(14), 1+rng.Intn(4)
+		memElems := 1 + rng.Intn(2*r*c)
+		tc := redistCase{n: r, p: p, memElems: memElems, transpose: rng.Intn(2) == 1, wantAt: valueAt}
+		dr, dc := r, c
+		if tc.transpose {
+			dr, dc = c, r
+			tc.wantAt = func(gi, gj int) float64 { return valueAt(gj, gi) }
+		}
+		srcKind, dstKind := rng.Intn(len(mappingKinds)), rng.Intn(len(mappingKinds))
+		label := fmt.Sprintf("trial %d: %dx%d, p=%d, k=%d, mem=%d, kinds %d->%d, transpose=%v",
+			trial, r, c, p, k, memElems, srcKind, dstKind, tc.transpose)
+		srcMap, err := mappingKinds[srcKind]("src", r, c, p, k)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		dstMap, err := mappingKinds[dstKind]("dst", dr, dc, p, k)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		// wire[form][rank] is the sequence of buckets the rank handed to
+		// the exchange, round by round and owner by owner, as bit patterns.
+		wire := make(map[string][][][]uint64)
+		for form, m := range tc.indexMaps() {
+			sent := make([][][]uint64, p)
+			_, err := mp.Run(sim.Delta(p), func(proc *mp.Proc) error {
+				disk := iosim.NewDisk(iosim.NewMemFS(), proc.Config(), nil)
+				src := sideFor(t, disk, srcMap, proc.Rank(), valueAt)
+				dst := sideFor(t, disk, dstMap, proc.Rank(), nil)
+				defer discard(disk, src, dst)
+				exchange := func(tag int, parts [][]float64) [][]float64 {
+					for _, part := range parts {
+						bits := make([]uint64, len(part))
+						for i, v := range part {
+							bits[i] = math.Float64bits(v)
+						}
+						sent[proc.Rank()] = append(sent[proc.Rank()], bits)
+					}
+					return proc.AllToAllOwned(tag, parts)
+				}
+				if err := redistribute(proc, src, dst, memElems, 30, m, Direct, exchange); err != nil {
+					return err
+				}
+				return checkSide(dst, tc.wantAt)
+			})
+			if err != nil {
+				t.Fatalf("%s, routed by %s: %v", label, form, err)
+			}
+			wire[form] = sent
+		}
+		for rank := 0; rank < p; rank++ {
+			runs, elems := wire["runs"][rank], wire["func"][rank]
+			if len(runs) != len(elems) {
+				t.Fatalf("%s: rank %d handed over %d buckets by runs, %d by elements", label, rank, len(runs), len(elems))
+			}
+			for i := range runs {
+				if !slices.Equal(runs[i], elems[i]) {
+					t.Fatalf("%s: rank %d, round %d, owner %d: bucket by runs\n%x\nby elements\n%x",
+						label, rank, i/p, i%p, runs[i], elems[i])
+				}
+			}
+		}
+	}
+}
+
+// TestTransposeBetweenMismatchedShapes: a transpose into an array that is
+// not the source's shape swapped fails with the out-of-shape error on
+// every rank, structured or as a func, before any rank has entered an
+// exchange — nobody is left parked in a collective waiting for a rank
+// that has already returned.
+func TestTransposeBetweenMismatchedShapes(t *testing.T) {
+	const r, c, p = 8, 12, 4
+	srcMap, err := dist.NewArray("src", dist.NewCollapsed(r), dist.NewBlock(c, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dstMap, err := dist.NewArray("dst", dist.NewCollapsed(r), dist.NewBlock(c, p)) // not c x r
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufpool.SetChecked(true)
+	defer bufpool.SetChecked(false)
+	for form, m := range (redistCase{transpose: true}).indexMaps() {
+		for _, method := range []Method{Direct, Sieved, TwoPhase} {
+			bufpool.ResetStats()
+			var exchanges atomic.Int32
+			errs := make([]error, p)
+			done := make(chan error, 1)
+			go func() {
+				_, err := mp.Run(sim.Delta(p), func(proc *mp.Proc) error {
+					disk := iosim.NewDisk(iosim.NewMemFS(), proc.Config(), nil)
+					src := sideFor(t, disk, srcMap, proc.Rank(), valueAt)
+					dst := sideFor(t, disk, dstMap, proc.Rank(), nil)
+					defer discard(disk, src, dst)
+					exchange := func(tag int, parts [][]float64) [][]float64 {
+						exchanges.Add(1)
+						return proc.AllToAllOwned(tag, parts)
+					}
+					errs[proc.Rank()] = redistribute(proc, src, dst, 2*r, 34, m, method, exchange)
+					return nil
+				})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("routed by %s, %v: the run hangs", form, method)
+			}
+			for rank, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), "outside destination shape [8 12]") {
+					t.Errorf("routed by %s, %v: rank %d got %v, want the out-of-shape error", form, method, rank, err)
+				}
+			}
+			if n := exchanges.Load(); n != 0 {
+				t.Errorf("routed by %s, %v: %d ranks entered an exchange", form, method, n)
+			}
+			if s := bufpool.Snapshot(); s.Gets != s.Puts+s.Drops {
+				t.Errorf("routed by %s, %v: arena out of balance: %+v", form, method, s)
+			}
+		}
+	}
+}
+
+// BenchmarkRoute is the sender's routing of one slab on its own — 8
+// columns of 1,024 rows, a transpose_real round — into buckets that are
+// already as large as they get: by runs against element by element, into
+// a BLOCK and into a CYCLIC(4) destination. ns/elem is the number to read.
+func BenchmarkRoute(b *testing.B) {
+	const n, p, w = 1024, 8, 8
+	srcMap, err := colBlock("src")(n, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dsts := map[string]dist.Map{"block": dist.NewBlock(n, p), "cyclic4": dist.NewBlockCyclic(n, p, 4)}
+	for _, name := range []string{"block", "cyclic4"} {
+		dstMap, err := dist.NewArray("dst", dist.NewCollapsed(n), dsts[name])
+		if err != nil {
+			b.Fatal(err)
+		}
+		dstT := dstMap.Tables2()
+		rowG, colG := srcMap.LocalGlobals(0)
+		colG = colG[:w]
+		data := make([]float64, n*w)
+		for i := range data {
+			data[i] = float64(i)
+		}
+		segs := segments(rowG, &dstT.Dim[1])
+		parts := make([][]float64, p)
+		routes := map[string]func(){
+			"runs": func() { routeRuns(parts, data, n, colG, segs, dstT, true) },
+			"elems": func() {
+				if err := routeElems(parts, data, rowG, colG, dstT, swap, [2]int{n, n}); err != nil {
+					b.Fatal(err)
+				}
+			},
+		}
+		for _, form := range []string{"runs", "elems"} {
+			b.Run(name+"/"+form, func(b *testing.B) {
+				route := routes[form]
+				route() // grow the buckets
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for q := range parts {
+						parts[q] = parts[q][:0]
+					}
+					route()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(n*w), "ns/elem")
+			})
+		}
+		releaseBuckets(parts)
+	}
 }

@@ -109,10 +109,11 @@ func (f *witnessFile) WriteAt(p []byte, off int64) (int, error) {
 	return f.File.WriteAt(p, off)
 }
 
-// witnessRun executes one scenario under one method and renders what went
-// over the wire (per rank, per round, per peer: payload length and hash)
-// and what reached the files (per file: request count and sequence hash).
-func witnessRun(t *testing.T, tc redistCase, method Method) []string {
+// witnessRun executes one scenario under one index-map form and one
+// method and renders what went over the wire (per rank, per round, per
+// peer: payload length and hash) and what reached the files (per file:
+// request count and sequence hash).
+func witnessRun(t *testing.T, tc redistCase, m IndexMap, method Method) []string {
 	t.Helper()
 	fs := &witnessFS{FS: iosim.NewMemFS(), logs: make(map[string]*witnessLog)}
 	wire := make([][]string, tc.p)
@@ -137,9 +138,9 @@ func witnessRun(t *testing.T, tc redistCase, method Method) []string {
 			}
 			wire[proc.Rank()] = append(wire[proc.Rank()], sb.String())
 			round++
-			return proc.AllToAll(tag, parts)
+			return proc.AllToAllOwned(tag, parts)
 		}
-		if err := redistribute(proc, src, dst, tc.memElems, 30, tc.transform, method, exchange); err != nil {
+		if err := redistribute(proc, src, dst, tc.memElems, 30, m, method, exchange); err != nil {
 			return err
 		}
 		return checkSide(dst, tc.wantAt)
@@ -188,40 +189,46 @@ func witnessCases() []redistCase {
 // commit bcb08f0): every message is the same float sequence to the same
 // peer in the same round, and every file sees the same requests in the
 // same order with the same bytes.
+//
+// Every case runs twice against the one file, routed by runs (its index
+// map in structured form) and element by element (the same map as an
+// opaque func): the two routes are one wire.
 func TestWireWitness(t *testing.T) {
-	var got []string
-	for _, tc := range witnessCases() {
-		for _, method := range []Method{Direct, Sieved, TwoPhase} {
-			got = append(got, "# "+tc.name+"/"+method.String())
-			got = append(got, witnessRun(t, tc, method)...)
+	for _, form := range []string{"runs", "func"} {
+		var got []string
+		for _, tc := range witnessCases() {
+			for _, method := range []Method{Direct, Sieved, TwoPhase} {
+				got = append(got, "# "+tc.name+"/"+method.String())
+				got = append(got, witnessRun(t, tc, tc.indexMaps()[form], method)...)
+			}
 		}
-	}
-	text := strings.Join(got, "\n") + "\n"
-	if *updateWitness {
-		if err := os.WriteFile(witnessPath, []byte(text), 0o644); err != nil {
+		if *updateWitness {
+			text := strings.Join(got, "\n") + "\n"
+			if err := os.WriteFile(witnessPath, []byte(text), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		wantBytes, err := os.ReadFile(witnessPath)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return
-	}
-	wantBytes, err := os.ReadFile(witnessPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(wantBytes), "\n"), "\n")
-	section := ""
-	for i, line := range got {
-		if strings.HasPrefix(line, "# ") {
-			section = line[2:]
-		}
-		if i >= len(want) || want[i] != line {
-			w := "<end of file>"
-			if i < len(want) {
-				w = want[i]
+		want := strings.Split(strings.TrimSuffix(string(wantBytes), "\n"), "\n")
+		section := ""
+		for i, line := range got {
+			if strings.HasPrefix(line, "# ") {
+				section = line[2:]
 			}
-			t.Fatalf("%s: line %d differs from %s\n got: %s\nwant: %s", section, i+1, witnessPath, line, w)
+			if i >= len(want) || want[i] != line {
+				w := "<end of file>"
+				if i < len(want) {
+					w = want[i]
+				}
+				t.Fatalf("%s routed by %s: line %d differs from %s\n got: %s\nwant: %s", section, form, i+1, witnessPath, line, w)
+			}
 		}
-	}
-	if len(want) > len(got) {
-		t.Fatalf("%s has %d lines, this run produced %d", witnessPath, len(want), len(got))
+		if len(want) > len(got) {
+			t.Fatalf("%s has %d lines, this run routed by %s produced %d", witnessPath, len(want), form, len(got))
+		}
 	}
 }

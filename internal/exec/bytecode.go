@@ -557,9 +557,9 @@ func (in *interp) evalEwiseCode(code []bytecode.ExprInstr, dst []float64) error 
 func (in *interp) allToAll(ins *bytecode.Instr) error {
 	src := in.arrays[ins.A]
 	dst := in.arrays[ins.B]
-	var transform func(gi, gj int) (int, int)
+	var m collio.IndexMap // the identity
 	if ins.C == 1 {
-		transform = func(gi, gj int) (int, int) { return gj, gi }
+		m = collio.Transpose()
 	}
-	return oocarray.RedistributeVia(in.proc, src, dst, int(ins.E), redistTag, transform, collio.Method(ins.D))
+	return oocarray.RedistributeBy(in.proc, src, dst, int(ins.E), redistTag, m, collio.Method(ins.D))
 }

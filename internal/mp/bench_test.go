@@ -58,6 +58,27 @@ func BenchmarkAllToAll(b *testing.B) {
 	}
 }
 
+// BenchmarkAllToAllOwned: the same exchange with the parts handed over
+// instead of copied — what a redistribution round does with its buckets.
+func BenchmarkAllToAllOwned(b *testing.B) {
+	for _, procs := range []int{8, 64} {
+		b.Run(fmt.Sprintf("p=%d", procs), func(b *testing.B) {
+			benchRun(b, procs, func(p *Proc) error {
+				parts := make([][]float64, procs)
+				for i := 0; i < b.N; i++ {
+					for d := range parts {
+						parts[d] = AcquireBuf(64)
+					}
+					for _, in := range p.AllToAllOwned(1, parts) {
+						ReleaseBuf(in)
+					}
+				}
+				return nil
+			})
+		})
+	}
+}
+
 // BenchmarkReduce: a 512-element global sum at P=64 to a rotating root,
 // as GAXPY issues them, with payloads and as a phantom run's counts.
 func BenchmarkReduce(b *testing.B) {

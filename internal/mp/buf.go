@@ -9,6 +9,14 @@ import "github.com/ooc-hpf/passion/internal/bufpool"
 //     keeps its slice. SendOwned instead takes ownership of an arena
 //     buffer the caller acquired (or received), transferring it without
 //     a copy; the caller must not touch it afterwards.
+//   - AllToAllOwned is the collective of the same kind: it takes
+//     ownership of every buffer in parts (AllToAll copies each as it is
+//     sent), each slot emptied before its buffer is sent, so a caller
+//     that releases what is left in parts on its way out — after an
+//     error or a panic — releases each buffer exactly once. Its result
+//     slice belongs to the Proc and is valid until the Proc's next
+//     AllToAllOwned; the buffers in it are the caller's, as after
+//     AllToAll.
 //   - Recv returns an arena buffer the receiver owns: it either releases
 //     it with ReleaseBuf once done, or adopts it (keeps it indefinitely
 //     and never releases). Adoption is always safe — an unreleased

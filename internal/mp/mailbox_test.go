@@ -311,19 +311,44 @@ func TestAbortedRunHandsBackEmptyMailboxes(t *testing.T) {
 // every mailbox, ring and all, from what the first one returned.
 func TestSecondRunMakesNoMailbox(t *testing.T) {
 	const procs = 64
-	barrier := func() *Machine {
+	secondRunMakesNoMailbox(t, procs, 2*(procs-1), func(p *Proc) error {
+		p.Barrier(1)
+		return nil
+	})
+}
+
+// TestSecondOwnedExchangeMakesNoMailbox: the same for an owned all-to-all,
+// which touches every ordered pair.
+func TestSecondOwnedExchangeMakesNoMailbox(t *testing.T) {
+	const procs = 8
+	secondRunMakesNoMailbox(t, procs, procs*(procs-1), func(p *Proc) error {
+		parts := make([][]float64, procs)
+		for d := range parts {
+			parts[d] = AcquireBuf(16)
+		}
+		for _, in := range p.AllToAllOwned(1, parts) {
+			ReleaseBuf(in)
+		}
+		return nil
+	})
+}
+
+// secondRunMakesNoMailbox runs node twice from an empty free list: the
+// first run must return wantBoxes mailboxes, and the second must hold
+// none but those.
+func secondRunMakesNoMailbox(t *testing.T, procs, wantBoxes int, node NodeFunc) {
+	once := func() *Machine {
 		var m *Machine
 		run(t, procs, func(p *Proc) error {
 			if p.Rank() == 0 {
 				m = p.m
 			}
-			p.Barrier(1)
-			return nil
+			return node(p)
 		})
 		return m
 	}
 	freeList()
-	barrier()
+	once()
 	type storage struct {
 		b    *mailbox
 		ring *message
@@ -334,10 +359,10 @@ func TestSecondRunMakesNoMailbox(t *testing.T) {
 		returned[storage{b, &b.ring[:1][0]}] = true
 	}
 	boxPool.mu.Unlock()
-	if len(returned) != 2*(procs-1) {
-		t.Fatalf("the first barrier returned %d mailboxes, want %d", len(returned), 2*(procs-1))
+	if len(returned) != wantBoxes {
+		t.Fatalf("the first run returned %d mailboxes, want %d", len(returned), wantBoxes)
 	}
-	m := barrier()
+	m := once()
 	for i := range m.boxes {
 		if b := m.boxes[i].Load(); b != closedBox && !returned[storage{b, &b.ring[:1][0]}] {
 			t.Fatalf("slot %d of the second run holds a mailbox or ring the first did not return", i)

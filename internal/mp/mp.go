@@ -116,10 +116,12 @@ type Proc struct {
 	// empty (see mailbox).
 	wake chan struct{}
 
-	// a2aSeq numbers this processor's AllToAll calls; being collective,
+	// a2aSeq numbers this processor's all-to-all calls; being collective,
 	// the counts agree across ranks, which lets matching send/wait pairs
 	// derive the same flow id without extra messages.
 	a2aSeq int64
+	// a2aOut is the result slice AllToAllOwned hands out and reuses.
+	a2aOut [][]float64
 	// flowOut/flowIn tag the next Send/Recv with a flow id.
 	flowOut, flowIn uint64
 
@@ -721,21 +723,58 @@ func (p *Proc) Scatter(root, tag int, parts [][]float64) []float64 {
 
 // AllToAll sends parts[d] to processor d and returns the slice of parts
 // received, indexed by source rank (each an arena buffer the caller
-// owns). parts[rank] is kept locally (copied). Used by array
-// redistribution.
+// owns, in a slice the caller owns). parts is only read: every part
+// travels as an arena copy, parts[rank] included.
 func (p *Proc) AllToAll(tag int, parts [][]float64) [][]float64 {
+	out := make([][]float64, p.Size())
+	p.exchange(tag, parts, out, false)
+	return out
+}
+
+// AllToAllOwned is AllToAll without the copies: every non-nil parts[d]
+// must be an arena buffer the caller owns, and ownership of all of them
+// transfers — parts comes back all nil, and parts[rank] comes back as
+// out[rank]. Should the exchange panic part-way (a killed rank, a dead
+// peer), the parts not yet sent are still in parts and still the
+// caller's to release. Simulated cost, spans and statistics are
+// identical to AllToAll.
+//
+// The returned slice belongs to the Proc and is valid until its next
+// AllToAllOwned; the buffers in it are the caller's, as after AllToAll.
+func (p *Proc) AllToAllOwned(tag int, parts [][]float64) [][]float64 {
+	if p.a2aOut == nil {
+		p.a2aOut = make([][]float64, p.Size())
+	}
+	clear(p.a2aOut) // the last call's buffers went to its caller
+	p.exchange(tag, parts, p.a2aOut, true)
+	return p.a2aOut
+}
+
+// exchange is the schedule of both all-to-alls, filling out by source
+// rank. Owned, it takes every buffer in parts and leaves nil behind,
+// emptying each slot before its SendOwned: at any panic a buffer is then
+// held in exactly one place — parts, the message (sendBuf), a mailbox or
+// out (panicMulti). Not owned, each part is copied as it is sent.
+func (p *Proc) exchange(tag int, parts, out [][]float64, owned bool) {
+	size := p.Size()
+	if len(parts) != size {
+		panic(fmt.Sprintf("mp: an all-to-all wants %d parts, got %d", size, len(parts)))
+	}
 	p.collective("all-to-all")
 	seq := p.a2aSeq
 	p.a2aSeq++
-	size := p.Size()
-	if len(parts) != size {
-		panic(fmt.Sprintf("mp: AllToAll wants %d parts, got %d", size, len(parts)))
-	}
-	out := make([][]float64, size)
 	p.panicMulti = out
-	buf := bufpool.GetF64(len(parts[p.rank]))
-	copy(buf, parts[p.rank])
-	out[p.rank] = buf
+	take := func(d int) []float64 {
+		part := parts[d]
+		if owned {
+			parts[d] = nil
+			return part
+		}
+		buf := bufpool.GetF64(len(part))
+		copy(buf, part)
+		return buf
+	}
+	out[p.rank] = take(p.rank)
 	// Rotated schedule: step i sends to rank+i and receives from rank-i,
 	// keeping the pattern contention-free and deadlock-free.
 	for i := 1; i < size; i++ {
@@ -751,11 +790,10 @@ func (p *Proc) AllToAll(tag int, parts [][]float64) [][]float64 {
 			p.flowOut = flowID(tag, seq, p.rank, dst)
 			p.flowIn = flowID(tag, seq, src, p.rank)
 		}
-		p.Send(dst, internalTagBase+tag, parts[dst])
+		p.SendOwned(dst, internalTagBase+tag, take(dst))
 		out[src] = p.Recv(src, internalTagBase+tag)
 	}
 	p.panicMulti = nil
-	return out
 }
 
 // flowID derives a display-only id for an AllToAll message from facts

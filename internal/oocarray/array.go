@@ -492,7 +492,9 @@ func (a *Array) FillGlobal(f func(gi, gj int) float64) error {
 		return nil
 	}
 	quiet := a.laf.Quiet()
-	buf := make([]float64, a.rows)
+	// Every element is written before the column is: arena contents are fine.
+	buf := bufpool.GetF64(a.rows)
+	defer bufpool.PutF64(buf)
 	// The local-to-global translation is separable: one shared table per
 	// dimension instead of a GlobalIndex per element.
 	rowG, colG := a.dmap.LocalGlobals(a.proc)
