@@ -74,11 +74,12 @@ func main() {
 	fmt.Printf("in-core phase: n=%d over %d processors, pattern: %s\n", an.N, an.Procs, an.Pattern)
 	switch an.Pattern {
 	case compiler.PatternGaxpy:
-		for name, m := range map[string]string{
-			an.A: "A (section operand)", an.B: "B (scalar operand)",
-			an.C: "C (result)", an.Temp: "temp (FORALL target)",
+		// A fixed order, so that two runs print the same bytes.
+		for _, r := range [...]struct{ name, role string }{
+			{an.A, "A (section operand)"}, {an.B, "B (scalar operand)"},
+			{an.C, "C (result)"}, {an.Temp, "temp (FORALL target)"},
 		} {
-			fmt.Printf("  %-6s role %-22s mapping %s\n", name, m, an.Mappings[name])
+			fmt.Printf("  %-6s role %-22s mapping %s\n", r.name, r.role, an.Mappings[r.name])
 		}
 	case compiler.PatternEwise:
 		for i, st := range an.Ewise.Stmts {

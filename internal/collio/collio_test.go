@@ -1,6 +1,7 @@
 package collio
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -275,24 +276,27 @@ func TestTwoPhaseStagingRespectsBudget(t *testing.T) {
 	disk := iosim.NewDisk(fs, sim.Delta(1), nil)
 	side := sideFor(t, disk, dm, 0, nil) // local 8x8 = 64 elements
 
-	spill, err := newTwoPhaseReceiver(side, 16) // 2*64 > 16: must spill
+	spill, err := newTwoPhaseReceiver(side, 16, 1, nil) // 2*64 > 16: must spill
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer spill.cleanup()
-	if spill.inMem || spill.scratch == nil {
-		t.Fatalf("budget 16 for a 64-element local array must spill (inMem=%v)", spill.inMem)
+	if spill.store != nil || spill.scratch == nil {
+		t.Fatalf("budget 16 for a 64-element local array must spill")
 	}
 	if spill.winW != 1 { // quarter budget (4 elems) over 8 rows clamps to 1 column
 		t.Fatalf("window width %d, want 1", spill.winW)
 	}
+	if got := spill.scratch.Elems(); got != 64 { // each value once, no index beside it
+		t.Fatalf("scratch file of %d elements, want the local array's 64", got)
+	}
 
-	mem, err := newTwoPhaseReceiver(side, 128) // 2*64 <= 128: in memory
+	mem, err := newTwoPhaseReceiver(side, 128, 1, nil) // 2*64 <= 128: in memory
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mem.cleanup()
-	if !mem.inMem || mem.scratch != nil {
+	if mem.store == nil || mem.scratch != nil {
 		t.Fatalf("budget 128 for a 64-element local array must stay in memory")
 	}
 }
@@ -330,48 +334,90 @@ func TestSlabWidthClamps(t *testing.T) {
 	}
 }
 
+// TestCoalescePairsLastWriterWins: a non-injective func sends, through
+// the inspector, two elements to one destination index — from two source
+// ranks, and from one rank twice. Direct and sieved writes let the later
+// arrival win (source rank, then position in its payload), as element by
+// element, and an index nobody lands on keeps the file's zero. Two-phase
+// staging keeps a window's values where its elements are, so a window
+// receiving more values than it holds is an error in either regime.
 func TestCoalescePairsLastWriterWins(t *testing.T) {
-	r := &runReceiver{dst: Side{Rows: 5, Cols: 1}}
-	// Two sources; index 3 arrives twice.
-	if err := r.coalescePairs([][]float64{{3, 30, 4, 40}, {3, 31, 0, 1}}); err != nil {
-		t.Fatal(err)
-	}
-	// Sorted stably: 0, 3(first), 3(second), 4. The duplicate 3 starts a
-	// fresh chunk, so writing chunks in order leaves 31 at index 3.
-	if len(r.chunks) != 3 {
-		t.Fatalf("chunks = %v, want 3 entries", r.chunks)
-	}
-	applied := make([]float64, 5)
-	i := 0
-	for _, c := range r.chunks {
-		for k := 0; k < c.Len; k++ {
-			applied[int(c.Off)+k] = r.vals[i]
-			i++
+	const n, p = 4, 2
+	fold := func(gi, gj int) (int, int) {
+		switch {
+		case gi == 0 && gj == 3: // rank 1's (0,3) onto rank 0's (0,0)
+			return 0, 0
+		case gi == 2 && gj == 0: // rank 0's (2,0) onto (1,0), which it sends first
+			return 1, 0
 		}
+		return gi, gj
 	}
-	if applied[3] != 31 || applied[4] != 40 || applied[0] != 1 {
-		t.Fatalf("applied = %v", applied)
+	want := func(gi, gj int) float64 {
+		switch {
+		case gi == 0 && gj == 0:
+			return valueAt(0, 3)
+		case gi == 1 && gj == 0:
+			return valueAt(2, 0)
+		case gi == 0 && gj == 3, gi == 2 && gj == 0:
+			return 0
+		}
+		return valueAt(gi, gj)
 	}
-	if err := r.coalescePairs([][]float64{{5, 50}}); err == nil || !strings.Contains(err.Error(), "outside local array") {
-		t.Fatalf("index past the local array: got %v", err)
-	}
-	if err := r.coalescePairs([][]float64{{-1, 50}}); err == nil || !strings.Contains(err.Error(), "outside local array") {
-		t.Fatalf("negative index: got %v", err)
+	for _, mem := range []int{4 * n * n, n} { // in memory, spilling
+		tc := redistCase{n: n, p: p, memElems: mem, mkSrc: colBlock("src"), mkDst: colBlock("dst"), wantAt: want}
+		runCase(t, tc, "func", Func(fold), Direct, false)
+		runCase(t, tc, "func", Func(fold), Sieved, false)
+		_, err := mp.Run(sim.Delta(p), func(proc *mp.Proc) error {
+			disk := iosim.NewDisk(iosim.NewMemFS(), proc.Config(), nil)
+			src := sideFor(t, disk, colBlockMap(t, "src", n, p), proc.Rank(), valueAt)
+			dst := sideFor(t, disk, colBlockMap(t, "dst", n, p), proc.Rank(), nil)
+			defer discard(disk, src, dst)
+			return Redistribute(proc, src, dst, mem, 30, Func(fold), TwoPhase)
+		})
+		if err == nil || !strings.Contains(err.Error(), "received more elements than it holds") {
+			t.Fatalf("two-phase, memElems %d: want the non-injective error, got %v", mem, err)
+		}
 	}
 }
 
-// referenceCoalesce is the definition coalescePairs must reproduce: the
-// round's pairs in arrival order, sorted by index with the reflection-
-// based stable sort it replaced, then merged into runs.
-func referenceCoalesce(incoming [][]float64) ([]iosim.Chunk, []float64) {
+func colBlockMap(t testing.TB, name string, n, p int) *dist.Array {
+	t.Helper()
+	dm, err := colBlock(name)(n, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dm
+}
+
+// tableSchedule is the receiving side of a schedule given outright: rank
+// me, holding rows rows, gets from source rank q, in round 0, the values
+// bound for the linear indices lins[q], cut into runs by the inspector's
+// rule.
+func tableSchedule(me, rows int, lins [][]int) *schedule {
+	s := &schedule{me: me, got: make([][]run, len(lins)), sent: make([][]run, len(lins))}
+	for q, l := range lins {
+		for i, lin := range l {
+			if n := len(s.got[q]); n == 0 || !s.got[q][n-1].grows(i, lin/rows, lin%rows) {
+				s.got[q] = append(s.got[q], run{off: i, n: 1, col: lin / rows, row: lin % rows})
+			}
+		}
+	}
+	s.sent[me] = s.got[me]
+	return s
+}
+
+// referenceCoalesce is the definition coalesce must reproduce: the round's
+// (index, value) pairs in arrival order, sorted by index with the
+// reflection-based stable sort it replaced, then merged into runs.
+func referenceCoalesce(lins [][]int, incoming [][]float64) ([]iosim.Chunk, []float64) {
 	type pair struct {
 		lin int
 		val float64
 	}
 	var pairs []pair
-	for _, in := range incoming {
-		for i := 0; i+1 < len(in); i += 2 {
-			pairs = append(pairs, pair{lin: int(in[i]), val: in[i+1]})
+	for q, l := range lins {
+		for i, lin := range l {
+			pairs = append(pairs, pair{lin: lin, val: incoming[q][i]})
 		}
 	}
 	sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].lin < pairs[j].lin })
@@ -388,36 +434,131 @@ func referenceCoalesce(incoming [][]float64) ([]iosim.Chunk, []float64) {
 	return chunks, vals
 }
 
-// FuzzCoalescePairs compares coalescePairs with referenceCoalesce on
-// arbitrary rounds: each input byte is one pair (low seven bits the
-// destination index, so duplicates and runs are common; the top bit
-// starts the next source's payload), values number the arrivals.
+// FuzzCoalescePairs compares the direct receiver's coalesce, fed indices
+// by a schedule, with referenceCoalesce on arbitrary rounds: each input
+// byte is one value's destination index (low seven bits, so duplicates and
+// runs are common; the top bit starts the next source's payload), and the
+// values number the arrivals.
 func FuzzCoalescePairs(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{3, 4, 0x83, 0})                             // the last-writer-wins case above
+	f.Add([]byte{3, 4, 0x83, 0})                             // a duplicate from the next source
 	f.Add([]byte{0, 1, 2, 3, 0x84, 5, 6, 0x87})              // one run across three sources
 	f.Add([]byte{9, 9, 9, 0x89, 9, 8, 10})                   // one index five times
 	f.Add([]byte{127, 0x80, 0xff, 64, 0xc0, 1})              // both ends of the local array
 	f.Add([]byte{0, 64, 1, 65, 2, 66, 0x80, 32, 96, 33, 97}) // a transpose's strided runs
 	r := &runReceiver{dst: Side{Rows: 16, Cols: 8}}          // reused, as across rounds
 	f.Fuzz(func(t *testing.T, data []byte) {
-		incoming := [][]float64{nil}
+		lins, incoming := [][]int{nil}, [][]float64{nil}
 		for i, b := range data {
 			if b&0x80 != 0 {
-				incoming = append(incoming, nil)
+				lins, incoming = append(lins, nil), append(incoming, nil)
 			}
-			last := len(incoming) - 1
-			incoming[last] = append(incoming[last], float64(b&0x7f), float64(i)+0.5)
+			last := len(lins) - 1
+			lins[last] = append(lins[last], int(b&0x7f))
+			incoming[last] = append(incoming[last], float64(i)+0.5)
 		}
-		if err := r.coalescePairs(incoming); err != nil {
+		r.sched = tableSchedule(0, r.dst.Rows, lins)
+		if err := r.coalesce(0, incoming); err != nil {
 			t.Fatal(err)
 		}
-		wantChunks, wantVals := referenceCoalesce(incoming)
+		wantChunks, wantVals := referenceCoalesce(lins, incoming)
 		if !slices.Equal(r.chunks, wantChunks) {
 			t.Fatalf("chunks %v, reference %v", r.chunks, wantChunks)
 		}
 		if !slices.Equal(r.vals, wantVals) {
 			t.Fatalf("values %v, reference %v", r.vals, wantVals)
+		}
+	})
+}
+
+// FuzzRoundPayloadLengths applies one round whose payload lengths are
+// fuzzed against a fixed schedule — rank 0's side of a ragged 9x9
+// transpose over three ranks — under every receiver and both two-phase
+// regimes. A round either fails with a *PayloadError naming the first
+// wrong payload or lands every value where the schedule says; it never
+// panics, and the arena balances either way.
+func FuzzRoundPayloadLengths(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0})
+	f.Add([]byte{1, 0, 0, 0})
+	f.Add([]byte{0, 0xff, 0, 3})
+	f.Add([]byte{0, 0, 7, 1})
+	const n, p = 9, 3
+	srcMap, err := colBlock("src")(n, p)
+	if err != nil {
+		f.Fatal(err)
+	}
+	dstMap, err := colBlock("dst")(n, p)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < p+1 {
+			return
+		}
+		regimes := []struct {
+			method   Method
+			memElems int
+		}{{Direct, 4 * n * n}, {Sieved, 4 * n * n}, {TwoPhase, 4 * n * n}, {TwoPhase, 4 * n}}
+		regime := regimes[int(data[p])%len(regimes)]
+		bufpool.SetChecked(true)
+		defer bufpool.SetChecked(false)
+		bufpool.ResetStats()
+		disk := iosim.NewDisk(iosim.NewMemFS(), sim.Delta(p), nil)
+		dst := sideFor(t, disk, dstMap, 0, nil)
+		sched := newSchedule(0, p, srcMap, dstMap.Tables2(), dst, regime.memElems, Transpose())
+		want := make([]float64, dst.Rows*dst.Cols)
+		incoming := make([][]float64, p)
+		var firstBad *PayloadError
+		for q := range incoming {
+			runs := sched.runs(q, 0, 0)
+			total := 0
+			for _, r := range runs {
+				total += r.n
+			}
+			got := max(total+int(int8(data[q])), 0)
+			if got != total && firstBad == nil {
+				firstBad = &PayloadError{From: q, Round: 0, Got: got, Want: total}
+			}
+			incoming[q] = bufpool.GetF64(got)
+			for i := range incoming[q] {
+				incoming[q][i] = float64(100*q + i + 1)
+			}
+			pos := 0
+			for _, r := range runs {
+				lin, step := r.lin(dst.Rows)
+				for j := 0; j < r.n && pos < got; j++ {
+					want[lin+j*step] = incoming[q][pos]
+					pos++
+				}
+			}
+		}
+		recv, err := newReceiver(dst, regime.memElems, 1, regime.method, sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = absorbRound(recv, 0, incoming)
+		if err == nil {
+			err = recv.finish()
+		}
+		recv.cleanup()
+		var pe *PayloadError
+		switch {
+		case firstBad != nil && (!errors.As(err, &pe) || *pe != *firstBad):
+			t.Fatalf("%v: want %v, got %v", regime, firstBad, err)
+		case firstBad == nil && err != nil:
+			t.Fatalf("%v: %v", regime, err)
+		case firstBad == nil:
+			got := make([]float64, len(want))
+			if _, err := dst.LAF.ReadChunks([]iosim.Chunk{{Len: len(got)}}, got); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%v: file\n%v\nwant\n%v", regime, got, want)
+			}
+		}
+		discard(disk, dst)
+		if s := bufpool.Snapshot(); s.Gets != s.Puts+s.Drops {
+			t.Fatalf("%v: arena out of balance: %+v", regime, s)
 		}
 	})
 }
@@ -455,10 +596,11 @@ func TestRedistributeRankMismatch(t *testing.T) {
 }
 
 // TestMalformedPayloadReleasesRound pins the error path of the incoming
-// loop: a peer delivering a payload that is not index/value pairs fails
-// the redistribution, and every arena buffer of the round — the bad
-// payload and the not-yet-consumed remainder — is still returned to the
-// pool (checked mode counts every Get against a Put).
+// loop: a peer delivering a payload whose length is not its schedule's
+// fails the redistribution with a *PayloadError, and every arena buffer
+// of the round — the bad payload and the not-yet-consumed remainder — is
+// still returned to the pool (checked mode counts every Get against a
+// Put).
 func TestMalformedPayloadReleasesRound(t *testing.T) {
 	bufpool.SetChecked(true)
 	defer bufpool.SetChecked(false)
@@ -466,9 +608,9 @@ func TestMalformedPayloadReleasesRound(t *testing.T) {
 	const tag = 31
 	_, err := mp.Run(sim.Delta(2), func(proc *mp.Proc) error {
 		if proc.Rank() == 1 {
-			// Mimic one round of the protocol by hand, but ship an
-			// odd-length payload to rank 0 (AllToAll copies parts, so a
-			// plain slice is fine here).
+			// Mimic one round of the protocol by hand, but ship three
+			// values to rank 0, which the identity sends nothing from
+			// here (AllToAll copies parts, so a plain slice is fine).
 			mp.ReleaseBuf(proc.AllReduceMax(tag, []float64{1}))
 			for _, in := range proc.AllToAll(tag, [][]float64{{7, 8, 9}, nil}) {
 				mp.ReleaseBuf(in)
@@ -484,8 +626,9 @@ func TestMalformedPayloadReleasesRound(t *testing.T) {
 		dst := sideFor(t, disk, dm, 0, nil)
 		defer discard(disk, src, dst)
 		rerr := Redistribute(proc, src, dst, 16, tag, IndexMap{}, Direct)
-		if rerr == nil || !strings.Contains(rerr.Error(), "index/value pairs") {
-			return fmt.Errorf("want malformed-payload failure, got %v", rerr)
+		var pe *PayloadError
+		if !errors.As(rerr, &pe) || *pe != (PayloadError{From: 1, Round: 0, Got: 3, Want: 0}) {
+			return fmt.Errorf("want the payload-length failure, got %v", rerr)
 		}
 		return nil
 	})
@@ -498,11 +641,13 @@ func TestMalformedPayloadReleasesRound(t *testing.T) {
 }
 
 // TestTransformOutsideDestination pins the range check on transform's
-// result: an index pair outside the destination's global shape is an
-// error naming the element, raised before the round's shuffle, for every
-// method — not a garbage linear index on the wire. The run must come
-// back (no rank left parked in the collective, whether every rank hits
-// the bad element or a single one does) with the arena balanced.
+// result: an index pair outside the destination's global shape is a
+// *ShapeError naming the element, for every method — not a garbage index
+// in the schedule. Every rank must return the same error, whether every
+// rank hits the bad element (a corner: before any collective) or a single
+// one does (the inspector's exchange carries it to the others), and the
+// run must come back — under a deadline, so a rank left parked in a
+// collective fails the test — with the arena balanced.
 func TestTransformOutsideDestination(t *testing.T) {
 	const n, p = 8, 4
 	transforms := map[string]func(gi, gj int) (int, int){
@@ -522,25 +667,48 @@ func TestTransformOutsideDestination(t *testing.T) {
 			t.Run(name+"/"+method.String(), func(t *testing.T) {
 				bufpool.ResetStats()
 				fs := iosim.NewMemFS()
-				_, err := mp.Run(sim.Delta(p), func(proc *mp.Proc) error {
-					disk := iosim.NewDisk(fs, proc.Config(), &proc.Stats().IO)
-					srcMap, err := colBlock("src")(n, p)
+				errs := make([]error, p)
+				done := make(chan error, 1)
+				go func() {
+					_, err := mp.Run(sim.Delta(p), func(proc *mp.Proc) error {
+						disk := iosim.NewDisk(fs, proc.Config(), &proc.Stats().IO)
+						srcMap, err := colBlock("src")(n, p)
+						if err != nil {
+							return err
+						}
+						dstMap, err := dist.NewArray("dst", dist.NewBlock(n, p), dist.NewCollapsed(n))
+						if err != nil {
+							return err
+						}
+						src := sideFor(t, disk, srcMap, proc.Rank(), valueAt)
+						dst := sideFor(t, disk, dstMap, proc.Rank(), nil)
+						defer discard(disk, src, dst)
+						// One column per round; a spilling two-phase receiver.
+						errs[proc.Rank()] = Redistribute(proc, src, dst, n, 33, Func(transform), method)
+						return nil
+					})
+					done <- err
+				}()
+				select {
+				case err := <-done:
 					if err != nil {
-						return err
+						t.Fatal(err)
 					}
-					dstMap, err := dist.NewArray("dst", dist.NewBlock(n, p), dist.NewCollapsed(n))
-					if err != nil {
-						return err
+				case <-time.After(10 * time.Second):
+					t.Fatal("the run hangs")
+				}
+				var first *ShapeError
+				for rank, err := range errs {
+					var se *ShapeError
+					if !errors.As(err, &se) || !strings.Contains(err.Error(), "outside destination shape [8 8]") ||
+						!strings.Contains(err.Error(), "collio: transform maps (gi,gj)=(") {
+						t.Fatalf("rank %d: want the out-of-range transform error, got %v", rank, err)
 					}
-					src := sideFor(t, disk, srcMap, proc.Rank(), valueAt)
-					dst := sideFor(t, disk, dstMap, proc.Rank(), nil)
-					defer discard(disk, src, dst)
-					// One column per round; a spilling two-phase receiver.
-					return Redistribute(proc, src, dst, n, 33, Func(transform), method)
-				})
-				if err == nil || !strings.Contains(err.Error(), "outside destination shape [8 8]") ||
-					!strings.Contains(err.Error(), "collio: transform maps (gi,gj)=(") {
-					t.Fatalf("want the out-of-range transform error, got %v", err)
+					if first == nil {
+						first = se
+					} else if *se != *first {
+						t.Fatalf("rank %d returned %v, rank 0 %v", rank, se, first)
+					}
 				}
 				if s := bufpool.Snapshot(); s.Gets != s.Puts+s.Drops {
 					t.Fatalf("arena leak on the error path: %+v", s)
@@ -659,7 +827,7 @@ func TestSegments(t *testing.T) {
 		{"an empty local section", nil, dist.NewBlock(6, 3), []seg{}},
 	}
 	for _, tc := range cases {
-		if got := segments(tc.rowG, table(tc.swept)); !slices.Equal(got, tc.want) {
+		if got := segments(nil, tc.rowG, table(tc.swept)); !slices.Equal(got, tc.want) {
 			t.Errorf("%s:\n got %v\nwant %v", tc.name, got, tc.want)
 		}
 	}
@@ -710,13 +878,39 @@ func gridOf(p int) (p0, p1 int) {
 	return p0, p / p0
 }
 
-// TestRunRouteEqualsElementRoute is the property the run route stands on:
-// over random shapes, machine sizes, memory budgets and pairs of regular
-// mappings, under the identity and the transpose, every bucket of every
-// round holds bit for bit what the element route puts there — and the
+// elementRoute is the oracle the schedule is held to: the wire as it was
+// when every message carried (linear index, value) pairs — source rank q's
+// round k, element by element, as the pairs it sent each owner in the
+// order it sent them, each looked up in the destination's tables.
+func elementRoute(src *dist.Array, dstT *dist.Tables2, q, k, memElems int,
+	fn func(gi, gj int) (int, int), fill func(gi, gj int) float64) [][]float64 {
+	pairs := make([][]float64, len(dstT.Rows))
+	rowG, colG := src.LocalGlobals(q)
+	w := SrcSlabWidth(memElems, len(rowG), len(colG))
+	if len(rowG) == 0 || k*w >= len(colG) {
+		return pairs
+	}
+	for _, gj := range colG[k*w : min((k+1)*w, len(colG))] {
+		for _, gi := range rowG {
+			di, dj := fn(int(gi), int(gj))
+			owner := dstT.Dim[0].Own[di] + dstT.Dim[1].Own[dj]
+			lin := int(dstT.Dim[1].Loc[dj])*int(dstT.Rows[owner]) + int(dstT.Dim[0].Loc[di])
+			pairs[owner] = append(pairs[owner], float64(lin), fill(int(gi), int(gj)))
+		}
+	}
+	return pairs
+}
+
+// TestRunRouteEqualsElementRoute is the property the values-only wire
+// stands on: over random shapes, machine sizes, memory budgets and pairs
+// of regular mappings, under the identity, the transpose and funcs (a
+// row-reversing one among them, whose runs step backwards), zipping the
+// destination indices of the receiver's schedule for every source rank
+// and round with the values the sender really put on the wire reproduces
+// the element route's (index, value) pair stream bit for bit — and the
 // destination comes out right.
 func TestRunRouteEqualsElementRoute(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
+	rng := rand.New(rand.NewSource(26))
 	trials := 120
 	if testing.Short() {
 		trials = 30
@@ -725,15 +919,40 @@ func TestRunRouteEqualsElementRoute(t *testing.T) {
 		p := []int{1, 2, 3, 4, 6}[rng.Intn(5)]
 		r, c, k := 1+rng.Intn(14), 1+rng.Intn(14), 1+rng.Intn(4)
 		memElems := 1 + rng.Intn(2*r*c)
-		tc := redistCase{n: r, p: p, memElems: memElems, transpose: rng.Intn(2) == 1, wantAt: valueAt}
+		transposed, reversed := rng.Intn(2) == 1, rng.Intn(3) == 0
 		dr, dc := r, c
-		if tc.transpose {
+		if transposed {
 			dr, dc = c, r
-			tc.wantAt = func(gi, gj int) float64 { return valueAt(gj, gi) }
+		}
+		fn := func(gi, gj int) (int, int) {
+			if transposed {
+				gi, gj = gj, gi
+			}
+			if reversed {
+				gi = dr - 1 - gi
+			}
+			return gi, gj
+		}
+		want := func(gi, gj int) float64 {
+			if reversed {
+				gi = dr - 1 - gi
+			}
+			if transposed {
+				gi, gj = gj, gi
+			}
+			return valueAt(gi, gj)
+		}
+		forms := map[string]IndexMap{"func": Func(fn)}
+		switch {
+		case reversed:
+		case transposed:
+			forms["runs"] = Transpose()
+		default:
+			forms["runs"] = IndexMap{}
 		}
 		srcKind, dstKind := rng.Intn(len(mappingKinds)), rng.Intn(len(mappingKinds))
-		label := fmt.Sprintf("trial %d: %dx%d, p=%d, k=%d, mem=%d, kinds %d->%d, transpose=%v",
-			trial, r, c, p, k, memElems, srcKind, dstKind, tc.transpose)
+		label := fmt.Sprintf("trial %d: %dx%d, p=%d, k=%d, mem=%d, kinds %d->%d, transposed=%v, reversed=%v",
+			trial, r, c, p, k, memElems, srcKind, dstKind, transposed, reversed)
 		srcMap, err := mappingKinds[srcKind]("src", r, c, p, k)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -742,49 +961,93 @@ func TestRunRouteEqualsElementRoute(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		// wire[form][rank] is the sequence of buckets the rank handed to
-		// the exchange, round by round and owner by owner, as bit patterns.
-		wire := make(map[string][][][]uint64)
-		for form, m := range tc.indexMaps() {
-			sent := make([][][]uint64, p)
+		dstT := dstMap.Tables2()
+		for form, m := range forms {
+			// sent[q][k][o] is what rank q put on the wire to o in round k;
+			// idx[o][k][q] the indices o's schedule gives those values.
+			sent := make([][][][]float64, p)
+			idx := make([][][][]int, p)
 			_, err := mp.Run(sim.Delta(p), func(proc *mp.Proc) error {
+				me := proc.Rank()
 				disk := iosim.NewDisk(iosim.NewMemFS(), proc.Config(), nil)
-				src := sideFor(t, disk, srcMap, proc.Rank(), valueAt)
-				dst := sideFor(t, disk, dstMap, proc.Rank(), nil)
+				src := sideFor(t, disk, srcMap, me, valueAt)
+				dst := sideFor(t, disk, dstMap, me, nil)
 				defer discard(disk, src, dst)
+				inspecting := m.fn != nil
 				exchange := func(tag int, parts [][]float64) [][]float64 {
-					for _, part := range parts {
-						bits := make([]uint64, len(part))
-						for i, v := range part {
-							bits[i] = math.Float64bits(v)
+					if inspecting {
+						inspecting = false
+					} else {
+						round := make([][]float64, p)
+						for o, part := range parts {
+							round[o] = slices.Clone(part)
 						}
-						sent[proc.Rank()] = append(sent[proc.Rank()], bits)
+						sent[me] = append(sent[me], round)
 					}
 					return proc.AllToAllOwned(tag, parts)
 				}
 				if err := redistribute(proc, src, dst, memElems, 30, m, Direct, exchange); err != nil {
 					return err
 				}
-				return checkSide(dst, tc.wantAt)
+				if err := checkSide(dst, want); err != nil {
+					return err
+				}
+				sched := newSchedule(me, p, srcMap, dstT, dst, memElems, m)
+				if m.fn != nil {
+					if err := sched.inspect(m.fn, [2]int{dr, dc}, 31, proc.AllToAllOwned); err != nil {
+						return err
+					}
+				}
+				for k := range sent[me] {
+					idx[me] = append(idx[me], make([][]int, p))
+					for q := 0; q < p; q++ {
+						for _, ru := range sched.runs(q, k, me) {
+							lin, step := ru.lin(dst.Rows)
+							for j := 0; j < ru.n; j++ {
+								idx[me][k][q] = append(idx[me][k][q], lin+j*step)
+							}
+						}
+					}
+				}
+				return nil
 			})
 			if err != nil {
-				t.Fatalf("%s, routed by %s: %v", label, form, err)
+				t.Fatalf("%s, %s form: %v", label, form, err)
 			}
-			wire[form] = sent
-		}
-		for rank := 0; rank < p; rank++ {
-			runs, elems := wire["runs"][rank], wire["func"][rank]
-			if len(runs) != len(elems) {
-				t.Fatalf("%s: rank %d handed over %d buckets by runs, %d by elements", label, rank, len(runs), len(elems))
-			}
-			for i := range runs {
-				if !slices.Equal(runs[i], elems[i]) {
-					t.Fatalf("%s: rank %d, round %d, owner %d: bucket by runs\n%x\nby elements\n%x",
-						label, rank, i/p, i%p, runs[i], elems[i])
+			for q := 0; q < p; q++ {
+				for k := range sent[q] {
+					oracle := elementRoute(srcMap, dstT, q, k, memElems, fn, valueAt)
+					for o := 0; o < p; o++ {
+						vals, lins := sent[q][k][o], idx[o][k][q]
+						if len(vals) != len(lins) {
+							t.Fatalf("%s, %s form: %d -> %d round %d: %d values on the wire, %d indices in the schedule",
+								label, form, q, o, k, len(vals), len(lins))
+						}
+						var zipped []float64
+						for i, v := range vals {
+							zipped = append(zipped, float64(lins[i]), v)
+						}
+						var want []float64
+						if o < len(oracle) {
+							want = oracle[o]
+						}
+						if !slices.Equal(bitsOf(zipped), bitsOf(want)) {
+							t.Fatalf("%s, %s form: %d -> %d round %d: schedule and wire give\n%v\nthe element route\n%v",
+								label, form, q, o, k, zipped, want)
+						}
+					}
 				}
 			}
 		}
 	}
+}
+
+func bitsOf(vals []float64) []uint64 {
+	out := make([]uint64, len(vals))
+	for i, v := range vals {
+		out[i] = math.Float64bits(v)
+	}
+	return out
 }
 
 // TestTransposeBetweenMismatchedShapes: a transpose into an array that is
@@ -848,10 +1111,10 @@ func TestTransposeBetweenMismatchedShapes(t *testing.T) {
 	}
 }
 
-// BenchmarkRoute is the sender's routing of one slab on its own — 8
-// columns of 1,024 rows, a transpose_real round — into buckets that are
-// already as large as they get: by runs against element by element, into
-// a BLOCK and into a CYCLIC(4) destination. ns/elem is the number to read.
+// BenchmarkRoute is the sender's fill of one slab on its own — 8 columns
+// of 1,024 rows, a transpose_real round — from the schedule into exactly
+// sized buckets, into a BLOCK and into a CYCLIC(4) destination. ns/elem is
+// the number to read.
 func BenchmarkRoute(b *testing.B) {
 	const n, p, w = 1024, 8, 8
 	srcMap, err := colBlock("src")(n, p)
@@ -864,38 +1127,19 @@ func BenchmarkRoute(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		dstT := dstMap.Tables2()
-		rowG, colG := srcMap.LocalGlobals(0)
-		colG = colG[:w]
+		sched := newSchedule(0, p, srcMap, dstMap.Tables2(), Side{Rows: n, Cols: n / p}, 2*n*w, Transpose())
 		data := make([]float64, n*w)
 		for i := range data {
 			data[i] = float64(i)
 		}
-		segs := segments(rowG, &dstT.Dim[1])
 		parts := make([][]float64, p)
-		routes := map[string]func(){
-			"runs": func() { routeRuns(parts, data, n, colG, segs, dstT, true) },
-			"elems": func() {
-				if err := routeElems(parts, data, rowG, colG, dstT, swap, [2]int{n, n}); err != nil {
-					b.Fatal(err)
-				}
-			},
-		}
-		for _, form := range []string{"runs", "elems"} {
-			b.Run(name+"/"+form, func(b *testing.B) {
-				route := routes[form]
-				route() // grow the buckets
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for q := range parts {
-						parts[q] = parts[q][:0]
-					}
-					route()
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(n*w), "ns/elem")
-			})
-		}
-		releaseBuckets(parts)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sched.fill(parts, data, 0)
+				releaseBuckets(parts)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(n*w), "ns/elem")
+		})
 	}
 }

@@ -58,10 +58,12 @@ func TransposeCandidates(g TransposeParams) []Candidate {
 	local := n * int64(c)
 	rounds := int64(s)
 
+	// The shuffle carries values only — both sides compute where each one
+	// goes — so a rank sends each peer its c x c block, c² elements.
 	read := Tally{Array: "src", Fetches: rounds, Requests: rounds, Elems: local}
 	comm := CommEstimate{
 		Messages: rounds * (p - 1),
-		Elems:    2 * (p - 1) * int64(c) * int64(c),
+		Elems:    (p - 1) * int64(c) * int64(c),
 	}
 
 	// Direct: each round's received elements coalesce into runs. With a
@@ -102,16 +104,17 @@ func TransposeCandidates(g TransposeParams) []Candidate {
 	}
 
 	// Two-phase: stage per destination window, flush each window with one
-	// contiguous write. Out of memory, the pairs spill to a scratch file:
-	// one contiguous append per window per round, one contiguous read per
-	// window at the end. The transpose produces every window completely,
-	// so no pre-read RMW is needed.
+	// contiguous write. Out of memory, the received values spill to a
+	// scratch file: one contiguous append per window per round, one
+	// contiguous read per window at the end — each value written once and
+	// read once. The transpose produces every window completely, so no
+	// pre-read RMW is needed.
 	wins := int64(nW)
 	two := Candidate{Label: "two-phase", Tallies: []Tally{read}, Comm: comm}
 	if !inMem {
 		two.Tallies = append(two.Tallies,
-			Tally{Array: "scratch", Fetches: rounds * wins, Requests: rounds * wins, Elems: 2 * local, Write: true},
-			Tally{Array: "scratch", Fetches: wins, Requests: wins, Elems: 2 * local})
+			Tally{Array: "scratch", Fetches: rounds * wins, Requests: rounds * wins, Elems: local, Write: true},
+			Tally{Array: "scratch", Fetches: wins, Requests: wins, Elems: local})
 	}
 	two.Tallies = append(two.Tallies,
 		Tally{Array: "dst", Fetches: wins, Requests: wins, Elems: local, Write: true})

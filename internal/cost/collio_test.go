@@ -57,6 +57,27 @@ func TestTransposeCandidatesShape(t *testing.T) {
 	}
 }
 
+// TestTransposeShuffleAndScratchVolume pins the volume terms: the shuffle
+// carries values only, so a rank sends each of its p−1 peers its c×c
+// block, (p−1)c² elements; a spilling two-phase receiver writes each of
+// its local elements to scratch once and reads it back once.
+func TestTransposeShuffleAndScratchVolume(t *testing.T) {
+	for _, g := range []TransposeParams{{N: 256, P: 4, MemElems: 16 * 256}, {N: 1024, P: 8, MemElems: 16 * 1024}, {N: 64, P: 4, MemElems: 64 * 64}} {
+		c, p := int64(g.N/g.P), int64(g.P)
+		local := int64(g.N) * c
+		for _, cand := range TransposeCandidates(g) {
+			if want := (p - 1) * c * c; cand.Comm.Elems != want {
+				t.Errorf("%+v %s: Comm.Elems = %d, want (p-1)c² = %d", g, cand.Label, cand.Comm.Elems, want)
+			}
+			for _, tl := range cand.Tallies {
+				if tl.Array == "scratch" && tl.Elems != local {
+					t.Errorf("%+v %s: scratch tally of %d elements, want the local array's %d", g, cand.Label, tl.Elems, local)
+				}
+			}
+		}
+	}
+}
+
 // TestTransposeSingleRoundDegenerates checks the generous-memory limit:
 // with the whole local array in one slab every method is one read and
 // one (or per-window) contiguous write, and direct stops paying the

@@ -3,10 +3,12 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"github.com/ooc-hpf/passion/internal/compiler"
 	"github.com/ooc-hpf/passion/internal/exec"
 	"github.com/ooc-hpf/passion/internal/hpf"
+	"github.com/ooc-hpf/passion/internal/iosim"
 	"github.com/ooc-hpf/passion/internal/matrix"
 	"github.com/ooc-hpf/passion/internal/sim"
 )
@@ -18,8 +20,9 @@ import (
 // plus the modern calibration. Per configuration it checks that
 //
 //   - all three methods produce bitwise identical destination files,
-//   - the measured per-processor request counts equal the closed forms
-//     of cost.TransposeCandidates exactly, and
+//   - the measured per-processor request counts, shuffle bytes and
+//     scratch elements equal the closed forms of cost.TransposeCandidates
+//     exactly, and
 //   - the cost model's unforced selection is the measured winner.
 //
 // The headline number is the direct/two-phase request ratio at the
@@ -39,10 +42,16 @@ type TwoPhaseRow struct {
 	// PredReqs is the candidate's closed-form per-processor request
 	// count; MeasReqs the traced count (src + dst + scratch).
 	PredReqs, MeasReqs int64
-	Bitwise            bool // destination equals the reference transpose
-	Exact              bool // PredReqs == MeasReqs
-	Selected           bool // the cost model's unforced choice
-	Fastest            bool // measured winner of the regime
+	// PredShuffleBytes is the candidate's Comm.Elems in bytes;
+	// MeasShuffleBytes the most any rank put on the all-to-all's wire.
+	PredShuffleBytes, MeasShuffleBytes int64
+	// PredScratch is the elements of the candidate's scratch tallies;
+	// MeasScratch the most any rank's scratch file moved.
+	PredScratch, MeasScratch int64
+	Bitwise                  bool // destination equals the reference transpose
+	Exact                    bool // every prediction equals its measurement
+	Selected                 bool // the cost model's unforced choice
+	Fastest                  bool // measured winner of the regime
 }
 
 // TwoPhaseResult is the full regime sweep.
@@ -121,7 +130,9 @@ func TwoPhase(p Params) (*TwoPhaseResult, error) {
 				if err != nil {
 					return nil, err
 				}
+				fs := &scratchCount{FS: iosim.NewMemFS(), elems: map[string]int64{}}
 				out, err := exec.Run(cres.Program, mach, exec.Options{
+					FS:      fs,
 					Fill:    map[string]func(gi, gj int) float64{free.Analysis.Transpose.Src: fill},
 					Runtime: p.Opts,
 				})
@@ -136,19 +147,31 @@ func TwoPhase(p Params) (*TwoPhaseResult, error) {
 					out.MaxArrayIO(free.Analysis.Transpose.Dst).Requests()
 				out.Close()
 
-				pred := cres.Candidates[mi].TotalRequests()
-				rows[mi] = TwoPhaseRow{
-					Regime:   regime.name,
-					Procs:    procs,
-					Overhead: mach.DiskRequestOverhead,
-					Method:   method,
-					Seconds:  out.Stats.ElapsedSeconds(),
-					PredReqs: pred,
-					MeasReqs: meas,
-					Bitwise:  matrix.Equal(got, want),
-					Exact:    pred == meas,
-					Selected: mi == free.Chosen,
+				cand := cres.Candidates[mi]
+				row := TwoPhaseRow{
+					Regime:           regime.name,
+					Procs:            procs,
+					Overhead:         mach.DiskRequestOverhead,
+					Method:           method,
+					Seconds:          out.Stats.ElapsedSeconds(),
+					PredReqs:         cand.TotalRequests(),
+					MeasReqs:         meas,
+					PredShuffleBytes: cand.Comm.Elems * int64(mach.ElemSize),
+					MeasScratch:      fs.max(),
+					Bitwise:          matrix.Equal(got, want),
+					Selected:         mi == free.Chosen,
 				}
+				for _, ps := range out.Stats.Procs {
+					row.MeasShuffleBytes = max(row.MeasShuffleBytes, ps.Comm.ShuffleBytes)
+				}
+				for _, tl := range cand.Tallies {
+					if tl.Array == "scratch" {
+						row.PredScratch += tl.Elems
+					}
+				}
+				row.Exact = row.PredReqs == row.MeasReqs && row.PredShuffleBytes == row.MeasShuffleBytes &&
+					row.PredScratch == row.MeasScratch
+				rows[mi] = row
 				if rows[mi].Seconds < rows[fastest].Seconds {
 					fastest = mi
 				}
@@ -192,8 +215,8 @@ func (r *TwoPhaseResult) AllBitwise() bool {
 	return true
 }
 
-// AllExact reports whether every measured request count equals its
-// closed form.
+// AllExact reports whether every measured request count, shuffle volume
+// and scratch volume equals its closed form.
 func (r *TwoPhaseResult) AllExact() bool {
 	for _, row := range r.Rows {
 		if !row.Exact {
@@ -219,8 +242,9 @@ func (r *TwoPhaseResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Two-phase collective I/O: %dx%d out-of-core transpose, mem=%d elems, real execution\n",
 		r.N, r.N, r.MemElems)
-	fmt.Fprintf(&b, "%-14s %-4s %10s %-10s %10s %10s %10s %8s %6s %s\n",
-		"regime", "P", "overhead", "method", "pred reqs", "meas reqs", "sim time", "bitwise", "exact", "")
+	fmt.Fprintf(&b, "%-14s %-4s %10s %-10s %10s %10s %11s %11s %10s %10s %10s %8s %6s %s\n",
+		"regime", "P", "overhead", "method", "pred reqs", "meas reqs", "pred shufB", "meas shufB",
+		"pred scr", "meas scr", "sim time", "bitwise", "exact", "")
 	for _, row := range r.Rows {
 		mark := ""
 		if row.Selected {
@@ -229,9 +253,10 @@ func (r *TwoPhaseResult) Format() string {
 		if row.Fastest {
 			mark += " [fastest]"
 		}
-		fmt.Fprintf(&b, "%-14s %-4d %9.0fus %-10s %10d %10d %9.3fs %8v %6v%s\n",
-			row.Regime, row.Procs, row.Overhead*1e6, row.Method,
-			row.PredReqs, row.MeasReqs, row.Seconds, row.Bitwise, row.Exact, mark)
+		fmt.Fprintf(&b, "%-14s %-4d %9.0fus %-10s %10d %10d %11d %11d %10d %10d %9.3fs %8v %6v%s\n",
+			row.Regime, row.Procs, row.Overhead*1e6, row.Method, row.PredReqs, row.MeasReqs,
+			row.PredShuffleBytes, row.MeasShuffleBytes, row.PredScratch, row.MeasScratch,
+			row.Seconds, row.Bitwise, row.Exact, mark)
 	}
 	fmt.Fprintf(&b, "direct/two-phase request ratio at delta calibration: %.1fx (>=10x: %v)\n",
 		r.DirectOverTwoPhase, r.DirectOverTwoPhase >= 10)
@@ -243,11 +268,64 @@ func (r *TwoPhaseResult) Format() string {
 // CSV renders the sweep for plotting.
 func (r *TwoPhaseResult) CSV() string {
 	var b strings.Builder
-	b.WriteString("regime,procs,overhead_us,method,pred_requests,meas_requests,seconds,selected,fastest\n")
+	b.WriteString("regime,procs,overhead_us,method,pred_requests,meas_requests,pred_shuffle_bytes,meas_shuffle_bytes,pred_scratch_elems,meas_scratch_elems,seconds,selected,fastest\n")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%s,%d,%.1f,%s,%d,%d,%.6f,%v,%v\n",
-			row.Regime, row.Procs, row.Overhead*1e6, row.Method,
-			row.PredReqs, row.MeasReqs, row.Seconds, row.Selected, row.Fastest)
+		fmt.Fprintf(&b, "%s,%d,%.1f,%s,%d,%d,%d,%d,%d,%d,%.6f,%v,%v\n",
+			row.Regime, row.Procs, row.Overhead*1e6, row.Method, row.PredReqs, row.MeasReqs,
+			row.PredShuffleBytes, row.MeasShuffleBytes, row.PredScratch, row.MeasScratch,
+			row.Seconds, row.Selected, row.Fastest)
 	}
 	return b.String()
+}
+
+// scratchCount is a file store that counts the elements every two-phase
+// scratch file moves, by name: the measured side of the scratch tallies.
+type scratchCount struct {
+	iosim.FS
+	mu    sync.Mutex
+	elems map[string]int64
+}
+
+func (c *scratchCount) Create(name string) (iosim.File, error) { return c.wrap(name, c.FS.Create) }
+func (c *scratchCount) Open(name string) (iosim.File, error)   { return c.wrap(name, c.FS.Open) }
+
+func (c *scratchCount) wrap(name string, open func(string) (iosim.File, error)) (iosim.File, error) {
+	f, err := open(name)
+	if err != nil || !strings.Contains(name, ".collio.scratch") {
+		return f, err
+	}
+	return &countedFile{File: f, c: c, name: name}, nil
+}
+
+// max returns the most elements one rank's scratch file moved.
+func (c *scratchCount) max() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var most int64
+	for _, n := range c.elems {
+		most = max(most, n)
+	}
+	return most
+}
+
+type countedFile struct {
+	iosim.File
+	c    *scratchCount
+	name string
+}
+
+func (f *countedFile) count(n int) {
+	f.c.mu.Lock()
+	f.c.elems[f.name] += int64(n / 8)
+	f.c.mu.Unlock()
+}
+
+func (f *countedFile) ReadAt(p []byte, off int64) (int, error) {
+	f.count(len(p))
+	return f.File.ReadAt(p, off)
+}
+
+func (f *countedFile) WriteAt(p []byte, off int64) (int, error) {
+	f.count(len(p))
+	return f.File.WriteAt(p, off)
 }
