@@ -10,9 +10,12 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"github.com/ooc-hpf/passion/internal/cliutil"
@@ -43,6 +46,9 @@ func main() {
 
 		resume  = flag.Bool("resume", false, "resume from the last checkpoint in -datadir instead of starting fresh")
 		version = flag.Bool("version", false, "print build information and exit")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole command to this file")
+		memProfile = flag.String("memprofile", "", "write an allocation profile to this file at exit, recording every allocation")
 	)
 	var rf cliutil.RunFlags
 	rf.Register(nil)
@@ -51,6 +57,7 @@ func main() {
 		fmt.Println(cliutil.VersionLine("ooc-run"))
 		return
 	}
+	startProfiles(*cpuProfile, *memProfile)
 
 	src := hpf.GaxpySource
 	if flag.NArg() > 0 {
@@ -263,10 +270,75 @@ func main() {
 		fmt.Printf("verification: %s is the exact transpose of %s (%dx%d elements)\n",
 			an.Transpose.Dst, an.Transpose.Src, b.Rows, b.Cols)
 	}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, "ooc-run:", err)
+		os.Exit(1)
+	}
+}
+
+// stopProfiles finishes the profiles startProfiles began (a no-op
+// without -cpuprofile and -memprofile). Every exit path calls it once.
+var stopProfiles = func() error { return nil }
+
+// startProfiles starts a CPU profile into cpuFile and arranges for an
+// allocation profile to be written to memFile, both finished by
+// stopProfiles, which every exit path calls. The allocation profile
+// samples every allocation (runtime.MemProfileRate = 1): one run
+// allocates a few hundred KiB, which the default one sample per 512 KiB
+// would hardly see.
+func startProfiles(cpuFile, memFile string) {
+	var cpu *os.File
+	if cpuFile != "" {
+		f, err := os.Create(cpuFile)
+		if err != nil {
+			fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			fatal(err)
+		}
+		cpu = f
+	}
+	if memFile != "" {
+		runtime.MemProfileRate = 1
+	}
+	stopProfiles = func() error {
+		var errs []error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			errs = append(errs, cpu.Close())
+		}
+		if memFile != "" {
+			errs = append(errs, writeAllocProfile(memFile))
+		}
+		return errors.Join(errs...)
+	}
+}
+
+func writeAllocProfile(name string) error {
+	f, err := os.Create(name)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // the profile is as of the last collection
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "ooc-run:", err)
+	exitFailure()
+}
+
+// exitFailure finishes the profiles, so a failed run is profiled too, and
+// exits with status 1.
+func exitFailure() {
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, "ooc-run:", err)
+	}
 	os.Exit(1)
 }
 
@@ -279,5 +351,5 @@ func fatalChain(err error) {
 	for _, line := range strings.Split(err.Error(), "\n") {
 		fmt.Fprintln(os.Stderr, "  "+line)
 	}
-	os.Exit(1)
+	exitFailure()
 }

@@ -8,8 +8,10 @@
 // Buffers live in power-of-two size classes (64 elements up). Each class
 // keeps a small bounded free list under a mutex — the steady-state path,
 // which neither allocates nor loses buffers to the garbage collector, so
-// AllocsPerRun pins hold — and overflows into a sync.Pool, which trades
-// a boxed pointer per overflow for letting the GC trim idle memory.
+// AllocsPerRun pins hold — and overflows into a sync.Pool, which lets the
+// GC trim idle memory. The pool holds a buffer's element pointer, which
+// an interface carries without boxing, so overflowing allocates nothing
+// either: the class fixes the capacity, and get rebuilds the slice.
 //
 // The free list's bound is in bytes, because the arena also backs file
 // storage (iosim.MemFS) and multi-megabyte classes are routine: a class
@@ -139,7 +141,7 @@ func Checked() bool { return checked.Load() }
 type class[T any] struct {
 	mu       sync.Mutex
 	free     [][]T
-	overflow sync.Pool // of *[]T
+	overflow sync.Pool // of *T: the first element of a buffer of the class's size
 }
 
 // arena is the per-element-type class table.
@@ -184,11 +186,10 @@ func (a *arena[T]) get(n int) []T {
 		return b[:n]
 	}
 	cl.mu.Unlock()
-	if p, _ := cl.overflow.Get().(*[]T); p != nil {
-		b := *p
+	if p, _ := cl.overflow.Get().(*T); p != nil {
 		atomic.AddInt64(&stats.Hits, 1)
-		checkedAcquire(unsafe.Pointer(unsafe.SliceData(b)))
-		return b[:n]
+		checkedAcquire(unsafe.Pointer(p))
+		return unsafe.Slice(p, 1<<(c+minBits))[:n]
 	}
 	return make([]T, n, 1<<(c+minBits))
 }
@@ -221,14 +222,7 @@ func (a *arena[T]) put(b []T, poison T) {
 		return
 	}
 	cl.mu.Unlock()
-	cl.overflowPut(b)
-}
-
-// overflowPut boxes the slice header for sync.Pool. Kept out of put so
-// the header's heap escape is paid only on the overflow path — inlined
-// into put, &b would force every call to heap-allocate the parameter.
-func (cl *class[T]) overflowPut(b []T) {
-	cl.overflow.Put(&b)
+	cl.overflow.Put(unsafe.SliceData(b))
 }
 
 func checkedAcquire(p unsafe.Pointer) {

@@ -3,7 +3,9 @@ package bufpool
 import (
 	"math"
 	"runtime"
+	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestClassFor(t *testing.T) {
@@ -99,6 +101,50 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("steady-state Get/Put: %v allocs/run, want 0", n)
 	}
+}
+
+// A put that finds its free list full goes to the class's sync.Pool, and a
+// get that finds the list empty takes it back from there; neither
+// allocates. The arena is a private one whose free list the test swaps
+// between full and empty around the two calls.
+func TestOverflowPutAndGetDoNotAllocate(t *testing.T) {
+	if poolDrops() {
+		t.Skip("sync.Pool discards puts at random (race detector)")
+	}
+	var a arena[float64]
+	cl := &a.classes[0]
+	full := make([][]float64, perClassCap)
+	for i := range full {
+		full[i] = make([]float64, 1<<minBits)
+	}
+	b := make([]float64, 1<<minBits)
+	p := unsafe.SliceData(b)
+	if n := testing.AllocsPerRun(100, func() {
+		cl.free = full
+		a.put(b, f64Poison)
+		cl.free = nil
+		b = a.get(10)
+	}); n != 0 {
+		t.Errorf("overflowing put + get: %v allocs/run, want 0", n)
+	}
+	if unsafe.SliceData(b) != p || len(b) != 10 || cap(b) != 1<<minBits {
+		t.Errorf("get returned %p len %d cap %d, want the overflowed buffer %p len 10 cap %d",
+			unsafe.SliceData(b), len(b), cap(b), p, 1<<minBits)
+	}
+}
+
+// poolDrops reports whether sync.Pool loses what is put into it at random,
+// as it does under the race detector.
+func poolDrops() bool {
+	var pool sync.Pool
+	x := new(int)
+	for i := 0; i < 64; i++ {
+		pool.Put(x)
+		if pool.Get() != x {
+			return true
+		}
+	}
+	return false
 }
 
 func TestCheckedDoubleReleasePanics(t *testing.T) {
