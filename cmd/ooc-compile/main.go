@@ -28,7 +28,7 @@ func main() {
 		procs   = flag.Int("procs", 0, "override the processor count (0 keeps the program's parameter)")
 		mem     = flag.Int("mem", 1<<16, "node memory for slabs, in array elements")
 		policy  = flag.String("policy", "weighted", "memory allocation policy: even, weighted, search")
-		force   = flag.String("force", "", "force a strategy: row-slab/column-slab, or direct/sieved/two-phase for transpose (default: cost model decides)")
+		force   = flag.String("force", "", "force a strategy by candidate label: row-slab/column-slab, or direct/sieved/two-phase for transpose (default: cost model decides)")
 		sieve   = flag.Bool("sieve", false, "compile row-slab transfers to use data sieving")
 		showBC  = flag.Bool("bytecode", false, "also lower the plan to its opcode stream and print the disassembly")
 		version = flag.Bool("version", false, "print build information and exit")
@@ -81,19 +81,16 @@ func main() {
 		} {
 			fmt.Printf("  %-6s role %-22s mapping %s\n", r.name, r.role, an.Mappings[r.name])
 		}
-	case compiler.PatternEwise:
-		for i, st := range an.Ewise.Stmts {
-			fmt.Printf("  statement %d: %s = %s (inputs: %v)\n", i+1, st.Out, st.Expr.String(), st.Ins)
-		}
-		for _, a := range an.Ewise.Arrays {
-			fmt.Printf("  %-6s mapping %s\n", a, an.Mappings[a])
-		}
-	case compiler.PatternShift:
-		for i, st := range an.Shift.Stmts {
+	case compiler.PatternEwise, compiler.PatternShift:
+		for i, st := range an.Stmts {
+			if an.Pattern == compiler.PatternEwise {
+				fmt.Printf("  statement %d: %s = %s (inputs: %v)\n", i+1, st.Out, st.Expr.String(), st.Ins)
+				continue
+			}
 			fmt.Printf("  statement %d: %s(:,k) = %s for k in %d..%d (shifts %d..%d, inputs: %v)\n",
 				i+1, st.Out, st.Expr.String(), st.Lo+1, st.Hi+1, st.MinShift, st.MaxShift, st.Ins)
 		}
-		for _, a := range an.Shift.Arrays {
+		for _, a := range an.Arrays {
 			fmt.Printf("  %-6s mapping %s\n", a, an.Mappings[a])
 		}
 	case compiler.PatternTranspose:

@@ -2,10 +2,9 @@
 // programs (plan.Program), following the paper's two-phase methodology:
 //
 // In-core phase (Section 3.2): evaluate the mapping directives, partition
-// each array into out-of-core local arrays, compute local bounds, and
-// detect the communication the statement pattern requires (here: the SUM
-// reduction across the distributed dimension, delivered to the owner of
-// the result column).
+// each array into out-of-core local arrays, compute local bounds, read
+// every assignment as array references, and derive from them the
+// communication the program requires (refs.go, classify.go).
 //
 // Out-of-core phase (Sections 3.3 and 4): strip-mine the computation into
 // slabs that fit the node memory, enumerate candidate access
@@ -16,6 +15,7 @@ package compiler
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/ooc-hpf/passion/internal/cost"
 	"github.com/ooc-hpf/passion/internal/dist"
@@ -69,8 +69,9 @@ type Options struct {
 	Machine sim.Config
 	// Policy selects the memory allocation scheme.
 	Policy MemPolicy
-	// Force pins the strategy ("row-slab" or "column-slab"); empty lets
-	// the cost model decide.
+	// Force pins the strategy by its candidate's label ("row-slab" or
+	// "column-slab"; "direct", "sieved" or "two-phase" for a transpose);
+	// empty lets the cost model decide.
 	Force string
 	// Sieve compiles row-slab transfers to use data sieving.
 	Sieve bool
@@ -97,6 +98,8 @@ const (
 // String names the pattern.
 func (p Pattern) String() string {
 	switch p {
+	case PatternGaxpy:
+		return "gaxpy"
 	case PatternEwise:
 		return "elementwise"
 	case PatternShift:
@@ -104,7 +107,7 @@ func (p Pattern) String() string {
 	case PatternTranspose:
 		return "transpose"
 	default:
-		return "gaxpy"
+		return fmt.Sprintf("Pattern(%d)", int(p))
 	}
 }
 
@@ -123,11 +126,11 @@ type Analysis struct {
 	Mappings map[string]*dist.Array
 	// ReduceDim is the SUM dimension (1-based, as written).
 	ReduceDim int
-	// Ewise holds the analysis of an elementwise program (PatternEwise).
-	Ewise *EwiseAnalysis
-	// Shift holds the analysis of a shifted-FORALL program
-	// (PatternShift).
-	Shift *ShiftAnalysis
+	// Stmts holds the FORALL assignments of an elementwise or shifted
+	// program (PatternEwise, PatternShift), and Arrays every array they
+	// touch, in first-use order.
+	Stmts  []Stmt
+	Arrays []string
 	// Transpose holds the analysis of a transpose program
 	// (PatternTranspose).
 	Transpose *TransposeAnalysis
@@ -189,14 +192,12 @@ func Compile(prog *hpf.Program, opts Options) (*Result, error) {
 		return nil, err
 	}
 	switch an.Pattern {
-	case PatternEwise:
-		return emitEwise(an, opts, mach)
-	case PatternShift:
-		return emitShift(an, opts, mach)
+	case PatternGaxpy:
+		return emitGaxpy(an, opts, mach)
 	case PatternTranspose:
 		return emitTranspose(an, opts, mach)
 	default:
-		return emitGaxpy(an, opts, mach)
+		return emitForall(an, opts, mach)
 	}
 }
 
@@ -362,184 +363,10 @@ func analyze(prog *hpf.Program, opts Options) (*Analysis, error) {
 	}
 
 	an := &Analysis{N: n, Procs: procs, GridShape: gridShape, Mappings: mappings}
-	errGaxpy := matchGaxpy(prog, env, an)
-	if errGaxpy == nil {
-		an.Pattern = PatternGaxpy
-		return an, nil
+	if err := classify(prog, env, an); err != nil {
+		return nil, err
 	}
-	errEwise := matchEwise(prog, env, an)
-	if errEwise == nil {
-		an.Pattern = PatternEwise
-		return an, nil
-	}
-	errShift := matchShift(prog, env, an)
-	if errShift == nil {
-		an.Pattern = PatternShift
-		return an, nil
-	}
-	errTranspose := matchTranspose(prog, env, an)
-	if errTranspose == nil {
-		an.Pattern = PatternTranspose
-		return an, nil
-	}
-	return nil, fmt.Errorf("compiler: program matches no supported pattern\n  as gaxpy: %v\n  as elementwise: %v\n  as shifted: %v\n  as transpose: %v", errGaxpy, errEwise, errShift, errTranspose)
-}
-
-// matchGaxpy recognizes the paper's statement pattern:
-//
-//	do j = 1, n
-//	  FORALL (k = 1:n)
-//	    temp(1:n, k) = b(k, j) * a(1:n, k)
-//	  end FORALL
-//	  c(1:n, j) = SUM(temp, 2)
-//	end do
-//
-// and performs the communication analysis on it.
-func matchGaxpy(prog *hpf.Program, env map[string]int, an *Analysis) error {
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("compiler: unsupported program shape: "+format, args...)
-	}
-	if len(an.GridShape) != 1 {
-		return fail("the GAXPY pattern requires a 1-D processor arrangement")
-	}
-	if len(prog.Body) != 1 {
-		return fail("expected a single outer do loop, found %d statements", len(prog.Body))
-	}
-	do, ok := prog.Body[0].(*hpf.DoLoop)
-	if !ok {
-		return fail("outer statement must be a do loop")
-	}
-	if !spansWholeExtent(do.Lo, do.Hi, env, an.N) {
-		return fail("outer do must run 1..n")
-	}
-	if len(do.Body) != 2 {
-		return fail("do body must be a FORALL followed by a reduction assignment")
-	}
-	fa, ok := do.Body[0].(*hpf.Forall)
-	if !ok {
-		return fail("first statement in the do loop must be a FORALL")
-	}
-	if !spansWholeExtent(fa.Lo, fa.Hi, env, an.N) {
-		return fail("FORALL must run 1..n")
-	}
-	if len(fa.Body) != 1 {
-		return fail("FORALL body must be a single assignment")
-	}
-	asg := fa.Body[0].(*hpf.Assign)
-
-	// LHS: temp(1:n, k).
-	if len(asg.LHS.Subs) != 2 || !asg.LHS.Subs[0].IsRange() || asg.LHS.Subs[1].IsRange() {
-		return fail("FORALL assignment target must be temp(1:n, k)")
-	}
-	if !isVar(asg.LHS.Subs[1].Index, fa.Var) {
-		return fail("FORALL target's column subscript must be the FORALL index %q", fa.Var)
-	}
-	an.Temp = asg.LHS.Array
-
-	// RHS: scalar * section (in either order).
-	mul, ok := asg.RHS.(*hpf.BinOp)
-	if !ok || mul.Op != '*' {
-		return fail("FORALL right-hand side must be a product")
-	}
-	scalar, section := classifyProduct(mul)
-	if scalar == nil || section == nil {
-		return fail("FORALL product must combine a scalar reference with an array section")
-	}
-	// Scalar b(k, j): row subscript is the FORALL index, column the
-	// outer do index.
-	if len(scalar.Subs) != 2 || !isVar(scalar.Subs[0].Index, fa.Var) || !isVar(scalar.Subs[1].Index, do.Var) {
-		return fail("scalar operand must be %s(%s, %s)", scalar.Array, fa.Var, do.Var)
-	}
-	// Section a(1:n, k).
-	if len(section.Subs) != 2 || !section.Subs[0].IsRange() || !isVar(section.Subs[1].Index, fa.Var) {
-		return fail("section operand must be %s(1:n, %s)", section.Array, fa.Var)
-	}
-	an.B = scalar.Array
-	an.A = section.Array
-
-	// Reduction statement: c(1:n, j) = SUM(temp, 2).
-	red, ok := do.Body[1].(*hpf.Assign)
-	if !ok {
-		return fail("second statement in the do loop must be an assignment")
-	}
-	sum, ok := red.RHS.(*hpf.SumIntrinsic)
-	if !ok {
-		return fail("reduction right-hand side must be SUM(...)")
-	}
-	if sum.Arg.Array != an.Temp {
-		return fail("SUM must reduce the FORALL temporary %q, got %q", an.Temp, sum.Arg.Array)
-	}
-	dim, err := hpf.Eval(sum.Dim, env)
-	if err != nil || dim != 2 {
-		return fail("SUM dimension must be the constant 2")
-	}
-	an.ReduceDim = dim
-	if len(red.LHS.Subs) != 2 || !red.LHS.Subs[0].IsRange() || red.LHS.Subs[1].IsRange() ||
-		!isVar(red.LHS.Subs[1].Index, do.Var) {
-		return fail("reduction target must be c(1:n, %s)", do.Var)
-	}
-	an.C = red.LHS.Array
-
-	// Communication analysis. The required mappings for this pattern:
-	// a, c, temp distributed along dim 2 (column-block), b along dim 1
-	// (row-block), so the FORALL needs no communication and the SUM is a
-	// cross-processor global reduction delivered to the owner of the
-	// result column.
-	for _, name := range []string{an.A, an.B, an.C, an.Temp} {
-		if _, ok := an.Mappings[name]; !ok {
-			return fail("array %q has no ALIGN directive", name)
-		}
-	}
-	if an.Mappings[an.A].DistributedDim() != 1 || an.Mappings[an.C].DistributedDim() != 1 ||
-		an.Mappings[an.Temp].DistributedDim() != 1 {
-		return fail("%s, %s and %s must be distributed along dimension 2 (column-block)", an.A, an.C, an.Temp)
-	}
-	if an.Mappings[an.B].DistributedDim() != 0 {
-		return fail("%s must be distributed along dimension 1 (row-block)", an.B)
-	}
-	an.Comm = fmt.Sprintf(
-		"FORALL is communication-free (owner computes on local %s columns paired with local %s rows); "+
-			"SUM(%s,2) reduces across the distributed dimension -> global sum; "+
-			"owner of %s's column stores the result",
-		an.A, an.B, an.Temp, an.C)
-	return nil
-}
-
-// classifyProduct splits a product into its scalar reference (both
-// subscripts are single indices) and its section reference (has a range).
-func classifyProduct(mul *hpf.BinOp) (scalar, section *hpf.SectionRef) {
-	classify := func(e hpf.Expr) {
-		ref, ok := e.(*hpf.SectionRef)
-		if !ok {
-			return
-		}
-		hasRange := false
-		for _, s := range ref.Subs {
-			if s.IsRange() {
-				hasRange = true
-			}
-		}
-		if hasRange {
-			section = ref
-		} else {
-			scalar = ref
-		}
-	}
-	classify(mul.L)
-	classify(mul.R)
-	return scalar, section
-}
-
-func isVar(e hpf.Expr, name string) bool {
-	id, ok := e.(*hpf.Ident)
-	return ok && id.Name == name
-}
-
-// spansWholeExtent reports whether lo..hi evaluates to 1..n.
-func spansWholeExtent(lo, hi hpf.Expr, env map[string]int, n int) bool {
-	l, err1 := hpf.Eval(lo, env)
-	h, err2 := hpf.Eval(hi, env)
-	return err1 == nil && err2 == nil && l == 1 && h == n
+	return an, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -592,56 +419,97 @@ func emitGaxpy(an *Analysis, opts Options, mach sim.Config) (*Result, error) {
 	}
 	allocs := [][2]int{{colA, colB}, {rowA, rowB}}
 
-	chosen := cost.Select(cands, mach)
-	switch opts.Force {
-	case "":
-	case "column-slab":
-		chosen = 0
-	case "row-slab":
-		chosen = 1
-	default:
-		return nil, fmt.Errorf("compiler: unknown forced strategy %q", opts.Force)
+	chosen, err := choose(an.Pattern, cands, opts.Force, mach)
+	if err != nil {
+		return nil, err
 	}
 	slabA, slabB := allocs[chosen][0], allocs[chosen][1]
 
-	prg := buildProgram(an, cands[chosen].Label, slabA, slabB, slabC)
-	prg.Notes = append(prg.Notes, an.Comm)
+	notes := make([]string, 1, 3)
+	notes[0] = an.Comm
 	if ocla := n * n / p; slabA >= ocla && slabB >= ocla {
-		prg.Notes = append(prg.Notes,
+		notes = append(notes,
 			"slabs cover the whole out-of-core local arrays: the program degenerates to the in-core translation (each array read from disk once)")
 	}
-	prg.Notes = append(prg.Notes,
-		fmt.Sprintf("memory policy %s: slab(%s)=%d, slab(%s)=%d, slab(%s)=%d elements",
-			opts.Policy, an.A, slabA, an.B, slabB, an.C, slabC))
+	notes = append(notes, fmt.Sprintf("memory policy %s: slab(%s)=%d, slab(%s)=%d, slab(%s)=%d elements",
+		opts.Policy, an.A, slabA, an.B, slabB, an.C, slabC))
+	prg := buildProgram(an, cands[chosen].Label, slabA, slabB, slabC)
+	return finish(an, prg, cands, chosen, mach, notes...), nil
+}
+
+// choose resolves the strategy: the candidate whose label force names
+// ("twophase" is accepted for "two-phase"), or the cheapest when force is
+// empty.
+func choose(p Pattern, cands []cost.Candidate, force string, mach sim.Config) (int, error) {
+	if force == "" {
+		return cost.Select(cands, mach), nil
+	}
+	label := force
+	if label == "twophase" {
+		label = "two-phase"
+	}
+	labels := make([]string, len(cands))
 	for i, c := range cands {
+		if c.Label == label {
+			return i, nil
+		}
+		labels[i] = c.Label
+	}
+	return 0, fmt.Errorf("compiler: forced strategy %q does not apply to the %s pattern (valid: %s)",
+		force, p, strings.Join(labels, ", "))
+}
+
+// finish is every emitter's tail: the program's notes are the pattern's
+// own, then each candidate's estimate (notes reach plan.Fingerprint, so
+// every format is fixed per pattern). It assembles the result.
+func finish(an *Analysis, prg *plan.Program, cands []cost.Candidate, chosen int, mach sim.Config, notes ...string) *Result {
+	prg.Notes = append(make([]string, 0, len(notes)+len(cands)), notes...)
+	// A shifted program's single candidate goes unnoted.
+	for i := 0; i < len(cands) && an.Pattern != PatternShift; i++ {
 		mark := ""
 		if i == chosen {
 			mark = " [selected]"
 		}
-		prg.Notes = append(prg.Notes, fmt.Sprintf("candidate %s: est. I/O %.2fs, %d fetches, %d elems%s",
-			c.Label, c.Seconds(mach), c.TotalFetches(), c.TotalElems(), mark))
+		prg.Notes = append(prg.Notes, candidateNote(an.Pattern, cands[i], mach, mark))
 	}
-
 	return &Result{
 		Program:    prg,
 		Analysis:   an,
 		Candidates: cands,
 		Chosen:     chosen,
 		Report:     cost.Report(cands, chosen, mach),
-	}, nil
+	}
+}
+
+// candidateNote renders one candidate's estimate in its pattern's format.
+func candidateNote(p Pattern, c cost.Candidate, mach sim.Config, mark string) string {
+	switch p {
+	case PatternGaxpy:
+		return fmt.Sprintf("candidate %s: est. I/O %.2fs, %d fetches, %d elems%s",
+			c.Label, c.Seconds(mach), c.TotalFetches(), c.TotalElems(), mark)
+	case PatternTranspose:
+		return fmt.Sprintf("candidate %s: est. I/O+comm %.2fs, %d requests, %d elems%s",
+			c.Label, c.Seconds(mach), c.TotalRequests(), c.TotalElems(), mark)
+	default:
+		return fmt.Sprintf("candidate %s: est. I/O %.2fs, %d requests%s",
+			c.Label, c.Seconds(mach), c.TotalRequests(), mark)
+	}
+}
+
+// spec is the one ArraySpec builder: name's n x n mapping, strip-mined
+// into slabs of slab elements along dim.
+func (an *Analysis) spec(name string, role plan.Role, slab int, dim oocarray.Dim) plan.ArraySpec {
+	m := an.Mappings[name]
+	return plan.ArraySpec{
+		Name: name, Rows: an.N, Cols: an.N,
+		RowScheme: m.Dims[0].Scheme, ColScheme: m.Dims[1].Scheme,
+		Role: role, Grid: m.Grid, SlabElems: slab, SlabDim: dim,
+	}
 }
 
 // buildProgram emits the IR for the chosen strategy.
 func buildProgram(an *Analysis, strategy string, slabA, slabB, slabC int) *plan.Program {
 	n, p := an.N, an.Procs
-	spec := func(name string, role plan.Role, slab int, dim oocarray.Dim) plan.ArraySpec {
-		m := an.Mappings[name]
-		return plan.ArraySpec{
-			Name: name, Rows: n, Cols: n,
-			RowScheme: m.Dims[0].Scheme, ColScheme: m.Dims[1].Scheme,
-			Role: role, SlabElems: slab, SlabDim: dim,
-		}
-	}
 	prg := &plan.Program{
 		Name:     "gaxpy",
 		N:        n,
@@ -652,9 +520,9 @@ func buildProgram(an *Analysis, strategy string, slabA, slabB, slabC int) *plan.
 	bufA, bufB, stage, temp := "icla_"+a, "icla_"+b, "icla_"+c, "temp"
 	if strategy == "column-slab" {
 		prg.Arrays = []plan.ArraySpec{
-			spec(a, plan.In, slabA, oocarray.ByColumn),
-			spec(b, plan.In, slabB, oocarray.ByColumn),
-			spec(c, plan.Out, slabC, oocarray.ByColumn),
+			an.spec(a, plan.In, slabA, oocarray.ByColumn),
+			an.spec(b, plan.In, slabB, oocarray.ByColumn),
+			an.spec(c, plan.Out, slabC, oocarray.ByColumn),
 		}
 		prg.Body = []plan.Node{
 			&plan.AutoStage{Array: c},
@@ -679,9 +547,9 @@ func buildProgram(an *Analysis, strategy string, slabA, slabB, slabC int) *plan.
 	}
 	// Row-slab (Figure 12).
 	prg.Arrays = []plan.ArraySpec{
-		spec(a, plan.In, slabA, oocarray.ByRow),
-		spec(b, plan.In, slabB, oocarray.ByColumn),
-		spec(c, plan.Out, slabC, oocarray.ByColumn),
+		an.spec(a, plan.In, slabA, oocarray.ByRow),
+		an.spec(b, plan.In, slabB, oocarray.ByColumn),
+		an.spec(c, plan.Out, slabC, oocarray.ByColumn),
 	}
 	prg.Body = []plan.Node{
 		&plan.Loop{Var: "l", Count: plan.CountExpr{SlabsOf: a}, Body: []plan.Node{

@@ -1,6 +1,8 @@
 package compiler
 
 import (
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -174,10 +176,86 @@ func TestCompileErrors(t *testing.T) {
 		{"cyclic distribution", strings.Replace(hpf.GaxpySource, "d(block)", "d(cyclic)", 1), Options{MemElems: 1 << 12}},
 		{"tiny memory", hpf.GaxpySource, Options{MemElems: 10}},
 		{"wrong body", "parameter (n=4, nprocs=2)\nreal a(n,n)\n!hpf$ processors pr(nprocs)\n!hpf$ template d(n)\n!hpf$ distribute d(block) on pr\n!hpf$ align (*,:) with d :: a\na(1:n,1) = a(1:n,2)\nend\n", Options{MemElems: 64}},
+		// GAXPY shapes that once compiled as the full Figure 3 program
+		// (or failed only when lowered): each breaks one of the roles.
+		{"partial section", gaxpyEdit(t, "b(k,j)*a(1:n,k)", "b(k,j)*a(2:3,k)"), Options{MemElems: 1 << 12}},
+		{"partial FORALL target", gaxpyEdit(t, "temp(1:n,k) =", "temp(2:3,k) ="), Options{MemElems: 1 << 12}},
+		{"SUM over a subsection", gaxpyEdit(t, "SUM(temp,2)", "SUM(temp(1:2,1:n),2)"), Options{MemElems: 1 << 12}},
+		{"one index for both loops", gaxpyEdit(t, "do j=1, n", "do k=1, n", "b(k,j)", "b(k,k)", "c(1:n,j)", "c(1:n,k)"), Options{MemElems: 1 << 12}},
+		{"FORALL target aliases the section", gaxpyEdit(t, "temp(1:n,k) =", "a(1:n,k) =", "SUM(temp,2)", "SUM(a,2)"), Options{MemElems: 1 << 12}},
+		{"C aliases A", gaxpyEdit(t, "c(1:n,j) =", "a(1:n,j) ="), Options{MemElems: 1 << 12}},
+		{"C aliases temp", gaxpyEdit(t, "c(1:n,j) =", "temp(1:n,j) ="), Options{MemElems: 1 << 12}},
+		// A FORALL must hold an assignment; a lone empty one was once a
+		// division by zero in the out-of-core phase.
+		{"lone empty FORALL", strings.Replace(hpf.TransposeSource, "b(1:n,k) = a(k,1:n)\n", "", 1), Options{MemElems: 1 << 12}},
+		{"empty FORALL", strings.Replace(hpf.EwiseSource, "z(1:n,k) = alpha*x(1:n,k) + y(1:n,k) - 1\n", "", 1), Options{MemElems: 1 << 12}},
 	}
 	for _, tc := range cases {
 		if _, err := CompileSource(tc.src, tc.opts); err == nil {
 			t.Errorf("%s: expected compile error", tc.name)
+		}
+	}
+}
+
+// gaxpyEdit applies old/new replacement pairs to the Figure 3 program,
+// each exactly once.
+func gaxpyEdit(t *testing.T, pairs ...string) string {
+	t.Helper()
+	src := hpf.GaxpySource
+	for i := 0; i < len(pairs); i += 2 {
+		if !strings.Contains(src, pairs[i]) {
+			t.Fatalf("GAXPY source has no %q", pairs[i])
+		}
+		src = strings.Replace(src, pairs[i], pairs[i+1], 1)
+	}
+	return src
+}
+
+func TestZeroOffsetIsTheIndex(t *testing.T) {
+	// x(1:n,k+0) is the reference x(1:n,k): the same elementwise program
+	// to the fingerprint.
+	opts := Options{MemElems: 1 << 12}
+	want, err := CompileSource(hpf.EwiseSource, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := CompileSource(strings.Replace(hpf.EwiseSource, "alpha*x(1:n,k)", "alpha*x(1:n,k+0)", 1), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Analysis.Pattern != PatternEwise {
+		t.Fatalf("pattern = %v", got.Analysis.Pattern)
+	}
+	if g, w := plan.Fingerprint(got.Program, nil), plan.Fingerprint(want.Program, nil); g != w {
+		t.Errorf("fingerprint %s, want %s", g, w)
+	}
+}
+
+func TestForceByLabel(t *testing.T) {
+	// Every pattern resolves Force against its own candidates' labels and
+	// rejects any other label.
+	all := []string{"column-slab", "row-slab", "direct", "sieved", "two-phase", "twophase", "diagonal"}
+	for _, wp := range witnessPrograms {
+		src, err := os.ReadFile("../../testdata/" + wp.name + ".hpf")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, force := range all {
+			label := force
+			if force == "twophase" {
+				label = "two-phase"
+			}
+			res, err := CompileSource(string(src), Options{MemElems: 1 << 12, Force: force})
+			switch {
+			case slices.Contains(wp.labels, label) && err != nil:
+				t.Errorf("%s force %q: %v", wp.name, force, err)
+			case slices.Contains(wp.labels, label) && res.Program.Strategy != label:
+				t.Errorf("%s force %q: compiled %s", wp.name, force, res.Program.Strategy)
+			case !slices.Contains(wp.labels, label) && err == nil:
+				t.Errorf("%s force %q: accepted, compiled %s", wp.name, force, res.Program.Strategy)
+			case !slices.Contains(wp.labels, label) && !strings.Contains(err.Error(), strings.Join(wp.labels, ", ")):
+				t.Errorf("%s force %q: error does not name the valid labels: %v", wp.name, force, err)
+			}
 		}
 	}
 }

@@ -18,13 +18,13 @@ func TestEwiseRecognized(t *testing.T) {
 	if an.Pattern != PatternEwise {
 		t.Fatalf("pattern = %v", an.Pattern)
 	}
-	if an.Ewise == nil || len(an.Ewise.Stmts) != 2 {
-		t.Fatalf("statements = %+v", an.Ewise)
+	if len(an.Stmts) != 2 {
+		t.Fatalf("statements = %+v", an.Stmts)
 	}
-	if got := strings.Join(an.Ewise.Arrays, ","); got != "z,x,y,w" {
+	if got := strings.Join(an.Arrays, ","); got != "z,x,y,w" {
 		t.Errorf("arrays = %q", got)
 	}
-	s0 := an.Ewise.Stmts[0]
+	s0 := an.Stmts[0]
 	if s0.Out != "z" || strings.Join(s0.Ins, ",") != "x,y" {
 		t.Errorf("stmt0 = %+v", s0)
 	}
@@ -170,8 +170,13 @@ func TestEwiseTinyMemoryRejected(t *testing.T) {
 }
 
 func TestPatternString(t *testing.T) {
-	if PatternGaxpy.String() != "gaxpy" || PatternEwise.String() != "elementwise" {
-		t.Error("pattern names wrong")
+	for p, want := range map[Pattern]string{
+		PatternGaxpy: "gaxpy", PatternEwise: "elementwise", PatternShift: "shifted",
+		PatternTranspose: "transpose", Pattern(9): "Pattern(9)",
+	} {
+		if got := p.String(); got != want {
+			t.Errorf("Pattern(%d).String() = %q, want %q", int(p), got, want)
+		}
 	}
 }
 

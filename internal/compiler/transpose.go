@@ -16,10 +16,7 @@ package compiler
 // two-phase window staging).
 
 import (
-	"fmt"
-
 	"github.com/ooc-hpf/passion/internal/cost"
-	"github.com/ooc-hpf/passion/internal/hpf"
 	"github.com/ooc-hpf/passion/internal/oocarray"
 	"github.com/ooc-hpf/passion/internal/plan"
 	"github.com/ooc-hpf/passion/internal/sim"
@@ -32,121 +29,32 @@ type TransposeAnalysis struct {
 	Src, Dst string
 }
 
-// matchTranspose recognizes the single-FORALL transpose shape over two
-// distinct column-block arrays.
-func matchTranspose(prog *hpf.Program, env map[string]int, an *Analysis) error {
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("not a transpose program: "+format, args...)
-	}
-	if len(an.GridShape) != 1 {
-		return fail("the transpose pattern requires a 1-D processor arrangement")
-	}
-	if len(prog.Body) != 1 {
-		return fail("expected a single FORALL, found %d statements", len(prog.Body))
-	}
-	fa, ok := prog.Body[0].(*hpf.Forall)
-	if !ok {
-		return fail("statement must be a FORALL")
-	}
-	if !spansWholeExtent(fa.Lo, fa.Hi, env, an.N) {
-		return fail("FORALL must run 1..n")
-	}
-	if len(fa.Body) != 1 {
-		return fail("FORALL body must be a single assignment")
-	}
-	asg := fa.Body[0].(*hpf.Assign)
-
-	// LHS: dst(1:n, k).
-	if err := checkSection(asg.LHS, fa.Var, env, an.N); err != nil {
-		return fail("target %s: %v", asg.LHS.String(), err)
-	}
-	// RHS: src(k, 1:n) — the transposed section.
-	ref, ok := asg.RHS.(*hpf.SectionRef)
-	if !ok {
-		return fail("right-hand side must be a plain array section")
-	}
-	if len(ref.Subs) != 2 || ref.Subs[0].IsRange() || !isVar(ref.Subs[0].Index, fa.Var) ||
-		!ref.Subs[1].IsRange() || !spansWholeExtent(ref.Subs[1].Lo, ref.Subs[1].Hi, env, an.N) {
-		return fail("right-hand side must be %s(%s, 1:n)", ref.Array, fa.Var)
-	}
-	src, dst := ref.Array, asg.LHS.Array
-	if src == dst {
-		return fail("in-place transpose of %q is not supported", src)
-	}
-	for _, name := range []string{src, dst} {
-		m, ok := an.Mappings[name]
-		if !ok {
-			return fail("array %q has no ALIGN directive", name)
-		}
-		if m.DistributedDim() != 1 {
-			return fail("array %q must be distributed along dimension 2 (column-block)", name)
-		}
-	}
-	an.Transpose = &TransposeAnalysis{Src: src, Dst: dst}
-	an.Comm = fmt.Sprintf(
-		"FORALL %s(1:n,%s) = %s(%s,1:n) transposes across the distributed dimension: "+
-			"every element changes owner -> collective all-to-all redistribution of %s into %s",
-		dst, fa.Var, src, fa.Var, src, dst)
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Out-of-core phase
-
 // emitTranspose compiles the transpose to a collective redistribution,
 // choosing the destination write strategy with the Figure 14 machinery
 // over the closed-form collio candidates.
 func emitTranspose(an *Analysis, opts Options, mach sim.Config) (*Result, error) {
 	n, p := an.N, an.Procs
-	g := cost.TransposeParams{N: n, P: p, MemElems: opts.MemElems}
-	cands := cost.TransposeCandidates(g)
-	chosen := cost.Select(cands, mach)
-	switch opts.Force {
-	case "":
-	case "direct":
-		chosen = 0
-	case "sieved":
-		chosen = 1
-	case "two-phase", "twophase":
-		chosen = 2
-	default:
-		return nil, fmt.Errorf("compiler: unknown forced strategy %q (transpose wants direct, sieved or two-phase)", opts.Force)
+	cands := cost.TransposeCandidates(cost.TransposeParams{N: n, P: p, MemElems: opts.MemElems})
+	chosen, err := choose(an.Pattern, cands, opts.Force, mach)
+	if err != nil {
+		return nil, err
 	}
 	method := cands[chosen].Label
 
 	src, dst := an.Transpose.Src, an.Transpose.Dst
-	spec := func(name string, role plan.Role) plan.ArraySpec {
-		m := an.Mappings[name]
-		return plan.ArraySpec{
-			Name: name, Rows: n, Cols: n,
-			RowScheme: m.Dims[0].Scheme, ColScheme: m.Dims[1].Scheme,
-			Role: role, SlabElems: opts.MemElems / 2, SlabDim: oocarray.ByColumn,
-		}
-	}
+	slab := opts.MemElems / 2
 	prg := &plan.Program{
 		Name:     "transpose",
 		N:        n,
 		Procs:    p,
 		Strategy: method,
-		Arrays:   []plan.ArraySpec{spec(src, plan.In), spec(dst, plan.Out)},
+		Arrays: []plan.ArraySpec{
+			an.spec(src, plan.In, slab, oocarray.ByColumn),
+			an.spec(dst, plan.Out, slab, oocarray.ByColumn),
+		},
 		Body: []plan.Node{&plan.Redistribute{
 			Src: src, Dst: dst, Transpose: true, Method: method, MemElems: opts.MemElems,
 		}},
 	}
-	prg.Notes = append(prg.Notes, an.Comm)
-	for i, c := range cands {
-		mark := ""
-		if i == chosen {
-			mark = " [selected]"
-		}
-		prg.Notes = append(prg.Notes, fmt.Sprintf("candidate %s: est. I/O+comm %.2fs, %d requests, %d elems%s",
-			c.Label, c.Seconds(mach), c.TotalRequests(), c.TotalElems(), mark))
-	}
-	return &Result{
-		Program:    prg,
-		Analysis:   an,
-		Candidates: cands,
-		Chosen:     chosen,
-		Report:     cost.Report(cands, chosen, mach),
-	}, nil
+	return finish(an, prg, cands, chosen, mach, an.Comm), nil
 }

@@ -46,7 +46,7 @@ func TestShiftPatternRecognized(t *testing.T) {
 	if an.Pattern != compiler.PatternShift {
 		t.Fatalf("pattern = %v", an.Pattern)
 	}
-	st := an.Shift.Stmts[0]
+	st := an.Stmts[0]
 	if st.MinShift != -1 || st.MaxShift != 1 || st.Lo != 1 || st.Hi != 30 {
 		t.Errorf("shift analysis wrong: %+v", st)
 	}
