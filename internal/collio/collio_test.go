@@ -389,12 +389,12 @@ func colBlockMap(t testing.TB, name string, n, p int) *dist.Array {
 	return dm
 }
 
-// tableSchedule is the receiving side of a schedule given outright: rank
-// me, holding rows rows, gets from source rank q, in round 0, the values
-// bound for the linear indices lins[q], cut into runs by the inspector's
-// rule.
-func tableSchedule(me, rows int, lins [][]int) *schedule {
-	s := &schedule{me: me, got: make([][]run, len(lins)), sent: make([][]run, len(lins))}
+// tableSchedule refills s, keeping the storage it holds while pooled, as
+// the receiving side of a schedule given outright: rank me, holding rows
+// rows, gets from source rank q, in round 0, the values bound for the
+// linear indices lins[q], cut into runs by the inspector's rule.
+func tableSchedule(s *schedule, me, rows int, lins [][]int) {
+	*s = schedule{me: me, got: make([][]run, len(lins)), sent: make([][]run, len(lins)), kept: s.kept}
 	for q, l := range lins {
 		for i, lin := range l {
 			if n := len(s.got[q]); n == 0 || !s.got[q][n-1].grows(i, lin/rows, lin%rows) {
@@ -403,7 +403,24 @@ func tableSchedule(me, rows int, lins [][]int) *schedule {
 		}
 	}
 	s.sent[me] = s.got[me]
-	return s
+}
+
+// poison overwrites every element of k's slices, spare capacity included,
+// with values no round produces, so a round that read what an earlier one
+// left would show it.
+func poison(k *kept) {
+	keys, chunks := k.keys[:cap(k.keys)], k.chunks[:cap(k.chunks)]
+	for i := range keys {
+		keys[i] = math.MaxUint64
+	}
+	for i := range chunks {
+		chunks[i] = iosim.Chunk{Off: -1, Len: -1}
+	}
+	for _, s := range [][]float64{k.flat[:cap(k.flat)], k.vals[:cap(k.vals)]} {
+		for i := range s {
+			s[i] = math.NaN()
+		}
+	}
 }
 
 // referenceCoalesce is the definition coalesce must reproduce: the round's
@@ -438,7 +455,10 @@ func referenceCoalesce(lins [][]int, incoming [][]float64) ([]iosim.Chunk, []flo
 // by a schedule, with referenceCoalesce on arbitrary rounds: each input
 // byte is one value's destination index (low seven bits, so duplicates and
 // runs are common; the top bit starts the next source's payload), and the
-// values number the arrivals.
+// values number the arrivals. One pooled schedule serves every input, as
+// it serves round after round and redistribution after redistribution:
+// its scratch arrives holding the poisoned capacity of inputs of other
+// lengths, none of which may reach the round.
 func FuzzCoalescePairs(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 4, 0x83, 0})                             // a duplicate from the next source
@@ -446,7 +466,7 @@ func FuzzCoalescePairs(f *testing.F) {
 	f.Add([]byte{9, 9, 9, 0x89, 9, 8, 10})                   // one index five times
 	f.Add([]byte{127, 0x80, 0xff, 64, 0xc0, 1})              // both ends of the local array
 	f.Add([]byte{0, 64, 1, 65, 2, 66, 0x80, 32, 96, 33, 97}) // a transpose's strided runs
-	r := &runReceiver{dst: Side{Rows: 16, Cols: 8}}          // reused, as across rounds
+	r := &runReceiver{dst: Side{Rows: 16, Cols: 8}, sched: schedules.Get().(*schedule)}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lins, incoming := [][]int{nil}, [][]float64{nil}
 		for i, b := range data {
@@ -457,18 +477,60 @@ func FuzzCoalescePairs(f *testing.F) {
 			lins[last] = append(lins[last], int(b&0x7f))
 			incoming[last] = append(incoming[last], float64(i)+0.5)
 		}
-		r.sched = tableSchedule(0, r.dst.Rows, lins)
+		tableSchedule(r.sched, 0, r.dst.Rows, lins)
 		if err := r.coalesce(0, incoming); err != nil {
 			t.Fatal(err)
 		}
 		wantChunks, wantVals := referenceCoalesce(lins, incoming)
-		if !slices.Equal(r.chunks, wantChunks) {
-			t.Fatalf("chunks %v, reference %v", r.chunks, wantChunks)
+		if !slices.Equal(r.sched.chunks, wantChunks) {
+			t.Fatalf("chunks %v, reference %v", r.sched.chunks, wantChunks)
 		}
-		if !slices.Equal(r.vals, wantVals) {
-			t.Fatalf("values %v, reference %v", r.vals, wantVals)
+		if !slices.Equal(r.sched.vals, wantVals) {
+			t.Fatalf("values %v, reference %v", r.sched.vals, wantVals)
 		}
+		poison(&r.sched.kept)
 	})
+}
+
+// TestRunReceiverKeepsScratch pins where the Direct and Sieved receivers
+// sort and coalesce: in storage the pooled schedule keeps, so the second of
+// two identical redistributions appends into the capacity the first left.
+// A receiver's whole life — schedule, receiver, one round of a ragged
+// transpose, release — then allocates the receiver and nothing else.
+func TestRunReceiverKeepsScratch(t *testing.T) {
+	if raceDetector {
+		t.Skip("the schedule pool drops a random share of releases under the race detector")
+	}
+	const n, p, mem = 9, 3, 4 * 9 * 9
+	srcMap, dstMap := colBlockMap(t, "src", n, p), colBlockMap(t, "dst", n, p)
+	disk := iosim.NewDisk(iosim.NewMemFS(), sim.Delta(p), nil)
+	dst := sideFor(t, disk, dstMap, 0, nil)
+	defer discard(disk, dst)
+	for _, method := range []Method{Direct, Sieved} {
+		incoming := make([][]float64, p)
+		redistribute := func() {
+			sched := newSchedule(0, p, srcMap, dstMap.Tables2(), dst, mem, Transpose())
+			defer sched.release()
+			for q := range incoming {
+				incoming[q] = bufpool.GetF64(total(sched.runs(q, 0, 0)))
+			}
+			recv, err := newReceiver(dst, mem, 1, method, sched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer recv.cleanup()
+			if err := absorbRound(recv, 0, incoming); err != nil {
+				t.Fatal(err)
+			}
+			if err := recv.finish(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		redistribute()
+		if allocs := testing.AllocsPerRun(10, redistribute); allocs != 1 {
+			t.Errorf("%v: a repeated redistribution's receiver allocates %v times, want 1 (the receiver)", method, allocs)
+		}
+	}
 }
 
 // FuzzRoundPayloadLengths applies one round whose payload lengths are

@@ -38,27 +38,25 @@ func absorbRound(recv receiver, k int, incoming [][]float64) error {
 }
 
 // runReceiver writes each round immediately, run by run (Direct) or
-// through a spanning read-modify-write (Sieved).
+// through a spanning read-modify-write (Sieved). Its scratch is the
+// pooled schedule's.
 type runReceiver struct {
-	dst    Side
-	sched  *schedule
-	sieve  bool
-	keys   []uint64
-	flat   []float64
-	chunks []iosim.Chunk
-	vals   []float64
+	dst   Side
+	sched *schedule
+	sieve bool
 }
 
 func (r *runReceiver) absorb(k int, incoming [][]float64) error {
-	if err := r.coalesce(k, incoming); err != nil || len(r.chunks) == 0 {
+	s := r.sched
+	if err := r.coalesce(k, incoming); err != nil || len(s.chunks) == 0 {
 		return err
 	}
 	var sec float64
 	var err error
 	if r.sieve {
-		sec, err = AggregateWrite(r.dst.LAF, r.chunks, r.vals)
+		sec, err = AggregateWrite(r.dst.LAF, s.chunks, s.vals)
 	} else {
-		sec, err = r.dst.LAF.WriteChunks(r.chunks, r.vals)
+		sec, err = r.dst.LAF.WriteChunks(s.chunks, s.vals)
 	}
 	if err == nil {
 		r.dst.charge("io-write", sec)
@@ -70,12 +68,14 @@ func (r *runReceiver) finish() error { return nil }
 func (r *runReceiver) cleanup()      {}
 
 // coalesce orders round k's values by destination index into contiguous
-// chunks (r.chunks) with their values in chunk order (r.vals). Duplicate
-// indices keep arrival order and each starts a fresh chunk, so the last
-// writer wins. A value's key is its index (from the schedule) above its
-// arrival number: a plain sort of the keys is the stable sort by index.
+// chunks (sched.chunks) with their values in chunk order (sched.vals).
+// Duplicate indices keep arrival order and each starts a fresh chunk, so
+// the last writer wins. A value's key is its index (from the schedule)
+// above its arrival number: a plain sort of the keys is the stable sort by
+// index.
 func (r *runReceiver) coalesce(k int, incoming [][]float64) error {
-	r.keys, r.flat, r.chunks, r.vals = r.keys[:0], r.flat[:0], r.chunks[:0], r.vals[:0]
+	s := r.sched
+	s.keys, s.flat, s.chunks, s.vals = s.keys[:0], s.flat[:0], s.chunks[:0], s.vals[:0]
 	n := 0
 	for _, in := range incoming {
 		n += len(in)
@@ -86,30 +86,30 @@ func (r *runReceiver) coalesce(k int, incoming [][]float64) error {
 		return fmt.Errorf("collio: %d values into a local array of %d elements are too many to order in one round", n, local)
 	}
 	for q, in := range incoming {
-		runs, err := r.sched.inbound(q, k, in)
+		runs, err := s.inbound(q, k, in)
 		if err != nil {
 			return err
 		}
 		for _, ru := range runs {
 			lin, step := ru.lin(r.dst.Rows)
 			for _, v := range in[:ru.n] {
-				r.keys = append(r.keys, uint64(lin)<<seqBits|uint64(len(r.flat)))
-				r.flat = append(r.flat, v)
+				s.keys = append(s.keys, uint64(lin)<<seqBits|uint64(len(s.flat)))
+				s.flat = append(s.flat, v)
 				lin += step
 			}
 			in = in[ru.n:]
 		}
 	}
-	slices.Sort(r.keys)
+	slices.Sort(s.keys)
 	seqMask := uint64(1)<<seqBits - 1
 	next := int64(-1) // the index that would extend the current chunk
-	for _, key := range r.keys {
+	for _, key := range s.keys {
 		lin := int64(key >> seqBits)
-		r.vals = append(r.vals, r.flat[key&seqMask])
+		s.vals = append(s.vals, s.flat[key&seqMask])
 		if lin == next {
-			r.chunks[len(r.chunks)-1].Len++
+			s.chunks[len(s.chunks)-1].Len++
 		} else {
-			r.chunks = append(r.chunks, iosim.Chunk{Off: lin, Len: 1})
+			s.chunks = append(s.chunks, iosim.Chunk{Off: lin, Len: 1})
 		}
 		next = lin + 1
 	}

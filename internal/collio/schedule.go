@@ -7,6 +7,7 @@ import (
 
 	"github.com/ooc-hpf/passion/internal/bufpool"
 	"github.com/ooc-hpf/passion/internal/dist"
+	"github.com/ooc-hpf/passion/internal/iosim"
 	"github.com/ooc-hpf/passion/internal/mp"
 )
 
@@ -77,10 +78,20 @@ type schedule struct {
 	fixed     *dist.DimTable
 	transpose bool
 	sent, got [][]run
-	// Storage kept while pooled: segments, the last runs computed, and
-	// the two-phase receiver's list of runs to this rank.
-	segBuf    []seg
-	out, list []run
+	kept
+}
+
+// kept is the storage a schedule keeps while pooled, so that a
+// redistribution appends into the capacity the last one left: segments,
+// the last runs computed, the two-phase receiver's list of runs to this
+// rank, and the run receiver's sort keys, arrivals, values and chunks.
+// Every user starts its slices at length zero.
+type kept struct {
+	segBuf     []seg
+	out, list  []run
+	keys       []uint64
+	flat, vals []float64
+	chunks     []iosim.Chunk
 }
 
 // source is one source rank: local globals, slab width, round count and,
@@ -97,7 +108,8 @@ var schedules = sync.Pool{New: func() any { return new(schedule) }}
 func newSchedule(me, size int, src *dist.Array, dstT *dist.Tables2, dst Side, memElems int, m IndexMap) *schedule {
 	s := schedules.Get().(*schedule)
 	*s = schedule{me: me, dstT: dstT, rows: dst.Rows, cols: dst.Cols, transpose: m.transpose,
-		srcs: slices.Grow(s.srcs[:0], size)[:size], segBuf: s.segBuf[:0], out: s.out, list: s.list}
+		srcs: slices.Grow(s.srcs[:0], size)[:size], kept: s.kept}
+	s.segBuf = s.segBuf[:0]
 	swept := &dstT.Dim[0]
 	if m.fn == nil {
 		s.fixed = &dstT.Dim[1]
@@ -132,7 +144,7 @@ func newSchedule(me, size int, src *dist.Array, dstT *dist.Tables2, dst Side, me
 // release returns the schedule to the pool, storage only.
 func (s *schedule) release() {
 	clear(s.srcs)
-	*s = schedule{srcs: s.srcs[:0], segBuf: s.segBuf[:0], out: s.out[:0], list: s.list[:0]}
+	*s = schedule{srcs: s.srcs[:0], kept: s.kept}
 	schedules.Put(s)
 }
 

@@ -211,8 +211,8 @@ func readManifest(fs iosim.FS, name string) (*ckptManifest, error) {
 }
 
 // writeSet is the arrays a program writes, in first-write order — what a
-// checkpoint snapshots. It is computed once per run and shared read-only
-// by every rank.
+// checkpoint snapshots. It is computed once per lowering and shared
+// read-only by every rank of every run.
 type writeSet struct {
 	idx   []int32  // array-table indices
 	names []string // the same arrays by name, as manifests list them

@@ -255,12 +255,12 @@ func TestRestoreRejectsForeignManifest(t *testing.T) {
 // TestResolveManifestNullEntries: JSON null under staging is absent
 // state, not a nil dereference.
 func TestResolveManifestNullEntries(t *testing.T) {
-	code, err := lower(compileGaxpy(t, 32, 2, 1<<10).Program)
+	l, err := Lower(compileGaxpy(t, 32, 2, 1<<10).Program)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := &ckptManifest{Staging: map[string]*ckptICLA{"c": nil}}
-	r, err := resolveManifest(code, nil, 0, m)
+	r, err := resolveManifest(l.code, nil, 0, m)
 	if err != nil || r.staging[2] != nil {
 		t.Fatalf("null staging entry: restored %+v, err %v", r, err)
 	}

@@ -198,26 +198,84 @@ func Run(p *plan.Program, mach sim.Config, opts Options) (*Result, error) {
 // dead loop variable, an unknown array) fails with an "exec: lower: ..."
 // error before any file is created or processor started.
 func RunCtx(ctx context.Context, p *plan.Program, mach sim.Config, opts Options) (*Result, error) {
-	code, err := lower(p)
+	rr, err := lowerAndRun(ctx, p, mach, opts, Start{})
 	if err != nil {
 		return nil, err
 	}
-	res, err := run(ctx, p, code, mach, opts, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return rr.Result, nil
 }
 
-// lower compiles the program to the opcode stream the run executes. It
-// is the first thing every entry point does, so a program the lowering
-// rejects fails before any file or processor exists.
-func lower(p *plan.Program) (*bytecode.Program, error) {
+// Lowered is a program lowered to the opcode stream its runs execute,
+// with the set of arrays it writes. It is immutable, so any number of
+// runs, concurrent ones included, can share one; a serving plan cache
+// holds one per entry and lowers each plan once.
+type Lowered struct {
+	prog    *plan.Program
+	code    *bytecode.Program
+	mutated writeSet
+}
+
+// Lower lowers p. A program the lowering rejects (a buffer read before
+// any definition, a dead loop variable, an unknown array) fails with an
+// "exec: lower: ..." error; every entry point lowers first, so such a
+// program fails before any file or processor exists.
+func Lower(p *plan.Program) (*Lowered, error) {
 	code, err := bytecode.Compile(p)
 	if err != nil {
 		return nil, fmt.Errorf("exec: lower: %w", err)
 	}
-	return code, nil
+	return &Lowered{prog: p, code: code, mutated: mutatedArrays(code)}, nil
+}
+
+// Start says how RunLowered starts a lowered program. The zero value is a
+// fresh run, as RunCtx.
+type Start struct {
+	// Resume restarts from the last globally consistent checkpoint, as
+	// ResumeCtx.
+	Resume bool
+	// Resilient survives up to MaxRecoveries fail-stop rank losses, as
+	// RunResilientCtx; with Resume, its first attempt resumes.
+	Resilient     bool
+	MaxRecoveries int
+}
+
+// RunLowered runs an already-lowered program, the one path under RunCtx,
+// ResumeCtx and RunResilientCtx, which lower and then call it. Without
+// Start.Resilient the result has one attempt and no recoveries.
+func RunLowered(ctx context.Context, l *Lowered, mach sim.Config, opts Options, start Start) (*ResilientResult, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	var manifests []*ckptManifest
+	if start.Resume {
+		if opts.Checkpoint == nil {
+			return nil, fmt.Errorf("exec: Resume requires Options.Checkpoint")
+		}
+		if opts.FS == nil {
+			return nil, fmt.Errorf("exec: Resume requires the original Options.FS")
+		}
+		var err error
+		if manifests, err = loadResumeManifests(opts.FS, opts.Checkpoint, l.prog.Procs); err != nil {
+			return nil, err
+		}
+	}
+	if start.Resilient {
+		return runResilient(ctx, l, mach, opts, start.MaxRecoveries, manifests)
+	}
+	res, err := run(ctx, l, mach, opts, manifests, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &ResilientResult{Result: res, Attempts: 1, Trace: opts.Trace}, nil
+}
+
+// lowerAndRun is every plan-taking entry point: lower, then RunLowered.
+func lowerAndRun(ctx context.Context, p *plan.Program, mach sim.Config, opts Options, start Start) (*ResilientResult, error) {
+	l, err := Lower(p)
+	if err != nil {
+		return nil, err
+	}
+	return RunLowered(ctx, l, mach, opts, start)
 }
 
 // Resume restarts a killed or failed checkpointed run from its last
@@ -230,28 +288,15 @@ func Resume(p *plan.Program, mach sim.Config, opts Options) (*Result, error) {
 }
 
 // ResumeCtx is Resume under a context, with RunCtx's cancellation
-// semantics. The serving layer uses it to resume journaled jobs that
-// were RUNNING at crash time without losing per-job deadlines.
+// semantics. The serving layer resumes journaled jobs that were RUNNING
+// at crash time the same way, through RunLowered with Start.Resume, so
+// they keep their per-job deadlines.
 func ResumeCtx(ctx context.Context, p *plan.Program, mach sim.Config, opts Options) (*Result, error) {
-	if opts.Checkpoint == nil {
-		return nil, fmt.Errorf("exec: Resume requires Options.Checkpoint")
-	}
-	if opts.FS == nil {
-		return nil, fmt.Errorf("exec: Resume requires the original Options.FS")
-	}
-	code, err := lower(p)
+	rr, err := lowerAndRun(ctx, p, mach, opts, Start{Resume: true})
 	if err != nil {
 		return nil, err
 	}
-	manifests, err := loadResumeManifests(opts.FS, opts.Checkpoint, p.Procs)
-	if err != nil {
-		return nil, err
-	}
-	res, err := run(ctx, p, code, mach, opts, manifests, nil)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return rr.Result, nil
 }
 
 // run executes the program's opcode stream, optionally restarting every
@@ -261,10 +306,8 @@ func ResumeCtx(ctx context.Context, p *plan.Program, mach sim.Config, opts Optio
 // Result (with the attempt's statistics) is returned alongside the error
 // so the recovery loop can report and reconcile aborted attempts; the
 // exported entry points discard it.
-func run(ctx context.Context, p *plan.Program, code *bytecode.Program, mach sim.Config, opts Options, resume []*ckptManifest, respawned []int) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func run(ctx context.Context, l *Lowered, mach sim.Config, opts Options, resume []*ckptManifest, respawned []int) (*Result, error) {
+	p, code, mutated := l.prog, l.code, l.mutated
 	mach.Procs = p.Procs
 	// One mapping per array for the whole run: they are read-only, and
 	// the routing tables a mapping caches (dist.Tables2) are then built
@@ -303,7 +346,6 @@ func run(ctx context.Context, p *plan.Program, code *bytecode.Program, mach sim.
 			pstore.Protect(spec.Name)
 		}
 	}
-	mutated := mutatedArrays(code)
 	perArray := make([]map[string]*trace.IOStats, mach.Procs)
 	stats, err := mp.RunOpts(mach, opts.mpOptions(), func(proc *mp.Proc) error {
 		proc.SetTracer(opts.Trace.Rank(proc.Rank()))

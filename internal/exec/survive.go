@@ -71,21 +71,20 @@ func RunResilient(p *plan.Program, mach sim.Config, opts Options, maxRecoveries 
 // recovery loop — a cancelled job must not rebuild disks and relaunch
 // itself. The returned error wraps ctx.Err().
 func RunResilientCtx(ctx context.Context, p *plan.Program, mach sim.Config, opts Options, maxRecoveries int) (*ResilientResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	return lowerAndRun(ctx, p, mach, opts, Start{Resilient: true, MaxRecoveries: maxRecoveries})
+}
+
+// runResilient is RunLowered's recovery loop; manifests, when non-nil,
+// are what the first attempt resumes from.
+func runResilient(ctx context.Context, l *Lowered, mach sim.Config, opts Options, maxRecoveries int, manifests []*ckptManifest) (*ResilientResult, error) {
 	if opts.FS == nil {
 		// Recovery spans several runs over one backing store.
 		opts.FS = iosim.NewMemFS()
 	}
-	code, err := lower(p)
-	if err != nil {
-		return nil, err
-	}
+	p := l.prog
 	traceOn := opts.Trace != nil
 	rr := &ResilientResult{}
 	respawned := []int(nil)
-	var manifests []*ckptManifest
 	for {
 		if traceOn {
 			// Fresh tracer per attempt, but one live stream for the whole
@@ -97,7 +96,7 @@ func RunResilientCtx(ctx context.Context, p *plan.Program, mach sim.Config, opts
 			opts.Trace.AdoptSink(prev)
 		}
 		rr.Attempts++
-		res, err := run(ctx, p, code, mach, opts, manifests, respawned)
+		res, err := run(ctx, l, mach, opts, manifests, respawned)
 		if err == nil {
 			rr.Result = res
 			rr.Trace = opts.Trace

@@ -49,8 +49,11 @@ type ParityHook interface {
 // here; the mapping of the logical disk onto physical disks is the
 // machine's business (sim.Config's bandwidth model).
 type Disk struct {
-	fs      FS
-	cfg     sim.Config
+	fs  FS
+	cfg sim.Config
+	// bw is cfg.EffectiveDiskBandwidth(), evaluated once: cfg is fixed
+	// when the disk is made, and every transfer divides by it.
+	bw      float64
 	stats   *trace.IOStats
 	res     *Resilience
 	parity  ParityHook
@@ -75,7 +78,7 @@ type Disk struct {
 // NewDisk returns a logical disk for one processor. stats may be nil, in
 // which case accounting is skipped.
 func NewDisk(fs FS, cfg sim.Config, stats *trace.IOStats) *Disk {
-	return &Disk{fs: fs, cfg: cfg, stats: stats}
+	return NewResilientDisk(fs, cfg, stats, nil)
 }
 
 // NewResilientDisk returns a logical disk whose transfers retry transient
@@ -83,7 +86,13 @@ func NewDisk(fs FS, cfg sim.Config, stats *trace.IOStats) *Disk {
 // through the returned durations) and verify block checksums on reads.
 // res may be nil, which degrades to NewDisk behaviour.
 func NewResilientDisk(fs FS, cfg sim.Config, stats *trace.IOStats, res *Resilience) *Disk {
-	return &Disk{fs: fs, cfg: cfg, stats: stats, res: res}
+	return &Disk{fs: fs, cfg: cfg, bw: cfg.EffectiveDiskBandwidth(), stats: stats, res: res}
+}
+
+// ioTime is cfg.IOTime with the bandwidth evaluated once: the same
+// expression, so the same bits.
+func (d *Disk) ioTime(requests int, bytes int64) float64 {
+	return float64(requests)*d.cfg.DiskRequestOverhead + float64(bytes)/d.bw
 }
 
 // SetResilience attaches (or, with nil, detaches) the retry/checksum
@@ -370,7 +379,7 @@ func (l *LAF) ReadChunks(chunks []Chunk, dst []float64) (float64, error) {
 		pos += c.Len
 	}
 	elems := TotalLen(chunks)
-	seconds := l.disk.cfg.IOTime(len(chunks), l.modelBytes(elems)) + retrySec
+	seconds := l.disk.ioTime(len(chunks), l.modelBytes(elems)) + retrySec
 	if s := l.disk.stats; s != nil {
 		s.SlabReads++
 		s.ReadRequests += int64(len(chunks))
@@ -422,7 +431,7 @@ func (l *LAF) ReadChunksSieved(chunks []Chunk, dst []float64) (float64, error) {
 		copy(dst[pos:pos+c.Len], buf[c.Off-span.Off:])
 		pos += c.Len
 	}
-	seconds := l.disk.cfg.IOTime(1, l.modelBytes(span.Len)) + retrySec
+	seconds := l.disk.ioTime(1, l.modelBytes(span.Len)) + retrySec
 	if s := l.disk.stats; s != nil {
 		s.SlabReads++
 		s.ReadRequests++
@@ -473,7 +482,7 @@ func (l *LAF) WriteChunksSieved(chunks []Chunk, src []float64) (float64, error) 
 		return 0, err
 	}
 	spanBytes := l.modelBytes(span.Len)
-	seconds := l.disk.cfg.IOTime(2, 2*spanBytes) + retrySec
+	seconds := l.disk.ioTime(2, 2*spanBytes) + retrySec
 	if s := l.disk.stats; s != nil {
 		s.SlabWrites++
 		s.ReadRequests++
@@ -512,7 +521,7 @@ func (l *LAF) WriteChunks(chunks []Chunk, src []float64) (float64, error) {
 		pos += c.Len
 	}
 	elems := TotalLen(chunks)
-	seconds := l.disk.cfg.IOTime(len(chunks), l.modelBytes(elems)) + retrySec
+	seconds := l.disk.ioTime(len(chunks), l.modelBytes(elems)) + retrySec
 	if s := l.disk.stats; s != nil {
 		s.SlabWrites++
 		s.WriteRequests += int64(len(chunks))

@@ -168,6 +168,25 @@ func TestTimingMatchesModel(t *testing.T) {
 	}
 }
 
+// TestCachedBandwidthIsBitwise: a disk evaluates the machine's effective
+// bandwidth once, and every transfer time it charges is the bits of
+// sim.Config.IOTime, on both machines and across the processor range.
+func TestCachedBandwidthIsBitwise(t *testing.T) {
+	for _, machine := range []func(int) sim.Config{sim.Delta, sim.Modern} {
+		for _, p := range []int{1, 3, 4, 16, 64, 512} {
+			cfg := machine(p)
+			d := NewDisk(NewMemFS(), cfg, nil)
+			for _, req := range []int{0, 1, 2, 7} {
+				for _, bytes := range []int64{0, 4, 1000, 1 << 20, 123457} {
+					if got, want := d.ioTime(req, bytes), cfg.IOTime(req, bytes); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("P=%d, %d requests of %d bytes: %v, IOTime %v", p, req, bytes, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestBoundsChecking(t *testing.T) {
 	d, _ := newTestDisk(t)
 	laf, err := d.CreateLAF("a", 10)

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"github.com/ooc-hpf/passion/internal/compiler"
+	"github.com/ooc-hpf/passion/internal/exec"
 )
 
 // planCache is a bounded LRU of compiled plans keyed on the canonical
@@ -22,17 +23,20 @@ type planCache struct {
 	hits, misses int64
 }
 
+// cacheEntry is one compiled plan: the compiler's result, the plan
+// lowered once to the opcode stream every job on it runs, and the plan's
+// fingerprint.
 type cacheEntry struct {
 	key         string
 	res         *compiler.Result
+	lowered     *exec.Lowered
 	fingerprint string
 }
 
 type pendingCompile struct {
-	done chan struct{}
-	res  *compiler.Result
-	fp   string
-	err  error
+	done  chan struct{}
+	entry *cacheEntry
+	err   error
 }
 
 func newPlanCache(capacity int) *planCache {
@@ -45,39 +49,37 @@ func newPlanCache(capacity int) *planCache {
 }
 
 // getOrCompile returns the cached plan for key, compiling it with
-// compile on a miss. The bool reports a cache hit. The compiled plan is
-// shared by reference across jobs: execution never mutates a
-// plan.Program, which the concurrency tests pin down under the race
-// detector.
-func (c *planCache) getOrCompile(key string, compile func() (*compiler.Result, string, error)) (*compiler.Result, string, bool, error) {
+// compile and lowering it on a miss; a plan that does not lower is not
+// cached. The bool reports a cache hit. The entry is shared by reference
+// across jobs: execution mutates neither a plan.Program nor its lowered
+// stream, which the concurrency tests pin down under the race detector.
+func (c *planCache) getOrCompile(key string, compile func() (*compiler.Result, string, error)) (*cacheEntry, bool, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
 		c.hits++
-		e := el.Value.(*cacheEntry)
 		c.mu.Unlock()
-		return e.res, e.fingerprint, true, nil
+		return el.Value.(*cacheEntry), true, nil
 	}
 	if p, ok := c.pending[key]; ok {
 		// Someone is compiling this key right now; wait for them.
 		c.hits++
 		c.mu.Unlock()
 		<-p.done
-		return p.res, p.fp, true, p.err
+		return p.entry, true, p.err
 	}
 	p := &pendingCompile{done: make(chan struct{})}
 	c.pending[key] = p
 	c.misses++
 	c.mu.Unlock()
 
-	p.res, p.fp, p.err = compile()
+	p.entry, p.err = fill(key, compile)
 	close(p.done)
 
 	c.mu.Lock()
 	delete(c.pending, key)
 	if p.err == nil {
-		el := c.lru.PushFront(&cacheEntry{key: key, res: p.res, fingerprint: p.fp})
-		c.entries[key] = el
+		c.entries[key] = c.lru.PushFront(p.entry)
 		for c.lru.Len() > c.cap {
 			old := c.lru.Back()
 			c.lru.Remove(old)
@@ -85,7 +87,20 @@ func (c *planCache) getOrCompile(key string, compile func() (*compiler.Result, s
 		}
 	}
 	c.mu.Unlock()
-	return p.res, p.fp, false, p.err
+	return p.entry, false, p.err
+}
+
+// fill compiles and lowers one entry.
+func fill(key string, compile func() (*compiler.Result, string, error)) (*cacheEntry, error) {
+	res, fp, err := compile()
+	if err != nil {
+		return nil, err
+	}
+	lowered, err := exec.Lower(res.Program)
+	if err != nil {
+		return nil, err
+	}
+	return &cacheEntry{key: key, res: res, lowered: lowered, fingerprint: fp}, nil
 }
 
 // CacheStats is the cache's metrics view.

@@ -56,7 +56,7 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	req, err := decodeRequest(r.Body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		s.httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	resp, err := s.Submit(r.Context(), req)
@@ -64,16 +64,16 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		status := statusFor(err)
 		if ra := retryAfter(err); ra > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(int((ra+time.Second-1)/time.Second)))
-			writeJSON(w, status, map[string]any{
+			s.writeJSON(w, status, map[string]any{
 				"error":          err.Error(),
 				"retry_after_ms": ra.Milliseconds(),
 			})
 			return
 		}
-		httpError(w, status, err)
+		s.httpError(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // decodeRequest reads one job spec off the wire. A field the server does
@@ -136,14 +136,14 @@ func (e *compileError) Unwrap() error { return e.err }
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	version := cliutil.Version()
 	if s.Degraded() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ok": false, "degraded": true, "version": version})
+		s.writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ok": false, "degraded": true, "version": version})
 		return
 	}
 	if s.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ok": false, "draining": true, "version": version})
+		s.writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ok": false, "draining": true, "version": version})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "version": version})
+	s.writeJSON(w, http.StatusOK, map[string]any{"ok": true, "version": version})
 }
 
 // handleMetrics serves the metrics snapshot. JSON stays the default for
@@ -159,7 +159,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.WritePrometheus(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.MetricsSnapshot())
+	s.writeJSON(w, http.StatusOK, s.MetricsSnapshot())
 }
 
 func wantsPrometheus(r *http.Request) bool {
@@ -170,14 +170,26 @@ func wantsPrometheus(r *http.Request) bool {
 	return strings.Contains(accept, "text/plain") || strings.Contains(accept, "openmetrics")
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+// writeJSON replies with v as one line of compact JSON and a newline,
+// encoded once and sent in one Write under its Content-Length. It encodes
+// before it commits to a status: a value that does not encode (a NaN
+// anywhere in it) is logged and answered 500 with an error body, not sent
+// as status with nothing after it.
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		s.log.Error("reply not encodable", "status", status, "error", err.Error())
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": "serve: encoding the reply: " + err.Error()})
+	}
+	body = append(body, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(body) // a client gone mid-reply is nobody left to tell
 }
 
-func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+func (s *Server) httpError(w http.ResponseWriter, status int, err error) {
+	s.writeJSON(w, status, map[string]string{"error": err.Error()})
 }

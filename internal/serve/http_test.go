@@ -1,13 +1,20 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/ooc-hpf/passion/internal/iosim"
 )
@@ -24,6 +31,138 @@ func postJob(t *testing.T, ts *httptest.Server, body string) (*http.Response, ma
 		t.Fatal(err)
 	}
 	return resp, m
+}
+
+// readReply reads a JSON reply whole and checks the contract every one
+// keeps: one line of compact JSON and a newline, under a Content-Length
+// that counts exactly those bytes.
+func readReply(t *testing.T, resp *http.Response) []byte {
+	t.Helper()
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.ContentLength != int64(len(body)) || resp.Header.Get("Content-Length") != strconv.Itoa(len(body)) {
+		t.Errorf("%s: Content-Length %q (%d) for a body of %d bytes",
+			resp.Request.URL.Path, resp.Header.Get("Content-Length"), resp.ContentLength, len(body))
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json; charset=utf-8" {
+		t.Errorf("%s: Content-Type %q", resp.Request.URL.Path, ct)
+	}
+	line, ok := bytes.CutSuffix(body, []byte("\n"))
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, line); !ok || err != nil || !bytes.Equal(compact.Bytes(), line) {
+		t.Errorf("%s: body is not one line of compact JSON and a newline (%v):\n%s", resp.Request.URL.Path, err, body)
+	}
+	return body
+}
+
+// TestHTTPReplyContract: a job's reply, the metrics, the health check, a
+// 400 and a 429 that carries retry_after_ms are each one line of compact
+// JSON under an exact Content-Length, and a job's reply is byte for byte
+// the Response that Submit returns for the same request.
+func TestHTTPReplyContract(t *testing.T) {
+	s := New(Config{Workers: 1, QueueLimit: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post := func(body string) *http.Response {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	get := func(path string) *http.Response {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	const spec = `{"n":64,"procs":4,"mem_elems":4096,"tenant":"curl"}`
+	want, err := s.Submit(context.Background(), Request{N: 64, Procs: 4, MemElems: 4096, Tenant: "curl"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readReply(t, post(spec))
+	var got Response
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	// The same request a second time: another job, and a cache hit.
+	want.JobID, want.CacheHit = got.JobID, true
+	if w := append(mustJSON(t, want), '\n'); !bytes.Equal(body, w) {
+		t.Errorf("POST /jobs reply\n%s\nis not Submit's Response\n%s", body, w)
+	}
+	if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
+		t.Error("the reply does not decode to Submit's Response")
+	}
+
+	readReply(t, get("/metrics"))
+	readReply(t, get("/healthz"))
+	if resp := post(`{"n":`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("malformed spec: status %d, want 400", resp.StatusCode)
+	} else {
+		readReply(t, resp)
+	}
+
+	// A full queue: the one worker held at pickup, one job queued behind
+	// it, and the next is turned away. Each job is in place before the
+	// next is submitted, or the second would find the first still queued.
+	release := make(chan struct{})
+	s.pickupGate = func(*job) { <-release }
+	var wg sync.WaitGroup
+	for _, want := range []struct{ inflight, queued int }{{1, 0}, {1, 1}} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Submit(context.Background(), Request{N: 64, Procs: 4, MemElems: 4096}); err != nil {
+				t.Error(err)
+			}
+		}()
+		for m := s.MetricsSnapshot(); m.Inflight != want.inflight || m.QueueDepth != want.queued; m = s.MetricsSnapshot() {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	resp := post(spec)
+	close(release)
+	wg.Wait()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("submit on a full queue: status %d, want 429", resp.StatusCode)
+	}
+	var busy map[string]any
+	if err := json.Unmarshal(readReply(t, resp), &busy); err != nil {
+		t.Fatal(err)
+	}
+	if busy["retry_after_ms"] != float64(10) {
+		t.Errorf("429 body %v, want retry_after_ms 10", busy)
+	}
+}
+
+// TestUnencodableReplyIs500: a reply that cannot be encoded (a NaN in it)
+// is answered 500 with an error body and logged, where it used to go out
+// as a 200 with nothing after the header.
+func TestUnencodableReplyIs500(t *testing.T) {
+	var logged bytes.Buffer
+	s := &Server{log: slog.New(slog.NewTextHandler(&logged, nil))}
+	rec := httptest.NewRecorder()
+	s.writeJSON(rec, http.StatusOK, map[string]float64{"sim_seconds": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("status %d, want 500", rec.Code)
+	}
+	var m map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil || !strings.Contains(m["error"], "NaN") {
+		t.Errorf("body %q (%v), want an error naming the NaN", rec.Body, err)
+	}
+	if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(rec.Body.Len()) {
+		t.Errorf("Content-Length %q for %d bytes", got, rec.Body.Len())
+	}
+	if !strings.Contains(logged.String(), "reply not encodable") {
+		t.Errorf("the failure was not logged: %q", logged.String())
+	}
 }
 
 func TestHTTPJobRoundTrip(t *testing.T) {

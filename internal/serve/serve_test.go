@@ -337,24 +337,43 @@ func TestDrainFinishesQueuedJobs(t *testing.T) {
 	}
 }
 
+// compileSmall compiles the built-in GAXPY at the tests' usual small
+// scale.
+func compileSmall(t *testing.T) *compiler.Result {
+	t.Helper()
+	req := Request{N: 64, Procs: 4, MemElems: 1 << 12}.withDefaults()
+	machineFor, err := cliutil.MachineFor(req.Machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := compiler.CompileSource(hpf.GaxpySource, compiler.Options{
+		N: req.N, Procs: req.Procs, MemElems: req.MemElems, Machine: machineFor(req.Procs),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestCacheEvictsLRU pins the eviction order and the single-flight
 // compile of concurrent misses.
 func TestCacheEvictsLRU(t *testing.T) {
 	c := newPlanCache(2)
+	small := compileSmall(t)
 	compileCalls := 0
 	compile := func() (*compiler.Result, string, error) {
 		compileCalls++
-		return &compiler.Result{}, "fp", nil
+		return small, "fp", nil
 	}
 	for _, key := range []string{"k1", "k2", "k1", "k3"} { // k3 evicts k2
-		if _, _, _, err := c.getOrCompile(key, compile); err != nil {
+		if _, _, err := c.getOrCompile(key, compile); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, hit, _ := c.getOrCompile("k1", compile); !hit {
+	if _, hit, _ := c.getOrCompile("k1", compile); !hit {
 		t.Error("k1 should have survived eviction")
 	}
-	if _, _, hit, _ := c.getOrCompile("k2", compile); hit {
+	if _, hit, _ := c.getOrCompile("k2", compile); hit {
 		t.Error("k2 should have been evicted as least recently used")
 	}
 	if compileCalls != 4 {
@@ -371,15 +390,19 @@ func TestCacheEvictsLRU(t *testing.T) {
 		n++
 		mu.Unlock()
 		time.Sleep(5 * time.Millisecond)
-		return &compiler.Result{}, "fp", nil
+		return small, "fp", nil
 	}
+	var lowered sync.Map // each caller's entry's stream
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, _, err := c.getOrCompile("shared", slow); err != nil {
+			e, _, err := c.getOrCompile("shared", slow)
+			if err != nil {
 				t.Error(err)
+				return
 			}
+			lowered.Store(e.lowered, true)
 		}()
 	}
 	wg.Wait()
@@ -389,14 +412,21 @@ func TestCacheEvictsLRU(t *testing.T) {
 	if st := c.stats(); st.Misses != 1 || st.Hits != 7 {
 		t.Errorf("stats after single-flight: %+v, want 1 miss, 7 hits", st)
 	}
+	streams := 0
+	lowered.Range(func(any, any) bool { streams++; return true })
+	if streams != 1 {
+		t.Errorf("eight callers on one key hold %d lowered streams, want 1", streams)
+	}
 }
 
-// TestUnlowerablePlanFailsJob pins what happens when a cached plan cannot
-// be lowered to the opcode stream: the job fails with exec's typed
-// lowering error — there is no other engine to fall back to — and the
-// server keeps serving. The compiler never emits such a plan, so the
-// test plants one in the cache under the request's own key.
-func TestUnlowerablePlanFailsJob(t *testing.T) {
+// TestUnlowerablePlanNeverCached pins what happens when a compiled plan
+// cannot be lowered to the opcode stream: the cache lowers a plan once,
+// when its entry is filled, so the plan fails there with exec's typed
+// lowering error — there is no other engine to fall back to — and takes no
+// entry; the server keeps serving, the same request included. The
+// compiler never emits such a plan, so the test offers one to the cache
+// under the request's own key.
+func TestUnlowerablePlanNeverCached(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
 	req := Request{N: 64, Procs: 4, MemElems: 1 << 12}.withDefaults()
@@ -404,31 +434,73 @@ func TestUnlowerablePlanFailsJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mach := machineFor(req.Procs)
-	good, err := compiler.CompileSource(hpf.GaxpySource, compiler.Options{
-		N: req.N, Procs: req.Procs, MemElems: req.MemElems, Machine: mach,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := compileSmall(t)
 	bad := *good.Program
 	bad.Body = []plan.Node{&plan.Loop{Var: "i", Count: plan.CountExpr{Lit: 1}, Body: []plan.Node{
 		&plan.ZeroVec{Vec: "temp", RowsOfArray: bad.Arrays[0].Name},
 		&plan.Axpy{Vec: "temp", A: "never_read", ACol: "i", B: "never_read", BCol: "i"},
 	}}}
-	if _, _, _, err := s.cache.getOrCompile(req.cacheKey(mach), func() (*compiler.Result, string, error) {
+	_, _, err = s.cache.getOrCompile(req.cacheKey(machineFor(req.Procs)), func() (*compiler.Result, string, error) {
 		return &compiler.Result{Program: &bad, Analysis: good.Analysis}, "planted", nil
-	}); err != nil {
-		t.Fatal(err)
+	})
+	if err == nil || !strings.Contains(err.Error(), "exec: lower:") {
+		t.Fatalf("filling an entry with an unlowerable plan: err = %v, want exec: lower: ...", err)
 	}
-	if _, err := s.Submit(context.Background(), req); err == nil || !strings.Contains(err.Error(), "exec: lower:") {
-		t.Fatalf("job on an unlowerable plan: err = %v, want exec: lower: ...", err)
-	}
-	if m := s.MetricsSnapshot(); m.Failed != 1 || m.Completed != 0 {
-		t.Errorf("metrics after the failed job: failed=%d completed=%d, want 1/0", m.Failed, m.Completed)
-	}
-	if _, err := s.Submit(context.Background(), Request{N: 32, Procs: 4, MemElems: 1 << 12}); err != nil {
+	resp, err := s.Submit(context.Background(), req)
+	if err != nil {
 		t.Fatalf("server stopped serving after a lowering failure: %v", err)
+	}
+	if resp.CacheHit {
+		t.Error("the request hit a cache entry the unlowerable plan should never have taken")
+	}
+	if m := s.MetricsSnapshot(); m.Failed != 0 || m.Completed != 1 || m.Cache.Entries != 1 {
+		t.Errorf("after the refused plan and one job: failed=%d completed=%d entries=%d, want 0/1/1",
+			m.Failed, m.Completed, m.Cache.Entries)
+	}
+}
+
+// TestWorkersShareOneLoweredPlan holds two workers at pickup until each
+// has a job on the same cache entry, then lets them run it at once: under
+// -race it pins that one lowered stream is safe to share by concurrent
+// runs, and that the second job lowers nothing.
+func TestWorkersShareOneLoweredPlan(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	var mu sync.Mutex
+	var picked []*exec.Lowered
+	both := make(chan struct{})
+	s.pickupGate = func(j *job) {
+		mu.Lock()
+		if picked = append(picked, j.lowered); len(picked) == 2 {
+			close(both)
+		}
+		mu.Unlock()
+		<-both
+	}
+	req := Request{N: 64, Procs: 4, MemElems: 1 << 12}
+	var wg sync.WaitGroup
+	stats := make([][]byte, 2)
+	for i := range stats {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := s.Submit(context.Background(), req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			stats[i] = mustJSON(t, resp.Stats)
+		}()
+	}
+	wg.Wait()
+	if len(picked) != 2 || picked[0] == nil || picked[0] != picked[1] {
+		t.Fatalf("the two workers ran streams %v, want one shared stream", picked)
+	}
+	if string(stats[0]) != string(stats[1]) {
+		t.Error("two runs of one lowered plan diverge")
+	}
+	if m := s.MetricsSnapshot(); m.Cache.Misses != 1 || m.Completed != 2 {
+		t.Errorf("misses=%d completed=%d, want 1 and 2", m.Cache.Misses, m.Completed)
 	}
 }
 

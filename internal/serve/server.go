@@ -147,6 +147,7 @@ type job struct {
 	id          string
 	req         Request
 	res         *compiler.Result
+	lowered     *exec.Lowered // res.Program's stream, shared through the cache
 	mach        sim.Config
 	fingerprint string
 	cacheHit    bool
@@ -516,7 +517,7 @@ func (s *Server) build(ctx context.Context, req Request) (*job, error) {
 	if src == "" {
 		src = hpf.GaxpySource
 	}
-	res, fp, hit, err := s.cache.getOrCompile(req.cacheKey(mach), func() (*compiler.Result, string, error) {
+	entry, hit, err := s.cache.getOrCompile(req.cacheKey(mach), func() (*compiler.Result, string, error) {
 		start := time.Now()
 		r, cerr := compiler.CompileSource(src, compiler.Options{
 			N: req.N, Procs: req.Procs, MemElems: req.MemElems,
@@ -533,15 +534,16 @@ func (s *Server) build(ctx context.Context, req Request) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
-	footprint := EstimateFootprint(res.Program, req.Phantom, req.Parity)
+	footprint := EstimateFootprint(entry.res.Program, req.Phantom, req.Parity)
 	if footprint > s.cfg.MemoryBudget {
 		return nil, fmt.Errorf("%w: need %d bytes, budget %d", ErrOversize, footprint, s.cfg.MemoryBudget)
 	}
 	return &job{
 		req:         req,
-		res:         res,
+		res:         entry.res,
+		lowered:     entry.lowered,
 		mach:        mach,
-		fingerprint: fp,
+		fingerprint: entry.fingerprint,
 		cacheHit:    hit,
 		footprint:   footprint,
 		ctx:         ctx,
@@ -1070,45 +1072,33 @@ func (s *Server) runJob(j *job) (*Response, error) {
 		Strategy:        j.res.Program.Strategy,
 		PlanFingerprint: j.fingerprint,
 		CacheHit:        j.cacheHit,
-		Attempts:        1,
 	}
-	var out *exec.Result
-	switch {
-	case len(eopts.Kill) > 0:
+	start := exec.Start{Resume: resume}
+	if len(eopts.Kill) > 0 {
 		eopts.Detect = &mp.Detector{Heartbeat: 1e-3, Misses: 3}
-		rout, rerr := exec.RunResilientCtx(ctx, j.res.Program, j.mach, eopts, len(eopts.Kill))
-		if rerr != nil {
-			return nil, rerr
-		}
-		out = rout.Result
-		resp.Attempts = rout.Attempts
-		resp.Recoveries = len(rout.Recoveries)
-		tracer = rout.Trace
-	case resume:
-		out, err = exec.ResumeCtx(ctx, j.res.Program, j.mach, eopts)
-		if errors.Is(err, exec.ErrNoCheckpoint) {
-			// Dispatched, but the crash landed before the first commit:
-			// there is nothing to restore, so run from scratch in the
-			// same namespace.
-			s.sweepAttempts(j.id)
-			eopts.RestoreStats = false
-			out, err = exec.RunCtx(ctx, j.res.Program, j.mach, eopts)
-		} else if err == nil {
-			resp.Resumed = true
-			s.journal.addResumed(1)
-			s.log.Info("job resumed from checkpoint",
-				"job", j.id, "tenant", j.req.Tenant, "key", j.key,
-				"fingerprint", j.fingerprint, "attempt", j.attempt)
-		}
-		if err != nil {
-			return nil, err
-		}
-	default:
-		out, err = exec.RunCtx(ctx, j.res.Program, j.mach, eopts)
-		if err != nil {
-			return nil, err
-		}
+		start = exec.Start{Resilient: true, MaxRecoveries: len(eopts.Kill)}
 	}
+	rr, err := exec.RunLowered(ctx, j.lowered, j.mach, eopts, start)
+	if resume && errors.Is(err, exec.ErrNoCheckpoint) {
+		// Dispatched, but the crash landed before the first commit: there
+		// is nothing to restore, so run from scratch in the same namespace.
+		s.sweepAttempts(j.id)
+		eopts.RestoreStats = false
+		rr, err = exec.RunLowered(ctx, j.lowered, j.mach, eopts, exec.Start{})
+	} else if resume && err == nil {
+		resp.Resumed = true
+		s.journal.addResumed(1)
+		s.log.Info("job resumed from checkpoint",
+			"job", j.id, "tenant", j.req.Tenant, "key", j.key,
+			"fingerprint", j.fingerprint, "attempt", j.attempt)
+	}
+	if err != nil {
+		return nil, err
+	}
+	out := rr.Result
+	resp.Attempts, resp.Recoveries = rr.Attempts, len(rr.Recoveries)
+	// A resilient run's spans are in its last attempt's tracer.
+	tracer = rr.Trace
 	// The run's array files (and a durable namespace's checkpoints) are
 	// dead weight once the stats are captured; closing the result is what
 	// returns an in-memory store's file storage to the arena.

@@ -216,7 +216,7 @@ type JobStreamInfo struct {
 // handleJobList serves GET /jobs: the traced jobs whose span streams
 // are live or retained — the discovery surface for ooc-trace tail.
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.StreamIDs()})
+	s.writeJSON(w, http.StatusOK, map[string]any{"jobs": s.StreamIDs()})
 }
 
 // handleJobTrace serves GET /jobs/{id}/trace. Without follow it returns
@@ -227,7 +227,7 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st := s.stream(id)
 	if st == nil {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no span stream for job %q (not traced, or retention expired)", id))
+		s.httpError(w, http.StatusNotFound, fmt.Errorf("no span stream for job %q (not traced, or retention expired)", id))
 		return
 	}
 	if r.URL.Query().Get("follow") == "" {
