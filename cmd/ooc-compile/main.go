@@ -26,7 +26,7 @@ func main() {
 	var (
 		n       = flag.Int("n", 0, "override the problem size n (0 keeps the program's parameter)")
 		procs   = flag.Int("procs", 0, "override the processor count (0 keeps the program's parameter)")
-		mem     = flag.Int("mem", 1<<16, "node memory for slabs, in array elements")
+		mem     = flag.Int("mem", 0, "node memory for slabs, in array elements (0 keeps the program's !hpf$ memory, else 65536)")
 		policy  = flag.String("policy", "weighted", "memory allocation policy: even, weighted, search")
 		force   = flag.String("force", "", "force a strategy by candidate label: row-slab/column-slab, or direct/sieved/two-phase for transpose (default: cost model decides)")
 		sieve   = flag.Bool("sieve", false, "compile row-slab transfers to use data sieving")
@@ -62,7 +62,14 @@ func main() {
 		fatal(fmt.Errorf("unknown policy %q", *policy))
 	}
 
-	res, err := compiler.CompileSource(src, compiler.Options{
+	prog, err := hpf.Parse(src)
+	if err != nil {
+		fatal(err)
+	}
+	if *mem == 0 && prog.Memory == nil {
+		*mem = 1 << 16
+	}
+	res, err := compiler.Compile(prog, compiler.Options{
 		N: *n, Procs: *procs, MemElems: *mem, Policy: pol, Force: *force, Sieve: *sieve,
 	})
 	if err != nil {

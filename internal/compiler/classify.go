@@ -28,6 +28,7 @@ func classify(prog *hpf.Program, env map[string]int, an *Analysis) error {
 	if an.Pattern != PatternEwise && len(an.GridShape) != 1 {
 		return fmt.Errorf("compiler: the %s pattern requires a 1-D processor arrangement", an.Pattern)
 	}
+	an.asgs = asgs
 	switch an.Pattern {
 	case PatternGaxpy:
 		return reduction(prog.Body[0].(*hpf.DoLoop), asgs, env, an)
@@ -180,7 +181,10 @@ func reduction(do *hpf.DoLoop, asgs []assignment, env map[string]int, an *Analys
 	}
 	temp, a, b := fa.Refs[0], fa.Refs[1], fa.Refs[2]
 	if b.Row.Var == "" {
+		// The product commutes: keep A's reference first, so that A's
+		// stream precedes B's as in Equations 3-6.
 		a, b = b, a
+		fa.Refs[1], fa.Refs[2] = a, b
 	}
 	if temp != section(temp.Array, k) {
 		return fail("the FORALL target %s must be %s(1:n,%s)", temp, temp.Array, k)
@@ -208,6 +212,9 @@ func reduction(do *hpf.DoLoop, asgs []assignment, env map[string]int, an *Analys
 		return fail("the reduction target %s must be %s(1:n,%s)", c, c.Array, j)
 	}
 	an.A, an.B, an.C, an.Temp, an.ReduceDim = a.Array, b.Array, c.Array, temp.Array, 2
+	// temp is produced and consumed inside one DO iteration: a vector in
+	// core, not an out-of-core array.
+	an.Arrays = []string{an.A, an.B, an.C}
 	roles := [...]string{an.A, an.B, an.C, an.Temp}
 	for i, x := range roles {
 		if slices.Contains(roles[i+1:], x) {
@@ -259,7 +266,8 @@ func transpose(prog *hpf.Program, asgs []assignment, an *Analysis) error {
 	if src.Array == dst.Array {
 		return fail("in-place transpose of %q is not supported", src.Array)
 	}
-	for _, name := range []string{src.Array, dst.Array} {
+	an.Arrays = []string{src.Array, dst.Array}
+	for _, name := range an.Arrays {
 		if an.Mappings[name].DistributedDim() != 1 {
 			return fail("array %q must be distributed along dimension 2 (column-block)", name)
 		}
@@ -270,4 +278,17 @@ func transpose(prog *hpf.Program, asgs []assignment, an *Analysis) error {
 			"every element changes owner -> collective all-to-all redistribution of %s into %s",
 		dst.Array, k, src.Array, k, src.Array, dst.Array)
 	return nil
+}
+
+// TransposeAnalysis is the in-core phase result for the transpose
+// pattern. Executed naively, every processor would gather one element
+// from every column of its source file per result column, the worst
+// access pattern for a column-major LAF; the out-of-core phase compiles
+// the statement to one collective redistribution over internal/collio
+// instead, and the cost model chooses how the destination files are
+// written (direct runs, a sieved RMW per round, or the two-phase window
+// staging: cost.TransposeCandidates).
+type TransposeAnalysis struct {
+	// Src is the array read row-wise, Dst the one written column-wise.
+	Src, Dst string
 }

@@ -43,16 +43,10 @@ const (
 
 // String names the policy.
 func (p MemPolicy) String() string {
-	switch p {
-	case PolicyEven:
-		return "even"
-	case PolicyWeighted:
-		return "weighted"
-	case PolicySearch:
-		return "search"
-	default:
-		return fmt.Sprintf("MemPolicy(%d)", int(p))
+	if names := [...]string{"even", "weighted", "search"}; p >= 0 && int(p) < len(names) {
+		return names[p]
 	}
+	return fmt.Sprintf("MemPolicy(%d)", int(p))
 }
 
 // Options configures a compilation.
@@ -97,18 +91,10 @@ const (
 
 // String names the pattern.
 func (p Pattern) String() string {
-	switch p {
-	case PatternGaxpy:
-		return "gaxpy"
-	case PatternEwise:
-		return "elementwise"
-	case PatternShift:
-		return "shifted"
-	case PatternTranspose:
-		return "transpose"
-	default:
-		return fmt.Sprintf("Pattern(%d)", int(p))
+	if names := [...]string{"gaxpy", "elementwise", "shifted", "transpose"}; p >= 0 && int(p) < len(names) {
+		return names[p]
 	}
+	return fmt.Sprintf("Pattern(%d)", int(p))
 }
 
 // Analysis is the in-core phase result: the resolved problem and mapping
@@ -127,15 +113,19 @@ type Analysis struct {
 	// ReduceDim is the SUM dimension (1-based, as written).
 	ReduceDim int
 	// Stmts holds the FORALL assignments of an elementwise or shifted
-	// program (PatternEwise, PatternShift), and Arrays every array they
-	// touch, in first-use order.
-	Stmts  []Stmt
+	// program (PatternEwise, PatternShift).
+	Stmts []Stmt
+	// Arrays lists the out-of-core arrays in the order of the program's
+	// array specs: first use in a FORALL program, A, B, C in a GAXPY
+	// one, source then destination in a transpose.
 	Arrays []string
 	// Transpose holds the analysis of a transpose program
 	// (PatternTranspose).
 	Transpose *TransposeAnalysis
 	// Comm describes the detected communication.
 	Comm string
+	// asgs holds every assignment read as references.
+	asgs []assignment
 }
 
 // Result is a completed compilation.
@@ -191,14 +181,7 @@ func Compile(prog *hpf.Program, opts Options) (*Result, error) {
 	if err := mach.Validate(); err != nil {
 		return nil, err
 	}
-	switch an.Pattern {
-	case PatternGaxpy:
-		return emitGaxpy(an, opts, mach)
-	case PatternTranspose:
-		return emitTranspose(an, opts, mach)
-	default:
-		return emitForall(an, opts, mach)
-	}
+	return emit(an, opts, mach)
 }
 
 // CompileSource parses and compiles in one step.
@@ -372,69 +355,99 @@ func analyze(prog *hpf.Program, opts Options) (*Analysis, error) {
 // ---------------------------------------------------------------------------
 // Out-of-core phase
 
-func emitGaxpy(an *Analysis, opts Options, mach sim.Config) (*Result, error) {
-	n, p := an.N, an.Procs
-	colElems := n // one column of an n x n array
-	// C is written exactly once in both strategies; reserve a single
-	// column-slab for it and divide the rest between A and B.
-	slabC := colElems
-	budget := opts.MemElems - slabC
-	if budget < 2 {
-		return nil, fmt.Errorf("compiler: MemElems=%d leaves no slab memory after C's column (%d elements)",
-			opts.MemElems, slabC)
-	}
-
-	allocate := func(strategy func(cost.GaxpyParams) cost.Candidate) (slabA, slabB int) {
-		switch opts.Policy {
-		case PolicyWeighted:
-			// The paper's heuristic keys on how often the computation
-			// accesses each array, which the unreorganized reference
-			// pattern exposes: A's local array is needed for every one
-			// of the N result columns, B once (Section 4.2.1).
-			even := budget / 2
-			ref := cost.GaxpyColumnSlab(cost.GaxpyParams{N: n, P: p, SlabA: even, SlabB: even, SlabC: slabC})
-			w := cost.Frequencies(ref)
-			split := cost.WeightedSplit(budget, w[:2], colElems)
-			return split[0], split[1]
-		case PolicySearch:
-			step := colElems
-			if budget < 2*step {
-				step = 1
-			}
-			return cost.Allocate2(budget, step, func(ma, mb int) float64 {
-				g := cost.GaxpyParams{N: n, P: p, SlabA: ma, SlabB: mb, SlabC: slabC, Sieve: opts.Sieve}
-				return strategy(g).Seconds(mach)
-			})
-		default: // PolicyEven
-			return budget / 2, budget - budget/2
+// emit is the out-of-core phase of every class: the candidates, each
+// under its memory split, the Figure 14 choice, array specs from the
+// references, then the class's body and notes.
+func emit(an *Analysis, opts Options, mach sim.Config) (*Result, error) {
+	n, mem := an.N, opts.MemElems
+	var cands []cost.Candidate
+	// splits[i] holds candidate i's slab elements for each of an.Arrays.
+	var splits [][]int
+	switch an.Pattern {
+	case PatternTranspose:
+		cands = cost.TransposeCandidates(cost.TransposeParams{N: n, P: an.Procs, MemElems: mem})
+		half := []int{mem / 2, mem / 2}
+		splits = [][]int{half, half, half}
+	case PatternGaxpy:
+		// C is written exactly once in both strategies; reserve a single
+		// column-slab for it and divide the rest between A and B, under
+		// each candidate's own split.
+		budget := mem - n
+		if budget < 2 {
+			return nil, fmt.Errorf("compiler: MemElems=%d leaves no slab memory after C's column (%d elements)", mem, n)
+		}
+		colA, colB := an.gaxpySplit("column-slab", budget, opts, mach)
+		rowA, rowB := colA, colB
+		if opts.Policy == PolicySearch { // the one policy that prices its candidate
+			rowA, rowB = an.gaxpySplit("row-slab", budget, opts, mach)
+		}
+		splits = [][]int{{colA, colB, n}, {rowA, rowB, n}}
+	default:
+		// The FORALL classes split memory evenly among their arrays. A
+		// shifted reference gets no row-slab candidate: a row-slab sweep
+		// would re-fetch the halo per row band.
+		per := mem / len(an.Arrays)
+		if per < 1 {
+			return nil, fmt.Errorf("compiler: MemElems=%d cannot cover %d arrays", mem, len(an.Arrays))
+		}
+		even := make([]int, len(an.Arrays))
+		for i := range even {
+			even[i] = per
+		}
+		splits = [][]int{even, even}
+		if an.Pattern == PatternShift {
+			splits = splits[:1]
 		}
 	}
-
-	// Build both candidates, each under its own allocation.
-	colA, colB := allocate(cost.GaxpyColumnSlab)
-	rowA, rowB := allocate(cost.GaxpyRowSlab)
-	cands := []cost.Candidate{
-		cost.GaxpyColumnSlab(cost.GaxpyParams{N: n, P: p, SlabA: colA, SlabB: colB, SlabC: slabC, Sieve: opts.Sieve}),
-		cost.GaxpyRowSlab(cost.GaxpyParams{N: n, P: p, SlabA: rowA, SlabB: rowB, SlabC: slabC, Sieve: opts.Sieve}),
+	if cands == nil {
+		cands = make([]cost.Candidate, len(splits))
+		for i, label := range []string{"column-slab", "row-slab"}[:len(splits)] {
+			cands[i] = an.candidate(label, splits[i], opts.Sieve)
+		}
 	}
-	allocs := [][2]int{{colA, colB}, {rowA, rowB}}
-
 	chosen, err := choose(an.Pattern, cands, opts.Force, mach)
 	if err != nil {
 		return nil, err
 	}
-	slabA, slabB := allocs[chosen][0], allocs[chosen][1]
-
-	notes := make([]string, 1, 3)
-	notes[0] = an.Comm
-	if ocla := n * n / p; slabA >= ocla && slabB >= ocla {
-		notes = append(notes,
-			"slabs cover the whole out-of-core local arrays: the program degenerates to the in-core translation (each array read from disk once)")
+	label, slab := cands[chosen].Label, splits[chosen]
+	prg := &plan.Program{N: n, Procs: an.Procs, Strategy: label, Arrays: make([]plan.ArraySpec, len(an.Arrays))}
+	for i, name := range an.Arrays {
+		prg.Arrays[i] = an.spec(name, slab[i], label == "row-slab")
 	}
-	notes = append(notes, fmt.Sprintf("memory policy %s: slab(%s)=%d, slab(%s)=%d, slab(%s)=%d elements",
-		opts.Policy, an.A, slabA, an.B, slabB, an.C, slabC))
-	prg := buildProgram(an, cands[chosen].Label, slabA, slabB, slabC)
-	return finish(an, prg, cands, chosen, mach, notes...), nil
+
+	// The class supplies only its body and its notes. Notes reach
+	// plan.Fingerprint, so every format is fixed per pattern: the
+	// communication, the class's own, then each candidate's estimate.
+	prg.Notes = append(make([]string, 0, 3+len(cands)), an.Comm)
+	switch an.Pattern {
+	case PatternGaxpy:
+		prg.Name, prg.Body = "gaxpy", gaxpyBody(an, label)
+		if ocla := n * n / an.Procs; slab[0] >= ocla && slab[1] >= ocla {
+			prg.Notes = append(prg.Notes,
+				"slabs cover the whole out-of-core local arrays: the program degenerates to the in-core translation (each array read from disk once)")
+		}
+		prg.Notes = append(prg.Notes, fmt.Sprintf("memory policy %s: slab(%s)=%d, slab(%s)=%d, slab(%s)=%d elements",
+			opts.Policy, an.A, slab[0], an.B, slab[1], an.C, slab[2]))
+	case PatternTranspose:
+		prg.Name, prg.Body = "transpose", []plan.Node{&plan.Redistribute{
+			Src: an.Transpose.Src, Dst: an.Transpose.Dst, Transpose: true, Method: label, MemElems: mem,
+		}}
+	default:
+		prg.Name, prg.Body = "ewise", forallBody(an)
+		if an.Pattern == PatternShift {
+			prg.Name = "shift"
+		}
+		prg.Notes = append(prg.Notes, fmt.Sprintf("memory: %d elements per array across %d arrays", slab[0], len(an.Arrays)))
+	}
+	// A shifted program's single candidate goes unnoted.
+	for i := 0; i < len(cands) && an.Pattern != PatternShift; i++ {
+		mark := ""
+		if i == chosen {
+			mark = " [selected]"
+		}
+		prg.Notes = append(prg.Notes, candidateNote(an.Pattern, cands[i], mach, mark))
+	}
+	return &Result{Program: prg, Analysis: an, Candidates: cands, Chosen: chosen, Report: cost.Report(cands, chosen, mach)}, nil
 }
 
 // choose resolves the strategy: the candidate whose label force names
@@ -459,28 +472,6 @@ func choose(p Pattern, cands []cost.Candidate, force string, mach sim.Config) (i
 		force, p, strings.Join(labels, ", "))
 }
 
-// finish is every emitter's tail: the program's notes are the pattern's
-// own, then each candidate's estimate (notes reach plan.Fingerprint, so
-// every format is fixed per pattern). It assembles the result.
-func finish(an *Analysis, prg *plan.Program, cands []cost.Candidate, chosen int, mach sim.Config, notes ...string) *Result {
-	prg.Notes = append(make([]string, 0, len(notes)+len(cands)), notes...)
-	// A shifted program's single candidate goes unnoted.
-	for i := 0; i < len(cands) && an.Pattern != PatternShift; i++ {
-		mark := ""
-		if i == chosen {
-			mark = " [selected]"
-		}
-		prg.Notes = append(prg.Notes, candidateNote(an.Pattern, cands[i], mach, mark))
-	}
-	return &Result{
-		Program:    prg,
-		Analysis:   an,
-		Candidates: cands,
-		Chosen:     chosen,
-		Report:     cost.Report(cands, chosen, mach),
-	}
-}
-
 // candidateNote renders one candidate's estimate in its pattern's format.
 func candidateNote(p Pattern, c cost.Candidate, mach sim.Config, mark string) string {
 	switch p {
@@ -497,34 +488,39 @@ func candidateNote(p Pattern, c cost.Candidate, mach sim.Config, mark string) st
 }
 
 // spec is the one ArraySpec builder: name's n x n mapping, strip-mined
-// into slabs of slab elements along dim.
-func (an *Analysis) spec(name string, role plan.Role, slab int, dim oocarray.Dim) plan.ArraySpec {
+// into slabs of slab elements. Its role and slab direction come from its
+// references: an array written and never read is an output, and one
+// referenced as a row-slabbed section is strip-mined by rows.
+func (an *Analysis) spec(name string, slab int, byRow bool) plan.ArraySpec {
 	m := an.Mappings[name]
-	return plan.ArraySpec{
+	s := plan.ArraySpec{
 		Name: name, Rows: an.N, Cols: an.N,
 		RowScheme: m.Dims[0].Scheme, ColScheme: m.Dims[1].Scheme,
-		Role: role, Grid: m.Grid, SlabElems: slab, SlabDim: dim,
+		Role: plan.Out, Grid: m.Grid, SlabElems: slab, SlabDim: oocarray.ByColumn,
 	}
+	for _, a := range an.asgs {
+		for j, r := range a.Refs {
+			if r.Array != name {
+				continue
+			}
+			if j > 0 {
+				s.Role = plan.In
+			}
+			if byRow && a.rowSlabbed(r) {
+				s.SlabDim = oocarray.ByRow
+			}
+		}
+	}
+	return s
 }
 
-// buildProgram emits the IR for the chosen strategy.
-func buildProgram(an *Analysis, strategy string, slabA, slabB, slabC int) *plan.Program {
-	n, p := an.N, an.Procs
-	prg := &plan.Program{
-		Name:     "gaxpy",
-		N:        n,
-		Procs:    p,
-		Strategy: strategy,
-	}
+// gaxpyBody is the GAXPY nest of the chosen strategy: Figure 9's
+// column-slab translation or Figure 12's row-slab one.
+func gaxpyBody(an *Analysis, strategy string) []plan.Node {
 	a, b, c := an.A, an.B, an.C
 	bufA, bufB, stage, temp := "icla_"+a, "icla_"+b, "icla_"+c, "temp"
 	if strategy == "column-slab" {
-		prg.Arrays = []plan.ArraySpec{
-			an.spec(a, plan.In, slabA, oocarray.ByColumn),
-			an.spec(b, plan.In, slabB, oocarray.ByColumn),
-			an.spec(c, plan.Out, slabC, oocarray.ByColumn),
-		}
-		prg.Body = []plan.Node{
+		return []plan.Node{
 			&plan.AutoStage{Array: c},
 			&plan.ResetCounter{},
 			&plan.Loop{Var: "l", Count: plan.CountExpr{SlabsOf: b}, Body: []plan.Node{
@@ -543,15 +539,9 @@ func buildProgram(an *Analysis, strategy string, slabA, slabB, slabC int) *plan.
 			}},
 			&plan.FlushStage{Array: c},
 		}
-		return prg
 	}
 	// Row-slab (Figure 12).
-	prg.Arrays = []plan.ArraySpec{
-		an.spec(a, plan.In, slabA, oocarray.ByRow),
-		an.spec(b, plan.In, slabB, oocarray.ByColumn),
-		an.spec(c, plan.Out, slabC, oocarray.ByColumn),
-	}
-	prg.Body = []plan.Node{
+	return []plan.Node{
 		&plan.Loop{Var: "l", Count: plan.CountExpr{SlabsOf: a}, Body: []plan.Node{
 			&plan.ReadSlab{Array: a, Index: "l", Buf: bufA, Stream: true},
 			&plan.NewStaging{Array: c, Buf: stage, RowsLike: bufA},
@@ -570,5 +560,4 @@ func buildProgram(an *Analysis, strategy string, slabA, slabB, slabC int) *plan.
 			&plan.WriteBuf{Array: c, Buf: stage},
 		}},
 	}
-	return prg
 }

@@ -9,8 +9,9 @@ import (
 )
 
 // FuzzCompile compiles arbitrary source, as ooc-serve accepts it over
-// HTTP, under bounded options: the compiler must never panic, and every
-// program it accepts must lower to an opcode stream. The option bytes
+// HTTP, under bounded options: the compiler must never panic, every
+// program it accepts must lower to an opcode stream, and a GAXPY-class
+// program's derived candidates must be Equations 3-6. The option bytes
 // pick n in {8, 16, 32, 64}, the processor count in {the program's, 1, 2,
 // 4}, 16 to 4096 elements of memory, and the policy, force and sieve.
 func FuzzCompile(f *testing.F) {
@@ -41,6 +42,11 @@ func FuzzCompile(f *testing.F) {
 		}
 		if _, err := bytecode.Compile(res.Program); err != nil {
 			t.Fatalf("accepted %s program does not lower: %v\n%s", res.Analysis.Pattern, err, src)
+		}
+		if res.Analysis.Pattern == PatternGaxpy {
+			if err := closedFormMismatch(res, opts.Sieve); err != nil {
+				t.Fatalf("derived candidates are not Equations 3-6: %v\n%s", err, src)
+			}
 		}
 	})
 }

@@ -47,8 +47,9 @@ func section(name, v string) ref { return ref{Array: name, Col: sub{Var: v}} }
 
 // assignment is one assignment read as references.
 type assignment struct {
-	// Forall is the enclosing FORALL, nil where there is none, and Lo
-	// and Hi its bounds, 0-based inclusive.
+	// Do and Forall are the enclosing loops, nil where there is none, and
+	// Lo and Hi the FORALL's bounds, 0-based inclusive.
+	Do     *hpf.DoLoop
 	Forall *hpf.Forall
 	Lo, Hi int
 	RHS    hpf.Expr
@@ -129,7 +130,7 @@ func (w *walker) assign(st *hpf.Assign, env map[string]int) error {
 		return err
 	}
 	w.asgs = append(w.asgs, assignment{
-		Forall: w.forall, Lo: w.lo, Hi: w.hi, RHS: st.RHS,
+		Do: w.do, Forall: w.forall, Lo: w.lo, Hi: w.hi, RHS: st.RHS,
 		Refs: w.buf[start:len(w.buf):len(w.buf)],
 	})
 	return nil

@@ -15,7 +15,7 @@ import (
 )
 
 var updateWitness = flag.Bool("update-witness", false,
-	"rewrite testdata/compile_witness.txt from this run (the committed file was recorded at 7b5aa5d, before the in-core phase was rewritten over array references; regenerate only when compiled output is meant to change)")
+	"rewrite testdata/compile_witness.txt and testdata/cost_residuals.txt from this run (regenerate only when compiled output, or the cost model's distance from the runtime, is meant to change)")
 
 const compileWitnessPath = "testdata/compile_witness.txt"
 
@@ -128,9 +128,11 @@ func witnessLines(t *testing.T) []string {
 	return lines
 }
 
-// TestCompileWitness holds the compiler to testdata/compile_witness.txt,
-// recorded before the in-core phase was rewritten over array references
-// (EXPERIMENTS.md gives the command): every example program, over the
+// TestCompileWitness holds the compiler to testdata/compile_witness.txt
+// (the gaxpy and transpose lines recorded before the in-core phase was
+// rewritten over array references, the FORALL programs' lines when their
+// candidates came to be derived from them; EXPERIMENTS.md gives both
+// commands): every example program, over the
 // paper's range of N, P and memory and every policy, force and sieve
 // setting, must compile to the same analysis, candidates, notes, report,
 // program, fingerprint and opcode stream, and reject the same tuples.

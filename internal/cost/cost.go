@@ -8,8 +8,9 @@
 package cost
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/ooc-hpf/passion/internal/sim"
@@ -333,7 +334,7 @@ func Report(cands []Candidate, chosen int, cfg sim.Config) string {
 	for i, c := range cands {
 		rows[i] = row{i, c.Seconds(cfg)}
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].sec < rows[j].sec })
+	slices.SortStableFunc(rows, func(a, b row) int { return cmp.Compare(a.sec, b.sec) })
 	for _, r := range rows {
 		marker := " "
 		if r.idx == chosen {

@@ -83,16 +83,8 @@ func GaxpyRowSlab(g GaxpyParams) Candidate {
 		// A sieved row-slab read covers the span from the slab's first
 		// row in the first column to its last row in the last column:
 		// nearly the whole OCLA per fetch.
-		rows := int64(g.N)
-		slabRows := int64(g.SlabA) / localCols
-		if slabRows < 1 {
-			slabRows = 1
-		}
-		span := (localCols-1)*rows + slabRows
-		if span > ocla {
-			span = ocla
-		}
-		a.ElemsPerFetch = span
+		rows, slabRows := int64(g.N), max(1, int64(g.SlabA)/localCols)
+		a.ElemsPerFetch = min(ocla, (localCols-1)*rows+slabRows)
 	}
 	aSlabs := a.SlabsPerPass()
 
