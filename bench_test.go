@@ -29,15 +29,21 @@ import (
 // at the paper's 1K/2K scale.
 const benchN = 256
 
-func runGaxpy(b *testing.B, variant string, procs int, cfg gaxpy.Config) float64 {
+// runGaxpy runs Figure 3 compiled and forced to strategy, with A, B and C
+// slabs fixed at slabA, slabB and slabC elements, in accounting-only mode.
+func runGaxpy(b *testing.B, strategy string, procs, slabA, slabB, slabC int, opts oocarray.Options) float64 {
 	b.Helper()
+	prg, err := gaxpy.Plan(benchN, procs, strategy, slabA, slabB, slabC)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var sec float64
 	for i := 0; i < b.N; i++ {
-		r, err := gaxpy.Variants[variant](sim.Delta(procs), cfg)
+		out, err := exec.Run(prg, sim.Delta(procs), exec.Options{Phantom: true, Runtime: opts})
 		if err != nil {
 			b.Fatal(err)
 		}
-		sec = r.Stats.ElapsedSeconds()
+		sec = out.Stats.ElapsedSeconds()
 	}
 	b.ReportMetric(sec, "sim_s")
 	return sec
@@ -50,25 +56,24 @@ func BenchmarkFig10SlabRatio(b *testing.B) {
 		for _, denom := range []int{8, 4, 2, 1} {
 			b.Run(fmt.Sprintf("p=%d/ratio=1_%d", procs, denom), func(b *testing.B) {
 				slab := benchN * benchN / procs / denom
-				runGaxpy(b, "column-slab", procs,
-					gaxpy.Config{N: benchN, SlabA: slab, SlabB: slab, Phantom: true})
+				runGaxpy(b, "column-slab", procs, slab, slab, slab, oocarray.Options{})
 			})
 		}
 	}
 }
 
 // BenchmarkTable1RowVsColumn regenerates Table 1: all three variants on
-// the same grid of configurations.
+// the same grid of configurations. In-core (Figure 5) is row-slab with
+// every slab the whole local array.
 func BenchmarkTable1RowVsColumn(b *testing.B) {
 	for _, variant := range []string{"in-core", "column-slab", "row-slab"} {
 		for _, procs := range []int{4, 16} {
 			b.Run(fmt.Sprintf("%s/p=%d", variant, procs), func(b *testing.B) {
-				slab := benchN * benchN / procs / 8
+				strategy, slab := variant, benchN*benchN/procs/8
 				if variant == "in-core" {
-					slab = benchN * benchN / procs
+					strategy, slab = "row-slab", benchN*benchN/procs
 				}
-				runGaxpy(b, variant, procs,
-					gaxpy.Config{N: benchN, SlabA: slab, SlabB: slab, Phantom: true})
+				runGaxpy(b, strategy, procs, slab, slab, slab, oocarray.Options{})
 			})
 		}
 	}
@@ -88,10 +93,7 @@ func BenchmarkTable2MemoryAllocation(b *testing.B) {
 		{"b-heavy", 1, 3},
 	} {
 		b.Run(split.name, func(b *testing.B) {
-			runGaxpy(b, "row-slab", procs, gaxpy.Config{
-				N: benchN, SlabA: split.aU * unit, SlabB: split.bU * unit,
-				SlabC: unit, Phantom: true,
-			})
+			runGaxpy(b, "row-slab", procs, split.aU*unit, split.bU*unit, unit, oocarray.Options{})
 		})
 	}
 }
@@ -116,10 +118,7 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 	slab := benchN * benchN / procs / 8
 	for _, pre := range []bool{false, true} {
 		b.Run(fmt.Sprintf("prefetch=%v", pre), func(b *testing.B) {
-			runGaxpy(b, "row-slab", procs, gaxpy.Config{
-				N: benchN, SlabA: slab, SlabB: slab, Phantom: true,
-				Opts: oocarray.Options{Prefetch: pre},
-			})
+			runGaxpy(b, "row-slab", procs, slab, slab, slab, oocarray.Options{Prefetch: pre})
 		})
 	}
 }
@@ -131,10 +130,7 @@ func BenchmarkAblationSieve(b *testing.B) {
 	slab := benchN * benchN / procs / 8
 	for _, sieve := range []bool{false, true} {
 		b.Run(fmt.Sprintf("sieve=%v", sieve), func(b *testing.B) {
-			runGaxpy(b, "row-slab", procs, gaxpy.Config{
-				N: benchN, SlabA: slab, SlabB: slab, Phantom: true,
-				Opts: oocarray.Options{Sieve: sieve},
-			})
+			runGaxpy(b, "row-slab", procs, slab, slab, slab, oocarray.Options{Sieve: sieve})
 		})
 	}
 }
@@ -152,7 +148,7 @@ func BenchmarkCompile(b *testing.B) {
 }
 
 // BenchmarkCompiledExecution measures the whole pipeline — compile then
-// interpret — against the hand-coded runtime path measured above.
+// interpret — at the compiler's own memory split.
 func BenchmarkCompiledExecution(b *testing.B) {
 	res, err := compiler.CompileSource(hpf.GaxpySource, compiler.Options{
 		N: benchN, Procs: 4, MemElems: benchN * benchN / 4 / 4,
@@ -176,16 +172,27 @@ func BenchmarkCompiledExecution(b *testing.B) {
 func BenchmarkRealRowSlab(b *testing.B) {
 	const n, procs = 128, 4
 	slab := n * n / procs / 4
+	prg, err := gaxpy.Plan(n, procs, "row-slab", slab, slab, slab)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fill := map[string]func(int, int) float64{"a": gaxpy.FillA, "b": gaxpy.FillB}
+	want := gaxpy.CExpected(n)
 	for i := 0; i < b.N; i++ {
-		r, err := gaxpy.RunRowSlab(sim.Delta(procs), gaxpy.Config{N: n, SlabA: slab, SlabB: slab})
+		out, err := exec.Run(prg, sim.Delta(procs), exec.Options{Fill: fill})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			if err := r.VerifyC(); err != nil {
+			c, err := out.ReadArray("c")
+			if err != nil {
 				b.Fatal(err)
 			}
+			if got := c.At(n-1, n-1); got != want(n-1, n-1) {
+				b.Fatalf("C(%d,%d) = %g, want %g", n-1, n-1, got, want(n-1, n-1))
+			}
 		}
+		out.Close()
 	}
 }
 

@@ -29,7 +29,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "fig10, table1, table2, eqcheck, ablations, compiled, lu, twophase, disksurvival, ranksurvival or all")
+		experiment = flag.String("experiment", "all", "fig10, table1, table2, eqcheck, ablations, lu, twophase, disksurvival, ranksurvival or all")
 		n          = flag.Int("n", 0, "matrix extent (0 = the paper's scale per experiment)")
 		procsList  = flag.String("procs", "", "comma-separated processor counts (default per experiment)")
 		ratioList  = flag.String("ratios", "", "comma-separated slab-ratio denominators, e.g. 8,4,2,1")

@@ -8,9 +8,9 @@
 // compiler with the paper's I/O cost estimation and strategy selection, a
 // PASSION-style out-of-core array runtime over local array files, a
 // simulated distributed memory machine (message passing plus a parallel
-// I/O subsystem calibrated against the Intel Touchstone Delta), the
-// hand-coded GAXPY baselines, and drivers that regenerate every table and
-// figure of the paper's evaluation.
+// I/O subsystem calibrated against the Intel Touchstone Delta), and
+// drivers that regenerate every table and figure of the paper's
+// evaluation from compiled programs.
 //
 // Start with README.md for the tour, DESIGN.md for the system inventory,
 // and EXPERIMENTS.md for the paper-versus-reproduction numbers. The

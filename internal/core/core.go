@@ -91,7 +91,7 @@ func (s *Session) CompileAndRun(source string, copts compiler.Options, eopts exe
 }
 
 // Experiment names every reproducible artifact of the paper.
-var ExperimentNames = []string{"fig10", "table1", "table2", "eqcheck", "ablations", "compiled", "lu", "twophase", "disksurvival", "ranksurvival"}
+var ExperimentNames = []string{"fig10", "table1", "table2", "eqcheck", "ablations", "lu", "twophase", "disksurvival", "ranksurvival"}
 
 // RunExperiment regenerates the named table or figure and returns its
 // formatted text (plus CSV where available).
@@ -126,12 +126,6 @@ func RunExperiment(name string, p experiments.Params) (text, csv string, err err
 		return r.Format(), "", nil
 	case "ablations":
 		r, err := experiments.Ablations(p)
-		if err != nil {
-			return "", "", err
-		}
-		return r.Format(), "", nil
-	case "compiled":
-		r, err := experiments.Compiled(p)
 		if err != nil {
 			return "", "", err
 		}

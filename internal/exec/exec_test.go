@@ -84,85 +84,6 @@ func TestCompiledColumnSlabProducesCorrectResult(t *testing.T) {
 	verifyC(t, out, 32)
 }
 
-func TestCompiledMatchesHandCodedStatistics(t *testing.T) {
-	// The compiled row-slab program must behave exactly like the
-	// hand-coded Figure 12 program: same I/O counts, bytes and simulated
-	// time, given the same slab sizes.
-	const n, p = 64, 4
-	res, err := compiler.CompileSource(hpf.GaxpySource,
-		compiler.Options{N: n, Procs: p, MemElems: 700, Policy: compiler.PolicySearch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := res.Program.Array("a")
-	b, _ := res.Program.Array("b")
-	c, _ := res.Program.Array("c")
-
-	mach := sim.Delta(p)
-	out, err := Run(res.Program, mach, Options{
-		Fill: map[string]func(int, int) float64{"a": gaxpy.FillA, "b": gaxpy.FillB},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	hand, err := gaxpy.RunRowSlab(mach, gaxpy.Config{
-		N: n, SlabA: a.SlabElems, SlabB: b.SlabElems, SlabC: c.SlabElems,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cio, hio := out.Stats.TotalIO(), hand.Stats.TotalIO()
-	if !ioStatsEqual(cio, hio) {
-		t.Errorf("I/O stats differ:\ncompiled   %+v\nhand-coded %+v", cio, hio)
-	}
-	ct, ht := out.Stats.ElapsedSeconds(), hand.Stats.ElapsedSeconds()
-	if d := ct - ht; d > 1e-9 || d < -1e-9 {
-		t.Errorf("elapsed differ: compiled %.6f vs hand-coded %.6f", ct, ht)
-	}
-	// And the same result matrix.
-	cm, err := out.ReadArray("c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hm, err := hand.GatherC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matrix.Equal(cm, hm) {
-		t.Error("compiled and hand-coded results differ")
-	}
-}
-
-func TestCompiledColumnSlabMatchesHandCoded(t *testing.T) {
-	const n, p = 32, 4
-	res, err := compiler.CompileSource(hpf.GaxpySource,
-		compiler.Options{N: n, Procs: p, MemElems: 200, Force: "column-slab"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := res.Program.Array("a")
-	b, _ := res.Program.Array("b")
-	c, _ := res.Program.Array("c")
-	mach := sim.Delta(p)
-	out, err := Run(res.Program, mach, Options{
-		Fill: map[string]func(int, int) float64{"a": gaxpy.FillA, "b": gaxpy.FillB},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hand, err := gaxpy.RunColumnSlab(mach, gaxpy.Config{
-		N: n, SlabA: a.SlabElems, SlabB: b.SlabElems, SlabC: c.SlabElems,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cio, hio := out.Stats.TotalIO(), hand.Stats.TotalIO(); !ioStatsEqual(cio, hio) {
-		t.Errorf("I/O stats differ:\ncompiled   %+v\nhand-coded %+v", cio, hio)
-	}
-}
-
 func TestPhantomExecutionMatchesReal(t *testing.T) {
 	copts := compiler.Options{N: 32, Procs: 4, MemElems: 300}
 	_, real := compileAndRun(t, copts, Options{})

@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"github.com/ooc-hpf/passion/internal/compiler"
-	"github.com/ooc-hpf/passion/internal/gaxpy"
+	"github.com/ooc-hpf/passion/internal/exec"
 	"github.com/ooc-hpf/passion/internal/hpf"
 	"github.com/ooc-hpf/passion/internal/oocarray"
 	"github.com/ooc-hpf/passion/internal/sim"
@@ -42,45 +42,26 @@ func Ablations(p Params) (*AblationResult, error) {
 	slab := slabForRatio(n, procs, 8)
 	res := &AblationResult{N: n, Procs: procs}
 
-	runRow := func(opts oocarray.Options) (*gaxpy.Run, error) {
-		return gaxpy.RunRowSlab(mach, gaxpy.Config{
-			N: n, SlabA: slab, SlabB: slab, Phantom: !p.Real, Opts: opts,
-		})
+	var runs []*exec.Result
+	for _, opts := range []oocarray.Options{
+		{}, {Prefetch: true}, {Sieve: true}, {Sieve: true, Prefetch: true},
+		{WriteBehind: true}, {Sieve: true, Prefetch: true, WriteBehind: true},
+	} {
+		q := p
+		q.Opts = opts
+		out, err := runGaxpy(q, procs, "row-slab", slab, slab, slab)
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, out)
 	}
-	base, err := runRow(oocarray.Options{})
-	if err != nil {
-		return nil, err
-	}
-	res.Baseline = base.Stats.ElapsedSeconds()
-	pre, err := runRow(oocarray.Options{Prefetch: true})
-	if err != nil {
-		return nil, err
-	}
-	res.Prefetch = pre.Stats.ElapsedSeconds()
-	sieve, err := runRow(oocarray.Options{Sieve: true})
-	if err != nil {
-		return nil, err
-	}
-	res.Sieve = sieve.Stats.ElapsedSeconds()
-	both, err := runRow(oocarray.Options{Sieve: true, Prefetch: true})
-	if err != nil {
-		return nil, err
-	}
-	res.SievePrefetch = both.Stats.ElapsedSeconds()
-	wb, err := runRow(oocarray.Options{WriteBehind: true})
-	if err != nil {
-		return nil, err
-	}
-	res.WriteBehind = wb.Stats.ElapsedSeconds()
-	all, err := runRow(oocarray.Options{Sieve: true, Prefetch: true, WriteBehind: true})
-	if err != nil {
-		return nil, err
-	}
-	res.AllOpts = all.Stats.ElapsedSeconds()
+	sec := func(i int) float64 { return runs[i].Stats.ElapsedSeconds() }
+	res.Baseline, res.Prefetch, res.Sieve = sec(0), sec(1), sec(2)
+	res.SievePrefetch, res.WriteBehind, res.AllOpts = sec(3), sec(4), sec(5)
 
-	bio, sio := base.MaxArrayIO(), sieve.MaxArrayIO()
-	res.PlainRequests, res.SievedRequests = bio.A.ReadRequests, sio.A.ReadRequests
-	res.PlainBytes, res.SievedBytes = bio.A.BytesRead, sio.A.BytesRead
+	bio, sio := runs[0].MaxArrayIO("a"), runs[2].MaxArrayIO("a")
+	res.PlainRequests, res.SievedRequests = bio.ReadRequests, sio.ReadRequests
+	res.PlainBytes, res.SievedBytes = bio.BytesRead, sio.BytesRead
 
 	// Memory policies through the compiler.
 	res.PolicySeconds = make(map[string]float64)
@@ -112,6 +93,7 @@ func Ablations(p Params) (*AblationResult, error) {
 		row := cres.Candidates[1].Seconds(m)
 		return col / row, nil
 	}
+	var err error
 	if res.DeltaRatio, err = ratio(sim.Delta(procs)); err != nil {
 		return nil, err
 	}

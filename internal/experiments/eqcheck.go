@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"github.com/ooc-hpf/passion/internal/cost"
-	"github.com/ooc-hpf/passion/internal/gaxpy"
+	"github.com/ooc-hpf/passion/internal/oocarray"
 )
 
 // EqCheckRow is one configuration's analytic-vs-measured comparison for
@@ -30,34 +30,31 @@ type EqCheckResult struct {
 // against the closed forms.
 func EqCheck(p Params) (*EqCheckResult, error) {
 	p = p.withDefaults(512)
+	p.Opts = oocarray.Options{} // Equations 3-6 count plain transfers
 	res := &EqCheckResult{}
 	for _, procs := range p.Procs {
 		for _, denom := range p.Ratios {
 			slab := slabForRatio(p.N, procs, denom)
 			g := cost.GaxpyParams{N: p.N, P: procs, SlabA: slab, SlabB: slab, SlabC: slab}
-			cfg := gaxpy.Config{N: p.N, SlabA: slab, SlabB: slab, SlabC: slab, Phantom: !p.Real}
-			mach := p.Machine(procs)
-
+			elemSize := int64(p.Machine(procs).ElemSize)
 			for _, v := range []struct {
 				name string
 				cand cost.Candidate
-				run  func() (*gaxpy.Run, error)
 			}{
-				{"column-slab", cost.GaxpyColumnSlab(g), func() (*gaxpy.Run, error) { return gaxpy.RunColumnSlab(mach, cfg) }},
-				{"row-slab", cost.GaxpyRowSlab(g), func() (*gaxpy.Run, error) { return gaxpy.RunRowSlab(mach, cfg) }},
+				{"column-slab", cost.GaxpyColumnSlab(g)},
+				{"row-slab", cost.GaxpyRowSlab(g)},
 			} {
-				run, err := v.run()
+				run, err := runGaxpy(p, procs, v.name, slab, slab, slab)
 				if err != nil {
 					return nil, err
 				}
-				io := run.MaxArrayIO()
-				elemSize := int64(mach.ElemSize)
+				ioA := run.MaxArrayIO("a")
 				row := EqCheckRow{
 					N: p.N, P: procs, Denom: denom, Strategy: v.name,
 					PredFetches: v.cand.Streams[0].Fetches(),
-					MeasFetches: io.A.SlabReads,
+					MeasFetches: ioA.SlabReads,
 					PredElems:   v.cand.Streams[0].Elems(),
-					MeasElems:   io.A.BytesRead / elemSize,
+					MeasElems:   ioA.BytesRead / elemSize,
 				}
 				row.Match = row.PredFetches == row.MeasFetches && row.PredElems == row.MeasElems
 				res.Rows = append(res.Rows, row)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/ooc-hpf/passion/internal/exec"
 	"github.com/ooc-hpf/passion/internal/gaxpy"
 	"github.com/ooc-hpf/passion/internal/oocarray"
 	"github.com/ooc-hpf/passion/internal/sim"
@@ -46,18 +47,49 @@ func (p Params) withDefaults(defaultN int) Params {
 	return p
 }
 
-// runVariant executes one GAXPY configuration and returns the simulated
-// elapsed seconds.
-func runVariant(variant string, mach sim.Config, cfg gaxpy.Config) (float64, error) {
-	runner, ok := gaxpy.Variants[variant]
-	if !ok {
-		return 0, fmt.Errorf("experiments: unknown variant %q", variant)
+// runGaxpy runs Figure 3 compiled for p.N and procs processors, forced to
+// strategy, with the slabs of A, B and C fixed at slabA, slabB and slabC
+// elements (gaxpy.Plan). A real run fills A and B and checks C against the
+// closed form. The run's files are removed before it returns; its
+// statistics remain.
+func runGaxpy(p Params, procs int, strategy string, slabA, slabB, slabC int) (*exec.Result, error) {
+	prg, err := gaxpy.Plan(p.N, procs, strategy, slabA, slabB, slabC)
+	if err != nil {
+		return nil, err
 	}
-	r, err := runner(mach, cfg)
+	opts := exec.Options{Phantom: !p.Real, Runtime: p.Opts}
+	if p.Real {
+		opts.Fill = map[string]func(int, int) float64{"a": gaxpy.FillA, "b": gaxpy.FillB}
+	}
+	out, err := exec.Run(prg, p.Machine(procs), opts)
+	if err != nil {
+		return nil, err
+	}
+	defer out.Close()
+	if p.Real {
+		c, err := out.ReadArray("c")
+		if err != nil {
+			return nil, err
+		}
+		want := gaxpy.CExpected(p.N)
+		for j := 0; j < p.N; j++ {
+			for i := 0; i < p.N; i++ {
+				if got := c.At(i, j); got != want(i, j) {
+					return nil, fmt.Errorf("experiments: %s P=%d: C(%d,%d) = %g, want %g", strategy, procs, i, j, got, want(i, j))
+				}
+			}
+		}
+	}
+	return out, nil
+}
+
+// gaxpySeconds is runGaxpy's simulated elapsed time.
+func gaxpySeconds(p Params, procs int, strategy string, slabA, slabB, slabC int) (float64, error) {
+	out, err := runGaxpy(p, procs, strategy, slabA, slabB, slabC)
 	if err != nil {
 		return 0, err
 	}
-	return r.Stats.ElapsedSeconds(), nil
+	return out.Stats.ElapsedSeconds(), nil
 }
 
 // slabForRatio returns the slab size in elements for a 1/denominator
@@ -96,24 +128,24 @@ func Table1(p Params) (*Table1Result, error) {
 		rowRow := make([]float64, len(p.Procs))
 		for pi, procs := range p.Procs {
 			slab := slabForRatio(p.N, procs, denom)
-			cfg := gaxpy.Config{N: p.N, SlabA: slab, SlabB: slab, Phantom: !p.Real, Opts: p.Opts}
 			var err error
-			if colRow[pi], err = runVariant("column-slab", p.Machine(procs), cfg); err != nil {
+			if colRow[pi], err = gaxpySeconds(p, procs, "column-slab", slab, slab, slab); err != nil {
 				return nil, err
 			}
-			if rowRow[pi], err = runVariant("row-slab", p.Machine(procs), cfg); err != nil {
+			if rowRow[pi], err = gaxpySeconds(p, procs, "row-slab", slab, slab, slab); err != nil {
 				return nil, err
 			}
 		}
 		res.Col = append(res.Col, colRow)
 		res.Row = append(res.Row, rowRow)
 	}
+	// The in-core translation of Figure 5 is row-slab with every slab the
+	// whole local array: each array is read from disk once.
 	res.InCore = make([]float64, len(p.Procs))
 	for pi, procs := range p.Procs {
 		ocla := p.N * p.N / procs
-		cfg := gaxpy.Config{N: p.N, SlabA: ocla, SlabB: ocla, Phantom: !p.Real, Opts: p.Opts}
 		var err error
-		if res.InCore[pi], err = runVariant("in-core", p.Machine(procs), cfg); err != nil {
+		if res.InCore[pi], err = gaxpySeconds(p, procs, "row-slab", ocla, ocla, ocla); err != nil {
 			return nil, err
 		}
 	}

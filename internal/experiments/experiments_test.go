@@ -169,28 +169,29 @@ func TestPaperScaleLabels(t *testing.T) {
 }
 
 func TestRealModeSmall(t *testing.T) {
-	// A tiny real-mode sweep exercises the non-phantom path end to end.
+	// Tiny real-mode sweeps move real data and check every C against the
+	// closed form; the statistics equal the accounting-only run's.
 	p := Params{N: 32, Procs: []int{4}, Ratios: []int{2}, Real: true}
-	if _, err := Table1(p); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCompiledPipelineMatchesHandCoded(t *testing.T) {
-	res, err := Compiled(Params{N: 128, Procs: []int{2, 4}})
+	real1, err := Table1(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.AllMatch() {
-		t.Fatalf("compiled pipeline diverged:\n%s", res.Format())
+	real2, err := Table2(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, row := range res.Rows {
-		if row.Strategy != "row-slab" {
-			t.Errorf("P=%d strategy %s", row.Procs, row.Strategy)
-		}
+	p.Real = false
+	phantom1, err := Table1(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(res.Format(), "all match: true") {
-		t.Error("format should report all match")
+	phantom2, err := Table2(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if real1.Format() != phantom1.Format() || real2.Format() != phantom2.Format() {
+		t.Errorf("real and accounting-only runs differ:\n%s%s\n%s%s",
+			real1.Format(), real2.Format(), phantom1.Format(), phantom2.Format())
 	}
 }
 

@@ -4,10 +4,12 @@
 // in-core), Table 2 (memory allocation between A and B), plus the
 // Equations 3-6 validation and the ablations called out in DESIGN.md.
 //
-// Experiments run the hand-coded GAXPY variants (package gaxpy) on the
+// Experiments run the compiled Figure 3 program (gaxpy.Plan: forced to a
+// strategy, at the table's slab sizes) through package exec on the
 // simulated Delta machine, by default in accounting-only (phantom) mode,
-// which package gaxpy's tests prove produces statistics identical to real
-// execution.
+// whose statistics equal real execution's (package exec's tests); package
+// gaxpy's tests hold every configuration equal to the hand-written
+// translations of Figures 5, 9 and 12.
 package experiments
 
 // Paper-reported numbers (seconds on the Intel Touchstone Delta), kept

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"github.com/ooc-hpf/passion/internal/gaxpy"
 )
 
 // Table2Result holds the reproduction of Table 2: the row-slab version's
@@ -41,17 +39,9 @@ func Table2(p Params) (*Table2Result, error) {
 		sizes = []int{n / 8, n / 4, n / 2, n}
 	}
 	res := &Table2Result{N: n, Procs: procs, Sizes: sizes}
-	mach := p.Machine(procs)
 
 	runRow := func(slabA, slabB int) (float64, error) {
-		cfg := gaxpy.Config{
-			N:     n,
-			SlabA: slabA * unit,
-			SlabB: slabB * unit,
-			SlabC: sizes[0] * unit,
-			Opts:  p.Opts, Phantom: !p.Real,
-		}
-		return runVariant("row-slab", mach, cfg)
+		return gaxpySeconds(p, procs, "row-slab", slabA*unit, slabB*unit, sizes[0]*unit)
 	}
 
 	fixed := sizes[0]

@@ -24,7 +24,6 @@ import (
 // signatures of the hot paths, not throughput numbers.
 var Kernels = []Kernel{
 	{Name: "sendrecv", Make: mkSendRecv},
-	{Name: "gaxpy", Make: mkGaxpy},
 	{Name: "gaxpy-plan", Make: mkPlan(hpf.GaxpySource, gaxpyPlanOpts, false)},
 	{Name: "gaxpy-plan-deadline", Make: mkPlan(hpf.GaxpySource, gaxpyPlanOpts, true)},
 	{Name: "transpose", Make: mkPlan(hpf.TransposeSource, compiler.Options{N: 256, Procs: 4, MemElems: 16 * 256, Force: "two-phase"}, false)},
@@ -109,21 +108,6 @@ func mkSendRecv() (func() (float64, error), error) {
 			return 0, err
 		}
 		return st.ElapsedSeconds(), nil
-	}
-	return op, nil
-}
-
-// mkGaxpy measures a real (non-phantom) hand-coded row-slab GAXPY: file
-// data movement, slab staging and arithmetic.
-func mkGaxpy() (func() (float64, error), error) {
-	const n, procs = 128, 4
-	slab := n * n / procs / 4
-	op := func() (float64, error) {
-		r, err := gaxpy.RunRowSlab(sim.Delta(procs), gaxpy.Config{N: n, SlabA: slab, SlabB: slab})
-		if err != nil {
-			return 0, err
-		}
-		return r.Stats.ElapsedSeconds(), nil
 	}
 	return op, nil
 }
