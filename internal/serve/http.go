@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -61,16 +59,17 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.Submit(r.Context(), req)
 	if err != nil {
-		status := statusFor(err)
-		if ra := retryAfter(err); ra > 0 {
+		// A retryable rejection advises how long to back off.
+		c := classOf(err)
+		if ra := c.retry; ra > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(int((ra+time.Second-1)/time.Second)))
-			s.writeJSON(w, status, map[string]any{
+			s.writeJSON(w, c.status, map[string]any{
 				"error":          err.Error(),
 				"retry_after_ms": ra.Milliseconds(),
 			})
 			return
 		}
-		s.httpError(w, status, err)
+		s.httpError(w, c.status, err)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, resp)
@@ -86,44 +85,6 @@ func decodeRequest(r io.Reader) (Request, error) {
 		return Request{}, fmt.Errorf("decoding request: %w", err)
 	}
 	return req, nil
-}
-
-// statusFor maps submission outcomes to status codes: rejected for
-// capacity → 429 (retryable), draining or journal-degraded → 503,
-// compile and validation errors → 400, deadline → 504, client gone →
-// 499-style 408, simulated crash → 503, execution faults → 500.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, ErrBusy), errors.Is(err, ErrOversize):
-		return http.StatusTooManyRequests
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrDegraded), errors.Is(err, ErrCrashed):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return http.StatusRequestTimeout
-	}
-	var compileErr *compileError
-	if errors.As(err, &compileErr) {
-		return http.StatusBadRequest
-	}
-	return http.StatusInternalServerError
-}
-
-// retryAfter is the server's backoff guidance for retryable rejections:
-// a full queue clears quickly (queue pressure), a drain may hand off to
-// a restarted process shortly, a degraded journal needs operator
-// attention. Zero means the error is not worth retrying as-is.
-func retryAfter(err error) time.Duration {
-	switch {
-	case errors.Is(err, ErrBusy):
-		return 10 * time.Millisecond
-	case errors.Is(err, ErrDegraded):
-		return 5 * time.Second
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrCrashed):
-		return time.Second
-	}
-	return 0
 }
 
 // compileError marks request-side failures (bad source, bad machine

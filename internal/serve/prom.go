@@ -108,83 +108,89 @@ func (p *promWriter) hist(name, help string, h *promHist) {
 	})
 }
 
+// promRows are the exposition's gauges and single-sample counters, each
+// read off one Metrics snapshot; journal rows show only on a journaled
+// server.
+var promRows = []struct {
+	name, help, typ string
+	journal         bool
+	value           func(m *Metrics) int64
+}{
+	{"passion_serve_workers", "Size of the worker pool.", "gauge", false,
+		func(m *Metrics) int64 { return int64(m.Workers) }},
+	{"passion_serve_queue_depth", "Jobs admitted but not yet dispatched.", "gauge", false,
+		func(m *Metrics) int64 { return int64(m.QueueDepth) }},
+	{"passion_serve_inflight", "Jobs currently executing.", "gauge", false,
+		func(m *Metrics) int64 { return int64(m.Inflight) }},
+	{"passion_serve_reserved_bytes", "Admitted footprint currently charged against the memory budget.", "gauge", false,
+		func(m *Metrics) int64 { return m.ReservedBytes }},
+	{"passion_serve_budget_bytes", "Configured memory budget.", "gauge", false,
+		func(m *Metrics) int64 { return m.BudgetBytes }},
+	{"passion_serve_degraded", "1 while the journal disk has forced read-only degraded mode.", "gauge", false,
+		func(m *Metrics) int64 {
+			if m.Degraded {
+				return 1
+			}
+			return 0
+		}},
+	{"passion_serve_journal_records_total", "Write-ahead journal records appended.", "counter", true,
+		func(m *Metrics) int64 { return m.Journal.RecordsAppended }},
+	{"passion_serve_journal_replayed_total", "Jobs re-admitted from the journal at startup.", "counter", true,
+		func(m *Metrics) int64 { return m.Journal.ReplayedJobs }},
+	{"passion_serve_journal_resumed_total", "Replayed jobs that resumed from exec checkpoints.", "counter", true,
+		func(m *Metrics) int64 { return m.Journal.ResumedJobs }},
+	{"passion_serve_journal_bytes", "Current size of the live journal segment.", "gauge", true,
+		func(m *Metrics) int64 { return m.Journal.Bytes }},
+}
+
 // WritePrometheus renders the server's metrics — the same state as
-// MetricsSnapshot — in Prometheus text exposition format.
+// MetricsSnapshot — in Prometheus text exposition format. The job
+// counters are the outcome table's (lifecycle.go): one sample per
+// outcome, globally and per tenant, and one per rejection reason.
 func (s *Server) WritePrometheus(w io.Writer) error {
 	m := s.MetricsSnapshot()
 	p := &promWriter{w: bufio.NewWriter(w)}
 
-	p.metric("passion_serve_workers", "Size of the worker pool.", "gauge", func() {
-		p.printf("passion_serve_workers %d\n", m.Workers)
-	})
-	p.metric("passion_serve_queue_depth", "Jobs admitted but not yet dispatched.", "gauge", func() {
-		p.printf("passion_serve_queue_depth %d\n", m.QueueDepth)
-	})
-	p.metric("passion_serve_inflight", "Jobs currently executing.", "gauge", func() {
-		p.printf("passion_serve_inflight %d\n", m.Inflight)
-	})
-	p.metric("passion_serve_reserved_bytes", "Admitted footprint currently charged against the memory budget.", "gauge", func() {
-		p.printf("passion_serve_reserved_bytes %d\n", m.ReservedBytes)
-	})
-	p.metric("passion_serve_budget_bytes", "Configured memory budget.", "gauge", func() {
-		p.printf("passion_serve_budget_bytes %d\n", m.BudgetBytes)
-	})
-	p.metric("passion_serve_degraded", "1 while the journal disk has forced read-only degraded mode.", "gauge", func() {
-		d := 0
-		if m.Degraded {
-			d = 1
+	for _, r := range promRows {
+		if r.journal && m.Journal == nil {
+			continue
 		}
-		p.printf("passion_serve_degraded %d\n", d)
-	})
-
-	p.metric("passion_serve_jobs_total", "Job submissions by terminal outcome.", "counter", func() {
-		p.printf("passion_serve_jobs_total{outcome=\"submitted\"} %d\n", m.Submitted)
-		p.printf("passion_serve_jobs_total{outcome=\"completed\"} %d\n", m.Completed)
-		p.printf("passion_serve_jobs_total{outcome=\"failed\"} %d\n", m.Failed)
-		p.printf("passion_serve_jobs_total{outcome=\"cancelled\"} %d\n", m.Cancelled)
-		p.printf("passion_serve_jobs_total{outcome=\"deduplicated\"} %d\n", m.Deduplicated)
+		p.metric(r.name, r.help, r.typ, func() { p.printf("%s %d\n", r.name, r.value(&m)) })
+	}
+	p.metric("passion_serve_jobs_total", "Job submissions by outcome.", "counter", func() {
+		for _, o := range outcomes {
+			if !o.reject {
+				p.printf("passion_serve_jobs_total{outcome=\"%s\"} %d\n", o.label, *o.field(&m.tenantCounters))
+			}
+		}
 	})
 	p.metric("passion_serve_rejected_total", "Rejections by reason.", "counter", func() {
-		p.printf("passion_serve_rejected_total{reason=\"oversize\"} %d\n", m.RejectedOversize)
-		p.printf("passion_serve_rejected_total{reason=\"busy\"} %d\n", m.RejectedBusy)
-		p.printf("passion_serve_rejected_total{reason=\"draining\"} %d\n", m.RejectedDraining)
+		for _, o := range outcomes {
+			if o.reject {
+				p.printf("passion_serve_rejected_total{reason=\"%s\"} %d\n", o.label, *o.field(&m.tenantCounters))
+			}
+		}
 	})
 	p.metric("passion_serve_plan_cache_total", "Compiled-plan cache lookups by result.", "counter", func() {
 		p.printf("passion_serve_plan_cache_total{result=\"hit\"} %d\n", m.Cache.Hits)
 		p.printf("passion_serve_plan_cache_total{result=\"miss\"} %d\n", m.Cache.Misses)
 	})
-
-	p.metric("passion_serve_tenant_jobs_total", "Per-tenant job counts by outcome.", "counter", func() {
+	p.metric("passion_serve_tenant_jobs_total", "Per-tenant job counts by outcome; rejected sums the reasons.", "counter", func() {
 		tenants := make([]string, 0, len(m.Tenants))
 		for t := range m.Tenants {
 			tenants = append(tenants, t)
 		}
 		sort.Strings(tenants)
 		for _, t := range tenants {
-			c := m.Tenants[t]
-			lt := promEscape(t)
-			p.printf("passion_serve_tenant_jobs_total{tenant=\"%s\",outcome=\"submitted\"} %d\n", lt, c.Submitted)
-			p.printf("passion_serve_tenant_jobs_total{tenant=\"%s\",outcome=\"completed\"} %d\n", lt, c.Completed)
-			p.printf("passion_serve_tenant_jobs_total{tenant=\"%s\",outcome=\"failed\"} %d\n", lt, c.Failed)
+			c, lt := m.Tenants[t], promEscape(t)
+			for _, o := range outcomes {
+				if !o.reject {
+					p.printf("passion_serve_tenant_jobs_total{tenant=\"%s\",outcome=\"%s\"} %d\n", lt, o.label, *o.field(c))
+				}
+			}
 			p.printf("passion_serve_tenant_jobs_total{tenant=\"%s\",outcome=\"rejected\"} %d\n", lt, c.Rejected)
 		}
 	})
-
-	if m.Journal != nil {
-		j := m.Journal
-		p.metric("passion_serve_journal_records_total", "Write-ahead journal records appended.", "counter", func() {
-			p.printf("passion_serve_journal_records_total %d\n", j.RecordsAppended)
-		})
-		p.metric("passion_serve_journal_replayed_total", "Jobs re-admitted from the journal at startup.", "counter", func() {
-			p.printf("passion_serve_journal_replayed_total %d\n", j.ReplayedJobs)
-		})
-		p.metric("passion_serve_journal_resumed_total", "Replayed jobs that resumed from exec checkpoints.", "counter", func() {
-			p.printf("passion_serve_journal_resumed_total %d\n", j.ResumedJobs)
-		})
-		p.metric("passion_serve_journal_bytes", "Current size of the live journal segment.", "gauge", func() {
-			p.printf("passion_serve_journal_bytes %d\n", j.Bytes)
-		})
-	}
 
 	p.hist("passion_serve_job_latency_seconds", "Wall time from accepted submit to terminal outcome.", s.histJobLatency)
 	p.hist("passion_serve_queue_wait_seconds", "Wall time from admission to worker pickup.", s.histQueueWait)

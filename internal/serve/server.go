@@ -6,8 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -142,7 +142,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// job is one admitted submission moving through the queue.
+// job is one submission moving through the lifecycle (lifecycle.go).
 type job struct {
 	id          string
 	req         Request
@@ -157,11 +157,13 @@ type job struct {
 	// key is the client idempotency key; attempt is the execution
 	// namespace on the durable work store (0 until first dispatch);
 	// resume asks runJob to restart from the previous attempt's exec
-	// checkpoints; replayed marks jobs re-admitted from the journal.
+	// checkpoints; replayed marks jobs re-admitted from the journal;
+	// taken marks jobs a worker took off the queue (counted in inflight).
 	key      string
 	attempt  int
 	resume   bool
 	replayed bool
+	taken    bool
 
 	// submittedAt anchors the job-latency histogram; enqueuedAt the
 	// queue-wait histogram (reset on every re-queue).
@@ -173,13 +175,15 @@ type job struct {
 	err  error
 }
 
-// tenantCounters is the per-tenant accounting view.
-type tenantCounters struct {
-	Submitted int64 `json:"submitted"`
-	Completed int64 `json:"completed"`
-	Failed    int64 `json:"failed"`
-	Rejected  int64 `json:"rejected"`
-}
+// phase is where the server is in its own life; it only moves forward.
+type phase uint8
+
+const (
+	serving  phase = iota
+	draining       // Drain: no new jobs, the queue runs out
+	closed         // Close: queued jobs orphaned, workers exit
+	crashed        // the simulated process died
+)
 
 // Server is the compile-and-run service. Create with New (or Open when
 // journaling), submit with Submit (or over HTTP via Handler), and stop
@@ -202,9 +206,7 @@ type Server struct {
 	queued   int
 	inflight int
 	reserved int64
-	draining bool
-	closed   bool
-	crashed  bool
+	phase    phase
 	tenants  map[string]*tenantCounters
 
 	// pickupGate, when set, runs after a worker reserves a job's
@@ -215,7 +217,6 @@ type Server struct {
 	crashCtx    context.Context
 	crashCancel context.CancelFunc
 	crashN      atomic.Int64
-	degraded    atomic.Bool
 
 	log *slog.Logger
 
@@ -232,15 +233,6 @@ type Server struct {
 
 	wg     sync.WaitGroup
 	jobSeq atomic.Int64
-
-	submitted        atomic.Int64
-	completed        atomic.Int64
-	failed           atomic.Int64
-	cancelled        atomic.Int64
-	deduplicated     atomic.Int64
-	rejectedOversize atomic.Int64
-	rejectedBusy     atomic.Int64
-	rejectedDraining atomic.Int64
 }
 
 // New starts a server with cfg's worker pool running. It panics when
@@ -260,6 +252,17 @@ func New(cfg Config) *Server {
 // exec checkpoints (or rerun from scratch when their spec is not
 // resumable), and retained idempotency outcomes answer retried submits.
 func Open(cfg Config) (*Server, error) {
+	s, err := open(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.start()
+	return s, nil
+}
+
+// open builds the server and replays its journal; start runs the
+// workers. Tests set hooks in between.
+func open(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:            cfg.withDefaults(),
 		queues:         make(map[string][]*job),
@@ -273,7 +276,7 @@ func Open(cfg Config) (*Server, error) {
 	}
 	s.log = s.cfg.Logger
 	if s.log == nil {
-		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+		s.log = slog.New(discard{})
 	}
 	for t, w := range s.cfg.TenantWeights {
 		if w > 0 {
@@ -284,13 +287,6 @@ func Open(cfg Config) (*Server, error) {
 	s.dispatch = sync.NewCond(&s.mu)
 	s.change = sync.NewCond(&s.mu)
 	s.crashCtx, s.crashCancel = context.WithCancel(context.Background())
-	if c := s.cfg.Crash; c != nil {
-		cc := *c
-		if cc.N <= 0 {
-			cc.N = 1
-		}
-		s.cfg.Crash = &cc
-	}
 	if jc := s.cfg.Journal; jc != nil {
 		if jc.FS == nil {
 			return nil, errors.New("serve: JournalConfig.FS is required")
@@ -310,11 +306,14 @@ func Open(cfg Config) (*Server, error) {
 		}
 		s.replay()
 	}
+	return s, nil
+}
+
+func (s *Server) start() {
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	return s, nil
 }
 
 // replay rebuilds the queues from the journal's live set, in original
@@ -333,66 +332,58 @@ func (s *Server) replay() {
 	keep := make(map[string]bool)
 	var replayed int64
 	for _, jb := range s.journal.liveJobs() {
-		req := jb.Spec.withDefaults()
-		j, err := s.build(s.crashCtx, req)
+		j := &job{id: jb.ID, key: jb.Key, req: jb.Spec.withDefaults(), ctx: s.crashCtx,
+			replayed: true, done: make(chan struct{})}
+		err := s.build(j)
+		s.transition(j, edgeReplay, nil)
 		if err != nil {
-			// The spec no longer compiles or fits the budget: complete
-			// it as failed so it stops replaying.
-			s.journal.append(&walRec{Kind: recComplete, Job: jb.ID, Tenant: jb.Tenant, Error: err.Error()})
+			// The spec no longer compiles or fits the budget: fail it so
+			// it stops replaying.
+			s.finish(j, edgeFail, nil, err)
 			continue
 		}
-		j.id = jb.ID
-		j.key = jb.Key
-		j.replayed = true
 		if jb.Attempt > 0 {
 			j.attempt = jb.Attempt
-			if req.resumable() && j.fingerprint == jb.Fingerprint {
+			if j.req.resumable() && j.fingerprint == jb.Fingerprint {
 				j.resume = true
 				keep[workPrefix(j.id, j.attempt)] = true
 			}
 		}
-		t := req.Tenant
-		if _, ok := s.queues[t]; !ok && !contains(s.ring, t) {
-			s.ring = append(s.ring, t)
-		}
-		j.submittedAt = time.Now()
-		j.enqueuedAt = j.submittedAt
-		s.queues[t] = append(s.queues[t], j)
-		s.queued++
-		s.tenant(t).Submitted++
-		s.submitted.Add(1)
 		if j.key != "" {
 			s.keys[j.key] = j
 		}
-		s.log.Info("job replayed from journal",
-			"job", j.id, "tenant", t, "key", j.key,
-			"fingerprint", j.fingerprint, "attempt", j.attempt, "resume", j.resume)
+		j.submittedAt = time.Now()
+		s.queued++
+		s.push(j)
 		replayed++
 	}
 	s.journal.addReplayed(replayed)
 	if replayed > 0 {
 		s.log.Info("journal replay complete", "jobs", replayed)
 	}
-	s.sweepWork(keep)
+	// Dead attempt namespaces: anything shaped "<job>.a<n>/..." that no
+	// live resumable job claims.
+	s.sweep(func(name string) bool {
+		i := strings.Index(name, "/")
+		return i >= 0 && strings.Contains(name[:i], ".a") && !keep[name[:i+1]]
+	})
 }
 
-// sweepWork removes work-store files from dead attempt namespaces —
-// anything shaped "<job>.a<n>/..." that no live resumable job claims.
-func (s *Server) sweepWork(keep map[string]bool) {
-	nm, ok := s.workFS.(namer)
-	if !ok {
-		return
-	}
-	for _, name := range nm.Names() {
-		i := strings.Index(name, "/")
-		if i < 0 || !strings.Contains(name[:i], ".a") {
-			continue
+// sweep removes the work-store files dead reports true for.
+func (s *Server) sweep(dead func(name string) bool) {
+	if nm, ok := s.workFS.(namer); ok {
+		for _, name := range nm.Names() {
+			if dead(name) {
+				s.workFS.Remove(name)
+			}
 		}
-		if keep[name[:i+1]] {
-			continue
-		}
-		s.workFS.Remove(name)
 	}
+}
+
+// sweepAttempts removes every work-store file of the job's attempt
+// namespaces after its terminal transition.
+func (s *Server) sweepAttempts(id string) {
+	s.sweep(func(name string) bool { return strings.HasPrefix(name, id+".a") })
 }
 
 // Submit compiles, admits, queues and executes one job, blocking until
@@ -405,52 +396,32 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	req = req.withDefaults()
-	s.submitted.Add(1)
-
-	if s.journal != nil && req.IdempotencyKey != "" {
-		if resp, ok := s.dedupOutcome(req.IdempotencyKey); ok {
-			return resp, nil
-		}
-	}
-	if s.degradedNow() {
-		s.reject(req.Tenant, ErrDegraded)
-		return nil, ErrDegraded
-	}
-	j, err := s.prepare(ctx, req)
-	if err != nil {
-		s.reject(req.Tenant, err)
-		return nil, err
-	}
-	j.submittedAt = time.Now()
+	j := &job{req: req.withDefaults(), ctx: ctx, done: make(chan struct{})}
 	if s.journal != nil {
-		j.key = req.IdempotencyKey
+		j.key = j.req.IdempotencyKey
 	}
-	attached, dedup, err := s.enqueue(j)
-	if err != nil {
-		s.reject(req.Tenant, err)
+	if err := s.build(j); err != nil {
+		s.finish(j, edgeReject, nil, err)
 		return nil, err
 	}
-	if attached == nil && dedup == nil {
-		s.log.Info("job submitted",
-			"job", j.id, "tenant", j.req.Tenant, "key", j.key,
-			"fingerprint", j.fingerprint, "cache_hit", j.cacheHit,
-			"footprint", j.footprint)
-	}
-	if dedup != nil {
+	j.id = fmt.Sprintf("job-%d", s.jobSeq.Add(1))
+	j.submittedAt = time.Now()
+	owner, dedup, err := s.enqueue(j)
+	switch {
+	case err != nil:
+		return nil, err
+	case dedup != nil:
 		return dedup, nil
-	}
-	if attached != nil {
+	case owner != nil:
 		// Another in-flight job owns this idempotency key; ride along
 		// on its outcome.
 		select {
-		case <-attached.done:
-			if attached.err != nil {
-				return nil, attached.err
+		case <-owner.done:
+			if owner.err != nil {
+				return nil, owner.err
 			}
-			cp := *attached.resp
+			cp := *owner.resp
 			cp.Deduplicated = true
-			s.deduplicated.Add(1)
 			return &cp, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
@@ -470,47 +441,13 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Response, error) {
 	}
 }
 
-// dedupOutcome answers a keyed submit from the journal's retained
-// outcomes.
-func (s *Server) dedupOutcome(key string) (*Response, bool) {
-	raw, ok := s.journal.outcome(key)
-	if !ok {
-		return nil, false
-	}
-	resp, err := decodeOutcome(raw)
-	if err != nil {
-		return nil, false
-	}
-	s.deduplicated.Add(1)
-	return resp, true
-}
-
-func decodeOutcome(raw json.RawMessage) (*Response, error) {
-	var resp Response
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		return nil, fmt.Errorf("serve: decode stored outcome: %w", err)
-	}
-	resp.Deduplicated = true
-	return &resp, nil
-}
-
-// prepare resolves the machine, compiles through the cache, sizes the
-// admission reservation and assigns a fresh job id.
-func (s *Server) prepare(ctx context.Context, req Request) (*job, error) {
-	j, err := s.build(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	j.id = fmt.Sprintf("job-%d", s.jobSeq.Add(1))
-	return j, nil
-}
-
-// build is prepare minus the id assignment; journal replay uses it to
-// reconstruct a job under its original id.
-func (s *Server) build(ctx context.Context, req Request) (*job, error) {
+// build resolves j's machine, compiles its plan through the cache and
+// sizes its admission reservation.
+func (s *Server) build(j *job) error {
+	req := j.req
 	machineFor, err := cliutil.MachineFor(req.Machine)
 	if err != nil {
-		return nil, &compileError{err}
+		return &compileError{err}
 	}
 	mach := machineFor(req.Procs)
 	src := req.Source
@@ -532,146 +469,103 @@ func (s *Server) build(ctx context.Context, req Request) (*job, error) {
 		return r, plan.Fingerprint(r.Program, fingerprintExtras(mach, req.MemElems)), nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	footprint := EstimateFootprint(entry.res.Program, req.Phantom, req.Parity)
 	if footprint > s.cfg.MemoryBudget {
-		return nil, fmt.Errorf("%w: need %d bytes, budget %d", ErrOversize, footprint, s.cfg.MemoryBudget)
+		return fmt.Errorf("%w: need %d bytes, budget %d", ErrOversize, footprint, s.cfg.MemoryBudget)
 	}
-	return &job{
-		req:         req,
-		res:         entry.res,
-		lowered:     entry.lowered,
-		mach:        mach,
-		fingerprint: entry.fingerprint,
-		cacheHit:    hit,
-		footprint:   footprint,
-		ctx:         ctx,
-		done:        make(chan struct{}),
-	}, nil
+	j.res, j.lowered, j.mach = entry.res, entry.lowered, mach
+	j.fingerprint, j.cacheHit, j.footprint = entry.fingerprint, hit, footprint
+	return nil
 }
 
 // enqueue admits the job into its tenant's FIFO, journaling the submit
-// first so the job is durable before it is runnable. It returns a
-// non-nil attached job when an in-flight job already owns the same
-// idempotency key, or a non-nil dedup response when a retained outcome
-// answers the key.
-func (s *Server) enqueue(j *job) (attached *job, dedup *Response, err error) {
+// first so the job is durable before it is runnable. An idempotency key
+// is answered before anything else: by the in-flight job that owns it
+// (returned as owner) or by its retained outcome (returned as dedup).
+// The key is checked and claimed under one lock, and a finished job
+// gives its key up only once its outcome is retained, so no two
+// submits of one key both run. A turned-away job is finished here.
+func (s *Server) enqueue(j *job) (owner *job, dedup *Response, err error) {
 	s.mu.Lock()
-	if s.crashed {
-		s.mu.Unlock()
-		return nil, nil, ErrCrashed
-	}
-	if s.draining || s.closed {
-		s.mu.Unlock()
-		return nil, nil, ErrDraining
-	}
-	if s.queued >= s.cfg.QueueLimit {
-		n := s.queued
-		s.mu.Unlock()
-		return nil, nil, fmt.Errorf("%w: %d jobs queued", ErrBusy, n)
-	}
-	if s.journal != nil && j.key != "" {
-		if jx := s.keys[j.key]; jx != nil {
-			s.mu.Unlock()
-			return jx, nil, nil
-		}
-		// The key may have completed between Submit's fast path and
-		// here; keys are only deleted after their outcome is retained,
-		// so checking the journal again closes the gap.
-		if raw, ok := s.journal.outcome(j.key); ok {
-			s.mu.Unlock()
-			resp, derr := decodeOutcome(raw)
-			if derr != nil {
-				return nil, nil, derr
+	if j.key != "" {
+		if owner = s.keys[j.key]; owner == nil {
+			if raw, ok := s.journal.outcome(j.key); ok {
+				dedup = &Response{}
+				if err = json.Unmarshal(raw, dedup); err != nil {
+					err = fmt.Errorf("serve: decode stored outcome: %w", err)
+				}
+				dedup.Deduplicated = true
 			}
-			s.deduplicated.Add(1)
-			return nil, resp, nil
 		}
-		s.keys[j.key] = j
 	}
-	s.queued++ // provisional slot while the submit record is written
+	if owner == nil && dedup == nil && err == nil {
+		switch {
+		case s.phase == crashed:
+			err = ErrCrashed
+		case s.phase != serving:
+			err = ErrDraining
+		case s.journal != nil && s.journal.degraded():
+			err = ErrDegraded
+		case s.queued >= s.cfg.QueueLimit:
+			err = fmt.Errorf("%w: %d jobs queued", ErrBusy, s.queued)
+		}
+	}
+	admit := owner == nil && dedup == nil && err == nil
+	if admit {
+		if j.key != "" {
+			s.keys[j.key] = j
+		}
+		s.queued++ // provisional slot while the submit record is written
+	}
 	s.mu.Unlock()
-
-	if s.journal != nil {
-		rec := &walRec{Kind: recSubmit, Job: j.id, Tenant: j.req.Tenant, Key: j.key,
-			Weight: j.req.TenantWeight, Spec: &j.req, Fingerprint: j.fingerprint}
-		if aerr := s.journal.append(rec); aerr != nil {
-			s.degraded.Store(true)
-			s.log.Error("journal degraded: submit record failed",
-				"job", j.id, "tenant", j.req.Tenant, "key", j.key, "error", aerr.Error())
-			s.unenqueue(j)
-			// Fail any submit that already attached to this key.
-			j.err = aerr
-			close(j.done)
-			return nil, nil, aerr
-		}
-		s.crashPoint(CrashSubmit)
+	switch {
+	case err != nil:
+		s.finish(j, edgeReject, nil, err)
+		return nil, nil, err
+	case !admit:
+		s.transition(j, edgeDedup, nil)
+		return owner, dedup, nil
 	}
 
+	aerr := s.transition(j, edgeSubmit, nil)
 	s.mu.Lock()
-	if s.crashed || s.closed || s.draining {
-		if !s.closed {
-			s.queued--
+	if aerr == nil && s.phase == serving {
+		if w := j.req.TenantWeight; w > 0 {
+			s.weights[j.req.Tenant] = w
 		}
-		if j.key != "" && s.keys[j.key] == j {
-			delete(s.keys, j.key)
-		}
-		crashed := s.crashed
+		s.push(j)
 		s.mu.Unlock()
-		if crashed {
-			// The submit record is durable but the "process" died before
-			// the job became runnable: the submitter sees an ambiguous
-			// failure, and the restarted server replays the job.
-			j.err = ErrCrashed
-			close(j.done)
-			return nil, nil, ErrCrashed
-		}
-		// Shut down between the record and admission: tell the journal
-		// the client saw a rejection (best-effort — the journal may
-		// already be closed).
-		if s.journal != nil {
-			s.journal.append(&walRec{Kind: recCancel, Job: j.id, Error: ErrDraining.Error()})
-		}
-		j.err = ErrDraining
-		close(j.done)
-		return nil, nil, ErrDraining
+		return nil, nil, nil
 	}
+	// The record failed, or the server shut down (or crashed) between the
+	// record and the queue. A close zeroed the slot; a drain did not.
+	if s.phase < closed {
+		s.queued--
+	}
+	if aerr != nil && s.phase == crashed {
+		aerr = ErrCrashed
+	}
+	s.mu.Unlock()
+	if aerr != nil {
+		s.finish(j, edgeReject, nil, aerr)
+	} else {
+		s.finish(j, edgeOrphan, nil, ErrDraining) // admitted, never run
+	}
+	return nil, nil, j.err
+}
+
+// push appends an admitted job, whose queue slot is already counted, to
+// its tenant's FIFO. Callers hold s.mu (or are replaying, alone).
+func (s *Server) push(j *job) {
 	t := j.req.Tenant
-	if j.req.TenantWeight > 0 {
-		s.weights[t] = j.req.TenantWeight
-	}
-	if _, ok := s.queues[t]; !ok && !contains(s.ring, t) {
+	if _, ok := s.queues[t]; !ok && !slices.Contains(s.ring, t) {
 		s.ring = append(s.ring, t)
 	}
 	j.enqueuedAt = time.Now()
 	s.queues[t] = append(s.queues[t], j)
-	s.tenant(t).Submitted++
 	s.dispatch.Signal()
-	s.mu.Unlock()
-	return nil, nil, nil
-}
-
-// unenqueue rolls back a provisional admission after a journal append
-// failure.
-func (s *Server) unenqueue(j *job) {
-	s.mu.Lock()
-	if !s.closed {
-		s.queued--
-	}
-	if j.key != "" && s.keys[j.key] == j {
-		delete(s.keys, j.key)
-	}
-	s.mu.Unlock()
-}
-
-func contains(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
 
 // tenant returns t's counters, creating them on first use. Callers hold
@@ -685,86 +579,48 @@ func (s *Server) tenant(t string) *tenantCounters {
 	return tc
 }
 
-func (s *Server) reject(tenant string, err error) {
-	switch {
-	case errors.Is(err, ErrOversize):
-		s.rejectedOversize.Add(1)
-	case errors.Is(err, ErrBusy):
-		s.rejectedBusy.Add(1)
-	case errors.Is(err, ErrDraining) || errors.Is(err, ErrDegraded):
-		s.rejectedDraining.Add(1)
-	}
-	s.mu.Lock()
-	s.tenant(tenant).Rejected++
-	s.mu.Unlock()
-}
-
-// degradedNow reports whether the journal has given up on its disk.
-func (s *Server) degradedNow() bool {
-	if s.degraded.Load() {
-		return true
-	}
-	if s.journal != nil && s.journal.degraded() {
-		s.degraded.Store(true)
-		return true
-	}
-	return false
-}
-
-// worker pulls jobs fair-share, reserves their footprint against the
-// budget, and executes them.
+// worker pulls jobs fair-share and ends each on the edge its run took.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for {
-		j := s.next()
-		if j == nil {
-			return
-		}
+	for j := s.next(); j != nil; j = s.next() {
 		if !j.enqueuedAt.IsZero() {
 			s.histQueueWait.observe(time.Since(j.enqueuedAt).Seconds())
 		}
-		if err := s.reserve(j); err != nil {
-			s.finish(j, nil, err)
-			continue
+		resp, err := s.run(j)
+		e := edgeComplete
+		if err != nil {
+			e = classOf(err).end
 		}
-		s.histFootprint.observe(float64(j.footprint))
-		if s.pickupGate != nil {
-			s.pickupGate(j)
-		}
-		if err := j.ctx.Err(); err != nil {
-			// The submitter vanished between the reservation and the
-			// pickup: return the footprint before accounting the
-			// cancellation, or those bytes would stay charged against
-			// the budget for a job that never runs.
-			s.release(j.footprint)
-			s.finish(j, nil, err)
-			continue
-		}
-		if s.journal != nil {
-			if !j.resume {
-				j.attempt++
-			}
-			rec := &walRec{Kind: recDispatch, Job: j.id, Attempt: j.attempt}
-			if aerr := s.journal.append(rec); aerr != nil && !s.isCrashed() {
-				s.degraded.Store(true)
-				s.log.Error("journal degraded: dispatch record failed",
-					"job", j.id, "attempt", j.attempt, "error", aerr.Error())
-			}
-			s.crashPoint(CrashDispatch)
-			if s.isCrashed() {
-				s.release(j.footprint)
-				s.finish(j, nil, ErrCrashed)
-				continue
-			}
-		}
-		s.log.Info("job dispatched",
-			"job", j.id, "tenant", j.req.Tenant, "key", j.key,
-			"fingerprint", j.fingerprint, "attempt", j.attempt,
-			"resume", j.resume, "footprint", j.footprint)
-		resp, err := s.runJob(j)
-		s.release(j.footprint)
-		s.finish(j, resp, err)
+		s.finish(j, e, resp, err)
 	}
+}
+
+// run reserves j's footprint against the budget, dispatches and executes
+// it, and returns the footprint.
+func (s *Server) run(j *job) (*Response, error) {
+	if err := s.reserve(j); err != nil {
+		return nil, err
+	}
+	defer s.release(j.footprint)
+	s.histFootprint.observe(float64(j.footprint))
+	if s.pickupGate != nil {
+		s.pickupGate(j)
+	}
+	if err := j.ctx.Err(); err != nil {
+		// The submitter vanished between the reservation and the pickup:
+		// the deferred release returns the footprint, or those bytes
+		// would stay charged against the budget for a job that never
+		// runs.
+		return nil, err
+	}
+	if s.journal != nil && !j.resume {
+		j.attempt++
+	}
+	s.transition(j, edgeDispatch, nil)
+	if s.is(crashed) {
+		return nil, ErrCrashed
+	}
+	return s.runJob(j)
 }
 
 // next blocks until a job is available or the server closes (nil).
@@ -778,7 +634,7 @@ func (s *Server) next() *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if s.closed {
+		if s.phase >= closed {
 			return nil
 		}
 		if s.queued > 0 {
@@ -805,6 +661,7 @@ func (s *Server) next() *job {
 				s.queues[best] = q[1:]
 				s.queued--
 				s.inflight++
+				j.taken = true
 				return j
 			}
 		}
@@ -822,7 +679,8 @@ func (s *Server) weightOf(t string) int {
 
 // reserve blocks until the job's footprint fits under the budget, then
 // charges it. A job whose submitter already gave up is discarded here
-// instead of waiting for memory it will never use.
+// instead of waiting for memory it will never use, and a close while it
+// waits orphans it.
 func (s *Server) reserve(j *job) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -830,7 +688,7 @@ func (s *Server) reserve(j *job) error {
 		if err := j.ctx.Err(); err != nil {
 			return err
 		}
-		if s.closed {
+		if s.phase >= closed {
 			return ErrDraining
 		}
 		if s.reserved+j.footprint <= s.cfg.MemoryBudget {
@@ -848,149 +706,71 @@ func (s *Server) release(footprint int64) {
 	s.mu.Unlock()
 }
 
-// finish completes the job and publishes the outcome, journaling it
-// first (unless the simulated process death already happened — a dead
-// process writes nothing, which is exactly what lets the restarted
-// server find the job again).
-func (s *Server) finish(j *job, resp *Response, err error) {
-	if s.journal != nil && !s.isCrashed() {
-		resp, err = s.journalOutcome(j, resp, err)
+// finish ends j on edge e — a terminal edge, or the rejection of a
+// submit never admitted — and hands the outcome to its submitter and to
+// any submit riding on its key. On a crashed server every admitted job
+// ends on the crash edge: a dead process writes nothing, which is
+// exactly what lets the restarted server find the job again.
+func (s *Server) finish(j *job, e edge, resp *Response, err error) {
+	if e != edgeReject && s.is(crashed) {
+		e, err = edgeCrash, ErrCrashed
 	}
-	j.resp, j.err = resp, err
+	j.resp = resp
+	aerr := s.transition(j, e, err)
+	switch {
+	case s.is(crashed):
+		// The outcome may be durable, but the process died before the
+		// response went out: the submitter sees an ambiguous failure, and
+		// a retried submit with the same key is answered from the
+		// retained outcome.
+		if e != edgeReject {
+			j.resp, err = nil, ErrCrashed
+		}
+	case aerr == nil && j.attempt > 0 && recordOf(e, j) != "":
+		s.sweepAttempts(j.id)
+	}
+	j.err = err
 	s.mu.Lock()
-	s.inflight--
+	if j.taken {
+		s.inflight--
+	}
 	if j.key != "" && s.keys[j.key] == j {
 		delete(s.keys, j.key)
 	}
-	tc := s.tenant(j.req.Tenant)
-	switch {
-	case err == nil:
-		tc.Completed++
-	default:
-		tc.Failed++
-	}
 	s.change.Broadcast()
 	s.mu.Unlock()
-	outcome := "completed"
-	switch {
-	case err == nil:
-		s.completed.Add(1)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		outcome = "cancelled"
-		s.cancelled.Add(1)
-	default:
-		outcome = "failed"
-		s.failed.Add(1)
-	}
-	if !j.submittedAt.IsZero() {
+	if e != edgeReject && !j.submittedAt.IsZero() {
 		s.histJobLatency.observe(time.Since(j.submittedAt).Seconds())
-	}
-	attrs := []any{
-		"job", j.id, "tenant", j.req.Tenant, "key", j.key,
-		"fingerprint", j.fingerprint, "attempt", j.attempt, "outcome", outcome,
-	}
-	if err != nil {
-		s.log.Warn("job finished", append(attrs, "error", err.Error())...)
-	} else {
-		if resp != nil {
-			attrs = append(attrs, "sim_s", resp.SimSeconds, "attempts", resp.Attempts)
-		}
-		s.log.Info("job finished", attrs...)
 	}
 	close(j.done)
 }
 
-// journalOutcome records the job's terminal transition. A successful
-// outcome with an idempotency key is retained (minus the trace
-// artifact) for retried submitters; failures free the key for a fresh
-// attempt. When the completion crash point fires the record is durable
-// but the response never reaches the submitter.
-func (s *Server) journalOutcome(j *job, resp *Response, err error) (*Response, error) {
-	var rec *walRec
-	switch {
-	case err == nil:
-		rec = &walRec{Kind: recComplete, Job: j.id, Tenant: j.req.Tenant, OK: true}
-		if j.key != "" {
-			cp := *resp
-			cp.Trace = nil
-			if raw, merr := json.Marshal(&cp); merr == nil {
-				rec.Key, rec.Outcome = j.key, raw
-			}
-		}
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		rec = &walRec{Kind: recCancel, Job: j.id, Error: err.Error()}
-	default:
-		rec = &walRec{Kind: recComplete, Job: j.id, Tenant: j.req.Tenant, Error: err.Error()}
-	}
-	if aerr := s.journal.append(rec); aerr != nil {
-		if !s.isCrashed() {
-			s.degraded.Store(true)
-			s.log.Error("journal degraded: completion record failed",
-				"job", j.id, "tenant", j.req.Tenant, "key", j.key, "error", aerr.Error())
-		}
-		return resp, err
-	}
-	if err == nil {
-		s.crashPoint(CrashComplete)
-	}
-	if s.isCrashed() {
-		// The transition is durable but the "process" died before the
-		// response went out: the submitter sees an ambiguous failure,
-		// and a retried submit with the same key is answered from the
-		// retained outcome.
-		return nil, ErrCrashed
-	}
-	if j.attempt > 0 {
-		s.sweepAttempts(j.id)
-	}
-	return resp, err
-}
-
-// sweepAttempts removes every work-store file of the job's attempt
-// namespaces after its terminal transition.
-func (s *Server) sweepAttempts(id string) {
-	nm, ok := s.workFS.(namer)
-	if !ok {
-		return
-	}
-	prefix := id + ".a"
-	for _, name := range nm.Names() {
-		if strings.HasPrefix(name, prefix) {
-			s.workFS.Remove(name)
-		}
-	}
-}
-
 // crashPoint fires the configured simulated process death when point's
-// Nth occurrence arrives.
+// Nth occurrence arrives: the journal stops persisting (the disk is fine;
+// the process is gone), every queued and running job's caller fails, and
+// the worker pool unwinds. The journal still holds everything a
+// restarted server needs.
 func (s *Server) crashPoint(point string) {
 	c := s.cfg.Crash
-	if c == nil || c.Point != point {
+	if c == nil || c.Point != point || s.crashN.Add(1) != max(c.N, 1) {
 		return
 	}
-	if s.crashN.Add(1) != c.N {
-		return
-	}
-	s.beginCrash()
-}
-
-// beginCrash simulates the process dying now: the journal stops
-// persisting (the disk is fine; the process is gone), every queued and
-// running job's caller fails, and the worker pool unwinds. The journal
-// still holds everything a restarted server needs.
-func (s *Server) beginCrash() {
-	s.log.Warn("simulated process crash", "point", s.cfg.Crash.Point, "n", s.cfg.Crash.N)
+	s.log.Warn("simulated process crash", "point", c.Point, "n", max(c.N, 1))
 	if s.journal != nil {
 		s.journal.kill()
 	}
+	s.stop(crashed)
+}
+
+// stop moves the server on to phase p — closed or crashed — and ends
+// every job still queued as an orphan.
+func (s *Server) stop(p phase) {
 	s.mu.Lock()
-	if s.crashed {
+	if s.phase >= p {
 		s.mu.Unlock()
 		return
 	}
-	s.crashed = true
-	s.draining = true
-	s.closed = true
+	s.phase = p
 	var orphans []*job
 	for t, q := range s.queues {
 		orphans = append(orphans, q...)
@@ -1000,17 +780,19 @@ func (s *Server) beginCrash() {
 	s.dispatch.Broadcast()
 	s.change.Broadcast()
 	s.mu.Unlock()
-	s.crashCancel()
+	if p == crashed {
+		s.crashCancel()
+	}
 	for _, j := range orphans {
-		j.err = ErrCrashed
-		close(j.done)
+		s.finish(j, edgeOrphan, nil, ErrDraining)
 	}
 }
 
-func (s *Server) isCrashed() bool {
+// is reports whether the server has reached phase p.
+func (s *Server) is(p phase) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.crashed
+	return s.phase >= p
 }
 
 // runJob executes one admitted job: the shared flags→options mapping,
@@ -1088,9 +870,6 @@ func (s *Server) runJob(j *job) (*Response, error) {
 	} else if resume && err == nil {
 		resp.Resumed = true
 		s.journal.addResumed(1)
-		s.log.Info("job resumed from checkpoint",
-			"job", j.id, "tenant", j.req.Tenant, "key", j.key,
-			"fingerprint", j.fingerprint, "attempt", j.attempt)
 	}
 	if err != nil {
 		return nil, err
@@ -1125,15 +904,9 @@ type Metrics struct {
 	QueueDepth int `json:"queue_depth"`
 	Inflight   int `json:"inflight"`
 
-	Submitted    int64 `json:"submitted"`
-	Completed    int64 `json:"completed"`
-	Failed       int64 `json:"failed"`
-	Cancelled    int64 `json:"cancelled"`
-	Deduplicated int64 `json:"deduplicated,omitempty"`
-
-	RejectedOversize int64 `json:"rejected_oversize"`
-	RejectedBusy     int64 `json:"rejected_busy"`
-	RejectedDraining int64 `json:"rejected_draining"`
+	// The job counters, each the sum of the per-tenant counter of the
+	// same name in Tenants.
+	tenantCounters
 
 	ReservedBytes int64 `json:"reserved_bytes"`
 	BudgetBytes   int64 `json:"budget_bytes"`
@@ -1163,49 +936,40 @@ func (s *Server) MetricsSnapshot() Metrics {
 	for t, c := range s.tenants {
 		cc := *c
 		m.Tenants[t] = &cc
+		m.tenantCounters.addAll(c)
 	}
 	s.mu.Unlock()
-	m.Submitted = s.submitted.Load()
-	m.Completed = s.completed.Load()
-	m.Failed = s.failed.Load()
-	m.Cancelled = s.cancelled.Load()
-	m.Deduplicated = s.deduplicated.Load()
-	m.RejectedOversize = s.rejectedOversize.Load()
-	m.RejectedBusy = s.rejectedBusy.Load()
-	m.RejectedDraining = s.rejectedDraining.Load()
 	m.Cache = s.cache.stats()
 	m.Bufpool = bufpool.Snapshot()
 	if s.journal != nil {
 		js := s.journal.statsSnapshot()
 		m.Journal = &js
-		m.Degraded = js.Degraded || s.degraded.Load()
+		m.Degraded = js.Degraded
 	}
 	return m
 }
 
 // Draining reports whether the server has stopped accepting jobs.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining || s.closed
-}
+func (s *Server) Draining() bool { return s.is(draining) }
 
 // Degraded reports whether the journal disk forced the server into
 // read-only degraded mode.
-func (s *Server) Degraded() bool { return s.degradedNow() }
+func (s *Server) Degraded() bool { return s.journal != nil && s.journal.degraded() }
 
 // Drain stops accepting new jobs, waits until the queue and the worker
 // pool are empty (or ctx expires), then stops the workers. After Drain
 // the server serves no more jobs; metrics stay readable.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
-	s.draining = true
+	if s.phase < draining {
+		s.phase = draining
+	}
 	s.mu.Unlock()
 
 	idle := make(chan struct{})
 	go func() {
 		s.mu.Lock()
-		for (s.queued > 0 || s.inflight > 0) && !s.closed {
+		for (s.queued > 0 || s.inflight > 0) && s.phase < closed {
 			s.change.Wait()
 		}
 		s.mu.Unlock()
@@ -1221,45 +985,16 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// Close stops the worker pool immediately: still-queued jobs fail with
-// ErrDraining and workers exit after their current job. On a journaled
-// server, orphaned fresh jobs are cancelled in the journal (their
-// submitters saw the rejection), while orphaned replayed jobs — which
-// have no submitter — stay live and replay on the next Open. Use Drain
+// Close stops the worker pool immediately: still-queued jobs, and jobs a
+// worker holds while they wait for memory, are orphaned with
+// ErrDraining, and workers exit after their current job. On a journaled
+// server an orphaned fresh job is cancelled in the journal (its
+// submitter saw the rejection), while an orphaned replayed job — which
+// has no submitter — stays live and replays on the next Open. Use Drain
 // for a graceful stop. Close is idempotent and always waits for the
 // workers to unwind.
 func (s *Server) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		if s.journal != nil {
-			s.journal.close()
-		}
-		return
-	}
-	s.draining = true
-	s.closed = true
-	var orphans []*job
-	for t, q := range s.queues {
-		orphans = append(orphans, q...)
-		s.queues[t] = nil
-	}
-	s.queued = 0
-	for _, j := range orphans {
-		s.tenant(j.req.Tenant).Rejected++
-	}
-	s.dispatch.Broadcast()
-	s.change.Broadcast()
-	s.mu.Unlock()
-	for _, j := range orphans {
-		if s.journal != nil && !j.replayed {
-			s.journal.append(&walRec{Kind: recCancel, Job: j.id, Error: ErrDraining.Error()})
-		}
-		j.err = ErrDraining
-		s.rejectedDraining.Add(1)
-		close(j.done)
-	}
+	s.stop(closed)
 	s.wg.Wait()
 	if s.journal != nil {
 		s.journal.close()

@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # crash_gate.sh — service-level durability gates for ooc-serve.
 #
-# Gate 1 (crash-restart): start ooc-serve with a write-ahead journal,
-# submit a batch of idempotency-keyed jobs, SIGKILL the process mid-run,
-# restart it on the same journal, and require that every job completes
-# with stats bitwise identical to a journal-less reference run, with
-# replayed_jobs >= 1 and fsyncs <= records_appended + compactions
-# reported in /metrics.
+# Gate 1 (crash-restart): start ooc-serve with a write-ahead journal and
+# one worker, submit a blocker that runs for seconds and then a batch of
+# idempotency-keyed jobs, and SIGKILL the process once the blocker has
+# committed its first checkpoint and the batch is queued behind it — a
+# state the gate waits for, not a sleep it hopes is long enough. Restart
+# on the same journal and require that every job completes with stats
+# bitwise identical to a journal-less reference run, with
+# replayed_jobs == 6, resumed_jobs >= 1 and fsyncs <= records_appended +
+# compactions reported in /metrics.
 #
 # Gate 2 (journal-corruption): flip bytes in the tail of the surviving
 # journal segment and require a clean restart (healthz 200, no parse
@@ -26,14 +29,15 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# Jobs 1-5: the batch; every spec is checkpointed so an interrupted run
+# Job 0 is the blocker (n=768 runs for about 3 s on a 2-core x86 box);
+# jobs 1-5 the batch. Every spec is checkpointed so an interrupted run
 # can resume rather than rerun.
 spec() {
   local n=$1 key=$2
   printf '{"n":%d,"procs":4,"mem_elems":2048,"force":"column-slab","checkpoint":1,"idempotency_key":"%s"}' "$n" "$key"
 }
-KEYS=(crash-a crash-b crash-c crash-d crash-e)
-SIZES=(256 192 224 160 288)
+KEYS=(crash-blocker crash-a crash-b crash-c crash-d crash-e)
+SIZES=(768 256 192 224 160 288)
 
 start_server() { # args: extra flags...
   "$WORK/ooc-serve" -addr "$ADDR" -workers 1 "$@" >"$WORK/serve.log" 2>&1 &
@@ -67,10 +71,26 @@ stop_server
 
 echo "== gate 1: SIGKILL mid-run, restart, replay =="
 start_server -journal "$JDIR"
-for i in "${!KEYS[@]}"; do
+curl -s "http://$ADDR/jobs" -d "$(spec "${SIZES[0]}" "${KEYS[0]}")" >/dev/null 2>&1 &
+# The blocker's first committed checkpoint: it is running and resumable.
+for _ in $(seq 1 300); do
+  compgen -G "$JDIR/job-*.a1/*.manifest" >/dev/null && break
+  sleep 0.05
+done
+compgen -G "$JDIR/job-*.a1/*.manifest" >/dev/null || {
+  echo "crash_gate: the blocker committed no checkpoint" >&2; exit 1; }
+for i in 1 2 3 4 5; do
   curl -s "http://$ADDR/jobs" -d "$(spec "${SIZES[$i]}" "${KEYS[$i]}")" >/dev/null 2>&1 &
 done
-sleep 0.4
+# The batch is queued behind the blocker.
+queued() {
+  curl -sf "http://$ADDR/metrics" | python3 -c 'import json,sys; print(json.load(sys.stdin)["queue_depth"])'
+}
+for _ in $(seq 1 300); do
+  [ "$(queued)" = 5 ] && break
+  sleep 0.01
+done
+[ "$(queued)" = 5 ] || { echo "crash_gate: the batch never queued behind the blocker" >&2; exit 1; }
 kill -9 "$(cat "$PIDFILE")"
 wait "$(cat "$PIDFILE")" 2>/dev/null || true
 rm -f "$PIDFILE"
@@ -93,7 +113,8 @@ python3 - "$WORK/metrics1.json" <<'PY'
 import json, sys
 m = json.load(open(sys.argv[1]))
 j = m["journal"]
-assert j["replayed_jobs"] >= 1, f"no jobs replayed after SIGKILL: {j}"
+assert j["replayed_jobs"] == 6, f"want the blocker and the batch replayed after SIGKILL: {j}"
+assert j["resumed_jobs"] >= 1, f"the blocker did not resume from its checkpoint: {j}"
 assert j["records_appended"] >= 1 and j["fsyncs"] >= 1, j
 # One fsync per batch of records and one per compaction, never one
 # compaction (and its fsync) per record.
