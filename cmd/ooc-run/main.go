@@ -24,7 +24,6 @@ import (
 	"github.com/ooc-hpf/passion/internal/gaxpy"
 	"github.com/ooc-hpf/passion/internal/hpf"
 	"github.com/ooc-hpf/passion/internal/iosim"
-	"github.com/ooc-hpf/passion/internal/mp"
 	"github.com/ooc-hpf/passion/internal/sim"
 	"github.com/ooc-hpf/passion/internal/trace"
 )
@@ -114,9 +113,8 @@ func main() {
 	eopts.Trace = tracer
 	var out *exec.Result
 	if len(eopts.Kill) > 0 {
-		// An injected fail-stop loss: detect via heartbeats, agree, rebuild
-		// the dead rank's disk from parity, and resume from the checkpoint.
-		eopts.Detect = &mp.Detector{Heartbeat: 1e-3, Misses: 3}
+		// An injected fail-stop loss: detect via heartbeats, rebuild the
+		// dead rank's disk from parity, and resume from the checkpoint.
 		var rout *exec.ResilientResult
 		rout, err = exec.RunResilient(res.Program, sim.Delta(res.Program.Procs), eopts, len(eopts.Kill))
 		if err == nil {

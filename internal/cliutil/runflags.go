@@ -56,7 +56,7 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Checkpoint, "checkpoint", 0, "checkpoint every K eligible slab-loop iterations (0: off)")
 	fs.BoolVar(&f.Parity, "parity", false, "protect local array files with rotated XOR parity (survives one lost disk)")
 	fs.StringVar(&f.KillRank, "kill-rank", "", "fail-stop RANK at its OPth message/IO operation, as RANK@OP (e.g. 1@200); surviving it needs -checkpoint and -parity")
-	fs.DurationVar(&f.Watchdog, "watchdog", 0, "deadlock watchdog: fail with a blocked-op dump after this much simulated-clock quiet time (0: off)")
+	fs.DurationVar(&f.Watchdog, "watchdog", 0, "deadlock watchdog: fail with a blocked-op dump after this much wall-clock quiet time (0: off, or 30s whenever -kill-rank is set)")
 }
 
 // Build materializes the flags into execution options over the backing
@@ -64,7 +64,7 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 // checkpoint spec so exec.Resume finds one. The returned ChaosFS is
 // non-nil exactly when fault injection wrapped the store, for
 // end-of-run injection reporting. The caller layers on whatever Build
-// cannot know: Fill, Trace, and the failure Detector choice.
+// cannot know: Fill and Trace.
 func (f *RunFlags) Build(base iosim.FS, resume bool) (exec.Options, *iosim.ChaosFS, error) {
 	var opts exec.Options
 	fs := base

@@ -42,8 +42,8 @@ func (r RecoveryTime) TotalSeconds() float64 {
 // lists, per protected parity group (array), the per-rank data file
 // sizes in physical file bytes (iosim.FileElemBytes per element) —
 // groups[g][r] is rank r's file of group g. detectTimeout is the
-// heartbeat detection timeout (mp.Detector.Timeout()); pass 0 when
-// detection is disabled. Groups must be given in sorted base-name order,
+// heartbeat detection timeout (sim.DetectionTimeout); pass 0 to price
+// the rebuild alone. Groups must be given in sorted base-name order,
 // matching the runtime's rebuild order, so the float accumulation
 // reproduces exactly.
 func RecoveryForRank(cfg sim.Config, procs int, groups [][]int64, dead int, detectTimeout float64) RecoveryTime {

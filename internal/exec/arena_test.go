@@ -166,7 +166,7 @@ func TestPhantomRunBalancesArena(t *testing.T) {
 			bufpool.ResetStats()
 			out, err := Run(res.Program, sim.Delta(procs), Options{
 				Phantom: phantom, Fill: sweepFills(), OpCounts: counts, Kill: kill,
-				Detect: &mp.Detector{}, StallTimeout: surviveStall,
+				StallTimeout: surviveStall,
 			})
 			if err == nil {
 				err = out.Close()
@@ -253,8 +253,8 @@ func TestKillAtEveryOpBalancesArena(t *testing.T) {
 			bufpool.ResetStats()
 			out, err := Run(res.Program, sim.Delta(procs), Options{
 				Fill: sweepFills(), OpCounts: counts, Kill: kill,
-				Runtime: oocarray.Options{Prefetch: prefetch},
-				Detect:  &mp.Detector{}, StallTimeout: surviveStall,
+				Runtime:      oocarray.Options{Prefetch: prefetch},
+				StallTimeout: surviveStall,
 			})
 			if err == nil {
 				err = out.Close()

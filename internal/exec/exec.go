@@ -68,12 +68,6 @@ type Options struct {
 	// array chunk I/O). Combine with Checkpoint and Parity under
 	// RunResilient to survive the loss.
 	Kill []mp.KillSpec
-	// Detect enables simulated-clock heartbeat failure detection: an
-	// operation blocked on a dead rank resolves to mp.ErrRankDead after
-	// the heartbeat timeout and survivors agree on the failed set. Nil
-	// leaves rank death to the closed-channel diagnostics (the run still
-	// terminates, without typed errors or agreement).
-	Detect *mp.Detector
 	// StallTimeout overrides the deadlock watchdog's wall-clock quiet
 	// period (see mp.Options.StallTimeout).
 	StallTimeout time.Duration
@@ -98,14 +92,14 @@ type Options struct {
 // mpOptions maps the execution options onto the message-passing
 // machine's fault configuration.
 func (o Options) mpOptions() mp.Options {
-	return mp.Options{Kill: o.Kill, Detect: o.Detect, StallTimeout: o.StallTimeout, OpCounts: o.OpCounts}
+	return mp.Options{Kill: o.Kill, StallTimeout: o.StallTimeout, OpCounts: o.OpCounts}
 }
 
 // failureActive reports whether any fail-stop machinery (kill schedule,
-// detection, op counting) is configured; only then are the per-array
+// op counting) is configured; only then are the per-array
 // disks' operation hooks installed, keeping plain runs at zero overhead.
 func (o Options) failureActive() bool {
-	return len(o.Kill) > 0 || o.Detect != nil || o.OpCounts != nil
+	return len(o.Kill) > 0 || o.OpCounts != nil
 }
 
 // Result is a completed execution.

@@ -142,7 +142,7 @@ func TestTransposeKillAtEveryOpBalancesArena(t *testing.T) {
 				bufpool.ResetStats()
 				err := runForm(context.Background(), form, name, res, Options{
 					Fill: transposeFills(), OpCounts: counts, Kill: kill,
-					Detect: &mp.Detector{}, StallTimeout: surviveStall,
+					StallTimeout: surviveStall,
 				})
 				if n := arenaOutstanding(); n != 0 {
 					t.Errorf("%s %s, kill %v: %d arena buffers outstanding: %+v", form, name, kill, n, bufpool.Snapshot())

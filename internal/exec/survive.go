@@ -50,7 +50,7 @@ type ResilientResult struct {
 
 // RunResilient executes the program, surviving up to maxRecoveries
 // fail-stop rank losses. Each loss runs the full recovery pipeline: the
-// survivors detect and agree on the failed set (Options.Detect), the run
+// survivors detect the dead ranks after the heartbeat timeout, the run
 // aborts, the dead ranks' local array files are reconstructed offline
 // from rotated parity (Options.Parity), the dead ranks are respawned,
 // and the program resumes from its last consistent checkpoint

@@ -27,7 +27,6 @@ func surviveOptions(fs iosim.FS) Options {
 		Checkpoint:   &CheckpointSpec{Every: 1},
 		Parity:       true,
 		Resilience:   parityResilience(),
-		Detect:       &mp.Detector{Heartbeat: 1e-3, Misses: 3},
 		StallTimeout: surviveStall,
 	}
 }
@@ -39,7 +38,6 @@ func probeOpCounts(t *testing.T, res *compiler.Result) []int64 {
 	t.Helper()
 	counts := make([]int64, res.Program.Procs)
 	opts := surviveOptions(iosim.NewMemFS())
-	opts.Detect = nil
 	opts.OpCounts = counts
 	out, err := Run(res.Program, sim.Delta(res.Program.Procs), opts)
 	if err != nil {
@@ -260,12 +258,11 @@ func TestRunResilientUnprotectedDies(t *testing.T) {
 
 	opts := Options{
 		Fill:         sweepFills(),
-		Detect:       &mp.Detector{Heartbeat: 1e-3, Misses: 3},
 		StallTimeout: surviveStall,
 		Kill:         kill,
 	}
 	_, err := RunResilient(res.Program, mach, Options{
-		Fill: opts.Fill, Detect: opts.Detect, StallTimeout: opts.StallTimeout, Kill: kill,
+		Fill: opts.Fill, StallTimeout: opts.StallTimeout, Kill: kill,
 	}, 4)
 	if err == nil {
 		t.Fatal("unprotected rank loss must fail")

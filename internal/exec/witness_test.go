@@ -122,7 +122,6 @@ func witnessScenarios() []witnessScenario {
 			options: Options{
 				Checkpoint:   &CheckpointSpec{Every: 1},
 				Parity:       true,
-				Detect:       &mp.Detector{Heartbeat: 1e-3, Misses: 3},
 				StallTimeout: surviveStall,
 			},
 			outputs: []string{"c"},
@@ -312,7 +311,7 @@ func (sc *witnessScenario) record(t *testing.T) []string {
 
 	case "kill-rank":
 		probe := w.runOpts(t, 0, nil)
-		probe.Detect, probe.CkptHook = nil, nil
+		probe.CkptHook = nil
 		out, err := Run(p, mach, probe)
 		if err != nil {
 			t.Fatal(err)

@@ -21,8 +21,8 @@ import (
 // operation indices, survived end to end. For three compiled kernels
 // (GAXPY, two-phase transpose, and a column stencil), one rank is killed
 // between two counted operations (messages and local array chunk I/O);
-// the survivors detect the death via simulated-clock heartbeats, agree
-// collectively on the failed set, and abort; the dead rank's logical
+// the survivors detect the death via simulated-clock heartbeats, report
+// the machine's failed set, and abort; the dead rank's logical
 // disk is rebuilt offline from rotated parity; and the run resumes from
 // its last two-slot checkpoint. Every injected run must finish with
 // output bitwise identical to the failure-free run, both attempts' span
@@ -72,11 +72,6 @@ type RankSurvivalResult struct {
 	// checkpoint+parity failed the run instead of completing.
 	UnprotectedFailed bool
 	UnprotectedErr    string
-}
-
-// rankSurvivalDetector is the heartbeat detector of every injected run.
-func rankSurvivalDetector() *mp.Detector {
-	return &mp.Detector{Heartbeat: 1e-3, Misses: 3}
 }
 
 // rankKernel bundles one compiled kernel of the sweep.
@@ -192,8 +187,7 @@ func RankSurvival(p Params) (*RankSurvivalResult, error) {
 	g := kernels[0]
 	_, uerr := exec.Run(g.cres.Program, mach, exec.Options{
 		Fill: g.fills, Runtime: p.Opts,
-		Kill:   []mp.KillSpec{{Rank: 1, Op: 40}},
-		Detect: rankSurvivalDetector(),
+		Kill: []mp.KillSpec{{Rank: 1, Op: 40}},
 	})
 	res.UnprotectedFailed = uerr != nil
 	if uerr != nil {
@@ -209,7 +203,6 @@ func rankSurvivalOptions(k *rankKernel, p Params) exec.Options {
 		Checkpoint: &exec.CheckpointSpec{Every: 1},
 		Parity:     true,
 		Resilience: iosim.NewResilience(survivalPolicy),
-		Detect:     rankSurvivalDetector(),
 	}
 }
 
@@ -241,7 +234,7 @@ func rankSurvivalGroups(cres *compiler.Result, procs int) ([][]int64, error) {
 // runRankSurvival executes one injected loss and collects its row.
 func runRankSurvival(k *rankKernel, mach sim.Config, victim int, op int64, p Params) RankSurvivalRow {
 	row := RankSurvivalRow{Program: k.name, Victim: victim, Op: op}
-	pred := cost.RecoveryForRank(mach, len(k.groups[0]), k.groups, victim, rankSurvivalDetector().Timeout())
+	pred := cost.RecoveryForRank(mach, len(k.groups[0]), k.groups, victim, sim.DetectionTimeout)
 	row.PredSeconds = pred.RebuildSeconds
 	opts := rankSurvivalOptions(k, p)
 	opts.Kill = []mp.KillSpec{{Rank: victim, Op: op}}

@@ -212,7 +212,6 @@ func TestKillSweepOverAllToAllOwned(t *testing.T) {
 		bufpool.ResetStats()
 		opts := Options{
 			Kill:         []KillSpec{{Rank: victim, Op: op}},
-			Detect:       &Detector{},
 			StallTimeout: failTestStall,
 		}
 		if _, err := RunOpts(sim.Delta(procs), opts, node); err == nil {

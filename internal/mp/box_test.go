@@ -111,7 +111,6 @@ func TestKillMidAllToAllBalancesArena(t *testing.T) {
 	bufpool.ResetStats()
 	opts := Options{
 		Kill:         []KillSpec{{Rank: 3, Op: 5}},
-		Detect:       &Detector{},
 		StallTimeout: failTestStall,
 	}
 	_, err := RunOpts(sim.Delta(procs), opts, func(p *Proc) error {

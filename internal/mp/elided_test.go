@@ -103,7 +103,6 @@ func TestKillSweepOverElidedReduce(t *testing.T) {
 		bufpool.ResetStats()
 		opts := Options{
 			Kill:         []KillSpec{{Rank: victim, Op: op}},
-			Detect:       &Detector{},
 			StallTimeout: failTestStall,
 		}
 		_, err := RunOpts(sim.Delta(procs), opts, rotatingReduce(n, elided))

@@ -43,7 +43,6 @@ func ringNode(iters int) NodeFunc {
 func TestKillRankResolvesToTypedErrors(t *testing.T) {
 	opts := Options{
 		Kill:         []KillSpec{{Rank: 2, Op: 3}},
-		Detect:       &Detector{},
 		StallTimeout: failTestStall,
 	}
 	_, err := RunOpts(sim.Delta(4), opts, ringNode(4))
@@ -75,7 +74,6 @@ func TestKillRankResolvesToTypedErrors(t *testing.T) {
 func TestSurvivorsAgreeOnFailedSet(t *testing.T) {
 	opts := Options{
 		Kill:         []KillSpec{{Rank: 1, Op: 5}},
-		Detect:       &Detector{},
 		StallTimeout: failTestStall,
 	}
 	_, err := RunOpts(sim.Delta(4), opts, ringNode(6))
@@ -98,10 +96,8 @@ func TestSurvivorsAgreeOnFailedSet(t *testing.T) {
 // detection: the surviving rank stalls for exactly the heartbeat timeout
 // past the death, and the detection counters record it.
 func TestDetectionChargesHeartbeatTimeout(t *testing.T) {
-	det := &Detector{Heartbeat: 1e-3, Misses: 3}
 	opts := Options{
 		Kill:         []KillSpec{{Rank: 1, Op: 0}},
-		Detect:       det,
 		StallTimeout: failTestStall,
 	}
 	stats, err := RunOpts(sim.Delta(2), opts, ringNode(1))
@@ -112,8 +108,8 @@ func TestDetectionChargesHeartbeatTimeout(t *testing.T) {
 	if c.Detections != 1 {
 		t.Errorf("survivor Detections = %d, want 1", c.Detections)
 	}
-	if c.DetectSeconds <= 0 || c.DetectSeconds > det.Timeout() {
-		t.Errorf("survivor DetectSeconds = %v, want in (0, %v]", c.DetectSeconds, det.Timeout())
+	if c.DetectSeconds <= 0 || c.DetectSeconds > sim.DetectionTimeout {
+		t.Errorf("survivor DetectSeconds = %v, want in (0, %v]", c.DetectSeconds, sim.DetectionTimeout)
 	}
 	if c.Agreements != 1 {
 		t.Errorf("survivor Agreements = %d, want 1", c.Agreements)
@@ -121,33 +117,79 @@ func TestDetectionChargesHeartbeatTimeout(t *testing.T) {
 	// The victim died at simulated time 0, so the survivor's clock ends
 	// exactly at the heartbeat timeout: its pre-death progress is
 	// subsumed by the stall.
-	if got := stats.Procs[0].Seconds; got != det.Timeout() {
-		t.Errorf("survivor clock = %v, want exactly the detection timeout %v", got, det.Timeout())
+	if got := stats.Procs[0].Seconds; got != sim.DetectionTimeout {
+		t.Errorf("survivor clock = %v, want exactly the detection timeout %v", got, sim.DetectionTimeout)
 	}
 	if k := stats.Procs[1].Comm; k.Detections != 0 || k.Agreements != 0 {
 		t.Errorf("killed rank recorded detection counters: %+v", k)
 	}
 }
 
-// TestKillWithoutDetectionStillTerminates pins the detection-off
-// contract: the run still ends with an error (via the closed-channel
-// diagnostics or the watchdog), it just lacks agreement and stalls.
-func TestKillWithoutDetectionStillTerminates(t *testing.T) {
-	opts := Options{
-		Kill:         []KillSpec{{Rank: 2, Op: 3}},
-		StallTimeout: failTestStall,
-	}
-	stats, err := RunOpts(sim.Delta(4), opts, ringNode(4))
-	if err == nil {
-		t.Fatal("killing a rank should fail the run")
-	}
-	if !strings.Contains(err.Error(), "killed by fault injection") {
-		t.Errorf("missing kill diagnostic in %v", err)
-	}
-	for r, ps := range stats.Procs {
-		if ps.Comm.Detections != 0 || ps.Comm.Agreements != 0 {
-			t.Errorf("rank %d charged detection with detection disabled: %+v", r, ps.Comm)
+// TestTwoKillsInOneAttempt kills two ranks of a ring in the same run:
+// the failed set is both of them, and every survivor that aborts
+// reports exactly that set, never a partial snapshot taken before the
+// second death. Repeated to shake out scheduling orders.
+func TestTwoKillsInOneAttempt(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		opts := Options{
+			Kill:         []KillSpec{{Rank: 1, Op: 3}, {Rank: 3, Op: 5}},
+			StallTimeout: failTestStall,
 		}
+		_, err := RunOpts(sim.Delta(4), opts, ringNode(6))
+		var rf *RankFailure
+		if !errors.As(err, &rf) {
+			t.Fatalf("run %d: error %v is not a RankFailure", i, err)
+		}
+		if fmt.Sprint(rf.Failed) != "[1 3]" {
+			t.Fatalf("run %d: Failed = %v, want [1 3]", i, rf.Failed)
+		}
+		var survivors int
+		for _, e := range errors.Unwrap(rf.Err).(interface{ Unwrap() []error }).Unwrap() {
+			var dead *ErrRankDead
+			if !errors.As(e, &dead) {
+				continue
+			}
+			survivors++
+			if fmt.Sprint(dead.Agreed) != "[1 3]" {
+				t.Errorf("run %d: a survivor reports %v, want [1 3]: %v", i, dead.Agreed, e)
+			}
+		}
+		if survivors == 0 {
+			t.Fatalf("run %d: no survivor aborted with ErrRankDead in %v", i, err)
+		}
+		if strings.Contains(err.Error(), "deadlock watchdog") {
+			t.Fatalf("run %d resolved via the watchdog: %v", i, err)
+		}
+	}
+}
+
+// TestKillOutsideMachineRejected pins the kill schedule's validation: a
+// rank outside [0, P) or a negative op fails the run before any rank
+// starts, naming the rank and P, instead of silently never firing.
+func TestKillOutsideMachineRejected(t *testing.T) {
+	for _, k := range []KillSpec{{Rank: 9, Op: 150}, {Rank: -1, Op: 5}, {Rank: 4, Op: 0}, {Rank: 1, Op: -1}} {
+		started := false
+		_, err := RunOpts(sim.Delta(4), Options{Kill: []KillSpec{k}}, func(p *Proc) error {
+			started = true
+			return nil
+		})
+		if err == nil {
+			t.Errorf("kill %+v on 4 ranks: run succeeded", k)
+			continue
+		}
+		if started {
+			t.Errorf("kill %+v: a rank started before the schedule was rejected", k)
+		}
+		if want := fmt.Sprintf("rank %d", k.Rank); !strings.Contains(err.Error(), want) {
+			t.Errorf("kill %+v: error %q does not name %q", k, err, want)
+		}
+		if k.Op >= 0 && !strings.Contains(err.Error(), "4 processors") {
+			t.Errorf("kill %+v: error %q does not name P", k, err)
+		}
+	}
+	// An op past the rank's operation count is legal and never fires.
+	if _, err := RunOpts(sim.Delta(4), Options{Kill: []KillSpec{{Rank: 1, Op: 1000}}}, ringNode(2)); err != nil {
+		t.Errorf("a kill past the victim's last op failed the run: %v", err)
 	}
 }
 
@@ -187,7 +229,6 @@ func TestKillSweepNeverHangs(t *testing.T) {
 	for op := int64(0); op < counts[victim]; op++ {
 		opts := Options{
 			Kill:         []KillSpec{{Rank: victim, Op: op}},
-			Detect:       &Detector{},
 			StallTimeout: failTestStall,
 		}
 		_, err := RunOpts(sim.Delta(procs), opts, ringNode(iters))
@@ -217,7 +258,6 @@ func TestKilledCollectiveReleasesBuffers(t *testing.T) {
 	bufpool.ResetStats()
 	opts := Options{
 		Kill:         []KillSpec{{Rank: 1, Op: 0}},
-		Detect:       &Detector{},
 		StallTimeout: failTestStall,
 	}
 	_, err := RunOpts(sim.Delta(2), opts, func(p *Proc) error {
@@ -261,7 +301,6 @@ func TestKillDuringSendOwnedReleasesPayload(t *testing.T) {
 	bufpool.ResetStats()
 	opts := Options{
 		Kill:         []KillSpec{{Rank: 0, Op: 0}},
-		Detect:       &Detector{},
 		StallTimeout: failTestStall,
 	}
 	_, err := RunOpts(sim.Delta(2), opts, func(p *Proc) error {
@@ -291,7 +330,6 @@ func TestStrandedMailboxPayloadsReturned(t *testing.T) {
 	bufpool.ResetStats()
 	opts := Options{
 		Kill:         []KillSpec{{Rank: 1, Op: 2}},
-		Detect:       &Detector{},
 		StallTimeout: failTestStall,
 	}
 	_, err := RunOpts(sim.Delta(2), opts, func(p *Proc) error {

@@ -167,7 +167,7 @@ func TestReceiverParkedBeforeFirstPut(t *testing.T) {
 // instrumented park path.
 func TestSenderParkedOnFullBox(t *testing.T) {
 	n := mailboxCap(2) + 40
-	for _, opts := range []Options{{}, {Detect: &Detector{}, StallTimeout: failTestStall}} {
+	for _, opts := range []Options{{}, {StallTimeout: failTestStall}} {
 		_, err := RunOpts(sim.Delta(2), opts, func(p *Proc) error {
 			if p.Rank() == 0 {
 				for i := 0; i < n; i++ {
@@ -284,7 +284,6 @@ func TestAbortedRunHandsBackEmptyMailboxes(t *testing.T) {
 	freeList()
 	opts := Options{
 		Kill:         []KillSpec{{Rank: 1, Op: 2}},
-		Detect:       &Detector{},
 		StallTimeout: failTestStall,
 	}
 	_, err := RunOpts(sim.Delta(2), opts, func(p *Proc) error {

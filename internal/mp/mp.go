@@ -18,7 +18,6 @@ package mp
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,13 +87,6 @@ func (m *Machine) closeBoxes(src int) {
 	}
 }
 
-// pendingMsg is an agreement-protocol message that arrived at a rank
-// still running plan code, stashed until that rank joins the agreement.
-type pendingMsg struct {
-	src int
-	msg message
-}
-
 // blockInfo is a rank's currently blocked mailbox operation, read by the
 // deadlock watchdog for diagnostics (guarded by watchdog.mu).
 type blockInfo struct {
@@ -126,11 +118,10 @@ type Proc struct {
 	flowOut, flowIn uint64
 
 	// Fail-stop bookkeeping (all zero on plain runs).
-	ops     int64        // operations performed, for the kill schedule
-	killAt  []int64      // remaining scheduled kill ops for this rank
-	failed  bool         // died or aborted on a failure
-	pending []pendingMsg // agreement messages stashed during plan code
-	blk     blockInfo
+	ops    int64   // operations performed, for the kill schedule
+	killAt []int64 // remaining scheduled kill ops for this rank
+	failed bool    // died or aborted on a failure
+	blk    blockInfo
 
 	// panicBufs and panicMulti track arena buffers a collective holds
 	// mid-flight; if the operation panics (peer death, plan bug), the
@@ -190,11 +181,13 @@ func makeProcTable(m *Machine, stats *trace.Stats, p int) []*Proc {
 	return procs
 }
 
-// RunOpts is Run with fault injection, failure detection and watchdog
-// configuration (see Options). With a zero Options it behaves exactly
-// like Run.
+// RunOpts is Run with fault injection and watchdog configuration (see
+// Options). With a zero Options it behaves exactly like Run.
 func RunOpts(cfg sim.Config, opts Options, node NodeFunc) (*trace.Stats, error) {
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := opts.validate(cfg.Procs); err != nil {
 		return nil, err
 	}
 	p := cfg.Procs
@@ -264,14 +257,7 @@ func RunOpts(cfg sim.Config, opts Options, node NodeFunc) (*trace.Stats, error) 
 				// termination instead of deadlocking.
 				m.closeBoxes(rank)
 			}()
-			err := node(proc)
-			if f := m.fail; f != nil && f.detectOn() && f.anyDead() {
-				// A failure is in flight but this rank finished cleanly:
-				// take part in the survivors' agreement so the aborting
-				// ranks always find a coordinator.
-				proc.participate()
-			}
-			errs[rank] = err
+			errs[rank] = node(proc)
 		}(rank)
 	}
 	wg.Wait()
@@ -279,40 +265,28 @@ func RunOpts(cfg sim.Config, opts Options, node NodeFunc) (*trace.Stats, error) 
 		m.wd.shutdown()
 	}
 	// Abort paths can strand payloads: messages a dead or aborted rank
-	// never received still sit in the (now closed) mailboxes, and ranks
-	// may hold stashed agreement traffic. Return all of it to the arena
-	// so failed runs do not leak buffers — checked-mode tests assert the
-	// Gets/Puts balance — and the mailboxes, emptied, to their free list.
-	// Every slot is closed by now (each rank's exit ran closeBoxes), and
-	// clean runs have empty mailboxes, so this costs one load per slot on
-	// the ordinary path.
+	// never received still sit in the (now closed) mailboxes. Return all
+	// of it to the arena so failed runs do not leak buffers — checked-mode
+	// tests assert the Gets/Puts balance — and the mailboxes, emptied, to
+	// their free list. Every slot is closed by now (each rank's exit ran
+	// closeBoxes), and clean runs have empty mailboxes, so this costs one
+	// load per slot on the ordinary path.
 	recycleBoxes(m.boxes, p)
-	for _, proc := range procs {
-		for _, pm := range proc.pending {
-			ReleaseBuf(pm.msg.data)
-		}
-		proc.pending = nil
+	// Every rank has stopped, so the dead set is final: each killed rank
+	// is in it, and it is what every survivor reports as agreed.
+	var failed []int
+	if m.fail != nil && m.fail.anyDead() {
+		failed = m.fail.deadRanks()
 	}
 	var failures []error
-	var failedSet map[int]bool // lazy: clean runs must not allocate it
 	for rank, err := range errs {
 		if err == nil {
 			continue
 		}
-		if failedSet == nil {
-			failedSet = make(map[int]bool)
+		if dead, ok := err.(*ErrRankDead); ok {
+			dead.Agreed = failed
 		}
 		failures = append(failures, fmt.Errorf("processor %d: %w", rank, err))
-		var killed *RankKilledError
-		if errors.As(err, &killed) {
-			failedSet[killed.Rank] = true
-		}
-		var dead *ErrRankDead
-		if errors.As(err, &dead) {
-			for _, r := range dead.Agreed {
-				failedSet[r] = true
-			}
-		}
 	}
 	if len(failures) == 0 {
 		return stats, nil
@@ -321,12 +295,7 @@ func RunOpts(cfg sim.Config, opts Options, node NodeFunc) (*trace.Stats, error) 
 	// typically fail at once, and reporting only the lowest rank would
 	// hide the other diagnoses.
 	joined := fmt.Errorf("mp: %w", errors.Join(failures...))
-	if len(failedSet) > 0 {
-		failed := make([]int, 0, len(failedSet))
-		for r := range failedSet {
-			failed = append(failed, r)
-		}
-		sort.Ints(failed)
+	if len(failed) > 0 {
 		return stats, &RankFailure{Failed: failed, Err: joined}
 	}
 	return stats, joined
@@ -430,7 +399,7 @@ func (p *Proc) sendCharge(dst int, elems int) {
 // non-blocking; a full mailbox applies backpressure (the sender parks
 // until the receiver drains). A send that stays parked is watched by the
 // deadlock watchdog, which fails the run with every blocked rank's
-// diagnostics; with failure detection active, a destination that died or
+// diagnostics; with the failure layer on, a destination that died or
 // aborted resolves the send into the abort path instead.
 func (p *Proc) post(dst, tag int, buf []float64, count int32) {
 	if tag != int(int32(tag)) {
@@ -554,13 +523,12 @@ func (p *Proc) recv(src, tag int) message {
 	return msg
 }
 
-// recvMsg blocks for the next application message from src. Buffered
-// messages are always drained before a peer's death is acted on, so
-// the point at which a run aborts is determined by the program, not by
-// scheduling. Agreement-protocol messages that arrive early are stashed
-// for the epilogue. An uninstrumented run (no failure layer, no
-// watchdog) parks on its wake channel alone, the cheapest park there is;
-// the wall-clock benchmark gates pin that path.
+// recvMsg blocks for the next message from src. Buffered messages are
+// always drained before a peer's death is acted on, so the point at
+// which a run aborts is determined by the program, not by scheduling.
+// An uninstrumented run (no failure layer, no watchdog) parks on its
+// wake channel alone, the cheapest park there is; the wall-clock
+// benchmark gates pin that path.
 func (p *Proc) recvMsg(src, tag int) message {
 	b := p.m.box(src, p.rank)
 	f, wd := p.m.fail, p.m.wd
@@ -568,16 +536,11 @@ func (p *Proc) recvMsg(src, tag int) message {
 	for {
 		msg, ok, closed := b.take(p.wake)
 		switch {
-		case ok && f != nil && msg.tag >= agreeTagBase:
-			p.pending = append(p.pending, pendingMsg{src: src, msg: msg})
-			continue
 		case ok:
 			return msg
-		case closed:
-			p.deadChannel(src, tag)
-		case peerDown:
-			// The sender died or aborted and what it still delivered has
-			// been drained (drain preference).
+		case closed || peerDown:
+			// The sender exited, died or aborted, and what it still
+			// delivered has been drained (drain preference).
 			p.deadPeer(src, tag)
 		case wd == nil:
 			<-p.wake

@@ -15,7 +15,6 @@ import (
 	"github.com/ooc-hpf/passion/internal/compiler"
 	"github.com/ooc-hpf/passion/internal/exec"
 	"github.com/ooc-hpf/passion/internal/hpf"
-	"github.com/ooc-hpf/passion/internal/mp"
 	"github.com/ooc-hpf/passion/internal/plan"
 	"github.com/ooc-hpf/passion/internal/trace"
 )
@@ -50,7 +49,6 @@ func directSnapshot(t *testing.T, req Request) []byte {
 	eopts.Fill = cliutil.FillsFor(res)
 	var out *exec.Result
 	if len(eopts.Kill) > 0 {
-		eopts.Detect = &mp.Detector{Heartbeat: 1e-3, Misses: 3}
 		rout, rerr := exec.RunResilient(res.Program, mach, eopts, len(eopts.Kill))
 		if rerr != nil {
 			t.Fatal(rerr)
@@ -160,6 +158,27 @@ func TestServedKillRankReportsRecovery(t *testing.T) {
 	}
 	if resp.Attempts < 2 || resp.Recoveries < 1 {
 		t.Errorf("kill-rank job: attempts=%d recoveries=%d, want a survived loss", resp.Attempts, resp.Recoveries)
+	}
+}
+
+// TestServedKillOutsideMachineFails checks a kill_rank naming a rank the
+// job's machine does not have fails the job with an error naming the
+// rank and P, instead of completing as if no kill had been asked for.
+func TestServedKillOutsideMachineFails(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	for _, kill := range []string{"9@60", "-1@5"} {
+		resp, err := s.Submit(context.Background(), Request{
+			N: 64, Procs: 4, MemElems: 1 << 12, Checkpoint: 2, Parity: true, KillRank: kill,
+		})
+		if err == nil {
+			t.Errorf("kill_rank %s on 4 ranks: job completed (attempts %d)", kill, resp.Attempts)
+			continue
+		}
+		rank, _, _ := strings.Cut(kill, "@")
+		if msg := err.Error(); !strings.Contains(msg, "kill rank "+rank) || !strings.Contains(msg, "4 processors") {
+			t.Errorf("kill_rank %s: error %q does not name the rank and P", kill, msg)
+		}
 	}
 }
 

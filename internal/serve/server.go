@@ -19,7 +19,6 @@ import (
 	"github.com/ooc-hpf/passion/internal/exec"
 	"github.com/ooc-hpf/passion/internal/hpf"
 	"github.com/ooc-hpf/passion/internal/iosim"
-	"github.com/ooc-hpf/passion/internal/mp"
 	"github.com/ooc-hpf/passion/internal/plan"
 	"github.com/ooc-hpf/passion/internal/sim"
 	"github.com/ooc-hpf/passion/internal/trace"
@@ -857,7 +856,6 @@ func (s *Server) runJob(j *job) (*Response, error) {
 	}
 	start := exec.Start{Resume: resume}
 	if len(eopts.Kill) > 0 {
-		eopts.Detect = &mp.Detector{Heartbeat: 1e-3, Misses: 3}
 		start = exec.Start{Resilient: true, MaxRecoveries: len(eopts.Kill)}
 	}
 	rr, err := exec.RunLowered(ctx, j.lowered, j.mach, eopts, start)

@@ -1,35 +1,14 @@
 package sim
 
-// Fail-stop failure detection parameters. The machine model detects a
-// dead processor by missed heartbeats: peers exchange liveness probes
-// every heartbeat interval, and a processor that misses a configured
-// number of consecutive probes is declared dead. The simulated cost of
-// detection is therefore a fixed stall after the real death time — no
-// per-message overhead accrues while everything is healthy, which is
-// what lets detection be free when disabled.
-
-// DefaultHeartbeat is the default liveness-probe interval in simulated
-// seconds. It is deliberately coarse next to the per-message times of
-// the model (MsgTime of a kilobyte is ~10µs on the default machine):
-// heartbeats ride on a low-priority channel and should not dominate
-// recovery time estimates at small scales.
-const DefaultHeartbeat = 1e-3
-
-// DefaultHeartbeatMisses is the default number of consecutive missed
-// probes after which a peer is declared dead. More than one miss guards
-// against a probe lost to transient congestion on a real machine; the
-// simulator models the resulting detection latency, not the probes.
-const DefaultHeartbeatMisses = 3
-
-// DetectionTimeout returns the simulated seconds between a processor
-// dying and a healthy peer declaring it dead: misses consecutive missed
-// heartbeats. Non-positive arguments fall back to the defaults.
-func DetectionTimeout(heartbeat float64, misses int) float64 {
-	if heartbeat <= 0 {
-		heartbeat = DefaultHeartbeat
-	}
-	if misses <= 0 {
-		misses = DefaultHeartbeatMisses
-	}
-	return heartbeat * float64(misses)
-}
+// DetectionTimeout is the simulated seconds between a processor dying
+// and a healthy peer declaring it dead. The machine model detects a dead
+// processor by missed heartbeats: peers exchange liveness probes every
+// millisecond, and a processor that misses three consecutive probes is
+// declared dead. The probe interval is deliberately coarse next to the
+// per-message times of the model (MsgTime of a kilobyte is ~10µs on the
+// default machine), and more than one miss guards against a probe lost
+// to transient congestion; the simulator models the resulting latency,
+// not the probes. Detection is therefore a fixed stall after the real
+// death time — no per-message overhead accrues while everything is
+// healthy.
+const DetectionTimeout = 3 * 1e-3

@@ -92,8 +92,8 @@ const (
 	// (Peer = the dead rank, Dur = the wait). Its seconds land in
 	// CommStats.DetectSeconds, not Seconds.
 	KindDetect
-	// KindAgree is an instant marking one completed PREPARE/COMMIT
-	// agreement round on an aborting rank (N = agreed dead-rank count).
+	// KindAgree is an instant marking an aborting rank's adoption of the
+	// failed set (N = the dead-rank count when it aborted).
 	KindAgree
 	// KindRespawn is an instant marking a previously dead rank's
 	// goroutine being respawned at the start of a recovery attempt.
