@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/ooc-hpf/passion/internal/compiler"
 	"github.com/ooc-hpf/passion/internal/exec"
@@ -35,7 +34,6 @@ type RunFlags struct {
 	Checkpoint int
 	Parity     bool
 	KillRank   string
-	Watchdog   time.Duration
 }
 
 // Register declares the shared execution flags on fs (nil means the
@@ -56,7 +54,6 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Checkpoint, "checkpoint", 0, "checkpoint every K eligible slab-loop iterations (0: off)")
 	fs.BoolVar(&f.Parity, "parity", false, "protect local array files with rotated XOR parity (survives one lost disk)")
 	fs.StringVar(&f.KillRank, "kill-rank", "", "fail-stop RANK at its OPth message/IO operation, as RANK@OP (e.g. 1@200); surviving it needs -checkpoint and -parity")
-	fs.DurationVar(&f.Watchdog, "watchdog", 0, "deadlock watchdog: fail with a blocked-op dump after this much wall-clock quiet time (0: off, or 30s whenever -kill-rank is set)")
 }
 
 // Build materializes the flags into execution options over the backing
@@ -115,7 +112,6 @@ func (f *RunFlags) Build(base iosim.FS, resume bool) (exec.Options, *iosim.Chaos
 	opts.Phantom = f.Phantom
 	opts.Runtime = oocarray.Options{Sieve: f.Sieve, Prefetch: f.Prefetch}
 	opts.Parity = f.Parity
-	opts.StallTimeout = f.Watchdog
 	return opts, chaosFS, nil
 }
 

@@ -3,7 +3,6 @@ package cliutil
 import (
 	"flag"
 	"testing"
-	"time"
 
 	"github.com/ooc-hpf/passion/internal/compiler"
 	"github.com/ooc-hpf/passion/internal/hpf"
@@ -68,7 +67,6 @@ func TestRegisterAndBuild(t *testing.T) {
 		"-lose-disk", "c.p1.laf@40",
 		"-kill-rank", "1@200",
 		"-checkpoint", "3", "-parity",
-		"-watchdog", "5s",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,9 +95,6 @@ func TestRegisterAndBuild(t *testing.T) {
 	}
 	if !opts.Runtime.Sieve || !opts.Runtime.Prefetch {
 		t.Errorf("runtime options = %+v", opts.Runtime)
-	}
-	if opts.StallTimeout != 5*time.Second {
-		t.Errorf("watchdog = %v", opts.StallTimeout)
 	}
 }
 

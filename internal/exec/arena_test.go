@@ -166,7 +166,6 @@ func TestPhantomRunBalancesArena(t *testing.T) {
 			bufpool.ResetStats()
 			out, err := Run(res.Program, sim.Delta(procs), Options{
 				Phantom: phantom, Fill: sweepFills(), OpCounts: counts, Kill: kill,
-				StallTimeout: surviveStall,
 			})
 			if err == nil {
 				err = out.Close()
@@ -253,8 +252,7 @@ func TestKillAtEveryOpBalancesArena(t *testing.T) {
 			bufpool.ResetStats()
 			out, err := Run(res.Program, sim.Delta(procs), Options{
 				Fill: sweepFills(), OpCounts: counts, Kill: kill,
-				Runtime:      oocarray.Options{Prefetch: prefetch},
-				StallTimeout: surviveStall,
+				Runtime: oocarray.Options{Prefetch: prefetch},
 			})
 			if err == nil {
 				err = out.Close()

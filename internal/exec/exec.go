@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"github.com/ooc-hpf/passion/internal/bufpool"
 	"github.com/ooc-hpf/passion/internal/bytecode"
@@ -68,9 +67,6 @@ type Options struct {
 	// array chunk I/O). Combine with Checkpoint and Parity under
 	// RunResilient to survive the loss.
 	Kill []mp.KillSpec
-	// StallTimeout overrides the deadlock watchdog's wall-clock quiet
-	// period (see mp.Options.StallTimeout).
-	StallTimeout time.Duration
 	// OpCounts, when non-nil (len >= Procs), receives each rank's final
 	// fail-stop operation count; probe runs use it to learn the op-index
 	// space a kill schedule can target.
@@ -92,7 +88,7 @@ type Options struct {
 // mpOptions maps the execution options onto the message-passing
 // machine's fault configuration.
 func (o Options) mpOptions() mp.Options {
-	return mp.Options{Kill: o.Kill, StallTimeout: o.StallTimeout, OpCounts: o.OpCounts}
+	return mp.Options{Kill: o.Kill, OpCounts: o.OpCounts}
 }
 
 // failureActive reports whether any fail-stop machinery (kill schedule,

@@ -142,7 +142,6 @@ func TestTransposeKillAtEveryOpBalancesArena(t *testing.T) {
 				bufpool.ResetStats()
 				err := runForm(context.Background(), form, name, res, Options{
 					Fill: transposeFills(), OpCounts: counts, Kill: kill,
-					StallTimeout: surviveStall,
 				})
 				if n := arenaOutstanding(); n != 0 {
 					t.Errorf("%s %s, kill %v: %d arena buffers outstanding: %+v", form, name, kill, n, bufpool.Snapshot())
@@ -183,7 +182,7 @@ func TestTransposeFaultAtEveryFileOpBalancesArena(t *testing.T) {
 				mem := iosim.NewMemFS()
 				fs := iosim.NewChaosFS(mem, iosim.ChaosConfig{Schedule: schedule})
 				err := runForm(context.Background(), form, name, res, Options{
-					FS: fs, Fill: transposeFills(), StallTimeout: surviveStall,
+					FS: fs, Fill: transposeFills(),
 				})
 				if n := arenaOutstanding(); n != 0 {
 					t.Errorf("%s %s, fault %v: %d arena buffers outstanding: %+v", form, name, schedule, n, bufpool.Snapshot())

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/ooc-hpf/passion/internal/compiler"
 	"github.com/ooc-hpf/passion/internal/iosim"
@@ -13,21 +12,16 @@ import (
 	"github.com/ooc-hpf/passion/internal/trace"
 )
 
-// surviveStall keeps the deadlock watchdog from firing on slow CI
-// machines while still bounding a genuine hang.
-const surviveStall = 5 * time.Second
-
 // surviveOptions is the fully protected configuration: checkpoints to
 // resume from, parity to rebuild the dead disk from, and heartbeat
 // detection so blocked survivors abort with typed errors.
 func surviveOptions(fs iosim.FS) Options {
 	return Options{
-		FS:           fs,
-		Fill:         sweepFills(),
-		Checkpoint:   &CheckpointSpec{Every: 1},
-		Parity:       true,
-		Resilience:   parityResilience(),
-		StallTimeout: surviveStall,
+		FS:         fs,
+		Fill:       sweepFills(),
+		Checkpoint: &CheckpointSpec{Every: 1},
+		Parity:     true,
+		Resilience: parityResilience(),
 	}
 }
 
@@ -257,12 +251,11 @@ func TestRunResilientUnprotectedDies(t *testing.T) {
 	kill := []mp.KillSpec{{Rank: 1, Op: counts[1] / 2}}
 
 	opts := Options{
-		Fill:         sweepFills(),
-		StallTimeout: surviveStall,
-		Kill:         kill,
+		Fill: sweepFills(),
+		Kill: kill,
 	}
 	_, err := RunResilient(res.Program, mach, Options{
-		Fill: opts.Fill, StallTimeout: opts.StallTimeout, Kill: kill,
+		Fill: opts.Fill, Kill: kill,
 	}, 4)
 	if err == nil {
 		t.Fatal("unprotected rank loss must fail")

@@ -120,9 +120,8 @@ func witnessScenarios() []witnessScenario {
 			copts:  gaxpyScenarioOpts("row-slab"),
 			fills:  sweepFills(),
 			options: Options{
-				Checkpoint:   &CheckpointSpec{Every: 1},
-				Parity:       true,
-				StallTimeout: surviveStall,
+				Checkpoint: &CheckpointSpec{Every: 1},
+				Parity:     true,
 			},
 			outputs: []string{"c"},
 			mode:    "kill-rank",

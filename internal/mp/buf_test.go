@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/ooc-hpf/passion/internal/bufpool"
 	"github.com/ooc-hpf/passion/internal/sim"
@@ -202,28 +201,25 @@ func TestMailboxBackpressureBeyondCap(t *testing.T) {
 	})
 }
 
-// TestMailboxStallFailsWithDiagnostic pins the deadlock watchdog: a
-// mailbox that stays full past the configured quiet period fails the run
-// with an error naming the blocked rank, peer, tag and depth instead of
-// hanging the machine (or panicking, as the old stall timer did).
+// TestMailboxStallFailsWithDiagnostic: two ranks each overrun their
+// mailbox to the other, so both park on a full mailbox and no rank is
+// left to drain either. The run fails with every blocked rank's
+// operation — rank, peer, tag and depth — instead of hanging the machine.
 func TestMailboxStallFailsWithDiagnostic(t *testing.T) {
-	done := make(chan struct{})
-	opts := Options{StallTimeout: 50 * time.Millisecond}
-	_, err := RunOpts(sim.Delta(2), opts, func(p *Proc) error {
-		if p.Rank() == 0 {
-			defer close(done)
-			for i := 0; i <= mailboxCap(2); i++ {
-				p.Send(1, 5, []float64{1})
-			}
-			return nil
+	err := runGuarded(t, 2, Options{}, func(p *Proc) error {
+		peer := 1 - p.Rank()
+		for i := 0; i <= mailboxCap(2); i++ {
+			p.Send(peer, 5+p.Rank(), []float64{1})
 		}
-		<-done // alive but never receiving
 		return nil
 	})
 	if err == nil {
 		t.Fatal("overrunning a never-drained mailbox should fail the run")
 	}
-	for _, want := range []string{"deadlock watchdog", "rank 0", "rank 1", "tag 5", "depth 64"} {
+	for _, want := range []string{
+		"deadlock: rank 0 blocked in send to rank 1 (tag 5, depth 64)",
+		"deadlock: rank 1 blocked in send to rank 0 (tag 6, depth 64)",
+	} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("diagnostic %q missing %q", err.Error(), want)
 		}

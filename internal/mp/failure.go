@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/ooc-hpf/passion/internal/sim"
 	"github.com/ooc-hpf/passion/internal/trace"
@@ -16,22 +15,15 @@ import (
 //
 // A rank can be scheduled to die between any two of its operations
 // (messages or, via StepOp, I/O requests). Death is fail-stop: the rank
-// performs no further work, its outgoing mailboxes close, and surviving
-// ranks that block on it stall for the simulated detection timeout and
-// resolve to ErrRankDead instead of hanging. The failed set they report
-// is the machine's ground truth, the ranks that actually died, so every
-// survivor reports the same set; the executor uses it to drive
-// checkpoint+parity recovery.
+// performs no further work and exits like any returning rank (see
+// Machine.exit), and surviving ranks that block on it stall for the
+// simulated detection timeout and resolve to ErrRankDead instead of
+// hanging. The failed set they report is the machine's ground truth, the
+// ranks that actually died, so every survivor reports the same set; the
+// executor uses it to drive checkpoint+parity recovery.
 //
 // Everything here is off the hot path: a machine with no Options has a
 // nil failState and the per-op hook is a single nil check.
-
-// defaultStallTimeout bounds how long the machine may sit with at least
-// one blocked mailbox operation and no mailbox progress at all before
-// the deadlock watchdog fails the run. Generous: real drains take
-// microseconds; only a plan that genuinely cannot make progress leaves
-// the machine quiet this long.
-const defaultStallTimeout = 30 * time.Second
 
 // KillSpec schedules one injected fail-stop death: rank Rank stops
 // immediately before executing its Op'th counted operation (messages
@@ -44,16 +36,12 @@ type KillSpec struct {
 	Op   int64
 }
 
-// Options configures fault injection and the deadlock watchdog for one
-// run. The zero value is a plain run: no kills, watchdog at the default
-// quiet period. Any kill or op counting turns on the failure layer,
-// whose survivors detect a dead peer after sim.DetectionTimeout.
+// Options configures fault injection for one run. The zero value is a
+// plain run. Any kill or op counting turns on the failure layer, whose
+// survivors detect a dead peer after sim.DetectionTimeout.
 type Options struct {
 	// Kill schedules injected rank deaths.
 	Kill []KillSpec
-	// StallTimeout overrides the deadlock watchdog's quiet period
-	// (non-positive selects defaultStallTimeout).
-	StallTimeout time.Duration
 	// OpCounts, when non-nil, receives each rank's final operation count
 	// (len must be >= Procs). Probe runs use it to learn the op-index
 	// space a kill schedule can target.
@@ -116,6 +104,39 @@ func (e *RankFailure) Error() string {
 
 func (e *RankFailure) Unwrap() error { return e.Err }
 
+// DeadlockError is a rank's share of a deadlock: the mailbox operation it
+// was parked in when every rank that had not returned was parked too, so
+// that none could ever wake another.
+type DeadlockError struct {
+	Rank, Peer, Tag, Depth int
+	Send                   bool
+}
+
+func (e *DeadlockError) Error() string {
+	op := "recv from"
+	if e.Send {
+		op = "send to"
+	}
+	return fmt.Sprintf("deadlock: rank %d blocked in %s rank %d (tag %d, depth %d) with every live rank parked",
+		e.Rank, op, e.Peer, e.Tag, e.Depth)
+}
+
+// PeerReturnedError is a plan bug: rank Rank waited on Peer after Peer
+// had returned, for a message it never sent or, with Send, for room in a
+// full mailbox it never drains.
+type PeerReturnedError struct {
+	Rank, Peer, Tag int
+	Send            bool
+}
+
+func (e *PeerReturnedError) Error() string {
+	if e.Send {
+		return fmt.Sprintf("mp: rank %d returned with rank %d's mailbox to it full (tag %d): the plan posts messages the receiver never takes",
+			e.Peer, e.Rank, e.Tag)
+	}
+	return fmt.Sprintf("mp: rank %d terminated before sending the message rank %d expected (tag %d)", e.Peer, e.Rank, e.Tag)
+}
+
 // Panic sentinels: control flow out of arbitrarily deep plan code is by
 // panic, recovered and typed in RunOpts's per-goroutine handler, so
 // kernels need no error plumbing for faults they cannot handle anyway.
@@ -124,9 +145,8 @@ type killSentinel struct {
 	op   int64
 }
 
-type deathPanic struct{ err *ErrRankDead }
-
-type watchdogPanic struct{ err error }
+// abort carries a typed error out of a rank that cannot go on.
+type abort struct{ err error }
 
 // failState is the shared fault bookkeeping of one run. The dead map is
 // monotone ground truth (only actually dead ranks enter it), standing in
@@ -138,22 +158,12 @@ type failState struct {
 	deadCount atomic.Int32
 	mu        sync.Mutex
 	dead      map[int]float64 // rank -> simulated death time
-
-	// down[r] closes when rank r will make no further mailbox progress:
-	// it died, aborted, or exited. Blocked operations select on it.
-	down     []chan struct{}
-	downOnce []sync.Once
 }
 
 func newFailState(procs int, opts Options) *failState {
 	f := &failState{
-		kills:    make([][]int64, procs),
-		dead:     make(map[int]float64),
-		down:     make([]chan struct{}, procs),
-		downOnce: make([]sync.Once, procs),
-	}
-	for i := range f.down {
-		f.down[i] = make(chan struct{})
+		kills: make([][]int64, procs),
+		dead:  make(map[int]float64),
 	}
 	for _, k := range opts.Kill {
 		f.kills[k.Rank] = append(f.kills[k.Rank], k.Op)
@@ -180,11 +190,6 @@ func (f *failState) markDead(rank int, at float64) {
 		f.deadCount.Add(1)
 	}
 	f.mu.Unlock()
-	f.markDown(rank)
-}
-
-func (f *failState) markDown(rank int) {
-	f.downOnce[rank].Do(func() { close(f.down[rank]) })
 }
 
 // deadRanks returns the current dead set, sorted.
@@ -245,8 +250,8 @@ func (p *Proc) step() {
 // disk operations, not only between messages. A no-op on plain runs.
 func (p *Proc) StepOp() { p.step() }
 
-// Aborted reports whether this processor died or aborted on a failure;
-// cleanup code running during the unwind uses it to skip collective
+// Aborted reports whether this processor died, or aborted on a failure
+// or a deadlock; cleanup code running during the unwind uses it to skip collective
 // operations that can no longer complete.
 func (p *Proc) Aborted() bool { return p.failed }
 
@@ -254,17 +259,14 @@ func (p *Proc) Aborted() bool { return p.failed }
 // Detection and abort
 
 // abortDead is the failure-detection path of an operation blocked on
-// rank peer that will never make progress. It wakes this rank's own
-// dependents, charges the simulated heartbeat-detection stall and the
-// agreement instant, and panics with the typed error. RunOpts fills in
-// the failed set once every rank has stopped. Only called with at least
-// one dead rank.
+// rank peer that will never make progress. It charges the simulated
+// heartbeat-detection stall and the agreement instant, and panics with
+// the typed error; the rank's exit then cascades the abort to its own
+// dependents. RunOpts fills in the failed set once every rank has
+// stopped. Only called with at least one dead rank.
 func (p *Proc) abortDead(peer, tag int) {
 	f := p.m.fail
 	p.failed = true
-	// Dependents blocked on this rank cascade into the same abort.
-	f.markDown(p.rank)
-
 	deadAt, deadRank := f.earliestDeath()
 	rep := peer
 	if !f.isDead(peer) {
@@ -286,114 +288,23 @@ func (p *Proc) abortDead(peer, tag int) {
 	if p.tr != nil {
 		p.tr.Emit(trace.Span{Kind: trace.KindAgree, Start: p.clock.Seconds(), N: int64(f.deadCount.Load())})
 	}
-	panic(deathPanic{err: &ErrRankDead{Rank: rep, Tag: tag}})
+	panic(abort{&ErrRankDead{Rank: rep, Tag: tag}})
 }
 
-// deadPeer handles a receive on a closed, drained mailbox or a
-// down-channel wakeup with no data available: the peer will never
-// supply the blocked operation. With a death recorded this is the abort
-// path; otherwise a peer exited early, a plan bug.
-func (p *Proc) deadPeer(src, tag int) {
+// deadPeer handles an operation on a peer that has returned: a receive
+// on its closed, drained mailbox, or a send into its full one. With a
+// death recorded this is the abort path; otherwise the peer finished
+// early, a plan bug.
+func (p *Proc) deadPeer(peer, tag int, send bool) {
 	if f := p.m.fail; f != nil && f.anyDead() {
-		p.abortDead(src, tag)
+		p.abortDead(peer, tag)
 	}
-	panic(fmt.Sprintf("mp: rank %d terminated before sending the message rank %d expected (tag %d)", src, p.rank, tag))
+	panic(abort{&PeerReturnedError{Rank: p.rank, Peer: peer, Tag: tag, Send: send}})
 }
 
-// ---------------------------------------------------------------------------
-// Deadlock watchdog
-
-// watchdog fails the run when at least one rank sits blocked on a
-// mailbox operation and no mailbox progress happens at all for the
-// quiet period. It replaces the old send-stall panic: instead of one
-// rank panicking with its own symptom, every blocked rank wakes, reports
-// its blocked operation (rank, peer, tag, depth), and the run fails with
-// the joined diagnostic.
-type watchdog struct {
-	timeout time.Duration
-	abort   chan struct{}
-	stop    chan struct{}
-	once    sync.Once
-
-	procs []*Proc // populated before any goroutine starts
-
-	mu      sync.Mutex
-	events  uint64
-	blocked int
-	fired   bool
-}
-
-func newWatchdog(timeout time.Duration) *watchdog {
-	return &watchdog{
-		timeout: timeout,
-		abort:   make(chan struct{}),
-		stop:    make(chan struct{}),
-	}
-}
-
-func (w *watchdog) block(p *Proc, send bool, peer, tag, depth int) {
-	w.mu.Lock()
-	p.blk = blockInfo{active: true, send: send, peer: peer, tag: tag, depth: depth}
-	w.blocked++
-	w.events++
-	w.mu.Unlock()
-}
-
-func (w *watchdog) unblock(p *Proc) {
-	w.mu.Lock()
-	if p.blk.active {
-		p.blk.active = false
-		w.blocked--
-	}
-	w.events++
-	w.mu.Unlock()
-}
-
-func (w *watchdog) shutdown() {
-	w.once.Do(func() { close(w.stop) })
-}
-
-// run is the monitor goroutine, alive for the duration of one RunOpts.
-func (w *watchdog) run() {
-	tick := w.timeout / 8
-	if tick <= 0 {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	var lastEvents uint64
-	var quiet time.Duration
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-t.C:
-		}
-		w.mu.Lock()
-		if w.blocked > 0 && w.events == lastEvents {
-			quiet += tick
-			if quiet >= w.timeout && !w.fired {
-				w.fired = true
-				close(w.abort)
-				w.mu.Unlock()
-				return
-			}
-		} else {
-			quiet = 0
-			lastEvents = w.events
-		}
-		w.mu.Unlock()
-	}
-}
-
-// watchdogFail raises this rank's share of the deadlock diagnostic.
-func (p *Proc) watchdogFail() {
+// deadlock raises this rank's share of a declared deadlock: the
+// operation on mailbox b it was parked in.
+func (p *Proc) deadlock(b *mailbox, peer, tag int, send bool) {
 	p.failed = true
-	b := p.blk
-	op := "recv from"
-	if b.send {
-		op = "send to"
-	}
-	panic(watchdogPanic{err: fmt.Errorf("deadlock watchdog: rank %d blocked in %s rank %d (tag %d, depth %d) with no mailbox progress for %v",
-		p.rank, op, b.peer, b.tag, b.depth, p.m.wd.timeout)})
+	panic(abort{&DeadlockError{Rank: p.rank, Peer: peer, Tag: tag, Depth: b.depth(), Send: send}})
 }

@@ -24,12 +24,17 @@ const noCount = -1
 // flag, so a finished run's mailboxes go back to boxPool and the next run
 // takes them, ring and all.
 //
-// Parking is by wake channel: a put that finds the mailbox full, or a
-// take that finds it empty, registers the caller's own cap-1 channel
-// (Proc.wake) under the lock, and the operation that changes the
-// condition drops a token into it. A rank parks on one mailbox at a time and re-checks
-// after every wake-up, so a stale token from an earlier registration
-// costs one spurious pass of the loop and nothing else.
+// Parking is by registration: a put that finds the mailbox full, or a
+// take that finds it empty, registers the calling rank under the lock,
+// and the operation that changes the condition clears the registration
+// and drops a token into the rank's cap-1 channel (Proc.wake). A rank
+// counts as parked in its machine's rank count (Machine.ranks) exactly
+// while its registration is in place: registering takes it off the
+// runnable count, clearing puts it back, both under the lock, so the
+// count never shows a rank parked that a token is already on its way to.
+// Every registration is cleared exactly once and the rank waits for its
+// token before it can register again, so tokens and registrations pair
+// up one to one.
 type mailbox struct {
 	mu     sync.Mutex
 	ring   []message
@@ -37,40 +42,70 @@ type mailbox struct {
 	n      int // messages buffered
 	limit  int // mailboxCap of the machine that holds it
 	closed bool
-	// recvWake and sendWake are the wake channels of the receiver parked
-	// on empty and the sender parked on full (nil when nobody is).
-	recvWake, sendWake chan struct{}
+	// recvGone records that the receiver has returned: a full mailbox
+	// then never drains again, and a put that would park fails instead.
+	recvGone bool
+	// recvParked and sendParked are the receiver parked on empty and the
+	// sender parked on full (nil when nobody is).
+	recvParked, sendParked *Proc
 }
 
 const firstRing = 4
 
-// wake drops a token into a parked rank's channel (nil: nobody is
-// parked). It is called after the mailbox lock is released, so the woken
-// rank does not run straight into it.
-func wake(c chan struct{}) {
-	if c == nil {
-		return
+// park registers p in slot and takes it off its machine's runnable count;
+// with p nil (a look without waiting) it does nothing. The caller holds
+// b.mu; a true result means p was the machine's last runnable rank, and
+// the caller declares the deadlock once it has let go of the lock.
+func park(slot **Proc, p *Proc) bool {
+	if p == nil {
+		return false
 	}
-	select {
-	case c <- struct{}{}:
-	default: // a token is already there; the rank wakes and re-checks
+	*slot = p
+	return p.m.park()
+}
+
+// unpark clears the registration in slot, under b.mu, and returns the
+// rank it named (nil: nobody), which counts as runnable from here on; the
+// caller hands it its token with wake once the lock is released, so the
+// woken rank does not run straight into it.
+func unpark(slot **Proc) *Proc {
+	p := *slot
+	if p != nil {
+		*slot = nil
+		p.m.unpark()
+	}
+	return p
+}
+
+// wake drops the token into an unparked rank's channel (nil: nobody). It
+// never blocks: the rank takes its token before it can register again.
+func wake(p *Proc) {
+	if p != nil {
+		p.wake <- struct{}{}
 	}
 }
 
-// put appends msg and reports true, or reports false when the mailbox
-// holds limit messages; a refused put registers sendWake for a token when
-// a slot frees. Only the pair's sender calls it, and never
-// after close.
-func (b *mailbox) put(msg message, sendWake chan struct{}) bool {
+// put appends msg and reports ok. Refused, the mailbox holds limit
+// messages: with gone the receiver has returned and nothing will ever
+// drain it, otherwise p is registered for a token when a slot frees. Only
+// the pair's sender calls it, and never after close.
+func (b *mailbox) put(msg message, p *Proc) (ok, gone bool) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		panic("mp: post into a closed mailbox")
 	}
 	if b.n == len(b.ring) && !b.grow() {
-		b.sendWake = sendWake
+		if b.recvGone {
+			b.mu.Unlock()
+			return false, true
+		}
+		last := park(&b.sendParked, p)
 		b.mu.Unlock()
-		return false
+		if last {
+			p.m.declareDeadlock()
+		}
+		return false, false
 	}
 	i := b.head + b.n
 	if i >= len(b.ring) {
@@ -78,11 +113,10 @@ func (b *mailbox) put(msg message, sendWake chan struct{}) bool {
 	}
 	b.ring[i] = msg
 	b.n++
-	w := b.recvWake
-	b.recvWake = nil
+	w := unpark(&b.recvParked)
 	b.mu.Unlock()
 	wake(w)
-	return true
+	return true, false
 }
 
 // grow doubles a full ring, up to limit; false means it is at the cap.
@@ -100,16 +134,18 @@ func (b *mailbox) grow() bool {
 
 // take removes the oldest message. With ok false the mailbox is empty:
 // closed tells that the sender has finished and nothing will ever come,
-// otherwise recvWake is registered for a token at the next put or close. Buffered messages drain before closed is reported. Only
-// the pair's receiver calls it.
-func (b *mailbox) take(recvWake chan struct{}) (msg message, ok, closed bool) {
+// otherwise p is registered for a token at the next put or close.
+// Buffered messages drain before closed is reported. Only the pair's
+// receiver calls it.
+func (b *mailbox) take(p *Proc) (msg message, ok, closed bool) {
 	b.mu.Lock()
 	if b.n == 0 {
 		closed = b.closed
-		if !closed {
-			b.recvWake = recvWake
-		}
+		last := !closed && park(&b.recvParked, p)
 		b.mu.Unlock()
+		if last {
+			p.m.declareDeadlock()
+		}
 		return message{}, false, closed
 	}
 	msg = b.ring[b.head]
@@ -118,22 +154,40 @@ func (b *mailbox) take(recvWake chan struct{}) (msg message, ok, closed bool) {
 		b.head = 0
 	}
 	b.n--
-	w := b.sendWake
-	b.sendWake = nil
+	w := unpark(&b.sendParked)
 	b.mu.Unlock()
 	wake(w)
 	return msg, true, false
 }
 
-// close ends the pair's traffic: what is buffered still drains, then a
-// receiver — parked now or arriving later — observes the termination.
+// close records that the pair's sender has returned: what is buffered
+// still drains, then a receiver — parked now or arriving later —
+// observes the termination.
 func (b *mailbox) close() {
 	b.mu.Lock()
 	b.closed = true
-	w := b.recvWake
-	b.recvWake = nil
+	w := unpark(&b.recvParked)
 	b.mu.Unlock()
 	wake(w)
+}
+
+// hangUp records that the pair's receiver has returned: a sender parked
+// on the full mailbox now, or about to park on it later, fails instead.
+func (b *mailbox) hangUp() {
+	b.mu.Lock()
+	b.recvGone = true
+	w := unpark(&b.sendParked)
+	b.mu.Unlock()
+	wake(w)
+}
+
+// interrupt wakes whoever is parked on either end, for a deadlock.
+func (b *mailbox) interrupt() {
+	b.mu.Lock()
+	r, s := unpark(&b.recvParked), unpark(&b.sendParked)
+	b.mu.Unlock()
+	wake(r)
+	wake(s)
 }
 
 // depth is the number of messages buffered, for diagnostics.
@@ -201,7 +255,7 @@ func recycleBoxes(slots []atomic.Pointer[mailbox], procs int) {
 			for msg, ok, _ := b.take(nil); ok; msg, ok, _ = b.take(nil) {
 				ReleaseBuf(msg.data)
 			}
-			b.head, b.closed, b.recvWake, b.sendWake = 0, false, nil, nil
+			b.head, b.closed, b.recvGone, b.recvParked, b.sendParked = 0, false, false, nil, nil
 			b.ring = b.ring[:cap(b.ring)]
 			if size := b.retained(); boxPool.bytes+size <= boxPoolBytes {
 				boxPool.bytes += size

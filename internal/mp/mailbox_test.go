@@ -22,9 +22,9 @@ func recycle(b *mailbox) {
 // beyond its cap.
 func checkFresh(t *testing.T, b *mailbox) {
 	t.Helper()
-	if b.n != 0 || b.head != 0 || b.closed || b.recvWake != nil || b.sendWake != nil {
-		t.Fatalf("recycled mailbox is not fresh: n=%d head=%d closed=%v recvWake=%v sendWake=%v",
-			b.n, b.head, b.closed, b.recvWake != nil, b.sendWake != nil)
+	if b.n != 0 || b.head != 0 || b.closed || b.recvGone || b.recvParked != nil || b.sendParked != nil {
+		t.Fatalf("recycled mailbox is not fresh: n=%d head=%d closed=%v recvGone=%v recvParked=%v sendParked=%v",
+			b.n, b.head, b.closed, b.recvGone, b.recvParked != nil, b.sendParked != nil)
 	}
 	if len(b.ring) > b.limit {
 		t.Fatalf("ring of %d slots exceeds the cap %d", len(b.ring), b.limit)
@@ -74,7 +74,7 @@ func FuzzMailbox(f *testing.F) {
 					want = true
 				default:
 				}
-				if got := b.put(msg, nil); got != want {
+				if got, _ := b.put(msg, nil); got != want {
 					t.Fatalf("put %d at depth %d of %d: accepted %v, model %v", next, len(model), limit, got, want)
 				}
 				if want {
@@ -122,13 +122,13 @@ func FuzzMailbox(f *testing.F) {
 	})
 }
 
-// parked spins until one end of b has registered its wake channel.
+// parked spins until one end of b has registered as parked.
 func parked(b *mailbox, sender bool) {
 	for {
 		b.mu.Lock()
-		w := b.recvWake
+		w := b.recvParked
 		if sender {
-			w = b.sendWake
+			w = b.sendParked
 		}
 		b.mu.Unlock()
 		if w != nil {
@@ -163,32 +163,26 @@ func TestReceiverParkedBeforeFirstPut(t *testing.T) {
 
 // TestSenderParkedOnFullBox: rank 0 fills the mailbox to its cap and
 // parks; only then does rank 1 start draining. Nothing is lost or
-// reordered across the park, with and without the watchdog's
-// instrumented park path.
+// reordered across the park.
 func TestSenderParkedOnFullBox(t *testing.T) {
 	n := mailboxCap(2) + 40
-	for _, opts := range []Options{{}, {StallTimeout: failTestStall}} {
-		_, err := RunOpts(sim.Delta(2), opts, func(p *Proc) error {
-			if p.Rank() == 0 {
-				for i := 0; i < n; i++ {
-					p.Send(1, i, []float64{float64(i)})
-				}
-				return nil
-			}
-			parked(p.m.box(0, 1), true)
+	run(t, 2, func(p *Proc) error {
+		if p.Rank() == 0 {
 			for i := 0; i < n; i++ {
-				in := p.Recv(0, i)
-				if in[0] != float64(i) {
-					return fmt.Errorf("message %d carried %v", i, in[0])
-				}
-				ReleaseBuf(in)
+				p.Send(1, i, []float64{float64(i)})
 			}
 			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
-	}
+		parked(p.m.box(0, 1), true)
+		for i := 0; i < n; i++ {
+			in := p.Recv(0, i)
+			if in[0] != float64(i) {
+				return fmt.Errorf("message %d carried %v", i, in[0])
+			}
+			ReleaseBuf(in)
+		}
+		return nil
+	})
 }
 
 // TestCloseRacesParkedReceiver: a sender posts k messages and closes while
@@ -208,9 +202,9 @@ func TestCloseRacesParkedReceiver(t *testing.T) {
 			}
 			b.close()
 		}()
-		wakeCh := make(chan struct{}, 1)
+		receiver := &Proc{m: &Machine{}, wake: make(chan struct{}, 1)}
 		for want := int32(0); ; {
-			msg, ok, closed := b.take(wakeCh)
+			msg, ok, closed := b.take(receiver)
 			if ok {
 				if msg.tag != want {
 					t.Fatalf("round %d: took tag %d, want %d", round, msg.tag, want)
@@ -224,7 +218,7 @@ func TestCloseRacesParkedReceiver(t *testing.T) {
 				}
 				break
 			}
-			<-wakeCh
+			<-receiver.wake
 		}
 		wg.Wait()
 		recycle(b)
@@ -283,8 +277,7 @@ func freeList() []*mailbox {
 func TestAbortedRunHandsBackEmptyMailboxes(t *testing.T) {
 	freeList()
 	opts := Options{
-		Kill:         []KillSpec{{Rank: 1, Op: 2}},
-		StallTimeout: failTestStall,
+		Kill: []KillSpec{{Rank: 1, Op: 2}},
 	}
 	_, err := RunOpts(sim.Delta(2), opts, func(p *Proc) error {
 		peer := 1 - p.Rank()

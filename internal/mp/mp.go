@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/ooc-hpf/passion/internal/bufpool"
 	"github.com/ooc-hpf/passion/internal/sim"
@@ -40,10 +39,41 @@ const internalTagBase = 1 << 24
 type Machine struct {
 	cfg   sim.Config
 	boxes []atomic.Pointer[mailbox]
-	rows  []sync.Mutex // rows[src] orders making and closing src's outgoing boxes
-	fail  *failState   // nil on plain runs
-	wd    *watchdog
+	rows  []row
+	fail  *failState // nil on plain runs
+
+	deadlocked atomic.Bool // set once, by declareDeadlock
+
+	// ranks counts, in one word so that one atomic add moves it and one
+	// read sees all of it, the ranks that have not returned (high half)
+	// and, of those, the ones not parked on a mailbox (low half). Only
+	// ranks post, so once the low half is zero and the high half is not,
+	// no rank can ever wake another: the run is deadlocked. Every park
+	// and wake writes it and every operation reads the fields above, so
+	// it has a cache line to itself: sharing one, it more than doubled
+	// the time scale_phantom's job spends in Proc.step, which reads fail.
+	_     [64]byte
+	ranks atomic.Int64
+	_     [56]byte
 }
+
+// row is one rank's share of the slot table's bookkeeping.
+type row struct {
+	mu       sync.Mutex  // orders making and closing the rank's outgoing boxes
+	returned atomic.Bool // the rank has returned: boxes to it never drain again
+}
+
+// oneRank is a rank that has not returned and is not parked, in ranks.
+const oneRank = 1<<32 | 1
+
+// stuck reports whether a value of ranks is a deadlock: ranks remain and
+// every one of them is parked.
+func stuck(ranks int64) bool { return int32(ranks) == 0 && ranks > 0 }
+
+// park and unpark move a rank off and back onto the runnable count, under
+// the lock of the mailbox it registers on; park reports a deadlock.
+func (m *Machine) park() bool { return stuck(m.ranks.Add(-1)) }
+func (m *Machine) unpark()    { m.ranks.Add(1) }
 
 // box returns the mailbox from src to dst, taking one (see newMailbox) on
 // first use. The fast path is one atomic load. Sender and receiver may
@@ -56,44 +86,72 @@ func (m *Machine) box(src, dst int) *mailbox {
 	if b := slot.Load(); b != nil {
 		return b
 	}
-	m.rows[src].Lock()
-	defer m.rows[src].Unlock()
+	m.rows[src].mu.Lock()
+	defer m.rows[src].mu.Unlock()
 	if b := slot.Load(); b != nil {
 		return b
 	}
 	// A generous cap keeps the deterministic plans deadlock-free without a
 	// progress engine; a full mailbox is ordinary backpressure, and one
-	// that never drains is diagnosed by the deadlock watchdog rather than
-	// blocking.
+	// that never drains is a deadlock or a receiver that has returned,
+	// both diagnosed rather than left blocking.
 	b := newMailbox(mailboxCap(m.cfg.Procs))
 	slot.Store(b)
+	// Only src can be making it if dst has returned: either this load or
+	// dst's scan in exit sees the other's store, so the box hangs up.
+	if m.rows[dst].returned.Load() {
+		b.hangUp()
+	}
 	return b
 }
 
-// closeBoxes ends rank src's outgoing traffic: mailboxes in use are
-// closed (already-buffered messages still drain first), and every slot
-// nobody touched gets closedBox. Only the sender closes, and only here,
-// after its last post.
-func (m *Machine) closeBoxes(src int) {
+// exit is rank's return from the node function, by any path. Its
+// outgoing mailboxes close (buffered messages still drain first) and
+// every slot it never touched gets closedBox, so a rank receiving from it,
+// now or later, observes the termination; its incoming mailboxes hang up,
+// so a rank sending into a full one fails instead of parking. Then it
+// leaves the rank count, declaring a deadlock if every rank left is
+// parked.
+func (m *Machine) exit(rank int) {
 	p := m.cfg.Procs
-	m.rows[src].Lock()
-	defer m.rows[src].Unlock()
-	for i := src * p; i < (src+1)*p; i++ {
+	m.rows[rank].mu.Lock()
+	for i := rank * p; i < (rank+1)*p; i++ {
 		if b := m.boxes[i].Load(); b != nil {
 			b.close()
 		} else {
 			m.boxes[i].Store(closedBox)
 		}
 	}
+	m.rows[rank].mu.Unlock()
+	m.rows[rank].returned.Store(true)
+	for i := rank; i < p*p; i += p {
+		if b := m.boxes[i].Load(); b != nil && b != closedBox {
+			b.hangUp()
+		}
+	}
+	if stuck(m.ranks.Add(-oneRank)) {
+		m.declareDeadlock()
+	}
 }
 
-// blockInfo is a rank's currently blocked mailbox operation, read by the
-// deadlock watchdog for diagnostics (guarded by watchdog.mu).
-type blockInfo struct {
-	active    bool
-	send      bool
-	peer, tag int
-	depth     int
+// declareDeadlock is run by the rank whose park or return left every
+// remaining rank parked. Nothing can wake them any more, so it sets the
+// flag and wakes every rank still registered on a mailbox, and each
+// panics with the operation it was parked in. It holds one unit of the
+// runnable count while it scans, so that the ranks it wakes, returning,
+// do not declare again; a rank that registers after the scan passed its
+// mailbox leaves the count stuck when the unit is given back, and the
+// scan repeats.
+func (m *Machine) declareDeadlock() {
+	m.deadlocked.Store(true)
+	for again := true; again; again = m.park() {
+		m.unpark()
+		for i := range m.boxes {
+			if b := m.boxes[i].Load(); b != nil && b != closedBox {
+				b.interrupt()
+			}
+		}
+	}
 }
 
 // Proc is the per-processor handle passed to the node function. All
@@ -104,8 +162,8 @@ type Proc struct {
 	clock sim.Clock
 	stats *trace.ProcStats
 	tr    *trace.RankTracer
-	// wake is the channel this rank parks on while a mailbox is full or
-	// empty (see mailbox).
+	// wake is the channel this rank waits on for its token while parked
+	// on a full or empty mailbox (see mailbox).
 	wake chan struct{}
 
 	// a2aSeq numbers this processor's all-to-all calls; being collective,
@@ -117,11 +175,11 @@ type Proc struct {
 	// flowOut/flowIn tag the next Send/Recv with a flow id.
 	flowOut, flowIn uint64
 
-	// Fail-stop bookkeeping (all zero on plain runs).
+	// Fail-stop bookkeeping (all zero on plain runs but for a deadlock's
+	// failed).
 	ops    int64   // operations performed, for the kill schedule
 	killAt []int64 // remaining scheduled kill ops for this rank
-	failed bool    // died or aborted on a failure
-	blk    blockInfo
+	failed bool    // died, or aborted on a failure or a deadlock
 
 	// panicBufs and panicMulti track arena buffers a collective holds
 	// mid-flight; if the operation panics (peer death, plan bug), the
@@ -160,29 +218,15 @@ func Run(cfg sim.Config, node NodeFunc) (*trace.Stats, error) {
 
 func newProc(m *Machine, rank int, stats *trace.Stats) *Proc {
 	// The wake channel holds one token: a rank parks on one mailbox at a time.
-	return &Proc{m: m, rank: rank, stats: &stats.Procs[rank], wake: make(chan struct{}, 1)}
+	p := &Proc{m: m, rank: rank, stats: &stats.Procs[rank], wake: make(chan struct{}, 1)}
+	if m.fail != nil {
+		p.killAt = m.fail.kills[rank]
+	}
+	return p
 }
 
-// makeProcTable pre-builds the Proc table the failure layer and the
-// watchdog need for cross-rank visibility. A plain run returns nil and
-// each node goroutine allocates its own Proc, keeping the disabled path
-// allocation-identical to a machine without the failure layer.
-func makeProcTable(m *Machine, stats *trace.Stats, p int) []*Proc {
-	if m.fail == nil && m.wd == nil {
-		return nil
-	}
-	procs := make([]*Proc, p)
-	for rank := range procs {
-		procs[rank] = newProc(m, rank, stats)
-		if m.fail != nil {
-			procs[rank].killAt = m.fail.kills[rank]
-		}
-	}
-	return procs
-}
-
-// RunOpts is Run with fault injection and watchdog configuration (see
-// Options). With a zero Options it behaves exactly like Run.
+// RunOpts is Run with fault injection (see Options). With a zero Options
+// it behaves exactly like Run.
 func RunOpts(cfg sim.Config, opts Options, node NodeFunc) (*trace.Stats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -191,86 +235,48 @@ func RunOpts(cfg sim.Config, opts Options, node NodeFunc) (*trace.Stats, error) 
 		return nil, err
 	}
 	p := cfg.Procs
-	m := &Machine{cfg: cfg, boxes: make([]atomic.Pointer[mailbox], p*p), rows: make([]sync.Mutex, p)}
+	m := &Machine{cfg: cfg, boxes: make([]atomic.Pointer[mailbox], p*p), rows: make([]row, p)}
+	m.ranks.Store(int64(p) * oneRank)
 	if opts.active() {
 		m.fail = newFailState(p, opts)
 	}
-	if m.fail != nil || opts.StallTimeout > 0 {
-		// The deadlock watchdog instruments every parked mailbox op, so
-		// it is armed only when the failure layer is on (aborts must
-		// never hang) or a stall timeout was asked for explicitly. Plain
-		// runs keep the seed-fast uninstrumented park paths — the
-		// wall-clock benchmark gates pin that at zero overhead.
-		stall := opts.StallTimeout
-		if stall <= 0 {
-			stall = defaultStallTimeout
-		}
-		m.wd = newWatchdog(stall)
-	}
 	stats := trace.NewStats(p)
 	errs := make([]error, p)
-	// The pre-built Proc table exists only for the failure layer and the
-	// watchdog (which inspect other ranks' state); a plain run allocates
-	// each Proc inside its own goroutine, exactly like the machine
-	// without a failure layer always has. Assigned exactly once so the
-	// node goroutines capture the slice by value, not via a heap cell.
-	procs := makeProcTable(m, stats, p)
-	if m.wd != nil {
-		m.wd.procs = procs
-		go m.wd.run()
-		defer m.wd.shutdown()
-	}
 	var wg sync.WaitGroup
 	for rank := 0; rank < p; rank++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			var proc *Proc
-			if procs != nil {
-				proc = procs[rank]
-			} else {
-				proc = newProc(m, rank, stats)
-			}
+			proc := newProc(m, rank, stats)
 			defer func() {
 				if r := recover(); r != nil {
 					switch v := r.(type) {
 					case killSentinel:
 						errs[rank] = &RankKilledError{Rank: v.rank, Op: v.op}
-					case deathPanic:
-						errs[rank] = v.err
-					case watchdogPanic:
+					case abort:
 						errs[rank] = v.err
 					default:
 						errs[rank] = fmt.Errorf("mp: processor %d panicked: %v", rank, r)
 					}
 					proc.releasePanicBufs()
 				}
-				if m.fail != nil {
-					// This rank sends nothing more; wake any dependents.
-					m.fail.markDown(rank)
-				}
 				stats.Procs[rank].Seconds = proc.clock.Seconds()
 				if opts.OpCounts != nil && rank < len(opts.OpCounts) {
 					opts.OpCounts[rank] = proc.ops
 				}
-				// Peers blocked in Recv — now or later — observe the
-				// termination instead of deadlocking.
-				m.closeBoxes(rank)
+				m.exit(rank)
 			}()
 			errs[rank] = node(proc)
 		}(rank)
 	}
 	wg.Wait()
-	if m.wd != nil {
-		m.wd.shutdown()
-	}
 	// Abort paths can strand payloads: messages a dead or aborted rank
 	// never received still sit in the (now closed) mailboxes. Return all
 	// of it to the arena so failed runs do not leak buffers — checked-mode
 	// tests assert the Gets/Puts balance — and the mailboxes, emptied, to
-	// their free list. Every slot is closed by now (each rank's exit ran
-	// closeBoxes), and clean runs have empty mailboxes, so this costs one
-	// load per slot on the ordinary path.
+	// their free list. Every slot is closed by now (each rank's exit
+	// closed its row), and clean runs have empty mailboxes, so this costs
+	// one load per slot on the ordinary path.
 	recycleBoxes(m.boxes, p)
 	// Every rank has stopped, so the dead set is final: each killed rank
 	// is in it, and it is what every survivor reports as agreed.
@@ -360,8 +366,9 @@ func (p *Proc) ComputeN(flops int64, n int) {
 // covering deep one-directional streams (a sender goroutine may race
 // many plan iterations ahead of a lagging receiver). A full mailbox is
 // ordinary backpressure — the sender parks until the receiver drains;
-// only a machine-wide quiet period is diagnosed as a broken plan (see
-// the deadlock watchdog in failure.go).
+// only a receiver that has returned, or a machine whose every rank is
+// parked, is diagnosed as a broken plan (see Machine.exit and
+// declareDeadlock).
 func mailboxCap(procs int) int {
 	if c := 4 * procs; c > 64 {
 		return c
@@ -395,12 +402,10 @@ func (p *Proc) sendCharge(dst int, elems int) {
 }
 
 // post enqueues an owned buffer (or, with buf nil and count set, a
-// count-only message) into the mailbox to dst. The fast path is
-// non-blocking; a full mailbox applies backpressure (the sender parks
-// until the receiver drains). A send that stays parked is watched by the
-// deadlock watchdog, which fails the run with every blocked rank's
-// diagnostics; with the failure layer on, a destination that died or
-// aborted resolves the send into the abort path instead.
+// count-only message) into the mailbox to dst. A full mailbox applies
+// backpressure: the sender parks until the receiver drains. A receiver
+// that has returned never will, and a send that would park on it fails
+// at once (deadPeer); so does one parked in a deadlock (deadlock).
 func (p *Proc) post(dst, tag int, buf []float64, count int32) {
 	if tag != int(int32(tag)) {
 		ReleaseBuf(buf)
@@ -408,54 +413,19 @@ func (p *Proc) post(dst, tag int, buf []float64, count int32) {
 	}
 	b := p.m.box(p.rank, dst)
 	msg := message{tag: int32(tag), count: count, data: buf, atTime: p.clock.Seconds()}
-	if !b.put(msg, p.wake) {
-		p.postParked(b, msg, dst)
-	}
-}
-
-// postParked is post's slow path: the mailbox was full and the refused
-// put has registered this rank's wake channel.
-func (p *Proc) postParked(b *mailbox, msg message, dst int) {
-	f, wd := p.m.fail, p.m.wd
-	var down chan struct{}
-	if f != nil {
-		down = f.down[dst]
-	}
-	// An uninstrumented run parks with a plain stall timer, exactly like
-	// the machine without the failure layer always has. A send still
-	// pending after the timeout means the receiver is not draining at
-	// all — a plan with a missing receive.
-	var stalled <-chan time.Time
-	if wd == nil {
-		stall := time.NewTimer(defaultStallTimeout)
-		defer stall.Stop()
-		stalled = stall.C
-	}
-	for parked := true; parked; parked = !b.put(msg, p.wake) {
-		if wd == nil {
-			select {
-			case <-p.wake:
-			case <-stalled:
-				ReleaseBuf(msg.data)
-				panic(watchdogPanic{err: fmt.Errorf("mp: rank %d overran its mailbox to rank %d and stalled %v (tag %d, depth %d): the plan posts messages the receiver never takes",
-					p.rank, dst, defaultStallTimeout, msg.tag, b.depth())})
-			}
-			continue
+	for {
+		ok, gone := b.put(msg, p)
+		switch {
+		case ok:
+			return
+		case gone:
+			ReleaseBuf(msg.data)
+			p.deadPeer(dst, tag, true)
 		}
-		wd.block(p, true, dst, int(msg.tag), b.depth())
-		select {
-		case <-p.wake:
-			wd.unblock(p)
-		case <-down:
-			wd.unblock(p)
-			// The destination is dead or aborting and will never drain the
-			// mailbox; drop the payload and abort.
+		<-p.wake
+		if p.m.deadlocked.Load() {
 			ReleaseBuf(msg.data)
-			p.deadPeer(dst, int(msg.tag))
-		case <-wd.abort:
-			wd.unblock(p)
-			ReleaseBuf(msg.data)
-			p.watchdogFail()
+			p.deadlock(b, dst, tag, true)
 		}
 	}
 }
@@ -524,42 +494,24 @@ func (p *Proc) recv(src, tag int) message {
 }
 
 // recvMsg blocks for the next message from src. Buffered messages are
-// always drained before a peer's death is acted on, so the point at
-// which a run aborts is determined by the program, not by scheduling.
-// An uninstrumented run (no failure layer, no watchdog) parks on its
-// wake channel alone, the cheapest park there is; the wall-clock
-// benchmark gates pin that path.
+// always drained before a peer's exit is acted on, so the point at which
+// a run aborts is determined by the program, not by scheduling.
 func (p *Proc) recvMsg(src, tag int) message {
 	b := p.m.box(src, p.rank)
-	f, wd := p.m.fail, p.m.wd
-	peerDown := false
 	for {
-		msg, ok, closed := b.take(p.wake)
+		msg, ok, closed := b.take(p)
 		switch {
 		case ok:
 			return msg
-		case closed || peerDown:
-			// The sender exited, died or aborted, and what it still
-			// delivered has been drained (drain preference).
-			p.deadPeer(src, tag)
-		case wd == nil:
-			<-p.wake
-			continue
+		case closed:
+			// The sender returned — finished, died or aborted — and what
+			// it still delivered has been drained.
+			p.deadPeer(src, tag, false)
 		}
-		var down chan struct{}
-		if f != nil {
-			down = f.down[src]
+		<-p.wake
+		if p.m.deadlocked.Load() {
+			p.deadlock(b, src, tag, false)
 		}
-		wd.block(p, false, src, tag, b.depth())
-		select {
-		case <-p.wake:
-		case <-down:
-			peerDown = true
-		case <-wd.abort:
-			wd.unblock(p)
-			p.watchdogFail()
-		}
-		wd.unblock(p)
 	}
 }
 
