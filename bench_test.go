@@ -208,6 +208,7 @@ func BenchmarkLUPanelWidth(b *testing.B) {
 					b.Fatal(err)
 				}
 				sec = r.Stats.ElapsedSeconds()
+				r.Close()
 			}
 			b.ReportMetric(sec, "sim_s")
 		})

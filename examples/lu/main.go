@@ -28,6 +28,7 @@ func main() {
 			log.Fatal(err)
 		}
 		diff, err := r.Verify()
+		r.Close()
 		if err != nil {
 			log.Fatal(err)
 		}

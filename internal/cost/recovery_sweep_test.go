@@ -55,7 +55,7 @@ func TestRecoveryClosedFormAllVictims(t *testing.T) {
 		}
 
 		re := parity.NewStore(fs, cfg, procs, nil)
-		comm := make([]trace.CommStats, procs)
+		comm := make([]trace.ProcStats, procs)
 		for r := 0; r < procs; r++ {
 			re.SetCommSink(r, &comm[r])
 		}
@@ -88,7 +88,7 @@ func TestRecoveryClosedFormAllVictims(t *testing.T) {
 		}
 		var msgs int64
 		for r := range comm {
-			msgs += comm[r].RecoveryMessages
+			msgs += comm[r].Comm.RecoveryMessages
 		}
 		if msgs != pred.RebuildMessages {
 			t.Errorf("dead=%d: closed-form messages %d, measured %d", dead, pred.RebuildMessages, msgs)

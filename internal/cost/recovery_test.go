@@ -86,7 +86,7 @@ func TestRecoveryClosedFormMatchesRebuild(t *testing.T) {
 	// store attached (trusted) to the surviving files.
 	re := parity.NewStore(fs, cfg, procs, nil)
 	defer re.Detach()
-	comm := make([]trace.CommStats, procs)
+	comm := make([]trace.ProcStats, procs)
 	for r := 0; r < procs; r++ {
 		re.SetCommSink(r, &comm[r])
 	}
@@ -116,10 +116,10 @@ func TestRecoveryClosedFormMatchesRebuild(t *testing.T) {
 	if pred.RebuildSeconds != sec {
 		t.Errorf("RebuildSeconds closed form %v, measured %v", pred.RebuildSeconds, sec)
 	}
-	if got := comm[dead].RecoveryMessages; pred.RebuildMessages != got {
+	if got := comm[dead].Comm.RecoveryMessages; pred.RebuildMessages != got {
 		t.Errorf("RebuildMessages closed form %d, measured %d", pred.RebuildMessages, got)
 	}
-	if got := comm[dead].RecoveryBytes; pred.RebuildMsgBytes != got {
+	if got := comm[dead].Comm.RecoveryBytes; pred.RebuildMsgBytes != got {
 		t.Errorf("RebuildMsgBytes closed form %d, measured %d", pred.RebuildMsgBytes, got)
 	}
 	if pred.DetectSeconds != 0.25 || pred.TotalSeconds() != 0.25+pred.RebuildSeconds {

@@ -342,15 +342,12 @@ func run(ctx context.Context, l *Lowered, mach sim.Config, opts Options, resume 
 		for _, r := range respawned {
 			if r == proc.Rank() {
 				// This rank was lost last attempt and has been respawned:
-				// mark the restart so recovery counters reconcile.
-				proc.Stats().Comm.Respawns++
-				if tr := proc.Tracer(); tr != nil {
-					tr.Emit(trace.Span{Kind: trace.KindRespawn, Start: proc.Clock().Seconds()})
-				}
+				// mark the restart.
+				proc.Record(&trace.Span{Kind: trace.KindRespawn, Start: proc.Clock().Seconds()})
 			}
 		}
 		if pstore != nil {
-			pstore.SetCommSink(proc.Rank(), &proc.Stats().Comm)
+			pstore.SetCommSink(proc.Rank(), proc.Stats())
 		}
 		var rst *restored
 		if restores != nil {
@@ -673,14 +670,12 @@ func (in *interp) paritySync() error {
 		disk := iosim.NewResilientDisk(in.fs, in.proc.Config(), st, in.res)
 		disk.SetPhantom(in.phantom)
 		disk.SetTracer(in.proc.Tracer(), in.proc.Clock(), parityStatsKey)
-		start := in.proc.Clock().Seconds()
 		var sec float64
 		sec, err = in.pstore.RebuildRank(disk, in.proc.Rank())
+		// Recorded before the clock advance: the span starts where the
+		// rebuild did.
+		disk.Record(&trace.Span{Kind: trace.KindParitySync, Dur: sec})
 		in.proc.Clock().Advance(sec)
-		st.Seconds += sec
-		if tr := in.proc.Tracer(); tr != nil {
-			tr.Emit(trace.Span{Kind: trace.KindParitySync, Label: parityStatsKey, Start: start, Dur: sec})
-		}
 	}
 	in.proc.Barrier(parityTag)
 	if err != nil {

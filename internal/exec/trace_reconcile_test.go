@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/json"
 	"testing"
 
 	"github.com/ooc-hpf/passion/internal/compiler"
@@ -21,6 +22,10 @@ type reconcileScenario struct {
 	fills   map[string]func(int, int) float64
 	options Options // Trace filled in by the test
 	resume  bool    // kill the run mid-flight, then reconcile the Resume
+	// racy marks a run whose statistics depend on goroutine scheduling,
+	// so two runs of it need not agree: after a disk loss, the rank that
+	// first writes to the lost parity file rebuilds it.
+	racy bool
 }
 
 func gaxpyScenarioOpts(force string) compiler.Options {
@@ -37,19 +42,17 @@ func retryResilience() *iosim.Resilience {
 	return iosim.NewResilience(iosim.RetryPolicy{MaxRetries: 12, BaseBackoff: 1e-3, MaxBackoff: 8e-3})
 }
 
-// TestTraceReconcilesAcrossPrograms is the keystone acceptance test: for
-// every supported execution strategy, runtime reorganization, and fault
-// mode, replaying the emitted spans reproduces IOStats and CommStats
-// bit-exactly — counts, bytes, and simulated seconds. Any counter bumped
-// without a matching span (or vice versa) fails here.
-func TestTraceReconcilesAcrossPrograms(t *testing.T) {
+// reconcileScenarios is the matrix of programs, execution strategies,
+// runtime reorganizations and fault modes both tests below run. Each call
+// builds fresh file systems, so a chaos schedule starts over.
+func reconcileScenarios() []reconcileScenario {
 	stencilFill := map[string]func(int, int) float64{"x": shiftFillX}
 	transposeFill := map[string]func(int, int) float64{
 		"a": func(gi, gj int) float64 { return float64(gi*64 + gj + 1) },
 	}
 	ewiseFill := map[string]func(int, int) float64{"x": fillX, "y": fillY}
 
-	scenarios := []reconcileScenario{
+	return []reconcileScenario{
 		{
 			name:    "gaxpy/row-slab",
 			source:  hpf.GaxpySource,
@@ -106,6 +109,7 @@ func TestTraceReconcilesAcrossPrograms(t *testing.T) {
 				Resilience: parityResilience(),
 				Parity:     true,
 			},
+			racy: true,
 		},
 		{
 			name:    "gaxpy/checkpoint",
@@ -151,8 +155,16 @@ func TestTraceReconcilesAcrossPrograms(t *testing.T) {
 			options: Options{},
 		},
 	}
+}
 
-	for _, sc := range scenarios {
+// TestTraceReconcilesAcrossPrograms is the keystone acceptance test: for
+// every scenario, replaying the emitted spans reproduces IOStats and
+// CommStats bit-exactly — counts, bytes, and simulated seconds. The
+// counters were folded from those very spans, so what fails here is a
+// span lost or misrouted on its way out: ring retention, cross-rank
+// routing, a stream adopted across recovery attempts.
+func TestTraceReconcilesAcrossPrograms(t *testing.T) {
+	for _, sc := range reconcileScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			res, err := compiler.CompileSource(sc.source, sc.copts)
 			if err != nil {
@@ -165,7 +177,7 @@ func TestTraceReconcilesAcrossPrograms(t *testing.T) {
 
 			var out *Result
 			if sc.resume {
-				out = killAndResumeTraced(t, res, mach, opts)
+				out = killAndResume(t, res, mach, opts, opts.Trace)[0]
 			} else {
 				out, err = Run(res.Program, mach, opts)
 				if err != nil {
@@ -188,11 +200,11 @@ func TestTraceReconcilesAcrossPrograms(t *testing.T) {
 	}
 }
 
-// killAndResumeTraced kills a checkpointed run mid-flight, then resumes it
-// with a fresh tracer (opts.Trace) and returns the resumed result. The
-// reconciliation then covers the resume path: checkpoint restore I/O,
-// epoch skipping, and the remaining execution.
-func killAndResumeTraced(t *testing.T, res *compiler.Result, mach sim.Config, opts Options) *Result {
+// killAndResume kills a checkpointed run mid-flight, then resumes one
+// copy of its files per tracer given (nil for none) and returns the
+// resumed results. The reconciliation then covers the resume path:
+// checkpoint restore I/O, epoch skipping, and the remaining execution.
+func killAndResume(t *testing.T, res *compiler.Result, mach sim.Config, opts Options, tracers ...*trace.Tracer) []*Result {
 	t.Helper()
 	probe := iosim.NewFaultFS(iosim.NewMemFS(), 1<<30, nil)
 	probeOpts := opts
@@ -211,16 +223,112 @@ func killAndResumeTraced(t *testing.T, res *compiler.Result, mach sim.Config, op
 		if _, err := Run(res.Program, mach, killOpts); err == nil {
 			continue // budget k sufficed; kill earlier
 		}
-		resumeOpts := opts
-		resumeOpts.FS = mem
-		out, err := Resume(res.Program, mach, resumeOpts)
-		if err != nil {
-			continue // killed mid-commit or before the first checkpoint
+		outs := make([]*Result, len(tracers))
+		for i, tr := range tracers {
+			resumeOpts := opts
+			resumeOpts.FS = copyMemFS(t, mem)
+			resumeOpts.Trace = tr
+			out, err := Resume(res.Program, mach, resumeOpts)
+			if err != nil {
+				break // killed mid-commit or before the first checkpoint
+			}
+			outs[i] = out
 		}
-		return out
+		if outs[len(outs)-1] != nil {
+			return outs
+		}
 	}
 	t.Fatal("no kill point produced a resumable checkpoint")
 	return nil
+}
+
+// copyMemFS copies every file of mem into a new MemFS.
+func copyMemFS(t *testing.T, mem *iosim.MemFS) *iosim.MemFS {
+	t.Helper()
+	cp := iosim.NewMemFS()
+	for _, name := range mem.Names() {
+		src, err := mem.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, _ := iosim.FileSize(src)
+		buf := make([]byte, size)
+		if _, err := src.ReadAt(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		dst, err := cp.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dst.WriteAt(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		src.Close()
+		dst.Close()
+	}
+	return cp
+}
+
+// TestStatsIndependentOfTracer runs every scenario of the reconcile
+// matrix with and without a tracer: each run's Stats and PerArray are
+// bitwise the same either way, because the counters are folded whether
+// or not anything traces.
+func TestStatsIndependentOfTracer(t *testing.T) {
+	plain := reconcileScenarios()
+	for i, sc := range reconcileScenarios() {
+		t.Run(sc.name, func(t *testing.T) {
+			if sc.racy {
+				t.Skip("statistics depend on goroutine scheduling")
+			}
+			res, err := compiler.CompileSource(sc.source, sc.copts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mach := sim.Delta(res.Program.Procs)
+			tr := trace.NewTracer(res.Program.Procs)
+			var outs []*Result
+			if sc.resume {
+				opts := sc.options
+				opts.Fill = sc.fills
+				outs = killAndResume(t, res, mach, opts, tr, nil)
+			} else {
+				for _, run := range []struct {
+					sc reconcileScenario
+					tr *trace.Tracer
+				}{{sc, tr}, {plain[i], nil}} {
+					opts := run.sc.options
+					opts.Fill = run.sc.fills
+					opts.Trace = run.tr
+					out, err := Run(res.Program, mach, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					outs = append(outs, out)
+				}
+			}
+			if len(tr.Spans()) == 0 {
+				t.Fatal("traced run emitted no spans")
+			}
+			traced, untraced := outs[0], outs[1]
+			if got, want := statsJSON(t, traced), statsJSON(t, untraced); got != want {
+				t.Errorf("statistics differ with a tracer attached:\n traced %s\n  plain %s", got, want)
+			}
+			if got, want := perArrayJSON(t, traced), perArrayJSON(t, untraced); got != want {
+				t.Errorf("per-array statistics differ with a tracer attached:\n traced %s\n  plain %s", got, want)
+			}
+		})
+	}
+}
+
+// perArrayJSON renders a run's per-array statistics, every float to the
+// bit.
+func perArrayJSON(t *testing.T, r *Result) string {
+	t.Helper()
+	b, err := json.Marshal(r.PerArray)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestTraceDegradedReconstructionSpans pins the recovery-specific span

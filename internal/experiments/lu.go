@@ -42,6 +42,7 @@ func LU(p Params) (*LUResult, error) {
 			PanelReads: r.Stats.TotalIO().SlabReads,
 			Seconds:    r.Stats.ElapsedSeconds(),
 		})
+		r.Close()
 	}
 	return res, nil
 }

@@ -59,9 +59,10 @@ type Disk struct {
 	parity  ParityHook
 	phantom bool
 
-	// tr, clock and label drive span tracing: every counter bump above
-	// also emits a typed span stamped with the simulated time, under the
-	// same stats-gating, so spans and counters reconcile exactly.
+	// tr, clock and label drive span tracing: every span Record folds
+	// into stats is also emitted, stamped with the simulated time and
+	// labelled with the sink's name, so spans and counters reconcile
+	// exactly.
 	tr    *trace.RankTracer
 	clock *sim.Clock
 	label string
@@ -119,30 +120,41 @@ func (d *Disk) retryMeta(op, name string, f func() error) error {
 	if d.res == nil {
 		return f()
 	}
+	_, err := d.retry(op, name, false, f)
+	return err
+}
+
+// retry is the disk's one retry loop: it runs f until it succeeds, fails
+// non-transiently, or exhausts the policy's budget, recording a retry
+// span per transient failure and a give-up span when the budget is
+// spent. A clocked loop (a data transfer) backs off with capped
+// exponential waits, returned in simulated seconds, and records a fault
+// span for a non-transient failure; an unclocked one (metadata) waits
+// nothing and records no fault.
+func (d *Disk) retry(op, name string, clocked bool, f func() error) (float64, error) {
 	pol := d.res.Policy
+	var retrySec float64
 	for attempt := 0; ; attempt++ {
 		err := f()
-		if err == nil || !IsTransient(err) {
-			return err
+		if err == nil {
+			return retrySec, nil
+		}
+		if !IsTransient(err) {
+			if clocked {
+				d.Record(&trace.Span{Kind: trace.KindFault})
+			}
+			return retrySec, err
 		}
 		if attempt >= pol.MaxRetries {
-			if s := d.stats; s != nil {
-				s.GiveUps++
-				if tr := d.tracer(); tr != nil {
-					tr.Emit(trace.Span{Kind: trace.KindGiveUp, Label: d.label, Start: d.clock.Seconds()})
-				}
-			}
-			return &ExhaustedError{Op: op, File: name, Attempts: attempt + 1, Last: err}
+			d.Record(&trace.Span{Kind: trace.KindGiveUp})
+			return retrySec, &ExhaustedError{Op: op, File: name, Attempts: attempt + 1, Last: err}
 		}
-		if s := d.stats; s != nil {
-			s.Retries++
-			if tr := d.tracer(); tr != nil {
-				// Metadata retries are uncharged, so the span has no
-				// duration — it reconciles with Retries but adds nothing
-				// to RetrySeconds.
-				tr.Emit(trace.Span{Kind: trace.KindRetry, Label: d.label, Start: d.clock.Seconds()})
-			}
+		var wait float64
+		if clocked {
+			wait = pol.backoff(attempt)
+			retrySec += wait
 		}
+		d.Record(&trace.Span{Kind: trace.KindRetry, Dur: wait})
 	}
 }
 
@@ -167,9 +179,6 @@ func (d *Disk) stepOp() {
 // Phantom reports whether accounting-only mode is active.
 func (d *Disk) Phantom() bool { return d.phantom }
 
-// Stats returns the statistics sink, which may be nil.
-func (d *Disk) Stats() *trace.IOStats { return d.stats }
-
 // SetTracer attaches the span sink for this disk's operations: spans are
 // stamped against clock and labelled with the statistics sink's name
 // (the array name in the executor). Either argument nil disables
@@ -186,24 +195,47 @@ func (d *Disk) SetTracer(rt *trace.RankTracer, clock *sim.Clock, label string) {
 // issued now, but charged to the clock later by the caller's pipeline.
 func (d *Disk) SetDeferred(on bool) { d.deferred = on }
 
-// tracer gates span emission exactly like the counters are gated: a
-// disk without a statistics sink (Quiet views, verification I/O,
-// checkpoint snapshots) stays silent in the trace too.
-func (d *Disk) tracer() *trace.RankTracer {
+// Record is the disk's one accounting call: it folds *s into the
+// statistics sink and, with a tracer attached, emits it labelled with the
+// sink's name and stamped with the current simulated time. A disk
+// without a sink (Quiet views, verification I/O, checkpoint snapshots)
+// neither counts nor traces. The parity layer records through the disk
+// that carries the protected write.
+func (d *Disk) Record(s *trace.Span) {
 	if d.stats == nil {
-		return nil
+		return
 	}
-	return d.tr
+	if d.tr != nil {
+		s.Label, s.Start = d.label, d.clock.Seconds()
+	}
+	d.stats.Record(d.tr, s)
 }
 
-// TraceSink exposes the gated span sink, the current simulated time and
-// the sink label to the parity layer, which emits its accounting spans
-// through the disk that carries the protected write.
-func (d *Disk) TraceSink() (*trace.RankTracer, float64, string) {
-	if d.stats == nil || d.tr == nil {
-		return nil, 0, ""
+// RecordCross folds *s into the statistics of another rank (sink, which
+// may be nil) and, when this disk both counts and traces, emits it
+// attributed to that rank: the parity layer's recovery traffic, charged
+// to the rank whose file was rebuilt.
+func (d *Disk) RecordCross(rank int, sink *trace.ProcStats, s *trace.Span) {
+	if sink == nil {
+		return
 	}
-	return d.tr, d.clock.Seconds(), d.label
+	sink.Record(nil, s)
+	if d.stats != nil && d.tr != nil {
+		s.Start = d.clock.Seconds()
+		d.tr.Cross(rank, *s)
+	}
+}
+
+// IOWait records the stall of an overlap pipeline that waited, from
+// start to the current simulated time, for a transfer issued earlier. It
+// has no counter, and is gated like every other span of the disk.
+func (d *Disk) IOWait(start float64) {
+	if d.stats == nil || d.tr == nil {
+		return
+	}
+	if now := d.clock.Seconds(); now > start {
+		d.tr.Emit(trace.Span{Kind: trace.KindIOWait, Label: d.label, Start: start, Dur: now - start})
+	}
 }
 
 // LAF is a Local Array File: the on-disk image of one processor's
@@ -280,14 +312,9 @@ func (d *Disk) OpenLAF(name string, elems int64) (*LAF, error) {
 	err := open()
 	if err != nil && !IsTransient(err) && d.parity != nil && d.parity.Protects(name) {
 		sec, rerr := d.parity.Recover(d, name, err)
-		if s := d.stats; s != nil {
-			s.Seconds += sec
-			if tr := d.tracer(); tr != nil {
-				// Charged to IOStats.Seconds without a clock advance, so
-				// the span is off the synchronous timeline (Deferred).
-				tr.Emit(trace.Span{Kind: trace.KindOpenRecover, Label: d.label, Start: d.clock.Seconds(), Dur: sec, Deferred: true})
-			}
-		}
+		// Charged to IOStats.Seconds without a clock advance, so the span
+		// is off the synchronous timeline (Deferred).
+		d.Record(&trace.Span{Kind: trace.KindOpenRecover, Dur: sec, Deferred: true})
 		if rerr != nil {
 			return nil, rerr
 		}
@@ -380,23 +407,11 @@ func (l *LAF) ReadChunks(chunks []Chunk, dst []float64) (float64, error) {
 	}
 	elems := TotalLen(chunks)
 	seconds := l.disk.ioTime(len(chunks), l.modelBytes(elems)) + retrySec
-	if s := l.disk.stats; s != nil {
-		s.SlabReads++
-		s.ReadRequests += int64(len(chunks))
-		s.BytesRead += l.modelBytes(elems)
-		s.Seconds += seconds
-		for _, c := range chunks {
-			s.ReadSizes.Observe(l.modelBytes(c.Len))
-		}
-		if tr := l.disk.tracer(); tr != nil {
-			now := l.disk.clock.Seconds()
-			for _, c := range chunks {
-				tr.Emit(trace.Span{Kind: trace.KindReadReq, Label: l.disk.label, Start: now, Bytes: l.modelBytes(c.Len)})
-			}
-			tr.Emit(trace.Span{Kind: trace.KindSlabRead, Label: l.disk.label, Start: now, Dur: seconds,
-				Deferred: l.disk.deferred, N: int64(len(chunks)), Bytes: l.modelBytes(elems)})
-		}
+	for _, c := range chunks {
+		l.disk.Record(&trace.Span{Kind: trace.KindReadReq, Bytes: l.modelBytes(c.Len)})
 	}
+	l.disk.Record(&trace.Span{Kind: trace.KindSlabRead, Dur: seconds,
+		Deferred: l.disk.deferred, N: int64(len(chunks)), Bytes: l.modelBytes(elems)})
 	return seconds, nil
 }
 
@@ -431,20 +446,11 @@ func (l *LAF) ReadChunksSieved(chunks []Chunk, dst []float64) (float64, error) {
 		copy(dst[pos:pos+c.Len], buf[c.Off-span.Off:])
 		pos += c.Len
 	}
-	seconds := l.disk.ioTime(1, l.modelBytes(span.Len)) + retrySec
-	if s := l.disk.stats; s != nil {
-		s.SlabReads++
-		s.ReadRequests++
-		s.BytesRead += l.modelBytes(span.Len)
-		s.Seconds += seconds
-		s.ReadSizes.Observe(l.modelBytes(span.Len))
-		if tr := l.disk.tracer(); tr != nil {
-			now := l.disk.clock.Seconds()
-			tr.Emit(trace.Span{Kind: trace.KindReadReq, Label: l.disk.label, Start: now, Bytes: l.modelBytes(span.Len)})
-			tr.Emit(trace.Span{Kind: trace.KindSlabRead, Label: l.disk.label, Start: now, Dur: seconds,
-				Deferred: l.disk.deferred, N: 1, Bytes: l.modelBytes(span.Len)})
-		}
-	}
+	spanBytes := l.modelBytes(span.Len)
+	seconds := l.disk.ioTime(1, spanBytes) + retrySec
+	l.disk.Record(&trace.Span{Kind: trace.KindReadReq, Bytes: spanBytes})
+	l.disk.Record(&trace.Span{Kind: trace.KindSlabRead, Dur: seconds,
+		Deferred: l.disk.deferred, N: 1, Bytes: spanBytes})
 	return seconds, nil
 }
 
@@ -483,23 +489,10 @@ func (l *LAF) WriteChunksSieved(chunks []Chunk, src []float64) (float64, error) 
 	}
 	spanBytes := l.modelBytes(span.Len)
 	seconds := l.disk.ioTime(2, 2*spanBytes) + retrySec
-	if s := l.disk.stats; s != nil {
-		s.SlabWrites++
-		s.ReadRequests++
-		s.WriteRequests++
-		s.BytesRead += spanBytes
-		s.BytesWritten += spanBytes
-		s.Seconds += seconds
-		s.ReadSizes.Observe(spanBytes)
-		s.WriteSizes.Observe(spanBytes)
-		if tr := l.disk.tracer(); tr != nil {
-			now := l.disk.clock.Seconds()
-			tr.Emit(trace.Span{Kind: trace.KindReadReq, Label: l.disk.label, Start: now, Bytes: spanBytes})
-			tr.Emit(trace.Span{Kind: trace.KindWriteReq, Label: l.disk.label, Start: now, Bytes: spanBytes})
-			tr.Emit(trace.Span{Kind: trace.KindSlabWrite, Label: l.disk.label, Start: now, Dur: seconds,
-				Deferred: l.disk.deferred, N: 2, Bytes: 2 * spanBytes})
-		}
-	}
+	l.disk.Record(&trace.Span{Kind: trace.KindReadReq, Bytes: spanBytes})
+	l.disk.Record(&trace.Span{Kind: trace.KindWriteReq, Bytes: spanBytes})
+	l.disk.Record(&trace.Span{Kind: trace.KindSlabWrite, Dur: seconds,
+		Deferred: l.disk.deferred, N: 2, Bytes: 2 * spanBytes})
 	return seconds, nil
 }
 
@@ -522,23 +515,11 @@ func (l *LAF) WriteChunks(chunks []Chunk, src []float64) (float64, error) {
 	}
 	elems := TotalLen(chunks)
 	seconds := l.disk.ioTime(len(chunks), l.modelBytes(elems)) + retrySec
-	if s := l.disk.stats; s != nil {
-		s.SlabWrites++
-		s.WriteRequests += int64(len(chunks))
-		s.BytesWritten += l.modelBytes(elems)
-		s.Seconds += seconds
-		for _, c := range chunks {
-			s.WriteSizes.Observe(l.modelBytes(c.Len))
-		}
-		if tr := l.disk.tracer(); tr != nil {
-			now := l.disk.clock.Seconds()
-			for _, c := range chunks {
-				tr.Emit(trace.Span{Kind: trace.KindWriteReq, Label: l.disk.label, Start: now, Bytes: l.modelBytes(c.Len)})
-			}
-			tr.Emit(trace.Span{Kind: trace.KindSlabWrite, Label: l.disk.label, Start: now, Dur: seconds,
-				Deferred: l.disk.deferred, N: int64(len(chunks)), Bytes: l.modelBytes(elems)})
-		}
+	for _, c := range chunks {
+		l.disk.Record(&trace.Span{Kind: trace.KindWriteReq, Bytes: l.modelBytes(c.Len)})
 	}
+	l.disk.Record(&trace.Span{Kind: trace.KindSlabWrite, Dur: seconds,
+		Deferred: l.disk.deferred, N: int64(len(chunks)), Bytes: l.modelBytes(elems)})
 	return seconds, nil
 }
 
@@ -640,7 +621,6 @@ func (l *LAF) rawRead(buf []byte, off int64) error {
 // backoff. The backoff is returned in simulated seconds.
 func (l *LAF) readRunResilient(c Chunk, dst []float64) (float64, error) {
 	res := l.disk.res
-	pol := res.Policy
 	byteOff := c.Off * elemBytes
 	byteLen := int64(c.Len) * elemBytes
 	lo := byteOff / ChecksumBlockBytes * ChecksumBlockBytes
@@ -650,48 +630,20 @@ func (l *LAF) readRunResilient(c Chunk, dst []float64) (float64, error) {
 	}
 	buf := bufpool.GetBytes(int(hi - lo))
 	defer bufpool.PutBytes(buf)
-	var retrySec float64
-	for attempt := 0; ; attempt++ {
-		err := l.rawRead(buf, lo)
-		if err == nil {
-			block, ok := res.verifyBlocks(l.name, lo, buf)
-			if ok {
-				decode(dst, buf[byteOff-lo:byteOff-lo+byteLen])
-				return retrySec, nil
-			}
-			err = &CorruptionError{File: l.name, Block: block}
-			if s := l.disk.stats; s != nil {
-				s.Corruptions++
-				if tr := l.disk.tracer(); tr != nil {
-					tr.Emit(trace.Span{Kind: trace.KindCorruption, Label: l.disk.label, Start: l.disk.clock.Seconds()})
-				}
-			}
+	retrySec, err := l.disk.retry("read", l.name, true, func() error {
+		if err := l.rawRead(buf, lo); err != nil {
+			return err
 		}
-		if !IsTransient(err) {
-			if tr := l.disk.tracer(); tr != nil {
-				tr.Emit(trace.Span{Kind: trace.KindFault, Label: l.disk.label, Start: l.disk.clock.Seconds()})
-			}
-			return retrySec, err
+		if block, ok := res.verifyBlocks(l.name, lo, buf); !ok {
+			l.disk.Record(&trace.Span{Kind: trace.KindCorruption})
+			return &CorruptionError{File: l.name, Block: block}
 		}
-		if attempt >= pol.MaxRetries {
-			if s := l.disk.stats; s != nil {
-				s.GiveUps++
-				if tr := l.disk.tracer(); tr != nil {
-					tr.Emit(trace.Span{Kind: trace.KindGiveUp, Label: l.disk.label, Start: l.disk.clock.Seconds()})
-				}
-			}
-			return retrySec, &ExhaustedError{Op: "read", File: l.name, Attempts: attempt + 1, Last: err}
-		}
-		wait := pol.backoff(attempt)
-		retrySec += wait
-		if s := l.disk.stats; s != nil {
-			s.Retries++
-			s.RetrySeconds += wait
-			if tr := l.disk.tracer(); tr != nil {
-				tr.Emit(trace.Span{Kind: trace.KindRetry, Label: l.disk.label, Start: l.disk.clock.Seconds(), Dur: wait})
-			}
-		}
+		return nil
+	})
+	if err == nil {
+		decode(dst, buf[byteOff-lo:byteOff-lo+byteLen])
 	}
+	return retrySec, err
 }
 
 // writeRun stores one contiguous run, returning simulated retry backoff
@@ -751,39 +703,13 @@ func (l *LAF) writeRunOnce(buf []byte, byteOff int64) (float64, error) {
 // writeRunResilient writes the encoded run with retries and refreshes the
 // checksum store for every touched block.
 func (l *LAF) writeRunResilient(buf []byte, byteOff int64) (float64, error) {
-	pol := l.disk.res.Policy
-	var retrySec float64
-	for attempt := 0; ; attempt++ {
+	return l.disk.retry("write", l.name, true, func() error {
 		err := l.rawWrite(buf, byteOff)
 		if err == nil {
 			l.updateChecksums(byteOff, buf)
-			return retrySec, nil
 		}
-		if !IsTransient(err) {
-			if tr := l.disk.tracer(); tr != nil {
-				tr.Emit(trace.Span{Kind: trace.KindFault, Label: l.disk.label, Start: l.disk.clock.Seconds()})
-			}
-			return retrySec, err
-		}
-		if attempt >= pol.MaxRetries {
-			if s := l.disk.stats; s != nil {
-				s.GiveUps++
-				if tr := l.disk.tracer(); tr != nil {
-					tr.Emit(trace.Span{Kind: trace.KindGiveUp, Label: l.disk.label, Start: l.disk.clock.Seconds()})
-				}
-			}
-			return retrySec, &ExhaustedError{Op: "write", File: l.name, Attempts: attempt + 1, Last: err}
-		}
-		wait := pol.backoff(attempt)
-		retrySec += wait
-		if s := l.disk.stats; s != nil {
-			s.Retries++
-			s.RetrySeconds += wait
-			if tr := l.disk.tracer(); tr != nil {
-				tr.Emit(trace.Span{Kind: trace.KindRetry, Label: l.disk.label, Start: l.disk.clock.Seconds(), Dur: wait})
-			}
-		}
-	}
+		return err
+	})
 }
 
 // rawWrite writes exactly len(buf) bytes at off.

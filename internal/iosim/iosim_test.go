@@ -294,8 +294,8 @@ func TestNilStatsDisk(t *testing.T) {
 	if _, _, err := laf.ReadAll(); err != nil {
 		t.Fatal(err)
 	}
-	if d.Stats() != nil {
-		t.Error("Stats should be nil")
+	if d.stats != nil {
+		t.Error("stats should be nil")
 	}
 }
 

@@ -160,9 +160,25 @@ func Run(mach sim.Config, cfg Config) (*Result, error) {
 		return nil
 	})
 	if err != nil {
+		removeFiles(fs, p)
 		return nil, fmt.Errorf("lu: %w", err)
 	}
 	return &Result{Stats: stats, cfg: cfg, procs: p, fs: fs, mach: mach}, nil
+}
+
+// Close removes the local array files holding the factors. Verify reads
+// them, so call it after.
+func (r *Result) Close() error {
+	removeFiles(r.fs, r.procs)
+	return nil
+}
+
+// removeFiles deletes every processor's "lu" local array file, ignoring
+// missing ones (error-path and Close cleanup).
+func removeFiles(fs iosim.FS, procs int) {
+	for proc := 0; proc < procs; proc++ {
+		fs.Remove(fmt.Sprintf("lu.p%d.laf", proc))
+	}
 }
 
 // applyPanel applies the factored panel starting at global column g0 to

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/ooc-hpf/passion/internal/iosim"
 	"github.com/ooc-hpf/passion/internal/sim"
 )
 
@@ -111,5 +112,38 @@ func TestFillADiagonallyDominant(t *testing.T) {
 		if f(i, i) <= off {
 			t.Fatalf("row %d not diagonally dominant: %g vs %g", i, f(i, i), off)
 		}
+	}
+}
+
+// TestCloseRemovesFiles: Close leaves nothing behind on the file system
+// the factorization ran on, and neither does a run that fails.
+func TestCloseRemovesFiles(t *testing.T) {
+	mem := iosim.NewMemFS()
+	r, err := Run(sim.Delta(2), Config{N: 16, PanelWidth: 4, FS: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mem.Names()) == 0 {
+		t.Fatal("the run left no local array files to remove")
+	}
+	if _, err := r.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if names := mem.Names(); len(names) != 0 {
+		t.Errorf("files left after Close: %v", names)
+	}
+
+	mem = iosim.NewMemFS()
+	chaos := iosim.NewChaosFS(mem, iosim.ChaosConfig{
+		Schedule: []iosim.ScheduledFault{{File: "lu.p1.laf", Op: 3, Kind: iosim.KindPermanent}},
+	})
+	if _, err := Run(sim.Delta(2), Config{N: 16, PanelWidth: 4, FS: chaos}); err == nil {
+		t.Fatal("a permanent fault on lu.p1.laf should fail the run")
+	}
+	if names := mem.Names(); len(names) != 0 {
+		t.Errorf("files left after a failed run: %v", names)
 	}
 }

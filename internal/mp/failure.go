@@ -277,17 +277,8 @@ func (p *Proc) abortDead(peer, tag int) {
 	if target := deadAt + sim.DetectionTimeout; target > before {
 		p.clock.SyncTo(target)
 	}
-	wait := p.clock.Seconds() - before
-	if p.tr != nil {
-		p.tr.Emit(trace.Span{Kind: trace.KindDetect, Start: before, Dur: wait, Peer: rep})
-	}
-	p.stats.Comm.Detections++
-	p.stats.Comm.DetectSeconds += wait
-
-	p.stats.Comm.Agreements++
-	if p.tr != nil {
-		p.tr.Emit(trace.Span{Kind: trace.KindAgree, Start: p.clock.Seconds(), N: int64(f.deadCount.Load())})
-	}
+	p.Record(&trace.Span{Kind: trace.KindDetect, Start: before, Dur: p.clock.Seconds() - before, Peer: rep})
+	p.Record(&trace.Span{Kind: trace.KindAgree, Start: p.clock.Seconds(), N: int64(f.deadCount.Load())})
 	panic(abort{&ErrRankDead{Rank: rep, Tag: tag}})
 }
 

@@ -331,6 +331,10 @@ func (p *Proc) SetTracer(rt *trace.RankTracer) { p.tr = rt }
 // Tracer returns the attached span sink (possibly nil).
 func (p *Proc) Tracer() *trace.RankTracer { return p.tr }
 
+// Record is the processor's one accounting call: it folds *s into this
+// processor's statistics and, with a tracer attached, emits it.
+func (p *Proc) Record(s *trace.Span) { p.stats.Record(p.tr, s) }
+
 // Compute charges the given number of floating point operations to this
 // processor's clock.
 func (p *Proc) Compute(flops int64) { p.ComputeN(flops, 1) }
@@ -341,8 +345,9 @@ func (p *Proc) Compute(flops int64) { p.ComputeN(flops, 1) }
 // ComputeSeconds still take n separate additions in the same order (one
 // addition of n·dt would round differently), and an attached tracer still
 // sees one compute span per trip. Untraced, either sum is a chain of
-// dependent additions held in a register; through its pointer every
-// addition would wait for the previous one's store as well.
+// dependent additions held in a register (AdvanceN, FoldCompute); through
+// its pointer every addition would wait for the previous one's store as
+// well.
 func (p *Proc) ComputeN(flops int64, n int) {
 	dt := p.m.cfg.ComputeTime(flops)
 	if p.tr != nil {
@@ -353,12 +358,7 @@ func (p *Proc) ComputeN(flops int64, n int) {
 	} else {
 		p.clock.AdvanceN(dt, n)
 	}
-	busy := p.stats.ComputeSeconds
-	for i := 0; i < n; i++ {
-		busy += dt
-	}
-	p.stats.ComputeSeconds = busy
-	p.stats.Flops += int64(n) * flops
+	p.stats.FoldCompute(flops, dt, n)
 }
 
 // mailboxCap sizes a mailbox from the machine size — the same depth for
@@ -392,13 +392,8 @@ func (p *Proc) sendCharge(dst int, elems int) {
 	dt := p.m.cfg.MsgTime(bytes)
 	start := p.clock.Seconds()
 	p.clock.Advance(dt)
-	if p.tr != nil {
-		p.tr.Emit(trace.Span{Kind: trace.KindSend, Start: start, Dur: dt, Peer: dst, Flow: p.flowOut, Bytes: bytes})
-	}
+	p.Record(&trace.Span{Kind: trace.KindSend, Start: start, Dur: dt, Peer: dst, Flow: p.flowOut, Bytes: bytes})
 	p.flowOut = 0
-	p.stats.Comm.MessagesSent++
-	p.stats.Comm.BytesSent += bytes
-	p.stats.Comm.Seconds += dt
 }
 
 // post enqueues an owned buffer (or, with buf nil and count set, a
@@ -484,12 +479,8 @@ func (p *Proc) recv(src, tag int) message {
 	}
 	before := p.clock.Seconds()
 	p.clock.SyncTo(msg.atTime)
-	wait := p.clock.Seconds() - before
-	if p.tr != nil {
-		p.tr.Emit(trace.Span{Kind: trace.KindWait, Start: before, Dur: wait, Peer: src, Flow: p.flowIn})
-	}
+	p.Record(&trace.Span{Kind: trace.KindWait, Start: before, Dur: p.clock.Seconds() - before, Peer: src, Flow: p.flowIn})
 	p.flowIn = 0
-	p.stats.Comm.Seconds += wait
 	return msg
 }
 
@@ -515,14 +506,10 @@ func (p *Proc) recvMsg(src, tag int) message {
 	}
 }
 
-// collective marks entry into a collective operation: one instant per
-// CommStats.Collectives increment, which is what lets the reconciler
-// recover the collective count from the spans.
+// collective marks entry into a collective operation: one instant,
+// which folds into CommStats.Collectives.
 func (p *Proc) collective(name string) {
-	p.stats.Comm.Collectives++
-	if p.tr != nil {
-		p.tr.Emit(trace.Span{Kind: trace.KindCollective, Label: name, Start: p.clock.Seconds()})
-	}
+	p.Record(&trace.Span{Kind: trace.KindCollective, Label: name, Start: p.clock.Seconds()})
 }
 
 // relRank maps rank into the rotated space where root is 0.
@@ -593,49 +580,6 @@ func (p *Proc) Barrier(tag int) {
 	ReleaseBuf(p.AllReduce(tag, nil))
 }
 
-// Gather collects each processor's data on root, in rank order. On root it
-// returns a slice indexed by rank (each entry an arena buffer the caller
-// owns); elsewhere nil. Contributions may have different lengths.
-func (p *Proc) Gather(root, tag int, data []float64) [][]float64 {
-	p.collective("gather")
-	if p.rank != root {
-		p.Send(root, internalTagBase+tag, data)
-		return nil
-	}
-	out := make([][]float64, p.Size())
-	p.panicMulti = out
-	for r := 0; r < p.Size(); r++ {
-		if r == root {
-			buf := bufpool.GetF64(len(data))
-			copy(buf, data)
-			out[r] = buf
-			continue
-		}
-		out[r] = p.Recv(r, internalTagBase+tag)
-	}
-	p.panicMulti = nil
-	return out
-}
-
-// Scatter distributes parts (indexed by rank, significant on root only)
-// from root and returns this processor's part, an arena buffer the
-// caller owns.
-func (p *Proc) Scatter(root, tag int, parts [][]float64) []float64 {
-	p.collective("scatter")
-	if p.rank == root {
-		for r := 0; r < p.Size(); r++ {
-			if r == root {
-				continue
-			}
-			p.Send(r, internalTagBase+tag, parts[r])
-		}
-		buf := bufpool.GetF64(len(parts[root]))
-		copy(buf, parts[root])
-		return buf
-	}
-	return p.Recv(root, internalTagBase+tag)
-}
-
 // AllToAll sends parts[d] to processor d and returns the slice of parts
 // received, indexed by source rank (each an arena buffer the caller
 // owns, in a slice the caller owns). parts is only read: every part
@@ -696,10 +640,8 @@ func (p *Proc) exchange(tag int, parts, out [][]float64, owned bool) {
 		dst := (p.rank + i) % size
 		src := (p.rank - i + size) % size
 		sb := int64(len(parts[dst])) * int64(p.m.cfg.ElemSize)
-		p.stats.Comm.ShuffleMessages++
-		p.stats.Comm.ShuffleBytes += sb
+		p.Record(&trace.Span{Kind: trace.KindShuffle, Start: p.clock.Seconds(), Peer: dst, Bytes: sb})
 		if p.tr != nil {
-			p.tr.Emit(trace.Span{Kind: trace.KindShuffle, Start: p.clock.Seconds(), Peer: dst, Bytes: sb})
 			// Both partners compute the same ids from (tag, seq, src, dst),
 			// linking this send to the matching wait on dst in the export.
 			p.flowOut = flowID(tag, seq, p.rank, dst)

@@ -177,37 +177,6 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 	}
 }
 
-func TestGatherScatter(t *testing.T) {
-	run(t, 5, func(p *Proc) error {
-		parts := p.Gather(1, 5, []float64{float64(p.Rank() * 10)})
-		if p.Rank() == 1 {
-			for r, part := range parts {
-				if len(part) != 1 || part[0] != float64(r*10) {
-					return fmt.Errorf("gather part %d = %v", r, part)
-				}
-			}
-			// Scatter back rank*100.
-			out := make([][]float64, p.Size())
-			for r := range out {
-				out[r] = []float64{float64(r * 100)}
-			}
-			got := p.Scatter(1, 6, out)
-			if got[0] != 100 {
-				return fmt.Errorf("root scatter got %v", got)
-			}
-		} else {
-			if parts != nil {
-				return fmt.Errorf("non-root gather got %v", parts)
-			}
-			got := p.Scatter(1, 6, nil)
-			if got[0] != float64(p.Rank()*100) {
-				return fmt.Errorf("scatter got %v", got)
-			}
-		}
-		return nil
-	})
-}
-
 func TestAllToAll(t *testing.T) {
 	for _, procs := range []int{1, 2, 3, 6} {
 		procs := procs

@@ -36,22 +36,10 @@ func (maxOp) Combine(dst, src []float64) {
 	}
 }
 
-type minOp struct{}
-
-func (minOp) Name() string { return "min" }
-func (minOp) Combine(dst, src []float64) {
-	for i, v := range src {
-		if v < dst[i] {
-			dst[i] = v
-		}
-	}
-}
-
 // Reduction operators.
 var (
 	OpSum Op = sumOp{}
 	OpMax Op = maxOp{}
-	OpMin Op = minOp{}
 )
 
 // Reduce computes the elementwise sum of data across all processors using

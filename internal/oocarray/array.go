@@ -16,7 +16,6 @@ import (
 	"github.com/ooc-hpf/passion/internal/iosim"
 	"github.com/ooc-hpf/passion/internal/matrix"
 	"github.com/ooc-hpf/passion/internal/sim"
-	"github.com/ooc-hpf/passion/internal/trace"
 )
 
 // Dim selects the strip-mining direction of a slab decomposition.
@@ -161,16 +160,6 @@ func (a *Array) charge(kind string, seconds float64) {
 		return
 	}
 	a.clock.Advance(seconds)
-}
-
-// emitIOWait records the stall of an overlap pipeline that waited for a
-// previously issued transfer, from start to the current clock.
-func (a *Array) emitIOWait(start float64) {
-	if tr, _, label := a.laf.Disk().TraceSink(); tr != nil {
-		if now := a.clock.Seconds(); now > start {
-			tr.Emit(trace.Span{Kind: trace.KindIOWait, Label: label, Start: start, Dur: now - start})
-		}
-	}
 }
 
 // collioSide exposes the array to the collective I/O layer.

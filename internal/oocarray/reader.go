@@ -52,7 +52,7 @@ func (r *SlabReader) Next() (icla *ICLA, ok bool, err error) {
 		if r.arr.clock != nil {
 			start := r.arr.clock.Seconds()
 			r.arr.clock.SyncTo(r.pendingReady)
-			r.arr.emitIOWait(start)
+			r.arr.laf.Disk().IOWait(start)
 		}
 	} else {
 		var sec float64

@@ -25,7 +25,7 @@ func (w *SlabWriter) Write(s *ICLA) error {
 	if w.active && w.arr.clock != nil {
 		start := w.arr.clock.Seconds()
 		w.arr.clock.SyncTo(w.pendingReady)
-		w.arr.emitIOWait(start)
+		w.arr.laf.Disk().IOWait(start)
 	}
 	d := w.arr.laf.Disk()
 	d.SetDeferred(true)
@@ -48,7 +48,7 @@ func (w *SlabWriter) Flush() {
 		if w.arr.clock != nil {
 			start := w.arr.clock.Seconds()
 			w.arr.clock.SyncTo(w.pendingReady)
-			w.arr.emitIOWait(start)
+			w.arr.laf.Disk().IOWait(start)
 		}
 		w.active = false
 	}

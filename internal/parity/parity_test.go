@@ -113,11 +113,11 @@ func TestReconstructAfterDiskLoss(t *testing.T) {
 			cfg := sim.Delta(procs)
 			res := iosim.NewResilience(iosim.DefaultRetryPolicy())
 			stats := make([]*trace.IOStats, procs)
-			comm := make([]*trace.CommStats, procs)
+			comm := make([]*trace.ProcStats, procs)
 			st := NewStore(chaos, cfg, procs, res)
 			for r := 0; r < procs; r++ {
 				stats[r] = &trace.IOStats{}
-				comm[r] = &trace.CommStats{}
+				comm[r] = &trace.ProcStats{}
 				st.SetCommSink(r, comm[r])
 			}
 			_, lafs, want := setupGroup(t, chaos, st, cfg, res, procs, elems, stats)
@@ -144,8 +144,8 @@ func TestReconstructAfterDiskLoss(t *testing.T) {
 			if stats[lost].ReconstructedBlocks != wantBlocks {
 				t.Fatalf("ReconstructedBlocks = %d, want %d", stats[lost].ReconstructedBlocks, wantBlocks)
 			}
-			if comm[lost].RecoveryMessages != wantBlocks*int64(procs-1) {
-				t.Fatalf("RecoveryMessages = %d, want %d", comm[lost].RecoveryMessages, wantBlocks*(procs-1))
+			if comm[lost].Comm.RecoveryMessages != wantBlocks*int64(procs-1) {
+				t.Fatalf("RecoveryMessages = %d, want %d", comm[lost].Comm.RecoveryMessages, wantBlocks*(procs-1))
 			}
 			if !st.Degraded() {
 				t.Fatalf("store not marked degraded after reconstruction")

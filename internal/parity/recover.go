@@ -177,28 +177,15 @@ func (st *Store) Recover(d *iosim.Disk, name string, cause error) (float64, erro
 	}
 
 	sec += st.cfg.IOTime(int(requests), st.modelBytes(physBytes))
-	if s := d.Stats(); s != nil {
-		s.Reconstructions++
-		s.ReconstructedBlocks += nBlocks
-		s.ReconstructedBytes += st.modelBytes(fi.bytes)
-		if tr, now, label := d.TraceSink(); tr != nil {
-			// The reconstruction seconds are folded into the interrupted
-			// operation's duration by the caller, so this span is off the
-			// synchronous timeline (Deferred) and informational for
-			// Seconds — only the reconstruction counters replay from it.
-			tr.Emit(trace.Span{Kind: trace.KindReconstruct, Label: label, Start: now, Dur: sec,
-				Deferred: true, N: nBlocks, Bytes: st.modelBytes(fi.bytes)})
-		}
-	}
-	if c := st.comm[fi.rank]; c != nil {
-		c.RecoveryMessages += messages
-		c.RecoveryBytes += msgBytes
-		if tr, now, _ := d.TraceSink(); tr != nil {
-			// Attributed to the rank whose CommStats were charged, which
-			// the tracer routes through its cross-rank buffer.
-			tr.Cross(fi.rank, trace.Span{Kind: trace.KindRecoveryComm, Start: now, N: messages, Bytes: msgBytes})
-		}
-	}
+	// The reconstruction seconds are folded into the interrupted
+	// operation's duration by the caller, so this span is off the
+	// synchronous timeline (Deferred) and informational for Seconds —
+	// only the reconstruction counters fold from it.
+	d.Record(&trace.Span{Kind: trace.KindReconstruct, Dur: sec,
+		Deferred: true, N: nBlocks, Bytes: st.modelBytes(fi.bytes)})
+	// Attributed to the rank whose statistics are charged, which the
+	// tracer routes through its cross-rank buffer.
+	d.RecordCross(fi.rank, st.comm[fi.rank], &trace.Span{Kind: trace.KindRecoveryComm, N: messages, Bytes: msgBytes})
 	return sec, nil
 }
 
@@ -345,20 +332,9 @@ func (st *Store) rebuildParityFileLocked(d *iosim.Disk, base string, p int) (flo
 		physBytes += BlockBytes
 	}
 	sec += st.cfg.IOTime(int(requests), st.modelBytes(physBytes))
-	if s := d.Stats(); s != nil {
-		s.ParityRebuilds += maxQ
-		if tr, now, label := d.TraceSink(); tr != nil {
-			tr.Emit(trace.Span{Kind: trace.KindParityRebuild, Label: label, Start: now, Dur: sec,
-				Deferred: true, N: maxQ, Bytes: st.modelBytes(physBytes)})
-		}
-	}
-	if c := st.comm[p]; c != nil {
-		c.RecoveryMessages += messages
-		c.RecoveryBytes += msgBytes
-		if tr, now, _ := d.TraceSink(); tr != nil {
-			tr.Cross(p, trace.Span{Kind: trace.KindRecoveryComm, Start: now, N: messages, Bytes: msgBytes})
-		}
-	}
+	d.Record(&trace.Span{Kind: trace.KindParityRebuild, Dur: sec,
+		Deferred: true, N: maxQ, Bytes: st.modelBytes(physBytes)})
+	d.RecordCross(p, st.comm[p], &trace.Span{Kind: trace.KindRecoveryComm, N: messages, Bytes: msgBytes})
 	delete(st.lostParity, pname)
 	return sec, nil
 }

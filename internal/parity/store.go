@@ -45,7 +45,7 @@ type Store struct {
 	// lostParity marks individual parity files that failed and await a
 	// rebuild by their hosting rank.
 	lostParity map[string]bool
-	comm       map[int]*trace.CommStats
+	comm       map[int]*trace.ProcStats
 	degraded   bool
 }
 
@@ -72,7 +72,7 @@ func NewStore(fs iosim.FS, cfg sim.Config, procs int, res *iosim.Resilience) *St
 		handles:    make(map[string]iosim.File),
 		dirty:      make(map[string]bool),
 		lostParity: make(map[string]bool),
-		comm:       make(map[int]*trace.CommStats),
+		comm:       make(map[int]*trace.ProcStats),
 	}
 }
 
@@ -96,9 +96,10 @@ func (st *Store) Protect(base string) {
 	st.bases[base] = true
 }
 
-// SetCommSink registers the communication statistics of one rank so the
-// gather traffic of reconstructions of that rank's files is accounted.
-func (st *Store) SetCommSink(rank int, c *trace.CommStats) {
+// SetCommSink registers the statistics of one rank so the gather traffic
+// of reconstructions of that rank's files is accounted in its
+// communication counters.
+func (st *Store) SetCommSink(rank int, c *trace.ProcStats) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.comm[rank] = c
@@ -577,16 +578,7 @@ func (st *Store) WriteThrough(d *iosim.Disk, name string, byteOff, n int64, buf 
 	r := int64(len(runs))
 	widened := st.modelBytes(sp.hi - sp.lo)
 	pbytes := st.modelBytes(sp.nb * BlockBytes)
-	if s := d.Stats(); s != nil {
-		s.ParityReads += 1 + r
-		s.ParityWrites += r
-		s.ParityBytesRead += widened + pbytes
-		s.ParityBytesWritten += pbytes
-		if tr, now, label := d.TraceSink(); tr != nil {
-			tr.Emit(trace.Span{Kind: trace.KindParityRMW, Label: label, Start: now,
-				N: 1 + r, M: r, Bytes: widened + pbytes, Bytes2: pbytes})
-		}
-	}
+	d.Record(&trace.Span{Kind: trace.KindParityRMW, N: 1 + r, M: r, Bytes: widened + pbytes, Bytes2: pbytes})
 	sec += st.cfg.IOTime(int(1+2*r), widened+2*pbytes)
 	return sec, nil
 }

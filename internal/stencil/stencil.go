@@ -7,6 +7,7 @@
 package stencil
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/ooc-hpf/passion/internal/bufpool"
@@ -31,6 +32,7 @@ func Jacobi(center, up, down, left, right float64) float64 {
 // double-buffered across two out-of-core arrays.
 type Grid struct {
 	proc      *mp.Proc
+	disk      *iosim.Disk
 	n         int
 	rows      int // local rows
 	cur, next *oocarray.Array
@@ -56,7 +58,7 @@ func New(p *mp.Proc, disk *iosim.Disk, name string, n int, opts oocarray.Options
 	if err != nil {
 		return nil, err
 	}
-	return &Grid{proc: p, n: n, rows: cur.LocalRows(), cur: cur, next: next}, nil
+	return &Grid{proc: p, disk: disk, n: n, rows: cur.LocalRows(), cur: cur, next: next}, nil
 }
 
 // N returns the global extent.
@@ -71,14 +73,13 @@ func (g *Grid) Fill(f func(gi, gj int) float64) error {
 	return g.cur.FillGlobal(f)
 }
 
-// Close releases both local array files.
+// Close releases both local array files and removes them.
 func (g *Grid) Close() error {
-	err1 := g.cur.Close()
-	err2 := g.next.Close()
-	if err1 != nil {
-		return err1
+	var errs []error
+	for _, a := range []*oocarray.Array{g.cur, g.next} {
+		errs = append(errs, a.Close(), g.disk.RemoveLAF(fmt.Sprintf("%s.p%d.laf", a.Name(), a.Proc())))
 	}
-	return err2
+	return errors.Join(errs...)
 }
 
 // exchange reads this processor's boundary rows back from disk and swaps

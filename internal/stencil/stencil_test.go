@@ -202,3 +202,29 @@ func TestSweepIOStats(t *testing.T) {
 		t.Errorf("slab writes = %d, want %d", io.SlabWrites, want)
 	}
 }
+
+// TestCloseRemovesFiles: Close removes both of the grid's local array
+// files from the disk it was made on.
+func TestCloseRemovesFiles(t *testing.T) {
+	fs := iosim.NewMemFS()
+	_, err := mp.Run(sim.Delta(2), func(proc *mp.Proc) error {
+		disk := iosim.NewDisk(fs, proc.Config(), &proc.Stats().IO)
+		g, err := New(proc, disk, "g", 16, oocarray.Options{})
+		if err != nil {
+			return err
+		}
+		if err := g.Fill(initGrid(16)); err != nil {
+			return err
+		}
+		if err := g.Sweep(4, 40, Jacobi); err != nil {
+			return err
+		}
+		return g.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names := fs.Names(); len(names) != 0 {
+		t.Errorf("files left after Close: %v", names)
+	}
+}

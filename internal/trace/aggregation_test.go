@@ -104,12 +104,17 @@ func TestFoldsDoNotAllocate(t *testing.T) {
 	}
 	var io IOStats
 	var comm CommStats
+	var ps ProcStats
+	req := Span{Kind: KindReadReq, Label: "a", Bytes: 4096}
+	send := Span{Kind: KindSend, Dur: 1e-3, Peer: 1, Bytes: 4096}
 	for name, fold := range map[string]func(){
-		"IOStats.Add":   func() { io.Add(s.Procs[3].IO) },
-		"CommStats.Add": func() { comm.Add(s.Procs[3].Comm) },
-		"TotalIO":       func() { io = s.TotalIO() },
-		"MaxIO":         func() { io = s.MaxIO() },
-		"TotalComm":     func() { comm = s.TotalComm() },
+		"IOStats.Add":    func() { io.Add(s.Procs[3].IO) },
+		"CommStats.Add":  func() { comm.Add(s.Procs[3].Comm) },
+		"TotalIO":        func() { io = s.TotalIO() },
+		"MaxIO":          func() { io = s.MaxIO() },
+		"TotalComm":      func() { comm = s.TotalComm() },
+		"IOStats.Fold":   func() { io.Fold(req) },
+		"ProcStats.Fold": func() { ps.Fold(send) },
 	} {
 		if n := testing.AllocsPerRun(100, fold); n != 0 {
 			t.Errorf("%s allocates %v times per call, want 0", name, n)

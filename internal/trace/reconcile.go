@@ -5,110 +5,39 @@ import (
 	"sort"
 )
 
-// RankReplay is the statistics reconstructed from one rank's spans. If
-// the instrumentation is sound, it matches the rank's accumulated
-// counters exactly — counts, bytes and (because float64 addition is
-// replayed in emission order) seconds to the digit.
+// RankReplay is the statistics reconstructed from one rank's spans. It
+// matches the rank's accumulated counters exactly — counts, bytes and
+// (because float64 addition is replayed in emission order) seconds to the
+// digit — as long as every span was delivered: the counters were built
+// by the very same folds.
 type RankReplay struct {
 	// IO holds one reconstructed IOStats per statistics sink label
 	// (array name, "(parity)", ...).
-	IO             map[string]*IOStats
-	Comm           CommStats
-	Flops          int64
-	ComputeSeconds float64
+	IO map[string]*IOStats
+	// Proc holds the communication and compute counters; its IO and
+	// Seconds stay zero.
+	Proc ProcStats
 }
 
 // ReplayRank folds one rank's spans, in emission order, back into
-// statistics. Each Kind maps to exactly the counter bumps performed at
-// its emission site:
-//
-//   - IOStats.Seconds is the ordered sum of slab-read/slab-write,
-//     open-recover and parity-sync durations (the three places the
-//     runtime charges I/O seconds at top level);
-//   - RetrySeconds is the ordered sum of retry backoffs;
-//   - CommStats.Seconds is the ordered sum of send and wait durations;
-//   - request counts, byte totals and the size histograms come from the
-//     read-req/write-req instants, parity payloads from parity-rmw.
+// statistics: each span of an I/O kind into the IOStats sink its label
+// names, every other span into Proc. The folds are the ones the emission
+// sites ran (fold.go), so what Reconcile checks is delivery — that the
+// tracer kept every span, on the right rank, in order — not a second
+// copy of the Kind→counter mapping.
 func ReplayRank(spans []Span) *RankReplay {
 	r := &RankReplay{IO: map[string]*IOStats{}}
-	sink := func(label string) *IOStats {
-		io := r.IO[label]
+	for _, s := range spans {
+		if !foldsIO(s.Kind) {
+			r.Proc.Fold(s)
+			continue
+		}
+		io := r.IO[s.Label]
 		if io == nil {
 			io = &IOStats{}
-			r.IO[label] = io
+			r.IO[s.Label] = io
 		}
-		return io
-	}
-	for _, s := range spans {
-		switch s.Kind {
-		case KindSlabRead:
-			io := sink(s.Label)
-			io.SlabReads++
-			io.Seconds += s.Dur
-		case KindSlabWrite:
-			io := sink(s.Label)
-			io.SlabWrites++
-			io.Seconds += s.Dur
-		case KindOpenRecover:
-			sink(s.Label).Seconds += s.Dur
-		case KindParitySync:
-			sink(s.Label).Seconds += s.Dur
-		case KindReadReq:
-			io := sink(s.Label)
-			io.ReadRequests++
-			io.BytesRead += s.Bytes
-			io.ReadSizes.Observe(s.Bytes)
-		case KindWriteReq:
-			io := sink(s.Label)
-			io.WriteRequests++
-			io.BytesWritten += s.Bytes
-			io.WriteSizes.Observe(s.Bytes)
-		case KindRetry:
-			io := sink(s.Label)
-			io.Retries++
-			io.RetrySeconds += s.Dur
-		case KindGiveUp:
-			sink(s.Label).GiveUps++
-		case KindCorruption:
-			sink(s.Label).Corruptions++
-		case KindParityRMW:
-			io := sink(s.Label)
-			io.ParityReads += s.N
-			io.ParityWrites += s.M
-			io.ParityBytesRead += s.Bytes
-			io.ParityBytesWritten += s.Bytes2
-		case KindParityRebuild:
-			sink(s.Label).ParityRebuilds += s.N
-		case KindReconstruct:
-			io := sink(s.Label)
-			io.Reconstructions++
-			io.ReconstructedBlocks += s.N
-			io.ReconstructedBytes += s.Bytes
-		case KindRecoveryComm:
-			r.Comm.RecoveryMessages += s.N
-			r.Comm.RecoveryBytes += s.Bytes
-		case KindSend:
-			r.Comm.MessagesSent++
-			r.Comm.BytesSent += s.Bytes
-			r.Comm.Seconds += s.Dur
-		case KindWait:
-			r.Comm.Seconds += s.Dur
-		case KindCollective:
-			r.Comm.Collectives++
-		case KindShuffle:
-			r.Comm.ShuffleMessages++
-			r.Comm.ShuffleBytes += s.Bytes
-		case KindCompute:
-			r.Flops += s.N
-			r.ComputeSeconds += s.Dur
-		case KindDetect:
-			r.Comm.Detections++
-			r.Comm.DetectSeconds += s.Dur
-		case KindAgree:
-			r.Comm.Agreements++
-		case KindRespawn:
-			r.Comm.Respawns++
-		}
+		io.Fold(s)
 	}
 	return r
 }
@@ -171,14 +100,14 @@ func Reconcile(spans []Span, stats *Stats, perArray []map[string]*IOStats) error
 		if got := rep.TotalIO(); got != ps.IO {
 			return fmt.Errorf("trace: rank %d I/O totals: spans replay to\n%+v\nbut counters say\n%+v", rank, got, ps.IO)
 		}
-		if rep.Comm != ps.Comm {
-			return fmt.Errorf("trace: rank %d comm: spans replay to\n%+v\nbut counters say\n%+v", rank, rep.Comm, ps.Comm)
+		if got := rep.Proc.Comm; got != ps.Comm {
+			return fmt.Errorf("trace: rank %d comm: spans replay to\n%+v\nbut counters say\n%+v", rank, got, ps.Comm)
 		}
-		if rep.Flops != ps.Flops {
-			return fmt.Errorf("trace: rank %d flops: spans replay to %d but counters say %d", rank, rep.Flops, ps.Flops)
+		if got := rep.Proc.Flops; got != ps.Flops {
+			return fmt.Errorf("trace: rank %d flops: spans replay to %d but counters say %d", rank, got, ps.Flops)
 		}
-		if rep.ComputeSeconds != ps.ComputeSeconds {
-			return fmt.Errorf("trace: rank %d compute seconds: spans replay to %v but counters say %v", rank, rep.ComputeSeconds, ps.ComputeSeconds)
+		if got := rep.Proc.ComputeSeconds; got != ps.ComputeSeconds {
+			return fmt.Errorf("trace: rank %d compute seconds: spans replay to %v but counters say %v", rank, got, ps.ComputeSeconds)
 		}
 	}
 	return nil

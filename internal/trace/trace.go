@@ -208,8 +208,9 @@ type CommStats struct {
 	// DetectSeconds is the simulated heartbeat-timeout stall charged for
 	// them (kept out of Seconds so the comm time of a run stays
 	// comparable to the failure-free closed forms). Agreements counts
-	// PREPARE/COMMIT rounds this rank concluded while aborting; Respawns
-	// counts times this rank's goroutine was respawned during recovery.
+	// the times this rank, aborting, adopted the failed set (one per
+	// aborting rank and attempt); Respawns counts times this rank's
+	// goroutine was respawned during recovery.
 	Detections    int64
 	DetectSeconds float64
 	Agreements    int64

@@ -7,10 +7,11 @@ import (
 	"sync"
 )
 
-// Kind classifies a recorded span. Every kind corresponds to exactly one
-// accounting site in the runtime, which is what makes span/counter
-// reconciliation possible: replaying a rank's spans in emission order
-// must reproduce its IOStats/CommStats to the digit (see ReplayRank).
+// Kind classifies a recorded span. A kind's counters are what
+// IOStats.Fold and ProcStats.Fold add for it (fold.go): the runtime folds
+// every span it builds, traced or not, so replaying a rank's spans in
+// emission order reproduces its IOStats/CommStats to the digit (see
+// ReplayRank).
 type Kind uint8
 
 const (
