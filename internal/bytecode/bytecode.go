@@ -35,7 +35,7 @@ import (
 )
 
 // Version is the current encoding version. Decode rejects any other.
-const Version = 1
+const Version = 2
 
 // Op is one opcode of the flat instruction stream.
 type Op uint8
@@ -59,7 +59,9 @@ const (
 	// the simulated clock advanced.
 	OpNodeExit
 	// OpCkpt commits a checkpoint at cursor (A, 0) when checkpointing is
-	// on (the between-top-level-statements boundary).
+	// on (the between-top-level-statements boundary). A resume starts
+	// with empty buffer slots, so none is emitted at a boundary a slot is
+	// live across (an exchange's ghosts, read by the slab loop after it).
 	OpCkpt
 	// OpLoop begins a loop: variable slot A runs from 0 over the count
 	// described by (B=CountKind, C=arg); D is the pc just past the
@@ -74,7 +76,9 @@ const (
 	OpEndLoop
 	// OpLoadSlab reads slab vars[B] of array A into buffer slot C
 	// (plan.ReadSlab). D=1 marks a compiler-proven sequential scan served
-	// through prefetch-capable reader E.
+	// through prefetch-capable reader E; D=2 widens a column slab by F
+	// columns on the left and G on the right, the ones beyond the local
+	// block taken from ghost buffer E.
 	OpLoadSlab
 	// OpNewStaging allocates a staging buffer for array A covering the
 	// local rows of buffer B and all local columns, binding it to buffer
@@ -107,13 +111,15 @@ const (
 	// vars[B] of array A into buffer slot C (plan.NewSlab).
 	OpNewSlab
 	// OpEwise evaluates expression program B elementwise into buffer A,
-	// charging C arithmetic operations per element (plan.Ewise).
+	// charging C arithmetic operations per element (plan.Ewise). D >= 0
+	// bounds it: only the columns of A (a slab of array D) of global index
+	// E..F are evaluated, each charged as a computation of C·rows.
 	OpEwise
-	// OpShiftEwise executes the shifted FORALL into array A: ghost
-	// exchange, then a slab sweep evaluating expression program B for
-	// global columns C..D with halo widths E (left) and F (right),
-	// charging G operations per element (plan.ShiftEwise).
-	OpShiftEwise
+	// OpExchange trades boundary columns of array A with the neighboring
+	// processors into ghost buffer B: the C columns below this block and
+	// the D columns above it, under the message tags of the statement's
+	// E-th exchanged array (plan.Exchange, one instruction per array).
+	OpExchange
 	// OpAllToAll redistributes array A into array B through the
 	// collective I/O layer: C=1 transposes the global indices, D is the
 	// pre-parsed collio method, E the per-processor memory budget
@@ -143,7 +149,7 @@ var opNames = [...]string{
 	OpResetCounter: "RESET_COUNTER",
 	OpNewSlab:      "NEW_SLAB",
 	OpEwise:        "EWISE",
-	OpShiftEwise:   "SHIFT_EWISE",
+	OpExchange:     "EXCHANGE",
 	OpAllToAll:     "ALLTOALL",
 }
 
@@ -186,13 +192,10 @@ const (
 	EInvalid ExprOp = iota
 	// EPushConst pushes a column filled with Val (plan.EConst).
 	EPushConst
-	// EPushBuf pushes a copy of the current column of buffer slot A
-	// (plan.EBuf; elementwise context only).
+	// EPushBuf pushes a copy of buffer slot A (plan.EBuf): of its
+	// element at the output's position, or in a bounded OpEwise of its
+	// column at the output column's local index plus B.
 	EPushBuf
-	// EPushShift pushes column c+B of array A, read through the halo
-	// section or the exchanged ghosts (plan.EBufShift; shift context
-	// only).
-	EPushShift
 	// EAdd, ESub, EMul and EDiv pop the right operand, combine it into
 	// the left in place, and release the right operand's buffer.
 	EAdd
@@ -207,7 +210,6 @@ var exprOpNames = [...]string{
 	EInvalid:   "EINVALID",
 	EPushConst: "PUSH_CONST",
 	EPushBuf:   "PUSH_BUF",
-	EPushShift: "PUSH_SHIFT",
 	EAdd:       "ADD",
 	ESub:       "SUB",
 	EMul:       "MUL",
@@ -254,7 +256,7 @@ type Program struct {
 	// Labels holds the KindNode span labels of the top-level nodes.
 	Labels []string
 	// Exprs is the table of postfix expression programs referenced by
-	// OpEwise/OpShiftEwise.
+	// OpEwise.
 	Exprs [][]ExprInstr
 	// Code is the instruction stream.
 	Code []Instr

@@ -30,9 +30,10 @@ func Compile(p *plan.Program) (*Program, error) {
 		},
 		arrays: make(map[string]int32, len(p.Arrays)),
 		vars:   make(map[string]int32),
-		bufs:   make(map[string]int32),
+		bufs:   make(map[string]bufSlot),
 		vecs:   make(map[string]int32),
 		live:   make(map[string]bool),
+		nodes:  len(p.Body),
 	}
 	for i, a := range p.Arrays {
 		if _, dup := c.arrays[a.Name]; dup {
@@ -42,6 +43,7 @@ func Compile(p *plan.Program) (*Program, error) {
 	}
 	c.emit(Instr{Op: OpCkptInit})
 	for i, n := range p.Body {
+		c.node = int32(i)
 		label := int32(len(c.bc.Labels))
 		c.bc.Labels = append(c.bc.Labels, plan.NodeLabel(n))
 		c.bc.NodePC = append(c.bc.NodePC, int32(len(c.bc.Code)))
@@ -66,23 +68,72 @@ func Compile(p *plan.Program) (*Program, error) {
 			c.emit(Instr{Op: OpCkpt, A: int32(i + 1)})
 		}
 	}
+	if c.liveIn != nil {
+		c.dropLiveCkpts()
+	}
 	if err := c.bc.Validate(); err != nil {
 		return nil, fmt.Errorf("bytecode: compiled stream fails validation: %w", err)
 	}
 	return c.bc, nil
 }
 
+// dropLiveCkpts removes the checkpoints of every node a buffer slot is
+// live into: the CKPT before it, and the iteration checkpoints of a
+// LOOP_CKPT (demoted to LOOP). A resume starts with empty slots, so it
+// must not land inside a slot's lifetime (an exchange's ghosts, read by
+// the slab loop after it). Loop targets and the resume jump table follow
+// the instructions that move up.
+func (c *compiler) dropLiveCkpts() {
+	code := c.bc.Code
+	at := make([]int32, len(code)+1) // old pc -> new pc
+	n := int32(0)
+	for pc, ins := range code {
+		at[pc] = n
+		if ins.Op == OpCkpt && c.liveIn[ins.A] {
+			continue
+		}
+		code[n] = ins
+		n++
+	}
+	at[len(code)] = n
+	c.bc.Code = code[:n]
+	for i := range c.bc.Code {
+		switch ins := &c.bc.Code[i]; ins.Op {
+		case OpLoop, OpLoopCkpt:
+			ins.D = at[ins.D]
+			if ins.Op == OpLoopCkpt && c.liveIn[ins.E] {
+				ins.Op, ins.E = OpLoop, 0
+			}
+		case OpEndLoop:
+			ins.A = at[ins.A]
+		}
+	}
+	for i, pc := range c.bc.NodePC {
+		c.bc.NodePC[i] = at[pc]
+	}
+}
+
 type compiler struct {
 	bc     *Program
 	arrays map[string]int32
 	vars   map[string]int32
-	bufs   map[string]int32
+	bufs   map[string]bufSlot
 	vecs   map[string]int32
 	// live tracks which loop variables are in scope at the current
 	// compile point (the static mirror of the interpreter's set/delete
 	// on its vars map).
 	live map[string]bool
+	// node is the top-level node being lowered, of nodes. liveIn[i]
+	// records that some buffer slot is live across the boundary before
+	// node i: bound before it, read at or after it (nil while none is).
+	node   int32
+	nodes  int
+	liveIn []bool
 }
+
+// bufSlot is a buffer name's slot and the top-level node that last bound
+// it.
+type bufSlot struct{ slot, node int32 }
 
 func (c *compiler) emit(ins Instr) int32 {
 	c.bc.Code = append(c.bc.Code, ins)
@@ -123,21 +174,28 @@ func (c *compiler) varRef(name, what string) (int32, error) {
 
 // bufDef assigns (or reuses) the slot a node binds a buffer name to.
 func (c *compiler) bufDef(name string) int32 {
-	s, ok := c.bufs[name]
+	b, ok := c.bufs[name]
 	if !ok {
-		s = int32(len(c.bc.BufNames))
+		b.slot = int32(len(c.bc.BufNames))
 		c.bc.BufNames = append(c.bc.BufNames, name)
-		c.bufs[name] = s
 	}
-	return s
+	b.node = c.node
+	c.bufs[name] = b
+	return b.slot
 }
 
 func (c *compiler) bufRef(name, what string) (int32, error) {
-	s, ok := c.bufs[name]
+	b, ok := c.bufs[name]
 	if !ok {
 		return 0, fmt.Errorf("bytecode: %s references buffer %q before any definition", what, name)
 	}
-	return s, nil
+	for n := b.node + 1; n <= c.node; n++ {
+		if c.liveIn == nil {
+			c.liveIn = make([]bool, c.nodes)
+		}
+		c.liveIn[n] = true
+	}
+	return b.slot, nil
 }
 
 func (c *compiler) vecDef(name string) int32 {
@@ -213,12 +271,18 @@ func (c *compiler) compileNode(n plan.Node) error {
 		if err != nil {
 			return err
 		}
-		ins := Instr{Op: OpLoadSlab, A: arr, B: idx, C: c.bufDef(n.Buf), E: -1}
-		if n.Stream {
-			ins.D = 1
-			ins.E = int32(c.bc.Readers)
+		ins := Instr{Op: OpLoadSlab, A: arr, B: idx, E: -1}
+		switch {
+		case n.Ghosts != "":
+			ins.D, ins.F, ins.G = 2, int32(n.Left), int32(n.Right)
+			if ins.E, err = c.bufRef(n.Ghosts, "ReadSlab ghosts"); err != nil {
+				return err
+			}
+		case n.Stream:
+			ins.D, ins.E = 1, int32(c.bc.Readers)
 			c.bc.Readers++
 		}
+		ins.C = c.bufDef(n.Buf)
 		c.emit(ins)
 		return nil
 
@@ -353,25 +417,32 @@ func (c *compiler) compileNode(n plan.Node) error {
 		if err != nil {
 			return err
 		}
-		expr, err := c.compileExpr(n.Expr, false)
+		expr, err := c.compileExpr(n.Expr)
 		if err != nil {
 			return err
 		}
-		c.emit(Instr{Op: OpEwise, A: out, B: expr, C: int32(n.Expr.Ops())})
+		ins := Instr{Op: OpEwise, A: out, B: expr, C: int32(n.Expr.Ops()), D: -1}
+		if n.Array != "" {
+			if ins.D, err = c.arrayIdx(n.Array, "Ewise bounds"); err != nil {
+				return err
+			}
+			ins.E, ins.F = int32(n.Lo), int32(n.Hi)
+		}
+		c.emit(ins)
 		return nil
 
-	case *plan.ShiftEwise:
-		out, err := c.arrayIdx(n.Out, "ShiftEwise output")
-		if err != nil {
-			return err
+	case *plan.Exchange:
+		if len(n.Ghosts) != len(n.Arrays) {
+			return fmt.Errorf("bytecode: Exchange of %d arrays into %d ghost buffers", len(n.Arrays), len(n.Ghosts))
 		}
-		expr, err := c.compileExpr(n.Expr, true)
-		if err != nil {
-			return err
+		for i, a := range n.Arrays {
+			arr, err := c.arrayIdx(a, "Exchange")
+			if err != nil {
+				return err
+			}
+			c.emit(Instr{Op: OpExchange, A: arr, B: c.bufDef(n.Ghosts[i]),
+				C: int32(n.Left), D: int32(n.Right), E: int32(i)})
 		}
-		c.emit(Instr{Op: OpShiftEwise, A: out, B: expr,
-			C: int32(n.Lo), D: int32(n.Hi),
-			E: int32(n.GhostLeft), F: int32(n.GhostRight), G: int32(n.Expr.Ops())})
 		return nil
 
 	case *plan.Redistribute:
@@ -402,9 +473,8 @@ func (c *compiler) compileNode(n plan.Node) error {
 // compileExpr flattens an elementwise expression to postfix: left
 // subtree, right subtree, operator. The executor's stack evaluation then
 // performs the identical sequence of float operations the recursive tree
-// evaluation performs. shift selects the ShiftEwise leaf set (shifted
-// array reads) over the Ewise one (aligned buffer reads).
-func (c *compiler) compileExpr(e plan.EExpr, shift bool) (int32, error) {
+// evaluation performs.
+func (c *compiler) compileExpr(e plan.EExpr) (int32, error) {
 	var code []ExprInstr
 	var walk func(e plan.EExpr) error
 	walk = func(e plan.EExpr) error {
@@ -413,24 +483,11 @@ func (c *compiler) compileExpr(e plan.EExpr, shift bool) (int32, error) {
 			code = append(code, ExprInstr{Op: EPushConst, Val: e.V})
 			return nil
 		case *plan.EBuf:
-			if shift {
-				return fmt.Errorf("bytecode: aligned buffer reference %q inside a shifted FORALL", e.Buf)
-			}
 			s, err := c.bufRef(e.Buf, "elementwise expression")
 			if err != nil {
 				return err
 			}
-			code = append(code, ExprInstr{Op: EPushBuf, A: s})
-			return nil
-		case *plan.EBufShift:
-			if !shift {
-				return fmt.Errorf("bytecode: shifted reference to %q outside a shifted FORALL", e.Array)
-			}
-			arr, err := c.arrayIdx(e.Array, "shifted FORALL")
-			if err != nil {
-				return err
-			}
-			code = append(code, ExprInstr{Op: EPushShift, A: arr, B: int32(e.Shift)})
+			code = append(code, ExprInstr{Op: EPushBuf, A: s, B: int32(e.Off)})
 			return nil
 		case *plan.EBin:
 			if err := walk(e.L); err != nil {

@@ -36,8 +36,9 @@ func (p *Program) Disassemble() string {
 				fmt.Fprintf(&b, " push %g", ins.Val)
 			case EPushBuf:
 				fmt.Fprintf(&b, " push %s", p.bufName(ins.A))
-			case EPushShift:
-				fmt.Fprintf(&b, " push %s[%+d]", p.arrayName(ins.A), ins.B)
+				if ins.B != 0 {
+					fmt.Fprintf(&b, "[%+d]", ins.B)
+				}
 			case EAdd:
 				b.WriteString(" add")
 			case ESub:
@@ -128,8 +129,11 @@ func (p *Program) operands(ins Instr) string {
 		return fmt.Sprintf(" loop=%d", ins.A)
 	case OpLoadSlab:
 		s := fmt.Sprintf(" %s[%s] -> %s", p.arrayName(ins.A), p.varName(ins.B), p.bufName(ins.C))
-		if ins.D == 1 {
+		switch ins.D {
+		case 1:
 			s += fmt.Sprintf(" stream reader=%d", ins.E)
+		case 2:
+			s += fmt.Sprintf(" halo=(%d,%d) ghosts=%s", ins.F, ins.G, p.bufName(ins.E))
 		}
 		return s
 	case OpNewStaging:
@@ -169,10 +173,14 @@ func (p *Program) operands(ins Instr) string {
 	case OpNewSlab:
 		return fmt.Sprintf(" %s[%s] -> %s", p.arrayName(ins.A), p.varName(ins.B), p.bufName(ins.C))
 	case OpEwise:
-		return fmt.Sprintf(" %s = expr[%d] ops/elem=%d", p.bufName(ins.A), ins.B, ins.C)
-	case OpShiftEwise:
-		return fmt.Sprintf(" %s = expr[%d] cols=[%d,%d] ghosts=(%d,%d) ops/elem=%d",
-			p.arrayName(ins.A), ins.B, ins.C, ins.D, ins.E, ins.F, ins.G)
+		s := fmt.Sprintf(" %s = expr[%d] ops/elem=%d", p.bufName(ins.A), ins.B, ins.C)
+		if ins.D >= 0 {
+			s += fmt.Sprintf(" cols=[%d,%d] of %s", ins.E, ins.F, p.arrayName(ins.D))
+		}
+		return s
+	case OpExchange:
+		return fmt.Sprintf(" %s -> %s ghosts=(%d,%d) position=%d",
+			p.arrayName(ins.A), p.bufName(ins.B), ins.C, ins.D, ins.E)
 	case OpAllToAll:
 		op := "redistribute"
 		if ins.C == 1 {

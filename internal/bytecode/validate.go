@@ -10,9 +10,10 @@ import (
 // operand indexes its table, loops nest and backpatch consistently, the
 // node jump table points at OpNodeEnter instructions, and every
 // expression program observes stack discipline (no underflow, exactly one
-// result) and its context's leaf set. Compile runs it on its own output
-// as insurance; Decode runs it so a stream that frames and checksums
-// correctly but encodes garbage is still rejected before execution.
+// result), with column offsets only in a bounded EWISE. Compile runs it on
+// its own output as insurance; Decode runs it so a stream that frames and
+// checksums correctly but encodes garbage is still rejected before
+// execution.
 func (p *Program) Validate() error {
 	if len(p.Code) == 0 {
 		return fmt.Errorf("%w: empty code stream", ErrMalformed)
@@ -96,6 +97,10 @@ func (p *Program) Validate() error {
 				}
 			case 1:
 				err = slot(pc, ins.E, p.Readers, "reader slot")
+			case 2:
+				if err = slot(pc, ins.E, len(p.BufNames), "ghost buffer slot"); err == nil && (ins.F < 0 || ins.G < 0) {
+					err = fmt.Errorf("%w: pc %d: negative halo widths (%d,%d)", ErrMalformed, pc, ins.F, ins.G)
+				}
 			default:
 				err = fmt.Errorf("%w: pc %d: unknown stream flag %d", ErrMalformed, pc, ins.D)
 			}
@@ -167,19 +172,24 @@ func (p *Program) Validate() error {
 			if err = slot(pc, ins.B, len(p.Exprs), "expression index"); err != nil {
 				break
 			}
-			err = p.validateExpr(int(ins.B), false)
-		case OpShiftEwise:
+			if err = optSlot(pc, ins.D, len(p.Arrays), "array index"); err != nil {
+				break
+			}
+			if err = p.validateExpr(int(ins.B)); err != nil || ins.D >= 0 {
+				break
+			}
+			for i, e := range p.Exprs[ins.B] {
+				if e.Op == EPushBuf && e.B != 0 {
+					err = fmt.Errorf("%w: pc %d: expr %d op %d: column offset %d in an unbounded EWISE", ErrMalformed, pc, ins.B, i, e.B)
+					break
+				}
+			}
+		case OpExchange:
 			if err = slot(pc, ins.A, len(p.Arrays), "array index"); err != nil {
 				break
 			}
-			if err = slot(pc, ins.B, len(p.Exprs), "expression index"); err != nil {
-				break
-			}
-			if err = p.validateExpr(int(ins.B), true); err != nil {
-				break
-			}
-			if ins.E < 0 || ins.F < 0 {
-				err = fmt.Errorf("%w: pc %d: negative ghost widths (%d,%d)", ErrMalformed, pc, ins.E, ins.F)
+			if err = slot(pc, ins.B, len(p.BufNames), "buffer slot"); err == nil && (ins.C < 0 || ins.D < 0 || ins.E < 0) {
+				err = fmt.Errorf("%w: pc %d: negative ghost widths or position (%d,%d,%d)", ErrMalformed, pc, ins.C, ins.D, ins.E)
 			}
 		case OpAllToAll:
 			if err = slot(pc, ins.A, len(p.Arrays), "array index"); err != nil {
@@ -215,10 +225,9 @@ func (p *Program) Validate() error {
 }
 
 // validateExpr checks one postfix expression program: stack discipline
-// (never pops an empty stack, leaves exactly one result), operand ranges,
-// and the context's leaf set — elementwise expressions read aligned
-// buffers, shifted FORALLs read shifted arrays, never the other way.
-func (p *Program) validateExpr(idx int, shift bool) error {
+// (never pops an empty stack, leaves exactly one result) and operand
+// ranges.
+func (p *Program) validateExpr(idx int) error {
 	code := p.Exprs[idx]
 	depth := 0
 	for i, ins := range code {
@@ -226,19 +235,8 @@ func (p *Program) validateExpr(idx int, shift bool) error {
 		case EPushConst:
 			depth++
 		case EPushBuf:
-			if shift {
-				return fmt.Errorf("%w: expr %d op %d: aligned buffer read inside a shifted FORALL", ErrMalformed, idx, i)
-			}
 			if ins.A < 0 || int(ins.A) >= len(p.BufNames) {
 				return fmt.Errorf("%w: expr %d op %d: buffer slot %d out of range", ErrMalformed, idx, i, ins.A)
-			}
-			depth++
-		case EPushShift:
-			if !shift {
-				return fmt.Errorf("%w: expr %d op %d: shifted read outside a shifted FORALL", ErrMalformed, idx, i)
-			}
-			if ins.A < 0 || int(ins.A) >= len(p.Arrays) {
-				return fmt.Errorf("%w: expr %d op %d: array index %d out of range", ErrMalformed, idx, i, ins.A)
 			}
 			depth++
 		case EAdd, ESub, EMul, EDiv:
@@ -265,7 +263,7 @@ func (p *Program) MaxExprDepth() int {
 		depth, peak := 0, 0
 		for _, ins := range code {
 			switch ins.Op {
-			case EPushConst, EPushBuf, EPushShift:
+			case EPushConst, EPushBuf:
 				depth++
 				if depth > peak {
 					peak = depth

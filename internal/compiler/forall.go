@@ -11,10 +11,13 @@ package compiler
 //
 // A column subscript of the index plus a constant, as in
 // z(1:n,k) = (x(1:n,k-1) + x(1:n,k+1)) / 2, or bounds inside 1..n may
-// reach the neighboring processor's columns — the shift class. Its node
-// program exchanges boundary columns, then sweeps halo-augmented column
-// slabs; only column slabs are generated (a row-slab sweep would re-fetch
-// the halo per row band).
+// reach the neighboring processor's columns — the shift class. Each of
+// its statements is the same slab loop, led by an Exchange of the
+// boundary columns its offsets reach: every input is read halo-widened,
+// the output slab is pre-read (columns outside the bounds keep their
+// contents) and a bounded Ewise evaluates the columns inside them. Only
+// column slabs are generated (a row-slab sweep would re-fetch the halo
+// per row band).
 
 import (
 	"fmt"
@@ -31,40 +34,51 @@ type Stmt struct {
 	Ins []string
 	// Lo and Hi are the 0-based inclusive global column bounds.
 	Lo, Hi int
-	// Expr is the lowered right-hand side: EBuf leaves name input
-	// buffers "icla_<array>" in an elementwise program, EBufShift leaves
-	// name the array and column offset in a shifted one.
+	// Expr is the lowered right-hand side: its EBuf leaves name input
+	// buffers "icla_<array>" in an elementwise program, and the halo
+	// buffer <array> at the reference's column offset in a shifted one.
 	Expr plan.EExpr
 	// MinShift and MaxShift bound the column offsets of the inputs.
 	MinShift, MaxShift int
 }
 
-// forallBody is one node per statement: a ShiftEwise sweep in a shifted
-// program, else a slab loop that streams the inputs, computes and writes
-// the output slab (statement fusion is a possible future optimization;
-// separate sweeps preserve HPF's statement-by-statement semantics).
+// forallBody is one slab loop per statement, led by its exchange in a
+// shifted program, that reads the inputs, computes and writes the output
+// slab (statement fusion is a possible future optimization; separate
+// sweeps preserve HPF's statement-by-statement semantics).
 func forallBody(an *Analysis) []plan.Node {
 	body := make([]plan.Node, 0, len(an.Stmts))
 	for si, st := range an.Stmts {
-		if an.Pattern == PatternShift {
-			body = append(body, &plan.ShiftEwise{
-				Out: st.Out, Lo: st.Lo, Hi: st.Hi, Expr: st.Expr,
-				GhostLeft:  max(0, -st.MinShift),
-				GhostRight: max(0, st.MaxShift),
-			})
-			continue
-		}
 		v := fmt.Sprintf("s%d", si)
-		loop := []plan.Node{}
-		for _, in := range st.Ins {
-			loop = append(loop, &plan.ReadSlab{Array: in, Index: v, Buf: "icla_" + in, Stream: true})
-		}
 		out := "out_" + st.Out
-		loop = append(loop,
-			&plan.NewSlab{Array: st.Out, Index: v, Buf: out},
-			&plan.Ewise{Out: out, Expr: st.Expr},
-			&plan.WriteBuf{Array: st.Out, Buf: out},
-		)
+		loop := make([]plan.Node, 0, len(st.Ins)+4)
+		if an.Pattern == PatternShift {
+			left, right := max(0, -st.MinShift), max(0, st.MaxShift)
+			var ex *plan.Exchange
+			if left+right > 0 && len(st.Ins) > 0 {
+				ex = &plan.Exchange{Left: left, Right: right}
+				body = append(body, ex)
+			}
+			loop = append(loop, &plan.ReadSlab{Array: st.Out, Index: v, Buf: out})
+			for _, in := range st.Ins {
+				rs := &plan.ReadSlab{Array: in, Index: v, Buf: in}
+				if ex != nil {
+					rs.Ghosts, rs.Left, rs.Right = "ghost_"+in, left, right
+					ex.Arrays, ex.Ghosts = append(ex.Arrays, in), append(ex.Ghosts, rs.Ghosts)
+				}
+				loop = append(loop, rs)
+			}
+			loop = append(loop, &plan.Ewise{Out: out, Expr: st.Expr, Array: st.Out, Lo: st.Lo, Hi: st.Hi})
+		} else {
+			for _, in := range st.Ins {
+				loop = append(loop, &plan.ReadSlab{Array: in, Index: v, Buf: "icla_" + in, Stream: true})
+			}
+			loop = append(loop,
+				&plan.NewSlab{Array: st.Out, Index: v, Buf: out},
+				&plan.Ewise{Out: out, Expr: st.Expr},
+			)
+		}
+		loop = append(loop, &plan.WriteBuf{Array: st.Out, Buf: out})
 		body = append(body, &plan.Loop{Var: v, Count: plan.CountExpr{SlabsOf: st.Out}, Body: loop})
 	}
 	return body

@@ -190,44 +190,60 @@ func TestPhantomRunBalancesArena(t *testing.T) {
 
 // TestFailedSlabReadReturnsItsBuffer: a slab read takes its buffer from
 // the arena before it touches the file, so a read that fails has to give
-// it back. One permanent fault lands on every operation of rank 0's array
-// files in turn — every chunk read of the run among them; nothing else
-// fails, so the run's clean-up works — and every failed run must leave
-// the arena balanced. Prefetch adds the reader's window: a slab taken out
-// of the pipeline while the read behind it fails.
+// it back. One permanent fault lands on every operation of one rank's
+// array files in turn — every chunk read of the run among them; nothing
+// else fails, so the run's clean-up works — and every failed run must
+// leave the arena balanced. Prefetch adds the reader's window: a slab
+// taken out of the pipeline while the read behind it fails. The column
+// stencil's rank 1 has neighbors on both sides, so its faults also land
+// on the exchange's section reads, the halo reads and the output
+// pre-reads, with ghosts and halo slabs held.
 func TestFailedSlabReadReturnsItsBuffer(t *testing.T) {
-	res := sweepProgram(t)
-	mach := sim.Delta(res.Program.Procs)
+	stencil, err := compiler.CompileSource(shiftSource, compiler.Options{N: 32, Procs: 4, MemElems: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
 	bufpool.SetChecked(true)
 	defer bufpool.SetChecked(false)
-	for _, prefetch := range []bool{false, true} {
-		run := func(schedule []iosim.ScheduledFault) (*iosim.ChaosFS, error) {
-			bufpool.ResetStats()
-			fs := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{Schedule: schedule})
-			out, err := Run(res.Program, mach, Options{FS: fs, Fill: sweepFills(),
-				Runtime: oocarray.Options{Prefetch: prefetch}})
-			if err == nil {
-				err = out.Close()
+	for _, tc := range []struct {
+		name  string
+		res   *compiler.Result
+		fills map[string]func(int, int) float64
+		rank  int
+	}{
+		{"gaxpy", sweepProgram(t), sweepFills(), 0},
+		{"columnstencil", stencil, shiftFills(), 1},
+	} {
+		mach := sim.Delta(tc.res.Program.Procs)
+		for _, prefetch := range []bool{false, true} {
+			run := func(schedule []iosim.ScheduledFault) (*iosim.ChaosFS, error) {
+				bufpool.ResetStats()
+				fs := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{Schedule: schedule})
+				out, err := Run(tc.res.Program, mach, Options{FS: fs, Fill: tc.fills,
+					Runtime: oocarray.Options{Prefetch: prefetch}})
+				if err == nil {
+					err = out.Close()
+				}
+				if n := arenaOutstanding(); n != 0 {
+					t.Errorf("%s, prefetch %v, fault %v: %d arena buffers outstanding: %+v", tc.name, prefetch, schedule, n, bufpool.Snapshot())
+				}
+				return fs, err
 			}
-			if n := arenaOutstanding(); n != 0 {
-				t.Errorf("prefetch %v, fault %v: %d arena buffers outstanding: %+v", prefetch, schedule, n, bufpool.Snapshot())
+			clean, err := run(nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return fs, err
-		}
-		clean, err := run(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, spec := range res.Program.Arrays {
-			file := spec.Name + ".p0.laf"
-			ops := clean.FileOps(file)
-			if ops == 0 {
-				t.Fatalf("no operation on %s", file)
-			}
-			// The file's last operation is Close removing it: not the run's.
-			for k := int64(0); k < ops-1; k++ {
-				if _, err := run([]iosim.ScheduledFault{{File: file, Op: k, Kind: iosim.KindPermanent}}); err == nil {
-					t.Errorf("prefetch %v: a permanent fault at op %d of %s did not fail the run", prefetch, k, file)
+			for _, spec := range tc.res.Program.Arrays {
+				file := fmt.Sprintf("%s.p%d.laf", spec.Name, tc.rank)
+				ops := clean.FileOps(file)
+				if ops == 0 {
+					t.Fatalf("no operation on %s", file)
+				}
+				// The file's last operation is Close removing it: not the run's.
+				for k := int64(0); k < ops-1; k++ {
+					if _, err := run([]iosim.ScheduledFault{{File: file, Op: k, Kind: iosim.KindPermanent}}); err == nil {
+						t.Errorf("%s, prefetch %v: a permanent fault at op %d of %s did not fail the run", tc.name, prefetch, k, file)
+					}
 				}
 			}
 		}
@@ -239,42 +255,56 @@ func TestFailedSlabReadReturnsItsBuffer(t *testing.T) {
 // reads and writes as well as messages. A kill inside a slab read unwinds
 // past the read with its buffer taken and not yet delivered
 // (oocarray.Array holds it for Close), and with prefetch on past the
-// reader's window too; every run must resolve to the agreed failed set
-// and leave the arena balanced.
+// reader's window too; in the two shifted statements it also unwinds
+// from the ghost exchange and from slab loops holding ghosts, halo slabs
+// and the pre-read output. Every run must resolve to the agreed failed
+// set and leave the arena balanced.
 func TestKillAtEveryOpBalancesArena(t *testing.T) {
 	const procs, victim = 4, 2
-	res := chaosProgram(t, "row-slab")
+	chain, err := compiler.CompileSource(shiftChainSource, compiler.Options{N: 32, Procs: procs, MemElems: 96})
+	if err != nil {
+		t.Fatal(err)
+	}
 	bufpool.SetChecked(true)
 	defer bufpool.SetChecked(false)
-	for _, prefetch := range []bool{false, true} {
-		counts := make([]int64, procs)
-		run := func(kill []mp.KillSpec) error {
-			bufpool.ResetStats()
-			out, err := Run(res.Program, sim.Delta(procs), Options{
-				Fill: sweepFills(), OpCounts: counts, Kill: kill,
-				Runtime: oocarray.Options{Prefetch: prefetch},
-			})
-			if err == nil {
-				err = out.Close()
+	for _, tc := range []struct {
+		name  string
+		res   *compiler.Result
+		fills map[string]func(int, int) float64
+	}{
+		{"gaxpy", chaosProgram(t, "row-slab"), sweepFills()},
+		{"shift chain", chain, shiftFills()},
+	} {
+		for _, prefetch := range []bool{false, true} {
+			counts := make([]int64, procs)
+			run := func(kill []mp.KillSpec) error {
+				bufpool.ResetStats()
+				out, err := Run(tc.res.Program, sim.Delta(procs), Options{
+					Fill: tc.fills, OpCounts: counts, Kill: kill,
+					Runtime: oocarray.Options{Prefetch: prefetch},
+				})
+				if err == nil {
+					err = out.Close()
+				}
+				if n := arenaOutstanding(); n != 0 {
+					t.Errorf("%s, prefetch %v, kill %v: %d arena buffers outstanding: %+v", tc.name, prefetch, kill, n, bufpool.Snapshot())
+				}
+				return err
 			}
-			if n := arenaOutstanding(); n != 0 {
-				t.Errorf("prefetch %v, kill %v: %d arena buffers outstanding: %+v", prefetch, kill, n, bufpool.Snapshot())
+			if err := run(nil); err != nil {
+				t.Fatal(err)
 			}
-			return err
-		}
-		if err := run(nil); err != nil {
-			t.Fatal(err)
-		}
-		total := counts[victim]
-		step := int64(1)
-		if testing.Short() {
-			step = 7
-		}
-		for op := int64(0); op < total; op += step {
-			err := run([]mp.KillSpec{{Rank: victim, Op: op}})
-			var rf *mp.RankFailure
-			if !errors.As(err, &rf) || fmt.Sprint(rf.Failed) != fmt.Sprint([]int{victim}) {
-				t.Errorf("prefetch %v, kill at op %d of %d: want a RankFailure of rank %d, got %v", prefetch, op, total, victim, err)
+			total := counts[victim]
+			step := int64(1)
+			if testing.Short() {
+				step = 7
+			}
+			for op := int64(0); op < total; op += step {
+				err := run([]mp.KillSpec{{Rank: victim, Op: op}})
+				var rf *mp.RankFailure
+				if !errors.As(err, &rf) || fmt.Sprint(rf.Failed) != fmt.Sprint([]int{victim}) {
+					t.Errorf("%s, prefetch %v, kill at op %d of %d: want a RankFailure of rank %d, got %v", tc.name, prefetch, op, total, victim, err)
+				}
 			}
 		}
 	}

@@ -206,8 +206,8 @@ func (in *interp) exec(ins *bytecode.Instr) error {
 		return in.newSlab(ins)
 	case bytecode.OpEwise:
 		return in.ewise(ins)
-	case bytecode.OpShiftEwise:
-		return in.shiftEwise(ins)
+	case bytecode.OpExchange:
+		return in.exchange(ins)
 	case bytecode.OpAllToAll:
 		return in.allToAll(ins)
 	default:
@@ -220,17 +220,76 @@ func (in *interp) loadSlab(ins *bytecode.Instr) error {
 	idx := in.vars[ins.B]
 	var icla *oocarray.ICLA
 	var err error
-	if ins.D == 0 {
+	switch ins.D {
+	case 0:
 		icla, err = arr.ReadSlab(in.slabs[ins.A], idx)
-	} else {
+	case 1:
 		icla, err = in.streamRead(ins, arr, idx)
+	default: // halo-widened around the ghosts an EXCHANGE left in slot E
+		var ghosts []float64
+		if g := in.bufs[ins.E]; g != nil {
+			ghosts = g.Data
+		}
+		icla, err = arr.ReadHalo(in.slabs[ins.A], idx, int(ins.F), int(ins.G), ghosts)
 	}
 	if err != nil {
 		return err
 	}
-	old := in.bufs[ins.C]
-	in.bufs[ins.C] = icla
+	in.bind(arr, ins.C, icla)
+	return nil
+}
+
+// bind puts a buffer into slot, recycling the one it replaces; from then
+// on teardown (releaseBufs) owns it, however the run ends.
+func (in *interp) bind(arr *oocarray.Array, slot int32, s *oocarray.ICLA) {
+	old := in.bufs[slot]
+	in.bufs[slot] = s
 	in.recycle(arr, old)
+}
+
+// exchangeTag tags the boundary-column exchange: the array at position i
+// of a statement's exchange uses exchangeTag+2i rightward and the next
+// tag leftward.
+const exchangeTag = 101
+
+// exchange trades boundary columns of one array with the neighbors
+// (EXCHANGE): this block's last C columns go right and its first D left,
+// and theirs come back into ghost buffer B, the C below this block first.
+// Sections leave as owned messages and B is bound before the receives, so
+// no buffer escapes teardown on a failed run.
+func (in *interp) exchange(ins *bytecode.Instr) error {
+	arr := in.arrays[ins.A]
+	rows, cols := arr.LocalRows(), arr.LocalCols()
+	left, right := int(ins.C), int(ins.D)
+	tag := exchangeTag + 2*int(ins.E)
+	rank, last := in.proc.Rank(), in.proc.Size()-1
+	if left > 0 && rank < last {
+		sec, err := arr.ReadSection(0, cols-left, rows, left)
+		if err != nil {
+			return err
+		}
+		in.proc.SendOwned(rank+1, tag, sec.Data)
+	}
+	if right > 0 && rank > 0 {
+		sec, err := arr.ReadSection(0, 0, rows, right)
+		if err != nil {
+			return err
+		}
+		in.proc.SendOwned(rank-1, tag+1, sec.Data)
+	}
+	g := &oocarray.ICLA{Rows: rows, Cols: left + right, Data: bufpool.GetF64(rows * (left + right))}
+	clear(g.Data)
+	in.bind(arr, ins.B, g)
+	if left > 0 && rank > 0 {
+		data := in.proc.Recv(rank-1, tag)
+		copy(g.Data, data)
+		mp.ReleaseBuf(data)
+	}
+	if right > 0 && rank < last {
+		data := in.proc.Recv(rank+1, tag+1)
+		copy(g.Data[rows*left:], data)
+		mp.ReleaseBuf(data)
+	}
 	return nil
 }
 
@@ -457,56 +516,55 @@ func (in *interp) newSlab(ins *bytecode.Instr) error {
 	if err != nil {
 		return err
 	}
-	old := in.bufs[ins.C]
-	in.bufs[ins.C] = icla
-	in.recycle(arr, old)
+	in.bind(arr, ins.C, icla)
 	return nil
 }
 
+// ewise evaluates an elementwise statement into its output buffer
+// (EWISE): the whole buffer in one charge, or, bounded, the columns whose
+// global index lies in [E, F], one computation per column.
 func (in *interp) ewise(ins *bytecode.Instr) error {
 	out := in.bufs[ins.A]
 	if out == nil {
 		return fmt.Errorf("exec: Ewise into unknown buffer %q", in.code.BufNames[ins.A])
 	}
-	if !in.phantom {
-		if err := in.evalEwiseCode(in.code.Exprs[ins.B], out.Data); err != nil {
-			return err
+	code := in.code.Exprs[ins.B]
+	if ins.D < 0 {
+		if !in.phantom {
+			if err := in.evalEwiseCode(code, out.Data, -1); err != nil {
+				return err
+			}
 		}
+		in.proc.Compute(int64(ins.C) * int64(len(out.Data)))
+		return nil
 	}
-	in.proc.Compute(int64(ins.C) * int64(len(out.Data)))
+	colMap := in.arrays[ins.D].Dist().Dims[1]
+	rank, evaluated := in.proc.Rank(), 0
+	for c := 0; c < out.Cols; c++ {
+		if k := colMap.ToGlobal(rank, out.ColOff+c); k < int(ins.E) || k > int(ins.F) {
+			continue
+		}
+		if !in.phantom {
+			if err := in.evalEwiseCode(code, out.Col(c), out.ColOff+c); err != nil {
+				return err
+			}
+		}
+		evaluated++
+	}
+	in.proc.ComputeN(int64(ins.C)*int64(out.Rows), evaluated)
 	return nil
 }
 
-// foldExpr applies one binary expression opcode elementwise, folding the
-// right operand into the left in place.
-func foldExpr(op bytecode.ExprOp, l, r []float64) {
-	switch op {
-	case bytecode.EAdd:
-		for j := range l {
-			l[j] += r[j]
-		}
-	case bytecode.ESub:
-		for j := range l {
-			l[j] -= r[j]
-		}
-	case bytecode.EMul:
-		for j := range l {
-			l[j] *= r[j]
-		}
-	case bytecode.EDiv:
-		for j := range l {
-			l[j] /= r[j]
-		}
-	}
-}
-
-// evalEwiseCode evaluates a postfix program elementwise into dst. The
-// first value pushed lands in dst itself (the left spine of the source
-// expression works into dst); every later push uses a pooled buffer, and
-// operators fold the right operand into the left in place, so the float
-// operations happen in source order (left subtree, right subtree,
-// operator) and the result is dst with no final copy.
-func (in *interp) evalEwiseCode(code []bytecode.ExprInstr, dst []float64) error {
+// evalEwiseCode evaluates a postfix program elementwise into dst: with col
+// negative a whole output buffer, every leaf reading its buffer's whole
+// data, else the output's local column col, each leaf reading column col
+// plus its offset of its buffer. The first value pushed lands in dst
+// itself (the left spine of the source expression works into dst); every
+// later push uses a pooled buffer, and operators fold the right operand
+// into the left in place, so the float operations happen in source order
+// (left subtree, right subtree, operator) and the result is dst with no
+// final copy.
+func (in *interp) evalEwiseCode(code []bytecode.ExprInstr, dst []float64, col int) error {
 	stack := in.estack[:0]
 	fail := func(err error) error {
 		// dst sits at the bottom of the stack; only pooled buffers above
@@ -537,16 +595,42 @@ func (in *interp) evalEwiseCode(code []bytecode.ExprInstr, dst []float64) error 
 			if src == nil {
 				return fail(fmt.Errorf("exec: Ewise reads unread buffer %q", in.code.BufNames[ins.A]))
 			}
-			if len(src.Data) != len(dst) {
-				return fail(fmt.Errorf("exec: Ewise buffer %q has %d elements, output has %d",
-					in.code.BufNames[ins.A], len(src.Data), len(dst)))
+			data := src.Data
+			if col >= 0 {
+				j := col + int(ins.B) - src.ColOff
+				if j < 0 || j >= src.Cols {
+					return fail(fmt.Errorf("exec: Ewise reads column %d of buffer %q, which holds columns %d..%d",
+						col+int(ins.B), in.code.BufNames[ins.A], src.ColOff, src.ColOff+src.Cols-1))
+				}
+				data = src.Col(j)
 			}
-			copy(push(), src.Data)
+			if len(data) != len(dst) {
+				return fail(fmt.Errorf("exec: Ewise buffer %q has %d elements, output has %d",
+					in.code.BufNames[ins.A], len(data), len(dst)))
+			}
+			copy(push(), data)
 		default: // EAdd..EDiv; Validate pinned the opcode set and stack depth
 			r := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			l := stack[len(stack)-1]
-			foldExpr(ins.Op, l, r)
+			switch ins.Op {
+			case bytecode.EAdd:
+				for j := range l {
+					l[j] += r[j]
+				}
+			case bytecode.ESub:
+				for j := range l {
+					l[j] -= r[j]
+				}
+			case bytecode.EMul:
+				for j := range l {
+					l[j] *= r[j]
+				}
+			case bytecode.EDiv:
+				for j := range l {
+					l[j] /= r[j]
+				}
+			}
 			bufpool.PutF64(r)
 		}
 	}

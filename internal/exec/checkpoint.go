@@ -34,7 +34,7 @@ import (
 // processor.
 type CheckpointSpec struct {
 	// Every checkpoints each Every-th eligible loop iteration; values
-	// below 1 behave as 1. Statement boundaries always checkpoint.
+	// below 1 behave as 1. Statement boundaries checkpoint (bytecode.OpCkpt).
 	Every int
 	// Prefix names the checkpoint files; empty means "ckpt". Manifests
 	// are written to <prefix>.p<rank>.s<slot>.manifest and array
@@ -228,7 +228,7 @@ func mutatedArrays(code *bytecode.Program) writeSet {
 		ins := &code.Code[i]
 		var a int32
 		switch ins.Op {
-		case bytecode.OpStoreSlab, bytecode.OpFlushStage, bytecode.OpShiftEwise:
+		case bytecode.OpStoreSlab, bytecode.OpFlushStage:
 			a = ins.A
 		case bytecode.OpSumStore:
 			a = ins.B

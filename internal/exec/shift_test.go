@@ -1,11 +1,15 @@
 package exec
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
+	"github.com/ooc-hpf/passion/internal/bytecode"
 	"github.com/ooc-hpf/passion/internal/compiler"
+	"github.com/ooc-hpf/passion/internal/iosim"
 	"github.com/ooc-hpf/passion/internal/sim"
 )
 
@@ -23,7 +27,28 @@ end FORALL
 end
 `
 
+// shiftChainSource is two shifted statements, the second reading the
+// first's target: y from x, then z from y.
+const shiftChainSource = `parameter (n=32, nprocs=4)
+real x(n,n), y(n,n), z(n,n)
+!hpf$ processors pr(nprocs)
+!hpf$ template d(n)
+!hpf$ distribute d(block) on pr
+!hpf$ align (*,:) with d :: x, y, z
+FORALL (k=2:n-1)
+  y(1:n,k) = (x(1:n,k-1) + x(1:n,k+1)) / 2
+end FORALL
+FORALL (k=3:n-2)
+  z(1:n,k) = (y(1:n,k-1) + 2*y(1:n,k) + y(1:n,k+1)) / 4
+end FORALL
+end
+`
+
 func shiftFillX(i, j int) float64 { return float64(4 * (i%6 + 3*(j%5))) } // multiples of 4: /4 exact
+
+func shiftFills() map[string]func(int, int) float64 {
+	return map[string]func(int, int) float64{"x": shiftFillX}
+}
 
 func runShift(t *testing.T, src string, n, procs, mem int) (*compiler.Result, *Result) {
 	t.Helper()
@@ -31,13 +56,21 @@ func runShift(t *testing.T, src string, n, procs, mem int) (*compiler.Result, *R
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(res.Program, sim.Delta(procs), Options{
-		Fill: map[string]func(int, int) float64{"x": shiftFillX},
-	})
+	out, err := Run(res.Program, sim.Delta(procs), Options{Fill: shiftFills()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res, out
+}
+
+// shiftExecutionCases are the (n, P, memory) points the shifted class is
+// checked at.
+var shiftExecutionCases = []struct{ n, p, mem int }{
+	{32, 1, 32 * 8},
+	{32, 2, 32 * 8},
+	{32, 4, 32 * 4},
+	{48, 4, 48 * 2}, // one-column slabs
+	{32, 8, 32 * 8}, // blocks of 4 columns, ghosts at every boundary
 }
 
 func TestShiftPatternRecognized(t *testing.T) {
@@ -59,13 +92,7 @@ func TestShiftPatternRecognized(t *testing.T) {
 }
 
 func TestShiftExecutionCorrect(t *testing.T) {
-	for _, tc := range []struct{ n, p, mem int }{
-		{32, 1, 32 * 8},
-		{32, 2, 32 * 8},
-		{32, 4, 32 * 4},
-		{48, 4, 48 * 2}, // one-column slabs
-		{32, 8, 32 * 8}, // blocks of 4 columns, ghosts at every boundary
-	} {
+	for _, tc := range shiftExecutionCases {
 		t.Run(fmt.Sprintf("n=%d/p=%d", tc.n, tc.p), func(t *testing.T) {
 			_, out := runShift(t, shiftSource, tc.n, tc.p, tc.mem)
 			z, err := out.ReadArray("z")
@@ -143,25 +170,103 @@ func TestShiftRejections(t *testing.T) {
 }
 
 func TestShiftPhantomMatchesReal(t *testing.T) {
-	res, err := compiler.CompileSource(shiftSource, compiler.Options{N: 32, Procs: 4, MemElems: 32 * 4})
+	for _, tc := range shiftExecutionCases {
+		t.Run(fmt.Sprintf("n=%d/p=%d", tc.n, tc.p), func(t *testing.T) {
+			res, real := runShift(t, shiftSource, tc.n, tc.p, tc.mem)
+			ph, err := Run(res.Program, sim.Delta(tc.p), Options{Phantom: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r, p := real.Stats.TotalIO(), ph.Stats.TotalIO(); !ioStatsEqual(r, p) {
+				t.Errorf("phantom IO differs: %+v vs %+v", p, r)
+			}
+			if rt, pt := real.Stats.ElapsedSeconds(), ph.Stats.ElapsedSeconds(); rt != pt {
+				t.Errorf("phantom elapsed %016x vs real %016x", math.Float64bits(pt), math.Float64bits(rt))
+			}
+		})
+	}
+}
+
+// TestShiftNoCheckpointBetweenExchangeAndLoop: a resume starts with empty
+// buffer slots, so no statement-boundary checkpoint may separate an
+// exchange from the slab loop that reads its ghosts; the boundary
+// between the two statements keeps its checkpoint.
+func TestShiftNoCheckpointBetweenExchangeAndLoop(t *testing.T) {
+	res, err := compiler.CompileSource(shiftChainSource, compiler.Options{N: 32, Procs: 4, MemElems: 96})
 	if err != nil {
 		t.Fatal(err)
 	}
-	real, err := Run(res.Program, sim.Delta(4), Options{
-		Fill: map[string]func(int, int) float64{"x": shiftFillX},
-	})
+	bc, err := bytecode.Compile(res.Program)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ph, err := Run(res.Program, sim.Delta(4), Options{Phantom: true})
+	exchanges, ckpts := 0, 0
+	for pc, ins := range bc.Code {
+		switch ins.Op {
+		case bytecode.OpCkpt:
+			ckpts++
+		case bytecode.OpExchange:
+			exchanges++
+			for q := pc + 1; bc.Code[q].Op != bytecode.OpLoop; q++ {
+				if bc.Code[q].Op == bytecode.OpCkpt {
+					t.Fatalf("CKPT at pc %d between the EXCHANGE at pc %d and its loop:\n%s", q, pc, bc.Disassemble())
+				}
+			}
+		}
+	}
+	if exchanges != 2 || ckpts != 1 {
+		t.Fatalf("%d EXCHANGE and %d CKPT instructions, want 2 and 1:\n%s", exchanges, ckpts, bc.Disassemble())
+	}
+}
+
+// TestShiftChainResumesAtEveryEpoch cancels the two-statement program
+// from the checkpoint hook at each committed epoch in turn and resumes
+// it: every resumed z is the uninterrupted run's, bit for bit.
+func TestShiftChainResumesAtEveryEpoch(t *testing.T) {
+	res, err := compiler.CompileSource(shiftChainSource, compiler.Options{N: 32, Procs: 4, MemElems: 96})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, p := real.Stats.TotalIO(), ph.Stats.TotalIO(); !ioStatsEqual(r, p) {
-		t.Errorf("phantom IO differs: %+v vs %+v", p, r)
+	mach := sim.Delta(4)
+	spec := &CheckpointSpec{Every: 1}
+	var epochs []int
+	base, err := Run(res.Program, mach, Options{Fill: shiftFills(), FS: iosim.NewMemFS(), Checkpoint: spec,
+		CkptHook: func(epoch int) { epochs = append(epochs, epoch) }})
+	if err != nil {
+		t.Fatal(err)
 	}
-	rt, pt := real.Stats.ElapsedSeconds(), ph.Stats.ElapsedSeconds()
-	if d := rt - pt; d > 1e-9 || d < -1e-9 {
-		t.Errorf("phantom elapsed %.6f vs real %.6f", pt, rt)
+	want, err := base.ReadArray("z")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(epochs) != 2 {
+		t.Fatalf("checkpoint epochs %v, want one per statement", epochs)
+	}
+	for _, cancelAt := range epochs {
+		fs := iosim.NewMemFS()
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err := RunCtx(ctx, res.Program, mach, Options{Fill: shiftFills(), FS: fs, Checkpoint: spec,
+			CkptHook: func(epoch int) {
+				if epoch == cancelAt {
+					cancel()
+				}
+			}})
+		cancel()
+		if err == nil {
+			t.Fatalf("run cancelled at epoch %d completed", cancelAt)
+		}
+		out, err := Resume(res.Program, mach, Options{Fill: shiftFills(), FS: fs, Checkpoint: spec})
+		if err != nil {
+			t.Fatalf("resume from epoch %d: %v", cancelAt, err)
+		}
+		got, err := out.ReadArray("z")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("resumed from epoch %d: z element %d is %v, uninterrupted %v", cancelAt, i, got.Data[i], want.Data[i])
+			}
+		}
 	}
 }

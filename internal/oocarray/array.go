@@ -367,6 +367,30 @@ func (a *Array) readSlabRaw(s Slabbing, index int) (*ICLA, float64, error) {
 	return a.readSectionRaw(start, 0, size, a.cols)
 }
 
+// ReadHalo fetches column slab index widened by left columns before it
+// and right after it: the ones inside the local block in one section
+// read, the ones beyond it from ghosts, which holds the left columns just
+// below the block, then the right ones just above it, column-major.
+func (a *Array) ReadHalo(s Slabbing, index, left, right int, ghosts []float64) (*ICLA, error) {
+	if s.Dim != ByColumn || index < 0 || index >= s.Count || len(ghosts) != a.rows*(left+right) {
+		return nil, fmt.Errorf("oocarray: %s.p%d: halo read of slab %d of %d needs column slabs and %dx%d ghosts",
+			a.Name(), a.proc, index, s.Count, a.rows, left+right)
+	}
+	start, size := s.slabBounds(index, a.cols)
+	h := &ICLA{ColOff: start - left, Rows: a.rows, Cols: size + left + right}
+	c0, c1 := max(h.ColOff, 0), min(h.ColOff+h.Cols, a.cols)
+	sec, err := a.ReadSection(0, c0, a.rows, c1-c0)
+	if err != nil {
+		return nil, err
+	}
+	h.Data = bufpool.GetF64(a.rows * h.Cols)
+	copy(h.Data, ghosts[(left-(c0-h.ColOff))*a.rows:left*a.rows])
+	copy(h.Data[(c0-h.ColOff)*a.rows:], sec.Data)
+	copy(h.Data[(c1-h.ColOff)*a.rows:], ghosts[left*a.rows:])
+	a.Recycle(sec)
+	return h, nil
+}
+
 // NewSlab allocates a zeroed in-core slab positioned like slab index of
 // the decomposition, for computing results before WriteSection.
 func (a *Array) NewSlab(s Slabbing, index int) (*ICLA, error) {

@@ -5,8 +5,8 @@ import (
 	"strconv"
 )
 
-// EExpr is an elementwise expression over aligned slab buffers: the
-// compiled form of a communication-free FORALL assignment such as
+// EExpr is an elementwise expression over slab buffers: the compiled
+// form of a FORALL assignment's right-hand side such as
 // z(1:n,k) = 2*x(1:n,k) + y(1:n,k) - 1.
 type EExpr interface {
 	eexpr()
@@ -18,8 +18,16 @@ type EExpr interface {
 // EConst is a scalar constant.
 type EConst struct{ V float64 }
 
-// EBuf reads the corresponding element of a slab buffer.
-type EBuf struct{ Buf string }
+// EBuf reads a slab buffer. An aligned leaf reads the element of Buf at
+// the output element's position (Buf has the output's geometry). A column
+// leaf (Col set: the shifted reference x(1:n,k+Off)) reads column k+Off of
+// Buf for the output's local column k; only a bounded Ewise may give a
+// leaf a nonzero Off.
+type EBuf struct {
+	Buf string
+	Col bool
+	Off int
+}
 
 // EBin combines two subexpressions with '+', '-', '*' or '/'.
 type EBin struct {
@@ -41,10 +49,18 @@ func (*EBuf) Ops() int { return 0 }
 func (e *EBin) Ops() int { return 1 + e.L.Ops() + e.R.Ops() }
 
 func (e *EConst) String() string { return strconv.FormatFloat(e.V, 'g', -1, 64) }
-func (e *EBuf) String() string   { return e.Buf + "(:)" }
-func (e *EBin) String() string {
-	return fmt.Sprintf("(%s%c%s)", e.L.String(), e.Op, e.R.String())
+func (e *EBuf) String() string {
+	switch {
+	case !e.Col:
+		return e.Buf + "(:)"
+	case e.Off == 0:
+		return e.Buf + "(:,k)"
+	case e.Off > 0:
+		return e.Buf + "(:,k+" + strconv.Itoa(e.Off) + ")"
+	}
+	return e.Buf + "(:,k" + strconv.Itoa(e.Off) + ")"
 }
+func (e *EBin) String() string { return "(" + e.L.String() + string(e.Op) + e.R.String() + ")" }
 
 // NewSlab allocates a zeroed output buffer positioned like slab Index of
 // Array's decomposition (the output-side counterpart of ReadSlab).
@@ -56,14 +72,29 @@ type NewSlab struct {
 
 // Ewise evaluates Expr elementwise into buffer Out. All buffers
 // referenced by Expr must have Out's geometry (they are slabs of aligned
-// arrays at the same slab index).
+// arrays at the same slab index), unless the statement is bounded:
+// Array, when set, names the array Out is a slab of, and only Out's
+// columns whose global index lies in Lo..Hi (0-based, inclusive) are
+// evaluated, column by column and so at any leaf offset; the other
+// columns keep their contents (HPF FORALL bounds).
 type Ewise struct {
-	Out  string
-	Expr EExpr
+	Out    string
+	Expr   EExpr
+	Array  string
+	Lo, Hi int
 }
 
-func (*NewSlab) node() {}
-func (*Ewise) node()   {}
+// Exchange is a shifted FORALL's communication: for each Arrays[i], the
+// Left columns just below this processor's block and the Right columns
+// just above it arrive from the neighbors in ghost buffer Ghosts[i].
+type Exchange struct {
+	Arrays, Ghosts []string
+	Left, Right    int
+}
+
+func (*NewSlab) node()  {}
+func (*Ewise) node()    {}
+func (*Exchange) node() {}
 
 // Pretty renders the output-slab allocation.
 func (n *NewSlab) Pretty(indent int) string {
@@ -72,5 +103,15 @@ func (n *NewSlab) Pretty(indent int) string {
 
 // Pretty renders the elementwise statement.
 func (n *Ewise) Pretty(indent int) string {
-	return fmt.Sprintf("%s%s(:) = %s\n", pad(indent), n.Out, n.Expr.String())
+	if n.Array == "" {
+		return fmt.Sprintf("%s%s(:) = %s\n", pad(indent), n.Out, n.Expr.String())
+	}
+	return fmt.Sprintf("%sforall k = %d..%d of %s: %s(:,k) = %s\n",
+		pad(indent), n.Lo+1, n.Hi+1, n.Array, n.Out, n.Expr.String())
+}
+
+// Pretty renders the boundary-column exchange.
+func (n *Exchange) Pretty(indent int) string {
+	return fmt.Sprintf("%scall shift_exchange(ghosts: left=%d, right=%d) %v -> %v\n",
+		pad(indent), n.Left, n.Right, n.Arrays, n.Ghosts)
 }

@@ -4,8 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // Fingerprint returns a stable canonical hash of the compiled program:
@@ -28,9 +29,11 @@ func Fingerprint(p *Program, extra map[string]string) string {
 	for _, n := range p.Notes {
 		fmt.Fprintf(h, "note|%s\n", n)
 	}
+	var body []byte
 	for _, n := range p.Body {
-		hashNode(h, n)
+		body = appendNode(body, n)
 	}
+	h.Write(body)
 	keys := make([]string, 0, len(extra))
 	for k := range extra {
 		keys = append(keys, k)
@@ -42,42 +45,63 @@ func Fingerprint(p *Program, extra map[string]string) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// hashNode folds one IR node (and, for loops, its body) into the hash
-// with an explicit type tag per field, so two nodes of different kinds
-// can never collide on a shared rendering.
-func hashNode(w io.Writer, n Node) {
+// appendNode appends one IR node (and, for loops, its body) to b with an
+// explicit tag per field, so two nodes of different kinds can never
+// collide on a shared rendering; appending keeps the hash allocation-light.
+func appendNode(b []byte, n Node) []byte {
 	switch n := n.(type) {
 	case *Loop:
-		fmt.Fprintf(w, "loop|%s|%s{\n", n.Var, n.Count)
-		for _, b := range n.Body {
-			hashNode(w, b)
+		b = append(b, "loop|"+n.Var+"|"+n.Count.String()+"{\n"...)
+		for _, c := range n.Body {
+			b = appendNode(b, c)
 		}
-		fmt.Fprint(w, "}\n")
+		return append(b, "}\n"...)
 	case *ReadSlab:
-		fmt.Fprintf(w, "read|%s|%s|%s|stream=%t\n", n.Array, n.Index, n.Buf, n.Stream)
+		if n.Ghosts != "" {
+			return appendFields(b, "read", n.Array, n.Index, n.Buf, "stream="+strconv.FormatBool(n.Stream)+
+				"|halo="+n.Ghosts+","+strconv.Itoa(n.Left)+","+strconv.Itoa(n.Right))
+		}
+		return appendFields(b, "read", n.Array, n.Index, n.Buf, "stream="+strconv.FormatBool(n.Stream))
 	case *NewStaging:
-		fmt.Fprintf(w, "staging|%s|%s|%s\n", n.Array, n.Buf, n.RowsLike)
+		return appendFields(b, "staging", n.Array, n.Buf, n.RowsLike)
 	case *AutoStage:
-		fmt.Fprintf(w, "autostage|%s\n", n.Array)
+		return appendFields(b, "autostage", n.Array)
 	case *FlushStage:
-		fmt.Fprintf(w, "flush|%s\n", n.Array)
+		return appendFields(b, "flush", n.Array)
 	case *WriteBuf:
-		fmt.Fprintf(w, "write|%s|%s\n", n.Array, n.Buf)
+		return appendFields(b, "write", n.Array, n.Buf)
 	case *ZeroVec:
-		fmt.Fprintf(w, "zerovec|%s|%s|%s\n", n.Vec, n.RowsLike, n.RowsOfArray)
+		return appendFields(b, "zerovec", n.Vec, n.RowsLike, n.RowsOfArray)
 	case *Axpy:
-		fmt.Fprintf(w, "axpy|%s|%s|%s|%s|%s|%s|%s|%s\n",
-			n.Vec, n.A, n.ACol, n.B, n.BRowBase, n.BRowScale, n.BRowPlus, n.BCol)
+		return appendFields(b, "axpy", n.Vec, n.A, n.ACol, n.B, n.BRowBase, n.BRowScale, n.BRowPlus, n.BCol)
 	case *SumStore:
-		fmt.Fprintf(w, "sumstore|%s|%s\n", n.Vec, n.Array)
+		return appendFields(b, "sumstore", n.Vec, n.Array)
 	case *ResetCounter:
-		fmt.Fprint(w, "resetcounter\n")
+		return appendFields(b, "resetcounter")
+	case *NewSlab:
+		return appendFields(b, "newslab", n.Array, n.Index, n.Buf)
+	case *Ewise:
+		// The rendering names every leaf with its column offset, and
+		// every constant in its shortest exact form.
+		return appendFields(b, "ewise", n.Out, "bounds="+n.Array+","+strconv.Itoa(n.Lo)+","+strconv.Itoa(n.Hi), n.Expr.String())
+	case *Exchange:
+		return appendFields(b, "exchange", strings.Join(n.Arrays, ","), strings.Join(n.Ghosts, ","),
+			strconv.Itoa(n.Left), strconv.Itoa(n.Right))
 	case *Redistribute:
-		fmt.Fprintf(w, "redistribute|%s|%s|transpose=%t|%s|mem=%d\n",
-			n.Src, n.Dst, n.Transpose, n.Method, n.MemElems)
+		return appendFields(b, "redistribute", n.Src, n.Dst, "transpose="+strconv.FormatBool(n.Transpose),
+			n.Method, "mem="+strconv.Itoa(n.MemElems))
 	default:
 		// An unknown node kind must not silently alias an existing
 		// fingerprint; fold in its full debug rendering instead.
-		fmt.Fprintf(w, "unknown|%T|%+v\n", n, n)
+		return fmt.Appendf(b, "unknown|%T|%+v\n", n, n)
 	}
+}
+
+// appendFields appends tag, each field after a '|', and a newline.
+func appendFields(b []byte, tag string, fields ...string) []byte {
+	b = append(b, tag...)
+	for _, f := range fields {
+		b = append(append(b, '|'), f...)
+	}
+	return append(b, '\n')
 }

@@ -15,6 +15,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/ooc-hpf/passion/internal/dist"
@@ -129,11 +130,11 @@ type CountExpr struct {
 func (c CountExpr) String() string {
 	switch {
 	case c.SlabsOf != "":
-		return fmt.Sprintf("slabs(%s)", c.SlabsOf)
+		return "slabs(" + c.SlabsOf + ")"
 	case c.ColsOf != "":
-		return fmt.Sprintf("cols(%s)", c.ColsOf)
+		return "cols(" + c.ColsOf + ")"
 	default:
-		return fmt.Sprintf("%d", c.Lit)
+		return strconv.Itoa(c.Lit)
 	}
 }
 
@@ -149,11 +150,17 @@ type Loop struct {
 // compiler proved to be sequential scans (Index is the immediately
 // enclosing loop variable running over all slabs), which the runtime may
 // prefetch ahead of the computation.
+//
+// Ghosts, when set, widens a column slab by Left columns before it and
+// Right after it: the ones inside the local block are read with the slab,
+// the ones beyond it come from the ghost buffer an Exchange filled.
 type ReadSlab struct {
-	Array  string
-	Index  string
-	Buf    string
-	Stream bool
+	Array       string
+	Index       string
+	Buf         string
+	Stream      bool
+	Ghosts      string
+	Left, Right int
 }
 
 // NewStaging allocates an output staging buffer for Array covering the
@@ -267,7 +274,11 @@ func (n *ReadSlab) Pretty(indent int) string {
 	if n.Stream {
 		hint = "  ! sequential: may prefetch"
 	}
-	return fmt.Sprintf("%scall read_slab(%s, slab=%s) -> %s%s\n", pad(indent), n.Array, n.Index, n.Buf, hint)
+	halo := ""
+	if n.Ghosts != "" {
+		halo = fmt.Sprintf(", halo=(%d,%d) from %s", n.Left, n.Right, n.Ghosts)
+	}
+	return fmt.Sprintf("%scall read_slab(%s, slab=%s%s) -> %s%s\n", pad(indent), n.Array, n.Index, halo, n.Buf, hint)
 }
 
 // Pretty renders the staging allocation.
