@@ -93,7 +93,7 @@ func foralls(asgs []assignment, env map[string]int, an *Analysis) error {
 	leaf := func(r ref) plan.EExpr { return &plan.EBuf{Buf: "icla_" + r.Array} }
 	if an.Pattern == PatternShift {
 		an.Comm = "shifted column references cross the BLOCK boundaries: boundary-column exchange with the neighboring processors (shift communication), then a halo-augmented local sweep"
-		leaf = func(r ref) plan.EExpr { return &plan.EBuf{Buf: r.Array, Col: true, Off: r.Col.Off} }
+		leaf = func(r ref) plan.EExpr { return &plan.EBuf{Buf: "halo_" + r.Array, Array: r.Array, Off: r.Col.Off} }
 	}
 	an.Stmts = make([]Stmt, 0, len(asgs))
 	for _, a := range asgs {

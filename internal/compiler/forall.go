@@ -36,7 +36,9 @@ type Stmt struct {
 	Lo, Hi int
 	// Expr is the lowered right-hand side: its EBuf leaves name input
 	// buffers "icla_<array>" in an elementwise program, and the halo
-	// buffer <array> at the reference's column offset in a shifted one.
+	// buffer "halo_<array>" at the reference's column offset in a shifted
+	// one. Each buffer kind has its own prefix, so no two buffers of a
+	// statement share a slot whatever the arrays are called.
 	Expr plan.EExpr
 	// MinShift and MaxShift bound the column offsets of the inputs.
 	MinShift, MaxShift int
@@ -61,7 +63,7 @@ func forallBody(an *Analysis) []plan.Node {
 			}
 			loop = append(loop, &plan.ReadSlab{Array: st.Out, Index: v, Buf: out})
 			for _, in := range st.Ins {
-				rs := &plan.ReadSlab{Array: in, Index: v, Buf: in}
+				rs := &plan.ReadSlab{Array: in, Index: v, Buf: "halo_" + in}
 				if ex != nil {
 					rs.Ghosts, rs.Left, rs.Right = "ghost_"+in, left, right
 					ex.Arrays, ex.Ghosts = append(ex.Arrays, in), append(ex.Ghosts, rs.Ghosts)

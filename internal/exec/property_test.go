@@ -69,13 +69,20 @@ func genExpr(rng *rand.Rand, arrays []string, depth int, shift bool, offs *[]int
 	return fmt.Sprintf("(%s %c %s)", ls, op, rs), eval
 }
 
-// genProgram builds a random program of one to three FORALLs over four
-// arrays on procs processors. An elementwise one runs every statement
-// over 1..n at offset 0. A shifted one gives its sections column offsets
-// in -2..2, keeps each statement's target off its own right-hand side,
-// and picks bounds that keep every offset column inside 1..n.
+// genArrays are the generated programs' arrays. Each name but x is x
+// behind a prefix the compiler gives a buffer (the output slab, ghosts,
+// halo slabs), so a lowering whose buffer names can coincide for two
+// arrays puts two buffers in one slot and computes a wrong result.
+var genArrays = []string{"x", "out_x", "ghost_x", "halo_x"}
+
+// genProgram builds a random program of one to three FORALLs over the
+// four genArrays on procs processors. An elementwise one runs every
+// statement over 1..n at offset 0. A shifted one gives its sections
+// column offsets in -2..2, keeps each statement's target off its own
+// right-hand side, and picks bounds that keep every offset column inside
+// 1..n.
 func genProgram(rng *rand.Rand, n, procs int, shift bool) (string, []genStmt) {
-	arrays := []string{"u", "v", "w", "x"}
+	arrays := genArrays
 	nStmts := rng.Intn(3) + 1
 	var stmts []genStmt
 	var body strings.Builder
@@ -104,23 +111,23 @@ func genProgram(rng *rand.Rand, n, procs int, shift bool) (string, []genStmt) {
 		fmt.Fprintf(&body, "FORALL (k=%d:%d)\n  %s(1:n,k) = %s\nend FORALL\n", st.lo+1, st.hi+1, out, expr)
 	}
 	src := fmt.Sprintf(`parameter (n=%d, nprocs=%d)
-real u(n,n), v(n,n), w(n,n), x(n,n)
+real %[3]s(n,n), %[4]s(n,n), %[5]s(n,n), %[6]s(n,n)
 !hpf$ processors pr(nprocs)
 !hpf$ template d(n)
 !hpf$ distribute d(block) on pr
-!hpf$ align (*,:) with d :: u, v, w, x
-%send
-`, n, procs, body.String())
+!hpf$ align (*,:) with d :: %[3]s, %[4]s, %[5]s, %[6]s
+%[7]send
+`, n, procs, arrays[0], arrays[1], arrays[2], arrays[3], body.String())
 	return src, stmts
 }
 
 func TestRandomEwiseProgramsMatchInCoreEvaluation(t *testing.T) {
 	const n = 16
 	fills := map[string]func(int, int) float64{
-		"u": func(i, j int) float64 { return float64(i%5 + j%3) },
-		"v": func(i, j int) float64 { return float64(2*(i%3) - j%4) },
-		"w": func(i, j int) float64 { return float64(i%7 - 3) },
-		"x": func(i, j int) float64 { return float64(j%6 + 1) },
+		"x":       func(i, j int) float64 { return float64(i%5 + j%3) },
+		"out_x":   func(i, j int) float64 { return float64(2*(i%3) - j%4) },
+		"ghost_x": func(i, j int) float64 { return float64(i%7 - 3) },
+		"halo_x":  func(i, j int) float64 { return float64(j%6 + 1) },
 	}
 	for _, mode := range []struct {
 		shift bool

@@ -92,26 +92,54 @@ func TestShiftPatternRecognized(t *testing.T) {
 }
 
 func TestShiftExecutionCorrect(t *testing.T) {
+	// The named variant also reads arrays called like buffers of the
+	// others (z's output slab is out_z, x's ghosts are ghost_x): no two
+	// of them may share a buffer slot.
+	named := strings.NewReplacer(
+		"real x(n,n), z(n,n)", "real x(n,n), z(n,n), out_z(n,n), ghost_x(n,n)",
+		":: x, z", ":: x, z, out_z, ghost_x",
+		") / 4", ") / 4 + 2*out_z(1:n,k) - ghost_x(1:n,k+1)",
+	).Replace(shiftSource)
+	fillOut := func(i, j int) float64 { return float64(i + 3*j + 1) }
+	fillGhost := func(i, j int) float64 { return float64(2*i - j) }
+	fills := shiftFills()
+	fills["out_z"], fills["ghost_x"] = fillOut, fillGhost
 	for _, tc := range shiftExecutionCases {
-		t.Run(fmt.Sprintf("n=%d/p=%d", tc.n, tc.p), func(t *testing.T) {
-			_, out := runShift(t, shiftSource, tc.n, tc.p, tc.mem)
-			z, err := out.ReadArray("z")
-			if err != nil {
-				t.Fatal(err)
+		for _, src := range []string{shiftSource, named} {
+			name, mem := fmt.Sprintf("n=%d/p=%d", tc.n, tc.p), tc.mem
+			if src == named {
+				name, mem = name+"/buffer-names", 2*tc.mem // twice the arrays
 			}
-			n := tc.n
-			for j := 0; j < n; j++ {
-				for i := 0; i < n; i++ {
-					var want float64
-					if j >= 1 && j <= n-2 { // FORALL k=2..n-1 (1-based)
-						want = (shiftFillX(i, j-1) + 2*shiftFillX(i, j) + shiftFillX(i, j+1)) / 4
-					}
-					if z.At(i, j) != want {
-						t.Fatalf("z(%d,%d) = %g, want %g", i, j, z.At(i, j), want)
+			t.Run(name, func(t *testing.T) {
+				res, err := compiler.CompileSource(src, compiler.Options{N: tc.n, Procs: tc.p, MemElems: mem})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := Run(res.Program, sim.Delta(tc.p), Options{Fill: fills})
+				if err != nil {
+					t.Fatal(err)
+				}
+				z, err := out.ReadArray("z")
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := tc.n
+				for j := 0; j < n; j++ {
+					for i := 0; i < n; i++ {
+						var want float64
+						if j >= 1 && j <= n-2 { // FORALL k=2..n-1 (1-based)
+							want = (shiftFillX(i, j-1) + 2*shiftFillX(i, j) + shiftFillX(i, j+1)) / 4
+							if src == named {
+								want += 2*fillOut(i, j) - fillGhost(i, j+1)
+							}
+						}
+						if z.At(i, j) != want {
+							t.Fatalf("z(%d,%d) = %g, want %g", i, j, z.At(i, j), want)
+						}
 					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -20,13 +20,13 @@ type EConst struct{ V float64 }
 
 // EBuf reads a slab buffer. An aligned leaf reads the element of Buf at
 // the output element's position (Buf has the output's geometry). A column
-// leaf (Col set: the shifted reference x(1:n,k+Off)) reads column k+Off of
-// Buf for the output's local column k; only a bounded Ewise may give a
-// leaf a nonzero Off.
+// leaf (Array set: the shifted reference Array(1:n,k+Off), read through
+// buffer Buf) reads column k+Off of Buf for the output's local column k;
+// only a bounded Ewise may give a leaf a nonzero Off.
 type EBuf struct {
-	Buf string
-	Col bool
-	Off int
+	Buf   string
+	Array string
+	Off   int
 }
 
 // EBin combines two subexpressions with '+', '-', '*' or '/'.
@@ -51,16 +51,18 @@ func (e *EBin) Ops() int { return 1 + e.L.Ops() + e.R.Ops() }
 func (e *EConst) String() string { return strconv.FormatFloat(e.V, 'g', -1, 64) }
 func (e *EBuf) String() string {
 	switch {
-	case !e.Col:
+	case e.Array == "":
 		return e.Buf + "(:)"
 	case e.Off == 0:
-		return e.Buf + "(:,k)"
+		return e.Array + "(:,k)"
 	case e.Off > 0:
-		return e.Buf + "(:,k+" + strconv.Itoa(e.Off) + ")"
+		return e.Array + "(:,k+" + strconv.Itoa(e.Off) + ")"
 	}
-	return e.Buf + "(:,k" + strconv.Itoa(e.Off) + ")"
+	return e.Array + "(:,k" + strconv.Itoa(e.Off) + ")"
 }
-func (e *EBin) String() string { return "(" + e.L.String() + string(e.Op) + e.R.String() + ")" }
+func (e *EBin) String() string {
+	return fmt.Sprintf("(%s%c%s)", e.L.String(), e.Op, e.R.String())
+}
 
 // NewSlab allocates a zeroed output buffer positioned like slab Index of
 // Array's decomposition (the output-side counterpart of ReadSlab).

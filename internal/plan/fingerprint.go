@@ -4,8 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -29,11 +29,9 @@ func Fingerprint(p *Program, extra map[string]string) string {
 	for _, n := range p.Notes {
 		fmt.Fprintf(h, "note|%s\n", n)
 	}
-	var body []byte
 	for _, n := range p.Body {
-		body = appendNode(body, n)
+		hashNode(h, n)
 	}
-	h.Write(body)
 	keys := make([]string, 0, len(extra))
 	for k := range extra {
 		keys = append(keys, k)
@@ -45,63 +43,55 @@ func Fingerprint(p *Program, extra map[string]string) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// appendNode appends one IR node (and, for loops, its body) to b with an
-// explicit tag per field, so two nodes of different kinds can never
-// collide on a shared rendering; appending keeps the hash allocation-light.
-func appendNode(b []byte, n Node) []byte {
+// hashNode folds one IR node (and, for loops, its body) into the hash
+// with an explicit type tag per field, so two nodes of different kinds
+// can never collide on a shared rendering.
+func hashNode(w io.Writer, n Node) {
 	switch n := n.(type) {
 	case *Loop:
-		b = append(b, "loop|"+n.Var+"|"+n.Count.String()+"{\n"...)
-		for _, c := range n.Body {
-			b = appendNode(b, c)
+		fmt.Fprintf(w, "loop|%s|%s{\n", n.Var, n.Count)
+		for _, b := range n.Body {
+			hashNode(w, b)
 		}
-		return append(b, "}\n"...)
+		fmt.Fprint(w, "}\n")
 	case *ReadSlab:
-		if n.Ghosts != "" {
-			return appendFields(b, "read", n.Array, n.Index, n.Buf, "stream="+strconv.FormatBool(n.Stream)+
-				"|halo="+n.Ghosts+","+strconv.Itoa(n.Left)+","+strconv.Itoa(n.Right))
+		if n.Ghosts == "" {
+			fmt.Fprintf(w, "read|%s|%s|%s|stream=%t\n", n.Array, n.Index, n.Buf, n.Stream)
+		} else {
+			fmt.Fprintf(w, "read|%s|%s|%s|stream=%t|halo=%s,%d,%d\n",
+				n.Array, n.Index, n.Buf, n.Stream, n.Ghosts, n.Left, n.Right)
 		}
-		return appendFields(b, "read", n.Array, n.Index, n.Buf, "stream="+strconv.FormatBool(n.Stream))
 	case *NewStaging:
-		return appendFields(b, "staging", n.Array, n.Buf, n.RowsLike)
+		fmt.Fprintf(w, "staging|%s|%s|%s\n", n.Array, n.Buf, n.RowsLike)
 	case *AutoStage:
-		return appendFields(b, "autostage", n.Array)
+		fmt.Fprintf(w, "autostage|%s\n", n.Array)
 	case *FlushStage:
-		return appendFields(b, "flush", n.Array)
+		fmt.Fprintf(w, "flush|%s\n", n.Array)
 	case *WriteBuf:
-		return appendFields(b, "write", n.Array, n.Buf)
+		fmt.Fprintf(w, "write|%s|%s\n", n.Array, n.Buf)
 	case *ZeroVec:
-		return appendFields(b, "zerovec", n.Vec, n.RowsLike, n.RowsOfArray)
+		fmt.Fprintf(w, "zerovec|%s|%s|%s\n", n.Vec, n.RowsLike, n.RowsOfArray)
 	case *Axpy:
-		return appendFields(b, "axpy", n.Vec, n.A, n.ACol, n.B, n.BRowBase, n.BRowScale, n.BRowPlus, n.BCol)
+		fmt.Fprintf(w, "axpy|%s|%s|%s|%s|%s|%s|%s|%s\n",
+			n.Vec, n.A, n.ACol, n.B, n.BRowBase, n.BRowScale, n.BRowPlus, n.BCol)
 	case *SumStore:
-		return appendFields(b, "sumstore", n.Vec, n.Array)
+		fmt.Fprintf(w, "sumstore|%s|%s\n", n.Vec, n.Array)
 	case *ResetCounter:
-		return appendFields(b, "resetcounter")
+		fmt.Fprint(w, "resetcounter\n")
 	case *NewSlab:
-		return appendFields(b, "newslab", n.Array, n.Index, n.Buf)
+		fmt.Fprintf(w, "newslab|%s|%s|%s\n", n.Array, n.Index, n.Buf)
 	case *Ewise:
 		// The rendering names every leaf with its column offset, and
 		// every constant in its shortest exact form.
-		return appendFields(b, "ewise", n.Out, "bounds="+n.Array+","+strconv.Itoa(n.Lo)+","+strconv.Itoa(n.Hi), n.Expr.String())
+		fmt.Fprintf(w, "ewise|%s|bounds=%s,%d,%d|%s\n", n.Out, n.Array, n.Lo, n.Hi, n.Expr)
 	case *Exchange:
-		return appendFields(b, "exchange", strings.Join(n.Arrays, ","), strings.Join(n.Ghosts, ","),
-			strconv.Itoa(n.Left), strconv.Itoa(n.Right))
+		fmt.Fprintf(w, "exchange|%s|%s|%d|%d\n", strings.Join(n.Arrays, ","), strings.Join(n.Ghosts, ","), n.Left, n.Right)
 	case *Redistribute:
-		return appendFields(b, "redistribute", n.Src, n.Dst, "transpose="+strconv.FormatBool(n.Transpose),
-			n.Method, "mem="+strconv.Itoa(n.MemElems))
+		fmt.Fprintf(w, "redistribute|%s|%s|transpose=%t|%s|mem=%d\n",
+			n.Src, n.Dst, n.Transpose, n.Method, n.MemElems)
 	default:
 		// An unknown node kind must not silently alias an existing
 		// fingerprint; fold in its full debug rendering instead.
-		return fmt.Appendf(b, "unknown|%T|%+v\n", n, n)
+		fmt.Fprintf(w, "unknown|%T|%+v\n", n, n)
 	}
-}
-
-// appendFields appends tag, each field after a '|', and a newline.
-func appendFields(b []byte, tag string, fields ...string) []byte {
-	b = append(b, tag...)
-	for _, f := range fields {
-		b = append(append(b, '|'), f...)
-	}
-	return append(b, '\n')
 }

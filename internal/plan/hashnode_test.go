@@ -13,13 +13,13 @@ import (
 
 // TestHashNodeCoversEveryNodeType hashes one value of every node type the
 // package declares — every type with a node() method, found in the
-// package source — and fails if any reaches appendNode's unknown fold,
+// package source — and fails if any reaches hashNode's unknown fold,
 // whose %+v rendering would let a field added to the node silently move
 // every fingerprint that contains it.
 func TestHashNodeCoversEveryNodeType(t *testing.T) {
 	samples := []Node{
 		&Loop{Var: "i", Count: CountExpr{Lit: 2}},
-		&ReadSlab{Array: "x", Index: "s", Buf: "x", Ghosts: "ghost_x", Left: 1, Right: 1},
+		&ReadSlab{Array: "x", Index: "s", Buf: "halo_x", Ghosts: "ghost_x", Left: 1, Right: 1},
 		&NewStaging{Array: "c", Buf: "icla_c", RowsLike: "icla_a"},
 		&AutoStage{Array: "c"},
 		&FlushStage{Array: "c"},
@@ -31,13 +31,14 @@ func TestHashNodeCoversEveryNodeType(t *testing.T) {
 		&Redistribute{Src: "a", Dst: "b", Transpose: true, Method: "direct", MemElems: 64},
 		&NewSlab{Array: "z", Index: "s", Buf: "out_z"},
 		&Ewise{Out: "out_z", Array: "z", Lo: 1, Hi: 30,
-			Expr: &EBin{Op: '+', L: &EConst{V: 2}, R: &EBuf{Buf: "x", Col: true, Off: -1}}},
+			Expr: &EBin{Op: '+', L: &EConst{V: 2}, R: &EBuf{Buf: "halo_x", Array: "x", Off: -1}}},
 		&Exchange{Arrays: []string{"x"}, Ghosts: []string{"ghost_x"}, Left: 1, Right: 1},
 	}
 	var sampled []string
 	for _, n := range samples {
-		if b := appendNode(nil, n); strings.Contains(string(b), "unknown") {
-			t.Errorf("%T reaches the unknown fold: %s", n, b)
+		var b strings.Builder
+		if hashNode(&b, n); strings.Contains(b.String(), "unknown") {
+			t.Errorf("%T reaches the unknown fold: %s", n, b.String())
 		}
 		sampled = append(sampled, reflect.TypeOf(n).Elem().Name())
 	}

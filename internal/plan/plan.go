@@ -15,7 +15,6 @@ package plan
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"github.com/ooc-hpf/passion/internal/dist"
@@ -130,11 +129,11 @@ type CountExpr struct {
 func (c CountExpr) String() string {
 	switch {
 	case c.SlabsOf != "":
-		return "slabs(" + c.SlabsOf + ")"
+		return fmt.Sprintf("slabs(%s)", c.SlabsOf)
 	case c.ColsOf != "":
-		return "cols(" + c.ColsOf + ")"
+		return fmt.Sprintf("cols(%s)", c.ColsOf)
 	default:
-		return strconv.Itoa(c.Lit)
+		return fmt.Sprintf("%d", c.Lit)
 	}
 }
 
