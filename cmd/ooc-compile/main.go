@@ -94,8 +94,12 @@ func main() {
 				fmt.Printf("  statement %d: %s = %s (inputs: %v)\n", i+1, st.Out, st.Expr.String(), st.Ins)
 				continue
 			}
-			fmt.Printf("  statement %d: %s(:,k) = %s for k in %d..%d (shifts %d..%d, inputs: %v)\n",
-				i+1, st.Out, st.Expr.String(), st.Lo+1, st.Hi+1, st.MinShift, st.MaxShift, st.Ins)
+			rows := ":"
+			if st.Top != 0 || st.Bottom != 0 {
+				rows = fmt.Sprintf("%d:%d", st.Top+1, an.N-st.Bottom)
+			}
+			fmt.Printf("  statement %d: %s(%s,k) = %s for k in %d..%d (shifts %d..%d, inputs: %v)\n",
+				i+1, st.Out, rows, st.Expr.String(), st.Lo+1, st.Hi+1, st.MinShift, st.MaxShift, st.Ins)
 		}
 		for _, a := range an.Arrays {
 			fmt.Printf("  %-6s mapping %s\n", a, an.Mappings[a])

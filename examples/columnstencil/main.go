@@ -3,9 +3,8 @@
 // With the arrays distributed column-block, the shifted references cross
 // processor boundaries; the compiler's in-core phase detects this and the
 // emitted node program performs a boundary-column exchange with the
-// neighbors before the halo-augmented out-of-core sweep. (Compare with
-// examples/jacobi, where the same machinery is hand-written against the
-// runtime library.)
+// neighbors before the halo-augmented out-of-core sweep. (examples/jacobi
+// runs the same machinery inside a time loop, with row sections too.)
 package main
 
 import (
@@ -14,6 +13,7 @@ import (
 
 	"github.com/ooc-hpf/passion/internal/compiler"
 	"github.com/ooc-hpf/passion/internal/exec"
+	"github.com/ooc-hpf/passion/internal/hpf"
 	"github.com/ooc-hpf/passion/internal/sim"
 )
 
@@ -22,23 +22,11 @@ const (
 	procs = 4
 )
 
-const source = `parameter (n=96, nprocs=4)
-real x(n,n), z(n,n)
-!hpf$ processors pr(nprocs)
-!hpf$ template d(n)
-!hpf$ distribute d(block) on pr
-!hpf$ align (*,:) with d :: x, z
-FORALL (k=2:n-1)
-  z(1:n,k) = (x(1:n,k-1) + 2*x(1:n,k) + x(1:n,k+1)) / 4
-end FORALL
-end
-`
-
 // fillX uses multiples of 4 so the /4 in the stencil stays exact.
 func fillX(i, j int) float64 { return float64(4 * ((i*3)%7 + (j*5)%9)) }
 
 func main() {
-	res, err := compiler.CompileSource(source, compiler.Options{MemElems: n * 6})
+	res, err := compiler.CompileSource(hpf.ColumnStencilSource, compiler.Options{N: n, MemElems: n * 6})
 	if err != nil {
 		log.Fatal(err)
 	}

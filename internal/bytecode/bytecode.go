@@ -35,7 +35,7 @@ import (
 )
 
 // Version is the current encoding version. Decode rejects any other.
-const Version = 2
+const Version = 3
 
 // Op is one opcode of the flat instruction stream.
 type Op uint8
@@ -67,9 +67,11 @@ const (
 	// described by (B=CountKind, C=arg); D is the pc just past the
 	// matching OpEndLoop (the jump target when the trip count is zero).
 	OpLoop
-	// OpLoopCkpt is OpLoop for a top-level SumStore loop at node index E:
-	// with checkpointing on, a checkpoint with cursor (E, v) commits
-	// between iterations whenever v is a multiple of the spec's Every.
+	// OpLoopCkpt is OpLoop for a top-level loop every rank runs the same
+	// trips of (plan.Uniform: a time loop or a SumStore loop) at node
+	// index E: with checkpointing on, a checkpoint with cursor (E, v)
+	// commits between iterations whenever v is a multiple of the spec's
+	// Every.
 	OpLoopCkpt
 	// OpEndLoop closes the innermost loop (its OpLoop sits at pc A):
 	// advance the iteration, jump back to A+1 or fall through.
@@ -113,7 +115,8 @@ const (
 	// OpEwise evaluates expression program B elementwise into buffer A,
 	// charging C arithmetic operations per element (plan.Ewise). D >= 0
 	// bounds it: only the columns of A (a slab of array D) of global index
-	// E..F are evaluated, each charged as a computation of C·rows.
+	// E..F are evaluated, less G rows at their top and H at their bottom,
+	// each charged as a computation of C·(rows-G-H).
 	OpEwise
 	// OpExchange trades boundary columns of array A with the neighboring
 	// processors into ghost buffer B: the C columns below this block and
@@ -194,7 +197,7 @@ const (
 	EPushConst
 	// EPushBuf pushes a copy of buffer slot A (plan.EBuf): of its
 	// element at the output's position, or in a bounded OpEwise of its
-	// column at the output column's local index plus B.
+	// column at the output column's local index plus B, rows shifted by C.
 	EPushBuf
 	// EAdd, ESub, EMul and EDiv pop the right operand, combine it into
 	// the left in place, and release the right operand's buffer.
@@ -224,11 +227,13 @@ func (o ExprOp) String() string {
 	return fmt.Sprintf("eop(%d)", uint8(o))
 }
 
-// ExprInstr is one postfix expression instruction.
+// ExprInstr is one postfix expression instruction. Its encoding carries
+// one 8-byte operand after A and B: Val for EPushConst, C for every other
+// opcode (so a stream without row offsets encodes as it did before C).
 type ExprInstr struct {
-	Op   ExprOp
-	A, B int32
-	Val  float64
+	Op      ExprOp
+	A, B, C int32
+	Val     float64
 }
 
 // Program is a compiled per-rank opcode stream with its resolved operand

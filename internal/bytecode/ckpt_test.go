@@ -14,7 +14,8 @@ import (
 // the slab node 0 bound: the boundaries before nodes 1 and 2 lose their
 // CKPT and node 2's SumStore loop its iteration checkpoints, while the
 // boundary before node 3, with nothing live across it, keeps its CKPT.
-// Without the read every checkpoint stays.
+// Without the read every checkpoint stays. (Node 0 is a slab loop: a
+// literal count would make it a checkpointing time loop.)
 func TestLiveBufferDropsCheckpoints(t *testing.T) {
 	for _, live := range []bool{true, false} {
 		zero := &plan.ZeroVec{Vec: "t", RowsOfArray: "a"}
@@ -24,7 +25,7 @@ func TestLiveBufferDropsCheckpoints(t *testing.T) {
 		p := &plan.Program{Name: "live", N: 8, Procs: 1,
 			Arrays: []plan.ArraySpec{{Name: "a", Rows: 8, Cols: 8}, {Name: "c", Rows: 8, Cols: 8, Role: plan.Out}},
 			Body: []plan.Node{
-				&plan.Loop{Var: "l", Count: plan.CountExpr{Lit: 1}, Body: []plan.Node{
+				&plan.Loop{Var: "l", Count: plan.CountExpr{SlabsOf: "a"}, Body: []plan.Node{
 					&plan.ReadSlab{Array: "a", Index: "l", Buf: "icla_a"},
 				}},
 				&plan.ResetCounter{},

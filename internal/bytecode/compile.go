@@ -50,12 +50,12 @@ func Compile(p *plan.Program) (*Program, error) {
 		c.emit(Instr{Op: OpNodeEnter, A: int32(i), B: label})
 		loop, isLoop := n.(*plan.Loop)
 		var err error
-		if isLoop && plan.HasSumStore(loop.Body) {
-			// A top-level SumStore loop checkpoints between iterations
-			// (the reductions force globally uniform trip counts, making
-			// the boundary collective-safe); its OpLoopCkpt carries the
-			// node index the checkpoint cursor needs. With checkpointing
-			// off the executor runs it exactly like OpLoop.
+		if isLoop && plan.Uniform(loop) {
+			// A top-level loop every rank runs the same trips of (a time
+			// loop, or a SumStore loop) checkpoints between iterations;
+			// its OpLoopCkpt carries the node index the checkpoint cursor
+			// needs. With checkpointing off the executor runs it exactly
+			// like OpLoop.
 			err = c.compileLoop(loop, int32(i))
 		} else {
 			err = c.compileNode(n)
@@ -217,7 +217,7 @@ func (c *compiler) vecRef(name, what string) (int32, error) {
 }
 
 // compileLoop lowers a loop; ckptNode >= 0 marks a checkpoint-eligible
-// top-level SumStore loop and names its node index.
+// top-level loop (plan.Uniform) and names its node index.
 func (c *compiler) compileLoop(n *plan.Loop, ckptNode int32) error {
 	kind, arg, err := c.count(n.Count)
 	if err != nil {
@@ -426,7 +426,7 @@ func (c *compiler) compileNode(n plan.Node) error {
 			if ins.D, err = c.arrayIdx(n.Array, "Ewise bounds"); err != nil {
 				return err
 			}
-			ins.E, ins.F = int32(n.Lo), int32(n.Hi)
+			ins.E, ins.F, ins.G, ins.H = int32(n.Lo), int32(n.Hi), int32(n.Top), int32(n.Bottom)
 		}
 		c.emit(ins)
 		return nil
@@ -487,7 +487,7 @@ func (c *compiler) compileExpr(e plan.EExpr) (int32, error) {
 			if err != nil {
 				return err
 			}
-			code = append(code, ExprInstr{Op: EPushBuf, A: s, B: int32(e.Off)})
+			code = append(code, ExprInstr{Op: EPushBuf, A: s, B: int32(e.Off), C: int32(e.Row)})
 			return nil
 		case *plan.EBin:
 			if err := walk(e.L); err != nil {

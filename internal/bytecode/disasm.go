@@ -39,6 +39,9 @@ func (p *Program) Disassemble() string {
 				if ins.B != 0 {
 					fmt.Fprintf(&b, "[%+d]", ins.B)
 				}
+				if ins.C != 0 {
+					fmt.Fprintf(&b, "[row%+d]", ins.C)
+				}
 			case EAdd:
 				b.WriteString(" add")
 			case ESub:
@@ -176,6 +179,9 @@ func (p *Program) operands(ins Instr) string {
 		s := fmt.Sprintf(" %s = expr[%d] ops/elem=%d", p.bufName(ins.A), ins.B, ins.C)
 		if ins.D >= 0 {
 			s += fmt.Sprintf(" cols=[%d,%d] of %s", ins.E, ins.F, p.arrayName(ins.D))
+			if ins.G != 0 || ins.H != 0 {
+				s += fmt.Sprintf(" rows less (%d,%d)", ins.G, ins.H)
+			}
 		}
 		return s
 	case OpExchange:

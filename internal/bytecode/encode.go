@@ -70,7 +70,12 @@ func Encode(p *Program) []byte {
 			w.buf = append(w.buf, byte(ins.Op))
 			w.i32(ins.A)
 			w.i32(ins.B)
-			w.u64(math.Float64bits(ins.Val))
+			// One 8-byte operand: PUSH_CONST's value, any other op's C.
+			if ins.Op == EPushConst {
+				w.u64(math.Float64bits(ins.Val))
+			} else {
+				w.u64(uint64(int64(ins.C)))
+			}
 		}
 	}
 	w.u32(uint32(len(p.Code)))
@@ -173,7 +178,12 @@ func Decode(b []byte) (*Program, error) {
 			ins.Op = ExprOp(r.u8("expression opcode"))
 			ins.A = r.i32("expression operand")
 			ins.B = r.i32("expression operand")
-			ins.Val = math.Float64frombits(r.u64("expression constant"))
+			x := r.u64("expression operand")
+			if ins.Op == EPushConst {
+				ins.Val = math.Float64frombits(x)
+			} else if ins.C = int32(x); uint64(int64(ins.C)) != x && r.err == nil {
+				r.err = fmt.Errorf("%w: expression operand %#x is not an int32", ErrMalformed, x)
+			}
 			code = append(code, ins)
 		}
 		p.Exprs = append(p.Exprs, code)
@@ -273,7 +283,7 @@ func (r *decBuf) count(what string, minSize int) int {
 		return 0
 	}
 	if uint64(n)*uint64(minSize) > uint64(len(r.buf)) {
-		r.fail(what, int(n) * minSize)
+		r.fail(what, int(n)*minSize)
 		return 0
 	}
 	return int(n)

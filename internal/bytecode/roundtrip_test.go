@@ -278,3 +278,43 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestValidateRowOperands: a bounded EWISE leaves out no negative number
+// of rows, and only a bounded one may read a leaf at a row offset.
+func TestValidateRowOperands(t *testing.T) {
+	lower := func(src string) *bytecode.Program {
+		res, err := compiler.CompileSource(src, compiler.Options{N: 32, Procs: 4, MemElems: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bc, err := bytecode.Compile(res.Program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bc
+	}
+	ewise := func(bc *bytecode.Program) *bytecode.Instr {
+		for i := range bc.Code {
+			if bc.Code[i].Op == bytecode.OpEwise {
+				return &bc.Code[i]
+			}
+		}
+		t.Fatal("no EWISE")
+		return nil
+	}
+	jacobi := lower(hpf.JacobiSource)
+	ewise(jacobi).G = -1
+	if err := jacobi.Validate(); !errors.Is(err, bytecode.ErrMalformed) {
+		t.Errorf("negative row trim: want ErrMalformed, got %v", err)
+	}
+	flat := lower(hpf.EwiseSource)
+	for i, e := range flat.Exprs[ewise(flat).B] {
+		if e.Op == bytecode.EPushBuf {
+			flat.Exprs[ewise(flat).B][i].C = 1
+			break
+		}
+	}
+	if err := flat.Validate(); !errors.Is(err, bytecode.ErrMalformed) {
+		t.Errorf("row offset in an unbounded EWISE: want ErrMalformed, got %v", err)
+	}
+}

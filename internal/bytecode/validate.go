@@ -10,10 +10,10 @@ import (
 // operand indexes its table, loops nest and backpatch consistently, the
 // node jump table points at OpNodeEnter instructions, and every
 // expression program observes stack discipline (no underflow, exactly one
-// result), with column offsets only in a bounded EWISE. Compile runs it on
-// its own output as insurance; Decode runs it so a stream that frames and
-// checksums correctly but encodes garbage is still rejected before
-// execution.
+// result), with row and column offsets only in a bounded EWISE. Compile
+// runs it on its own output as insurance; Decode runs it so a stream that
+// frames and checksums correctly but encodes garbage is still rejected
+// before execution.
 func (p *Program) Validate() error {
 	if len(p.Code) == 0 {
 		return fmt.Errorf("%w: empty code stream", ErrMalformed)
@@ -175,12 +175,18 @@ func (p *Program) Validate() error {
 			if err = optSlot(pc, ins.D, len(p.Arrays), "array index"); err != nil {
 				break
 			}
-			if err = p.validateExpr(int(ins.B)); err != nil || ins.D >= 0 {
+			if err = p.validateExpr(int(ins.B)); err != nil {
+				break
+			}
+			if ins.D >= 0 {
+				if ins.G < 0 || ins.H < 0 {
+					err = fmt.Errorf("%w: pc %d: negative row trims (%d,%d)", ErrMalformed, pc, ins.G, ins.H)
+				}
 				break
 			}
 			for i, e := range p.Exprs[ins.B] {
-				if e.Op == EPushBuf && e.B != 0 {
-					err = fmt.Errorf("%w: pc %d: expr %d op %d: column offset %d in an unbounded EWISE", ErrMalformed, pc, ins.B, i, e.B)
+				if e.Op == EPushBuf && (e.B != 0 || e.C != 0) {
+					err = fmt.Errorf("%w: pc %d: expr %d op %d: offset (%d,%d) in an unbounded EWISE", ErrMalformed, pc, ins.B, i, e.C, e.B)
 					break
 				}
 			}

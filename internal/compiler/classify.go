@@ -45,34 +45,49 @@ func classify(prog *hpf.Program, env map[string]int, an *Analysis) error {
 //     that scales column sections by broadcast elements, then a SUM across
 //     the distributed dimension (the paper's Figure 3);
 //   - none (PatternEwise): FORALLs over 1..n whose references are all
-//     column sections at the FORALL index;
+//     column sections 1:n at the FORALL index;
 //   - ghost shift (PatternShift): FORALLs with some column section at the
-//     index plus a nonzero constant, or bounds inside 1..n;
+//     index plus a nonzero constant, bounds inside 1..n, or row sections
+//     other than 1:n (each conformable with its target's: lo+d:hi+d for
+//     the target's lo:hi, read at row offset d);
 //   - all-to-all (PatternTranspose): one transposed reference.
+//
+// The FORALL classes may sit in a time loop: a DO that is the whole body,
+// holds only FORALLs and whose index none of them references.
 func commClass(prog *hpf.Program, asgs []assignment, n int) (Pattern, error) {
-	if _, ok := prog.Body[0].(*hpf.DoLoop); ok && len(prog.Body) == 1 {
-		return PatternGaxpy, nil
+	body := prog.Body
+	if do, ok := body[0].(*hpf.DoLoop); ok && len(body) == 1 {
+		if !timeLoop(do, asgs) {
+			return PatternGaxpy, nil
+		}
+		if asgs[0].Trips == 0 {
+			return 0, fmt.Errorf("compiler: time loop (%s = %s, %s): bounds must be constants with at least one trip", do.Var, do.Lo, do.Hi)
+		}
+		body = do.Body
 	}
-	for _, st := range prog.Body {
+	for _, st := range body {
 		if _, ok := st.(*hpf.Forall); !ok {
-			return 0, fmt.Errorf("compiler: statement %T is not a FORALL (a DO loop must be the whole body, as in the GAXPY reduction)", st)
+			return 0, fmt.Errorf("compiler: statement %T is not a FORALL (a DO loop must be the whole body: the GAXPY reduction, or a time loop of FORALLs)", st)
 		}
 	}
 	transposed, shifted := false, false
 	for _, a := range asgs {
-		k := a.Forall.Var
-		if out := a.Refs[0]; out != section(out.Array, k) {
-			return 0, fmt.Errorf("compiler: target %s must be %s(1:n,%s)", out, out.Array, k)
+		k, out := a.Forall.Var, a.Refs[0]
+		if out.Row.Var != "" || out.Col != (sub{Var: k}) {
+			return 0, fmt.Errorf("compiler: target %s must be %s(lo:hi,%s)", out, out.Array, k)
 		}
-		shifted = shifted || a.Lo != 0 || a.Hi != n-1
+		shifted = shifted || a.Lo != 0 || a.Hi != n-1 || out.Row != (sub{})
 		for _, r := range a.Refs[1:] {
 			switch {
 			case r.Row.Var == "" && r.Col.Var != "":
+				if d := r.Row.Head - out.Row.Head; r.Row.Tail != out.Row.Tail-d {
+					return 0, fmt.Errorf("compiler: operand %s: row section is not conformable with the target's %s", r, out.Row)
+				}
 				shifted = shifted || r.Col.Off != 0
-			case r.Row.Var != "" && r.Col.Var == "":
+			case r.Row.Var != "" && r.Col == (sub{}):
 				transposed = true
 			default:
-				return 0, fmt.Errorf("compiler: operand %s: a FORALL reads column sections %s(1:n,%s±c) or one transposed section %s(%s,1:n)",
+				return 0, fmt.Errorf("compiler: operand %s: a FORALL reads column sections %s(lo:hi,%s±c) or one transposed section %s(%s,1:n)",
 					r, r.Array, k, r.Array, k)
 			}
 		}
@@ -86,18 +101,40 @@ func commClass(prog *hpf.Program, asgs []assignment, n int) (Pattern, error) {
 	return PatternEwise, nil
 }
 
+// timeLoop reports whether do, the whole body, is a time loop: it holds
+// only FORALLs, and none of their references uses its index.
+func timeLoop(do *hpf.DoLoop, asgs []assignment) bool {
+	for _, st := range do.Body {
+		if _, ok := st.(*hpf.Forall); !ok {
+			return false
+		}
+	}
+	for _, a := range asgs {
+		for _, r := range a.Refs {
+			if r.Row.Var == do.Var || r.Col.Var == do.Var {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // foralls fills in the statements of an elementwise or shifted program,
 // lowering each right-hand side with the class's buffer reference.
 func foralls(asgs []assignment, env map[string]int, an *Analysis) error {
 	an.Comm = "all FORALL statements are elementwise over identically mapped arrays: no communication required"
+	var st Stmt // the statement being lowered
 	leaf := func(r ref) plan.EExpr { return &plan.EBuf{Buf: "icla_" + r.Array} }
 	if an.Pattern == PatternShift {
 		an.Comm = "shifted column references cross the BLOCK boundaries: boundary-column exchange with the neighboring processors (shift communication), then a halo-augmented local sweep"
-		leaf = func(r ref) plan.EExpr { return &plan.EBuf{Buf: "halo_" + r.Array, Array: r.Array, Off: r.Col.Off} }
+		leaf = func(r ref) plan.EExpr {
+			return &plan.EBuf{Buf: "halo_" + r.Array, Array: r.Array, Off: r.Col.Off, Row: r.Row.Head - st.Top}
+		}
 	}
 	an.Stmts = make([]Stmt, 0, len(asgs))
 	for _, a := range asgs {
-		st := Stmt{Out: a.Refs[0].Array, Lo: a.Lo, Hi: a.Hi}
+		out := a.Refs[0]
+		st = Stmt{Out: out.Array, Lo: a.Lo, Hi: a.Hi, Top: out.Row.Head, Bottom: out.Row.Tail}
 		for _, r := range a.Refs {
 			if slices.Contains(an.Arrays, r.Array) {
 				continue
@@ -252,7 +289,7 @@ func transpose(prog *hpf.Program, asgs []assignment, an *Analysis) error {
 		return fmt.Errorf("compiler: transpose: "+format, args...)
 	}
 	a := asgs[0]
-	if len(prog.Body) != 1 || len(asgs) != 1 {
+	if len(prog.Body) != 1 || len(asgs) != 1 || a.Do != nil {
 		return fail("a transposed reference must be the whole of a program's single FORALL assignment")
 	}
 	if a.Lo != 0 || a.Hi != an.N-1 {
@@ -260,6 +297,9 @@ func transpose(prog *hpf.Program, asgs []assignment, an *Analysis) error {
 	}
 	k := a.Forall.Var
 	dst, src := a.Refs[0], a.Refs[1]
+	if dst != section(dst.Array, k) {
+		return fail("the target %s must be %s(1:n,%s)", dst, dst.Array, k)
+	}
 	if _, ok := a.RHS.(*hpf.SectionRef); !ok || src != (ref{Array: src.Array, Row: sub{Var: k}}) {
 		return fail("the right-hand side must be exactly %s(%s,1:n)", src.Array, k)
 	}

@@ -17,7 +17,15 @@ package compiler
 // the output slab is pre-read (columns outside the bounds keep their
 // contents) and a bounded Ewise evaluates the columns inside them. Only
 // column slabs are generated (a row-slab sweep would re-fetch the halo
-// per row band).
+// per row band). A row section, as in Jacobi's
+// b(2:n-1,k) = (a(1:n-2,k) + a(3:n,k) + ...) / 4, needs no communication
+// of its own: every local column holds all n rows, so its rows are read
+// at an offset inside the column slab, and the Ewise leaves the rows
+// outside the target's section as they were.
+//
+// Either class may sit in a time loop (a DO around the FORALLs whose
+// index none of them uses): its trips repeat the statements' exchanges
+// and slab loops inside one top-level loop, which checkpoints per trip.
 
 import (
 	"fmt"
@@ -32,12 +40,14 @@ type Stmt struct {
 	// first-use order.
 	Out string
 	Ins []string
-	// Lo and Hi are the 0-based inclusive global column bounds.
-	Lo, Hi int
+	// Lo and Hi are the 0-based inclusive global column bounds; Top and
+	// Bottom the rows left out at either end of the target's row section.
+	Lo, Hi      int
+	Top, Bottom int
 	// Expr is the lowered right-hand side: its EBuf leaves name input
 	// buffers "icla_<array>" in an elementwise program, and the halo
-	// buffer "halo_<array>" at the reference's column offset in a shifted
-	// one. Each buffer kind has its own prefix, so no two buffers of a
+	// buffer "halo_<array>" at the reference's row and column offsets in a
+	// shifted one. Each buffer kind has its own prefix, so no two buffers of a
 	// statement share a slot whatever the arrays are called.
 	Expr plan.EExpr
 	// MinShift and MaxShift bound the column offsets of the inputs.
@@ -47,7 +57,8 @@ type Stmt struct {
 // forallBody is one slab loop per statement, led by its exchange in a
 // shifted program, that reads the inputs, computes and writes the output
 // slab (statement fusion is a possible future optimization; separate
-// sweeps preserve HPF's statement-by-statement semantics).
+// sweeps preserve HPF's statement-by-statement semantics), all inside the
+// time loop when there is one.
 func forallBody(an *Analysis) []plan.Node {
 	body := make([]plan.Node, 0, len(an.Stmts))
 	for si, st := range an.Stmts {
@@ -70,7 +81,8 @@ func forallBody(an *Analysis) []plan.Node {
 				}
 				loop = append(loop, rs)
 			}
-			loop = append(loop, &plan.Ewise{Out: out, Expr: st.Expr, Array: st.Out, Lo: st.Lo, Hi: st.Hi})
+			loop = append(loop, &plan.Ewise{Out: out, Expr: st.Expr, Array: st.Out, Lo: st.Lo, Hi: st.Hi,
+				Top: st.Top, Bottom: st.Bottom})
 		} else {
 			for _, in := range st.Ins {
 				loop = append(loop, &plan.ReadSlab{Array: in, Index: v, Buf: "icla_" + in, Stream: true})
@@ -82,6 +94,9 @@ func forallBody(an *Analysis) []plan.Node {
 		}
 		loop = append(loop, &plan.WriteBuf{Array: st.Out, Buf: out})
 		body = append(body, &plan.Loop{Var: v, Count: plan.CountExpr{SlabsOf: st.Out}, Body: loop})
+	}
+	if a := an.asgs[0]; a.Do != nil {
+		return []plan.Node{&plan.Loop{Var: "t", Count: plan.CountExpr{Lit: a.Trips}, Body: body}}
 	}
 	return body
 }

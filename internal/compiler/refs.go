@@ -5,7 +5,8 @@ package compiler
 // distributed arrays). Every assignment is walked once, inside its
 // DO/FORALL nest, into references whose subscripts are each either the
 // whole extent 1:n or a loop index plus a constant; classify then derives
-// the communication class from which kinds of reference occur.
+// the communication class from which kinds of reference occur. A range
+// subscript may be any section lo:hi within 1..n.
 
 import (
 	"fmt"
@@ -14,11 +15,13 @@ import (
 	"github.com/ooc-hpf/passion/internal/plan"
 )
 
-// sub is one classified subscript: the whole extent 1:n when Var is
-// empty, else the loop index Var plus Off.
+// sub is one classified subscript: the loop index Var plus Off, or, when
+// Var is empty, the section 1+Head:n-Tail (the zero value is the whole
+// extent 1:n).
 type sub struct {
-	Var string
-	Off int
+	Var        string
+	Off        int
+	Head, Tail int
 }
 
 // ref is one array reference with both subscripts classified. By which
@@ -32,7 +35,11 @@ type ref struct {
 
 func (s sub) String() string {
 	if s.Var == "" {
-		return "1:n"
+		hi := "n"
+		if s.Tail > 0 {
+			hi = fmt.Sprintf("n-%d", s.Tail)
+		}
+		return fmt.Sprintf("%d:%s", 1+s.Head, hi)
 	}
 	if s.Off == 0 {
 		return s.Var
@@ -47,9 +54,11 @@ func section(name, v string) ref { return ref{Array: name, Col: sub{Var: v}} }
 
 // assignment is one assignment read as references.
 type assignment struct {
-	// Do and Forall are the enclosing loops, nil where there is none, and
-	// Lo and Hi the FORALL's bounds, 0-based inclusive.
+	// Do and Forall are the enclosing loops, nil where there is none;
+	// Trips is the DO's trip count (0 when its bounds are not constant),
+	// and Lo and Hi are the FORALL's bounds, 0-based inclusive.
 	Do     *hpf.DoLoop
+	Trips  int
 	Forall *hpf.Forall
 	Lo, Hi int
 	RHS    hpf.Expr
@@ -65,9 +74,10 @@ type walker struct {
 	asgs []assignment
 	// buf backs every assignment's Refs.
 	buf []ref
-	// do and forall are the loops around the statement being read, lo
-	// and hi the FORALL's bounds.
+	// do and forall are the loops around the statement being read,
+	// trips the DO's trip count, lo and hi the FORALL's bounds.
 	do     *hpf.DoLoop
+	trips  int
 	forall *hpf.Forall
 	lo, hi int
 }
@@ -92,7 +102,12 @@ func (w *walker) stmts(body []hpf.Stmt, env map[string]int) error {
 			if w.do != nil {
 				return fmt.Errorf("compiler: nested DO loops are not supported")
 			}
-			w.do = st
+			w.do, w.trips = st, 0
+			lo, err1 := hpf.Eval(st.Lo, env)
+			hi, err2 := hpf.Eval(st.Hi, env)
+			if err1 == nil && err2 == nil && hi >= lo {
+				w.trips = hi - lo + 1
+			}
 			if err := w.stmts(st.Body, env); err != nil {
 				return err
 			}
@@ -130,7 +145,7 @@ func (w *walker) assign(st *hpf.Assign, env map[string]int) error {
 		return err
 	}
 	w.asgs = append(w.asgs, assignment{
-		Do: w.do, Forall: w.forall, Lo: w.lo, Hi: w.hi, RHS: st.RHS,
+		Do: w.do, Trips: w.trips, Forall: w.forall, Lo: w.lo, Hi: w.hi, RHS: st.RHS,
 		Refs: w.buf[start:len(w.buf):len(w.buf)],
 	})
 	return nil
@@ -146,10 +161,10 @@ func (w *walker) refs(e hpf.Expr, env map[string]int, out []ref) ([]ref, error) 
 		case 2:
 			var ok bool
 			if r.Row, ok = w.sub(e.Subs[0], env); !ok {
-				return nil, fmt.Errorf("compiler: reference %s: row subscript is neither 1:n nor a loop index ± a constant", e)
+				return nil, fmt.Errorf("compiler: reference %s: row subscript is neither a section within 1:n nor a loop index ± a constant", e)
 			}
 			if r.Col, ok = w.sub(e.Subs[1], env); !ok {
-				return nil, fmt.Errorf("compiler: reference %s: column subscript is neither 1:n nor a loop index ± a constant", e)
+				return nil, fmt.Errorf("compiler: reference %s: column subscript is neither a section within 1:n nor a loop index ± a constant", e)
 			}
 		default:
 			return nil, fmt.Errorf("compiler: reference %s: want 2 subscripts, got %d", e, len(e.Subs))
@@ -170,7 +185,9 @@ func (w *walker) refs(e hpf.Expr, env map[string]int, out []ref) ([]ref, error) 
 // sub classifies one subscript.
 func (w *walker) sub(s hpf.Subscript, env map[string]int) (sub, bool) {
 	if s.IsRange() {
-		return sub{}, spansWholeExtent(s.Lo, s.Hi, env, w.n)
+		lo, err1 := hpf.Eval(s.Lo, env)
+		hi, err2 := hpf.Eval(s.Hi, env)
+		return sub{Head: lo - 1, Tail: w.n - hi}, err1 == nil && err2 == nil && 1 <= lo && lo <= hi && hi <= w.n
 	}
 	switch e := s.Index.(type) {
 	case *hpf.Ident:

@@ -8,6 +8,7 @@ import (
 
 	"github.com/ooc-hpf/passion/internal/cost"
 	"github.com/ooc-hpf/passion/internal/exec"
+	"github.com/ooc-hpf/passion/internal/hpf"
 	"github.com/ooc-hpf/passion/internal/oocarray"
 	"github.com/ooc-hpf/passion/internal/sim"
 )
@@ -108,5 +109,45 @@ func TestCostResiduals(t *testing.T) {
 			}
 		}
 		t.Fatalf("%s has %d lines, the run %d", costResidualsPath, len(want), len(have))
+	}
+}
+
+// TestTimeLoopResidualScales: the time loop itself is priced exactly.
+// Every trip of Jacobi runs the same exchanges, halo reads and output
+// pre-reads, which the ledger leaves unpriced, so its residual at T trips
+// is T times the residual of one trip, array by array and for messages.
+func TestTimeLoopResidualScales(t *testing.T) {
+	const n, p, mem = 64, 4, 1024
+	residual := func(trips int) []int64 {
+		src := strings.Replace(hpf.JacobiSource, "iters=3", fmt.Sprintf("iters=%d", trips), 1)
+		res, err := CompileSource(src, Options{N: n, Procs: p, MemElems: mem, Machine: sim.Delta(p)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := exec.Run(res.Program, sim.Delta(p), exec.Options{Phantom: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, an, elem := res.Candidates[res.Chosen], res.Analysis, int64(sim.Delta(p).ElemSize)
+		var r []int64
+		for _, name := range an.Arrays {
+			pf, pr, pe := predicted(c, an, name)
+			io := out.MaxArrayIO(name)
+			r = append(r, io.SlabReads+io.SlabWrites-pf, io.Requests()-pr, io.Bytes()/elem-pe)
+		}
+		var msgs int64
+		for _, ps := range out.Stats.Procs {
+			msgs = max(msgs, ps.Comm.MessagesSent)
+		}
+		return append(r, msgs-c.Comm.Messages)
+	}
+	one := residual(1)
+	for _, trips := range []int{2, 3, 5} {
+		got := residual(trips)
+		for i := range one {
+			if got[i] != int64(trips)*one[i] {
+				t.Fatalf("%d trips: residuals %v, want %d times one trip's %v", trips, got, trips, one)
+			}
+		}
 	}
 }

@@ -26,10 +26,11 @@ func (a assignment) rowSlabbed(r ref) bool {
 //
 // Under column strip-mining a stream is read once per trip of the DO
 // around it whose index it does not use: GAXPY's a(1:n,k) inside do j is
-// streamed n times. Under row strip-mining the row-slab loop of the
-// sections at the FORALL index moves outermost, so each of them is
-// streamed once, and a reference whose row is not 1:n is re-streamed once
-// per slab of that loop (GAXPY's b(k,j)).
+// streamed n times, and every stream of a time loop once per trip. Under
+// row strip-mining the row-slab loop of the sections at the FORALL index
+// moves outside the reduction's DO, so each of them is streamed once (a
+// time loop keeps it inside: once per trip), and a reference whose row
+// is not 1:n is re-streamed once per slab of that loop (GAXPY's b(k,j)).
 func (an *Analysis) candidate(label string, slab []int, sieve bool) cost.Candidate {
 	ocla := int64(an.N) * int64(an.N) / int64(an.Procs)
 	byRow := label == "row-slab"
@@ -58,9 +59,12 @@ func (an *Analysis) candidate(label string, slab []int, sieve bool) cost.Candida
 			switch {
 			case byRow && a.rowSlabbed(r):
 				s.ChunksPerFetch, s.ElemsPerFetch = an.rowFetch(r.Array, s.SlabElems, sieve)
+				if a.Do != nil && an.Pattern != PatternGaxpy {
+					s.Passes = int64(a.Trips)
+				}
 			default:
 				if a.Do != nil && r.Row.Var != a.Do.Var && r.Col.Var != a.Do.Var {
-					s.Passes = int64(an.N) // every accepted DO runs 1..n
+					s.Passes = int64(a.Trips)
 				}
 				if byRow && r.Row.Var != "" {
 					s.Passes *= restream

@@ -19,7 +19,7 @@ var updateWitness = flag.Bool("update-witness", false,
 
 const compileWitnessPath = "testdata/compile_witness.txt"
 
-// witnessPrograms are the repository's four example programs with the
+// witnessPrograms are the repository's five example programs with the
 // labels of their candidates, each of which is also compiled as a force.
 var witnessPrograms = []struct {
 	name   string
@@ -29,6 +29,7 @@ var witnessPrograms = []struct {
 	{"scaledupdate", []string{"column-slab", "row-slab"}},
 	{"columnstencil", []string{"column-slab"}},
 	{"transpose", []string{"direct", "sieved", "two-phase"}},
+	{"jacobi", []string{"column-slab"}},
 }
 
 // describeAnalysis renders the in-core phase the way ooc-compile prints
@@ -54,8 +55,12 @@ func describeAnalysis(an *Analysis) string {
 		}
 	case PatternShift:
 		for i, st := range an.Stmts {
-			fmt.Fprintf(&b, "  statement %d: %s(:,k) = %s for k in %d..%d (shifts %d..%d, inputs: %v)\n",
-				i+1, st.Out, st.Expr.String(), st.Lo+1, st.Hi+1, st.MinShift, st.MaxShift, st.Ins)
+			rows := ":"
+			if st.Top != 0 || st.Bottom != 0 {
+				rows = fmt.Sprintf("%d:%d", st.Top+1, an.N-st.Bottom)
+			}
+			fmt.Fprintf(&b, "  statement %d: %s(%s,k) = %s for k in %d..%d (shifts %d..%d, inputs: %v)\n",
+				i+1, st.Out, rows, st.Expr.String(), st.Lo+1, st.Hi+1, st.MinShift, st.MaxShift, st.Ins)
 		}
 		for _, a := range an.Arrays {
 			fmt.Fprintf(&b, "  %-6s mapping %s\n", a, an.Mappings[a])

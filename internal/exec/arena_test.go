@@ -197,7 +197,8 @@ func TestPhantomRunBalancesArena(t *testing.T) {
 // taken out of the pipeline while the read behind it fails. The column
 // stencil's rank 1 has neighbors on both sides, so its faults also land
 // on the exchange's section reads, the halo reads and the output
-// pre-reads, with ghosts and halo slabs held.
+// pre-reads, with ghosts and halo slabs held; Jacobi's land on all of
+// those in every trip of its time loop.
 func TestFailedSlabReadReturnsItsBuffer(t *testing.T) {
 	stencil, err := compiler.CompileSource(shiftSource, compiler.Options{N: 32, Procs: 4, MemElems: 128})
 	if err != nil {
@@ -213,6 +214,7 @@ func TestFailedSlabReadReturnsItsBuffer(t *testing.T) {
 	}{
 		{"gaxpy", sweepProgram(t), sweepFills(), 0},
 		{"columnstencil", stencil, shiftFills(), 1},
+		{"jacobi", jacobiProgram(t), jacobiFills(), 1},
 	} {
 		mach := sim.Delta(tc.res.Program.Procs)
 		for _, prefetch := range []bool{false, true} {
@@ -255,10 +257,10 @@ func TestFailedSlabReadReturnsItsBuffer(t *testing.T) {
 // reads and writes as well as messages. A kill inside a slab read unwinds
 // past the read with its buffer taken and not yet delivered
 // (oocarray.Array holds it for Close), and with prefetch on past the
-// reader's window too; in the two shifted statements it also unwinds
-// from the ghost exchange and from slab loops holding ghosts, halo slabs
-// and the pre-read output. Every run must resolve to the agreed failed
-// set and leave the arena balanced.
+// reader's window too; in the two shifted statements, and in every trip
+// of Jacobi's time loop, it also unwinds from the ghost exchange and from
+// slab loops holding ghosts, halo slabs and the pre-read output. Every
+// run must resolve to the agreed failed set and leave the arena balanced.
 func TestKillAtEveryOpBalancesArena(t *testing.T) {
 	const procs, victim = 4, 2
 	chain, err := compiler.CompileSource(shiftChainSource, compiler.Options{N: 32, Procs: procs, MemElems: 96})
@@ -274,6 +276,7 @@ func TestKillAtEveryOpBalancesArena(t *testing.T) {
 	}{
 		{"gaxpy", chaosProgram(t, "row-slab"), sweepFills()},
 		{"shift chain", chain, shiftFills()},
+		{"jacobi", jacobiProgram(t), jacobiFills()},
 	} {
 		for _, prefetch := range []bool{false, true} {
 			counts := make([]int64, procs)

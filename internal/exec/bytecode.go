@@ -57,8 +57,9 @@ func (in *interp) run(startNode, startIter int) error {
 		if startIter > 0 {
 			// The iteration cursor applies to the loop instruction right
 			// after the resumed node's NODE_ENTER (and only a LOOP_CKPT
-			// may carry one — only SumStore loops record iteration
-			// cursors). A cursor pointing into any other shape is foreign.
+			// may carry one — only time loops and SumStore loops record
+			// iteration cursors). A cursor pointing into any other shape
+			// is foreign.
 			resumeLoopPC = pc + 1
 			pendingFirst = startIter
 		}
@@ -522,7 +523,8 @@ func (in *interp) newSlab(ins *bytecode.Instr) error {
 
 // ewise evaluates an elementwise statement into its output buffer
 // (EWISE): the whole buffer in one charge, or, bounded, the columns whose
-// global index lies in [E, F], one computation per column.
+// global index lies in [E, F] less G rows at the top and H at the bottom,
+// one computation per column.
 func (in *interp) ewise(ins *bytecode.Instr) error {
 	out := in.bufs[ins.A]
 	if out == nil {
@@ -531,7 +533,7 @@ func (in *interp) ewise(ins *bytecode.Instr) error {
 	code := in.code.Exprs[ins.B]
 	if ins.D < 0 {
 		if !in.phantom {
-			if err := in.evalEwiseCode(code, out.Data, -1); err != nil {
+			if err := in.evalEwiseCode(code, out.Data, -1, 0); err != nil {
 				return err
 			}
 		}
@@ -540,31 +542,36 @@ func (in *interp) ewise(ins *bytecode.Instr) error {
 	}
 	colMap := in.arrays[ins.D].Dist().Dims[1]
 	rank, evaluated := in.proc.Rank(), 0
+	top, end := int(ins.G), out.Rows-int(ins.H)
+	if top > end {
+		return fmt.Errorf("exec: Ewise leaves out %d+%d rows of buffer %q, which holds %d", ins.G, ins.H, in.code.BufNames[ins.A], out.Rows)
+	}
 	for c := 0; c < out.Cols; c++ {
 		if k := colMap.ToGlobal(rank, out.ColOff+c); k < int(ins.E) || k > int(ins.F) {
 			continue
 		}
 		if !in.phantom {
-			if err := in.evalEwiseCode(code, out.Col(c), out.ColOff+c); err != nil {
+			if err := in.evalEwiseCode(code, out.Col(c)[top:end], out.ColOff+c, top); err != nil {
 				return err
 			}
 		}
 		evaluated++
 	}
-	in.proc.ComputeN(int64(ins.C)*int64(out.Rows), evaluated)
+	in.proc.ComputeN(int64(ins.C)*int64(end-top), evaluated)
 	return nil
 }
 
 // evalEwiseCode evaluates a postfix program elementwise into dst: with col
 // negative a whole output buffer, every leaf reading its buffer's whole
-// data, else the output's local column col, each leaf reading column col
-// plus its offset of its buffer. The first value pushed lands in dst
+// data, else rows row.. of the output's local column col, each leaf
+// reading column col plus its offset of its buffer from row plus its row
+// offset on. The first value pushed lands in dst
 // itself (the left spine of the source expression works into dst); every
 // later push uses a pooled buffer, and operators fold the right operand
 // into the left in place, so the float operations happen in source order
 // (left subtree, right subtree, operator) and the result is dst with no
 // final copy.
-func (in *interp) evalEwiseCode(code []bytecode.ExprInstr, dst []float64, col int) error {
+func (in *interp) evalEwiseCode(code []bytecode.ExprInstr, dst []float64, col, row int) error {
 	stack := in.estack[:0]
 	fail := func(err error) error {
 		// dst sits at the bottom of the stack; only pooled buffers above
@@ -602,7 +609,12 @@ func (in *interp) evalEwiseCode(code []bytecode.ExprInstr, dst []float64, col in
 					return fail(fmt.Errorf("exec: Ewise reads column %d of buffer %q, which holds columns %d..%d",
 						col+int(ins.B), in.code.BufNames[ins.A], src.ColOff, src.ColOff+src.Cols-1))
 				}
-				data = src.Col(j)
+				r := row + int(ins.C)
+				if r < 0 || r+len(dst) > src.Rows {
+					return fail(fmt.Errorf("exec: Ewise reads rows %d..%d of buffer %q, which holds %d",
+						r, r+len(dst)-1, in.code.BufNames[ins.A], src.Rows))
+				}
+				data = src.Col(j)[r : r+len(dst)]
 			}
 			if len(data) != len(dst) {
 				return fail(fmt.Errorf("exec: Ewise buffer %q has %d elements, output has %d",

@@ -27,10 +27,11 @@ import (
 // globally consistent checkpoint with exec.Resume.
 //
 // Eligible boundaries are (1) between top-level statements of the program
-// and (2) between iterations of top-level loops containing SumStore; the
-// latter restriction keeps the checkpoint's internal barrier collective-
-// safe, because SumStore's reductions already force globally uniform trip
-// counts there, while purely local loops may run different counts per
+// and (2) between iterations of top-level loops every rank runs the same
+// trips of (plan.Uniform): time loops, whose count is a literal, and loops
+// containing SumStore, whose reductions force globally uniform trip
+// counts. The latter restriction keeps the checkpoint's internal barrier
+// collective-safe, while purely local loops may run different counts per
 // processor.
 type CheckpointSpec struct {
 	// Every checkpoints each Every-th eligible loop iteration; values

@@ -1,7 +1,8 @@
 package exec
 
 // End-to-end property test: random mini-HPF FORALL programs, elementwise
-// and shifted, are generated, compiled and executed out of core, and
+// and shifted, with row sections and in time loops, are generated,
+// compiled and executed out of core, and
 // their results are compared against a direct in-core evaluation of the
 // same statements.
 
@@ -17,45 +18,65 @@ import (
 	"github.com/ooc-hpf/passion/internal/sim"
 )
 
-// genStmt is one generated FORALL statement with its reference
-// evaluator: eval computes an element of out's column k from at, which
-// reads array a at row i and column k+off; lo and hi are the 0-based
-// FORALL bounds.
-type genStmt struct {
-	out    string
-	expr   string
-	lo, hi int
-	eval   func(at func(a string, off int) float64) float64
+// genMode selects what a generated program may contain: shifted column
+// references, row sections at row offsets (with shift), and a time loop
+// around the statements.
+type genMode struct {
+	shift, rows, timeLoop bool
 }
 
-// genExpr builds a random expression over the given arrays. With shift
-// set, every section takes a column offset in -2..2, appended to offs.
-func genExpr(rng *rand.Rand, arrays []string, depth int, shift bool, offs *[]int) (string, func(func(string, int) float64) float64) {
+// genStmt is one generated FORALL statement with its reference
+// evaluator: eval computes an element of out's column k, row i from at,
+// which reads array a at row i+drow and column k+dcol; lo and hi are the
+// 0-based FORALL bounds, rlo and rhi the target's row section.
+type genStmt struct {
+	out      string
+	expr     string
+	lo, hi   int
+	rlo, rhi int
+	eval     func(at func(a string, drow, dcol int) float64) float64
+}
+
+// genExpr builds a random expression over the given arrays, rendered for
+// the target rows rlo..rhi. With shift set, every section takes a column
+// offset in -2..2, and with rows set a row offset in -2..2 too, appended
+// to offs as (row, column).
+func genExpr(rng *rand.Rand, arrays []string, depth int, mode genMode, offs *[][2]int) (func(rlo, rhi int) string, func(func(string, int, int) float64) float64) {
 	if depth <= 0 || rng.Intn(3) == 0 {
 		switch rng.Intn(3) {
 		case 0: // constant
 			c := rng.Intn(9) + 1
-			return fmt.Sprintf("%d", c), func(func(string, int) float64) float64 { return float64(c) }
+			return func(int, int) string { return fmt.Sprintf("%d", c) },
+				func(func(string, int, int) float64) float64 { return float64(c) }
 		default: // array section
 			a := arrays[rng.Intn(len(arrays))]
-			off := 0
-			if shift {
+			off, drow := 0, 0
+			if mode.shift {
 				off = rng.Intn(5) - 2
-				*offs = append(*offs, off)
+			}
+			if mode.rows {
+				drow = rng.Intn(5) - 2
+			}
+			if mode.shift {
+				*offs = append(*offs, [2]int{drow, off})
 			}
 			col := "k"
 			if off != 0 {
 				col = fmt.Sprintf("k%+d", off)
 			}
-			return fmt.Sprintf("%s(1:n,%s)", a, col), func(at func(string, int) float64) float64 { return at(a, off) }
+			render := func(int, int) string { return fmt.Sprintf("%s(1:n,%s)", a, col) }
+			if mode.rows {
+				render = func(rlo, rhi int) string { return fmt.Sprintf("%s(%d:%d,%s)", a, rlo+drow+1, rhi+drow+1, col) }
+			}
+			return render, func(at func(string, int, int) float64) float64 { return at(a, drow, off) }
 		}
 	}
 	// Division is excluded: a random denominator may be zero.
 	ops := []byte{'+', '-', '*'}
 	op := ops[rng.Intn(len(ops))]
-	ls, lf := genExpr(rng, arrays, depth-1, shift, offs)
-	rs, rf := genExpr(rng, arrays, depth-1, shift, offs)
-	eval := func(at func(string, int) float64) float64 {
+	ls, lf := genExpr(rng, arrays, depth-1, mode, offs)
+	rs, rf := genExpr(rng, arrays, depth-1, mode, offs)
+	eval := func(at func(string, int, int) float64) float64 {
 		l, r := lf(at), rf(at)
 		switch op {
 		case '+':
@@ -66,7 +87,7 @@ func genExpr(rng *rand.Rand, arrays []string, depth int, shift bool, offs *[]int
 			return l * r
 		}
 	}
-	return fmt.Sprintf("(%s %c %s)", ls, op, rs), eval
+	return func(rlo, rhi int) string { return fmt.Sprintf("(%s %c %s)", ls(rlo, rhi), op, rs(rlo, rhi)) }, eval
 }
 
 // genArrays are the generated programs' arrays. Each name but x is x
@@ -76,12 +97,14 @@ func genExpr(rng *rand.Rand, arrays []string, depth int, shift bool, offs *[]int
 var genArrays = []string{"x", "out_x", "ghost_x", "halo_x"}
 
 // genProgram builds a random program of one to three FORALLs over the
-// four genArrays on procs processors. An elementwise one runs every
-// statement over 1..n at offset 0. A shifted one gives its sections
-// column offsets in -2..2, keeps each statement's target off its own
-// right-hand side, and picks bounds that keep every offset column inside
-// 1..n.
-func genProgram(rng *rand.Rand, n, procs int, shift bool) (string, []genStmt) {
+// four genArrays on procs processors, and the trip count of the time loop
+// around them (1 without one). An elementwise one runs every statement
+// over 1..n at offset 0. A shifted one gives its sections column offsets
+// in -2..2, keeps each statement's target off its own right-hand side,
+// and picks bounds that keep every offset column inside 1..n; with row
+// sections, the target's rows are picked the same way for the row
+// offsets. A time loop runs 1 to 3 trips.
+func genProgram(rng *rand.Rand, n, procs int, mode genMode) (string, []genStmt, int) {
 	arrays := genArrays
 	nStmts := rng.Intn(3) + 1
 	var stmts []genStmt
@@ -89,7 +112,7 @@ func genProgram(rng *rand.Rand, n, procs int, shift bool) (string, []genStmt) {
 	for s := 0; s < nStmts; s++ {
 		out := arrays[rng.Intn(len(arrays))]
 		ins := arrays
-		if shift {
+		if mode.shift {
 			ins = nil
 			for _, a := range arrays {
 				if a != out {
@@ -97,18 +120,33 @@ func genProgram(rng *rand.Rand, n, procs int, shift bool) (string, []genStmt) {
 				}
 			}
 		}
-		var offs []int
-		expr, eval := genExpr(rng, ins, 3, shift, &offs)
-		st := genStmt{out: out, expr: expr, lo: 0, hi: n - 1, eval: eval}
-		if shift {
+		var offs [][2]int
+		render, eval := genExpr(rng, ins, 3, mode, &offs)
+		st := genStmt{out: out, lo: 0, hi: n - 1, rlo: 0, rhi: n - 1, eval: eval}
+		if mode.shift {
 			lo, hi := 0, n-1
 			for _, off := range offs {
-				lo, hi = max(lo, -off), min(hi, n-1-off)
+				lo, hi = max(lo, -off[1]), min(hi, n-1-off[1])
 			}
 			st.lo, st.hi = lo+rng.Intn(3), hi-rng.Intn(3)
 		}
+		rows := "1:n"
+		if mode.rows {
+			lo, hi := 0, n-1
+			for _, off := range offs {
+				lo, hi = max(lo, -off[0]), min(hi, n-1-off[0])
+			}
+			st.rlo, st.rhi = lo+rng.Intn(3), hi-rng.Intn(3)
+			rows = fmt.Sprintf("%d:%d", st.rlo+1, st.rhi+1)
+		}
+		st.expr = render(st.rlo, st.rhi)
 		stmts = append(stmts, st)
-		fmt.Fprintf(&body, "FORALL (k=%d:%d)\n  %s(1:n,k) = %s\nend FORALL\n", st.lo+1, st.hi+1, out, expr)
+		fmt.Fprintf(&body, "FORALL (k=%d:%d)\n  %s(%s,k) = %s\nend FORALL\n", st.lo+1, st.hi+1, out, rows, st.expr)
+	}
+	trips, text := 1, body.String()
+	if mode.timeLoop {
+		trips = 1 + rng.Intn(3)
+		text = fmt.Sprintf("do it=1, %d\n%send do\n", trips, text)
 	}
 	src := fmt.Sprintf(`parameter (n=%d, nprocs=%d)
 real %[3]s(n,n), %[4]s(n,n), %[5]s(n,n), %[6]s(n,n)
@@ -117,8 +155,8 @@ real %[3]s(n,n), %[4]s(n,n), %[5]s(n,n), %[6]s(n,n)
 !hpf$ distribute d(block) on pr
 !hpf$ align (*,:) with d :: %[3]s, %[4]s, %[5]s, %[6]s
 %[7]send
-`, n, procs, arrays[0], arrays[1], arrays[2], arrays[3], body.String())
-	return src, stmts
+`, n, procs, arrays[0], arrays[1], arrays[2], arrays[3], text)
+	return src, stmts, trips
 }
 
 func TestRandomEwiseProgramsMatchInCoreEvaluation(t *testing.T) {
@@ -130,9 +168,15 @@ func TestRandomEwiseProgramsMatchInCoreEvaluation(t *testing.T) {
 		"halo_x":  func(i, j int) float64 { return float64(j%6 + 1) },
 	}
 	for _, mode := range []struct {
-		shift bool
-		seed  int64
-	}{{false, 20260704}, {true, 20261017}} {
+		genMode
+		seed int64
+	}{
+		{genMode{}, 20260704},
+		{genMode{shift: true}, 20261017},
+		{genMode{shift: true, rows: true}, 20261018},
+		{genMode{shift: true, rows: true, timeLoop: true}, 20261019},
+		{genMode{timeLoop: true}, 20261020},
+	} {
 		rng := rand.New(rand.NewSource(mode.seed))
 		for trial := 0; trial < 40; trial++ {
 			procs, mem := 4, n*8
@@ -140,14 +184,14 @@ func TestRandomEwiseProgramsMatchInCoreEvaluation(t *testing.T) {
 				// Slabs of one to three columns per array.
 				procs, mem = []int{1, 2, 4}[rng.Intn(3)], n*4*(1+rng.Intn(3))
 			}
-			src, stmts := genProgram(rng, n, procs, mode.shift)
+			src, stmts, trips := genProgram(rng, n, procs, mode.genMode)
 			res, err := compiler.CompileSource(src, compiler.Options{MemElems: mem})
 			if err != nil {
-				t.Fatalf("shift %v trial %d: compile failed: %v\nprogram:\n%s", mode.shift, trial, err, src)
+				t.Fatalf("%+v trial %d: compile failed: %v\nprogram:\n%s", mode.genMode, trial, err, src)
 			}
 			out, err := Run(res.Program, sim.Delta(procs), Options{Fill: fills})
 			if err != nil {
-				t.Fatalf("shift %v trial %d: run failed: %v\nprogram:\n%s", mode.shift, trial, err, src)
+				t.Fatalf("%+v trial %d: run failed: %v\nprogram:\n%s", mode.genMode, trial, err, src)
 			}
 
 			// In-core reference: apply the statements in order to full
@@ -161,14 +205,16 @@ func TestRandomEwiseProgramsMatchInCoreEvaluation(t *testing.T) {
 					ref[spec.Name].Fill(fills[spec.Name])
 				}
 			}
-			for _, st := range stmts {
-				next := ref[st.out].Clone()
-				for j := st.lo; j <= st.hi; j++ {
-					for i := 0; i < n; i++ {
-						next.Set(i, j, st.eval(func(a string, off int) float64 { return ref[a].At(i, j+off) }))
+			for range trips {
+				for _, st := range stmts {
+					next := ref[st.out].Clone()
+					for j := st.lo; j <= st.hi; j++ {
+						for i := st.rlo; i <= st.rhi; i++ {
+							next.Set(i, j, st.eval(func(a string, drow, dcol int) float64 { return ref[a].At(i+drow, j+dcol) }))
+						}
 					}
+					ref[st.out] = next
 				}
-				ref[st.out] = next
 			}
 
 			// Compare every array the program touched.
@@ -179,11 +225,11 @@ func TestRandomEwiseProgramsMatchInCoreEvaluation(t *testing.T) {
 			for name := range touched {
 				got, err := out.ReadArray(name)
 				if err != nil {
-					t.Fatalf("shift %v trial %d: read %s: %v", mode.shift, trial, name, err)
+					t.Fatalf("%+v trial %d: read %s: %v", mode.genMode, trial, name, err)
 				}
 				if !matrix.Equal(got, ref[name]) {
-					t.Fatalf("shift %v trial %d: array %s differs from in-core evaluation (maxdiff %g)\nprogram:\n%s",
-						mode.shift, trial, name, matrix.MaxAbsDiff(got, ref[name]), src)
+					t.Fatalf("%+v trial %d: array %s differs from in-core evaluation (maxdiff %g)\nprogram:\n%s",
+						mode.genMode, trial, name, matrix.MaxAbsDiff(got, ref[name]), src)
 				}
 			}
 		}

@@ -9,6 +9,7 @@ import (
 
 	"github.com/ooc-hpf/passion/internal/bytecode"
 	"github.com/ooc-hpf/passion/internal/compiler"
+	"github.com/ooc-hpf/passion/internal/hpf"
 	"github.com/ooc-hpf/passion/internal/iosim"
 	"github.com/ooc-hpf/passion/internal/sim"
 )
@@ -47,7 +48,26 @@ end
 func shiftFillX(i, j int) float64 { return float64(4 * (i%6 + 3*(j%5))) } // multiples of 4: /4 exact
 
 func shiftFills() map[string]func(int, int) float64 {
-	return map[string]func(int, int) float64{"x": shiftFillX}
+	return map[string]func(int, int) float64{"x": shiftFillX, "a": jacobiFill, "b": jacobiFill}
+}
+
+// jacobiFill is Jacobi's initial grid, given to both a and b: the sweeps
+// leave every boundary as filled.
+func jacobiFill(i, j int) float64 { return float64((i*7+j*3)%11) - 5 }
+
+func jacobiFills() map[string]func(int, int) float64 {
+	return map[string]func(int, int) float64{"a": jacobiFill, "b": jacobiFill}
+}
+
+// jacobiProgram compiles hpf.JacobiSource (three trips of two sweeps) at
+// n=32 on four processors, slabs of two columns per grid.
+func jacobiProgram(t *testing.T) *compiler.Result {
+	t.Helper()
+	res, err := compiler.CompileSource(hpf.JacobiSource, compiler.Options{N: 32, Procs: 4, MemElems: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func runShift(t *testing.T, src string, n, procs, mem int) (*compiler.Result, *Result) {
@@ -197,21 +217,26 @@ func TestShiftRejections(t *testing.T) {
 	}
 }
 
+// TestShiftPhantomMatchesReal: a phantom run of the column stencil, and
+// of Jacobi's time loop with its row sections, charges what the real one
+// does, to the bit.
 func TestShiftPhantomMatchesReal(t *testing.T) {
 	for _, tc := range shiftExecutionCases {
-		t.Run(fmt.Sprintf("n=%d/p=%d", tc.n, tc.p), func(t *testing.T) {
-			res, real := runShift(t, shiftSource, tc.n, tc.p, tc.mem)
-			ph, err := Run(res.Program, sim.Delta(tc.p), Options{Phantom: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r, p := real.Stats.TotalIO(), ph.Stats.TotalIO(); !ioStatsEqual(r, p) {
-				t.Errorf("phantom IO differs: %+v vs %+v", p, r)
-			}
-			if rt, pt := real.Stats.ElapsedSeconds(), ph.Stats.ElapsedSeconds(); rt != pt {
-				t.Errorf("phantom elapsed %016x vs real %016x", math.Float64bits(pt), math.Float64bits(rt))
-			}
-		})
+		for name, src := range map[string]string{"stencil": shiftSource, "jacobi": hpf.JacobiSource} {
+			t.Run(fmt.Sprintf("%s/n=%d/p=%d", name, tc.n, tc.p), func(t *testing.T) {
+				res, real := runShift(t, src, tc.n, tc.p, tc.mem)
+				ph, err := Run(res.Program, sim.Delta(tc.p), Options{Phantom: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r, p := real.Stats.TotalIO(), ph.Stats.TotalIO(); !ioStatsEqual(r, p) {
+					t.Errorf("phantom IO differs: %+v vs %+v", p, r)
+				}
+				if rt, pt := real.Stats.ElapsedSeconds(), ph.Stats.ElapsedSeconds(); rt != pt {
+					t.Errorf("phantom elapsed %016x vs real %016x", math.Float64bits(pt), math.Float64bits(rt))
+				}
+			})
+		}
 	}
 }
 
@@ -247,53 +272,70 @@ func TestShiftNoCheckpointBetweenExchangeAndLoop(t *testing.T) {
 	}
 }
 
-// TestShiftChainResumesAtEveryEpoch cancels the two-statement program
-// from the checkpoint hook at each committed epoch in turn and resumes
-// it: every resumed z is the uninterrupted run's, bit for bit.
+// TestShiftChainResumesAtEveryEpoch cancels a chain of shifted
+// statements from the checkpoint hook at each committed epoch in turn and
+// resumes it: every resumed output is the uninterrupted run's, bit for
+// bit. The two-statement program checkpoints once per statement; Jacobi's
+// two sweeps, a into b and back, sit in a time loop whose LOOP_CKPT
+// commits the initial epoch and one between each two of its 3 trips.
 func TestShiftChainResumesAtEveryEpoch(t *testing.T) {
-	res, err := compiler.CompileSource(shiftChainSource, compiler.Options{N: 32, Procs: 4, MemElems: 96})
+	chain, err := compiler.CompileSource(shiftChainSource, compiler.Options{N: 32, Procs: 4, MemElems: 96})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mach := sim.Delta(4)
-	spec := &CheckpointSpec{Every: 1}
-	var epochs []int
-	base, err := Run(res.Program, mach, Options{Fill: shiftFills(), FS: iosim.NewMemFS(), Checkpoint: spec,
-		CkptHook: func(epoch int) { epochs = append(epochs, epoch) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := base.ReadArray("z")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(epochs) != 2 {
-		t.Fatalf("checkpoint epochs %v, want one per statement", epochs)
-	}
-	for _, cancelAt := range epochs {
-		fs := iosim.NewMemFS()
-		ctx, cancel := context.WithCancel(context.Background())
-		_, err := RunCtx(ctx, res.Program, mach, Options{Fill: shiftFills(), FS: fs, Checkpoint: spec,
-			CkptHook: func(epoch int) {
-				if epoch == cancelAt {
-					cancel()
-				}
-			}})
-		cancel()
-		if err == nil {
-			t.Fatalf("run cancelled at epoch %d completed", cancelAt)
-		}
-		out, err := Resume(res.Program, mach, Options{Fill: shiftFills(), FS: fs, Checkpoint: spec})
-		if err != nil {
-			t.Fatalf("resume from epoch %d: %v", cancelAt, err)
-		}
-		got, err := out.ReadArray("z")
+	for _, tc := range []struct {
+		name    string
+		res     *compiler.Result
+		fills   func() map[string]func(int, int) float64
+		outputs []string
+		epochs  int
+	}{
+		{"two statements", chain, shiftFills, []string{"z"}, 2},
+		{"jacobi", jacobiProgram(t), jacobiFills, []string{"a", "b"}, 3},
+	} {
+		mach := sim.Delta(4)
+		spec := &CheckpointSpec{Every: 1}
+		var epochs []int
+		base, err := Run(tc.res.Program, mach, Options{Fill: tc.fills(), FS: iosim.NewMemFS(), Checkpoint: spec,
+			CkptHook: func(epoch int) { epochs = append(epochs, epoch) }})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range want.Data {
-			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-				t.Fatalf("resumed from epoch %d: z element %d is %v, uninterrupted %v", cancelAt, i, got.Data[i], want.Data[i])
+		if len(epochs) != tc.epochs {
+			t.Fatalf("%s: checkpoint epochs %v, want %d", tc.name, epochs, tc.epochs)
+		}
+		for _, cancelAt := range epochs {
+			fs := iosim.NewMemFS()
+			ctx, cancel := context.WithCancel(context.Background())
+			_, err := RunCtx(ctx, tc.res.Program, mach, Options{Fill: tc.fills(), FS: fs, Checkpoint: spec,
+				CkptHook: func(epoch int) {
+					if epoch == cancelAt {
+						cancel()
+					}
+				}})
+			cancel()
+			if err == nil {
+				t.Fatalf("%s: run cancelled at epoch %d completed", tc.name, cancelAt)
+			}
+			out, err := Resume(tc.res.Program, mach, Options{Fill: tc.fills(), FS: fs, Checkpoint: spec})
+			if err != nil {
+				t.Fatalf("%s: resume from epoch %d: %v", tc.name, cancelAt, err)
+			}
+			for _, name := range tc.outputs {
+				want, err := base.ReadArray(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := out.ReadArray(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want.Data {
+					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+						t.Fatalf("%s resumed from epoch %d: %s element %d is %v, uninterrupted %v",
+							tc.name, cancelAt, name, i, got.Data[i], want.Data[i])
+					}
+				}
 			}
 		}
 	}

@@ -154,6 +154,15 @@ func witnessScenarios() []witnessScenario {
 			fills:   map[string]func(int, int) float64{"x": fillX, "y": fillY},
 			outputs: []string{"w", "z"},
 		},
+		{
+			// Checkpoints at the LOOP_CKPT's trip boundaries.
+			name:    "jacobi/time-loop",
+			source:  hpf.JacobiSource,
+			copts:   compiler.Options{N: 32, Procs: 4, MemElems: 128},
+			fills:   jacobiFills(),
+			options: Options{Checkpoint: &CheckpointSpec{Every: 1}},
+			outputs: []string{"a", "b"},
+		},
 	}
 }
 

@@ -31,20 +31,6 @@ import (
 // rebuild seconds must equal the cost model's closed form to the digit.
 // A control without checkpoint+parity protection must die instead.
 
-// ranksurvivalStencil is a column stencil whose shifted references cross
-// the BLOCK boundaries, compiled at the experiment's N.
-const ranksurvivalStencil = `parameter (n=64, nprocs=4)
-real x(n,n), z(n,n)
-!hpf$ processors pr(nprocs)
-!hpf$ template d(n)
-!hpf$ distribute d(block) on pr
-!hpf$ align (*,:) with d :: x, z
-FORALL (k=2:n-1)
-  z(1:n,k) = (x(1:n,k-1) + 2*x(1:n,k) + x(1:n,k+1)) / 4
-end FORALL
-end
-`
-
 // RankSurvivalRow is one injected rank loss.
 type RankSurvivalRow struct {
 	Program string // "gaxpy", "transpose" or "stencil"
@@ -122,7 +108,7 @@ func RankSurvival(p Params) (*RankSurvivalResult, error) {
 		{"transpose", hpf.TransposeSource,
 			compiler.Options{N: n, Procs: procs, MemElems: n * n, Machine: mach, Force: "two-phase"},
 			nil, ""},
-		{"stencil", ranksurvivalStencil,
+		{"stencil", hpf.ColumnStencilSource,
 			compiler.Options{N: n, Procs: procs, MemElems: 8 * n, Machine: mach},
 			map[string]func(int, int) float64{"x": sfill}, "z"},
 	}

@@ -1,6 +1,7 @@
 package hpf
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -336,5 +337,25 @@ func TestParseOutOfCoreErrors(t *testing.T) {
 	}
 	if _, err := Parse("!hpf$ memory 64\nend\n"); err == nil {
 		t.Error("missing parens should fail")
+	}
+}
+
+// TestSourcesMatchTestdata keeps one copy of each program text: the
+// constants the examples and tests compile are byte for byte the
+// testdata files the tools and the compiler witness read.
+func TestSourcesMatchTestdata(t *testing.T) {
+	for file, src := range map[string]string{
+		"scaledupdate":  EwiseSource,
+		"transpose":     TransposeSource,
+		"columnstencil": ColumnStencilSource,
+		"jacobi":        JacobiSource,
+	} {
+		raw, err := os.ReadFile("../../testdata/" + file + ".hpf")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(raw) != src {
+			t.Errorf("testdata/%s.hpf differs from its constant", file)
+		}
 	}
 }

@@ -53,3 +53,40 @@ FORALL (k=1:n)
 end FORALL
 end
 `
+
+// ColumnStencilSource is a column stencil whose shifted references cross
+// the BLOCK boundaries: the compiler's shift class, a boundary-column
+// exchange followed by a halo-widened slab loop.
+const ColumnStencilSource = `parameter (n=64, nprocs=4)
+real x(n,n), z(n,n)
+!hpf$ processors pr(nprocs)
+!hpf$ template d(n)
+!hpf$ distribute d(block) on pr
+!hpf$ align (*,:) with d :: x, z
+FORALL (k=2:n-1)
+  z(1:n,k) = (x(1:n,k-1) + 2*x(1:n,k) + x(1:n,k+1)) / 4
+end FORALL
+end
+`
+
+// JacobiSource is the 2-D Jacobi relaxation, iters trips of two
+// ping-pong sweeps (a into b, then b into a) over the interior: a time
+// loop around two shifted statements whose row sections read the
+// neighbors above and below. The boundary rows and columns stay as
+// filled. (x)/4 is bitwise 0.25*(x): the lexer has no real literals.
+const JacobiSource = `parameter (n=64, nprocs=4, iters=3)
+real a(n,n), b(n,n)
+!hpf$ processors pr(nprocs)
+!hpf$ template d(n)
+!hpf$ distribute d(block) on pr
+!hpf$ align (*,:) with d :: a, b
+do it=1, iters
+  FORALL (k=2:n-1)
+    b(2:n-1,k) = (a(1:n-2,k) + a(3:n,k) + a(2:n-1,k-1) + a(2:n-1,k+1)) / 4
+  end FORALL
+  FORALL (k=2:n-1)
+    a(2:n-1,k) = (b(1:n-2,k) + b(3:n,k) + b(2:n-1,k-1) + b(2:n-1,k+1)) / 4
+  end FORALL
+end do
+end
+`

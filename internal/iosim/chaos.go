@@ -56,9 +56,13 @@ type ScheduledFault struct {
 	// File selects the file by exact name; empty matches every file.
 	File string
 	// Op is the 0-based per-file operation index at which to inject.
-	// Indices are per file (not global) so the schedule is deterministic
-	// under the concurrent SPMD execution: each processor owns its files,
-	// so each file sees a deterministic operation sequence.
+	// Indices are per file (not global): a file one processor alone
+	// touches, such as a local array file, sees a deterministic operation
+	// sequence under the concurrent SPMD execution. What happens on other
+	// files by the time that op arrives is not ordered by it: a disk
+	// loss fired at it drops the peers' parity files the disk holds
+	// whether or not their last writes have landed, which depends on
+	// goroutine interleaving.
 	Op int64
 	// Kind is the fault class to inject.
 	Kind FaultKind
@@ -109,10 +113,12 @@ type ChaosCounts struct {
 // resilient I/O layer end to end.
 //
 // Determinism: every file keeps its own operation counter, and the fault
-// decision for operation k on file f depends only on (Seed, f, k). Since
-// the LAF ownership model gives every file a single-processor, program-
-// ordered operation sequence, the same program with the same seed hits
-// the same faults regardless of goroutine interleaving.
+// decision for operation k on file f depends only on (Seed, f, k). A file
+// with a single-processor, program-ordered operation sequence (a local
+// array file) therefore sees the same faults for the same program and
+// seed regardless of goroutine interleaving. A disk loss is the
+// exception: it drops every file the disk holds, peers' parity files
+// included, at an instant their writers do not order (ScheduledFault).
 type ChaosFS struct {
 	inner FS
 	cfg   ChaosConfig

@@ -20,13 +20,15 @@ type EConst struct{ V float64 }
 
 // EBuf reads a slab buffer. An aligned leaf reads the element of Buf at
 // the output element's position (Buf has the output's geometry). A column
-// leaf (Array set: the shifted reference Array(1:n,k+Off), read through
-// buffer Buf) reads column k+Off of Buf for the output's local column k;
-// only a bounded Ewise may give a leaf a nonzero Off.
+// leaf (Array set: the shifted reference Array(r+Row,k+Off), read through
+// buffer Buf) reads column k+Off of Buf for the output's local column k,
+// row r+Row for the output's row r; only a bounded Ewise may give a leaf
+// a nonzero Off or Row.
 type EBuf struct {
 	Buf   string
 	Array string
 	Off   int
+	Row   int
 }
 
 // EBin combines two subexpressions with '+', '-', '*' or '/'.
@@ -50,15 +52,21 @@ func (e *EBin) Ops() int { return 1 + e.L.Ops() + e.R.Ops() }
 
 func (e *EConst) String() string { return strconv.FormatFloat(e.V, 'g', -1, 64) }
 func (e *EBuf) String() string {
-	switch {
-	case e.Array == "":
+	if e.Array == "" {
 		return e.Buf + "(:)"
-	case e.Off == 0:
-		return e.Array + "(:,k)"
-	case e.Off > 0:
-		return e.Array + "(:,k+" + strconv.Itoa(e.Off) + ")"
 	}
-	return e.Array + "(:,k" + strconv.Itoa(e.Off) + ")"
+	return e.Array + "(" + shifted(":", "r", e.Row) + "," + shifted("k", "k", e.Off) + ")"
+}
+
+// shifted renders a subscript: at, or index plus a nonzero offset.
+func shifted(at, index string, off int) string {
+	switch {
+	case off > 0:
+		return index + "+" + strconv.Itoa(off)
+	case off < 0:
+		return index + strconv.Itoa(off)
+	}
+	return at
 }
 func (e *EBin) String() string {
 	return fmt.Sprintf("(%s%c%s)", e.L.String(), e.Op, e.R.String())
@@ -78,12 +86,16 @@ type NewSlab struct {
 // Array, when set, names the array Out is a slab of, and only Out's
 // columns whose global index lies in Lo..Hi (0-based, inclusive) are
 // evaluated, column by column and so at any leaf offset; the other
-// columns keep their contents (HPF FORALL bounds).
+// columns keep their contents (HPF FORALL bounds). Top and Bottom leave
+// that many rows at either end of every evaluated column untouched too
+// (the target's row section; zero for 1:n), so that a leaf may read its
+// column at a row offset.
 type Ewise struct {
-	Out    string
-	Expr   EExpr
-	Array  string
-	Lo, Hi int
+	Out         string
+	Expr        EExpr
+	Array       string
+	Lo, Hi      int
+	Top, Bottom int
 }
 
 // Exchange is a shifted FORALL's communication: for each Arrays[i], the
@@ -108,8 +120,12 @@ func (n *Ewise) Pretty(indent int) string {
 	if n.Array == "" {
 		return fmt.Sprintf("%s%s(:) = %s\n", pad(indent), n.Out, n.Expr.String())
 	}
-	return fmt.Sprintf("%sforall k = %d..%d of %s: %s(:,k) = %s\n",
-		pad(indent), n.Lo+1, n.Hi+1, n.Array, n.Out, n.Expr.String())
+	rows := ":"
+	if n.Top != 0 || n.Bottom != 0 {
+		rows = fmt.Sprintf("%d:%s", n.Top+1, shifted("n", "n", -n.Bottom))
+	}
+	return fmt.Sprintf("%sforall k = %d..%d of %s: %s(%s,k) = %s\n",
+		pad(indent), n.Lo+1, n.Hi+1, n.Array, n.Out, rows, n.Expr.String())
 }
 
 // Pretty renders the boundary-column exchange.

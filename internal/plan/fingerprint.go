@@ -81,9 +81,13 @@ func hashNode(w io.Writer, n Node) {
 	case *NewSlab:
 		fmt.Fprintf(w, "newslab|%s|%s|%s\n", n.Array, n.Index, n.Buf)
 	case *Ewise:
-		// The rendering names every leaf with its column offset, and
-		// every constant in its shortest exact form.
-		fmt.Fprintf(w, "ewise|%s|bounds=%s,%d,%d|%s\n", n.Out, n.Array, n.Lo, n.Hi, n.Expr)
+		// The rendering names every leaf with its row and column offsets,
+		// and every constant in its shortest exact form.
+		if n.Top == 0 && n.Bottom == 0 {
+			fmt.Fprintf(w, "ewise|%s|bounds=%s,%d,%d|%s\n", n.Out, n.Array, n.Lo, n.Hi, n.Expr)
+		} else {
+			fmt.Fprintf(w, "ewise|%s|bounds=%s,%d,%d|rows=%d,%d|%s\n", n.Out, n.Array, n.Lo, n.Hi, n.Top, n.Bottom, n.Expr)
+		}
 	case *Exchange:
 		fmt.Fprintf(w, "exchange|%s|%s|%d|%d\n", strings.Join(n.Arrays, ","), strings.Join(n.Ghosts, ","), n.Left, n.Right)
 	case *Redistribute:

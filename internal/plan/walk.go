@@ -20,18 +20,23 @@ func NodeLabel(n Node) string {
 	}
 }
 
-// HasSumStore reports whether the body (recursively) performs a SumStore.
-// SumStore's reductions force globally uniform iteration counts, which is
-// what makes a loop's iteration boundaries collective-safe checkpoint
-// points: the bytecode compiler lowers a top-level loop it holds for to
+// Uniform reports whether every rank runs the same trips of loop l,
+// which makes a top-level loop's iteration boundaries collective-safe
+// checkpoint points: its count is a literal (a time loop), or its body
+// performs a SumStore, whose reductions force globally uniform trip
+// counts. The bytecode compiler lowers a top-level loop it holds for to
 // LOOP_CKPT, the only loop a checkpoint may commit inside.
-func HasSumStore(body []Node) bool {
+func Uniform(l *Loop) bool {
+	return l.Count.SlabsOf == "" && l.Count.ColsOf == "" || hasSumStore(l.Body)
+}
+
+func hasSumStore(body []Node) bool {
 	for _, n := range body {
 		switch n := n.(type) {
 		case *SumStore:
 			return true
 		case *Loop:
-			if HasSumStore(n.Body) {
+			if hasSumStore(n.Body) {
 				return true
 			}
 		}
