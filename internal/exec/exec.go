@@ -10,6 +10,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/ooc-hpf/passion/internal/bufpool"
@@ -107,6 +108,7 @@ type Result struct {
 	// checked on compiled programs, not just the hand-coded baselines.
 	PerArray []map[string]*trace.IOStats
 
+	dmaps   []*dist.Array // the lowered plan's mapping of Program.Arrays[i]
 	fs      iosim.FS
 	mach    sim.Config
 	phantom bool
@@ -196,25 +198,36 @@ func RunCtx(ctx context.Context, p *plan.Program, mach sim.Config, opts Options)
 }
 
 // Lowered is a program lowered to the opcode stream its runs execute,
-// with the set of arrays it writes. It is immutable, so any number of
-// runs, concurrent ones included, can share one; a serving plan cache
-// holds one per entry and lowers each plan once.
+// with the set of arrays it writes and every array's mapping. It is
+// immutable, so any number of runs, concurrent ones included, can share
+// one; a serving plan cache holds one per entry and lowers each plan
+// once. The mappings are read-only and publish their routing tables
+// (dist.Tables2) once, so every run of the plan — each job, each attempt
+// of a resilient run — routes through one set of tables.
 type Lowered struct {
 	prog    *plan.Program
 	code    *bytecode.Program
 	mutated writeSet
+	dmaps   []*dist.Array // mapping of code.Arrays[i]
 }
 
 // Lower lowers p. A program the lowering rejects (a buffer read before
-// any definition, a dead loop variable, an unknown array) fails with an
-// "exec: lower: ..." error; every entry point lowers first, so such a
-// program fails before any file or processor exists.
+// any definition, a dead loop variable, an unknown array, a mapping the
+// processor count cannot realize) fails with an "exec: lower: ..."
+// error; every entry point lowers first, so such a program fails before
+// any file or processor exists.
 func Lower(p *plan.Program) (*Lowered, error) {
 	code, err := bytecode.Compile(p)
 	if err != nil {
 		return nil, fmt.Errorf("exec: lower: %w", err)
 	}
-	return &Lowered{prog: p, code: code, mutated: mutatedArrays(code)}, nil
+	dmaps := make([]*dist.Array, len(code.Arrays))
+	for i, spec := range code.Arrays {
+		if dmaps[i], err = spec.DistArray(p.Procs); err != nil {
+			return nil, fmt.Errorf("exec: lower: %w", err)
+		}
+	}
+	return &Lowered{prog: p, code: code, mutated: mutatedArrays(code), dmaps: dmaps}, nil
 }
 
 // Start says how RunLowered starts a lowered program. The zero value is a
@@ -297,19 +310,8 @@ func ResumeCtx(ctx context.Context, p *plan.Program, mach sim.Config, opts Optio
 // so the recovery loop can report and reconcile aborted attempts; the
 // exported entry points discard it.
 func run(ctx context.Context, l *Lowered, mach sim.Config, opts Options, resume []*ckptManifest, respawned []int) (*Result, error) {
-	p, code, mutated := l.prog, l.code, l.mutated
+	p, code, mutated, dmaps := l.prog, l.code, l.mutated, l.dmaps
 	mach.Procs = p.Procs
-	// One mapping per array for the whole run: they are read-only, and
-	// the routing tables a mapping caches (dist.Tables2) are then built
-	// once per run rather than once per rank.
-	dmaps := make([]*dist.Array, len(code.Arrays))
-	for i, spec := range code.Arrays {
-		dm, err := spec.DistArray(p.Procs)
-		if err != nil {
-			return nil, err
-		}
-		dmaps[i] = dm
-	}
 	// Manifests are checked against the program here, before any rank
 	// starts: a name or staging shape the program does not have fails the
 	// resume without touching a file.
@@ -421,7 +423,7 @@ func run(ctx context.Context, l *Lowered, mach sim.Config, opts Options, resume 
 		fold()
 		return nil
 	})
-	res := &Result{Stats: stats, Program: p, PerArray: perArray, fs: fs, mach: mach,
+	res := &Result{Stats: stats, Program: p, PerArray: perArray, dmaps: dmaps, fs: fs, mach: mach,
 		phantom: opts.Phantom, res: opts.Resilience, ckpt: opts.Checkpoint, pstore: pstore,
 		mutated: mutated.names}
 	if err != nil {
@@ -448,14 +450,11 @@ func (r *Result) ReadArray(name string) (*matrix.Matrix, error) {
 	if r.phantom {
 		return nil, fmt.Errorf("exec: cannot read arrays from a phantom run")
 	}
-	spec, ok := r.Program.Array(name)
-	if !ok {
+	i := slices.IndexFunc(r.Program.Arrays, func(a plan.ArraySpec) bool { return a.Name == name })
+	if i < 0 {
 		return nil, fmt.Errorf("exec: unknown array %q", name)
 	}
-	dm, err := spec.DistArray(r.Program.Procs)
-	if err != nil {
-		return nil, err
-	}
+	spec, dm := r.Program.Arrays[i], r.dmaps[i]
 	out := matrix.New(spec.Rows, spec.Cols)
 	for proc := 0; proc < r.Program.Procs; proc++ {
 		disk := iosim.NewResilientDisk(r.fs, r.mach, nil, r.res)

@@ -120,7 +120,7 @@ func runResilient(ctx context.Context, l *Lowered, mach sim.Config, opts Options
 			rec.Stats = res.Stats
 			rec.PerArray = res.PerArray
 		}
-		sec, io, rerr := rebuildRanks(opts.FS, p, mach, opts, rf.Failed)
+		sec, io, rerr := rebuildRanks(opts.FS, l, mach, opts, rf.Failed)
 		rec.RebuildSeconds, rec.RebuildIO = sec, io
 		rr.Recoveries = append(rr.Recoveries, rec)
 		if rerr != nil {
@@ -196,7 +196,8 @@ func collectKilled(err error, out *[]*mp.RankKilledError) {
 // the on-disk parity is consistent with the on-disk data at every kill
 // point. The returned seconds are the simulated reconstruction time and
 // the IOStats carry the reconstruction counters.
-func rebuildRanks(fs iosim.FS, p *plan.Program, mach sim.Config, opts Options, dead []int) (float64, trace.IOStats, error) {
+func rebuildRanks(fs iosim.FS, l *Lowered, mach sim.Config, opts Options, dead []int) (float64, trace.IOStats, error) {
+	p := l.prog
 	var io trace.IOStats
 	st := parity.NewStore(fs, mach, p.Procs, opts.Resilience)
 	st.SetPhantom(opts.Phantom)
@@ -213,12 +214,9 @@ func rebuildRanks(fs iosim.FS, p *plan.Program, mach sim.Config, opts Options, d
 			fs.Remove(parity.ParityFileName(spec.Name, r))
 		}
 	}
-	for _, spec := range p.Arrays {
+	for i, spec := range l.code.Arrays {
 		st.Protect(spec.Name)
-		dm, err := spec.DistArray(p.Procs)
-		if err != nil {
-			return 0, io, err
-		}
+		dm := l.dmaps[i]
 		for r := 0; r < p.Procs; r++ {
 			st.Attach(fmt.Sprintf("%s.p%d.laf", spec.Name, r),
 				int64(dm.LocalElems(r))*iosim.FileElemBytes)

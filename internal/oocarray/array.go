@@ -9,6 +9,7 @@ package oocarray
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/ooc-hpf/passion/internal/bufpool"
 	"github.com/ooc-hpf/passion/internal/collio"
@@ -70,8 +71,13 @@ type Array struct {
 	// chunkScratch backs sectionChunks between calls. Safe because the
 	// array belongs to one rank goroutine and every caller consumes the
 	// chunk list before issuing another sectioned transfer (the prefetch
-	// overlap is simulated, not concurrent).
+	// overlap is simulated, not concurrent). It comes from chunkLists on
+	// the first sectioned transfer and goes back on Close.
 	chunkScratch []iosim.Chunk
+	// spares holds recycled ICLA headers (Data nil) for the next section
+	// read or slab to reuse, so a slab loop allocates no header per slab.
+	spares  [maxSpares]*ICLA
+	nspares int
 	// inflight is the buffer a sectioned read has taken from the arena
 	// and not yet handed to its caller. A fail-stop kill that lands
 	// inside the read unwinds past readSectionRaw without returning it;
@@ -114,12 +120,55 @@ func Open(disk *iosim.Disk, dmap *dist.Array, proc int, clock *sim.Clock, opts O
 	return &Array{dmap: dmap, proc: proc, rows: rows, cols: cols, laf: laf, clock: clock, opts: opts}, nil
 }
 
-// Close releases the local array file handle (the file itself remains)
-// and the buffer of a read that never returned.
+// Close releases the local array file handle (the file itself remains),
+// the buffer of a read that never returned and the chunk list.
 func (a *Array) Close() error {
 	bufpool.PutF64(a.inflight)
 	a.inflight = nil
+	putChunks(a.chunkScratch)
+	a.chunkScratch = nil
 	return a.laf.Close()
+}
+
+// maxChunkLists bounds the chunk-list free list (a served job holds
+// P x arrays lists at once; scale_phantom's is 64 x 3), and
+// maxChunkListCap the size of a list worth keeping.
+const (
+	maxChunkLists   = 256
+	maxChunkListCap = 1 << 12
+)
+
+// chunkLists is the free list behind every Array's chunkScratch, so a
+// job's arrays start from chunk lists an earlier job grew. It is bounded
+// and mutex-guarded like bufpool's class lists, not a sync.Pool, whose
+// collection-timed drops would make allocation counts irreproducible.
+var chunkLists struct {
+	mu   sync.Mutex
+	free [][]iosim.Chunk
+}
+
+func getChunks() []iosim.Chunk {
+	chunkLists.mu.Lock()
+	defer chunkLists.mu.Unlock()
+	k := len(chunkLists.free)
+	if k == 0 {
+		return nil
+	}
+	c := chunkLists.free[k-1]
+	chunkLists.free[k-1] = nil
+	chunkLists.free = chunkLists.free[:k-1]
+	return c
+}
+
+func putChunks(c []iosim.Chunk) {
+	if cap(c) == 0 || cap(c) > maxChunkListCap {
+		return
+	}
+	chunkLists.mu.Lock()
+	if len(chunkLists.free) < maxChunkLists {
+		chunkLists.free = append(chunkLists.free, c[:0])
+	}
+	chunkLists.mu.Unlock()
 }
 
 // Name returns the global array name.
@@ -263,6 +312,9 @@ func (a *Array) sectionChunks(r0, c0, h, w int) ([]iosim.Chunk, error) {
 	if h == 0 || w == 0 {
 		return nil, nil
 	}
+	if a.chunkScratch == nil {
+		a.chunkScratch = getChunks()
+	}
 	chunks := a.chunkScratch[:0]
 	if h == a.rows {
 		chunks = append(chunks, iosim.Chunk{Off: int64(c0) * int64(a.rows), Len: h * w})
@@ -293,7 +345,7 @@ func (a *Array) readSectionRaw(r0, c0, h, w int) (*ICLA, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	icla := &ICLA{RowOff: r0, ColOff: c0, Rows: h, Cols: w, Data: bufpool.GetF64(h * w)}
+	icla := a.header(r0, c0, h, w)
 	a.inflight = icla.Data
 	// The pooled buffer must start out zeroed like the make it replaced:
 	// phantom-mode reads leave it untouched, and sieved reads only touch
@@ -309,7 +361,7 @@ func (a *Array) readSectionRaw(r0, c0, h, w int) (*ICLA, float64, error) {
 	}
 	a.inflight = nil
 	if err != nil {
-		bufpool.PutF64(icla.Data)
+		a.Recycle(icla)
 		return nil, 0, err
 	}
 	return icla, sec, nil
@@ -377,13 +429,12 @@ func (a *Array) ReadHalo(s Slabbing, index, left, right int, ghosts []float64) (
 			a.Name(), a.proc, index, s.Count, a.rows, left+right)
 	}
 	start, size := s.slabBounds(index, a.cols)
-	h := &ICLA{ColOff: start - left, Rows: a.rows, Cols: size + left + right}
-	c0, c1 := max(h.ColOff, 0), min(h.ColOff+h.Cols, a.cols)
+	c0, c1 := max(start-left, 0), min(start+size+right, a.cols)
 	sec, err := a.ReadSection(0, c0, a.rows, c1-c0)
 	if err != nil {
 		return nil, err
 	}
-	h.Data = bufpool.GetF64(a.rows * h.Cols)
+	h := a.header(0, start-left, a.rows, size+left+right)
 	copy(h.Data, ghosts[(left-(c0-h.ColOff))*a.rows:left*a.rows])
 	copy(h.Data[(c0-h.ColOff)*a.rows:], sec.Data)
 	copy(h.Data[(c1-h.ColOff)*a.rows:], ghosts[left*a.rows:])
@@ -400,24 +451,51 @@ func (a *Array) NewSlab(s Slabbing, index int) (*ICLA, error) {
 	var icla *ICLA
 	if s.Dim == ByColumn {
 		start, size := s.slabBounds(index, a.cols)
-		icla = &ICLA{RowOff: 0, ColOff: start, Rows: a.rows, Cols: size, Data: bufpool.GetF64(a.rows * size)}
+		icla = a.header(0, start, a.rows, size)
 	} else {
 		start, size := s.slabBounds(index, a.rows)
-		icla = &ICLA{RowOff: start, ColOff: 0, Rows: size, Cols: a.cols, Data: bufpool.GetF64(size * a.cols)}
+		icla = a.header(start, 0, size, a.cols)
 	}
 	clear(icla.Data)
 	return icla, nil
 }
 
+// maxSpares bounds an array's recycled headers: a slab loop holds at
+// most a delivered slab, a prefetched one and a halo read's section at
+// once.
+const maxSpares = 4
+
+// header returns an h x w section header at (r0, c0) with arena storage
+// of arbitrary contents, reusing a recycled header when there is one.
+func (a *Array) header(r0, c0, h, w int) *ICLA {
+	var s *ICLA
+	if a.nspares > 0 {
+		a.nspares--
+		s = a.spares[a.nspares]
+		a.spares[a.nspares] = nil
+	} else {
+		s = new(ICLA)
+	}
+	*s = ICLA{RowOff: r0, ColOff: c0, Rows: h, Cols: w, Data: bufpool.GetF64(h * w)}
+	return s
+}
+
 // Recycle returns a slab's storage to the buffer arena once the caller
-// is done with it (typically after WriteSection). The slab must not be
-// used afterwards; nil is a no-op.
+// is done with it (typically after WriteSection), and its header to the
+// array for the next read to reuse. The slab must not be used afterwards;
+// nil, and a slab already recycled, are no-ops. While bufpool's checker
+// is on no header is reused, so a use after Recycle still fails on the
+// nil Data rather than reading another slab.
 func (a *Array) Recycle(s *ICLA) {
-	if s == nil {
+	if s == nil || s.Data == nil {
 		return
 	}
 	bufpool.PutF64(s.Data)
 	s.Data = nil
+	if a.nspares < maxSpares && !bufpool.Checked() {
+		a.spares[a.nspares] = s
+		a.nspares++
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # scale.sh — host cost of phantom runs over the paper's processor range
 # (ROADMAP item 1(d)): wall seconds, user+sys seconds, peak RSS and the
-# sha256 of the -stats-json and of the printed report of
+# sha256 of the -stats-json and of the printed report (less its
+# "stats: wrote" line, which names a temporary file) of
 #
 #   ooc-run -phantom -verify=false -n 2048 -mem 65536 testdata/gaxpy.hpf
 #   ooc-run -phantom -verify=false -n 4096            testdata/transpose.hpf
@@ -84,9 +85,15 @@ for name, args, procs in programs:
                 m["failed"] = f"exit {code} under the {LIMIT >> 30} GiB address-space limit"
                 ok = ok and side == "parent"  # this checkout must run every row
             else:
-                for key, path in (("stats_sha256", stats), ("report_sha256", report)):
-                    with open(path, "rb") as f:
-                        m[key] = hashlib.sha256(f.read()).hexdigest()
+                with open(stats, "rb") as f:
+                    m["stats_sha256"] = hashlib.sha256(f.read()).hexdigest()
+                # The report's "stats: wrote" line names the stats file in
+                # this script's mktemp -d directory: hash the report without
+                # it, so the hash reproduces from one invocation to the next.
+                with open(report, "rb") as f:
+                    lines = [l for l in f.read().splitlines(keepends=True)
+                             if not l.startswith(b"stats: wrote ")]
+                m["report_sha256"] = hashlib.sha256(b"".join(lines)).hexdigest()
             row[side] = m
         for key in ("stats_sha256", "report_sha256"):
             if len({row[side][key] for side in sides if key in row[side]}) > 1:
