@@ -110,7 +110,7 @@ func main() {
 		}
 	}
 	fmt.Printf("  communication: %s\n\n", an.Comm)
-	fmt.Printf("out-of-core phase: candidate access reorganizations\n%s\n", res.Report)
+	fmt.Printf("out-of-core phase: candidate access reorganizations\n%s\n", res.Report())
 	fmt.Printf("selected node + MP + I/O program:\n\n%s", res.Program.String())
 
 	if *showBC {

@@ -73,7 +73,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\ncompiler's cost comparison (Figure 14 algorithm):\n%s", res.Report)
+	fmt.Printf("\ncompiler's cost comparison (Figure 14 algorithm):\n%s", res.Report())
 	fmt.Printf("selected: %s\n", res.Program.Strategy)
 	fmt.Println("\nall three variants verified against the closed form: OK")
 }

@@ -46,7 +46,7 @@ func main() {
 	auto, res := run("")
 	defer auto.Close()
 	fmt.Printf("compiled pattern: %s; strategy chosen: %s\n", res.Analysis.Pattern, res.Program.Strategy)
-	fmt.Printf("cost comparison:\n%s\n", res.Report)
+	fmt.Printf("cost comparison:\n%s\n", res.Report())
 
 	forced, _ := run("row-slab")
 	defer forced.Close()

@@ -152,29 +152,31 @@ func Decode(b []byte) (*Program, error) {
 	p.Procs = int(r.u64("procs"))
 	p.Strategy = r.str("strategy")
 	p.Fingerprint = r.str("fingerprint")
-	for range r.count("array table", arrayEncMin) {
-		var a plan.ArraySpec
+	p.Arrays = table[plan.ArraySpec](r.count("array table", arrayEncMin))
+	for i := range p.Arrays {
+		a := &p.Arrays[i]
 		a.Name = r.str("array name")
 		a.Rows = int(r.u64("array rows"))
 		a.Cols = int(r.u64("array cols"))
 		a.RowScheme = dist.Scheme(r.u32("array row scheme"))
 		a.ColScheme = dist.Scheme(r.u32("array col scheme"))
 		a.Role = plan.Role(r.u32("array role"))
-		for range r.count("array grid", 8) {
-			a.Grid = append(a.Grid, int(r.u64("array grid extent")))
+		a.Grid = table[int](r.count("array grid", 8))
+		for j := range a.Grid {
+			a.Grid[j] = int(r.u64("array grid extent"))
 		}
 		a.SlabElems = int(r.u64("array slab elems"))
 		a.SlabDim = oocarray.Dim(r.u32("array slab dim"))
-		p.Arrays = append(p.Arrays, a)
 	}
 	p.VarNames = r.strs("variable names")
 	p.BufNames = r.strs("buffer names")
 	p.VecNames = r.strs("vector names")
 	p.Labels = r.strs("node labels")
-	for range r.count("expression table", 4) {
-		var code []ExprInstr
-		for range r.count("expression program", exprInstrEnc) {
-			var ins ExprInstr
+	p.Exprs = table[[]ExprInstr](r.count("expression table", 4))
+	for i := range p.Exprs {
+		code := table[ExprInstr](r.count("expression program", exprInstrEnc))
+		for j := range code {
+			ins := &code[j]
 			ins.Op = ExprOp(r.u8("expression opcode"))
 			ins.A = r.i32("expression operand")
 			ins.B = r.i32("expression operand")
@@ -184,20 +186,20 @@ func Decode(b []byte) (*Program, error) {
 			} else if ins.C = int32(x); uint64(int64(ins.C)) != x && r.err == nil {
 				r.err = fmt.Errorf("%w: expression operand %#x is not an int32", ErrMalformed, x)
 			}
-			code = append(code, ins)
 		}
-		p.Exprs = append(p.Exprs, code)
+		p.Exprs[i] = code
 	}
-	for range r.count("code stream", instrEnc) {
-		var ins Instr
+	p.Code = table[Instr](r.count("code stream", instrEnc))
+	for i := range p.Code {
+		ins := &p.Code[i]
 		ins.Op = Op(r.u8("opcode"))
 		for _, v := range [...]*int32{&ins.A, &ins.B, &ins.C, &ins.D, &ins.E, &ins.F, &ins.G, &ins.H} {
 			*v = r.i32("operand")
 		}
-		p.Code = append(p.Code, ins)
 	}
-	for range r.count("node jump table", 4) {
-		p.NodePC = append(p.NodePC, r.i32("node pc"))
+	p.NodePC = table[int32](r.count("node jump table", 4))
+	for i := range p.NodePC {
+		p.NodePC[i] = r.i32("node pc")
 	}
 	p.Readers = int(r.u32("reader count"))
 	if r.err != nil {
@@ -278,7 +280,11 @@ func (r *decBuf) i32(what string) int32 { return int32(r.u32(what)) }
 // minSize bytes per element), so a corrupted length cannot drive a huge
 // allocation or a long spin.
 func (r *decBuf) count(what string, minSize int) int {
-	n := r.u32(what + " length")
+	// The length's label is built only when the read fails.
+	if r.err == nil && len(r.buf) < 4 {
+		r.fail(what+" length", 4)
+	}
+	n := r.u32(what)
 	if r.err != nil {
 		return 0
 	}
@@ -295,9 +301,19 @@ func (r *decBuf) str(what string) string {
 }
 
 func (r *decBuf) strs(what string) []string {
-	var out []string
-	for range r.count(what, 4) {
-		out = append(out, r.str(what))
+	out := table[string](r.count(what, 4))
+	for i := range out {
+		out[i] = r.str(what)
 	}
 	return out
+}
+
+// table makes a decoded table of n entries; nil when n is zero, as
+// Compile leaves an empty table, so a decoded program is DeepEqual to the
+// one lowered.
+func table[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, n)
 }

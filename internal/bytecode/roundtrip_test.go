@@ -84,6 +84,33 @@ func TestGoldenRoundTrip(t *testing.T) {
 
 // TestDisassembleCoversCode smoke-checks the disassembly: one line per
 // instruction, symbolic operand names resolved from the tables.
+// TestDecodeAllocs pins Decode of the GAXPY stream at 19 allocations:
+// the program, each table made once at its decoded count, the strings
+// longer than a byte, and Validate's two.
+func TestDecodeAllocs(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/gaxpy.hpf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := compiler.CompileSource(string(src), compiler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc, err := bytecode.Compile(res.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := bytecode.Encode(bc)
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := bytecode.Decode(enc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 19 {
+		t.Fatalf("Decode of the gaxpy stream: %v allocations, want 19", got)
+	}
+}
+
 func TestDisassembleCoversCode(t *testing.T) {
 	for name, p := range corpus(t) {
 		t.Run(name, func(t *testing.T) {

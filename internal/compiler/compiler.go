@@ -15,6 +15,7 @@ package compiler
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/ooc-hpf/passion/internal/cost"
@@ -134,9 +135,12 @@ type Result struct {
 	Analysis   *Analysis
 	Candidates []cost.Candidate
 	Chosen     int
-	// Report is the human-readable cost comparison.
-	Report string
+	// machine is the cost model the candidates were priced on.
+	machine sim.Config
 }
+
+// Report renders the human-readable cost comparison of the candidates.
+func (r *Result) Report() string { return cost.Report(r.Candidates, r.Chosen, r.machine) }
 
 // Compile runs both phases on a parsed program.
 func Compile(prog *hpf.Program, opts Options) (*Result, error) {
@@ -426,8 +430,8 @@ func emit(an *Analysis, opts Options, mach sim.Config) (*Result, error) {
 			prg.Notes = append(prg.Notes,
 				"slabs cover the whole out-of-core local arrays: the program degenerates to the in-core translation (each array read from disk once)")
 		}
-		prg.Notes = append(prg.Notes, fmt.Sprintf("memory policy %s: slab(%s)=%d, slab(%s)=%d, slab(%s)=%d elements",
-			opts.Policy, an.A, slab[0], an.B, slab[1], an.C, slab[2]))
+		prg.Notes = append(prg.Notes, "memory policy "+opts.Policy.String()+": slab("+an.A+")="+strconv.Itoa(slab[0])+
+			", slab("+an.B+")="+strconv.Itoa(slab[1])+", slab("+an.C+")="+strconv.Itoa(slab[2])+" elements")
 	case PatternTranspose:
 		prg.Name, prg.Body = "transpose", []plan.Node{&plan.Redistribute{
 			Src: an.Transpose.Src, Dst: an.Transpose.Dst, Transpose: true, Method: label, MemElems: mem,
@@ -437,7 +441,7 @@ func emit(an *Analysis, opts Options, mach sim.Config) (*Result, error) {
 		if an.Pattern == PatternShift {
 			prg.Name = "shift"
 		}
-		prg.Notes = append(prg.Notes, fmt.Sprintf("memory: %d elements per array across %d arrays", slab[0], len(an.Arrays)))
+		prg.Notes = append(prg.Notes, "memory: "+strconv.Itoa(slab[0])+" elements per array across "+strconv.Itoa(len(an.Arrays))+" arrays")
 	}
 	// A shifted program's single candidate goes unnoted.
 	for i := 0; i < len(cands) && an.Pattern != PatternShift; i++ {
@@ -447,7 +451,7 @@ func emit(an *Analysis, opts Options, mach sim.Config) (*Result, error) {
 		}
 		prg.Notes = append(prg.Notes, candidateNote(an.Pattern, cands[i], mach, mark))
 	}
-	return &Result{Program: prg, Analysis: an, Candidates: cands, Chosen: chosen, Report: cost.Report(cands, chosen, mach)}, nil
+	return &Result{Program: prg, Analysis: an, Candidates: cands, Chosen: chosen, machine: mach}, nil
 }
 
 // choose resolves the strategy: the candidate whose label force names
@@ -474,17 +478,23 @@ func choose(p Pattern, cands []cost.Candidate, force string, mach sim.Config) (i
 
 // candidateNote renders one candidate's estimate in its pattern's format.
 func candidateNote(p Pattern, c cost.Candidate, mach sim.Config, mark string) string {
+	b := make([]byte, 0, 96)
+	b = append(append(append(b, "candidate "...), c.Label...), ": est. I/O"...)
+	if p == PatternTranspose {
+		b = append(b, "+comm"...)
+	}
+	b = append(strconv.AppendFloat(append(b, ' '), c.Seconds(mach), 'f', 2, 64), "s, "...)
 	switch p {
 	case PatternGaxpy:
-		return fmt.Sprintf("candidate %s: est. I/O %.2fs, %d fetches, %d elems%s",
-			c.Label, c.Seconds(mach), c.TotalFetches(), c.TotalElems(), mark)
+		b = append(strconv.AppendInt(b, c.TotalFetches(), 10), " fetches, "...)
+		b = append(strconv.AppendInt(b, c.TotalElems(), 10), " elems"...)
 	case PatternTranspose:
-		return fmt.Sprintf("candidate %s: est. I/O+comm %.2fs, %d requests, %d elems%s",
-			c.Label, c.Seconds(mach), c.TotalRequests(), c.TotalElems(), mark)
+		b = append(strconv.AppendInt(b, c.TotalRequests(), 10), " requests, "...)
+		b = append(strconv.AppendInt(b, c.TotalElems(), 10), " elems"...)
 	default:
-		return fmt.Sprintf("candidate %s: est. I/O %.2fs, %d requests%s",
-			c.Label, c.Seconds(mach), c.TotalRequests(), mark)
+		b = append(strconv.AppendInt(b, c.TotalRequests(), 10), " requests"...)
 	}
+	return string(append(b, mark...))
 }
 
 // spec is the one ArraySpec builder: name's n x n mapping, strip-mined

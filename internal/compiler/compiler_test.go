@@ -148,11 +148,11 @@ func TestMemoryPolicies(t *testing.T) {
 
 func TestReportListsBothCandidates(t *testing.T) {
 	res := compileGaxpy(t, Options{MemElems: 1 << 12})
-	if !strings.Contains(res.Report, "row-slab") || !strings.Contains(res.Report, "column-slab") {
-		t.Errorf("report incomplete:\n%s", res.Report)
+	if !strings.Contains(res.Report(), "row-slab") || !strings.Contains(res.Report(), "column-slab") {
+		t.Errorf("report incomplete:\n%s", res.Report())
 	}
-	if !strings.Contains(res.Report, "* row-slab") {
-		t.Errorf("report should mark row-slab chosen:\n%s", res.Report)
+	if !strings.Contains(res.Report(), "* row-slab") {
+		t.Errorf("report should mark row-slab chosen:\n%s", res.Report())
 	}
 	// Notes carry the decisions into the program.
 	joined := strings.Join(res.Program.Notes, "\n")

@@ -115,7 +115,7 @@ func witnessLines(t *testing.T) []string {
 								for _, note := range res.Program.Notes {
 									fmt.Fprintf(h, "note %s\n", note)
 								}
-								fmt.Fprintf(h, "report %s\n", res.Report)
+								fmt.Fprintf(h, "report %s\n", res.Report())
 								for _, c := range res.Candidates {
 									fmt.Fprintf(h, "candidate %s\n", c.String())
 								}

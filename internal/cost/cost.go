@@ -74,7 +74,12 @@ func (s Stream) Requests() int64 {
 
 // Seconds estimates the simulated I/O time of the stream on the machine.
 func (s Stream) Seconds(cfg sim.Config) float64 {
-	return cfg.IOTime(int(s.Requests()), s.Elems()*int64(cfg.ElemSize))
+	return s.secondsAt(cfg, cfg.EffectiveDiskBandwidth())
+}
+
+// secondsAt is Seconds at the effective disk bandwidth bw.
+func (s Stream) secondsAt(cfg sim.Config, bw float64) float64 {
+	return cfg.IOTimeAt(bw, int(s.Requests()), s.Elems()*int64(cfg.ElemSize))
 }
 
 // Tally is a directly counted I/O term for strategies whose request
@@ -97,7 +102,12 @@ type Tally struct {
 
 // Seconds estimates the simulated I/O time of the tally on the machine.
 func (t Tally) Seconds(cfg sim.Config) float64 {
-	return cfg.IOTime(int(t.Requests), t.Elems*int64(cfg.ElemSize))
+	return t.secondsAt(cfg, cfg.EffectiveDiskBandwidth())
+}
+
+// secondsAt is Seconds at the effective disk bandwidth bw.
+func (t Tally) secondsAt(cfg sim.Config, bw float64) float64 {
+	return cfg.IOTimeAt(bw, int(t.Requests), t.Elems*int64(cfg.ElemSize))
 }
 
 // CommEstimate models a collective candidate's shuffle traffic under the
@@ -132,14 +142,16 @@ type Candidate struct {
 }
 
 // Seconds estimates the total per-processor cost of the candidate: I/O
-// over all streams and tallies, plus shuffle communication.
+// over all streams and tallies, plus shuffle communication. The effective
+// disk bandwidth is computed once for all of them.
 func (c Candidate) Seconds(cfg sim.Config) float64 {
+	bw := cfg.EffectiveDiskBandwidth()
 	t := 0.0
 	for _, s := range c.Streams {
-		t += s.Seconds(cfg)
+		t += s.secondsAt(cfg, bw)
 	}
 	for _, ta := range c.Tallies {
-		t += ta.Seconds(cfg)
+		t += ta.secondsAt(cfg, bw)
 	}
 	return t + c.Comm.Seconds(cfg)
 }

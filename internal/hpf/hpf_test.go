@@ -68,6 +68,29 @@ func TestLexRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestLexReportsNonASCIICharacter checks an unexpected multi-byte
+// character is named whole, not by the first byte of its encoding.
+func TestLexReportsNonASCIICharacter(t *testing.T) {
+	_, err := Parse("program é\n")
+	if err == nil || err.Error() != "hpf: 1:9: unexpected character 'é'" {
+		t.Fatalf("got %v, want the whole character at 1:9", err)
+	}
+}
+
+// TestLexAllocs pins Lex of testdata/gaxpy.hpf at four allocations: the
+// token slice, sized once, and the lower-cased text of its two FORALLs
+// and its SUM.
+func TestLexAllocs(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/gaxpy.hpf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := string(src)
+	if got := testing.AllocsPerRun(100, func() { Lex(s) }); got != 4 {
+		t.Fatalf("Lex of gaxpy.hpf: %v allocations, want 4", got)
+	}
+}
+
 func TestLexPositions(t *testing.T) {
 	toks, err := Lex("a\n  b\n")
 	if err != nil {

@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"strconv"
+	"unicode/utf8"
 )
 
 // EExpr is an elementwise expression over slab buffers: the compiled
@@ -50,26 +51,43 @@ func (*EBuf) Ops() int { return 0 }
 // Ops counts the node and its children.
 func (e *EBin) Ops() int { return 1 + e.L.Ops() + e.R.Ops() }
 
-func (e *EConst) String() string { return strconv.FormatFloat(e.V, 'g', -1, 64) }
-func (e *EBuf) String() string {
-	if e.Array == "" {
-		return e.Buf + "(:)"
+func (e *EConst) String() string { return string(appendExpr(nil, e)) }
+func (e *EBuf) String() string   { return string(appendExpr(nil, e)) }
+func (e *EBin) String() string   { return string(appendExpr(nil, e)) }
+
+// appendExpr appends e's rendering, the one String returns: constants in
+// their shortest exact form, leaves with their row and column offsets.
+func appendExpr(b []byte, e EExpr) []byte {
+	switch e := e.(type) {
+	case *EConst:
+		return strconv.AppendFloat(b, e.V, 'g', -1, 64)
+	case *EBuf:
+		if e.Array == "" {
+			return append(append(b, e.Buf...), "(:)"...)
+		}
+		b = append(append(b, e.Array...), '(')
+		b = appendShifted(b, ":", "r", e.Row)
+		b = appendShifted(append(b, ','), "k", "k", e.Off)
+		return append(b, ')')
+	case *EBin:
+		b = appendExpr(append(b, '('), e.L)
+		b = utf8.AppendRune(b, rune(e.Op))
+		return append(appendExpr(b, e.R), ')')
+	default: // a nil expression, as %s renders it
+		return append(b, "%!s(<nil>)"...)
 	}
-	return e.Array + "(" + shifted(":", "r", e.Row) + "," + shifted("k", "k", e.Off) + ")"
 }
 
-// shifted renders a subscript: at, or index plus a nonzero offset.
-func shifted(at, index string, off int) string {
-	switch {
-	case off > 0:
-		return index + "+" + strconv.Itoa(off)
-	case off < 0:
-		return index + strconv.Itoa(off)
+// appendShifted appends a subscript: at, or index plus a nonzero offset.
+func appendShifted(b []byte, at, index string, off int) []byte {
+	if off == 0 {
+		return append(b, at...)
 	}
-	return at
-}
-func (e *EBin) String() string {
-	return fmt.Sprintf("(%s%c%s)", e.L.String(), e.Op, e.R.String())
+	b = append(b, index...)
+	if off > 0 {
+		b = append(b, '+')
+	}
+	return strconv.AppendInt(b, int64(off), 10)
 }
 
 // NewSlab allocates a zeroed output buffer positioned like slab Index of
@@ -122,7 +140,7 @@ func (n *Ewise) Pretty(indent int) string {
 	}
 	rows := ":"
 	if n.Top != 0 || n.Bottom != 0 {
-		rows = fmt.Sprintf("%d:%s", n.Top+1, shifted("n", "n", -n.Bottom))
+		rows = fmt.Sprintf("%d:%s", n.Top+1, appendShifted(nil, "n", "n", -n.Bottom))
 	}
 	return fmt.Sprintf("%sforall k = %d..%d of %s: %s(%s,k) = %s\n",
 		pad(indent), n.Lo+1, n.Hi+1, n.Array, n.Out, rows, n.Expr.String())

@@ -4,9 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 )
 
 // Fingerprint returns a stable canonical hash of the compiled program:
@@ -20,82 +19,167 @@ import (
 // pairs are folded in sorted key order, so the fingerprint is
 // insensitive to map iteration order but sensitive to every entry.
 func Fingerprint(p *Program, extra map[string]string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "plan/v1|%s|n=%d|p=%d|strategy=%s\n", p.Name, p.N, p.Procs, p.Strategy)
+	// The canonical bytes of every testdata program stay under 1 KiB, so
+	// they are built on the stack; a larger program spills to the heap.
+	var scratch [2048]byte
+	b := appendCanonical(scratch[:0], p, extra)
+	sum := sha256.Sum256(b)
+	return string(hex.AppendEncode(b[:0], sum[:16]))
+}
+
+// appendCanonical appends the bytes Fingerprint hashes: one line per
+// header, array, note, IR node and extra pair.
+func appendCanonical(b []byte, p *Program, extra map[string]string) []byte {
+	b = append(b, "plan/v1|"...)
+	b = append(b, p.Name...)
+	b = append(b, "|n="...)
+	b = strconv.AppendInt(b, int64(p.N), 10)
+	b = append(b, "|p="...)
+	b = strconv.AppendInt(b, int64(p.Procs), 10)
+	b = append(b, "|strategy="...)
+	b = append(b, p.Strategy...)
+	b = append(b, '\n')
 	for _, a := range p.Arrays {
-		fmt.Fprintf(h, "array|%s|%dx%d|%s,%s|grid=%v|role=%s|slab=%d@%s\n",
-			a.Name, a.Rows, a.Cols, a.RowScheme, a.ColScheme, a.Grid, a.Role, a.SlabElems, a.SlabDim)
+		b = append(b, "array|"...)
+		b = append(b, a.Name...)
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(a.Rows), 10)
+		b = append(b, 'x')
+		b = strconv.AppendInt(b, int64(a.Cols), 10)
+		b = append(b, '|')
+		b = append(b, a.RowScheme.String()...)
+		b = append(b, ',')
+		b = append(b, a.ColScheme.String()...)
+		b = append(b, "|grid=["...)
+		for i, g := range a.Grid {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = strconv.AppendInt(b, int64(g), 10)
+		}
+		b = append(b, "]|role="...)
+		b = append(b, a.Role.String()...)
+		b = append(b, "|slab="...)
+		b = strconv.AppendInt(b, int64(a.SlabElems), 10)
+		b = append(b, '@')
+		b = append(b, a.SlabDim.String()...)
+		b = append(b, '\n')
 	}
 	for _, n := range p.Notes {
-		fmt.Fprintf(h, "note|%s\n", n)
+		b = append(b, "note|"...)
+		b = append(b, n...)
+		b = append(b, '\n')
 	}
 	for _, n := range p.Body {
-		hashNode(h, n)
+		b = appendNode(b, n)
 	}
 	keys := make([]string, 0, len(extra))
 	for k := range extra {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	for _, k := range keys {
-		fmt.Fprintf(h, "extra|%s=%s\n", k, extra[k])
+		b = append(b, "extra|"...)
+		b = append(b, k...)
+		b = append(b, '=')
+		b = append(b, extra[k]...)
+		b = append(b, '\n')
 	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	return b
 }
 
-// hashNode folds one IR node (and, for loops, its body) into the hash
-// with an explicit type tag per field, so two nodes of different kinds
-// can never collide on a shared rendering.
-func hashNode(w io.Writer, n Node) {
+// appendNode appends one IR node (and, for loops, its body) with an
+// explicit type tag per field, so two nodes of different kinds can never
+// collide on a shared rendering.
+func appendNode(b []byte, n Node) []byte {
 	switch n := n.(type) {
 	case *Loop:
-		fmt.Fprintf(w, "loop|%s|%s{\n", n.Var, n.Count)
-		for _, b := range n.Body {
-			hashNode(w, b)
+		b = appendFields(b, "loop", n.Var)
+		b = n.Count.appendTo(append(b, '|'))
+		b = append(b, "{\n"...)
+		for _, s := range n.Body {
+			b = appendNode(b, s)
 		}
-		fmt.Fprint(w, "}\n")
+		return append(b, "}\n"...)
 	case *ReadSlab:
-		if n.Ghosts == "" {
-			fmt.Fprintf(w, "read|%s|%s|%s|stream=%t\n", n.Array, n.Index, n.Buf, n.Stream)
-		} else {
-			fmt.Fprintf(w, "read|%s|%s|%s|stream=%t|halo=%s,%d,%d\n",
-				n.Array, n.Index, n.Buf, n.Stream, n.Ghosts, n.Left, n.Right)
+		b = appendFields(b, "read", n.Array, n.Index, n.Buf)
+		b = strconv.AppendBool(append(b, "|stream="...), n.Stream)
+		if n.Ghosts != "" {
+			b = append(append(b, "|halo="...), n.Ghosts...)
+			b = strconv.AppendInt(append(b, ','), int64(n.Left), 10)
+			b = strconv.AppendInt(append(b, ','), int64(n.Right), 10)
 		}
+		return append(b, '\n')
 	case *NewStaging:
-		fmt.Fprintf(w, "staging|%s|%s|%s\n", n.Array, n.Buf, n.RowsLike)
+		return appendLine(b, "staging", n.Array, n.Buf, n.RowsLike)
 	case *AutoStage:
-		fmt.Fprintf(w, "autostage|%s\n", n.Array)
+		return appendLine(b, "autostage", n.Array)
 	case *FlushStage:
-		fmt.Fprintf(w, "flush|%s\n", n.Array)
+		return appendLine(b, "flush", n.Array)
 	case *WriteBuf:
-		fmt.Fprintf(w, "write|%s|%s\n", n.Array, n.Buf)
+		return appendLine(b, "write", n.Array, n.Buf)
 	case *ZeroVec:
-		fmt.Fprintf(w, "zerovec|%s|%s|%s\n", n.Vec, n.RowsLike, n.RowsOfArray)
+		return appendLine(b, "zerovec", n.Vec, n.RowsLike, n.RowsOfArray)
 	case *Axpy:
-		fmt.Fprintf(w, "axpy|%s|%s|%s|%s|%s|%s|%s|%s\n",
-			n.Vec, n.A, n.ACol, n.B, n.BRowBase, n.BRowScale, n.BRowPlus, n.BCol)
+		return appendLine(b, "axpy", n.Vec, n.A, n.ACol, n.B, n.BRowBase, n.BRowScale, n.BRowPlus, n.BCol)
 	case *SumStore:
-		fmt.Fprintf(w, "sumstore|%s|%s\n", n.Vec, n.Array)
+		return appendLine(b, "sumstore", n.Vec, n.Array)
 	case *ResetCounter:
-		fmt.Fprint(w, "resetcounter\n")
+		return appendLine(b, "resetcounter")
 	case *NewSlab:
-		fmt.Fprintf(w, "newslab|%s|%s|%s\n", n.Array, n.Index, n.Buf)
+		return appendLine(b, "newslab", n.Array, n.Index, n.Buf)
 	case *Ewise:
 		// The rendering names every leaf with its row and column offsets,
 		// and every constant in its shortest exact form.
-		if n.Top == 0 && n.Bottom == 0 {
-			fmt.Fprintf(w, "ewise|%s|bounds=%s,%d,%d|%s\n", n.Out, n.Array, n.Lo, n.Hi, n.Expr)
-		} else {
-			fmt.Fprintf(w, "ewise|%s|bounds=%s,%d,%d|rows=%d,%d|%s\n", n.Out, n.Array, n.Lo, n.Hi, n.Top, n.Bottom, n.Expr)
+		b = appendFields(b, "ewise", n.Out)
+		b = append(append(b, "|bounds="...), n.Array...)
+		b = strconv.AppendInt(append(b, ','), int64(n.Lo), 10)
+		b = strconv.AppendInt(append(b, ','), int64(n.Hi), 10)
+		if n.Top != 0 || n.Bottom != 0 {
+			b = strconv.AppendInt(append(b, "|rows="...), int64(n.Top), 10)
+			b = strconv.AppendInt(append(b, ','), int64(n.Bottom), 10)
 		}
+		return append(appendExpr(append(b, '|'), n.Expr), '\n')
 	case *Exchange:
-		fmt.Fprintf(w, "exchange|%s|%s|%d|%d\n", strings.Join(n.Arrays, ","), strings.Join(n.Ghosts, ","), n.Left, n.Right)
+		b = appendJoined(append(b, "exchange|"...), n.Arrays)
+		b = appendJoined(append(b, '|'), n.Ghosts)
+		b = strconv.AppendInt(append(b, '|'), int64(n.Left), 10)
+		b = strconv.AppendInt(append(b, '|'), int64(n.Right), 10)
+		return append(b, '\n')
 	case *Redistribute:
-		fmt.Fprintf(w, "redistribute|%s|%s|transpose=%t|%s|mem=%d\n",
-			n.Src, n.Dst, n.Transpose, n.Method, n.MemElems)
+		b = appendFields(b, "redistribute", n.Src, n.Dst)
+		b = strconv.AppendBool(append(b, "|transpose="...), n.Transpose)
+		b = append(append(b, '|'), n.Method...)
+		b = strconv.AppendInt(append(b, "|mem="...), int64(n.MemElems), 10)
+		return append(b, '\n')
 	default:
 		// An unknown node kind must not silently alias an existing
 		// fingerprint; fold in its full debug rendering instead.
-		fmt.Fprintf(w, "unknown|%T|%+v\n", n, n)
+		return fmt.Appendf(b, "unknown|%T|%+v\n", n, n)
 	}
+}
+
+// appendFields appends tag and then each field after a '|'.
+func appendFields(b []byte, tag string, fields ...string) []byte {
+	b = append(b, tag...)
+	for _, f := range fields {
+		b = append(append(b, '|'), f...)
+	}
+	return b
+}
+
+// appendLine appends tag|field|...|field and a newline.
+func appendLine(b []byte, tag string, fields ...string) []byte {
+	return append(appendFields(b, tag, fields...), '\n')
+}
+
+// appendJoined appends the strings separated by commas.
+func appendJoined(b []byte, s []string) []byte {
+	for i, x := range s {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, x...)
+	}
+	return b
 }

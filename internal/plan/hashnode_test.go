@@ -11,34 +11,40 @@ import (
 	"testing"
 )
 
+// NodeSamples holds one value of every node type the package declares;
+// fingerprint_test.go renders them through the fmt oracle too.
+var NodeSamples = []Node{
+	&Loop{Var: "i", Count: CountExpr{Lit: 2}},
+	&ReadSlab{Array: "x", Index: "s", Buf: "halo_x", Ghosts: "ghost_x", Left: 1, Right: 1},
+	&NewStaging{Array: "c", Buf: "icla_c", RowsLike: "icla_a"},
+	&AutoStage{Array: "c"},
+	&FlushStage{Array: "c"},
+	&WriteBuf{Array: "z", Buf: "out_z"},
+	&ZeroVec{Vec: "temp", RowsLike: "icla_a"},
+	&Axpy{Vec: "temp", A: "icla_a", ACol: "i", B: "icla_b", BCol: "m"},
+	&SumStore{Vec: "temp", Array: "c"},
+	&ResetCounter{},
+	&Redistribute{Src: "a", Dst: "b", Transpose: true, Method: "direct", MemElems: 64},
+	&NewSlab{Array: "z", Index: "s", Buf: "out_z"},
+	&Ewise{Out: "out_z", Array: "z", Lo: 1, Hi: 30,
+		Expr: &EBin{Op: '+', L: &EConst{V: 2}, R: &EBuf{Buf: "halo_x", Array: "x", Off: -1}}},
+	&Exchange{Arrays: []string{"x"}, Ghosts: []string{"ghost_x"}, Left: 1, Right: 1},
+}
+
+// AppendCanonical exposes the bytes Fingerprint hashes to the oracle
+// comparison in fingerprint_test.go.
+var AppendCanonical = appendCanonical
+
 // TestHashNodeCoversEveryNodeType hashes one value of every node type the
 // package declares — every type with a node() method, found in the
-// package source — and fails if any reaches hashNode's unknown fold,
+// package source — and fails if any reaches appendNode's unknown fold,
 // whose %+v rendering would let a field added to the node silently move
 // every fingerprint that contains it.
 func TestHashNodeCoversEveryNodeType(t *testing.T) {
-	samples := []Node{
-		&Loop{Var: "i", Count: CountExpr{Lit: 2}},
-		&ReadSlab{Array: "x", Index: "s", Buf: "halo_x", Ghosts: "ghost_x", Left: 1, Right: 1},
-		&NewStaging{Array: "c", Buf: "icla_c", RowsLike: "icla_a"},
-		&AutoStage{Array: "c"},
-		&FlushStage{Array: "c"},
-		&WriteBuf{Array: "z", Buf: "out_z"},
-		&ZeroVec{Vec: "temp", RowsLike: "icla_a"},
-		&Axpy{Vec: "temp", A: "icla_a", ACol: "i", B: "icla_b", BCol: "m"},
-		&SumStore{Vec: "temp", Array: "c"},
-		&ResetCounter{},
-		&Redistribute{Src: "a", Dst: "b", Transpose: true, Method: "direct", MemElems: 64},
-		&NewSlab{Array: "z", Index: "s", Buf: "out_z"},
-		&Ewise{Out: "out_z", Array: "z", Lo: 1, Hi: 30,
-			Expr: &EBin{Op: '+', L: &EConst{V: 2}, R: &EBuf{Buf: "halo_x", Array: "x", Off: -1}}},
-		&Exchange{Arrays: []string{"x"}, Ghosts: []string{"ghost_x"}, Left: 1, Right: 1},
-	}
 	var sampled []string
-	for _, n := range samples {
-		var b strings.Builder
-		if hashNode(&b, n); strings.Contains(b.String(), "unknown") {
-			t.Errorf("%T reaches the unknown fold: %s", n, b.String())
+	for _, n := range NodeSamples {
+		if b := appendNode(nil, n); strings.Contains(string(b), "unknown") {
+			t.Errorf("%T reaches the unknown fold: %s", n, b)
 		}
 		sampled = append(sampled, reflect.TypeOf(n).Elem().Name())
 	}

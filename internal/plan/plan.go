@@ -15,6 +15,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/ooc-hpf/passion/internal/dist"
@@ -126,14 +127,16 @@ type CountExpr struct {
 }
 
 // String renders the count.
-func (c CountExpr) String() string {
+func (c CountExpr) String() string { return string(c.appendTo(nil)) }
+
+func (c CountExpr) appendTo(b []byte) []byte {
 	switch {
 	case c.SlabsOf != "":
-		return fmt.Sprintf("slabs(%s)", c.SlabsOf)
+		return append(append(append(b, "slabs("...), c.SlabsOf...), ')')
 	case c.ColsOf != "":
-		return fmt.Sprintf("cols(%s)", c.ColsOf)
+		return append(append(append(b, "cols("...), c.ColsOf...), ')')
 	default:
-		return fmt.Sprintf("%d", c.Lit)
+		return strconv.AppendInt(b, int64(c.Lit), 10)
 	}
 }
 

@@ -131,7 +131,13 @@ func (c Config) EffectiveDiskBandwidth() float64 {
 // operation consisting of the given number of requests (discontiguous
 // regions) moving the given number of bytes in total.
 func (c Config) IOTime(requests int, bytes int64) float64 {
-	return float64(requests)*c.DiskRequestOverhead + float64(bytes)/c.EffectiveDiskBandwidth()
+	return c.IOTimeAt(c.EffectiveDiskBandwidth(), requests, bytes)
+}
+
+// IOTimeAt is IOTime at a given effective disk bandwidth, for callers
+// that price many operations on one machine.
+func (c Config) IOTimeAt(bw float64, requests int, bytes int64) float64 {
+	return float64(requests)*c.DiskRequestOverhead + float64(bytes)/bw
 }
 
 // MsgTime returns the simulated seconds to move one point-to-point message
