@@ -101,9 +101,13 @@ func runC(t *testing.T, p *plan.Program, fills map[string]func(int, int) float64
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := out.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// Closed once the test is done with the result's per-array
+	// statistics, which Close hands to the plan's next run.
+	t.Cleanup(func() {
+		if err := out.Close(); err != nil {
+			t.Error(err)
+		}
+	})
 	return c, out
 }
 
@@ -205,10 +209,12 @@ func residentInterp(p *mp.Proc, rows, k, bcols int, phantom bool, code []bytecod
 		code: &bytecode.Program{Code: code, VarNames: []string{"m", "i"},
 			BufNames: []string{"icla_a", "icla_b"}, VecNames: []string{"temp"}},
 		proc: p, phantom: phantom,
-		vars:   make([]int, 2),
-		bufs:   []*oocarray.ICLA{slab(rows, k, 1), slab(k, bcols, 2)},
-		vecs:   make([][]float64, 1),
-		frames: make([]frame, 0, loopDepth(code)),
+		tables: tables{
+			vars:   make([]int, 2),
+			bufs:   []*oocarray.ICLA{slab(rows, k, 1), slab(k, bcols, 2)},
+			vecs:   make([][]float64, 1),
+			frames: make([]frame, 0, loopDepth(code)),
+		},
 	}
 }
 

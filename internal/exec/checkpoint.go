@@ -422,6 +422,16 @@ func resolveManifest(code *bytecode.Program, dmaps []*dist.Array, rank int, m *c
 		}
 		r.staging[i] = &oocarray.ICLA{RowOff: c.RowOff, ColOff: c.ColOff, Rows: c.Rows, Cols: c.Cols, Data: data}
 	}
+	if m.Run != nil {
+		for name := range m.Run.PerArray {
+			if name == parityStatsKey {
+				continue
+			}
+			if _, err := index(name); err != nil {
+				return nil, err
+			}
+		}
+	}
 	return r, nil
 }
 
@@ -455,7 +465,9 @@ func (in *interp) restore(r *restored) error {
 		}
 	}
 	in.counter = m.Counter
-	in.staging, in.autoOn, in.autoIdx = r.staging, r.autoOn, r.autoIdx
+	copy(in.staging, r.staging)
+	copy(in.autoOn, r.autoOn)
+	copy(in.autoIdx, r.autoIdx)
 	in.ckptEpoch = m.Epoch + 1
 	if in.restoreStats && m.Run != nil {
 		// Put the clock and counters exactly where the original run's

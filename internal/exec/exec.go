@@ -106,8 +106,12 @@ type Result struct {
 	// PerArray holds per-processor, per-array I/O statistics: indexed by
 	// rank, then by array name. It lets the Equations 3-6 counts be
 	// checked on compiled programs, not just the hand-coded baselines.
+	// It belongs to the run until Close, which hands it to the lowered
+	// plan's next run and leaves PerArray nil.
 	PerArray []map[string]*trace.IOStats
 
+	lowered *Lowered
+	kit     *kit          // the run's rank state, until Close gives it back
 	dmaps   []*dist.Array // the lowered plan's mapping of Program.Arrays[i]
 	fs      iosim.FS
 	mach    sim.Config
@@ -125,25 +129,31 @@ type Result struct {
 func (r *Result) ParityStore() *parity.Store { return r.pstore }
 
 // Close removes the run's local array files (and checkpoint artifacts, if
-// any) from the backing store. Call it when the result's file contents
-// are no longer needed; ReadArray stops working afterwards. A non-nil
-// error joins every checkpoint-GC failure that was not a missing file, so
-// leaked stale snapshots are visible to the caller.
+// any) from the backing store and gives the run's rank state back to its
+// lowered plan, PerArray included: call it when the result's file
+// contents and per-array statistics are no longer needed. ReadArray
+// stops working afterwards and PerArray is nil; Stats stays the
+// caller's. A second Close removes nothing more and gives nothing back
+// again. A non-nil error joins every checkpoint-GC failure that was not
+// a missing file, so leaked stale snapshots are visible to the caller.
 func (r *Result) Close() error {
-	removeRunFiles(r.fs, r.Program)
+	removeRunFiles(r.fs, r.lowered.files)
 	if r.pstore != nil {
 		r.pstore.Close()
+	}
+	if r.kit != nil {
+		r.PerArray = nil
+		r.lowered.putKit(r.kit)
+		r.kit = nil
 	}
 	return removeCheckpointFiles(r.fs, r.Program.Procs, r.mutated, r.ckpt)
 }
 
-// removeRunFiles deletes every local array file the program creates,
+// removeRunFiles deletes the local array files a program creates,
 // ignoring missing files (error-path and Close cleanup).
-func removeRunFiles(fs iosim.FS, p *plan.Program) {
-	for _, spec := range p.Arrays {
-		for proc := 0; proc < p.Procs; proc++ {
-			fs.Remove(fmt.Sprintf("%s.p%d.laf", spec.Name, proc))
-		}
+func removeRunFiles(fs iosim.FS, files []string) {
+	for _, name := range files {
+		fs.Remove(name)
 	}
 }
 
@@ -198,17 +208,26 @@ func RunCtx(ctx context.Context, p *plan.Program, mach sim.Config, opts Options)
 }
 
 // Lowered is a program lowered to the opcode stream its runs execute,
-// with the set of arrays it writes and every array's mapping. It is
-// immutable, so any number of runs, concurrent ones included, can share
-// one; a serving plan cache holds one per entry and lowers each plan
-// once. The mappings are read-only and publish their routing tables
-// (dist.Tables2) once, so every run of the plan — each job, each attempt
-// of a resilient run — routes through one set of tables.
+// with the set of arrays it writes, every array's mapping and its local
+// array files' names. It is safe for concurrent runs, so any number of
+// them can share one; a serving plan cache holds one per entry and
+// lowers each plan once. The mappings are read-only and publish their
+// routing tables (dist.Tables2) once, so every run of the plan — each
+// job, each attempt of a resilient run — routes through one set of
+// tables. The runs' rank state is kept too: a closed run's kit waits on
+// a bounded free list for the plan's next run (kit.go).
 type Lowered struct {
 	prog    *plan.Program
 	code    *bytecode.Program
 	mutated writeSet
 	dmaps   []*dist.Array // mapping of code.Arrays[i]
+	// files names every local array file, array i's on rank r at
+	// i*prog.Procs+r; foldOrder is every name a rank's per-array
+	// statistics can hold, sorted, the order a rank adds them up in.
+	files     []string
+	foldOrder []string
+	loopDepth int // the stream's deepest loop nesting
+	kits      kitList
 }
 
 // Lower lowers p. A program the lowering rejects (a buffer read before
@@ -227,7 +246,18 @@ func Lower(p *plan.Program) (*Lowered, error) {
 			return nil, fmt.Errorf("exec: lower: %w", err)
 		}
 	}
-	return &Lowered{prog: p, code: code, mutated: mutatedArrays(code), dmaps: dmaps}, nil
+	l := &Lowered{prog: p, code: code, mutated: mutatedArrays(code), dmaps: dmaps,
+		files: make([]string, 0, len(code.Arrays)*p.Procs), foldOrder: make([]string, 0, len(code.Arrays)+1),
+		loopDepth: loopDepth(code.Code)}
+	for _, spec := range code.Arrays {
+		for r := 0; r < p.Procs; r++ {
+			l.files = append(l.files, oocarray.FileName(spec.Name, r))
+		}
+		l.foldOrder = append(l.foldOrder, spec.Name)
+	}
+	l.foldOrder = append(l.foldOrder, parityStatsKey)
+	sort.Strings(l.foldOrder)
+	return l, nil
 }
 
 // Start says how RunLowered starts a lowered program. The zero value is a
@@ -338,7 +368,7 @@ func run(ctx context.Context, l *Lowered, mach sim.Config, opts Options, resume 
 			pstore.Protect(spec.Name)
 		}
 	}
-	perArray := make([]map[string]*trace.IOStats, mach.Procs)
+	k := l.takeKit()
 	stats, err := mp.RunOpts(mach, opts.mpOptions(), func(proc *mp.Proc) error {
 		proc.SetTracer(opts.Trace.Rank(proc.Rank()))
 		for _, r := range respawned {
@@ -355,37 +385,20 @@ func run(ctx context.Context, l *Lowered, mach sim.Config, opts Options, resume 
 		if restores != nil {
 			rst = restores[proc.Rank()]
 		}
-		in := newInterp(ctx, code, proc, fs, opts, pstore, dmaps, mutated)
-		perArray[proc.Rank()] = in.perArray
+		in := k.interps[proc.Rank()]
+		in.start(ctx, code, proc, fs, opts, pstore, dmaps, mutated)
 		// Runs last (defers are LIFO): whatever path the run leaves by —
 		// success, cancellation, fault abort, plan-bug panic — the slab
 		// buffers the interpreter still holds go back to the arena.
 		defer in.releaseBufs()
-		// Fold the per-array statistics into the processor total, in
-		// sorted-key order so the float sums are reproducible (and match
-		// the span replay's fold, which uses the same order). The success
-		// path folds at the end of the body; an aborted rank (killed, or
-		// unwinding on a peer's death) folds in this handler instead, so
-		// even a failed attempt's spans and counters reconcile.
-		folded := false
-		fold := func() {
-			if folded {
-				return
-			}
-			folded = true
-			io := &proc.Stats().IO
-			names := make([]string, 0, len(in.perArray))
-			for name := range in.perArray {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				io.Add(*in.perArray[name])
-			}
-		}
+		// The success path folds the per-array statistics into the
+		// processor total at the end of the body; an aborted rank
+		// (killed, or unwinding on a peer's death) folds in this handler
+		// instead, so even a failed attempt's spans and counters
+		// reconcile.
 		defer func() {
 			if proc.Aborted() {
-				fold()
+				in.fold(l.foldOrder)
 			}
 		}()
 		// A dead or aborting rank is fail-stop: it must not flush
@@ -420,19 +433,19 @@ func run(ctx context.Context, l *Lowered, mach sim.Config, opts Options, resume 
 		if err := in.paritySync(); err != nil {
 			return err
 		}
-		fold()
+		in.fold(l.foldOrder)
 		return nil
 	})
-	res := &Result{Stats: stats, Program: p, PerArray: perArray, dmaps: dmaps, fs: fs, mach: mach,
-		phantom: opts.Phantom, res: opts.Resilience, ckpt: opts.Checkpoint, pstore: pstore,
-		mutated: mutated.names}
+	res := &Result{Stats: stats, Program: p, PerArray: k.perArray, lowered: l, kit: k, dmaps: dmaps,
+		fs: fs, mach: mach, phantom: opts.Phantom, res: opts.Resilience,
+		ckpt: opts.Checkpoint, pstore: pstore, mutated: mutated.names}
 	if err != nil {
 		// Without a checkpoint there is nothing to resume from, so a
 		// failed run must not leave local array files behind; with one,
 		// the files (and the parity protecting them) are the restart
 		// state: keep them, releasing only the store's cached handles.
 		if opts.Checkpoint == nil {
-			removeRunFiles(fs, p)
+			removeRunFiles(fs, l.files)
 			if pstore != nil {
 				pstore.Close()
 			}
@@ -461,7 +474,7 @@ func (r *Result) ReadArray(name string) (*matrix.Matrix, error) {
 		if r.pstore != nil {
 			disk.SetParity(r.pstore)
 		}
-		laf, err := disk.OpenLAF(fmt.Sprintf("%s.p%d.laf", name, proc), int64(dm.LocalElems(proc)))
+		laf, err := disk.OpenLAF(r.lowered.files[i*r.Program.Procs+proc], int64(dm.LocalElems(proc)))
 		if err != nil {
 			return nil, err
 		}
@@ -517,6 +530,19 @@ type interp struct {
 	statsRestored bool
 	mutated       writeSet
 
+	// counter is the implicit global column counter of SUM_STORE.
+	counter int
+
+	// folded records that the rank's per-array statistics are in its
+	// processor total (see fold).
+	folded bool
+
+	tables
+}
+
+// tables are an interpreter's tables, sized by the lowering; they belong
+// to its kit and outlive the run, cleared (reset).
+type tables struct {
 	// Per array-table index. staging holds each output array's current
 	// staging buffer; autoIdx tracks the counter-driven slab index of
 	// AUTO_STAGE arrays (-1 when none is active); writers holds the
@@ -533,9 +559,6 @@ type interp struct {
 	bufs []*oocarray.ICLA
 	vecs [][]float64
 
-	// counter is the implicit global column counter of SUM_STORE.
-	counter int
-
 	// Prefetch readers, one slot per stream-marked LOAD_SLAB, so
 	// sequential scans can be prefetched; readerNext tracks the slab
 	// index each reader will deliver.
@@ -550,17 +573,22 @@ type interp struct {
 	// the deepest expression in the program.
 	estack [][]float64
 
-	// perArray attributes I/O statistics to individual arrays.
+	// perArray attributes I/O statistics to individual arrays; io holds
+	// the statistics of array-table index i at io[i], this rank's row of
+	// its kit's block.
 	perArray map[string]*trace.IOStats
+	io       []trace.IOStats
+
+	// seen is releaseBufs' set of the buffers it has released.
+	seen map[*oocarray.ICLA]bool
 }
 
-// newInterp builds the interpreter shell; initArrays creates the arrays.
-// The split lets the node closure register the per-array statistics map
-// before any I/O happens, so even a rank killed during array fill leaves
-// reconcilable statistics behind.
-func newInterp(ctx context.Context, code *bytecode.Program, proc *mp.Proc, fs iosim.FS, opts Options, pstore *parity.Store, dmaps []*dist.Array, mutated writeSet) *interp {
-	na := len(code.Arrays)
-	return &interp{
+// start readies a kit's interpreter for one run on proc; initArrays
+// creates the arrays. The split lets the node closure register the
+// per-array statistics map before any I/O happens, so even a rank killed
+// during array fill leaves reconcilable statistics behind.
+func (in *interp) start(ctx context.Context, code *bytecode.Program, proc *mp.Proc, fs iosim.FS, opts Options, pstore *parity.Store, dmaps []*dist.Array, mutated writeSet) {
+	*in = interp{
 		ctx:          ctx,
 		done:         ctx.Done(),
 		code:         code,
@@ -574,20 +602,7 @@ func newInterp(ctx context.Context, code *bytecode.Program, proc *mp.Proc, fs io
 		ckptHook:     opts.CkptHook,
 		restoreStats: opts.RestoreStats,
 		mutated:      mutated,
-		arrays:       make([]*oocarray.Array, na),
-		slabs:        make([]oocarray.Slabbing, na),
-		writers:      make([]*oocarray.SlabWriter, na),
-		staging:      make([]*oocarray.ICLA, na),
-		autoOn:       make([]bool, na),
-		autoIdx:      make([]int, na),
-		vars:         make([]int, len(code.VarNames)),
-		bufs:         make([]*oocarray.ICLA, len(code.BufNames)),
-		vecs:         make([][]float64, len(code.VecNames)),
-		readers:      make([]*oocarray.SlabReader, code.Readers),
-		readerNext:   make([]int, code.Readers),
-		frames:       make([]frame, 0, loopDepth(code.Code)),
-		estack:       make([][]float64, 0, code.MaxExprDepth()),
-		perArray:     make(map[string]*trace.IOStats, na),
+		tables:       in.tables,
 	}
 }
 
@@ -599,7 +614,7 @@ func (in *interp) initArrays(opts Options, resume *restored) error {
 	proc := in.proc
 	for i, spec := range in.code.Arrays {
 		dm := in.dmaps[i]
-		arrStats := &trace.IOStats{}
+		arrStats := &in.io[i]
 		in.perArray[spec.Name] = arrStats
 		disk := iosim.NewResilientDisk(in.fs, proc.Config(), arrStats, opts.Resilience)
 		disk.SetPhantom(opts.Phantom)
@@ -748,7 +763,8 @@ func (in *interp) recycle(arr *oocarray.Array, s *oocarray.ICLA) {
 // across a whole run, not just across the collective layers. Tables can
 // alias one ICLA; the seen set guarantees a single release.
 func (in *interp) releaseBufs() {
-	seen := make(map[*oocarray.ICLA]bool, len(in.bufs)+len(in.staging))
+	seen := in.seen
+	defer clear(seen)
 	rel := func(s *oocarray.ICLA) {
 		if s == nil || seen[s] {
 			return
@@ -772,6 +788,23 @@ func (in *interp) releaseBufs() {
 	for _, r := range in.readers {
 		if r != nil {
 			r.Close()
+		}
+	}
+}
+
+// fold adds the rank's per-array statistics into its processor total,
+// once, in sorted-name order (the Lowered's foldOrder) so the float sums
+// are reproducible and match the span replay's fold, which uses the same
+// order.
+func (in *interp) fold(order []string) {
+	if in.folded {
+		return
+	}
+	in.folded = true
+	io := &in.proc.Stats().IO
+	for _, name := range order {
+		if st := in.perArray[name]; st != nil {
+			io.Add(*st)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"github.com/ooc-hpf/passion/internal/iosim"
 	"github.com/ooc-hpf/passion/internal/mp"
+	"github.com/ooc-hpf/passion/internal/oocarray"
 	"github.com/ooc-hpf/passion/internal/parity"
 	"github.com/ooc-hpf/passion/internal/plan"
 	"github.com/ooc-hpf/passion/internal/sim"
@@ -210,7 +211,7 @@ func rebuildRanks(fs iosim.FS, l *Lowered, mach sim.Config, opts Options, dead [
 	// still holds.
 	for _, r := range dead {
 		for _, spec := range p.Arrays {
-			fs.Remove(fmt.Sprintf("%s.p%d.laf", spec.Name, r))
+			fs.Remove(oocarray.FileName(spec.Name, r))
 			fs.Remove(parity.ParityFileName(spec.Name, r))
 		}
 	}
@@ -218,7 +219,7 @@ func rebuildRanks(fs iosim.FS, l *Lowered, mach sim.Config, opts Options, dead [
 		st.Protect(spec.Name)
 		dm := l.dmaps[i]
 		for r := 0; r < p.Procs; r++ {
-			st.Attach(fmt.Sprintf("%s.p%d.laf", spec.Name, r),
+			st.Attach(l.files[i*p.Procs+r],
 				int64(dm.LocalElems(r))*iosim.FileElemBytes)
 		}
 	}
@@ -235,7 +236,7 @@ func rebuildRanks(fs iosim.FS, l *Lowered, mach sim.Config, opts Options, dead [
 	var errs []error
 	for _, r := range dead {
 		for _, base := range bases {
-			name := fmt.Sprintf("%s.p%d.laf", base, r)
+			name := oocarray.FileName(base, r)
 			rs, err := st.Recover(d, name, fmt.Errorf("rank %d fail-stop loss", r))
 			sec += rs
 			if err != nil {

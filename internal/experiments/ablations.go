@@ -5,10 +5,10 @@ import (
 	"strings"
 
 	"github.com/ooc-hpf/passion/internal/compiler"
-	"github.com/ooc-hpf/passion/internal/exec"
 	"github.com/ooc-hpf/passion/internal/hpf"
 	"github.com/ooc-hpf/passion/internal/oocarray"
 	"github.com/ooc-hpf/passion/internal/sim"
+	"github.com/ooc-hpf/passion/internal/trace"
 )
 
 // AblationResult collects the design-choice studies of DESIGN.md §5:
@@ -42,24 +42,25 @@ func Ablations(p Params) (*AblationResult, error) {
 	slab := slabForRatio(n, procs, 8)
 	res := &AblationResult{N: n, Procs: procs}
 
-	var runs []*exec.Result
+	var runs []*trace.Stats
+	var ioA []trace.IOStats
 	for _, opts := range []oocarray.Options{
 		{}, {Prefetch: true}, {Sieve: true}, {Sieve: true, Prefetch: true},
 		{WriteBehind: true}, {Sieve: true, Prefetch: true, WriteBehind: true},
 	} {
 		q := p
 		q.Opts = opts
-		out, err := runGaxpy(q, procs, "row-slab", slab, slab, slab)
+		stats, io, err := runGaxpy(q, procs, "row-slab", slab, slab, slab)
 		if err != nil {
 			return nil, err
 		}
-		runs = append(runs, out)
+		runs, ioA = append(runs, stats), append(ioA, io)
 	}
-	sec := func(i int) float64 { return runs[i].Stats.ElapsedSeconds() }
+	sec := func(i int) float64 { return runs[i].ElapsedSeconds() }
 	res.Baseline, res.Prefetch, res.Sieve = sec(0), sec(1), sec(2)
 	res.SievePrefetch, res.WriteBehind, res.AllOpts = sec(3), sec(4), sec(5)
 
-	bio, sio := runs[0].MaxArrayIO("a"), runs[2].MaxArrayIO("a")
+	bio, sio := ioA[0], ioA[2]
 	res.PlainRequests, res.SievedRequests = bio.ReadRequests, sio.ReadRequests
 	res.PlainBytes, res.SievedBytes = bio.BytesRead, sio.BytesRead
 

@@ -11,6 +11,7 @@ import (
 	"github.com/ooc-hpf/passion/internal/hpf"
 	"github.com/ooc-hpf/passion/internal/iosim"
 	"github.com/ooc-hpf/passion/internal/matrix"
+	"github.com/ooc-hpf/passion/internal/oocarray"
 	"github.com/ooc-hpf/passion/internal/sim"
 )
 
@@ -192,7 +193,7 @@ func DiskSurvival(p Params) (*DiskSurvivalResult, error) {
 	}
 	tbase.Close()
 
-	tvictim := fmt.Sprintf("%s.p1.laf", dst)
+	tvictim := oocarray.FileName(dst, 1)
 	tprobe := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{})
 	tpr, err := exec.Run(tres.Program, mach, exec.Options{
 		FS: tprobe, Fill: tfills, Runtime: p.Opts,

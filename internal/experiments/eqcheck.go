@@ -44,11 +44,10 @@ func EqCheck(p Params) (*EqCheckResult, error) {
 				{"column-slab", cost.GaxpyColumnSlab(g)},
 				{"row-slab", cost.GaxpyRowSlab(g)},
 			} {
-				run, err := runGaxpy(p, procs, v.name, slab, slab, slab)
+				_, ioA, err := runGaxpy(p, procs, v.name, slab, slab, slab)
 				if err != nil {
 					return nil, err
 				}
-				ioA := run.MaxArrayIO("a")
 				row := EqCheckRow{
 					N: p.N, P: procs, Denom: denom, Strategy: v.name,
 					PredFetches: v.cand.Streams[0].Fetches(),

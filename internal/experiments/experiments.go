@@ -8,6 +8,7 @@ import (
 	"github.com/ooc-hpf/passion/internal/gaxpy"
 	"github.com/ooc-hpf/passion/internal/oocarray"
 	"github.com/ooc-hpf/passion/internal/sim"
+	"github.com/ooc-hpf/passion/internal/trace"
 )
 
 // Params configures an experiment sweep.
@@ -51,11 +52,12 @@ func (p Params) withDefaults(defaultN int) Params {
 // strategy, with the slabs of A, B and C fixed at slabA, slabB and slabC
 // elements (gaxpy.Plan). A real run fills A and B and checks C against the
 // closed form. The run's files are removed before it returns; its
-// statistics remain.
-func runGaxpy(p Params, procs int, strategy string, slabA, slabB, slabC int) (*exec.Result, error) {
+// statistics remain, with A's per-processor maximum I/O taken from the
+// per-array statistics the closed result gives up.
+func runGaxpy(p Params, procs int, strategy string, slabA, slabB, slabC int) (*trace.Stats, trace.IOStats, error) {
 	prg, err := gaxpy.Plan(p.N, procs, strategy, slabA, slabB, slabC)
 	if err != nil {
-		return nil, err
+		return nil, trace.IOStats{}, err
 	}
 	opts := exec.Options{Phantom: !p.Real, Runtime: p.Opts}
 	if p.Real {
@@ -63,33 +65,33 @@ func runGaxpy(p Params, procs int, strategy string, slabA, slabB, slabC int) (*e
 	}
 	out, err := exec.Run(prg, p.Machine(procs), opts)
 	if err != nil {
-		return nil, err
+		return nil, trace.IOStats{}, err
 	}
 	defer out.Close()
 	if p.Real {
 		c, err := out.ReadArray("c")
 		if err != nil {
-			return nil, err
+			return nil, trace.IOStats{}, err
 		}
 		want := gaxpy.CExpected(p.N)
 		for j := 0; j < p.N; j++ {
 			for i := 0; i < p.N; i++ {
 				if got := c.At(i, j); got != want(i, j) {
-					return nil, fmt.Errorf("experiments: %s P=%d: C(%d,%d) = %g, want %g", strategy, procs, i, j, got, want(i, j))
+					return nil, trace.IOStats{}, fmt.Errorf("experiments: %s P=%d: C(%d,%d) = %g, want %g", strategy, procs, i, j, got, want(i, j))
 				}
 			}
 		}
 	}
-	return out, nil
+	return out.Stats, out.MaxArrayIO("a"), nil
 }
 
 // gaxpySeconds is runGaxpy's simulated elapsed time.
 func gaxpySeconds(p Params, procs int, strategy string, slabA, slabB, slabC int) (float64, error) {
-	out, err := runGaxpy(p, procs, strategy, slabA, slabB, slabC)
+	stats, _, err := runGaxpy(p, procs, strategy, slabA, slabB, slabC)
 	if err != nil {
 		return 0, err
 	}
-	return out.Stats.ElapsedSeconds(), nil
+	return stats.ElapsedSeconds(), nil
 }
 
 // slabForRatio returns the slab size in elements for a 1/denominator

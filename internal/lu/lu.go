@@ -177,7 +177,7 @@ func (r *Result) Close() error {
 // missing ones (error-path and Close cleanup).
 func removeFiles(fs iosim.FS, procs int) {
 	for proc := 0; proc < procs; proc++ {
-		fs.Remove(fmt.Sprintf("lu.p%d.laf", proc))
+		fs.Remove(oocarray.FileName("lu", proc))
 	}
 }
 
@@ -278,7 +278,7 @@ func (r *Result) readLU() (*matrix.Matrix, error) {
 	out := matrix.New(n, n)
 	for proc := 0; proc < r.procs; proc++ {
 		disk := iosim.NewDisk(r.fs, r.mach, nil)
-		laf, err := disk.OpenLAF(fmt.Sprintf("lu.p%d.laf", proc), int64(dm.LocalElems(proc)))
+		laf, err := disk.OpenLAF(oocarray.FileName("lu", proc), int64(dm.LocalElems(proc)))
 		if err != nil {
 			return nil, err
 		}

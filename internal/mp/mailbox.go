@@ -2,7 +2,6 @@ package mp
 
 import (
 	"sync"
-	"sync/atomic"
 	"unsafe"
 )
 
@@ -21,8 +20,8 @@ const noCount = -1
 // receiver. It holds what is in it — the ring starts at firstRing slots
 // and doubles on overflow up to the machine's mailboxCap, where put
 // refuses and the sender parks (backpressure) — and being closed is a
-// flag, so a finished run's mailboxes go back to boxPool and the next run
-// takes them, ring and all.
+// flag, so a finished run's mailboxes stay in their machine's slots,
+// reset, and its next run uses them again, ring and all.
 //
 // Parking is by registration: a put that finds the mailbox full, or a
 // take that finds it empty, registers the calling rank under the lock,
@@ -203,65 +202,17 @@ func (b *mailbox) depth() int {
 // would on a mailbox the sender had closed. It is never recycled.
 var closedBox = &mailbox{closed: true}
 
-// boxPool is the free list a finished run returns its mailboxes to. Its
-// bound is in bytes, as bufpool's are: it retains at most boxPoolBytes of
-// mailbox headers and rings (a P=512 GAXPY holds 4,608 mailboxes of about
-// 0.4 KiB, a P=64 one 384); what it refuses is the GC's to reclaim.
-var boxPool struct {
-	mu    sync.Mutex
-	free  []*mailbox
-	bytes int
-}
-
-const boxPoolBytes = 16 << 20
-
+// retained is what b holds on the host: its header and its ring.
 func (b *mailbox) retained() int {
 	return int(unsafe.Sizeof(*b)) + cap(b.ring)*int(unsafe.Sizeof(message{}))
 }
 
-// newMailbox takes an empty, open mailbox from the free list, or makes
-// one; its ring is cut to limit if it grew under a larger machine.
-func newMailbox(limit int) *mailbox {
-	boxPool.mu.Lock()
-	var b *mailbox
-	if last := len(boxPool.free) - 1; last >= 0 {
-		b = boxPool.free[last]
-		boxPool.free[last] = nil
-		boxPool.free = boxPool.free[:last]
-		boxPool.bytes -= b.retained()
+// reset empties a mailbox of a run every rank of which has returned —
+// releasing the payloads an abort stranded in it — and opens it again
+// for the machine's next run.
+func (b *mailbox) reset() {
+	for msg, ok, _ := b.take(nil); ok; msg, ok, _ = b.take(nil) {
+		ReleaseBuf(msg.data)
 	}
-	boxPool.mu.Unlock()
-	if b == nil {
-		b = &mailbox{}
-	}
-	b.limit = limit
-	if len(b.ring) > limit {
-		b.ring = b.ring[:limit]
-	}
-	return b
-}
-
-// recycleBoxes empties the mailboxes of a run every rank of which has
-// joined — releasing the payloads an abort stranded in them — and hands
-// them to the free list, a row of the slot table per hold of its lock.
-func recycleBoxes(slots []atomic.Pointer[mailbox], procs int) {
-	for row := 0; row < len(slots); row += procs {
-		boxPool.mu.Lock()
-		for i := row; i < row+procs; i++ {
-			b := slots[i].Load()
-			if b == closedBox {
-				continue
-			}
-			for msg, ok, _ := b.take(nil); ok; msg, ok, _ = b.take(nil) {
-				ReleaseBuf(msg.data)
-			}
-			b.head, b.closed, b.recvGone, b.recvParked, b.sendParked = 0, false, false, nil, nil
-			b.ring = b.ring[:cap(b.ring)]
-			if size := b.retained(); boxPool.bytes+size <= boxPoolBytes {
-				boxPool.bytes += size
-				boxPool.free = append(boxPool.free, b)
-			}
-		}
-		boxPool.mu.Unlock()
-	}
+	b.head, b.closed, b.recvGone, b.recvParked, b.sendParked = 0, false, false, nil, nil
 }

@@ -3,21 +3,13 @@ package mp
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"github.com/ooc-hpf/passion/internal/bufpool"
 	"github.com/ooc-hpf/passion/internal/sim"
 )
 
-// recycle sends one mailbox through the end-of-run path.
-func recycle(b *mailbox) {
-	slots := make([]atomic.Pointer[mailbox], 1)
-	slots[0].Store(b)
-	recycleBoxes(slots, 1)
-}
-
-// checkFresh fails unless b is what a run may take from the free list:
+// checkFresh fails unless b is what a machine's next run may use:
 // empty, open, nobody parked on it, no payload left in a slot and no ring
 // beyond its cap.
 func checkFresh(t *testing.T, b *mailbox) {
@@ -36,11 +28,11 @@ func checkFresh(t *testing.T, b *mailbox) {
 	}
 }
 
-// FuzzMailbox drives put / take / close / recycle on one mailbox from a
+// FuzzMailbox drives put / take / close / reset on one mailbox from a
 // byte script, against a chan message of the same cap as the model: the
 // two must agree on FIFO order and on every full, empty and closed
 // answer, buffered messages must still drain after close, the ring must
-// never exceed the cap, and a recycled mailbox must come back fresh with
+// never exceed the cap, and a reset mailbox must come back fresh with
 // the payloads it stranded returned to the arena.
 func FuzzMailbox(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 0, 0, 0, 1, 1, 2, 1, 1, 1, 1})
@@ -54,7 +46,7 @@ func FuzzMailbox(f *testing.F) {
 		defer bufpool.SetChecked(false)
 		bufpool.ResetStats()
 		limit := 1 + int(script[0])%70
-		b := newMailbox(limit)
+		b := &mailbox{limit: limit}
 		model := make(chan message, limit)
 		modelClosed := false
 		next := int32(0)
@@ -102,9 +94,8 @@ func FuzzMailbox(f *testing.F) {
 					modelClosed = true
 					b.close()
 				}
-			case 3: // the run ends: recycle, and the next run takes a mailbox
-				recycle(b)
-				b = newMailbox(limit)
+			case 3: // the run ends: the mailbox is reset for the machine's next run
+				b.reset()
 				checkFresh(t, b)
 				model, modelClosed = make(chan message, limit), false
 			}
@@ -115,7 +106,7 @@ func FuzzMailbox(f *testing.F) {
 				t.Fatalf("ring of %d slots exceeds the cap %d", len(b.ring), limit)
 			}
 		}
-		recycle(b)
+		b.reset()
 		if s := bufpool.Snapshot(); s.Gets != s.Puts+s.Drops {
 			t.Errorf("mailbox leaked payloads: %+v", s)
 		}
@@ -192,7 +183,7 @@ func TestSenderParkedOnFullBox(t *testing.T) {
 func TestCloseRacesParkedReceiver(t *testing.T) {
 	for round := 0; round < 500; round++ {
 		k := round % 7
-		b := newMailbox(64)
+		b := &mailbox{limit: 64}
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
@@ -221,12 +212,12 @@ func TestCloseRacesParkedReceiver(t *testing.T) {
 			<-receiver.wake
 		}
 		wg.Wait()
-		recycle(b)
+		b.reset()
 	}
 }
 
-// TestConcurrentMachinesShareFreeList: several machines run at once, each
-// taking its mailboxes from, and returning them to, the one free list.
+// TestConcurrentMachinesShareFreeList: several machines of one size run
+// at once, each taken from, and returned to, the one free list.
 func TestConcurrentMachinesShareFreeList(t *testing.T) {
 	const procs = 8
 	var wg sync.WaitGroup
@@ -261,19 +252,19 @@ func TestConcurrentMachinesShareFreeList(t *testing.T) {
 	}
 }
 
-// freeList empties the free list and returns what it held.
-func freeList() []*mailbox {
-	boxPool.mu.Lock()
-	defer boxPool.mu.Unlock()
-	held := boxPool.free
-	boxPool.free, boxPool.bytes = nil, 0
+// freeList empties the machine free list and returns what it held.
+func freeList() []*Machine {
+	machines.mu.Lock()
+	defer machines.mu.Unlock()
+	held := machines.free
+	machines.free, machines.bytes = nil, 0
 	return held
 }
 
 // TestAbortedRunHandsBackEmptyMailboxes: a run that aborts with payloads
 // stranded in its mailboxes (the scenario of
-// TestStrandedMailboxPayloadsReturned) must still return every one of
-// them fresh, so the next run sees nothing of it.
+// TestStrandedMailboxPayloadsReturned) must still hand its machine back
+// with every one of them fresh, so the next run sees nothing of it.
 func TestAbortedRunHandsBackEmptyMailboxes(t *testing.T) {
 	freeList()
 	opts := Options{
@@ -291,11 +282,21 @@ func TestAbortedRunHandsBackEmptyMailboxes(t *testing.T) {
 		t.Fatal("killing a rank should fail the run")
 	}
 	held := freeList()
-	if len(held) != 2 {
-		t.Fatalf("the aborted run returned %d mailboxes, want 2", len(held))
+	if len(held) != 1 {
+		t.Fatalf("the aborted run returned %d machines, want 1", len(held))
 	}
-	for _, b := range held {
-		checkFresh(t, b)
+	boxes := 0
+	for i := range held[0].boxes {
+		if b := held[0].boxes[i].Load(); b != nil {
+			if b == closedBox {
+				t.Fatalf("slot %d still holds the shared closed mailbox", i)
+			}
+			checkFresh(t, b)
+			boxes++
+		}
+	}
+	if boxes != 2 {
+		t.Fatalf("the aborted run's machine holds %d mailboxes, want 2", boxes)
 	}
 }
 
@@ -326,8 +327,8 @@ func TestSecondOwnedExchangeMakesNoMailbox(t *testing.T) {
 }
 
 // secondRunMakesNoMailbox runs node twice from an empty free list: the
-// first run must return wantBoxes mailboxes, and the second must hold
-// none but those.
+// first run must leave wantBoxes mailboxes in its machine, and the second
+// must run on that machine and hold none but those.
 func secondRunMakesNoMailbox(t *testing.T, procs, wantBoxes int, node NodeFunc) {
 	once := func() *Machine {
 		var m *Machine
@@ -339,25 +340,32 @@ func secondRunMakesNoMailbox(t *testing.T, procs, wantBoxes int, node NodeFunc) 
 		})
 		return m
 	}
-	freeList()
-	once()
 	type storage struct {
 		b    *mailbox
 		ring *message
 	}
-	returned := make(map[storage]bool)
-	boxPool.mu.Lock()
-	for _, b := range boxPool.free {
-		returned[storage{b, &b.ring[:1][0]}] = true
+	held := func(m *Machine) map[storage]bool {
+		boxes := make(map[storage]bool)
+		for i := range m.boxes {
+			if b := m.boxes[i].Load(); b != nil {
+				boxes[storage{b, &b.ring[:1][0]}] = true
+			}
+		}
+		return boxes
 	}
-	boxPool.mu.Unlock()
+	freeList()
+	first := once()
+	returned := held(first)
 	if len(returned) != wantBoxes {
-		t.Fatalf("the first run returned %d mailboxes, want %d", len(returned), wantBoxes)
+		t.Fatalf("the first run left %d mailboxes, want %d", len(returned), wantBoxes)
 	}
-	m := once()
-	for i := range m.boxes {
-		if b := m.boxes[i].Load(); b != closedBox && !returned[storage{b, &b.ring[:1][0]}] {
-			t.Fatalf("slot %d of the second run holds a mailbox or ring the first did not return", i)
+	second := once()
+	if second != first {
+		t.Fatal("the second run made a machine instead of taking the first's")
+	}
+	for s := range held(second) {
+		if !returned[s] {
+			t.Fatal("the second run holds a mailbox or ring the first did not leave")
 		}
 	}
 }

@@ -9,17 +9,21 @@
 // same way it would on a real distributed memory machine.
 //
 // What the machine costs on the host follows what it carries. A mailbox
-// (mailbox.go) exists per ordered pair that communicates, holds a ring as
-// deep as the pair ever ran ahead (up to mailboxCap) and outlives the run
-// on a bounded free list; a message is a payload or, where a phantom run
-// reduces elements nobody reads, only their count (buf.go, ReduceElided).
+// (mailbox.go) exists per ordered pair that communicates and holds a ring
+// as deep as the pair ever ran ahead (up to mailboxCap); a finished
+// machine — slot table, mailboxes and Proc handles — waits on a bounded
+// free list for the next run at its processor count (machines). A
+// message is a payload or, where a phantom run reduces elements nobody
+// reads, only their count (buf.go, ReduceElided).
 package mp
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/ooc-hpf/passion/internal/bufpool"
 	"github.com/ooc-hpf/passion/internal/sim"
@@ -36,11 +40,19 @@ const internalTagBase = 1 << 24
 // either endpoint first touches it (see box). A binomial collective
 // touches O(P log P) pairs, so the table's 8 bytes a slot are the only
 // cost that grows with P².
+//
+// A machine outlives its run: once every rank has returned, recycle
+// resets it — mailboxes emptied in their slots, Proc handles zeroed —
+// and the next run at the same processor count takes it from the free
+// list (machines), so a served job makes no slot table, mailbox or Proc.
 type Machine struct {
 	cfg   sim.Config
 	boxes []atomic.Pointer[mailbox]
 	rows  []row
+	procs []*Proc
+	errs  []error    // each rank's result, by rank
 	fail  *failState // nil on plain runs
+	size  int        // retained bytes, while on the free list
 
 	deadlocked atomic.Bool // set once, by declareDeadlock
 
@@ -75,12 +87,12 @@ func stuck(ranks int64) bool { return int32(ranks) == 0 && ranks > 0 }
 func (m *Machine) park() bool { return stuck(m.ranks.Add(-1)) }
 func (m *Machine) unpark()    { m.ranks.Add(1) }
 
-// box returns the mailbox from src to dst, taking one (see newMailbox) on
-// first use. The fast path is one atomic load. Sender and receiver may
-// both arrive first; the row lock lets exactly one of them publish the
-// mailbox, so both see the same one, per-pair FIFO order holds from the
-// first message on, and a run holds one mailbox per pair used — a
-// reproducible count. A slot never changes once published.
+// box returns the mailbox from src to dst, making one on first use. The
+// fast path is one atomic load. Sender and receiver may both arrive
+// first; the row lock lets exactly one of them publish the mailbox, so
+// both see the same one, per-pair FIFO order holds from the first
+// message on, and a machine holds one mailbox per pair its runs used — a
+// reproducible count. A slot never changes within a run once published.
 func (m *Machine) box(src, dst int) *mailbox {
 	slot := &m.boxes[src*m.cfg.Procs+dst]
 	if b := slot.Load(); b != nil {
@@ -95,7 +107,7 @@ func (m *Machine) box(src, dst int) *mailbox {
 	// progress engine; a full mailbox is ordinary backpressure, and one
 	// that never drains is a deadlock or a receiver that has returned,
 	// both diagnosed rather than left blocking.
-	b := newMailbox(mailboxCap(m.cfg.Procs))
+	b := &mailbox{limit: mailboxCap(m.cfg.Procs)}
 	slot.Store(b)
 	// Only src can be making it if dst has returned: either this load or
 	// dst's scan in exit sees the other's store, so the box hangs up.
@@ -216,13 +228,118 @@ func Run(cfg sim.Config, node NodeFunc) (*trace.Stats, error) {
 	return RunOpts(cfg, Options{}, node)
 }
 
-func newProc(m *Machine, rank int, stats *trace.Stats) *Proc {
-	// The wake channel holds one token: a rank parks on one mailbox at a time.
-	p := &Proc{m: m, rank: rank, stats: &stats.Procs[rank], wake: make(chan struct{}, 1)}
+// machines is the free list a finished run returns its machine to,
+// oldest first. Its bound is in bytes, as bufpool's are: slot table,
+// rows, Proc handles and the mailboxes' headers and rings (a P=64 GAXPY's
+// machine is about 0.2 MiB, a P=512 one 4 MiB). A machine that does not
+// fit pushes the oldest ones out; one larger than the bound is the GC's.
+var machines struct {
+	mu    sync.Mutex
+	free  []*Machine
+	bytes int
+}
+
+const machinesBytes = 16 << 20
+
+// takeMachine returns a ready machine for cfg: the most recently returned
+// one of its processor count, or a new one.
+func takeMachine(cfg sim.Config) *Machine {
+	p := cfg.Procs
+	var m *Machine
+	machines.mu.Lock()
+	for i := len(machines.free) - 1; i >= 0; i-- {
+		if machines.free[i].cfg.Procs == p {
+			m = machines.free[i]
+			machines.free = slices.Delete(machines.free, i, i+1)
+			machines.bytes -= m.size
+			break
+		}
+	}
+	machines.mu.Unlock()
+	if m == nil {
+		m = &Machine{boxes: make([]atomic.Pointer[mailbox], p*p), rows: make([]row, p),
+			procs: make([]*Proc, p), errs: make([]error, p)}
+		for rank := range m.procs {
+			// The wake channel holds one token: a rank parks on one
+			// mailbox at a time.
+			m.procs[rank] = &Proc{m: m, rank: rank, wake: make(chan struct{}, 1)}
+		}
+	}
+	m.cfg = cfg
+	m.ranks.Store(int64(p) * oneRank)
+	return m
+}
+
+// recycle readies a machine every rank of which has returned for its next
+// run and offers it to the free list. Abort paths can strand payloads:
+// messages a dead or aborted rank never received still sit in the (now
+// closed) mailboxes. They go back to the arena — checked-mode tests
+// assert the Gets/Puts balance — and every mailbox stays in its slot,
+// empty, open and unparked; the slots an exit filled with closedBox are
+// empty again. Clean runs have empty mailboxes, so this costs one load
+// per slot on the ordinary path.
+func (m *Machine) recycle() {
+	size := len(m.boxes)*int(unsafe.Sizeof(m.boxes[0])) + len(m.rows)*int(unsafe.Sizeof(row{}))
+	for i := range m.boxes {
+		switch b := m.boxes[i].Load(); b {
+		case nil:
+		case closedBox:
+			m.boxes[i].Store(nil)
+		default:
+			b.reset()
+			size += b.retained()
+		}
+	}
+	for i := range m.rows {
+		m.rows[i].returned.Store(false)
+	}
+	for _, p := range m.procs {
+		p.reset()
+		size += p.retained()
+	}
+	clear(m.errs)
+	m.fail = nil
+	m.deadlocked.Store(false)
+	if size > machinesBytes {
+		return
+	}
+	m.size = size
+	machines.mu.Lock()
+	machines.free = append(machines.free, m)
+	machines.bytes += size
+	for machines.bytes > machinesBytes {
+		machines.bytes -= machines.free[0].size
+		machines.free = slices.Delete(machines.free, 0, 1)
+	}
+	machines.mu.Unlock()
+}
+
+// start readies the Proc of rank for a run that records into stats.
+func (m *Machine) start(rank int, stats *trace.Stats) *Proc {
+	p := m.procs[rank]
+	p.stats = &stats.Procs[rank]
 	if m.fail != nil {
 		p.killAt = m.fail.kills[rank]
 	}
 	return p
+}
+
+// reset zeroes a Proc whose rank has returned, keeping its wake channel
+// (drained) and its all-to-all result slice (emptied).
+func (p *Proc) reset() {
+	select {
+	case <-p.wake:
+	default:
+	}
+	clear(p.a2aOut)
+	*p = Proc{m: p.m, rank: p.rank, wake: p.wake, a2aOut: p.a2aOut}
+}
+
+// retained is what a Proc holds on the host: itself, its wake channel and
+// its all-to-all result slice.
+func (p *Proc) retained() int {
+	const chanBytes = 96 // runtime.hchan
+	return int(unsafe.Sizeof(*p)) + chanBytes + cap(p.a2aOut)*int(unsafe.Sizeof(p.a2aOut[0]))
 }
 
 // RunOpts is Run with fault injection (see Options). With a zero Options
@@ -235,19 +352,19 @@ func RunOpts(cfg sim.Config, opts Options, node NodeFunc) (*trace.Stats, error) 
 		return nil, err
 	}
 	p := cfg.Procs
-	m := &Machine{cfg: cfg, boxes: make([]atomic.Pointer[mailbox], p*p), rows: make([]row, p)}
-	m.ranks.Store(int64(p) * oneRank)
+	m := takeMachine(cfg)
 	if opts.active() {
 		m.fail = newFailState(p, opts)
 	}
+	// The statistics are the caller's, so they are made fresh per run.
 	stats := trace.NewStats(p)
-	errs := make([]error, p)
+	errs := m.errs
 	var wg sync.WaitGroup
 	for rank := 0; rank < p; rank++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			proc := newProc(m, rank, stats)
+			proc := m.start(rank, stats)
 			defer func() {
 				if r := recover(); r != nil {
 					switch v := r.(type) {
@@ -270,16 +387,10 @@ func RunOpts(cfg sim.Config, opts Options, node NodeFunc) (*trace.Stats, error) 
 		}(rank)
 	}
 	wg.Wait()
-	// Abort paths can strand payloads: messages a dead or aborted rank
-	// never received still sit in the (now closed) mailboxes. Return all
-	// of it to the arena so failed runs do not leak buffers — checked-mode
-	// tests assert the Gets/Puts balance — and the mailboxes, emptied, to
-	// their free list. Every slot is closed by now (each rank's exit
-	// closed its row), and clean runs have empty mailboxes, so this costs
-	// one load per slot on the ordinary path.
-	recycleBoxes(m.boxes, p)
 	// Every rank has stopped, so the dead set is final: each killed rank
-	// is in it, and it is what every survivor reports as agreed.
+	// is in it, and it is what every survivor reports as agreed. The
+	// machine goes back once the errors are read.
+	defer m.recycle()
 	var failed []int
 	if m.fail != nil && m.fail.anyDead() {
 		failed = m.fail.deadRanks()

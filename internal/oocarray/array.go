@@ -9,6 +9,7 @@ package oocarray
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"github.com/ooc-hpf/passion/internal/bufpool"
@@ -85,6 +86,14 @@ type Array struct {
 	inflight []float64
 }
 
+// FileName is the name of processor proc's local array file of the global
+// array named array: "<array>.p<proc>.laf", the one spelling every
+// creator, reader and remover of the file uses (and the one package
+// parity parses to group a file with its peers).
+func FileName(array string, proc int) string {
+	return array + ".p" + strconv.Itoa(proc) + ".laf"
+}
+
 // New creates the out-of-core local array of processor proc for the global
 // mapping dmap, backed by a fresh local array file on disk. clock may be
 // nil, in which case no simulated time is charged (statistics still
@@ -95,8 +104,7 @@ func New(disk *iosim.Disk, dmap *dist.Array, proc int, clock *sim.Clock, opts Op
 	}
 	shape := dmap.LocalShape(proc)
 	rows, cols := shape[0], shape[1]
-	name := fmt.Sprintf("%s.p%d.laf", dmap.Name, proc)
-	laf, err := disk.CreateLAF(name, int64(rows)*int64(cols))
+	laf, err := disk.CreateLAF(FileName(dmap.Name, proc), int64(rows)*int64(cols))
 	if err != nil {
 		return nil, err
 	}
@@ -112,8 +120,7 @@ func Open(disk *iosim.Disk, dmap *dist.Array, proc int, clock *sim.Clock, opts O
 	}
 	shape := dmap.LocalShape(proc)
 	rows, cols := shape[0], shape[1]
-	name := fmt.Sprintf("%s.p%d.laf", dmap.Name, proc)
-	laf, err := disk.OpenLAF(name, int64(rows)*int64(cols))
+	laf, err := disk.OpenLAF(FileName(dmap.Name, proc), int64(rows)*int64(cols))
 	if err != nil {
 		return nil, err
 	}

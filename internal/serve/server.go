@@ -884,8 +884,11 @@ func (s *Server) runJob(j *job) (*Response, error) {
 			s.log.Warn("run cleanup failed", "job", j.id, "error", cerr.Error())
 		}
 	}()
+	// The reply takes the run's statistics rather than a copy: nothing
+	// writes them once RunLowered has returned, and Close leaves them be.
 	resp.SimSeconds = out.Stats.ElapsedSeconds()
-	resp.Stats = out.Stats.Snapshot()
+	resp.Stats = trace.Snapshot{ElapsedSeconds: resp.SimSeconds, Procs: out.Stats.Procs,
+		TotalIO: out.Stats.TotalIO(), TotalComm: out.Stats.TotalComm()}
 	if j.req.Trace && tracer != nil {
 		var buf bytes.Buffer
 		if err := tracer.ExportChromeTrace(&buf); err != nil {
