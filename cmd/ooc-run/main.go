@@ -111,30 +111,20 @@ func main() {
 	}
 	eopts.Fill = cliutil.FillsFor(res)
 	eopts.Trace = tracer
-	var out *exec.Result
-	if len(eopts.Kill) > 0 {
-		// An injected fail-stop loss: detect via heartbeats, rebuild the
-		// dead rank's disk from parity, and resume from the checkpoint.
-		var rout *exec.ResilientResult
-		rout, err = exec.RunResilient(res.Program, sim.Delta(res.Program.Procs), eopts, len(eopts.Kill))
-		if err == nil {
-			out = rout.Result
-			// The surviving attempt's tracer carries the spans (and the
-			// adopted stream sink); the pre-run tracer was never used.
-			tracer = rout.Trace
-			for i, rec := range rout.Recoveries {
-				fmt.Printf("recovery %d: lost rank(s) %v; rebuilt %d file(s) (%d blocks, %s) in %.4fs simulated; resumed from checkpoint\n",
-					i+1, rec.Failed, rec.RebuildIO.Reconstructions, rec.RebuildIO.ReconstructedBlocks,
-					cliutil.FormatBytes(rec.RebuildIO.ReconstructedBytes), rec.RebuildSeconds)
-			}
-			fmt.Printf("survived %d rank failure(s) in %d attempt(s)\n", len(rout.Recoveries), rout.Attempts)
+	// An injected fail-stop loss (-kill-rank) is detected via heartbeats,
+	// the dead rank's disk rebuilt from parity, and the run resumed from
+	// the checkpoint.
+	out, err := exec.Run(res.Program, sim.Delta(res.Program.Procs), eopts)
+	if err == nil && len(eopts.Kill) > 0 {
+		// The surviving attempt's tracer carries the spans (and the
+		// adopted stream sink).
+		tracer = out.Trace
+		for i, rec := range out.Recoveries {
+			fmt.Printf("recovery %d: lost rank(s) %v; rebuilt %d file(s) (%d blocks, %s) in %.4fs simulated; resumed from checkpoint\n",
+				i+1, rec.Failed, rec.RebuildIO.Reconstructions, rec.RebuildIO.ReconstructedBlocks,
+				cliutil.FormatBytes(rec.RebuildIO.ReconstructedBytes), rec.RebuildSeconds)
 		}
-	} else {
-		runner := exec.Run
-		if *resume {
-			runner = exec.Resume
-		}
-		out, err = runner(res.Program, sim.Delta(res.Program.Procs), eopts)
+		fmt.Printf("survived %d rank failure(s) in %d attempt(s)\n", len(out.Recoveries), out.Attempts)
 	}
 	if chaosFS != nil {
 		c := chaosFS.Counts()

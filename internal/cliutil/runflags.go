@@ -57,8 +57,9 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 }
 
 // Build materializes the flags into execution options over the backing
-// store base (nil means a fresh in-memory file system). resume forces a
-// checkpoint spec so exec.Resume finds one. The returned ChaosFS is
+// store base (nil means a fresh in-memory file system). resume sets
+// exec.Options.Resume and forces a checkpoint spec so the resume finds
+// one. The returned ChaosFS is
 // non-nil exactly when fault injection wrapped the store, for
 // end-of-run injection reporting. The caller layers on whatever Build
 // cannot know: Fill and Trace.
@@ -112,6 +113,7 @@ func (f *RunFlags) Build(base iosim.FS, resume bool) (exec.Options, *iosim.Chaos
 	opts.Phantom = f.Phantom
 	opts.Runtime = oocarray.Options{Sieve: f.Sieve, Prefetch: f.Prefetch}
 	opts.Parity = f.Parity
+	opts.Resume = resume
 	return opts, chaosFS, nil
 }
 

@@ -126,6 +126,12 @@ func TestBuildResumeForcesCheckpoint(t *testing.T) {
 	if opts.Checkpoint == nil || opts.Checkpoint.Every != 1 {
 		t.Errorf("resume without -checkpoint should default Every=1, got %+v", opts.Checkpoint)
 	}
+	if !opts.Resume {
+		t.Error("resume does not set Options.Resume")
+	}
+	if opts, _, _ = rf.Build(iosim.NewMemFS(), false); opts.Resume {
+		t.Error("a fresh run's options ask for a resume")
+	}
 }
 
 func TestBuildBadSpecs(t *testing.T) {

@@ -41,7 +41,7 @@ func TestResilientAttemptsReturnFileStorage(t *testing.T) {
 	bufpool.ResetStats()
 	opts := surviveOptions(iosim.NewMemFS())
 	opts.Kill = []mp.KillSpec{{Rank: 2, Op: counts[2] / 2}}
-	out, err := RunResilient(res.Program, sim.Delta(res.Program.Procs), opts, 1)
+	out, err := Run(res.Program, sim.Delta(res.Program.Procs), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -274,7 +274,7 @@ func TestCancelledResilientRunDoesNotRecover(t *testing.T) {
 		Parity:     true,
 		Checkpoint: &CheckpointSpec{Every: 1},
 	}
-	rr, err := RunResilientCtx(ctx, res.Program, sim.Delta(4), opts, 2)
+	rr, err := RunCtx(ctx, res.Program, sim.Delta(4), opts)
 	if err == nil {
 		rr.Close()
 		t.Fatal("cancelled resilient run completed")

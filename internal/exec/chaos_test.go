@@ -156,7 +156,7 @@ func TestResumeAfterKillBitwiseIdentical(t *testing.T) {
 				}
 				// Resume against the recovered store (the transient outage
 				// is over: the wrapper is gone, the files are intact).
-				r, err := Resume(res.Program, mach, Options{FS: m, Fill: sweepFills(), Checkpoint: ckpt})
+				r, err := Run(res.Program, mach, Options{FS: m, Fill: sweepFills(), Checkpoint: ckpt, Resume: true})
 				if errors.Is(err, ErrNoCheckpoint) {
 					continue // killed before the first commit
 				}
@@ -214,7 +214,7 @@ func TestResumeSweepEveryKillPoint(t *testing.T) {
 		if _, err := Run(res.Program, mach, Options{FS: killed, Fill: sweepFills(), Checkpoint: ckpt}); err == nil {
 			continue // budget k happened to suffice
 		}
-		out, err := Resume(res.Program, mach, Options{FS: mem, Fill: sweepFills(), Checkpoint: ckpt})
+		out, err := Run(res.Program, mach, Options{FS: mem, Fill: sweepFills(), Checkpoint: ckpt, Resume: true})
 		switch {
 		case err == nil:
 			resumed++

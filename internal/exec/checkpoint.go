@@ -24,7 +24,7 @@ import (
 // array plus the interpreter's cross-boundary state (staging buffers and
 // the global column counter) and an iteration cursor, committing them to
 // a per-processor manifest. A failed or killed run restarts from the last
-// globally consistent checkpoint with exec.Resume.
+// globally consistent checkpoint (Options.Resume).
 //
 // Eligible boundaries are (1) between top-level statements of the program
 // and (2) between iterations of top-level loops every rank runs the same
@@ -366,8 +366,9 @@ type restored struct {
 // state out by array-table index. A manifest is bytes from disk: a name
 // the program does not have, or a staging buffer that does not fit the
 // array's local block on this rank, is an error here — before any rank
-// starts — rather than state silently carried into the run.
-func resolveManifest(code *bytecode.Program, dmaps []*dist.Array, rank int, m *ckptManifest) (*restored, error) {
+// starts — rather than state silently carried into the run. So is a
+// manifest without a statistics snapshot when restoreStats asks for one.
+func resolveManifest(code *bytecode.Program, dmaps []*dist.Array, rank int, m *ckptManifest, restoreStats bool) (*restored, error) {
 	index := func(name string) (int32, error) {
 		for i := range code.Arrays {
 			if code.Arrays[i].Name == name {
@@ -422,6 +423,9 @@ func resolveManifest(code *bytecode.Program, dmaps []*dist.Array, rank int, m *c
 		}
 		r.staging[i] = &oocarray.ICLA{RowOff: c.RowOff, ColOff: c.ColOff, Rows: c.Rows, Cols: c.Cols, Data: data}
 	}
+	if restoreStats && m.Run == nil {
+		return nil, fmt.Errorf("exec: restore: rank %d's epoch %d manifest has no statistics snapshot to restore", rank, m.Epoch)
+	}
 	if m.Run != nil {
 		for name := range m.Run.PerArray {
 			if name == parityStatsKey {
@@ -469,7 +473,7 @@ func (in *interp) restore(r *restored) error {
 	copy(in.autoOn, r.autoOn)
 	copy(in.autoIdx, r.autoIdx)
 	in.ckptEpoch = m.Epoch + 1
-	if in.restoreStats && m.Run != nil {
+	if in.restoreStats {
 		// Put the clock and counters exactly where the original run's
 		// were when this epoch's snapshot was taken (pre-commit-barrier);
 		// run() replays the barrier afterwards. The per-array sinks are

@@ -41,12 +41,7 @@ func TestLoweringFailureBeforeAnyFile(t *testing.T) {
 	mach := sim.Delta(p.Procs)
 	entries := map[string]func(Options) error{
 		"Run":    func(o Options) error { _, err := Run(p, mach, o); return err },
-		"Resume": func(o Options) error { _, err := Resume(p, mach, o); return err },
-		"RunResilient": func(o Options) error {
-			o.Parity = true
-			_, err := RunResilient(p, mach, o, 1)
-			return err
-		},
+		"Resume": func(o Options) error { o.Resume = true; _, err := Run(p, mach, o); return err },
 	}
 	for name, entry := range entries {
 		fs := iosim.NewMemFS()
@@ -161,7 +156,9 @@ func sortedNames(fs *iosim.MemFS) []string {
 // a valid CRC: state for an array the program does not have, or a staging
 // buffer that does not fit the array's local block, must fail the resume
 // with a typed error before any rank computes — no file touched, no arena
-// buffer outstanding.
+// buffer outstanding. So must a manifest without the statistics snapshot
+// a RestoreStats resume asks for: it does not silently resume with
+// unrestored statistics.
 func TestRestoreRejectsForeignManifest(t *testing.T) {
 	res, err := compiler.CompileSource(hpf.GaxpySource, gaxpyScenarioOpts("column-slab"))
 	if err != nil {
@@ -171,32 +168,38 @@ func TestRestoreRejectsForeignManifest(t *testing.T) {
 	mach := sim.Delta(p.Procs)
 	spec := &CheckpointSpec{Every: 1}
 	edits := map[string]struct {
-		edit func(m *ckptManifest)
-		want string
+		edit         func(m *ckptManifest)
+		want         string
+		restoreStats bool
 	}{
 		"auto names a foreign array": {
-			func(m *ckptManifest) { m.Auto["ghost"] = true },
-			`exec: restore: manifest names array "ghost", not in program gaxpy`,
+			edit: func(m *ckptManifest) { m.Auto["ghost"] = true },
+			want: `exec: restore: manifest names array "ghost", not in program gaxpy`,
 		},
 		"auto_idx names a foreign array": {
-			func(m *ckptManifest) { m.AutoIdx["ghost"] = 2 },
-			`exec: restore: manifest names array "ghost", not in program gaxpy`,
+			edit: func(m *ckptManifest) { m.AutoIdx["ghost"] = 2 },
+			want: `exec: restore: manifest names array "ghost", not in program gaxpy`,
 		},
 		"staging names a foreign array": {
-			func(m *ckptManifest) { m.Staging["ghost"] = m.Staging["c"] },
-			`exec: restore: manifest names array "ghost", not in program gaxpy`,
+			edit: func(m *ckptManifest) { m.Staging["ghost"] = m.Staging["c"] },
+			want: `exec: restore: manifest names array "ghost", not in program gaxpy`,
 		},
 		"snapshot list names a foreign array": {
-			func(m *ckptManifest) { m.Arrays = append(m.Arrays, "ghost") },
-			`exec: restore: manifest names array "ghost", not in program gaxpy`,
+			edit: func(m *ckptManifest) { m.Arrays = append(m.Arrays, "ghost") },
+			want: `exec: restore: manifest names array "ghost", not in program gaxpy`,
 		},
 		"staging wider than the local block": {
-			func(m *ckptManifest) { m.Staging["c"].Cols = 2 },
-			`exec: restore: manifest staging 32x2@(0,7) outside local shape 32x8 of array "c" on rank 1`,
+			edit: func(m *ckptManifest) { m.Staging["c"].Cols = 2 },
+			want: `exec: restore: manifest staging 32x2@(0,7) outside local shape 32x8 of array "c" on rank 1`,
 		},
 		"staging at a negative offset": {
-			func(m *ckptManifest) { m.Staging["c"].RowOff = -1 },
-			`exec: restore: manifest staging 32x1@(-1,7) outside local shape 32x8 of array "c" on rank 1`,
+			edit: func(m *ckptManifest) { m.Staging["c"].RowOff = -1 },
+			want: `exec: restore: manifest staging 32x1@(-1,7) outside local shape 32x8 of array "c" on rank 1`,
+		},
+		"no statistics snapshot to restore": {
+			edit:         func(m *ckptManifest) { m.Run = nil },
+			want:         `exec: restore: rank 1's epoch 3 manifest has no statistics snapshot to restore`,
+			restoreStats: true,
 		},
 	}
 	for name, tc := range edits {
@@ -233,7 +236,8 @@ func TestRestoreRejectsForeignManifest(t *testing.T) {
 			defer bufpool.SetChecked(false)
 			bufpool.ResetStats()
 			counts := make([]int64, p.Procs)
-			_, err = Resume(p, mach, Options{FS: mem, Fill: sweepFills(), Checkpoint: spec, OpCounts: counts})
+			_, err = Run(p, mach, Options{FS: mem, Fill: sweepFills(), Checkpoint: spec, OpCounts: counts,
+				Resume: true, RestoreStats: tc.restoreStats})
 			if err == nil || err.Error() != tc.want {
 				t.Fatalf("resume from the edited manifest:\n got %v\nwant %s", err, tc.want)
 			}
@@ -260,7 +264,7 @@ func TestResolveManifestNullEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := &ckptManifest{Staging: map[string]*ckptICLA{"c": nil}}
-	r, err := resolveManifest(l.code, nil, 0, m)
+	r, err := resolveManifest(l.code, nil, 0, m, false)
 	if err != nil || r.staging[2] != nil {
 		t.Fatalf("null staging entry: restored %+v, err %v", r, err)
 	}

@@ -48,11 +48,11 @@ type Options struct {
 	// the retrying, checksum-verifying disk layer: transient faults are
 	// retried with backoff charged to the simulated clocks, and checksum
 	// mismatches on reads surface as detected (never silent) corruption.
-	// Pass the same Resilience to a later Resume so the checksum store
+	// Pass the same Resilience to a later resume so the checksum store
 	// survives the restart.
 	Resilience *iosim.Resilience
 	// Checkpoint, when non-nil, periodically commits a consistent global
-	// checkpoint a failed run can restart from with Resume. It also
+	// checkpoint a failed run can restart from (Resume). It also
 	// changes the error-path cleanup: the run's files are kept on disk so
 	// the checkpoint stays usable.
 	Checkpoint *CheckpointSpec
@@ -65,19 +65,25 @@ type Options struct {
 	Parity bool
 	// Kill schedules injected fail-stop rank deaths: rank Rank stops
 	// immediately before its Op'th counted operation (messages and local
-	// array chunk I/O). Combine with Checkpoint and Parity under
-	// RunResilient to survive the loss.
+	// array chunk I/O). With Checkpoint and Parity both set the run
+	// survives every loss it schedules (see Result.Recoveries); without
+	// them a loss fails the run.
 	Kill []mp.KillSpec
 	// OpCounts, when non-nil (len >= Procs), receives each rank's final
 	// fail-stop operation count; probe runs use it to learn the op-index
 	// space a kill schedule can target.
 	OpCounts []int64
-	// RestoreStats makes Resume restore each rank's simulated clock and
+	// Resume restarts a killed or failed checkpointed run from its last
+	// globally consistent checkpoint. It needs the original backing FS
+	// and the same CheckpointSpec; pass the original Resilience too so
+	// the checksum store carries over. The run fails with ErrNoCheckpoint
+	// (wrapped) when no complete checkpoint epoch exists.
+	Resume bool
+	// RestoreStats makes a resume restore each rank's simulated clock and
 	// statistics counters from the checkpoint manifest and replay the
 	// commit barrier, so a resumed run's final statistics are bitwise
 	// identical to the uninterrupted run's. It changes nothing on fresh
-	// runs, and falls back to plain resume semantics for manifests that
-	// predate the stats snapshot.
+	// runs; a manifest without a statistics snapshot fails the resume.
 	RestoreStats bool
 	// CkptHook, when non-nil, runs on rank 0 immediately after each
 	// checkpoint epoch commits (post-barrier) with the committed epoch
@@ -99,7 +105,8 @@ func (o Options) failureActive() bool {
 	return len(o.Kill) > 0 || o.OpCounts != nil
 }
 
-// Result is a completed execution.
+// Result is a completed execution: its successful attempt's statistics,
+// and the losses survived on the way.
 type Result struct {
 	Stats   *trace.Stats
 	Program *plan.Program
@@ -109,6 +116,14 @@ type Result struct {
 	// It belongs to the run until Close, which hands it to the lowered
 	// plan's next run and leaves PerArray nil.
 	PerArray []map[string]*trace.IOStats
+	// Attempts counts executions of the program body (1 = no loss), and
+	// Recoveries describes each survived loss, in order.
+	Attempts   int
+	Recoveries []Recovery
+	// Trace holds the successful attempt's spans: Options.Trace itself
+	// when no loss occurred, else a fresh tracer sharing its live stream
+	// (the aborted attempts' tracers are in Recoveries).
+	Trace *trace.Tracer
 
 	lowered *Lowered
 	kit     *kit          // the run's rank state, until Close gives it back
@@ -200,11 +215,11 @@ func Run(p *plan.Program, mach sim.Config, opts Options) (*Result, error) {
 // dead loop variable, an unknown array) fails with an "exec: lower: ..."
 // error before any file is created or processor started.
 func RunCtx(ctx context.Context, p *plan.Program, mach sim.Config, opts Options) (*Result, error) {
-	rr, err := lowerAndRun(ctx, p, mach, opts, Start{})
+	l, err := Lower(p)
 	if err != nil {
 		return nil, err
 	}
-	return rr.Result, nil
+	return RunLowered(ctx, l, mach, opts)
 }
 
 // Lowered is a program lowered to the opcode stream its runs execute,
@@ -213,7 +228,7 @@ func RunCtx(ctx context.Context, p *plan.Program, mach sim.Config, opts Options)
 // them can share one; a serving plan cache holds one per entry and
 // lowers each plan once. The mappings are read-only and publish their
 // routing tables (dist.Tables2) once, so every run of the plan — each
-// job, each attempt of a resilient run — routes through one set of
+// job, each attempt after a rank loss — routes through one set of
 // tables. The runs' rank state is kept too: a closed run's kit waits on
 // a bounded free list for the plan's next run (kit.go).
 type Lowered struct {
@@ -260,27 +275,17 @@ func Lower(p *plan.Program) (*Lowered, error) {
 	return l, nil
 }
 
-// Start says how RunLowered starts a lowered program. The zero value is a
-// fresh run, as RunCtx.
-type Start struct {
-	// Resume restarts from the last globally consistent checkpoint, as
-	// ResumeCtx.
-	Resume bool
-	// Resilient survives up to MaxRecoveries fail-stop rank losses, as
-	// RunResilientCtx; with Resume, its first attempt resumes.
-	Resilient     bool
-	MaxRecoveries int
-}
-
 // RunLowered runs an already-lowered program, the one path under RunCtx,
-// ResumeCtx and RunResilientCtx, which lower and then call it. Without
-// Start.Resilient the result has one attempt and no recoveries.
-func RunLowered(ctx context.Context, l *Lowered, mach sim.Config, opts Options, start Start) (*ResilientResult, error) {
+// which lowers and then calls it. With Options.Resume the first attempt
+// restarts from the last consistent checkpoint; the rank losses
+// Options.Kill schedules are survived when Checkpoint and Parity are both
+// set (survive.go).
+func RunLowered(ctx context.Context, l *Lowered, mach sim.Config, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	var manifests []*ckptManifest
-	if start.Resume {
+	if opts.Resume {
 		if opts.Checkpoint == nil {
 			return nil, fmt.Errorf("exec: Resume requires Options.Checkpoint")
 		}
@@ -292,53 +297,20 @@ func RunLowered(ctx context.Context, l *Lowered, mach sim.Config, opts Options, 
 			return nil, err
 		}
 	}
-	if start.Resilient {
-		return runResilient(ctx, l, mach, opts, start.MaxRecoveries, manifests)
+	if opts.FS == nil {
+		// Every attempt of the run works on one backing store.
+		opts.FS = iosim.NewMemFS()
 	}
-	res, err := run(ctx, l, mach, opts, manifests, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &ResilientResult{Result: res, Attempts: 1, Trace: opts.Trace}, nil
+	return survive(ctx, l, mach, opts, manifests)
 }
 
-// lowerAndRun is every plan-taking entry point: lower, then RunLowered.
-func lowerAndRun(ctx context.Context, p *plan.Program, mach sim.Config, opts Options, start Start) (*ResilientResult, error) {
-	l, err := Lower(p)
-	if err != nil {
-		return nil, err
-	}
-	return RunLowered(ctx, l, mach, opts, start)
-}
-
-// Resume restarts a killed or failed checkpointed run from its last
-// globally consistent checkpoint. Options must name the original backing
-// FS and the same CheckpointSpec; pass the original Resilience too so
-// the checksum store carries over. It returns ErrNoCheckpoint (wrapped)
-// when no complete checkpoint epoch exists.
-func Resume(p *plan.Program, mach sim.Config, opts Options) (*Result, error) {
-	return ResumeCtx(context.Background(), p, mach, opts)
-}
-
-// ResumeCtx is Resume under a context, with RunCtx's cancellation
-// semantics. The serving layer resumes journaled jobs that were RUNNING
-// at crash time the same way, through RunLowered with Start.Resume, so
-// they keep their per-job deadlines.
-func ResumeCtx(ctx context.Context, p *plan.Program, mach sim.Config, opts Options) (*Result, error) {
-	rr, err := lowerAndRun(ctx, p, mach, opts, Start{Resume: true})
-	if err != nil {
-		return nil, err
-	}
-	return rr.Result, nil
-}
-
-// run executes the program's opcode stream, optionally restarting every
-// processor from its entry in resume (indexed by rank; nil means a fresh
-// run). respawned lists ranks restarted after a fail-stop loss — they
-// record a respawn instant at attempt start. On failure the partial
-// Result (with the attempt's statistics) is returned alongside the error
-// so the recovery loop can report and reconcile aborted attempts; the
-// exported entry points discard it.
+// run executes one attempt of the program's opcode stream on opts.FS,
+// optionally restarting every processor from its entry in resume
+// (indexed by rank; nil means a fresh run). respawned lists ranks
+// restarted after a fail-stop loss — they record a respawn instant at
+// attempt start. On failure the partial Result (with the attempt's
+// statistics) is returned alongside the error so the recovery loop can
+// report and reconcile aborted attempts.
 func run(ctx context.Context, l *Lowered, mach sim.Config, opts Options, resume []*ckptManifest, respawned []int) (*Result, error) {
 	p, code, mutated, dmaps := l.prog, l.code, l.mutated, l.dmaps
 	mach.Procs = p.Procs
@@ -349,7 +321,7 @@ func run(ctx context.Context, l *Lowered, mach sim.Config, opts Options, resume 
 	if resume != nil {
 		restores = make([]*restored, len(resume))
 		for rank, m := range resume {
-			r, err := resolveManifest(code, dmaps, rank, m)
+			r, err := resolveManifest(code, dmaps, rank, m, opts.RestoreStats)
 			if err != nil {
 				return nil, err
 			}
@@ -357,9 +329,6 @@ func run(ctx context.Context, l *Lowered, mach sim.Config, opts Options, resume 
 		}
 	}
 	fs := opts.FS
-	if fs == nil {
-		fs = iosim.NewMemFS()
-	}
 	var pstore *parity.Store
 	if opts.Parity {
 		pstore = parity.NewStore(fs, mach, p.Procs, opts.Resilience)
@@ -521,8 +490,8 @@ type interp struct {
 	// ckptSpec/ckptEpoch drive checkpointing; ckptSpec is nil when
 	// checkpointing is off. ckptHook observes committed epochs on rank 0;
 	// restoreStats requests exact clock/counter restoration on resume and
-	// statsRestored records that it actually happened (the manifest
-	// carried a stats snapshot). mutated is what a checkpoint snapshots.
+	// statsRestored records that it happened (the run resumed). mutated
+	// is what a checkpoint snapshots.
 	ckptSpec      *CheckpointSpec
 	ckptEpoch     int
 	ckptHook      func(epoch int)

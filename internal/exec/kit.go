@@ -13,7 +13,8 @@ import (
 // into, one block for all ranks. A run takes one from its Lowered and
 // Result.Close gives it back, so the plan's next run — a served job's —
 // makes none of it. A Result that is never closed (an aborted attempt of
-// a resilient run, whose Recovery.PerArray stays valid) keeps its kit,
+// a run that survived a rank loss, whose Recovery.PerArray stays valid)
+// keeps its kit,
 // and the garbage collector reclaims both.
 type kit struct {
 	interps  []*interp

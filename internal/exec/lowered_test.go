@@ -42,11 +42,7 @@ func TestRunsOfOneLoweredShareMappings(t *testing.T) {
 				t.Fatal(err)
 			}
 			runOnce := func() (*Result, error) {
-				rr, err := RunLowered(context.Background(), l, sim.Delta(procs), Options{Fill: fills}, Start{})
-				if err != nil {
-					return nil, err
-				}
-				return rr.Result, nil
+				return RunLowered(context.Background(), l, sim.Delta(procs), Options{Fill: fills})
 			}
 			results := make([]*Result, 4)
 			errs := make([]error, 4)

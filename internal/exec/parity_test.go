@@ -203,7 +203,7 @@ func TestRedistributeCrashResumeProperty(t *testing.T) {
 		if _, err := Run(cres.Program, mach, Options{FS: killed, Fill: fills, Checkpoint: ckpt}); err == nil {
 			continue // budget k happened to suffice
 		}
-		out, err := Resume(cres.Program, mach, Options{FS: mem, Fill: fills, Checkpoint: ckpt})
+		out, err := Run(cres.Program, mach, Options{FS: mem, Fill: fills, Checkpoint: ckpt, Resume: true})
 		if errors.Is(err, ErrNoCheckpoint) {
 			continue // killed before the initial commit
 		}

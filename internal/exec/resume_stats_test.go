@@ -84,8 +84,8 @@ func TestResumeRestoreStatsBitwise(t *testing.T) {
 					// run completed. Nothing to resume.
 					continue
 				}
-				out, err := ResumeCtx(context.Background(), res.Program, mach, Options{
-					FS: mem, Fill: sweepFills(), Checkpoint: ckpt, RestoreStats: true,
+				out, err := Run(res.Program, mach, Options{
+					FS: mem, Fill: sweepFills(), Checkpoint: ckpt, Resume: true, RestoreStats: true,
 				})
 				if err != nil {
 					t.Fatalf("crashAt=%d: resume: %v", crashAt, err)
@@ -144,12 +144,8 @@ func TestResumeRestoreStatsTwice(t *testing.T) {
 				}
 			},
 		}
-		var err error
-		if resume {
-			_, err = ResumeCtx(ctx, res.Program, mach, opts)
-		} else {
-			_, err = RunCtx(ctx, res.Program, mach, opts)
-		}
+		opts.Resume = resume
+		_, err := RunCtx(ctx, res.Program, mach, opts)
 		return err
 	}
 	if err := crash(1, false); err == nil {
@@ -158,8 +154,8 @@ func TestResumeRestoreStatsTwice(t *testing.T) {
 	if err := crash(epochs-1, true); err == nil {
 		t.Fatal("second crash did not interrupt the resumed run")
 	}
-	out, err := ResumeCtx(context.Background(), res.Program, mach, Options{
-		FS: mem, Fill: sweepFills(), Checkpoint: ckpt, RestoreStats: true,
+	out, err := Run(res.Program, mach, Options{
+		FS: mem, Fill: sweepFills(), Checkpoint: ckpt, Resume: true, RestoreStats: true,
 	})
 	if err != nil {
 		t.Fatal(err)

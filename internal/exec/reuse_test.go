@@ -68,11 +68,11 @@ type reuseScenario struct {
 func reuseScenarios(killOp, cancelAt int64) []reuseScenario {
 	mach := sim.Delta(4)
 	plain := func(l *Lowered, opts Options) ([]string, error) {
-		rr, err := RunLowered(context.Background(), l, mach, opts, Start{})
+		rr, err := RunLowered(context.Background(), l, mach, opts)
 		if err != nil {
 			return nil, err
 		}
-		o, err := outcome(rr.Result, opts.Trace)
+		o, err := outcome(rr, opts.Trace)
 		if cerr := rr.Close(); err == nil {
 			err = cerr
 		}
@@ -93,7 +93,7 @@ func reuseScenarios(killOp, cancelAt int64) []reuseScenario {
 			opts := surviveOptions(iosim.NewMemFS())
 			opts.Kill = []mp.KillSpec{{Rank: 1, Op: killOp}}
 			opts.Trace = trace.NewTracer(4)
-			rr, err := RunLowered(context.Background(), l, mach, opts, Start{Resilient: true, MaxRecoveries: 1})
+			rr, err := RunLowered(context.Background(), l, mach, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -110,7 +110,7 @@ func reuseScenarios(killOp, cancelAt int64) []reuseScenario {
 				return nil, err
 			}
 			got = append(got, string(aborted))
-			o, err := outcome(rr.Result, rr.Trace)
+			o, err := outcome(rr, rr.Trace)
 			if err != nil {
 				return nil, err
 			}
@@ -118,12 +118,12 @@ func reuseScenarios(killOp, cancelAt int64) []reuseScenario {
 			// The recovered run's checkpoints are still on disk: resume
 			// from the last of them.
 			ropts := surviveOptions(opts.FS)
-			ropts.Resilience, ropts.RestoreStats = opts.Resilience, true
-			resumed, err := RunLowered(context.Background(), l, mach, ropts, Start{Resume: true})
+			ropts.Resilience, ropts.Resume, ropts.RestoreStats = opts.Resilience, true, true
+			resumed, err := RunLowered(context.Background(), l, mach, ropts)
 			if err != nil {
 				return nil, err
 			}
-			o, err = outcome(resumed.Result, nil)
+			o, err = outcome(resumed, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -133,7 +133,7 @@ func reuseScenarios(killOp, cancelAt int64) []reuseScenario {
 		{"cancelled", func(l *Lowered) ([]string, error) {
 			ctx, fs := cancelAtOp(cancelAt)
 			fs.only = ".p0."
-			_, err := RunLowered(ctx, l, mach, Options{FS: fs, Fill: sweepFills()}, Start{})
+			_, err := RunLowered(ctx, l, mach, Options{FS: fs, Fill: sweepFills()})
 			if !errors.Is(err, context.Canceled) {
 				return nil, fmt.Errorf("the run was to be cancelled at rank 0's file operation %d: %v", cancelAt, err)
 			}
@@ -214,7 +214,7 @@ func TestLoweredReuseIsInvisible(t *testing.T) {
 	}
 	wg.Wait()
 
-	rr, err := RunLowered(context.Background(), used, sim.Delta(4), Options{Fill: sweepFills()}, Start{})
+	rr, err := RunLowered(context.Background(), used, sim.Delta(4), Options{Fill: sweepFills()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestLoweredReuseIsInvisible(t *testing.T) {
 // scalePhantomAllocs is the allocation count of the second run of the
 // scale_phantom benchmark's job on one Lowered (GAXPY N=512, P=64,
 // phantom), as measured with Go 1.24 on linux/amd64.
-const scalePhantomAllocs = 1849
+const scalePhantomAllocs = 1848
 
 // TestSecondScalePhantomRunAllocs pins the allocations of a served
 // scale_phantom job's run once its plan has run before: what is left is
@@ -256,7 +256,7 @@ func TestSecondScalePhantomRunAllocs(t *testing.T) {
 	defer cancel()
 	var runErr error
 	allocs := testing.AllocsPerRun(5, func() {
-		rr, err := RunLowered(ctx, l, sim.Delta(64), Options{Phantom: true}, Start{})
+		rr, err := RunLowered(ctx, l, sim.Delta(64), Options{Phantom: true})
 		if err != nil {
 			runErr = err
 			return

@@ -317,7 +317,7 @@ func TestShiftChainResumesAtEveryEpoch(t *testing.T) {
 			if err == nil {
 				t.Fatalf("%s: run cancelled at epoch %d completed", tc.name, cancelAt)
 			}
-			out, err := Resume(tc.res.Program, mach, Options{Fill: tc.fills(), FS: fs, Checkpoint: spec})
+			out, err := Run(tc.res.Program, mach, Options{Fill: tc.fills(), FS: fs, Checkpoint: spec, Resume: true})
 			if err != nil {
 				t.Fatalf("%s: resume from epoch %d: %v", tc.name, cancelAt, err)
 			}

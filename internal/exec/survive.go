@@ -10,7 +10,6 @@ import (
 	"github.com/ooc-hpf/passion/internal/mp"
 	"github.com/ooc-hpf/passion/internal/oocarray"
 	"github.com/ooc-hpf/passion/internal/parity"
-	"github.com/ooc-hpf/passion/internal/plan"
 	"github.com/ooc-hpf/passion/internal/sim"
 	"github.com/ooc-hpf/passion/internal/trace"
 )
@@ -36,75 +35,34 @@ type Recovery struct {
 	RebuildIO      trace.IOStats
 }
 
-// ResilientResult is a run that completed despite zero or more fail-stop
-// rank losses.
-type ResilientResult struct {
-	*Result
-	// Attempts counts executions of the program body (1 = no failure).
-	Attempts int
-	// Recoveries describes each survived loss, in order.
-	Recoveries []Recovery
-	// Trace is the successful attempt's tracer (nil unless Options.Trace
-	// was set); aborted attempts' tracers live in Recoveries.
-	Trace *trace.Tracer
-}
-
-// RunResilient executes the program, surviving up to maxRecoveries
-// fail-stop rank losses. Each loss runs the full recovery pipeline: the
-// survivors detect the dead ranks after the heartbeat timeout, the run
-// aborts, the dead ranks' local array files are reconstructed offline
-// from rotated parity (Options.Parity), the dead ranks are respawned,
-// and the program resumes from its last consistent checkpoint
-// (Options.Checkpoint). The final arrays are bitwise identical to a
-// failure-free run's.
+// survive is RunLowered's one run loop; manifests, when non-nil, are
+// what the first attempt resumes from. An attempt that loses ranks to
+// Options.Kill, under both Checkpoint and Parity, runs the full recovery
+// pipeline: the survivors detect the dead ranks after the heartbeat
+// timeout, the attempt aborts, the dead ranks' local array files are
+// reconstructed offline from rotated parity, the dead ranks are
+// respawned, and the program resumes from its last consistent
+// checkpoint. The final arrays are bitwise identical to a failure-free
+// run's. Each fired kill is pruned before the next attempt, so there are
+// at most len(Options.Kill) recoveries.
 //
-// Options.Trace, when non-nil, acts as an enable flag: every attempt
-// gets a fresh tracer so aborted and successful timelines stay separate
-// (the caller's tracer itself is not used). Failures past maxRecoveries,
-// non-failure errors, and losses without both Checkpoint and Parity
-// configured are returned as errors, joined with any recovery context.
-func RunResilient(p *plan.Program, mach sim.Config, opts Options, maxRecoveries int) (*ResilientResult, error) {
-	return RunResilientCtx(context.Background(), p, mach, opts, maxRecoveries)
-}
-
-// RunResilientCtx is RunResilient under a context: cancellation stops
-// the in-flight attempt at the next op boundary and also ends the
-// recovery loop — a cancelled job must not rebuild disks and relaunch
-// itself. The returned error wraps ctx.Err().
-func RunResilientCtx(ctx context.Context, p *plan.Program, mach sim.Config, opts Options, maxRecoveries int) (*ResilientResult, error) {
-	return lowerAndRun(ctx, p, mach, opts, Start{Resilient: true, MaxRecoveries: maxRecoveries})
-}
-
-// runResilient is RunLowered's recovery loop; manifests, when non-nil,
-// are what the first attempt resumes from.
-func runResilient(ctx context.Context, l *Lowered, mach sim.Config, opts Options, maxRecoveries int, manifests []*ckptManifest) (*ResilientResult, error) {
-	if opts.FS == nil {
-		// Recovery spans several runs over one backing store.
-		opts.FS = iosim.NewMemFS()
-	}
-	p := l.prog
-	traceOn := opts.Trace != nil
-	rr := &ResilientResult{}
-	respawned := []int(nil)
+// The first attempt records into Options.Trace; each later one gets a
+// fresh tracer that adopts the previous one's sink state, so aborted and
+// successful timelines stay separate while a streaming consumer sees
+// every attempt's spans and the caller's CloseSink drains them all.
+//
+// Any other error, a loss without both protections, and a loss under a
+// cancelled context (a cancelled job must not rebuild disks and relaunch
+// itself) end the run.
+func survive(ctx context.Context, l *Lowered, mach sim.Config, opts Options, manifests []*ckptManifest) (*Result, error) {
+	kills := len(opts.Kill)
+	var recs []Recovery
+	var respawned []int
 	for {
-		if traceOn {
-			// Fresh tracer per attempt, but one live stream for the whole
-			// job: the new tracer adopts the previous one's sink state (the
-			// caller's on attempt 1), so a streaming consumer sees every
-			// attempt's spans and the caller's CloseSink drains them all.
-			prev := opts.Trace
-			opts.Trace = trace.NewTracer(p.Procs)
-			opts.Trace.AdoptSink(prev)
-		}
-		rr.Attempts++
 		res, err := run(ctx, l, mach, opts, manifests, respawned)
 		if err == nil {
-			rr.Result = res
-			rr.Trace = opts.Trace
-			return rr, nil
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("exec: recovery abandoned: %w", errors.Join(cerr, err))
+			res.Attempts, res.Recoveries, res.Trace = len(recs)+1, recs, opts.Trace
+			return res, nil
 		}
 		var rf *mp.RankFailure
 		if !errors.As(err, &rf) || len(rf.Failed) == 0 {
@@ -113,21 +71,20 @@ func runResilient(ctx context.Context, l *Lowered, mach sim.Config, opts Options
 		if opts.Checkpoint == nil || !opts.Parity {
 			return nil, fmt.Errorf("exec: rank loss without checkpoint+parity protection is unrecoverable: %w", err)
 		}
-		if len(rr.Recoveries) >= maxRecoveries {
-			return nil, fmt.Errorf("exec: recovery limit (%d) exceeded: %w", maxRecoveries, err)
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, errors.Join(cerr, err)
 		}
-		rec := Recovery{Failed: rf.Failed, Err: err, Trace: opts.Trace}
-		if res != nil {
-			rec.Stats = res.Stats
-			rec.PerArray = res.PerArray
+		if len(recs) == kills {
+			return nil, fmt.Errorf("exec: rank loss beyond the kill schedule: %w", err)
 		}
+		rec := Recovery{Failed: rf.Failed, Err: err, Stats: res.Stats, PerArray: res.PerArray, Trace: opts.Trace}
 		sec, io, rerr := rebuildRanks(opts.FS, l, mach, opts, rf.Failed)
 		rec.RebuildSeconds, rec.RebuildIO = sec, io
-		rr.Recoveries = append(rr.Recoveries, rec)
+		recs = append(recs, rec)
 		if rerr != nil {
 			return nil, fmt.Errorf("exec: rebuilding ranks %v: %w", rf.Failed, errors.Join(rerr, err))
 		}
-		manifests, rerr = loadResumeManifests(opts.FS, opts.Checkpoint, p.Procs)
+		manifests, rerr = loadResumeManifests(opts.FS, opts.Checkpoint, l.prog.Procs)
 		if errors.Is(rerr, ErrNoCheckpoint) {
 			// Killed before the first commit: nothing to resume from, so
 			// the next attempt restarts from scratch (deterministic, so
@@ -139,6 +96,11 @@ func runResilient(ctx context.Context, l *Lowered, mach sim.Config, opts Options
 		}
 		opts.Kill = pruneFired(opts.Kill, err)
 		respawned = rf.Failed
+		if opts.Trace != nil {
+			prev := opts.Trace
+			opts.Trace = trace.NewTracer(l.prog.Procs)
+			opts.Trace.AdoptSink(prev)
+		}
 	}
 }
 

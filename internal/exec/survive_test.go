@@ -1,13 +1,17 @@
 package exec
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/ooc-hpf/passion/internal/compiler"
 	"github.com/ooc-hpf/passion/internal/iosim"
 	"github.com/ooc-hpf/passion/internal/mp"
+	"github.com/ooc-hpf/passion/internal/oocarray"
 	"github.com/ooc-hpf/passion/internal/sim"
 	"github.com/ooc-hpf/passion/internal/trace"
 )
@@ -41,6 +45,24 @@ func probeOpCounts(t *testing.T, res *compiler.Result) []int64 {
 	return counts
 }
 
+// rebuildProbe is a chaos store that notes the survivor file's op count
+// at the first removal of the dead file — the rebuild pre-pass's first
+// step.
+type rebuildProbe struct {
+	*iosim.ChaosFS
+	dead, survivor string
+	once           sync.Once
+	seen           bool
+	at             int64
+}
+
+func (p *rebuildProbe) Remove(name string) error {
+	if name == p.dead {
+		p.once.Do(func() { p.seen, p.at = true, p.ChaosFS.FileOps(p.survivor) })
+	}
+	return p.ChaosFS.Remove(name)
+}
+
 // TestRunResilientSurvivesSingleKill is the end-to-end recovery pipeline:
 // a rank killed mid-run is detected, agreed on, its disk rebuilt from
 // parity, and the run resumed from the last checkpoint — with the final
@@ -58,9 +80,9 @@ func TestRunResilientSurvivesSingleKill(t *testing.T) {
 			opts := surviveOptions(iosim.NewMemFS())
 			opts.Kill = []mp.KillSpec{{Rank: victim, Op: counts[victim] / 2}}
 			opts.Trace = trace.NewTracer(res.Program.Procs)
-			out, err := RunResilient(res.Program, mach, opts, 1)
+			out, err := Run(res.Program, mach, opts)
 			if err != nil {
-				t.Fatalf("RunResilient: %v", err)
+				t.Fatalf("Run: %v", err)
 			}
 			if out.Attempts != 2 || len(out.Recoveries) != 1 {
 				t.Fatalf("attempts=%d recoveries=%d, want 2/1", out.Attempts, len(out.Recoveries))
@@ -132,7 +154,7 @@ func TestRunResilientKillSweep(t *testing.T) {
 	for op := int64(0); op < counts[victim]; op += step {
 		opts := surviveOptions(iosim.NewMemFS())
 		opts.Kill = []mp.KillSpec{{Rank: victim, Op: op}}
-		out, err := RunResilient(res.Program, mach, opts, 1)
+		out, err := Run(res.Program, mach, opts)
 		if err != nil {
 			t.Fatalf("op %d: %v", op, err)
 		}
@@ -151,9 +173,8 @@ func TestRunResilientKillSweep(t *testing.T) {
 }
 
 // TestRunResilientSecondKillDuringRecovery injects a second rank death
-// into the resumed attempt (a failure during recovery): with budget it
-// recovers twice and still produces the bitwise-correct result; without
-// budget it exits with a clean joined error — never a hang.
+// into the resumed attempt (a failure during recovery): the run recovers
+// twice and still produces the bitwise-correct result — never a hang.
 func TestRunResilientSecondKillDuringRecovery(t *testing.T) {
 	res := chaosProgram(t, "row-slab")
 	want := baselineC(t, res)
@@ -169,9 +190,9 @@ func TestRunResilientSecondKillDuringRecovery(t *testing.T) {
 
 	opts := surviveOptions(iosim.NewMemFS())
 	opts.Kill = kills
-	out, err := RunResilient(res.Program, mach, opts, 2)
+	out, err := Run(res.Program, mach, opts)
 	if err != nil {
-		t.Fatalf("double kill with budget 2: %v", err)
+		t.Fatalf("double kill: %v", err)
 	}
 	if out.Attempts != 3 || len(out.Recoveries) != 2 {
 		t.Fatalf("attempts=%d recoveries=%d, want 3/2", out.Attempts, len(out.Recoveries))
@@ -184,14 +205,6 @@ func TestRunResilientSecondKillDuringRecovery(t *testing.T) {
 		t.Fatalf("double-recovered run diverged: %v", err)
 	}
 	out.Close()
-
-	opts = surviveOptions(iosim.NewMemFS())
-	opts.Kill = kills
-	if _, err := RunResilient(res.Program, mach, opts, 1); err == nil {
-		t.Fatal("recovery budget 1 must not absorb two failures")
-	} else if !strings.Contains(err.Error(), "recovery limit") {
-		t.Fatalf("want recovery-limit error, got: %v", err)
-	}
 }
 
 // TestRunResilientSecondFailureMidRebuild loses a survivor's disk while
@@ -205,27 +218,33 @@ func TestRunResilientSecondFailureMidRebuild(t *testing.T) {
 	victim := 1
 	kill := []mp.KillSpec{{Rank: victim, Op: counts[victim] / 2}}
 
-	// Probe: replay just the aborted attempt to learn how many chaos ops
-	// the survivor's file sees before the rebuild pre-pass starts.
+	// Probe: survive the same loss once to learn how many chaos ops the
+	// survivor's file has seen when the rebuild pre-pass starts, which it
+	// does by removing the dead rank's files.
 	survivorFile := "a.p0.laf"
-	probe := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{})
+	probe := &rebuildProbe{ChaosFS: iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{}),
+		dead: oocarray.FileName(res.Program.Arrays[0].Name, victim), survivor: survivorFile}
 	popts := surviveOptions(probe)
 	popts.Kill = kill
-	if _, err := Run(res.Program, mach, popts); err == nil {
-		t.Fatal("probe kill run unexpectedly completed")
+	out, err := Run(res.Program, mach, popts)
+	if err != nil {
+		t.Fatalf("probe run: %v", err)
 	}
-	preRebuild := probe.FileOps(survivorFile)
+	out.Close()
+	if !probe.seen {
+		t.Fatal("the probe run never removed the dead rank's file")
+	}
+	preRebuild := probe.at
 
-	// The same run under RunResilient reaches the rebuild pre-pass with
-	// identical per-file op counts (the simulation is deterministic), so
-	// a loss scheduled just past them fires during the rebuild's gather
-	// reads.
+	// The same run reaches the rebuild pre-pass with identical per-file
+	// op counts (the simulation is deterministic), so a loss scheduled
+	// just past them fires during the rebuild's gather reads.
 	chaos := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{
 		Schedule: []iosim.ScheduledFault{{File: survivorFile, Op: preRebuild + 1, Kind: iosim.KindDiskLoss}},
 	})
 	opts := surviveOptions(chaos)
 	opts.Kill = kill
-	_, err := RunResilient(res.Program, mach, opts, 1)
+	_, err = Run(res.Program, mach, opts)
 	if err == nil {
 		t.Fatal("double fault mid-rebuild must fail the run")
 	}
@@ -254,9 +273,7 @@ func TestRunResilientUnprotectedDies(t *testing.T) {
 		Fill: sweepFills(),
 		Kill: kill,
 	}
-	_, err := RunResilient(res.Program, mach, Options{
-		Fill: opts.Fill, Kill: kill,
-	}, 4)
+	_, err := Run(res.Program, mach, opts)
 	if err == nil {
 		t.Fatal("unprotected rank loss must fail")
 	}
@@ -264,8 +281,7 @@ func TestRunResilientUnprotectedDies(t *testing.T) {
 		t.Fatalf("want unrecoverable error, got: %v", err)
 	}
 
-	// Plain Run reports the typed failure too.
-	_, err = Run(res.Program, mach, opts)
+	// The typed failure stays in the chain.
 	var rf *mp.RankFailure
 	if !errors.As(err, &rf) || len(rf.Failed) != 1 || rf.Failed[0] != 1 {
 		t.Fatalf("plain killed run: failed set not surfaced: %v", err)
@@ -273,7 +289,7 @@ func TestRunResilientUnprotectedDies(t *testing.T) {
 }
 
 // TestRunResilientNoFailureMatchesRun pins the zero-failure path: with a
-// kill schedule that never fires, RunResilient is a plain run — one
+// kill schedule that never fires, a protected run is a plain run — one
 // attempt, no recoveries, bitwise-identical output.
 func TestRunResilientNoFailureMatchesRun(t *testing.T) {
 	res := chaosProgram(t, "column-slab")
@@ -282,7 +298,7 @@ func TestRunResilientNoFailureMatchesRun(t *testing.T) {
 
 	opts := surviveOptions(iosim.NewMemFS())
 	opts.Kill = []mp.KillSpec{{Rank: 0, Op: 1 << 40}}
-	out, err := RunResilient(res.Program, mach, opts, 1)
+	out, err := Run(res.Program, mach, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,4 +313,151 @@ func TestRunResilientNoFailureMatchesRun(t *testing.T) {
 		t.Fatalf("no-failure resilient run diverged: %v", err)
 	}
 	out.Close()
+}
+
+// TestResumeSurvivesKill: a resume under a kill schedule starts from the
+// committed checkpoint — its first commit is the epoch after the
+// manifest's, where a fresh start commits epoch 0 first — survives the
+// loss, and ends bitwise equal to the failure-free run.
+func TestResumeSurvivesKill(t *testing.T) {
+	// Column-slab commits epochs 0 to 4; row-slab only 0 and 1.
+	res := chaosProgram(t, "column-slab")
+	want := baselineC(t, res)
+	mach := sim.Delta(res.Program.Procs)
+	protected := func(fs iosim.FS) Options {
+		return Options{FS: fs, Fill: sweepFills(), Checkpoint: &CheckpointSpec{Every: 1}, Parity: true}
+	}
+
+	// committed returns a store that a run cancelled right after
+	// committing epoch 1 left behind.
+	const committedEpoch = 1
+	committed := func() iosim.FS {
+		t.Helper()
+		mem := iosim.NewMemFS()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		opts := protected(mem)
+		opts.CkptHook = func(epoch int) {
+			if epoch == committedEpoch {
+				cancel()
+			}
+		}
+		if _, err := RunCtx(ctx, res.Program, mach, opts); !errors.Is(err, context.Canceled) {
+			t.Fatalf("the run was to be cancelled after epoch %d: %v", committedEpoch, err)
+		}
+		return mem
+	}
+
+	// The resumed run's op space, where the kill must land.
+	counts := make([]int64, res.Program.Procs)
+	opts := protected(committed())
+	opts.Resume, opts.OpCounts = true, counts
+	out, err := Run(res.Program, mach, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.Close()
+
+	const victim = 1
+	var epochs []int
+	opts = protected(committed())
+	opts.Resume = true
+	opts.Kill = []mp.KillSpec{{Rank: victim, Op: counts[victim] / 2}}
+	opts.CkptHook = func(epoch int) { epochs = append(epochs, epoch) }
+	out, err = Run(res.Program, mach, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	if out.Attempts != 2 || len(out.Recoveries) != 1 || out.Recoveries[0].Failed[0] != victim {
+		t.Fatalf("attempts=%d recoveries=%+v, want one survived loss of rank %d", out.Attempts, out.Recoveries, victim)
+	}
+	if len(epochs) == 0 || epochs[0] != committedEpoch+1 {
+		t.Fatalf("committed epochs %v: the first attempt did not resume after epoch %d", epochs, committedEpoch)
+	}
+	got, err := out.ReadArray("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := matricesIdentical(got, want); err != nil {
+		t.Fatalf("diverged from the failure-free run: %v", err)
+	}
+}
+
+// TestSurvivedLossHandsTracerOn: without a loss the run records into
+// Options.Trace; after one, the aborted attempt's spans are in the
+// caller's tracer and the successful attempt's in a fresh one. Each
+// timeline reconciles with its own statistics, and the one live stream
+// carries every attempt's spans exactly once.
+func TestSurvivedLossHandsTracerOn(t *testing.T) {
+	res := chaosProgram(t, "row-slab")
+	mach := sim.Delta(res.Program.Procs)
+	counts := probeOpCounts(t, res)
+
+	opts := surviveOptions(iosim.NewMemFS())
+	opts.Trace = trace.NewTracer(res.Program.Procs)
+	out, err := Run(res.Program, mach, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Trace != opts.Trace {
+		t.Error("a run without a loss does not hand back the caller's tracer")
+	}
+	out.Close()
+
+	var stream bytes.Buffer
+	opts = surviveOptions(iosim.NewMemFS())
+	opts.Kill = []mp.KillSpec{{Rank: 2, Op: counts[2] / 2}}
+	caller := trace.NewTracer(res.Program.Procs)
+	caller.SetSinkBlocking(trace.NewNDJSONSink(&stream), 0)
+	opts.Trace = caller
+	out, err = Run(res.Program, mach, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	if err := caller.CloseSink(); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Recoveries) != 1 {
+		t.Fatalf("%d recoveries, want 1", len(out.Recoveries))
+	}
+	rec := out.Recoveries[0]
+	if rec.Trace != caller {
+		t.Error("the aborted attempt did not record into the caller's tracer")
+	}
+	if out.Trace == nil || out.Trace == caller {
+		t.Fatal("the successful attempt did not record into a fresh tracer")
+	}
+	aborted, success := caller.Spans(), out.Trace.Spans()
+	if len(aborted) == 0 || len(success) == 0 {
+		t.Fatalf("aborted attempt %d spans, successful %d", len(aborted), len(success))
+	}
+	if err := trace.Reconcile(aborted, rec.Stats, rec.PerArray); err != nil {
+		t.Fatalf("aborted attempt does not reconcile:\n%v", err)
+	}
+	if err := trace.Reconcile(success, out.Stats, out.PerArray); err != nil {
+		t.Fatalf("successful attempt does not reconcile:\n%v", err)
+	}
+
+	streamed, _, dropped, err := trace.ParseNDJSON(&stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dropped != 0 {
+		t.Fatalf("the stream dropped %d spans", dropped)
+	}
+	left := map[trace.Span]int{}
+	for _, sp := range append(aborted, success...) {
+		left[sp]++
+	}
+	for _, sp := range streamed {
+		if left[sp] == 0 {
+			t.Fatalf("streamed span %+v is not an attempt's, or is streamed twice", sp)
+		}
+		left[sp]--
+	}
+	if len(streamed) != len(aborted)+len(success) {
+		t.Fatalf("the stream carries %d spans, the attempts %d + %d", len(streamed), len(aborted), len(success))
+	}
 }

@@ -228,7 +228,8 @@ func killAndResume(t *testing.T, res *compiler.Result, mach sim.Config, opts Opt
 			resumeOpts := opts
 			resumeOpts.FS = copyMemFS(t, mem)
 			resumeOpts.Trace = tr
-			out, err := Resume(res.Program, mach, resumeOpts)
+			resumeOpts.Resume = true
+			out, err := Run(res.Program, mach, resumeOpts)
 			if err != nil {
 				break // killed mid-commit or before the first checkpoint
 			}

@@ -37,7 +37,7 @@ type witnessScenario struct {
 	outputs []string
 	// mode selects the run shape: "" is one Run; "kill-resume" cancels
 	// the run from CkptHook at witnessKillEpoch and finishes it with
-	// Resume; "kill-rank" loses a rank mid-run under RunResilient.
+	// resume; "kill-rank" loses a rank mid-run and survives it.
 	mode string
 }
 
@@ -311,7 +311,8 @@ func (sc *witnessScenario) record(t *testing.T) []string {
 			t.Fatalf("run cancelled at epoch %d completed", witnessKillEpoch)
 		}
 		opts := w.runOpts(t, 0, nil)
-		out, err := Resume(p, mach, opts)
+		opts.Resume = true
+		out, err := Run(p, mach, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +329,7 @@ func (sc *witnessScenario) record(t *testing.T) []string {
 		const victim = 1
 		opts := w.runOpts(t, 0, nil)
 		opts.Kill = []mp.KillSpec{{Rank: victim, Op: probe.OpCounts[victim] / 2}}
-		rr, err := RunResilient(p, mach, opts, 1)
+		rr, err := Run(p, mach, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +338,7 @@ func (sc *witnessScenario) record(t *testing.T) []string {
 			lines = append(lines, fmt.Sprintf("recovery failed %v rebuild_s %016x rebuild_io %s",
 				rec.Failed, math.Float64bits(rec.RebuildSeconds), jsonSum(t, rec.RebuildIO)))
 		}
-		lines = append(lines, w.observe(t, rr.Result, rr.Trace, opts.OpCounts)...)
+		lines = append(lines, w.observe(t, rr, rr.Trace, opts.OpCounts)...)
 
 	default:
 		t.Fatalf("unknown witness mode %q", sc.mode)

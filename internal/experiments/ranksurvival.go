@@ -225,7 +225,7 @@ func runRankSurvival(k *rankKernel, mach sim.Config, victim int, op int64, p Par
 	opts := rankSurvivalOptions(k, p)
 	opts.Kill = []mp.KillSpec{{Rank: victim, Op: op}}
 	opts.Trace = trace.NewTracer(k.cres.Program.Procs)
-	out, err := exec.RunResilient(k.cres.Program, mach, opts, 1)
+	out, err := exec.Run(k.cres.Program, mach, opts)
 	if err != nil {
 		row.Err = err.Error()
 		return row

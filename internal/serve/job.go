@@ -197,8 +197,8 @@ type Response struct {
 	// CacheHit reports whether the compiled plan came from the LRU
 	// cache rather than a fresh compilation.
 	CacheHit bool `json:"cache_hit"`
-	// Attempts and Recoveries are the resilient-run counters (1 and 0
-	// for an undisturbed run).
+	// Attempts and Recoveries are the run's exec.Result counters (1 and
+	// 0 for an undisturbed run).
 	Attempts   int `json:"attempts"`
 	Recoveries int `json:"recoveries"`
 	// Resumed reports that the run restarted from the exec checkpoints a

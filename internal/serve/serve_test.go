@@ -47,18 +47,9 @@ func directSnapshot(t *testing.T, req Request) []byte {
 		t.Fatal(err)
 	}
 	eopts.Fill = cliutil.FillsFor(res)
-	var out *exec.Result
-	if len(eopts.Kill) > 0 {
-		rout, rerr := exec.RunResilient(res.Program, mach, eopts, len(eopts.Kill))
-		if rerr != nil {
-			t.Fatal(rerr)
-		}
-		out = rout.Result
-	} else {
-		out, err = exec.Run(res.Program, mach, eopts)
-		if err != nil {
-			t.Fatal(err)
-		}
+	out, err := exec.Run(res.Program, mach, eopts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return mustJSON(t, out.Stats.Snapshot())
 }

@@ -798,8 +798,8 @@ func (s *Server) is(p phase) bool {
 // the canonical fills, and a per-job deadline. Resumable jobs on a
 // journaled server run against a durable per-attempt namespace of the
 // work store so a restart can pick up their exec checkpoints; everything
-// else runs on a fresh in-memory store. Jobs with a kill schedule run
-// the full recovery pipeline.
+// else runs on a fresh in-memory store. Jobs with a kill schedule under
+// checkpoint and parity survive the losses it schedules.
 func (s *Server) runJob(j *job) (*Response, error) {
 	ctx, cancel := context.WithTimeout(j.ctx, j.req.timeout(s.cfg.DefaultTimeout))
 	defer cancel()
@@ -834,9 +834,9 @@ func (s *Server) runJob(j *job) (*Response, error) {
 		// while the job runs. CloseSink on exit drains the hand-off
 		// queue, appends the stream trailer and finishes the stream on
 		// every path — including failures, where followers still get a
-		// well-terminated stream. The recovery path below reassigns
-		// tracer to the last attempt's tracer, which shares the same
-		// sink state via AdoptSink.
+		// well-terminated stream. A run that survives a rank loss hands
+		// back its last attempt's tracer, which shares the same sink
+		// state via AdoptSink; tracer is reassigned to it below.
 		st := s.openStream(j.id)
 		tracer.SetSink(&streamSink{st: st}, 0)
 		defer func() {
@@ -854,17 +854,13 @@ func (s *Server) runJob(j *job) (*Response, error) {
 		PlanFingerprint: j.fingerprint,
 		CacheHit:        j.cacheHit,
 	}
-	start := exec.Start{Resume: resume}
-	if len(eopts.Kill) > 0 {
-		start = exec.Start{Resilient: true, MaxRecoveries: len(eopts.Kill)}
-	}
-	rr, err := exec.RunLowered(ctx, j.lowered, j.mach, eopts, start)
+	out, err := exec.RunLowered(ctx, j.lowered, j.mach, eopts)
 	if resume && errors.Is(err, exec.ErrNoCheckpoint) {
 		// Dispatched, but the crash landed before the first commit: there
 		// is nothing to restore, so run from scratch in the same namespace.
 		s.sweepAttempts(j.id)
-		eopts.RestoreStats = false
-		rr, err = exec.RunLowered(ctx, j.lowered, j.mach, eopts, exec.Start{})
+		eopts.Resume, eopts.RestoreStats = false, false
+		out, err = exec.RunLowered(ctx, j.lowered, j.mach, eopts)
 	} else if resume && err == nil {
 		resp.Resumed = true
 		s.journal.addResumed(1)
@@ -872,10 +868,10 @@ func (s *Server) runJob(j *job) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := rr.Result
-	resp.Attempts, resp.Recoveries = rr.Attempts, len(rr.Recoveries)
-	// A resilient run's spans are in its last attempt's tracer.
-	tracer = rr.Trace
+	resp.Attempts, resp.Recoveries = out.Attempts, len(out.Recoveries)
+	// A run that survived a loss has its spans in its last attempt's
+	// tracer.
+	tracer = out.Trace
 	// The run's array files (and a durable namespace's checkpoints) are
 	// dead weight once the stats are captured; closing the result is what
 	// returns an in-memory store's file storage to the arena.

@@ -39,9 +39,9 @@ type DropReporter interface {
 
 // sinkState is the bounded hand-off between the emitting rank
 // goroutines and the single pump goroutine feeding the Sink. It is
-// shared by reference so a recovery loop that rebuilds its tracer per
-// attempt (exec.RunResilient) can carry one live stream across all
-// attempts (see Tracer.AdoptSink).
+// shared by reference so a run that builds a fresh tracer for each
+// attempt after a rank loss (exec.RunLowered) can carry one live stream
+// across all attempts (see Tracer.AdoptSink).
 type sinkState struct {
 	sink Sink
 	q    chan Span

@@ -281,9 +281,10 @@ func (t *Tracer) setSink(sink Sink, queue int, block bool) {
 }
 
 // AdoptSink moves src's live stream onto t: spans emitted through t now
-// feed the same sink, queue and pump. exec.RunResilient uses it to keep
-// one stream alive across the fresh tracer it builds per recovery
-// attempt. CloseSink on any adopting tracer closes the shared stream.
+// feed the same sink, queue and pump. A run that survives rank losses
+// (exec.RunLowered) uses it to keep one stream alive across the fresh
+// tracer it builds for each attempt after a loss. CloseSink on any
+// adopting tracer closes the shared stream.
 func (t *Tracer) AdoptSink(src *Tracer) {
 	if t == nil || src == nil {
 		return
