@@ -409,9 +409,14 @@ func tableSchedule(s *schedule, me, rows int, lins [][]int) {
 // with values no round produces, so a round that read what an earlier one
 // left would show it.
 func poison(k *kept) {
-	keys, chunks := k.keys[:cap(k.keys)], k.chunks[:cap(k.chunks)]
-	for i := range keys {
-		keys[i] = math.MaxUint64
+	for _, keys := range [][]uint64{k.keys[:cap(k.keys)], k.sorted[:cap(k.sorted)]} {
+		for i := range keys {
+			keys[i] = math.MaxUint64
+		}
+	}
+	counts, chunks := k.counts[:cap(k.counts)], k.chunks[:cap(k.chunks)]
+	for i := range counts {
+		counts[i] = math.MinInt
 	}
 	for i := range chunks {
 		chunks[i] = iosim.Chunk{Off: -1, Len: -1}

@@ -2,6 +2,7 @@ package collio
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -70,42 +71,53 @@ func (r *runReceiver) cleanup()      {}
 // coalesce orders round k's values by destination index into contiguous
 // chunks (sched.chunks) with their values in chunk order (sched.vals).
 // Duplicate indices keep arrival order and each starts a fresh chunk, so
-// the last writer wins. A value's key is its index (from the schedule)
-// above its arrival number: a plain sort of the keys is the stable sort by
-// index.
+// the last writer wins. A value's key is its destination column, row and
+// arrival number, most significant first; two stable counting passes, by
+// row and then by column, put the keys in column-major index order with
+// arrivals in order, in O(values + rows + cols).
 func (r *runReceiver) coalesce(k int, incoming [][]float64) error {
 	s := r.sched
-	s.keys, s.flat, s.chunks, s.vals = s.keys[:0], s.flat[:0], s.chunks[:0], s.vals[:0]
 	n := 0
 	for _, in := range incoming {
 		n += len(in)
 	}
-	local := r.dst.Rows * r.dst.Cols
-	seqBits := bits.Len(uint(n))
-	if bits.Len(uint(local))+seqBits > 64 {
-		return fmt.Errorf("collio: %d values into a local array of %d elements are too many to order in one round", n, local)
+	rows, cols := r.dst.Rows, r.dst.Cols
+	seqBits := uint(bits.Len(uint(n)))
+	colShift := seqBits + uint(bits.Len(uint(rows)))
+	if colShift+uint(bits.Len(uint(cols))) > 64 {
+		return fmt.Errorf("collio: %d values into a %dx%d local array are too many to order in one round", n, rows, cols)
 	}
+	s.keys, s.sorted = slices.Grow(s.keys[:0], n)[:n], slices.Grow(s.sorted[:0], n)[:n]
+	s.flat, s.vals, s.chunks = slices.Grow(s.flat[:0], n)[:n], slices.Grow(s.vals[:0], n)[:n], s.chunks[:0]
+	s.counts = slices.Grow(s.counts[:0], rows+cols)[:rows+cols]
+	byRow, byCol := s.counts[:rows], s.counts[rows:]
+	clear(s.counts)
+	at := 0
 	for q, in := range incoming {
 		runs, err := s.inbound(q, k, in)
 		if err != nil {
 			return err
 		}
 		for _, ru := range runs {
-			lin, step := ru.lin(r.dst.Rows)
+			col, row := ru.col, ru.row
 			for _, v := range in[:ru.n] {
-				s.keys = append(s.keys, uint64(lin)<<seqBits|uint64(len(s.flat)))
-				s.flat = append(s.flat, v)
-				lin += step
+				s.keys[at] = uint64(col)<<colShift | uint64(row)<<seqBits | uint64(at)
+				s.flat[at] = v
+				byRow[row]++
+				byCol[col]++
+				col, row, at = col+ru.dcol, row+ru.drow, at+1
 			}
 			in = in[ru.n:]
 		}
 	}
-	slices.Sort(s.keys)
+	rowMask := uint64(1)<<(colShift-seqBits) - 1
+	spread(s.sorted, s.keys, byRow, seqBits, rowMask)
+	spread(s.keys, s.sorted, byCol, colShift, math.MaxUint64)
 	seqMask := uint64(1)<<seqBits - 1
 	next := int64(-1) // the index that would extend the current chunk
-	for _, key := range s.keys {
-		lin := int64(key >> seqBits)
-		s.vals = append(s.vals, s.flat[key&seqMask])
+	for i, key := range s.keys {
+		lin := int64(key>>colShift)*int64(rows) + int64(key>>seqBits&rowMask)
+		s.vals[i] = s.flat[key&seqMask]
 		if lin == next {
 			s.chunks[len(s.chunks)-1].Len++
 		} else {
@@ -114,6 +126,21 @@ func (r *runReceiver) coalesce(k int, incoming [][]float64) error {
 		next = lin + 1
 	}
 	return nil
+}
+
+// spread is one counting pass: it moves src's keys into dst ordered by
+// their digit key>>shift&mask, keeping the order of keys with equal
+// digits. count holds how many keys have each digit; spread uses it up.
+func spread(dst, src []uint64, count []int, shift uint, mask uint64) {
+	at := 0
+	for d, c := range count {
+		count[d], at = at, at+c
+	}
+	for _, key := range src {
+		d := key >> shift & mask
+		dst[count[d]] = key
+		count[d]++
+	}
 }
 
 // twoPhaseReceiver stages values per destination window — local columns

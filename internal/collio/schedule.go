@@ -84,14 +84,16 @@ type schedule struct {
 // kept is the storage a schedule keeps while pooled, so that a
 // redistribution appends into the capacity the last one left: segments,
 // the last runs computed, the two-phase receiver's list of runs to this
-// rank, and the run receiver's sort keys, arrivals, values and chunks.
-// Every user starts its slices at length zero.
+// rank, and the run receiver's sort keys (twice: a counting pass moves
+// them from one to the other), bucket counts, arrivals, values and
+// chunks. Every user starts its slices at length zero.
 type kept struct {
-	segBuf     []seg
-	out, list  []run
-	keys       []uint64
-	flat, vals []float64
-	chunks     []iosim.Chunk
+	segBuf       []seg
+	out, list    []run
+	keys, sorted []uint64
+	counts       []int
+	flat, vals   []float64
+	chunks       []iosim.Chunk
 }
 
 // source is one source rank: local globals, slab width, round count and,

@@ -4,38 +4,39 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/ooc-hpf/passion/internal/iosim"
 )
 
-// replayed is what a journal knows after replay, in a form two
-// generations can be compared in: an outcome's bytes are re-escaped by
-// the snapshot that carries them forward, so outcomes compare as decoded
-// JSON values.
-type replayed struct {
+// stateView is a walState in a form two states built differently —
+// two journal generations, or records applied before and after a trip
+// through their encoding — compare in: nil and empty lists and maps are
+// the same view, and a retained outcome, carried forward verbatim,
+// compares as bytes.
+type stateView struct {
 	JobNum   int64
 	Jobs     []walJob
-	Outcomes map[string]any
+	Outcomes []walOutcome
 	Weights  map[string]int
 }
 
-func replayedState(t *testing.T, j *journal) replayed {
-	t.Helper()
-	st := replayed{JobNum: j.jobNum(), Weights: j.tenantWeights(), Outcomes: make(map[string]any)}
-	for _, jb := range j.liveJobs() {
-		st.Jobs = append(st.Jobs, *jb)
+func viewOf(st *walState) stateView {
+	v := stateView{JobNum: st.jobNum}
+	for _, jb := range st.jobs {
+		v.Jobs = append(v.Jobs, *jb)
 	}
-	for _, key := range j.state.outcomeOrder {
-		var v any
-		if err := json.Unmarshal(j.state.outcomes[key], &v); err != nil {
-			t.Fatalf("retained outcome %q is not JSON: %v", key, err)
-		}
-		st.Outcomes[key] = v
+	for _, key := range st.outcomeOrder {
+		v.Outcomes = append(v.Outcomes, walOutcome{Key: key, Response: st.outcomes[key]})
 	}
-	return st
+	if len(st.weights) > 0 {
+		v.Weights = st.weights
+	}
+	return v
 }
 
 // validSegment is a segment as the journal writes it: a snapshot with
@@ -79,6 +80,14 @@ func validSegment(t testing.TB) []byte {
 	return seg[:n]
 }
 
+// appendPayload appends a frame holding payload, whatever it is, to dst.
+func appendPayload(dst, payload []byte) []byte {
+	at := len(dst)
+	dst = append(append(dst, make([]byte, walFrameHead)...), payload...)
+	sealFrame(dst[at:])
+	return dst
+}
+
 // FuzzReplay feeds arbitrary bytes to replay as the journal's only
 // segment. Opening it never fails or panics, allocates in proportion to
 // the bytes present whatever a length field claims, counts at most one
@@ -91,8 +100,9 @@ func FuzzReplay(f *testing.F) {
 	}
 	hostile := binary.BigEndian.AppendUint32([]byte(walMagic), 64<<20-1)
 	f.Add(append(hostile, "\xde\xad\xbe\xef{}"...))
-	f.Add(appendFrame([]byte(walMagic), []byte("checksummed, not JSON")))
-	f.Add(appendFrame([]byte(walMagic), []byte(`{"kind":"compact","snapshot":{"jobs":[null],"outcomes":[null]}}`)))
+	f.Add(appendPayload([]byte(walMagic), []byte("checksummed, not JSON")))
+	f.Add(appendPayload([]byte(walMagic), []byte(`{"kind":"compact","snapshot":{"jobs":[null],"outcomes":[null]}}`)))
+	f.Add(appendPayload([]byte(walMagic), []byte(`{"kind":"compact","snapshot":{"outcomes":[{"key":"k"}]}}`)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fs := iosim.NewMemFS()
@@ -117,7 +127,12 @@ func FuzzReplay(f *testing.F) {
 		if got := j.statsSnapshot().TruncatedTails; got > 1 {
 			t.Fatalf("TruncatedTails = %d for one segment", got)
 		}
-		first := replayedState(t, j)
+		first := viewOf(j.state)
+		for _, o := range first.Outcomes {
+			if !json.Valid(o.Response) {
+				t.Fatalf("retained outcome %q is not JSON: %q", o.Key, o.Response)
+			}
+		}
 		j.close()
 
 		re, err := openJournal(fs, 0, iosim.RetryPolicy{}, 0)
@@ -128,7 +143,7 @@ func FuzzReplay(f *testing.F) {
 		if got := re.statsSnapshot().TruncatedTails; got != 0 {
 			t.Fatalf("the journal's own segment replayed with %d truncated tails", got)
 		}
-		if second := replayedState(t, re); !reflect.DeepEqual(first, second) {
+		if second := viewOf(re.state); !reflect.DeepEqual(first, second) {
 			t.Fatalf("replay is not idempotent:\nfirst  %+v\nsecond %+v", first, second)
 		}
 	})
@@ -156,7 +171,7 @@ func FuzzJobSpec(f *testing.F) {
 			return
 		}
 		spec := req.withDefaults()
-		payload, err := json.Marshal(&walRec{Kind: recSubmit, Job: "job-1", Spec: &spec})
+		payload, err := appendRecord(nil, &walRec{Kind: recSubmit, Job: "job-1", Spec: &spec})
 		if err != nil {
 			t.Fatalf("encoding an accepted spec: %v", err)
 		}
@@ -166,6 +181,91 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if back.Spec == nil || !reflect.DeepEqual(*back.Spec, spec) {
 			t.Fatalf("spec changed across the journal:\nbefore %+v\nafter  %+v", spec, back.Spec)
+		}
+	})
+}
+
+// FuzzJournalRecord builds records of every kind from the input — ids,
+// tenants, keys, specs and errors cut from it, outcomes json.Marshal
+// makes of Responses filled from it, snapshots of the state the records
+// so far built — and requires of each record that its payload is the
+// bytes json.Marshal makes of it (or that both fail), and that the
+// records decoded from the payloads replay through walState.apply to the
+// state the records themselves build.
+func FuzzJournalRecord(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x00job-1\x00<a&b>\x02k \x01\x03\x05\x04\x03\x02\x06\x00"))
+	f.Add([]byte("\x00\x01\x00\x02\x03\x01\x02\x05\x00\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x05"))
+	f.Add([]byte("\x00\xff\xfe<\x00\xe2\x80\xa8\x03\x00\x7f\xf8\x00\x00\x00\x00\x00\x01\x05"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		str := func() string {
+			n := min(int(next()%8), len(data))
+			s := strings.ToValidUTF8(string(data[:n]), "�")
+			data = data[n:]
+			return s
+		}
+		float := func() float64 {
+			var b [8]byte
+			for i := range b {
+				b[i] = next()
+			}
+			return math.Float64frombits(binary.BigEndian.Uint64(b[:]))
+		}
+		const maxOutcomes = 3
+		direct, replayed := newWALState(maxOutcomes), newWALState(maxOutcomes)
+		for steps := 0; len(data) > 0 && steps < 16; steps++ {
+			rec := &walRec{Job: "job-" + str()}
+			switch next() % 6 {
+			case 0:
+				retries := int(next())
+				rec.Kind, rec.Tenant, rec.Key, rec.Weight = recSubmit, str(), str(), int(next()%4)
+				rec.Spec = &Request{Tenant: rec.Tenant, Source: str(), N: int(next()), Chaos: float(),
+					Retries: &retries, IdempotencyKey: rec.Key, TenantWeight: rec.Weight}
+				rec.Fingerprint = str()
+			case 1:
+				rec.Kind, rec.Attempt = recDispatch, int(next())
+			case 2:
+				rec.Kind, rec.Tenant, rec.OK, rec.Key = recComplete, str(), true, str()
+				resp := Response{JobID: rec.Job, Tenant: rec.Tenant, Program: str(), Strategy: str(),
+					PlanFingerprint: str(), CacheHit: next()&1 != 0, Attempts: int(next()), SimSeconds: float()}
+				if raw, err := json.Marshal(&resp); err == nil {
+					rec.Outcome = raw
+				}
+			case 3:
+				rec.Kind, rec.Tenant, rec.Error = recComplete, str(), str()
+			case 4:
+				rec.Kind, rec.Error = recCancel, str()
+			case 5:
+				rec = &walRec{Kind: recCompact, Snapshot: direct.snapshot()}
+			}
+			want, werr := json.Marshal(rec)
+			got, err := appendRecord(nil, rec)
+			if (err != nil) != (werr != nil) {
+				t.Fatalf("%s record: appendRecord error %v, json.Marshal error %v", rec.Kind, err, werr)
+			}
+			if err != nil {
+				continue // the journal refuses a record it cannot encode
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s record:\n got %s\nwant %s", rec.Kind, got, want)
+			}
+			var back walRec
+			if err := json.Unmarshal(got, &back); err != nil {
+				t.Fatalf("%s record does not decode: %v", rec.Kind, err)
+			}
+			direct.apply(rec)
+			replayed.apply(&back)
+		}
+		if d, r := viewOf(direct), viewOf(replayed); !reflect.DeepEqual(d, r) {
+			t.Fatalf("the replayed state differs:\ndirect   %+v\nreplayed %+v", d, r)
 		}
 	})
 }

@@ -8,7 +8,9 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -178,8 +180,9 @@ func (st *walState) apply(rec *walRec) {
 		}
 		fresh := newWALState(st.maxOutcomes)
 		fresh.jobNum = rec.Snapshot.JobNum
-		// A checksummed snapshot can still hold null entries if something
-		// other than this journal wrote it; skip them rather than panic.
+		// A checksummed snapshot can still hold null entries, or outcomes
+		// without a response, if something other than this journal wrote
+		// it; skip them rather than panic or answer a submit with nothing.
 		for _, jb := range rec.Snapshot.Jobs {
 			if jb != nil {
 				fresh.jobs = append(fresh.jobs, jb)
@@ -187,7 +190,7 @@ func (st *walState) apply(rec *walRec) {
 			}
 		}
 		for _, o := range rec.Snapshot.Outcomes {
-			if o != nil {
+			if o != nil && o.Response != nil {
 				fresh.addOutcome(o.Key, o.Response)
 			}
 		}
@@ -278,6 +281,9 @@ type journal struct {
 	fs       iosim.FS
 	rotateAt int64
 	retry    iosim.RetryPolicy
+	// snapBuf holds the last snapshot's segment bytes, for the next
+	// compaction to encode over; only the compacting flusher touches it.
+	snapBuf []byte
 
 	mu      sync.Mutex
 	seg     iosim.File
@@ -302,8 +308,8 @@ type walBatch struct {
 	err  error
 }
 
-func (b *walBatch) add(rec *walRec, payload []byte) {
-	b.buf = appendFrame(b.buf, payload)
+func (b *walBatch) add(rec *walRec, frame []byte) {
+	b.buf = append(b.buf, frame...)
 	b.recs = append(b.recs, rec)
 }
 
@@ -435,12 +441,95 @@ func readWhole(f iosim.File) ([]byte, error) {
 	return data[:n], err
 }
 
-// appendFrame appends payload's frame — length, checksum, payload — to
-// dst.
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
+// appendFrame appends rec's frame — length, checksum, payload — to dst,
+// encoding the payload in place after the head it then fills in.
+func appendFrame(dst []byte, rec *walRec) ([]byte, error) {
+	at := len(dst)
+	dst, err := appendRecord(append(dst, make([]byte, walFrameHead)...), rec)
+	if err != nil {
+		return dst[:at], err
+	}
+	sealFrame(dst[at:])
+	return dst, nil
+}
+
+// sealFrame fills in the head of frame, whose payload follows the head's
+// walFrameHead bytes.
+func sealFrame(frame []byte) {
+	payload := frame[walFrameHead:]
+	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
+}
+
+// appendRecord appends rec's payload to dst, the one encoder of every
+// record kind: the bytes json.Marshal(rec) makes, but with every outcome
+// — the complete record's and each one a snapshot retains — copied
+// verbatim where json.Marshal would scan and re-compact it. An outcome
+// came out of the json.Marshal of its Response, compact and escaped, so
+// the copy is what json.Marshal would write; one replayed from a segment
+// is carried forward as it was read. The other fields go through
+// json.Marshal.
+func appendRecord(dst []byte, rec *walRec) ([]byte, error) {
+	head := *rec
+	head.Outcome, head.Error, head.Snapshot = nil, "", nil
+	b, err := json.Marshal(&head)
+	if err != nil {
+		return dst, err
+	}
+	// The fields after ok go after the head's, in walRec's order.
+	dst = append(slices.Grow(dst, len(b)+len(`,"outcome":`)+len(rec.Outcome)), b[:len(b)-1]...)
+	if len(rec.Outcome) > 0 {
+		dst = append(append(dst, `,"outcome":`...), rec.Outcome...)
+	}
+	if rec.Error != "" {
+		if dst, err = appendJSON(append(dst, `,"error":`...), rec.Error); err != nil {
+			return dst, err
+		}
+	}
+	if snap := rec.Snapshot; snap != nil {
+		if dst, err = appendSnapshot(append(dst, `,"snapshot":`...), snap); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, '}'), nil
+}
+
+// appendSnapshot appends json.Marshal(snap) to dst, retained outcomes
+// verbatim. Every outcome of a snapshot the journal takes holds a
+// response: replay retains none without one.
+func appendSnapshot(dst []byte, snap *walSnapshot) ([]byte, error) {
+	dst = strconv.AppendInt(append(dst, `{"job_num":`...), snap.JobNum, 10)
+	var err error
+	if len(snap.Jobs) > 0 {
+		if dst, err = appendJSON(append(dst, `,"jobs":`...), snap.Jobs); err != nil {
+			return dst, err
+		}
+	}
+	if len(snap.Outcomes) > 0 {
+		dst = append(dst, `,"outcomes":[`...)
+		for i, o := range snap.Outcomes {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			if dst, err = appendJSON(append(dst, `{"key":`...), o.Key); err != nil {
+				return dst, err
+			}
+			dst = append(append(append(dst, `,"response":`...), o.Response...), '}')
+		}
+		dst = append(dst, ']')
+	}
+	if len(snap.Weights) > 0 {
+		if dst, err = appendJSON(append(dst, `,"weights":`...), snap.Weights); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, '}'), nil
+}
+
+// appendJSON appends json.Marshal(v) to dst.
+func appendJSON(dst []byte, v any) ([]byte, error) {
+	b, err := json.Marshal(v)
+	return append(dst, b...), err
 }
 
 // append durably adds one record and returns once it is on disk, fsynced
@@ -451,7 +540,7 @@ func appendFrame(dst, payload []byte) []byte {
 // batch that cannot be made durable fails every member with ErrDegraded
 // and degrades the journal — sticky.
 func (j *journal) append(rec *walRec) error {
-	payload, err := json.Marshal(rec)
+	frame, err := appendFrame(nil, rec)
 	if err != nil {
 		return fmt.Errorf("serve: encode journal record: %w", err)
 	}
@@ -461,13 +550,12 @@ func (j *journal) append(rec *walRec) error {
 		return ErrDegraded
 	}
 	if b := j.open; b != nil {
-		b.add(rec, payload)
+		b.add(rec, frame)
 		j.mu.Unlock()
 		<-b.done
 		return b.err
 	}
-	b := &walBatch{done: make(chan struct{})}
-	b.add(rec, payload)
+	b := &walBatch{buf: frame, recs: []*walRec{rec}, done: make(chan struct{})}
 	j.open = b
 	for j.flushing {
 		j.turn.Wait()
@@ -598,16 +686,15 @@ func (j *journal) compact() error {
 // writeSnapshot creates the named segment holding the magic and snap's
 // frame, durably; a segment it cannot finish is removed again.
 func (j *journal) writeSnapshot(name string, snap *walSnapshot) (iosim.File, int64, error) {
-	payload, err := json.Marshal(&walRec{Kind: recCompact, Snapshot: snap})
+	buf, err := appendFrame(append(j.snapBuf[:0], walMagic...), &walRec{Kind: recCompact, Snapshot: snap})
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: encode journal snapshot: %w", err)
 	}
+	j.snapBuf = buf
 	f, err := j.fs.Create(name)
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: create journal segment: %w", err)
 	}
-	buf := make([]byte, 0, len(walMagic)+walFrameHead+len(payload))
-	buf = appendFrame(append(buf, walMagic...), payload)
 	if err := j.writeSync(f, buf, 0); err != nil {
 		f.Close()
 		j.fs.Remove(name)

@@ -2,9 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -910,6 +914,198 @@ func TestReadWholeSizedAndFallback(t *testing.T) {
 		}
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestAppendRecordMatchesMarshal: every record's payload is the bytes
+// json.Marshal makes of it, appended after what dst held, and its frame
+// carries the payload's length and checksum. The records are of every
+// kind and hold what json.Marshal escapes — HTML-special characters,
+// U+2028 and U+2029, quotes, backslashes, invalid UTF-8 — in values and
+// in keys; the snapshots go with and without each of their lists.
+func TestAppendRecordMatchesMarshal(t *testing.T) {
+	outcome := func(r Response) json.RawMessage {
+		raw, err := json.Marshal(&r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	three := 3
+	spec := Request{Tenant: "<a&b>", Source: "PROGRAM x\n\tEND", N: 64, Procs: 4, Chaos: 0.02,
+		Retries: &three, LoseDisk: "c.p1.laf@40", IdempotencyKey: "k\u2028", TenantWeight: 2}
+	special := outcome(Response{JobID: "job-1", Tenant: "<a&b>", Program: "x\u2028y\u2029z", SimSeconds: 1.5e-7})
+	jobs := []*walJob{{ID: "job-7", Tenant: "<t>", Key: `k"&\`, Spec: spec, Fingerprint: "fp", Attempt: 1}, nil}
+	outcomes := []*walOutcome{{Key: "k<1>\u2029", Response: special}, {Key: "k2", Response: json.RawMessage(`{}`)}}
+	weights := map[string]int{"<b>": 2, "a": 1, "\u2028": 5}
+	for name, rec := range map[string]*walRec{
+		"submit": {Kind: recSubmit, Job: "job-1", Tenant: "<a&b>", Key: "k\"\\<\u2028", Weight: 3,
+			Spec: &spec, Fingerprint: "fp&"},
+		"dispatch":         {Kind: recDispatch, Job: "job-1", Attempt: 2},
+		"complete":         {Kind: recComplete, Job: "job-1", Tenant: "<a&b>", OK: true, Key: "k>\u2029", Outcome: special},
+		"complete unkeyed": {Kind: recComplete, Job: "job-1", Tenant: "t", OK: true},
+		"complete failed":  {Kind: recComplete, Job: "job-1", Tenant: "t", Error: "boom <&> \u2028 \xff"},
+		"cancel":           {Kind: recCancel, Job: "job-1", Error: "context canceled"},
+		"every field": {Kind: "x", Job: "j", Tenant: "t", Key: "k", Weight: 1, Spec: &spec, Fingerprint: "f",
+			Attempt: 1, OK: true, Outcome: special, Error: "e", Snapshot: &walSnapshot{JobNum: 1}},
+		"empty":                    {},
+		"empty snapshot":           {Kind: recCompact, Snapshot: &walSnapshot{}},
+		"snapshot":                 {Kind: recCompact, Snapshot: &walSnapshot{JobNum: 7, Jobs: jobs, Outcomes: outcomes, Weights: weights}},
+		"snapshot outcomes only":   {Kind: recCompact, Snapshot: &walSnapshot{JobNum: 9, Outcomes: outcomes[:1]}},
+		"snapshot without outcome": {Kind: recCompact, Snapshot: &walSnapshot{JobNum: -1, Jobs: jobs, Weights: weights}},
+	} {
+		want, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := appendRecord([]byte("head"), rec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.HasPrefix(got, []byte("head")) || !bytes.Equal(got[4:], want) {
+			t.Errorf("%s:\n got %s\nwant head%s", name, got, want)
+		}
+		frame, err := appendFrame(nil, rec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := appendPayload(nil, want); !bytes.Equal(frame, want) {
+			t.Errorf("%s: frame %x, want %x", name, frame, want)
+		}
+	}
+}
+
+// TestAppendRecordFailsLikeMarshal: a record json.Marshal cannot encode
+// fails here too, and leaves dst as it was.
+func TestAppendRecordFailsLikeMarshal(t *testing.T) {
+	bad := Request{Chaos: math.NaN()}
+	for name, rec := range map[string]*walRec{
+		"submit":   {Kind: recSubmit, Spec: &bad},
+		"snapshot": {Kind: recCompact, Snapshot: &walSnapshot{Jobs: []*walJob{{Spec: bad}}}},
+	} {
+		if _, err := json.Marshal(rec); err == nil {
+			t.Fatalf("%s: json.Marshal accepted the record", name)
+		}
+		got, err := appendFrame([]byte("dst"), rec)
+		if err == nil || string(got) != "dst" {
+			t.Errorf("%s: appendFrame = %q, %v; want dst unchanged and an error", name, got, err)
+		}
+	}
+}
+
+// keepFS is a MemFS that keeps the bytes of every file it removes.
+type keepFS struct {
+	*iosim.MemFS
+	removed map[string][]byte
+}
+
+func (k *keepFS) Remove(name string) error {
+	if f, err := k.MemFS.Open(name); err == nil {
+		k.removed[name], _ = readWhole(f)
+		f.Close()
+	}
+	return k.MemFS.Remove(name)
+}
+
+// TestServedJournalMatchesMarshal drives a server with keyed jobs —
+// completed, failed and deduplicated, under tenants and keys that need
+// escaping — through several compactions, then checks every frame of
+// every segment it wrote, the removed ones included: its payload is the
+// bytes json.Marshal makes of the record it decodes to.
+func TestServedJournalMatchesMarshal(t *testing.T) {
+	fs := &keepFS{MemFS: iosim.NewMemFS(), removed: make(map[string][]byte)}
+	s, err := Open(Config{Workers: 1, Journal: &JournalConfig{FS: fs, RotateBytes: 1, MaxOutcomes: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights := make(map[string]int)
+	var kept []walOutcome // the outcomes to retain, oldest first
+	for i := 0; i < 10; i++ {
+		req := Request{Tenant: fmt.Sprintf("<t&%d>", i%2), N: 32, Procs: 4, MemElems: 300,
+			IdempotencyKey: fmt.Sprintf("k<%d>\u2028", i), TenantWeight: 1 + i%3}
+		if i%4 == 3 {
+			req.LoseDisk = "bogus"
+		}
+		weights[req.Tenant] = req.TenantWeight
+		resp, err := s.Submit(context.Background(), req)
+		if (err != nil) != (i%4 == 3) {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		if err == nil {
+			kept = append(kept, walOutcome{Key: req.IdempotencyKey, Response: mustJSON(t, resp)})
+		}
+	}
+	if resp, err := s.Submit(context.Background(), Request{Tenant: "<t&0>", N: 32, Procs: 4, MemElems: 300,
+		IdempotencyKey: "k<8>\u2028"}); err != nil || !resp.Deduplicated {
+		t.Fatalf("retried submit: deduplicated %v, %v", resp != nil && resp.Deduplicated, err)
+	}
+	if c := s.MetricsSnapshot().Journal.Compactions; c < 3 {
+		t.Fatalf("%d compactions, want the startup one and at least two more", c)
+	}
+	s.Close()
+
+	segs := fs.removed
+	for _, name := range segNames(fs) {
+		f, err := fs.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs[name], _ = readWhole(f)
+		f.Close()
+	}
+	kinds := make(map[string]int)
+	for name, data := range segs {
+		if !bytes.HasPrefix(data, []byte(walMagic)) {
+			t.Fatalf("%s: no magic", name)
+		}
+		for data = data[len(walMagic):]; len(data) > 0; {
+			n := int(binary.BigEndian.Uint32(data))
+			payload := data[walFrameHead : walFrameHead+n]
+			data = data[walFrameHead+n:]
+			var rec walRec
+			if err := json.Unmarshal(payload, &rec); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want, err := json.Marshal(&rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(payload, want) {
+				t.Fatalf("%s: %s record\n got %s\nwant %s", name, rec.Kind, payload, want)
+			}
+			switch {
+			case rec.Kind == recComplete && rec.Outcome != nil:
+				kinds["complete with outcome"]++
+			case rec.Kind == recComplete && rec.Error != "":
+				kinds["complete failed"]++
+			case rec.Kind == recCompact && len(rec.Snapshot.Outcomes) > 0:
+				kinds["compact with outcomes"]++
+			default:
+				kinds[rec.Kind]++
+			}
+		}
+	}
+	for _, kind := range []string{recSubmit, recDispatch, "complete with outcome", "complete failed", "compact with outcomes"} {
+		if kinds[kind] == 0 {
+			t.Errorf("no %s record among %v", kind, kinds)
+		}
+	}
+
+	// What the segments hold is what the session did: the last three
+	// outcomes, each the bytes of the reply its submitter got, and
+	// every tenant's last weight.
+	re := testJournal(t, fs, 0, 3)
+	defer re.close()
+	got := viewOf(re.state)
+	if got.JobNum != 10 || len(got.Jobs) != 0 || !reflect.DeepEqual(got.Weights, weights) {
+		t.Fatalf("replayed job number %d, live jobs %v, weights %v; want 10, none, %v", got.JobNum, got.Jobs, got.Weights, weights)
+	}
+	kept = kept[len(kept)-3:]
+	for i := range max(len(got.Outcomes), len(kept)) {
+		if i >= len(got.Outcomes) || i >= len(kept) || got.Outcomes[i].Key != kept[i].Key ||
+			!bytes.Equal(got.Outcomes[i].Response, kept[i].Response) {
+			t.Fatalf("replayed outcomes %s\nwant %s", mustJSON(t, got.Outcomes), mustJSON(t, kept))
 		}
 	}
 }

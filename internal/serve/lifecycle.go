@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"time"
@@ -73,7 +74,12 @@ func (s *Server) transition(j *job, e edge, err error) error {
 	r := &lifecycle[e]
 	var aerr error
 	if kind := recordOf(e, j); kind != "" && s.journal != nil {
-		aerr = s.journal.append(record(kind, j, err))
+		rec, oerr := record(kind, j, err)
+		if oerr != nil && s.logOn(slog.LevelError) {
+			s.log.Error("journal: outcome not retained",
+				"job", j.id, "tenant", j.req.Tenant, "key", j.key, "error", oerr.Error())
+		}
+		aerr = s.journal.append(rec)
 		if aerr != nil && s.journal.degraded() && s.logOn(slog.LevelError) {
 			s.log.Error("journal degraded: "+kind+" record failed",
 				"job", j.id, "tenant", j.req.Tenant, "key", j.key, "error", aerr.Error())
@@ -100,8 +106,10 @@ func (s *Server) transition(j *job, e edge, err error) error {
 	return aerr
 }
 
-// record builds j's journal record of the given kind.
-func record(kind string, j *job, err error) *walRec {
+// record builds j's journal record of the given kind. A keyed outcome
+// that cannot be encoded is not retained: the record goes without it,
+// and the encoding error is returned for the caller to report.
+func record(kind string, j *job, err error) (*walRec, error) {
 	rec := &walRec{Kind: kind, Job: j.id}
 	switch kind {
 	case recSubmit:
@@ -121,14 +129,16 @@ func record(kind string, j *job, err error) *walRec {
 		if j.key != "" {
 			cp := *j.resp
 			cp.Trace = nil
-			if raw, merr := json.Marshal(&cp); merr == nil {
-				rec.Key, rec.Outcome = j.key, raw
+			raw, merr := json.Marshal(&cp)
+			if merr != nil {
+				return rec, fmt.Errorf("serve: encode outcome: %w", merr)
 			}
+			rec.Key, rec.Outcome = j.key, raw
 		}
 	case recCancel:
 		rec.Error = err.Error()
 	}
-	return rec
+	return rec, nil
 }
 
 // logEdge emits e's log line for j. Callers check logOn first, so a

@@ -7,7 +7,9 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"log/slog"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -413,5 +415,45 @@ func TestNoLoggerBuildsNoRecord(t *testing.T) {
 		s.transition(j, edgeComplete, nil)
 	}); n != 0 {
 		t.Errorf("%v allocations per job without a logger, want 0", n)
+	}
+}
+
+// TestUnencodableOutcomeLogged: a keyed outcome json.Marshal cannot
+// encode is not retained — the complete record goes without key and
+// outcome, so a retried submit runs the job again — and the loss is
+// logged at Error with the job, tenant and key.
+func TestUnencodableOutcomeLogged(t *testing.T) {
+	fs := iosim.NewMemFS()
+	var logs lockedBuffer
+	s, err := Open(Config{Journal: &JournalConfig{FS: fs}, Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := &job{id: "job-1", key: "k1", req: Request{Tenant: "a"}, resp: &Response{SimSeconds: math.NaN()}}
+	if err := s.transition(j, edgeComplete, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.journal.outcome("k1"); ok {
+		t.Error("an outcome that cannot be encoded was retained")
+	}
+	s.Close()
+
+	var line map[string]any
+	for _, l := range strings.Split(strings.TrimSpace(logs.buf.String()), "\n") {
+		var m map[string]any
+		if err := json.Unmarshal([]byte(l), &m); err != nil {
+			t.Fatal(err)
+		}
+		if m["level"] == "ERROR" {
+			line = m
+		}
+	}
+	if line == nil || line["job"] != "job-1" || line["tenant"] != "a" || line["key"] != "k1" ||
+		!strings.Contains(fmt.Sprint(line["error"]), "NaN") {
+		t.Errorf("error line %v, want one naming job-1, tenant a, key k1 and the NaN", line)
+	}
+	recs := journalRecords(t, fs)
+	if len(recs) != 1 || recs[0].Kind != recComplete || !recs[0].OK || recs[0].Key != "" || recs[0].Outcome != nil {
+		t.Fatalf("records %+v, want one complete record with no key and no outcome", recs)
 	}
 }

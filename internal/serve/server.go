@@ -487,19 +487,17 @@ func (s *Server) build(j *job) error {
 // gives its key up only once its outcome is retained, so no two
 // submits of one key both run. A turned-away job is finished here.
 func (s *Server) enqueue(j *job) (owner *job, dedup *Response, err error) {
+	// A retained outcome (never empty) is looked up under s.mu but
+	// decoded after it, so a large one does not hold up every other
+	// submit, dispatch and finish.
+	var stored json.RawMessage
 	s.mu.Lock()
 	if j.key != "" {
 		if owner = s.keys[j.key]; owner == nil {
-			if raw, ok := s.journal.outcome(j.key); ok {
-				dedup = &Response{}
-				if err = json.Unmarshal(raw, dedup); err != nil {
-					err = fmt.Errorf("serve: decode stored outcome: %w", err)
-				}
-				dedup.Deduplicated = true
-			}
+			stored, _ = s.journal.outcome(j.key)
 		}
 	}
-	if owner == nil && dedup == nil && err == nil {
+	if owner == nil && stored == nil {
 		switch {
 		case s.phase == crashed:
 			err = ErrCrashed
@@ -511,7 +509,7 @@ func (s *Server) enqueue(j *job) (owner *job, dedup *Response, err error) {
 			err = fmt.Errorf("%w: %d jobs queued", ErrBusy, s.queued)
 		}
 	}
-	admit := owner == nil && dedup == nil && err == nil
+	admit := owner == nil && stored == nil && err == nil
 	if admit {
 		if j.key != "" {
 			s.keys[j.key] = j
@@ -519,6 +517,13 @@ func (s *Server) enqueue(j *job) (owner *job, dedup *Response, err error) {
 		s.queued++ // provisional slot while the submit record is written
 	}
 	s.mu.Unlock()
+	if stored != nil {
+		dedup = &Response{}
+		if err = json.Unmarshal(stored, dedup); err != nil {
+			err = fmt.Errorf("serve: decode stored outcome: %w", err)
+		}
+		dedup.Deduplicated = true
+	}
 	switch {
 	case err != nil:
 		s.finish(j, edgeReject, nil, err)
