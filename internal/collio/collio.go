@@ -218,7 +218,7 @@ func redistribute(p *mp.Proc, src, dst Side, memElems, tag int, m IndexMap, meth
 	rounds := int(rm[0])
 	mp.ReleaseBuf(rm)
 
-	recv, err := newReceiver(dst, memElems, rounds, method, sched)
+	recv, err := newReceiver(dst, memElems, method, sched)
 	if err != nil {
 		return err
 	}

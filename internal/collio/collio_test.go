@@ -168,6 +168,42 @@ func redistCases() []redistCase {
 	}
 }
 
+// blockCases are scenarios whose rounds send several columns to an owner
+// and whose two-phase windows are several columns wide, so a window takes
+// a rectangle of many runs of a block, in memory and spilling, into BLOCK
+// and into CYCLIC destination columns. They are not in the wire witness.
+func blockCases() []redistCase {
+	transposed := func(gi, gj int) float64 { return valueAt(gj, gi) }
+	return []redistCase{
+		{
+			name: "blocks-transpose", n: 16, p: 4, memElems: 128,
+			mkSrc: colBlock("src"), mkDst: colBlock("dst"),
+			transpose: true, wantAt: transposed,
+		},
+		{
+			name: "blocks-transpose-spill", n: 16, p: 2, memElems: 128,
+			mkSrc: colBlock("src"), mkDst: colBlock("dst"),
+			transpose: true, wantAt: transposed,
+		},
+		{
+			name: "blocks-transpose-to-cyclic", n: 16, p: 2, memElems: 128,
+			mkSrc: colBlock("src"),
+			mkDst: func(n, p int) (*dist.Array, error) {
+				return dist.NewArray("dst", dist.NewCollapsed(n), dist.NewCyclic(n, p))
+			},
+			transpose: true, wantAt: transposed,
+		},
+		{
+			name: "blocks-identity-to-cyclic-rows", n: 16, p: 2, memElems: 128,
+			mkSrc: colBlock("src"),
+			mkDst: func(n, p int) (*dist.Array, error) {
+				return dist.NewArray("dst", dist.NewCyclic(n, p), dist.NewCollapsed(n))
+			},
+			wantAt: valueAt,
+		},
+	}
+}
+
 // runCase executes one scenario under one index-map form and one method
 // over a fresh in-memory file system, optionally injecting faults, and
 // checks the destination.
@@ -208,7 +244,7 @@ func runCase(t *testing.T, tc redistCase, form string, m IndexMap, method Method
 // exact destination contents — so they are bitwise identical to each
 // other too.
 func TestMethodsProduceIdenticalResults(t *testing.T) {
-	for _, tc := range redistCases() {
+	for _, tc := range append(redistCases(), blockCases()...) {
 		for _, method := range []Method{Direct, Sieved, TwoPhase} {
 			t.Run(tc.name+"/"+method.String(), func(t *testing.T) {
 				for form, m := range tc.indexMaps() {
@@ -276,7 +312,7 @@ func TestTwoPhaseStagingRespectsBudget(t *testing.T) {
 	disk := iosim.NewDisk(fs, sim.Delta(1), nil)
 	side := sideFor(t, disk, dm, 0, nil) // local 8x8 = 64 elements
 
-	spill, err := newTwoPhaseReceiver(side, 16, 1, nil) // 2*64 > 16: must spill
+	spill, err := newTwoPhaseReceiver(side, 16, new(schedule)) // 2*64 > 16: must spill
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +327,7 @@ func TestTwoPhaseStagingRespectsBudget(t *testing.T) {
 		t.Fatalf("scratch file of %d elements, want the local array's 64", got)
 	}
 
-	mem, err := newTwoPhaseReceiver(side, 128, 1, nil) // 2*64 <= 128: in memory
+	mem, err := newTwoPhaseReceiver(side, 128, new(schedule)) // 2*64 <= 128: in memory
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,6 +416,39 @@ func TestCoalescePairsLastWriterWins(t *testing.T) {
 	}
 }
 
+// TestDuplicateLeavesUncoveredZero: a func sending two values to one
+// element and none to the one below it fills a window with its size in
+// values without covering it. Under every method and in both two-phase
+// regimes the uncovered element reads the file's zero and the duplicate
+// keeps the later arrival. The arena is checked, so a staging buffer that
+// two-phase failed to clear would come back poisoned.
+func TestDuplicateLeavesUncoveredZero(t *testing.T) {
+	const n, p = 4, 2
+	dup := func(gi, gj int) (int, int) {
+		if gi == 1 && gj == 0 {
+			return 0, 0
+		}
+		return gi, gj
+	}
+	want := func(gi, gj int) float64 {
+		switch {
+		case gi == 0 && gj == 0:
+			return valueAt(1, 0)
+		case gi == 1 && gj == 0:
+			return 0
+		}
+		return valueAt(gi, gj)
+	}
+	bufpool.SetChecked(true)
+	defer bufpool.SetChecked(false)
+	for _, mem := range []int{4 * n * n, n} { // in memory, spilling
+		tc := redistCase{n: n, p: p, memElems: mem, mkSrc: colBlock("src"), mkDst: colBlock("dst"), wantAt: want}
+		for _, method := range []Method{Direct, Sieved, TwoPhase} {
+			runCase(t, tc, "func", Func(dup), method, false)
+		}
+	}
+}
+
 func colBlockMap(t testing.TB, name string, n, p int) *dist.Array {
 	t.Helper()
 	dm, err := colBlock(name)(n, p)
@@ -394,11 +463,11 @@ func colBlockMap(t testing.TB, name string, n, p int) *dist.Array {
 // rows, gets from source rank q, in round 0, the values bound for the
 // linear indices lins[q], cut into runs by the inspector's rule.
 func tableSchedule(s *schedule, me, rows int, lins [][]int) {
-	*s = schedule{me: me, got: make([][]run, len(lins)), sent: make([][]run, len(lins)), kept: s.kept}
+	*s = schedule{me: me, got: make([][]block, len(lins)), sent: make([][]block, len(lins)), kept: s.kept}
 	for q, l := range lins {
 		for i, lin := range l {
 			if n := len(s.got[q]); n == 0 || !s.got[q][n-1].grows(i, lin/rows, lin%rows) {
-				s.got[q] = append(s.got[q], run{off: i, n: 1, col: lin / rows, row: lin % rows})
+				s.got[q] = append(s.got[q], block{off: int32(i), n: 1, col: int32(lin / rows), row: int32(lin % rows), g: 1, doff: 1})
 			}
 		}
 	}
@@ -517,9 +586,9 @@ func TestRunReceiverKeepsScratch(t *testing.T) {
 			sched := newSchedule(0, p, srcMap, dstMap.Tables2(), dst, mem, Transpose())
 			defer sched.release()
 			for q := range incoming {
-				incoming[q] = bufpool.GetF64(total(sched.runs(q, 0, 0)))
+				incoming[q] = bufpool.GetF64(total(sched.blocks(q, 0, 0)))
 			}
-			recv, err := newReceiver(dst, mem, 1, method, sched)
+			recv, err := newReceiver(dst, mem, method, sched)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -577,29 +646,23 @@ func FuzzRoundPayloadLengths(f *testing.F) {
 		incoming := make([][]float64, p)
 		var firstBad *PayloadError
 		for q := range incoming {
-			runs := sched.runs(q, 0, 0)
-			total := 0
-			for _, r := range runs {
-				total += r.n
-			}
-			got := max(total+int(int8(data[q])), 0)
-			if got != total && firstBad == nil {
-				firstBad = &PayloadError{From: q, Round: 0, Got: got, Want: total}
+			blocks := sched.blocks(q, 0, 0)
+			n := total(blocks)
+			got := max(n+int(int8(data[q])), 0)
+			if got != n && firstBad == nil {
+				firstBad = &PayloadError{From: q, Round: 0, Got: got, Want: n}
 			}
 			incoming[q] = bufpool.GetF64(got)
 			for i := range incoming[q] {
 				incoming[q][i] = float64(100*q + i + 1)
 			}
-			pos := 0
-			for _, r := range runs {
-				lin, step := r.lin(dst.Rows)
-				for j := 0; j < r.n && pos < got; j++ {
-					want[lin+j*step] = incoming[q][pos]
-					pos++
+			for pos, lin := range linears(blocks, dst.Rows) {
+				if pos < got {
+					want[lin] = incoming[q][pos]
 				}
 			}
 		}
-		recv, err := newReceiver(dst, regime.memElems, 1, regime.method, sched)
+		recv, err := newReceiver(dst, regime.memElems, regime.method, sched)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -797,27 +860,82 @@ func TestTransformOutsideDestination(t *testing.T) {
 // collective and closes them, the way a warm server's job finds the arena
 // — so allocs/op is what a redistribution costs in steady state.
 func BenchmarkRedistributeTwoPhase(b *testing.B) {
-	const n, p, memElems = 1024, 8, 16 * 1024
+	benchTransposeTwoPhase(b, colBlock("dst"))
+}
+
+// BenchmarkRedistributeTwoPhaseCyclic is the same transpose into CYCLIC
+// destination columns, where every source row of a column lands in its
+// own destination column.
+func BenchmarkRedistributeTwoPhaseCyclic(b *testing.B) {
+	benchTransposeTwoPhase(b, func(n, p int) (*dist.Array, error) {
+		return dist.NewArray("dst", dist.NewCollapsed(n), dist.NewCyclic(n, p))
+	})
+}
+
+func benchTransposeTwoPhase(b *testing.B, mkDst func(n, p int) (*dist.Array, error)) {
+	op, check := transposeTwoPhase(b, mkDst)
+	op() // warm-up: the arena holds every class the op takes
+	b.SetBytes(transposeN * transposeN * 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+	check()
+}
+
+// maxTwoPhaseAllocs is what one redistribution at the benchmark's
+// geometry may allocate in steady state, the machine's run included.
+// testing.AllocsPerRun counts one more than the benchmark's allocs/op
+// (156 at -cpu 1); a receiver that made its per-window counts allocated
+// 165 here.
+const maxTwoPhaseAllocs = 157
+
+// TestTwoPhaseRedistributionAllocs pins BenchmarkRedistributeTwoPhase's
+// allocations per op: the block list and the per-window counts live in
+// the pooled schedule, so a warm redistribution allocates no more than
+// maxTwoPhaseAllocs times.
+func TestTwoPhaseRedistributionAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the schedule pool drops a random share of releases under the race detector")
+	}
+	op, check := transposeTwoPhase(t, colBlock("dst"))
+	op()
+	if allocs := testing.AllocsPerRun(3, op); allocs > maxTwoPhaseAllocs {
+		t.Errorf("a warm two-phase transpose allocates %v times, want at most %d", allocs, maxTwoPhaseAllocs)
+	}
+	check()
+}
+
+const transposeN = 1024
+
+// transposeTwoPhase makes the source and destination files of
+// transpose_real's redistribution — N=1024 over 8 ranks, memElems 16·1024
+// — and returns op, which opens them, runs the collective and closes
+// them, and check, which verifies the destination.
+func transposeTwoPhase(tb testing.TB, mkDst func(n, p int) (*dist.Array, error)) (op, check func()) {
+	const n, p, memElems = transposeN, 8, 16 * 1024
 	srcMap, err := colBlock("src")(n, p)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	dstMap, err := colBlock("dst")(n, p)
+	dstMap, err := mkDst(n, p)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	fs := iosim.NewMemFS()
 	run := func(body func(proc *mp.Proc, disk *iosim.Disk) error) {
-		b.Helper()
+		tb.Helper()
 		if _, err := mp.Run(sim.Delta(p), func(proc *mp.Proc) error {
 			return body(proc, iosim.NewDisk(fs, proc.Config(), &proc.Stats().IO))
 		}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	run(func(proc *mp.Proc, disk *iosim.Disk) error {
-		sideFor(b, disk, srcMap, proc.Rank(), valueAt).LAF.Close()
-		sideFor(b, disk, dstMap, proc.Rank(), nil).LAF.Close()
+		sideFor(tb, disk, srcMap, proc.Rank(), valueAt).LAF.Close()
+		sideFor(tb, disk, dstMap, proc.Rank(), nil).LAF.Close()
 		return nil
 	})
 	open := func(disk *iosim.Disk, dm *dist.Array, rank int) (Side, error) {
@@ -825,35 +943,32 @@ func BenchmarkRedistributeTwoPhase(b *testing.B) {
 		laf, err := disk.OpenLAF(fmt.Sprintf("%s.p%d.laf", dm.Name, rank), int64(shape[0]*shape[1]))
 		return Side{Map: dm, LAF: laf, Rank: rank, Rows: shape[0], Cols: shape[1]}, err
 	}
-	op := func(proc *mp.Proc, disk *iosim.Disk) error {
-		src, err := open(disk, srcMap, proc.Rank())
-		if err != nil {
-			return err
-		}
-		defer src.LAF.Close()
-		dst, err := open(disk, dstMap, proc.Rank())
-		if err != nil {
-			return err
-		}
-		defer dst.LAF.Close()
-		return Redistribute(proc, src, dst, memElems, 30, Transpose(), TwoPhase)
+	op = func() {
+		run(func(proc *mp.Proc, disk *iosim.Disk) error {
+			src, err := open(disk, srcMap, proc.Rank())
+			if err != nil {
+				return err
+			}
+			defer src.LAF.Close()
+			dst, err := open(disk, dstMap, proc.Rank())
+			if err != nil {
+				return err
+			}
+			defer dst.LAF.Close()
+			return Redistribute(proc, src, dst, memElems, 30, Transpose(), TwoPhase)
+		})
 	}
-	run(op) // warm-up: the arena holds every class the op takes
-	b.SetBytes(n * n * 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run(op)
+	check = func() {
+		run(func(proc *mp.Proc, disk *iosim.Disk) error {
+			dst, err := open(disk, dstMap, proc.Rank())
+			if err != nil {
+				return err
+			}
+			defer dst.LAF.Close()
+			return checkSide(dst, func(gi, gj int) float64 { return valueAt(gj, gi) })
+		})
 	}
-	b.StopTimer()
-	run(func(proc *mp.Proc, disk *iosim.Disk) error {
-		dst, err := open(disk, dstMap, proc.Rank())
-		if err != nil {
-			return err
-		}
-		defer dst.LAF.Close()
-		return checkSide(dst, func(gi, gj int) float64 { return valueAt(gj, gi) })
-	})
+	return op, check
 }
 
 // TestSegments pins the cut of a rank's local rows into runs of the swept
@@ -880,17 +995,17 @@ func TestSegments(t *testing.T) {
 		want  []seg
 	}{
 		{"block: one segment per owner, the last one ragged", all(10), dist.NewBlock(10, 4),
-			[]seg{{0, 3, 0, 0}, {3, 3, 1, 0}, {6, 3, 2, 0}, {9, 1, 3, 0}}},
+			[]seg{{0, 3, 0, 0, 1}, {3, 3, 1, 0, 1}, {6, 3, 2, 0, 1}, {9, 1, 3, 0, 1}}},
 		{"cyclic: a segment per row", all(5), dist.NewCyclic(5, 2),
-			[]seg{{0, 1, 0, 0}, {1, 1, 1, 0}, {2, 1, 0, 1}, {3, 1, 1, 1}, {4, 1, 0, 2}}},
+			[]seg{{0, 1, 0, 0, 1}, {1, 1, 1, 0, 1}, {2, 1, 0, 1, 1}, {3, 1, 1, 1, 1}, {4, 1, 0, 2, 1}}},
 		{"cyclic(3): a segment per block, the tail cut", all(11), dist.NewBlockCyclic(11, 2, 3),
-			[]seg{{0, 3, 0, 0}, {3, 3, 1, 0}, {6, 3, 0, 3}, {9, 2, 1, 3}}},
+			[]seg{{0, 3, 0, 0, 1}, {3, 3, 1, 0, 1}, {6, 3, 0, 3, 1}, {9, 2, 1, 3, 1}}},
 		{"collapsed: one segment", all(7), dist.NewCollapsed(7),
-			[]seg{{0, 7, 0, 0}}},
+			[]seg{{0, 7, 0, 0, 1}}},
 		{"source rows cyclic like the destination's: one segment", []int32{1, 4, 7, 10}, dist.NewCyclic(12, 3),
-			[]seg{{0, 4, 1, 0}}},
+			[]seg{{0, 4, 1, 0, 1}}},
 		{"source rows cyclic(2) into block: cut where the rows jump", []int32{2, 3, 6, 7}, dist.NewBlock(8, 2),
-			[]seg{{0, 2, 0, 2}, {2, 2, 1, 2}}},
+			[]seg{{0, 2, 0, 2, 1}, {2, 2, 1, 2, 1}}},
 		{"an empty local section", nil, dist.NewBlock(6, 3), []seg{}},
 	}
 	for _, tc := range cases {
@@ -1068,12 +1183,7 @@ func TestRunRouteEqualsElementRoute(t *testing.T) {
 				for k := range sent[me] {
 					idx[me] = append(idx[me], make([][]int, p))
 					for q := 0; q < p; q++ {
-						for _, ru := range sched.runs(q, k, me) {
-							lin, step := ru.lin(dst.Rows)
-							for j := 0; j < ru.n; j++ {
-								idx[me][k][q] = append(idx[me][k][q], lin+j*step)
-							}
-						}
+						idx[me][k][q] = linears(sched.blocks(q, k, me), dst.Rows)
 					}
 				}
 				return nil

@@ -11,7 +11,7 @@ import (
 )
 
 // receiver applies each round's payloads — per source rank, the values of
-// its runs to this rank in schedule order — to the destination LAF under
+// its blocks to this rank in schedule order — to the destination LAF under
 // one of the write strategies; where each value goes is the schedule's.
 // absorb only reads the payloads; the caller releases them.
 type receiver interface {
@@ -20,12 +20,12 @@ type receiver interface {
 	cleanup()
 }
 
-func newReceiver(dst Side, memElems, rounds int, method Method, sched *schedule) (receiver, error) {
+func newReceiver(dst Side, memElems int, method Method, sched *schedule) (receiver, error) {
 	switch method {
 	case Direct, Sieved:
 		return &runReceiver{dst: dst, sched: sched, sieve: method == Sieved}, nil
 	case TwoPhase:
-		return newTwoPhaseReceiver(dst, memElems, rounds, sched)
+		return newTwoPhaseReceiver(dst, memElems, sched)
 	}
 	return nil, fmt.Errorf("collio: unknown method %d", int(method))
 }
@@ -94,20 +94,22 @@ func (r *runReceiver) coalesce(k int, incoming [][]float64) error {
 	clear(s.counts)
 	at := 0
 	for q, in := range incoming {
-		runs, err := s.inbound(q, k, in)
+		blocks, err := s.inbound(q, k, in)
 		if err != nil {
 			return err
 		}
-		for _, ru := range runs {
-			col, row := ru.col, ru.row
-			for _, v := range in[:ru.n] {
-				s.keys[at] = uint64(col)<<colShift | uint64(row)<<seqBits | uint64(at)
-				s.flat[at] = v
-				byRow[row]++
-				byCol[col]++
-				col, row, at = col+ru.dcol, row+ru.drow, at+1
+		for _, b := range blocks {
+			for i := range b.g {
+				col, row := int(b.col+i*b.colStep), int(b.row+i*b.rowStep)
+				for _, v := range in[:b.n] {
+					s.keys[at] = uint64(col)<<colShift | uint64(row)<<seqBits | uint64(at)
+					s.flat[at] = v
+					byRow[row]++
+					byCol[col]++
+					col, row, at = col+int(b.dcol), row+int(b.drow), at+1
+				}
+				in = in[b.n:]
 			}
-			in = in[ru.n:]
 		}
 	}
 	rowMask := uint64(1)<<(colShift-seqBits) - 1
@@ -151,22 +153,24 @@ func spread(dst, src []uint64, count []int, shift uint, mask uint64) {
 // in place, then writes it with one request. cleanup returns the store
 // and removes the scratch file on every exit.
 type twoPhaseReceiver struct {
-	dst                Side
-	sched              *schedule
-	rounds, winW, nWin int
-	counts             []int     // values received per window
-	store              []float64 // in memory: every window's values
-	scratch            *iosim.LAF
-	scratchName        string
+	dst         Side
+	sched       *schedule
+	winW, nWin  int
+	counts      []int     // values received per window: the schedule's
+	store       []float64 // in memory: every window's values
+	scratch     *iosim.LAF
+	scratchName string
 }
 
-func newTwoPhaseReceiver(dst Side, memElems, rounds int, sched *schedule) (*twoPhaseReceiver, error) {
+func newTwoPhaseReceiver(dst Side, memElems int, sched *schedule) (*twoPhaseReceiver, error) {
 	local := dst.Rows * dst.Cols
-	r := &twoPhaseReceiver{dst: dst, sched: sched, rounds: rounds, winW: WindowWidth(memElems, dst.Rows, dst.Cols)}
+	r := &twoPhaseReceiver{dst: dst, sched: sched, winW: WindowWidth(memElems, dst.Rows, dst.Cols)}
 	if local > 0 {
 		r.nWin = (dst.Cols + r.winW - 1) / r.winW
 	}
-	r.counts = make([]int, r.nWin)
+	sched.list, sched.counts = sched.list[:0], slices.Grow(sched.counts[:0], r.nWin)[:r.nWin]
+	r.counts = sched.counts
+	clear(r.counts)
 	if local == 0 || 2*local <= memElems {
 		r.store = bufpool.GetF64(local)
 		return r, nil
@@ -189,17 +193,19 @@ func (r *twoPhaseReceiver) window(wdx int) (base, elems int) {
 
 // absorb gathers round k's values window by window straight from the
 // payloads, in arrival order: in memory next to the window's earlier
-// values, spilling into a buffer appended to its scratch stretch.
+// values, spilling into a buffer appended to its scratch stretch. The
+// round's blocks join the list the flushes replay, except in phantom
+// (accounting-only) mode, where every value is a zero and nothing is
+// replayed.
 func (r *twoPhaseReceiver) absorb(k int, incoming [][]float64) error {
-	list := r.sched.list[:0]
+	s, at := r.sched, len(r.sched.list)
 	for q, in := range incoming {
-		runs, err := r.sched.inbound(q, k, in)
+		blocks, err := s.inbound(q, k, in)
 		if err != nil {
 			return err
 		}
-		list = append(list, runs...)
+		s.list = append(s.list, blocks...)
 	}
-	r.sched.list = list
 	var buf []float64
 	if r.store == nil {
 		buf = bufpool.GetF64(r.winW * r.dst.Rows)
@@ -211,18 +217,23 @@ func (r *twoPhaseReceiver) absorb(k int, incoming [][]float64) error {
 		if r.store != nil {
 			room = r.store[base:]
 		}
-		room, n, runs := room[r.counts[wdx]:elems], 0, list
+		room, n, blocks := room[r.counts[wdx]:elems], 0, s.list[at:]
 		for _, in := range incoming {
 			for len(in) > 0 {
-				t0, t1 := runs[0].span(wdx*r.winW, (wdx+1)*r.winW)
-				if n+t1-t0 > len(room) {
+				b := &blocks[0]
+				i0, i1, t0, t1 := b.part(wdx*r.winW, (wdx+1)*r.winW)
+				if n+(i1-i0)*(t1-t0) > len(room) {
 					return fmt.Errorf("collio: window %d received more elements than it holds (non-injective transform?)", wdx)
 				}
-				for _, v := range in[t0:t1] { // a loop, not copy: a few values each
-					room[n] = v
-					n++
+				for i := i0; i < i1; i++ {
+					dst := room[n : n+t1-t0]
+					src := in[i*int(b.n)+t0:][:len(dst)]
+					for j := range dst { // a loop, not copy: a few values each
+						dst[j] = src[j]
+					}
+					n += len(dst)
 				}
-				in, runs = in[runs[0].n:], runs[1:]
+				in, blocks = in[b.size():], blocks[1:]
 			}
 		}
 		if r.store == nil && n > 0 {
@@ -234,22 +245,17 @@ func (r *twoPhaseReceiver) absorb(k int, incoming [][]float64) error {
 		}
 		r.counts[wdx] += n
 	}
+	if r.dst.LAF.Disk().Phantom() {
+		s.list = s.list[:at]
+	}
 	return nil
 }
 
-// finish flushes every window, listing the runs to this rank once in
-// arrival order — round, source rank, run — for the flushes to replay. In
-// phantom (accounting-only) mode every value is a zero and nothing is
-// replayed; every request is still issued and counted identically.
+// finish flushes every window, replaying the blocks to this rank in
+// arrival order — round, source rank, block — as absorb listed them. In
+// phantom mode the list is empty; every request is still issued and
+// counted identically.
 func (r *twoPhaseReceiver) finish() error {
-	phantom := r.dst.LAF.Disk().Phantom()
-	list := r.sched.list[:0]
-	for k := 0; k < r.rounds && !phantom; k++ {
-		for q := range r.sched.srcs {
-			list = append(list, r.sched.runs(q, k, r.sched.me)...)
-		}
-	}
-	r.sched.list = list
 	for wdx := 0; wdx < r.nWin; wdx++ {
 		if err := r.flush(wdx); err != nil {
 			return err
@@ -259,7 +265,7 @@ func (r *twoPhaseReceiver) finish() error {
 }
 
 // flush puts window wdx's values in place in a staging buffer, replaying
-// the runs, and writes the window back with one request, returning what
+// the blocks, and writes the window back with one request, returning what
 // it borrows on every way out, a kill inside a transfer included.
 func (r *twoPhaseReceiver) flush(wdx int) error {
 	base, elems := r.window(wdx)
@@ -275,26 +281,25 @@ func (r *twoPhaseReceiver) flush(wdx int) error {
 		}
 		r.dst.charge("io-read", sec)
 	}
-	// Cleared: with duplicate destination indices a window can receive its
-	// size in values without covering every element.
 	staging := bufpool.GetF64(elems)
 	defer bufpool.PutF64(staging)
-	clear(staging)
 	win := []iosim.Chunk{{Off: int64(base), Len: elems}}
-	if r.counts[wdx] < elems {
+	switch {
+	case r.counts[wdx] < elems:
 		// Partially produced: one contiguous pre-read keeps the rest.
 		sec, err := r.dst.LAF.ReadChunks(win, staging)
 		if err != nil {
 			return err
 		}
 		r.dst.charge("io-read", sec)
+	case r.sched.fixed == nil:
+		// A func may send two values to one element, so a window can
+		// receive its size in values without covering every element. A
+		// structured map is injective: a full window is written whole.
+		clear(staging)
 	}
-	for _, ru := range r.sched.list {
-		t0, t1 := ru.span(wdx*r.winW, (wdx+1)*r.winW)
-		at, step := ru.lin(r.dst.Rows)
-		for at += t0*step - base; t0 < t1; t0++ {
-			staging[at], vals, at = vals[0], vals[1:], at+step
-		}
+	for i := range r.sched.list {
+		vals = scatter(staging, vals, &r.sched.list[i], wdx*r.winW, (wdx+1)*r.winW, r.dst.Rows, base)
 	}
 	sec, err := r.dst.LAF.WriteChunks(win, staging)
 	if err != nil {
@@ -302,6 +307,37 @@ func (r *twoPhaseReceiver) flush(wdx int) error {
 	}
 	r.dst.charge("io-write", sec)
 	return nil
+}
+
+// scatter stores the part of block b in the columns [clo, chi) — its
+// next values in vals, run by run — at its places in staging, which holds
+// the local array's linear indices from base on, and returns the values
+// left. Where the runs lie side by side it writes column by column, onto
+// contiguous rows.
+func scatter(staging, vals []float64, b *block, clo, chi, rows, base int) []float64 {
+	i0, i1, t0, t1 := b.part(clo, chi)
+	m, e := i1-i0, t1-t0
+	if m == 0 || e == 0 {
+		return vals
+	}
+	lin, istep, tstep := b.lin(rows)
+	at := lin - base + i0*istep + t0*tstep
+	part := vals[:m*e]
+	if istep == 1 { // the runs side by side: column by column
+		for t := range e {
+			col := staging[at+t*tstep:][:m]
+			for i := range col {
+				col[i] = part[i*e+t]
+			}
+		}
+		return vals[m*e:]
+	}
+	for i := range m {
+		for t, a := 0, at+i*istep; t < e; t, a = t+1, a+tstep {
+			staging[a] = part[i*e+t]
+		}
+	}
+	return vals[m*e:]
 }
 
 func (r *twoPhaseReceiver) cleanup() {

@@ -11,42 +11,92 @@ import (
 	"github.com/ooc-hpf/passion/internal/mp"
 )
 
-// run is one stretch of a source rank's round k going to one owner: the n
-// values at offsets off, off+1, … of the round's slab (full local columns,
-// column-major) land at the owner's local elements (col + t·dcol,
-// row + t·drow), t = 0, 1, …, dcol one of -1, 0, 1. A message is the
-// values of its runs back to back, in schedule order.
-type run struct {
-	k, off, n, col, row, dcol, drow int
+// block is g runs of n values of a source rank's round k going to one
+// owner. Value t of run i is the round's slab (full local columns,
+// column-major) at offset off + i·offStep + t·doff and lands at the
+// owner's local element (col + i·colStep + t·dcol, row + i·rowStep +
+// t·drow); dcol and colStep are each one of -1, 0, 1, and at most one of
+// them moves a block of more than one value per run across columns, so a
+// window of columns takes a rectangle of it. A message is the values of
+// its blocks back to back, run by run, in schedule order. Only structured
+// maps, which are injective, build blocks of g > 1 or doff > 1; a func's
+// inspector cuts one-run blocks of consecutive source values. The fields
+// are int32, half the size of int, because a func's inspector keeps a
+// block per run.
+type block struct {
+	k, off, n, col, row, dcol, drow    int32
+	g, doff, offStep, colStep, rowStep int32
 }
 
-// lin returns the run's first linear index and step in a local array of rows rows.
-func (r run) lin(rows int) (lin, step int) {
-	return r.col*rows + r.row, r.dcol*rows + r.drow
+// size is the number of values the block carries.
+func (b *block) size() int { return int(b.g) * int(b.n) }
+
+// lin returns the block's first linear index in a local array of rows
+// rows, and its steps from one run to the next and from one value to the
+// next.
+func (b *block) lin(rows int) (lin, istep, tstep int) {
+	return int(b.col)*rows + int(b.row), int(b.colStep)*rows + int(b.rowStep), int(b.dcol)*rows + int(b.drow)
 }
 
-// span returns the positions [t0, t1) of run r whose column lies in
-// [clo, chi): one stretch, the columns being monotone.
-func (r run) span(clo, chi int) (t0, t1 int) {
-	switch r.dcol {
+// part returns the runs [i0, i1) of b and the positions [t0, t1) of each
+// whose columns lie in [clo, chi).
+func (b *block) part(clo, chi int) (i0, i1, t0, t1 int) {
+	if b.colStep == 0 {
+		if t0, t1 = stretch(int(b.col), int(b.dcol), int(b.n), clo, chi); t0 == t1 {
+			return 0, 0, 0, 0
+		}
+		return 0, int(b.g), t0, t1
+	}
+	i0, i1 = stretch(int(b.col), int(b.colStep), int(b.g), clo, chi)
+	return i0, i1, 0, int(b.n)
+}
+
+// stretch returns the positions [t0, t1) of the n columns col + t·d,
+// d one of -1, 0, 1, that lie in [clo, chi): one stretch, the columns
+// being monotone.
+func stretch(col, d, n, clo, chi int) (t0, t1 int) {
+	switch d {
 	case 0:
-		if r.col < clo || r.col >= chi {
+		if col < clo || col >= chi {
 			return 0, 0
 		}
-		return 0, r.n
+		return 0, n
 	case 1:
-		t0, t1 = clo-r.col, chi-r.col
+		t0, t1 = clo-col, chi-col
 	default:
-		t0, t1 = r.col-chi+1, r.col-clo+1
+		t0, t1 = col-chi+1, col-clo+1
 	}
-	return min(max(t0, 0), r.n), min(max(t1, 0), r.n)
+	return min(max(t0, 0), n), min(max(t1, 0), n)
 }
 
-// seg is a run of a rank's local rows [li0, li0+n) whose destination
+// extends adds r, one run, to b, a block of g > 1 runs, if r continues
+// b's lattice. Both come from one structured schedule, so they step alike
+// within a run (dcol, drow).
+func (b *block) extends(r *block) bool {
+	if r.off != b.off+b.g*b.offStep || r.col != b.col+b.g*b.colStep || r.row != b.row+b.g*b.rowStep || r.n != b.n || r.doff != b.doff {
+		return false
+	}
+	b.g++
+	return true
+}
+
+// pairs makes the one-run block b and r a block of two runs if every
+// window takes a rectangle of it. It is apart from extends so that each
+// inlines.
+func (b *block) pairs(r *block) bool {
+	dc := r.col - b.col
+	if r.n != b.n || r.doff != b.doff || dc < -1 || dc > 1 || dc != 0 && b.dcol != 0 && b.n > 1 {
+		return false
+	}
+	b.g, b.offStep, b.colStep, b.rowStep = 2, r.off-b.off, dc, r.row-b.row
+	return true
+}
+
+// seg is n of a rank's local rows li0, li0+step, … whose destination
 // index along the swept dimension has one owner contribution (own, as in
 // dist.DimTable.Own) and the consecutive local indices loc0, loc0+1, ….
 type seg struct {
-	li0, n, own, loc0 int32
+	li0, n, own, loc0, step int32
 }
 
 // segments appends the cut of the local rows (by global index) into the
@@ -55,19 +105,43 @@ type seg struct {
 func segments(segs []seg, rowG []int32, swept *dist.DimTable) []seg {
 	for li, g := range rowG {
 		if li == 0 || swept.Own[g] != swept.Own[rowG[li-1]] || swept.Loc[g] != swept.Loc[rowG[li-1]]+1 {
-			segs = append(segs, seg{li0: int32(li), own: swept.Own[g], loc0: swept.Loc[g]})
+			segs = append(segs, seg{li0: int32(li), own: swept.Own[g], loc0: swept.Loc[g], step: 1})
 		}
 		segs[len(segs)-1].n++
 	}
 	return segs
 }
 
+// strided merges, in place, single-row segments of one owner contribution
+// that are evenly spaced in the local rows and land on consecutive local
+// indices — what a CYCLIC swept dimension cuts — into one segment with a
+// step, and returns the merged list. The segments come ordered by owner
+// contribution, row order within one.
+func strided(segs []seg) []seg {
+	out := segs[:0]
+	for _, sg := range segs {
+		if len(out) > 0 {
+			a := &out[len(out)-1]
+			if a.own == sg.own && sg.n == 1 && sg.loc0 == a.loc0+a.n && (a.n == 1 || sg.li0 == a.li0+a.n*a.step) {
+				if a.n == 1 {
+					a.step = sg.li0 - a.li0
+				}
+				a.n++
+				continue
+			}
+		}
+		out = append(out, sg)
+	}
+	return out
+}
+
 // schedule says, for every source rank q, round k and destination owner,
-// which runs of q's slab go to the owner and where they land; the sender
+// which blocks of q's slab go to the owner and where they land; the sender
 // fills its buckets and the receivers read their payloads by it. Under the
 // identity and the transpose it follows from the two mappings; under a
 // func it is what the inspector measured and exchanged: this rank's runs
-// to each owner (sent) and each source rank's to this one (got).
+// to each owner (sent) and each source rank's to this one (got), each a
+// one-run block.
 type schedule struct {
 	me         int
 	dstT       *dist.Tables2
@@ -77,19 +151,20 @@ type schedule struct {
 	// structured map, its rows sweeping the other; nil under a func.
 	fixed     *dist.DimTable
 	transpose bool
-	sent, got [][]run
+	sent, got [][]block
 	kept
 }
 
 // kept is the storage a schedule keeps while pooled, so that a
 // redistribution appends into the capacity the last one left: segments,
-// the last runs computed, the two-phase receiver's list of runs to this
-// rank, and the run receiver's sort keys (twice: a counting pass moves
-// them from one to the other), bucket counts, arrivals, values and
-// chunks. Every user starts its slices at length zero.
+// the last blocks computed, the two-phase receiver's list of blocks to
+// this rank, and the run receiver's sort keys (twice: a counting pass
+// moves them from one to the other), bucket counts (the two-phase
+// receiver's per-window counts), arrivals, values and chunks. Every user
+// starts its slices at length zero.
 type kept struct {
 	segBuf       []seg
-	out, list    []run
+	out, list    []block
 	keys, sorted []uint64
 	counts       []int
 	flat, vals   []float64
@@ -136,8 +211,9 @@ func newSchedule(me, size int, src *dist.Array, dstT *dist.Tables2, dst Side, me
 		default:
 			at := len(s.segBuf)
 			s.segBuf = segments(s.segBuf, c.rowG, swept)
-			c.segs = s.segBuf[at:]
-			slices.SortStableFunc(c.segs, func(a, b seg) int { return int(a.own - b.own) })
+			slices.SortStableFunc(s.segBuf[at:], func(a, b seg) int { return int(a.own - b.own) })
+			c.segs = strided(s.segBuf[at:])
+			s.segBuf = s.segBuf[:at+len(c.segs)]
 		}
 	}
 	return s
@@ -150,15 +226,16 @@ func (s *schedule) release() {
 	schedules.Put(s)
 }
 
-// runs returns the runs q sends owner in round k, in bucket order: column
-// by column, down each column. The slice is valid until the next call.
-func (s *schedule) runs(q, k, owner int) []run {
+// blocks returns the blocks q sends owner in round k, in bucket order:
+// column by column, down each column. The slice is valid until the next
+// call.
+func (s *schedule) blocks(q, k, owner int) []block {
 	if s.fixed == nil {
 		tab := s.got[q]
 		if q == s.me {
 			tab = s.sent[owner]
 		}
-		byRound := func(r run, k int) int { return r.k - k }
+		byRound := func(b block, k int) int { return int(b.k) - k }
 		lo, _ := slices.BinarySearchFunc(tab, k, byRound)
 		hi, _ := slices.BinarySearchFunc(tab, k+1, byRound)
 		return tab[lo:hi]
@@ -170,7 +247,7 @@ func (s *schedule) runs(q, k, owner int) []run {
 	want, lo, hi := int32(-1), 0, 0
 	for lj, gj := range src.colG[k*src.w : min((k+1)*src.w, len(src.colG))] {
 		// The segments whose owner contribution adds up with the column's
-		// to owner: one under BLOCK.
+		// to owner: one under BLOCK and under CYCLIC.
 		if o := int32(owner) - s.fixed.Own[gj]; o != want {
 			want = o
 			lo, _ = slices.BinarySearchFunc(src.segs, want, func(sg seg, o int32) int { return int(sg.own - o) })
@@ -178,14 +255,23 @@ func (s *schedule) runs(q, k, owner int) []run {
 			}
 		}
 		// The column fixes one destination index, its segments sweep the
-		// other. Filled in place: a run built aside costs a stalled load.
-		fixed, off := int(s.fixed.Loc[gj]), lj*len(src.rowG)
+		// other. Each is one run. A column's only run joins the last
+		// block if it continues it, so the columns of a round to one
+		// owner become one block; where a column has several, as under
+		// CYCLIC(k), their lattice breaks at the next column anyway.
+		// Filled in place: a block built aside costs a stalled load.
+		fixed, off, join := s.fixed.Loc[gj], int32(lj*len(src.rowG)), hi-lo == 1
 		for _, sg := range src.segs[lo:hi] {
-			out = append(out, run{})
+			out = append(out, block{})
 			r := &out[len(out)-1]
-			r.k, r.off, r.n, r.col, r.row, r.drow = k, off+int(sg.li0), int(sg.n), fixed, int(sg.loc0), 1
+			r.k, r.off, r.n, r.col, r.row, r.drow, r.g, r.doff = int32(k), off+sg.li0, sg.n, fixed, sg.loc0, 1, 1, sg.step
 			if s.transpose {
-				r.col, r.row, r.dcol, r.drow = int(sg.loc0), fixed, 1, 0
+				r.col, r.row, r.dcol, r.drow = sg.loc0, fixed, 1, 0
+			}
+			if n := len(out); join && n > 1 {
+				if b := &out[n-2]; b.g > 1 && b.extends(r) || b.g == 1 && b.pairs(r) {
+					out = out[:n-1]
+				}
 			}
 		}
 	}
@@ -194,32 +280,46 @@ func (s *schedule) runs(q, k, owner int) []run {
 }
 
 // fill copies round k's slab data into one exactly sized arena bucket per
-// owner: the values of the owner's runs, back to back.
+// owner: the values of the owner's blocks, back to back.
 func (s *schedule) fill(parts [][]float64, data []float64, k int) {
 	for owner := range parts {
-		runs := s.runs(s.me, k, owner)
-		if n := total(runs); n > 0 {
-			parts[owner] = bufpool.GetF64(n)[:0]
-			for _, r := range runs {
-				parts[owner] = append(parts[owner], data[r.off:r.off+r.n]...)
+		blocks := s.blocks(s.me, k, owner)
+		n := total(blocks)
+		if n == 0 {
+			continue
+		}
+		part, at := bufpool.GetF64(n)[:n], 0
+		for j := range blocks {
+			b := &blocks[j]
+			n, doff := int(b.n), int(b.doff)
+			for i, off := 0, int(b.off); i < int(b.g); i, off = i+1, off+int(b.offStep) {
+				if doff == 1 {
+					at += copy(part[at:], data[off:off+n])
+					continue
+				}
+				for t := range n {
+					part[at+t] = data[off+t*doff]
+				}
+				at += n
 			}
 		}
+		parts[owner] = part
 	}
 }
 
-// inbound returns the runs of q's round-k payload in to this rank, which
-// must hold exactly their values.
-func (s *schedule) inbound(q, k int, in []float64) ([]run, error) {
-	runs := s.runs(q, k, s.me)
-	if n := total(runs); n != len(in) {
+// inbound returns the blocks of q's round-k payload in to this rank,
+// which must hold exactly their values.
+func (s *schedule) inbound(q, k int, in []float64) ([]block, error) {
+	blocks := s.blocks(q, k, s.me)
+	if n := total(blocks); n != len(in) {
 		return nil, &PayloadError{From: q, Round: k, Got: len(in), Want: n}
 	}
-	return runs, nil
+	return blocks, nil
 }
 
-func total(runs []run) (n int) {
-	for _, r := range runs {
-		n += r.n
+func total(blocks []block) (n int) {
+	for i := range blocks {
+		n += blocks[i].size()
 	}
 	return n
 }
@@ -234,13 +334,13 @@ func (s *schedule) inspect(fn func(gi, gj int) (di, dj int), ds [2]int, tag int,
 	exchange func(tag int, parts [][]float64) [][]float64) error {
 	src, size := &s.srcs[s.me], len(s.srcs)
 	own0, loc0, own1, loc1 := s.dstT.Dim[0].Own, s.dstT.Dim[0].Loc, s.dstT.Dim[1].Own, s.dstT.Dim[1].Loc
-	s.sent, s.got = make([][]run, size), make([][]run, size)
+	s.sent, s.got = make([][]block, size), make([][]block, size)
 	var bad []float64
 walk:
 	for k := 0; k < src.rounds; k++ {
 		// Only the element right after a run's last can continue it (its
 		// slab offset is the next), so the run to grow is the last one's.
-		cur, curOwner := (*run)(nil), -1
+		cur, curOwner := (*block)(nil), -1
 		for lj, gj := range src.colG[k*src.w : min((k+1)*src.w, len(src.colG))] {
 			for li, gi := range src.rowG {
 				di, dj := fn(int(gi), int(gj))
@@ -250,7 +350,7 @@ walk:
 				}
 				owner, off, col, row := int(own0[di]+own1[dj]), lj*len(src.rowG)+li, int(loc1[dj]), int(loc0[di])
 				if owner != curOwner || !cur.grows(off, col, row) {
-					s.sent[owner] = append(s.sent[owner], run{k: k, off: off, n: 1, col: col, row: row})
+					s.sent[owner] = append(s.sent[owner], block{k: int32(k), off: int32(off), n: 1, col: int32(col), row: int32(row), g: 1, doff: 1})
 					cur, curOwner = &s.sent[owner][len(s.sent[owner])-1], owner
 				}
 			}
@@ -282,12 +382,14 @@ walk:
 }
 
 // grows adds the element at slab offset off, bound for local element
-// (col, row), to run r if it continues r affinely, at most one column on.
-func (r *run) grows(off, col, row int) bool {
-	if r.n == 1 && off == r.off+1 && max(col-r.col, r.col-col) <= 1 {
-		r.dcol, r.drow = col-r.col, row-r.row
+// (col, row), to one-run block r if it continues r affinely, at most one
+// column on.
+func (r *block) grows(off, col, row int) bool {
+	rOff, rCol, rRow, n := int(r.off), int(r.col), int(r.row), int(r.n)
+	if n == 1 && off == rOff+1 && max(col-rCol, rCol-col) <= 1 {
+		r.dcol, r.drow = int32(col-rCol), int32(row-rRow)
 	}
-	if off != r.off+r.n || col != r.col+r.n*r.dcol || row != r.row+r.n*r.drow {
+	if off != rOff+n || col != rCol+n*int(r.dcol) || row != rRow+n*int(r.drow) {
 		return false
 	}
 	r.n++
@@ -301,16 +403,16 @@ func (s *schedule) decode(q int, in []float64) error {
 		return fmt.Errorf("collio: inspector table of %d values from rank %d is malformed", len(in), q)
 	}
 	src, inside := &s.srcs[q], func(col, row int) bool { return uint(col) < uint(s.cols) && uint(row) < uint(s.rows) }
-	s.got[q] = make([]run, 0, (len(in)-1)/6)
+	s.got[q] = make([]block, 0, (len(in)-1)/6)
 	for i := 1; i < len(in); i += 6 {
-		r := run{k: int(in[i]), n: int(in[i+1]), col: int(in[i+2]), row: int(in[i+3]), dcol: int(in[i+4]), drow: int(in[i+5])}
-		if len(s.got[q]) > 0 && r.k < s.got[q][len(s.got[q])-1].k || r.k < 0 || r.k >= src.rounds ||
-			r.n < 1 || r.n > len(src.rowG)*src.w || max(r.dcol, -r.dcol) > 1 || max(r.drow, -r.drow) > s.rows ||
-			!inside(r.col, r.row) || !inside(r.col+(r.n-1)*r.dcol, r.row+(r.n-1)*r.drow) {
+		k, n, col, row, dcol, drow := int(in[i]), int(in[i+1]), int(in[i+2]), int(in[i+3]), int(in[i+4]), int(in[i+5])
+		if len(s.got[q]) > 0 && k < int(s.got[q][len(s.got[q])-1].k) || k < 0 || k >= src.rounds ||
+			n < 1 || n > len(src.rowG)*src.w || max(dcol, -dcol) > 1 || max(drow, -drow) > s.rows ||
+			!inside(col, row) || !inside(col+(n-1)*dcol, row+(n-1)*drow) {
 			return fmt.Errorf("collio: inspector table from rank %d has a run (round %d, n %d, at %d,%d, step %d,%d) out of round order or outside the local %dx%d",
-				q, r.k, r.n, r.row, r.col, r.drow, r.dcol, s.rows, s.cols)
+				q, k, n, row, col, drow, dcol, s.rows, s.cols)
 		}
-		s.got[q] = append(s.got[q], r)
+		s.got[q] = append(s.got[q], block{k: int32(k), n: int32(n), col: int32(col), row: int32(row), dcol: int32(dcol), drow: int32(drow), g: 1, doff: 1})
 	}
 	return nil
 }
