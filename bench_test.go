@@ -33,13 +33,13 @@ const benchN = 256
 // slabs fixed at slabA, slabB and slabC elements, in accounting-only mode.
 func runGaxpy(b *testing.B, strategy string, procs, slabA, slabB, slabC int, opts oocarray.Options) float64 {
 	b.Helper()
-	prg, err := gaxpy.Plan(benchN, procs, strategy, slabA, slabB, slabC)
+	prg, err := gaxpy.Plan(benchN, procs, strategy, slabA, slabB, slabC, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var sec float64
 	for i := 0; i < b.N; i++ {
-		out, err := exec.Run(prg, sim.Delta(procs), exec.Options{Phantom: true, Runtime: opts})
+		out, err := exec.Run(prg, sim.Delta(procs), exec.Options{Phantom: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func BenchmarkCompiledExecution(b *testing.B) {
 func BenchmarkRealRowSlab(b *testing.B) {
 	const n, procs = 128, 4
 	slab := n * n / procs / 4
-	prg, err := gaxpy.Plan(n, procs, "row-slab", slab, slab, slab)
+	prg, err := gaxpy.Plan(n, procs, "row-slab", slab, slab, slab, oocarray.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

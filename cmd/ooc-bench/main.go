@@ -34,8 +34,8 @@ func main() {
 		procsList  = flag.String("procs", "", "comma-separated processor counts (default per experiment)")
 		ratioList  = flag.String("ratios", "", "comma-separated slab-ratio denominators, e.g. 8,4,2,1")
 		real       = flag.Bool("real", false, "move real data and do real arithmetic (slow at paper scale)")
-		sieve      = flag.Bool("sieve", false, "enable data sieving in the runtime")
-		prefetch   = flag.Bool("prefetch", false, "enable prefetching in the runtime")
+		sieve      = flag.Bool("sieve", false, "compile the experiments' plans with data sieving (priced and run)")
+		prefetch   = flag.Bool("prefetch", false, "compile the experiments' plans with prefetching")
 		csvPath    = flag.String("csv", "", "also write CSV output to this file (table1/fig10/table2)")
 		machine    = flag.String("machine", "delta", "machine model: delta (paper calibration) or modern (NVMe-class)")
 
@@ -143,7 +143,7 @@ func runWallclock(kernels, out, baseline string, nsFactor float64) {
 		if err := wallbench.Compare(rep, base, nsFactor); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "wallbench: within baseline %s (ns/op factor %.1f, allocs exact)\n", baseline, nsFactor)
+		fmt.Fprintf(os.Stderr, "wallbench: within baseline %s (ns/op factor %.1f, allocs and sim_s exact)\n", baseline, nsFactor)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"github.com/ooc-hpf/passion/internal/cliutil"
 	"github.com/ooc-hpf/passion/internal/compiler"
 	"github.com/ooc-hpf/passion/internal/hpf"
+	"github.com/ooc-hpf/passion/internal/oocarray"
 )
 
 func main() {
@@ -70,7 +71,7 @@ func main() {
 		*mem = 1 << 16
 	}
 	res, err := compiler.Compile(prog, compiler.Options{
-		N: *n, Procs: *procs, MemElems: *mem, Policy: pol, Force: *force, Sieve: *sieve,
+		N: *n, Procs: *procs, MemElems: *mem, Policy: pol, Force: *force, Runtime: oocarray.Options{Sieve: *sieve},
 	})
 	if err != nil {
 		fatal(err)

@@ -68,7 +68,7 @@ func main() {
 	}
 
 	res, err := compiler.CompileSource(src, compiler.Options{
-		N: *n, Procs: *procs, MemElems: *mem, Force: *force, Sieve: rf.Sieve,
+		N: *n, Procs: *procs, MemElems: *mem, Force: *force, Runtime: rf.Runtime(),
 		Policy: compiler.PolicyWeighted,
 	})
 	if err != nil {

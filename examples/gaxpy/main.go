@@ -14,6 +14,7 @@ import (
 	"github.com/ooc-hpf/passion/internal/exec"
 	"github.com/ooc-hpf/passion/internal/gaxpy"
 	"github.com/ooc-hpf/passion/internal/hpf"
+	"github.com/ooc-hpf/passion/internal/oocarray"
 	"github.com/ooc-hpf/passion/internal/sim"
 )
 
@@ -41,7 +42,7 @@ func main() {
 		{"column-slab", "column-slab", slab},
 		{"row-slab", "row-slab", slab},
 	} {
-		prg, err := gaxpy.Plan(n, procs, v.strategy, v.slab, v.slab, v.slab)
+		prg, err := gaxpy.Plan(n, procs, v.strategy, v.slab, v.slab, v.slab, oocarray.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

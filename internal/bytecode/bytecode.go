@@ -244,10 +244,9 @@ type Program struct {
 	Name     string
 	N, Procs int
 	Strategy string
-	// Fingerprint is plan.Fingerprint of the lowered program (no
-	// extras): the identity the executor verifies before running this
-	// stream against a plan, and the key a persisted cache stores it
-	// under.
+	// Fingerprint is plan.Fingerprint of the lowered program, without
+	// runtime switches or extras: the key a persisted cache stores the
+	// stream under.
 	Fingerprint string
 	// Arrays is the array table: every out-of-core array with its
 	// distribution and strip-mining decision, in plan order. Instruction

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/ooc-hpf/passion/internal/collio"
+	"github.com/ooc-hpf/passion/internal/oocarray"
 	"github.com/ooc-hpf/passion/internal/plan"
 )
 
@@ -19,13 +20,15 @@ import (
 // dead loop variable or an unknown array is a compile error, returned
 // before exec creates a file or starts a rank.
 func Compile(p *plan.Program) (*Program, error) {
+	code := *p // the stream, and so its fingerprint, omits the runtime switches
+	code.Runtime = oocarray.Options{}
 	c := &compiler{
 		bc: &Program{
 			Name:        p.Name,
 			N:           p.N,
 			Procs:       p.Procs,
 			Strategy:    p.Strategy,
-			Fingerprint: plan.Fingerprint(p, nil),
+			Fingerprint: plan.Fingerprint(&code, nil),
 			Arrays:      append([]plan.ArraySpec(nil), p.Arrays...),
 		},
 		arrays: make(map[string]int32, len(p.Arrays)),

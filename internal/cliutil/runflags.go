@@ -15,10 +15,11 @@ import (
 	"github.com/ooc-hpf/passion/internal/sim"
 )
 
-// RunFlags is the one flags→exec.Options mapping shared by every entry
-// point that executes a compiled program — ooc-run, ooc-serve and the
-// ooc-bench serve harness all Build the same way, so a job submitted to
-// the server runs under exactly the options the CLI would have used.
+// RunFlags is the one flags→options mapping shared by every entry point
+// that compiles and executes a program — ooc-run, ooc-serve and the
+// ooc-bench serve harness all take Runtime into the compile options and
+// Build the rest the same way, so a job submitted to the server runs
+// under exactly the options the CLI would have used.
 type RunFlags struct {
 	Sieve    bool
 	Prefetch bool
@@ -56,8 +57,14 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.KillRank, "kill-rank", "", "fail-stop RANK at its OPth message/IO operation, as RANK@OP (e.g. 1@200); surviving it needs -checkpoint and -parity")
 }
 
-// Build materializes the flags into execution options over the backing
-// store base (nil means a fresh in-memory file system). resume sets
+// Runtime is the flags' runtime switches, a compile option: the plan
+// carries them to every run (compiler.Options.Runtime).
+func (f RunFlags) Runtime() oocarray.Options {
+	return oocarray.Options{Sieve: f.Sieve, Prefetch: f.Prefetch}
+}
+
+// Build materializes the other flags into execution options over the
+// backing store base (nil means a fresh in-memory file system). resume sets
 // exec.Options.Resume and forces a checkpoint spec so the resume finds
 // one. The returned ChaosFS is
 // non-nil exactly when fault injection wrapped the store, for
@@ -111,7 +118,6 @@ func (f *RunFlags) Build(base iosim.FS, resume bool) (exec.Options, *iosim.Chaos
 	}
 	opts.FS = fs
 	opts.Phantom = f.Phantom
-	opts.Runtime = oocarray.Options{Sieve: f.Sieve, Prefetch: f.Prefetch}
 	opts.Parity = f.Parity
 	opts.Resume = resume
 	return opts, chaosFS, nil

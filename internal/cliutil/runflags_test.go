@@ -93,8 +93,8 @@ func TestRegisterAndBuild(t *testing.T) {
 	if len(opts.Kill) != 1 || opts.Kill[0].Rank != 1 || opts.Kill[0].Op != 200 {
 		t.Errorf("kill spec = %+v", opts.Kill)
 	}
-	if !opts.Runtime.Sieve || !opts.Runtime.Prefetch {
-		t.Errorf("runtime options = %+v", opts.Runtime)
+	if rt := rf.Runtime(); !rt.Sieve || !rt.Prefetch {
+		t.Errorf("runtime options = %+v", rt)
 	}
 }
 

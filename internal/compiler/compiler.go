@@ -68,8 +68,10 @@ type Options struct {
 	// "column-slab"; "direct", "sieved" or "two-phase" for a transpose);
 	// empty lets the cost model decide.
 	Force string
-	// Sieve compiles row-slab transfers to use data sieving.
-	Sieve bool
+	// Runtime holds the out-of-core array runtime's switches. The plan
+	// carries them to every run (plan.Program.Runtime); Sieve also prices
+	// row-slab transfers as sieved.
+	Runtime oocarray.Options
 }
 
 // Pattern identifies the recognized statement class.
@@ -406,7 +408,7 @@ func emit(an *Analysis, opts Options, mach sim.Config) (*Result, error) {
 	if cands == nil {
 		cands = make([]cost.Candidate, len(splits))
 		for i, label := range []string{"column-slab", "row-slab"}[:len(splits)] {
-			cands[i] = an.candidate(label, splits[i], opts.Sieve)
+			cands[i] = an.candidate(label, splits[i], opts.Runtime.Sieve)
 		}
 	}
 	chosen, err := choose(an.Pattern, cands, opts.Force, mach)
@@ -414,7 +416,7 @@ func emit(an *Analysis, opts Options, mach sim.Config) (*Result, error) {
 		return nil, err
 	}
 	label, slab := cands[chosen].Label, splits[chosen]
-	prg := &plan.Program{N: n, Procs: an.Procs, Strategy: label, Arrays: make([]plan.ArraySpec, len(an.Arrays))}
+	prg := &plan.Program{N: n, Procs: an.Procs, Strategy: label, Arrays: make([]plan.ArraySpec, len(an.Arrays)), Runtime: opts.Runtime}
 	for i, name := range an.Arrays {
 		prg.Arrays[i] = an.spec(name, slab[i], label == "row-slab")
 	}

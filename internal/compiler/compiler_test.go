@@ -284,7 +284,7 @@ func TestCommutedProductAccepted(t *testing.T) {
 
 func TestSieveOptionPropagates(t *testing.T) {
 	plain := compileGaxpy(t, Options{MemElems: 1 << 12})
-	sieved := compileGaxpy(t, Options{MemElems: 1 << 12, Sieve: true})
+	sieved := compileGaxpy(t, Options{MemElems: 1 << 12, Runtime: oocarray.Options{Sieve: true}})
 	// Sieving changes the row-slab candidate's request count.
 	if plain.Candidates[1].TotalRequests() == sieved.Candidates[1].TotalRequests() {
 		t.Error("sieve option did not affect the cost model")

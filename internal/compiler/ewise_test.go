@@ -126,7 +126,7 @@ func TestEwiseSieveChangesRowCandidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sieved, err := CompileSource(hpf.EwiseSource, Options{MemElems: 1 << 12, Sieve: true})
+	sieved, err := CompileSource(hpf.EwiseSource, Options{MemElems: 1 << 12, Runtime: oocarray.Options{Sieve: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/ooc-hpf/passion/internal/bytecode"
 	"github.com/ooc-hpf/passion/internal/hpf"
+	"github.com/ooc-hpf/passion/internal/oocarray"
 )
 
 // FuzzCompile compiles arbitrary source, as ooc-serve accepts it over
@@ -34,7 +35,7 @@ func FuzzCompile(f *testing.F) {
 			MemElems: 16 * (1 + int(memSel)),
 			Policy:   MemPolicy(knobs % 3),
 			Force:    forces[int(knobs/3)%len(forces)],
-			Sieve:    knobs >= 128,
+			Runtime:  oocarray.Options{Sieve: knobs >= 128},
 		}
 		res, err := Compile(prog, opts)
 		if err != nil {
@@ -44,7 +45,7 @@ func FuzzCompile(f *testing.F) {
 			t.Fatalf("accepted %s program does not lower: %v\n%s", res.Analysis.Pattern, err, src)
 		}
 		if res.Analysis.Pattern == PatternGaxpy {
-			if err := closedFormMismatch(res, opts.Sieve); err != nil {
+			if err := closedFormMismatch(res, opts.Runtime.Sieve); err != nil {
 				t.Fatalf("derived candidates are not Equations 3-6: %v\n%s", err, src)
 			}
 		}

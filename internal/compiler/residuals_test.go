@@ -56,12 +56,12 @@ func residualLines(t *testing.T) []string {
 			for _, sieve := range []bool{false, true} {
 				for _, label := range wp.labels {
 					res, err := CompileSource(string(src), Options{
-						N: n, Procs: p, MemElems: mem, Machine: sim.Delta(p), Policy: PolicyWeighted, Force: label, Sieve: sieve,
+						N: n, Procs: p, MemElems: mem, Machine: sim.Delta(p), Policy: PolicyWeighted, Force: label, Runtime: oocarray.Options{Sieve: sieve},
 					})
 					if err != nil {
 						t.Fatalf("%s n=%d p=%d mem=%d %s: %v", wp.name, n, p, mem, label, err)
 					}
-					out, err := exec.Run(res.Program, sim.Delta(p), exec.Options{Phantom: true, Runtime: oocarray.Options{Sieve: sieve}})
+					out, err := exec.Run(res.Program, sim.Delta(p), exec.Options{Phantom: true})
 					if err != nil {
 						t.Fatalf("%s n=%d p=%d mem=%d %s: %v", wp.name, n, p, mem, label, err)
 					}

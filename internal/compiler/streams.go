@@ -108,7 +108,7 @@ func (an *Analysis) gaxpySplit(label string, budget int, opts Options, mach sim.
 			step = 1
 		}
 		return cost.Allocate2(budget, step, func(ma, mb int) float64 {
-			return an.candidate(label, []int{ma, mb, n}, opts.Sieve).Seconds(mach)
+			return an.candidate(label, []int{ma, mb, n}, opts.Runtime.Sieve).Seconds(mach)
 		})
 	default: // PolicyEven
 		return budget / 2, budget - budget/2

@@ -9,6 +9,7 @@ import (
 	"github.com/ooc-hpf/passion/internal/cost"
 	"github.com/ooc-hpf/passion/internal/exec"
 	"github.com/ooc-hpf/passion/internal/hpf"
+	"github.com/ooc-hpf/passion/internal/oocarray"
 	"github.com/ooc-hpf/passion/internal/sim"
 )
 
@@ -151,7 +152,7 @@ func TestGaxpyCandidatesAreEquations(t *testing.T) {
 				for _, p := range []int{4, 16, 64, 256, 512} {
 					for _, d := range []int{1, 4, 16, 64} {
 						res, err := CompileSource(string(src), Options{
-							N: n, Procs: p, MemElems: n * n / p / d, Machine: sim.Delta(p), Policy: policy, Sieve: sieve,
+							N: n, Procs: p, MemElems: n * n / p / d, Machine: sim.Delta(p), Policy: policy, Runtime: oocarray.Options{Sieve: sieve},
 						})
 						if err != nil {
 							continue

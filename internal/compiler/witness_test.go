@@ -10,6 +10,7 @@ import (
 
 	"github.com/ooc-hpf/passion/internal/bytecode"
 	"github.com/ooc-hpf/passion/internal/hpf"
+	"github.com/ooc-hpf/passion/internal/oocarray"
 	"github.com/ooc-hpf/passion/internal/plan"
 	"github.com/ooc-hpf/passion/internal/sim"
 )
@@ -100,13 +101,16 @@ func witnessLines(t *testing.T) []string {
 								}
 								res, err := CompileSource(string(src), Options{
 									N: n, Procs: p, MemElems: mem, Machine: sim.Delta(p),
-									Policy: policy, Force: force, Sieve: sieve,
+									Policy: policy, Force: force, Runtime: oocarray.Options{Sieve: sieve},
 								})
 								if err != nil {
 									rejected++
 									continue
 								}
 								accepted++
+								if rt := res.Program.Runtime; rt != (oocarray.Options{Sieve: sieve}) {
+									t.Fatalf("%s n=%d p=%d mem=%d: plan carries runtime %+v, want sieve=%t", wp.name, n, p, mem, rt, sieve)
+								}
 								bc, err := bytecode.Compile(res.Program)
 								if err != nil {
 									t.Fatalf("%s n=%d p=%d mem=%d: accepted program does not lower: %v", wp.name, n, p, mem, err)
@@ -122,8 +126,12 @@ func witnessLines(t *testing.T) []string {
 								// The disassembly header's encoding version is left
 								// out: a bump of the binary format alone moves no line.
 								disasm := strings.Replace(bc.Disassemble(), fmt.Sprintf(" version=%d\n", bytecode.Version), "\n", 1)
+								// The lines were recorded before plans carried their
+								// runtime switches: hash the plan without them.
+								code := *res.Program
+								code.Runtime = oocarray.Options{}
 								fmt.Fprintf(h, "program %s\nfingerprint %s\nbytecode %s\n",
-									res.Program.String(), plan.Fingerprint(res.Program, nil), disasm)
+									code.String(), plan.Fingerprint(&code, nil), disasm)
 							}
 						}
 					}

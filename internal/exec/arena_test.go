@@ -221,8 +221,7 @@ func TestFailedSlabReadReturnsItsBuffer(t *testing.T) {
 			run := func(schedule []iosim.ScheduledFault) (*iosim.ChaosFS, error) {
 				bufpool.ResetStats()
 				fs := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{Schedule: schedule})
-				out, err := Run(tc.res.Program, mach, Options{FS: fs, Fill: tc.fills,
-					Runtime: oocarray.Options{Prefetch: prefetch}})
+				out, err := Run(withRuntime(tc.res.Program, oocarray.Options{Prefetch: prefetch}), mach, Options{FS: fs, Fill: tc.fills})
 				if err == nil {
 					err = out.Close()
 				}
@@ -282,9 +281,8 @@ func TestKillAtEveryOpBalancesArena(t *testing.T) {
 			counts := make([]int64, procs)
 			run := func(kill []mp.KillSpec) error {
 				bufpool.ResetStats()
-				out, err := Run(tc.res.Program, sim.Delta(procs), Options{
+				out, err := Run(withRuntime(tc.res.Program, oocarray.Options{Prefetch: prefetch}), sim.Delta(procs), Options{
 					Fill: tc.fills, OpCounts: counts, Kill: kill,
-					Runtime: oocarray.Options{Prefetch: prefetch},
 				})
 				if err == nil {
 					err = out.Close()

@@ -132,10 +132,8 @@ func checkCancelled(t *testing.T, label string, err error) {
 // overlapped-I/O buffers are in flight when the run stops.
 func TestCancelStopsAndReleasesBuffers(t *testing.T) {
 	res := compileGaxpy(t, 64, 4, 1<<12)
-	opts := Options{
-		Fill:    sweepFills(),
-		Runtime: oocarray.Options{Prefetch: true, WriteBehind: true},
-	}
+	res.Program.Runtime = oocarray.Options{Prefetch: true, WriteBehind: true}
+	opts := Options{Fill: sweepFills()}
 	// A counting run that never cancels sizes the sweep: the deepest
 	// point must still have op boundaries after it.
 	ctx, fs := cancelAtOp(0)
@@ -229,6 +227,7 @@ func TestCancelWhilePeerParkedInRecv(t *testing.T) {
 // full run leaves the arena balanced too.
 func TestCompletedRunReleasesBuffers(t *testing.T) {
 	res := compileGaxpy(t, 48, 4, 1<<12)
+	res.Program.Runtime.Prefetch = true
 	bufpool.SetChecked(true)
 	defer bufpool.SetChecked(false)
 	bufpool.ResetStats()
@@ -236,7 +235,6 @@ func TestCompletedRunReleasesBuffers(t *testing.T) {
 		Fill: map[string]func(int, int) float64{
 			res.Analysis.A: gaxpy.FillA, res.Analysis.B: gaxpy.FillB,
 		},
-		Runtime: oocarray.Options{Prefetch: true},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -235,8 +235,7 @@ func TestWriteBehindThroughRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb, err := Run(res.Program, sim.Delta(4), Options{Fill: fill,
-		Runtime: oocarray.Options{WriteBehind: true}})
+	wb, err := Run(withRuntime(res.Program, oocarray.Options{WriteBehind: true}), sim.Delta(4), Options{Fill: fill})
 	if err != nil {
 		t.Fatal(err)
 	}

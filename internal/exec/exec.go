@@ -26,14 +26,12 @@ import (
 	"github.com/ooc-hpf/passion/internal/trace"
 )
 
-// Options configures an execution.
+// Options configures an execution. Sieving, prefetch and write-behind
+// are not among them: a run takes them from plan.Program.Runtime.
 type Options struct {
 	// Fill provides initial values for input arrays by name; inputs
 	// without an entry start zeroed.
 	Fill map[string]func(gi, gj int) float64
-	// Runtime passes data sieving / prefetching switches to the
-	// out-of-core array runtime.
-	Runtime oocarray.Options
 	// Phantom executes in accounting-only mode (no file data movement,
 	// no arithmetic; identical statistics).
 	Phantom bool
@@ -375,7 +373,7 @@ func run(ctx context.Context, l *Lowered, mach sim.Config, opts Options, resume 
 		// still closes its handles — closing is not a file operation, and
 		// the file storage behind them is the arena's to have back.
 		defer func() { in.close(!proc.Aborted()) }()
-		if err := in.initArrays(opts, rst); err != nil {
+		if err := in.initArrays(opts, p.Runtime, rst); err != nil {
 			return err
 		}
 		startNode, startIter := 0, 0
@@ -515,7 +513,7 @@ type tables struct {
 	// Per array-table index. staging holds each output array's current
 	// staging buffer; autoIdx tracks the counter-driven slab index of
 	// AUTO_STAGE arrays (-1 when none is active); writers holds the
-	// write-behind pipelines when Options.Runtime.WriteBehind is set.
+	// write-behind pipelines when the plan's Runtime.WriteBehind is set.
 	arrays  []*oocarray.Array
 	slabs   []oocarray.Slabbing
 	writers []*oocarray.SlabWriter
@@ -576,10 +574,11 @@ func (in *interp) start(ctx context.Context, code *bytecode.Program, proc *mp.Pr
 }
 
 // initArrays creates (or, on resume, reattaches to) the rank's local
-// array files and fills input arrays. When fault injection is active the
+// array files, built with the plan's runtime switches rt, and fills input
+// arrays. When fault injection is active the
 // array disks feed the processor's op counter, so kills can land between
 // I/O operations exactly as they can between message operations.
-func (in *interp) initArrays(opts Options, resume *restored) error {
+func (in *interp) initArrays(opts Options, rt oocarray.Options, resume *restored) error {
 	proc := in.proc
 	for i, spec := range in.code.Arrays {
 		dm := in.dmaps[i]
@@ -600,16 +599,16 @@ func (in *interp) initArrays(opts Options, resume *restored) error {
 			// Resuming: the local array files already exist; attach to
 			// them without truncation (their contents are rebuilt from
 			// the checkpoint snapshots below).
-			arr, err = oocarray.Open(disk, dm, proc.Rank(), proc.Clock(), opts.Runtime)
+			arr, err = oocarray.Open(disk, dm, proc.Rank(), proc.Clock(), rt)
 		} else {
-			arr, err = oocarray.New(disk, dm, proc.Rank(), proc.Clock(), opts.Runtime)
+			arr, err = oocarray.New(disk, dm, proc.Rank(), proc.Clock(), rt)
 		}
 		if err != nil {
 			return err
 		}
 		in.arrays[i] = arr
 		in.slabs[i] = arr.Slabbing(spec.SlabDim, spec.SlabElems)
-		if opts.Runtime.WriteBehind {
+		if rt.WriteBehind {
 			in.writers[i] = arr.NewSlabWriter()
 		}
 		if spec.Role == plan.In && !opts.Phantom && resume == nil {

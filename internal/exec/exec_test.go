@@ -10,6 +10,7 @@ import (
 	"github.com/ooc-hpf/passion/internal/hpf"
 	"github.com/ooc-hpf/passion/internal/matrix"
 	"github.com/ooc-hpf/passion/internal/oocarray"
+	"github.com/ooc-hpf/passion/internal/plan"
 	"github.com/ooc-hpf/passion/internal/sim"
 	"github.com/ooc-hpf/passion/internal/trace"
 )
@@ -131,16 +132,22 @@ func TestReadArrayUnknown(t *testing.T) {
 	}
 }
 
+// withRuntime returns a copy of p whose runs use the runtime switches rt.
+func withRuntime(p *plan.Program, rt oocarray.Options) *plan.Program {
+	q := *p
+	q.Runtime = rt
+	return &q
+}
+
 func TestRuntimeOptionsSieveAndPrefetch(t *testing.T) {
 	// Sieving + prefetching still compute the right answer.
 	res, err := compiler.CompileSource(hpf.GaxpySource,
-		compiler.Options{N: 32, Procs: 4, MemElems: 300, Sieve: true})
+		compiler.Options{N: 32, Procs: 4, MemElems: 300, Runtime: oocarray.Options{Sieve: true, Prefetch: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out, err := Run(res.Program, sim.Delta(4), Options{
-		Fill:    map[string]func(int, int) float64{"a": gaxpy.FillA, "b": gaxpy.FillB},
-		Runtime: oocarray.Options{Sieve: true, Prefetch: true},
+		Fill: map[string]func(int, int) float64{"a": gaxpy.FillA, "b": gaxpy.FillB},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +156,7 @@ func TestRuntimeOptionsSieveAndPrefetch(t *testing.T) {
 }
 
 func TestStreamedReadsPrefetch(t *testing.T) {
-	// With Stream-marked reads and Runtime.Prefetch, the interpreter
+	// With Stream-marked reads and the plan's Runtime.Prefetch, the interpreter
 	// overlaps slab fetches with computation: lower simulated time, same
 	// result, same I/O counts.
 	copts := compiler.Options{N: 64, Procs: 4, MemElems: 600}
@@ -162,8 +169,7 @@ func TestStreamedReadsPrefetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := Run(res.Program, sim.Delta(4), Options{Fill: fill,
-		Runtime: oocarray.Options{Prefetch: true}})
+	pre, err := Run(withRuntime(res.Program, oocarray.Options{Prefetch: true}), sim.Delta(4), Options{Fill: fill})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ type reconcileScenario struct {
 	name    string
 	source  string
 	copts   compiler.Options
+	runtime oocarray.Options // set on the compiled plan
 	fills   map[string]func(int, int) float64
 	options Options // Trace filled in by the test
 	resume  bool    // kill the run mid-flight, then reconcile the Resume
@@ -64,15 +65,15 @@ func reconcileScenarios() []reconcileScenario {
 			name:    "gaxpy/column-slab/sieve",
 			source:  hpf.GaxpySource,
 			copts:   gaxpyScenarioOpts("column-slab"),
+			runtime: oocarray.Options{Sieve: true},
 			fills:   sweepFills(),
-			options: Options{Runtime: oocarray.Options{Sieve: true}},
 		},
 		{
 			name:    "gaxpy/row-slab/prefetch-writebehind",
 			source:  hpf.GaxpySource,
 			copts:   gaxpyScenarioOpts("row-slab"),
+			runtime: oocarray.Options{Prefetch: true, WriteBehind: true},
 			fills:   sweepFills(),
-			options: Options{Runtime: oocarray.Options{Prefetch: true, WriteBehind: true}},
 		},
 		{
 			name:    "gaxpy/phantom",
@@ -170,6 +171,7 @@ func TestTraceReconcilesAcrossPrograms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			res.Program.Runtime = sc.runtime
 			mach := sim.Delta(res.Program.Procs)
 			opts := sc.options
 			opts.Fill = sc.fills
@@ -285,6 +287,7 @@ func TestStatsIndependentOfTracer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			res.Program.Runtime = sc.runtime
 			mach := sim.Delta(res.Program.Procs)
 			tr := trace.NewTracer(res.Program.Procs)
 			var outs []*Result

@@ -47,6 +47,7 @@ func TestStreamedSpansReconcileWithBufferedExport(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			res.Program.Runtime = sc.runtime
 			mach := sim.Delta(res.Program.Procs)
 
 			var stream bytes.Buffer

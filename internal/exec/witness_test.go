@@ -29,9 +29,12 @@ const witnessPath = "testdata/engine_witness.txt"
 // witnessScenario is one compiled program under one option set whose
 // observable behaviour engine_witness.txt pins.
 type witnessScenario struct {
-	name    string
-	source  string
-	copts   compiler.Options
+	name   string
+	source string
+	copts  compiler.Options
+	// runtime is set on the compiled plan, which copts alone would
+	// compile differently (sieve pricing can move the memory split).
+	runtime oocarray.Options
 	fills   map[string]func(int, int) float64
 	options Options // FS, Trace, OpCounts and CkptHook filled in per run
 	outputs []string
@@ -62,7 +65,7 @@ func witnessScenarios() []witnessScenario {
 			source:  hpf.GaxpySource,
 			copts:   gaxpyScenarioOpts("column-slab"),
 			fills:   sweepFills(),
-			options: Options{Runtime: oocarray.Options{Sieve: true}},
+			runtime: oocarray.Options{Sieve: true},
 			outputs: []string{"c"},
 		},
 		{
@@ -70,7 +73,7 @@ func witnessScenarios() []witnessScenario {
 			source:  hpf.GaxpySource,
 			copts:   gaxpyScenarioOpts("row-slab"),
 			fills:   sweepFills(),
-			options: Options{Runtime: oocarray.Options{Prefetch: true, WriteBehind: true}},
+			runtime: oocarray.Options{Prefetch: true, WriteBehind: true},
 			outputs: []string{"c"},
 		},
 		{
@@ -292,6 +295,7 @@ func (sc *witnessScenario) record(t *testing.T) []string {
 		t.Fatal(err)
 	}
 	p := res.Program
+	p.Runtime = sc.runtime
 	mach := sim.Delta(p.Procs)
 	w := &witnessRun{sc: sc, procs: p.Procs, mem: iosim.NewMemFS()}
 	var lines []string

@@ -100,14 +100,14 @@ func DiskSurvival(p Params) (*DiskSurvivalResult, error) {
 	// contiguous full-height staging slabs, so the parity overhead has an
 	// exact closed form.
 	cres, err := compiler.CompileSource(hpf.GaxpySource, compiler.Options{
-		N: n, Procs: procs, MemElems: 12 * n, Machine: mach, Force: "column-slab",
+		N: n, Procs: procs, MemElems: 12 * n, Machine: mach, Force: "column-slab", Runtime: p.Opts,
 	})
 	if err != nil {
 		return nil, err
 	}
 	fills := map[string]func(int, int) float64{"a": gaxpy.FillA, "b": gaxpy.FillB}
 
-	base, err := exec.Run(cres.Program, mach, exec.Options{Fill: fills, Runtime: p.Opts})
+	base, err := exec.Run(cres.Program, mach, exec.Options{Fill: fills})
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +123,7 @@ func DiskSurvival(p Params) (*DiskSurvivalResult, error) {
 	victim := "c.p1.laf"
 	probe := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{})
 	pr, err := exec.Run(cres.Program, mach, exec.Options{
-		FS: probe, Fill: fills, Runtime: p.Opts,
+		FS: probe, Fill: fills,
 		Resilience: iosim.NewResilience(survivalPolicy), Parity: true,
 	})
 	if err != nil {
@@ -155,7 +155,7 @@ func DiskSurvival(p Params) (*DiskSurvivalResult, error) {
 		Schedule: []iosim.ScheduledFault{{File: victim, Op: uop, Kind: iosim.KindDiskLoss}},
 	})
 	_, uerr := exec.Run(cres.Program, mach, exec.Options{
-		FS: uchaos, Fill: fills, Runtime: p.Opts,
+		FS: uchaos, Fill: fills,
 		Resilience: iosim.NewResilience(survivalPolicy),
 	})
 	res.UnprotectedFailed = uerr != nil
@@ -174,7 +174,7 @@ func DiskSurvival(p Params) (*DiskSurvivalResult, error) {
 	// window (ample memory budget, so no unprotected scratch files are in
 	// the failure domain).
 	tres, err := compiler.CompileSource(hpf.TransposeSource, compiler.Options{
-		N: n, Procs: procs, MemElems: n * n, Machine: mach, Force: "two-phase",
+		N: n, Procs: procs, MemElems: n * n, Machine: mach, Force: "two-phase", Runtime: p.Opts,
 	})
 	if err != nil {
 		return nil, err
@@ -183,7 +183,7 @@ func DiskSurvival(p Params) (*DiskSurvivalResult, error) {
 	tfill := func(gi, gj int) float64 { return float64(gi*n + gj + 1) }
 	tfills := map[string]func(int, int) float64{src: tfill}
 
-	tbase, err := exec.Run(tres.Program, mach, exec.Options{Fill: tfills, Runtime: p.Opts})
+	tbase, err := exec.Run(tres.Program, mach, exec.Options{Fill: tfills})
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +196,7 @@ func DiskSurvival(p Params) (*DiskSurvivalResult, error) {
 	tvictim := oocarray.FileName(dst, 1)
 	tprobe := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{})
 	tpr, err := exec.Run(tres.Program, mach, exec.Options{
-		FS: tprobe, Fill: tfills, Runtime: p.Opts,
+		FS: tprobe, Fill: tfills,
 		Resilience: iosim.NewResilience(survivalPolicy), Parity: true,
 	})
 	if err != nil {
@@ -247,7 +247,7 @@ func runSurvival(program string, cres *compiler.Result, mach sim.Config,
 		Schedule: []iosim.ScheduledFault{{File: victim, Op: op, Kind: iosim.KindDiskLoss}},
 	})
 	out, err := exec.Run(cres.Program, mach, exec.Options{
-		FS: chaos, Fill: fills, Runtime: p.Opts,
+		FS: chaos, Fill: fills,
 		Resilience: iosim.NewResilience(survivalPolicy), Parity: true,
 	})
 	if err != nil {

@@ -27,8 +27,8 @@ type Params struct {
 	// Machine builds the machine model per processor count; nil means
 	// sim.Delta.
 	Machine func(p int) sim.Config
-	// Opts passes runtime options (sieving, prefetching) through to the
-	// out-of-core arrays.
+	// Opts is the runtime switches (sieving, prefetching, write-behind)
+	// the experiments compile their plans with.
 	Opts oocarray.Options
 }
 
@@ -55,11 +55,11 @@ func (p Params) withDefaults(defaultN int) Params {
 // statistics remain, with A's per-processor maximum I/O taken from the
 // per-array statistics the closed result gives up.
 func runGaxpy(p Params, procs int, strategy string, slabA, slabB, slabC int) (*trace.Stats, trace.IOStats, error) {
-	prg, err := gaxpy.Plan(p.N, procs, strategy, slabA, slabB, slabC)
+	prg, err := gaxpy.Plan(p.N, procs, strategy, slabA, slabB, slabC, p.Opts)
 	if err != nil {
 		return nil, trace.IOStats{}, err
 	}
-	opts := exec.Options{Phantom: !p.Real, Runtime: p.Opts}
+	opts := exec.Options{Phantom: !p.Real}
 	if p.Real {
 		opts.Fill = map[string]func(int, int) float64{"a": gaxpy.FillA, "b": gaxpy.FillB}
 	}

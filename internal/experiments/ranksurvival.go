@@ -103,13 +103,13 @@ func RankSurvival(p Params) (*RankSurvivalResult, error) {
 		out    string // "" means take it from the transpose analysis
 	}{
 		{"gaxpy", hpf.GaxpySource,
-			compiler.Options{N: n, Procs: procs, MemElems: 12 * n, Machine: mach, Force: "column-slab"},
+			compiler.Options{N: n, Procs: procs, MemElems: 12 * n, Machine: mach, Force: "column-slab", Runtime: p.Opts},
 			map[string]func(int, int) float64{"a": gaxpy.FillA, "b": gaxpy.FillB}, "c"},
 		{"transpose", hpf.TransposeSource,
-			compiler.Options{N: n, Procs: procs, MemElems: n * n, Machine: mach, Force: "two-phase"},
+			compiler.Options{N: n, Procs: procs, MemElems: n * n, Machine: mach, Force: "two-phase", Runtime: p.Opts},
 			nil, ""},
 		{"stencil", hpf.ColumnStencilSource,
-			compiler.Options{N: n, Procs: procs, MemElems: 8 * n, Machine: mach},
+			compiler.Options{N: n, Procs: procs, MemElems: 8 * n, Machine: mach, Runtime: p.Opts},
 			map[string]func(int, int) float64{"x": sfill}, "z"},
 	}
 
@@ -125,7 +125,7 @@ func RankSurvival(p Params) (*RankSurvivalResult, error) {
 			k.fills = map[string]func(int, int) float64{src: tfill}
 			k.out = dst
 		}
-		base, err := exec.Run(cres.Program, mach, exec.Options{Fill: k.fills, Runtime: p.Opts})
+		base, err := exec.Run(cres.Program, mach, exec.Options{Fill: k.fills})
 		if err != nil {
 			return nil, fmt.Errorf("ranksurvival: failure-free %s: %w", sp.name, err)
 		}
@@ -172,7 +172,7 @@ func RankSurvival(p Params) (*RankSurvivalResult, error) {
 	// The unprotected control: same kill, no checkpoint, no parity.
 	g := kernels[0]
 	_, uerr := exec.Run(g.cres.Program, mach, exec.Options{
-		Fill: g.fills, Runtime: p.Opts,
+		Fill: g.fills,
 		Kill: []mp.KillSpec{{Rank: 1, Op: 40}},
 	})
 	res.UnprotectedFailed = uerr != nil
@@ -185,7 +185,7 @@ func RankSurvival(p Params) (*RankSurvivalResult, error) {
 // rankSurvivalOptions is the protected configuration of one injected run.
 func rankSurvivalOptions(k *rankKernel, p Params) exec.Options {
 	return exec.Options{
-		FS: iosim.NewMemFS(), Fill: k.fills, Runtime: p.Opts,
+		FS: iosim.NewMemFS(), Fill: k.fills,
 		Checkpoint: &exec.CheckpointSpec{Every: 1},
 		Parity:     true,
 		Resilience: iosim.NewResilience(survivalPolicy),

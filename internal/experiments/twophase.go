@@ -115,7 +115,7 @@ func TwoPhase(p Params) (*TwoPhaseResult, error) {
 			// The unforced compile gives the cost model's selection and
 			// the closed-form candidates in twoPhaseMethods order.
 			free, err := compiler.CompileSource(hpf.TransposeSource, compiler.Options{
-				N: n, Procs: procs, MemElems: memElems, Machine: mach,
+				N: n, Procs: procs, MemElems: memElems, Machine: mach, Runtime: p.Opts,
 			})
 			if err != nil {
 				return nil, err
@@ -125,16 +125,15 @@ func TwoPhase(p Params) (*TwoPhaseResult, error) {
 			fastest := 0
 			for mi, method := range twoPhaseMethods {
 				cres, err := compiler.CompileSource(hpf.TransposeSource, compiler.Options{
-					N: n, Procs: procs, MemElems: memElems, Machine: mach, Force: method,
+					N: n, Procs: procs, MemElems: memElems, Machine: mach, Force: method, Runtime: p.Opts,
 				})
 				if err != nil {
 					return nil, err
 				}
 				fs := &scratchCount{FS: iosim.NewMemFS(), elems: map[string]int64{}}
 				out, err := exec.Run(cres.Program, mach, exec.Options{
-					FS:      fs,
-					Fill:    map[string]func(gi, gj int) float64{free.Analysis.Transpose.Src: fill},
-					Runtime: p.Opts,
+					FS:   fs,
+					Fill: map[string]func(gi, gj int) float64{free.Analysis.Transpose.Src: fill},
 				})
 				if err != nil {
 					return nil, err

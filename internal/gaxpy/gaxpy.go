@@ -19,6 +19,7 @@ import (
 
 	"github.com/ooc-hpf/passion/internal/compiler"
 	"github.com/ooc-hpf/passion/internal/hpf"
+	"github.com/ooc-hpf/passion/internal/oocarray"
 	"github.com/ooc-hpf/passion/internal/plan"
 )
 
@@ -46,10 +47,11 @@ func CExpected(n int) func(i, j int) float64 {
 // slabA, slabB and slabC elements in place of the compiler's memory split.
 // The paper's tables are measured at such fixed splits; the in-core
 // translation of Figure 5 is row-slab with every slab the whole local
-// array.
-func Plan(n, procs int, strategy string, slabA, slabB, slabC int) (*plan.Program, error) {
+// array. rt is the runtime switches the plan carries (sieving, prefetch,
+// write-behind).
+func Plan(n, procs int, strategy string, slabA, slabB, slabC int, rt oocarray.Options) (*plan.Program, error) {
 	res, err := compiler.CompileSource(hpf.GaxpySource, compiler.Options{
-		N: n, Procs: procs, MemElems: slabA + slabB + slabC, Force: strategy,
+		N: n, Procs: procs, MemElems: slabA + slabB + slabC, Force: strategy, Runtime: rt,
 	})
 	if err != nil {
 		return nil, err

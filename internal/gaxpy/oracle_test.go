@@ -65,7 +65,7 @@ func (g oracleGrid) cases(t *testing.T) []oracleCase {
 	t.Helper()
 	var cs []oracleCase
 	add := func(name string, inCore bool, opts oocarray.Options, n, procs int, strategy string, slabA, slabB, slabC int) {
-		prg, err := Plan(n, procs, strategy, slabA, slabB, slabC)
+		prg, err := Plan(n, procs, strategy, slabA, slabB, slabC, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -123,7 +123,7 @@ func (g oracleGrid) cases(t *testing.T) []oracleCase {
 func (c oracleCase) check(t *testing.T) {
 	t.Helper()
 	mach := sim.Delta(c.prg.Procs)
-	eopts := exec.Options{Phantom: !c.real, Runtime: c.opts}
+	eopts := exec.Options{Phantom: !c.real}
 	if c.real {
 		eopts.Fill = map[string]func(int, int) float64{"a": FillA, "b": FillB}
 	}
@@ -223,7 +223,7 @@ func TestCompiledMatchesHandCoded(t *testing.T) {
 }
 
 func TestPlanFixesSlabs(t *testing.T) {
-	prg, err := Plan(64, 4, "column-slab", 128, 192, 256)
+	prg, err := Plan(64, 4, "column-slab", 128, 192, 256, oocarray.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,10 +240,10 @@ func TestPlanFixesSlabs(t *testing.T) {
 		strings.Contains(text, "memory policy") {
 		t.Errorf("memory note does not state the fixed split:\n%s", text)
 	}
-	if _, err := Plan(64, 4, "row-slab", 128, 0, 256); err == nil {
+	if _, err := Plan(64, 4, "row-slab", 128, 0, 256, oocarray.Options{}); err == nil {
 		t.Error("a zero slab should fail")
 	}
-	if _, err := Plan(64, 4, "two-phase", 128, 128, 256); err == nil {
+	if _, err := Plan(64, 4, "two-phase", 128, 128, 256, oocarray.Options{}); err == nil {
 		t.Error("a strategy GAXPY has no candidate for should fail")
 	}
 }

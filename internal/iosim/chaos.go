@@ -136,18 +136,6 @@ func NewChaosFS(inner FS, cfg ChaosConfig) *ChaosFS {
 		seen: make(map[string]bool), lost: make(map[string]bool)}
 }
 
-// LostFiles returns the names of files currently marked lost (dropped by
-// a disk loss and not yet recreated), in unspecified order.
-func (c *ChaosFS) LostFiles() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.lost))
-	for name := range c.lost {
-		out = append(out, name)
-	}
-	return out
-}
-
 // DiskOf extracts the logical disk (processor rank) from a file name
 // following the repo's .p<d>. naming convention (LAFs, parity files,
 // checkpoint manifests and snapshots, collective-I/O scratch). It returns

@@ -96,10 +96,6 @@ func (d *Disk) ioTime(requests int, bytes int64) float64 {
 	return float64(requests)*d.cfg.DiskRequestOverhead + float64(bytes)/d.bw
 }
 
-// SetResilience attaches (or, with nil, detaches) the retry/checksum
-// layer.
-func (d *Disk) SetResilience(res *Resilience) { d.res = res }
-
 // Resilience returns the attached retry/checksum layer, which may be nil.
 func (d *Disk) Resilience() *Resilience { return d.res }
 

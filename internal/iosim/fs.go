@@ -36,7 +36,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"unsafe"
 
@@ -438,31 +437,6 @@ func TotalLen(chunks []Chunk) int {
 		n += c.Len
 	}
 	return n
-}
-
-// Coalesce merges adjacent or overlapping chunks (after sorting by offset)
-// and returns the minimal equivalent chunk list. It does not modify its
-// argument.
-func Coalesce(chunks []Chunk) []Chunk {
-	if len(chunks) == 0 {
-		return nil
-	}
-	sorted := make([]Chunk, len(chunks))
-	copy(sorted, chunks)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Off < sorted[j].Off })
-	out := []Chunk{sorted[0]}
-	for _, c := range sorted[1:] {
-		last := &out[len(out)-1]
-		if c.Off <= last.Off+int64(last.Len) {
-			end := c.Off + int64(c.Len)
-			if end > last.Off+int64(last.Len) {
-				last.Len = int(end - last.Off)
-			}
-			continue
-		}
-		out = append(out, c)
-	}
-	return out
 }
 
 // Span returns the single chunk covering everything from the first to the

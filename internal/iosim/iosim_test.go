@@ -299,33 +299,6 @@ func TestNilStatsDisk(t *testing.T) {
 	}
 }
 
-func TestCoalesce(t *testing.T) {
-	cases := []struct {
-		in, want []Chunk
-	}{
-		{nil, nil},
-		{[]Chunk{{0, 4}}, []Chunk{{0, 4}}},
-		{[]Chunk{{0, 4}, {4, 4}}, []Chunk{{0, 8}}},
-		{[]Chunk{{4, 4}, {0, 4}}, []Chunk{{0, 8}}},
-		{[]Chunk{{0, 4}, {8, 4}}, []Chunk{{0, 4}, {8, 4}}},
-		{[]Chunk{{0, 10}, {2, 3}}, []Chunk{{0, 10}}},
-		{[]Chunk{{0, 4}, {2, 6}, {10, 1}}, []Chunk{{0, 8}, {10, 1}}},
-	}
-	for _, c := range cases {
-		got := Coalesce(c.in)
-		if len(got) != len(c.want) {
-			t.Errorf("Coalesce(%v) = %v, want %v", c.in, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("Coalesce(%v) = %v, want %v", c.in, got, c.want)
-				break
-			}
-		}
-	}
-}
-
 func TestSpanAndTotalLen(t *testing.T) {
 	chunks := []Chunk{{10, 5}, {2, 3}, {30, 1}}
 	if s := Span(chunks); s.Off != 2 || s.Len != 29 {

@@ -164,9 +164,6 @@ func (r *Resilience) Check(name string, off int64, buf []byte) (int64, bool) {
 	return r.verifyBlocks(name, off, buf)
 }
 
-// Forget drops all stored checksums of the named file.
-func (r *Resilience) Forget(name string) { r.dropFile(name) }
-
 // verifyBlocks checks buf (the file bytes at [off, off+len(buf)), with
 // off block-aligned) against the stored checksums. Blocks with no stored
 // checksum are skipped. It returns the first mismatching block index and

@@ -6,17 +6,21 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+
+	"github.com/ooc-hpf/passion/internal/oocarray"
 )
 
 // Fingerprint returns a stable canonical hash of the compiled program:
 // the plan tree, every array's distribution and strip-mining decision,
-// and the compiler's notes. Two programs share a fingerprint exactly
-// when a cached execution of one is a valid execution of the other, so
-// the serving layer uses it as the identity of a compiled plan.
+// the compiler's notes and, when any is set, the runtime switches. Two
+// programs share a fingerprint exactly when a cached execution of one is
+// a valid execution of the other, so the serving layer uses it as the
+// identity of a compiled plan. A plan without runtime switches hashes no
+// runtime line.
 //
 // extra carries cache-key material that is not part of the plan itself —
-// machine cost parameters, runtime switches — as key/value pairs. The
-// pairs are folded in sorted key order, so the fingerprint is
+// the machine's cost parameters, the memory size — as key/value pairs.
+// The pairs are folded in sorted key order, so the fingerprint is
 // insensitive to map iteration order but sensitive to every entry.
 func Fingerprint(p *Program, extra map[string]string) string {
 	// The canonical bytes of every testdata program stay under 1 KiB, so
@@ -28,7 +32,7 @@ func Fingerprint(p *Program, extra map[string]string) string {
 }
 
 // appendCanonical appends the bytes Fingerprint hashes: one line per
-// header, array, note, IR node and extra pair.
+// header, runtime switch set, array, note, IR node and extra pair.
 func appendCanonical(b []byte, p *Program, extra map[string]string) []byte {
 	b = append(b, "plan/v1|"...)
 	b = append(b, p.Name...)
@@ -39,6 +43,9 @@ func appendCanonical(b []byte, p *Program, extra map[string]string) []byte {
 	b = append(b, "|strategy="...)
 	b = append(b, p.Strategy...)
 	b = append(b, '\n')
+	if rt := p.Runtime; rt != (oocarray.Options{}) {
+		b = fmt.Appendf(b, "runtime|sieve=%t|prefetch=%t|writebehind=%t\n", rt.Sieve, rt.Prefetch, rt.WriteBehind)
+	}
 	for _, a := range p.Arrays {
 		b = append(b, "array|"...)
 		b = append(b, a.Name...)

@@ -117,6 +117,35 @@ func TestFingerprintSensitivity(t *testing.T) {
 	add("extra-overhead-2x", plan.Fingerprint(p, kv(bumped)))
 }
 
+// TestFingerprintRuntimeSwitches: a plan with no runtime switch set
+// hashes no runtime line (so TestFingerprintGolden's value holds), and
+// every combination of switches lands on a fingerprint of its own and
+// shows in the listing.
+func TestFingerprintRuntimeSwitches(t *testing.T) {
+	base := compileFor(t, 64, 4, 1<<12, sim.Delta(4))
+	if s := base.String(); strings.Contains(s, "runtime") {
+		t.Errorf("a plan without runtime switches lists them:\n%s", s)
+	}
+	seen := map[string]oocarray.Options{plan.Fingerprint(base, nil): {}}
+	for _, rt := range []oocarray.Options{
+		{Sieve: true}, {Prefetch: true}, {WriteBehind: true}, {Sieve: true, Prefetch: true},
+	} {
+		p := *base
+		p.Runtime = rt
+		fp := plan.Fingerprint(&p, nil)
+		if prev, dup := seen[fp]; dup {
+			t.Errorf("runtime %+v shares fingerprint %s with %+v", rt, fp, prev)
+		}
+		seen[fp] = rt
+		if msg := fmtMismatch(&p, nil); msg != "" {
+			t.Errorf("runtime %+v: %s", rt, msg)
+		}
+		if s := p.String(); !strings.Contains(s, "! runtime: ") {
+			t.Errorf("runtime %+v missing from the listing:\n%s", rt, s)
+		}
+	}
+}
+
 // TestFingerprintBodySensitivity edits a copied plan tree in place and
 // checks the hash notices structural changes a textual rendering could
 // miss (field swaps within a node, emptied loop bodies).
@@ -147,6 +176,9 @@ func TestFingerprintBodySensitivity(t *testing.T) {
 // the oracle for the canonical bytes: it writes them to w.
 func fmtFingerprint(w io.Writer, p *plan.Program, extra map[string]string) {
 	fmt.Fprintf(w, "plan/v1|%s|n=%d|p=%d|strategy=%s\n", p.Name, p.N, p.Procs, p.Strategy)
+	if rt := p.Runtime; rt != (oocarray.Options{}) {
+		fmt.Fprintf(w, "runtime|sieve=%t|prefetch=%t|writebehind=%t\n", rt.Sieve, rt.Prefetch, rt.WriteBehind)
+	}
 	for _, a := range p.Arrays {
 		fmt.Fprintf(w, "array|%s|%dx%d|%s,%s|grid=%v|role=%s|slab=%d@%s\n",
 			a.Name, a.Rows, a.Cols, a.RowScheme, a.ColScheme, a.Grid, a.Role, a.SlabElems, a.SlabDim)
@@ -308,7 +340,7 @@ func compileGrid(t *testing.T, f func(label string, res *compiler.Result)) {
 					for _, policy := range []compiler.MemPolicy{compiler.PolicyEven, compiler.PolicyWeighted, compiler.PolicySearch} {
 						for _, sieve := range []bool{false, true} {
 							opts := compiler.Options{N: n, Procs: p, MemElems: mem,
-								Machine: sim.Delta(p), Policy: policy, Sieve: sieve}
+								Machine: sim.Delta(p), Policy: policy, Runtime: oocarray.Options{Sieve: sieve}}
 							res, err := compiler.Compile(prog, opts)
 							if err != nil {
 								continue
@@ -438,7 +470,7 @@ func FuzzFingerprint(f *testing.F) {
 			MemElems: 16 * (1 + int(memSel)),
 			Policy:   compiler.MemPolicy(knobs % 3),
 			Force:    forces[int(knobs/3)%len(forces)],
-			Sieve:    knobs >= 128,
+			Runtime:  oocarray.Options{Sieve: knobs >= 128},
 		})
 		if err != nil {
 			return

@@ -98,6 +98,9 @@ type Program struct {
 	Notes []string
 	// Body is the SPMD node program.
 	Body []Node
+	// Runtime holds the switches every run uses (sieving, prefetch,
+	// write-behind); the lowered opcode stream does not carry them.
+	Runtime oocarray.Options
 }
 
 // Array finds an array spec by name.
@@ -354,6 +357,9 @@ func (n *Redistribute) Pretty(indent int) string {
 func (p *Program) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "! %s: N=%d over %d processors, strategy=%s\n", p.Name, p.N, p.Procs, p.Strategy)
+	if rt := p.Runtime; rt != (oocarray.Options{}) {
+		fmt.Fprintf(&b, "! runtime: sieve=%t prefetch=%t write-behind=%t\n", rt.Sieve, rt.Prefetch, rt.WriteBehind)
+	}
 	for _, a := range p.Arrays {
 		fmt.Fprintf(&b, "! array %s(%d,%d) dist=(%s,%s) role=%s slab=%d elems (%s)\n",
 			a.Name, a.Rows, a.Cols, a.RowScheme, a.ColScheme, a.Role, a.SlabElems, a.SlabDim)

@@ -12,9 +12,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"time"
 
 	"github.com/ooc-hpf/passion/internal/cliutil"
+	"github.com/ooc-hpf/passion/internal/compiler"
+	"github.com/ooc-hpf/passion/internal/hpf"
 	"github.com/ooc-hpf/passion/internal/iosim"
 	"github.com/ooc-hpf/passion/internal/plan"
 	"github.com/ooc-hpf/passion/internal/sim"
@@ -43,6 +46,8 @@ type Request struct {
 	Machine string `json:"machine,omitempty"`
 
 	// Execution options, mirroring the ooc-run flags of the same names.
+	// Sieve and Prefetch are compiled into the plan (and so into its
+	// cache key and fingerprint); the rest configure the run.
 	Sieve         bool    `json:"sieve,omitempty"`
 	Prefetch      bool    `json:"prefetch,omitempty"`
 	Phantom       bool    `json:"phantom,omitempty"`
@@ -109,8 +114,8 @@ func (r Request) withDefaults() Request {
 	return r
 }
 
-// runFlags maps the request onto the shared flags→exec.Options mapping,
-// so a served job builds its execution options exactly the way the CLI
+// runFlags maps the request onto the flags the CLI shares, so a served
+// job builds its compile and execution options exactly the way the CLI
 // does.
 func (r Request) runFlags() cliutil.RunFlags {
 	rf := cliutil.RunFlags{
@@ -141,17 +146,32 @@ func (r Request) timeout(def time.Duration) time.Duration {
 	return def
 }
 
-// cacheKey is the canonical identity of the compiled plan: everything
-// compilation depends on — source text, problem scale, memory, forced
-// strategy, sieving, and the machine cost parameters — folded through
-// one hash. Two requests with equal keys compile to the same plan, so
-// the second can reuse the first's.
-func (r Request) cacheKey(mach sim.Config) string {
+// compileInputs resolves what the request's plan is compiled from: the
+// source (the built-in GAXPY program when empty) and the compile
+// options, the runtime switches among them, on the named machine.
+func (r Request) compileInputs() (string, compiler.Options, error) {
+	machineFor, err := cliutil.MachineFor(r.Machine)
+	if err != nil {
+		return "", compiler.Options{}, err
+	}
+	src := r.Source
+	if src == "" {
+		src = hpf.GaxpySource
+	}
+	return src, compiler.Options{
+		N: r.N, Procs: r.Procs, MemElems: r.MemElems, Machine: machineFor(r.Procs),
+		Force: r.Force, Policy: compiler.PolicyWeighted, Runtime: r.runFlags().Runtime(),
+	}, nil
+}
+
+// cacheKey is the canonical identity of a compiled plan: every resolved
+// compile option and the source, folded through one hash. Two requests
+// with equal keys compile to the same plan, so the second can reuse the
+// first's.
+func cacheKey(src string, opts compiler.Options) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "serve/v1|n=%d|p=%d|mem=%d|force=%s|sieve=%t\n",
-		r.N, r.Procs, r.MemElems, r.Force, r.Sieve)
-	fmt.Fprintf(h, "mach|%+v\n", mach)
-	h.Write([]byte(r.Source))
+	fmt.Fprintf(h, "serve/v2|%+v\n", opts)
+	io.WriteString(h, src)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 

@@ -15,6 +15,7 @@ import (
 	"github.com/ooc-hpf/passion/internal/compiler"
 	"github.com/ooc-hpf/passion/internal/exec"
 	"github.com/ooc-hpf/passion/internal/hpf"
+	"github.com/ooc-hpf/passion/internal/oocarray"
 	"github.com/ooc-hpf/passion/internal/plan"
 	"github.com/ooc-hpf/passion/internal/trace"
 )
@@ -35,8 +36,8 @@ func directSnapshot(t *testing.T, req Request) []byte {
 	}
 	res, err := compiler.CompileSource(src, compiler.Options{
 		N: req.N, Procs: req.Procs, MemElems: req.MemElems,
-		Machine: mach, Force: req.Force, Sieve: req.Sieve,
-		Policy: compiler.PolicyWeighted,
+		Machine: mach, Force: req.Force, Policy: compiler.PolicyWeighted,
+		Runtime: oocarray.Options{Sieve: req.Sieve, Prefetch: req.Prefetch},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -347,6 +348,43 @@ func TestDrainFinishesQueuedJobs(t *testing.T) {
 	}
 }
 
+// TestRuntimeSwitchesCompileIntoThePlan: sieve and prefetch are compile
+// inputs. A served job with both set runs exactly as exec.Run of the plan
+// compiled with them, and a request differing only in prefetch gets a
+// cache entry and a fingerprint of its own.
+func TestRuntimeSwitchesCompileIntoThePlan(t *testing.T) {
+	plain := Request{N: 64, Procs: 4, MemElems: 1 << 12}
+	both := plain
+	both.Sieve, both.Prefetch = true, true
+	want := directSnapshot(t, both)
+	if string(want) == string(directSnapshot(t, plain)) {
+		t.Fatal("sieve and prefetch did not change the direct run")
+	}
+
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	resp, err := s.Submit(context.Background(), both)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mustJSON(t, resp.Stats); string(got) != string(want) {
+		t.Errorf("served sieve+prefetch stats diverge from the direct run:\n got %s\nwant %s", got, want)
+	}
+	sieveOnly := both
+	sieveOnly.Prefetch = false
+	other, err := s.Submit(context.Background(), sieveOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.CacheHit || other.PlanFingerprint == resp.PlanFingerprint {
+		t.Errorf("requests differing only in prefetch share a plan: hit=%v, fingerprints %s and %s",
+			other.CacheHit, other.PlanFingerprint, resp.PlanFingerprint)
+	}
+	if m := s.MetricsSnapshot(); m.Cache.Entries != 2 || m.Cache.Misses != 2 {
+		t.Errorf("cache entries=%d misses=%d, want 2 and 2", m.Cache.Entries, m.Cache.Misses)
+	}
+}
+
 // compileSmall compiles the built-in GAXPY at the tests' usual small
 // scale.
 func compileSmall(t *testing.T) *compiler.Result {
@@ -440,7 +478,7 @@ func TestUnlowerablePlanNeverCached(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
 	req := Request{N: 64, Procs: 4, MemElems: 1 << 12}.withDefaults()
-	machineFor, err := cliutil.MachineFor(req.Machine)
+	src, copts, err := req.compileInputs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +488,7 @@ func TestUnlowerablePlanNeverCached(t *testing.T) {
 		&plan.ZeroVec{Vec: "temp", RowsOfArray: bad.Arrays[0].Name},
 		&plan.Axpy{Vec: "temp", A: "never_read", ACol: "i", B: "never_read", BCol: "i"},
 	}}}
-	_, _, err = s.cache.getOrCompile(req.cacheKey(machineFor(req.Procs)), func() (*compiler.Result, string, error) {
+	_, _, err = s.cache.getOrCompile(cacheKey(src, copts), func() (*compiler.Result, string, error) {
 		return &compiler.Result{Program: &bad, Analysis: good.Analysis}, "planted", nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "exec: lower:") {

@@ -17,7 +17,6 @@ import (
 	"github.com/ooc-hpf/passion/internal/cliutil"
 	"github.com/ooc-hpf/passion/internal/compiler"
 	"github.com/ooc-hpf/passion/internal/exec"
-	"github.com/ooc-hpf/passion/internal/hpf"
 	"github.com/ooc-hpf/passion/internal/iosim"
 	"github.com/ooc-hpf/passion/internal/plan"
 	"github.com/ooc-hpf/passion/internal/sim"
@@ -444,28 +443,19 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Response, error) {
 // sizes its admission reservation.
 func (s *Server) build(j *job) error {
 	req := j.req
-	machineFor, err := cliutil.MachineFor(req.Machine)
+	src, copts, err := req.compileInputs()
 	if err != nil {
 		return &compileError{err}
 	}
-	mach := machineFor(req.Procs)
-	src := req.Source
-	if src == "" {
-		src = hpf.GaxpySource
-	}
-	entry, hit, err := s.cache.getOrCompile(req.cacheKey(mach), func() (*compiler.Result, string, error) {
+	entry, hit, err := s.cache.getOrCompile(cacheKey(src, copts), func() (*compiler.Result, string, error) {
 		start := time.Now()
-		r, cerr := compiler.CompileSource(src, compiler.Options{
-			N: req.N, Procs: req.Procs, MemElems: req.MemElems,
-			Machine: mach, Force: req.Force, Sieve: req.Sieve,
-			Policy: compiler.PolicyWeighted,
-		})
+		r, cerr := compiler.CompileSource(src, copts)
 		if cerr != nil {
 			return nil, "", &compileError{fmt.Errorf("serve: compile: %w", cerr)}
 		}
 		// Cache misses only: hits cost a map lookup, not a compile.
 		s.histCompile.observe(time.Since(start).Seconds())
-		return r, plan.Fingerprint(r.Program, fingerprintExtras(mach, req.MemElems)), nil
+		return r, plan.Fingerprint(r.Program, fingerprintExtras(copts.Machine, req.MemElems)), nil
 	})
 	if err != nil {
 		return err
@@ -474,7 +464,7 @@ func (s *Server) build(j *job) error {
 	if footprint > s.cfg.MemoryBudget {
 		return fmt.Errorf("%w: need %d bytes, budget %d", ErrOversize, footprint, s.cfg.MemoryBudget)
 	}
-	j.res, j.lowered, j.mach = entry.res, entry.lowered, mach
+	j.res, j.lowered, j.mach = entry.res, entry.lowered, copts.Machine
 	j.fingerprint, j.cacheHit, j.footprint = entry.fingerprint, hit, footprint
 	return nil
 }

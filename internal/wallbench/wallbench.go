@@ -9,14 +9,15 @@
 // cmd/ooc-bench -wallclock runs the suite, writes BENCH_wallclock.json,
 // and — given a committed baseline — gates regressions: ns/op within a
 // generous factor (timing is noisy on shared CI), allocs/op exactly
-// (allocation counts of deterministic runs are reproducible).
+// (allocation counts of deterministic runs are reproducible), sim_s to
+// the bit.
 package wallbench
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -164,21 +165,16 @@ func (r *Report) byName() map[string]Result {
 }
 
 // Compare gates cur against base: every baseline kernel must be present,
-// its ns/op within nsFactor of the baseline (wall time is noisy), and
-// its allocs/op no worse than the baseline exactly (allocation counts of
+// its ns/op within nsFactor of the baseline (wall time is noisy), its
+// allocs/op no worse than the baseline exactly (allocation counts of
 // deterministic kernels are reproducible, so any increase is a real
-// regression). It returns an error listing every violation.
+// regression), and its simulated seconds bit-equal to the baseline's.
+// It returns an error listing every violation, in baseline order.
 func Compare(cur, base *Report, nsFactor float64) error {
 	curBy := cur.byName()
 	var violations []string
-	names := make([]string, 0, len(base.Kernels))
-	for _, k := range base.Kernels {
-		names = append(names, k.Name)
-	}
-	sort.Strings(names)
-	baseBy := base.byName()
-	for _, name := range names {
-		b := baseBy[name]
+	for _, b := range base.Kernels {
+		name := b.Name
 		c, ok := curBy[name]
 		if !ok {
 			violations = append(violations, fmt.Sprintf("%s: kernel missing from current run", name))
@@ -191,6 +187,10 @@ func Compare(cur, base *Report, nsFactor float64) error {
 		if c.AllocsPerOp > b.AllocsPerOp {
 			violations = append(violations, fmt.Sprintf("%s: allocs/op regressed: %d > baseline %d",
 				name, c.AllocsPerOp, b.AllocsPerOp))
+		}
+		if math.Float64bits(c.SimS) != math.Float64bits(b.SimS) {
+			violations = append(violations, fmt.Sprintf("%s: sim_s %v differs from baseline %v",
+				name, c.SimS, b.SimS))
 		}
 	}
 	if len(violations) > 0 {
