@@ -39,8 +39,8 @@ func main() {
 		timeline = flag.Bool("timeline", false, "print an ASCII timeline, phase attribution and critical path")
 		asJSON   = flag.Bool("json", false, "print the execution statistics as JSON")
 
-		traceOut    = flag.String("trace", "", "write a Chrome-trace-event (Perfetto) JSON timeline to this file")
-		traceStream = flag.String("trace-stream", "", "write spans incrementally as NDJSON to this file while the run executes")
+		traceOut    = flag.String("trace", "", "write the successful attempt's Chrome trace (Perfetto) to this file after the run")
+		traceStream = flag.String("trace-stream", "", "write the Chrome trace to this file while the run executes, one event per line, losslessly and across every recovery attempt")
 		statsJSON   = flag.String("stats-json", "", "write the execution statistics snapshot as JSON to this file")
 
 		resume  = flag.Bool("resume", false, "resume from the last checkpoint in -datadir instead of starting fresh")
@@ -106,8 +106,8 @@ func main() {
 		// Blocking hand-off: the stream goes to a local file we own, so
 		// a lossless, exactly-reconciling stream beats shedding spans
 		// under burst. The file is an io.Closer, so CloseSink closes it
-		// after the trailer line.
-		tracer.SetSinkBlocking(trace.NewNDJSONSink(f), 0)
+		// after the closing line.
+		tracer.SetSinkBlocking(trace.NewChromeSink(f, res.Program.Procs), 0)
 	}
 	eopts.Fill = cliutil.FillsFor(res)
 	eopts.Trace = tracer
@@ -132,7 +132,7 @@ func main() {
 			c.Ops, c.Transient, c.Permanent, c.Corruptions, c.ShortReads, c.ShortWrites, c.DiskLosses)
 	}
 	if tracer != nil {
-		// Drain and finalize the NDJSON stream (trailer line with span
+		// Drain and finalize the stream (the closing line with the span
 		// and drop counts) whether the run succeeded or not.
 		if serr := tracer.CloseSink(); serr != nil && err == nil {
 			err = serr
@@ -142,7 +142,7 @@ func main() {
 		fatalChain(err)
 	}
 	if *traceStream != "" {
-		fmt.Printf("trace: streamed spans to %s (NDJSON)\n", *traceStream)
+		fmt.Printf("trace: streamed spans to %s (open in https://ui.perfetto.dev)\n", *traceStream)
 	}
 	if resil != nil {
 		io := out.Stats.TotalIO()

@@ -1,17 +1,18 @@
-// ooc-trace analyzes span timelines written by ooc-run: it validates
-// the structure, reports per-phase time attribution and the critical
-// path through the run, and — given the matching statistics snapshot
-// from ooc-run -stats-json — verifies that the spans reconcile exactly
-// with the accounted statistics. It reads both the buffered
-// Chrome-trace-event JSON (ooc-run -trace) and the streamed NDJSON form
-// (ooc-run -trace-stream), auto-detected.
+// ooc-trace analyzes span timelines written by ooc-run and ooc-serve:
+// it validates the trace as it decodes it, reports per-phase time
+// attribution and the critical path through the run, and — given the
+// matching statistics snapshot from ooc-run -stats-json — verifies that
+// the spans reconcile exactly with the accounted statistics. It reads
+// the one trace format every writer produces: Chrome trace events, one
+// per line (ooc-run -trace, ooc-run -trace-stream, and a served job's
+// GET /jobs/{id}/trace).
 //
 // The tail subcommand follows a live span stream from ooc-serve,
 // rendering rolling phase and imbalance figures while the job runs.
 //
 // Usage:
 //
-//	ooc-trace [flags] trace.json|trace.ndjson
+//	ooc-trace [flags] trace.json
 //	ooc-trace tail [flags] http://host:port/jobs/<id>/trace
 package main
 
@@ -37,7 +38,6 @@ func main() {
 	var (
 		reconcile = flag.String("reconcile", "", "stats snapshot JSON (from ooc-run -stats-json) to reconcile the spans against")
 		topK      = flag.Int("top", 5, "how many bottleneck contributors to list")
-		validate  = flag.Bool("validate", true, "check the trace structure before analyzing")
 		version   = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()
@@ -46,7 +46,7 @@ func main() {
 		return
 	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: ooc-trace [flags] trace.json|trace.ndjson")
+		fmt.Fprintln(os.Stderr, "usage: ooc-trace [flags] trace.json")
 		fmt.Fprintln(os.Stderr, "       ooc-trace tail [flags] <url>/jobs/<id>/trace")
 		flag.PrintDefaults()
 		os.Exit(2)
@@ -55,45 +55,29 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-
-	var (
-		spans   []trace.Span
-		procs   int
-		dropped int64
-	)
-	if isChromeTrace(data) {
-		if *validate {
-			if err := trace.ValidateChromeTrace(data); err != nil {
-				fatal(err)
-			}
-			fmt.Println("validate: well-formed Chrome trace-event JSON")
-		}
-		spans, procs, dropped, err = trace.ParseChromeTraceInfo(data)
-	} else {
-		spans, procs, dropped, err = trace.ParseNDJSON(bytes.NewReader(data))
-		if err == nil && *validate {
-			fmt.Println("validate: well-formed NDJSON span stream")
-		}
-	}
+	tl, err := trace.ParseTrace(data)
 	if err != nil {
 		fatal(err)
 	}
-	if dropped > 0 {
-		fmt.Printf("WARNING: the trace records %d dropped span(s); it is incomplete\n", dropped)
-	}
+	fmt.Println("validate: well-formed Chrome trace, one event per line")
+	warnIncomplete("", tl)
 
 	elapsed := 0.0
-	for _, s := range spans {
+	for _, s := range tl.Spans {
 		if !s.Deferred && s.End() > elapsed {
 			elapsed = s.End()
 		}
 	}
 	if *reconcile != "" {
-		// A trace with recorded drops cannot reconcile: spans are
-		// missing by construction. Fail loudly instead of reporting a
-		// misleading counter mismatch (or, worse, an accidental match).
-		if dropped > 0 {
-			fatal(fmt.Errorf("reconcile: refusing — the trace itself records %d dropped span(s), so the export is incomplete", dropped))
+		// A trace that records drops or lacks its closing line cannot
+		// reconcile: spans are missing by construction. Fail loudly
+		// instead of reporting a misleading counter mismatch (or, worse,
+		// an accidental match).
+		if tl.Dropped > 0 {
+			fatal(fmt.Errorf("reconcile: refusing — the trace itself records %d dropped span(s), so the export is incomplete", tl.Dropped))
+		}
+		if !tl.Complete {
+			fatal(fmt.Errorf("reconcile: refusing — the trace has no closing line, so the stream was cut off and is incomplete"))
 		}
 		sdata, err := os.ReadFile(*reconcile)
 		if err != nil {
@@ -104,23 +88,27 @@ func main() {
 			fatal(fmt.Errorf("parse %s: %w", *reconcile, err))
 		}
 		stats := &trace.Stats{Procs: snap.Procs}
-		if err := trace.Reconcile(spans, stats, nil); err != nil {
+		if err := trace.Reconcile(tl.Spans, stats, nil); err != nil {
 			fatal(err)
 		}
 		fmt.Println("reconcile: spans replay to the accounted statistics exactly")
 		elapsed = snap.ElapsedSeconds
 	}
 
-	fmt.Printf("trace: %d spans over %d ranks, %.4fs simulated\n", len(spans), procs, elapsed)
-	fmt.Print(trace.FormatPhaseReport(trace.PhaseReport(spans, procs, elapsed), elapsed))
-	segs, pathElapsed := trace.CriticalPath(spans, procs)
+	fmt.Printf("trace: %d spans over %d ranks, %.4fs simulated\n", len(tl.Spans), tl.Procs, elapsed)
+	fmt.Print(trace.FormatPhaseReport(trace.PhaseReport(tl.Spans, tl.Procs, elapsed), elapsed))
+	segs, pathElapsed := trace.CriticalPath(tl.Spans, tl.Procs)
 	fmt.Print(trace.FormatCriticalPath(segs, pathElapsed, *topK))
 }
 
-// isChromeTrace sniffs the buffered export's envelope; anything else is
-// treated as an NDJSON stream.
-func isChromeTrace(data []byte) bool {
-	return bytes.HasPrefix(bytes.TrimSpace(data), []byte(`{"traceEvents"`))
+// warnIncomplete flags a trace that lost spans or was cut off.
+func warnIncomplete(prefix string, tl trace.Timeline) {
+	if tl.Dropped > 0 {
+		fmt.Printf("%sWARNING: the trace records %d dropped span(s); it is incomplete\n", prefix, tl.Dropped)
+	}
+	if !tl.Complete {
+		fmt.Printf("%sWARNING: the trace has no closing line; it was cut off and is incomplete\n", prefix)
+	}
 }
 
 // tailMain follows a live SSE span stream from ooc-serve, printing a
@@ -160,46 +148,32 @@ func tailMain(args []string) {
 		fatal(fmt.Errorf("GET %s: %s: %s", url, resp.Status, strings.TrimSpace(body.String())))
 	}
 
-	var (
-		spans   []trace.Span
-		procs   int
-		dropped int64
-		trailer *trace.StreamTrailer
-	)
+	// Each SSE data frame is one line of the trace.
+	var dec trace.Decoder
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	ended := false
 	for sc.Scan() {
 		line := sc.Text()
 		if line == "event: end" {
-			ended = true
-			continue
+			break
 		}
 		data, ok := strings.CutPrefix(line, "data: ")
-		if !ok || ended || strings.TrimSpace(data) == "" || data == "{}" {
+		if !ok {
 			continue
 		}
-		s, tr, perr := trace.UnmarshalSpanLine([]byte(data))
-		if perr != nil {
-			fatal(perr)
+		n := len(dec.Spans)
+		if err := dec.Line([]byte(data)); err != nil {
+			fatal(err)
 		}
-		if tr != nil {
-			trailer = tr
-			dropped = tr.Dropped
-			continue
-		}
-		spans = append(spans, s)
-		if s.Rank+1 > procs {
-			procs = s.Rank + 1
-		}
-		if *every > 0 && len(spans)%*every == 0 {
-			fmt.Print(rollingLine(spans, procs))
+		if *every > 0 && len(dec.Spans) > n && len(dec.Spans)%*every == 0 {
+			fmt.Print(rollingLine(dec.Spans, dec.Procs))
 		}
 	}
 	if err := sc.Err(); err != nil {
 		fatal(err)
 	}
 
+	spans, procs := dec.Spans, dec.Procs
 	elapsed := 0.0
 	for _, s := range spans {
 		if !s.Deferred && s.End() > elapsed {
@@ -207,12 +181,7 @@ func tailMain(args []string) {
 		}
 	}
 	fmt.Printf("tail: stream ended: %d spans over %d ranks, %.4fs simulated\n", len(spans), procs, elapsed)
-	if trailer != nil && trailer.Spans != int64(len(spans)) {
-		fatal(fmt.Errorf("tail: trailer says %d spans but the stream carried %d", trailer.Spans, len(spans)))
-	}
-	if dropped > 0 {
-		fmt.Printf("tail: WARNING: %d span(s) dropped on the producer side; the stream is incomplete\n", dropped)
-	}
+	warnIncomplete("tail: ", dec.Timeline)
 	fmt.Print(trace.FormatPhaseReport(trace.PhaseReport(spans, procs, elapsed), elapsed))
 	segs, pathElapsed := trace.CriticalPath(spans, procs)
 	fmt.Print(trace.FormatCriticalPath(segs, pathElapsed, *topK))

@@ -409,7 +409,7 @@ func TestSurvivedLossHandsTracerOn(t *testing.T) {
 	opts = surviveOptions(iosim.NewMemFS())
 	opts.Kill = []mp.KillSpec{{Rank: 2, Op: counts[2] / 2}}
 	caller := trace.NewTracer(res.Program.Procs)
-	caller.SetSinkBlocking(trace.NewNDJSONSink(&stream), 0)
+	caller.SetSinkBlocking(trace.NewChromeSink(&stream, res.Program.Procs), 0)
 	opts.Trace = caller
 	out, err = Run(res.Program, mach, opts)
 	if err != nil {
@@ -440,13 +440,14 @@ func TestSurvivedLossHandsTracerOn(t *testing.T) {
 		t.Fatalf("successful attempt does not reconcile:\n%v", err)
 	}
 
-	streamed, _, dropped, err := trace.ParseNDJSON(&stream)
+	tl, err := trace.ParseTrace(stream.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dropped != 0 {
-		t.Fatalf("the stream dropped %d spans", dropped)
+	if tl.Dropped != 0 || !tl.Complete {
+		t.Fatalf("the stream dropped %d spans (complete %v)", tl.Dropped, tl.Complete)
 	}
+	streamed := tl.Spans
 	left := map[trace.Span]int{}
 	for _, sp := range append(aborted, success...) {
 		left[sp]++

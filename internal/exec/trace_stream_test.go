@@ -12,7 +12,7 @@ import (
 )
 
 // streamScenarios are the acceptance matrix for live streaming: the
-// NDJSON spans written as the run progresses must be the exact span
+// trace lines written as the run progresses must carry the exact span
 // sequence of the buffered Chrome export, and both must replay to the
 // accounted statistics to the digit.
 func streamScenarios() []reconcileScenario {
@@ -54,7 +54,7 @@ func TestStreamedSpansReconcileWithBufferedExport(t *testing.T) {
 			opts := sc.options
 			opts.Fill = sc.fills
 			opts.Trace = trace.NewTracer(res.Program.Procs)
-			opts.Trace.SetSink(trace.NewNDJSONSink(&stream), 0)
+			opts.Trace.SetSink(trace.NewChromeSink(&stream, res.Program.Procs), 0)
 
 			out, err := Run(res.Program, mach, opts)
 			if err != nil {
@@ -67,36 +67,37 @@ func TestStreamedSpansReconcileWithBufferedExport(t *testing.T) {
 				t.Fatalf("tracer dropped %d spans; exactness is void", d)
 			}
 
-			streamed, sprocs, sdropped, err := trace.ParseNDJSON(&stream)
+			streamed, err := trace.ParseTrace(stream.Bytes())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sprocs != res.Program.Procs || sdropped != 0 {
-				t.Fatalf("stream parsed as procs=%d dropped=%d, want %d, 0", sprocs, sdropped, res.Program.Procs)
+			if streamed.Procs != res.Program.Procs || streamed.Dropped != 0 || !streamed.Complete {
+				t.Fatalf("stream parsed as procs=%d dropped=%d complete=%v, want %d, 0, true",
+					streamed.Procs, streamed.Dropped, streamed.Complete, res.Program.Procs)
 			}
 
 			var chrome bytes.Buffer
 			if err := opts.Trace.ExportChromeTrace(&chrome); err != nil {
 				t.Fatal(err)
 			}
-			buffered, _, bdropped, err := trace.ParseChromeTraceInfo(chrome.Bytes())
+			buffered, err := trace.ParseTrace(chrome.Bytes())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bdropped != 0 {
-				t.Fatalf("buffered export records %d drops, want 0", bdropped)
+			if buffered.Dropped != 0 {
+				t.Fatalf("buffered export records %d drops, want 0", buffered.Dropped)
 			}
-			if len(streamed) != len(buffered) {
-				t.Fatalf("stream carries %d spans, buffered export %d", len(streamed), len(buffered))
+			if len(streamed.Spans) != len(buffered.Spans) {
+				t.Fatalf("stream carries %d spans, buffered export %d", len(streamed.Spans), len(buffered.Spans))
 			}
-			for i := range buffered {
-				if streamed[i] != buffered[i] {
-					t.Fatalf("span %d differs between stream and export:\nstream %+v\nexport %+v", i, streamed[i], buffered[i])
+			for i, want := range buffered.Spans {
+				if got := streamed.Spans[i]; got != want {
+					t.Fatalf("span %d differs between stream and export:\nstream %+v\nexport %+v", i, got, want)
 				}
 			}
 
 			// And both reconcile with the accounted statistics, exactly.
-			if err := trace.Reconcile(streamed, out.Stats, out.PerArray); err != nil {
+			if err := trace.Reconcile(streamed.Spans, out.Stats, out.PerArray); err != nil {
 				t.Fatalf("streamed spans do not replay to the statistics:\n%v", err)
 			}
 		})

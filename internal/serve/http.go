@@ -19,8 +19,9 @@ import (
 //	                       the Response
 //	GET  /jobs             list traced jobs with live or retained span
 //	                       streams
-//	GET  /jobs/{id}/trace  the job's NDJSON span stream; ?follow=1
-//	                       streams live over SSE
+//	GET  /jobs/{id}/trace  the job's trace, one Chrome trace event per
+//	                       line (a finished job's is the whole document);
+//	                       ?follow=1 streams the lines live over SSE
 //	GET  /healthz          200 {"ok":true,...} while accepting, 503
 //	                       while draining or degraded; carries build info
 //	GET  /metrics          the Metrics snapshot — JSON by default,

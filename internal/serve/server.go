@@ -827,13 +827,13 @@ func (s *Server) runJob(j *job) (*Response, error) {
 		eopts.Trace = tracer
 		// Publish spans live: subscribers follow GET /jobs/{id}/trace
 		// while the job runs. CloseSink on exit drains the hand-off
-		// queue, appends the stream trailer and finishes the stream on
+		// queue, writes the closing line and finishes the stream on
 		// every path — including failures, where followers still get a
 		// well-terminated stream. A run that survives a rank loss hands
 		// back its last attempt's tracer, which shares the same sink
 		// state via AdoptSink; tracer is reassigned to it below.
 		st := s.openStream(j.id)
-		tracer.SetSink(&streamSink{st: st}, 0)
+		tracer.SetSink(newStreamSink(st, j.res.Program.Procs), 0)
 		defer func() {
 			if cerr := tracer.CloseSink(); cerr != nil {
 				s.log.Warn("span stream close failed", "job", j.id, "error", cerr.Error())

@@ -1,8 +1,8 @@
 package serve
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -13,27 +13,30 @@ import (
 )
 
 // Live span streaming: a traced job's tracer feeds a streamSink, which
-// renders each span as its NDJSON line into the job's jobStream — an
-// append-only line log with a condition variable, so any number of
-// HTTP subscribers can follow it (each from the full backlog) without
-// ever back-pressuring the run. Finished streams are retained for a
-// bounded window so a tail that races job completion still sees the
-// whole stream plus its trailer.
+// writes the job's trace through a trace.ChromeSink, one event per
+// line, into the job's jobStream — an append-only line log with a
+// condition variable, so any number of HTTP subscribers can follow it
+// (each from the full backlog) without ever back-pressuring the run.
+// A finished stream is the whole trace document. Finished streams are
+// retained for a bounded window so a tail that races job completion
+// still sees the whole stream and its closing line.
 
-// maxStreamLines bounds one job's retained stream; lines beyond it are
-// dropped (and honestly counted in the trailer) rather than growing
-// without bound.
-const maxStreamLines = 1 << 17
+// maxStreamSpans bounds one job's retained stream; spans beyond it are
+// dropped (and honestly counted on the closing line) rather than
+// growing without bound.
+const maxStreamSpans = 1 << 17
 
 // retainedStreams bounds how many finished job streams stay readable.
 const retainedStreams = 32
 
-// jobStream is one job's append-only NDJSON line log.
+// jobStream is one job's append-only line log. As an io.WriteCloser it
+// takes the trace writer's output, which may split a line across
+// writes, and Close marks the stream finished.
 type jobStream struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	lines   [][]byte
-	dropped int64 // lines rejected by maxStreamLines
+	partial []byte // the start of a line whose newline has not arrived
 	done    bool
 }
 
@@ -43,26 +46,32 @@ func newJobStream() *jobStream {
 	return st
 }
 
-// append adds one line, reporting false when the retention cap dropped
-// it. The final (trailer) line is always admitted.
-func (st *jobStream) append(line []byte, trailer bool) bool {
+// Write appends the whole lines in p, keeping an unfinished one for the
+// next write, and wakes the followers.
+func (st *jobStream) Write(p []byte) (int, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if len(st.lines) >= maxStreamLines && !trailer {
-		st.dropped++
-		return false
+	n := len(p)
+	for {
+		line, rest, whole := bytes.Cut(p, []byte("\n"))
+		if !whole {
+			st.partial = append(st.partial, line...)
+			break
+		}
+		st.lines = append(st.lines, append(st.partial, line...))
+		st.partial, p = nil, rest
 	}
-	st.lines = append(st.lines, line)
 	st.cond.Broadcast()
-	return true
+	return n, nil
 }
 
-// finish marks the stream complete and wakes all followers.
-func (st *jobStream) finish() {
+// Close marks the stream complete and wakes all followers.
+func (st *jobStream) Close() error {
 	st.mu.Lock()
 	st.done = true
 	st.cond.Broadcast()
 	st.mu.Unlock()
+	return nil
 }
 
 // next blocks until a line past idx exists (returning it and idx+1) or
@@ -92,49 +101,39 @@ func (st *jobStream) snapshot() ([][]byte, bool) {
 	return st.lines[:len(st.lines):len(st.lines)], st.done
 }
 
-// streamSink adapts a jobStream to trace.Sink: spans become NDJSON
-// lines as they close, and Close appends the stream trailer carrying
-// exact span and drop counts (tracer-side hand-off drops plus the
-// stream's own retention drops).
+// streamSink adapts a jobStream to trace.Sink. Each span's lines are
+// flushed as they are written, so followers see it at once (a jobStream
+// write never fails, and a ChromeSink error is sticky and surfaces on
+// Close); spans past maxStreamSpans are left out, and the closing line
+// counts them as dropped on top of the tracer's own hand-off drops.
 type streamSink struct {
-	st      *jobStream
-	spans   int64
-	dropped int64
-	err     error
+	cs     *trace.ChromeSink
+	spans  int64
+	capped int64
+}
+
+func newStreamSink(st *jobStream, procs int) *streamSink {
+	k := &streamSink{cs: trace.NewChromeSink(st, procs)}
+	k.cs.Flush()
+	return k
 }
 
 func (k *streamSink) Emit(rank int, s trace.Span) {
-	if k.err != nil {
+	if k.spans >= maxStreamSpans {
+		k.capped++
 		return
 	}
-	s.Rank = rank
-	line, err := trace.MarshalSpan(s)
-	if err != nil {
-		k.err = err
-		return
-	}
-	if k.st.append(line, false) {
-		k.spans++
-	}
+	k.spans++
+	k.cs.Emit(rank, s)
+	k.cs.Flush()
 }
 
-func (k *streamSink) ReportDropped(n int64) { k.dropped = n }
+func (k *streamSink) ReportDropped(n int64) { k.cs.ReportDropped(n + k.capped) }
 
-func (k *streamSink) Flush() error { return k.err }
+func (k *streamSink) Flush() error { return k.cs.Flush() }
 
-func (k *streamSink) Close() error {
-	k.st.mu.Lock()
-	capDrops := k.st.dropped
-	k.st.mu.Unlock()
-	tr := trace.StreamTrailer{Trailer: true, Spans: k.spans, Dropped: k.dropped + capDrops}
-	if line, err := json.Marshal(tr); err == nil {
-		k.st.append(line, true)
-	} else if k.err == nil {
-		k.err = err
-	}
-	k.st.finish()
-	return k.err
-}
+// Close writes the closing line and finishes the stream.
+func (k *streamSink) Close() error { return k.cs.Close() }
 
 // openStream registers a live stream for a traced job, retiring the
 // oldest retained finished stream beyond the cap.
@@ -220,9 +219,10 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobTrace serves GET /jobs/{id}/trace. Without follow it returns
-// the NDJSON accumulated so far; with ?follow=1 it streams the backlog
-// and then new spans as SSE events (one NDJSON line per data frame)
-// until the job finishes or the client disconnects.
+// the trace lines accumulated so far — for a finished job, the whole
+// trace document; with ?follow=1 it streams the backlog and then new
+// lines as SSE events (one trace line per data frame) until the job
+// finishes or the client disconnects.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st := s.stream(id)
@@ -232,7 +232,7 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Query().Get("follow") == "" {
 		lines, done := st.snapshot()
-		w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		w.Header().Set("Cache-Control", "no-store")
 		w.Header().Set("X-Stream-Complete", strconv.FormatBool(done))
 		for _, line := range lines {

@@ -16,9 +16,9 @@ import (
 )
 
 // TestJobTraceStreamMatchesResponseTrace is the serve-level exactness
-// check: the NDJSON span stream retained for a traced job must carry
-// the same span sequence as the buffered Chrome trace in the job's own
-// response.
+// check: the span stream retained for a traced job, fetched whole, is a
+// complete trace carrying the same span sequence as the buffered trace
+// in the job's own response.
 func TestJobTraceStreamMatchesResponseTrace(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
@@ -32,12 +32,12 @@ func TestJobTraceStreamMatchesResponseTrace(t *testing.T) {
 	if len(resp.Trace) == 0 {
 		t.Fatal("traced job returned no trace artifact")
 	}
-	buffered, procs, bdropped, err := trace.ParseChromeTraceInfo(resp.Trace)
+	buffered, err := trace.ParseTrace(resp.Trace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bdropped != 0 {
-		t.Fatalf("buffered trace records %d drops", bdropped)
+	if buffered.Dropped != 0 {
+		t.Fatalf("buffered trace records %d drops", buffered.Dropped)
 	}
 
 	// The finished stream is retained: a late subscriber still gets the
@@ -51,27 +51,17 @@ func TestJobTraceStreamMatchesResponseTrace(t *testing.T) {
 	if hr.StatusCode != http.StatusOK {
 		t.Fatalf("GET trace: status %d: %s", hr.StatusCode, body)
 	}
-	if got := hr.Header.Get("Content-Type"); got != "application/x-ndjson; charset=utf-8" {
+	if got := hr.Header.Get("Content-Type"); got != "application/json; charset=utf-8" {
 		t.Errorf("trace Content-Type = %q", got)
 	}
 	if got := hr.Header.Get("X-Stream-Complete"); got != "true" {
 		t.Errorf("X-Stream-Complete = %q, want true", got)
 	}
-	streamed, sprocs, sdropped, err := trace.ParseNDJSON(bytes.NewReader(body))
+	streamed, err := trace.ParseTrace(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sprocs != procs || sdropped != 0 {
-		t.Fatalf("stream procs=%d dropped=%d, want %d, 0", sprocs, sdropped, procs)
-	}
-	if len(streamed) != len(buffered) {
-		t.Fatalf("stream carries %d spans, response trace %d", len(streamed), len(buffered))
-	}
-	for i := range buffered {
-		if streamed[i] != buffered[i] {
-			t.Fatalf("span %d differs:\nstream %+v\nbuffered %+v", i, streamed[i], buffered[i])
-		}
-	}
+	sameSpans(t, streamed, buffered)
 
 	// The listing surfaces the retained stream.
 	lr, err := http.Get(ts.URL + "/jobs")
@@ -99,9 +89,27 @@ func TestJobTraceStreamMatchesResponseTrace(t *testing.T) {
 	}
 }
 
+// sameSpans fails t unless streamed is a complete, drop-free trace
+// carrying buffered's ranks and spans exactly.
+func sameSpans(t *testing.T, streamed, buffered trace.Timeline) {
+	t.Helper()
+	if !streamed.Complete || streamed.Procs != buffered.Procs || streamed.Dropped != 0 {
+		t.Fatalf("stream complete=%v procs=%d dropped=%d, want true, %d, 0",
+			streamed.Complete, streamed.Procs, streamed.Dropped, buffered.Procs)
+	}
+	if len(streamed.Spans) != len(buffered.Spans) {
+		t.Fatalf("stream carries %d spans, response trace %d", len(streamed.Spans), len(buffered.Spans))
+	}
+	for i, want := range buffered.Spans {
+		if got := streamed.Spans[i]; got != want {
+			t.Fatalf("span %d differs:\nstream %+v\nbuffered %+v", i, got, want)
+		}
+	}
+}
+
 // TestJobTraceFollowSSE drives the ?follow=1 surface: SSE frames carry
-// the NDJSON lines, and the stream terminates with an end event once
-// the job is done.
+// the trace lines, and the stream terminates with an end event once the
+// job is done.
 func TestJobTraceFollowSSE(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
@@ -120,7 +128,7 @@ func TestJobTraceFollowSSE(t *testing.T) {
 	if got := hr.Header.Get("Content-Type"); got != "text/event-stream" {
 		t.Errorf("follow Content-Type = %q", got)
 	}
-	var ndjson bytes.Buffer
+	var lines bytes.Buffer
 	sawEnd := false
 	sc := bufio.NewScanner(hr.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -131,8 +139,8 @@ func TestJobTraceFollowSSE(t *testing.T) {
 			continue
 		}
 		if data, ok := strings.CutPrefix(line, "data: "); ok && !sawEnd {
-			ndjson.WriteString(data)
-			ndjson.WriteString("\n")
+			lines.WriteString(data)
+			lines.WriteString("\n")
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -141,25 +149,15 @@ func TestJobTraceFollowSSE(t *testing.T) {
 	if !sawEnd {
 		t.Fatal("follow stream did not terminate with an end event")
 	}
-	streamed, _, dropped, err := trace.ParseNDJSON(&ndjson)
+	streamed, err := trace.ParseTrace(lines.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dropped != 0 {
-		t.Fatalf("follow stream reports %d drops", dropped)
-	}
-	buffered, _, _, err := trace.ParseChromeTraceInfo(resp.Trace)
+	buffered, err := trace.ParseTrace(resp.Trace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(streamed) != len(buffered) {
-		t.Fatalf("follow stream carries %d spans, response trace %d", len(streamed), len(buffered))
-	}
-	for i := range buffered {
-		if streamed[i] != buffered[i] {
-			t.Fatalf("span %d differs between follow stream and response trace", i)
-		}
-	}
+	sameSpans(t, streamed, buffered)
 }
 
 func TestJobTraceUnknownJob(t *testing.T) {
@@ -178,7 +176,8 @@ func TestJobTraceUnknownJob(t *testing.T) {
 }
 
 // TestJobStreamFollowBlocksUntilAppend pins the cond-var hand-off: a
-// follower parked on next() wakes for new lines and for completion.
+// follower parked on next() wakes for new lines and for completion, and
+// a line split across writes arrives whole.
 func TestJobStreamFollowBlocksUntilAppend(t *testing.T) {
 	st := newJobStream()
 	got := make(chan []byte, 1)
@@ -187,7 +186,8 @@ func TestJobStreamFollowBlocksUntilAppend(t *testing.T) {
 		got <- line
 	}()
 	time.Sleep(10 * time.Millisecond)
-	st.append([]byte("hello"), false)
+	st.Write([]byte("hel"))
+	st.Write([]byte("lo\n"))
 	select {
 	case line := <-got:
 		if string(line) != "hello" {
@@ -205,7 +205,7 @@ func TestJobStreamFollowBlocksUntilAppend(t *testing.T) {
 		close(done)
 	}()
 	time.Sleep(10 * time.Millisecond)
-	st.finish()
+	st.Close()
 	select {
 	case <-done:
 	case <-time.After(time.Second):
@@ -229,15 +229,17 @@ func TestJobStreamFollowBlocksUntilAppend(t *testing.T) {
 	}
 }
 
-// TestStreamRetentionCapsLines pins the memory bound: a stream past
-// maxStreamLines drops lines (counted honestly in the trailer) instead
-// of growing without bound.
-func TestStreamRetentionCapsLines(t *testing.T) {
+// TestStreamRetentionCapsSpans pins the memory bound: a stream past
+// maxStreamSpans drops spans (counted honestly on the closing line, on
+// top of the tracer's own drops) instead of growing without bound, and
+// stays a trace that parses.
+func TestStreamRetentionCapsSpans(t *testing.T) {
 	st := newJobStream()
-	sink := &streamSink{st: st}
-	for i := 0; i < maxStreamLines+100; i++ {
+	sink := newStreamSink(st, 1)
+	for i := 0; i < maxStreamSpans+100; i++ {
 		sink.Emit(0, trace.Span{Kind: trace.KindCompute, Start: float64(i), Dur: 1})
 	}
+	sink.ReportDropped(3)
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -245,14 +247,16 @@ func TestStreamRetentionCapsLines(t *testing.T) {
 	if !done {
 		t.Fatal("stream not finished after Close")
 	}
-	if len(lines) != maxStreamLines+1 { // +1 trailer
-		t.Fatalf("stream retained %d lines, want %d", len(lines), maxStreamLines+1)
+	// The header, the rank's three declarations, the kept spans and the
+	// closing line.
+	if len(lines) != 1+3+maxStreamSpans+1 {
+		t.Fatalf("stream retained %d lines, want %d", len(lines), 1+3+maxStreamSpans+1)
 	}
-	var tr trace.StreamTrailer
-	if err := json.Unmarshal(lines[len(lines)-1], &tr); err != nil {
+	tl, err := trace.ParseTrace(append(bytes.Join(lines, []byte("\n")), '\n'))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Trailer || tr.Spans != maxStreamLines || tr.Dropped != 100 {
-		t.Fatalf("trailer %+v, want spans=%d dropped=100", tr, maxStreamLines)
+	if !tl.Complete || len(tl.Spans) != maxStreamSpans || tl.Dropped != 103 {
+		t.Fatalf("stream complete=%v spans=%d dropped=%d, want true, %d, 103", tl.Complete, len(tl.Spans), tl.Dropped, maxStreamSpans)
 	}
 }
