@@ -103,11 +103,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		// Blocking hand-off: the stream goes to a local file we own, so
-		// a lossless, exactly-reconciling stream beats shedding spans
-		// under burst. The file is an io.Closer, so CloseSink closes it
-		// after the closing line.
-		tracer.SetSinkBlocking(trace.NewChromeSink(f, res.Program.Procs), 0)
+		// The file is an io.Closer, so CloseSink closes it after the
+		// closing line.
+		tracer.SetSink(trace.NewChromeSink(f, res.Program.Procs))
 	}
 	eopts.Fill = cliutil.FillsFor(res)
 	eopts.Trace = tracer
@@ -132,8 +130,8 @@ func main() {
 			c.Ops, c.Transient, c.Permanent, c.Corruptions, c.ShortReads, c.ShortWrites, c.DiskLosses)
 	}
 	if tracer != nil {
-		// Drain and finalize the stream (the closing line with the span
-		// and drop counts) whether the run succeeded or not.
+		// Finalize the stream (the closing line with the span count)
+		// whether the run succeeded or not.
 		if serr := tracer.CloseSink(); serr != nil && err == nil {
 			err = serr
 		}
@@ -206,11 +204,7 @@ func main() {
 		fmt.Println(string(data))
 	}
 	if tracer != nil {
-		if d := tracer.Dropped(); d > 0 {
-			fmt.Printf("trace: WARNING: %d span(s) dropped; exports and streams are incomplete\n", d)
-		} else {
-			fmt.Printf("trace: %d spans, 0 dropped\n", len(tracer.Spans()))
-		}
+		fmt.Printf("trace: %d spans\n", len(tracer.Spans()))
 	}
 	fmt.Printf("simulated execution: %s\n", out.Stats)
 	for _, ps := range out.Stats.Procs {

@@ -49,7 +49,7 @@ type Recovery struct {
 // The first attempt records into Options.Trace; each later one gets a
 // fresh tracer that adopts the previous one's sink state, so aborted and
 // successful timelines stay separate while a streaming consumer sees
-// every attempt's spans and the caller's CloseSink drains them all.
+// every attempt's spans and the caller's CloseSink ends the stream.
 //
 // Any other error, a loss without both protections, and a loss under a
 // cancelled context (a cancelled job must not rebuild disks and relaunch

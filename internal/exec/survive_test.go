@@ -409,7 +409,7 @@ func TestSurvivedLossHandsTracerOn(t *testing.T) {
 	opts = surviveOptions(iosim.NewMemFS())
 	opts.Kill = []mp.KillSpec{{Rank: 2, Op: counts[2] / 2}}
 	caller := trace.NewTracer(res.Program.Procs)
-	caller.SetSinkBlocking(trace.NewChromeSink(&stream, res.Program.Procs), 0)
+	caller.SetSink(trace.NewChromeSink(&stream, res.Program.Procs))
 	opts.Trace = caller
 	out, err = Run(res.Program, mach, opts)
 	if err != nil {

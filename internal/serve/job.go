@@ -10,7 +10,6 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -66,7 +65,8 @@ type Request struct {
 	// TimeoutMS bounds the job's execution; zero takes the server's
 	// default deadline.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Trace asks for a Chrome-trace-event timeline in the response.
+	// Trace asks for the job's span stream, a Chrome trace-event
+	// document served at GET /jobs/{id}/trace.
 	Trace bool `json:"trace,omitempty"`
 
 	// IdempotencyKey makes retried submits safe across an ambiguous
@@ -232,7 +232,4 @@ type Response struct {
 	// the same job.
 	SimSeconds float64        `json:"sim_seconds"`
 	Stats      trace.Snapshot `json:"stats"`
-	// Trace is the Chrome-trace-event timeline when the request asked
-	// for one.
-	Trace json.RawMessage `json:"trace,omitempty"`
 }

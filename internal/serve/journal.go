@@ -77,8 +77,8 @@ type walRec struct {
 	// Attempt is the execution attempt namespace (dispatch).
 	Attempt int `json:"attempt,omitempty"`
 	// OK, Outcome and Error report completion: a successful outcome is
-	// the response body (minus the trace artifact) kept for idempotent
-	// replay to retried submitters.
+	// the response body, kept for idempotent replay to retried
+	// submitters.
 	OK      bool            `json:"ok,omitempty"`
 	Outcome json.RawMessage `json:"outcome,omitempty"`
 	Error   string          `json:"error,omitempty"`

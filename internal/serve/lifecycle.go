@@ -124,12 +124,9 @@ func record(kind string, j *job, err error) (*walRec, error) {
 			break
 		}
 		rec.OK = true
-		// A keyed outcome is retained, minus the trace artifact, for
-		// retried submitters.
+		// A keyed outcome is retained for retried submitters.
 		if j.key != "" {
-			cp := *j.resp
-			cp.Trace = nil
-			raw, merr := json.Marshal(&cp)
+			raw, merr := json.Marshal(j.resp)
 			if merr != nil {
 				return rec, fmt.Errorf("serve: encode outcome: %w", merr)
 			}

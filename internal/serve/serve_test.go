@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -576,8 +577,9 @@ func TestFingerprintVariesWithMachine(t *testing.T) {
 	}
 }
 
-// TestTraceRequested checks the optional Chrome-trace artifact arrives
-// and parses, and that its spans reconcile with the stats.
+// TestTraceRequested checks that a traced job's reply carries no trace
+// field, that its trace is the job's stream, and that the stream's spans
+// reconcile with the reply's stats.
 func TestTraceRequested(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
@@ -585,18 +587,18 @@ func TestTraceRequested(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Trace) == 0 {
-		t.Fatal("no trace in the response")
+	if strings.Contains(string(mustJSON(t, resp)), `"trace"`) {
+		t.Error("the reply carries a trace field")
 	}
-	var tr struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+	st := s.stream(resp.JobID)
+	if st == nil {
+		t.Fatal("a traced job has no stream")
 	}
-	if err := json.Unmarshal(resp.Trace, &tr); err != nil {
-		t.Fatalf("trace is not a Chrome-trace-event object: %v", err)
+	lines, done := st.snapshot()
+	if !done {
+		t.Fatal("the stream of a finished job is still live")
 	}
-	if len(tr.TraceEvents) == 0 {
-		t.Error("trace has no events")
-	}
+	reconcileStream(t, append(bytes.Join(lines, []byte("\n")), '\n'), resp)
 	var snap trace.Snapshot
 	if err := json.Unmarshal(mustJSON(t, resp.Stats), &snap); err != nil {
 		t.Fatal(err)

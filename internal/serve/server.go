@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -821,19 +820,17 @@ func (s *Server) runJob(j *job) (*Response, error) {
 			eopts.CkptHook = func(int) { s.crashPoint(CrashMidrun) }
 		}
 	}
-	var tracer *trace.Tracer
 	if j.req.Trace {
-		tracer = trace.NewTracer(j.res.Program.Procs)
+		tracer := trace.NewTracer(j.res.Program.Procs)
 		eopts.Trace = tracer
-		// Publish spans live: subscribers follow GET /jobs/{id}/trace
-		// while the job runs. CloseSink on exit drains the hand-off
-		// queue, writes the closing line and finishes the stream on
-		// every path — including failures, where followers still get a
-		// well-terminated stream. A run that survives a rank loss hands
-		// back its last attempt's tracer, which shares the same sink
-		// state via AdoptSink; tracer is reassigned to it below.
+		// The job's trace is its stream: subscribers follow GET
+		// /jobs/{id}/trace while the job runs. CloseSink on exit writes
+		// the closing line and finishes the stream on every path —
+		// including failures, where followers still get a
+		// well-terminated stream. A run that survives a rank loss
+		// carries the stream onto each attempt's tracer (AdoptSink).
 		st := s.openStream(j.id)
-		tracer.SetSink(newStreamSink(st, j.res.Program.Procs), 0)
+		tracer.SetSink(newStreamSink(st, j.res.Program.Procs))
 		defer func() {
 			if cerr := tracer.CloseSink(); cerr != nil {
 				s.log.Warn("span stream close failed", "job", j.id, "error", cerr.Error())
@@ -864,9 +861,6 @@ func (s *Server) runJob(j *job) (*Response, error) {
 		return nil, err
 	}
 	resp.Attempts, resp.Recoveries = out.Attempts, len(out.Recoveries)
-	// A run that survived a loss has its spans in its last attempt's
-	// tracer.
-	tracer = out.Trace
 	// The run's array files (and a durable namespace's checkpoints) are
 	// dead weight once the stats are captured; closing the result is what
 	// returns an in-memory store's file storage to the arena.
@@ -880,13 +874,6 @@ func (s *Server) runJob(j *job) (*Response, error) {
 	resp.SimSeconds = out.Stats.ElapsedSeconds()
 	resp.Stats = trace.Snapshot{ElapsedSeconds: resp.SimSeconds, Procs: out.Stats.Procs,
 		TotalIO: out.Stats.TotalIO(), TotalComm: out.Stats.TotalComm()}
-	if j.req.Trace && tracer != nil {
-		var buf bytes.Buffer
-		if err := tracer.ExportChromeTrace(&buf); err != nil {
-			return nil, err
-		}
-		resp.Trace = buf.Bytes()
-	}
 	return resp, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"github.com/ooc-hpf/passion/internal/trace"
 )
@@ -22,8 +23,9 @@ import (
 // still sees the whole stream and its closing line.
 
 // maxStreamSpans bounds one job's retained stream; spans beyond it are
-// dropped (and honestly counted on the closing line) rather than
-// growing without bound.
+// left out (and honestly counted on the closing line) rather than
+// growing without bound. It is the only way a span goes missing from a
+// served trace.
 const maxStreamSpans = 1 << 17
 
 // retainedStreams bounds how many finished job streams stay readable.
@@ -38,6 +40,8 @@ type jobStream struct {
 	lines   [][]byte
 	partial []byte // the start of a line whose newline has not arrived
 	done    bool
+	// spans counts the span events among lines (GET /jobs lists it).
+	spans atomic.Int64
 }
 
 func newJobStream() *jobStream {
@@ -105,35 +109,37 @@ func (st *jobStream) snapshot() ([][]byte, bool) {
 // flushed as they are written, so followers see it at once (a jobStream
 // write never fails, and a ChromeSink error is sticky and surfaces on
 // Close); spans past maxStreamSpans are left out, and the closing line
-// counts them as dropped on top of the tracer's own hand-off drops.
+// counts them as dropped.
 type streamSink struct {
 	cs     *trace.ChromeSink
-	spans  int64
+	st     *jobStream
 	capped int64
 }
 
 func newStreamSink(st *jobStream, procs int) *streamSink {
-	k := &streamSink{cs: trace.NewChromeSink(st, procs)}
+	k := &streamSink{cs: trace.NewChromeSink(st, procs), st: st}
 	k.cs.Flush()
 	return k
 }
 
 func (k *streamSink) Emit(rank int, s trace.Span) {
-	if k.spans >= maxStreamSpans {
+	if k.st.spans.Load() >= maxStreamSpans {
 		k.capped++
 		return
 	}
-	k.spans++
 	k.cs.Emit(rank, s)
 	k.cs.Flush()
+	k.st.spans.Add(1)
 }
-
-func (k *streamSink) ReportDropped(n int64) { k.cs.ReportDropped(n + k.capped) }
 
 func (k *streamSink) Flush() error { return k.cs.Flush() }
 
-// Close writes the closing line and finishes the stream.
-func (k *streamSink) Close() error { return k.cs.Close() }
+// Close writes the closing line, with the capped spans as its drop
+// count, and finishes the stream.
+func (k *streamSink) Close() error {
+	k.cs.ReportDropped(k.capped)
+	return k.cs.Close()
+}
 
 // openStream registers a live stream for a traced job, retiring the
 // oldest retained finished stream beyond the cap.
@@ -197,9 +203,9 @@ func (s *Server) StreamIDs() []JobStreamInfo {
 			continue
 		}
 		st.mu.Lock()
-		info := JobStreamInfo{ID: id, Live: !st.done, Spans: int64(len(st.lines))}
+		live := !st.done
 		st.mu.Unlock()
-		out = append(out, info)
+		out = append(out, JobStreamInfo{ID: id, Live: live, Spans: st.spans.Load()})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out

@@ -9,40 +9,35 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/ooc-hpf/passion/internal/trace"
 )
 
-// TestJobTraceStreamMatchesResponseTrace is the serve-level exactness
-// check: the span stream retained for a traced job, fetched whole, is a
-// complete trace carrying the same span sequence as the buffered trace
-// in the job's own response.
-func TestJobTraceStreamMatchesResponseTrace(t *testing.T) {
-	s := New(Config{Workers: 1})
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	resp, err := s.Submit(context.Background(), Request{N: 32, Trace: true})
+// reconcileStream fails t unless body is a complete, drop-free trace of
+// the reply's ranks whose spans replay to the reply's stats exactly.
+func reconcileStream(t *testing.T, body []byte, resp *Response) trace.Timeline {
+	t.Helper()
+	tl, err := trace.ParseTrace(body)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("job %s: %v", resp.JobID, err)
 	}
-	if len(resp.Trace) == 0 {
-		t.Fatal("traced job returned no trace artifact")
+	if !tl.Complete || tl.Dropped != 0 || tl.Procs != len(resp.Stats.Procs) {
+		t.Fatalf("job %s: stream complete=%v dropped=%d procs=%d, want true, 0, %d",
+			resp.JobID, tl.Complete, tl.Dropped, tl.Procs, len(resp.Stats.Procs))
 	}
-	buffered, err := trace.ParseTrace(resp.Trace)
-	if err != nil {
-		t.Fatal(err)
+	if err := trace.Reconcile(tl.Spans, &trace.Stats{Procs: resp.Stats.Procs}, nil); err != nil {
+		t.Fatalf("job %s: the stream does not replay to the reply's stats:\n%v", resp.JobID, err)
 	}
-	if buffered.Dropped != 0 {
-		t.Fatalf("buffered trace records %d drops", buffered.Dropped)
-	}
+	return tl
+}
 
-	// The finished stream is retained: a late subscriber still gets the
-	// whole backlog.
-	hr, err := http.Get(ts.URL + "/jobs/" + resp.JobID + "/trace")
+// getTrace fetches a job's whole span stream, which must be finished.
+func getTrace(t *testing.T, base, id string) []byte {
+	t.Helper()
+	hr, err := http.Get(base + "/jobs/" + id + "/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,59 +52,140 @@ func TestJobTraceStreamMatchesResponseTrace(t *testing.T) {
 	if got := hr.Header.Get("X-Stream-Complete"); got != "true" {
 		t.Errorf("X-Stream-Complete = %q, want true", got)
 	}
-	streamed, err := trace.ParseTrace(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSpans(t, streamed, buffered)
+	return body
+}
 
-	// The listing surfaces the retained stream.
-	lr, err := http.Get(ts.URL + "/jobs")
+// listedSpans returns the span counts GET /jobs lists, by job id.
+func listedSpans(t *testing.T, base string) map[string]int64 {
+	t.Helper()
+	lr, err := http.Get(base + "/jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer lr.Body.Close()
 	var listing struct {
 		Jobs []JobStreamInfo `json:"jobs"`
 	}
 	if err := json.NewDecoder(lr.Body).Decode(&listing); err != nil {
 		t.Fatal(err)
 	}
-	lr.Body.Close()
-	found := false
+	out := make(map[string]int64, len(listing.Jobs))
 	for _, ji := range listing.Jobs {
-		if ji.ID == resp.JobID {
-			found = true
-			if ji.Live {
-				t.Errorf("finished job %s still listed live", ji.ID)
-			}
+		if ji.Live {
+			t.Errorf("finished job %s still listed live", ji.ID)
 		}
+		out[ji.ID] = ji.Spans
 	}
-	if !found {
-		t.Fatalf("job %s missing from GET /jobs listing %+v", resp.JobID, listing.Jobs)
+	return out
+}
+
+// TestJobTraceStreamReconcilesWithReplyStats is the serve-level
+// exactness check: the span stream retained for a traced 4-rank job,
+// fetched whole, is a complete trace that replays to the statistics in
+// the job's own reply.
+func TestJobTraceStreamReconcilesWithReplyStats(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, err := s.Submit(context.Background(), Request{N: 64, Procs: 4, MemElems: 1 << 12, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The finished stream is retained: a late subscriber still gets the
+	// whole backlog.
+	reconcileStream(t, getTrace(t, ts.URL, resp.JobID), resp)
+}
+
+// TestJobsListsStreamSpans checks the spans count GET /jobs lists for a
+// finished traced 4-rank gaxpy job: it is the number of spans the
+// stream holds, not its line count, which also takes in the header, the
+// per-rank declarations, the flow events and the closing line.
+func TestJobsListsStreamSpans(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, err := s.Submit(context.Background(), Request{N: 64, Procs: 4, MemElems: 1 << 12, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := getTrace(t, ts.URL, resp.JobID)
+	streamed := reconcileStream(t, body, resp)
+	if lines := bytes.Count(body, []byte("\n")); len(streamed.Spans) >= lines {
+		t.Fatalf("stream of %d lines parses to %d spans, want fewer spans than lines", lines, len(streamed.Spans))
+	}
+	spans, ok := listedSpans(t, ts.URL)[resp.JobID]
+	if !ok {
+		t.Fatalf("job %s missing from the GET /jobs listing", resp.JobID)
+	}
+	if spans != int64(len(streamed.Spans)) {
+		t.Fatalf("GET /jobs lists %d spans, the stream holds %d", spans, len(streamed.Spans))
 	}
 }
 
-// sameSpans fails t unless streamed is a complete, drop-free trace
-// carrying buffered's ranks and spans exactly.
-func sameSpans(t *testing.T, streamed, buffered trace.Timeline) {
-	t.Helper()
-	if !streamed.Complete || streamed.Procs != buffered.Procs || streamed.Dropped != 0 {
-		t.Fatalf("stream complete=%v procs=%d dropped=%d, want true, %d, 0",
-			streamed.Complete, streamed.Procs, streamed.Dropped, buffered.Procs)
+// TestConcurrentServedStreamsLoseNothing runs twice as many traced jobs
+// as workers at once, over three programs. Every finished stream is
+// complete, records no drops and replays exactly to its own reply's
+// stats, and a stream's listed span count never goes down while its job
+// runs.
+func TestConcurrentServedStreamsLoseNothing(t *testing.T) {
+	mix := testMix(t)
+	kinds := []Request{mix[0], mix[1], mix[3]} // gaxpy, transpose, columnstencil
+	s := New(Config{Workers: 4})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const jobs = 12
+	resps := make([]*Response, jobs)
+	errs := make([]error, jobs)
+	var wg sync.WaitGroup
+	for i := range resps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req := kinds[i%len(kinds)]
+			req.Trace = true
+			resps[i], errs[i] = s.Submit(context.Background(), req)
+		}()
 	}
-	if len(streamed.Spans) != len(buffered.Spans) {
-		t.Fatalf("stream carries %d spans, response trace %d", len(streamed.Spans), len(buffered.Spans))
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	seen := map[string]int64{}
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		case <-time.After(time.Millisecond):
+		}
+		for _, ji := range s.StreamIDs() {
+			if ji.Spans < seen[ji.ID] {
+				t.Fatalf("job %s: listed spans fell from %d to %d", ji.ID, seen[ji.ID], ji.Spans)
+			}
+			seen[ji.ID] = ji.Spans
+		}
 	}
-	for i, want := range buffered.Spans {
-		if got := streamed.Spans[i]; got != want {
-			t.Fatalf("span %d differs:\nstream %+v\nbuffered %+v", i, got, want)
+	listed := listedSpans(t, ts.URL)
+	for i, resp := range resps {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		tl := reconcileStream(t, getTrace(t, ts.URL, resp.JobID), resp)
+		if listed[resp.JobID] != int64(len(tl.Spans)) {
+			t.Fatalf("job %s: GET /jobs lists %d spans, the stream holds %d", resp.JobID, listed[resp.JobID], len(tl.Spans))
 		}
 	}
 }
 
 // TestJobTraceFollowSSE drives the ?follow=1 surface: SSE frames carry
-// the trace lines, and the stream terminates with an end event once the
-// job is done.
+// the trace lines, the stream terminates with an end event once the job
+// is done, and the lines replay to the reply's stats.
 func TestJobTraceFollowSSE(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
@@ -149,15 +225,7 @@ func TestJobTraceFollowSSE(t *testing.T) {
 	if !sawEnd {
 		t.Fatal("follow stream did not terminate with an end event")
 	}
-	streamed, err := trace.ParseTrace(lines.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	buffered, err := trace.ParseTrace(resp.Trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSpans(t, streamed, buffered)
+	reconcileStream(t, lines.Bytes(), resp)
 }
 
 func TestJobTraceUnknownJob(t *testing.T) {
@@ -230,16 +298,14 @@ func TestJobStreamFollowBlocksUntilAppend(t *testing.T) {
 }
 
 // TestStreamRetentionCapsSpans pins the memory bound: a stream past
-// maxStreamSpans drops spans (counted honestly on the closing line, on
-// top of the tracer's own drops) instead of growing without bound, and
-// stays a trace that parses.
+// maxStreamSpans drops spans (counted honestly on the closing line)
+// instead of growing without bound, and stays a trace that parses.
 func TestStreamRetentionCapsSpans(t *testing.T) {
 	st := newJobStream()
 	sink := newStreamSink(st, 1)
 	for i := 0; i < maxStreamSpans+100; i++ {
 		sink.Emit(0, trace.Span{Kind: trace.KindCompute, Start: float64(i), Dur: 1})
 	}
-	sink.ReportDropped(3)
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +322,7 @@ func TestStreamRetentionCapsSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tl.Complete || len(tl.Spans) != maxStreamSpans || tl.Dropped != 103 {
-		t.Fatalf("stream complete=%v spans=%d dropped=%d, want true, %d, 103", tl.Complete, len(tl.Spans), tl.Dropped, maxStreamSpans)
+	if !tl.Complete || len(tl.Spans) != maxStreamSpans || tl.Dropped != 100 {
+		t.Fatalf("stream complete=%v spans=%d dropped=%d, want true, %d, 100", tl.Complete, len(tl.Spans), tl.Dropped, maxStreamSpans)
 	}
 }

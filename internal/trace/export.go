@@ -127,8 +127,8 @@ func flowEvent(s Span) (ev jsonEvent, ok bool) {
 // spans through a ChromeSink — the batch export and the live stream
 // share one writer, so they cannot drift apart. Spans are emitted rank
 // by rank in emission order, so an imported trace preserves the ordered
-// float sums the reconciliation depends on. The closing line records
-// the tracer's drop count.
+// float sums the reconciliation depends on. The tracer drops nothing,
+// so the closing line's drop count is 0.
 func (t *Tracer) ExportChromeTrace(w io.Writer) error {
 	cs := NewChromeSink(w, t.Procs())
 	// Do not adopt w's Closer here: the batch exporter writes into a
@@ -139,7 +139,6 @@ func (t *Tracer) ExportChromeTrace(w io.Writer) error {
 			cs.Emit(s.Rank, s)
 		}
 	}
-	cs.ReportDropped(t.Dropped())
 	return cs.Close()
 }
 

@@ -18,7 +18,7 @@ import (
 func sampleTracer(sink Sink) *Tracer {
 	const flow = 1<<63 + 0xdeadbeef
 	tr := NewTracer(2)
-	tr.SetSink(sink, 0)
+	tr.SetSink(sink)
 	r0, r1 := tr.Rank(0), tr.Rank(1)
 	r0.Emit(Span{Kind: KindCompute, Start: 0, Dur: 0.5, N: 1000})
 	r0.Emit(Span{Kind: KindSlabRead, Label: "a", Start: 0.5, Dur: 0.25, N: 3, Bytes: 4096})

@@ -5,17 +5,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync/atomic"
+	"sync"
 )
 
 // Sink consumes closed spans incrementally, as they are recorded,
 // instead of waiting for the run to finish and the whole buffer to be
-// exported. A sink is attached with Tracer.SetSink and fed from a
-// single pump goroutine, so implementations never see concurrent Emit
-// calls. Emit must not block on the emitting ranks' behalf — the
-// tracer's bounded hand-off queue absorbs bursts and drops (with exact
-// accounting in Tracer.Dropped) when the sink cannot keep up, so a slow
-// consumer can never stall the simulated clock.
+// exported. A sink is attached with Tracer.SetSink and called on the
+// emitting ranks' goroutines under one mutex per stream, so
+// implementations never see concurrent calls. Every span reaches the
+// sink: a slow sink stalls the emitting ranks in wall-clock time, never
+// on the simulated clock.
 type Sink interface {
 	// Emit consumes one closed span of the given rank. Errors are kept
 	// internal (sticky) and surfaced by Flush or Close.
@@ -27,57 +26,37 @@ type Sink interface {
 	Close() error
 }
 
-// DropReporter is implemented by sinks that record the tracer's final
-// drop count in their output, as ChromeSink does on its closing line.
-// Tracer.CloseSink calls it once, after the pump has drained and before
-// Flush/Close.
-type DropReporter interface {
-	ReportDropped(n int64)
-}
-
-// sinkState is the bounded hand-off between the emitting rank
-// goroutines and the single pump goroutine feeding the Sink. It is
+// sinkState serializes the emitting ranks' calls into one Sink. It is
 // shared by reference so a run that builds a fresh tracer for each
 // attempt after a rank loss (exec.RunLowered) can carry one live stream
 // across all attempts (see Tracer.AdoptSink).
 type sinkState struct {
-	sink Sink
-	q    chan Span
-	done chan struct{} // closed by the pump once the queue is drained
-	fin  chan struct{} // closed by CloseSink once err is final
-	// block makes offer wait for queue space instead of dropping — a
-	// lossless mode for consumers like a local trace file, where the
-	// stream must reconcile and stalling wall-clock time is acceptable.
-	// The simulated clock is unaffected either way.
-	block bool
-	// dropped counts spans the hand-off queue rejected because the sink
-	// was too slow; folded into Tracer.Dropped.
-	dropped atomic.Int64
-	closed  atomic.Bool
-	err     error
+	mu     sync.Mutex
+	sink   Sink
+	closed bool
+	err    error
 }
 
-// offer enqueues s for the pump. In the default lossy mode a full queue
-// drops the span (counted, never blocking the emitting rank); in
-// blocking mode it waits for the pump to catch up.
-func (sk *sinkState) offer(s Span) {
-	if sk.block {
-		sk.q <- s
-		return
-	}
-	select {
-	case sk.q <- s:
-	default:
-		sk.dropped.Add(1)
-	}
+func (sk *sinkState) emit(s Span) {
+	sk.mu.Lock()
+	sk.sink.Emit(s.Rank, s)
+	sk.mu.Unlock()
 }
 
-// pump is the consumer goroutine: it serializes all sink access.
-func (sk *sinkState) pump() {
-	for s := range sk.q {
-		sk.sink.Emit(s.Rank, s)
+// close flushes and closes the sink once; later calls return the first
+// call's error.
+func (sk *sinkState) close() error {
+	sk.mu.Lock()
+	defer sk.mu.Unlock()
+	if !sk.closed {
+		sk.closed = true
+		ferr := sk.sink.Flush()
+		cerr := sk.sink.Close()
+		if sk.err = ferr; sk.err == nil {
+			sk.err = cerr
+		}
 	}
-	close(sk.done)
+	return sk.err
 }
 
 // ChromeSink writes the trace document incrementally, one event per
@@ -136,8 +115,8 @@ func (s *ChromeSink) Emit(rank int, sp Span) {
 	s.spans++
 }
 
-// ReportDropped records the producer-side drop count for the closing
-// line.
+// ReportDropped records, for the closing line, how many spans a
+// wrapping sink left out of the stream.
 func (s *ChromeSink) ReportDropped(n int64) { s.dropped = n }
 
 // Flush pushes buffered lines down. The document is not complete until

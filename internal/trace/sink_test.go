@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -51,7 +52,6 @@ func TestChromeSinkStreamParses(t *testing.T) {
 	for _, s := range tr.Spans() {
 		cs.Emit(s.Rank, s)
 	}
-	cs.ReportDropped(tr.Dropped())
 	if err := cs.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -62,96 +62,56 @@ func TestChromeSinkStreamParses(t *testing.T) {
 	sameTimeline(t, got, 2, tr.Spans())
 }
 
-// blockingSink stalls every Emit until released — the pathological slow
-// consumer. gate is closed once to unblock all pending and future Emits.
-type blockingSink struct {
-	gate  chan struct{}
-	mu    sync.Mutex
+// countingSink counts the spans it is handed and fails the test if two
+// calls ever overlap.
+type countingSink struct {
+	t     *testing.T
+	in    atomic.Bool
 	count int64
 }
 
-func (b *blockingSink) Emit(rank int, s Span) {
-	<-b.gate
-	b.mu.Lock()
-	b.count++
-	b.mu.Unlock()
+func (c *countingSink) Emit(rank int, s Span) {
+	if c.in.Swap(true) {
+		c.t.Error("concurrent Emit calls into one sink")
+	}
+	c.count++
+	c.in.Store(false)
 }
-func (b *blockingSink) Flush() error { return nil }
-func (b *blockingSink) Close() error { return nil }
+func (c *countingSink) Flush() error { return nil }
+func (c *countingSink) Close() error { return nil }
 
-// A sink that never keeps up must not block the emitting rank (the
-// simulated clock), must bound buffered memory to the hand-off queue,
-// and must account every span: delivered + dropped == emitted, exactly.
-func TestSinkBackpressureBoundsAndCounts(t *testing.T) {
-	const emitted = 10000
-	const queue = 8
-	sink := &blockingSink{gate: make(chan struct{})}
-	tr := NewTracer(1)
-	tr.SetSink(sink, queue)
-	r0 := tr.Rank(0)
-	// The sink is fully stalled: if offer ever blocked, this loop (the
-	// simulated clock's stand-in) would deadlock and the test would time
-	// out.
-	for i := 0; i < emitted; i++ {
-		r0.Emit(Span{Kind: KindCompute, Start: float64(i), Dur: 1})
+// Ranks emitting at once, cross-rank spans included, hand every span to
+// the sink, one call at a time.
+func TestSinkGetsEverySpanSerially(t *testing.T) {
+	const procs, perRank = 4, 2000
+	sink := &countingSink{t: t}
+	tr := NewTracer(procs)
+	tr.SetSink(sink)
+	var wg sync.WaitGroup
+	for r := 0; r < procs; r++ {
+		rt := tr.Rank(r)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perRank; i++ {
+				rt.Emit(Span{Kind: KindCompute, Start: float64(i), Dur: 1})
+			}
+			rt.Cross((r+1)%procs, Span{Kind: KindRecoveryComm, N: 1})
+		}()
 	}
-	if got := tr.SinkDropped(); got < emitted-queue-1 {
-		t.Fatalf("SinkDropped = %d before drain; want >= %d (queue %d must bound buffering)", got, emitted-queue-1, queue)
-	}
-	close(sink.gate)
+	wg.Wait()
 	if err := tr.CloseSink(); err != nil {
 		t.Fatal(err)
 	}
-	sink.mu.Lock()
-	delivered := sink.count
-	sink.mu.Unlock()
-	dropped := tr.SinkDropped()
-	if delivered+dropped != emitted {
-		t.Fatalf("delivered %d + dropped %d != emitted %d", delivered, dropped, emitted)
-	}
-	if dropped == 0 {
-		t.Fatal("expected drops from a stalled sink")
-	}
-	if got := tr.Dropped(); got != dropped {
-		t.Fatalf("Dropped() = %d does not fold in sink drops (%d)", got, dropped)
-	}
-}
-
-// A slow sink attached in blocking mode (ooc-run -trace-stream) sheds
-// nothing: emitters wait for queue space, so every span arrives and the
-// stream stays exactly reconcilable.
-func TestBlockingSinkLosesNothing(t *testing.T) {
-	const emitted = 5000
-	slow := &blockingSink{gate: make(chan struct{})}
-	go func() {
-		for i := 0; i < emitted; i++ {
-			slow.gate <- struct{}{}
-		}
-	}()
-	tr := NewTracer(1)
-	tr.SetSinkBlocking(slow, 2)
-	r0 := tr.Rank(0)
-	for i := 0; i < emitted; i++ {
-		r0.Emit(Span{Kind: KindCompute, Start: float64(i), Dur: 1})
-	}
-	if err := tr.CloseSink(); err != nil {
-		t.Fatal(err)
-	}
-	slow.mu.Lock()
-	delivered := slow.count
-	slow.mu.Unlock()
-	if delivered != emitted {
-		t.Fatalf("blocking sink delivered %d of %d spans", delivered, emitted)
-	}
-	if got := tr.Dropped(); got != 0 {
-		t.Fatalf("Dropped() = %d on a blocking stream, want 0", got)
+	if want := int64(procs*perRank + procs); sink.count != want || int64(len(tr.Spans())) != want {
+		t.Fatalf("sink got %d spans, tracer kept %d, want %d each", sink.count, len(tr.Spans()), want)
 	}
 }
 
 func TestCloseSinkIdempotentAndShared(t *testing.T) {
 	var buf bytes.Buffer
 	a := NewTracer(1)
-	a.SetSink(NewChromeSink(&buf, 1), 0)
+	a.SetSink(NewChromeSink(&buf, 1))
 	ra := a.Rank(0)
 	ra.Emit(Span{Kind: KindCompute, Start: 0, Dur: 1})
 

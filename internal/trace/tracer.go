@@ -159,63 +159,31 @@ type Span struct {
 // End returns Start + Dur.
 func (s Span) End() float64 { return s.Start + s.Dur }
 
-// rankBuf is one rank's span storage, appended to only from that rank's
-// goroutine. With a limit it degrades to a ring keeping the newest spans.
-type rankBuf struct {
-	limit   int
-	spans   []Span
-	head    int // ring start when full
-	dropped int64
-}
-
-func (b *rankBuf) add(s Span) {
-	if b.limit > 0 && len(b.spans) == b.limit {
-		b.spans[b.head] = s
-		b.head = (b.head + 1) % b.limit
-		b.dropped++
-		return
-	}
-	b.spans = append(b.spans, s)
-}
-
-// unrolled returns the spans in emission order.
-func (b *rankBuf) unrolled() []Span {
-	out := make([]Span, 0, len(b.spans))
-	out = append(out, b.spans[b.head:]...)
-	out = append(out, b.spans[:b.head]...)
-	return out
-}
-
 // Tracer records typed spans for every rank of a run against the
 // simulated clock. Per-rank storage is lock-free (each rank's goroutine
-// owns its buffer); the rare cross-rank emissions (parity rebuild
+// owns its slice); the rare cross-rank emissions (parity rebuild
 // traffic attributed to another rank) go through a mutex-protected side
 // buffer. A nil *Tracer is fully usable: Rank returns a nil *RankTracer
 // whose Emit is a no-op, so instrumented code needs no conditionals
 // beyond a nil check on its own fast path.
 type Tracer struct {
-	ranks []*rankBuf
+	ranks []*[]Span
 
 	mu    sync.Mutex
 	cross []Span
 
 	// sk, when non-nil, streams every emitted span to an attached Sink
-	// through a bounded hand-off queue (see SetSink). It is shared by
-	// reference across the per-attempt tracers of a recovery loop
-	// (AdoptSink), so one live stream spans all attempts.
+	// (see SetSink). It is shared by reference across the per-attempt
+	// tracers of a recovery loop (AdoptSink), so one live stream spans
+	// all attempts.
 	sk *sinkState
 }
 
-// NewTracer returns an unbounded tracer for procs ranks.
-func NewTracer(procs int) *Tracer { return NewTracerLimit(procs, 0) }
-
-// NewTracerLimit bounds each rank's storage to maxPerRank spans, kept as
-// a ring of the newest ones (Dropped reports the overwritten count).
-// maxPerRank <= 0 means unbounded.
-func NewTracerLimit(procs, maxPerRank int) *Tracer {
-	t := &Tracer{ranks: make([]*rankBuf, procs)}
+// NewTracer returns a tracer for procs ranks.
+func NewTracer(procs int) *Tracer {
+	t := &Tracer{ranks: make([]*[]Span, procs)}
 	for i := range t.ranks {
-		t.ranks[i] = &rankBuf{limit: maxPerRank}
+		t.ranks[i] = new([]Span)
 	}
 	return t
 }
@@ -231,60 +199,33 @@ func (t *Tracer) Procs() int {
 // Rank returns the per-rank emission handle. Safe on a nil Tracer or an
 // out-of-range rank (returns nil, which is itself safe to Emit on).
 // Call SetSink before handing out Rank handles: they capture the sink
-// hand-off at creation so the emission fast path stays branch-cheap.
+// at creation so the emission fast path stays branch-cheap.
 func (t *Tracer) Rank(r int) *RankTracer {
 	if t == nil || r < 0 || r >= len(t.ranks) {
 		return nil
 	}
-	return &RankTracer{t: t, buf: t.ranks[r], rank: r, sk: t.sk}
+	return &RankTracer{t: t, spans: t.ranks[r], rank: r, sk: t.sk}
 }
 
 // SetSink attaches a streaming consumer: every span recorded after this
-// call is also handed to sink, incrementally, from a single pump
-// goroutine. queue bounds the hand-off buffer between the emitting
-// ranks and the pump (default 4096 spans); when it is full the span is
-// dropped from the stream — never blocking the emitting rank or the
-// simulated clock — and counted in Dropped and SinkDropped. Call before
+// call is also handed to sink, on the emitting rank's goroutine, under
+// the stream's one mutex — nothing is dropped, and a slow sink stalls
+// the emitting rank's wall clock, never the simulated one. Call before
 // the run starts (before Rank handles are created) and pair with
 // CloseSink after the run's goroutines have finished. A nil Tracer or
 // nil sink is a no-op.
-func (t *Tracer) SetSink(sink Sink, queue int) {
-	t.setSink(sink, queue, false)
-}
-
-// SetSinkBlocking attaches a lossless streaming consumer: when the
-// hand-off queue fills, emitting ranks wait for the pump instead of
-// dropping. That can stall wall-clock progress behind a slow sink — the
-// simulated clock is never affected — so it fits local destinations the
-// producer owns (ooc-run -trace-stream writing its own file), where a
-// stream that reconciles exactly is worth the wait. Servers streaming
-// to remote subscribers should keep the non-blocking SetSink.
-func (t *Tracer) SetSinkBlocking(sink Sink, queue int) {
-	t.setSink(sink, queue, true)
-}
-
-func (t *Tracer) setSink(sink Sink, queue int, block bool) {
+func (t *Tracer) SetSink(sink Sink) {
 	if t == nil || sink == nil {
 		return
 	}
-	if queue <= 0 {
-		queue = 4096
-	}
-	t.sk = &sinkState{
-		sink:  sink,
-		q:     make(chan Span, queue),
-		done:  make(chan struct{}),
-		fin:   make(chan struct{}),
-		block: block,
-	}
-	go t.sk.pump()
+	t.sk = &sinkState{sink: sink}
 }
 
 // AdoptSink moves src's live stream onto t: spans emitted through t now
-// feed the same sink, queue and pump. A run that survives rank losses
-// (exec.RunLowered) uses it to keep one stream alive across the fresh
-// tracer it builds for each attempt after a loss. CloseSink on any
-// adopting tracer closes the shared stream.
+// feed the same sink. A run that survives rank losses (exec.RunLowered)
+// uses it to keep one stream alive across the fresh tracer it builds
+// for each attempt after a loss. CloseSink on any adopting tracer
+// closes the shared stream.
 func (t *Tracer) AdoptSink(src *Tracer) {
 	if t == nil || src == nil {
 		return
@@ -292,58 +233,16 @@ func (t *Tracer) AdoptSink(src *Tracer) {
 	t.sk = src.sk
 }
 
-// CloseSink detaches the streaming sink: it stops accepting spans,
-// drains the hand-off queue, reports the final drop count to a
-// DropReporter sink, flushes and closes the sink. Safe to call on a
+// CloseSink flushes and closes the streaming sink. Safe to call on a
 // tracer without a sink (no-op, nil error) and idempotent across
-// tracers sharing one stream. Call only after the run's goroutines have
-// finished emitting.
+// tracers sharing one stream: the first call closes, the rest return
+// its error. Call only after the run's goroutines have finished
+// emitting.
 func (t *Tracer) CloseSink() error {
 	if t == nil || t.sk == nil {
 		return nil
 	}
-	sk := t.sk
-	if sk.closed.Swap(true) {
-		<-sk.fin
-		return sk.err
-	}
-	close(sk.q)
-	<-sk.done
-	if dr, ok := sk.sink.(DropReporter); ok {
-		dr.ReportDropped(t.Dropped())
-	}
-	ferr := sk.sink.Flush()
-	cerr := sk.sink.Close()
-	if ferr != nil {
-		sk.err = ferr
-	} else {
-		sk.err = cerr
-	}
-	close(sk.fin)
-	return sk.err
-}
-
-// Dropped returns how many spans were lost across all ranks: buffer
-// ring overwrites plus stream hand-off drops (SinkDropped). A nonzero
-// count voids the exactness of both the buffered export and the stream.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	var n int64
-	for _, b := range t.ranks {
-		n += b.dropped
-	}
-	return n + t.SinkDropped()
-}
-
-// SinkDropped returns how many spans the streaming hand-off rejected
-// because the sink could not keep up (zero without a sink).
-func (t *Tracer) SinkDropped() int64 {
-	if t == nil || t.sk == nil {
-		return 0
-	}
-	return t.sk.dropped.Load()
+	return t.sk.close()
 }
 
 // RankSpans returns one rank's spans in emission order, with any
@@ -354,7 +253,7 @@ func (t *Tracer) RankSpans(r int) []Span {
 	if t == nil || r < 0 || r >= len(t.ranks) {
 		return nil
 	}
-	out := t.ranks[r].unrolled()
+	out := append([]Span(nil), *t.ranks[r]...)
 	t.mu.Lock()
 	for _, s := range t.cross {
 		if s.Rank == r {
@@ -384,24 +283,23 @@ func (t *Tracer) Spans() []Span {
 // but is still called from the emitting goroutine). A nil receiver is a
 // no-op.
 type RankTracer struct {
-	t    *Tracer
-	buf  *rankBuf
-	rank int
-	sk   *sinkState
+	t     *Tracer
+	spans *[]Span
+	rank  int
+	sk    *sinkState
 }
 
 // Emit records one span on this rank. The span's Rank field is set by
-// the tracer. With a streaming sink attached the span is also offered
-// to the hand-off queue — a non-blocking send, so a slow sink costs
-// drops, never simulated time.
+// the tracer. With a streaming sink attached the span is also written
+// to it before Emit returns.
 func (rt *RankTracer) Emit(s Span) {
 	if rt == nil {
 		return
 	}
 	s.Rank = rt.rank
-	rt.buf.add(s)
+	*rt.spans = append(*rt.spans, s)
 	if rt.sk != nil {
-		rt.sk.offer(s)
+		rt.sk.emit(s)
 	}
 }
 
@@ -417,7 +315,7 @@ func (rt *RankTracer) Cross(rank int, s Span) {
 	rt.t.cross = append(rt.t.cross, s)
 	rt.t.mu.Unlock()
 	if rt.sk != nil {
-		rt.sk.offer(s)
+		rt.sk.emit(s)
 	}
 }
 
