@@ -240,11 +240,12 @@ func (in *interp) loadSlab(ins *bytecode.Instr) error {
 	return nil
 }
 
-// bind puts a buffer into slot, recycling the one it replaces; from then
-// on teardown (releaseBufs) owns it, however the run ends.
+// bind puts a buffer of arr into slot, recycling the one it replaces;
+// from then on teardown (releaseBufs) owns it, however the run ends, and
+// gives it back to arr.
 func (in *interp) bind(arr *oocarray.Array, slot int32, s *oocarray.ICLA) {
 	old := in.bufs[slot]
-	in.bufs[slot] = s
+	in.bufs[slot], in.bufArrays[slot] = s, arr
 	in.recycle(arr, old)
 }
 
@@ -278,8 +279,7 @@ func (in *interp) exchange(ins *bytecode.Instr) error {
 		}
 		in.proc.SendOwned(rank-1, tag+1, sec.Data)
 	}
-	g := &oocarray.ICLA{Rows: rows, Cols: left + right, Data: bufpool.GetF64(rows * (left + right))}
-	clear(g.Data)
+	g := arr.NewSection(0, 0, rows, left+right)
 	in.bind(arr, ins.B, g)
 	if left > 0 && rank > 0 {
 		data := in.proc.Recv(rank-1, tag)
@@ -301,12 +301,9 @@ func (in *interp) streamRead(ins *bytecode.Instr, arr *oocarray.Array, idx int) 
 	ri := ins.E
 	r := in.readers[ri]
 	if idx == 0 {
-		if r == nil {
-			r = arr.NewSlabReader(in.slabs[ins.A])
-			in.readers[ri] = r
-		} else {
-			r.Reset()
-		}
+		r = &in.readerStore[ri]
+		r.Attach(arr, in.slabs[ins.A])
+		in.readers[ri] = r
 		in.readerNext[ri] = 0
 	}
 	if r == nil || in.readerNext[ri] != idx {
@@ -329,16 +326,11 @@ func (in *interp) newStaging(ins *bytecode.Instr) error {
 	if like == nil {
 		return fmt.Errorf("exec: NewStaging rows-like buffer %q not read yet", in.code.BufNames[ins.B])
 	}
-	s := &oocarray.ICLA{
-		RowOff: like.RowOff, ColOff: 0,
-		Rows: like.Rows, Cols: arr.LocalCols(),
-		Data: bufpool.GetF64(like.Rows * arr.LocalCols()),
-	}
-	clear(s.Data)
+	s := arr.NewSection(like.RowOff, 0, like.Rows, arr.LocalCols())
 	oldStage := in.staging[ins.A]
 	oldBuf := in.bufs[ins.C]
 	in.staging[ins.A] = s
-	in.bufs[ins.C] = s
+	in.bufs[ins.C], in.bufArrays[ins.C] = s, arr
 	in.recycle(arr, oldStage)
 	in.recycle(arr, oldBuf)
 	return nil

@@ -12,7 +12,6 @@ import (
 	"math"
 
 	"github.com/ooc-hpf/passion/internal/bytecode"
-	"github.com/ooc-hpf/passion/internal/dist"
 	"github.com/ooc-hpf/passion/internal/iosim"
 	"github.com/ooc-hpf/passion/internal/matrix"
 	"github.com/ooc-hpf/passion/internal/oocarray"
@@ -368,7 +367,8 @@ type restored struct {
 // array's local block on this rank, is an error here — before any rank
 // starts — rather than state silently carried into the run. So is a
 // manifest without a statistics snapshot when restoreStats asks for one.
-func resolveManifest(code *bytecode.Program, dmaps []*dist.Array, rank int, m *ckptManifest, restoreStats bool) (*restored, error) {
+func resolveManifest(l *Lowered, rank int, m *ckptManifest, restoreStats bool) (*restored, error) {
+	code := l.code
 	index := func(name string) (int32, error) {
 		for i := range code.Arrays {
 			if code.Arrays[i].Name == name {
@@ -408,11 +408,11 @@ func resolveManifest(code *bytecode.Program, dmaps []*dist.Array, rank int, m *c
 		if c == nil {
 			continue
 		}
-		shape := dmaps[i].LocalShape(rank)
-		if c.RowOff < 0 || c.RowOff > shape[0] || c.Rows < 0 || c.Rows > shape[0]-c.RowOff ||
-			c.ColOff < 0 || c.ColOff > shape[1] || c.Cols < 0 || c.Cols > shape[1]-c.ColOff {
+		sh := l.shares[int(i)*l.prog.Procs+rank]
+		if c.RowOff < 0 || c.RowOff > sh.Rows || c.Rows < 0 || c.Rows > sh.Rows-c.RowOff ||
+			c.ColOff < 0 || c.ColOff > sh.Cols || c.Cols < 0 || c.Cols > sh.Cols-c.ColOff {
 			return nil, fmt.Errorf("exec: restore: manifest staging %dx%d@(%d,%d) outside local shape %dx%d of array %q on rank %d",
-				c.Rows, c.Cols, c.RowOff, c.ColOff, shape[0], shape[1], name, rank)
+				c.Rows, c.Cols, c.RowOff, c.ColOff, sh.Rows, sh.Cols, name, rank)
 		}
 		data, err := b64ToFloats(c.Data)
 		if err != nil {

@@ -264,7 +264,7 @@ func TestResolveManifestNullEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := &ckptManifest{Staging: map[string]*ckptICLA{"c": nil}}
-	r, err := resolveManifest(l.code, nil, 0, m, false)
+	r, err := resolveManifest(l, 0, m, false)
 	if err != nil || r.staging[2] != nil {
 		t.Fatalf("null staging entry: restored %+v, err %v", r, err)
 	}

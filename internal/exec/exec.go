@@ -150,7 +150,7 @@ func (r *Result) ParityStore() *parity.Store { return r.pstore }
 // again. A non-nil error joins every checkpoint-GC failure that was not
 // a missing file, so leaked stale snapshots are visible to the caller.
 func (r *Result) Close() error {
-	removeRunFiles(r.fs, r.lowered.files)
+	removeRunFiles(r.fs, r.lowered.shares)
 	if r.pstore != nil {
 		r.pstore.Close()
 	}
@@ -164,9 +164,9 @@ func (r *Result) Close() error {
 
 // removeRunFiles deletes the local array files a program creates,
 // ignoring missing files (error-path and Close cleanup).
-func removeRunFiles(fs iosim.FS, files []string) {
-	for _, name := range files {
-		fs.Remove(name)
+func removeRunFiles(fs iosim.FS, shares []oocarray.Share) {
+	for _, sh := range shares {
+		fs.Remove(sh.File)
 	}
 }
 
@@ -221,10 +221,10 @@ func RunCtx(ctx context.Context, p *plan.Program, mach sim.Config, opts Options)
 }
 
 // Lowered is a program lowered to the opcode stream its runs execute,
-// with the set of arrays it writes, every array's mapping and its local
-// array files' names. It is safe for concurrent runs, so any number of
-// them can share one; a serving plan cache holds one per entry and
-// lowers each plan once. The mappings are read-only and publish their
+// with the set of arrays it writes, every array's mapping and every
+// rank's share of it (local shape and file name). It is safe for
+// concurrent runs, so any number of them can share one; a serving plan
+// cache holds one per entry and lowers each plan once. The mappings are read-only and publish their
 // routing tables (dist.Tables2) once, so every run of the plan — each
 // job, each attempt after a rank loss — routes through one set of
 // tables. The runs' rank state is kept too: a closed run's kit waits on
@@ -234,10 +234,11 @@ type Lowered struct {
 	code    *bytecode.Program
 	mutated writeSet
 	dmaps   []*dist.Array // mapping of code.Arrays[i]
-	// files names every local array file, array i's on rank r at
-	// i*prog.Procs+r; foldOrder is every name a rank's per-array
-	// statistics can hold, sorted, the order a rank adds them up in.
-	files     []string
+	// shares holds every rank's share of every array, array i's on rank r
+	// at i*prog.Procs+r: the local shapes and file names each run's
+	// arrays take. foldOrder is every name a rank's per-array statistics
+	// can hold, sorted, the order a rank adds them up in.
+	shares    []oocarray.Share
 	foldOrder []string
 	loopDepth int // the stream's deepest loop nesting
 	kits      kitList
@@ -260,11 +261,15 @@ func Lower(p *plan.Program) (*Lowered, error) {
 		}
 	}
 	l := &Lowered{prog: p, code: code, mutated: mutatedArrays(code), dmaps: dmaps,
-		files: make([]string, 0, len(code.Arrays)*p.Procs), foldOrder: make([]string, 0, len(code.Arrays)+1),
+		shares: make([]oocarray.Share, 0, len(code.Arrays)*p.Procs), foldOrder: make([]string, 0, len(code.Arrays)+1),
 		loopDepth: loopDepth(code.Code)}
-	for _, spec := range code.Arrays {
+	for i, spec := range code.Arrays {
 		for r := 0; r < p.Procs; r++ {
-			l.files = append(l.files, oocarray.FileName(spec.Name, r))
+			sh, err := oocarray.ShareOf(dmaps[i], r)
+			if err != nil {
+				return nil, fmt.Errorf("exec: lower: %w", err)
+			}
+			l.shares = append(l.shares, sh)
 		}
 		l.foldOrder = append(l.foldOrder, spec.Name)
 	}
@@ -319,7 +324,7 @@ func run(ctx context.Context, l *Lowered, mach sim.Config, opts Options, resume 
 	if resume != nil {
 		restores = make([]*restored, len(resume))
 		for rank, m := range resume {
-			r, err := resolveManifest(code, dmaps, rank, m, opts.RestoreStats)
+			r, err := resolveManifest(l, rank, m, opts.RestoreStats)
 			if err != nil {
 				return nil, err
 			}
@@ -353,7 +358,7 @@ func run(ctx context.Context, l *Lowered, mach sim.Config, opts Options, resume 
 			rst = restores[proc.Rank()]
 		}
 		in := k.interps[proc.Rank()]
-		in.start(ctx, code, proc, fs, opts, pstore, dmaps, mutated)
+		in.start(ctx, l, proc, fs, opts, pstore)
 		// Runs last (defers are LIFO): whatever path the run leaves by —
 		// success, cancellation, fault abort, plan-bug panic — the slab
 		// buffers the interpreter still holds go back to the arena.
@@ -412,7 +417,7 @@ func run(ctx context.Context, l *Lowered, mach sim.Config, opts Options, resume 
 		// the files (and the parity protecting them) are the restart
 		// state: keep them, releasing only the store's cached handles.
 		if opts.Checkpoint == nil {
-			removeRunFiles(fs, l.files)
+			removeRunFiles(fs, l.shares)
 			if pstore != nil {
 				pstore.Close()
 			}
@@ -441,7 +446,8 @@ func (r *Result) ReadArray(name string) (*matrix.Matrix, error) {
 		if r.pstore != nil {
 			disk.SetParity(r.pstore)
 		}
-		laf, err := disk.OpenLAF(r.lowered.files[i*r.Program.Procs+proc], int64(dm.LocalElems(proc)))
+		sh := r.lowered.shares[i*r.Program.Procs+proc]
+		laf, err := disk.OpenLAF(sh.File, int64(sh.Rows)*int64(sh.Cols))
 		if err != nil {
 			return nil, err
 		}
@@ -450,8 +456,7 @@ func (r *Result) ReadArray(name string) (*matrix.Matrix, error) {
 		if err != nil {
 			return nil, err
 		}
-		shape := dm.LocalShape(proc)
-		rows, cols := shape[0], shape[1]
+		rows, cols := sh.Rows, sh.Cols
 		for lj := 0; lj < cols; lj++ {
 			gj := dm.Dims[1].ToGlobal(dm.ProcCoord(proc, 1), lj)
 			for li := 0; li < rows; li++ {
@@ -478,7 +483,7 @@ type interp struct {
 	ctx     context.Context
 	done    <-chan struct{} // ctx.Done(), captured once; see cancelled
 	code    *bytecode.Program
-	dmaps   []*dist.Array // mapping of code.Arrays[i], shared by all ranks
+	shares  []oocarray.Share // the Lowered's, shared by all ranks
 	proc    *mp.Proc
 	phantom bool
 	fs      iosim.FS
@@ -510,27 +515,36 @@ type interp struct {
 // tables are an interpreter's tables, sized by the lowering; they belong
 // to its kit and outlive the run, cleared (reset).
 type tables struct {
-	// Per array-table index. staging holds each output array's current
-	// staging buffer; autoIdx tracks the counter-driven slab index of
-	// AUTO_STAGE arrays (-1 when none is active); writers holds the
-	// write-behind pipelines when the plan's Runtime.WriteBehind is set.
-	arrays  []*oocarray.Array
-	slabs   []oocarray.Slabbing
-	writers []*oocarray.SlabWriter
-	staging []*oocarray.ICLA
-	autoOn  []bool
-	autoIdx []int
+	// Per array-table index. arrays holds the run's arrays, each
+	// arrayStore[i] once initArrays has made it again on disks[i]; the
+	// kit keeps both, and readerStore, from run to run. staging holds each
+	// output array's current staging buffer; autoIdx tracks the
+	// counter-driven slab index of AUTO_STAGE arrays (-1 when none is
+	// active); writers holds the write-behind pipelines when the plan's
+	// Runtime.WriteBehind is set.
+	arrays     []*oocarray.Array
+	arrayStore []oocarray.Array
+	disks      []iosim.Disk
+	slabs      []oocarray.Slabbing
+	writers    []*oocarray.SlabWriter
+	staging    []*oocarray.ICLA
+	autoOn     []bool
+	autoIdx    []int
 
-	// Slot tables.
-	vars []int
-	bufs []*oocarray.ICLA
-	vecs [][]float64
+	// Slot tables. bufArrays[slot] is the array bufs[slot] was read from
+	// or made for, the one teardown gives the buffer back to.
+	vars      []int
+	bufs      []*oocarray.ICLA
+	bufArrays []*oocarray.Array
+	vecs      [][]float64
 
 	// Prefetch readers, one slot per stream-marked LOAD_SLAB, so
-	// sequential scans can be prefetched; readerNext tracks the slab
-	// index each reader will deliver.
-	readers    []*oocarray.SlabReader
-	readerNext []int
+	// sequential scans can be prefetched: readers[ri] is readerStore[ri]
+	// once the run has started it. readerNext tracks the slab index each
+	// reader will deliver.
+	readers     []*oocarray.SlabReader
+	readerStore []oocarray.SlabReader
+	readerNext  []int
 
 	// frames is the live loop stack, sized once to the stream's deepest
 	// loop nesting.
@@ -545,21 +559,18 @@ type tables struct {
 	// its kit's block.
 	perArray map[string]*trace.IOStats
 	io       []trace.IOStats
-
-	// seen is releaseBufs' set of the buffers it has released.
-	seen map[*oocarray.ICLA]bool
 }
 
 // start readies a kit's interpreter for one run on proc; initArrays
 // creates the arrays. The split lets the node closure register the
 // per-array statistics map before any I/O happens, so even a rank killed
 // during array fill leaves reconcilable statistics behind.
-func (in *interp) start(ctx context.Context, code *bytecode.Program, proc *mp.Proc, fs iosim.FS, opts Options, pstore *parity.Store, dmaps []*dist.Array, mutated writeSet) {
+func (in *interp) start(ctx context.Context, l *Lowered, proc *mp.Proc, fs iosim.FS, opts Options, pstore *parity.Store) {
 	*in = interp{
 		ctx:          ctx,
 		done:         ctx.Done(),
-		code:         code,
-		dmaps:        dmaps,
+		code:         l.code,
+		shares:       l.shares,
 		proc:         proc,
 		phantom:      opts.Phantom,
 		fs:           fs,
@@ -568,23 +579,24 @@ func (in *interp) start(ctx context.Context, code *bytecode.Program, proc *mp.Pr
 		ckptSpec:     opts.Checkpoint,
 		ckptHook:     opts.CkptHook,
 		restoreStats: opts.RestoreStats,
-		mutated:      mutated,
+		mutated:      l.mutated,
 		tables:       in.tables,
 	}
 }
 
 // initArrays creates (or, on resume, reattaches to) the rank's local
 // array files, built with the plan's runtime switches rt, and fills input
-// arrays. When fault injection is active the
+// arrays. The disks and arrays are the kit's, re-armed for this run.
+// When fault injection is active the
 // array disks feed the processor's op counter, so kills can land between
 // I/O operations exactly as they can between message operations.
 func (in *interp) initArrays(opts Options, rt oocarray.Options, resume *restored) error {
 	proc := in.proc
 	for i, spec := range in.code.Arrays {
-		dm := in.dmaps[i]
 		arrStats := &in.io[i]
 		in.perArray[spec.Name] = arrStats
-		disk := iosim.NewResilientDisk(in.fs, proc.Config(), arrStats, opts.Resilience)
+		disk := &in.disks[i]
+		disk.Reset(in.fs, proc.Config(), arrStats, opts.Resilience)
 		disk.SetPhantom(opts.Phantom)
 		disk.SetTracer(proc.Tracer(), proc.Clock(), spec.Name)
 		if opts.failureActive() {
@@ -593,15 +605,15 @@ func (in *interp) initArrays(opts Options, rt oocarray.Options, resume *restored
 		if in.pstore != nil {
 			disk.SetParity(in.pstore)
 		}
-		var arr *oocarray.Array
+		arr, sh := &in.arrayStore[i], in.shares[i*proc.Size()+proc.Rank()]
 		var err error
 		if resume != nil {
 			// Resuming: the local array files already exist; attach to
 			// them without truncation (their contents are rebuilt from
 			// the checkpoint snapshots below).
-			arr, err = oocarray.Open(disk, dm, proc.Rank(), proc.Clock(), rt)
+			err = arr.Open(disk, sh, proc.Clock(), rt)
 		} else {
-			arr, err = oocarray.New(disk, dm, proc.Rank(), proc.Clock(), rt)
+			err = arr.Create(disk, sh, proc.Clock(), rt)
 		}
 		if err != nil {
 			return err
@@ -726,28 +738,21 @@ func (in *interp) recycle(arr *oocarray.Array, s *oocarray.ICLA) {
 
 // releaseBufs returns every buffer the interpreter still holds — buffer
 // slots, staging slabs, accumulator vectors, prefetched-but-undelivered
-// reader slabs — to the arena. It runs on every exit path (success,
+// reader slabs — to the arena, and their headers to the arrays they came
+// from, for the kit's next run. It runs on every exit path (success,
 // cancellation, fault abort), so a checked-mode Gets/Puts balance holds
 // across a whole run, not just across the collective layers. Tables can
-// alias one ICLA; the seen set guarantees a single release.
+// alias one ICLA; Recycle releases it once.
 func (in *interp) releaseBufs() {
-	seen := in.seen
-	defer clear(seen)
-	rel := func(s *oocarray.ICLA) {
-		if s == nil || seen[s] {
-			return
-		}
-		seen[s] = true
-		if s.Data != nil {
-			bufpool.PutF64(s.Data)
-			s.Data = nil
+	for slot, s := range in.bufs {
+		if s != nil {
+			in.bufArrays[slot].Recycle(s)
 		}
 	}
-	for _, s := range in.bufs {
-		rel(s)
-	}
-	for _, s := range in.staging {
-		rel(s)
+	for i, s := range in.staging {
+		if s != nil {
+			in.arrays[i].Recycle(s)
+		}
 	}
 	for i, v := range in.vecs {
 		bufpool.PutF64(v)

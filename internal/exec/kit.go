@@ -4,18 +4,22 @@ import (
 	"sync"
 	"unsafe"
 
+	"github.com/ooc-hpf/passion/internal/iosim"
 	"github.com/ooc-hpf/passion/internal/oocarray"
 	"github.com/ooc-hpf/passion/internal/trace"
 )
 
 // kit is the rank state of one run of a lowered plan: P interpreters with
-// every table the lowering sizes, and the per-array statistics they count
-// into, one block for all ranks. A run takes one from its Lowered and
-// Result.Close gives it back, so the plan's next run — a served job's —
-// makes none of it. A Result that is never closed (an aborted attempt of
-// a run that survived a rank loss, whose Recovery.PerArray stays valid)
-// keeps its kit,
-// and the garbage collector reclaims both.
+// every table the lowering sizes, each rank's disk and local array per
+// array (with the array's spare slab headers) and slab reader per reader
+// slot, and the per-array statistics they count into, one block for all
+// ranks. A run takes one from its Lowered and re-arms it for its own file
+// system, tracer, clock, parity store and switches (interp.start,
+// initArrays); Result.Close gives it back, so the plan's next run — a
+// served job's — makes none of it. A Result that is never closed (an
+// aborted attempt of a run that survived a rank loss, whose
+// Recovery.PerArray stays valid) keeps its kit, and the garbage collector
+// reclaims both.
 type kit struct {
 	interps  []*interp
 	perArray []map[string]*trace.IOStats // interps[r].perArray: the Result's PerArray
@@ -23,9 +27,10 @@ type kit struct {
 }
 
 // kitList is a Lowered's free list of kits. Its bound is in bytes, as
-// bufpool's are: a P=64 GAXPY's kit is about 0.15 MiB, mostly the 192
-// per-array IOStats, so a plan keeps enough for a serving pool's
-// concurrent jobs; a kit that does not fit is the GC's.
+// bufpool's are: a P=64 GAXPY's kit is about 0.32 MiB (retained), mostly
+// its 192 disks, arrays with their spare headers, and per-array IOStats,
+// so a plan keeps six, enough for a serving pool's concurrent jobs; a kit
+// that does not fit is the GC's.
 type kitList struct {
 	mu    sync.Mutex
 	free  []*kit
@@ -77,22 +82,25 @@ func (l *Lowered) newKit() *kit {
 		size: sliceBytes(io)}
 	for r := range k.interps {
 		in := &interp{tables: tables{
-			arrays:     make([]*oocarray.Array, na),
-			slabs:      make([]oocarray.Slabbing, na),
-			writers:    make([]*oocarray.SlabWriter, na),
-			staging:    make([]*oocarray.ICLA, na),
-			autoOn:     make([]bool, na),
-			autoIdx:    make([]int, na),
-			vars:       make([]int, len(code.VarNames)),
-			bufs:       make([]*oocarray.ICLA, len(code.BufNames)),
-			vecs:       make([][]float64, len(code.VecNames)),
-			readers:    make([]*oocarray.SlabReader, code.Readers),
-			readerNext: make([]int, code.Readers),
-			frames:     make([]frame, 0, l.loopDepth),
-			estack:     make([][]float64, 0, code.MaxExprDepth()),
-			perArray:   make(map[string]*trace.IOStats, na),
-			io:         io[r*na : (r+1)*na : (r+1)*na],
-			seen:       make(map[*oocarray.ICLA]bool, len(code.BufNames)+na),
+			arrays:      make([]*oocarray.Array, na),
+			arrayStore:  make([]oocarray.Array, na),
+			disks:       make([]iosim.Disk, na),
+			slabs:       make([]oocarray.Slabbing, na),
+			writers:     make([]*oocarray.SlabWriter, na),
+			staging:     make([]*oocarray.ICLA, na),
+			autoOn:      make([]bool, na),
+			autoIdx:     make([]int, na),
+			vars:        make([]int, len(code.VarNames)),
+			bufs:        make([]*oocarray.ICLA, len(code.BufNames)),
+			bufArrays:   make([]*oocarray.Array, len(code.BufNames)),
+			vecs:        make([][]float64, len(code.VecNames)),
+			readers:     make([]*oocarray.SlabReader, code.Readers),
+			readerStore: make([]oocarray.SlabReader, code.Readers),
+			readerNext:  make([]int, code.Readers),
+			frames:      make([]frame, 0, l.loopDepth),
+			estack:      make([][]float64, 0, code.MaxExprDepth()),
+			perArray:    make(map[string]*trace.IOStats, na),
+			io:          io[r*na : (r+1)*na : (r+1)*na],
 		}}
 		k.interps[r], k.perArray[r] = in, in.perArray
 		k.size += in.retained()
@@ -102,11 +110,17 @@ func (l *Lowered) newKit() *kit {
 
 // reset readies a kit's interpreter for the plan's next run: every table
 // cleared in place and every per-run reference — context, machine, file
-// system, parity store, arrays, buffers — dropped, so a kit on the free
-// list holds nothing of the run it served.
+// system, tracer, parity store, buffers — dropped, so a kit on the free
+// list holds nothing of the run it served. The disks, arrays and readers
+// themselves stay, to be re-armed by the next run (initArrays,
+// streamRead), with the spare headers the arrays were given back.
 func (in *interp) reset() {
 	t := in.tables
 	clear(t.arrays)
+	// The arrays were closed by the run (interp.close) and hold no file;
+	// their disks forget the run's file system, tracer, parity store and
+	// resilience.
+	clear(t.disks)
 	clear(t.slabs)
 	clear(t.writers)
 	clear(t.staging)
@@ -114,6 +128,7 @@ func (in *interp) reset() {
 	clear(t.autoIdx)
 	clear(t.vars)
 	clear(t.bufs)
+	clear(t.bufArrays)
 	clear(t.vecs)
 	clear(t.readers)
 	clear(t.readerNext)
@@ -122,18 +137,21 @@ func (in *interp) reset() {
 	clear(t.estack[:cap(t.estack)])
 	clear(t.perArray)
 	clear(t.io)
-	clear(t.seen)
 	*in = interp{tables: t}
 }
 
-// retained is what an interpreter holds on the host, roughly: itself and
-// its tables.
+// retained is what an interpreter holds on the host, roughly: itself, its
+// tables, and the disks, arrays (with a full set of spare headers each)
+// and readers it keeps.
 func (in *interp) retained() int {
 	t := &in.tables
-	return int(unsafe.Sizeof(*in)) + sliceBytes(t.arrays) + sliceBytes(t.slabs) + sliceBytes(t.writers) +
-		sliceBytes(t.staging) + sliceBytes(t.autoOn) + sliceBytes(t.autoIdx) + sliceBytes(t.vars) +
-		sliceBytes(t.bufs) + sliceBytes(t.vecs) + sliceBytes(t.readers) + sliceBytes(t.readerNext) +
-		sliceBytes(t.frames) + sliceBytes(t.estack) + (len(t.arrays)+1+len(t.bufs))*mapEntryBytes
+	return int(unsafe.Sizeof(*in)) + sliceBytes(t.arrays) + sliceBytes(t.arrayStore) + sliceBytes(t.disks) +
+		sliceBytes(t.slabs) + sliceBytes(t.writers) + sliceBytes(t.staging) + sliceBytes(t.autoOn) +
+		sliceBytes(t.autoIdx) + sliceBytes(t.vars) + sliceBytes(t.bufs) + sliceBytes(t.bufArrays) +
+		sliceBytes(t.vecs) + sliceBytes(t.readers) + sliceBytes(t.readerStore) + sliceBytes(t.readerNext) +
+		sliceBytes(t.frames) + sliceBytes(t.estack) +
+		len(t.arrayStore)*oocarray.MaxSpares*int(unsafe.Sizeof(oocarray.ICLA{})) +
+		(len(t.arrays)+1)*mapEntryBytes
 }
 
 // sliceBytes is the size of s's backing array.

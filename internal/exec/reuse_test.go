@@ -61,10 +61,13 @@ type reuseScenario struct {
 }
 
 // reuseScenarios are the runs of TestLoweredReuseIsInvisible, in order:
-// clean, traced, phantom, a killed rank survived from checkpoint+parity
-// and then a resume of what it left, a run cancelled mid-loop, and a
-// clean run again. killOp is rank 1's kill point; cancelAt is the file
-// operation of rank 0 that cancels.
+// clean, traced, phantom, a real-data run right after it, a run with
+// resilience and parity after that plain one, a run on the caller's file
+// system between two on private ones, a killed rank survived from
+// checkpoint+parity and then a resume of what it left, a run cancelled
+// mid-loop, and a clean run again. Each runs on the disks, arrays and
+// file records the one before it left. killOp is rank 1's kill point;
+// cancelAt is the file operation of rank 0 that cancels.
 func reuseScenarios(killOp, cancelAt int64) []reuseScenario {
 	mach := sim.Delta(4)
 	plain := func(l *Lowered, opts Options) ([]string, error) {
@@ -89,6 +92,19 @@ func reuseScenarios(killOp, cancelAt int64) []reuseScenario {
 		{"phantom", func(l *Lowered) ([]string, error) {
 			return plain(l, Options{Phantom: true})
 		}},
+		{"real after phantom", clean.run},
+		{"resilience+parity after plain", func(l *Lowered) ([]string, error) {
+			return plain(l, Options{Fill: sweepFills(), Resilience: parityResilience(), Parity: true})
+		}},
+		{"caller's file system", func(l *Lowered) ([]string, error) {
+			fs := iosim.NewMemFS()
+			got, err := plain(l, Options{FS: fs, Fill: sweepFills()})
+			if names := fs.Names(); err == nil && len(names) > 0 {
+				err = fmt.Errorf("Close left %v on the caller's file system", names)
+			}
+			return got, err
+		}},
+		{"private file system again", clean.run},
 		{"kill+resume", func(l *Lowered) ([]string, error) {
 			opts := surviveOptions(iosim.NewMemFS())
 			opts.Kill = []mp.KillSpec{{Rank: 1, Op: killOp}}
@@ -232,14 +248,16 @@ func TestLoweredReuseIsInvisible(t *testing.T) {
 	}
 }
 
-// scalePhantomAllocs is the allocation count of the second run of the
-// scale_phantom benchmark's job on one Lowered (GAXPY N=512, P=64,
-// phantom), as measured with Go 1.24 on linux/amd64.
-const scalePhantomAllocs = 1848
+// scalePhantomAllocs bounds the allocation count of the second run of
+// the scale_phantom benchmark's job on one Lowered (GAXPY N=512, P=64,
+// phantom): measured at 370-376 with Go 1.24 on linux/amd64, depending on
+// which tests ran before it.
+const scalePhantomAllocs = 380
 
 // TestSecondScalePhantomRunAllocs pins the allocations of a served
 // scale_phantom job's run once its plan has run before: what is left is
-// the run's own statistics, disks, arrays and files.
+// the run's own statistics, its file system and one handle per file, and
+// the rank goroutines.
 func TestSecondScalePhantomRunAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's sync.Pool drops Puts, so pooled storage is made again")

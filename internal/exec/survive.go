@@ -179,10 +179,8 @@ func rebuildRanks(fs iosim.FS, l *Lowered, mach sim.Config, opts Options, dead [
 	}
 	for i, spec := range l.code.Arrays {
 		st.Protect(spec.Name)
-		dm := l.dmaps[i]
-		for r := 0; r < p.Procs; r++ {
-			st.Attach(l.files[i*p.Procs+r],
-				int64(dm.LocalElems(r))*iosim.FileElemBytes)
+		for _, sh := range l.shares[i*p.Procs : (i+1)*p.Procs] {
+			st.Attach(sh.File, int64(sh.Rows)*int64(sh.Cols)*iosim.FileElemBytes)
 		}
 	}
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	iofs "io/fs"
 
 	"github.com/ooc-hpf/passion/internal/bufpool"
 	"github.com/ooc-hpf/passion/internal/sim"
@@ -87,7 +88,17 @@ func NewDisk(fs FS, cfg sim.Config, stats *trace.IOStats) *Disk {
 // through the returned durations) and verify block checksums on reads.
 // res may be nil, which degrades to NewDisk behaviour.
 func NewResilientDisk(fs FS, cfg sim.Config, stats *trace.IOStats, res *Resilience) *Disk {
-	return &Disk{fs: fs, cfg: cfg, bw: cfg.EffectiveDiskBandwidth(), stats: stats, res: res}
+	d := new(Disk)
+	d.Reset(fs, cfg, stats, res)
+	return d
+}
+
+// Reset re-arms d as NewResilientDisk(fs, cfg, stats, res) makes it: no
+// parity, tracer, operation hook or phantom mode, and nothing of what it
+// served before. A caller that keeps its disks from run to run (the
+// executor's rank state) re-arms them with it.
+func (d *Disk) Reset(fs FS, cfg sim.Config, stats *trace.IOStats, res *Resilience) {
+	*d = Disk{fs: fs, cfg: cfg, bw: cfg.EffectiveDiskBandwidth(), stats: stats, res: res}
 }
 
 // ioTime is cfg.IOTime with the bandwidth evaluated once: the same
@@ -246,21 +257,35 @@ type LAF struct {
 
 // CreateLAF creates a local array file holding elems zero elements.
 func (d *Disk) CreateLAF(name string, elems int64) (*LAF, error) {
-	if elems < 0 {
-		return nil, fmt.Errorf("iosim: CreateLAF %s: negative size %d", name, elems)
+	l := new(LAF)
+	if err := l.Create(d, name, elems); err != nil {
+		return nil, err
 	}
-	laf, err := d.createLAFOnce(name, elems)
+	return l, nil
+}
+
+// Create makes l a fresh local array file on d holding elems zero
+// elements, as CreateLAF does: the one way a local array file is made,
+// whether l is new or kept from an earlier run (and closed). On failure
+// l holds no file.
+func (l *LAF) Create(d *Disk, name string, elems int64) error {
+	*l = LAF{disk: d, file: closedFile{}, name: name, elems: elems}
+	if elems < 0 {
+		return fmt.Errorf("iosim: CreateLAF %s: negative size %d", name, elems)
+	}
+	err := l.createOnce()
 	if err != nil && !IsTransient(err) && d.parity != nil && d.parity.Protects(name) {
 		// The disk died under the create itself (e.g. a disk loss took the
 		// half-created file with it). The file held no data yet, so there
 		// is nothing to reconstruct: creating again mounts the replacement
 		// disk and starts over.
-		laf, err = d.createLAFOnce(name, elems)
+		err = l.createOnce()
 	}
-	return laf, err
+	return err
 }
 
-func (d *Disk) createLAFOnce(name string, elems int64) (*LAF, error) {
+func (l *LAF) createOnce() error {
+	d, name, elems := l.disk, l.name, l.elems
 	var f File
 	err := d.retryMeta("create", name, func() error {
 		var err error
@@ -268,27 +293,24 @@ func (d *Disk) createLAFOnce(name string, elems int64) (*LAF, error) {
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if d.phantom {
-		if d.parity != nil {
-			d.parity.Created(name, elems*elemBytes)
+	if !d.phantom {
+		if err := d.retryMeta("truncate", name, func() error { return f.Truncate(elems * elemBytes) }); err != nil {
+			f.Close()
+			return err
 		}
-		return &LAF{disk: d, file: f, name: name, elems: elems}, nil
-	}
-	if err := d.retryMeta("truncate", name, func() error { return f.Truncate(elems * elemBytes) }); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if d.res != nil {
-		// The file is all zeros now; seed its checksums so every block
-		// verifies from the first read on.
-		d.res.seedZero(name, elems*elemBytes)
+		if d.res != nil {
+			// The file is all zeros now; seed its checksums so every block
+			// verifies from the first read on.
+			d.res.seedZero(name, elems*elemBytes)
+		}
 	}
 	if d.parity != nil {
 		d.parity.Created(name, elems*elemBytes)
 	}
-	return &LAF{disk: d, file: f, name: name, elems: elems}, nil
+	l.file = f
+	return nil
 }
 
 // OpenLAF opens an existing local array file of the given length. When the
@@ -297,6 +319,18 @@ func (d *Disk) createLAFOnce(name string, elems int64) (*LAF, error) {
 // the open is retried once; the reconstruction time is charged to the
 // disk's statistics sink.
 func (d *Disk) OpenLAF(name string, elems int64) (*LAF, error) {
+	l := new(LAF)
+	if err := l.Open(d, name, elems); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// Open attaches l to the existing local array file name on d, as OpenLAF
+// does, whether l is new or kept from an earlier run (and closed). On
+// failure l holds no file.
+func (l *LAF) Open(d *Disk, name string, elems int64) error {
+	*l = LAF{disk: d, file: closedFile{}, name: name, elems: elems}
 	var f File
 	open := func() error {
 		return d.retryMeta("open", name, func() error {
@@ -312,17 +346,18 @@ func (d *Disk) OpenLAF(name string, elems int64) (*LAF, error) {
 		// is off the synchronous timeline (Deferred).
 		d.Record(&trace.Span{Kind: trace.KindOpenRecover, Dur: sec, Deferred: true})
 		if rerr != nil {
-			return nil, rerr
+			return rerr
 		}
 		err = open()
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if d.parity != nil {
 		d.parity.Opened(name, elems*elemBytes)
 	}
-	return &LAF{disk: d, file: f, name: name, elems: elems}, nil
+	l.file = f
+	return nil
 }
 
 // RemoveLAF deletes a local array file by name.
@@ -360,8 +395,25 @@ func (l *LAF) Quiet() *LAF {
 // Elems returns the file length in elements.
 func (l *LAF) Elems() int64 { return l.elems }
 
-// Close releases the underlying file.
-func (l *LAF) Close() error { return l.file.Close() }
+// Close releases the underlying file; closing it again, or closing an
+// LAF whose Create or Open failed, does nothing. The LAF keeps no
+// reference to the file: every transfer through it fails with
+// fs.ErrClosed until Create or Open attaches it to a file again.
+func (l *LAF) Close() error {
+	f := l.file
+	l.file = closedFile{}
+	return f.Close()
+}
+
+// closedFile is what an LAF holds when it holds no file.
+type closedFile struct{}
+
+var errClosedLAF = fmt.Errorf("iosim: local array file: %w", iofs.ErrClosed)
+
+func (closedFile) ReadAt([]byte, int64) (int, error)  { return 0, errClosedLAF }
+func (closedFile) WriteAt([]byte, int64) (int, error) { return 0, errClosedLAF }
+func (closedFile) Truncate(int64) error               { return errClosedLAF }
+func (closedFile) Close() error                       { return nil }
 
 // checkChunks validates that every chunk lies within the file.
 func (l *LAF) checkChunks(chunks []Chunk, buf []float64) error {

@@ -76,7 +76,10 @@ type FS interface {
 // that is dropped without Close keeps the storage until the garbage
 // collector takes both. Borrowed storage is never cleared up front: the
 // file knows how far it has been written, the rest of its length reads as
-// zeros, and Truncate costs nothing per byte it adds.
+// zeros, and Truncate costs nothing per byte it adds. The record behind
+// a released file goes on a bounded free list (memFiles) for the next
+// Create, of this store or another, so a served job's files cost one
+// handle each.
 type MemFS struct {
 	mu    sync.Mutex
 	files map[string]*memFile
@@ -97,16 +100,63 @@ type memFile struct {
 	// the bytes stored so far. Bytes in [written, size) read as zeros.
 	size, written int64
 	// handles counts open handles; unlinked is set once no name refers to
-	// the file. Both at rest release data.
+	// the file. Both at rest release data and the record.
 	handles  int
 	unlinked bool
-	// created is the handle Create returned, allocated with the file.
-	created memHandle
 }
 
+// memHandle is one Create's or Open's handle. Handles are never reused,
+// so a closed one stays closed when its record is recycled for another
+// file: every operation through it still fails with fs.ErrClosed.
 type memHandle struct {
 	f      *memFile
 	closed bool // under f.mu
+}
+
+// maxMemFiles bounds the record free list: a served job holds P x
+// arrays files at once (scale_phantom's are 64 x 3).
+const maxMemFiles = 1024
+
+// memFiles is the free list of released file records, bounded and
+// mutex-guarded like oocarray's chunk lists, not a sync.Pool, whose
+// collection-timed drops would make allocation counts irreproducible.
+// Unlike a slab header, a recycled record is out of reach of every
+// handle that still points at it (they are all closed), so recycling
+// stays on under bufpool's checker.
+var memFiles struct {
+	mu   sync.Mutex
+	free []*memFile
+}
+
+// newMemFile returns an empty, linked file record with one handle open,
+// recycled when the free list has one.
+func newMemFile() *memFile {
+	memFiles.mu.Lock()
+	k := len(memFiles.free)
+	if k == 0 {
+		memFiles.mu.Unlock()
+		return &memFile{handles: 1}
+	}
+	f := memFiles.free[k-1]
+	memFiles.free[k-1] = nil
+	memFiles.free = memFiles.free[:k-1]
+	memFiles.mu.Unlock()
+	// A closed handle of the record's last file may still lock it, so it
+	// is re-armed field by field under its lock, never overwritten whole.
+	f.mu.Lock()
+	f.size, f.written, f.handles, f.unlinked = 0, 0, 1, false
+	f.mu.Unlock()
+	return f
+}
+
+// putMemFile offers a released record (no name, no handle, no data) to
+// the free list.
+func putMemFile(f *memFile) {
+	memFiles.mu.Lock()
+	if len(memFiles.free) < maxMemFiles {
+		memFiles.free = append(memFiles.free, f)
+	}
+	memFiles.mu.Unlock()
 }
 
 // Create makes or truncates the named file.
@@ -116,10 +166,9 @@ func (fs *MemFS) Create(name string) (File, error) {
 	if old := fs.files[name]; old != nil {
 		old.unlink()
 	}
-	f := &memFile{handles: 1}
-	f.created.f = f
+	f := newMemFile()
 	fs.files[name] = f
-	return &f.created, nil
+	return &memHandle{f: f}, nil
 }
 
 // Open opens an existing file.
@@ -166,17 +215,24 @@ func (fs *MemFS) Remove(name string) error {
 func (f *memFile) unlink() {
 	f.mu.Lock()
 	f.unlinked = true
-	f.releaseIfDead()
+	dead := f.releaseIfDead()
 	f.mu.Unlock()
+	if dead {
+		putMemFile(f)
+	}
 }
 
 // releaseIfDead returns the storage to the arena once the file can no
-// longer be reached: no name and no open handle. Called with f.mu held.
-func (f *memFile) releaseIfDead() {
-	if f.unlinked && f.handles == 0 && f.data != nil {
-		bufpool.PutBytes(f.data)
-		f.data = nil
+// longer be reached: no name and no open handle. It reports whether the
+// record is free for another file, which the caller hands to putMemFile
+// once it has unlocked f.mu. Called with f.mu held.
+func (f *memFile) releaseIfDead() bool {
+	if !f.unlinked || f.handles != 0 {
+		return false
 	}
+	bufpool.PutBytes(f.data)
+	f.data = nil
+	return true
 }
 
 // reserve makes room for n bytes, moving the written prefix when the
@@ -269,10 +325,13 @@ func (h *memHandle) Truncate(size int64) error {
 	return nil
 }
 
-// Size returns the file length (see FileSize).
+// Size returns the file length (see FileSize); a closed handle's is 0.
 func (h *memHandle) Size() int64 {
 	h.f.mu.Lock()
 	defer h.f.mu.Unlock()
+	if h.closed {
+		return 0
+	}
 	return h.f.size
 }
 
@@ -280,11 +339,15 @@ func (h *memHandle) Size() int64 {
 func (h *memHandle) Close() error {
 	f := h.f
 	f.mu.Lock()
-	defer f.mu.Unlock()
+	dead := false
 	if !h.closed {
 		h.closed = true
 		f.handles--
-		f.releaseIfDead()
+		dead = f.releaseIfDead()
+	}
+	f.mu.Unlock()
+	if dead {
+		putMemFile(f)
 	}
 	return nil
 }

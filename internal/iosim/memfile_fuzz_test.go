@@ -45,12 +45,21 @@ func (s *fuzzScript) word() int { return s.byte()<<8 | s.byte() }
 
 // FuzzMemFile drives a MemFS and the model with the same script — WriteAt,
 // ReadAt, Truncate up and down, Close, Remove and re-Create over three
-// names and up to eight handles, through the byte API and through an LAF's
-// float view — and compares results, errors, sizes and full contents after
-// every step. The arena runs checked, so storage a released file gave back
-// arrives at the next one poisoned (0xDB): a byte the lazy zero-fill
-// misses, or one recycled under an open handle, cannot read as the zero or
-// the data the model holds. Written data never contains 0x00 or 0xDB.
+// names and up to eight open handles, through the byte API and through an
+// LAF's float view — and compares results, errors, sizes and full
+// contents after every step. The arena runs checked, so storage a
+// released file gave back arrives at the next one poisoned (0xDB): a byte
+// the lazy zero-fill misses, or one recycled under an open handle, cannot
+// read as the zero or the data the model holds. Written data never
+// contains 0x00 or 0xDB.
+//
+// File records are recycled too (the free list behind Create), and one
+// step forces it: close every handle of a name's file, remove it and
+// create it again, which must hand the new file the old one's record.
+// The new file reads as zeros, never the old bytes; every handle closed
+// before the recycle fails every operation with fs.ErrClosed after it,
+// checked after every step; and a handle that outlives its name keeps
+// its own file, whatever record the name moves on to.
 func FuzzMemFile(f *testing.F) {
 	f.Add([]byte{})
 	// create, truncate up, write past a gap, truncate down, extend again,
@@ -65,6 +74,11 @@ func FuzzMemFile(f *testing.F) {
 	// unlink; the name re-created between their closes.
 	f.Add([]byte{0, 0, 1, 0, 2, 0, 0, 0, 0x01, 0x00, 6, 0, 0, 0, 2, 2, 0, 8, 0, 8, 3, 0, 0, 0, 1, 0, 5, 0, 3, 1, 0, 0, 1, 0,
 		5, 1, 7, 2, 0, 1, 8, 2, 0, 1})
+	// a written file held open through a second handle past its removal;
+	// the name created afresh, written, and recycled twice while the held
+	// handle still reads the first file, then let go.
+	f.Add([]byte{0, 0, 4, 0, 0x00, 0x40, 2, 0, 0x00, 0x00, 0x00, 0x20, 1, 0, 6, 0, 0, 0, 2, 2, 0x00, 0x08, 0x00, 0x10, 5, 0,
+		9, 0, 3, 1, 0x00, 0x00, 0x00, 0x40, 3, 3, 0x00, 0x00, 0x00, 0x10, 5, 1, 9, 0, 4, 4, 0x00, 0x20, 3, 4, 0x00, 0x00, 0x00, 0x20})
 	bufpool.SetChecked(true)
 	defer bufpool.SetChecked(false)
 
@@ -85,11 +99,22 @@ func FuzzMemFile(f *testing.F) {
 			}
 			return p
 		}
-		// checkAll compares every open handle's view with the model.
+		// checkAll compares every open handle's view with the model, and
+		// holds every closed handle to fs.ErrClosed.
 		checkAll := func(step int) {
 			t.Helper()
 			for hi, h := range handles {
 				if h.closed {
+					p := []byte{0xAA}
+					_, rerr := h.real.ReadAt(p, 0)
+					_, werr := h.real.WriteAt(p, 0)
+					if !errors.Is(rerr, iofs.ErrClosed) || !errors.Is(werr, iofs.ErrClosed) ||
+						!errors.Is(h.real.Truncate(1), iofs.ErrClosed) {
+						t.Fatalf("step %d: closed handle %d: read %v, write %v, want fs.ErrClosed", step, hi, rerr, werr)
+					}
+					if n, _ := FileSize(h.real); n != 0 {
+						t.Fatalf("step %d: closed handle %d reports a size of %d", step, hi, n)
+					}
 					continue
 				}
 				want := h.file.data
@@ -134,12 +159,36 @@ func FuzzMemFile(f *testing.F) {
 			return []Chunk{{Off: int64(off + n/2), Len: n - n/2}, {Off: int64(off), Len: n / 2}}
 		}
 
+		// full reports that no handle may be added: eight open, or 64 in
+		// all (closed ones stay, to be checked after every step).
+		full := func() bool {
+			open := 0
+			for _, h := range handles {
+				if !h.closed {
+					open++
+				}
+			}
+			return open == 8 || len(handles) == 64
+		}
+		create := func(step int, name string) *modelHandle {
+			t.Helper()
+			real, err := fs.Create(name)
+			if err != nil {
+				t.Fatalf("step %d: create %s: %v", step, name, err)
+			}
+			m := &modelFile{}
+			linked[name] = m
+			h := &modelHandle{real: real, file: m}
+			handles = append(handles, h)
+			return h
+		}
+
 		s := &fuzzScript{b: input}
 		for step := 0; s.more() && step < 256; step++ {
-			op, target := s.byte()%9, s.byte()
-			name := names[target%len(names)] // create, open, remove
+			op, target := s.byte()%10, s.byte()
+			name := names[target%len(names)] // create, open, remove, recycle
 			var h *modelHandle               // everything else
-			if op >= 2 && op != 6 {
+			if op >= 2 && op != 6 && op != 9 {
 				if len(handles) == 0 {
 					continue
 				}
@@ -147,18 +196,12 @@ func FuzzMemFile(f *testing.F) {
 			}
 			switch op {
 			case 0: // create
-				if len(handles) == 8 {
+				if full() {
 					continue
 				}
-				real, err := fs.Create(name)
-				if err != nil {
-					t.Fatalf("step %d: create %s: %v", step, name, err)
-				}
-				m := &modelFile{}
-				linked[name] = m
-				handles = append(handles, &modelHandle{real: real, file: m})
+				create(step, name)
 			case 1: // open
-				if len(handles) == 8 {
+				if full() {
 					continue
 				}
 				real, err := fs.Open(name)
@@ -231,6 +274,28 @@ func FuzzMemFile(f *testing.F) {
 					t.Fatalf("step %d: remove %s: %v, model has it: %v", step, name, err, linked[name] != nil)
 				}
 				delete(linked, name)
+			case 9: // close the name's file everywhere, remove it, create it again
+				m := linked[name]
+				if m == nil || full() {
+					continue
+				}
+				var rec *memFile
+				for _, h := range handles {
+					if h.file == m {
+						rec = h.real.(*memHandle).f
+						if !h.closed {
+							h.real.Close()
+							h.closed = true
+						}
+					}
+				}
+				if err := fs.Remove(name); err != nil {
+					t.Fatalf("step %d: remove %s: %v", step, name, err)
+				}
+				delete(linked, name)
+				if got := create(step, name).real.(*memHandle).f; got != rec {
+					t.Fatalf("step %d: %s created afresh on a new record, not the one its closed and removed file freed", step, name)
+				}
 			case 7, 8: // LAF.WriteChunks, LAF.ReadChunks
 				elems := len(h.file.data) / elemBytes
 				if elems == 0 {

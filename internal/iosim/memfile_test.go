@@ -401,6 +401,54 @@ func TestTruncateCostsNothingPerByte(t *testing.T) {
 	}
 }
 
+// TestMemFSFreeListRecyclesRecords: the record of a file that is
+// removed and closed is the one the next Create takes, in the same store
+// or another, so a Create on a recycled record costs only its handle.
+// The new file reads as zeros over its whole length, and the handle the
+// record's old file was read through stays closed.
+func TestMemFSFreeListRecyclesRecords(t *testing.T) {
+	fs, other := NewMemFS(), NewMemFS()
+	old, err := fs.Create("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := old.WriteAt([]byte("old bytes"), 0); err != nil {
+		t.Fatal(err)
+	}
+	rec := old.(*memHandle).f
+	old.Close()
+	fs.Remove("a")
+	f, err := other.Create("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.(*memHandle).f != rec {
+		t.Fatal("a Create after a file was removed and closed made a new record")
+	}
+	if err := f.Truncate(64); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 64)
+	if n, err := f.ReadAt(got, 0); n != 64 || err != nil || !bytes.Equal(got, make([]byte, 64)) {
+		t.Fatalf("the recreated file reads %q, %v, want 64 zeros", got[:n], err)
+	}
+	if _, err := old.ReadAt(got, 0); !errors.Is(err, iofs.ErrClosed) {
+		t.Fatalf("the old file's closed handle reads the recycled record: %v", err)
+	}
+	f.Close()
+	other.Remove("b")
+	if n := testing.AllocsPerRun(100, func() {
+		f, err := fs.Create("c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		fs.Remove("c")
+	}); n != 1 {
+		t.Errorf("create, close and remove allocate %v objects, want 1 (the handle)", n)
+	}
+}
+
 // TestLAFChunksDoNotAllocate pins the plain MemFS path: a slab read or
 // write, contiguous or strided, takes nothing from the heap — no bounce
 // buffer, no encode loop's scratch, no closure.

@@ -1,10 +1,14 @@
 package oocarray
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/ooc-hpf/passion/internal/bufpool"
+	"github.com/ooc-hpf/passion/internal/dist"
+	"github.com/ooc-hpf/passion/internal/iosim"
 	"github.com/ooc-hpf/passion/internal/sim"
+	"github.com/ooc-hpf/passion/internal/trace"
 )
 
 // allocArray is the pins' local array: 64 x 16 (n = 64 over four
@@ -180,4 +184,76 @@ func TestCheckedRecycleStillPanics(t *testing.T) {
 		}
 	}()
 	_ = stale.At(0, 0)
+}
+
+// TestArrayReuseMakesNoneOfItAgain: a kept disk, array and reader, made
+// again for the next run on the same share (Disk.Reset, Create, Attach)
+// after the last one closed and removed its file, show nothing of their
+// last run: the file reads as zeros over its whole length, though its
+// record and storage are the last file's, and the reader starts at the
+// first slab. A run of them — create, a prefetched pass over every slab,
+// close, remove — allocates only the file's handle.
+func TestArrayReuseMakesNoneOfItAgain(t *testing.T) {
+	dm, err := dist.NewArray("a", dist.NewCollapsed(64), dist.NewBlock(64, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := ShareOf(dm, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := iosim.NewMemFS()
+	var (
+		clock sim.Clock
+		stats trace.IOStats
+		disk  iosim.Disk
+		arr   Array
+		rd    SlabReader
+	)
+	run := func(fill bool) error {
+		disk.Reset(fs, sim.Delta(4), &stats, nil)
+		if err := arr.Create(&disk, sh, &clock, Options{Prefetch: true}); err != nil {
+			return err
+		}
+		if fill {
+			if err := arr.FillGlobal(valueAt); err != nil {
+				return err
+			}
+		}
+		s := arr.Slabbing(ByColumn, 128)
+		rd.Attach(&arr, s)
+		slabs := 0
+		for {
+			icla, ok, err := rd.Next()
+			if err != nil || !ok {
+				if err == nil && slabs != s.Count {
+					err = fmt.Errorf("the reader delivered %d of %d slabs", slabs, s.Count)
+				}
+				arr.Close()
+				fs.Remove(sh.File)
+				return err
+			}
+			for _, v := range icla.Data {
+				if v != 0 && !fill {
+					return fmt.Errorf("slab %d of the array made again reads %v, not zeros", slabs, v)
+				}
+			}
+			slabs++
+			arr.Recycle(icla)
+		}
+	}
+	if err := run(true); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(false); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(50, func() {
+		if err := run(false); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 1 {
+		t.Errorf("a run of a kept array allocates %v objects, want 1 (the file's handle)", n)
+	}
 }

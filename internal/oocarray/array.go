@@ -61,12 +61,17 @@ type Options struct {
 // Array is one processor's out-of-core local array: a column-major
 // rows x cols local section of a distributed global array, stored in a
 // local array file.
+//
+// An Array can be kept and made again: Create and Open (re)attach it to
+// a processor's share of an array, so a caller that runs the same plan
+// over and over (the executor's rank state) makes none of it after the
+// first run, and keeps the spare headers and chunk list the array grew.
 type Array struct {
 	dmap  *dist.Array
 	proc  int
 	rows  int
 	cols  int
-	laf   *iosim.LAF
+	laf   iosim.LAF
 	clock *sim.Clock
 	opts  Options
 	// chunkScratch backs sectionChunks between calls. Safe because the
@@ -77,7 +82,7 @@ type Array struct {
 	chunkScratch []iosim.Chunk
 	// spares holds recycled ICLA headers (Data nil) for the next section
 	// read or slab to reuse, so a slab loop allocates no header per slab.
-	spares  [maxSpares]*ICLA
+	spares  [MaxSpares]*ICLA
 	nspares int
 	// inflight is the buffer a sectioned read has taken from the arena
 	// and not yet handed to its caller. A fail-stop kill that lands
@@ -94,37 +99,74 @@ func FileName(array string, proc int) string {
 	return array + ".p" + strconv.Itoa(proc) + ".laf"
 }
 
+// Share is one processor's share of a distributed two-dimensional array:
+// the mapping, the rank, the local section's shape and the local array
+// file's name. A caller that makes the same arrays run after run computes
+// the shares once.
+type Share struct {
+	Map        *dist.Array
+	Proc       int
+	Rows, Cols int
+	File       string
+}
+
+// ShareOf is processor proc's share of dmap, which must be
+// two-dimensional.
+func ShareOf(dmap *dist.Array, proc int) (Share, error) {
+	if len(dmap.Dims) != 2 {
+		return Share{}, fmt.Errorf("oocarray: %s is %d-dimensional; only 2-D arrays are supported", dmap.Name, len(dmap.Dims))
+	}
+	shape := dmap.LocalShape(proc)
+	return Share{Map: dmap, Proc: proc, Rows: shape[0], Cols: shape[1], File: FileName(dmap.Name, proc)}, nil
+}
+
 // New creates the out-of-core local array of processor proc for the global
 // mapping dmap, backed by a fresh local array file on disk. clock may be
 // nil, in which case no simulated time is charged (statistics still
 // accumulate through the disk). The mapping must be two-dimensional.
 func New(disk *iosim.Disk, dmap *dist.Array, proc int, clock *sim.Clock, opts Options) (*Array, error) {
-	if len(dmap.Dims) != 2 {
-		return nil, fmt.Errorf("oocarray: %s is %d-dimensional; only 2-D arrays are supported", dmap.Name, len(dmap.Dims))
-	}
-	shape := dmap.LocalShape(proc)
-	rows, cols := shape[0], shape[1]
-	laf, err := disk.CreateLAF(FileName(dmap.Name, proc), int64(rows)*int64(cols))
-	if err != nil {
-		return nil, err
-	}
-	return &Array{dmap: dmap, proc: proc, rows: rows, cols: cols, laf: laf, clock: clock, opts: opts}, nil
+	return attach(disk, dmap, proc, clock, opts, (*Array).Create)
 }
 
 // Open attaches to the existing local array file of processor proc (the
 // resume path): like New, but the file must already exist and its
 // contents are preserved.
 func Open(disk *iosim.Disk, dmap *dist.Array, proc int, clock *sim.Clock, opts Options) (*Array, error) {
-	if len(dmap.Dims) != 2 {
-		return nil, fmt.Errorf("oocarray: %s is %d-dimensional; only 2-D arrays are supported", dmap.Name, len(dmap.Dims))
-	}
-	shape := dmap.LocalShape(proc)
-	rows, cols := shape[0], shape[1]
-	laf, err := disk.OpenLAF(FileName(dmap.Name, proc), int64(rows)*int64(cols))
+	return attach(disk, dmap, proc, clock, opts, (*Array).Open)
+}
+
+func attach(disk *iosim.Disk, dmap *dist.Array, proc int, clock *sim.Clock, opts Options,
+	how func(*Array, *iosim.Disk, Share, *sim.Clock, Options) error) (*Array, error) {
+	sh, err := ShareOf(dmap, proc)
 	if err != nil {
 		return nil, err
 	}
-	return &Array{dmap: dmap, proc: proc, rows: rows, cols: cols, laf: laf, clock: clock, opts: opts}, nil
+	a := new(Array)
+	if err := how(a, disk, sh, clock, opts); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// Create makes a the local array of share sh, backed by a fresh local
+// array file on disk: the one way New makes an array, and the way a kept
+// array, closed, is made again. Its spare headers and chunk list carry
+// over; nothing else of what it was does.
+func (a *Array) Create(disk *iosim.Disk, sh Share, clock *sim.Clock, opts Options) error {
+	a.arm(sh, clock, opts)
+	return a.laf.Create(disk, sh.File, int64(sh.Rows)*int64(sh.Cols))
+}
+
+// Open is Create for an existing local array file, whose contents are
+// preserved (the resume path).
+func (a *Array) Open(disk *iosim.Disk, sh Share, clock *sim.Clock, opts Options) error {
+	a.arm(sh, clock, opts)
+	return a.laf.Open(disk, sh.File, int64(sh.Rows)*int64(sh.Cols))
+}
+
+func (a *Array) arm(sh Share, clock *sim.Clock, opts Options) {
+	a.dmap, a.proc, a.rows, a.cols = sh.Map, sh.Proc, sh.Rows, sh.Cols
+	a.clock, a.opts = clock, opts
 }
 
 // Close releases the local array file handle (the file itself remains),
@@ -222,7 +264,7 @@ func (a *Array) charge(kind string, seconds float64) {
 func (a *Array) collioSide() collio.Side {
 	return collio.Side{
 		Map:    a.dmap,
-		LAF:    a.laf,
+		LAF:    &a.laf,
 		Rank:   a.proc,
 		Rows:   a.rows,
 		Cols:   a.cols,
@@ -361,7 +403,7 @@ func (a *Array) readSectionRaw(r0, c0, h, w int) (*ICLA, float64, error) {
 	var sec float64
 	if len(chunks) > 0 {
 		if a.opts.Sieve {
-			sec, err = collio.AggregateRead(a.laf, chunks, icla.Data)
+			sec, err = collio.AggregateRead(&a.laf, chunks, icla.Data)
 		} else {
 			sec, err = a.laf.ReadChunks(chunks, icla.Data)
 		}
@@ -399,7 +441,7 @@ func (a *Array) writeSectionRaw(s *ICLA) (float64, error) {
 		return 0, nil
 	}
 	if a.opts.Sieve {
-		return collio.AggregateWrite(a.laf, chunks, s.Data)
+		return collio.AggregateWrite(&a.laf, chunks, s.Data)
 	}
 	return a.laf.WriteChunks(chunks, s.Data)
 }
@@ -455,22 +497,27 @@ func (a *Array) NewSlab(s Slabbing, index int) (*ICLA, error) {
 	if index < 0 || index >= s.Count {
 		return nil, fmt.Errorf("oocarray: slab index %d outside [0,%d)", index, s.Count)
 	}
-	var icla *ICLA
 	if s.Dim == ByColumn {
 		start, size := s.slabBounds(index, a.cols)
-		icla = a.header(0, start, a.rows, size)
-	} else {
-		start, size := s.slabBounds(index, a.rows)
-		icla = a.header(start, 0, size, a.cols)
+		return a.NewSection(0, start, a.rows, size), nil
 	}
-	clear(icla.Data)
-	return icla, nil
+	start, size := s.slabBounds(index, a.rows)
+	return a.NewSection(start, 0, size, a.cols), nil
 }
 
-// maxSpares bounds an array's recycled headers: a slab loop holds at
+// NewSection returns a zeroed h x w in-core section at (r0, c0) with
+// arena storage and, when the array has one, a recycled header; Recycle
+// gives both back.
+func (a *Array) NewSection(r0, c0, h, w int) *ICLA {
+	icla := a.header(r0, c0, h, w)
+	clear(icla.Data)
+	return icla
+}
+
+// MaxSpares bounds an array's recycled headers: a slab loop holds at
 // most a delivered slab, a prefetched one and a halo read's section at
 // once.
-const maxSpares = 4
+const MaxSpares = 4
 
 // header returns an h x w section header at (r0, c0) with arena storage
 // of arbitrary contents, reusing a recycled header when there is one.
@@ -499,7 +546,7 @@ func (a *Array) Recycle(s *ICLA) {
 	}
 	bufpool.PutF64(s.Data)
 	s.Data = nil
-	if a.nspares < maxSpares && !bufpool.Checked() {
+	if a.nspares < MaxSpares && !bufpool.Checked() {
 		a.spares[a.nspares] = s
 		a.nspares++
 	}

@@ -16,26 +16,33 @@ type SlabReader struct {
 
 // NewSlabReader returns a reader over the given decomposition.
 func (a *Array) NewSlabReader(s Slabbing) *SlabReader {
-	return &SlabReader{arr: a, slb: s}
+	r := new(SlabReader)
+	r.Attach(a, s)
+	return r
 }
 
-// Reset rewinds the reader for another pass over the slabs. A pending
-// prefetched slab is discarded (its cost was never charged) and its
-// storage returned to the arena.
-func (r *SlabReader) Reset() {
-	r.next = 0
-	r.arr.Recycle(r.pending)
-	r.pending = nil
-	r.pendingReady = 0
+// Attach readies r for a pass over a's slabs of decomposition s from the
+// first: the one way a reader is made, and the way a kept one is made
+// again for another array or run. A pending prefetched slab is
+// discarded (its cost was never charged) and its storage returned to the
+// arena.
+func (r *SlabReader) Attach(a *Array, s Slabbing) {
+	r.Close()
+	*r = SlabReader{arr: a, slb: s}
 }
+
+// Reset rewinds the reader for another pass over the slabs.
+func (r *SlabReader) Reset() { r.Attach(r.arr, r.slb) }
 
 // Close releases a pending prefetched slab, if any. Call it when the
 // reader is abandoned before exhaustion — a cancelled run, an early
 // error — so the prefetch buffer returns to the arena; a drained or
 // fresh reader makes it a no-op.
 func (r *SlabReader) Close() {
-	r.arr.Recycle(r.pending)
-	r.pending = nil
+	if r.pending != nil {
+		r.arr.Recycle(r.pending)
+		r.pending = nil
+	}
 }
 
 // Remaining returns how many slabs have not been delivered yet.

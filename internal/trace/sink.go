@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -69,6 +68,7 @@ func (sk *sinkState) close() error {
 type ChromeSink struct {
 	w       *bufio.Writer
 	c       io.Closer
+	buf     []byte // the line being encoded (encode.go)
 	spans   int64
 	dropped int64
 	err     error
@@ -91,28 +91,39 @@ func NewChromeSink(w io.Writer, procs int) *ChromeSink {
 }
 
 func (s *ChromeSink) writeEvent(ev jsonEvent, end string) {
+	if s.err == nil {
+		s.buf, s.err = appendEvent(s.buf[:0], &ev)
+		s.writeLine(end)
+	}
+}
+
+// writeLine writes the encoded event in buf and end, unless an error
+// (the encoding's included) has stopped the stream.
+func (s *ChromeSink) writeLine(end string) {
 	if s.err != nil {
 		return
 	}
-	data, err := json.Marshal(ev)
-	if err == nil {
-		_, err = s.w.Write(data)
-	}
-	if err == nil {
-		_, err = s.w.WriteString(end)
-	}
-	s.err = err
+	s.buf = append(s.buf, end...)
+	_, s.err = s.w.Write(s.buf)
 }
 
 // Emit writes one span's event line (and its flow event's line when the
 // span is a linked send or wait).
 func (s *ChromeSink) Emit(rank int, sp Span) {
 	sp.Rank = rank
-	s.writeEvent(spanEvent(sp), eventEnd)
-	if ev, ok := flowEvent(sp); ok {
-		s.writeEvent(ev, eventEnd)
-	}
 	s.spans++
+	if s.err != nil {
+		return
+	}
+	s.buf, s.err = appendSpanEvent(s.buf[:0], &sp)
+	s.writeLine(eventEnd)
+	if s.err != nil {
+		return
+	}
+	var ok bool
+	if s.buf, ok, s.err = appendFlowEvent(s.buf[:0], &sp); ok {
+		s.writeLine(eventEnd)
+	}
 }
 
 // ReportDropped records, for the closing line, how many spans a
