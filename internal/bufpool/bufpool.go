@@ -21,6 +21,15 @@
 // 1 GiB, and only after a process has had that much live at once. What a
 // list refuses goes to the sync.Pool and is the GC's to reclaim.
 //
+// Message payloads reach the arena through a front: every simulated rank
+// owns a Cache (cache.go), a bounded stack of float64 buffers per small
+// class that it takes from and releases to with no lock and no atomic
+// update, spilling to the arena when a stack is full, falling through to
+// it when one is empty, and flushed to it when the rank returns. The
+// shared class mutex and the counters below then see only what the
+// caches cannot balance, and Gets == Puts + Drops still holds once every
+// cache is flushed. Code that has no rank uses the arena directly.
+//
 // A buffer obtained from Get* has arbitrary contents. Callers either
 // overwrite every element or clear() explicitly where they previously
 // relied on make's zeroing; SetChecked poisons released buffers to make
@@ -210,9 +219,15 @@ func (a *arena[T]) put(b []T, poison T) {
 		}
 		checkedRelease(unsafe.Pointer(unsafe.SliceData(b)))
 	}
+	a.store(c, b)
+}
+
+// store takes back b, a whole buffer of class c already released (and,
+// in checked mode, poisoned and tracked).
+func (a *arena[T]) store(c int, b []T) {
 	atomic.AddInt64(&stats.Puts, 1)
 	cl := &a.classes[c]
-	limit := freeListCap(len(b), unsafe.Sizeof(poison))
+	limit := freeListCap(len(b), unsafe.Sizeof(b[0]))
 	cl.mu.Lock()
 	if len(cl.free) < limit || checked.Load() {
 		// Checked mode keeps everything on the free list: the sync.Pool

@@ -64,7 +64,9 @@ func (f RunFlags) Runtime() oocarray.Options {
 }
 
 // Build materializes the other flags into execution options over the
-// backing store base (nil means a fresh in-memory file system). resume sets
+// backing store base. A nil base leaves Options.FS nil, so the run works
+// on its plan's private in-memory store (exec.RunLowered), unless fault
+// injection needs a fresh in-memory store to wrap. resume sets
 // exec.Options.Resume and forces a checkpoint spec so the resume finds
 // one. The returned ChaosFS is
 // non-nil exactly when fault injection wrapped the store, for
@@ -73,9 +75,6 @@ func (f RunFlags) Runtime() oocarray.Options {
 func (f *RunFlags) Build(base iosim.FS, resume bool) (exec.Options, *iosim.ChaosFS, error) {
 	var opts exec.Options
 	fs := base
-	if fs == nil {
-		fs = iosim.NewMemFS()
-	}
 	var schedule []iosim.ScheduledFault
 	if f.LoseDisk != "" {
 		sf, err := ParseFileOp(f.LoseDisk)
@@ -93,6 +92,9 @@ func (f *RunFlags) Build(base iosim.FS, resume bool) (exec.Options, *iosim.Chaos
 	}
 	var chaosFS *iosim.ChaosFS
 	if f.Chaos > 0 || f.ChaosCorrupt > 0 || f.ChaosDiskLoss > 0 || len(schedule) > 0 {
+		if fs == nil {
+			fs = iosim.NewMemFS()
+		}
 		chaosFS = iosim.NewChaosFS(fs, iosim.ChaosConfig{
 			Seed:       f.ChaosSeed,
 			PTransient: f.Chaos,

@@ -111,8 +111,8 @@ func TestBuildDefaultsArePlain(t *testing.T) {
 	if opts.Resilience != nil || opts.Checkpoint != nil || opts.Parity || len(opts.Kill) != 0 {
 		t.Errorf("plain build grew extras: %+v", opts)
 	}
-	if opts.FS == nil {
-		t.Error("nil base should become a fresh MemFS")
+	if opts.FS != nil {
+		t.Error("nil base without fault injection should leave FS nil: the run's private store")
 	}
 }
 

@@ -195,6 +195,9 @@ func redistribute(p *mp.Proc, src, dst Side, memElems, tag int, m IndexMap, meth
 	}
 	sched := newSchedule(me, size, src.Map, dstT, dst, memElems, m)
 	defer sched.release()
+	// Every payload — round buckets, the inspector's tables, what arrives
+	// — is taken from and released to the rank's cache.
+	bufs := p.Cache()
 
 	// phase brackets each stage with an overlay span: the timeline shows
 	// where the time goes without touching the reconciled leaf spans.
@@ -206,7 +209,7 @@ func redistribute(p *mp.Proc, src, dst Side, memElems, tag int, m IndexMap, meth
 	}
 	if m.fn != nil {
 		t := clock.Seconds()
-		if err := sched.inspect(m.fn, ds, tag, exchange); err != nil {
+		if err := sched.inspect(bufs, m.fn, ds, tag, exchange); err != nil {
 			return err
 		}
 		phase("collio:inspect", t)
@@ -216,7 +219,7 @@ func redistribute(p *mp.Proc, src, dst Side, memElems, tag int, m IndexMap, meth
 	w, myRounds := sched.srcs[me].w, sched.srcs[me].rounds
 	rm := p.AllReduceMax(tag, []float64{float64(myRounds)})
 	rounds := int(rm[0])
-	mp.ReleaseBuf(rm)
+	bufs.PutF64(rm)
 
 	recv, err := newReceiver(dst, memElems, method, sched)
 	if err != nil {
@@ -235,7 +238,7 @@ func redistribute(p *mp.Proc, src, dst Side, memElems, tag int, m IndexMap, meth
 	// owner; the exchange takes them, and an error or panic returns any
 	// still there.
 	parts := make([][]float64, size)
-	defer releaseBuckets(parts)
+	defer releaseBuckets(bufs, parts)
 	for round := 0; round < rounds; round++ {
 		t0 := clock.Seconds()
 		if round < myRounds {
@@ -246,14 +249,14 @@ func redistribute(p *mp.Proc, src, dst Side, memElems, tag int, m IndexMap, meth
 				return err
 			}
 			src.charge("io-read", sec)
-			sched.fill(parts, data, round)
+			sched.fill(bufs, parts, data, round)
 		}
 		phase("collio:read", t0)
 		t1 := clock.Seconds()
 		incoming := exchange(tag, parts)
 		phase("collio:shuffle", t1)
 		t2 := clock.Seconds()
-		if err := absorbRound(recv, round, incoming); err != nil {
+		if err := absorbRound(bufs, recv, round, incoming); err != nil {
 			return err
 		}
 		phase("collio:write", t2)

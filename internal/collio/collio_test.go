@@ -580,20 +580,22 @@ func TestRunReceiverKeepsScratch(t *testing.T) {
 	disk := iosim.NewDisk(iosim.NewMemFS(), sim.Delta(p), nil)
 	dst := sideFor(t, disk, dstMap, 0, nil)
 	defer discard(disk, dst)
+	var bufs bufpool.Cache
+	defer bufs.Flush()
 	for _, method := range []Method{Direct, Sieved} {
 		incoming := make([][]float64, p)
 		redistribute := func() {
 			sched := newSchedule(0, p, srcMap, dstMap.Tables2(), dst, mem, Transpose())
 			defer sched.release()
 			for q := range incoming {
-				incoming[q] = bufpool.GetF64(total(sched.blocks(q, 0, 0)))
+				incoming[q] = bufs.GetF64(total(sched.blocks(q, 0, 0)))
 			}
 			recv, err := newReceiver(dst, mem, method, sched)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer recv.cleanup()
-			if err := absorbRound(recv, 0, incoming); err != nil {
+			if err := absorbRound(&bufs, recv, 0, incoming); err != nil {
 				t.Fatal(err)
 			}
 			if err := recv.finish(); err != nil {
@@ -666,7 +668,9 @@ func FuzzRoundPayloadLengths(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = absorbRound(recv, 0, incoming)
+		var bufs bufpool.Cache
+		err = absorbRound(&bufs, recv, 0, incoming)
+		bufs.Flush()
 		if err == nil {
 			err = recv.finish()
 		}
@@ -1176,7 +1180,7 @@ func TestRunRouteEqualsElementRoute(t *testing.T) {
 				}
 				sched := newSchedule(me, p, srcMap, dstT, dst, memElems, m)
 				if m.fn != nil {
-					if err := sched.inspect(m.fn, [2]int{dr, dc}, 31, proc.AllToAllOwned); err != nil {
+					if err := sched.inspect(proc.Cache(), m.fn, [2]int{dr, dc}, 31, proc.AllToAllOwned); err != nil {
 						return err
 					}
 				}
@@ -1310,13 +1314,15 @@ func BenchmarkRoute(b *testing.B) {
 			data[i] = float64(i)
 		}
 		parts := make([][]float64, p)
+		var bufs bufpool.Cache
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sched.fill(parts, data, 0)
-				releaseBuckets(parts)
+				sched.fill(&bufs, parts, data, 0)
+				releaseBuckets(&bufs, parts)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(n*w), "ns/elem")
 		})
+		bufs.Flush()
 	}
 }

@@ -30,11 +30,11 @@ func newReceiver(dst Side, memElems int, method Method, sched *schedule) (receiv
 	return nil, fmt.Errorf("collio: unknown method %d", int(method))
 }
 
-// absorbRound applies round k's payloads and returns them to the arena —
-// all of them, whether the round could be applied, was malformed, or died
+// absorbRound applies round k's payloads and returns them to bufs — all
+// of them, whether the round could be applied, was malformed, or died
 // under a kill part-way through a write.
-func absorbRound(recv receiver, k int, incoming [][]float64) error {
-	defer releaseBuckets(incoming)
+func absorbRound(bufs *bufpool.Cache, recv receiver, k int, incoming [][]float64) error {
+	defer releaseBuckets(bufs, incoming)
 	return recv.absorb(k, incoming)
 }
 

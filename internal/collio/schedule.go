@@ -8,7 +8,6 @@ import (
 	"github.com/ooc-hpf/passion/internal/bufpool"
 	"github.com/ooc-hpf/passion/internal/dist"
 	"github.com/ooc-hpf/passion/internal/iosim"
-	"github.com/ooc-hpf/passion/internal/mp"
 )
 
 // block is g runs of n values of a source rank's round k going to one
@@ -279,16 +278,16 @@ func (s *schedule) blocks(q, k, owner int) []block {
 	return out
 }
 
-// fill copies round k's slab data into one exactly sized arena bucket per
-// owner: the values of the owner's blocks, back to back.
-func (s *schedule) fill(parts [][]float64, data []float64, k int) {
+// fill copies round k's slab data into one exactly sized bucket from bufs
+// per owner: the values of the owner's blocks, back to back.
+func (s *schedule) fill(bufs *bufpool.Cache, parts [][]float64, data []float64, k int) {
 	for owner := range parts {
 		blocks := s.blocks(s.me, k, owner)
 		n := total(blocks)
 		if n == 0 {
 			continue
 		}
-		part, at := bufpool.GetF64(n)[:n], 0
+		part, at := bufs.GetF64(n), 0
 		for j := range blocks {
 			b := &blocks[j]
 			n, doff := int(b.n), int(b.doff)
@@ -330,7 +329,7 @@ func total(blocks []block) (n int) {
 // a status and then (round, n, col, row, dcol, drow) per run (0), or the
 // first element outside the destination, (gi, gj, di, dj) (1): every rank
 // reads every table, so all return the same error and none is left parked.
-func (s *schedule) inspect(fn func(gi, gj int) (di, dj int), ds [2]int, tag int,
+func (s *schedule) inspect(bufs *bufpool.Cache, fn func(gi, gj int) (di, dj int), ds [2]int, tag int,
 	exchange func(tag int, parts [][]float64) [][]float64) error {
 	src, size := &s.srcs[s.me], len(s.srcs)
 	own0, loc0, own1, loc1 := s.dstT.Dim[0].Own, s.dstT.Dim[0].Loc, s.dstT.Dim[1].Own, s.dstT.Dim[1].Loc
@@ -357,9 +356,9 @@ walk:
 		}
 	}
 	parts := make([][]float64, size)
-	defer releaseBuckets(parts)
+	defer releaseBuckets(bufs, parts)
 	for owner, runs := range s.sent {
-		b := append(bufpool.GetF64(max(len(bad), 1+6*len(runs)))[:0], bad...)
+		b := append(bufs.GetF64(max(len(bad), 1+6*len(runs)))[:0], bad...)
 		if bad == nil {
 			b = append(b, 0)
 			for _, r := range runs {
@@ -369,7 +368,7 @@ walk:
 		parts[owner] = b
 	}
 	incoming := exchange(tag, parts)
-	defer releaseBuckets(incoming)
+	defer releaseBuckets(bufs, incoming)
 	for q, in := range incoming {
 		if len(in) == 5 && in[0] == 1 {
 			return &ShapeError{Gi: int(in[1]), Gj: int(in[2]), Di: int(in[3]), Dj: int(in[4]), Shape: ds}
@@ -417,10 +416,10 @@ func (s *schedule) decode(q int, in []float64) error {
 	return nil
 }
 
-// releaseBuckets returns every bucket to the arena.
-func releaseBuckets(buckets [][]float64) {
+// releaseBuckets returns every bucket to bufs.
+func releaseBuckets(bufs *bufpool.Cache, buckets [][]float64) {
 	for i, b := range buckets {
-		mp.ReleaseBuf(b)
+		bufs.PutF64(b)
 		buckets[i] = nil
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"github.com/ooc-hpf/passion/internal/bufpool"
 	"github.com/ooc-hpf/passion/internal/bytecode"
 	"github.com/ooc-hpf/passion/internal/collio"
-	"github.com/ooc-hpf/passion/internal/mp"
 	"github.com/ooc-hpf/passion/internal/oocarray"
 	"github.com/ooc-hpf/passion/internal/trace"
 )
@@ -284,12 +283,12 @@ func (in *interp) exchange(ins *bytecode.Instr) error {
 	if left > 0 && rank > 0 {
 		data := in.proc.Recv(rank-1, tag)
 		copy(g.Data, data)
-		mp.ReleaseBuf(data)
+		in.proc.Cache().PutF64(data)
 	}
 	if right > 0 && rank < last {
 		data := in.proc.Recv(rank+1, tag+1)
 		copy(g.Data[rows*left:], data)
-		mp.ReleaseBuf(data)
+		in.proc.Cache().PutF64(data)
 	}
 	return nil
 }
@@ -498,7 +497,7 @@ func (in *interp) sumStore(ins *bytecode.Instr) error {
 	}
 	if !in.phantom {
 		copy(s.Col(lj), sum)
-		mp.ReleaseBuf(sum)
+		in.proc.Cache().PutF64(sum)
 	}
 	return nil
 }

@@ -126,7 +126,8 @@ type Result struct {
 	lowered *Lowered
 	kit     *kit          // the run's rank state, until Close gives it back
 	dmaps   []*dist.Array // the lowered plan's mapping of Program.Arrays[i]
-	fs      iosim.FS
+	fs      iosim.FS      // nil once closed
+	store   *iosim.MemFS  // fs, when it is the run's private store
 	mach    sim.Config
 	phantom bool
 	res     *iosim.Resilience
@@ -144,12 +145,16 @@ func (r *Result) ParityStore() *parity.Store { return r.pstore }
 // Close removes the run's local array files (and checkpoint artifacts, if
 // any) from the backing store and gives the run's rank state back to its
 // lowered plan, PerArray included: call it when the result's file
-// contents and per-array statistics are no longer needed. ReadArray
+// contents and per-array statistics are no longer needed. A run without
+// Options.FS also gives back its private store, once emptied. ReadArray
 // stops working afterwards and PerArray is nil; Stats stays the
 // caller's. A second Close removes nothing more and gives nothing back
 // again. A non-nil error joins every checkpoint-GC failure that was not
 // a missing file, so leaked stale snapshots are visible to the caller.
 func (r *Result) Close() error {
+	if r.fs == nil {
+		return nil
+	}
 	removeRunFiles(r.fs, r.lowered.shares)
 	if r.pstore != nil {
 		r.pstore.Close()
@@ -159,7 +164,13 @@ func (r *Result) Close() error {
 		r.lowered.putKit(r.kit)
 		r.kit = nil
 	}
-	return removeCheckpointFiles(r.fs, r.Program.Procs, r.mutated, r.ckpt)
+	err := removeCheckpointFiles(r.fs, r.Program.Procs, r.mutated, r.ckpt)
+	if r.store != nil {
+		r.lowered.putStore(r.store)
+		r.store = nil
+	}
+	r.fs = nil
+	return err
 }
 
 // removeRunFiles deletes the local array files a program creates,
@@ -242,6 +253,7 @@ type Lowered struct {
 	foldOrder []string
 	loopDepth int // the stream's deepest loop nesting
 	kits      kitList
+	stores    storeList
 }
 
 // Lower lowers p. A program the lowering rejects (a buffer read before
@@ -300,11 +312,18 @@ func RunLowered(ctx context.Context, l *Lowered, mach sim.Config, opts Options) 
 			return nil, err
 		}
 	}
+	var store *iosim.MemFS
 	if opts.FS == nil {
-		// Every attempt of the run works on one backing store.
-		opts.FS = iosim.NewMemFS()
+		// Every attempt of the run works on one backing store, the plan's
+		// to reuse once the final Result is closed.
+		store = l.takeStore()
+		opts.FS = store
 	}
-	return survive(ctx, l, mach, opts, manifests)
+	res, err := survive(ctx, l, mach, opts, manifests)
+	if res != nil {
+		res.store = store
+	}
+	return res, err
 }
 
 // run executes one attempt of the program's opcode stream on opts.FS,
@@ -434,6 +453,9 @@ func run(ctx context.Context, l *Lowered, mach sim.Config, opts Options, resume 
 func (r *Result) ReadArray(name string) (*matrix.Matrix, error) {
 	if r.phantom {
 		return nil, fmt.Errorf("exec: cannot read arrays from a phantom run")
+	}
+	if r.fs == nil {
+		return nil, fmt.Errorf("exec: cannot read arrays from a closed result")
 	}
 	i := slices.IndexFunc(r.Program.Arrays, func(a plan.ArraySpec) bool { return a.Name == name })
 	if i < 0 {

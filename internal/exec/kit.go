@@ -69,6 +69,46 @@ func (l *Lowered) putKit(k *kit) {
 	l.kits.free = append(l.kits.free, k)
 }
 
+// storeList is a Lowered's free list of private file systems: the MemFS
+// a run without Options.FS works on, which its Result's Close hands back
+// once it holds no file. An emptied MemFS keeps its name map's capacity,
+// so the plan's next run — a served job's — does not grow one from empty
+// to P x arrays entries again.
+type storeList struct {
+	mu   sync.Mutex
+	free []*iosim.MemFS
+}
+
+// storeListLen bounds a storeList, like kitList's bytes: enough for a
+// serving pool's concurrent jobs.
+const storeListLen = 8
+
+// takeStore returns an empty private file system for one run of l.
+func (l *Lowered) takeStore() *iosim.MemFS {
+	l.stores.mu.Lock()
+	defer l.stores.mu.Unlock()
+	if last := len(l.stores.free) - 1; last >= 0 {
+		fs := l.stores.free[last]
+		l.stores.free[last] = nil
+		l.stores.free = l.stores.free[:last]
+		return fs
+	}
+	return iosim.NewMemFS()
+}
+
+// putStore offers a closed run's private file system to the free list if
+// the run left no file in it.
+func (l *Lowered) putStore(fs *iosim.MemFS) {
+	if len(fs.Names()) != 0 {
+		return
+	}
+	l.stores.mu.Lock()
+	defer l.stores.mu.Unlock()
+	if len(l.stores.free) < storeListLen {
+		l.stores.free = append(l.stores.free, fs)
+	}
+}
+
 // mapEntryBytes is what a map entry costs on the host, roughly, for the
 // free list's accounting.
 const mapEntryBytes = 64

@@ -382,14 +382,24 @@ func (l *LAF) Name() string { return l.name }
 // accounting.
 func (l *LAF) Disk() *Disk { return l.disk }
 
-// Quiet returns a view of the same file that performs no statistics
-// accounting (and whose returned durations should be discarded). It is
-// used for initialization and verification I/O, which the paper's
-// measurements exclude.
-func (l *LAF) Quiet() *LAF {
-	quiet := *l.disk
-	quiet.stats = nil
-	return &LAF{disk: &quiet, file: l.file, name: l.name, elems: l.elems}
+// QuietView holds a quiet view of a local array file: the same file on a
+// copy of its disk that performs no statistics accounting and records no
+// span (its returned durations should be discarded). Initialization and
+// verification I/O, which the paper's measurements exclude, go through
+// one. A caller that keeps a QuietView beside its LAF takes the view
+// without allocating; its zero value is ready.
+type QuietView struct {
+	disk Disk
+	laf  LAF
+}
+
+// Of re-arms v as a quiet view of l, as l's disk stands now, and returns
+// it; the view is valid until the next Of.
+func (v *QuietView) Of(l *LAF) *LAF {
+	v.disk = *l.disk
+	v.disk.stats = nil
+	v.laf = LAF{disk: &v.disk, file: l.file, name: l.name, elems: l.elems}
+	return &v.laf
 }
 
 // Elems returns the file length in elements.

@@ -101,7 +101,7 @@ func TestQuietDiskEmitsNoSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quiet := laf.Quiet()
+	quiet := new(QuietView).Of(laf)
 	if _, err := quiet.WriteAll(make([]float64, 16)); err != nil {
 		t.Fatal(err)
 	}

@@ -146,7 +146,7 @@ func Run(mach sim.Config, cfg Config) (*Result, error) {
 				if pj != nil {
 					arr.Recycle(pj)
 				} else {
-					mp.ReleaseBuf(payload)
+					proc.Cache().PutF64(payload)
 				}
 			}
 			if mine {

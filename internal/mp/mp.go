@@ -14,7 +14,8 @@
 // machine — slot table, mailboxes and Proc handles — waits on a bounded
 // free list for the next run at its processor count (machines). A
 // message is a payload or, where a phantom run reduces elements nobody
-// reads, only their count (buf.go, ReduceElided).
+// reads, only their count (buf.go, ReduceElided); a payload cycles
+// through the ranks' own caches, not the shared arena (buf.go).
 package mp
 
 import (
@@ -202,19 +203,28 @@ type Proc struct {
 	panicBufs  [2][]float64
 	panicMulti [][]float64
 	sendBuf    []float64
+
+	// cache is the rank's payload cache: every payload the rank acquires
+	// or releases goes through it (see buf.go), and reset flushes it.
+	cache bufpool.Cache
 }
+
+// Cache returns the rank's payload cache, which a payload the rank owns
+// is released to and a buffer it will send owned is taken from (see
+// buf.go).
+func (p *Proc) Cache() *bufpool.Cache { return &p.cache }
 
 // releasePanicBufs returns any buffers a panicking operation held.
 func (p *Proc) releasePanicBufs() {
 	for i, b := range p.panicBufs {
-		ReleaseBuf(b)
+		p.cache.PutF64(b)
 		p.panicBufs[i] = nil
 	}
 	for _, b := range p.panicMulti {
-		ReleaseBuf(b)
+		p.cache.PutF64(b)
 	}
 	p.panicMulti = nil
-	ReleaseBuf(p.sendBuf)
+	p.cache.PutF64(p.sendBuf)
 	p.sendBuf = nil
 }
 
@@ -325,8 +335,10 @@ func (m *Machine) start(rank int, stats *trace.Stats) *Proc {
 }
 
 // reset zeroes a Proc whose rank has returned, keeping its wake channel
-// (drained) and its all-to-all result slice (emptied).
+// (drained) and its all-to-all result slice (emptied). Its payload cache
+// goes back to the arena, so a machine on the free list holds no payload.
 func (p *Proc) reset() {
+	p.cache.Flush()
 	select {
 	case <-p.wake:
 	default:
@@ -514,7 +526,7 @@ func (p *Proc) sendCharge(dst int, elems int) {
 // at once (deadPeer); so does one parked in a deadlock (deadlock).
 func (p *Proc) post(dst, tag int, buf []float64, count int32) {
 	if tag != int(int32(tag)) {
-		ReleaseBuf(buf)
+		p.cache.PutF64(buf)
 		panic(fmt.Sprintf("mp: rank %d: tag %d to rank %d does not fit a message", p.rank, tag, dst))
 	}
 	b := p.m.box(p.rank, dst)
@@ -525,12 +537,12 @@ func (p *Proc) post(dst, tag int, buf []float64, count int32) {
 		case ok:
 			return
 		case gone:
-			ReleaseBuf(msg.data)
+			p.cache.PutF64(msg.data)
 			p.deadPeer(dst, tag, true)
 		}
 		<-p.wake
 		if p.m.deadlocked.Load() {
-			ReleaseBuf(msg.data)
+			p.cache.PutF64(msg.data)
 			p.deadlock(b, dst, tag, true)
 		}
 	}
@@ -538,20 +550,20 @@ func (p *Proc) post(dst, tag int, buf []float64, count int32) {
 
 // Send delivers a copy of data to processor dst under the given tag. The
 // sender's clock advances by the full message time (blocking send model).
-// The copy lands in an arena buffer, so steady-state traffic recycles
-// payload memory instead of allocating (see buf.go for the ownership
-// protocol).
+// The copy lands in a buffer from the rank's cache, so steady-state
+// traffic recycles payload memory instead of allocating (see buf.go for
+// the ownership protocol).
 func (p *Proc) Send(dst, tag int, data []float64) {
 	p.sendCharge(dst, len(data))
-	buf := bufpool.GetF64(len(data))
+	buf := p.cache.GetF64(len(data))
 	copy(buf, data)
 	p.post(dst, tag, buf, noCount)
 }
 
 // SendOwned is Send without the copy: data must be an arena buffer the
-// caller owns (from AcquireBuf or Recv), and ownership transfers to the
-// message — the caller must not touch it afterwards. Simulated cost,
-// spans and statistics are identical to Send.
+// caller owns (from the rank's Cache, AcquireBuf or Recv), and ownership
+// transfers to the message — the caller must not touch it afterwards.
+// Simulated cost, spans and statistics are identical to Send.
 func (p *Proc) SendOwned(dst, tag int, data []float64) {
 	// Ownership has already transferred; a kill landing on the charge
 	// must release the payload or the abort leaks it.
@@ -566,9 +578,9 @@ func (p *Proc) SendOwned(dst, tag int, data []float64) {
 // compiled plan and panics. The receiver's clock advances to the message
 // arrival time if it was ahead of the receiver.
 //
-// The returned buffer is owned by the receiver: release it with
-// ReleaseBuf once done, forward it with SendOwned, or adopt it (keep it
-// and never release — always safe, merely forgoing reuse).
+// The returned buffer is owned by the receiver: release it to the rank's
+// Cache once done, forward it with SendOwned, or adopt it (keep it and
+// never release — always safe, merely forgoing reuse).
 func (p *Proc) Recv(src, tag int) []float64 {
 	msg := p.recv(src, tag)
 	if msg.count != noCount {
@@ -688,7 +700,7 @@ func (p *Proc) AllReduce(tag int, data []float64) []float64 {
 // the simulated clocks to the latest arrival (plus the collective's
 // message costs).
 func (p *Proc) Barrier(tag int) {
-	ReleaseBuf(p.AllReduce(tag, nil))
+	p.cache.PutF64(p.AllReduce(tag, nil))
 }
 
 // AllToAll sends parts[d] to processor d and returns the slice of parts
@@ -740,7 +752,7 @@ func (p *Proc) exchange(tag int, parts, out [][]float64, owned bool) {
 			parts[d] = nil
 			return part
 		}
-		buf := bufpool.GetF64(len(part))
+		buf := p.cache.GetF64(len(part))
 		copy(buf, part)
 		return buf
 	}

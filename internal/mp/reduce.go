@@ -1,10 +1,6 @@
 package mp
 
-import (
-	"fmt"
-
-	"github.com/ooc-hpf/passion/internal/bufpool"
-)
+import "fmt"
 
 // Op is an elementwise reduction operator. Implementations must be
 // associative; commutativity is not required because the binomial tree
@@ -77,7 +73,7 @@ func (p *Proc) reduce(name string, op Op, root, tag int, data []float64, n int) 
 	p.collective(name)
 	var acc []float64
 	if op != nil {
-		acc = bufpool.GetF64(n)
+		acc = p.cache.GetF64(n)
 		copy(acc, data)
 		p.panicBufs[0] = acc
 	}
@@ -114,7 +110,7 @@ func (p *Proc) reduce(name string, op Op, root, tag int, data []float64, n int) 
 			}
 			p.Compute(int64(n))
 			p.panicBufs[1] = nil
-			ReleaseBuf(msg.data)
+			p.cache.PutF64(msg.data)
 		}
 	}
 	p.panicBufs[0] = nil

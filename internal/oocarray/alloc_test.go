@@ -257,3 +257,23 @@ func TestArrayReuseMakesNoneOfItAgain(t *testing.T) {
 		t.Errorf("a run of a kept array allocates %v objects, want 1 (the file's handle)", n)
 	}
 }
+
+// TestQuietTransfersDoNotAllocate pins the unaccounted initialization
+// path: FillGlobal and WriteLocal take the array's kept quiet view, so a
+// fill of a warm array allocates nothing and its disk counts nothing.
+func TestQuietTransfersDoNotAllocate(t *testing.T) {
+	var clock sim.Clock
+	arr, stats := newTestArray(t, 64, 4, 1, &clock, Options{})
+	t.Cleanup(func() { arr.Close() })
+	before := *stats
+	fill := func(gi, gj int) float64 { return float64(gi*1000 + gj) }
+	pinNoAllocs(t, "FillGlobal", func() error { return arr.FillGlobal(fill) })
+	m, err := arr.ReadLocal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinNoAllocs(t, "WriteLocal", func() error { return arr.WriteLocal(m) })
+	if after := *stats; after != before {
+		t.Errorf("quiet transfers were accounted: %+v, then %+v", before, after)
+	}
+}

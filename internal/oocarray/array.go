@@ -89,6 +89,9 @@ type Array struct {
 	// inside the read unwinds past readSectionRaw without returning it;
 	// Close gives it back.
 	inflight []float64
+	// quiet holds the unaccounted view of laf that initialization and
+	// verification transfers go through, re-armed by each.
+	quiet iosim.QuietView
 }
 
 // FileName is the name of processor proc's local array file of the global
@@ -170,8 +173,11 @@ func (a *Array) arm(sh Share, clock *sim.Clock, opts Options) {
 }
 
 // Close releases the local array file handle (the file itself remains),
-// the buffer of a read that never returned and the chunk list.
+// the buffer of a read that never returned and the chunk list, and drops
+// the quiet view, whose disk copy refers to the run's file system and
+// tracer.
 func (a *Array) Close() error {
+	a.quiet = iosim.QuietView{}
 	bufpool.PutF64(a.inflight)
 	a.inflight = nil
 	putChunks(a.chunkScratch)
@@ -562,7 +568,7 @@ func (a *Array) FillGlobal(f func(gi, gj int) float64) error {
 	if a.rows == 0 || a.cols == 0 {
 		return nil
 	}
-	quiet := a.laf.Quiet()
+	quiet := a.quiet.Of(&a.laf)
 	// Every element is written before the column is: arena contents are fine.
 	buf := bufpool.GetF64(a.rows)
 	defer bufpool.PutF64(buf)
@@ -589,7 +595,7 @@ func (a *Array) ReadLocal() (*matrix.Matrix, error) {
 		return m, nil
 	}
 	chunk := []iosim.Chunk{{Off: 0, Len: a.rows * a.cols}}
-	if _, err := a.laf.Quiet().ReadChunks(chunk, m.Data); err != nil {
+	if _, err := a.quiet.Of(&a.laf).ReadChunks(chunk, m.Data); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -605,6 +611,6 @@ func (a *Array) WriteLocal(m *matrix.Matrix) error {
 		return nil
 	}
 	chunk := []iosim.Chunk{{Off: 0, Len: a.rows * a.cols}}
-	_, err := a.laf.Quiet().WriteChunks(chunk, m.Data)
+	_, err := a.quiet.Of(&a.laf).WriteChunks(chunk, m.Data)
 	return err
 }

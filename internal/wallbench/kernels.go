@@ -95,11 +95,11 @@ func mkSendRecv() (func() (float64, error), error) {
 					if len(echo) != elems {
 						return fmt.Errorf("echo length %d", len(echo))
 					}
-					mp.ReleaseBuf(echo)
+					p.Cache().PutF64(echo)
 				} else {
 					in := p.Recv(peer, 7)
 					p.Send(peer, 8, in)
-					mp.ReleaseBuf(in)
+					p.Cache().PutF64(in)
 				}
 			}
 			return nil
