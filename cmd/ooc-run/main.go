@@ -111,9 +111,9 @@ func main() {
 	eopts.Trace = tracer
 	// An injected fail-stop loss (-kill-rank) is detected via heartbeats,
 	// the dead rank's disk rebuilt from parity, and the run resumed from
-	// the checkpoint.
+	// the checkpoint; a lost disk (-lose-disk) is reconstructed online.
 	out, err := exec.Run(res.Program, sim.Delta(res.Program.Procs), eopts)
-	if err == nil && len(eopts.Kill) > 0 {
+	if err == nil && rf.KillRank != "" {
 		// The surviving attempt's tracer carries the spans (and the
 		// adopted stream sink).
 		tracer = out.Trace
@@ -124,10 +124,18 @@ func main() {
 		}
 		fmt.Printf("survived %d rank failure(s) in %d attempt(s)\n", len(out.Recoveries), out.Attempts)
 	}
+	if err == nil && rf.LoseDisk != "" {
+		for _, f := range out.DiskLosses {
+			fmt.Printf("disk loss: rank %d lost its logical disk at its op %d\n", f.Rank, f.Op)
+		}
+		if len(out.DiskLosses) == 0 {
+			fmt.Println("disk loss: the scheduled loss never fired")
+		}
+	}
 	if chaosFS != nil {
 		c := chaosFS.Counts()
-		fmt.Printf("chaos: %d ops, injected %d transient, %d permanent, %d corruptions, %d short reads, %d short writes, %d disk losses\n",
-			c.Ops, c.Transient, c.Permanent, c.Corruptions, c.ShortReads, c.ShortWrites, c.DiskLosses)
+		fmt.Printf("chaos: %d ops, injected %d transient, %d permanent, %d corruptions, %d short reads, %d short writes\n",
+			c.Ops, c.Transient, c.Permanent, c.Corruptions, c.ShortReads, c.ShortWrites)
 	}
 	if tracer != nil {
 		// Finalize the stream (the closing line with the span count)

@@ -25,12 +25,11 @@ type RunFlags struct {
 	Prefetch bool
 	Phantom  bool
 
-	Chaos         float64
-	ChaosCorrupt  float64
-	ChaosDiskLoss float64
-	ChaosSeed     int64
-	LoseDisk      string
-	Retries       int
+	Chaos        float64
+	ChaosCorrupt float64
+	ChaosSeed    int64
+	LoseDisk     string
+	Retries      int
 
 	Checkpoint int
 	Parity     bool
@@ -48,8 +47,7 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.Phantom, "phantom", false, "accounting-only mode (no data, no verification)")
 	fs.Float64Var(&f.Chaos, "chaos", 0, "probability of a transient fault per file operation")
 	fs.Float64Var(&f.ChaosCorrupt, "chaos-corrupt", 0, "probability of a flipped bit per file read")
-	fs.Float64Var(&f.ChaosDiskLoss, "chaos-disk-loss", 0, "probability that a file operation takes down its whole logical disk")
-	fs.StringVar(&f.LoseDisk, "lose-disk", "", "lose the disk holding FILE at its OPth operation, as FILE@OP (e.g. c.p1.laf@40)")
+	fs.StringVar(&f.LoseDisk, "lose-disk", "", "lose RANK's logical disk at its OPth message/IO operation, as RANK@OP (e.g. 1@40); surviving it needs -parity")
 	fs.Int64Var(&f.ChaosSeed, "chaos-seed", 1, "seed of the deterministic fault injection")
 	fs.IntVar(&f.Retries, "retries", -1, "retry budget per I/O operation (-1: default policy when faults are injected)")
 	fs.IntVar(&f.Checkpoint, "checkpoint", 0, "checkpoint every K eligible slab-loop iterations (0: off)")
@@ -68,30 +66,29 @@ func (f RunFlags) Runtime() oocarray.Options {
 // on its plan's private in-memory store (exec.RunLowered), unless fault
 // injection needs a fresh in-memory store to wrap. resume sets
 // exec.Options.Resume and forces a checkpoint spec so the resume finds
-// one. The returned ChaosFS is
-// non-nil exactly when fault injection wrapped the store, for
-// end-of-run injection reporting. The caller layers on whatever Build
-// cannot know: Fill and Trace.
+// one. The returned ChaosFS is non-nil exactly when probabilistic fault
+// injection wrapped the store, for end-of-run injection reporting; the
+// rank deaths and disk losses go on exec.Options.Faults. Any injected
+// fault implies the default retry policy. The caller layers on whatever
+// Build cannot know: Fill and Trace.
 func (f *RunFlags) Build(base iosim.FS, resume bool) (exec.Options, *iosim.ChaosFS, error) {
 	var opts exec.Options
 	fs := base
-	var schedule []iosim.ScheduledFault
-	if f.LoseDisk != "" {
-		sf, err := ParseFileOp(f.LoseDisk)
-		if err != nil {
-			return opts, nil, fmt.Errorf("-lose-disk: %w", err)
+	for _, sched := range []struct {
+		flag, spec string
+		kind       mp.FaultKind
+	}{{"-lose-disk", f.LoseDisk, mp.LoseDisk}, {"-kill-rank", f.KillRank, mp.RankDeath}} {
+		if sched.spec == "" {
+			continue
 		}
-		schedule = append(schedule, sf)
-	}
-	if f.KillRank != "" {
-		ks, err := ParseRankOp(f.KillRank)
+		ft, err := ParseRankOp(sched.spec, sched.kind)
 		if err != nil {
-			return opts, nil, fmt.Errorf("-kill-rank: %w", err)
+			return opts, nil, fmt.Errorf("%s: %w", sched.flag, err)
 		}
-		opts.Kill = append(opts.Kill, ks)
+		opts.Faults = append(opts.Faults, ft)
 	}
 	var chaosFS *iosim.ChaosFS
-	if f.Chaos > 0 || f.ChaosCorrupt > 0 || f.ChaosDiskLoss > 0 || len(schedule) > 0 {
+	if f.Chaos > 0 || f.ChaosCorrupt > 0 {
 		if fs == nil {
 			fs = iosim.NewMemFS()
 		}
@@ -99,12 +96,10 @@ func (f *RunFlags) Build(base iosim.FS, resume bool) (exec.Options, *iosim.Chaos
 			Seed:       f.ChaosSeed,
 			PTransient: f.Chaos,
 			PCorrupt:   f.ChaosCorrupt,
-			PDiskLoss:  f.ChaosDiskLoss,
-			Schedule:   schedule,
 		})
 		fs = chaosFS
 	}
-	if f.Retries >= 0 || chaosFS != nil {
+	if f.Retries >= 0 || chaosFS != nil || f.LoseDisk != "" {
 		policy := iosim.DefaultRetryPolicy()
 		if f.Retries >= 0 {
 			policy.MaxRetries = f.Retries
@@ -125,39 +120,22 @@ func (f *RunFlags) Build(base iosim.FS, resume bool) (exec.Options, *iosim.Chaos
 	return opts, chaosFS, nil
 }
 
-// ParseRankOp parses a fail-stop kill point written RANK@OP.
-func ParseRankOp(s string) (mp.KillSpec, error) {
-	head, op, err := splitAtOp(s, "RANK@OP")
-	if err != nil {
-		return mp.KillSpec{}, err
-	}
-	rank, err := strconv.Atoi(head)
-	if err != nil {
-		return mp.KillSpec{}, fmt.Errorf("bad rank in %q", s)
-	}
-	return mp.KillSpec{Rank: rank, Op: op}, nil
-}
-
-// ParseFileOp parses a scheduled disk loss written FILE@OP.
-func ParseFileOp(s string) (iosim.ScheduledFault, error) {
-	file, op, err := splitAtOp(s, "FILE@OP")
-	if err != nil {
-		return iosim.ScheduledFault{}, err
-	}
-	return iosim.ScheduledFault{File: file, Op: op, Kind: iosim.KindDiskLoss}, nil
-}
-
-// splitAtOp splits "head@op", parsing the trailing operation index.
-func splitAtOp(s, form string) (string, int64, error) {
+// ParseRankOp parses a scheduled fault of the given kind written
+// RANK@OP: a rank death (-kill-rank) or a disk loss (-lose-disk).
+func ParseRankOp(s string, kind mp.FaultKind) (mp.Fault, error) {
 	k := strings.LastIndex(s, "@")
 	if k <= 0 {
-		return "", 0, fmt.Errorf("want %s, got %q", form, s)
+		return mp.Fault{}, fmt.Errorf("want RANK@OP, got %q", s)
+	}
+	rank, err := strconv.Atoi(s[:k])
+	if err != nil {
+		return mp.Fault{}, fmt.Errorf("bad rank in %q", s)
 	}
 	op, err := strconv.ParseInt(s[k+1:], 10, 64)
 	if err != nil {
-		return "", 0, fmt.Errorf("bad operation index in %q", s)
+		return mp.Fault{}, fmt.Errorf("bad operation index in %q", s)
 	}
-	return s[:k], op, nil
+	return mp.Fault{Rank: rank, Op: op, Kind: kind}, nil
 }
 
 // MachineFor maps a machine-model name to its configuration factory.

@@ -2,39 +2,45 @@ package cliutil
 
 import (
 	"flag"
+	"slices"
 	"testing"
 
 	"github.com/ooc-hpf/passion/internal/compiler"
 	"github.com/ooc-hpf/passion/internal/hpf"
 	"github.com/ooc-hpf/passion/internal/iosim"
+	"github.com/ooc-hpf/passion/internal/mp"
 	"github.com/ooc-hpf/passion/internal/sim"
 )
 
 func TestParseRankOp(t *testing.T) {
-	ks, err := ParseRankOp("1@200")
+	ks, err := ParseRankOp("1@200", mp.RankDeath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ks.Rank != 1 || ks.Op != 200 {
+	if ks != (mp.Fault{Rank: 1, Op: 200, Kind: mp.RankDeath}) {
 		t.Fatalf("got %+v, want rank 1 op 200", ks)
 	}
 	for _, bad := range []string{"", "1", "@200", "x@200", "1@y", "1@"} {
-		if _, err := ParseRankOp(bad); err == nil {
+		if _, err := ParseRankOp(bad, mp.RankDeath); err == nil {
 			t.Errorf("ParseRankOp(%q): want error, got nil", bad)
 		}
 	}
 }
 
-func TestParseFileOp(t *testing.T) {
-	sf, err := ParseFileOp("c.p1.laf@40")
+// TestParseLoseDisk: -lose-disk takes the -kill-rank form, RANK@OP, and
+// a file name is no longer a disk.
+func TestParseLoseDisk(t *testing.T) {
+	f, err := ParseRankOp("1@40", mp.LoseDisk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sf.File != "c.p1.laf" || sf.Op != 40 || sf.Kind != iosim.KindDiskLoss {
-		t.Fatalf("got %+v", sf)
+	if f != (mp.Fault{Rank: 1, Op: 40, Kind: mp.LoseDisk}) {
+		t.Fatalf("got %+v", f)
 	}
-	if _, err := ParseFileOp("@7"); err == nil {
-		t.Error("want error for missing file name")
+	for _, bad := range []string{"@7", "c.p1.laf@40", "bogus"} {
+		if _, err := ParseRankOp(bad, mp.LoseDisk); err == nil {
+			t.Errorf("ParseRankOp(%q): want error, got nil", bad)
+		}
 	}
 }
 
@@ -64,7 +70,7 @@ func TestRegisterAndBuild(t *testing.T) {
 	err := fs.Parse([]string{
 		"-sieve", "-prefetch",
 		"-chaos", "0.01", "-chaos-seed", "7",
-		"-lose-disk", "c.p1.laf@40",
+		"-lose-disk", "1@40",
 		"-kill-rank", "1@200",
 		"-checkpoint", "3", "-parity",
 	})
@@ -90,8 +96,9 @@ func TestRegisterAndBuild(t *testing.T) {
 	if !opts.Parity {
 		t.Error("parity not carried over")
 	}
-	if len(opts.Kill) != 1 || opts.Kill[0].Rank != 1 || opts.Kill[0].Op != 200 {
-		t.Errorf("kill spec = %+v", opts.Kill)
+	want := []mp.Fault{{Rank: 1, Op: 40, Kind: mp.LoseDisk}, {Rank: 1, Op: 200, Kind: mp.RankDeath}}
+	if !slices.Equal(opts.Faults, want) {
+		t.Errorf("fault schedule = %+v, want %+v", opts.Faults, want)
 	}
 	if rt := rf.Runtime(); !rt.Sieve || !rt.Prefetch {
 		t.Errorf("runtime options = %+v", rt)
@@ -108,11 +115,31 @@ func TestBuildDefaultsArePlain(t *testing.T) {
 	if chaosFS != nil {
 		t.Error("no fault flags: want no ChaosFS")
 	}
-	if opts.Resilience != nil || opts.Checkpoint != nil || opts.Parity || len(opts.Kill) != 0 {
+	if opts.Resilience != nil || opts.Checkpoint != nil || opts.Parity || len(opts.Faults) != 0 {
 		t.Errorf("plain build grew extras: %+v", opts)
 	}
 	if opts.FS != nil {
 		t.Error("nil base without fault injection should leave FS nil: the run's private store")
+	}
+}
+
+// TestBuildLoseDiskKeepsResilience: a scheduled disk loss alone wraps no
+// store (the loss is the machine's) and still gets the default retry
+// policy, as every injected fault does.
+func TestBuildLoseDiskKeepsResilience(t *testing.T) {
+	rf := RunFlags{Retries: -1, LoseDisk: "2@7", Parity: true}
+	opts, chaosFS, err := rf.Build(nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chaosFS != nil || opts.FS != nil {
+		t.Errorf("a disk loss alone wrapped the store: chaos %v, FS %v", chaosFS, opts.FS)
+	}
+	if opts.Resilience == nil {
+		t.Error("a disk loss without an explicit retry budget should get the default policy")
+	}
+	if len(opts.Faults) != 1 || opts.Faults[0] != (mp.Fault{Rank: 2, Op: 7, Kind: mp.LoseDisk}) {
+		t.Errorf("fault schedule = %+v", opts.Faults)
 	}
 }
 

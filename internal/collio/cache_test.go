@@ -54,7 +54,7 @@ func TestKilledRedistributionBalancesCachedPayloads(t *testing.T) {
 	const n, p = 16, 4
 	srcMap, dstMap := colBlockMap(t, "src", n, p), colBlockMap(t, "dst", n, p)
 	fs := iosim.NewMemFS()
-	_, err := mp.RunOpts(sim.Delta(p), mp.Options{Kill: []mp.KillSpec{{Rank: 1, Op: 8}}}, func(proc *mp.Proc) error {
+	_, err := mp.RunOpts(sim.Delta(p), mp.Options{Faults: []mp.Fault{{Rank: 1, Op: 8}}}, func(proc *mp.Proc) error {
 		disk := iosim.NewDisk(fs, proc.Config(), nil)
 		src := sideFor(t, disk, srcMap, proc.Rank(), valueAt)
 		dst := sideFor(t, disk, dstMap, proc.Rank(), nil)

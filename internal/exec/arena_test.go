@@ -40,7 +40,7 @@ func TestResilientAttemptsReturnFileStorage(t *testing.T) {
 	defer bufpool.SetChecked(false)
 	bufpool.ResetStats()
 	opts := surviveOptions(iosim.NewMemFS())
-	opts.Kill = []mp.KillSpec{{Rank: 2, Op: counts[2] / 2}}
+	opts.Faults = []mp.Fault{{Rank: 2, Op: counts[2] / 2}}
 	out, err := Run(res.Program, sim.Delta(res.Program.Procs), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -56,22 +56,43 @@ func TestResilientAttemptsReturnFileStorage(t *testing.T) {
 	}
 }
 
-// TestDiskLossLeavesOnlyEscalatedHandles: losing a disk under parity
-// unlinks its files while the owning rank still holds handles on them. A
-// handle whose transfer hits the loss is swapped for one on the
-// reconstructed file and dropped unclosed (LAF.escalate: Quiet views may
-// share it), so its storage is the garbage collector's, not the arena's —
-// the one deliberate non-release, counted here rather than hidden. Rank 1
-// goes on using all of its arrays after the loss, so that is one handle
-// per array; everything else, the parity files and the store's own
-// handles on the lost disk included, comes back.
-func TestDiskLossLeavesOnlyEscalatedHandles(t *testing.T) {
+// TestDiskLossReturnsEveryBuffer: losing a disk under parity unlinks its
+// files while the owning rank still holds handles on them. The loss
+// handler closes the rank's handles as it swaps in the lost-disk
+// sentinel, the parity store closes its own on the disk, and a handle
+// escalation replaces is closed too, so every buffer of the lost files,
+// the parity files and the reconstructed files comes back to the arena —
+// also for a loss inside the fills, whose quiet views escalate on the
+// array's own handle.
+func TestDiskLossReturnsEveryBuffer(t *testing.T) {
 	res := chaosProgram(t, "row-slab")
 	bufpool.SetChecked(true)
 	defer bufpool.SetChecked(false)
+	for _, op := range []int64{0, lossOp} {
+		bufpool.ResetStats()
+		out, err := Run(res.Program, sim.Delta(res.Program.Procs), Options{
+			FS: iosim.NewMemFS(), Fill: sweepFills(), Resilience: parityResilience(), Parity: true,
+			Faults: []mp.Fault{{Rank: 1, Op: op, Kind: mp.LoseDisk}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.DiskLosses) != 1 {
+			t.Fatalf("loss at op %d: disk losses = %v, want 1", op, out.DiskLosses)
+		}
+		if err := out.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := arenaOutstanding(); n != 0 {
+			t.Fatalf("%d arena buffers outstanding after a disk loss survived at op %d: %+v", n, op, bufpool.Snapshot())
+		}
+	}
+
+	// A permanent fault on one protected file escalates the same way, from
+	// a live handle rather than the lost-disk sentinel.
 	bufpool.ResetStats()
 	chaos := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{
-		Schedule: []iosim.ScheduledFault{{File: "c.p1.laf", Op: 3, Kind: iosim.KindDiskLoss}},
+		Schedule: []iosim.ScheduledFault{{File: "c.p1.laf", Op: 3, Kind: iosim.KindPermanent}},
 	})
 	out, err := Run(res.Program, sim.Delta(res.Program.Procs), Options{
 		FS: chaos, Fill: sweepFills(), Resilience: parityResilience(), Parity: true,
@@ -79,15 +100,14 @@ func TestDiskLossLeavesOnlyEscalatedHandles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chaos.Counts().DiskLosses != 1 {
-		t.Fatalf("disk losses = %d, want 1", chaos.Counts().DiskLosses)
+	if out.Stats.TotalIO().Reconstructions == 0 {
+		t.Fatal("the permanent fault escalated to no reconstruction")
 	}
 	if err := out.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n, want := arenaOutstanding(), int64(len(res.Program.Arrays)); n != want {
-		t.Fatalf("%d arena buffers outstanding after a survived disk loss, want %d (rank 1's handle on each array): %+v",
-			n, want, bufpool.Snapshot())
+	if n := arenaOutstanding(); n != 0 {
+		t.Fatalf("%d arena buffers outstanding after an escalated permanent fault: %+v", n, bufpool.Snapshot())
 	}
 }
 
@@ -162,10 +182,10 @@ func TestPhantomRunBalancesArena(t *testing.T) {
 	defer bufpool.SetChecked(false)
 	for _, phantom := range []bool{false, true} {
 		counts := make([]int64, procs)
-		run := func(kill []mp.KillSpec) error {
+		run := func(kill []mp.Fault) error {
 			bufpool.ResetStats()
 			out, err := Run(res.Program, sim.Delta(procs), Options{
-				Phantom: phantom, Fill: sweepFills(), OpCounts: counts, Kill: kill,
+				Phantom: phantom, Fill: sweepFills(), OpCounts: counts, Faults: kill,
 			})
 			if err == nil {
 				err = out.Close()
@@ -179,7 +199,7 @@ func TestPhantomRunBalancesArena(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, op := range []int64{counts[2] / 4, counts[2] / 2, 3 * counts[2] / 4} {
-			err := run([]mp.KillSpec{{Rank: 2, Op: op}})
+			err := run([]mp.Fault{{Rank: 2, Op: op}})
 			var rf *mp.RankFailure
 			if !errors.As(err, &rf) || fmt.Sprint(rf.Failed) != "[2]" {
 				t.Errorf("phantom %v, kill at op %d: want a RankFailure of rank 2, got %v", phantom, op, err)
@@ -279,10 +299,10 @@ func TestKillAtEveryOpBalancesArena(t *testing.T) {
 	} {
 		for _, prefetch := range []bool{false, true} {
 			counts := make([]int64, procs)
-			run := func(kill []mp.KillSpec) error {
+			run := func(kill []mp.Fault) error {
 				bufpool.ResetStats()
 				out, err := Run(withRuntime(tc.res.Program, oocarray.Options{Prefetch: prefetch}), sim.Delta(procs), Options{
-					Fill: tc.fills, OpCounts: counts, Kill: kill,
+					Fill: tc.fills, OpCounts: counts, Faults: kill,
 				})
 				if err == nil {
 					err = out.Close()
@@ -301,7 +321,7 @@ func TestKillAtEveryOpBalancesArena(t *testing.T) {
 				step = 7
 			}
 			for op := int64(0); op < total; op += step {
-				err := run([]mp.KillSpec{{Rank: victim, Op: op}})
+				err := run([]mp.Fault{{Rank: victim, Op: op}})
 				var rf *mp.RankFailure
 				if !errors.As(err, &rf) || fmt.Sprint(rf.Failed) != fmt.Sprint([]int{victim}) {
 					t.Errorf("%s, prefetch %v, kill at op %d of %d: want a RankFailure of rank %d, got %v", tc.name, prefetch, op, total, victim, err)

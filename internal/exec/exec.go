@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"github.com/ooc-hpf/passion/internal/bufpool"
 	"github.com/ooc-hpf/passion/internal/bytecode"
@@ -61,15 +62,16 @@ type Options struct {
 	// declared complete. Parity maintenance is charged to the simulated
 	// clocks and surfaced in the Parity*/Reconstruct* statistics.
 	Parity bool
-	// Kill schedules injected fail-stop rank deaths: rank Rank stops
-	// immediately before its Op'th counted operation (messages and local
-	// array chunk I/O). With Checkpoint and Parity both set the run
-	// survives every loss it schedules (see Result.Recoveries); without
-	// them a loss fails the run.
-	Kill []mp.KillSpec
+	// Faults schedules injected faults on the machine's per-rank
+	// operation counter (messages and local array chunk I/O, see
+	// mp.Fault). A rank death is survived with Checkpoint and Parity
+	// both set (see Result.Recoveries); a disk loss (interp.loseDisk) is
+	// reconstructed online with Parity set (see Result.DiskLosses).
+	// Without them the fault fails the run.
+	Faults []mp.Fault
 	// OpCounts, when non-nil (len >= Procs), receives each rank's final
-	// fail-stop operation count; probe runs use it to learn the op-index
-	// space a kill schedule can target.
+	// fault operation count; probe runs use it to learn the op-index
+	// space a fault schedule can target.
 	OpCounts []int64
 	// Resume restarts a killed or failed checkpointed run from its last
 	// globally consistent checkpoint. It needs the original backing FS
@@ -93,14 +95,15 @@ type Options struct {
 // mpOptions maps the execution options onto the message-passing
 // machine's fault configuration.
 func (o Options) mpOptions() mp.Options {
-	return mp.Options{Kill: o.Kill, OpCounts: o.OpCounts}
+	return mp.Options{Faults: o.Faults, OpCounts: o.OpCounts}
 }
 
-// failureActive reports whether any fail-stop machinery (kill schedule,
-// op counting) is configured; only then are the per-array
-// disks' operation hooks installed, keeping plain runs at zero overhead.
+// failureActive reports whether any fault machinery (fault schedule, op
+// counting) is configured; only then are the per-array disks' operation
+// hooks and the disk-loss handler installed, keeping plain runs at zero
+// overhead.
 func (o Options) failureActive() bool {
-	return len(o.Kill) > 0 || o.OpCounts != nil
+	return len(o.Faults) > 0 || o.OpCounts != nil
 }
 
 // Result is a completed execution: its successful attempt's statistics,
@@ -118,6 +121,9 @@ type Result struct {
 	// Recoveries describes each survived loss, in order.
 	Attempts   int
 	Recoveries []Recovery
+	// DiskLosses lists the scheduled disk losses that fired, over every
+	// attempt, in attempt and then rank order.
+	DiskLosses []mp.Fault
 	// Trace holds the successful attempt's spans: Options.Trace itself
 	// when no loss occurred, else a fresh tracer sharing its live stream
 	// (the aborted attempts' tracers are in Recoveries).
@@ -292,9 +298,9 @@ func Lower(p *plan.Program) (*Lowered, error) {
 
 // RunLowered runs an already-lowered program, the one path under RunCtx,
 // which lowers and then calls it. With Options.Resume the first attempt
-// restarts from the last consistent checkpoint; the rank losses
-// Options.Kill schedules are survived when Checkpoint and Parity are both
-// set (survive.go).
+// restarts from the last consistent checkpoint; the rank deaths
+// Options.Faults schedules are survived when Checkpoint and Parity are
+// both set (survive.go), its disk losses when Parity is.
 func RunLowered(ctx context.Context, l *Lowered, mach sim.Config, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -360,6 +366,7 @@ func run(ctx context.Context, l *Lowered, mach sim.Config, opts Options, resume 
 		}
 	}
 	k := l.takeKit()
+	k.created.Add(p.Procs)
 	stats, err := mp.RunOpts(mach, opts.mpOptions(), func(proc *mp.Proc) error {
 		proc.SetTracer(opts.Trace.Rank(proc.Rank()))
 		for _, r := range respawned {
@@ -378,6 +385,9 @@ func run(ctx context.Context, l *Lowered, mach sim.Config, opts Options, resume 
 		}
 		in := k.interps[proc.Rank()]
 		in.start(ctx, l, proc, fs, opts, pstore)
+		if opts.failureActive() {
+			proc.OnDiskLoss(in.loseDisk)
+		}
 		// Runs last (defers are LIFO): whatever path the run leaves by —
 		// success, cancellation, fault abort, plan-bug panic — the slab
 		// buffers the interpreter still holds go back to the arena.
@@ -397,7 +407,7 @@ func run(ctx context.Context, l *Lowered, mach sim.Config, opts Options, resume 
 		// still closes its handles — closing is not a file operation, and
 		// the file storage behind them is the arena's to have back.
 		defer func() { in.close(!proc.Aborted()) }()
-		if err := in.initArrays(opts, p.Runtime, rst); err != nil {
+		if err := in.initArrays(opts, p.Runtime, rst, &k.created); err != nil {
 			return err
 		}
 		startNode, startIter := 0, 0
@@ -406,7 +416,7 @@ func run(ctx context.Context, l *Lowered, mach sim.Config, opts Options, resume 
 			// Resuming attaches to pre-existing local array files whose
 			// parity may be stale (the crash can have interrupted a
 			// read-modify-write); rebuild redundancy before computing.
-			if err := in.paritySync(); err != nil {
+			if err := in.paritySync(false); err != nil {
 				return err
 			}
 			if in.statsRestored {
@@ -421,7 +431,7 @@ func run(ctx context.Context, l *Lowered, mach sim.Config, opts Options, resume 
 		}
 		// A degraded run (lost parity during a fault) must restore full
 		// redundancy before the run is declared complete.
-		if err := in.paritySync(); err != nil {
+		if err := in.paritySync(true); err != nil {
 			return err
 		}
 		in.fold(l.foldOrder)
@@ -430,6 +440,9 @@ func run(ctx context.Context, l *Lowered, mach sim.Config, opts Options, resume 
 	res := &Result{Stats: stats, Program: p, PerArray: k.perArray, lowered: l, kit: k, dmaps: dmaps,
 		fs: fs, mach: mach, phantom: opts.Phantom, res: opts.Resilience,
 		ckpt: opts.Checkpoint, pstore: pstore, mutated: mutated.names}
+	for _, in := range k.interps {
+		res.DiskLosses = append(res.DiskLosses, in.lost...)
+	}
 	if err != nil {
 		// Without a checkpoint there is nothing to resume from, so a
 		// failed run must not leave local array files behind; with one,
@@ -531,6 +544,11 @@ type interp struct {
 	// processor total (see fold).
 	folded bool
 
+	// lost lists the rank's disk losses that fired this run; held those
+	// the parity sync in progress (syncing) performs at its end.
+	lost, held []mp.Fault
+	syncing    bool
+
 	tables
 }
 
@@ -607,12 +625,38 @@ func (in *interp) start(ctx context.Context, l *Lowered, proc *mp.Proc, fs iosim
 }
 
 // initArrays creates (or, on resume, reattaches to) the rank's local
-// array files, built with the plan's runtime switches rt, and fills input
-// arrays. The disks and arrays are the kit's, re-armed for this run.
-// When fault injection is active the
-// array disks feed the processor's op counter, so kills can land between
-// I/O operations exactly as they can between message operations.
-func (in *interp) initArrays(opts Options, rt oocarray.Options, resume *restored) error {
+// array files, built with the plan's runtime switches rt, and then fills
+// input arrays. The disks and arrays are the kit's, re-armed for this
+// run. When fault injection is active the array disks feed the
+// processor's op counter, so faults can land between I/O operations
+// exactly as they can between message operations: creating counts no
+// operation, filling does. Between the two the ranks meet at created (no
+// simulated cost), so a reconstruction finds every group member there.
+func (in *interp) initArrays(opts Options, rt oocarray.Options, resume *restored, created *sync.WaitGroup) error {
+	err := in.createArrays(opts, rt, resume != nil, created)
+	created.Wait()
+	if err != nil {
+		return err
+	}
+	if resume != nil {
+		return in.restore(resume)
+	}
+	for i, spec := range in.code.Arrays {
+		if fill, ok := opts.Fill[spec.Name]; ok && spec.Role == plan.In && !opts.Phantom {
+			if err := in.arrays[i].FillGlobal(fill); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// createArrays creates the rank's local array files, or with reopen
+// attaches to the existing ones (a resumed run rebuilds their contents
+// from the checkpoints). It arrives at created on every path, a panic's
+// included.
+func (in *interp) createArrays(opts Options, rt oocarray.Options, reopen bool, created *sync.WaitGroup) error {
+	defer created.Done()
 	proc := in.proc
 	for i, spec := range in.code.Arrays {
 		arrStats := &in.io[i]
@@ -629,10 +673,7 @@ func (in *interp) initArrays(opts Options, rt oocarray.Options, resume *restored
 		}
 		arr, sh := &in.arrayStore[i], in.shares[i*proc.Size()+proc.Rank()]
 		var err error
-		if resume != nil {
-			// Resuming: the local array files already exist; attach to
-			// them without truncation (their contents are rebuilt from
-			// the checkpoint snapshots below).
+		if reopen {
 			err = arr.Open(disk, sh, proc.Clock(), rt)
 		} else {
 			err = arr.Create(disk, sh, proc.Clock(), rt)
@@ -645,18 +686,36 @@ func (in *interp) initArrays(opts Options, rt oocarray.Options, resume *restored
 		if rt.WriteBehind {
 			in.writers[i] = arr.NewSlabWriter()
 		}
-		if spec.Role == plan.In && !opts.Phantom && resume == nil {
-			if fill, ok := opts.Fill[spec.Name]; ok {
-				if err := arr.FillGlobal(fill); err != nil {
-					return err
-				}
+	}
+	return nil
+}
+
+// loseDisk is the rank's disk-loss handler (mp.Proc.OnDiskLoss), run on
+// its own goroutine between two of its operations: each of the rank's
+// local array files fails with iosim.ErrDiskLost from now on (a
+// protected one is reconstructed at its next transfer), the parity store
+// counts the parity files the disk hosts as lost, and every other file
+// of the disk the file system can enumerate is removed.
+// Inside a parity sync the loss is held to the sync's end (paritySync).
+func (in *interp) loseDisk(f mp.Fault) {
+	if in.syncing {
+		in.held = append(in.held, f)
+		return
+	}
+	in.lost = append(in.lost, f)
+	for _, a := range in.arrays {
+		a.Lose()
+	}
+	if in.pstore != nil {
+		in.pstore.LoseDisk(f.Rank)
+	}
+	if nm, ok := in.fs.(interface{ Names() []string }); ok {
+		for _, name := range nm.Names() {
+			if iosim.DiskOf(name) == f.Rank {
+				in.fs.Remove(name) // best effort: the disk is gone either way
 			}
 		}
 	}
-	if resume != nil {
-		return in.restore(resume)
-	}
-	return nil
 }
 
 // parityStatsKey is the perArray key that collects the I/O charged to
@@ -667,38 +726,59 @@ const parityStatsKey = "(parity)"
 // paritySync is a collective that restores full redundancy: if any parity
 // group went out of sync (degraded writes, a reconstructed disk's own
 // parity file, or a resumed run attaching to files with untrusted
-// parity), every rank rebuilds the parity files its logical disk hosts.
-// Barriers bracket the rebuild so no rank races a reconstruction against
-// a half-rebuilt parity file, and the dirty flags are cleared only once
-// every rank has finished.
-func (in *interp) paritySync() error {
+// parity), every rank rebuilds the parity files its logical disk hosts,
+// as does a rank whose own disk was lost. Barriers bracket the rebuild
+// so no rank races a reconstruction against a half-rebuilt parity file,
+// and the dirty flags are cleared only once every rank has finished. A
+// disk loss on one of the sync's operations is held to its end, where it
+// cannot reach any rank's decision by host timing; the closing sync
+// rebuilds its parity at once.
+func (in *interp) paritySync(closing bool) error {
 	if in.pstore == nil {
 		return nil
 	}
+	in.syncing = true
 	in.proc.Barrier(parityTag)
 	var err error
-	if in.pstore.Dirty() {
-		st := in.perArray[parityStatsKey]
-		if st == nil {
-			st = &trace.IOStats{}
-			in.perArray[parityStatsKey] = st
-		}
-		disk := iosim.NewResilientDisk(in.fs, in.proc.Config(), st, in.res)
-		disk.SetPhantom(in.phantom)
-		disk.SetTracer(in.proc.Tracer(), in.proc.Clock(), parityStatsKey)
-		var sec float64
-		sec, err = in.pstore.RebuildRank(disk, in.proc.Rank())
-		// Recorded before the clock advance: the span starts where the
-		// rebuild did.
-		disk.Record(&trace.Span{Kind: trace.KindParitySync, Dur: sec})
-		in.proc.Clock().Advance(sec)
+	if in.pstore.NeedsRebuild(in.proc.Rank()) {
+		err = in.rebuildParity()
 	}
 	in.proc.Barrier(parityTag)
+	in.syncing = false
 	if err != nil {
 		return err
 	}
 	in.pstore.ClearDirty()
+	if len(in.held) == 0 {
+		return nil
+	}
+	for _, f := range in.held {
+		in.loseDisk(f)
+	}
+	in.held = nil
+	if closing {
+		return in.rebuildParity()
+	}
 	return nil
+}
+
+// rebuildParity runs parity.Store.RebuildRank for the rank, charged to
+// its clock and parity statistics.
+func (in *interp) rebuildParity() error {
+	st := in.perArray[parityStatsKey]
+	if st == nil {
+		st = &trace.IOStats{}
+		in.perArray[parityStatsKey] = st
+	}
+	disk := iosim.NewResilientDisk(in.fs, in.proc.Config(), st, in.res)
+	disk.SetPhantom(in.phantom)
+	disk.SetTracer(in.proc.Tracer(), in.proc.Clock(), parityStatsKey)
+	sec, err := in.pstore.RebuildRank(disk, in.proc.Rank())
+	// Recorded before the clock advance: the span starts where the
+	// rebuild did.
+	disk.Record(&trace.Span{Kind: trace.KindParitySync, Dur: sec})
+	in.proc.Clock().Advance(sec)
+	return err
 }
 
 func (in *interp) close(flush bool) {

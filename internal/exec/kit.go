@@ -24,6 +24,9 @@ type kit struct {
 	interps  []*interp
 	perArray []map[string]*trace.IOStats // interps[r].perArray: the Result's PerArray
 	size     int                         // retained bytes
+	// created is the run's rendezvous between creating the local array
+	// files and filling them (initArrays).
+	created sync.WaitGroup
 }
 
 // kitList is a Lowered's free list of kits. Its bound is in bytes, as

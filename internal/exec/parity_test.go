@@ -1,13 +1,17 @@
 package exec
 
 import (
+	"encoding/json"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
 	"github.com/ooc-hpf/passion/internal/compiler"
 	"github.com/ooc-hpf/passion/internal/hpf"
 	"github.com/ooc-hpf/passion/internal/iosim"
+	"github.com/ooc-hpf/passion/internal/mp"
+	"github.com/ooc-hpf/passion/internal/parity"
 	"github.com/ooc-hpf/passion/internal/sim"
 )
 
@@ -15,6 +19,17 @@ import (
 // small budget: disk loss is permanent, retries must not mask it).
 func parityResilience() *iosim.Resilience {
 	return iosim.NewResilience(iosim.RetryPolicy{MaxRetries: 3, BaseBackoff: 1e-3, MaxBackoff: 4e-3})
+}
+
+// lossOp is the operation of rank 1 at which the disk-loss tests lose
+// its disk: past the input fills and well before the end, in both of
+// chaosProgram's strategies (rank 1 counts 148 row-slab and 166
+// column-slab operations, the first 40 of them fills).
+const lossOp = 64
+
+// rank1Loss schedules the loss of rank 1's disk at lossOp.
+func rank1Loss() []mp.Fault {
+	return []mp.Fault{{Rank: 1, Op: lossOp, Kind: mp.LoseDisk}}
 }
 
 // TestParityDiskLossRecovers: a GAXPY run that loses an entire logical
@@ -28,20 +43,18 @@ func TestParityDiskLossRecovers(t *testing.T) {
 			want := baselineC(t, res)
 
 			mem := iosim.NewMemFS()
-			chaos := iosim.NewChaosFS(mem, iosim.ChaosConfig{
-				Schedule: []iosim.ScheduledFault{{File: "c.p1.laf", Op: 3, Kind: iosim.KindDiskLoss}},
-			})
 			out, err := Run(res.Program, sim.Delta(res.Program.Procs), Options{
-				FS:         chaos,
+				FS:         mem,
 				Fill:       sweepFills(),
 				Resilience: parityResilience(),
 				Parity:     true,
+				Faults:     rank1Loss(),
 			})
 			if err != nil {
 				t.Fatalf("disk loss must be survived with parity enabled: %v", err)
 			}
-			if c := chaos.Counts(); c.DiskLosses == 0 {
-				t.Fatalf("the chaos model lost no disk: %+v", c)
+			if len(out.DiskLosses) == 0 {
+				t.Fatalf("the scheduled disk loss never fired: %+v", out.DiskLosses)
 			}
 			got, err := out.ReadArray("c")
 			if err != nil {
@@ -80,13 +93,10 @@ func TestParityDiskLossRecovers(t *testing.T) {
 // in the error chain.
 func TestParityDisabledDiskLossFailsFast(t *testing.T) {
 	res := chaosProgram(t, "column-slab")
-	chaos := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{
-		Schedule: []iosim.ScheduledFault{{File: "c.p1.laf", Op: 3, Kind: iosim.KindDiskLoss}},
-	})
 	_, err := Run(res.Program, sim.Delta(res.Program.Procs), Options{
-		FS:         chaos,
 		Fill:       sweepFills(),
 		Resilience: parityResilience(),
+		Faults:     rank1Loss(),
 	})
 	if err == nil {
 		t.Fatal("disk loss without parity must fail the run")
@@ -232,5 +242,154 @@ func TestRedistributeCrashResumeProperty(t *testing.T) {
 	}
 	if resumed == 0 {
 		t.Fatal("no kill point exercised a mid-redistribute resume")
+	}
+}
+
+// TestDiskLossIndependentOfScheduling: a rank whose disk goes right after
+// its input fills reconstructs its files from every peer's, whether or
+// not the host has started those peers yet — each rank creates its files
+// before any rank's first counted operation. The elementwise program
+// sends no message, so nothing else orders the ranks: one host thread
+// runs a rank to its end before the next starts. The statistics must
+// not depend on that, for a loss on any rank.
+func TestDiskLossIndependentOfScheduling(t *testing.T) {
+	const n, procs = 32, 4
+	res, err := compiler.CompileSource(hpf.EwiseSource, compiler.Options{N: n, Procs: procs, MemElems: n * 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fills := map[string]func(int, int) float64{"x": fillX, "y": fillY}
+	mach := sim.Delta(procs)
+	opCounts := func(phantom bool) []int64 {
+		counts := make([]int64, procs)
+		out, err := Run(res.Program, mach, Options{Phantom: phantom, Fill: fills, Resilience: parityResilience(), Parity: true, OpCounts: counts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Close()
+		return counts
+	}
+	all, unfilled := opCounts(false), opCounts(true)
+	for victim := 0; victim < procs; victim++ {
+		// The first operation after the victim's fills.
+		loss := []mp.Fault{{Rank: victim, Op: all[victim] - unfilled[victim], Kind: mp.LoseDisk}}
+		run := func(threads int) string {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(threads))
+			out, err := Run(res.Program, mach, Options{Fill: fills, Resilience: parityResilience(), Parity: true, Faults: loss})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer out.Close()
+			if len(out.DiskLosses) != 1 || out.Stats.TotalIO().Reconstructions == 0 {
+				t.Fatalf("loss %+v: fired %v, %d reconstructions", loss, out.DiskLosses, out.Stats.TotalIO().Reconstructions)
+			}
+			w, err := out.ReadArray("w")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					if w.At(i, j) != wantW(i, j) {
+						t.Fatalf("loss %+v: w(%d,%d) = %v, want %v", loss, i, j, w.At(i, j), wantW(i, j))
+					}
+				}
+			}
+			snap, err := json.Marshal(out.Stats.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(snap)
+		}
+		want := run(1)
+		for _, threads := range []int{runtime.NumCPU(), 1, runtime.NumCPU()} {
+			if got := run(threads); got != want {
+				t.Fatalf("loss %+v at GOMAXPROCS=%d: statistics differ from GOMAXPROCS=1\ngot  %s\nwant %s", loss, threads, got, want)
+			}
+		}
+	}
+}
+
+// TestDiskLossInParitySyncIsRebuilt sweeps each rank's disk loss over
+// the last operation before the closing parity sync and every operation
+// of the sync itself (the sync's barriers are the operations a protected
+// run counts beyond an unprotected one). Every loss must fire, the
+// parity its disk hosted must be rebuilt before the run completes — the
+// files are there and the store is clean — and the statistics must not
+// depend on how the host schedules the ranks.
+func TestDiskLossInParitySyncIsRebuilt(t *testing.T) {
+	const n, procs = 32, 4
+	res, err := compiler.CompileSource(hpf.EwiseSource, compiler.Options{N: n, Procs: procs, MemElems: n * 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fills := map[string]func(int, int) float64{"x": fillX, "y": fillY}
+	mach := sim.Delta(procs)
+	opCounts := func(protected bool) []int64 {
+		counts := make([]int64, procs)
+		out, err := Run(res.Program, mach, Options{Fill: fills, Resilience: parityResilience(), Parity: protected, OpCounts: counts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Close()
+		return counts
+	}
+	synced, unsynced := opCounts(true), opCounts(false)
+	for victim := 0; victim < procs; victim++ {
+		if synced[victim] <= unsynced[victim] {
+			t.Fatalf("rank %d counts no parity sync operation (%d vs %d)", victim, synced[victim], unsynced[victim])
+		}
+		for op := unsynced[victim] - 1; op < synced[victim]; op++ {
+			loss := mp.Fault{Rank: victim, Op: op, Kind: mp.LoseDisk}
+			run := func(threads int) string {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(threads))
+				fs := iosim.NewMemFS()
+				out, err := Run(res.Program, mach, Options{FS: fs, Fill: fills, Resilience: parityResilience(), Parity: true, Faults: []mp.Fault{loss}})
+				if err != nil {
+					t.Fatalf("loss %+v: %v", loss, err)
+				}
+				defer out.Close()
+				if len(out.DiskLosses) != 1 || out.DiskLosses[0] != loss {
+					t.Fatalf("loss %+v: fired %v", loss, out.DiskLosses)
+				}
+				if out.Stats.TotalIO().ParityRebuilds == 0 {
+					t.Fatalf("loss %+v: the lost disk's parity was not rebuilt", loss)
+				}
+				for r := 0; r < procs; r++ {
+					if out.pstore.NeedsRebuild(r) {
+						t.Fatalf("loss %+v: the run completed with rank %d's parity still out of sync", loss, r)
+					}
+				}
+				for _, spec := range res.Program.Arrays {
+					name := parity.ParityFileName(spec.Name, victim)
+					f, err := fs.Open(name)
+					if err != nil {
+						t.Fatalf("loss %+v: parity file %s is gone after the run: %v", loss, name, err)
+					}
+					f.Close()
+				}
+				w, err := out.ReadArray("w")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < n; i++ {
+					for j := 0; j < n; j++ {
+						if w.At(i, j) != wantW(i, j) {
+							t.Fatalf("loss %+v: w(%d,%d) = %v, want %v", loss, i, j, w.At(i, j), wantW(i, j))
+						}
+					}
+				}
+				snap, err := json.Marshal(out.Stats.Snapshot())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(snap)
+			}
+			want := run(1)
+			for _, threads := range []int{runtime.NumCPU(), 1, runtime.NumCPU()} {
+				if got := run(threads); got != want {
+					t.Fatalf("loss %+v at GOMAXPROCS=%d: statistics differ from GOMAXPROCS=1\ngot  %s\nwant %s", loss, threads, got, want)
+				}
+			}
+		}
 	}
 }

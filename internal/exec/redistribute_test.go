@@ -138,10 +138,10 @@ func TestTransposeKillAtEveryOpBalancesArena(t *testing.T) {
 	for name, res := range transposeRegimes(t) {
 		for _, form := range forms {
 			counts := make([]int64, procs)
-			run := func(kill []mp.KillSpec) error {
+			run := func(kill []mp.Fault) error {
 				bufpool.ResetStats()
 				err := runForm(context.Background(), form, name, res, Options{
-					Fill: transposeFills(), OpCounts: counts, Kill: kill,
+					Fill: transposeFills(), OpCounts: counts, Faults: kill,
 				})
 				if n := arenaOutstanding(); n != 0 {
 					t.Errorf("%s %s, kill %v: %d arena buffers outstanding: %+v", form, name, kill, n, bufpool.Snapshot())
@@ -156,7 +156,7 @@ func TestTransposeKillAtEveryOpBalancesArena(t *testing.T) {
 				t.Fatalf("%s %s: the victim performs %d operations, fewer than one exchange", form, name, total)
 			}
 			for op := int64(0); op < total; op++ {
-				err := run([]mp.KillSpec{{Rank: victim, Op: op}})
+				err := run([]mp.Fault{{Rank: victim, Op: op}})
 				var rf *mp.RankFailure
 				if !errors.As(err, &rf) || fmt.Sprint(rf.Failed) != fmt.Sprint([]int{victim}) {
 					t.Errorf("%s %s, kill at op %d of %d: want a RankFailure of rank %d, got %v", form, name, op, total, victim, err)

@@ -107,7 +107,7 @@ func reuseScenarios(killOp, cancelAt int64) []reuseScenario {
 		{"private file system again", clean.run},
 		{"kill+resume", func(l *Lowered) ([]string, error) {
 			opts := surviveOptions(iosim.NewMemFS())
-			opts.Kill = []mp.KillSpec{{Rank: 1, Op: killOp}}
+			opts.Faults = []mp.Fault{{Rank: 1, Op: killOp}}
 			opts.Trace = trace.NewTracer(4)
 			rr, err := RunLowered(context.Background(), l, mach, opts)
 			if err != nil {

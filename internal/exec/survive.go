@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/ooc-hpf/passion/internal/iosim"
@@ -37,14 +38,15 @@ type Recovery struct {
 
 // survive is RunLowered's one run loop; manifests, when non-nil, are
 // what the first attempt resumes from. An attempt that loses ranks to
-// Options.Kill, under both Checkpoint and Parity, runs the full recovery
-// pipeline: the survivors detect the dead ranks after the heartbeat
-// timeout, the attempt aborts, the dead ranks' local array files are
-// reconstructed offline from rotated parity, the dead ranks are
-// respawned, and the program resumes from its last consistent
+// the rank deaths of Options.Faults, under both Checkpoint and Parity,
+// runs the full recovery pipeline: the survivors detect the dead ranks
+// after the heartbeat timeout, the attempt aborts, the dead ranks' local
+// array files are reconstructed offline from rotated parity, the dead
+// ranks are respawned, and the program resumes from its last consistent
 // checkpoint. The final arrays are bitwise identical to a failure-free
-// run's. Each fired kill is pruned before the next attempt, so there are
-// at most len(Options.Kill) recoveries.
+// run's. Each fired fault is pruned before the next attempt, so there
+// are at most as many recoveries as scheduled deaths, and a disk that
+// was lost is not lost again.
 //
 // The first attempt records into Options.Trace; each later one gets a
 // fresh tracer that adopts the previous one's sink state, so aborted and
@@ -55,13 +57,16 @@ type Recovery struct {
 // cancelled context (a cancelled job must not rebuild disks and relaunch
 // itself) end the run.
 func survive(ctx context.Context, l *Lowered, mach sim.Config, opts Options, manifests []*ckptManifest) (*Result, error) {
-	kills := len(opts.Kill)
 	var recs []Recovery
 	var respawned []int
+	var lost []mp.Fault
 	for {
 		res, err := run(ctx, l, mach, opts, manifests, respawned)
 		if err == nil {
 			res.Attempts, res.Recoveries, res.Trace = len(recs)+1, recs, opts.Trace
+			if lost != nil {
+				res.DiskLosses = append(lost, res.DiskLosses...)
+			}
 			return res, nil
 		}
 		var rf *mp.RankFailure
@@ -74,7 +79,10 @@ func survive(ctx context.Context, l *Lowered, mach sim.Config, opts Options, man
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, errors.Join(cerr, err)
 		}
-		if len(recs) == kills {
+		// Only a scheduled death kills a rank, and each one fired is
+		// pruned below, so a failure that reports none is not survivable.
+		killed := collectKilled(err, nil)
+		if len(killed) == 0 {
 			return nil, fmt.Errorf("exec: rank loss beyond the kill schedule: %w", err)
 		}
 		rec := Recovery{Failed: rf.Failed, Err: err, Stats: res.Stats, PerArray: res.PerArray, Trace: opts.Trace}
@@ -94,7 +102,14 @@ func survive(ctx context.Context, l *Lowered, mach sim.Config, opts Options, man
 		if rerr != nil {
 			return nil, fmt.Errorf("exec: resuming after losing ranks %v: %w", rf.Failed, errors.Join(rerr, err))
 		}
-		opts.Kill = pruneFired(opts.Kill, err)
+		// The next attempt numbers its operations afresh: it must not
+		// suffer the deaths and disk losses that fired in this one again.
+		// The entries left over can still fire in it — a second kill
+		// there injects a failure during recovery.
+		lost = append(lost, res.DiskLosses...)
+		opts.Faults = slices.DeleteFunc(slices.Clone(opts.Faults), func(f mp.Fault) bool {
+			return slices.Contains(killed, f) || slices.Contains(res.DiskLosses, f)
+		})
 		respawned = rf.Failed
 		if opts.Trace != nil {
 			prev := opts.Trace
@@ -104,50 +119,22 @@ func survive(ctx context.Context, l *Lowered, mach sim.Config, opts Options, man
 	}
 }
 
-// pruneFired drops kill-schedule entries that already fired (reported as
-// *mp.RankKilledError in the attempt's error tree), so the respawned
-// rank does not re-execute the same death. Remaining entries apply to
-// the respawned rank's fresh op numbering — scheduling a second kill
-// there injects a failure during recovery.
-func pruneFired(kill []mp.KillSpec, err error) []mp.KillSpec {
-	var fired []*mp.RankKilledError
-	collectKilled(err, &fired)
-	if len(fired) == 0 {
-		return kill
-	}
-	out := kill[:0:0]
-	for _, k := range kill {
-		hit := false
-		for _, f := range fired {
-			if f.Rank == k.Rank && f.Op == k.Op {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-// collectKilled walks the whole error tree (single and multi unwrap)
-// accumulating every injected-kill leaf; errors.As stops at the first.
-func collectKilled(err error, out *[]*mp.RankKilledError) {
-	if err == nil {
-		return
-	}
+// collectKilled walks the whole error tree (single and multi unwrap),
+// appending every injected kill to fired as the fault that fired;
+// errors.As stops at the first.
+func collectKilled(err error, fired []mp.Fault) []mp.Fault {
 	if rk, ok := err.(*mp.RankKilledError); ok {
-		*out = append(*out, rk)
+		fired = append(fired, mp.Fault{Rank: rk.Rank, Op: rk.Op})
 	}
 	switch x := err.(type) {
 	case interface{ Unwrap() []error }:
 		for _, e := range x.Unwrap() {
-			collectKilled(e, out)
+			fired = collectKilled(e, fired)
 		}
 	case interface{ Unwrap() error }:
-		collectKilled(x.Unwrap(), out)
+		fired = collectKilled(x.Unwrap(), fired)
 	}
+	return fired
 }
 
 // rebuildRanks is the offline recovery pre-pass run between attempts: it

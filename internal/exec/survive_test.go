@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -78,7 +79,7 @@ func TestRunResilientSurvivesSingleKill(t *testing.T) {
 
 			victim := 2
 			opts := surviveOptions(iosim.NewMemFS())
-			opts.Kill = []mp.KillSpec{{Rank: victim, Op: counts[victim] / 2}}
+			opts.Faults = []mp.Fault{{Rank: victim, Op: counts[victim] / 2}}
 			opts.Trace = trace.NewTracer(res.Program.Procs)
 			out, err := Run(res.Program, mach, opts)
 			if err != nil {
@@ -153,7 +154,7 @@ func TestRunResilientKillSweep(t *testing.T) {
 	}
 	for op := int64(0); op < counts[victim]; op += step {
 		opts := surviveOptions(iosim.NewMemFS())
-		opts.Kill = []mp.KillSpec{{Rank: victim, Op: op}}
+		opts.Faults = []mp.Fault{{Rank: victim, Op: op}}
 		out, err := Run(res.Program, mach, opts)
 		if err != nil {
 			t.Fatalf("op %d: %v", op, err)
@@ -181,7 +182,7 @@ func TestRunResilientSecondKillDuringRecovery(t *testing.T) {
 	mach := sim.Delta(res.Program.Procs)
 	counts := probeOpCounts(t, res)
 
-	kills := []mp.KillSpec{
+	kills := []mp.Fault{
 		{Rank: 1, Op: counts[1] / 2},
 		// Fires early in the respawned attempt's fresh op numbering,
 		// i.e. while the run is still re-establishing itself.
@@ -189,7 +190,7 @@ func TestRunResilientSecondKillDuringRecovery(t *testing.T) {
 	}
 
 	opts := surviveOptions(iosim.NewMemFS())
-	opts.Kill = kills
+	opts.Faults = kills
 	out, err := Run(res.Program, mach, opts)
 	if err != nil {
 		t.Fatalf("double kill: %v", err)
@@ -207,16 +208,16 @@ func TestRunResilientSecondKillDuringRecovery(t *testing.T) {
 	out.Close()
 }
 
-// TestRunResilientSecondFailureMidRebuild loses a survivor's disk while
-// the offline rebuild is reading it (a double fault mid-recovery): the
-// run must exit with a clean joined error naming both failures, never
-// hang or return corrupt data.
+// TestRunResilientSecondFailureMidRebuild fails a survivor's file
+// permanently while the offline rebuild is reading it (a double fault
+// mid-recovery): the run must exit with a clean joined error naming both
+// failures, never hang or return corrupt data.
 func TestRunResilientSecondFailureMidRebuild(t *testing.T) {
 	res := chaosProgram(t, "row-slab")
 	mach := sim.Delta(res.Program.Procs)
 	counts := probeOpCounts(t, res)
 	victim := 1
-	kill := []mp.KillSpec{{Rank: victim, Op: counts[victim] / 2}}
+	kill := []mp.Fault{{Rank: victim, Op: counts[victim] / 2}}
 
 	// Probe: survive the same loss once to learn how many chaos ops the
 	// survivor's file has seen when the rebuild pre-pass starts, which it
@@ -225,7 +226,7 @@ func TestRunResilientSecondFailureMidRebuild(t *testing.T) {
 	probe := &rebuildProbe{ChaosFS: iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{}),
 		dead: oocarray.FileName(res.Program.Arrays[0].Name, victim), survivor: survivorFile}
 	popts := surviveOptions(probe)
-	popts.Kill = kill
+	popts.Faults = kill
 	out, err := Run(res.Program, mach, popts)
 	if err != nil {
 		t.Fatalf("probe run: %v", err)
@@ -237,13 +238,13 @@ func TestRunResilientSecondFailureMidRebuild(t *testing.T) {
 	preRebuild := probe.at
 
 	// The same run reaches the rebuild pre-pass with identical per-file
-	// op counts (the simulation is deterministic), so a loss scheduled
+	// op counts (the simulation is deterministic), so a fault scheduled
 	// just past them fires during the rebuild's gather reads.
 	chaos := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{
-		Schedule: []iosim.ScheduledFault{{File: survivorFile, Op: preRebuild + 1, Kind: iosim.KindDiskLoss}},
+		Schedule: []iosim.ScheduledFault{{File: survivorFile, Op: preRebuild + 1, Kind: iosim.KindPermanent}},
 	})
 	opts := surviveOptions(chaos)
-	opts.Kill = kill
+	opts.Faults = kill
 	_, err = Run(res.Program, mach, opts)
 	if err == nil {
 		t.Fatal("double fault mid-rebuild must fail the run")
@@ -255,8 +256,74 @@ func TestRunResilientSecondFailureMidRebuild(t *testing.T) {
 	if !errors.As(err, &rk) || rk.Rank != victim {
 		t.Fatalf("error does not retain the original kill: %v", err)
 	}
-	if chaos.Counts().DiskLosses == 0 {
-		t.Fatal("scheduled mid-rebuild disk loss never fired")
+	if chaos.Counts().Permanent == 0 {
+		t.Fatal("scheduled mid-rebuild fault never fired")
+	}
+}
+
+// TestRunResilientDiskLossThenDeathOfAnotherRank loses a survivor's
+// disk in the attempt a rank dies in (a double fault): the offline
+// rebuild of the dead rank finds the survivor's disk gone — the parity
+// files it hosted and the files its rank had not touched again — and the
+// run must exit with a clean joined error naming both failures.
+func TestRunResilientDiskLossThenDeathOfAnotherRank(t *testing.T) {
+	res := chaosProgram(t, "row-slab")
+	mach := sim.Delta(res.Program.Procs)
+	counts := probeOpCounts(t, res)
+	victim, survivor := 1, 0
+	kill := mp.Fault{Rank: victim, Op: counts[victim] / 2}
+
+	// Rank 0's disk goes a quarter into its operations, which it reaches
+	// before rank 1's death stalls it: the loss fires in the same attempt.
+	loss := mp.Fault{Rank: survivor, Op: counts[survivor] / 4, Kind: mp.LoseDisk}
+	opts := surviveOptions(iosim.NewMemFS())
+	opts.Faults = []mp.Fault{kill, loss}
+	_, err := Run(res.Program, mach, opts)
+	if err == nil {
+		t.Fatal("a disk loss and a death on two ranks must fail the run")
+	}
+	if !strings.Contains(err.Error(), "rebuilding ranks") {
+		t.Fatalf("error does not name the rebuild failure: %v", err)
+	}
+	var rk *mp.RankKilledError
+	if !errors.As(err, &rk) || rk.Rank != victim {
+		t.Fatalf("error does not retain the original kill: %v", err)
+	}
+	if !strings.Contains(err.Error(), fmt.Sprintf(".p%d.", survivor)) {
+		t.Fatalf("scheduled disk loss of rank %d never fired: %v", survivor, err)
+	}
+}
+
+// TestRunResilientLossThenDeathOfOneRank: rank 2 loses its disk and
+// later dies in the same attempt. The death's offline rebuild restores
+// the rank's disk whole, so the run survives, and the fired loss is
+// pruned with the fired death: the resumed attempt, which numbers its
+// operations afresh, loses nothing again.
+func TestRunResilientLossThenDeathOfOneRank(t *testing.T) {
+	res := chaosProgram(t, "row-slab")
+	want := baselineC(t, res)
+	counts := probeOpCounts(t, res)
+	const victim = 2
+	loss := mp.Fault{Rank: victim, Op: counts[victim] / 8, Kind: mp.LoseDisk}
+	opts := surviveOptions(iosim.NewMemFS())
+	opts.Faults = []mp.Fault{loss, {Rank: victim, Op: counts[victim] / 2}}
+	out, err := Run(res.Program, sim.Delta(res.Program.Procs), opts)
+	if err != nil {
+		t.Fatalf("a loss and a death of one rank must be survived: %v", err)
+	}
+	defer out.Close()
+	if out.Attempts != 2 {
+		t.Fatalf("attempts = %d, want 2", out.Attempts)
+	}
+	if len(out.DiskLosses) != 1 || out.DiskLosses[0] != loss {
+		t.Fatalf("disk losses = %+v, want the one scheduled, once", out.DiskLosses)
+	}
+	got, err := out.ReadArray("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := matricesIdentical(got, want); err != nil {
+		t.Fatalf("recovered run diverged: %v", err)
 	}
 }
 
@@ -267,11 +334,11 @@ func TestRunResilientUnprotectedDies(t *testing.T) {
 	res := chaosProgram(t, "row-slab")
 	mach := sim.Delta(res.Program.Procs)
 	counts := probeOpCounts(t, res)
-	kill := []mp.KillSpec{{Rank: 1, Op: counts[1] / 2}}
+	kill := []mp.Fault{{Rank: 1, Op: counts[1] / 2}}
 
 	opts := Options{
-		Fill: sweepFills(),
-		Kill: kill,
+		Fill:   sweepFills(),
+		Faults: kill,
 	}
 	_, err := Run(res.Program, mach, opts)
 	if err == nil {
@@ -297,7 +364,7 @@ func TestRunResilientNoFailureMatchesRun(t *testing.T) {
 	mach := sim.Delta(res.Program.Procs)
 
 	opts := surviveOptions(iosim.NewMemFS())
-	opts.Kill = []mp.KillSpec{{Rank: 0, Op: 1 << 40}}
+	opts.Faults = []mp.Fault{{Rank: 0, Op: 1 << 40}}
 	out, err := Run(res.Program, mach, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +429,7 @@ func TestResumeSurvivesKill(t *testing.T) {
 	var epochs []int
 	opts = protected(committed())
 	opts.Resume = true
-	opts.Kill = []mp.KillSpec{{Rank: victim, Op: counts[victim] / 2}}
+	opts.Faults = []mp.Fault{{Rank: victim, Op: counts[victim] / 2}}
 	opts.CkptHook = func(epoch int) { epochs = append(epochs, epoch) }
 	out, err = Run(res.Program, mach, opts)
 	if err != nil {
@@ -407,7 +474,7 @@ func TestSurvivedLossHandsTracerOn(t *testing.T) {
 
 	var stream bytes.Buffer
 	opts = surviveOptions(iosim.NewMemFS())
-	opts.Kill = []mp.KillSpec{{Rank: 2, Op: counts[2] / 2}}
+	opts.Faults = []mp.Fault{{Rank: 2, Op: counts[2] / 2}}
 	caller := trace.NewTracer(res.Program.Procs)
 	caller.SetSink(trace.NewChromeSink(&stream, res.Program.Procs))
 	opts.Trace = caller

@@ -7,6 +7,7 @@ import (
 	"github.com/ooc-hpf/passion/internal/compiler"
 	"github.com/ooc-hpf/passion/internal/hpf"
 	"github.com/ooc-hpf/passion/internal/iosim"
+	"github.com/ooc-hpf/passion/internal/mp"
 	"github.com/ooc-hpf/passion/internal/oocarray"
 	"github.com/ooc-hpf/passion/internal/sim"
 	"github.com/ooc-hpf/passion/internal/trace"
@@ -23,10 +24,6 @@ type reconcileScenario struct {
 	fills   map[string]func(int, int) float64
 	options Options // Trace filled in by the test
 	resume  bool    // kill the run mid-flight, then reconcile the Resume
-	// racy marks a run whose statistics depend on goroutine scheduling,
-	// so two runs of it need not agree: after a disk loss, the rank that
-	// first writes to the lost parity file rebuilds it.
-	racy bool
 }
 
 func gaxpyScenarioOpts(force string) compiler.Options {
@@ -104,13 +101,23 @@ func reconcileScenarios() []reconcileScenario {
 			copts:  gaxpyScenarioOpts("row-slab"),
 			fills:  sweepFills(),
 			options: Options{
-				FS: iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{
-					Schedule: []iosim.ScheduledFault{{File: "c.p1.laf", Op: 3, Kind: iosim.KindDiskLoss}},
-				}),
 				Resilience: parityResilience(),
 				Parity:     true,
+				Faults:     rank1Loss(),
 			},
-			racy: true,
+		},
+		{
+			// Lost during the input fills: the fills and the
+			// reconstructions they trigger are unaccounted alike.
+			name:   "gaxpy/parity/disk-loss-in-fill",
+			source: hpf.GaxpySource,
+			copts:  gaxpyScenarioOpts("column-slab"),
+			fills:  sweepFills(),
+			options: Options{
+				Resilience: parityResilience(),
+				Parity:     true,
+				Faults:     []mp.Fault{{Rank: 1, Op: 0, Kind: mp.LoseDisk}},
+			},
 		},
 		{
 			name:    "gaxpy/checkpoint",
@@ -277,9 +284,6 @@ func TestStatsIndependentOfTracer(t *testing.T) {
 	plain := reconcileScenarios()
 	for i, sc := range reconcileScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			if sc.racy {
-				t.Skip("statistics depend on goroutine scheduling")
-			}
 			res, err := compiler.CompileSource(sc.source, sc.copts)
 			if err != nil {
 				t.Fatal(err)
@@ -342,15 +346,12 @@ func TestTraceDegradedReconstructionSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaos := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{
-		Schedule: []iosim.ScheduledFault{{File: "c.p1.laf", Op: 3, Kind: iosim.KindDiskLoss}},
-	})
 	tr := trace.NewTracer(res.Program.Procs)
 	out, err := Run(res.Program, sim.Delta(res.Program.Procs), Options{
-		FS:         chaos,
 		Fill:       sweepFills(),
 		Resilience: parityResilience(),
 		Parity:     true,
+		Faults:     rank1Loss(),
 		Trace:      tr,
 	})
 	if err != nil {

@@ -332,12 +332,12 @@ func (sc *witnessScenario) record(t *testing.T) []string {
 		out.Close()
 		const victim = 1
 		opts := w.runOpts(t, 0, nil)
-		opts.Kill = []mp.KillSpec{{Rank: victim, Op: probe.OpCounts[victim] / 2}}
+		opts.Faults = []mp.Fault{{Rank: victim, Op: probe.OpCounts[victim] / 2}}
 		rr, err := Run(p, mach, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lines = []string{fmt.Sprintf("kill r%d op %d attempts %d", victim, opts.Kill[0].Op, rr.Attempts)}
+		lines = []string{fmt.Sprintf("kill r%d op %d attempts %d", victim, opts.Faults[0].Op, rr.Attempts)}
 		for _, rec := range rr.Recoveries {
 			lines = append(lines, fmt.Sprintf("recovery failed %v rebuild_s %016x rebuild_io %s",
 				rec.Failed, math.Float64bits(rec.RebuildSeconds), jsonSum(t, rec.RebuildIO)))

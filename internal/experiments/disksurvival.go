@@ -11,26 +11,27 @@ import (
 	"github.com/ooc-hpf/passion/internal/hpf"
 	"github.com/ooc-hpf/passion/internal/iosim"
 	"github.com/ooc-hpf/passion/internal/matrix"
-	"github.com/ooc-hpf/passion/internal/oocarray"
+	"github.com/ooc-hpf/passion/internal/mp"
 	"github.com/ooc-hpf/passion/internal/sim"
 )
 
 // The disksurvival experiment: parity-protected runs losing an entire
 // logical disk at swept injection points. For a compiled GAXPY (column
-// slab) and an out-of-core transpose (two-phase collective I/O), a
-// KindDiskLoss fault is scheduled at a sweep of per-file operation
-// indices on one victim file; every injected run must complete with
-// output bitwise identical to the fault-free run, and the sweep must
-// surface reconstruction traffic in the counters. Two closed-form gates
-// ride along: the fault-free protected GAXPY run's parity counters must
-// equal cost.ParityForStream exactly, and the same disk loss without
-// parity must fail the run instead of corrupting it.
+// slab) and an out-of-core transpose (two-phase collective I/O), rank
+// 1's disk is lost (mp.LoseDisk) at a sweep of its operation indices,
+// the coordinate rank deaths use, so each row is one point the machine
+// orders; every injected run must complete with output bitwise identical
+// to the fault-free run, and the sweep must surface reconstruction
+// traffic in the counters. Two closed-form gates ride along: the
+// fault-free protected GAXPY run's parity counters must equal
+// cost.ParityForStream exactly, and the same disk loss without parity
+// must fail the run instead of corrupting it.
 
 // DiskSurvivalRow is one injected execution.
 type DiskSurvivalRow struct {
 	Program string // "gaxpy" or "transpose"
-	Victim  string // the file whose disk is lost
-	Op      int64  // per-file operation index of the injection
+	Victim  int    // the rank whose logical disk is lost
+	Op      int64  // the victim's operation index of the injection
 	Bitwise bool   // output equals the fault-free run
 	// Recovery counters observed for the run.
 	Reconstructions    int64
@@ -107,35 +108,12 @@ func DiskSurvival(p Params) (*DiskSurvivalResult, error) {
 	}
 	fills := map[string]func(int, int) float64{"a": gaxpy.FillA, "b": gaxpy.FillB}
 
-	base, err := exec.Run(cres.Program, mach, exec.Options{Fill: fills})
+	// The fault-free protected probe's parity counters are checked
+	// against the closed form.
+	const victim = 1
+	want, pr, counts, err := survivalBaseline(cres, mach, fills, "c")
 	if err != nil {
 		return nil, err
-	}
-	want, err := base.ReadArray("c")
-	if err != nil {
-		return nil, err
-	}
-	base.Close()
-
-	// Fault-free protected probe: measures the victim's operation count
-	// for the injection sweep and checks the parity counters against the
-	// closed form.
-	victim := "c.p1.laf"
-	probe := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{})
-	pr, err := exec.Run(cres.Program, mach, exec.Options{
-		FS: probe, Fill: fills,
-		Resilience: iosim.NewResilience(survivalPolicy), Parity: true,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("disksurvival: fault-free protected run: %w", err)
-	}
-	totalOps := probe.FileOps(victim)
-	got, err := pr.ReadArray("c")
-	if err != nil {
-		return nil, err
-	}
-	if !matrix.Equal(got, want) {
-		return nil, fmt.Errorf("disksurvival: fault-free protected run diverged from unprotected run")
 	}
 	io := pr.Stats.TotalIO()
 	res.Meas = cost.ParityOverhead{
@@ -150,23 +128,17 @@ func DiskSurvival(p Params) (*DiskSurvivalResult, error) {
 	pr.Close()
 
 	// Unprotected control: the same loss without parity must fail fast.
-	uop := totalOps / 2
-	uchaos := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{
-		Schedule: []iosim.ScheduledFault{{File: victim, Op: uop, Kind: iosim.KindDiskLoss}},
-	})
-	_, uerr := exec.Run(cres.Program, mach, exec.Options{
-		FS: uchaos, Fill: fills,
-		Resilience: iosim.NewResilience(survivalPolicy),
-	})
+	uopts := survivalOptions(fills, false, nil)
+	uopts.Faults = []mp.Fault{{Rank: victim, Op: counts[victim] / 2, Kind: mp.LoseDisk}}
+	_, uerr := exec.Run(cres.Program, mach, uopts)
 	res.UnprotectedFailed = uerr != nil
 	if uerr != nil {
 		res.UnprotectedErr = uerr.Error()
 	}
 
 	// The injection sweep.
-	for _, k := range survivalPoints(totalOps, 8) {
-		row := runSurvival("gaxpy", cres, mach, fills, "c", want, victim, k, p)
-		res.Rows = append(res.Rows, row)
+	for _, k := range survivalPoints(counts[victim], 8) {
+		res.Rows = append(res.Rows, runSurvival("gaxpy", cres, mach, fills, "c", want, victim, k))
 	}
 
 	// ------------------------------------------------------------------
@@ -182,34 +154,57 @@ func DiskSurvival(p Params) (*DiskSurvivalResult, error) {
 	src, dst := tres.Analysis.Transpose.Src, tres.Analysis.Transpose.Dst
 	tfill := func(gi, gj int) float64 { return float64(gi*n + gj + 1) }
 	tfills := map[string]func(int, int) float64{src: tfill}
-
-	tbase, err := exec.Run(tres.Program, mach, exec.Options{Fill: tfills})
+	wantT, tpr, tcounts, err := survivalBaseline(tres, mach, tfills, dst)
 	if err != nil {
 		return nil, err
 	}
-	wantT, err := tbase.ReadArray(dst)
-	if err != nil {
-		return nil, err
-	}
-	tbase.Close()
-
-	tvictim := oocarray.FileName(dst, 1)
-	tprobe := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{})
-	tpr, err := exec.Run(tres.Program, mach, exec.Options{
-		FS: tprobe, Fill: tfills,
-		Resilience: iosim.NewResilience(survivalPolicy), Parity: true,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("disksurvival: fault-free protected transpose: %w", err)
-	}
-	totalT := tprobe.FileOps(tvictim)
 	tpr.Close()
-
-	for _, k := range survivalPoints(totalT, 6) {
-		row := runSurvival("transpose", tres, mach, tfills, dst, wantT, tvictim, k, p)
-		res.Rows = append(res.Rows, row)
+	for _, k := range survivalPoints(tcounts[victim], 6) {
+		res.Rows = append(res.Rows, runSurvival("transpose", tres, mach, tfills, dst, wantT, victim, k))
 	}
 	return res, nil
+}
+
+// survivalBaseline runs a kernel fault-free twice: unprotected, for the
+// output every row must reproduce, and protected, counting each rank's
+// operations (the sweep's coordinate). The caller closes the protected
+// result.
+func survivalBaseline(cres *compiler.Result, mach sim.Config, fills map[string]func(int, int) float64,
+	out string) (*matrix.Matrix, *exec.Result, []int64, error) {
+	base, err := exec.Run(cres.Program, mach, exec.Options{Fill: fills})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	want, err := base.ReadArray(out)
+	base.Close()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	counts := make([]int64, cres.Program.Procs)
+	pr, err := exec.Run(cres.Program, mach, survivalOptions(fills, true, counts))
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("disksurvival: fault-free protected run: %w", err)
+	}
+	got, err := pr.ReadArray(out)
+	if err == nil && !matrix.Equal(got, want) {
+		err = fmt.Errorf("disksurvival: fault-free protected run diverged from unprotected run")
+	}
+	if err != nil {
+		pr.Close()
+		return nil, nil, nil, err
+	}
+	return want, pr, counts, nil
+}
+
+// survivalOptions is the configuration of the experiment's runs: a
+// fresh store, the small retry budget, parity when protected, and the
+// per-rank op counts when counts is non-nil.
+func survivalOptions(fills map[string]func(int, int) float64, protected bool, counts []int64) exec.Options {
+	return exec.Options{
+		FS: iosim.NewMemFS(), Fill: fills,
+		Resilience: iosim.NewResilience(survivalPolicy), Parity: protected,
+		OpCounts: counts,
+	}
 }
 
 // gaxpyParityClosedForm predicts the parity overhead of the column-slab
@@ -240,21 +235,17 @@ func gaxpyParityClosedForm(cres *compiler.Result, mach sim.Config, procs int) (c
 // runSurvival executes one injected run and collects its row.
 func runSurvival(program string, cres *compiler.Result, mach sim.Config,
 	fills map[string]func(int, int) float64, outArray string, want *matrix.Matrix,
-	victim string, op int64, p Params) DiskSurvivalRow {
+	victim int, op int64) DiskSurvivalRow {
 
 	row := DiskSurvivalRow{Program: program, Victim: victim, Op: op}
-	chaos := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{
-		Schedule: []iosim.ScheduledFault{{File: victim, Op: op, Kind: iosim.KindDiskLoss}},
-	})
-	out, err := exec.Run(cres.Program, mach, exec.Options{
-		FS: chaos, Fill: fills,
-		Resilience: iosim.NewResilience(survivalPolicy), Parity: true,
-	})
+	opts := survivalOptions(fills, true, nil)
+	opts.Faults = []mp.Fault{{Rank: victim, Op: op, Kind: mp.LoseDisk}}
+	out, err := exec.Run(cres.Program, mach, opts)
 	if err != nil {
 		row.Err = err.Error()
 		return row
 	}
-	if chaos.Counts().DiskLosses == 0 {
+	if len(out.DiskLosses) == 0 {
 		row.Err = "scheduled disk loss never fired"
 		return row
 	}
@@ -332,13 +323,13 @@ func (r *DiskSurvivalResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Disk survival: %dx%d arrays on %d processors, one logical disk lost per run\n", r.N, r.N, r.Procs)
 	fmt.Fprintf(&b, "%-10s %-12s %8s %8s %8s %10s %10s %8s %9s\n",
-		"program", "victim", "op", "bitwise", "reconst", "rec bytes", "rec msgs", "rebuilds", "degraded")
+		"program", "victim disk", "op", "bitwise", "reconst", "rec bytes", "rec msgs", "rebuilds", "degraded")
 	for _, row := range r.Rows {
 		if row.Err != "" {
-			fmt.Fprintf(&b, "%-10s %-12s %8d FAILED: %s\n", row.Program, row.Victim, row.Op, row.Err)
+			fmt.Fprintf(&b, "%-10s %-12d %8d FAILED: %s\n", row.Program, row.Victim, row.Op, row.Err)
 			continue
 		}
-		fmt.Fprintf(&b, "%-10s %-12s %8d %8v %8d %10d %10d %8d %9v\n",
+		fmt.Fprintf(&b, "%-10s %-12d %8d %8v %8d %10d %10d %8d %9v\n",
 			row.Program, row.Victim, row.Op, row.Bitwise, row.Reconstructions,
 			row.ReconstructedBytes, row.RecoveryMessages, row.ParityRebuilds, row.Degraded)
 	}
@@ -356,7 +347,7 @@ func (r *DiskSurvivalResult) CSV() string {
 	var b strings.Builder
 	b.WriteString("program,victim,op,bitwise,reconstructions,reconstructed_bytes,recovery_messages,parity_rebuilds,degraded,err\n")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%s,%s,%d,%v,%d,%d,%d,%d,%v,%s\n",
+		fmt.Fprintf(&b, "%s,%d,%d,%v,%d,%d,%d,%d,%v,%s\n",
 			row.Program, row.Victim, row.Op, row.Bitwise, row.Reconstructions,
 			row.ReconstructedBytes, row.RecoveryMessages, row.ParityRebuilds, row.Degraded,
 			strings.ReplaceAll(row.Err, ",", ";"))

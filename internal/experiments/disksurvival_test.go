@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -47,5 +49,35 @@ func TestDiskSurvivalDefaultScale(t *testing.T) {
 	}
 	if gerr := r.Gate(); gerr != nil {
 		t.Fatalf("gate: %v\n%s", gerr, r.Format())
+	}
+}
+
+// TestDiskSurvivalRowsIndependentOfScheduling: a disk loss fires at an
+// operation of the victim rank, and the peers' parity writes to the lost
+// disk store nothing until the collective rebuild, so no row depends on
+// how the host interleaves the ranks. The op-0 rows — a loss during the
+// input fills, while peers may still be creating their files — are the
+// ones that once read different recovery traffic from run to run; each
+// must come out the same on one host thread as on every one, run after
+// run.
+func TestDiskSurvivalRowsIndependentOfScheduling(t *testing.T) {
+	sweep := func(procs int) []DiskSurvivalRow {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		r, err := DiskSurvival(Params{N: 64, Procs: []int{4}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Rows
+	}
+	want := sweep(1)
+	for _, program := range []string{"gaxpy", "transpose"} {
+		if !slices.ContainsFunc(want, func(row DiskSurvivalRow) bool { return row.Program == program && row.Op == 0 }) {
+			t.Fatalf("no %s row at op 0: %+v", program, want)
+		}
+	}
+	for i, procs := range []int{runtime.NumCPU(), 1, runtime.NumCPU()} {
+		if got := sweep(procs); !slices.Equal(got, want) {
+			t.Fatalf("run %d at GOMAXPROCS=%d: rows differ from GOMAXPROCS=1\ngot  %+v\nwant %+v", i, procs, got, want)
+		}
 	}
 }

@@ -172,8 +172,8 @@ func RankSurvival(p Params) (*RankSurvivalResult, error) {
 	// The unprotected control: same kill, no checkpoint, no parity.
 	g := kernels[0]
 	_, uerr := exec.Run(g.cres.Program, mach, exec.Options{
-		Fill: g.fills,
-		Kill: []mp.KillSpec{{Rank: 1, Op: 40}},
+		Fill:   g.fills,
+		Faults: []mp.Fault{{Rank: 1, Op: 40}},
 	})
 	res.UnprotectedFailed = uerr != nil
 	if uerr != nil {
@@ -223,7 +223,7 @@ func runRankSurvival(k *rankKernel, mach sim.Config, victim int, op int64, p Par
 	pred := cost.RecoveryForRank(mach, len(k.groups[0]), k.groups, victim, sim.DetectionTimeout)
 	row.PredSeconds = pred.RebuildSeconds
 	opts := rankSurvivalOptions(k, p)
-	opts.Kill = []mp.KillSpec{{Rank: victim, Op: op}}
+	opts.Faults = []mp.Fault{{Rank: victim, Op: op}}
 	opts.Trace = trace.NewTracer(k.cres.Program.Procs)
 	out, err := exec.Run(k.cres.Program, mach, opts)
 	if err != nil {

@@ -23,11 +23,6 @@ const (
 	// KindShortWrite tears the write: only a prefix reaches the file,
 	// and a transient error is returned.
 	KindShortWrite
-	// KindDiskLoss drops the entire logical disk holding the file: every
-	// file whose name carries the same .p<d>. rank marker is removed from
-	// the backing store, and all further operations on them fail
-	// permanently (ErrDiskLost) until a replacement file is created.
-	KindDiskLoss
 )
 
 // String names the fault kind.
@@ -43,8 +38,6 @@ func (k FaultKind) String() string {
 		return "short-read"
 	case KindShortWrite:
 		return "short-write"
-	case KindDiskLoss:
-		return "disk-loss"
 	default:
 		return fmt.Sprintf("FaultKind(%d)", int(k))
 	}
@@ -58,11 +51,9 @@ type ScheduledFault struct {
 	// Op is the 0-based per-file operation index at which to inject.
 	// Indices are per file (not global): a file one processor alone
 	// touches, such as a local array file, sees a deterministic operation
-	// sequence under the concurrent SPMD execution. What happens on other
-	// files by the time that op arrives is not ordered by it: a disk
-	// loss fired at it drops the peers' parity files the disk holds
-	// whether or not their last writes have landed, which depends on
-	// goroutine interleaving.
+	// sequence under the concurrent SPMD execution. A fault here touches
+	// only its file; losing a whole logical disk is a fault of the
+	// machine's per-rank schedule (mp.LoseDisk).
 	Op int64
 	// Kind is the fault class to inject.
 	Kind FaultKind
@@ -87,9 +78,6 @@ type ChaosConfig struct {
 	PShortRead float64
 	// PShortWrite is the probability that a write is torn.
 	PShortWrite float64
-	// PDiskLoss is the probability that an operation takes down the whole
-	// logical disk holding its file (see KindDiskLoss).
-	PDiskLoss float64
 	// Schedule forces faults at exact per-file operation indices, on top
 	// of the probabilistic model.
 	Schedule []ScheduledFault
@@ -103,7 +91,6 @@ type ChaosCounts struct {
 	Corruptions int64
 	ShortReads  int64
 	ShortWrites int64
-	DiskLosses  int64
 }
 
 // ChaosFS wraps a file system with seeded, deterministic fault injection:
@@ -116,81 +103,20 @@ type ChaosCounts struct {
 // decision for operation k on file f depends only on (Seed, f, k). A file
 // with a single-processor, program-ordered operation sequence (a local
 // array file) therefore sees the same faults for the same program and
-// seed regardless of goroutine interleaving. A disk loss is the
-// exception: it drops every file the disk holds, peers' parity files
-// included, at an instant their writers do not order (ScheduledFault).
+// seed regardless of goroutine interleaving. Every fault touches one
+// file only.
 type ChaosFS struct {
 	inner FS
 	cfg   ChaosConfig
 
 	mu     sync.Mutex
 	ops    map[string]int64
-	seen   map[string]bool // every file name observed, for disk loss
-	lost   map[string]bool // files dropped by a disk loss, until recreated
 	counts ChaosCounts
 }
 
 // NewChaosFS wraps inner with the given fault model.
 func NewChaosFS(inner FS, cfg ChaosConfig) *ChaosFS {
-	return &ChaosFS{inner: inner, cfg: cfg, ops: make(map[string]int64),
-		seen: make(map[string]bool), lost: make(map[string]bool)}
-}
-
-// DiskOf extracts the logical disk (processor rank) from a file name
-// following the repo's .p<d>. naming convention (LAFs, parity files,
-// checkpoint manifests and snapshots, collective-I/O scratch). It returns
-// -1 for names without a rank marker.
-func DiskOf(name string) int {
-	for i := 0; i+2 < len(name); i++ {
-		if name[i] != '.' || name[i+1] != 'p' {
-			continue
-		}
-		j := i + 2
-		for j < len(name) && name[j] >= '0' && name[j] <= '9' {
-			j++
-		}
-		if j > i+2 && j < len(name) && name[j] == '.' {
-			n := 0
-			for k := i + 2; k < j; k++ {
-				n = n*10 + int(name[k]-'0')
-			}
-			return n
-		}
-	}
-	return -1
-}
-
-// loseDisk drops every observed file of the given logical disk: the
-// backing files are removed and the names are marked lost so in-flight
-// handles fail too. A name without a rank marker loses only itself.
-func (c *ChaosFS) loseDisk(name string) {
-	disk := DiskOf(name)
-	c.mu.Lock()
-	victims := []string{name}
-	c.lost[name] = true
-	if disk >= 0 {
-		for seen := range c.seen {
-			if seen != name && DiskOf(seen) == disk {
-				c.lost[seen] = true
-				victims = append(victims, seen)
-			}
-		}
-	}
-	c.counts.DiskLosses++
-	c.mu.Unlock()
-	for _, victim := range victims {
-		// Best effort: the disk's content is gone either way, and the
-		// lost marker is what gates further access.
-		_ = c.inner.Remove(victim)
-	}
-}
-
-// LoseDisk immediately drops the logical disk holding the named file, as
-// if a KindDiskLoss fault fired on it: every observed file of that disk
-// is removed and marked lost. Tests and experiments use it to place a
-// disk failure at an exact point in an execution.
-func (c *ChaosFS) LoseDisk(name string) {
-	c.loseDisk(name)
+	return &ChaosFS{inner: inner, cfg: cfg, ops: make(map[string]int64)}
 }
 
 // FileOps returns how many operations the named file has seen so far —
@@ -200,19 +126,6 @@ func (c *ChaosFS) FileOps(name string) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ops[name]
-}
-
-// lostErr is the permanent failure returned for operations on files of a
-// lost disk.
-func lostErr(verb, name string) error {
-	return fmt.Errorf("iosim: chaos %s %s: %w", verb, name, ErrDiskLost)
-}
-
-// isLost reports whether the named file is marked lost.
-func (c *ChaosFS) isLost(name string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lost[name]
 }
 
 // Names enumerates the inner file system's files when it supports
@@ -240,7 +153,6 @@ const (
 	saltShortRead  = 0x4
 	saltShortWrite = 0x5
 	saltBitIndex   = 0x6
-	saltDiskLoss   = 0x7
 )
 
 // fnv64 hashes a file name (FNV-1a).
@@ -277,7 +189,6 @@ func (c *ChaosFS) decide(name string, read, write bool) (op int64, kind FaultKin
 	op = c.ops[name]
 	c.ops[name] = op + 1
 	c.counts.Ops++
-	c.seen[name] = true
 	c.mu.Unlock()
 
 	kind, hit = c.pick(name, op, read, write)
@@ -295,7 +206,6 @@ func (c *ChaosFS) decide(name string, read, write bool) (op int64, kind FaultKin
 		case KindShortWrite:
 			c.counts.ShortWrites++
 		}
-		// KindDiskLoss is counted by loseDisk, once per lost disk.
 		c.mu.Unlock()
 	}
 	return op, kind, hit
@@ -324,9 +234,6 @@ func (c *ChaosFS) pick(name string, op int64, read, write bool) (FaultKind, bool
 	if write && c.cfg.PShortWrite > 0 && mix(c.cfg.Seed, h, op, saltShortWrite) < c.cfg.PShortWrite {
 		return KindShortWrite, true
 	}
-	if c.cfg.PDiskLoss > 0 && mix(c.cfg.Seed, h, op, saltDiskLoss) < c.cfg.PDiskLoss {
-		return KindDiskLoss, true
-	}
 	return 0, false
 }
 
@@ -338,48 +245,32 @@ func faultErr(kind FaultKind, verb, name string, op int64) error {
 	return MarkTransient(fmt.Errorf("iosim: chaos injected transient fault: %s %s (op %d)", verb, name, op))
 }
 
-// metaFault maps a metadata-path fault decision to its error, handling
-// disk loss; ok is false when no error is to be injected.
-func (c *ChaosFS) metaFault(verb, name string, op int64, kind FaultKind, hit bool) (error, bool) {
-	if !hit {
-		return nil, false
-	}
-	switch kind {
-	case KindPermanent, KindTransient:
+// metaFault maps a metadata-path fault decision to its error; ok is
+// false when no error is to be injected.
+func metaFault(verb, name string, op int64, kind FaultKind, hit bool) (error, bool) {
+	if hit && (kind == KindPermanent || kind == KindTransient) {
 		return faultErr(kind, verb, name, op), true
-	case KindDiskLoss:
-		c.loseDisk(name)
-		return lostErr(verb, name), true
 	}
 	return nil, false
 }
 
-// Create makes the named file, or injects a fault. Creating a file on a
-// lost disk models plugging in a replacement: the lost marker clears and
-// the new (empty) file is usable again.
+// Create makes the named file, or injects a fault.
 func (c *ChaosFS) Create(name string) (File, error) {
 	op, kind, hit := c.decide(name, false, false)
-	if err, bad := c.metaFault("create", name, op, kind, hit); bad {
+	if err, bad := metaFault("create", name, op, kind, hit); bad {
 		return nil, err
 	}
 	f, err := c.inner.Create(name)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	delete(c.lost, name)
-	c.mu.Unlock()
 	return &chaosFile{fs: c, name: name, inner: f}, nil
 }
 
-// Open opens an existing file, or injects a fault. Files of a lost disk
-// fail permanently until recreated.
+// Open opens an existing file, or injects a fault.
 func (c *ChaosFS) Open(name string) (File, error) {
-	if c.isLost(name) {
-		return nil, lostErr("open", name)
-	}
 	op, kind, hit := c.decide(name, false, false)
-	if err, bad := c.metaFault("open", name, op, kind, hit); bad {
+	if err, bad := metaFault("open", name, op, kind, hit); bad {
 		return nil, err
 	}
 	f, err := c.inner.Open(name)
@@ -389,17 +280,12 @@ func (c *ChaosFS) Open(name string) (File, error) {
 	return &chaosFile{fs: c, name: name, inner: f}, nil
 }
 
-// Remove deletes the named file, or injects a fault. Removing a lost
-// file clears its marker (the name no longer refers to lost content) and
-// surfaces the backing store's not-exist error.
+// Remove deletes the named file, or injects a fault.
 func (c *ChaosFS) Remove(name string) error {
 	op, kind, hit := c.decide(name, false, false)
-	if err, bad := c.metaFault("remove", name, op, kind, hit); bad {
+	if err, bad := metaFault("remove", name, op, kind, hit); bad {
 		return err
 	}
-	c.mu.Lock()
-	delete(c.lost, name)
-	c.mu.Unlock()
 	return c.inner.Remove(name)
 }
 
@@ -410,17 +296,11 @@ type chaosFile struct {
 }
 
 func (f *chaosFile) ReadAt(p []byte, off int64) (int, error) {
-	if f.fs.isLost(f.name) {
-		return 0, lostErr("read", f.name)
-	}
 	op, kind, hit := f.fs.decide(f.name, true, false)
 	if hit {
 		switch kind {
 		case KindPermanent, KindTransient:
 			return 0, faultErr(kind, "read", f.name, op)
-		case KindDiskLoss:
-			f.fs.loseDisk(f.name)
-			return 0, lostErr("read", f.name)
 		case KindShortRead:
 			n, err := f.inner.ReadAt(p[:len(p)/2], off)
 			if err != nil {
@@ -439,17 +319,11 @@ func (f *chaosFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func (f *chaosFile) WriteAt(p []byte, off int64) (int, error) {
-	if f.fs.isLost(f.name) {
-		return 0, lostErr("write", f.name)
-	}
 	op, kind, hit := f.fs.decide(f.name, false, true)
 	if hit {
 		switch kind {
 		case KindPermanent, KindTransient:
 			return 0, faultErr(kind, "write", f.name, op)
-		case KindDiskLoss:
-			f.fs.loseDisk(f.name)
-			return 0, lostErr("write", f.name)
 		case KindShortWrite:
 			// Torn write: a prefix reaches the file before the fault.
 			n, err := f.inner.WriteAt(p[:len(p)/2], off)
@@ -463,11 +337,8 @@ func (f *chaosFile) WriteAt(p []byte, off int64) (int, error) {
 }
 
 func (f *chaosFile) Truncate(size int64) error {
-	if f.fs.isLost(f.name) {
-		return lostErr("truncate", f.name)
-	}
 	op, kind, hit := f.fs.decide(f.name, false, false)
-	if err, bad := f.fs.metaFault("truncate", f.name, op, kind, hit); bad {
+	if err, bad := metaFault("truncate", f.name, op, kind, hit); bad {
 		return err
 	}
 	return f.inner.Truncate(size)

@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 	"io"
 	iofs "io/fs"
+	"strconv"
+	"strings"
 
 	"github.com/ooc-hpf/passion/internal/bufpool"
 	"github.com/ooc-hpf/passion/internal/sim"
@@ -219,15 +221,17 @@ func (d *Disk) Record(s *trace.Span) {
 }
 
 // RecordCross folds *s into the statistics of another rank (sink, which
-// may be nil) and, when this disk both counts and traces, emits it
-// attributed to that rank: the parity layer's recovery traffic, charged
-// to the rank whose file was rebuilt.
+// may be nil) and, when this disk also traces, emits it attributed to
+// that rank: the parity layer's recovery traffic, charged to the rank
+// whose file was rebuilt. A disk that does no accounting (a quiet view,
+// a verification read) charges no one, so the traffic of a
+// reconstruction it triggers is as unaccounted as its own transfers.
 func (d *Disk) RecordCross(rank int, sink *trace.ProcStats, s *trace.Span) {
-	if sink == nil {
+	if sink == nil || d.stats == nil {
 		return
 	}
 	sink.Record(nil, s)
-	if d.stats != nil && d.tr != nil {
+	if d.tr != nil {
 		s.Start = d.clock.Seconds()
 		d.tr.Cross(rank, *s)
 	}
@@ -255,6 +259,43 @@ type LAF struct {
 	elems int64
 }
 
+// viewFile is what a quiet view's LAF holds (QuietView): its source
+// LAF's handle, whatever that is when a transfer runs, so a handle a
+// disk loss or a reconstruction swaps is swapped for the view too.
+type viewFile struct{ src *LAF }
+
+func (v viewFile) ReadAt(p []byte, off int64) (int, error)  { return v.src.file.ReadAt(p, off) }
+func (v viewFile) WriteAt(p []byte, off int64) (int, error) { return v.src.file.WriteAt(p, off) }
+func (v viewFile) Truncate(size int64) error                { return v.src.file.Truncate(size) }
+func (v viewFile) Close() error                             { return nil }
+
+// home is the LAF whose handle l's transfers go through: l, or the
+// source of the quiet view l is.
+func (l *LAF) home() *LAF {
+	if v, ok := l.file.(viewFile); ok {
+		return v.src
+	}
+	return l
+}
+
+// DiskOf extracts the logical disk (processor rank) from a file name
+// following the repo's .p<d>. naming convention (LAFs, parity files,
+// checkpoint manifests and snapshots, collective-I/O scratch). It returns
+// -1 for names without a rank marker.
+func DiskOf(name string) int {
+	for rest := name; ; {
+		i := strings.Index(rest, ".p")
+		if i < 0 {
+			return -1
+		}
+		rest = rest[i+2:]
+		if j := strings.IndexFunc(rest, func(r rune) bool { return r < '0' || r > '9' }); j > 0 && rest[j] == '.' {
+			d, _ := strconv.Atoi(rest[:j])
+			return d
+		}
+	}
+}
+
 // CreateLAF creates a local array file holding elems zero elements.
 func (d *Disk) CreateLAF(name string, elems int64) (*LAF, error) {
 	l := new(LAF)
@@ -269,23 +310,10 @@ func (d *Disk) CreateLAF(name string, elems int64) (*LAF, error) {
 // whether l is new or kept from an earlier run (and closed). On failure
 // l holds no file.
 func (l *LAF) Create(d *Disk, name string, elems int64) error {
-	*l = LAF{disk: d, file: closedFile{}, name: name, elems: elems}
+	*l = LAF{disk: d, file: closedFile, name: name, elems: elems}
 	if elems < 0 {
 		return fmt.Errorf("iosim: CreateLAF %s: negative size %d", name, elems)
 	}
-	err := l.createOnce()
-	if err != nil && !IsTransient(err) && d.parity != nil && d.parity.Protects(name) {
-		// The disk died under the create itself (e.g. a disk loss took the
-		// half-created file with it). The file held no data yet, so there
-		// is nothing to reconstruct: creating again mounts the replacement
-		// disk and starts over.
-		err = l.createOnce()
-	}
-	return err
-}
-
-func (l *LAF) createOnce() error {
-	d, name, elems := l.disk, l.name, l.elems
 	var f File
 	err := d.retryMeta("create", name, func() error {
 		var err error
@@ -330,7 +358,7 @@ func (d *Disk) OpenLAF(name string, elems int64) (*LAF, error) {
 // does, whether l is new or kept from an earlier run (and closed). On
 // failure l holds no file.
 func (l *LAF) Open(d *Disk, name string, elems int64) error {
-	*l = LAF{disk: d, file: closedFile{}, name: name, elems: elems}
+	*l = LAF{disk: d, file: closedFile, name: name, elems: elems}
 	var f File
 	open := func() error {
 		return d.retryMeta("open", name, func() error {
@@ -382,9 +410,10 @@ func (l *LAF) Name() string { return l.name }
 // accounting.
 func (l *LAF) Disk() *Disk { return l.disk }
 
-// QuietView holds a quiet view of a local array file: the same file on a
-// copy of its disk that performs no statistics accounting and records no
-// span (its returned durations should be discarded). Initialization and
+// QuietView holds a quiet view of a local array file: the same file,
+// through the same handle, on a copy of its disk that performs no
+// statistics accounting and records no span (its returned durations
+// should be discarded). Initialization and
 // verification I/O, which the paper's measurements exclude, go through
 // one. A caller that keeps a QuietView beside its LAF takes the view
 // without allocating; its zero value is ready.
@@ -398,7 +427,7 @@ type QuietView struct {
 func (v *QuietView) Of(l *LAF) *LAF {
 	v.disk = *l.disk
 	v.disk.stats = nil
-	v.laf = LAF{disk: &v.disk, file: l.file, name: l.name, elems: l.elems}
+	v.laf = LAF{disk: &v.disk, file: viewFile{l.home()}, name: l.name, elems: l.elems}
 	return &v.laf
 }
 
@@ -411,19 +440,35 @@ func (l *LAF) Elems() int64 { return l.elems }
 // fs.ErrClosed until Create or Open attaches it to a file again.
 func (l *LAF) Close() error {
 	f := l.file
-	l.file = closedFile{}
+	l.file = closedFile
 	return f.Close()
 }
 
-// closedFile is what an LAF holds when it holds no file.
-type closedFile struct{}
+// Lose models the loss of the logical disk holding l: the handle is
+// closed, the backing file removed, and every transfer through l (and
+// its quiet views) fails with ErrDiskLost until a reconstruction, Create
+// or Open attaches l to a file again.
+func (l *LAF) Lose() {
+	l.file.Close()
+	l.file = lostFile
+	l.disk.fs.Remove(l.name) // best effort: the content is gone either way
+}
 
-var errClosedLAF = fmt.Errorf("iosim: local array file: %w", iofs.ErrClosed)
+// deadFile is what an LAF holds when it has no file to transfer
+// through: every transfer fails with err.
+type deadFile struct{ err error }
 
-func (closedFile) ReadAt([]byte, int64) (int, error)  { return 0, errClosedLAF }
-func (closedFile) WriteAt([]byte, int64) (int, error) { return 0, errClosedLAF }
-func (closedFile) Truncate(int64) error               { return errClosedLAF }
-func (closedFile) Close() error                       { return nil }
+var (
+	// closedFile is what an LAF holds when it holds no file.
+	closedFile File = deadFile{fmt.Errorf("iosim: local array file: %w", iofs.ErrClosed)}
+	// lostFile is what an LAF holds once its disk is lost (Lose).
+	lostFile File = deadFile{fmt.Errorf("iosim: local array file: %w", ErrDiskLost)}
+)
+
+func (f deadFile) ReadAt([]byte, int64) (int, error)  { return 0, f.err }
+func (f deadFile) WriteAt([]byte, int64) (int, error) { return 0, f.err }
+func (f deadFile) Truncate(int64) error               { return f.err }
+func (deadFile) Close() error                         { return nil }
 
 // checkChunks validates that every chunk lies within the file.
 func (l *LAF) checkChunks(chunks []Chunk, buf []float64) error {
@@ -641,9 +686,10 @@ func (l *LAF) protected() bool {
 }
 
 // escalate reconstructs the file from the surviving disks after cause (a
-// non-transient failure) and swaps in a handle to the replacement file.
-// The returned seconds cover the reconstruction traffic; the caller folds
-// them into the failed operation's duration.
+// non-transient failure) and swaps in a handle to the replacement file,
+// closing the one it replaces. The returned seconds cover the
+// reconstruction traffic; the caller folds them into the failed
+// operation's duration.
 func (l *LAF) escalate(cause error) (float64, error) {
 	d := l.disk
 	sec, err := d.parity.Recover(d, l.name, cause)
@@ -654,10 +700,9 @@ func (l *LAF) escalate(cause error) (float64, error) {
 	if err != nil {
 		return sec, fmt.Errorf("iosim: reopen %s after reconstruction: %w", l.name, err)
 	}
-	// The old handle points at the lost disk's orphaned image; drop it
-	// without closing (Quiet views may still share it harmlessly — every
-	// subsequent transfer goes through the swapped handle).
-	l.file = f
+	h := l.home()
+	h.file.Close()
+	h.file = f
 	return sec, nil
 }
 

@@ -10,11 +10,11 @@ import (
 var ErrInjected = errors.New("iosim: injected permanent fault")
 
 // ErrDiskLost reports that the logical disk holding the file is gone: a
-// KindDiskLoss fault dropped every file of that disk, and any operation
-// on them fails permanently until a replacement file is created (which
-// the parity layer does when it reconstructs the content from the
-// surviving disks). It wraps ErrInjected so existing fault-injection
-// classification keeps working.
+// scheduled disk loss (LAF.Lose) dropped the file, and every transfer
+// through its handle fails permanently until the parity layer
+// reconstructs the content from the surviving disks onto a replacement
+// file. It wraps ErrInjected so existing fault-injection classification
+// keeps working.
 var ErrDiskLost = fmt.Errorf("iosim: logical disk lost: %w", ErrInjected)
 
 // transienter is the error classification interface of the fault model:

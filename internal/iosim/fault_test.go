@@ -146,3 +146,44 @@ func TestWriteChunksSievedEdgeCases(t *testing.T) {
 		t.Error("out-of-bounds sieved write should fail")
 	}
 }
+
+// TestLAFLoseFailsEveryView: a lost disk's file is gone from the store,
+// and every transfer fails with ErrDiskLost from then on — through the
+// LAF and through a quiet view taken before the loss, which shares the
+// LAF's handle — until Close, after which the LAF holds no file.
+func TestLAFLoseFailsEveryView(t *testing.T) {
+	mem := NewMemFS()
+	d := NewDisk(mem, sim.Delta(1), &trace.IOStats{})
+	l, err := d.CreateLAF("c.p0.laf", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.WriteAll(make([]float64, 16)); err != nil {
+		t.Fatal(err)
+	}
+	var view QuietView
+	q := view.Of(l)
+	l.Lose()
+	if names := mem.Names(); len(names) != 0 {
+		t.Fatalf("a lost disk's file is still in the store: %v", names)
+	}
+	buf := make([]float64, 4)
+	if _, err := l.ReadChunks([]Chunk{{0, 4}}, buf); !errors.Is(err, ErrDiskLost) {
+		t.Fatalf("read after the loss: %v, want ErrDiskLost", err)
+	}
+	if _, err := q.WriteChunks([]Chunk{{4, 4}}, buf); !errors.Is(err, ErrDiskLost) {
+		t.Fatalf("quiet write after the loss: %v, want ErrDiskLost", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.ReadChunks([]Chunk{{0, 4}}, buf); errors.Is(err, ErrDiskLost) || err == nil {
+		t.Fatalf("read after Close: %v, want a closed-file error", err)
+	}
+	if got := DiskOf("ckpt.p3.s1.manifest"); got != 3 {
+		t.Errorf("DiskOf(manifest) = %d, want 3", got)
+	}
+	if got := DiskOf("c.parity"); got != -1 {
+		t.Errorf("DiskOf(no rank) = %d, want -1", got)
+	}
+}

@@ -211,7 +211,7 @@ func TestKillSweepOverAllToAllOwned(t *testing.T) {
 	for op := int64(0); op < counts[victim]; op++ {
 		bufpool.ResetStats()
 		opts := Options{
-			Kill: []KillSpec{{Rank: victim, Op: op}},
+			Faults: []Fault{{Rank: victim, Op: op}},
 		}
 		if _, err := RunOpts(sim.Delta(procs), opts, node); err == nil {
 			t.Fatalf("kill at op %d: the run should fail", op)

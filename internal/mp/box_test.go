@@ -115,7 +115,7 @@ func TestKillMidAllToAllBalancesArena(t *testing.T) {
 	defer bufpool.SetChecked(false)
 	bufpool.ResetStats()
 	opts := Options{
-		Kill: []KillSpec{{Rank: 3, Op: 5}},
+		Faults: []Fault{{Rank: 3, Op: 5}},
 	}
 	_, err := RunOpts(sim.Delta(procs), opts, func(p *Proc) error {
 		parts := make([][]float64, procs)

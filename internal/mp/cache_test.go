@@ -69,7 +69,7 @@ func TestKilledRunBalancesCachedPayloads(t *testing.T) {
 	bufpool.SetChecked(true)
 	defer bufpool.SetChecked(false)
 	bufpool.ResetStats()
-	err := runGuarded(t, 4, Options{Kill: []KillSpec{{Rank: 2, Op: 30}}}, func(p *Proc) error {
+	err := runGuarded(t, 4, Options{Faults: []Fault{{Rank: 2, Op: 30}}}, func(p *Proc) error {
 		cachedThenStranded(p)
 		reduceRotating(p, 40, make([]float64, 40))
 		return nil

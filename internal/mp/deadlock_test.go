@@ -115,7 +115,7 @@ func TestOverrunOfReturnedRankFails(t *testing.T) {
 // order the ranks park and exit in.
 func TestKillBesideReceiveCycle(t *testing.T) {
 	for i := 0; i < 50; i++ {
-		err := runGuarded(t, 4, Options{Kill: []KillSpec{{Rank: 3, Op: 0}}}, func(p *Proc) error {
+		err := runGuarded(t, 4, Options{Faults: []Fault{{Rank: 3, Op: 0}}}, func(p *Proc) error {
 			switch p.Rank() {
 			case 0, 1:
 				ReleaseBuf(p.Recv(1-p.Rank(), 7))

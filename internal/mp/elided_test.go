@@ -102,7 +102,7 @@ func TestKillSweepOverElidedReduce(t *testing.T) {
 	kill := func(op int64, elided bool) outcome {
 		bufpool.ResetStats()
 		opts := Options{
-			Kill: []KillSpec{{Rank: victim, Op: op}},
+			Faults: []Fault{{Rank: victim, Op: op}},
 		}
 		_, err := RunOpts(sim.Delta(procs), opts, rotatingReduce(n, elided))
 		var rf *RankFailure

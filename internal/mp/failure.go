@@ -22,46 +22,79 @@ import (
 // ranks that actually died, so every survivor reports the same set; the
 // executor uses it to drive checkpoint+parity recovery.
 //
+// A rank's logical disk can be scheduled to fail on the same coordinate.
+// The machine holds no disks, so it only fires the loss, on the rank's
+// own goroutine, and the executor's handler (OnDiskLoss) performs it.
+//
 // Everything here is off the hot path: a machine with no Options has a
 // nil failState and the per-op hook is a single nil check.
 
-// KillSpec schedules one injected fail-stop death: rank Rank stops
-// immediately before executing its Op'th counted operation (messages
-// sent or received, and disk chunk operations when the executor wires
-// StepOp into the I/O layer). Op counts from zero and is per-rank. Rank
-// must lie in [0, P) and Op must not be negative, or RunOpts rejects the
-// run; an Op past the rank's operation count is legal and never fires.
-type KillSpec struct {
+// FaultKind is what a scheduled Fault does to its rank.
+type FaultKind int
+
+// Fault kinds.
+const (
+	// RankDeath fail-stops the rank (the zero value).
+	RankDeath FaultKind = iota
+	// LoseDisk loses the rank's logical disk. The rank runs on: the
+	// handler it installed (Proc.OnDiskLoss) performs the loss.
+	LoseDisk
+)
+
+// String names the kind as a schedule's messages do.
+func (k FaultKind) String() string {
+	switch k {
+	case RankDeath:
+		return "kill"
+	case LoseDisk:
+		return "disk loss"
+	}
+	return fmt.Sprintf("FaultKind(%d)", int(k))
+}
+
+// Fault schedules one injected fault: rank Rank suffers Kind immediately
+// before executing its Op'th counted operation (messages sent or
+// received, and disk chunk operations when the executor wires StepOp
+// into the I/O layer). Op counts from zero and is per-rank, so the
+// machine orders every fault against every other operation of its rank.
+// Rank must lie in [0, P), Op must not be negative and Kind must be a
+// known kind, or RunOpts rejects the run; an Op past the rank's
+// operation count is legal and never fires.
+type Fault struct {
 	Rank int
 	Op   int64
+	Kind FaultKind
 }
 
 // Options configures fault injection for one run. The zero value is a
-// plain run. Any kill or op counting turns on the failure layer, whose
+// plain run. Any fault or op counting turns on the failure layer, whose
 // survivors detect a dead peer after sim.DetectionTimeout.
 type Options struct {
-	// Kill schedules injected rank deaths.
-	Kill []KillSpec
+	// Faults schedules injected rank deaths and disk losses.
+	Faults []Fault
 	// OpCounts, when non-nil, receives each rank's final operation count
 	// (len must be >= Procs). Probe runs use it to learn the op-index
-	// space a kill schedule can target.
+	// space a fault schedule can target.
 	OpCounts []int64
 }
 
 // active reports whether the run needs a failState at all.
 func (o Options) active() bool {
-	return len(o.Kill) > 0 || o.OpCounts != nil
+	return len(o.Faults) > 0 || o.OpCounts != nil
 }
 
-// validate rejects a kill schedule that names a rank the machine does
-// not have or an operation before the first.
+// validate rejects a fault schedule that names a rank the machine does
+// not have, an operation before the first or an unknown kind.
 func (o Options) validate(procs int) error {
-	for _, k := range o.Kill {
-		if k.Rank < 0 || k.Rank >= procs {
-			return fmt.Errorf("mp: kill rank %d is outside the machine's %d processors", k.Rank, procs)
+	for _, f := range o.Faults {
+		if f.Kind != RankDeath && f.Kind != LoseDisk {
+			return fmt.Errorf("mp: fault of rank %d at op %d has unknown kind %v", f.Rank, f.Op, f.Kind)
 		}
-		if k.Op < 0 {
-			return fmt.Errorf("mp: kill of rank %d at op %d: ops count from 0", k.Rank, k.Op)
+		if f.Rank < 0 || f.Rank >= procs {
+			return fmt.Errorf("mp: %v rank %d is outside the machine's %d processors", f.Kind, f.Rank, procs)
+		}
+		if f.Op < 0 {
+			return fmt.Errorf("mp: %v of rank %d at op %d: ops count from 0", f.Kind, f.Rank, f.Op)
 		}
 	}
 	return nil
@@ -153,7 +186,7 @@ type abort struct{ err error }
 // for the heartbeat fabric of a real machine: detection *cost* is
 // simulated via the heartbeat timeout, detection *truth* is exact.
 type failState struct {
-	kills [][]int64 // per-rank scheduled kill ops, sorted
+	faults [][]Fault // per-rank scheduled faults, sorted by op
 
 	deadCount atomic.Int32
 	mu        sync.Mutex
@@ -162,14 +195,14 @@ type failState struct {
 
 func newFailState(procs int, opts Options) *failState {
 	f := &failState{
-		kills: make([][]int64, procs),
-		dead:  make(map[int]float64),
+		faults: make([][]Fault, procs),
+		dead:   make(map[int]float64),
 	}
-	for _, k := range opts.Kill {
-		f.kills[k.Rank] = append(f.kills[k.Rank], k.Op)
+	for _, ft := range opts.Faults {
+		f.faults[ft.Rank] = append(f.faults[ft.Rank], ft)
 	}
-	for _, s := range f.kills {
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	for _, s := range f.faults {
+		sort.SliceStable(s, func(i, j int) bool { return s[i].Op < s[j].Op })
 	}
 	return f
 }
@@ -219,11 +252,13 @@ func (f *failState) earliestDeath() (float64, int) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-op kill hook
+// Per-op fault hook
 
-// step counts one operation and dies if the kill schedule says so. The
-// disabled fast path is a single nil check, which is what keeps the
-// steady-state allocation and wall-clock pins intact.
+// step counts one operation and fires what the fault schedule holds for
+// it: a disk loss runs the rank's loss handler and the rank goes on, a
+// death stops the rank. The disabled fast path is a single nil check,
+// which is what keeps the steady-state allocation and wall-clock pins
+// intact.
 func (p *Proc) step() {
 	f := p.m.fail
 	if f == nil {
@@ -237,18 +272,34 @@ func (p *Proc) step() {
 	}
 	op := p.ops
 	p.ops++
-	if len(p.killAt) > 0 && op == p.killAt[0] {
-		p.killAt = p.killAt[1:]
+	for len(p.faultAt) > 0 && p.faultAt[0].Op == op {
+		ft := p.faultAt[0]
+		p.faultAt = p.faultAt[1:]
+		if ft.Kind == LoseDisk {
+			if p.onLoss == nil {
+				p.failed = true
+				panic(abort{fmt.Errorf("mp: disk loss of rank %d at op %d, but the rank installed no handler (Proc.OnDiskLoss)", p.rank, op)})
+			}
+			p.onLoss(ft)
+			continue
+		}
 		p.failed = true
 		f.markDead(p.rank, p.clock.Seconds())
 		panic(killSentinel{rank: p.rank, op: op})
 	}
 }
 
-// StepOp advances this processor's fail-stop operation counter by one —
-// the executor wires it into the I/O layer so kills can land between
-// disk operations, not only between messages. A no-op on plain runs.
+// StepOp advances this processor's fault operation counter by one — the
+// executor wires it into the I/O layer so faults can land between disk
+// operations, not only between messages. A no-op on plain runs.
 func (p *Proc) StepOp() { p.step() }
+
+// OnDiskLoss installs the handler a scheduled LoseDisk fault of this
+// rank runs: on the rank's own goroutine, between two of its
+// operations, with the fault that fired. The rank's owner (the executor)
+// performs the loss in it; a loss on a rank with no handler fails the
+// rank. The handler is dropped when the run ends.
+func (p *Proc) OnDiskLoss(h func(Fault)) { p.onLoss = h }
 
 // Aborted reports whether this processor died, or aborted on a failure
 // or a deadlock; cleanup code running during the unwind uses it to skip collective

@@ -36,7 +36,7 @@ func ringNode(iters int) NodeFunc {
 // survivor aborted with ErrRankDead instead of hanging.
 func TestKillRankResolvesToTypedErrors(t *testing.T) {
 	opts := Options{
-		Kill: []KillSpec{{Rank: 2, Op: 3}},
+		Faults: []Fault{{Rank: 2, Op: 3}},
 	}
 	_, err := RunOpts(sim.Delta(4), opts, ringNode(4))
 	if err == nil {
@@ -66,7 +66,7 @@ func TestKillRankResolvesToTypedErrors(t *testing.T) {
 // survivor that aborts reports the identical failed-rank set.
 func TestSurvivorsAgreeOnFailedSet(t *testing.T) {
 	opts := Options{
-		Kill: []KillSpec{{Rank: 1, Op: 5}},
+		Faults: []Fault{{Rank: 1, Op: 5}},
 	}
 	_, err := RunOpts(sim.Delta(4), opts, ringNode(6))
 	if err == nil {
@@ -89,7 +89,7 @@ func TestSurvivorsAgreeOnFailedSet(t *testing.T) {
 // past the death, and the detection counters record it.
 func TestDetectionChargesHeartbeatTimeout(t *testing.T) {
 	opts := Options{
-		Kill: []KillSpec{{Rank: 1, Op: 0}},
+		Faults: []Fault{{Rank: 1, Op: 0}},
 	}
 	stats, err := RunOpts(sim.Delta(2), opts, ringNode(1))
 	if err == nil {
@@ -123,7 +123,7 @@ func TestDetectionChargesHeartbeatTimeout(t *testing.T) {
 func TestTwoKillsInOneAttempt(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		opts := Options{
-			Kill: []KillSpec{{Rank: 1, Op: 3}, {Rank: 3, Op: 5}},
+			Faults: []Fault{{Rank: 1, Op: 3}, {Rank: 3, Op: 5}},
 		}
 		_, err := RunOpts(sim.Delta(4), opts, ringNode(6))
 		var rf *RankFailure
@@ -157,9 +157,9 @@ func TestTwoKillsInOneAttempt(t *testing.T) {
 // rank outside [0, P) or a negative op fails the run before any rank
 // starts, naming the rank and P, instead of silently never firing.
 func TestKillOutsideMachineRejected(t *testing.T) {
-	for _, k := range []KillSpec{{Rank: 9, Op: 150}, {Rank: -1, Op: 5}, {Rank: 4, Op: 0}, {Rank: 1, Op: -1}} {
+	for _, k := range []Fault{{Rank: 9, Op: 150}, {Rank: -1, Op: 5}, {Rank: 4, Op: 0}, {Rank: 1, Op: -1}} {
 		started := false
-		_, err := RunOpts(sim.Delta(4), Options{Kill: []KillSpec{k}}, func(p *Proc) error {
+		_, err := RunOpts(sim.Delta(4), Options{Faults: []Fault{k}}, func(p *Proc) error {
 			started = true
 			return nil
 		})
@@ -178,8 +178,52 @@ func TestKillOutsideMachineRejected(t *testing.T) {
 		}
 	}
 	// An op past the rank's operation count is legal and never fires.
-	if _, err := RunOpts(sim.Delta(4), Options{Kill: []KillSpec{{Rank: 1, Op: 1000}}}, ringNode(2)); err != nil {
+	if _, err := RunOpts(sim.Delta(4), Options{Faults: []Fault{{Rank: 1, Op: 1000}}}, ringNode(2)); err != nil {
 		t.Errorf("a kill past the victim's last op failed the run: %v", err)
+	}
+}
+
+// TestLoseDiskRunsHandlerOnVictim: a scheduled disk loss fires on the
+// victim's own goroutine immediately before its Op'th operation, once,
+// with the fault that fired; the rank runs on, so the run completes and
+// every rank's op count is a plain run's. A rank that installed no
+// handler ignores its loss, and an unknown kind is rejected up front.
+func TestLoseDiskRunsHandlerOnVictim(t *testing.T) {
+	const victim, at, iters = 2, 5, 4
+	loss := Fault{Rank: victim, Op: at, Kind: LoseDisk}
+	var fired []Fault
+	var opsAtFire int64
+	counts := make([]int64, 4)
+	_, err := RunOpts(sim.Delta(4), Options{Faults: []Fault{loss}, OpCounts: counts}, func(p *Proc) error {
+		p.OnDiskLoss(func(f Fault) {
+			if p.Rank() != f.Rank {
+				t.Errorf("rank %d ran the handler of %+v", p.Rank(), f)
+			}
+			fired = append(fired, f)
+			opsAtFire = p.ops
+		})
+		return ringNode(iters)(p)
+	})
+	if err != nil {
+		t.Fatalf("a disk loss failed the run: %v", err)
+	}
+	if len(fired) != 1 || fired[0] != loss {
+		t.Fatalf("handler saw %+v, want one %+v", fired, loss)
+	}
+	if opsAtFire != at+1 {
+		t.Errorf("handler ran after %d counted ops, want %d (op %d itself counted)", opsAtFire, at+1, at)
+	}
+	for r, n := range counts {
+		if n != 2*iters {
+			t.Errorf("rank %d counted %d ops, want %d", r, n, 2*iters)
+		}
+	}
+	if _, err := RunOpts(sim.Delta(4), Options{Faults: []Fault{loss}}, ringNode(iters)); err == nil || !strings.Contains(err.Error(), "no handler") {
+		t.Errorf("a disk loss with no handler: err %v, want the run failed naming the missing handler", err)
+	}
+	bad := Fault{Rank: 1, Op: 0, Kind: LoseDisk + 1}
+	if _, err := RunOpts(sim.Delta(4), Options{Faults: []Fault{bad}}, ringNode(iters)); err == nil || !strings.Contains(err.Error(), "unknown kind") {
+		t.Errorf("fault of unknown kind: err %v, want a rejection", err)
 	}
 }
 
@@ -218,7 +262,7 @@ func TestKillSweepNeverHangs(t *testing.T) {
 	}
 	for op := int64(0); op < counts[victim]; op++ {
 		opts := Options{
-			Kill: []KillSpec{{Rank: victim, Op: op}},
+			Faults: []Fault{{Rank: victim, Op: op}},
 		}
 		_, err := RunOpts(sim.Delta(procs), opts, ringNode(iters))
 		if err == nil {
@@ -246,7 +290,7 @@ func TestKilledCollectiveReleasesBuffers(t *testing.T) {
 	defer bufpool.SetChecked(false)
 	bufpool.ResetStats()
 	opts := Options{
-		Kill: []KillSpec{{Rank: 1, Op: 0}},
+		Faults: []Fault{{Rank: 1, Op: 0}},
 	}
 	_, err := RunOpts(sim.Delta(2), opts, func(p *Proc) error {
 		ReleaseBuf(p.AllReduce(7, []float64{float64(p.Rank()), 1, 2, 3}))
@@ -288,7 +332,7 @@ func TestKillDuringSendOwnedReleasesPayload(t *testing.T) {
 	defer bufpool.SetChecked(false)
 	bufpool.ResetStats()
 	opts := Options{
-		Kill: []KillSpec{{Rank: 0, Op: 0}},
+		Faults: []Fault{{Rank: 0, Op: 0}},
 	}
 	_, err := RunOpts(sim.Delta(2), opts, func(p *Proc) error {
 		if p.Rank() == 0 {
@@ -316,7 +360,7 @@ func TestStrandedMailboxPayloadsReturned(t *testing.T) {
 	defer bufpool.SetChecked(false)
 	bufpool.ResetStats()
 	opts := Options{
-		Kill: []KillSpec{{Rank: 1, Op: 2}},
+		Faults: []Fault{{Rank: 1, Op: 2}},
 	}
 	_, err := RunOpts(sim.Delta(2), opts, func(p *Proc) error {
 		if p.Rank() == 0 {

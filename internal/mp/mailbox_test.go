@@ -268,7 +268,7 @@ func freeList() []*Machine {
 func TestAbortedRunHandsBackEmptyMailboxes(t *testing.T) {
 	freeList()
 	opts := Options{
-		Kill: []KillSpec{{Rank: 1, Op: 2}},
+		Faults: []Fault{{Rank: 1, Op: 2}},
 	}
 	_, err := RunOpts(sim.Delta(2), opts, func(p *Proc) error {
 		peer := 1 - p.Rank()

@@ -190,9 +190,10 @@ type Proc struct {
 
 	// Fail-stop bookkeeping (all zero on plain runs but for a deadlock's
 	// failed).
-	ops    int64   // operations performed, for the kill schedule
-	killAt []int64 // remaining scheduled kill ops for this rank
-	failed bool    // died, or aborted on a failure or a deadlock
+	ops     int64       // operations performed, for the fault schedule
+	faultAt []Fault     // remaining scheduled faults of this rank
+	onLoss  func(Fault) // runs a LoseDisk fault (OnDiskLoss)
+	failed  bool        // died, or aborted on a failure or a deadlock
 
 	// panicBufs and panicMulti track arena buffers a collective holds
 	// mid-flight; if the operation panics (peer death, plan bug), the
@@ -329,7 +330,7 @@ func (m *Machine) start(rank int, stats *trace.Stats) *Proc {
 	p := m.procs[rank]
 	p.stats = &stats.Procs[rank]
 	if m.fail != nil {
-		p.killAt = m.fail.kills[rank]
+		p.faultAt = m.fail.faults[rank]
 	}
 	return p
 }

@@ -74,7 +74,7 @@ func TestMachineReuseAfterDeadlockAndKill(t *testing.T) {
 	if !errors.As(err, &dl) {
 		t.Fatalf("the receive cycle should deadlock, got %v", err)
 	}
-	_, err = RunOpts(sim.Delta(procs), Options{Kill: []KillSpec{{Rank: 1, Op: 4}}}, track(reuseNode))
+	_, err = RunOpts(sim.Delta(procs), Options{Faults: []Fault{{Rank: 1, Op: 4}}}, track(reuseNode))
 	var killed *RankKilledError
 	if !errors.As(err, &killed) {
 		t.Fatalf("the run should lose rank 1, got %v", err)

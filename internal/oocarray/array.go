@@ -185,6 +185,11 @@ func (a *Array) Close() error {
 	return a.laf.Close()
 }
 
+// Lose models the loss of the logical disk holding the array's file
+// (iosim.LAF.Lose): from now on every transfer of the array fails with
+// iosim.ErrDiskLost, and a parity-protected one is reconstructed.
+func (a *Array) Lose() { a.laf.Lose() }
+
 // maxChunkLists bounds the chunk-list free list (a served job holds
 // P x arrays lists at once; scale_phantom's is 64 x 3), and
 // maxChunkListCap the size of a list worth keeping.

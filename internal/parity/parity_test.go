@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/ooc-hpf/passion/internal/iosim"
@@ -100,6 +101,15 @@ func setupGroup(t *testing.T, fs iosim.FS, st *Store, cfg sim.Config, res *iosim
 	return disks, lafs, want
 }
 
+// loseDisk loses rank's logical disk as the executor does when a
+// scheduled loss fires: the rank's open file fails from now on and is
+// gone from the file system, and the store drops its handles on the disk
+// and counts the disk's parity as lost.
+func loseDisk(st *Store, l *iosim.LAF, rank int) {
+	l.Lose()
+	st.LoseDisk(rank)
+}
+
 // TestReconstructAfterDiskLoss drops every file of one logical disk and
 // checks that a read of the lost file comes back bitwise identical via
 // parity reconstruction, for every choice of lost disk.
@@ -109,20 +119,19 @@ func TestReconstructAfterDiskLoss(t *testing.T) {
 	for lost := 0; lost < procs; lost++ {
 		t.Run(fmt.Sprintf("disk%d", lost), func(t *testing.T) {
 			mem := iosim.NewMemFS()
-			chaos := iosim.NewChaosFS(mem, iosim.ChaosConfig{Seed: 11})
 			cfg := sim.Delta(procs)
 			res := iosim.NewResilience(iosim.DefaultRetryPolicy())
 			stats := make([]*trace.IOStats, procs)
 			comm := make([]*trace.ProcStats, procs)
-			st := NewStore(chaos, cfg, procs, res)
+			st := NewStore(mem, cfg, procs, res)
 			for r := 0; r < procs; r++ {
 				stats[r] = &trace.IOStats{}
 				comm[r] = &trace.ProcStats{}
 				st.SetCommSink(r, comm[r])
 			}
-			_, lafs, want := setupGroup(t, chaos, st, cfg, res, procs, elems, stats)
+			_, lafs, want := setupGroup(t, mem, st, cfg, res, procs, elems, stats)
 
-			chaos.LoseDisk(fmt.Sprintf("c.p%d.laf", lost))
+			loseDisk(st, lafs[lost], lost)
 
 			got := make([]float64, elems)
 			sec, err := lafs[lost].ReadChunks([]iosim.Chunk{{Off: 0, Len: elems}}, got)
@@ -169,13 +178,12 @@ func TestWriteAfterDiskLossRecovers(t *testing.T) {
 	const procs = 3
 	const elems = 512
 	mem := iosim.NewMemFS()
-	chaos := iosim.NewChaosFS(mem, iosim.ChaosConfig{Seed: 3})
 	cfg := sim.Delta(procs)
 	res := iosim.NewResilience(iosim.DefaultRetryPolicy())
-	st := NewStore(chaos, cfg, procs, res)
-	_, lafs, want := setupGroup(t, chaos, st, cfg, res, procs, elems, nil)
+	st := NewStore(mem, cfg, procs, res)
+	_, lafs, want := setupGroup(t, mem, st, cfg, res, procs, elems, nil)
 
-	chaos.LoseDisk("c.p1.laf")
+	loseDisk(st, lafs[1], 1)
 
 	patch := []float64{1.5, -2.5, 3.25}
 	writeVia(t, lafs[1], 100, patch)
@@ -183,7 +191,7 @@ func TestWriteAfterDiskLossRecovers(t *testing.T) {
 
 	// Second loss of the same disk: reconstruction now must reproduce
 	// the patched content, i.e. the degraded write also updated parity.
-	chaos.LoseDisk("c.p1.laf")
+	loseDisk(st, lafs[1], 1)
 	got := make([]float64, elems)
 	if _, err := lafs[1].ReadChunks([]iosim.Chunk{{Off: 0, Len: elems}}, got); err != nil {
 		t.Fatalf("read after second loss: %v", err)
@@ -230,21 +238,20 @@ func TestDirtyGroupRefusesReconstruction(t *testing.T) {
 	const procs = 3
 	const elems = 128
 	mem := iosim.NewMemFS()
-	chaos := iosim.NewChaosFS(mem, iosim.ChaosConfig{Seed: 5})
 	cfg := sim.Delta(procs)
-	st := NewStore(chaos, cfg, procs, nil)
-	_, lafs, _ := setupGroup(t, chaos, st, cfg, nil, procs, elems, nil)
+	st := NewStore(mem, cfg, procs, nil)
+	_, lafs, _ := setupGroup(t, mem, st, cfg, nil, procs, elems, nil)
 
 	// Re-creating a member under a live group leaves stale parity.
-	nd := iosim.NewDisk(chaos, cfg, nil)
+	nd := iosim.NewDisk(mem, cfg, nil)
 	nd.SetParity(st)
 	if _, err := nd.CreateLAF("c.p2.laf", elems); err != nil {
 		t.Fatal(err)
 	}
-	if !st.Dirty() {
+	if !st.NeedsRebuild(0) {
 		t.Fatal("store not dirty after member re-creation")
 	}
-	chaos.LoseDisk("c.p0.laf")
+	loseDisk(st, lafs[0], 0)
 	got := make([]float64, elems)
 	_, err := lafs[0].ReadChunks([]iosim.Chunk{{Off: 0, Len: elems}}, got)
 	if err == nil {
@@ -261,11 +268,10 @@ func TestRebuildRankRestoresRedundancy(t *testing.T) {
 	const procs = 4
 	const elems = 300
 	mem := iosim.NewMemFS()
-	chaos := iosim.NewChaosFS(mem, iosim.ChaosConfig{Seed: 9})
 	cfg := sim.Delta(procs)
 	res := iosim.NewResilience(iosim.DefaultRetryPolicy())
-	st := NewStore(chaos, cfg, procs, res)
-	disks, lafs, want := setupGroup(t, chaos, st, cfg, res, procs, elems, nil)
+	st := NewStore(mem, cfg, procs, res)
+	disks, lafs, want := setupGroup(t, mem, st, cfg, res, procs, elems, nil)
 
 	// Corrupt the parity state wholesale, then resync.
 	for p := 0; p < procs; p++ {
@@ -282,11 +288,11 @@ func TestRebuildRankRestoresRedundancy(t *testing.T) {
 		}
 	}
 	st.ClearDirty()
-	if st.Dirty() {
+	if st.NeedsRebuild(0) {
 		t.Fatal("store still dirty after full rebuild")
 	}
 
-	chaos.LoseDisk("c.p2.laf")
+	loseDisk(st, lafs[2], 2)
 	got := make([]float64, elems)
 	if _, err := lafs[2].ReadChunks([]iosim.Chunk{{Off: 0, Len: elems}}, got); err != nil {
 		t.Fatalf("read after rebuild: %v", err)
@@ -295,5 +301,132 @@ func TestRebuildRankRestoresRedundancy(t *testing.T) {
 		if v != want[2][i] {
 			t.Fatalf("element %d: got %v want %v", i, v, want[2][i])
 		}
+	}
+}
+
+// TestWriteWithParityOnLostDiskIsDegraded: a peer's write whose parity
+// lives on a lost disk is charged exactly as a write to an intact group
+// (the closed-form read-modify-write) but stores no parity and rebuilds
+// nothing inline; the disk's parity stays lost until the rebuild, which
+// recomputes it from the data the write left — so a later loss of the
+// writer's own disk reconstructs the written content.
+func TestWriteWithParityOnLostDiskIsDegraded(t *testing.T) {
+	const procs = 4
+	const elems = 1024
+	setup := func() (*Store, []*iosim.Disk, []*iosim.LAF, [][]float64, []*trace.IOStats) {
+		mem := iosim.NewMemFS()
+		cfg := sim.Delta(procs)
+		res := iosim.NewResilience(iosim.DefaultRetryPolicy())
+		st := NewStore(mem, cfg, procs, res)
+		stats := make([]*trace.IOStats, procs)
+		for r := range stats {
+			stats[r] = &trace.IOStats{}
+		}
+		disks, lafs, want := setupGroup(t, mem, st, cfg, res, procs, elems, stats)
+		for _, s := range stats {
+			*s = trace.IOStats{}
+		}
+		return st, disks, lafs, want, stats
+	}
+	patch := make([]float64, elems)
+	for i := range patch {
+		patch[i] = float64(i) + 0.5
+	}
+
+	_, _, intactLAFs, _, intact := setup()
+	writeVia(t, intactLAFs[0], 0, patch)
+
+	st, disks, lafs, want, stats := setup()
+	loseDisk(st, lafs[2], 2)
+	pname := ParityFileName("c", 2)
+	if err := st.fs.Remove(pname); err != nil {
+		t.Fatal(err)
+	}
+	if !st.NeedsRebuild(2) {
+		t.Fatal("a lost disk's parity does not count as out of sync")
+	}
+	if st.NeedsRebuild(0) {
+		t.Fatal("disk 2's loss reaches rank 0's rebuild answer: it is rank 2's to rebuild")
+	}
+	writeVia(t, lafs[0], 0, patch) // covers every parity rank, disk 2's included
+	copy(want[0], patch)
+	if *stats[0] != *intact[0] {
+		t.Fatalf("degraded write charged %+v, an intact one %+v", *stats[0], *intact[0])
+	}
+	if stats[0].ParityRebuilds != 0 || stats[0].Reconstructions != 0 {
+		t.Fatalf("degraded write did recovery work inline: %+v", *stats[0])
+	}
+	if _, err := st.fs.Open(pname); err == nil {
+		t.Fatalf("degraded write stored parity on the lost disk (%s)", pname)
+	}
+
+	// The lost disk's own file comes back from the other three disks'
+	// parity, which the write kept current.
+	got := make([]float64, elems)
+	if _, err := lafs[2].ReadChunks([]iosim.Chunk{{Off: 0, Len: elems}}, got); err != nil {
+		t.Fatalf("reconstruct the lost disk's file: %v", err)
+	}
+	if !slices.Equal(got, want[2]) {
+		t.Fatal("lost disk's file reconstructed wrong")
+	}
+	if _, err := st.RebuildRank(disks[2], 2); err != nil {
+		t.Fatal(err)
+	}
+	if stats[2].ParityRebuilds == 0 {
+		t.Fatal("the rebuild did not recompute the lost disk's parity")
+	}
+	st.ClearDirty()
+	if st.NeedsRebuild(2) {
+		t.Fatal("store still dirty after the rebuild")
+	}
+
+	loseDisk(st, lafs[0], 0)
+	if _, err := lafs[0].ReadChunks([]iosim.Chunk{{Off: 0, Len: elems}}, got); err != nil {
+		t.Fatalf("read after losing the writer's disk: %v", err)
+	}
+	if !slices.Equal(got, want[0]) {
+		t.Fatal("the degraded write is missing from the rebuilt parity")
+	}
+}
+
+// TestSequentialFileFaultsInOneGroupSurvive: a file that fails on its
+// own (not its disk) is reconstructed, and its rank's parity file is
+// presumed lost with it; the next write that updates that parity
+// rebuilds it inline, so a later fault of another member whose stripes
+// park parity there is reconstructed too instead of refused as a double
+// fault.
+func TestSequentialFileFaultsInOneGroupSurvive(t *testing.T) {
+	const procs = 4
+	const elems = 1024
+	mem := iosim.NewMemFS()
+	cfg := sim.Delta(procs)
+	res := iosim.NewResilience(iosim.DefaultRetryPolicy())
+	st := NewStore(mem, cfg, procs, res)
+	_, lafs, want := setupGroup(t, mem, st, cfg, res, procs, elems, nil)
+
+	got := make([]float64, elems)
+	lafs[1].Lose()
+	if _, err := lafs[1].ReadChunks([]iosim.Chunk{{Off: 0, Len: elems}}, got); err != nil {
+		t.Fatalf("reconstruct the first failed file: %v", err)
+	}
+	if !st.NeedsRebuild(0) {
+		t.Fatal("the reconstructed file's own parity is not presumed lost")
+	}
+	patch := make([]float64, elems)
+	for i := range patch {
+		patch[i] = float64(i) - 0.25
+	}
+	writeVia(t, lafs[0], 0, patch) // covers every parity rank, rank 1's included
+	copy(want[0], patch)
+	if st.NeedsRebuild(0) {
+		t.Fatal("the write did not rebuild the lost parity file inline")
+	}
+
+	lafs[2].Lose()
+	if _, err := lafs[2].ReadChunks([]iosim.Chunk{{Off: 0, Len: elems}}, got); err != nil {
+		t.Fatalf("reconstruct the second failed file: %v", err)
+	}
+	if !slices.Equal(got, want[2]) {
+		t.Fatal("second failed file reconstructed wrong")
 	}
 }

@@ -76,8 +76,7 @@ func (st *Store) Recover(d *iosim.Disk, name string, cause error) (float64, erro
 	}
 	st.lostParity[pSame] = true
 
-	// Mount the replacement: creating the file clears the chaos layer's
-	// lost-disk marker for it.
+	// Mount the replacement.
 	if old := st.handles[name]; old != nil {
 		old.Close()
 		delete(st.handles, name)
@@ -119,7 +118,7 @@ func (st *Store) Recover(d *iosim.Disk, name string, cause error) (float64, erro
 		p := ParityRankOf(st.procs, s)
 		q := ParityIndexOf(st.procs, s)
 		pname := ParityFileName(fi.base, p)
-		if st.lostParity[pname] {
+		if st.lostParity[pname] || st.lostDisks[p] {
 			return fail(fmt.Errorf("parity: stripe %d parity on %s is itself lost (double fault)", s, pname))
 		}
 		// Open lazily (never create: that would truncate live parity). A
@@ -212,18 +211,21 @@ func (st *Store) dataHandleFor(ni *namedInfo) (iosim.File, float64, error) {
 }
 
 // RebuildRank restores full redundancy for the parity files hosted on one
-// rank's logical disk: every parity file flagged lost, and every parity
-// file of a group flagged dirty, is recomputed wholesale from the group's
-// data files. The executor runs it on every rank (between barriers)
-// before declaring the run clean; the returned seconds are charged to
-// that rank's clock.
+// rank's logical disk: every parity file flagged lost, every parity file
+// of a group flagged dirty, and every one when the disk itself was lost,
+// is recomputed wholesale from the group's data files. The dirty and
+// lost-file flags stay until ClearDirty, so every rank of the executor's
+// parity sync reads the same NeedsRebuild answer; the disk's own flag is
+// its rank's and goes once every file it hosts is back. The executor runs
+// it on every rank (between barriers) before declaring the run clean;
+// the returned seconds are charged to that rank's clock.
 func (st *Store) RebuildRank(d *iosim.Disk, rank int) (float64, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	// Fast path: with no dirty group and no lost parity file anywhere
 	// there is nothing to rebuild for any rank, and the ordinary
 	// end-of-run sweep must stay allocation-free.
-	if len(st.dirty) == 0 && len(st.lostParity) == 0 {
+	if len(st.dirty) == 0 && len(st.lostParity) == 0 && !st.lostDisks[rank] {
 		return 0, nil
 	}
 	var sec float64
@@ -232,7 +234,7 @@ func (st *Store) RebuildRank(d *iosim.Disk, rank int) (float64, error) {
 	// seconds must be reproducible (and must match the cost model's
 	// closed form exactly).
 	for _, base := range st.memberBases {
-		if !st.dirty[base] && !st.lostParity[ParityFileName(base, rank)] {
+		if !st.dirty[base] && !st.lostParity[ParityFileName(base, rank)] && !st.lostDisks[rank] {
 			continue
 		}
 		rs, err := st.rebuildParityFileLocked(d, base, rank)
@@ -240,6 +242,9 @@ func (st *Store) RebuildRank(d *iosim.Disk, rank int) (float64, error) {
 		if err != nil {
 			errs = append(errs, err)
 		}
+	}
+	if len(errs) == 0 {
+		delete(st.lostDisks, rank)
 	}
 	return sec, errors.Join(errs...)
 }
@@ -250,7 +255,6 @@ func (st *Store) RebuildRank(d *iosim.Disk, rank int) (float64, error) {
 func (st *Store) rebuildParityFileLocked(d *iosim.Disk, base string, p int) (float64, error) {
 	pname := ParityFileName(base, p)
 	if st.phantom {
-		delete(st.lostParity, pname)
 		return 0, nil
 	}
 	st.degraded = true
@@ -335,6 +339,5 @@ func (st *Store) rebuildParityFileLocked(d *iosim.Disk, base string, p int) (flo
 	d.Record(&trace.Span{Kind: trace.KindParityRebuild, Dur: sec,
 		Deferred: true, N: maxQ, Bytes: st.modelBytes(physBytes)})
 	d.RecordCross(p, st.comm[p], &trace.Span{Kind: trace.KindRecoveryComm, N: messages, Bytes: msgBytes})
-	delete(st.lostParity, pname)
 	return sec, nil
 }

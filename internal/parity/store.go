@@ -45,8 +45,12 @@ type Store struct {
 	// lostParity marks individual parity files that failed and await a
 	// rebuild by their hosting rank.
 	lostParity map[string]bool
-	comm       map[int]*trace.ProcStats
-	degraded   bool
+	// lostDisks marks the ranks whose disk was lost (LoseDisk): the
+	// parity files it hosts take no writes (degraded) until the rank's
+	// own RebuildRank, the only other writer of its entry.
+	lostDisks map[int]bool
+	comm      map[int]*trace.ProcStats
+	degraded  bool
 }
 
 type fileInfo struct {
@@ -72,6 +76,7 @@ func NewStore(fs iosim.FS, cfg sim.Config, procs int, res *iosim.Resilience) *St
 		handles:    make(map[string]iosim.File),
 		dirty:      make(map[string]bool),
 		lostParity: make(map[string]bool),
+		lostDisks:  make(map[int]bool),
 		comm:       make(map[int]*trace.ProcStats),
 	}
 }
@@ -114,12 +119,29 @@ func (st *Store) Degraded() bool {
 	return st.degraded
 }
 
-// Dirty reports whether any parity group or parity file needs a rebuild
-// before the redundancy guarantee holds again.
-func (st *Store) Dirty() bool {
+// NeedsRebuild reports whether rank must run RebuildRank in a parity
+// sync: a group or parity file is out of sync, or the rank's own disk
+// (not a peer's) was lost.
+func (st *Store) NeedsRebuild(rank int) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return len(st.dirty) > 0 || len(st.lostParity) > 0
+	return len(st.dirty) > 0 || len(st.lostParity) > 0 || st.lostDisks[rank]
+}
+
+// LoseDisk records the loss of rank's logical disk: the store closes its
+// handles on the disk's files, and every parity file the disk hosts is
+// lost (see lostDisks) until RebuildRank(rank). The caller, rank itself,
+// removes the files and fails its own handles (iosim.LAF.Lose).
+func (st *Store) LoseDisk(rank int) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for name, h := range st.handles {
+		if iosim.DiskOf(name) == rank {
+			h.Close()
+			delete(st.handles, name)
+		}
+	}
+	st.lostDisks[rank] = true
 }
 
 // MarkDirty flags a group's parity as out of sync, forcing a rebuild
@@ -131,12 +153,15 @@ func (st *Store) MarkDirty(base string) {
 	st.degraded = true
 }
 
-// ClearDirty marks every group as back in sync. The executor calls it
-// after a barrier that follows RebuildRank on every rank.
+// ClearDirty marks every group and every failed parity file as back in
+// sync. The executor calls it after a barrier that follows RebuildRank
+// on every rank, so each rank saw the same NeedsRebuild answer before
+// it.
 func (st *Store) ClearDirty() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.dirty = make(map[string]bool)
+	clear(st.lostParity)
 }
 
 // Close releases every cached handle and removes the parity files of all
@@ -584,29 +609,30 @@ func (st *Store) WriteThrough(d *iosim.Disk, name string, byteOff, n int64, buf 
 }
 
 // applyParityRun folds the delta blocks of one parity rank into its
-// parity file as a single coalesced read-modify-write. When the parity
-// file is lost or fails permanently, it is rebuilt in place from the data
-// files (which already hold the new content). Called with st.mu held.
+// parity file as a single coalesced read-modify-write. A parity file on
+// a lost disk takes none; one lost or failing on its own is rebuilt in
+// place from the data files (which already hold the new content). Called
+// with st.mu held.
 func (st *Store) applyParityRun(d *iosim.Disk, fi fileInfo, run parityRun, sp span, delta []byte) (float64, error) {
+	if st.lostDisks[run.rank] {
+		return 0, nil
+	}
 	pname := ParityFileName(fi.base, run.rank)
-	var sec float64
 	if st.lostParity[pname] {
-		rs, err := st.rebuildParityFileLocked(d, fi.base, run.rank)
-		return sec + rs, err
+		return st.rebuildInline(d, fi.base, run.rank)
 	}
 	h := st.handles[pname]
 	if h == nil {
 		var err error
 		h, err = st.createRetry(pname)
 		if err != nil {
-			return sec, err
+			return 0, err
 		}
 		st.handles[pname] = h
 	}
 	span := bufpool.GetBytes(int((run.qHi - run.qLo + 1) * BlockBytes))
 	defer bufpool.PutBytes(span)
-	rs, err := st.readFull(h, pname, span, run.qLo*BlockBytes)
-	sec += rs
+	sec, err := st.readFull(h, pname, span, run.qLo*BlockBytes)
 	if err == nil {
 		for _, k := range run.dataBlocks {
 			s := StripeOf(st.procs, fi.rank, k)
@@ -620,11 +646,21 @@ func (st *Store) applyParityRun(d *iosim.Disk, fi fileInfo, run parityRun, sp sp
 		sec += ws
 	}
 	if err != nil {
-		// The parity file itself is failing (its disk may be gone):
-		// rebuild it wholesale from the data files, which are intact and
-		// already hold the new content.
-		rs, rerr := st.rebuildParityFileLocked(d, fi.base, run.rank)
+		// The parity file itself is failing: rebuild it wholesale from
+		// the data files, which are intact and already hold the new
+		// content.
+		rs, rerr := st.rebuildInline(d, fi.base, run.rank)
 		return sec + rs, rerr
 	}
 	return sec, nil
+}
+
+// rebuildInline rebuilds a parity file mid-write and clears its flag.
+// Called with st.mu held.
+func (st *Store) rebuildInline(d *iosim.Disk, base string, p int) (float64, error) {
+	sec, err := st.rebuildParityFileLocked(d, base, p)
+	if err == nil {
+		delete(st.lostParity, ParityFileName(base, p))
+	}
+	return sec, err
 }

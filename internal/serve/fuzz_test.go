@@ -156,8 +156,8 @@ func FuzzReplay(f *testing.F) {
 func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"tenant":"a","source":"PROGRAM x","n":64,"procs":4,"mem_elems":2048,"force":"row-slab","machine":"modern",` +
-		`"sieve":true,"prefetch":true,"phantom":true,"chaos":0.02,"chaos_corrupt":1e-3,"chaos_disk_loss":0.5,"chaos_seed":-7,` +
-		`"lose_disk":"c.p1.laf@40","retries":0,"checkpoint":1,"parity":true,"kill_rank":"1@150","timeout_ms":5000,"trace":true,` +
+		`"sieve":true,"prefetch":true,"phantom":true,"chaos":0.02,"chaos_corrupt":1e-3,"chaos_seed":-7,` +
+		`"lose_disk":"1@40","retries":0,"checkpoint":1,"parity":true,"kill_rank":"1@150","timeout_ms":5000,"trace":true,` +
 		`"idempotency_key":"k","tenant_weight":3}`))
 	f.Add([]byte(`{"n":64,"unknown":1}`))
 	f.Add([]byte(`{"n":1e999}`))

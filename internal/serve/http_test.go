@@ -194,6 +194,29 @@ func TestHTTPJobRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDiskLossIsAMachineFault: a disk loss is scheduled on the
+// machine's coordinate, lose_disk as RANK@OP, and the random disk-loss
+// knob is gone — a spec that still carries chaos_disk_loss is an unknown
+// field, a 400, not a silently fault-free run.
+func TestDiskLossIsAMachineFault(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, m := postJob(t, ts, `{"n":64,"procs":4,"mem_elems":4096,"parity":true,"chaos_disk_loss":0.5}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("chaos_disk_loss: status %d, want 400 (%v)", resp.StatusCode, m)
+	}
+	if msg, _ := m["error"].(string); !strings.Contains(msg, "chaos_disk_loss") {
+		t.Errorf("chaos_disk_loss: error %q does not name the field", msg)
+	}
+	resp, m = postJob(t, ts, `{"n":64,"procs":4,"mem_elems":4096,"parity":true,"lose_disk":"1@60"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("lose_disk 1@60 under parity: status %d, want 200 (%v)", resp.StatusCode, m)
+	}
+}
+
 func TestHTTPErrorMapping(t *testing.T) {
 	s := New(Config{Workers: 1, MemoryBudget: 1 << 20})
 	defer s.Close()

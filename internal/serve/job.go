@@ -46,15 +46,15 @@ type Request struct {
 
 	// Execution options, mirroring the ooc-run flags of the same names.
 	// Sieve and Prefetch are compiled into the plan (and so into its
-	// cache key and fingerprint); the rest configure the run.
-	Sieve         bool    `json:"sieve,omitempty"`
-	Prefetch      bool    `json:"prefetch,omitempty"`
-	Phantom       bool    `json:"phantom,omitempty"`
-	Chaos         float64 `json:"chaos,omitempty"`
-	ChaosCorrupt  float64 `json:"chaos_corrupt,omitempty"`
-	ChaosDiskLoss float64 `json:"chaos_disk_loss,omitempty"`
-	ChaosSeed     int64   `json:"chaos_seed,omitempty"`
-	LoseDisk      string  `json:"lose_disk,omitempty"`
+	// cache key and fingerprint); the rest configure the run. LoseDisk
+	// and KillRank are RANK@OP, as the flags are.
+	Sieve        bool    `json:"sieve,omitempty"`
+	Prefetch     bool    `json:"prefetch,omitempty"`
+	Phantom      bool    `json:"phantom,omitempty"`
+	Chaos        float64 `json:"chaos,omitempty"`
+	ChaosCorrupt float64 `json:"chaos_corrupt,omitempty"`
+	ChaosSeed    int64   `json:"chaos_seed,omitempty"`
+	LoseDisk     string  `json:"lose_disk,omitempty"`
 	// Retries is the per-operation retry budget; nil means the default
 	// policy when faults are injected (the CLI's -retries -1).
 	Retries    *int   `json:"retries,omitempty"`
@@ -88,8 +88,7 @@ type Request struct {
 // are not part of the checkpointed state.
 func (r Request) resumable() bool {
 	return r.Checkpoint > 0 && !r.Parity && !r.Prefetch && !r.Phantom && !r.Trace &&
-		r.KillRank == "" && r.Chaos == 0 && r.ChaosCorrupt == 0 && r.ChaosDiskLoss == 0 &&
-		r.LoseDisk == ""
+		r.KillRank == "" && r.Chaos == 0 && r.ChaosCorrupt == 0 && r.LoseDisk == ""
 }
 
 // withDefaults fills the zero-value fields with the CLI defaults, so a
@@ -119,18 +118,17 @@ func (r Request) withDefaults() Request {
 // does.
 func (r Request) runFlags() cliutil.RunFlags {
 	rf := cliutil.RunFlags{
-		Sieve:         r.Sieve,
-		Prefetch:      r.Prefetch,
-		Phantom:       r.Phantom,
-		Chaos:         r.Chaos,
-		ChaosCorrupt:  r.ChaosCorrupt,
-		ChaosDiskLoss: r.ChaosDiskLoss,
-		ChaosSeed:     r.ChaosSeed,
-		LoseDisk:      r.LoseDisk,
-		Retries:       -1,
-		Checkpoint:    r.Checkpoint,
-		Parity:        r.Parity,
-		KillRank:      r.KillRank,
+		Sieve:        r.Sieve,
+		Prefetch:     r.Prefetch,
+		Phantom:      r.Phantom,
+		Chaos:        r.Chaos,
+		ChaosCorrupt: r.ChaosCorrupt,
+		ChaosSeed:    r.ChaosSeed,
+		LoseDisk:     r.LoseDisk,
+		Retries:      -1,
+		Checkpoint:   r.Checkpoint,
+		Parity:       r.Parity,
+		KillRank:     r.KillRank,
 	}
 	if r.Retries != nil {
 		rf.Retries = *r.Retries

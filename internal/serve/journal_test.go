@@ -934,7 +934,7 @@ func TestAppendRecordMatchesMarshal(t *testing.T) {
 	}
 	three := 3
 	spec := Request{Tenant: "<a&b>", Source: "PROGRAM x\n\tEND", N: 64, Procs: 4, Chaos: 0.02,
-		Retries: &three, LoseDisk: "c.p1.laf@40", IdempotencyKey: "k\u2028", TenantWeight: 2}
+		Retries: &three, LoseDisk: "1@40", IdempotencyKey: "k\u2028", TenantWeight: 2}
 	special := outcome(Response{JobID: "job-1", Tenant: "<a&b>", Program: "x\u2028y\u2029z", SimSeconds: 1.5e-7})
 	jobs := []*walJob{{ID: "job-7", Tenant: "<t>", Key: `k"&\`, Spec: spec, Fingerprint: "fp", Attempt: 1}, nil}
 	outcomes := []*walOutcome{{Key: "k<1>\u2029", Response: special}, {Key: "k2", Response: json.RawMessage(`{}`)}}

@@ -192,8 +192,7 @@ func mkRedistribute() (func() (float64, error), error) {
 // delta/recover kernels, checksum verification and the retry machinery
 // all on the measured path.
 func mkParityDiskLoss() (func() (float64, error), error) {
-	const n, procs = 64, 4
-	const victim = "c.p1.laf"
+	const n, procs, victim = 64, 4, 1
 	mach := sim.Delta(procs)
 	cres, err := compiler.CompileSource(hpf.GaxpySource, compiler.Options{
 		N: n, Procs: procs, MemElems: 12 * n, Machine: mach, Force: "column-slab",
@@ -203,27 +202,24 @@ func mkParityDiskLoss() (func() (float64, error), error) {
 	}
 	fills := map[string]func(int, int) float64{"a": gaxpy.FillA, "b": gaxpy.FillB}
 	pol := iosim.RetryPolicy{MaxRetries: 3, BaseBackoff: 1e-3, MaxBackoff: 4e-3}
-	// Probe run: count the victim's operations so the loss lands mid-stream.
-	probe := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{})
+	// Probe run: count the victim's operations so the loss lands mid-run.
+	counts := make([]int64, procs)
 	pr, err := exec.Run(cres.Program, mach, exec.Options{
-		FS: probe, Fill: fills, Resilience: iosim.NewResilience(pol), Parity: true,
+		Fill: fills, Resilience: iosim.NewResilience(pol), Parity: true, OpCounts: counts,
 	})
 	if err != nil {
 		return nil, err
 	}
 	pr.Close()
-	lossOp := probe.FileOps(victim) / 2
+	loss := []mp.Fault{{Rank: victim, Op: counts[victim] / 2, Kind: mp.LoseDisk}}
 	op := func() (float64, error) {
-		chaos := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{
-			Schedule: []iosim.ScheduledFault{{File: victim, Op: lossOp, Kind: iosim.KindDiskLoss}},
-		})
 		out, err := exec.Run(cres.Program, mach, exec.Options{
-			FS: chaos, Fill: fills, Resilience: iosim.NewResilience(pol), Parity: true,
+			Fill: fills, Resilience: iosim.NewResilience(pol), Parity: true, Faults: loss,
 		})
 		if err != nil {
 			return 0, err
 		}
-		if chaos.Counts().DiskLosses == 0 {
+		if len(out.DiskLosses) == 0 {
 			return 0, fmt.Errorf("scheduled disk loss never fired")
 		}
 		sec := out.Stats.ElapsedSeconds()
