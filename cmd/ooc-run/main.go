@@ -88,7 +88,7 @@ func main() {
 		fatal(fmt.Errorf("-resume needs -datadir: an in-memory run leaves no checkpoint behind"))
 	}
 
-	eopts, chaosFS, err := rf.Build(baseFS, *resume)
+	eopts, err := rf.Build(baseFS, *resume)
 	if err != nil {
 		fatal(err)
 	}
@@ -132,8 +132,8 @@ func main() {
 			fmt.Println("disk loss: the scheduled loss never fired")
 		}
 	}
-	if chaosFS != nil {
-		c := chaosFS.Counts()
+	if out != nil && eopts.Chaos.Active() {
+		c := out.Chaos
 		fmt.Printf("chaos: %d ops, injected %d transient, %d permanent, %d corruptions, %d short reads, %d short writes\n",
 			c.Ops, c.Transient, c.Permanent, c.Corruptions, c.ShortReads, c.ShortWrites)
 	}

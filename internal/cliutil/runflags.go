@@ -45,8 +45,8 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.Sieve, "sieve", false, "use data sieving for discontiguous slabs")
 	fs.BoolVar(&f.Prefetch, "prefetch", false, "overlap slab reads with computation")
 	fs.BoolVar(&f.Phantom, "phantom", false, "accounting-only mode (no data, no verification)")
-	fs.Float64Var(&f.Chaos, "chaos", 0, "probability of a transient fault per file operation")
-	fs.Float64Var(&f.ChaosCorrupt, "chaos-corrupt", 0, "probability of a flipped bit per file read")
+	fs.Var((*probability)(&f.Chaos), "chaos", "probability in [0, 1] of a transient fault per file operation")
+	fs.Var((*probability)(&f.ChaosCorrupt), "chaos-corrupt", "probability in [0, 1] of a flipped bit per file read")
 	fs.StringVar(&f.LoseDisk, "lose-disk", "", "lose RANK's logical disk at its OPth message/IO operation, as RANK@OP (e.g. 1@40); surviving it needs -parity")
 	fs.Int64Var(&f.ChaosSeed, "chaos-seed", 1, "seed of the deterministic fault injection")
 	fs.IntVar(&f.Retries, "retries", -1, "retry budget per I/O operation (-1: default policy when faults are injected)")
@@ -63,17 +63,15 @@ func (f RunFlags) Runtime() oocarray.Options {
 
 // Build materializes the other flags into execution options over the
 // backing store base. A nil base leaves Options.FS nil, so the run works
-// on its plan's private in-memory store (exec.RunLowered), unless fault
-// injection needs a fresh in-memory store to wrap. resume sets
+// on its plan's private in-memory store (exec.RunLowered). resume sets
 // exec.Options.Resume and forces a checkpoint spec so the resume finds
-// one. The returned ChaosFS is non-nil exactly when probabilistic fault
-// injection wrapped the store, for end-of-run injection reporting; the
-// rank deaths and disk losses go on exec.Options.Faults. Any injected
-// fault implies the default retry policy. The caller layers on whatever
-// Build cannot know: Fill and Trace.
-func (f *RunFlags) Build(base iosim.FS, resume bool) (exec.Options, *iosim.ChaosFS, error) {
+// one. Drawn I/O faults go on exec.Options.Chaos (their counts come back
+// on exec.Result.Chaos), the rank deaths and disk losses on
+// exec.Options.Faults. Any injected fault implies the default retry
+// policy. The caller layers on whatever Build cannot know: Fill and
+// Trace.
+func (f *RunFlags) Build(base iosim.FS, resume bool) (exec.Options, error) {
 	var opts exec.Options
-	fs := base
 	for _, sched := range []struct {
 		flag, spec string
 		kind       mp.FaultKind
@@ -83,23 +81,12 @@ func (f *RunFlags) Build(base iosim.FS, resume bool) (exec.Options, *iosim.Chaos
 		}
 		ft, err := ParseRankOp(sched.spec, sched.kind)
 		if err != nil {
-			return opts, nil, fmt.Errorf("%s: %w", sched.flag, err)
+			return opts, fmt.Errorf("%s: %w", sched.flag, err)
 		}
 		opts.Faults = append(opts.Faults, ft)
 	}
-	var chaosFS *iosim.ChaosFS
-	if f.Chaos > 0 || f.ChaosCorrupt > 0 {
-		if fs == nil {
-			fs = iosim.NewMemFS()
-		}
-		chaosFS = iosim.NewChaosFS(fs, iosim.ChaosConfig{
-			Seed:       f.ChaosSeed,
-			PTransient: f.Chaos,
-			PCorrupt:   f.ChaosCorrupt,
-		})
-		fs = chaosFS
-	}
-	if f.Retries >= 0 || chaosFS != nil || f.LoseDisk != "" {
+	opts.Chaos = iosim.ChaosConfig{Seed: f.ChaosSeed, PTransient: f.Chaos, PCorrupt: f.ChaosCorrupt}
+	if f.Retries >= 0 || opts.Chaos.Active() || f.LoseDisk != "" {
 		policy := iosim.DefaultRetryPolicy()
 		if f.Retries >= 0 {
 			policy.MaxRetries = f.Retries
@@ -113,11 +100,38 @@ func (f *RunFlags) Build(base iosim.FS, resume bool) (exec.Options, *iosim.Chaos
 		}
 		opts.Checkpoint = &exec.CheckpointSpec{Every: every}
 	}
-	opts.FS = fs
+	opts.FS = base
 	opts.Phantom = f.Phantom
 	opts.Parity = f.Parity
 	opts.Resume = resume
-	return opts, chaosFS, nil
+	return opts, nil
+}
+
+// CheckProbability rejects a fault probability outside [0, 1], NaN
+// included: the -chaos and -chaos-corrupt flags and the served jobs'
+// chaos and chaos_corrupt fields take only probabilities.
+func CheckProbability(p float64) error {
+	if !(p >= 0 && p <= 1) {
+		return fmt.Errorf("%v is not a probability in [0, 1]", p)
+	}
+	return nil
+}
+
+// probability is a float64 flag that takes only probabilities.
+type probability float64
+
+func (p *probability) String() string { return strconv.FormatFloat(float64(*p), 'g', -1, 64) }
+
+func (p *probability) Set(s string) error {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return err
+	}
+	if err := CheckProbability(v); err != nil {
+		return err
+	}
+	*p = probability(v)
+	return nil
 }
 
 // ParseRankOp parses a scheduled fault of the given kind written

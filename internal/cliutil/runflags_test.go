@@ -2,6 +2,8 @@ package cliutil
 
 import (
 	"flag"
+	"io"
+	"math"
 	"slices"
 	"testing"
 
@@ -77,15 +79,15 @@ func TestRegisterAndBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, chaosFS, err := rf.Build(nil, false)
+	opts, err := rf.Build(nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chaosFS == nil {
-		t.Fatal("chaos probability set: want a ChaosFS")
+	if want := (iosim.ChaosConfig{Seed: 7, PTransient: 0.01}); opts.Chaos != want {
+		t.Errorf("chaos = %+v, want %+v", opts.Chaos, want)
 	}
-	if opts.FS != chaosFS {
-		t.Error("options FS should be the chaos wrapper")
+	if opts.FS != nil {
+		t.Error("fault injection wraps no store: FS should stay nil")
 	}
 	if opts.Resilience == nil {
 		t.Error("fault injection without an explicit retry budget should still get the default policy")
@@ -108,12 +110,12 @@ func TestRegisterAndBuild(t *testing.T) {
 func TestBuildDefaultsArePlain(t *testing.T) {
 	var rf RunFlags
 	rf.Retries = -1 // the flag default
-	opts, chaosFS, err := rf.Build(nil, false)
+	opts, err := rf.Build(nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chaosFS != nil {
-		t.Error("no fault flags: want no ChaosFS")
+	if opts.Chaos.Active() {
+		t.Errorf("no fault flags: want no drawn faults, got %+v", opts.Chaos)
 	}
 	if opts.Resilience != nil || opts.Checkpoint != nil || opts.Parity || len(opts.Faults) != 0 {
 		t.Errorf("plain build grew extras: %+v", opts)
@@ -123,17 +125,17 @@ func TestBuildDefaultsArePlain(t *testing.T) {
 	}
 }
 
-// TestBuildLoseDiskKeepsResilience: a scheduled disk loss alone wraps no
-// store (the loss is the machine's) and still gets the default retry
+// TestBuildLoseDiskKeepsResilience: a scheduled disk loss alone draws no
+// fault (the loss is the machine's) and still gets the default retry
 // policy, as every injected fault does.
 func TestBuildLoseDiskKeepsResilience(t *testing.T) {
 	rf := RunFlags{Retries: -1, LoseDisk: "2@7", Parity: true}
-	opts, chaosFS, err := rf.Build(nil, false)
+	opts, err := rf.Build(nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chaosFS != nil || opts.FS != nil {
-		t.Errorf("a disk loss alone wrapped the store: chaos %v, FS %v", chaosFS, opts.FS)
+	if opts.Chaos.Active() || opts.FS != nil {
+		t.Errorf("a disk loss alone drew faults or wrapped the store: chaos %+v, FS %v", opts.Chaos, opts.FS)
 	}
 	if opts.Resilience == nil {
 		t.Error("a disk loss without an explicit retry budget should get the default policy")
@@ -146,7 +148,7 @@ func TestBuildLoseDiskKeepsResilience(t *testing.T) {
 func TestBuildResumeForcesCheckpoint(t *testing.T) {
 	var rf RunFlags
 	rf.Retries = -1
-	opts, _, err := rf.Build(iosim.NewMemFS(), true)
+	opts, err := rf.Build(iosim.NewMemFS(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +158,7 @@ func TestBuildResumeForcesCheckpoint(t *testing.T) {
 	if !opts.Resume {
 		t.Error("resume does not set Options.Resume")
 	}
-	if opts, _, _ = rf.Build(iosim.NewMemFS(), false); opts.Resume {
+	if opts, _ = rf.Build(iosim.NewMemFS(), false); opts.Resume {
 		t.Error("a fresh run's options ask for a resume")
 	}
 }
@@ -165,12 +167,39 @@ func TestBuildBadSpecs(t *testing.T) {
 	var rf RunFlags
 	rf.Retries = -1
 	rf.LoseDisk = "nope"
-	if _, _, err := rf.Build(nil, false); err == nil {
+	if _, err := rf.Build(nil, false); err == nil {
 		t.Error("bad -lose-disk should fail Build")
 	}
 	rf = RunFlags{Retries: -1, KillRank: "x@1"}
-	if _, _, err := rf.Build(nil, false); err == nil {
+	if _, err := rf.Build(nil, false); err == nil {
 		t.Error("bad -kill-rank should fail Build")
+	}
+}
+
+// TestChaosFlagsTakeOnlyProbabilities: -chaos and -chaos-corrupt refuse
+// a value outside [0, 1], NaN included, as a flag error.
+func TestChaosFlagsTakeOnlyProbabilities(t *testing.T) {
+	for _, flagName := range []string{"-chaos", "-chaos-corrupt"} {
+		for _, v := range []string{"-0.5", "1.5", "NaN", "+Inf"} {
+			var rf RunFlags
+			fs := flag.NewFlagSet("test", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			rf.Register(fs)
+			if err := fs.Parse([]string{flagName, v}); err == nil {
+				t.Errorf("%s %s: want a flag error", flagName, v)
+			}
+		}
+		for _, v := range []string{"0", "0.03", "1"} {
+			var rf RunFlags
+			fs := flag.NewFlagSet("test", flag.ContinueOnError)
+			rf.Register(fs)
+			if err := fs.Parse([]string{flagName, v}); err != nil {
+				t.Errorf("%s %s: %v", flagName, v, err)
+			}
+		}
+	}
+	if err := CheckProbability(math.NaN()); err == nil {
+		t.Error("NaN is not a probability")
 	}
 }
 

@@ -209,10 +209,9 @@ func blockCases() []redistCase {
 // checks the destination.
 func runCase(t *testing.T, tc redistCase, form string, m IndexMap, method Method, chaos bool) {
 	t.Helper()
-	var fs iosim.FS = iosim.NewMemFS()
+	fs := iosim.NewMemFS()
 	var resil *iosim.Resilience
 	if chaos {
-		fs = iosim.NewChaosFS(fs, iosim.ChaosConfig{Seed: 7, PTransient: 0.05})
 		resil = iosim.NewResilience(iosim.DefaultRetryPolicy())
 	}
 	// One mapping per side, shared by all ranks as exec shares them: the
@@ -227,6 +226,11 @@ func runCase(t *testing.T, tc redistCase, form string, m IndexMap, method Method
 	}
 	_, err = mp.Run(sim.Delta(tc.p), func(proc *mp.Proc) error {
 		disk := iosim.NewResilientDisk(fs, proc.Config(), &proc.Stats().IO, resil)
+		if chaos {
+			var c iosim.Chaos
+			c.Reset(iosim.ChaosConfig{Seed: 7, PTransient: 0.05}, proc.Rank(), nil)
+			disk.SetChaos(&c)
+		}
 		src := sideFor(t, disk, srcMap, proc.Rank(), valueAt)
 		dst := sideFor(t, disk, dstMap, proc.Rank(), nil)
 		if err := Redistribute(proc, src, dst, tc.memElems, 30, m, method); err != nil {

@@ -25,13 +25,17 @@ func TestRecoveryClosedFormAllVictims(t *testing.T) {
 		st := parity.NewStore(fs, cfg, procs, nil)
 		for _, base := range bases {
 			st.Protect(base)
-			for r := 0; r < procs; r++ {
+			lafs := make([]*iosim.LAF, procs)
+			for r := range lafs {
 				d := iosim.NewResilientDisk(fs, cfg, &trace.IOStats{}, nil)
 				d.SetParity(st)
 				l, err := d.CreateLAF(fmt.Sprintf("%s.p%d.laf", base, r), elems[base])
 				if err != nil {
 					t.Fatal(err)
 				}
+				lafs[r] = l
+			}
+			for r, l := range lafs {
 				data := make([]float64, elems[base])
 				for i := range data {
 					data[i] = float64(i + r)
@@ -55,6 +59,7 @@ func TestRecoveryClosedFormAllVictims(t *testing.T) {
 		}
 
 		re := parity.NewStore(fs, cfg, procs, nil)
+		re.LoseDisk(dead) // the dead rank's disk, its hosted parity with it
 		comm := make([]trace.ProcStats, procs)
 		for r := 0; r < procs; r++ {
 			re.SetCommSink(r, &comm[r])

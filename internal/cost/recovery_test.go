@@ -48,13 +48,17 @@ func TestRecoveryClosedFormMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, base := range bases {
 		st.Protect(base)
-		for r := 0; r < procs; r++ {
+		lafs := make([]*iosim.LAF, procs)
+		for r := range lafs {
 			d := iosim.NewResilientDisk(fs, cfg, &trace.IOStats{}, nil)
 			d.SetParity(st)
 			l, err := d.CreateLAF(fmt.Sprintf("%s.p%d.laf", base, r), elems[base])
 			if err != nil {
 				t.Fatal(err)
 			}
+			lafs[r] = l
+		}
+		for _, l := range lafs {
 			data := make([]float64, elems[base])
 			for i := range data {
 				data[i] = rng.Float64()
@@ -85,6 +89,7 @@ func TestRecoveryClosedFormMatchesRebuild(t *testing.T) {
 	// The real rebuild, the way the executor's pre-pass runs it: a fresh
 	// store attached (trusted) to the surviving files.
 	re := parity.NewStore(fs, cfg, procs, nil)
+	re.LoseDisk(dead) // the dead rank's disk, its hosted parity with it
 	defer re.Detach()
 	comm := make([]trace.ProcStats, procs)
 	for r := 0; r < procs; r++ {

@@ -89,19 +89,27 @@ func TestDiskLossReturnsEveryBuffer(t *testing.T) {
 	}
 
 	// A permanent fault on one protected file escalates the same way, from
-	// a live handle rather than the lost-disk sentinel.
-	bufpool.ResetStats()
-	chaos := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{
-		Schedule: []iosim.ScheduledFault{{File: "c.p1.laf", Op: 3, Kind: iosim.KindPermanent}},
-	})
-	out, err := Run(res.Program, sim.Delta(res.Program.Procs), Options{
-		FS: chaos, Fill: sweepFills(), Resilience: parityResilience(), Parity: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Stats.TotalIO().Reconstructions == 0 {
-		t.Fatal("the permanent fault escalated to no reconstruction")
+	// a live handle rather than the lost-disk sentinel: the last of rank
+	// 1's file operations whose permanent fault the run survives by an
+	// accounted reconstruction (the fills before the computation are
+	// unaccounted).
+	opts := Options{Fill: sweepFills(), Resilience: parityResilience(), Parity: true}
+	mach := sim.Delta(res.Program.Procs)
+	var out *Result
+	for k := fileOps(t, res.Program, mach, opts)[1] - 1; out == nil; k-- {
+		if k < 0 {
+			t.Fatal("no permanent fault on rank 1's file operations escalated to a reconstruction")
+		}
+		bufpool.ResetStats()
+		o := opts
+		o.Faults = []mp.Fault{{Rank: 1, Op: k, Kind: mp.IOPermanent}}
+		o.Resilience = parityResilience()
+		r, err := Run(res.Program, mach, o)
+		if err == nil && r.Stats.TotalIO().Reconstructions > 0 {
+			out = r
+		} else if err == nil {
+			r.Close()
+		}
 	}
 	if err := out.Close(); err != nil {
 		t.Fatal(err)
@@ -238,33 +246,30 @@ func TestFailedSlabReadReturnsItsBuffer(t *testing.T) {
 	} {
 		mach := sim.Delta(tc.res.Program.Procs)
 		for _, prefetch := range []bool{false, true} {
-			run := func(schedule []iosim.ScheduledFault) (*iosim.ChaosFS, error) {
+			prog := withRuntime(tc.res.Program, oocarray.Options{Prefetch: prefetch})
+			run := func(faults ...mp.Fault) error {
 				bufpool.ResetStats()
-				fs := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{Schedule: schedule})
-				out, err := Run(withRuntime(tc.res.Program, oocarray.Options{Prefetch: prefetch}), mach, Options{FS: fs, Fill: tc.fills})
+				out, err := Run(prog, mach, Options{Fill: tc.fills, Faults: faults})
 				if err == nil {
 					err = out.Close()
 				}
 				if n := arenaOutstanding(); n != 0 {
-					t.Errorf("%s, prefetch %v, fault %v: %d arena buffers outstanding: %+v", tc.name, prefetch, schedule, n, bufpool.Snapshot())
+					t.Errorf("%s, prefetch %v, fault %v: %d arena buffers outstanding: %+v", tc.name, prefetch, faults, n, bufpool.Snapshot())
 				}
-				return fs, err
+				return err
 			}
-			clean, err := run(nil)
-			if err != nil {
+			if err := run(); err != nil {
 				t.Fatal(err)
 			}
-			for _, spec := range tc.res.Program.Arrays {
-				file := fmt.Sprintf("%s.p%d.laf", spec.Name, tc.rank)
-				ops := clean.FileOps(file)
-				if ops == 0 {
-					t.Fatalf("no operation on %s", file)
-				}
-				// The file's last operation is Close removing it: not the run's.
-				for k := int64(0); k < ops-1; k++ {
-					if _, err := run([]iosim.ScheduledFault{{File: file, Op: k, Kind: iosim.KindPermanent}}); err == nil {
-						t.Errorf("%s, prefetch %v: a permanent fault at op %d of %s did not fail the run", tc.name, prefetch, k, file)
-					}
+			// Every file operation of the rank is the run's: Close's
+			// removals are no rank's.
+			ops := fileOps(t, prog, mach, Options{Fill: tc.fills})[tc.rank]
+			if ops == 0 {
+				t.Fatalf("rank %d issued no file operation", tc.rank)
+			}
+			for k := int64(0); k < ops; k++ {
+				if err := run(mp.Fault{Rank: tc.rank, Op: k, Kind: mp.IOPermanent}); err == nil {
+					t.Errorf("%s, prefetch %v: a permanent fault at rank %d's file op %d did not fail the run", tc.name, prefetch, tc.rank, k)
 				}
 			}
 		}

@@ -1,14 +1,17 @@
 package exec
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/ooc-hpf/passion/internal/compiler"
 	"github.com/ooc-hpf/passion/internal/hpf"
 	"github.com/ooc-hpf/passion/internal/iosim"
 	"github.com/ooc-hpf/passion/internal/matrix"
+	"github.com/ooc-hpf/passion/internal/mp"
 	"github.com/ooc-hpf/passion/internal/sim"
 )
 
@@ -59,18 +62,15 @@ func TestChaosTransientRunMatchesFaultFree(t *testing.T) {
 			res := chaosProgram(t, force)
 			want := baselineC(t, res)
 
-			chaos := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{
-				Seed: 1, PTransient: 0.03,
-			})
 			out, err := Run(res.Program, sim.Delta(res.Program.Procs), Options{
-				FS:         chaos,
+				Chaos:      iosim.ChaosConfig{Seed: 1, PTransient: 0.03},
 				Fill:       sweepFills(),
 				Resilience: iosim.NewResilience(iosim.RetryPolicy{MaxRetries: 12, BaseBackoff: 1e-3, MaxBackoff: 8e-3}),
 			})
 			if err != nil {
 				t.Fatalf("transient faults must be absorbed by retries: %v", err)
 			}
-			if c := chaos.Counts(); c.Transient == 0 {
+			if c := out.Chaos; c.Transient == 0 {
 				t.Fatalf("the chaos model injected nothing: %+v", c)
 			}
 			got, err := out.ReadArray("c")
@@ -94,18 +94,15 @@ func TestChaosCorruptionNeverSilent(t *testing.T) {
 	res := chaosProgram(t, "")
 	want := baselineC(t, res)
 
-	chaos := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{
-		Seed: 5, PCorrupt: 0.05,
-	})
 	out, err := Run(res.Program, sim.Delta(res.Program.Procs), Options{
-		FS:         chaos,
+		Chaos:      iosim.ChaosConfig{Seed: 5, PCorrupt: 0.05},
 		Fill:       sweepFills(),
 		Resilience: iosim.NewResilience(iosim.RetryPolicy{MaxRetries: 12, BaseBackoff: 1e-3, MaxBackoff: 8e-3}),
 	})
 	if err != nil {
 		t.Fatalf("read-path corruption must be repaired by retry: %v", err)
 	}
-	if c := chaos.Counts(); c.Corruptions == 0 {
+	if c := out.Chaos; c.Corruptions == 0 {
 		t.Fatalf("the chaos model injected no corruption: %+v", c)
 	}
 	got, err := out.ReadArray("c")
@@ -128,43 +125,42 @@ func TestResumeAfterKillBitwiseIdentical(t *testing.T) {
 			mach := sim.Delta(res.Program.Procs)
 			ckpt := &CheckpointSpec{Every: 1}
 
-			// Measure the op count of an uninterrupted checkpointed run.
-			probe := iosim.NewFaultFS(iosim.NewMemFS(), 1<<30, nil)
-			if _, err := Run(res.Program, mach, Options{FS: probe, Fill: sweepFills(), Checkpoint: ckpt}); err != nil {
-				t.Fatal(err)
-			}
-			total := 1<<30 - probe.Remaining()
+			// Measure each rank's file operations in an uninterrupted
+			// checkpointed run.
+			counts := fileOps(t, res.Program, mach, Options{Fill: sweepFills(), Checkpoint: ckpt})
 
-			// Kill near the end: every operation past the budget fails
-			// permanently, on all processors at once. Scan downward from
-			// the full budget for the latest kill point that both fails
-			// the run and leaves a committed checkpoint behind (a kill can
-			// land mid-commit, in which case some rank has no manifest).
+			// Kill near the end: every file operation of one rank from an
+			// op on fails permanently. Scan each rank downward from its
+			// last op for the latest kill point that both fails the run
+			// and leaves a committed checkpoint behind (a kill can land
+			// mid-commit, in which case some rank has no manifest).
 			var mem *iosim.MemFS
 			var out *Result
-			for k := total - 1; k >= 1; k-- {
-				m := iosim.NewMemFS()
-				killed := iosim.NewFaultFS(m, k, nil)
-				_, err := Run(res.Program, mach, Options{FS: killed, Fill: sweepFills(), Checkpoint: ckpt})
-				if err == nil {
-					continue // budget k sufficed; kill earlier
+		scan:
+			for r := len(counts) - 1; r >= 0; r-- {
+				for k := counts[r] - 1; k >= 1; k-- {
+					m := iosim.NewMemFS()
+					_, err := Run(res.Program, mach, Options{FS: m, Fill: sweepFills(), Checkpoint: ckpt, Faults: []mp.Fault{outage(r, k)}})
+					if err == nil {
+						continue // the outage never reached a failing operation; kill earlier
+					}
+					// The LAF files must survive the failure (they are the
+					// restart state), unlike the non-checkpointed error path.
+					if len(m.Names()) == 0 {
+						t.Fatalf("rank %d op %d: checkpointed failure must keep its files for Resume", r, k)
+					}
+					// Resume against the recovered store (the outage is
+					// over, the files are intact).
+					o, err := Run(res.Program, mach, Options{FS: m, Fill: sweepFills(), Checkpoint: ckpt, Resume: true})
+					if errors.Is(err, ErrNoCheckpoint) {
+						continue // killed before the first commit
+					}
+					if err != nil {
+						t.Fatalf("rank %d op %d: Resume: %v", r, k, err)
+					}
+					mem, out = m, o
+					break scan
 				}
-				// The LAF files must survive the failure (they are the
-				// restart state), unlike the non-checkpointed error path.
-				if len(m.Names()) == 0 {
-					t.Fatalf("k=%d: checkpointed failure must keep its files for Resume", k)
-				}
-				// Resume against the recovered store (the transient outage
-				// is over: the wrapper is gone, the files are intact).
-				r, err := Run(res.Program, mach, Options{FS: m, Fill: sweepFills(), Checkpoint: ckpt, Resume: true})
-				if errors.Is(err, ErrNoCheckpoint) {
-					continue // killed before the first commit
-				}
-				if err != nil {
-					t.Fatalf("k=%d: Resume: %v", k, err)
-				}
-				mem, out = m, r
-				break
 			}
 			if out == nil {
 				t.Fatal("no kill point produced a resumable checkpoint")
@@ -197,46 +193,139 @@ func TestResumeSweepEveryKillPoint(t *testing.T) {
 	mach := sim.Delta(res.Program.Procs)
 	ckpt := &CheckpointSpec{Every: 1}
 
-	probe := iosim.NewFaultFS(iosim.NewMemFS(), 1<<30, nil)
-	if _, err := Run(res.Program, mach, Options{FS: probe, Fill: sweepFills(), Checkpoint: ckpt}); err != nil {
-		t.Fatal(err)
-	}
-	total := 1<<30 - probe.Remaining()
+	counts := fileOps(t, res.Program, mach, Options{Fill: sweepFills(), Checkpoint: ckpt})
 
-	step := total / 16
-	if step < 1 {
-		step = 1
-	}
-	resumed, restarted := 0, 0
-	for k := 1; k < total; k += step {
-		mem := iosim.NewMemFS()
-		killed := iosim.NewFaultFS(mem, k, nil)
-		if _, err := Run(res.Program, mach, Options{FS: killed, Fill: sweepFills(), Checkpoint: ckpt}); err == nil {
-			continue // budget k happened to suffice
-		}
-		out, err := Run(res.Program, mach, Options{FS: mem, Fill: sweepFills(), Checkpoint: ckpt, Resume: true})
-		switch {
-		case err == nil:
-			resumed++
-		case errors.Is(err, ErrNoCheckpoint):
-			// Killed before the first commit: restart from scratch.
-			restarted++
-			out, err = Run(res.Program, mach, Options{FS: iosim.NewMemFS(), Fill: sweepFills(), Checkpoint: ckpt})
-			if err != nil {
-				t.Fatalf("k=%d: fresh restart failed: %v", k, err)
+	resumed, restarted, pairs := 0, 0, 0
+	for r, c := range counts {
+		for k := int64(0); k < c; k++ {
+			pairs++
+			if err := resumeAfterOutage(t, res, want, ckpt, r, k); err != nil {
+				restarted++
+			} else {
+				resumed++
 			}
-		default:
-			t.Fatalf("k=%d: Resume failed with %v", k, err)
-		}
-		got, err := out.ReadArray("c")
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if err := matricesIdentical(got, want); err != nil {
-			t.Fatalf("k=%d: recovered run diverged: %v", k, err)
 		}
 	}
 	if resumed == 0 {
 		t.Fatalf("no kill point exercised an actual resume (resumed=%d restarted=%d)", resumed, restarted)
+	}
+	t.Logf("%d (rank, op) outages over file-op counts %v", pairs, counts)
+}
+
+// resumeAfterOutage kills a checkpointed run with an outage of rank r's
+// file operations from op k on, resumes it (or, killed before the first
+// commit, restarts it) and requires the final C to be want. It returns
+// ErrNoCheckpoint when the run restarted; an outage that never fails the
+// run counts as a resume.
+func resumeAfterOutage(t *testing.T, res *compiler.Result, want *matrix.Matrix, ckpt *CheckpointSpec, r int, k int64) error {
+	t.Helper()
+	mach := sim.Delta(res.Program.Procs)
+	mem := iosim.NewMemFS()
+	out, err := Run(res.Program, mach, Options{FS: mem, Fill: sweepFills(), Checkpoint: ckpt, Faults: []mp.Fault{outage(r, k)}})
+	var restarted error
+	if err != nil {
+		out, err = Run(res.Program, mach, Options{FS: mem, Fill: sweepFills(), Checkpoint: ckpt, Resume: true})
+		if errors.Is(err, ErrNoCheckpoint) {
+			// Killed before the first commit: restart from scratch.
+			restarted = err
+			out, err = Run(res.Program, mach, Options{FS: iosim.NewMemFS(), Fill: sweepFills(), Checkpoint: ckpt})
+		}
+		if err != nil {
+			t.Fatalf("rank %d op %d: recovery failed: %v", r, k, err)
+		}
+	}
+	got, err := out.ReadArray("c")
+	if err != nil {
+		t.Fatalf("rank %d op %d: %v", r, k, err)
+	}
+	if err := matricesIdentical(got, want); err != nil {
+		t.Fatalf("rank %d op %d: recovered run diverged: %v", r, k, err)
+	}
+	return restarted
+}
+
+// TestChaosIndependentOfScheduling: drawn faults are keyed on the rank
+// that issues each file operation and on its own count of them, so a
+// parity-protected chaos run — whose parity files every rank writes —
+// gives the same statistics, the same injected counts and the same
+// outcome whatever the host's scheduling, failing runs included. It is
+// ooc-run -n 64 -parity -chaos 0.03 -retries 1 -chaos-seed S over seeds
+// 1-12, each under GOMAXPROCS=1 and NumCPU.
+func TestChaosIndependentOfScheduling(t *testing.T) {
+	res, err := compiler.CompileSource(hpf.GaxpySource, compiler.Options{
+		N: 64, Procs: 4, MemElems: 1 << 15, Policy: compiler.PolicyWeighted,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach := sim.Delta(res.Program.Procs)
+	run := func(seed int64, threads int) (string, bool) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(threads))
+		policy := iosim.DefaultRetryPolicy()
+		policy.MaxRetries = 1
+		out, err := Run(res.Program, mach, Options{
+			Fill: sweepFills(), Parity: true, Resilience: iosim.NewResilience(policy),
+			Chaos: iosim.ChaosConfig{Seed: seed, PTransient: 0.03},
+		})
+		if err != nil {
+			return "", false
+		}
+		defer out.Close()
+		snap, err := json.Marshal(out.Stats.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%s %+v", snap, out.Chaos), true
+	}
+	failed := 0
+	for seed := int64(1); seed <= 12; seed++ {
+		want, ok := run(seed, 1)
+		if !ok {
+			failed++
+		}
+		got, gotOK := run(seed, runtime.NumCPU())
+		if gotOK != ok {
+			t.Errorf("seed %d: the run succeeded under GOMAXPROCS=1: %v, under %d: %v", seed, ok, runtime.NumCPU(), gotOK)
+		} else if got != want {
+			t.Errorf("seed %d: statistics differ between GOMAXPROCS=1 and %d\ngot  %s\nwant %s", seed, runtime.NumCPU(), got, want)
+		}
+	}
+	if failed == 12 {
+		t.Fatal("every seed failed: the sweep checks no statistics")
+	}
+	t.Logf("%d of 12 seeds fail their run", failed)
+}
+
+// TestCheckpointedRunAbsorbsATransientFault lands one transient fault on
+// each file operation of a checkpointed run's rank in turn — array,
+// snapshot and manifest operations alike — and requires every run to
+// retry it and finish with the fault-free result.
+func TestCheckpointedRunAbsorbsATransientFault(t *testing.T) {
+	res := chaosProgram(t, "row-slab")
+	want := baselineC(t, res)
+	mach := sim.Delta(res.Program.Procs)
+	ckpt := &CheckpointSpec{Every: 1}
+	const rank = 1
+	opts := Options{Fill: sweepFills(), Checkpoint: ckpt, Resilience: iosim.NewResilience(iosim.DefaultRetryPolicy())}
+	ops := fileOps(t, res.Program, mach, opts)[rank]
+	for k := int64(0); k < ops; k++ {
+		o := opts
+		o.Resilience = iosim.NewResilience(iosim.DefaultRetryPolicy())
+		o.Faults = []mp.Fault{{Rank: rank, Op: k, Kind: mp.IOTransient}}
+		out, err := Run(res.Program, mach, o)
+		if err != nil {
+			t.Fatalf("a transient fault at rank %d's file op %d failed the run: %v", rank, k, err)
+		}
+		if out.Chaos.Transient != 1 {
+			t.Fatalf("op %d: injected %+v, want one transient fault", k, out.Chaos)
+		}
+		got, err := out.ReadArray("c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := matricesIdentical(got, want); err != nil {
+			t.Fatalf("op %d: %v", k, err)
+		}
+		out.Close()
 	}
 }

@@ -147,11 +147,11 @@ func b64ToFloats(s string) ([]float64, error) {
 	return v, nil
 }
 
-// writeManifest frames and stores one manifest: magic, payload length,
-// payload CRC32, JSON payload. The framing makes torn or corrupted
-// manifests detectable, so Resume simply ignores them and falls back to
-// the other slot.
-func writeManifest(fs iosim.FS, name string, m *ckptManifest) error {
+// writeManifest frames and stores one manifest through d, under its
+// retry policy: magic, payload length, payload CRC32, JSON payload. The
+// framing makes torn or corrupted manifests detectable, so Resume simply
+// ignores them and falls back to the other slot.
+func writeManifest(d *iosim.Disk, name string, m *ckptManifest) error {
 	payload, err := json.Marshal(m)
 	if err != nil {
 		return fmt.Errorf("exec: encode checkpoint manifest: %w", err)
@@ -161,13 +161,24 @@ func writeManifest(fs iosim.FS, name string, m *ckptManifest) error {
 	binary.BigEndian.PutUint32(frame[len(ckptMagic):], uint32(len(payload)))
 	binary.BigEndian.PutUint32(frame[len(ckptMagic)+4:], crc32.ChecksumIEEE(payload))
 	copy(frame[len(ckptMagic)+8:], payload)
-	f, err := fs.Create(name)
+	var f iosim.File
+	_, err = d.Retry("create", name, false, func() error {
+		f, err = d.Create(name)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("exec: create checkpoint manifest %s: %w", name, err)
 	}
-	n, werr := f.WriteAt(frame, 0)
+	var n int
+	_, werr := d.Retry("write", name, false, func() error {
+		var err error
+		if n, err = d.WriteAt(f, name, frame, 0); err == nil && n != len(frame) {
+			err = io.ErrShortWrite
+		}
+		return err
+	})
 	cerr := f.Close()
-	if werr != nil || n != len(frame) {
+	if werr != nil {
 		return fmt.Errorf("exec: write checkpoint manifest %s: %d of %d bytes: %v", name, n, len(frame), werr)
 	}
 	if cerr != nil {
@@ -264,7 +275,7 @@ func (in *interp) checkpoint(nodeIdx, iter int) error {
 		if err != nil {
 			return fmt.Errorf("exec: checkpoint snapshot of %q: %w", name, err)
 		}
-		disk := iosim.NewResilientDisk(in.fs, in.proc.Config(), nil, in.res)
+		disk := in.disk(nil)
 		laf, err := disk.CreateLAF(spec.snapshotName(name, rank, slot), int64(len(m.Data)))
 		if err != nil {
 			return fmt.Errorf("exec: checkpoint snapshot of %q: %w", name, err)
@@ -307,7 +318,7 @@ func (in *interp) checkpoint(nodeIdx, iter int) error {
 			}
 		}
 	}
-	if err := writeManifest(in.fs, spec.manifestName(rank, slot), man); err != nil {
+	if err := writeManifest(in.disk(nil), spec.manifestName(rank, slot), man); err != nil {
 		return err
 	}
 	// Commit: every processor has durably written epoch E before any
@@ -449,7 +460,7 @@ func (in *interp) restore(r *restored) error {
 	rank := in.proc.Rank()
 	for _, ai := range r.arrays {
 		arr, name := in.arrays[ai], in.code.Arrays[ai].Name
-		disk := iosim.NewResilientDisk(in.fs, in.proc.Config(), nil, in.res)
+		disk := in.disk(nil)
 		laf, err := disk.OpenLAF(spec.snapshotName(name, rank, slot), int64(arr.LocalElems()))
 		if err != nil {
 			return fmt.Errorf("exec: restore snapshot of %q: %w", name, err)

@@ -82,7 +82,7 @@ func validManifestFrame(t testing.TB) []byte {
 		Arrays:  []string{"c"},
 		Run:     &ckptStats{Clock: 0.25, Flops: 64},
 	}
-	if err := writeManifest(fs, "m", m); err != nil {
+	if err := writeManifest(iosim.NewDisk(fs, sim.Delta(1), nil), "m", m); err != nil {
 		t.Fatal(err)
 	}
 	f, err := fs.Open("m")
@@ -96,7 +96,7 @@ func validManifestFrame(t testing.TB) []byte {
 }
 
 // TestReadManifestHostileLength: a length field claiming 4 GiB in front of
-// a 2 KB file — one flipped bit, a fault ChaosFS's corrupt kind injects —
+// a 2 KB file — one flipped bit, a fault the corrupt kind injects —
 // must be rejected on the bytes present, not by allocating the claim.
 func TestReadManifestHostileLength(t *testing.T) {
 	frame := validManifestFrame(t)
@@ -227,7 +227,7 @@ func TestRestoreRejectsForeignManifest(t *testing.T) {
 				}
 			}
 			tc.edit(m)
-			if err := writeManifest(mem, mname, m); err != nil {
+			if err := writeManifest(iosim.NewDisk(mem, sim.Delta(1), nil), mname, m); err != nil {
 				t.Fatal(err)
 			}
 			before := sortedNames(mem)

@@ -63,12 +63,19 @@ type Options struct {
 	// clocks and surfaced in the Parity*/Reconstruct* statistics.
 	Parity bool
 	// Faults schedules injected faults on the machine's per-rank
-	// operation counter (messages and local array chunk I/O, see
-	// mp.Fault). A rank death is survived with Checkpoint and Parity
+	// coordinate (see mp.Fault): rank deaths and disk losses on its
+	// operation counter (messages and local array chunk I/O), I/O faults
+	// on the file operations the rank issues, which its fault source
+	// (Chaos) fires. A rank death is survived with Checkpoint and Parity
 	// both set (see Result.Recoveries); a disk loss (interp.loseDisk) is
 	// reconstructed online with Parity set (see Result.DiskLosses).
 	// Without them the fault fails the run.
 	Faults []mp.Fault
+	// Chaos draws I/O faults on every file operation a rank issues (see
+	// iosim.Chaos); the injected counts come back on Result.Chaos. I/O
+	// no rank issues — verification reads, resume's manifest scan,
+	// cleanup, the offline rebuild between attempts — draws nothing.
+	Chaos iosim.ChaosConfig
 	// OpCounts, when non-nil (len >= Procs), receives each rank's final
 	// fault operation count; probe runs use it to learn the op-index
 	// space a fault schedule can target.
@@ -98,6 +105,12 @@ func (o Options) mpOptions() mp.Options {
 	return mp.Options{Faults: o.Faults, OpCounts: o.OpCounts}
 }
 
+// chaosActive reports whether the ranks' file operations go through a
+// fault source: faults are drawn or a file-operation fault is scheduled.
+func (o Options) chaosActive() bool {
+	return o.Chaos.Active() || slices.ContainsFunc(o.Faults, func(f mp.Fault) bool { return f.Kind.IO() })
+}
+
 // failureActive reports whether any fault machinery (fault schedule, op
 // counting) is configured; only then are the per-array disks' operation
 // hooks and the disk-loss handler installed, keeping plain runs at zero
@@ -124,6 +137,10 @@ type Result struct {
 	// DiskLosses lists the scheduled disk losses that fired, over every
 	// attempt, in attempt and then rank order.
 	DiskLosses []mp.Fault
+	// Chaos sums, over every rank and attempt, the file operations the
+	// ranks' fault sources saw and the faults they injected (zero when
+	// Options inject no I/O fault).
+	Chaos iosim.ChaosCounts
 	// Trace holds the successful attempt's spans: Options.Trace itself
 	// when no loss occurred, else a fresh tracer sharing its live stream
 	// (the aborted attempts' tracers are in Recoveries).
@@ -361,13 +378,21 @@ func run(ctx context.Context, l *Lowered, mach sim.Config, opts Options, resume 
 	if opts.Parity {
 		pstore = parity.NewStore(fs, mach, p.Procs, opts.Resilience)
 		pstore.SetPhantom(opts.Phantom)
-		for _, spec := range code.Arrays {
-			pstore.Protect(spec.Name)
+		// Every rank's file size of each array, which the parity
+		// hosts size their files by.
+		bytes := make([]int64, len(l.shares))
+		for j, sh := range l.shares {
+			bytes[j] = int64(sh.Rows) * int64(sh.Cols) * iosim.FileElemBytes
+		}
+		for i, spec := range code.Arrays {
+			pstore.Protect(spec.Name, bytes[i*p.Procs:(i+1)*p.Procs]...)
 		}
 	}
 	k := l.takeKit()
 	k.created.Add(p.Procs)
+	k.opts = opts
 	stats, err := mp.RunOpts(mach, opts.mpOptions(), func(proc *mp.Proc) error {
+		opts := &k.opts
 		proc.SetTracer(opts.Trace.Rank(proc.Rank()))
 		for _, r := range respawned {
 			if r == proc.Rank() {
@@ -442,6 +467,9 @@ func run(ctx context.Context, l *Lowered, mach sim.Config, opts Options, resume 
 		ckpt: opts.Checkpoint, pstore: pstore, mutated: mutated.names}
 	for _, in := range k.interps {
 		res.DiskLosses = append(res.DiskLosses, in.lost...)
+		if in.inj != nil {
+			res.Chaos.Add(in.inj.Counts())
+		}
 	}
 	if err != nil {
 		// Without a checkpoint there is nothing to resume from, so a
@@ -524,6 +552,10 @@ type interp struct {
 	fs      iosim.FS
 	res     *iosim.Resilience
 	pstore  *parity.Store
+	// inj is the rank's fault source, chaos armed for the run, when the
+	// run injects I/O faults; every disk the rank makes carries it.
+	inj   *iosim.Chaos
+	chaos iosim.Chaos
 
 	// ckptSpec/ckptEpoch drive checkpointing; ckptSpec is nil when
 	// checkpointing is off. ckptHook observes committed epochs on rank 0;
@@ -605,7 +637,7 @@ type tables struct {
 // creates the arrays. The split lets the node closure register the
 // per-array statistics map before any I/O happens, so even a rank killed
 // during array fill leaves reconcilable statistics behind.
-func (in *interp) start(ctx context.Context, l *Lowered, proc *mp.Proc, fs iosim.FS, opts Options, pstore *parity.Store) {
+func (in *interp) start(ctx context.Context, l *Lowered, proc *mp.Proc, fs iosim.FS, opts *Options, pstore *parity.Store) {
 	*in = interp{
 		ctx:          ctx,
 		done:         ctx.Done(),
@@ -620,8 +652,21 @@ func (in *interp) start(ctx context.Context, l *Lowered, proc *mp.Proc, fs iosim
 		ckptHook:     opts.CkptHook,
 		restoreStats: opts.RestoreStats,
 		mutated:      l.mutated,
+		chaos:        in.chaos,
 		tables:       in.tables,
 	}
+	if opts.chaosActive() {
+		in.chaos.Reset(opts.Chaos, proc.Rank(), opts.Faults)
+		in.inj = &in.chaos
+	}
+}
+
+// disk makes a disk of the rank's over the run's store, accounting into
+// stats (nil: unaccounted) and carrying the rank's fault source.
+func (in *interp) disk(stats *trace.IOStats) *iosim.Disk {
+	d := iosim.NewResilientDisk(in.fs, in.proc.Config(), stats, in.res)
+	d.SetChaos(in.inj)
+	return d
 }
 
 // initArrays creates (or, on resume, reattaches to) the rank's local
@@ -632,7 +677,7 @@ func (in *interp) start(ctx context.Context, l *Lowered, proc *mp.Proc, fs iosim
 // exactly as they can between message operations: creating counts no
 // operation, filling does. Between the two the ranks meet at created (no
 // simulated cost), so a reconstruction finds every group member there.
-func (in *interp) initArrays(opts Options, rt oocarray.Options, resume *restored, created *sync.WaitGroup) error {
+func (in *interp) initArrays(opts *Options, rt oocarray.Options, resume *restored, created *sync.WaitGroup) error {
 	err := in.createArrays(opts, rt, resume != nil, created)
 	created.Wait()
 	if err != nil {
@@ -655,7 +700,7 @@ func (in *interp) initArrays(opts Options, rt oocarray.Options, resume *restored
 // attaches to the existing ones (a resumed run rebuilds their contents
 // from the checkpoints). It arrives at created on every path, a panic's
 // included.
-func (in *interp) createArrays(opts Options, rt oocarray.Options, reopen bool, created *sync.WaitGroup) error {
+func (in *interp) createArrays(opts *Options, rt oocarray.Options, reopen bool, created *sync.WaitGroup) error {
 	defer created.Done()
 	proc := in.proc
 	for i, spec := range in.code.Arrays {
@@ -665,6 +710,7 @@ func (in *interp) createArrays(opts Options, rt oocarray.Options, reopen bool, c
 		disk.Reset(in.fs, proc.Config(), arrStats, opts.Resilience)
 		disk.SetPhantom(opts.Phantom)
 		disk.SetTracer(proc.Tracer(), proc.Clock(), spec.Name)
+		disk.SetChaos(in.inj)
 		if opts.failureActive() {
 			disk.SetOpHook(proc.StepOp)
 		}
@@ -770,7 +816,7 @@ func (in *interp) rebuildParity() error {
 		st = &trace.IOStats{}
 		in.perArray[parityStatsKey] = st
 	}
-	disk := iosim.NewResilientDisk(in.fs, in.proc.Config(), st, in.res)
+	disk := in.disk(st)
 	disk.SetPhantom(in.phantom)
 	disk.SetTracer(in.proc.Tracer(), in.proc.Clock(), parityStatsKey)
 	sec, err := in.pstore.RebuildRank(disk, in.proc.Rank())

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,6 +9,8 @@ import (
 	"github.com/ooc-hpf/passion/internal/gaxpy"
 	"github.com/ooc-hpf/passion/internal/hpf"
 	"github.com/ooc-hpf/passion/internal/iosim"
+	"github.com/ooc-hpf/passion/internal/mp"
+	"github.com/ooc-hpf/passion/internal/plan"
 	"github.com/ooc-hpf/passion/internal/sim"
 )
 
@@ -25,51 +28,89 @@ func sweepFills() map[string]func(int, int) float64 {
 	return map[string]func(int, int) float64{"a": gaxpy.FillA, "b": gaxpy.FillB}
 }
 
-// TestFaultSweepEveryOpIndex runs the program under a FaultFS failing at
-// every operation index k = 0..K and asserts each run either completes
-// with the correct result or fails with a clean error — never a hang
-// (the test would time out) and never a corrupted success.
+// outage fails every file operation of rank from its op-th on.
+func outage(rank int, op int64) mp.Fault {
+	return mp.Fault{Rank: rank, Op: op, Kind: mp.IOOutage}
+}
+
+// fileOps returns each rank's file-operation count in the run opts make
+// (on a fresh store, untraced): a run is the same up to its first fault,
+// so an outage at op k fires exactly when k is below the count, which is
+// therefore the least k whose outage never fires (bisection).
+func fileOps(t *testing.T, p *plan.Program, mach sim.Config, opts Options) []int64 {
+	t.Helper()
+	counts := make([]int64, p.Procs)
+	for r := range counts {
+		fires := func(k int64) bool {
+			o := opts
+			o.FS, o.Trace = iosim.NewMemFS(), nil
+			o.Faults = append(slices.Clone(opts.Faults), outage(r, k))
+			out, err := Run(p, mach, o)
+			if err != nil {
+				return true
+			}
+			defer out.Close()
+			return out.Chaos.Permanent > 0
+		}
+		lo, hi := int64(-1), int64(1)
+		for fires(hi) {
+			lo, hi = hi, 2*hi
+		}
+		for hi-lo > 1 {
+			if mid := (lo + hi) / 2; fires(mid) {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		counts[r] = hi
+	}
+	return counts
+}
+
+// TestFaultSweepEveryOpIndex runs the program under an outage of each
+// rank's file operations from every op index k = 0..K_r on and asserts
+// each run either completes with the correct result or fails with a
+// clean error — never a hang (the test would time out) and never a
+// corrupted success.
 func TestFaultSweepEveryOpIndex(t *testing.T) {
 	res := sweepProgram(t)
 	mach := sim.Delta(res.Program.Procs)
-
-	// Measure the fault-free operation count with an unlimited budget.
-	probe := iosim.NewFaultFS(iosim.NewMemFS(), 1<<30, nil)
-	out, err := Run(res.Program, mach, Options{FS: probe, Fill: sweepFills()})
-	if err != nil {
-		t.Fatal(err)
+	counts := fileOps(t, res.Program, mach, Options{Fill: sweepFills()})
+	var total int64
+	for _, c := range counts {
+		total += c
 	}
-	verifyC(t, out, res.Program.N)
-	total := 1<<30 - probe.Remaining()
 	if total < 100 {
-		t.Fatalf("suspiciously few operations: %d", total)
+		t.Fatalf("suspiciously few operations: %v", counts)
 	}
 
-	step := 1
+	step := int64(1)
 	if testing.Short() {
 		step = 7
 	}
-	failures := 0
-	for k := 0; k <= total; k += step {
-		mem := iosim.NewMemFS()
-		fs := iosim.NewFaultFS(mem, k, nil)
-		out, err := Run(res.Program, mach, Options{FS: fs, Fill: sweepFills()})
-		if err != nil {
-			failures++
-			if !strings.Contains(err.Error(), "exec:") {
-				t.Fatalf("k=%d: error lost the exec context: %v", k, err)
+	failures, pairs := 0, 0
+	for r, c := range counts {
+		for k := int64(0); k <= c; k += step {
+			pairs++
+			out, err := Run(res.Program, mach, Options{Fill: sweepFills(), Faults: []mp.Fault{outage(r, k)}})
+			if err != nil {
+				failures++
+				if !strings.Contains(err.Error(), "exec:") {
+					t.Fatalf("rank %d op %d: error lost the exec context: %v", r, k, err)
+				}
+				continue
 			}
-			continue
+			// The outage never fired; the result must still be fully
+			// correct.
+			verifyC(t, out, res.Program.N)
+			out.Close()
 		}
-		// The budget sufficed; the result must still be fully correct.
-		// Verify through the underlying store so the verification reads
-		// don't themselves trip the exhausted fault budget.
-		out.fs = mem
-		verifyC(t, out, res.Program.N)
 	}
 	if failures == 0 {
-		t.Fatal("the sweep never failed; the budget range is wrong")
+		t.Fatal("the sweep never failed; the op range is wrong")
 	}
+	t.Logf("%d (rank, op) outages over file-op counts %v", pairs, counts)
 }
 
 // TestFailedRunRemovesLocalArrayFiles fails a run with a single scheduled
@@ -79,10 +120,8 @@ func TestFailedRunRemovesLocalArrayFiles(t *testing.T) {
 	res := sweepProgram(t)
 	mach := sim.Delta(res.Program.Procs)
 	mem := iosim.NewMemFS()
-	fs := iosim.NewChaosFS(mem, iosim.ChaosConfig{
-		Schedule: []iosim.ScheduledFault{{File: "a.p0.laf", Op: 40, Kind: iosim.KindPermanent}},
-	})
-	_, err := Run(res.Program, mach, Options{FS: fs, Fill: sweepFills()})
+	_, err := Run(res.Program, mach, Options{FS: mem, Fill: sweepFills(),
+		Faults: []mp.Fault{{Rank: 0, Op: 40, Kind: mp.IOPermanent}}})
 	if err == nil {
 		t.Fatal("the scheduled fault should have failed the run")
 	}

@@ -27,6 +27,9 @@ type kit struct {
 	// created is the run's rendezvous between creating the local array
 	// files and filling them (initArrays).
 	created sync.WaitGroup
+	// opts are the run's options, which its ranks read here: a rank
+	// closure capturing them would move them to the heap every run.
+	opts Options
 }
 
 // kitList is a Lowered's free list of kits. Its bound is in bytes, as
@@ -63,6 +66,7 @@ func (l *Lowered) putKit(k *kit) {
 	for _, in := range k.interps {
 		in.reset()
 	}
+	k.opts = Options{}
 	l.kits.mu.Lock()
 	defer l.kits.mu.Unlock()
 	if l.kits.bytes+k.size > kitListBytes {

@@ -10,6 +10,7 @@ import (
 	"github.com/ooc-hpf/passion/internal/compiler"
 	"github.com/ooc-hpf/passion/internal/hpf"
 	"github.com/ooc-hpf/passion/internal/iosim"
+	"github.com/ooc-hpf/passion/internal/matrix"
 	"github.com/ooc-hpf/passion/internal/mp"
 	"github.com/ooc-hpf/passion/internal/parity"
 	"github.com/ooc-hpf/passion/internal/sim"
@@ -196,53 +197,62 @@ func TestRedistributeCrashResumeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	probe := iosim.NewFaultFS(iosim.NewMemFS(), 1<<30, nil)
-	if _, err := Run(cres.Program, mach, Options{FS: probe, Fill: fills, Checkpoint: ckpt}); err != nil {
-		t.Fatal(err)
-	}
-	total := 1<<30 - probe.Remaining()
-
-	step := total / 24
-	if step < 1 {
-		step = 1
-	}
-	resumed := 0
-	for k := 1; k < total; k += step {
-		mem := iosim.NewMemFS()
-		killed := iosim.NewFaultFS(mem, k, nil)
-		if _, err := Run(cres.Program, mach, Options{FS: killed, Fill: fills, Checkpoint: ckpt}); err == nil {
-			continue // budget k happened to suffice
-		}
-		out, err := Run(cres.Program, mach, Options{FS: mem, Fill: fills, Checkpoint: ckpt, Resume: true})
-		if errors.Is(err, ErrNoCheckpoint) {
-			continue // killed before the initial commit
-		}
-		if err != nil {
-			t.Fatalf("k=%d: Resume failed: %v", k, err)
-		}
-		resumed++
-		got, err := out.ReadArray(dst)
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if err := matricesIdentical(got, want); err != nil {
-			t.Fatalf("k=%d: resumed transpose diverged: %v", k, err)
-		}
-		if err := out.Close(); err != nil {
-			t.Fatalf("k=%d: Close: %v", k, err)
-		}
-		for _, name := range mem.Names() {
-			if strings.Contains(name, "collio.scratch") {
-				t.Fatalf("k=%d: crash+resume leaked scratch file %s", k, name)
+	counts := fileOps(t, cres.Program, mach, Options{Fill: fills, Checkpoint: ckpt})
+	resumed, pairs := 0, 0
+	for r, c := range counts {
+		for k := int64(0); k < c; k++ {
+			pairs++
+			if redistributeKillResume(t, cres, want, ckpt, r, k) {
+				resumed++
 			}
-		}
-		if names := mem.Names(); len(names) != 0 {
-			t.Fatalf("k=%d: Close left files behind: %v", k, names)
 		}
 	}
 	if resumed == 0 {
 		t.Fatal("no kill point exercised a mid-redistribute resume")
 	}
+	t.Logf("%d (rank, op) outages over file-op counts %v", pairs, counts)
+}
+
+// redistributeKillResume kills the checkpointed transpose with an outage
+// of rank r's file operations from op k on and, when the kill left a
+// checkpoint, resumes it, requiring the transpose want and no file left
+// after Close. It reports whether a resume ran.
+func redistributeKillResume(t *testing.T, cres *compiler.Result, want *matrix.Matrix, ckpt *CheckpointSpec, r int, k int64) bool {
+	t.Helper()
+	mach := sim.Delta(cres.Program.Procs)
+	src, dst := cres.Analysis.Transpose.Src, cres.Analysis.Transpose.Dst
+	n := cres.Program.N
+	fills := map[string]func(int, int) float64{src: func(gi, gj int) float64 { return float64(gi*n + gj + 1) }}
+	mem := iosim.NewMemFS()
+	if _, err := Run(cres.Program, mach, Options{FS: mem, Fill: fills, Checkpoint: ckpt, Faults: []mp.Fault{outage(r, k)}}); err == nil {
+		return false // the outage never failed the run
+	}
+	out, err := Run(cres.Program, mach, Options{FS: mem, Fill: fills, Checkpoint: ckpt, Resume: true})
+	if errors.Is(err, ErrNoCheckpoint) {
+		return false // killed before the initial commit
+	}
+	if err != nil {
+		t.Fatalf("rank %d op %d: Resume failed: %v", r, k, err)
+	}
+	got, err := out.ReadArray(dst)
+	if err != nil {
+		t.Fatalf("rank %d op %d: %v", r, k, err)
+	}
+	if err := matricesIdentical(got, want); err != nil {
+		t.Fatalf("rank %d op %d: resumed transpose diverged: %v", r, k, err)
+	}
+	if err := out.Close(); err != nil {
+		t.Fatalf("rank %d op %d: Close: %v", r, k, err)
+	}
+	for _, name := range mem.Names() {
+		if strings.Contains(name, "collio.scratch") {
+			t.Fatalf("rank %d op %d: crash+resume leaked scratch file %s", r, k, name)
+		}
+	}
+	if names := mem.Names(); len(names) != 0 {
+		t.Fatalf("rank %d op %d: Close left files behind: %v", r, k, names)
+	}
+	return true
 }
 
 // TestDiskLossIndependentOfScheduling: a rank whose disk goes right after

@@ -70,6 +70,11 @@ func funcTranspose(ctx context.Context, name string, opts Options) error {
 		maps = append(maps, dm)
 	}
 	_, err = mp.RunOpts(sim.Delta(procs), opts.mpOptions(), func(proc *mp.Proc) error {
+		var chaos *iosim.Chaos
+		if opts.chaosActive() {
+			chaos = new(iosim.Chaos)
+			chaos.Reset(opts.Chaos, proc.Rank(), opts.Faults)
+		}
 		var arrs []*oocarray.Array
 		defer func() {
 			for _, arr := range arrs {
@@ -79,6 +84,7 @@ func funcTranspose(ctx context.Context, name string, opts Options) error {
 		}()
 		for _, dm := range maps {
 			disk := iosim.NewDisk(fs, proc.Config(), &proc.Stats().IO)
+			disk.SetChaos(chaos)
 			if opts.failureActive() {
 				disk.SetOpHook(proc.StepOp)
 			}
@@ -167,52 +173,41 @@ func TestTransposeKillAtEveryOpBalancesArena(t *testing.T) {
 }
 
 // TestTransposeFaultAtEveryFileOpBalancesArena lands one permanent fault
-// on every operation of rank 0's destination file and of its scratch file
-// in turn — every write of the receiver among them. The run must fail
-// (nothing retries a permanent fault here), come back rather than leave
-// the other ranks parked in the next exchange, balance the arena and
-// leave no scratch file behind.
+// on every file operation of rank 0 in turn — every write of the
+// receiver, its scratch file's among them. The run must fail (nothing
+// retries a permanent fault here), come back rather than leave the other
+// ranks parked in the next exchange, balance the arena and leave no
+// scratch file behind.
 func TestTransposeFaultAtEveryFileOpBalancesArena(t *testing.T) {
 	bufpool.SetChecked(true)
 	defer bufpool.SetChecked(false)
 	for name, res := range transposeRegimes(t) {
+		ops := fileOps(t, res.Program, sim.Delta(res.Program.Procs), Options{Fill: transposeFills()})[0]
+		if name == "two-phase/spill" {
+			// The rank's last operation removes its scratch file, whose
+			// failure the cleanup ignores: not the run's.
+			ops--
+		}
+		if ops < 3 {
+			t.Fatalf("%s: rank 0 issues %d file operations", name, ops)
+		}
 		for _, form := range forms {
-			run := func(schedule []iosim.ScheduledFault) (*iosim.ChaosFS, error) {
+			for k := int64(0); k < ops; k++ {
 				bufpool.ResetStats()
 				mem := iosim.NewMemFS()
-				fs := iosim.NewChaosFS(mem, iosim.ChaosConfig{Schedule: schedule})
+				fault := mp.Fault{Rank: 0, Op: k, Kind: mp.IOPermanent}
 				err := runForm(context.Background(), form, name, res, Options{
-					FS: fs, Fill: transposeFills(),
+					FS: mem, Fill: transposeFills(), Faults: []mp.Fault{fault},
 				})
+				if err == nil {
+					t.Errorf("%s %s: a permanent fault at rank 0's file op %d did not fail the run", form, name, k)
+				}
 				if n := arenaOutstanding(); n != 0 {
-					t.Errorf("%s %s, fault %v: %d arena buffers outstanding: %+v", form, name, schedule, n, bufpool.Snapshot())
+					t.Errorf("%s %s, fault %v: %d arena buffers outstanding: %+v", form, name, fault, n, bufpool.Snapshot())
 				}
 				for _, file := range mem.Names() {
 					if strings.Contains(file, ".collio.scratch") {
-						t.Errorf("%s %s, fault %v: %s left behind", form, name, schedule, file)
-					}
-				}
-				return fs, err
-			}
-			clean, err := run(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, file := range []string{"b.p0.laf", "b.p0.collio.scratch"} {
-				ops := clean.FileOps(file)
-				if spills := name == "two-phase/spill"; file != "b.p0.laf" && !spills {
-					if ops != 0 {
-						t.Fatalf("%s %s: %d operations on a scratch file that should not exist", form, name, ops)
-					}
-					continue
-				}
-				if ops < 3 {
-					t.Fatalf("%s %s: %d operations on %s", form, name, ops, file)
-				}
-				// The file's last operation is its removal: not the run's.
-				for k := int64(0); k < ops-1; k++ {
-					if _, err := run([]iosim.ScheduledFault{{File: file, Op: k, Kind: iosim.KindPermanent}}); err == nil {
-						t.Errorf("%s %s: a permanent fault at op %d of %s did not fail the run", form, name, k, file)
+						t.Errorf("%s %s, fault %v: %s left behind", form, name, fault, file)
 					}
 				}
 			}

@@ -60,6 +60,7 @@ func survive(ctx context.Context, l *Lowered, mach sim.Config, opts Options, man
 	var recs []Recovery
 	var respawned []int
 	var lost []mp.Fault
+	var chaos iosim.ChaosCounts
 	for {
 		res, err := run(ctx, l, mach, opts, manifests, respawned)
 		if err == nil {
@@ -67,6 +68,7 @@ func survive(ctx context.Context, l *Lowered, mach sim.Config, opts Options, man
 			if lost != nil {
 				res.DiskLosses = append(lost, res.DiskLosses...)
 			}
+			res.Chaos.Add(chaos)
 			return res, nil
 		}
 		var rf *mp.RankFailure
@@ -107,6 +109,7 @@ func survive(ctx context.Context, l *Lowered, mach sim.Config, opts Options, man
 		// The entries left over can still fire in it — a second kill
 		// there injects a failure during recovery.
 		lost = append(lost, res.DiskLosses...)
+		chaos.Add(res.Chaos)
 		opts.Faults = slices.DeleteFunc(slices.Clone(opts.Faults), func(f mp.Fault) bool {
 			return slices.Contains(killed, f) || slices.Contains(res.DiskLosses, f)
 		})
@@ -164,6 +167,9 @@ func rebuildRanks(fs iosim.FS, l *Lowered, mach sim.Config, opts Options, dead [
 			fs.Remove(parity.ParityFileName(spec.Name, r))
 		}
 	}
+	for _, r := range dead {
+		st.LoseDisk(r)
+	}
 	for i, spec := range l.code.Arrays {
 		st.Protect(spec.Name)
 		for _, sh := range l.shares[i*p.Procs : (i+1)*p.Procs] {
@@ -192,8 +198,9 @@ func rebuildRanks(fs iosim.FS, l *Lowered, mach sim.Config, opts Options, dead [
 		}
 	}
 	if len(errs) == 0 {
-		// Recover flagged each dead rank's hosted parity file lost;
-		// recompute them so the restart begins fully redundant.
+		// Each dead rank's disk is lost to the store, its hosted parity
+		// files with it: recompute them so the restart begins fully
+		// redundant.
 		for _, r := range dead {
 			rs, err := st.RebuildRank(d, r)
 			sec += rs

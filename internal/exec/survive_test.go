@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/ooc-hpf/passion/internal/compiler"
@@ -46,22 +46,42 @@ func probeOpCounts(t *testing.T, res *compiler.Result) []int64 {
 	return counts
 }
 
-// rebuildProbe is a chaos store that notes the survivor file's op count
-// at the first removal of the dead file — the rebuild pre-pass's first
-// step.
-type rebuildProbe struct {
-	*iosim.ChaosFS
+// rebuildFaultFS fails every read of one survivor file permanently once
+// the offline rebuild pre-pass has started, which it does by removing
+// the dead rank's files: the pre-pass issues no rank's I/O, so no fault
+// source of the run reaches it.
+type rebuildFaultFS struct {
+	*iosim.MemFS
 	dead, survivor string
-	once           sync.Once
-	seen           bool
-	at             int64
+	armed, fired   atomic.Bool
 }
 
-func (p *rebuildProbe) Remove(name string) error {
-	if name == p.dead {
-		p.once.Do(func() { p.seen, p.at = true, p.ChaosFS.FileOps(p.survivor) })
+func (f *rebuildFaultFS) Remove(name string) error {
+	if name == f.dead {
+		f.armed.Store(true)
 	}
-	return p.ChaosFS.Remove(name)
+	return f.MemFS.Remove(name)
+}
+
+func (f *rebuildFaultFS) Open(name string) (iosim.File, error) {
+	h, err := f.MemFS.Open(name)
+	if err != nil || name != f.survivor {
+		return h, err
+	}
+	return &rebuildFaultFile{File: h, fs: f}, nil
+}
+
+type rebuildFaultFile struct {
+	iosim.File
+	fs *rebuildFaultFS
+}
+
+func (f *rebuildFaultFile) ReadAt(p []byte, off int64) (int, error) {
+	if f.fs.armed.Load() {
+		f.fs.fired.Store(true)
+		return 0, fmt.Errorf("survivor disk failed mid-rebuild: %w", iosim.ErrInjected)
+	}
+	return f.File.ReadAt(p, off)
 }
 
 // TestRunResilientSurvivesSingleKill is the end-to-end recovery pipeline:
@@ -219,33 +239,12 @@ func TestRunResilientSecondFailureMidRebuild(t *testing.T) {
 	victim := 1
 	kill := []mp.Fault{{Rank: victim, Op: counts[victim] / 2}}
 
-	// Probe: survive the same loss once to learn how many chaos ops the
-	// survivor's file has seen when the rebuild pre-pass starts, which it
-	// does by removing the dead rank's files.
 	survivorFile := "a.p0.laf"
-	probe := &rebuildProbe{ChaosFS: iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{}),
+	fs := &rebuildFaultFS{MemFS: iosim.NewMemFS(),
 		dead: oocarray.FileName(res.Program.Arrays[0].Name, victim), survivor: survivorFile}
-	popts := surviveOptions(probe)
-	popts.Faults = kill
-	out, err := Run(res.Program, mach, popts)
-	if err != nil {
-		t.Fatalf("probe run: %v", err)
-	}
-	out.Close()
-	if !probe.seen {
-		t.Fatal("the probe run never removed the dead rank's file")
-	}
-	preRebuild := probe.at
-
-	// The same run reaches the rebuild pre-pass with identical per-file
-	// op counts (the simulation is deterministic), so a fault scheduled
-	// just past them fires during the rebuild's gather reads.
-	chaos := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{
-		Schedule: []iosim.ScheduledFault{{File: survivorFile, Op: preRebuild + 1, Kind: iosim.KindPermanent}},
-	})
-	opts := surviveOptions(chaos)
+	opts := surviveOptions(fs)
 	opts.Faults = kill
-	_, err = Run(res.Program, mach, opts)
+	_, err := Run(res.Program, mach, opts)
 	if err == nil {
 		t.Fatal("double fault mid-rebuild must fail the run")
 	}
@@ -256,8 +255,8 @@ func TestRunResilientSecondFailureMidRebuild(t *testing.T) {
 	if !errors.As(err, &rk) || rk.Rank != victim {
 		t.Fatalf("error does not retain the original kill: %v", err)
 	}
-	if chaos.Counts().Permanent == 0 {
-		t.Fatal("scheduled mid-rebuild fault never fired")
+	if !fs.fired.Load() {
+		t.Fatal("the mid-rebuild fault never fired")
 	}
 }
 

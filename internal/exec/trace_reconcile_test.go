@@ -2,6 +2,7 @@ package exec
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"github.com/ooc-hpf/passion/internal/compiler"
@@ -30,11 +31,8 @@ func gaxpyScenarioOpts(force string) compiler.Options {
 	return compiler.Options{N: 32, Procs: 4, MemElems: 300, Force: force}
 }
 
-func transientChaosFS(seed int64) iosim.FS {
-	return iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{
-		Seed: seed, PTransient: 0.03, PCorrupt: 0.01,
-	})
-}
+// transientChaos draws transient faults and read-path corruption.
+var transientChaos = iosim.ChaosConfig{Seed: 1, PTransient: 0.03, PCorrupt: 0.01}
 
 func retryResilience() *iosim.Resilience {
 	return iosim.NewResilience(iosim.RetryPolicy{MaxRetries: 12, BaseBackoff: 1e-3, MaxBackoff: 8e-3})
@@ -84,7 +82,7 @@ func reconcileScenarios() []reconcileScenario {
 			copts:  gaxpyScenarioOpts("row-slab"),
 			fills:  sweepFills(),
 			options: Options{
-				FS:         transientChaosFS(1),
+				Chaos:      transientChaos,
 				Resilience: retryResilience(),
 			},
 		},
@@ -212,22 +210,17 @@ func TestTraceReconcilesAcrossPrograms(t *testing.T) {
 // checkpoint restore I/O, epoch skipping, and the remaining execution.
 func killAndResume(t *testing.T, res *compiler.Result, mach sim.Config, opts Options, tracers ...*trace.Tracer) []*Result {
 	t.Helper()
-	probe := iosim.NewFaultFS(iosim.NewMemFS(), 1<<30, nil)
-	probeOpts := opts
-	probeOpts.Trace = nil
-	probeOpts.FS = probe
-	if _, err := Run(res.Program, mach, probeOpts); err != nil {
-		t.Fatal(err)
-	}
-	total := 1<<30 - probe.Remaining()
-
-	for k := total - 1; k >= 1; k-- {
+	counts := fileOps(t, res.Program, mach, opts)
+	// The last rank's outage, scanned down from its last file operation.
+	r := len(counts) - 1
+	for k := counts[r] - 1; k >= 1; k-- {
 		mem := iosim.NewMemFS()
 		killOpts := opts
 		killOpts.Trace = nil
-		killOpts.FS = iosim.NewFaultFS(mem, k, nil)
+		killOpts.FS = mem
+		killOpts.Faults = append(slices.Clone(opts.Faults), outage(r, k))
 		if _, err := Run(res.Program, mach, killOpts); err == nil {
-			continue // budget k sufficed; kill earlier
+			continue // the outage never failed the run; kill earlier
 		}
 		outs := make([]*Result, len(tracers))
 		for i, tr := range tracers {

@@ -83,7 +83,7 @@ func witnessScenarios() []witnessScenario {
 			options: Options{Phantom: true},
 		},
 		{
-			// Fresh chaos FS per run, same seed (see runOpts).
+			// Drawn faults, a fresh checksum store per run (see runOpts).
 			name:    "gaxpy/chaos-transient",
 			source:  hpf.GaxpySource,
 			copts:   gaxpyScenarioOpts("row-slab"),
@@ -189,7 +189,7 @@ func (w *witnessRun) runOpts(t *testing.T, cancelAt int, cancel context.CancelFu
 	opts.Trace = trace.NewTracer(w.procs)
 	opts.OpCounts = make([]int64, w.procs)
 	if w.sc.name == "gaxpy/chaos-transient" {
-		opts.FS = transientChaosFS(1)
+		opts.Chaos = transientChaos
 		opts.Resilience = retryResilience()
 	}
 	if opts.Parity {

@@ -3,6 +3,7 @@ package gaxpy
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -256,12 +257,84 @@ func TestMoreMemoryForAHelpsRowSlab(t *testing.T) {
 	}
 }
 
+// budgetFS lets its first budget file operations through, across every
+// processor, and fails every later one with err: a disk dying partway
+// through a hand runner, which has no fault source of its own.
+type budgetFS struct {
+	iosim.FS
+	left atomic.Int64
+	err  error
+}
+
+func (f *budgetFS) take() error {
+	if f.left.Add(-1) < 0 {
+		return f.err
+	}
+	return nil
+}
+
+func (f *budgetFS) Create(name string) (iosim.File, error) {
+	if err := f.take(); err != nil {
+		return nil, err
+	}
+	h, err := f.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return budgetFile{h, f}, nil
+}
+
+func (f *budgetFS) Open(name string) (iosim.File, error) {
+	if err := f.take(); err != nil {
+		return nil, err
+	}
+	h, err := f.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return budgetFile{h, f}, nil
+}
+
+func (f *budgetFS) Remove(name string) error {
+	if err := f.take(); err != nil {
+		return err
+	}
+	return f.FS.Remove(name)
+}
+
+type budgetFile struct {
+	iosim.File
+	fs *budgetFS
+}
+
+func (f budgetFile) ReadAt(p []byte, off int64) (int, error) {
+	if err := f.fs.take(); err != nil {
+		return 0, err
+	}
+	return f.File.ReadAt(p, off)
+}
+
+func (f budgetFile) WriteAt(p []byte, off int64) (int, error) {
+	if err := f.fs.take(); err != nil {
+		return 0, err
+	}
+	return f.File.WriteAt(p, off)
+}
+
+func (f budgetFile) Truncate(size int64) error {
+	if err := f.fs.take(); err != nil {
+		return err
+	}
+	return f.File.Truncate(size)
+}
+
 func TestDiskFaultFailsCleanly(t *testing.T) {
 	// Inject a disk failure partway through the run on every processor's
 	// file system: the machine must return an error promptly instead of
 	// deadlocking in a collective.
 	for _, budget := range []int{0, 5, 50, 500} {
-		fs := iosim.NewFaultFS(iosim.NewMemFS(), budget, errors.New("disk died"))
+		fs := &budgetFS{FS: iosim.NewMemFS(), err: errors.New("disk died")}
+		fs.left.Store(int64(budget))
 		cfg := Config{N: 32, SlabA: 64, SlabB: 64, FS: fs}
 		done := make(chan error, 1)
 		go func() {

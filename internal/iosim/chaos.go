@@ -2,68 +2,15 @@ package iosim
 
 import (
 	"fmt"
-	"sync"
+
+	"github.com/ooc-hpf/passion/internal/mp"
 )
 
-// FaultKind enumerates the fault classes ChaosFS can inject.
-type FaultKind int
-
-// Fault classes.
-const (
-	// KindTransient fails the operation with a retryable error.
-	KindTransient FaultKind = iota
-	// KindPermanent fails the operation with a non-retryable error
-	// (wrapping ErrInjected).
-	KindPermanent
-	// KindCorrupt flips one bit in the data returned by a read.
-	KindCorrupt
-	// KindShortRead delivers only part of the requested bytes, with a
-	// transient error.
-	KindShortRead
-	// KindShortWrite tears the write: only a prefix reaches the file,
-	// and a transient error is returned.
-	KindShortWrite
-)
-
-// String names the fault kind.
-func (k FaultKind) String() string {
-	switch k {
-	case KindTransient:
-		return "transient"
-	case KindPermanent:
-		return "permanent"
-	case KindCorrupt:
-		return "corrupt"
-	case KindShortRead:
-		return "short-read"
-	case KindShortWrite:
-		return "short-write"
-	default:
-		return fmt.Sprintf("FaultKind(%d)", int(k))
-	}
-}
-
-// ScheduledFault forces a fault at an exact operation index, for
-// reproducing a specific failure (e.g. killing a run mid-execution).
-type ScheduledFault struct {
-	// File selects the file by exact name; empty matches every file.
-	File string
-	// Op is the 0-based per-file operation index at which to inject.
-	// Indices are per file (not global): a file one processor alone
-	// touches, such as a local array file, sees a deterministic operation
-	// sequence under the concurrent SPMD execution. A fault here touches
-	// only its file; losing a whole logical disk is a fault of the
-	// machine's per-rank schedule (mp.LoseDisk).
-	Op int64
-	// Kind is the fault class to inject.
-	Kind FaultKind
-}
-
-// ChaosConfig parameterizes the fault model. All probabilities are per
-// file operation and independent; zero disables that class.
+// ChaosConfig parameterizes the drawn fault model. All probabilities are
+// per file operation and independent; zero disables that class.
 type ChaosConfig struct {
-	// Seed makes the injection deterministic: the decision for operation
-	// k on file f is a pure function of (Seed, f, k).
+	// Seed makes the injection deterministic: the decision for file
+	// operation i of rank r is a pure function of (Seed, r, i).
 	Seed int64
 	// PTransient is the probability of a retryable failure on any
 	// operation.
@@ -78,12 +25,15 @@ type ChaosConfig struct {
 	PShortRead float64
 	// PShortWrite is the probability that a write is torn.
 	PShortWrite float64
-	// Schedule forces faults at exact per-file operation indices, on top
-	// of the probabilistic model.
-	Schedule []ScheduledFault
 }
 
-// ChaosCounts reports what a ChaosFS actually injected.
+// Active reports whether any fault class has a nonzero probability.
+func (c ChaosConfig) Active() bool {
+	return c.PTransient > 0 || c.PPermanent > 0 || c.PCorrupt > 0 || c.PShortRead > 0 || c.PShortWrite > 0
+}
+
+// ChaosCounts reports the file operations a fault source saw and the
+// faults it injected into them.
 type ChaosCounts struct {
 	Ops         int64
 	Transient   int64
@@ -93,57 +43,57 @@ type ChaosCounts struct {
 	ShortWrites int64
 }
 
-// ChaosFS wraps a file system with seeded, deterministic fault injection:
-// transient and permanent errors, short (torn) transfers, and silent bit
-// corruption on reads. It supersedes the one-shot FaultFS budget model
-// with a probabilistic-and-scheduled model suitable for chaos testing the
-// resilient I/O layer end to end.
-//
-// Determinism: every file keeps its own operation counter, and the fault
-// decision for operation k on file f depends only on (Seed, f, k). A file
-// with a single-processor, program-ordered operation sequence (a local
-// array file) therefore sees the same faults for the same program and
-// seed regardless of goroutine interleaving. Every fault touches one
-// file only.
-type ChaosFS struct {
-	inner FS
-	cfg   ChaosConfig
+// Add accumulates o into c.
+func (c *ChaosCounts) Add(o ChaosCounts) {
+	c.Ops += o.Ops
+	c.Transient += o.Transient
+	c.Permanent += o.Permanent
+	c.Corruptions += o.Corruptions
+	c.ShortReads += o.ShortReads
+	c.ShortWrites += o.ShortWrites
+}
 
-	mu     sync.Mutex
-	ops    map[string]int64
+// Chaos is one rank's fault source: every file operation the rank issues
+// through a disk carrying it (Disk.SetChaos) is numbered on the rank's
+// own counter and may be failed, torn or corrupted. A fault is either
+// drawn, when mix(Seed, rank, i, class) falls below the class's
+// probability, or scheduled: a file-operation mp.Fault of the rank
+// fires at the rank's first operation from its Op on that it applies to
+// (an outage fails that operation and every later one permanently).
+//
+// Determinism: the counter is the rank's alone and advances on the
+// rank's goroutine, so the faults a rank suffers follow from its own
+// program and not from how the host interleaves ranks. Counting takes no
+// lock for the same reason.
+type Chaos struct {
+	cfg    ChaosConfig
+	rank   int
+	h      uint64 // the rank's term of the draws
+	ops    int64
+	sched  []mp.Fault // the rank's unfired scheduled faults, by Op
+	down   bool       // an outage fired
 	counts ChaosCounts
 }
 
-// NewChaosFS wraps inner with the given fault model.
-func NewChaosFS(inner FS, cfg ChaosConfig) *ChaosFS {
-	return &ChaosFS{inner: inner, cfg: cfg, ops: make(map[string]int64)}
-}
-
-// FileOps returns how many operations the named file has seen so far —
-// the next operation on it has this per-file index, which is the
-// coordinate ScheduledFault.Op uses.
-func (c *ChaosFS) FileOps(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ops[name]
-}
-
-// Names enumerates the inner file system's files when it supports
-// enumeration (fault-free: listing a directory is metadata the chaos
-// model does not perturb). It returns nil otherwise.
-func (c *ChaosFS) Names() []string {
-	if n, ok := c.inner.(interface{ Names() []string }); ok {
-		return n.Names()
+// Reset arms c for one run of rank: the drawn model cfg and, of faults,
+// the file-operation kinds scheduled for rank. Nothing of an earlier run
+// is kept but sched's storage.
+func (c *Chaos) Reset(cfg ChaosConfig, rank int, faults []mp.Fault) {
+	*c = Chaos{cfg: cfg, rank: rank, h: uint64(rank+1) * 0xD1B54A32D192ED03, sched: c.sched[:0]}
+	for _, f := range faults {
+		if f.Rank != rank || !f.Kind.IO() {
+			continue
+		}
+		i := len(c.sched)
+		c.sched = append(c.sched, f)
+		for ; i > 0 && c.sched[i-1].Op > f.Op; i-- {
+			c.sched[i-1], c.sched[i] = c.sched[i], c.sched[i-1]
+		}
 	}
-	return nil
 }
 
-// Counts returns a snapshot of the injected-fault counters.
-func (c *ChaosFS) Counts() ChaosCounts {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counts
-}
+// Counts returns what the source has seen and injected so far.
+func (c *Chaos) Counts() ChaosCounts { return c.counts }
 
 // Salts decorrelate the per-class random draws of one operation.
 const (
@@ -155,17 +105,7 @@ const (
 	saltBitIndex   = 0x6
 )
 
-// fnv64 hashes a file name (FNV-1a).
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// mix derives a uniform value in [0,1) from (seed, file hash, op, salt)
+// mix derives a uniform value in [0,1) from (seed, rank term, op, salt)
 // with a splitmix64 finalizer.
 func mix(seed int64, h uint64, op int64, salt uint64) float64 {
 	x := uint64(seed) ^ h ^ (uint64(op)+1)*0x9E3779B97F4A7C15 ^ salt*0xBF58476D1CE4E5B9
@@ -177,171 +117,127 @@ func mix(seed int64, h uint64, op int64, salt uint64) float64 {
 	return float64(x>>11) / (1 << 53)
 }
 
-// mixInt derives a uniform integer in [0, n) the same way.
-func mixInt(seed int64, h uint64, op int64, salt uint64, n int) int {
-	return int(mix(seed, h, op, salt) * float64(n))
-}
-
-// decide consumes one operation on the named file and returns the fault
-// to inject, if any. read/write select which data-path classes apply.
-func (c *ChaosFS) decide(name string, read, write bool) (op int64, kind FaultKind, hit bool) {
-	c.mu.Lock()
-	op = c.ops[name]
-	c.ops[name] = op + 1
+// decide numbers one file operation and returns the fault to inject, if
+// any. read/write select which data-path classes apply.
+func (c *Chaos) decide(read, write bool) (op int64, kind mp.FaultKind, hit bool) {
+	op = c.ops
+	c.ops++
 	c.counts.Ops++
-	c.mu.Unlock()
-
-	kind, hit = c.pick(name, op, read, write)
+	kind, hit = c.pick(op, read, write)
 	if hit {
-		c.mu.Lock()
 		switch kind {
-		case KindPermanent:
+		case mp.IOPermanent:
 			c.counts.Permanent++
-		case KindTransient:
+		case mp.IOTransient:
 			c.counts.Transient++
-		case KindCorrupt:
+		case mp.IOCorrupt:
 			c.counts.Corruptions++
-		case KindShortRead:
+		case mp.IOShortRead:
 			c.counts.ShortReads++
-		case KindShortWrite:
+		case mp.IOShortWrite:
 			c.counts.ShortWrites++
 		}
-		c.mu.Unlock()
 	}
 	return op, kind, hit
 }
 
-// pick evaluates the schedule and the probabilistic model for one op.
-func (c *ChaosFS) pick(name string, op int64, read, write bool) (FaultKind, bool) {
-	for _, s := range c.cfg.Schedule {
-		if s.Op == op && (s.File == "" || s.File == name) {
-			return s.Kind, true
+// pick evaluates the schedule and the drawn model for one operation.
+func (c *Chaos) pick(op int64, read, write bool) (mp.FaultKind, bool) {
+	if c.down {
+		return mp.IOPermanent, true
+	}
+	for i, f := range c.sched {
+		if f.Op > op {
+			break
 		}
+		applies := f.Kind == mp.IOOutage || f.Kind == mp.IOTransient || f.Kind == mp.IOPermanent ||
+			read && (f.Kind == mp.IOCorrupt || f.Kind == mp.IOShortRead) || write && f.Kind == mp.IOShortWrite
+		if !applies {
+			continue
+		}
+		c.sched = append(c.sched[:i], c.sched[i+1:]...)
+		if f.Kind == mp.IOOutage {
+			c.down = true
+			return mp.IOPermanent, true
+		}
+		return f.Kind, true
 	}
-	h := fnv64(name)
-	if c.cfg.PPermanent > 0 && mix(c.cfg.Seed, h, op, saltPermanent) < c.cfg.PPermanent {
-		return KindPermanent, true
+	cfg := &c.cfg
+	if cfg.PPermanent > 0 && mix(cfg.Seed, c.h, op, saltPermanent) < cfg.PPermanent {
+		return mp.IOPermanent, true
 	}
-	if c.cfg.PTransient > 0 && mix(c.cfg.Seed, h, op, saltTransient) < c.cfg.PTransient {
-		return KindTransient, true
+	if cfg.PTransient > 0 && mix(cfg.Seed, c.h, op, saltTransient) < cfg.PTransient {
+		return mp.IOTransient, true
 	}
-	if read && c.cfg.PCorrupt > 0 && mix(c.cfg.Seed, h, op, saltCorrupt) < c.cfg.PCorrupt {
-		return KindCorrupt, true
+	if read && cfg.PCorrupt > 0 && mix(cfg.Seed, c.h, op, saltCorrupt) < cfg.PCorrupt {
+		return mp.IOCorrupt, true
 	}
-	if read && c.cfg.PShortRead > 0 && mix(c.cfg.Seed, h, op, saltShortRead) < c.cfg.PShortRead {
-		return KindShortRead, true
+	if read && cfg.PShortRead > 0 && mix(cfg.Seed, c.h, op, saltShortRead) < cfg.PShortRead {
+		return mp.IOShortRead, true
 	}
-	if write && c.cfg.PShortWrite > 0 && mix(c.cfg.Seed, h, op, saltShortWrite) < c.cfg.PShortWrite {
-		return KindShortWrite, true
+	if write && cfg.PShortWrite > 0 && mix(cfg.Seed, c.h, op, saltShortWrite) < cfg.PShortWrite {
+		return mp.IOShortWrite, true
 	}
 	return 0, false
 }
 
-// faultErr builds the error for a metadata-path fault.
-func faultErr(kind FaultKind, verb, name string, op int64) error {
-	if kind == KindPermanent {
-		return fmt.Errorf("iosim: chaos %s %s (op %d): %w", verb, name, op, ErrInjected)
+// fault builds the error of a failed operation.
+func (c *Chaos) fault(kind mp.FaultKind, verb, name string, op int64) error {
+	if kind == mp.IOPermanent {
+		return fmt.Errorf("iosim: chaos %s %s (rank %d op %d): %w", verb, name, c.rank, op, ErrInjected)
 	}
-	return MarkTransient(fmt.Errorf("iosim: chaos injected transient fault: %s %s (op %d)", verb, name, op))
+	return MarkTransient(fmt.Errorf("iosim: chaos injected transient fault: %s %s (rank %d op %d)", verb, name, c.rank, op))
 }
 
-// metaFault maps a metadata-path fault decision to its error; ok is
-// false when no error is to be injected.
-func metaFault(verb, name string, op int64, kind FaultKind, hit bool) (error, bool) {
-	if hit && (kind == KindPermanent || kind == KindTransient) {
-		return faultErr(kind, verb, name, op), true
+// meta decides a metadata operation (create, open, remove, truncate):
+// only a transient or permanent fault fails it.
+func (c *Chaos) meta(verb, name string) error {
+	op, kind, hit := c.decide(false, false)
+	if hit && (kind == mp.IOPermanent || kind == mp.IOTransient) {
+		return c.fault(kind, verb, name, op)
 	}
-	return nil, false
+	return nil
 }
 
-// Create makes the named file, or injects a fault.
-func (c *ChaosFS) Create(name string) (File, error) {
-	op, kind, hit := c.decide(name, false, false)
-	if err, bad := metaFault("create", name, op, kind, hit); bad {
-		return nil, err
-	}
-	f, err := c.inner.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &chaosFile{fs: c, name: name, inner: f}, nil
-}
-
-// Open opens an existing file, or injects a fault.
-func (c *ChaosFS) Open(name string) (File, error) {
-	op, kind, hit := c.decide(name, false, false)
-	if err, bad := metaFault("open", name, op, kind, hit); bad {
-		return nil, err
-	}
-	f, err := c.inner.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &chaosFile{fs: c, name: name, inner: f}, nil
-}
-
-// Remove deletes the named file, or injects a fault.
-func (c *ChaosFS) Remove(name string) error {
-	op, kind, hit := c.decide(name, false, false)
-	if err, bad := metaFault("remove", name, op, kind, hit); bad {
-		return err
-	}
-	return c.inner.Remove(name)
-}
-
-type chaosFile struct {
-	fs    *ChaosFS
-	name  string
-	inner File
-}
-
-func (f *chaosFile) ReadAt(p []byte, off int64) (int, error) {
-	op, kind, hit := f.fs.decide(f.name, true, false)
+// readAt is f.ReadAt under the fault model.
+func (c *Chaos) readAt(f File, name string, p []byte, off int64) (int, error) {
+	op, kind, hit := c.decide(true, false)
 	if hit {
 		switch kind {
-		case KindPermanent, KindTransient:
-			return 0, faultErr(kind, "read", f.name, op)
-		case KindShortRead:
-			n, err := f.inner.ReadAt(p[:len(p)/2], off)
+		case mp.IOPermanent, mp.IOTransient:
+			return 0, c.fault(kind, "read", name, op)
+		case mp.IOShortRead:
+			n, err := f.ReadAt(p[:len(p)/2], off)
 			if err != nil {
 				return n, err
 			}
-			return n, MarkTransient(fmt.Errorf("iosim: chaos short read: %s (op %d): %d of %d bytes", f.name, op, n, len(p)))
+			return n, MarkTransient(fmt.Errorf("iosim: chaos short read: %s (rank %d op %d): %d of %d bytes", name, c.rank, op, n, len(p)))
 		}
 	}
-	n, err := f.inner.ReadAt(p, off)
-	if hit && kind == KindCorrupt && n > 0 {
+	n, err := f.ReadAt(p, off)
+	if hit && kind == mp.IOCorrupt && n > 0 {
 		// Silent read-path corruption: flip one deterministic bit.
-		bit := mixInt(f.fs.cfg.Seed, fnv64(f.name), op, saltBitIndex, n*8)
+		bit := int(mix(c.cfg.Seed, c.h, op, saltBitIndex) * float64(n*8))
 		p[bit/8] ^= 1 << (bit % 8)
 	}
 	return n, err
 }
 
-func (f *chaosFile) WriteAt(p []byte, off int64) (int, error) {
-	op, kind, hit := f.fs.decide(f.name, false, true)
+// writeAt is f.WriteAt under the fault model.
+func (c *Chaos) writeAt(f File, name string, p []byte, off int64) (int, error) {
+	op, kind, hit := c.decide(false, true)
 	if hit {
 		switch kind {
-		case KindPermanent, KindTransient:
-			return 0, faultErr(kind, "write", f.name, op)
-		case KindShortWrite:
+		case mp.IOPermanent, mp.IOTransient:
+			return 0, c.fault(kind, "write", name, op)
+		case mp.IOShortWrite:
 			// Torn write: a prefix reaches the file before the fault.
-			n, err := f.inner.WriteAt(p[:len(p)/2], off)
+			n, err := f.WriteAt(p[:len(p)/2], off)
 			if err != nil {
 				return n, err
 			}
-			return n, MarkTransient(fmt.Errorf("iosim: chaos torn write: %s (op %d): %d of %d bytes", f.name, op, n, len(p)))
+			return n, MarkTransient(fmt.Errorf("iosim: chaos torn write: %s (rank %d op %d): %d of %d bytes", name, c.rank, op, n, len(p)))
 		}
 	}
-	return f.inner.WriteAt(p, off)
+	return f.WriteAt(p, off)
 }
-
-func (f *chaosFile) Truncate(size int64) error {
-	op, kind, hit := f.fs.decide(f.name, false, false)
-	if err, bad := metaFault("truncate", f.name, op, kind, hit); bad {
-		return err
-	}
-	return f.inner.Truncate(size)
-}
-
-func (f *chaosFile) Close() error { return f.inner.Close() }

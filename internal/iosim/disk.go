@@ -23,12 +23,12 @@ import (
 // retry budget.
 type ParityHook interface {
 	// Created registers a freshly created (zero-filled) file of the
-	// given physical byte length.
-	Created(name string, bytes int64)
+	// given physical byte length, created through d, its rank's disk.
+	Created(d *Disk, name string, bytes int64)
 	// Opened registers a pre-existing file of the given physical byte
 	// length whose parity state is unknown (e.g. after a restart); the
 	// hook marks its group for a parity resync.
-	Opened(name string, bytes int64)
+	Opened(d *Disk, name string, bytes int64)
 	// Removed unregisters a deleted file.
 	Removed(name string)
 	// Protects reports whether the named file is under parity.
@@ -77,6 +77,9 @@ type Disk struct {
 	// injected kills can land between I/O requests, not only between
 	// messages. Nil on plain runs: a single branch on the hot path.
 	opHook func()
+	// chaos, when set, is the rank's fault source (SetChaos). Nil on
+	// plain runs: a single branch per file operation.
+	chaos *Chaos
 }
 
 // NewDisk returns a logical disk for one processor. stats may be nil, in
@@ -126,21 +129,23 @@ func (d *Disk) Config() sim.Config { return d.cfg }
 // the retry policy. Metadata retries are counted but not charged to the
 // simulated clock: the cost model only times data transfers.
 func (d *Disk) retryMeta(op, name string, f func() error) error {
-	if d.res == nil {
-		return f()
-	}
-	_, err := d.retry(op, name, false, f)
+	_, err := d.Retry(op, name, false, f)
 	return err
 }
 
-// retry is the disk's one retry loop: it runs f until it succeeds, fails
+// Retry is the disk's one retry loop, which the parity layer's file
+// operations go through too: it runs f until it succeeds, fails
 // non-transiently, or exhausts the policy's budget, recording a retry
 // span per transient failure and a give-up span when the budget is
 // spent. A clocked loop (a data transfer) backs off with capped
 // exponential waits, returned in simulated seconds, and records a fault
 // span for a non-transient failure; an unclocked one (metadata) waits
-// nothing and records no fault.
-func (d *Disk) retry(op, name string, clocked bool, f func() error) (float64, error) {
+// nothing and records no fault. A disk without a resilience layer runs
+// f once.
+func (d *Disk) Retry(op, name string, clocked bool, f func() error) (float64, error) {
+	if d.res == nil {
+		return 0, f()
+	}
 	pol := d.res.Policy
 	var retrySec float64
 	for attempt := 0; ; attempt++ {
@@ -160,11 +165,76 @@ func (d *Disk) retry(op, name string, clocked bool, f func() error) (float64, er
 		}
 		var wait float64
 		if clocked {
-			wait = pol.backoff(attempt)
+			wait = pol.Backoff(attempt)
 			retrySec += wait
 		}
 		d.Record(&trace.Span{Kind: trace.KindRetry, Dur: wait})
 	}
+}
+
+// SetChaos attaches (or, with nil, detaches) the rank's fault source:
+// every file operation through d is numbered and decided on it. A rank
+// gives all its disks the one source.
+func (d *Disk) SetChaos(c *Chaos) { d.chaos = c }
+
+// Create creates (or truncates) the named file on the disk's store.
+// Create, Open, remove, ReadAt, WriteAt and Truncate are the disk's file
+// operations, each one the file operation its fault source numbers; the
+// parity layer and the checkpoint writer issue theirs through the acting
+// rank's disk too.
+func (d *Disk) Create(name string) (File, error) {
+	if d.chaos != nil {
+		if err := d.chaos.meta("create", name); err != nil {
+			return nil, err
+		}
+	}
+	return d.fs.Create(name)
+}
+
+// Open opens the named file on the disk's store.
+func (d *Disk) Open(name string) (File, error) {
+	if d.chaos != nil {
+		if err := d.chaos.meta("open", name); err != nil {
+			return nil, err
+		}
+	}
+	return d.fs.Open(name)
+}
+
+// remove deletes the named file from the disk's store.
+func (d *Disk) remove(name string) error {
+	if d.chaos != nil {
+		if err := d.chaos.meta("remove", name); err != nil {
+			return err
+		}
+	}
+	return d.fs.Remove(name)
+}
+
+// ReadAt reads f, the disk's file name, at off.
+func (d *Disk) ReadAt(f File, name string, p []byte, off int64) (int, error) {
+	if d.chaos != nil {
+		return d.chaos.readAt(f, name, p, off)
+	}
+	return f.ReadAt(p, off)
+}
+
+// WriteAt writes f, the disk's file name, at off.
+func (d *Disk) WriteAt(f File, name string, p []byte, off int64) (int, error) {
+	if d.chaos != nil {
+		return d.chaos.writeAt(f, name, p, off)
+	}
+	return f.WriteAt(p, off)
+}
+
+// Truncate sets the length of f, the disk's file name.
+func (d *Disk) Truncate(f File, name string, size int64) error {
+	if d.chaos != nil {
+		if err := d.chaos.meta("truncate", name); err != nil {
+			return err
+		}
+	}
+	return f.Truncate(size)
 }
 
 // SetPhantom toggles accounting-only mode: operations count slab
@@ -317,14 +387,14 @@ func (l *LAF) Create(d *Disk, name string, elems int64) error {
 	var f File
 	err := d.retryMeta("create", name, func() error {
 		var err error
-		f, err = d.fs.Create(name)
+		f, err = d.Create(name)
 		return err
 	})
 	if err != nil {
 		return err
 	}
 	if !d.phantom {
-		if err := d.retryMeta("truncate", name, func() error { return f.Truncate(elems * elemBytes) }); err != nil {
+		if err := d.retryMeta("truncate", name, func() error { return d.Truncate(f, name, elems*elemBytes) }); err != nil {
 			f.Close()
 			return err
 		}
@@ -335,7 +405,7 @@ func (l *LAF) Create(d *Disk, name string, elems int64) error {
 		}
 	}
 	if d.parity != nil {
-		d.parity.Created(name, elems*elemBytes)
+		d.parity.Created(d, name, elems*elemBytes)
 	}
 	l.file = f
 	return nil
@@ -363,7 +433,7 @@ func (l *LAF) Open(d *Disk, name string, elems int64) error {
 	open := func() error {
 		return d.retryMeta("open", name, func() error {
 			var err error
-			f, err = d.fs.Open(name)
+			f, err = d.Open(name)
 			return err
 		})
 	}
@@ -382,7 +452,7 @@ func (l *LAF) Open(d *Disk, name string, elems int64) error {
 		return err
 	}
 	if d.parity != nil {
-		d.parity.Opened(name, elems*elemBytes)
+		d.parity.Opened(d, name, elems*elemBytes)
 	}
 	l.file = f
 	return nil
@@ -390,7 +460,7 @@ func (l *LAF) Open(d *Disk, name string, elems int64) error {
 
 // RemoveLAF deletes a local array file by name.
 func (d *Disk) RemoveLAF(name string) error {
-	err := d.retryMeta("remove", name, func() error { return d.fs.Remove(name) })
+	err := d.retryMeta("remove", name, func() error { return d.remove(name) })
 	if err == nil {
 		if d.res != nil {
 			d.res.dropFile(name)
@@ -696,7 +766,7 @@ func (l *LAF) escalate(cause error) (float64, error) {
 	if err != nil {
 		return sec, err
 	}
-	f, err := d.fs.Open(l.name)
+	f, err := d.Open(l.name)
 	if err != nil {
 		return sec, fmt.Errorf("iosim: reopen %s after reconstruction: %w", l.name, err)
 	}
@@ -708,7 +778,7 @@ func (l *LAF) escalate(cause error) (float64, error) {
 
 // rawRead reads exactly len(buf) bytes at off.
 func (l *LAF) rawRead(buf []byte, off int64) error {
-	n, err := l.file.ReadAt(buf, off)
+	n, err := l.disk.ReadAt(l.file, l.name, buf, off)
 	if err != nil && !(err == io.EOF && n == len(buf)) {
 		return fmt.Errorf("iosim: read %s @%d: %w", l.name, off/elemBytes, err)
 	}
@@ -733,7 +803,7 @@ func (l *LAF) readRunResilient(c Chunk, dst []float64) (float64, error) {
 	}
 	buf := bufpool.GetBytes(int(hi - lo))
 	defer bufpool.PutBytes(buf)
-	retrySec, err := l.disk.retry("read", l.name, true, func() error {
+	retrySec, err := l.disk.Retry("read", l.name, true, func() error {
 		if err := l.rawRead(buf, lo); err != nil {
 			return err
 		}
@@ -795,7 +865,7 @@ func (l *LAF) writeRun(c Chunk, src []float64) (float64, error) {
 // parity or escalation.
 func (l *LAF) writeRunOnce(buf []byte, byteOff int64) (float64, error) {
 	if l.disk.res == nil {
-		if _, err := l.file.WriteAt(buf, byteOff); err != nil {
+		if _, err := l.disk.WriteAt(l.file, l.name, buf, byteOff); err != nil {
 			return 0, fmt.Errorf("iosim: write %s @%d: %w", l.name, byteOff/elemBytes, err)
 		}
 		return 0, nil
@@ -806,7 +876,7 @@ func (l *LAF) writeRunOnce(buf []byte, byteOff int64) (float64, error) {
 // writeRunResilient writes the encoded run with retries and refreshes the
 // checksum store for every touched block.
 func (l *LAF) writeRunResilient(buf []byte, byteOff int64) (float64, error) {
-	return l.disk.retry("write", l.name, true, func() error {
+	return l.disk.Retry("write", l.name, true, func() error {
 		err := l.rawWrite(buf, byteOff)
 		if err == nil {
 			l.updateChecksums(byteOff, buf)
@@ -817,7 +887,7 @@ func (l *LAF) writeRunResilient(buf []byte, byteOff int64) (float64, error) {
 
 // rawWrite writes exactly len(buf) bytes at off.
 func (l *LAF) rawWrite(buf []byte, off int64) error {
-	n, err := l.file.WriteAt(buf, off)
+	n, err := l.disk.WriteAt(l.file, l.name, buf, off)
 	if err != nil {
 		return fmt.Errorf("iosim: write %s @%d: %w", l.name, off/elemBytes, err)
 	}

@@ -5,8 +5,9 @@ import (
 	"fmt"
 )
 
-// ErrInjected is the root cause of permanent faults injected by ChaosFS
-// (and a convenient sentinel for failure-injection tests).
+// ErrInjected is the root cause of permanent faults injected by a
+// rank's fault source (Chaos), and a sentinel for failure-injection
+// tests.
 var ErrInjected = errors.New("iosim: injected permanent fault")
 
 // ErrDiskLost reports that the logical disk holding the file is gone: a

@@ -4,48 +4,16 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/ooc-hpf/passion/internal/mp"
 	"github.com/ooc-hpf/passion/internal/sim"
 	"github.com/ooc-hpf/passion/internal/trace"
 )
 
-var errBoom = errors.New("boom")
-
-func TestFaultFSBudget(t *testing.T) {
-	fs := NewFaultFS(NewMemFS(), 3, errBoom)
-	if fs.Remaining() != 3 {
-		t.Fatalf("Remaining = %d", fs.Remaining())
-	}
-	f, err := fs.Create("a") // op 1
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte{1, 2}, 0); err != nil { // op 2
-		t.Fatal(err)
-	}
-	if _, err := f.ReadAt(make([]byte, 2), 0); err != nil { // op 3
-		t.Fatal(err)
-	}
-	if _, err := f.ReadAt(make([]byte, 2), 0); !errors.Is(err, errBoom) {
-		t.Fatalf("op 4 should fail with the injected error, got %v", err)
-	}
-	if _, err := fs.Create("b"); !errors.Is(err, errBoom) {
-		t.Fatalf("create after exhaustion should fail, got %v", err)
-	}
-	if err := fs.Remove("a"); !errors.Is(err, errBoom) {
-		t.Fatalf("remove after exhaustion should fail, got %v", err)
-	}
-}
-
-func TestFaultFSDefaultError(t *testing.T) {
-	fs := NewFaultFS(NewMemFS(), 0, nil)
-	if _, err := fs.Create("a"); err == nil {
-		t.Fatal("want injected error")
-	}
-}
-
-func TestFaultFSPassThrough(t *testing.T) {
-	fs := NewFaultFS(NewMemFS(), 1000, errBoom)
-	d := NewDisk(fs, sim.Delta(1), nil)
+// TestChaosPassThrough: a fault source that injects nothing changes no
+// byte of what goes through it.
+func TestChaosPassThrough(t *testing.T) {
+	d := NewDisk(NewMemFS(), sim.Delta(1), nil)
+	chaosOn(d, ChaosConfig{}, mp.Fault{Op: 1000, Kind: mp.IOOutage})
 	laf, err := d.CreateLAF("x", 16)
 	if err != nil {
 		t.Fatal(err)
@@ -60,28 +28,28 @@ func TestFaultFSPassThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got[7] != 3.5 {
-		t.Fatal("data corrupted through FaultFS")
+		t.Fatal("data corrupted through the fault source")
 	}
 	if err := laf.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Open("x"); err != nil {
+	if _, err := d.Open("x"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestLAFErrorsPropagateFromFaults(t *testing.T) {
-	// Exhaust the budget mid-stream: the LAF surfaces the error.
-	fs := NewFaultFS(NewMemFS(), 2, errBoom) // create + truncate
-	d := NewDisk(fs, sim.Delta(1), nil)
+	// An outage mid-stream: the LAF surfaces the error.
+	d := NewDisk(NewMemFS(), sim.Delta(1), nil)
+	chaosOn(d, ChaosConfig{}, mp.Fault{Op: 2, Kind: mp.IOOutage}) // after create + truncate
 	laf, err := d.CreateLAF("x", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := laf.WriteAll(make([]float64, 16)); !errors.Is(err, errBoom) {
+	if _, err := laf.WriteAll(make([]float64, 16)); !errors.Is(err, ErrInjected) {
 		t.Fatalf("write should surface the injected fault, got %v", err)
 	}
-	if _, err := laf.ReadChunksSieved([]Chunk{{0, 2}, {8, 2}}, make([]float64, 4)); !errors.Is(err, errBoom) {
+	if _, err := laf.ReadChunksSieved([]Chunk{{0, 2}, {8, 2}}, make([]float64, 4)); !errors.Is(err, ErrInjected) {
 		t.Fatalf("sieved read should surface the injected fault, got %v", err)
 	}
 }

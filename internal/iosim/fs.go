@@ -11,7 +11,7 @@
 //
 // On-file format: a local array file is its elements back to back, each
 // the eight bytes of its IEEE 754 bits in little-endian order, whatever
-// the store (MemFS, OSFS) and the wrappers around it (ChaosFS, FaultFS).
+// the store (MemFS, OSFS) and any wrapper around it.
 // Parity blocks, block checksums and checkpoint snapshots are computed
 // over those bytes.
 //
@@ -353,15 +353,13 @@ func (h *memHandle) Close() error {
 }
 
 // FileSize reports the current length of an open file when its handle
-// can tell: MemFS handles, OS files, and ChaosFS handles over either.
+// can tell: MemFS handles and OS files.
 // Wrappers that hide the method report false, and callers fall back to
 // reading until EOF.
 func FileSize(f File) (int64, bool) {
 	switch f := f.(type) {
 	case interface{ Size() int64 }:
 		return f.Size(), true
-	case *chaosFile:
-		return FileSize(f.inner)
 	case *os.File:
 		if st, err := f.Stat(); err == nil {
 			return st.Size(), true

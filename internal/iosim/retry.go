@@ -25,15 +25,10 @@ func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxRetries: 5, BaseBackoff: 1e-3, MaxBackoff: 16e-3}
 }
 
-// backoff returns the simulated wait before retry `attempt` (0-based):
-// BaseBackoff doubled attempt times, capped at MaxBackoff. A MaxBackoff
-// of zero (or less) means uncapped exponential growth.
-// Backoff returns the simulated backoff, in seconds, charged before
-// re-attempt number attempt+1. It is exported for the parity layer, which
-// runs its own retry loops under the same policy.
-func (p RetryPolicy) Backoff(attempt int) float64 { return p.backoff(attempt) }
-
-func (p RetryPolicy) backoff(attempt int) float64 {
+// Backoff returns the wait, in simulated seconds, before retry `attempt`
+// (0-based): BaseBackoff doubled attempt times, capped at MaxBackoff. A
+// MaxBackoff of zero (or less) means uncapped exponential growth.
+func (p RetryPolicy) Backoff(attempt int) float64 {
 	b := p.BaseBackoff
 	for i := 0; i < attempt && (p.MaxBackoff <= 0 || b < p.MaxBackoff); i++ {
 		b *= 2

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/ooc-hpf/passion/internal/mp"
 	"github.com/ooc-hpf/passion/internal/sim"
 	"github.com/ooc-hpf/passion/internal/trace"
 )
@@ -18,13 +19,12 @@ func testConfig() sim.Config {
 // backoff to the returned simulated duration and the stats counters.
 func TestResilientReadRetriesTransient(t *testing.T) {
 	mem := NewMemFS()
-	chaos := NewChaosFS(mem, ChaosConfig{
-		// Op 0 create, 1 truncate, 2 write; op 3 is the first read.
-		Schedule: []ScheduledFault{{File: "x.laf", Op: 3, Kind: KindTransient}},
-	})
+	// Op 0 create, 1 truncate, 2 write; op 3 is the first read.
+	cfg := ChaosConfig{}
 	stats := &trace.IOStats{}
 	res := NewResilience(DefaultRetryPolicy())
-	d := NewResilientDisk(chaos, testConfig(), stats, res)
+	d := NewResilientDisk(mem, testConfig(), stats, res)
+	chaosOn(d, cfg, mp.Fault{Op: 3, Kind: mp.IOTransient})
 	laf, err := d.CreateLAF("x.laf", 64)
 	if err != nil {
 		t.Fatal(err)
@@ -67,10 +67,11 @@ func TestResilientReadRetriesTransient(t *testing.T) {
 // transiently and checks the typed permanent error.
 func TestResilientGivesUpAfterBudget(t *testing.T) {
 	mem := NewMemFS()
-	chaos := NewChaosFS(mem, ChaosConfig{PTransient: 1})
+	cfg := ChaosConfig{PTransient: 1}
 	stats := &trace.IOStats{}
 	res := NewResilience(RetryPolicy{MaxRetries: 3, BaseBackoff: 1e-3, MaxBackoff: 4e-3})
-	d := NewResilientDisk(chaos, testConfig(), stats, res)
+	d := NewResilientDisk(mem, testConfig(), stats, res)
+	chaosOn(d, cfg)
 	_, err := d.CreateLAF("x.laf", 8)
 	if err == nil {
 		t.Fatal("create with 100% transient faults must exhaust the retry budget")
@@ -147,14 +148,12 @@ func TestChecksumDetectsAtRestCorruption(t *testing.T) {
 // and repairs it by re-reading.
 func TestChecksumRepairsReadPathCorruption(t *testing.T) {
 	mem := NewMemFS()
-	chaos := NewChaosFS(mem, ChaosConfig{
-		Seed: 3,
-		// Op 0 create, 1 truncate, 2 write, 3 the corrupted read.
-		Schedule: []ScheduledFault{{File: "x.laf", Op: 3, Kind: KindCorrupt}},
-	})
+	// Op 0 create, 1 truncate, 2 write, 3 the corrupted read.
+	cfg := ChaosConfig{Seed: 3}
 	stats := &trace.IOStats{}
 	res := NewResilience(DefaultRetryPolicy())
-	d := NewResilientDisk(chaos, testConfig(), stats, res)
+	d := NewResilientDisk(mem, testConfig(), stats, res)
+	chaosOn(d, cfg, mp.Fault{Op: 3, Kind: mp.IOCorrupt})
 	laf, err := d.CreateLAF("x.laf", 64)
 	if err != nil {
 		t.Fatal(err)
@@ -209,13 +208,12 @@ func TestFreshFileVerifiesAgainstZeroChecksums(t *testing.T) {
 // partially covered edge blocks.
 func TestTornWriteRetriedAndChecksummed(t *testing.T) {
 	mem := NewMemFS()
-	chaos := NewChaosFS(mem, ChaosConfig{
-		// Op 0 create, 1 truncate; op 2 is the torn data write.
-		Schedule: []ScheduledFault{{File: "x.laf", Op: 2, Kind: KindShortWrite}},
-	})
+	// Op 0 create, 1 truncate; op 2 is the torn data write.
+	cfg := ChaosConfig{}
 	stats := &trace.IOStats{}
 	res := NewResilience(DefaultRetryPolicy())
-	d := NewResilientDisk(chaos, testConfig(), stats, res)
+	d := NewResilientDisk(mem, testConfig(), stats, res)
+	chaosOn(d, cfg, mp.Fault{Op: 2, Kind: mp.IOShortWrite})
 	laf, err := d.CreateLAF("x.laf", 300)
 	if err != nil {
 		t.Fatal(err)
@@ -280,8 +278,8 @@ func TestBackoffSequence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for i, w := range tc.want {
-			if got := tc.pol.backoff(i); got != w {
-				t.Fatalf("%s: backoff(%d) = %g, want %g", tc.name, i, got, w)
+			if got := tc.pol.Backoff(i); got != w {
+				t.Fatalf("%s: Backoff(%d) = %g, want %g", tc.name, i, got, w)
 			}
 		}
 	}

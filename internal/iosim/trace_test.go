@@ -24,14 +24,15 @@ func replaySink(t *testing.T, tr *trace.Tracer, label string) trace.IOStats {
 // exact Retries/RetrySeconds/Corruptions the counters accumulated.
 func TestChaosRetrySpansReconcile(t *testing.T) {
 	mem := NewMemFS()
-	chaos := NewChaosFS(mem, ChaosConfig{
+	cfg := ChaosConfig{
 		Seed:       7,
 		PTransient: 0.2,
 		PCorrupt:   0.05,
-	})
+	}
 	stats := &trace.IOStats{}
 	res := NewResilience(DefaultRetryPolicy())
-	d := NewResilientDisk(chaos, testConfig(), stats, res)
+	d := NewResilientDisk(mem, testConfig(), stats, res)
+	chaosOn(d, cfg)
 	tr := trace.NewTracer(1)
 	var clock sim.Clock
 	d.SetTracer(tr.Rank(0), &clock, "x")
@@ -66,10 +67,11 @@ func TestChaosRetrySpansReconcile(t *testing.T) {
 // the give-up instants replay to the GiveUps counter exactly.
 func TestChaosGiveUpSpansReconcile(t *testing.T) {
 	mem := NewMemFS()
-	chaos := NewChaosFS(mem, ChaosConfig{PTransient: 1})
+	cfg := ChaosConfig{PTransient: 1}
 	stats := &trace.IOStats{}
 	res := NewResilience(RetryPolicy{MaxRetries: 2, BaseBackoff: 1e-3, MaxBackoff: 4e-3})
-	d := NewResilientDisk(chaos, testConfig(), stats, res)
+	d := NewResilientDisk(mem, testConfig(), stats, res)
+	chaosOn(d, cfg)
 	tr := trace.NewTracer(1)
 	var clock sim.Clock
 	d.SetTracer(tr.Rank(0), &clock, "x")

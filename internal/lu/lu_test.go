@@ -2,6 +2,7 @@ package lu
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"github.com/ooc-hpf/passion/internal/iosim"
@@ -115,6 +116,58 @@ func TestFillADiagonallyDominant(t *testing.T) {
 	}
 }
 
+// fileFaultFS fails the at-th read, write or truncate through a handle on
+// the named file (its create is its op 0) permanently: the hand runner
+// has no fault source of its own.
+type fileFaultFS struct {
+	*iosim.MemFS
+	name string
+	at   int64
+	ops  atomic.Int64
+}
+
+func (f *fileFaultFS) Create(name string) (iosim.File, error) {
+	h, err := f.MemFS.Create(name)
+	if err != nil || name != f.name {
+		return h, err
+	}
+	f.ops.Add(1)
+	return faultFile{h, f}, nil
+}
+
+type faultFile struct {
+	iosim.File
+	fs *fileFaultFS
+}
+
+func (f faultFile) fail() error {
+	if f.fs.ops.Add(1)-1 == f.fs.at {
+		return fmt.Errorf("op %d of %s: %w", f.fs.at, f.fs.name, iosim.ErrInjected)
+	}
+	return nil
+}
+
+func (f faultFile) ReadAt(p []byte, off int64) (int, error) {
+	if err := f.fail(); err != nil {
+		return 0, err
+	}
+	return f.File.ReadAt(p, off)
+}
+
+func (f faultFile) WriteAt(p []byte, off int64) (int, error) {
+	if err := f.fail(); err != nil {
+		return 0, err
+	}
+	return f.File.WriteAt(p, off)
+}
+
+func (f faultFile) Truncate(size int64) error {
+	if err := f.fail(); err != nil {
+		return err
+	}
+	return f.File.Truncate(size)
+}
+
 // TestCloseRemovesFiles: Close leaves nothing behind on the file system
 // the factorization ran on, and neither does a run that fails.
 func TestCloseRemovesFiles(t *testing.T) {
@@ -137,10 +190,8 @@ func TestCloseRemovesFiles(t *testing.T) {
 	}
 
 	mem = iosim.NewMemFS()
-	chaos := iosim.NewChaosFS(mem, iosim.ChaosConfig{
-		Schedule: []iosim.ScheduledFault{{File: "lu.p1.laf", Op: 3, Kind: iosim.KindPermanent}},
-	})
-	if _, err := Run(sim.Delta(2), Config{N: 16, PanelWidth: 4, FS: chaos}); err == nil {
+	failing := &fileFaultFS{MemFS: mem, name: "lu.p1.laf", at: 3}
+	if _, err := Run(sim.Delta(2), Config{N: 16, PanelWidth: 4, FS: failing}); err == nil {
 		t.Fatal("a permanent fault on lu.p1.laf should fail the run")
 	}
 	if names := mem.Names(); len(names) != 0 {

@@ -29,7 +29,10 @@ import (
 // Everything here is off the hot path: a machine with no Options has a
 // nil failState and the per-op hook is a single nil check.
 
-// FaultKind is what a scheduled Fault does to its rank.
+// FaultKind is what a scheduled Fault does to its rank. It is the one
+// enumeration of injectable faults: the machine fires the first two
+// itself, and the rank's I/O layer (iosim.Chaos) the file-operation
+// kinds, which name the I/O faults its files can suffer.
 type FaultKind int
 
 // Fault kinds.
@@ -39,7 +42,25 @@ const (
 	// LoseDisk loses the rank's logical disk. The rank runs on: the
 	// handler it installed (Proc.OnDiskLoss) performs the loss.
 	LoseDisk
+	// IOTransient fails one file operation with a retryable error.
+	IOTransient
+	// IOPermanent fails one file operation with a non-retryable error.
+	IOPermanent
+	// IOCorrupt flips one bit in the data a read delivers.
+	IOCorrupt
+	// IOShortRead delivers a prefix of a read, with a retryable error.
+	IOShortRead
+	// IOShortWrite tears a write: a prefix reaches the file, and a
+	// retryable error is returned.
+	IOShortWrite
+	// IOOutage fails every file operation of the rank from its Op on,
+	// permanently.
+	IOOutage
 )
+
+// IO reports whether the kind is a file-operation fault, counted on the
+// rank's file operations rather than on the machine's.
+func (k FaultKind) IO() bool { return k >= IOTransient && k <= IOOutage }
 
 // String names the kind as a schedule's messages do.
 func (k FaultKind) String() string {
@@ -48,18 +69,34 @@ func (k FaultKind) String() string {
 		return "kill"
 	case LoseDisk:
 		return "disk loss"
+	case IOTransient:
+		return "transient"
+	case IOPermanent:
+		return "permanent"
+	case IOCorrupt:
+		return "corrupt"
+	case IOShortRead:
+		return "short-read"
+	case IOShortWrite:
+		return "short-write"
+	case IOOutage:
+		return "outage"
 	}
 	return fmt.Sprintf("FaultKind(%d)", int(k))
 }
 
 // Fault schedules one injected fault: rank Rank suffers Kind immediately
-// before executing its Op'th counted operation (messages sent or
-// received, and disk chunk operations when the executor wires StepOp
-// into the I/O layer). Op counts from zero and is per-rank, so the
-// machine orders every fault against every other operation of its rank.
-// Rank must lie in [0, P), Op must not be negative and Kind must be a
-// known kind, or RunOpts rejects the run; an Op past the rank's
-// operation count is legal and never fires.
+// before executing its Op'th counted operation. Op counts from zero and
+// is per-rank, so every fault is ordered against every other operation
+// of its rank. A rank death or disk loss counts the machine's operations
+// (messages sent or received, and disk chunk operations when the
+// executor wires StepOp into the I/O layer); a file-operation kind (IO)
+// counts the file operations the rank issues (creates, opens, removes,
+// truncates, reads and writes, retries included), and the rank's I/O
+// layer, not the machine, fires it: on the rank's first file operation
+// from Op on that it applies to. Rank must lie in [0, P), Op must
+// not be negative and Kind must be a known kind, or RunOpts rejects the
+// run; an Op past the rank's operation count is legal and never fires.
 type Fault struct {
 	Rank int
 	Op   int64
@@ -70,7 +107,9 @@ type Fault struct {
 // plain run. Any fault or op counting turns on the failure layer, whose
 // survivors detect a dead peer after sim.DetectionTimeout.
 type Options struct {
-	// Faults schedules injected rank deaths and disk losses.
+	// Faults schedules injected rank deaths and disk losses; the
+	// file-operation kinds it may hold are validated and left to the
+	// rank's I/O layer.
 	Faults []Fault
 	// OpCounts, when non-nil, receives each rank's final operation count
 	// (len must be >= Procs). Probe runs use it to learn the op-index
@@ -87,7 +126,7 @@ func (o Options) active() bool {
 // not have, an operation before the first or an unknown kind.
 func (o Options) validate(procs int) error {
 	for _, f := range o.Faults {
-		if f.Kind != RankDeath && f.Kind != LoseDisk {
+		if f.Kind != RankDeath && f.Kind != LoseDisk && !f.Kind.IO() {
 			return fmt.Errorf("mp: fault of rank %d at op %d has unknown kind %v", f.Rank, f.Op, f.Kind)
 		}
 		if f.Rank < 0 || f.Rank >= procs {
@@ -199,7 +238,9 @@ func newFailState(procs int, opts Options) *failState {
 		dead:   make(map[int]float64),
 	}
 	for _, ft := range opts.Faults {
-		f.faults[ft.Rank] = append(f.faults[ft.Rank], ft)
+		if !ft.Kind.IO() {
+			f.faults[ft.Rank] = append(f.faults[ft.Rank], ft)
+		}
 	}
 	for _, s := range f.faults {
 		sort.SliceStable(s, func(i, j int) bool { return s[i].Op < s[j].Op })

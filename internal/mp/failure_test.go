@@ -221,9 +221,19 @@ func TestLoseDiskRunsHandlerOnVictim(t *testing.T) {
 	if _, err := RunOpts(sim.Delta(4), Options{Faults: []Fault{loss}}, ringNode(iters)); err == nil || !strings.Contains(err.Error(), "no handler") {
 		t.Errorf("a disk loss with no handler: err %v, want the run failed naming the missing handler", err)
 	}
-	bad := Fault{Rank: 1, Op: 0, Kind: LoseDisk + 1}
+	bad := Fault{Rank: 1, Op: 0, Kind: IOOutage + 1}
 	if _, err := RunOpts(sim.Delta(4), Options{Faults: []Fault{bad}}, ringNode(iters)); err == nil || !strings.Contains(err.Error(), "unknown kind") {
 		t.Errorf("fault of unknown kind: err %v, want a rejection", err)
+	}
+	// A file-operation fault is the rank's I/O layer's to fire: the
+	// machine validates it and leaves it alone.
+	io := Fault{Rank: 1, Op: 0, Kind: IOOutage}
+	if _, err := RunOpts(sim.Delta(4), Options{Faults: []Fault{io}}, ringNode(iters)); err != nil {
+		t.Errorf("file-operation fault: %v, want the machine to leave it alone", err)
+	}
+	io.Rank = 4
+	if _, err := RunOpts(sim.Delta(4), Options{Faults: []Fault{io}}, ringNode(iters)); err == nil {
+		t.Error("a file-operation fault of rank 4 on 4 processors was accepted")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/ooc-hpf/passion/internal/iosim"
+	"github.com/ooc-hpf/passion/internal/mp"
 	"github.com/ooc-hpf/passion/internal/sim"
 	"github.com/ooc-hpf/passion/internal/trace"
 )
@@ -92,11 +93,15 @@ func setupGroup(t *testing.T, fs iosim.FS, st *Store, cfg sim.Config, res *iosim
 			t.Fatalf("create rank %d: %v", r, err)
 		}
 		lafs[r] = l
+	}
+	// Every member exists, and with it every parity file, before any is
+	// written: the executor's create rendezvous.
+	for r := 0; r < procs; r++ {
 		want[r] = make([]float64, elems)
 		for i := range want[r] {
 			want[r][i] = rng.Float64()
 		}
-		writeVia(t, l, 0, want[r])
+		writeVia(t, lafs[r], 0, want[r])
 	}
 	return disks, lafs, want
 }
@@ -390,11 +395,11 @@ func TestWriteWithParityOnLostDiskIsDegraded(t *testing.T) {
 }
 
 // TestSequentialFileFaultsInOneGroupSurvive: a file that fails on its
-// own (not its disk) is reconstructed, and its rank's parity file is
-// presumed lost with it; the next write that updates that parity
-// rebuilds it inline, so a later fault of another member whose stripes
-// park parity there is reconstructed too instead of refused as a double
-// fault.
+// own (not its disk) is reconstructed, and nothing of its rank's parity
+// file is presumed lost with it — none of the file's stripes park parity
+// there, and writes keep it current — so a later fault of another member
+// whose stripes park parity there is reconstructed too instead of
+// refused as a double fault.
 func TestSequentialFileFaultsInOneGroupSurvive(t *testing.T) {
 	const procs = 4
 	const elems = 1024
@@ -409,8 +414,11 @@ func TestSequentialFileFaultsInOneGroupSurvive(t *testing.T) {
 	if _, err := lafs[1].ReadChunks([]iosim.Chunk{{Off: 0, Len: elems}}, got); err != nil {
 		t.Fatalf("reconstruct the first failed file: %v", err)
 	}
-	if !st.NeedsRebuild(0) {
-		t.Fatal("the reconstructed file's own parity is not presumed lost")
+	if !slices.Equal(got, want[1]) {
+		t.Fatal("first failed file reconstructed wrong")
+	}
+	if st.NeedsRebuild(0) {
+		t.Fatal("a single file's fault left a rebuild pending")
 	}
 	patch := make([]float64, elems)
 	for i := range patch {
@@ -418,9 +426,6 @@ func TestSequentialFileFaultsInOneGroupSurvive(t *testing.T) {
 	}
 	writeVia(t, lafs[0], 0, patch) // covers every parity rank, rank 1's included
 	copy(want[0], patch)
-	if st.NeedsRebuild(0) {
-		t.Fatal("the write did not rebuild the lost parity file inline")
-	}
 
 	lafs[2].Lose()
 	if _, err := lafs[2].ReadChunks([]iosim.Chunk{{Off: 0, Len: elems}}, got); err != nil {
@@ -428,5 +433,79 @@ func TestSequentialFileFaultsInOneGroupSurvive(t *testing.T) {
 	}
 	if !slices.Equal(got, want[2]) {
 		t.Fatal("second failed file reconstructed wrong")
+	}
+	lafs[0].Lose()
+	if _, err := lafs[0].ReadChunks([]iosim.Chunk{{Off: 0, Len: elems}}, got); err != nil {
+		t.Fatalf("reconstruct the patched file: %v", err)
+	}
+	if !slices.Equal(got, want[0]) {
+		t.Fatal("the patch is missing from the parity")
+	}
+}
+
+// TestFailedParityUpdateIsRepairedByItsWriter: a parity update that fails
+// is repaired at once by the rank whose write it was, so no other rank
+// finds the file stale; when the repair fails too, the file is lost
+// until its host's rebuild in the next parity sync, and keeps taking
+// updates meanwhile.
+func TestFailedParityUpdateIsRepairedByItsWriter(t *testing.T) {
+	const procs = 4
+	const elems = 1024
+	for _, tc := range []struct {
+		name     string
+		fault    mp.Fault
+		repaired bool
+	}{
+		// Rank 0's write: op 0 reads the old data, op 1 writes the new,
+		// op 2 reads the first parity run, op 3 writes it.
+		{"repaired", mp.Fault{Op: 3, Kind: mp.IOPermanent}, true},
+		{"lost until the sync", mp.Fault{Op: 3, Kind: mp.IOOutage}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := iosim.NewMemFS()
+			cfg := sim.Delta(procs)
+			res := iosim.NewResilience(iosim.DefaultRetryPolicy())
+			st := NewStore(mem, cfg, procs, res)
+			disks, lafs, want := setupGroup(t, mem, st, cfg, res, procs, elems, nil)
+
+			var chaos iosim.Chaos
+			chaos.Reset(iosim.ChaosConfig{}, 0, []mp.Fault{tc.fault})
+			disks[0].SetChaos(&chaos)
+			patch := make([]float64, elems)
+			for i := range patch {
+				patch[i] = float64(i) + 0.5
+			}
+			writeVia(t, lafs[0], 0, patch)
+			copy(want[0], patch)
+			disks[0].SetChaos(nil)
+			if c := chaos.Counts(); c.Permanent == 0 {
+				t.Fatalf("the fault never fired: %+v", c)
+			}
+			if !st.Degraded() {
+				t.Fatal("no repair ran")
+			}
+			if got := st.NeedsRebuild(1); got == tc.repaired {
+				t.Fatalf("NeedsRebuild = %v after a repair that succeeded: %v", got, tc.repaired)
+			}
+			if !tc.repaired {
+				for r := 0; r < procs; r++ {
+					if _, err := st.RebuildRank(disks[r], r); err != nil {
+						t.Fatalf("rebuild rank %d: %v", r, err)
+					}
+				}
+				st.ClearDirty()
+			}
+			// Every parity file now covers the patch: any member comes back.
+			got := make([]float64, elems)
+			for r := 1; r < procs; r++ {
+				lafs[r].Lose()
+				if _, err := lafs[r].ReadChunks([]iosim.Chunk{{Off: 0, Len: elems}}, got); err != nil {
+					t.Fatalf("reconstruct rank %d: %v", r, err)
+				}
+				if !slices.Equal(got, want[r]) {
+					t.Fatalf("rank %d reconstructed wrong", r)
+				}
+			}
+		})
 	}
 }

@@ -9,34 +9,24 @@ import (
 	"github.com/ooc-hpf/passion/internal/trace"
 )
 
-// readVerified reads want bytes at off (zero-filling past EOF up to
-// len(buf)) and, when a checksum store is attached, verifies the content
-// against the recorded CRC32s, retrying mismatches like the resilient
-// read path does. Reconstruction must not fold corrupted survivor blocks
-// into the XOR. Called with st.mu held.
-func (st *Store) readVerified(f iosim.File, name string, buf []byte, off, want int64) (float64, error) {
-	pol := st.policy()
-	var sec float64
-	for attempt := 0; ; attempt++ {
-		rs, err := st.readFull(f, name, buf, off)
-		sec += rs
-		if err == nil {
-			if st.res == nil || want <= 0 {
-				return sec, nil
-			}
-			if _, ok := st.res.Check(name, off, buf[:want]); ok {
-				return sec, nil
-			}
-			err = &iosim.CorruptionError{File: name, Block: off / BlockBytes}
+// readVerified reads want bytes at off through d (zero-filling past EOF
+// up to len(buf)) and, when a checksum store is attached, verifies the
+// content against the recorded CRC32s, retrying mismatches like the
+// resilient read path does. Reconstruction must not fold corrupted
+// survivor blocks into the XOR. Called with st.mu held.
+func (st *Store) readVerified(d *iosim.Disk, f iosim.File, name string, buf []byte, off, want int64) (float64, error) {
+	return d.Retry("parity-verify", name, true, func() error {
+		if err := readOnce(d, f, name, buf, off); err != nil {
+			return err
 		}
-		if !iosim.IsTransient(err) {
-			return sec, err
+		if st.res == nil || want <= 0 {
+			return nil
 		}
-		if attempt >= pol.MaxRetries {
-			return sec, &iosim.ExhaustedError{Op: "parity-verify", File: name, Attempts: attempt + 1, Last: err}
+		if _, ok := st.res.Check(name, off, buf[:want]); !ok {
+			return &iosim.CorruptionError{File: name, Block: off / BlockBytes}
 		}
-		sec += pol.Backoff(attempt)
-	}
+		return nil
+	})
 }
 
 // Recover implements iosim.ParityHook: it reconstructs the named data
@@ -63,30 +53,17 @@ func (st *Store) Recover(d *iosim.Disk, name string, cause error) (float64, erro
 		return 0, fmt.Errorf("parity: reconstruct %s: %w", name, errors.Join(err, cause))
 	}
 
-	// The failure domain is the whole logical disk, which also hosts this
-	// rank's parity file. Presume it lost too: drop any cached handle and
-	// flag it, so the rebuild pass recreates it before the run is declared
-	// clean. (If it in fact survived, the rebuild merely rewrites the same
-	// content.) Reconstruction below never reads it — none of this file's
-	// stripes park their parity on its own rank.
-	pSame := ParityFileName(fi.base, fi.rank)
-	if h := st.handles[pSame]; h != nil {
-		h.Close()
-		delete(st.handles, pSame)
-	}
-	st.lostParity[pSame] = true
-
 	// Mount the replacement.
 	if old := st.handles[name]; old != nil {
 		old.Close()
 		delete(st.handles, name)
 	}
-	repl, err := st.createRetry(name)
+	repl, err := st.create(d, name)
 	if err != nil {
 		return fail(err)
 	}
 	st.handles[name] = repl
-	if err := repl.Truncate(fi.bytes); err != nil {
+	if _, err := d.Retry("parity-truncate", name, false, func() error { return d.Truncate(repl, name, fi.bytes) }); err != nil {
 		return fail(err)
 	}
 
@@ -98,7 +75,7 @@ func (st *Store) Recover(d *iosim.Disk, name string, cause error) (float64, erro
 	defer bufpool.PutBytes(acc)
 	defer bufpool.PutBytes(blk)
 	gather := func(h iosim.File, hname string, off, want int64) error {
-		rs, err := st.readVerified(h, hname, blk, off, want)
+		rs, err := st.readVerified(d, h, hname, blk, off, want)
 		sec += rs
 		if err != nil {
 			return err
@@ -125,8 +102,7 @@ func (st *Store) Recover(d *iosim.Disk, name string, cause error) (float64, erro
 		// fresh Store over Attach-ed files reaches here with no cached
 		// handles at all — the pre-existing parity files on the shared
 		// file system are the source of truth.
-		ph, hs, err := st.dataHandle(pname)
-		sec += hs
+		ph, err := st.dataHandle(d, pname)
 		if err != nil {
 			return fail(fmt.Errorf("parity: no parity file %s: %w", pname, err))
 		}
@@ -150,8 +126,7 @@ func (st *Store) Recover(d *iosim.Disk, name string, cause error) (float64, erro
 			if want > BlockBytes {
 				want = BlockBytes
 			}
-			sh, hs, err := st.dataHandleFor(sibling)
-			sec += hs
+			sh, err := st.dataHandle(d, sibling.name)
 			if err != nil {
 				return fail(err)
 			}
@@ -163,7 +138,7 @@ func (st *Store) Recover(d *iosim.Disk, name string, cause error) (float64, erro
 		if blockLen > BlockBytes {
 			blockLen = BlockBytes
 		}
-		ws, err := st.writeFull(repl, name, acc[:blockLen], k*BlockBytes)
+		ws, err := st.writeFull(d, repl, name, acc[:blockLen], k*BlockBytes)
 		sec += ws
 		if err != nil {
 			return fail(err)
@@ -204,10 +179,6 @@ func (st *Store) siblingOf(base string, rank int) *namedInfo {
 		}
 	}
 	return nil
-}
-
-func (st *Store) dataHandleFor(ni *namedInfo) (iosim.File, float64, error) {
-	return st.dataHandle(ni.name)
 }
 
 // RebuildRank restores full redundancy for the parity files hosted on one
@@ -285,7 +256,7 @@ func (st *Store) rebuildParityFileLocked(d *iosim.Disk, base string, p int) (flo
 		old.Close()
 		delete(st.handles, pname)
 	}
-	f, err := st.createRetry(pname)
+	f, err := st.create(d, pname)
 	if err != nil {
 		return 0, fmt.Errorf("parity: rebuild %s: %w", pname, err)
 	}
@@ -310,12 +281,11 @@ func (st *Store) rebuildParityFileLocked(d *iosim.Disk, base string, p int) (flo
 			if want > BlockBytes {
 				want = BlockBytes
 			}
-			h, hs, err := st.dataHandle(m.name)
-			sec += hs
+			h, err := st.dataHandle(d, m.name)
 			if err != nil {
 				return sec, fmt.Errorf("parity: rebuild %s: %w", pname, err)
 			}
-			rs, err := st.readVerified(h, m.name, blk, off, want)
+			rs, err := st.readVerified(d, h, m.name, blk, off, want)
 			sec += rs
 			if err != nil {
 				return sec, fmt.Errorf("parity: rebuild %s: %w", pname, err)
@@ -327,7 +297,7 @@ func (st *Store) rebuildParityFileLocked(d *iosim.Disk, base string, p int) (flo
 			msgBytes += st.modelBytes(want)
 			sec += st.cfg.MsgTime(st.modelBytes(want))
 		}
-		ws, err := st.writeFull(f, pname, acc, q*BlockBytes)
+		ws, err := st.writeFull(d, f, pname, acc, q*BlockBytes)
 		sec += ws
 		if err != nil {
 			return sec, fmt.Errorf("parity: rebuild %s: %w", pname, err)

@@ -18,7 +18,12 @@ import (
 // every rank's disks. A single mutex serializes parity read-modify-write
 // cycles across ranks; because XOR deltas commute, the serialization
 // order does not affect the final parity content, which keeps runs
-// deterministic.
+// deterministic. Every file operation the store performs goes through
+// the disk of the rank that acts (its retries, and its faults), and none
+// depends on which rank took the mutex first: a file's owner opens the
+// store's handle on it, a parity file's host creates it at its full size,
+// and a parity update that fails is repaired by the rank whose write it
+// was (applyParityRun).
 type Store struct {
 	fs    iosim.FS
 	cfg   sim.Config
@@ -27,7 +32,9 @@ type Store struct {
 
 	mu      sync.Mutex
 	phantom bool
-	bases   map[string]bool      // protected group base names
+	// bases holds the protected group base names, each with its
+	// members' file sizes when Protect was given them.
+	bases   map[string][]int64
 	files   map[string]*fileInfo // data file name -> registration
 	members map[string]int       // base -> registered member count
 	// memberBases mirrors the keys of members in sorted order, so
@@ -42,8 +49,9 @@ type Store struct {
 	// full rebuild: files opened with unknown history, or members
 	// removed while the group was still live.
 	dirty map[string]bool
-	// lostParity marks individual parity files that failed and await a
-	// rebuild by their hosting rank.
+	// lostParity marks individual parity files that failed and could
+	// not be repaired: a reconstruction that needs one is a double
+	// fault until its host's RebuildRank.
 	lostParity map[string]bool
 	// lostDisks marks the ranks whose disk was lost (LoseDisk): the
 	// parity files it hosts take no writes (degraded) until the rank's
@@ -70,7 +78,7 @@ func NewStore(fs iosim.FS, cfg sim.Config, procs int, res *iosim.Resilience) *St
 		cfg:        cfg,
 		procs:      procs,
 		res:        res,
-		bases:      make(map[string]bool),
+		bases:      make(map[string][]int64),
 		files:      make(map[string]*fileInfo),
 		members:    make(map[string]int),
 		handles:    make(map[string]iosim.File),
@@ -91,14 +99,43 @@ func (st *Store) SetPhantom(on bool) {
 
 // Protect marks a group base name (a global array name) as
 // parity-protected. Files named "<base>.p<rank>.laf" created or opened
-// after this call are covered.
-func (st *Store) Protect(base string) {
+// after this call are covered. memberBytes, when given, holds every
+// rank's member file size, from which each host sizes its parity file
+// when it creates it; without them parity files grow as they are
+// written.
+func (st *Store) Protect(base string, memberBytes ...int64) {
 	if st.procs < 2 {
 		return
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.bases[base] = true
+	st.bases[base] = memberBytes
+}
+
+// hostedBytes is the full size of rank p's parity file of a group whose
+// member sizes Protect was given (zero otherwise): up to the last parity
+// block any other member's data reaches. Called with st.mu held.
+func (st *Store) hostedBytes(base string, p int) int64 {
+	var blocks int64
+	for r, b := range st.bases[base] {
+		if r == p || b <= 0 {
+			continue
+		}
+		// Member r's last block k sits in row k/(P-1) at slot t = k mod
+		// (P-1); p hosts a block of that row when its slot (t skips r)
+		// is not past t, and otherwise only of the rows before.
+		k := (b - 1) / BlockBytes
+		row, t := k/int64(st.procs-1), k%int64(st.procs-1)
+		slot := int64(p)
+		if p > r {
+			slot--
+		}
+		if slot <= t {
+			row++
+		}
+		blocks = max(blocks, row)
+	}
+	return blocks * BlockBytes
 }
 
 // SetCommSink registers the statistics of one rank so the gather traffic
@@ -111,8 +148,8 @@ func (st *Store) SetCommSink(rank int, c *trace.ProcStats) {
 }
 
 // Degraded reports whether any recovery action ran (reconstruction,
-// inline parity rebuild, or a parity write failure that left a parity
-// file pending rebuild).
+// a parity rebuild, or a parity file failure that left it pending
+// rebuild).
 func (st *Store) Degraded() bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -199,7 +236,7 @@ func (st *Store) Attach(name string, bytes int64) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if !st.bases[base] {
+	if _, ok := st.bases[base]; !ok {
 		return
 	}
 	if _, known := st.files[name]; !known {
@@ -230,22 +267,28 @@ func (st *Store) Protects(name string) bool {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.bases[base]
+	_, ok = st.bases[base]
+	return ok
 }
 
 // Created implements iosim.ParityHook: a protected file was freshly
-// created, so its content is all zeros. The first member of a group also
-// resets the group's parity files to empty (all-zero parity), which both
-// initializes them and discards any stale parity a previous execution
-// left on the shared file system.
-func (st *Store) Created(name string, bytes int64) {
+// created through d, so its content is all zeros. On a member's first
+// registration its rank, through d, opens the store's handle on it and
+// creates (truncating) the group's parity file its disk hosts, sized
+// when Protect knew the member sizes: all-zero parity, which both
+// initializes it and discards any stale parity a previous execution left
+// on the shared file system. A parity file that cannot be made is lost
+// until its host's rebuild. Every member is created before any is
+// written (the executor's create/fill rendezvous), so no update reaches
+// a parity file before its host has made it.
+func (st *Store) Created(d *iosim.Disk, name string, bytes int64) {
 	base, rank, ok := parseLAF(name)
 	if !ok {
 		return
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if !st.bases[base] {
+	if _, ok := st.bases[base]; !ok {
 		return
 	}
 	if _, reRegistered := st.files[name]; reRegistered {
@@ -253,27 +296,64 @@ func (st *Store) Created(name string, bytes int64) {
 		// still folded into the parity. Flag the group for a rebuild.
 		st.dirty[base] = true
 		st.degraded = true
-	} else {
-		st.members[base]++
-		st.noteBase(base)
+		st.files[name] = &fileInfo{base: base, rank: rank, bytes: bytes}
+		return
 	}
+	st.members[base]++
+	st.noteBase(base)
 	st.files[name] = &fileInfo{base: base, rank: rank, bytes: bytes}
-	if st.members[base] == 1 {
-		st.resetParityFiles(base)
+	if st.phantom {
+		return
 	}
+	st.openOwn(d, name)
+	pname := ParityFileName(base, rank)
+	if old := st.handles[pname]; old != nil {
+		old.Close()
+	}
+	f, err := st.create(d, pname)
+	if err == nil {
+		if size := st.hostedBytes(base, rank); size > 0 {
+			err = d.Truncate(f, pname, size)
+			if err != nil {
+				f.Close()
+			}
+		}
+	}
+	if err != nil {
+		delete(st.handles, pname)
+		st.lostParity[pname] = true
+		st.degraded = true
+		return
+	}
+	st.handles[pname] = f
+	delete(st.lostParity, pname)
+}
+
+// openOwn opens the store's handle on a member file its owner just
+// registered through d, so no other rank's operation ever opens it
+// (which one would get there first is the host's business). A failed
+// open leaves the handle to be opened where it is needed. Called with
+// st.mu held.
+func (st *Store) openOwn(d *iosim.Disk, name string) {
+	if old := st.handles[name]; old != nil {
+		old.Close()
+		delete(st.handles, name)
+	}
+	st.dataHandle(d, name)
 }
 
 // Opened implements iosim.ParityHook: a pre-existing protected file
 // appeared with unknown parity state, so the group needs a resync before
-// its parity can be trusted.
-func (st *Store) Opened(name string, bytes int64) {
+// its parity can be trusted. Its owner opens the store's handle on it
+// through d, as Created does.
+func (st *Store) Opened(d *iosim.Disk, name string, bytes int64) {
 	base, rank, ok := parseLAF(name)
 	if !ok {
 		return
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if !st.bases[base] {
+	if _, ok := st.bases[base]; !ok {
 		return
 	}
 	if _, known := st.files[name]; !known {
@@ -281,6 +361,9 @@ func (st *Store) Opened(name string, bytes int64) {
 		st.noteBase(base)
 		st.files[name] = &fileInfo{base: base, rank: rank, bytes: bytes}
 		st.dirty[base] = true
+		if !st.phantom {
+			st.openOwn(d, name)
+		}
 	}
 }
 
@@ -354,107 +437,58 @@ func (st *Store) lookup(name string) (fileInfo, bool) {
 	return *fi, true
 }
 
-// resetParityFiles creates (truncating) the P parity files of a group.
-// Zero-length parity files are correct for freshly created data files:
-// reads past the end yield zero blocks, the XOR identity. Called with
-// st.mu held.
-func (st *Store) resetParityFiles(base string) {
-	if st.phantom {
-		return
-	}
-	for p := 0; p < st.procs; p++ {
-		pname := ParityFileName(base, p)
-		if old := st.handles[pname]; old != nil {
-			old.Close()
-		}
-		f, err := st.createRetry(pname)
-		if err != nil {
-			delete(st.handles, pname)
-			st.lostParity[pname] = true
-			st.degraded = true
-			continue
-		}
-		st.handles[pname] = f
-		delete(st.lostParity, pname)
-	}
-}
-
-// policy returns the retry policy governing the store's own I/O.
-func (st *Store) policy() iosim.RetryPolicy {
-	if st.res != nil {
-		return st.res.Policy
-	}
-	return iosim.DefaultRetryPolicy()
-}
-
-// retry runs op under the retry policy, returning the simulated backoff
-// seconds spent. Transient failures that outlive the budget come back as
-// a permanent ExhaustedError.
-func (st *Store) retry(op, name string, f func() error) (float64, error) {
-	pol := st.policy()
-	var sec float64
-	for attempt := 0; ; attempt++ {
-		err := f()
-		if err == nil || !iosim.IsTransient(err) {
-			return sec, err
-		}
-		if attempt >= pol.MaxRetries {
-			return sec, &iosim.ExhaustedError{Op: op, File: name, Attempts: attempt + 1, Last: err}
-		}
-		sec += pol.Backoff(attempt)
-	}
-}
-
-func (st *Store) createRetry(name string) (iosim.File, error) {
+// create creates (truncating) a file through d under its retry policy.
+func (st *Store) create(d *iosim.Disk, name string) (iosim.File, error) {
 	var f iosim.File
-	_, err := st.retry("parity-create", name, func() error {
+	_, err := d.Retry("parity-create", name, false, func() error {
 		var err error
-		f, err = st.fs.Create(name)
+		f, err = d.Create(name)
 		return err
 	})
 	return f, err
 }
 
-// dataHandle returns the store's own handle to a registered data file,
-// opening it on first use. Called with st.mu held.
-func (st *Store) dataHandle(name string) (iosim.File, float64, error) {
+// dataHandle returns the store's own handle to a registered file,
+// opening it through d on first use. Called with st.mu held.
+func (st *Store) dataHandle(d *iosim.Disk, name string) (iosim.File, error) {
 	if h := st.handles[name]; h != nil {
-		return h, 0, nil
+		return h, nil
 	}
 	var f iosim.File
-	sec, err := st.retry("parity-open", name, func() error {
+	_, err := d.Retry("parity-open", name, false, func() error {
 		var err error
-		f, err = st.fs.Open(name)
+		f, err = d.Open(name)
 		return err
 	})
 	if err != nil {
-		return nil, sec, err
+		return nil, err
 	}
 	st.handles[name] = f
-	return f, sec, nil
+	return f, nil
 }
 
-// readFull reads len(buf) bytes at off, zero-filling whatever lies past
-// the end of the file (parity files grow lazily; short data files
-// zero-pad their last stripe). Retries transient faults.
-func (st *Store) readFull(f iosim.File, name string, buf []byte, off int64) (float64, error) {
-	return st.retry("parity-read", name, func() error {
-		clear(buf)
-		n, err := f.ReadAt(buf, off)
-		if err == io.EOF {
-			for i := n; i < len(buf); i++ {
-				buf[i] = 0
-			}
-			return nil
-		}
-		return err
-	})
+// readOnce reads len(buf) bytes at off through d, zero-filling whatever
+// lies past the end of the file (short data files zero-pad their last
+// stripe; a parity file Protect could not size grows as it is written).
+func readOnce(d *iosim.Disk, f iosim.File, name string, buf []byte, off int64) error {
+	clear(buf)
+	n, err := d.ReadAt(f, name, buf, off)
+	if err == io.EOF {
+		clear(buf[n:])
+		return nil
+	}
+	return err
 }
 
-// writeFull writes buf at off with transient retries.
-func (st *Store) writeFull(f iosim.File, name string, buf []byte, off int64) (float64, error) {
-	return st.retry("parity-write", name, func() error {
-		n, err := f.WriteAt(buf, off)
+// readFull is readOnce under d's retry policy.
+func (st *Store) readFull(d *iosim.Disk, f iosim.File, name string, buf []byte, off int64) (float64, error) {
+	return d.Retry("parity-read", name, true, func() error { return readOnce(d, f, name, buf, off) })
+}
+
+// writeFull writes buf at off through d under its retry policy.
+func (st *Store) writeFull(d *iosim.Disk, f iosim.File, name string, buf []byte, off int64) (float64, error) {
+	return d.Retry("parity-write", name, true, func() error {
+		n, err := d.WriteAt(f, name, buf, off)
 		if err != nil {
 			return err
 		}
@@ -539,8 +573,8 @@ func (st *Store) parityRunsOf(rank int, sp span) []parityRun {
 // (the old data over the widened span, plus one coalesced parity read per
 // rank), R parity writes, and moves widened+nb*BlockBytes bytes inward
 // and nb*BlockBytes bytes outward, timed with the machine's IOTime rule.
-// Retry backoff and inline parity rebuilds come on top and are folded
-// into the returned seconds.
+// Retry backoff and the repair of a parity file whose update failed come
+// on top and are folded into the returned seconds.
 func (st *Store) WriteThrough(d *iosim.Disk, name string, byteOff, n int64, buf []byte, write func() (float64, error)) (float64, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -562,12 +596,11 @@ func (st *Store) WriteThrough(d *iosim.Disk, name string, byteOff, n int64, buf 
 		// zero-fills the pooled buffer before every attempt.
 		old := bufpool.GetBytes(int(sp.hi - sp.lo))
 		defer bufpool.PutBytes(old)
-		h, hs, err := st.dataHandle(name)
-		sec += hs
+		h, err := st.dataHandle(d, name)
 		if err != nil {
 			return sec, err
 		}
-		rs, err := st.readFull(h, name, old, sp.lo)
+		rs, err := st.readFull(d, h, name, old, sp.lo)
 		sec += rs
 		if err != nil {
 			return sec, err
@@ -590,9 +623,10 @@ func (st *Store) WriteThrough(d *iosim.Disk, name string, byteOff, n int64, buf 
 			ps, err := st.applyParityRun(d, *fi, run, sp, delta)
 			sec += ps
 			if err != nil {
-				// Parity maintenance failed permanently. The data write
-				// itself succeeded; leave the parity file flagged for a
-				// rebuild rather than failing the computation.
+				// Parity maintenance failed permanently, its repair too.
+				// The data write itself succeeded; the parity file is
+				// lost until its host's rebuild rather than failing the
+				// computation.
 				st.lostParity[ParityFileName(fi.base, run.rank)] = true
 				st.degraded = true
 			}
@@ -610,29 +644,27 @@ func (st *Store) WriteThrough(d *iosim.Disk, name string, byteOff, n int64, buf 
 
 // applyParityRun folds the delta blocks of one parity rank into its
 // parity file as a single coalesced read-modify-write. A parity file on
-// a lost disk takes none; one lost or failing on its own is rebuilt in
-// place from the data files (which already hold the new content). Called
-// with st.mu held.
+// a lost disk takes none (degraded) until its host's rebuild. An update
+// that fails leaves the file without its delta, so this rank rebuilds
+// the file at once from the data files (which already hold the new
+// content), inside the write's hold of the store: no other rank ever
+// reads it stale, and no reconstruction's fate depends on host order. A
+// file whose rebuild fails too is lost until its host's rebuild; it
+// keeps taking updates, which cannot repair it, because skipping them
+// would make the writer's file operations depend on when the failure
+// happened. Called with st.mu held.
 func (st *Store) applyParityRun(d *iosim.Disk, fi fileInfo, run parityRun, sp span, delta []byte) (float64, error) {
 	if st.lostDisks[run.rank] {
 		return 0, nil
 	}
 	pname := ParityFileName(fi.base, run.rank)
-	if st.lostParity[pname] {
-		return st.rebuildInline(d, fi.base, run.rank)
-	}
 	h := st.handles[pname]
 	if h == nil {
-		var err error
-		h, err = st.createRetry(pname)
-		if err != nil {
-			return 0, err
-		}
-		st.handles[pname] = h
+		return 0, fmt.Errorf("parity: %s could not be created", pname)
 	}
 	span := bufpool.GetBytes(int((run.qHi - run.qLo + 1) * BlockBytes))
 	defer bufpool.PutBytes(span)
-	sec, err := st.readFull(h, pname, span, run.qLo*BlockBytes)
+	sec, err := st.readFull(d, h, pname, span, run.qLo*BlockBytes)
 	if err == nil {
 		for _, k := range run.dataBlocks {
 			s := StripeOf(st.procs, fi.rank, k)
@@ -642,25 +674,12 @@ func (st *Store) applyParityRun(d *iosim.Disk, fi fileInfo, run parityRun, sp sp
 			xorInto(span[pOff:pOff+BlockBytes], delta[dOff:dOff+BlockBytes])
 		}
 		var ws float64
-		ws, err = st.writeFull(h, pname, span, run.qLo*BlockBytes)
+		ws, err = st.writeFull(d, h, pname, span, run.qLo*BlockBytes)
 		sec += ws
 	}
 	if err != nil {
-		// The parity file itself is failing: rebuild it wholesale from
-		// the data files, which are intact and already hold the new
-		// content.
-		rs, rerr := st.rebuildInline(d, fi.base, run.rank)
+		rs, rerr := st.rebuildParityFileLocked(d, fi.base, run.rank)
 		return sec + rs, rerr
 	}
 	return sec, nil
-}
-
-// rebuildInline rebuilds a parity file mid-write and clears its flag.
-// Called with st.mu held.
-func (st *Store) rebuildInline(d *iosim.Disk, base string, p int) (float64, error) {
-	sec, err := st.rebuildParityFileLocked(d, base, p)
-	if err == nil {
-		delete(st.lostParity, ParityFileName(base, p))
-	}
-	return sec, err
 }

@@ -150,8 +150,8 @@ func FuzzReplay(f *testing.F) {
 }
 
 // FuzzJobSpec feeds arbitrary bytes to the decoder POST /jobs uses. It
-// never panics, and a spec it accepts survives the journal's encoding
-// unchanged — the canonical spec in the submit record is what a restart
+// never panics, a spec it accepts holds fault probabilities in [0, 1]
+// and survives the journal's encoding unchanged — the canonical spec in the submit record is what a restart
 // re-admits.
 func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`{}`))
@@ -164,11 +164,20 @@ func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`{"retries":null,"source":"\ud800< >"}`))
 	f.Add([]byte(`{"n":64} trailing`))
 	f.Add([]byte(`[`))
+	f.Add([]byte(`{"chaos":-0.5}`))
+	f.Add([]byte(`{"chaos":1.5}`))
+	f.Add([]byte(`{"chaos":NaN}`))
+	f.Add([]byte(`{"chaos_corrupt":-0.5}`))
+	f.Add([]byte(`{"chaos_corrupt":1.5}`))
+	f.Add([]byte(`{"chaos_corrupt":NaN}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := decodeRequest(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if !(req.Chaos >= 0 && req.Chaos <= 1 && req.ChaosCorrupt >= 0 && req.ChaosCorrupt <= 1) {
+			t.Fatalf("accepted fault probabilities chaos %v, chaos_corrupt %v", req.Chaos, req.ChaosCorrupt)
 		}
 		spec := req.withDefaults()
 		payload, err := appendRecord(nil, &walRec{Kind: recSubmit, Job: "job-1", Spec: &spec})

@@ -85,6 +85,14 @@ func decodeRequest(r io.Reader) (Request, error) {
 	if err := dec.Decode(&req); err != nil {
 		return Request{}, fmt.Errorf("decoding request: %w", err)
 	}
+	for _, p := range []struct {
+		field string
+		v     float64
+	}{{"chaos", req.Chaos}, {"chaos_corrupt", req.ChaosCorrupt}} {
+		if err := cliutil.CheckProbability(p.v); err != nil {
+			return Request{}, fmt.Errorf("%s: %w", p.field, err)
+		}
+	}
 	return req, nil
 }
 

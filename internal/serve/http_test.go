@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"github.com/ooc-hpf/passion/internal/iosim"
+	"github.com/ooc-hpf/passion/internal/mp"
 )
 
 func postJob(t *testing.T, ts *httptest.Server, body string) (*http.Response, map[string]any) {
@@ -217,6 +218,33 @@ func TestDiskLossIsAMachineFault(t *testing.T) {
 	}
 }
 
+// TestChaosFieldsTakeOnlyProbabilities: a chaos or chaos_corrupt value
+// outside [0, 1] is a 400 naming the field, not a run that injects
+// nothing (a negative value) or fails every operation (above 1); NaN is
+// no JSON number, so it cannot arrive. A probability runs.
+func TestChaosFieldsTakeOnlyProbabilities(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, field := range []string{"chaos", "chaos_corrupt"} {
+		for _, v := range []string{"-0.5", "1.5"} {
+			resp, m := postJob(t, ts, `{"n":64,"procs":4,"mem_elems":4096,"`+field+`":`+v+`}`)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400 (%v)", field, v, resp.StatusCode, m)
+			}
+			if msg, _ := m["error"].(string); !strings.HasPrefix(msg, field+": ") {
+				t.Errorf("%s %s: error %q does not name the field", field, v, msg)
+			}
+		}
+		resp, m := postJob(t, ts, `{"n":64,"procs":4,"mem_elems":4096,"`+field+`":0.01}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s 0.01: status %d, want 200 (%v)", field, resp.StatusCode, m)
+		}
+	}
+}
+
 func TestHTTPErrorMapping(t *testing.T) {
 	s := New(Config{Workers: 1, MemoryBudget: 1 << 20})
 	defer s.Close()
@@ -324,9 +352,7 @@ func TestHTTPDegradedMode(t *testing.T) {
 	// The first job costs the segment its create and snapshot write, then
 	// three records; the next submit is the write (op 5) or the fsync
 	// (the 5th) that fails.
-	writeFault := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{Schedule: []iosim.ScheduledFault{
-		{File: segName(1), Op: 5, Kind: iosim.KindPermanent},
-	}})
+	writeFault := faultFS(iosim.NewMemFS(), segName(1), map[int64]mp.FaultKind{5: mp.IOPermanent})
 	syncFault := &scriptFS{FS: iosim.NewMemFS(), onSync: func(n int64) error {
 		if n >= 5 {
 			return errors.New("fsync: input/output error")

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"github.com/ooc-hpf/passion/internal/iosim"
+	"github.com/ooc-hpf/passion/internal/mp"
 )
 
 func testJournal(t *testing.T, fs iosim.FS, rotateAt int64, maxOutcomes int) *journal {
@@ -55,32 +56,108 @@ func segNames(fs iosim.FS) []string {
 // scriptFS gives the files of a store an fsync the test scripts, and
 // counts what the journal hands to the disk: onSync receives the 1-based
 // index of every Sync call on the store and returns its result (nil: all
-// succeed).
+// succeed). faults scripts the operations on one file (create, open,
+// remove, read, write, truncate; its create is op 0): op k fails as
+// faults[k] says, a torn write (mp.IOShortWrite) after half its bytes
+// reach the file. The journal is the server's, not a rank's: no fault
+// source of a run reaches it.
 type scriptFS struct {
 	iosim.FS
 	onSync func(n int64) error
 	syncs  atomic.Int64
 	wrote  atomic.Int64 // bytes handed to WriteAt
+
+	file   string
+	faults map[int64]mp.FaultKind
+	ops    atomic.Int64 // operations on file so far
+	torn   atomic.Int64 // torn writes injected
 }
 
 func (s *scriptFS) Names() []string { return s.FS.(namer).Names() }
 
+// fault numbers one operation on name and returns its scripted fault.
+func (s *scriptFS) fault(name string) (mp.FaultKind, bool) {
+	if name != s.file || s.faults == nil {
+		return 0, false
+	}
+	k, ok := s.faults[s.ops.Add(1)-1]
+	return k, ok
+}
+
+func scriptedErr(k mp.FaultKind, verb, name string) error {
+	if k == mp.IOPermanent {
+		return fmt.Errorf("scripted %s %s: %w", verb, name, iosim.ErrInjected)
+	}
+	return iosim.MarkTransient(fmt.Errorf("scripted %v fault: %s %s", k, verb, name))
+}
+
 func (s *scriptFS) Create(name string) (iosim.File, error) {
+	if k, ok := s.fault(name); ok {
+		return nil, scriptedErr(k, "create", name)
+	}
 	f, err := s.FS.Create(name)
 	if err != nil {
 		return nil, err
 	}
-	return &scriptFile{File: f, fs: s}, nil
+	return &scriptFile{File: f, fs: s, name: name}, nil
+}
+
+func (s *scriptFS) Open(name string) (iosim.File, error) {
+	if k, ok := s.fault(name); ok {
+		return nil, scriptedErr(k, "open", name)
+	}
+	f, err := s.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &scriptFile{File: f, fs: s, name: name}, nil
+}
+
+func (s *scriptFS) Remove(name string) error {
+	if k, ok := s.fault(name); ok {
+		return scriptedErr(k, "remove", name)
+	}
+	return s.FS.Remove(name)
 }
 
 type scriptFile struct {
 	iosim.File
-	fs *scriptFS
+	fs   *scriptFS
+	name string
+}
+
+func (f *scriptFile) ReadAt(p []byte, off int64) (int, error) {
+	if k, ok := f.fs.fault(f.name); ok {
+		return 0, scriptedErr(k, "read", f.name)
+	}
+	return f.File.ReadAt(p, off)
 }
 
 func (f *scriptFile) WriteAt(p []byte, off int64) (int, error) {
+	if k, ok := f.fs.fault(f.name); ok {
+		if k != mp.IOShortWrite {
+			return 0, scriptedErr(k, "write", f.name)
+		}
+		f.fs.torn.Add(1)
+		n, _ := f.File.WriteAt(p[:len(p)/2], off)
+		f.fs.wrote.Add(int64(n))
+		return n, scriptedErr(k, "write", f.name)
+	}
 	f.fs.wrote.Add(int64(len(p)))
 	return f.File.WriteAt(p, off)
+}
+
+func (f *scriptFile) Truncate(size int64) error {
+	if k, ok := f.fs.fault(f.name); ok {
+		return scriptedErr(k, "truncate", f.name)
+	}
+	return f.File.Truncate(size)
+}
+
+// Size reports the length of the file behind the wrapper.
+func (f *scriptFile) Size() int64 {
+	n, _ := iosim.FileSize(f.File)
+	return n
 }
 
 func (f *scriptFile) Sync() error {
@@ -89,6 +166,11 @@ func (f *scriptFile) Sync() error {
 		return nil
 	}
 	return f.fs.onSync(n)
+}
+
+// faultFS is a store whose file name suffers the scripted faults.
+func faultFS(fs iosim.FS, name string, faults map[int64]mp.FaultKind) *scriptFS {
+	return &scriptFS{FS: fs, file: name, faults: faults}
 }
 
 // heldAppend opens a journal on fs and starts appending job-0, returning
@@ -376,9 +458,7 @@ func TestJournalFailedCompactionSurfaces(t *testing.T) {
 	}{{"create", 0}, {"write", 1}} {
 		t.Run(tc.name, func(t *testing.T) {
 			mem := iosim.NewMemFS()
-			chaos := iosim.NewChaosFS(mem, iosim.ChaosConfig{Schedule: []iosim.ScheduledFault{
-				{File: segName(2), Op: tc.op, Kind: iosim.KindPermanent},
-			}})
+			chaos := faultFS(mem, segName(2), map[int64]mp.FaultKind{tc.op: mp.IOPermanent})
 			// With a 1-byte floor the first record outweighs the empty
 			// startup snapshot, so the first append compacts.
 			j := testJournal(t, chaos, 1, 0)
@@ -412,14 +492,12 @@ func TestJournalFailedCompactionSurfaces(t *testing.T) {
 func TestJournalTornWriteHealedByRetry(t *testing.T) {
 	mem := iosim.NewMemFS()
 	seg1 := segName(1)
-	chaos := iosim.NewChaosFS(mem, iosim.ChaosConfig{Schedule: []iosim.ScheduledFault{
-		// Op 0 is the segment create, op 1 the snapshot write; op 2 is
-		// the first append.
-		{File: seg1, Op: 2, Kind: iosim.KindShortWrite},
-	}})
+	// Op 0 is the segment create, op 1 the snapshot write; op 2 is the
+	// first append.
+	chaos := faultFS(mem, seg1, map[int64]mp.FaultKind{2: mp.IOShortWrite})
 	j := testJournal(t, chaos, 0, 0)
 	mustAppend(t, j, submitRec("job-1", "a", ""))
-	if got := chaos.Counts().ShortWrites; got != 1 {
+	if got := chaos.torn.Load(); got != 1 {
 		t.Fatalf("short writes injected = %d, want 1", got)
 	}
 	if st := j.statsSnapshot(); st.Degraded || st.RecordsAppended != 1 {
@@ -439,9 +517,7 @@ func TestJournalTornWriteHealedByRetry(t *testing.T) {
 // ErrDegraded without touching the disk.
 func TestJournalDegradedOnPersistentFault(t *testing.T) {
 	mem := iosim.NewMemFS()
-	chaos := iosim.NewChaosFS(mem, iosim.ChaosConfig{Schedule: []iosim.ScheduledFault{
-		{File: segName(1), Op: 2, Kind: iosim.KindPermanent},
-	}})
+	chaos := faultFS(mem, segName(1), map[int64]mp.FaultKind{2: mp.IOPermanent})
 	j := testJournal(t, chaos, 0, 0)
 	err := j.append(submitRec("job-1", "a", ""))
 	if !errors.Is(err, ErrDegraded) {
@@ -471,10 +547,7 @@ func TestJournalDegradedOnPersistentFault(t *testing.T) {
 // under the policy and the append succeeds.
 func TestJournalTransientFaultRetried(t *testing.T) {
 	mem := iosim.NewMemFS()
-	chaos := iosim.NewChaosFS(mem, iosim.ChaosConfig{Schedule: []iosim.ScheduledFault{
-		{File: segName(1), Op: 2, Kind: iosim.KindTransient},
-		{File: segName(1), Op: 3, Kind: iosim.KindTransient},
-	}})
+	chaos := faultFS(mem, segName(1), map[int64]mp.FaultKind{2: mp.IOTransient, 3: mp.IOTransient})
 	j := testJournal(t, chaos, 0, 0)
 	mustAppend(t, j, submitRec("job-1", "a", ""))
 	defer j.close()
@@ -688,12 +761,9 @@ func TestJournalGroupCommit(t *testing.T) {
 // refused whole — every member gets ErrDegraded and none of its records
 // is applied.
 func TestJournalFailedBatchFailsEveryMember(t *testing.T) {
-	chaos := iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{Schedule: []iosim.ScheduledFault{
-		// Ops 0-1 are the segment's create and snapshot write, 2 the
-		// first batch, 3 the second.
-		{File: segName(1), Op: 3, Kind: iosim.KindPermanent},
-	}})
-	j, first, release := heldAppend(t, &scriptFS{FS: chaos})
+	// Ops 0-1 are the segment's create and snapshot write, 2 the first
+	// batch, 3 the second.
+	j, first, release := heldAppend(t, faultFS(iosim.NewMemFS(), segName(1), map[int64]mp.FaultKind{3: mp.IOPermanent}))
 	defer j.close()
 	ids := []string{"job-1", "job-2", "job-3"}
 	wait := appendBehind(j, ids)
@@ -877,8 +947,8 @@ func (s *sizedCounter) Size() int64 {
 
 // TestReadWholeSizedAndFallback: replay reads a segment with one exactly
 // sized request when the handle knows its length — in memory, on an OS
-// file, through ChaosFS — and by growing until EOF when a wrapper hides
-// it (bench's countFile does); both see the same bytes.
+// file, through a wrapper that reports it — and by growing until EOF when
+// a wrapper hides it (bench's countFile does); both see the same bytes.
 func TestReadWholeSizedAndFallback(t *testing.T) {
 	want := bytes.Repeat([]byte("segment "), 5000) // 40 kB: several ReadAll growth steps
 	osfs, err := iosim.NewOSFS(t.TempDir())
@@ -886,9 +956,9 @@ func TestReadWholeSizedAndFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	stores := map[string]iosim.FS{
-		"mem":   iosim.NewMemFS(),
-		"os":    osfs,
-		"chaos": iosim.NewChaosFS(iosim.NewMemFS(), iosim.ChaosConfig{}),
+		"mem":     iosim.NewMemFS(),
+		"os":      osfs,
+		"wrapper": &scriptFS{FS: iosim.NewMemFS()},
 	}
 	for name, fs := range stores {
 		f, err := fs.Create("seg")

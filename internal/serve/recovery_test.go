@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/ooc-hpf/passion/internal/iosim"
+	"github.com/ooc-hpf/passion/internal/mp"
 )
 
 // crashReq is the resumable spec the crash matrix revolves around:
@@ -354,9 +355,7 @@ func TestDegradedModeServesReads(t *testing.T) {
 	// segment permanently: ops 0-1 are create+snapshot, 2-3 the first
 	// job's submit+dispatch, 4 its completion; op 5 — the next submit —
 	// hits the dead disk.
-	chaos := iosim.NewChaosFS(mem, iosim.ChaosConfig{Schedule: []iosim.ScheduledFault{
-		{File: segName(1), Op: 5, Kind: iosim.KindPermanent},
-	}})
+	chaos := faultFS(mem, segName(1), map[int64]mp.FaultKind{5: mp.IOPermanent})
 	s, err := Open(Config{Workers: 1, Journal: &JournalConfig{FS: chaos, WorkFS: iosim.NewMemFS()}})
 	if err != nil {
 		t.Fatal(err)

@@ -44,7 +44,7 @@ func directSnapshot(t *testing.T, req Request) []byte {
 		t.Fatal(err)
 	}
 	rf := req.runFlags()
-	eopts, _, err := rf.Build(nil, false)
+	eopts, err := rf.Build(nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,8 @@ var (
 // restarted server (Open over the same FS) replays the work it owed.
 type JournalConfig struct {
 	// FS stores the journal segments. It must support enumeration
-	// (MemFS, OSFS and ChaosFS all do).
+	// (MemFS and OSFS do). The journal is the server's, not a rank's:
+	// no fault source numbers its file operations.
 	FS iosim.FS
 	// WorkFS stores the array files and exec checkpoints of resumable
 	// jobs, namespaced per job attempt; nil shares FS.
@@ -809,7 +810,7 @@ func (s *Server) runJob(j *job) (*Response, error) {
 		base = &prefixFS{base: s.workFS, prefix: workPrefix(j.id, j.attempt)}
 	}
 	resume := durable && j.resume
-	eopts, _, err := rf.Build(base, resume)
+	eopts, err := rf.Build(base, resume)
 	if err != nil {
 		return nil, err
 	}
