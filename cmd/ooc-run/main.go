@@ -107,7 +107,7 @@ func main() {
 		// closing line.
 		tracer.SetSink(trace.NewChromeSink(f, res.Program.Procs))
 	}
-	eopts.Fill = cliutil.FillsFor(res)
+	eopts.Inputs = cliutil.InputsFor(res)
 	eopts.Trace = tracer
 	// An injected fail-stop loss (-kill-rank) is detected via heartbeats,
 	// the dead rank's disk rebuilt from parity, and the run resumed from
@@ -248,12 +248,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fill := eopts.Fill[an.Transpose.Src]
+		src := cliutil.RowMajor(res.Program.N)
 		for j := 0; j < b.Cols; j++ {
 			for i := 0; i < b.Rows; i++ {
-				if b.At(i, j) != fill(j, i) {
+				if b.At(i, j) != src(j, i) {
 					fatal(fmt.Errorf("verification failed at %s(%d,%d): %g != %g",
-						an.Transpose.Dst, i, j, b.At(i, j), fill(j, i)))
+						an.Transpose.Dst, i, j, b.At(i, j), src(j, i)))
 				}
 			}
 		}

@@ -164,21 +164,33 @@ func MachineFor(name string) (func(int) sim.Config, error) {
 	}
 }
 
-// FillsFor returns the deterministic input fills every entry point uses
-// for a compiled program: the paper's GAXPY operands and the
-// row-major-sequence transpose source. Patterns without canonical
-// inputs (elementwise, shift) start from zeroed arrays, exactly as
-// ooc-run always has.
-func FillsFor(res *compiler.Result) map[string]func(gi, gj int) float64 {
-	fills := map[string]func(gi, gj int) float64{}
+// InputsFor returns the deterministic inputs every entry point uses for
+// a compiled program, each separable (see oocarray.Input): the paper's
+// GAXPY operands and the row-major-sequence transpose source. Patterns
+// without canonical inputs (elementwise, shift) start from zeroed
+// arrays, exactly as ooc-run always has.
+func InputsFor(res *compiler.Result) map[string]oocarray.Input {
+	inputs := map[string]oocarray.Input{}
 	an := res.Analysis
 	switch an.Pattern {
 	case compiler.PatternGaxpy:
-		fills[an.A] = gaxpy.FillA
-		fills[an.B] = gaxpy.FillB
+		inputs[an.A] = gaxpy.InputA()
+		inputs[an.B] = gaxpy.InputB()
 	case compiler.PatternTranspose:
-		nn := res.Program.N
-		fills[an.Transpose.Src] = func(gi, gj int) float64 { return float64(gi*nn + gj + 1) }
+		// RowMajor(n) as (gi*n + 1) + gj: both terms and the sum are
+		// integers below n², so the sum is exact while n² < 2^53.
+		n := res.Program.N
+		inputs[an.Transpose.Src] = oocarray.Input{
+			Row: func(gi int) float64 { return float64(gi*n + 1) },
+			Col: func(gj int) float64 { return float64(gj) },
+			Add: true,
+		}
 	}
-	return fills
+	return inputs
+}
+
+// RowMajor is the element form of the transpose source InputsFor
+// gives an n×n program: element (gi, gj) is gi*n + gj + 1.
+func RowMajor(n int) func(gi, gj int) float64 {
+	return func(gi, gj int) float64 { return float64(gi*n + gj + 1) }
 }

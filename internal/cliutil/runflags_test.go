@@ -8,9 +8,11 @@ import (
 	"testing"
 
 	"github.com/ooc-hpf/passion/internal/compiler"
+	"github.com/ooc-hpf/passion/internal/gaxpy"
 	"github.com/ooc-hpf/passion/internal/hpf"
 	"github.com/ooc-hpf/passion/internal/iosim"
 	"github.com/ooc-hpf/passion/internal/mp"
+	"github.com/ooc-hpf/passion/internal/oocarray"
 	"github.com/ooc-hpf/passion/internal/sim"
 )
 
@@ -203,31 +205,52 @@ func TestChaosFlagsTakeOnlyProbabilities(t *testing.T) {
 	}
 }
 
-func TestFillsFor(t *testing.T) {
-	res, err := compiler.CompileSource(hpf.GaxpySource, compiler.Options{
-		N: 64, Procs: 4, MemElems: 1 << 12, Policy: compiler.PolicyWeighted,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestInputsForMatchOracle holds every element of each input InputsFor
+// gives to its element oracle, bit for bit: gaxpy.FillA and FillB, and
+// the transpose source's row-major sequence.
+func TestInputsForMatchOracle(t *testing.T) {
+	// The inputs are global; one processor takes every n.
+	for _, n := range []int{64, 255, 1024} {
+		compile := func(src string) *compiler.Result {
+			res, err := compiler.CompileSource(src, compiler.Options{
+				N: n, Procs: 1, MemElems: 1 << 12, Policy: compiler.PolicyWeighted,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		res := compile(hpf.GaxpySource)
+		oracles := map[string]func(i, j int) float64{res.Analysis.A: gaxpy.FillA, res.Analysis.B: gaxpy.FillB}
+		checkInputs(t, n, InputsFor(res), oracles)
+		res = compile(hpf.TransposeSource)
+		checkInputs(t, n, InputsFor(res), map[string]func(i, j int) float64{res.Analysis.Transpose.Src: RowMajor(n)})
 	}
-	fills := FillsFor(res)
-	if fills[res.Analysis.A] == nil || fills[res.Analysis.B] == nil {
-		t.Fatalf("gaxpy fills missing: have %d entries", len(fills))
-	}
+}
 
-	res, err = compiler.CompileSource(hpf.TransposeSource, compiler.Options{
-		N: 64, Procs: 4, MemElems: 1 << 12, Policy: compiler.PolicyWeighted,
-	})
-	if err != nil {
-		t.Fatal(err)
+// checkInputs checks that inputs names the arrays oracles does and that
+// each input's every element of an n×n array equals its oracle's bits.
+func checkInputs(t *testing.T, n int, inputs map[string]oocarray.Input, oracles map[string]func(i, j int) float64) {
+	t.Helper()
+	if len(inputs) != len(oracles) {
+		t.Fatalf("n=%d: %d inputs, want %d", n, len(inputs), len(oracles))
 	}
-	fills = FillsFor(res)
-	src := res.Analysis.Transpose.Src
-	if fills[src] == nil {
-		t.Fatal("transpose fill missing")
-	}
-	// Row-major sequence: element (i,j) of an n×n source is i*n+j+1.
-	if got := fills[src](2, 3); got != float64(2*64+3+1) {
-		t.Errorf("transpose fill(2,3) = %g", got)
+	for name, oracle := range oracles {
+		in, ok := inputs[name]
+		if !ok || in.At != nil || in.Row == nil || in.Col == nil {
+			t.Fatalf("n=%d: input %s is %+v, want a separable one", n, name, in)
+		}
+		for i := 0; i < n; i++ {
+			r := in.Row(i)
+			for j := 0; j < n; j++ {
+				got := r * in.Col(j)
+				if in.Add {
+					got = r + in.Col(j)
+				}
+				if want := oracle(i, j); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d: input %s(%d,%d) = %v, oracle %v", n, name, i, j, got, want)
+				}
+			}
+		}
 	}
 }

@@ -30,9 +30,15 @@ import (
 // Options configures an execution. Sieving, prefetch and write-behind
 // are not among them: a run takes them from plan.Program.Runtime.
 type Options struct {
-	// Fill provides initial values for input arrays by name; inputs
-	// without an entry start zeroed.
+	// Fill provides initial values for input arrays by name, one call
+	// per element; inputs without an entry here or in Inputs start
+	// zeroed.
 	Fill map[string]func(gi, gj int) float64
+	// Inputs provides initial values for input arrays by name as
+	// oocarray inputs, which a separable input makes a column at a time
+	// (see oocarray.Input). An array may be named in Fill or Inputs, not
+	// both.
+	Inputs map[string]oocarray.Input
 	// Phantom executes in accounting-only mode (no file data movement,
 	// no arithmetic; identical statistics).
 	Phantom bool
@@ -321,6 +327,12 @@ func Lower(p *plan.Program) (*Lowered, error) {
 func RunLowered(ctx context.Context, l *Lowered, mach sim.Config, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	for _, spec := range l.code.Arrays {
+		_, filled := opts.Fill[spec.Name]
+		if _, ok := opts.Inputs[spec.Name]; ok && filled {
+			return nil, fmt.Errorf("exec: array %s is named in both Options.Fill and Options.Inputs", spec.Name)
+		}
 	}
 	var manifests []*ckptManifest
 	if opts.Resume {
@@ -686,9 +698,19 @@ func (in *interp) initArrays(opts *Options, rt oocarray.Options, resume *restore
 	if resume != nil {
 		return in.restore(resume)
 	}
+	if opts.Phantom {
+		return nil
+	}
 	for i, spec := range in.code.Arrays {
-		if fill, ok := opts.Fill[spec.Name]; ok && spec.Role == plan.In && !opts.Phantom {
-			if err := in.arrays[i].FillGlobal(fill); err != nil {
+		if spec.Role != plan.In {
+			continue
+		}
+		input, ok := opts.Inputs[spec.Name]
+		if f, fok := opts.Fill[spec.Name]; fok {
+			input, ok = oocarray.Input{At: f}, true
+		}
+		if ok {
+			if err := in.arrays[i].Fill(input); err != nil {
 				return err
 			}
 		}

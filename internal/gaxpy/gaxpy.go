@@ -29,6 +29,23 @@ func FillA(i, j int) float64 { return float64((i%7 + 1) * (j%5 + 1)) }
 // FillB is the deterministic value of B(i, j).
 func FillB(i, j int) float64 { return float64((i%5 + 1) * (j%3 + 1)) }
 
+// InputA is A as a separable input, FillA to the bit: both factors are
+// small integers, so their product is exact.
+func InputA() oocarray.Input {
+	return oocarray.Input{
+		Row: func(i int) float64 { return float64(i%7 + 1) },
+		Col: func(j int) float64 { return float64(j%5 + 1) },
+	}
+}
+
+// InputB is B as a separable input, FillB to the bit.
+func InputB() oocarray.Input {
+	return oocarray.Input{
+		Row: func(i int) float64 { return float64(i%5 + 1) },
+		Col: func(j int) float64 { return float64(j%3 + 1) },
+	}
+}
+
 // CExpected returns the closed form of (A*B)(i, j) for N x N inputs:
 // sum_k A(i,k)*B(k,j) = (i%7+1)*(j%3+1) * sum_k (k%5+1)^2.
 func CExpected(n int) func(i, j int) float64 {

@@ -3,6 +3,7 @@ package gaxpy
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -25,6 +26,31 @@ func TestClosedFormMatchesMatMul(t *testing.T) {
 		for i := 0; i < n; i++ {
 			if c.At(i, j) != want(i, j) {
 				t.Fatalf("closed form wrong at (%d,%d): %g vs %g", i, j, c.At(i, j), want(i, j))
+			}
+		}
+	}
+}
+
+// TestInputsMatchFills holds the separable inputs to the element
+// oracles bit for bit, over whole arrays of three sizes.
+func TestInputsMatchFills(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		input  oocarray.Input
+		oracle func(i, j int) float64
+	}{{"A", InputA(), FillA}, {"B", InputB(), FillB}} {
+		if tc.input.Add || tc.input.At != nil {
+			t.Fatalf("Input%s is not a product of Row and Col", tc.name)
+		}
+		for _, n := range []int{64, 255, 1024} {
+			for i := 0; i < n; i++ {
+				r := tc.input.Row(i)
+				for j := 0; j < n; j++ {
+					got, want := r*tc.input.Col(j), tc.oracle(i, j)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("n=%d: Input%s(%d,%d) = %v, Fill%s gives %v", n, tc.name, i, j, got, tc.name, want)
+					}
+				}
 			}
 		}
 	}

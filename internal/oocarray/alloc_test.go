@@ -259,8 +259,9 @@ func TestArrayReuseMakesNoneOfItAgain(t *testing.T) {
 }
 
 // TestQuietTransfersDoNotAllocate pins the unaccounted initialization
-// path: FillGlobal and WriteLocal take the array's kept quiet view, so a
-// fill of a warm array allocates nothing and its disk counts nothing.
+// path: Fill, in either form, and WriteLocal take the array's kept quiet
+// view, so a fill of a warm array allocates nothing and its disk counts
+// nothing.
 func TestQuietTransfersDoNotAllocate(t *testing.T) {
 	var clock sim.Clock
 	arr, stats := newTestArray(t, 64, 4, 1, &clock, Options{})
@@ -268,6 +269,8 @@ func TestQuietTransfersDoNotAllocate(t *testing.T) {
 	before := *stats
 	fill := func(gi, gj int) float64 { return float64(gi*1000 + gj) }
 	pinNoAllocs(t, "FillGlobal", func() error { return arr.FillGlobal(fill) })
+	sep := Input{Row: func(gi int) float64 { return float64(gi * 1000) }, Col: func(gj int) float64 { return float64(gj) }, Add: true}
+	pinNoAllocs(t, "separable Fill", func() error { return arr.Fill(sep) })
 	m, err := arr.ReadLocal()
 	if err != nil {
 		t.Fatal(err)

@@ -566,10 +566,25 @@ func (a *Array) Recycle(s *ICLA) {
 // ---------------------------------------------------------------------------
 // Initialization and verification (unaccounted I/O)
 
-// FillGlobal initializes the local array file with f evaluated at global
-// indices. This models the initial data distribution, whose cost the
-// paper amortizes away; it is therefore not accounted.
-func (a *Array) FillGlobal(f func(gi, gj int) float64) error {
+// Input is the initial content of an input array as a function of
+// global indices. A separable input sets Row and Col: element (gi, gj)
+// is Row(gi) * Col(gj), or Row(gi) + Col(gj) with Add, so a fill calls
+// each once per local row or column and makes a column with one
+// operation per element. Otherwise At gives each element.
+type Input struct {
+	Row, Col func(g int) float64
+	Add      bool
+	At       func(gi, gj int) float64
+}
+
+// Fill initializes the local array file with in evaluated at global
+// indices, one column transfer per local column. This models the
+// initial data distribution, whose cost the paper amortizes away; it is
+// therefore not accounted.
+func (a *Array) Fill(in Input) error {
+	if in.At == nil && (in.Row == nil || in.Col == nil) {
+		return fmt.Errorf("oocarray: input of %s has neither At nor both Row and Col", a.dmap.Name)
+	}
 	if a.rows == 0 || a.cols == 0 {
 		return nil
 	}
@@ -580,9 +595,30 @@ func (a *Array) FillGlobal(f func(gi, gj int) float64) error {
 	// The local-to-global translation is separable: one shared table per
 	// dimension instead of a GlobalIndex per element.
 	rowG, colG := a.dmap.LocalGlobals(a.proc)
-	for lj, gj := range colG {
+	var rowV []float64
+	if in.At == nil {
+		rowV = bufpool.GetF64(a.rows)
+		defer bufpool.PutF64(rowV)
 		for li, gi := range rowG {
-			buf[li] = f(int(gi), int(gj))
+			rowV[li] = in.Row(int(gi))
+		}
+	}
+	for lj, gj := range colG {
+		switch {
+		case in.At != nil:
+			for li, gi := range rowG {
+				buf[li] = in.At(int(gi), int(gj))
+			}
+		case in.Add:
+			c := in.Col(int(gj))
+			for li, r := range rowV {
+				buf[li] = r + c
+			}
+		default:
+			c := in.Col(int(gj))
+			for li, r := range rowV {
+				buf[li] = r * c
+			}
 		}
 		chunk := []iosim.Chunk{{Off: int64(lj) * int64(a.rows), Len: a.rows}}
 		if _, err := quiet.WriteChunks(chunk, buf); err != nil {
@@ -590,6 +626,11 @@ func (a *Array) FillGlobal(f func(gi, gj int) float64) error {
 		}
 	}
 	return nil
+}
+
+// FillGlobal is Fill with f as the element form of the input.
+func (a *Array) FillGlobal(f func(gi, gj int) float64) error {
+	return a.Fill(Input{At: f})
 }
 
 // ReadLocal returns the whole local section as an in-core matrix without

@@ -4,8 +4,10 @@ import (
 	"container/list"
 	"sync"
 
+	"github.com/ooc-hpf/passion/internal/cliutil"
 	"github.com/ooc-hpf/passion/internal/compiler"
 	"github.com/ooc-hpf/passion/internal/exec"
+	"github.com/ooc-hpf/passion/internal/oocarray"
 )
 
 // planCache is a bounded LRU of compiled plans keyed on the canonical
@@ -24,12 +26,13 @@ type planCache struct {
 }
 
 // cacheEntry is one compiled plan: the compiler's result, the plan
-// lowered once to the opcode stream every job on it runs, and the plan's
-// fingerprint.
+// lowered once to the opcode stream every job on it runs, the inputs
+// every such job fills, and the plan's fingerprint.
 type cacheEntry struct {
 	key         string
 	res         *compiler.Result
 	lowered     *exec.Lowered
+	inputs      map[string]oocarray.Input
 	fingerprint string
 }
 
@@ -100,7 +103,7 @@ func fill(key string, compile func() (*compiler.Result, string, error)) (*cacheE
 	if err != nil {
 		return nil, err
 	}
-	return &cacheEntry{key: key, res: res, lowered: lowered, fingerprint: fp}, nil
+	return &cacheEntry{key: key, res: res, lowered: lowered, inputs: cliutil.InputsFor(res), fingerprint: fp}, nil
 }
 
 // CacheStats is the cache's metrics view.

@@ -48,7 +48,7 @@ func directSnapshot(t *testing.T, req Request) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eopts.Fill = cliutil.FillsFor(res)
+	eopts.Inputs = cliutil.InputsFor(res)
 	out, err := exec.Run(res.Program, mach, eopts)
 	if err != nil {
 		t.Fatal(err)

@@ -13,10 +13,10 @@ import (
 	"time"
 
 	"github.com/ooc-hpf/passion/internal/bufpool"
-	"github.com/ooc-hpf/passion/internal/cliutil"
 	"github.com/ooc-hpf/passion/internal/compiler"
 	"github.com/ooc-hpf/passion/internal/exec"
 	"github.com/ooc-hpf/passion/internal/iosim"
+	"github.com/ooc-hpf/passion/internal/oocarray"
 	"github.com/ooc-hpf/passion/internal/plan"
 	"github.com/ooc-hpf/passion/internal/sim"
 	"github.com/ooc-hpf/passion/internal/trace"
@@ -145,7 +145,8 @@ type job struct {
 	id          string
 	req         Request
 	res         *compiler.Result
-	lowered     *exec.Lowered // res.Program's stream, shared through the cache
+	lowered     *exec.Lowered             // res.Program's stream, shared through the cache
+	inputs      map[string]oocarray.Input // the plan's inputs, shared likewise
 	mach        sim.Config
 	fingerprint string
 	cacheHit    bool
@@ -464,7 +465,7 @@ func (s *Server) build(j *job) error {
 	if footprint > s.cfg.MemoryBudget {
 		return fmt.Errorf("%w: need %d bytes, budget %d", ErrOversize, footprint, s.cfg.MemoryBudget)
 	}
-	j.res, j.lowered, j.mach = entry.res, entry.lowered, copts.Machine
+	j.res, j.lowered, j.inputs, j.mach = entry.res, entry.lowered, entry.inputs, copts.Machine
 	j.fingerprint, j.cacheHit, j.footprint = entry.fingerprint, hit, footprint
 	return nil
 }
@@ -814,7 +815,7 @@ func (s *Server) runJob(j *job) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	eopts.Fill = cliutil.FillsFor(j.res)
+	eopts.Inputs = j.inputs
 	if durable {
 		eopts.RestoreStats = resume
 		if c := s.cfg.Crash; c != nil && c.Point == CrashMidrun {
