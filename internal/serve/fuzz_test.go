@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/ooc-hpf/passion/internal/iosim"
+	"github.com/ooc-hpf/passion/internal/trace"
 )
 
 // stateView is a walState in a form two states built differently —
@@ -195,7 +196,7 @@ func FuzzJobSpec(f *testing.F) {
 }
 
 // FuzzJournalRecord builds records of every kind from the input — ids,
-// tenants, keys, specs and errors cut from it, outcomes json.Marshal
+// tenants, keys, specs and errors cut from it, outcomes appendResponse
 // makes of Responses filled from it, snapshots of the state the records
 // so far built — and requires of each record that its payload is the
 // bytes json.Marshal makes of it (or that both fail), and that the
@@ -245,7 +246,11 @@ func FuzzJournalRecord(f *testing.F) {
 				rec.Kind, rec.Tenant, rec.OK, rec.Key = recComplete, str(), true, str()
 				resp := Response{JobID: rec.Job, Tenant: rec.Tenant, Program: str(), Strategy: str(),
 					PlanFingerprint: str(), CacheHit: next()&1 != 0, Attempts: int(next()), SimSeconds: float()}
-				if raw, err := json.Marshal(&resp); err == nil {
+				resp.Stats.Procs = make([]trace.ProcStats, next()%3)
+				for i := range resp.Stats.Procs {
+					resp.Stats.Procs[i].IO.Seconds, resp.Stats.Procs[i].Flops = float(), int64(next())
+				}
+				if raw, err := appendResponse(nil, &resp); err == nil {
 					rec.Outcome = raw
 				}
 			case 3:

@@ -10,7 +10,9 @@ import (
 	"strings"
 	"time"
 
+	"github.com/ooc-hpf/passion/internal/bufpool"
 	"github.com/ooc-hpf/passion/internal/cliutil"
+	"github.com/ooc-hpf/passion/internal/trace"
 )
 
 // Handler returns the server's HTTP API:
@@ -73,7 +75,49 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, c.status, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeResponse(w, resp)
+}
+
+// replyBytes sizes the arena buffer a reply is encoded into: room for
+// the top-level fields and totals, and for every rank's statistics with
+// most of their counters set.
+func replyBytes(resp *Response) int { return 1024 + 512*len(resp.Stats.Procs) }
+
+// writeResponse replies with resp as appendResponse encodes it, from an
+// arena buffer; the same failure rules as writeJSON hold.
+func (s *Server) writeResponse(w http.ResponseWriter, resp *Response) {
+	buf := bufpool.GetBytes(replyBytes(resp))
+	body, err := appendResponse(buf[:0], resp)
+	s.writeBody(w, http.StatusOK, body, err)
+	bufpool.PutBytes(buf) // a reply that outgrew buf left it unused
+}
+
+// appendResponse appends the wire form of resp: its top-level fields as
+// json.Marshal writes them, then its statistics as trace.AppendSnapshot
+// writes them, without their zero counters. The bytes are compact JSON
+// escaped as json.Marshal escapes it, and they decode with encoding/json
+// to resp bit for bit. A NaN or an infinity anywhere is an error.
+func appendResponse(dst []byte, resp *Response) ([]byte, error) {
+	dst = trace.AppendString(append(dst, `{"job_id":`...), resp.JobID)
+	dst = trace.AppendString(append(dst, `,"tenant":`...), resp.Tenant)
+	dst = trace.AppendString(append(dst, `,"program":`...), resp.Program)
+	dst = trace.AppendString(append(dst, `,"strategy":`...), resp.Strategy)
+	dst = trace.AppendString(append(dst, `,"plan_fingerprint":`...), resp.PlanFingerprint)
+	dst = strconv.AppendBool(append(dst, `,"cache_hit":`...), resp.CacheHit)
+	dst = strconv.AppendInt(append(dst, `,"attempts":`...), int64(resp.Attempts), 10)
+	dst = strconv.AppendInt(append(dst, `,"recoveries":`...), int64(resp.Recoveries), 10)
+	if resp.Resumed {
+		dst = append(dst, `,"resumed":true`...)
+	}
+	if resp.Deduplicated {
+		dst = append(dst, `,"deduplicated":true`...)
+	}
+	dst, err := trace.AppendFloat(append(dst, `,"sim_seconds":`...), resp.SimSeconds)
+	if err != nil {
+		return dst, err
+	}
+	dst, err = trace.AppendSnapshot(append(dst, `,"stats":`...), &resp.Stats)
+	return append(dst, '}'), err
 }
 
 // decodeRequest reads one job spec off the wire. A field the server does
@@ -147,6 +191,12 @@ func wantsPrometheus(r *http.Request) bool {
 // as status with nothing after it.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	body, err := json.Marshal(v)
+	s.writeBody(w, status, body, err)
+}
+
+// writeBody replies with body, one line of compact JSON, and a newline,
+// or, when err says the reply did not encode, logs it and answers 500.
+func (s *Server) writeBody(w http.ResponseWriter, status int, body []byte, err error) {
 	if err != nil {
 		s.log.Error("reply not encodable", "status", status, "error", err.Error())
 		status = http.StatusInternalServerError

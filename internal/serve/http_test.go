@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,6 +20,7 @@ import (
 
 	"github.com/ooc-hpf/passion/internal/iosim"
 	"github.com/ooc-hpf/passion/internal/mp"
+	"github.com/ooc-hpf/passion/internal/trace"
 )
 
 func postJob(t *testing.T, ts *httptest.Server, body string) (*http.Response, map[string]any) {
@@ -62,7 +65,8 @@ func readReply(t *testing.T, resp *http.Response) []byte {
 // TestHTTPReplyContract: a job's reply, the metrics, the health check, a
 // 400 and a 429 that carries retry_after_ms are each one line of compact
 // JSON under an exact Content-Length, and a job's reply is byte for byte
-// the Response that Submit returns for the same request.
+// appendResponse of the Response that Submit returns for the same
+// request, and decodes to it.
 func TestHTTPReplyContract(t *testing.T) {
 	s := New(Config{Workers: 1, QueueLimit: 1})
 	defer s.Close()
@@ -95,7 +99,11 @@ func TestHTTPReplyContract(t *testing.T) {
 	}
 	// The same request a second time: another job, and a cache hit.
 	want.JobID, want.CacheHit = got.JobID, true
-	if w := append(mustJSON(t, want), '\n'); !bytes.Equal(body, w) {
+	w, err := appendResponse(nil, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w = append(w, '\n'); !bytes.Equal(body, w) {
 		t.Errorf("POST /jobs reply\n%s\nis not Submit's Response\n%s", body, w)
 	}
 	if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
@@ -145,24 +153,102 @@ func TestHTTPReplyContract(t *testing.T) {
 
 // TestUnencodableReplyIs500: a reply that cannot be encoded (a NaN in it)
 // is answered 500 with an error body and logged, where it used to go out
-// as a 200 with nothing after the header.
+// as a 200 with nothing after the header — a JSON reply and a job's
+// reply, whose NaN is in its statistics, alike.
 func TestUnencodableReplyIs500(t *testing.T) {
-	var logged bytes.Buffer
-	s := &Server{log: slog.New(slog.NewTextHandler(&logged, nil))}
-	rec := httptest.NewRecorder()
-	s.writeJSON(rec, http.StatusOK, map[string]float64{"sim_seconds": math.NaN()})
-	if rec.Code != http.StatusInternalServerError {
-		t.Errorf("status %d, want 500", rec.Code)
+	resp := &Response{JobID: "job-1", SimSeconds: 1, Stats: trace.Snapshot{Procs: make([]trace.ProcStats, 2)}}
+	resp.Stats.Procs[1].Comm.DetectSeconds = math.NaN()
+	for name, write := range map[string]func(*Server, http.ResponseWriter){
+		"writeJSON": func(s *Server, w http.ResponseWriter) {
+			s.writeJSON(w, http.StatusOK, map[string]float64{"sim_seconds": math.NaN()})
+		},
+		"writeResponse": func(s *Server, w http.ResponseWriter) { s.writeResponse(w, resp) },
+	} {
+		var logged bytes.Buffer
+		s := &Server{log: slog.New(slog.NewTextHandler(&logged, nil))}
+		rec := httptest.NewRecorder()
+		write(s, rec)
+		if rec.Code != http.StatusInternalServerError {
+			t.Errorf("%s: status %d, want 500", name, rec.Code)
+		}
+		var m map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil || !strings.Contains(m["error"], "NaN") {
+			t.Errorf("%s: body %q (%v), want an error naming the NaN", name, rec.Body, err)
+		}
+		if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(rec.Body.Len()) {
+			t.Errorf("%s: Content-Length %q for %d bytes", name, got, rec.Body.Len())
+		}
+		if !strings.Contains(logged.String(), "reply not encodable") {
+			t.Errorf("%s: the failure was not logged: %q", name, logged.String())
+		}
 	}
-	var m map[string]string
-	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil || !strings.Contains(m["error"], "NaN") {
-		t.Errorf("body %q (%v), want an error naming the NaN", rec.Body, err)
+}
+
+// TestAppendResponseMatchesMarshal: a Response's top-level fields encode
+// as json.Marshal encodes them, byte for byte, under strings that need
+// escaping, and its statistics as trace.AppendSnapshot encodes them; the
+// reply decodes to the Response. Every field is checked set, so a field
+// added to Response is in the comparison.
+func TestAppendResponseMatchesMarshal(t *testing.T) {
+	resp := Response{JobID: "job-<1>", Tenant: "t&\u2028é", Program: `"gaxpy"\`, Strategy: "row\n",
+		PlanFingerprint: "\x00f", CacheHit: true, Attempts: 2, Recoveries: -1, Resumed: true,
+		Deduplicated: true, SimSeconds: 1e-7, Stats: trace.Snapshot{ElapsedSeconds: 1e21, Procs: make([]trace.ProcStats, 2)}}
+	resp.Stats.Procs[1].IO.ReadSizes.Counts[3] = 4
+	resp.Stats.TotalComm.DetectSeconds = math.Copysign(0, -1)
+	v := reflect.ValueOf(resp)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("Response.%s is not set", v.Type().Field(i).Name)
+		}
 	}
-	if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(rec.Body.Len()) {
-		t.Errorf("Content-Length %q for %d bytes", got, rec.Body.Len())
+	got, err := appendResponse(nil, &resp)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(logged.String(), "reply not encodable") {
-		t.Errorf("the failure was not logged: %q", logged.String())
+	head, _, _ := bytes.Cut(mustJSON(t, resp), []byte(`,"stats":`))
+	stats, err := trace.AppendSnapshot(nil, &resp.Stats)
+	if want := fmt.Appendf(nil, `%s,"stats":%s}`, head, stats); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("appendResponse\n%s\nwant\n%s (%v)", got, want, err)
+	}
+	var back Response
+	if err := json.Unmarshal(got, &back); err != nil || !reflect.DeepEqual(back, resp) ||
+		math.Float64bits(back.Stats.TotalComm.DetectSeconds) != math.Float64bits(resp.Stats.TotalComm.DetectSeconds) {
+		t.Errorf("%s decodes to %+v (%v), want %+v", got, back, err, resp)
+	}
+}
+
+// TestDeduplicatedReplyDecodesToSubmit: a keyed job's reply and the
+// reply to its retried submit, served from the retained outcome, each
+// decode to the Response Submit returns, the second marked deduplicated.
+func TestDeduplicatedReplyDecodesToSubmit(t *testing.T) {
+	s, err := Open(Config{Workers: 1, Journal: &JournalConfig{FS: iosim.NewMemFS()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	want, err := s.Submit(context.Background(), Request{N: 64, Procs: 4, MemElems: 4096, Parity: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, dedup := range []bool{false, true} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json",
+			strings.NewReader(`{"n":64,"procs":4,"mem_elems":4096,"parity":true,"idempotency_key":"k"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Response
+		if err := json.Unmarshal(readReply(t, resp), &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Deduplicated != dedup {
+			t.Fatalf("reply %d: deduplicated %v, want %v", i, got.Deduplicated, dedup)
+		}
+		want.JobID, want.CacheHit, want.Deduplicated = got.JobID, true, dedup
+		if !reflect.DeepEqual(&got, want) {
+			t.Errorf("reply %d decodes to\n%+v\nnot Submit's Response\n%+v", i, got, *want)
+		}
 	}
 }
 

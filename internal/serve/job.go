@@ -227,7 +227,9 @@ type Response struct {
 	Deduplicated bool `json:"deduplicated,omitempty"`
 	// SimSeconds is the simulated execution time; Stats is the full
 	// statistics snapshot, bitwise identical to a direct exec.Run of
-	// the same job.
+	// the same job. The reply carries it without its zero counters
+	// (appendResponse), and decodes with encoding/json to it bit for
+	// bit, so a decoded reply is that run's snapshot too.
 	SimSeconds float64        `json:"sim_seconds"`
 	Stats      trace.Snapshot `json:"stats"`
 }

@@ -465,10 +465,10 @@ func sealFrame(frame []byte) {
 // record kind: the bytes json.Marshal(rec) makes, but with every outcome
 // — the complete record's and each one a snapshot retains — copied
 // verbatim where json.Marshal would scan and re-compact it. An outcome
-// came out of the json.Marshal of its Response, compact and escaped, so
-// the copy is what json.Marshal would write; one replayed from a segment
-// is carried forward as it was read. The other fields go through
-// json.Marshal.
+// came out of appendResponse, compact and escaped as json.Marshal
+// escapes, so the copy is what json.Marshal would write; one replayed
+// from a segment is carried forward as it was read. The other fields go
+// through json.Marshal.
 func appendRecord(dst []byte, rec *walRec) ([]byte, error) {
 	head := *rec
 	head.Outcome, head.Error, head.Snapshot = nil, "", nil

@@ -1103,7 +1103,11 @@ func TestServedJournalMatchesMarshal(t *testing.T) {
 			t.Fatalf("job %d: %v", i, err)
 		}
 		if err == nil {
-			kept = append(kept, walOutcome{Key: req.IdempotencyKey, Response: mustJSON(t, resp)})
+			raw, err := appendResponse(nil, resp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept = append(kept, walOutcome{Key: req.IdempotencyKey, Response: raw})
 		}
 	}
 	if resp, err := s.Submit(context.Background(), Request{Tenant: "<t&0>", N: 32, Procs: 4, MemElems: 300,

@@ -1,13 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"time"
+
+	"github.com/ooc-hpf/passion/internal/bufpool"
 )
 
 // A job's life is a path through the edges below, and every step a job
@@ -126,11 +128,14 @@ func record(kind string, j *job, err error) (*walRec, error) {
 		rec.OK = true
 		// A keyed outcome is retained for retried submitters.
 		if j.key != "" {
-			raw, merr := json.Marshal(j.resp)
+			buf := bufpool.GetBytes(replyBytes(j.resp))
+			raw, merr := appendResponse(buf[:0], j.resp)
+			outcome := bytes.Clone(raw)
+			bufpool.PutBytes(buf)
 			if merr != nil {
 				return rec, fmt.Errorf("serve: encode outcome: %w", merr)
 			}
-			rec.Key, rec.Outcome = j.key, raw
+			rec.Key, rec.Outcome = j.key, outcome
 		}
 	case recCancel:
 		rec.Error = err.Error()

@@ -289,25 +289,28 @@ func (s *Stats) MaxIO() IOStats {
 	return m
 }
 
-// statField is one field of a statistics struct as the folds see it: its
-// kind (reflect.Struct stands for SizeHistogram) and its offset.
+// statField is one field of a statistics struct as the folds and the
+// wire encoder see it: its kind (reflect.Struct stands for
+// SizeHistogram), its offset, and its name as a JSON member key
+// (`,"Name":`, the name json.Marshal gives an untagged field).
 type statField struct {
 	kind reflect.Kind
 	off  uintptr
+	key  string
 }
 
 // statShape resolves the fields of statistics struct type t. Any field
 // that is not an int64, a float64 or a SizeHistogram panics, which —
 // together with the per-field probe in the aggregation test — guarantees
-// a new counter cannot be added without being picked up by Add, MaxIO and
-// TotalIO.
+// a new counter cannot be added without being picked up by Add, MaxIO,
+// TotalIO and AppendSnapshot.
 func statShape(t reflect.Type) []statField {
 	shape := make([]statField, t.NumField())
 	for i := range shape {
 		f := t.Field(i)
 		switch kind := f.Type.Kind(); {
 		case kind == reflect.Int64, kind == reflect.Float64, f.Type == reflect.TypeOf(SizeHistogram{}):
-			shape[i] = statField{kind, f.Offset}
+			shape[i] = statField{kind, f.Offset, `,"` + f.Name + `":`}
 		default:
 			panic(fmt.Sprintf("trace: cannot aggregate %s field %s of kind %s", t.Name(), f.Name, kind))
 		}

@@ -22,6 +22,11 @@
 # reports correct:false or failed operations is named on the way. -o DIR
 # keeps every run's result line, one file per side and workload.
 #
+# The exit status is 1 when some workload's metric is both over its
+# bound and apart (its change median is worse than the base's by more
+# than the bound, and the medians differ by more than the base's
+# quartile spread), 0 otherwise, and 2 on a usage error.
+#
 # Set TMPDIR if /tmp is off limits.
 set -euo pipefail
 
@@ -89,6 +94,7 @@ def quartiles(xs):
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else (xs[0],) * 3
     return q1, med, q3
 
+regressed = []
 print(f"{'workload':<15} {'metric':<17} {'base median [q1, q3]':<30} {'change median [q1, q3]':<30} {'ratio':>7}  better  apart  bound")
 for w in workloads:
     runs = {side: load(w, side) for side in ("base", "change")}
@@ -111,6 +117,11 @@ for w in workloads:
         ratio = cq[1] / bq[1] if bq[1] else float("nan")
         fmt = lambda q: f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
         print(f"{w:<15} {name:<17} {fmt(bq):<30} {fmt(cq):<30} {ratio:>7.3f}  {wins:>2}/{min(len(b), len(c)):<3}  {apart:<5}  {bound}")
+        if bound == "over" and apart == "yes":
+            regressed.append(f"{w} {name}")
 print("ratio: change median / base median; better: the change was better in n of m pairs;")
 print("apart: the medians differ by more than base q3 - q1; bound: ok unless the change's median is worse by more than the bound")
+if regressed:
+    print("worse beyond bound and spread: " + ", ".join(regressed))
+    sys.exit(1)
 EOF
