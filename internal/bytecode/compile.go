@@ -22,6 +22,7 @@ import (
 func Compile(p *plan.Program) (*Program, error) {
 	code := *p // the stream, and so its fingerprint, omits the runtime switches
 	code.Runtime = oocarray.Options{}
+	instrs, exprs := tableSizes(p.Body)
 	c := &compiler{
 		bc: &Program{
 			Name:        p.Name,
@@ -30,19 +31,23 @@ func Compile(p *plan.Program) (*Program, error) {
 			Strategy:    p.Strategy,
 			Fingerprint: plan.Fingerprint(&code, nil),
 			Arrays:      append([]plan.ArraySpec(nil), p.Arrays...),
+			// The tables are made at their final size, and nil when
+			// empty, as Decode makes them.
+			Labels: table[string](len(p.Body))[:0],
+			Exprs:  table[[]ExprInstr](exprs)[:0],
+			// CKPT_INIT; each node's NODE_ENTER, body and NODE_EXIT;
+			// a CKPT before each node but the first.
+			Code:   make([]Instr, 0, 1+instrs+2*len(p.Body)+max(len(p.Body)-1, 0)),
+			NodePC: table[int32](len(p.Body))[:0],
 		},
-		arrays: make(map[string]int32, len(p.Arrays)),
-		vars:   make(map[string]int32),
-		bufs:   make(map[string]bufSlot),
-		vecs:   make(map[string]int32),
-		live:   make(map[string]bool),
-		nodes:  len(p.Body),
+		nodes: len(p.Body),
 	}
 	for i, a := range p.Arrays {
-		if _, dup := c.arrays[a.Name]; dup {
-			return nil, fmt.Errorf("bytecode: duplicate array %q", a.Name)
+		for _, b := range p.Arrays[:i] {
+			if a.Name == b.Name {
+				return nil, fmt.Errorf("bytecode: duplicate array %q", a.Name)
+			}
 		}
-		c.arrays[a.Name] = int32(i)
 	}
 	c.emit(Instr{Op: OpCkptInit})
 	for i, n := range p.Body {
@@ -117,15 +122,13 @@ func (c *compiler) dropLiveCkpts() {
 }
 
 type compiler struct {
-	bc     *Program
-	arrays map[string]int32
-	vars   map[string]int32
-	bufs   map[string]bufSlot
-	vecs   map[string]int32
-	// live tracks which loop variables are in scope at the current
-	// compile point (the static mirror of the interpreter's set/delete
-	// on its vars map).
-	live map[string]bool
+	bc *Program
+	// live[s] reports whether the loop variable of slot s is in scope at
+	// the current compile point (the static mirror of the interpreter's
+	// set/delete on its vars map).
+	live []bool
+	// bufNode[s] is the top-level node that last bound buffer slot s.
+	bufNode []int32
 	// node is the top-level node being lowered, of nodes. liveIn[i]
 	// records that some buffer slot is live across the boundary before
 	// node i: bound before it, read at or after it (nil while none is).
@@ -134,9 +137,36 @@ type compiler struct {
 	liveIn []bool
 }
 
-// bufSlot is a buffer name's slot and the top-level node that last bound
-// it.
-type bufSlot struct{ slot, node int32 }
+// tableSizes counts the instructions and expression programs lowering
+// body emits, so Compile makes Code and Exprs once. Each node lowers to
+// one instruction except a loop (LOOP, its body, END_LOOP) and an
+// exchange (one per array).
+func tableSizes(body []plan.Node) (instrs, exprs int) {
+	for _, n := range body {
+		switch n := n.(type) {
+		case *plan.Loop:
+			i, e := tableSizes(n.Body)
+			instrs, exprs = instrs+2+i, exprs+e
+		case *plan.Exchange:
+			instrs += len(n.Arrays)
+		case *plan.Ewise:
+			instrs, exprs = instrs+1, exprs+1
+		default:
+			instrs++
+		}
+	}
+	return instrs, exprs
+}
+
+// slotOf is the index of name in a slot's name table, or -1.
+func slotOf(names []string, name string) int32 {
+	for i, n := range names {
+		if n == name {
+			return int32(i)
+		}
+	}
+	return -1
+}
 
 func (c *compiler) emit(ins Instr) int32 {
 	c.bc.Code = append(c.bc.Code, ins)
@@ -144,76 +174,77 @@ func (c *compiler) emit(ins Instr) int32 {
 }
 
 func (c *compiler) arrayIdx(name, what string) (int32, error) {
-	i, ok := c.arrays[name]
-	if !ok {
-		return 0, fmt.Errorf("bytecode: %s references unknown array %q", what, name)
+	for i, a := range c.bc.Arrays {
+		if a.Name == name {
+			return int32(i), nil
+		}
 	}
-	return i, nil
+	return 0, fmt.Errorf("bytecode: %s references unknown array %q", what, name)
 }
 
 // varDef brings a loop variable into scope, assigning its slot on first
 // use. Shadowing is rejected: the interpreter's flat variable map would
 // silently clobber and then kill the outer binding.
 func (c *compiler) varDef(name string) (int32, error) {
-	if c.live[name] {
-		return 0, fmt.Errorf("bytecode: loop variable %q shadows a live loop variable", name)
-	}
-	s, ok := c.vars[name]
-	if !ok {
+	s := slotOf(c.bc.VarNames, name)
+	if s < 0 {
 		s = int32(len(c.bc.VarNames))
 		c.bc.VarNames = append(c.bc.VarNames, name)
-		c.vars[name] = s
+		c.live = append(c.live, false)
 	}
-	c.live[name] = true
+	if c.live[s] {
+		return 0, fmt.Errorf("bytecode: loop variable %q shadows a live loop variable", name)
+	}
+	c.live[s] = true
 	return s, nil
 }
 
 func (c *compiler) varRef(name, what string) (int32, error) {
-	if !c.live[name] {
+	s := slotOf(c.bc.VarNames, name)
+	if s < 0 || !c.live[s] {
 		return 0, fmt.Errorf("bytecode: %s %q is not a live loop variable", what, name)
 	}
-	return c.vars[name], nil
+	return s, nil
 }
 
 // bufDef assigns (or reuses) the slot a node binds a buffer name to.
 func (c *compiler) bufDef(name string) int32 {
-	b, ok := c.bufs[name]
-	if !ok {
-		b.slot = int32(len(c.bc.BufNames))
+	s := slotOf(c.bc.BufNames, name)
+	if s < 0 {
+		s = int32(len(c.bc.BufNames))
 		c.bc.BufNames = append(c.bc.BufNames, name)
+		c.bufNode = append(c.bufNode, 0)
 	}
-	b.node = c.node
-	c.bufs[name] = b
-	return b.slot
+	c.bufNode[s] = c.node
+	return s
 }
 
 func (c *compiler) bufRef(name, what string) (int32, error) {
-	b, ok := c.bufs[name]
-	if !ok {
+	s := slotOf(c.bc.BufNames, name)
+	if s < 0 {
 		return 0, fmt.Errorf("bytecode: %s references buffer %q before any definition", what, name)
 	}
-	for n := b.node + 1; n <= c.node; n++ {
+	for n := c.bufNode[s] + 1; n <= c.node; n++ {
 		if c.liveIn == nil {
 			c.liveIn = make([]bool, c.nodes)
 		}
 		c.liveIn[n] = true
 	}
-	return b.slot, nil
+	return s, nil
 }
 
 func (c *compiler) vecDef(name string) int32 {
-	s, ok := c.vecs[name]
-	if !ok {
+	s := slotOf(c.bc.VecNames, name)
+	if s < 0 {
 		s = int32(len(c.bc.VecNames))
 		c.bc.VecNames = append(c.bc.VecNames, name)
-		c.vecs[name] = s
 	}
 	return s
 }
 
 func (c *compiler) vecRef(name, what string) (int32, error) {
-	s, ok := c.vecs[name]
-	if !ok {
+	s := slotOf(c.bc.VecNames, name)
+	if s < 0 {
 		return 0, fmt.Errorf("bytecode: %s references vector %q before any ZeroVec", what, name)
 	}
 	return s, nil
@@ -243,7 +274,7 @@ func (c *compiler) compileLoop(n *plan.Loop, ckptNode int32) error {
 	}
 	end := c.emit(Instr{Op: OpEndLoop, A: loopPC})
 	c.bc.Code[loopPC].D = end + 1
-	c.live[n.Var] = false
+	c.live[slot] = false
 	return nil
 }
 
@@ -478,7 +509,8 @@ func (c *compiler) compileNode(n plan.Node) error {
 // performs the identical sequence of float operations the recursive tree
 // evaluation performs.
 func (c *compiler) compileExpr(e plan.EExpr) (int32, error) {
-	var code []ExprInstr
+	// A binary tree of k operators has k+1 leaves.
+	code := make([]ExprInstr, 0, 2*e.Ops()+1)
 	var walk func(e plan.EExpr) error
 	walk = func(e plan.EExpr) error {
 		switch e := e.(type) {

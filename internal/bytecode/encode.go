@@ -36,9 +36,11 @@ var (
 // CRC32 (IEEE), payload, all big-endian. The payload has no maps and no
 // varints — every field is emitted in declaration order at a fixed width —
 // so encoding is deterministic: Encode(Decode(b)) reproduces b byte for
-// byte, and equal programs encode equally.
+// byte, and equal programs encode equally. The frame is made once, at
+// its exact size: the payload is written in place behind the header,
+// which is filled in last.
 func Encode(p *Program) []byte {
-	var w encBuf
+	w := encBuf{buf: make([]byte, frameHeader, frameHeader+payloadSize(p))}
 	w.str(p.Name)
 	w.u64(uint64(p.N))
 	w.u64(uint64(p.Procs))
@@ -91,12 +93,41 @@ func Encode(p *Program) []byte {
 	}
 	w.u32(uint32(p.Readers))
 
-	frame := make([]byte, 0, len(Magic)+12+len(w.buf))
-	frame = append(frame, Magic...)
-	frame = binary.BigEndian.AppendUint32(frame, Version)
-	frame = binary.BigEndian.AppendUint32(frame, uint32(len(w.buf)))
-	frame = binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(w.buf))
-	return append(frame, w.buf...)
+	frame, payload := w.buf, w.buf[frameHeader:]
+	copy(frame, Magic)
+	binary.BigEndian.PutUint32(frame[len(Magic):], Version)
+	binary.BigEndian.PutUint32(frame[len(Magic)+4:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[len(Magic)+8:], crc32.ChecksumIEEE(payload))
+	return frame
+}
+
+// frameHeader is the frame's length ahead of the payload: magic,
+// version, payload length and CRC.
+const frameHeader = len(Magic) + 12
+
+// payloadSize is the length of the payload Encode writes for p. It
+// mirrors Encode field by field.
+func payloadSize(p *Program) int {
+	str := func(s string) int { return 4 + len(s) }
+	strs := func(s []string) int {
+		n := 4
+		for _, x := range s {
+			n += str(x)
+		}
+		return n
+	}
+	n := str(p.Name) + 8 + 8 + str(p.Strategy) + str(p.Fingerprint) + 4
+	for _, a := range p.Arrays {
+		n += arrayEncMin + len(a.Name) + 8*len(a.Grid)
+	}
+	n += strs(p.VarNames) + strs(p.BufNames) + strs(p.VecNames) + strs(p.Labels)
+	n += 4
+	for _, code := range p.Exprs {
+		n += 4 + exprInstrEnc*len(code)
+	}
+	n += 4 + instrEnc*len(p.Code)
+	n += 4 + 4*len(p.NodePC)
+	return n + 4
 }
 
 type encBuf struct{ buf []byte }
@@ -127,7 +158,7 @@ func Decode(b []byte) (*Program, error) {
 	if string(b[:len(Magic)]) != Magic {
 		return nil, ErrBadMagic
 	}
-	if len(b) < len(Magic)+12 {
+	if len(b) < frameHeader {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the frame header", ErrTruncated, len(b))
 	}
 	if v := binary.BigEndian.Uint32(b[len(Magic):]); v != Version {
@@ -135,7 +166,7 @@ func Decode(b []byte) (*Program, error) {
 	}
 	plen := binary.BigEndian.Uint32(b[len(Magic)+4:])
 	want := binary.BigEndian.Uint32(b[len(Magic)+8:])
-	payload := b[len(Magic)+12:]
+	payload := b[frameHeader:]
 	if uint64(len(payload)) < uint64(plen) {
 		return nil, fmt.Errorf("%w: payload declares %d bytes, %d present", ErrTruncated, plen, len(payload))
 	}

@@ -2,7 +2,11 @@ package bytecode_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +18,7 @@ import (
 	"github.com/ooc-hpf/passion/internal/hpf"
 	"github.com/ooc-hpf/passion/internal/oocarray"
 	"github.com/ooc-hpf/passion/internal/plan"
+	"github.com/ooc-hpf/passion/internal/sim"
 )
 
 // corpus compiles every program shape the repository knows — the built-in
@@ -83,6 +88,158 @@ func TestGoldenRoundTrip(t *testing.T) {
 				t.Fatalf("decoded program fails validation: %v", err)
 			}
 		})
+	}
+}
+
+// encodeOracle is the encoder Encode replaced: the payload grown from
+// empty by appends, then copied behind a header. Encode must write the
+// same bytes.
+func encodeOracle(p *bytecode.Program) []byte {
+	var w oracleBuf
+	w.str(p.Name)
+	w.u64(uint64(p.N))
+	w.u64(uint64(p.Procs))
+	w.str(p.Strategy)
+	w.str(p.Fingerprint)
+	w.u32(uint32(len(p.Arrays)))
+	for _, a := range p.Arrays {
+		w.str(a.Name)
+		w.u64(uint64(a.Rows))
+		w.u64(uint64(a.Cols))
+		w.u32(uint32(a.RowScheme))
+		w.u32(uint32(a.ColScheme))
+		w.u32(uint32(a.Role))
+		w.u32(uint32(len(a.Grid)))
+		for _, g := range a.Grid {
+			w.u64(uint64(g))
+		}
+		w.u64(uint64(a.SlabElems))
+		w.u32(uint32(a.SlabDim))
+	}
+	w.strs(p.VarNames)
+	w.strs(p.BufNames)
+	w.strs(p.VecNames)
+	w.strs(p.Labels)
+	w.u32(uint32(len(p.Exprs)))
+	for _, code := range p.Exprs {
+		w.u32(uint32(len(code)))
+		for _, ins := range code {
+			w.buf = append(w.buf, byte(ins.Op))
+			w.i32(ins.A)
+			w.i32(ins.B)
+			// One 8-byte operand: PUSH_CONST's value, any other op's C.
+			if ins.Op == bytecode.EPushConst {
+				w.u64(math.Float64bits(ins.Val))
+			} else {
+				w.u64(uint64(int64(ins.C)))
+			}
+		}
+	}
+	w.u32(uint32(len(p.Code)))
+	for _, ins := range p.Code {
+		w.buf = append(w.buf, byte(ins.Op))
+		for _, v := range [...]int32{ins.A, ins.B, ins.C, ins.D, ins.E, ins.F, ins.G, ins.H} {
+			w.i32(v)
+		}
+	}
+	w.u32(uint32(len(p.NodePC)))
+	for _, pc := range p.NodePC {
+		w.i32(pc)
+	}
+	w.u32(uint32(p.Readers))
+
+	frame := make([]byte, 0, len(bytecode.Magic)+12+len(w.buf))
+	frame = append(frame, bytecode.Magic...)
+	frame = binary.BigEndian.AppendUint32(frame, bytecode.Version)
+	frame = binary.BigEndian.AppendUint32(frame, uint32(len(w.buf)))
+	frame = binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(w.buf))
+	return append(frame, w.buf...)
+}
+
+type oracleBuf struct{ buf []byte }
+
+func (w *oracleBuf) u32(v uint32) { w.buf = binary.BigEndian.AppendUint32(w.buf, v) }
+func (w *oracleBuf) u64(v uint64) { w.buf = binary.BigEndian.AppendUint64(w.buf, v) }
+func (w *oracleBuf) i32(v int32)  { w.u32(uint32(v)) }
+func (w *oracleBuf) str(s string) {
+	w.u32(uint32(len(s)))
+	w.buf = append(w.buf, s...)
+}
+func (w *oracleBuf) strs(s []string) {
+	w.u32(uint32(len(s)))
+	for _, x := range s {
+		w.str(x)
+	}
+}
+
+// sweepCorpus lowers every testdata/ program and the benchmark's four
+// programs over a spread of the compile sweep's (N, P, memory) grid,
+// with the options a served job compiles under.
+func sweepCorpus(t *testing.T) map[string]*bytecode.Program {
+	t.Helper()
+	out := map[string]*bytecode.Program{}
+	for name, p := range corpus(t) {
+		bc, err := bytecode.Compile(p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out[name] = bc
+	}
+	files, err := filepath.Glob("../../bench/programs/*.hpf")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no benchmark programs: %v", err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{64, 1024, 16384} {
+			for _, procs := range []int{4, 64, 512} {
+				for _, d := range []int{1, 16, 64} {
+					mem := n * n / procs / d
+					res, err := compiler.CompileSource(string(src), compiler.Options{
+						N: n, Procs: procs, MemElems: mem, Machine: sim.Delta(procs), Policy: compiler.PolicyWeighted,
+					})
+					if err != nil {
+						continue // the sweep drops what does not compile
+					}
+					bc, err := bytecode.Compile(res.Program)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out[fmt.Sprintf("%s/n%d/p%d/m%d", filepath.Base(f), n, procs, mem)] = bc
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestEncodeMatchesOracle: Encode writes the oracle's bytes for every
+// program, in a frame made at its exact length.
+func TestEncodeMatchesOracle(t *testing.T) {
+	progs := sweepCorpus(t)
+	if len(progs) < 40 {
+		t.Fatalf("only %d programs compiled", len(progs))
+	}
+	for name, bc := range progs {
+		enc := bytecode.Encode(bc)
+		if !bytes.Equal(enc, encodeOracle(bc)) {
+			t.Errorf("%s: Encode differs from the oracle", name)
+		}
+		if len(enc) != cap(enc) {
+			t.Errorf("%s: frame of %d bytes has capacity %d", name, len(enc), cap(enc))
+		}
+	}
+}
+
+// TestEncodeAllocs pins Encode at one allocation, the frame it returns.
+func TestEncodeAllocs(t *testing.T) {
+	for name, bc := range sweepCorpus(t) {
+		if got := testing.AllocsPerRun(10, func() { bytecode.Encode(bc) }); got != 1 {
+			t.Errorf("%s: Encode made %v allocations, want 1", name, got)
+		}
 	}
 }
 
@@ -300,6 +457,9 @@ func FuzzDecode(f *testing.F) {
 		}
 		// A stream that decodes must round-trip stably.
 		enc2 := bytecode.Encode(p)
+		if len(enc2) != cap(enc2) {
+			t.Fatalf("re-encoded frame of %d bytes has capacity %d", len(enc2), cap(enc2))
+		}
 		p2, err := bytecode.Decode(enc2)
 		if err != nil {
 			t.Fatalf("re-encode of a decoded program does not decode: %v", err)
@@ -347,5 +507,31 @@ func TestValidateRowOperands(t *testing.T) {
 	}
 	if err := flat.Validate(); !errors.Is(err, bytecode.ErrMalformed) {
 		t.Errorf("row offset in an unbounded EWISE: want ErrMalformed, got %v", err)
+	}
+}
+
+// TestCompileSizesTables: lowering makes its instruction stream, jump
+// table, labels and expression programs at their final size. The only
+// spare capacity is in the stream, one slot for each checkpoint between
+// nodes that a live buffer slot dropped.
+func TestCompileSizesTables(t *testing.T) {
+	for name, bc := range sweepCorpus(t) {
+		dropped := max(len(bc.NodePC)-1, 0)
+		for _, ins := range bc.Code {
+			if ins.Op == bytecode.OpCkpt {
+				dropped--
+			}
+		}
+		if cap(bc.Code) != len(bc.Code)+dropped {
+			t.Errorf("%s: stream of %d instructions, %d checkpoints dropped, capacity %d", name, len(bc.Code), dropped, cap(bc.Code))
+		}
+		if len(bc.NodePC) != cap(bc.NodePC) || len(bc.Labels) != cap(bc.Labels) || len(bc.Exprs) != cap(bc.Exprs) {
+			t.Errorf("%s: a node or expression table has spare capacity", name)
+		}
+		for i, code := range bc.Exprs {
+			if len(code) != cap(code) {
+				t.Errorf("%s: expression %d has %d instructions and capacity %d", name, i, len(code), cap(code))
+			}
+		}
 	}
 }

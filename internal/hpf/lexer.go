@@ -8,107 +8,142 @@ import (
 
 // Lex tokenizes mini-HPF source. Comments start with '!' and run to the
 // end of the line, except for the '!hpf$' directive sentinel, which is
-// returned as a DIRECTIVE token. Blank lines are collapsed.
+// returned as a DIRECTIVE token. Blank lines are collapsed. Lex is a
+// loop over the lexer the parser pulls its tokens from.
 func Lex(src string) ([]Token, error) {
 	// Source runs at about one token per two bytes (0.45 to 0.56 over
 	// testdata/), so this capacity holds the whole stream of every such
 	// program; denser source regrows it.
 	toks := make([]Token, 0, len(src)*3/5+2)
-	line, col := 1, 1
-	i := 0
-	lastEmitted := func() Kind {
-		if len(toks) == 0 {
-			return NEWLINE
+	lx := newLexer(src)
+	for {
+		t := lx.next()
+		if lx.err != nil {
+			return nil, lx.err
 		}
-		return toks[len(toks)-1].Kind
+		toks = append(toks, t)
+		if t.Kind == EOF {
+			return toks, nil
+		}
 	}
-	emit := func(k Kind, text string) {
-		toks = append(toks, Token{Kind: k, Text: text, Line: line, Col: col})
+}
+
+// lexer produces the tokens of a source one at a time. The stream always
+// ends in a NEWLINE and then EOF; after EOF, next returns EOF again. A
+// lexical error ends the stream early: next returns EOF and err holds
+// the error.
+type lexer struct {
+	src       string
+	i         int
+	line, col int
+	// last is the kind of the last token returned (NEWLINE before the
+	// first), which collapses blank lines and closes the stream.
+	last Kind
+	err  error
+}
+
+func newLexer(src string) lexer { return lexer{src: src, line: 1, col: 1, last: NEWLINE} }
+
+// tok returns a token at the current position and records its kind.
+func (lx *lexer) tok(k Kind, text string) Token {
+	lx.last = k
+	return Token{Kind: k, Text: text, Line: lx.line, Col: lx.col}
+}
+
+// next returns the next token.
+func (lx *lexer) next() Token {
+	if lx.last == EOF {
+		return lx.tok(EOF, "")
 	}
-	for i < len(src) {
-		c := src[i]
+	src := lx.src
+	for lx.i < len(src) {
+		c := src[lx.i]
 		switch {
 		case c == '\n':
-			if lastEmitted() != NEWLINE {
-				emit(NEWLINE, "\\n")
+			blank := lx.last == NEWLINE
+			t := lx.tok(NEWLINE, "\\n")
+			lx.i++
+			lx.line++
+			lx.col = 1
+			if blank {
+				continue
 			}
-			i++
-			line++
-			col = 1
-			continue
+			return t
 		case c == ' ' || c == '\t' || c == '\r':
-			i++
-			col++
+			lx.i++
+			lx.col++
 			continue
 		case c == '!':
 			// Directive sentinel or comment.
-			rest := src[i:]
+			rest := src[lx.i:]
 			if len(rest) >= 5 && strings.EqualFold(rest[:5], "!hpf$") {
-				emit(DIRECTIVE, "!hpf$")
-				i += 5
-				col += 5
-				continue
+				t := lx.tok(DIRECTIVE, "!hpf$")
+				lx.i += 5
+				lx.col += 5
+				return t
 			}
-			for i < len(src) && src[i] != '\n' {
-				i++
-				col++
+			for lx.i < len(src) && src[lx.i] != '\n' {
+				lx.i++
+				lx.col++
 			}
 			continue
 		case isDigit(c):
-			start := i
-			for i < len(src) && isDigit(src[i]) {
-				i++
+			start := lx.i
+			for lx.i < len(src) && isDigit(src[lx.i]) {
+				lx.i++
 			}
-			emit(NUMBER, src[start:i])
-			col += i - start
-			continue
+			t := lx.tok(NUMBER, src[start:lx.i])
+			lx.col += lx.i - start
+			return t
 		case isIdentStart(c):
-			start := i
-			for i < len(src) && isIdentPart(src[i]) {
-				i++
+			start := lx.i
+			for lx.i < len(src) && isIdentPart(src[lx.i]) {
+				lx.i++
 			}
-			emit(IDENT, strings.ToLower(src[start:i]))
-			col += i - start
-			continue
+			t := lx.tok(IDENT, strings.ToLower(src[start:lx.i]))
+			lx.col += lx.i - start
+			return t
 		}
 		// Punctuation.
+		var t Token
 		switch c {
 		case '(':
-			emit(LPAREN, "(")
+			t = lx.tok(LPAREN, "(")
 		case ')':
-			emit(RPAREN, ")")
+			t = lx.tok(RPAREN, ")")
 		case ',':
-			emit(COMMA, ",")
+			t = lx.tok(COMMA, ",")
 		case ':':
-			if i+1 < len(src) && src[i+1] == ':' {
-				emit(DCOLON, "::")
-				i += 2
-				col += 2
-				continue
+			if lx.i+1 < len(src) && src[lx.i+1] == ':' {
+				t = lx.tok(DCOLON, "::")
+				lx.i += 2
+				lx.col += 2
+				return t
 			}
-			emit(COLON, ":")
+			t = lx.tok(COLON, ":")
 		case '=':
-			emit(EQUALS, "=")
+			t = lx.tok(EQUALS, "=")
 		case '+':
-			emit(PLUS, "+")
+			t = lx.tok(PLUS, "+")
 		case '-':
-			emit(MINUS, "-")
+			t = lx.tok(MINUS, "-")
 		case '*':
-			emit(STAR, "*")
+			t = lx.tok(STAR, "*")
 		case '/':
-			emit(SLASH, "/")
+			t = lx.tok(SLASH, "/")
 		default:
-			r, _ := utf8.DecodeRuneInString(src[i:])
-			return nil, fmt.Errorf("hpf: %d:%d: unexpected character %q", line, col, r)
+			r, _ := utf8.DecodeRuneInString(src[lx.i:])
+			lx.err = fmt.Errorf("hpf: %d:%d: unexpected character %q", lx.line, lx.col, r)
+			return lx.tok(EOF, "")
 		}
-		i++
-		col++
+		lx.i++
+		lx.col++
+		return t
 	}
-	if lastEmitted() != NEWLINE {
-		emit(NEWLINE, "\\n")
+	if lx.last != NEWLINE {
+		return lx.tok(NEWLINE, "\\n")
 	}
-	emit(EOF, "")
-	return toks, nil
+	return lx.tok(EOF, "")
 }
 
 func isDigit(c byte) bool      { return c >= '0' && c <= '9' }

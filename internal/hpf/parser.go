@@ -5,31 +5,44 @@ import (
 	"strconv"
 )
 
-// Parse tokenizes and parses a mini-HPF program.
+// Parse tokenizes and parses a mini-HPF program. The parser pulls its
+// tokens from the lexer one at a time. A lexical error anywhere in the
+// source is returned in place of a parse error, so after a parse error
+// Parse lexes the rest of the source.
 func Parse(src string) (*Program, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := &parser{lx: newLexer(src)}
+	p.tok = p.lx.next()
 	prog, err := p.parseProgram()
 	if err != nil {
-		return nil, err
+		for p.lx.err == nil && p.lx.next().Kind != EOF {
+		}
 	}
-	return prog, nil
+	if p.lx.err != nil {
+		return nil, p.lx.err
+	}
+	return prog, err
 }
 
+// parser holds a two-token window on the lexer's stream: tok, the next
+// token, and ahead, the one after it once lookaheadIsBareEnd has pulled
+// it.
 type parser struct {
-	toks []Token
-	pos  int
+	lx       lexer
+	tok      Token
+	ahead    Token
+	hasAhead bool
 }
 
-func (p *parser) peek() Token { return p.toks[p.pos] }
+func (p *parser) peek() Token { return p.tok }
 
 func (p *parser) next() Token {
-	t := p.toks[p.pos]
-	if t.Kind != EOF {
-		p.pos++
+	t := p.tok
+	switch {
+	case t.Kind == EOF:
+	case p.hasAhead:
+		p.tok, p.hasAhead = p.ahead, false
+	default:
+		p.tok = p.lx.next()
 	}
 	return t
 }
@@ -142,7 +155,10 @@ func (p *parser) parseProgram() (*Program, error) {
 // lookaheadIsBareEnd distinguishes the program-terminating "end" from
 // "end do" / "end forall".
 func (p *parser) lookaheadIsBareEnd() bool {
-	return p.toks[p.pos+1].Kind == NEWLINE || p.toks[p.pos+1].Kind == EOF
+	if !p.hasAhead {
+		p.ahead, p.hasAhead = p.lx.next(), true
+	}
+	return p.ahead.Kind == NEWLINE || p.ahead.Kind == EOF
 }
 
 func (p *parser) parseParameter(prog *Program) error {

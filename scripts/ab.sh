@@ -13,19 +13,27 @@
 #
 # For each workload the script runs PAIRS pairs (default 10) of SECONDS
 # (default BENCHMARK.json's run_seconds) with seed SEED (default 1),
-# base first in even pairs and change first in odd ones. It prints, for
+# base first in odd pairs and change first in even ones. It prints, for
 # every end-to-end metric of BENCHMARK.json, each side's median and
 # quartiles, the ratio of the medians, in how many pairs the change was
-# better (ties count for neither side), whether the medians differ by
-# more than the base's quartile spread, and whether the change's median
-# is worse than the base's by more than the metric's bound. A run that
-# reports correct:false or failed operations is named on the way. -o DIR
-# keeps every run's result line, one file per side and workload.
+# better (each pair compares its own two runs, and counts only when both
+# have the metric; ties count for neither side), whether the medians
+# differ by more than the base's quartile spread, and whether the
+# change's median is worse than the base's by more than the metric's
+# bound.
 #
-# The exit status is 1 when some workload's metric is both over its
-# bound and apart (its change median is worse than the base's by more
-# than the bound, and the medians differ by more than the base's
-# quartile spread), 0 otherwise, and 2 on a usage error.
+# A run fails if it exits non-zero, prints no result line, or reports
+# correct:false or failed jobs. After the table, each failed run is named
+# with its workload, side, pair and exit code, followed by the last 20
+# lines of its stderr. -o DIR also keeps every run's output: the
+# result lines and exit statuses of a side (W.SIDE.jsonl, W.SIDE.status,
+# one line per pair) and each run's stderr (W.SIDE.N.stderr, N the pair
+# from 1).
+#
+# The exit status is 1 when some run failed, or when some workload's
+# metric is both over its bound and apart (its change median is worse
+# than the base's by more than the bound, and the medians differ by more
+# than the base's quartile spread); 0 otherwise, and 2 on a usage error.
 #
 # Set TMPDIR if /tmp is off limits.
 set -euo pipefail
@@ -57,27 +65,30 @@ WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 out=${keep:-$WORK/out}
 mkdir -p "$WORK/base" "$out"
+out=$(cd "$out" && pwd) # each run writes its stderr from its own checkout
 git archive "$base_rev" | tar -x -C "$WORK/base"
 echo "base $(git rev-parse --short "$base_rev"), change $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo ' + edits'); $pairs pairs of ${seconds}s, seed $seed" >&2
 
-# run SIDE WORKLOAD appends one result line of SIDE to its file.
+# run SIDE WORKLOAD PAIR appends SIDE's result line (null if the run
+# printed none) and exit status to their files, and keeps its stderr.
 run() {
   local dir=$change
   [ "$1" = base ] && dir=$WORK/base
-  local line
-  line=$(cd "$dir" && bash bench/run.sh --workload "$2" --seed "$seed" --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1) || true
+  local line status=0
+  line=$(cd "$dir" && bash bench/run.sh --workload "$2" --seed "$seed" --seconds "$seconds" --trace 0 2>"$out/$2.$1.$3.stderr" | tail -n 1) || status=$?
   case $line in
     '{'*) ;;
-    *) line='{"correct":false,"attempted":0,"failed":0,"metrics":{}}' ;;
+    *) line=null ;;
   esac
   echo "$line" >> "$out/$2.$1.jsonl"
+  echo "$status" >> "$out/$2.$1.status"
 }
 
 for w in "$@"; do
-  rm -f "$out/$w.base.jsonl" "$out/$w.change.jsonl"
-  for ((i = 0; i < pairs; i++)); do
-    if ((i % 2 == 0)); then run base "$w"; run change "$w"; else run change "$w"; run base "$w"; fi
-    echo "  $w: pair $((i + 1)) of $pairs done" >&2
+  rm -f "$out/$w".{base,change}.{jsonl,status} "$out/$w".{base,change}.*.stderr
+  for ((i = 1; i <= pairs; i++)); do
+    if ((i % 2 == 1)); then run base "$w" "$i"; run change "$w" "$i"; else run change "$w" "$i"; run base "$w" "$i"; fi
+    echo "  $w: pair $i of $pairs done" >&2
   done
 done
 
@@ -88,40 +99,56 @@ out, bench, workloads = sys.argv[1], json.load(open(sys.argv[2])), sys.argv[3:]
 
 def load(w, side):
     with open(f"{out}/{w}.{side}.jsonl") as f:
-        return [json.loads(line) for line in f]
+        runs = [json.loads(line) for line in f]
+    with open(f"{out}/{w}.{side}.status") as f:
+        return runs, [int(line) for line in f]
 
 def quartiles(xs):
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else (xs[0],) * 3
     return q1, med, q3
 
-regressed = []
+regressed, failed = [], []
 print(f"{'workload':<15} {'metric':<17} {'base median [q1, q3]':<30} {'change median [q1, q3]':<30} {'ratio':>7}  better  apart  bound")
 for w in workloads:
     runs = {side: load(w, side) for side in ("base", "change")}
-    for side, rs in runs.items():
-        for i, r in enumerate(rs):
-            if not r["correct"] or r["failed"]:
-                print(f"{w}: {side} run {i + 1}: correct {r['correct']}, {r['failed']} of {r['attempted']} failed")
+    for side, (rs, codes) in runs.items():
+        for i, (r, code) in enumerate(zip(rs, codes)):
+            why = []
+            if r is None:
+                why.append("no result line")
+            elif not r["correct"] or r["failed"]:
+                why.append(f"correct:{str(r['correct']).lower()}, {r['failed']} of {r['attempted']} jobs failed")
+            if code or why:
+                failed.append((w, side, i + 1, ", ".join([f"exit code {code}"] + why)))
     for m in bench["end_to_end"]:
         name, lower = m["name"], m["better"] == "lower"
-        vals = {s: [r["metrics"][name]["value"] for r in rs if name in r["metrics"]] for s, rs in runs.items()}
-        b, c = vals["base"], vals["change"]
+        # One entry per pair: None where that pair's run has no value.
+        vals = {s: [r["metrics"][name]["value"] if r and name in r["metrics"] else None for r in rs]
+                for s, (rs, _) in runs.items()}
+        pairs = [(x, y) for x, y in zip(vals["base"], vals["change"]) if x is not None and y is not None]
+        b = [x for x in vals["base"] if x is not None]
+        c = [y for y in vals["change"] if y is not None]
         if not b or not c:
             print(f"{w:<15} {name:<17} no values")
             continue
         bq, cq = quartiles(b), quartiles(c)
-        wins = sum(1 for x, y in zip(b, c) if (y < x if lower else y > x))
+        wins = sum(1 for x, y in pairs if (y < x if lower else y > x))
         worse = (cq[1] - bq[1]) if lower else (bq[1] - cq[1])
         apart = "yes" if abs(cq[1] - bq[1]) > bq[2] - bq[0] else "no"
         bound = "over" if worse > m["bound"] * abs(bq[1]) else "ok"
         ratio = cq[1] / bq[1] if bq[1] else float("nan")
         fmt = lambda q: f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
-        print(f"{w:<15} {name:<17} {fmt(bq):<30} {fmt(cq):<30} {ratio:>7.3f}  {wins:>2}/{min(len(b), len(c)):<3}  {apart:<5}  {bound}")
+        print(f"{w:<15} {name:<17} {fmt(bq):<30} {fmt(cq):<30} {ratio:>7.3f}  {wins:>2}/{len(pairs):<3}  {apart:<5}  {bound}")
         if bound == "over" and apart == "yes":
             regressed.append(f"{w} {name}")
 print("ratio: change median / base median; better: the change was better in n of m pairs;")
 print("apart: the medians differ by more than base q3 - q1; bound: ok unless the change's median is worse by more than the bound")
+for w, side, pair, why in failed:
+    print(f"failed run: {w}, {side} side, pair {pair}: {why}")
+    with open(f"{out}/{w}.{side}.{pair}.stderr") as f:
+        for line in f.read().splitlines()[-20:]:
+            print("    " + line)
 if regressed:
     print("worse beyond bound and spread: " + ", ".join(regressed))
-    sys.exit(1)
+sys.exit(1 if regressed or failed else 0)
 EOF
