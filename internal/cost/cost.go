@@ -126,7 +126,9 @@ func (c CommEstimate) Seconds(cfg sim.Config) float64 {
 	if c.Messages == 0 && c.Elems == 0 {
 		return 0
 	}
-	return float64(c.Messages)*cfg.MsgLatency + float64(c.Elems)*float64(cfg.ElemSize)/cfg.MsgBandwidth
+	// float64(x*y) rounds the product, so it is never fused into a
+	// multiply-add (as IOTimeAt).
+	return float64(float64(c.Messages)*cfg.MsgLatency) + float64(c.Elems)*float64(cfg.ElemSize)/cfg.MsgBandwidth
 }
 
 // Candidate is one complete access strategy for a statement: a label

@@ -22,9 +22,13 @@ func TestRecoveryClosedFormAllVictims(t *testing.T) {
 	bases := []string{"x", "z"}
 	for dead := 0; dead < procs; dead++ {
 		fs := iosim.NewMemFS()
-		st := parity.NewStore(fs, cfg, procs, nil)
+		st := parity.NewStore(fs, cfg, procs)
 		for _, base := range bases {
-			st.Protect(base)
+			sizes := make([]int64, procs)
+			for r := range sizes {
+				sizes[r] = elems[base] * iosim.FileElemBytes
+			}
+			st.Protect(base, sizes...)
 			lafs := make([]*iosim.LAF, procs)
 			for r := range lafs {
 				d := iosim.NewResilientDisk(fs, cfg, &trace.IOStats{}, nil)
@@ -58,7 +62,7 @@ func TestRecoveryClosedFormAllVictims(t *testing.T) {
 			groups = append(groups, sizes)
 		}
 
-		re := parity.NewStore(fs, cfg, procs, nil)
+		re := parity.NewStore(fs, cfg, procs)
 		re.LoseDisk(dead) // the dead rank's disk, its hosted parity with it
 		comm := make([]trace.ProcStats, procs)
 		for r := 0; r < procs; r++ {

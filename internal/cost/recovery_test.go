@@ -44,10 +44,14 @@ func TestRecoveryClosedFormMatchesRebuild(t *testing.T) {
 	bases := []string{"a", "m"}
 
 	// Build the protected groups with write-through parity maintenance.
-	st := parity.NewStore(fs, cfg, procs, nil)
+	st := parity.NewStore(fs, cfg, procs)
 	rng := rand.New(rand.NewSource(11))
 	for _, base := range bases {
-		st.Protect(base)
+		sizes := make([]int64, procs)
+		for r := range sizes {
+			sizes[r] = elems[base] * iosim.FileElemBytes
+		}
+		st.Protect(base, sizes...)
 		lafs := make([]*iosim.LAF, procs)
 		for r := range lafs {
 			d := iosim.NewResilientDisk(fs, cfg, &trace.IOStats{}, nil)
@@ -88,7 +92,7 @@ func TestRecoveryClosedFormMatchesRebuild(t *testing.T) {
 
 	// The real rebuild, the way the executor's pre-pass runs it: a fresh
 	// store attached (trusted) to the surviving files.
-	re := parity.NewStore(fs, cfg, procs, nil)
+	re := parity.NewStore(fs, cfg, procs)
 	re.LoseDisk(dead) // the dead rank's disk, its hosted parity with it
 	defer re.Detach()
 	comm := make([]trace.ProcStats, procs)

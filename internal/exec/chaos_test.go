@@ -250,7 +250,10 @@ func resumeAfterOutage(t *testing.T, res *compiler.Result, want *matrix.Matrix, 
 // gives the same statistics, the same injected counts and the same
 // outcome whatever the host's scheduling, failing runs included. It is
 // ooc-run -n 64 -parity -chaos 0.03 -retries 1 -chaos-seed S over seeds
-// 1-12, each under GOMAXPROCS=1 and NumCPU.
+// 1-12, each under GOMAXPROCS=1 and NumCPU, and the same with
+// -chaos-corrupt 0.02. Parity blocks carry checksums like data blocks,
+// so no corruption reaches a result: a corrupt run that finishes gives
+// the fault-free C.
 func TestChaosIndependentOfScheduling(t *testing.T) {
 	res, err := compiler.CompileSource(hpf.GaxpySource, compiler.Options{
 		N: 64, Procs: 4, MemElems: 1 << 15, Policy: compiler.PolicyWeighted,
@@ -259,41 +262,57 @@ func TestChaosIndependentOfScheduling(t *testing.T) {
 		t.Fatal(err)
 	}
 	mach := sim.Delta(res.Program.Procs)
-	run := func(seed int64, threads int) (string, bool) {
+	wantC := baselineC(t, res)
+	var corruptions int64 // injected over a configuration's sweep
+	run := func(cfg iosim.ChaosConfig, threads int) (string, bool) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(threads))
 		policy := iosim.DefaultRetryPolicy()
 		policy.MaxRetries = 1
 		out, err := Run(res.Program, mach, Options{
-			Fill: sweepFills(), Parity: true, Resilience: iosim.NewResilience(policy),
-			Chaos: iosim.ChaosConfig{Seed: seed, PTransient: 0.03},
+			Fill: sweepFills(), Parity: true, Resilience: iosim.NewResilience(policy), Chaos: cfg,
 		})
 		if err != nil {
 			return "", false
 		}
 		defer out.Close()
+		corruptions += out.Chaos.Corruptions
+		got, err := out.ReadArray("c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := matricesIdentical(got, wantC); err != nil {
+			t.Errorf("%+v: a finished run computed a wrong C: %v", cfg, err)
+		}
 		snap, err := json.Marshal(out.Stats.Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}
 		return fmt.Sprintf("%s %+v", snap, out.Chaos), true
 	}
-	failed := 0
-	for seed := int64(1); seed <= 12; seed++ {
-		want, ok := run(seed, 1)
-		if !ok {
-			failed++
+	for _, pCorrupt := range []float64{0, 0.02} {
+		failed := 0
+		corruptions = 0
+		for seed := int64(1); seed <= 12; seed++ {
+			cfg := iosim.ChaosConfig{Seed: seed, PTransient: 0.03, PCorrupt: pCorrupt}
+			want, ok := run(cfg, 1)
+			if !ok {
+				failed++
+			}
+			got, gotOK := run(cfg, runtime.NumCPU())
+			if gotOK != ok {
+				t.Errorf("%+v: the run succeeded under GOMAXPROCS=1: %v, under %d: %v", cfg, ok, runtime.NumCPU(), gotOK)
+			} else if got != want {
+				t.Errorf("%+v: statistics differ between GOMAXPROCS=1 and %d\ngot  %s\nwant %s", cfg, runtime.NumCPU(), got, want)
+			}
 		}
-		got, gotOK := run(seed, runtime.NumCPU())
-		if gotOK != ok {
-			t.Errorf("seed %d: the run succeeded under GOMAXPROCS=1: %v, under %d: %v", seed, ok, runtime.NumCPU(), gotOK)
-		} else if got != want {
-			t.Errorf("seed %d: statistics differ between GOMAXPROCS=1 and %d\ngot  %s\nwant %s", seed, runtime.NumCPU(), got, want)
+		if failed == 12 {
+			t.Fatalf("corruption %v: every seed failed: the sweep checks no statistics", pCorrupt)
 		}
+		if pCorrupt > 0 && corruptions == 0 {
+			t.Fatal("the corrupt sweep's finished runs injected no corruption")
+		}
+		t.Logf("corruption %v: %d of 12 seeds fail their run; the others injected %d corruptions", pCorrupt, failed, corruptions)
 	}
-	if failed == 12 {
-		t.Fatal("every seed failed: the sweep checks no statistics")
-	}
-	t.Logf("%d of 12 seeds fail their run", failed)
 }
 
 // TestCheckpointedRunAbsorbsATransientFault lands one transient fault on

@@ -388,7 +388,7 @@ func run(ctx context.Context, l *Lowered, mach sim.Config, opts Options, resume 
 	fs := opts.FS
 	var pstore *parity.Store
 	if opts.Parity {
-		pstore = parity.NewStore(fs, mach, p.Procs, opts.Resilience)
+		pstore = parity.NewStore(fs, mach, p.Procs)
 		pstore.SetPhantom(opts.Phantom)
 		// Every rank's file size of each array, which the parity
 		// hosts size their files by.

@@ -152,7 +152,7 @@ func collectKilled(err error, fired []mp.Fault) []mp.Fault {
 func rebuildRanks(fs iosim.FS, l *Lowered, mach sim.Config, opts Options, dead []int) (float64, trace.IOStats, error) {
 	p := l.prog
 	var io trace.IOStats
-	st := parity.NewStore(fs, mach, p.Procs, opts.Resilience)
+	st := parity.NewStore(fs, mach, p.Procs)
 	st.SetPhantom(opts.Phantom)
 	defer st.Detach()
 	d := iosim.NewResilientDisk(fs, mach, &io, opts.Resilience)

@@ -1,6 +1,7 @@
 package iosim
 
 import (
+	"errors"
 	"hash/crc32"
 	"math/rand"
 	"testing"
@@ -26,7 +27,7 @@ func TestSeedZeroUsesTable(t *testing.T) {
 	// 300 elements = 2400 bytes: two full blocks and a 352-byte tail.
 	res.seedZero("x.laf", 300*elemBytes)
 	zero := make([]byte, 300*elemBytes)
-	if block, ok := res.Check("x.laf", 0, zero); !ok {
+	if block, ok := res.verifyBlocks("x.laf", 0, zero); !ok {
 		t.Fatalf("zero-seeded file failed verification at block %d", block)
 	}
 	if _, ok := res.get("x.laf", 2); !ok {
@@ -66,7 +67,7 @@ func TestIncrementalEdgeCRCMatchesFullRecompute(t *testing.T) {
 		// Recompute every block checksum from the raw file image and
 		// compare with the store.
 		img := make([]byte, elems*elemBytes)
-		if err := laf.rawRead(img, 0); err != nil {
+		if err := d.readExact(laf.file, laf.name, img, 0); err != nil {
 			t.Fatal(err)
 		}
 		for b := int64(0); b < int64(len(img))/ChecksumBlockBytes; b++ {
@@ -122,7 +123,7 @@ func FuzzEdgeCRCPartialWrite(f *testing.F) {
 		}
 
 		img := make([]byte, elems*elemBytes)
-		if err := laf.rawRead(img, 0); err != nil {
+		if err := d.readExact(laf.file, laf.name, img, 0); err != nil {
 			t.Fatal(err)
 		}
 		for b := int64(0); b*ChecksumBlockBytes < int64(len(img)); b++ {
@@ -141,4 +142,63 @@ func FuzzEdgeCRCPartialWrite(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestPartialWriteOverACorruptBlockFails: a write that covers a block
+// only in part reads that block's old bytes verified before it writes,
+// so a block corrupted at rest fails the write with a checksum mismatch
+// on that block instead of having the flipped bit folded into a fresh
+// checksum.
+func TestPartialWriteOverACorruptBlockFails(t *testing.T) {
+	mem := NewMemFS()
+	res := NewResilience(RetryPolicy{MaxRetries: 2})
+	d := NewResilientDisk(mem, testConfig(), &trace.IOStats{}, res)
+	laf, err := d.CreateLAF("x.laf", 300) // three blocks, the last ragged
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer laf.Close()
+	f, err := mem.Open("x.laf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0x40}, ChecksumBlockBytes+3); err != nil { // block 1, behind the table
+		t.Fatal(err)
+	}
+	f.Close()
+	_, err = laf.WriteChunks([]Chunk{{Off: 130, Len: 10}}, make([]float64, 10)) // inside block 1
+	var ce *CorruptionError
+	if !errors.As(err, &ce) || ce.File != "x.laf" || ce.Block != 1 {
+		t.Fatalf("partial write over a corrupt block: %v, want a mismatch on x.laf block 1", err)
+	}
+}
+
+// TestDiscardMovesNothing: transfers through Discard succeed, read
+// zeros, store nothing and leave the checksum table alone, yet each is a
+// file operation of the disk's fault source.
+func TestDiscardMovesNothing(t *testing.T) {
+	res := NewResilience(DefaultRetryPolicy())
+	d := NewResilientDisk(NewMemFS(), testConfig(), &trace.IOStats{}, res)
+	c := chaosOn(d, ChaosConfig{})
+	buf := make([]byte, 2*ChecksumBlockBytes)
+	for i := range buf {
+		buf[i] = 0xff
+	}
+	if _, err := d.WriteChecked(Discard, "x.parity", buf[:ChecksumBlockBytes+5], 0, 4*ChecksumBlockBytes); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := res.get("x.parity", 0); ok {
+		t.Fatal("a write to Discard recorded a checksum")
+	}
+	if _, err := d.ReadVerified(Discard, "x.parity", buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range buf {
+		if b != 0 {
+			t.Fatalf("byte %d read from Discard = %#x, want 0", i, b)
+		}
+	}
+	if got := c.Counts().Ops; got != 2 {
+		t.Fatalf("%d file operations, want 2", got)
+	}
 }

@@ -1,7 +1,6 @@
 package iosim
 
 import (
-	"bytes"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -38,7 +37,8 @@ type ParityHook interface {
 	// update for the buf bytes written at byteOff. In phantom mode buf
 	// is nil: no data moves, but the parity traffic is still accounted.
 	// It returns the simulated seconds of the data write plus the
-	// parity maintenance.
+	// parity maintenance. A file the layer never registered (Created or
+	// Opened) is an error, and write is not called.
 	WriteThrough(d *Disk, name string, byteOff int64, n int64, buf []byte, write func() (float64, error)) (float64, error)
 	// Recover reconstructs the named file from the surviving disks
 	// after cause (a non-transient failure), returning the simulated
@@ -107,9 +107,10 @@ func (d *Disk) Reset(fs FS, cfg sim.Config, stats *trace.IOStats, res *Resilienc
 }
 
 // ioTime is cfg.IOTime with the bandwidth evaluated once: the same
-// expression, so the same bits.
+// expression, so the same bits. The product is rounded on its own
+// (float64(x*y)) so no architecture fuses it with the sum.
 func (d *Disk) ioTime(requests int, bytes int64) float64 {
-	return float64(requests)*d.cfg.DiskRequestOverhead + float64(bytes)/d.bw
+	return float64(float64(requests)*d.cfg.DiskRequestOverhead) + float64(bytes)/d.bw
 }
 
 // Resilience returns the attached retry/checksum layer, which may be nil.
@@ -182,13 +183,45 @@ func (d *Disk) SetChaos(c *Chaos) { d.chaos = c }
 // operations, each one the file operation its fault source numbers; the
 // parity layer and the checkpoint writer issue theirs through the acting
 // rank's disk too.
+//
+// A created file is empty, so on a disk with a resilience layer Create
+// forgets every checksum the name had.
 func (d *Disk) Create(name string) (File, error) {
 	if d.chaos != nil {
 		if err := d.chaos.meta("create", name); err != nil {
 			return nil, err
 		}
 	}
-	return d.fs.Create(name)
+	f, err := d.fs.Create(name)
+	if err == nil && d.res != nil {
+		d.res.dropFile(name)
+	}
+	return f, err
+}
+
+// CreateZeros creates (or truncates) the named file and sizes it to
+// bytes zero bytes, each step under the retry policy, and seeds the
+// file's checksums so that every block verifies from the first read on:
+// the one way a local array file or a parity file is made. In phantom
+// mode the file is created empty and nothing is seeded.
+func (d *Disk) CreateZeros(name string, bytes int64) (File, error) {
+	var f File
+	err := d.retryMeta("create", name, func() error {
+		var err error
+		f, err = d.Create(name)
+		return err
+	})
+	if err != nil || d.phantom {
+		return f, err
+	}
+	if err := d.retryMeta("truncate", name, func() error { return d.Truncate(f, name, bytes) }); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if d.res != nil {
+		d.res.seedZero(name, bytes)
+	}
+	return f, nil
 }
 
 // Open opens the named file on the disk's store.
@@ -384,25 +417,9 @@ func (l *LAF) Create(d *Disk, name string, elems int64) error {
 	if elems < 0 {
 		return fmt.Errorf("iosim: CreateLAF %s: negative size %d", name, elems)
 	}
-	var f File
-	err := d.retryMeta("create", name, func() error {
-		var err error
-		f, err = d.Create(name)
-		return err
-	})
+	f, err := d.CreateZeros(name, elems*elemBytes)
 	if err != nil {
 		return err
-	}
-	if !d.phantom {
-		if err := d.retryMeta("truncate", name, func() error { return d.Truncate(f, name, elems*elemBytes) }); err != nil {
-			f.Close()
-			return err
-		}
-		if d.res != nil {
-			// The file is all zeros now; seed its checksums so every block
-			// verifies from the first read on.
-			d.res.seedZero(name, elems*elemBytes)
-		}
 	}
 	if d.parity != nil {
 		d.parity.Created(d, name, elems*elemBytes)
@@ -539,6 +556,24 @@ func (f deadFile) ReadAt([]byte, int64) (int, error)  { return 0, f.err }
 func (f deadFile) WriteAt([]byte, int64) (int, error) { return 0, f.err }
 func (f deadFile) Truncate(int64) error               { return f.err }
 func (deadFile) Close() error                         { return nil }
+
+// Discard stands in for a file of a lost disk that is still written to:
+// the parity store gives a lost disk's parity files this handle until
+// their host rebuilds them. Every transfer through it succeeds and moves
+// nothing (a read delivers zeros, a write stores nothing), and the
+// verified transfers neither check nor record a checksum through it. A
+// transfer through it is still a file operation of the disk that issues
+// it, numbered and drawn on its fault source and retried like any other,
+// so the issuing rank's operations do not depend on whether the disk was
+// lost before or after them in host time.
+var Discard File = discardFile{}
+
+type discardFile struct{}
+
+func (discardFile) ReadAt(p []byte, _ int64) (int, error)  { clear(p); return len(p), nil }
+func (discardFile) WriteAt(p []byte, _ int64) (int, error) { return len(p), nil }
+func (discardFile) Truncate(int64) error                   { return nil }
+func (discardFile) Close() error                           { return nil }
 
 // checkChunks validates that every chunk lies within the file.
 func (l *LAF) checkChunks(chunks []Chunk, buf []float64) error {
@@ -741,7 +776,7 @@ func (l *LAF) readRunOnce(c Chunk, dst []float64) (float64, error) {
 		// The file's bytes land in dst itself; only a big-endian host has
 		// anything left to do, in place.
 		view := floatBytes(dst)
-		err := l.rawRead(view, c.Off*elemBytes)
+		err := l.disk.readExact(l.file, l.name, view, c.Off*elemBytes)
 		if err == nil && !littleEndianHost {
 			decode(dst, view)
 		}
@@ -766,7 +801,12 @@ func (l *LAF) escalate(cause error) (float64, error) {
 	if err != nil {
 		return sec, err
 	}
-	f, err := d.Open(l.name)
+	var f File
+	err = d.retryMeta("open", l.name, func() error {
+		var err error
+		f, err = d.Open(l.name)
+		return err
+	})
 	if err != nil {
 		return sec, fmt.Errorf("iosim: reopen %s after reconstruction: %w", l.name, err)
 	}
@@ -776,24 +816,9 @@ func (l *LAF) escalate(cause error) (float64, error) {
 	return sec, nil
 }
 
-// rawRead reads exactly len(buf) bytes at off.
-func (l *LAF) rawRead(buf []byte, off int64) error {
-	n, err := l.disk.ReadAt(l.file, l.name, buf, off)
-	if err != nil && !(err == io.EOF && n == len(buf)) {
-		return fmt.Errorf("iosim: read %s @%d: %w", l.name, off/elemBytes, err)
-	}
-	if n != len(buf) {
-		return fmt.Errorf("iosim: short read on %s @%d: %d of %d bytes", l.name, off/elemBytes, n, len(buf))
-	}
-	return nil
-}
-
-// readRunResilient widens the run to checksum-block boundaries, reads it,
-// verifies every touched block against the stored CRC32s, and retries
-// transient failures and detected corruption with capped exponential
-// backoff. The backoff is returned in simulated seconds.
+// readRunResilient widens the run to checksum-block boundaries and
+// reads it through the disk's verified read.
 func (l *LAF) readRunResilient(c Chunk, dst []float64) (float64, error) {
-	res := l.disk.res
 	byteOff := c.Off * elemBytes
 	byteLen := int64(c.Len) * elemBytes
 	lo := byteOff / ChecksumBlockBytes * ChecksumBlockBytes
@@ -803,16 +828,7 @@ func (l *LAF) readRunResilient(c Chunk, dst []float64) (float64, error) {
 	}
 	buf := bufpool.GetBytes(int(hi - lo))
 	defer bufpool.PutBytes(buf)
-	retrySec, err := l.disk.Retry("read", l.name, true, func() error {
-		if err := l.rawRead(buf, lo); err != nil {
-			return err
-		}
-		if block, ok := res.verifyBlocks(l.name, lo, buf); !ok {
-			l.disk.Record(&trace.Span{Kind: trace.KindCorruption})
-			return &CorruptionError{File: l.name, Block: block}
-		}
-		return nil
-	})
+	retrySec, err := l.disk.ReadVerified(l.file, l.name, buf, lo)
 	if err == nil {
 		decode(dst, buf[byteOff-lo:byteOff-lo+byteLen])
 	}
@@ -873,98 +889,137 @@ func (l *LAF) writeRunOnce(buf []byte, byteOff int64) (float64, error) {
 	return l.writeRunResilient(buf, byteOff)
 }
 
-// writeRunResilient writes the encoded run with retries and refreshes the
-// checksum store for every touched block.
+// writeRunResilient writes the encoded run through the disk's checked
+// write.
 func (l *LAF) writeRunResilient(buf []byte, byteOff int64) (float64, error) {
-	return l.disk.Retry("write", l.name, true, func() error {
-		err := l.rawWrite(buf, byteOff)
-		if err == nil {
-			l.updateChecksums(byteOff, buf)
+	return l.disk.WriteChecked(l.file, l.name, buf, byteOff, l.elems*elemBytes)
+}
+
+// ReadVerified is the disk's one verified read, which local array files
+// and parity files share: it reads len(buf) bytes of f, the disk's file
+// name, at off under the retry policy and checks every checksum block
+// buf covers against the resilience layer's table. A mismatch is a
+// transient *CorruptionError, recorded as a corruption span and retried
+// like any other transient fault; corruption at rest exhausts the budget.
+// off must be block-aligned, and buf must end on a block boundary or at
+// the end of the file. A block with no checksum, a disk without a
+// resilience layer and a read of Discard check nothing. It returns the
+// simulated seconds spent in backoff.
+func (d *Disk) ReadVerified(f File, name string, buf []byte, off int64) (float64, error) {
+	return d.Retry("read", name, true, func() error {
+		if err := d.readExact(f, name, buf, off); err != nil {
+			return err
 		}
-		return err
+		if d.res == nil || f == Discard {
+			return nil
+		}
+		if block, ok := d.res.verifyBlocks(name, off, buf); !ok {
+			d.Record(&trace.Span{Kind: trace.KindCorruption})
+			return &CorruptionError{File: name, Block: block}
+		}
+		return nil
 	})
 }
 
-// rawWrite writes exactly len(buf) bytes at off.
-func (l *LAF) rawWrite(buf []byte, off int64) error {
-	n, err := l.disk.WriteAt(l.file, l.name, buf, off)
+// WriteChecked is the disk's one checksummed write, the counterpart of
+// ReadVerified: it writes buf to f, the disk's file name, at off under
+// the retry policy and records the checksum of every block the write
+// covers. size is the file's length in bytes, where its last block ends.
+// A block the write covers only in part keeps bytes the write does not
+// bring, so it is first read through ReadVerified, and its new checksum
+// is that of the bytes read with buf laid over them; a read that fails
+// fails the write, and a block that has no checksum is neither read nor
+// given one. A disk without a resilience layer and a write to Discard
+// record nothing. It returns the simulated seconds spent in backoff.
+func (d *Disk) WriteChecked(f File, name string, buf []byte, off, size int64) (float64, error) {
+	write := func() error { return d.writeExact(f, name, buf, off) }
+	if d.res == nil || f == Discard {
+		return d.Retry("write", name, true, write)
+	}
+	end := off + int64(len(buf))
+	edge := [2]int64{off / ChecksumBlockBytes, (end - 1) / ChecksumBlockBytes}
+	n := 2
+	if edge[0] == edge[1] {
+		n = 1
+	}
+	// blockOf is the byte range of block b, cut at the end of the file.
+	blockOf := func(b int64) (int64, int64) {
+		return b * ChecksumBlockBytes, min(b*ChecksumBlockBytes+ChecksumBlockBytes, size)
+	}
+	// read[i] marks the first (0) or the last (1) block when the write
+	// covers it only in part and it has a checksum: its old bytes are read
+	// verified into old, side by side, before the write, and hashed with
+	// buf laid over them after it.
+	var read [2]bool
+	for i, b := range edge[:n] {
+		lo, hi := blockOf(b)
+		if lo < off || hi > end {
+			_, read[i] = d.res.get(name, b)
+		}
+	}
+	var old []byte
+	if read[0] || read[1] {
+		old = bufpool.GetBytes(2 * ChecksumBlockBytes)
+		defer bufpool.PutBytes(old)
+	}
+	var sec float64
+	for i, b := range edge[:n] {
+		if !read[i] {
+			continue
+		}
+		lo, hi := blockOf(b)
+		rs, err := d.ReadVerified(f, name, old[i*ChecksumBlockBytes:][:hi-lo], lo)
+		sec += rs
+		if err != nil {
+			return sec, err
+		}
+	}
+	ws, err := d.Retry("write", name, true, write)
+	sec += ws
 	if err != nil {
-		return fmt.Errorf("iosim: write %s @%d: %w", l.name, off/elemBytes, err)
+		return sec, err
+	}
+	for b := edge[0]; b <= edge[1]; b++ {
+		lo, hi := blockOf(b)
+		if lo >= off && hi <= end {
+			d.res.set(name, b, crc32.ChecksumIEEE(buf[lo-off:hi-off]))
+			continue
+		}
+		i := 0
+		if b != edge[0] {
+			i = 1
+		}
+		if !read[i] {
+			continue
+		}
+		block := old[i*ChecksumBlockBytes:][:hi-lo]
+		wLo, wHi := max(lo, off), min(hi, end)
+		copy(block[wLo-lo:wHi-lo], buf[wLo-off:wHi-off])
+		d.res.set(name, b, crc32.ChecksumIEEE(block))
+	}
+	return sec, nil
+}
+
+// readExact reads exactly len(buf) bytes of f at off.
+func (d *Disk) readExact(f File, name string, buf []byte, off int64) error {
+	n, err := d.ReadAt(f, name, buf, off)
+	if err != nil && !(err == io.EOF && n == len(buf)) {
+		return fmt.Errorf("iosim: read %s @%d: %w", name, off/elemBytes, err)
 	}
 	if n != len(buf) {
-		return fmt.Errorf("iosim: short write on %s @%d: %d of %d bytes", l.name, off/elemBytes, n, len(buf))
+		return fmt.Errorf("iosim: short read on %s @%d: %d of %d bytes", name, off/elemBytes, n, len(buf))
 	}
 	return nil
 }
 
-// updateChecksums refreshes the stored CRC32 of every block touched by a
-// successful write of buf at byteOff. Interior blocks hash the written
-// bytes directly; partially covered edge blocks are read back and
-// double-read for stability, so a corrupted read-back cannot poison the
-// store — at worst the block's checksum is dropped and that block goes
-// unverified until its next full write.
-func (l *LAF) updateChecksums(byteOff int64, buf []byte) {
-	res := l.disk.res
-	fileBytes := l.elems * elemBytes
-	end := byteOff + int64(len(buf))
-	first := byteOff / ChecksumBlockBytes
-	last := (end - 1) / ChecksumBlockBytes
-	for b := first; b <= last; b++ {
-		bLo := b * ChecksumBlockBytes
-		bHi := bLo + ChecksumBlockBytes
-		if bHi > fileBytes {
-			bHi = fileBytes
-		}
-		if bLo >= byteOff && bHi <= end {
-			res.set(l.name, b, crc32.ChecksumIEEE(buf[bLo-byteOff:bHi-byteOff]))
-			continue
-		}
-		crc, ok := l.stableEdgeCRC(bLo, bHi, byteOff, buf)
-		if !ok {
-			res.del(l.name, b)
-			continue
-		}
-		res.set(l.name, b, crc)
+// writeExact writes exactly len(buf) bytes to f at off.
+func (d *Disk) writeExact(f File, name string, buf []byte, off int64) error {
+	n, err := d.WriteAt(f, name, buf, off)
+	if err != nil {
+		return fmt.Errorf("iosim: write %s @%d: %w", name, off/elemBytes, err)
 	}
-}
-
-// stableEdgeCRC computes the checksum of a partially written block: the
-// file bytes [bLo, bHi) with the freshly written range [wOff,
-// wOff+len(wBuf)) taken from memory. The block is read twice and accepted
-// only when the reads agree outside the written range (the written bytes
-// come from memory, so their read-back stability is irrelevant) —
-// defending the checksum store against transient read-path corruption.
-// The CRC is built incrementally over stable head, written middle and
-// stable tail, so no overlay copy is materialized; the two read-back
-// buffers come from the arena.
-func (l *LAF) stableEdgeCRC(bLo, bHi, wOff int64, wBuf []byte) (uint32, bool) {
-	oLo, oHi := wOff, wOff+int64(len(wBuf))
-	if oLo < bLo {
-		oLo = bLo
+	if n != len(buf) {
+		return fmt.Errorf("iosim: short write on %s @%d: %d of %d bytes", name, off/elemBytes, n, len(buf))
 	}
-	if oHi > bHi {
-		oHi = bHi
-	}
-	head, tail := oLo-bLo, oHi-bLo
-	attempts := l.disk.res.Policy.MaxRetries + 1
-	if attempts < 2 {
-		attempts = 2
-	}
-	a := bufpool.GetBytes(int(bHi - bLo))
-	b := bufpool.GetBytes(int(bHi - bLo))
-	defer bufpool.PutBytes(a)
-	defer bufpool.PutBytes(b)
-	for i := 0; i < attempts; i++ {
-		if l.rawRead(a, bLo) != nil || l.rawRead(b, bLo) != nil {
-			continue
-		}
-		if !bytes.Equal(a[:head], b[:head]) || !bytes.Equal(a[tail:], b[tail:]) {
-			continue
-		}
-		crc := crc32.Update(0, crc32.IEEETable, a[:head])
-		crc = crc32.Update(crc, crc32.IEEETable, wBuf[oLo-wOff:oHi-wOff])
-		crc = crc32.Update(crc, crc32.IEEETable, a[tail:])
-		return crc, true
-	}
-	return 0, false
+	return nil
 }

@@ -98,13 +98,6 @@ func (r *Resilience) get(name string, block int64) (uint32, bool) {
 	return crc, ok
 }
 
-// del forgets one block (its content is no longer known with certainty).
-func (r *Resilience) del(name string, block int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.files[name], block)
-}
-
 // dropFile forgets every checksum of the named file.
 func (r *Resilience) dropFile(name string) {
 	r.mu.Lock()
@@ -134,29 +127,6 @@ func (r *Resilience) seedZero(name string, bytes int64) {
 		}
 	}
 	r.files[name] = f
-}
-
-// Record replaces the stored checksums for the blocks fully or partially
-// covered by buf (the file bytes at [off, off+len(buf)), with off
-// block-aligned and buf ending either on a block boundary or at end of
-// file). The parity layer uses it to reseed integrity state after
-// reconstructing a file from surviving disks.
-func (r *Resilience) Record(name string, off int64, buf []byte) {
-	for pos := 0; pos < len(buf); pos += ChecksumBlockBytes {
-		end := pos + ChecksumBlockBytes
-		if end > len(buf) {
-			end = len(buf)
-		}
-		block := (off + int64(pos)) / ChecksumBlockBytes
-		r.set(name, block, crc32.ChecksumIEEE(buf[pos:end]))
-	}
-}
-
-// Check verifies buf against the stored checksums like the resilient read
-// path does, returning the first mismatching block and ok == false on a
-// mismatch. Blocks without a stored checksum are skipped.
-func (r *Resilience) Check(name string, off int64, buf []byte) (int64, bool) {
-	return r.verifyBlocks(name, off, buf)
 }
 
 // verifyBlocks checks buf (the file bytes at [off, off+len(buf)), with

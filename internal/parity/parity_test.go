@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/ooc-hpf/passion/internal/iosim"
@@ -64,6 +65,15 @@ func TestParseLAF(t *testing.T) {
 	}
 }
 
+// protect marks "c" protected with procs members of elems elements each.
+func protect(st *Store, procs int, elems int64) {
+	sizes := make([]int64, procs)
+	for r := range sizes {
+		sizes[r] = elems * iosim.FileElemBytes
+	}
+	st.Protect("c", sizes...)
+}
+
 // writeVia writes src at elem offset off through the protected LAF.
 func writeVia(t *testing.T, l *iosim.LAF, off int64, src []float64) {
 	t.Helper()
@@ -76,7 +86,7 @@ func writeVia(t *testing.T, l *iosim.LAF, off int64, src []float64) {
 // returning the disks, LAFs and expected per-rank content.
 func setupGroup(t *testing.T, fs iosim.FS, st *Store, cfg sim.Config, res *iosim.Resilience, procs int, elems int64, stats []*trace.IOStats) ([]*iosim.Disk, []*iosim.LAF, [][]float64) {
 	t.Helper()
-	st.Protect("c")
+	protect(st, procs, elems)
 	rng := rand.New(rand.NewSource(7))
 	disks := make([]*iosim.Disk, procs)
 	lafs := make([]*iosim.LAF, procs)
@@ -128,7 +138,7 @@ func TestReconstructAfterDiskLoss(t *testing.T) {
 			res := iosim.NewResilience(iosim.DefaultRetryPolicy())
 			stats := make([]*trace.IOStats, procs)
 			comm := make([]*trace.ProcStats, procs)
-			st := NewStore(mem, cfg, procs, res)
+			st := NewStore(mem, cfg, procs)
 			for r := 0; r < procs; r++ {
 				stats[r] = &trace.IOStats{}
 				comm[r] = &trace.ProcStats{}
@@ -185,7 +195,7 @@ func TestWriteAfterDiskLossRecovers(t *testing.T) {
 	mem := iosim.NewMemFS()
 	cfg := sim.Delta(procs)
 	res := iosim.NewResilience(iosim.DefaultRetryPolicy())
-	st := NewStore(mem, cfg, procs, res)
+	st := NewStore(mem, cfg, procs)
 	_, lafs, want := setupGroup(t, mem, st, cfg, res, procs, elems, nil)
 
 	loseDisk(st, lafs[1], 1)
@@ -215,8 +225,8 @@ func TestParityCountersClosedForm(t *testing.T) {
 	const elems = 1024 // 8 blocks of 128 elements
 	mem := iosim.NewMemFS()
 	cfg := sim.Delta(procs)
-	st := NewStore(mem, cfg, procs, nil)
-	st.Protect("c")
+	st := NewStore(mem, cfg, procs)
+	protect(st, procs, elems)
 	stats := &trace.IOStats{}
 	d := iosim.NewDisk(mem, cfg, stats)
 	d.SetParity(st)
@@ -244,7 +254,7 @@ func TestDirtyGroupRefusesReconstruction(t *testing.T) {
 	const elems = 128
 	mem := iosim.NewMemFS()
 	cfg := sim.Delta(procs)
-	st := NewStore(mem, cfg, procs, nil)
+	st := NewStore(mem, cfg, procs)
 	_, lafs, _ := setupGroup(t, mem, st, cfg, nil, procs, elems, nil)
 
 	// Re-creating a member under a live group leaves stale parity.
@@ -275,7 +285,7 @@ func TestRebuildRankRestoresRedundancy(t *testing.T) {
 	mem := iosim.NewMemFS()
 	cfg := sim.Delta(procs)
 	res := iosim.NewResilience(iosim.DefaultRetryPolicy())
-	st := NewStore(mem, cfg, procs, res)
+	st := NewStore(mem, cfg, procs)
 	disks, lafs, want := setupGroup(t, mem, st, cfg, res, procs, elems, nil)
 
 	// Corrupt the parity state wholesale, then resync.
@@ -311,10 +321,12 @@ func TestRebuildRankRestoresRedundancy(t *testing.T) {
 
 // TestWriteWithParityOnLostDiskIsDegraded: a peer's write whose parity
 // lives on a lost disk is charged exactly as a write to an intact group
-// (the closed-form read-modify-write) but stores no parity and rebuilds
-// nothing inline; the disk's parity stays lost until the rebuild, which
-// recomputes it from the data the write left — so a later loss of the
-// writer's own disk reconstructs the written content.
+// (the closed-form read-modify-write) and takes exactly as many of the
+// writer's file operations (its parity read and write go to
+// iosim.Discard), but stores no parity and rebuilds nothing inline; the
+// disk's parity stays lost until the rebuild, which recomputes it from
+// the data the write left — so a later loss of the writer's own disk
+// reconstructs the written content.
 func TestWriteWithParityOnLostDiskIsDegraded(t *testing.T) {
 	const procs = 4
 	const elems = 1024
@@ -322,7 +334,7 @@ func TestWriteWithParityOnLostDiskIsDegraded(t *testing.T) {
 		mem := iosim.NewMemFS()
 		cfg := sim.Delta(procs)
 		res := iosim.NewResilience(iosim.DefaultRetryPolicy())
-		st := NewStore(mem, cfg, procs, res)
+		st := NewStore(mem, cfg, procs)
 		stats := make([]*trace.IOStats, procs)
 		for r := range stats {
 			stats[r] = &trace.IOStats{}
@@ -338,8 +350,18 @@ func TestWriteWithParityOnLostDiskIsDegraded(t *testing.T) {
 		patch[i] = float64(i) + 0.5
 	}
 
-	_, _, intactLAFs, _, intact := setup()
-	writeVia(t, intactLAFs[0], 0, patch)
+	// counted makes the write through rank 0's disk and returns how many
+	// file operations it took.
+	counted := func(d *iosim.Disk, l *iosim.LAF) int64 {
+		var chaos iosim.Chaos
+		chaos.Reset(iosim.ChaosConfig{}, 0, nil)
+		d.SetChaos(&chaos)
+		defer d.SetChaos(nil)
+		writeVia(t, l, 0, patch)
+		return chaos.Counts().Ops
+	}
+	_, intactDisks, intactLAFs, _, intact := setup()
+	intactOps := counted(intactDisks[0], intactLAFs[0])
 
 	st, disks, lafs, want, stats := setup()
 	loseDisk(st, lafs[2], 2)
@@ -353,7 +375,10 @@ func TestWriteWithParityOnLostDiskIsDegraded(t *testing.T) {
 	if st.NeedsRebuild(0) {
 		t.Fatal("disk 2's loss reaches rank 0's rebuild answer: it is rank 2's to rebuild")
 	}
-	writeVia(t, lafs[0], 0, patch) // covers every parity rank, disk 2's included
+	// The write covers every parity rank, disk 2's included.
+	if ops := counted(disks[0], lafs[0]); ops != intactOps {
+		t.Fatalf("the degraded write took %d file operations, an intact one %d", ops, intactOps)
+	}
 	copy(want[0], patch)
 	if *stats[0] != *intact[0] {
 		t.Fatalf("degraded write charged %+v, an intact one %+v", *stats[0], *intact[0])
@@ -406,7 +431,7 @@ func TestSequentialFileFaultsInOneGroupSurvive(t *testing.T) {
 	mem := iosim.NewMemFS()
 	cfg := sim.Delta(procs)
 	res := iosim.NewResilience(iosim.DefaultRetryPolicy())
-	st := NewStore(mem, cfg, procs, res)
+	st := NewStore(mem, cfg, procs)
 	_, lafs, want := setupGroup(t, mem, st, cfg, res, procs, elems, nil)
 
 	got := make([]float64, elems)
@@ -465,7 +490,7 @@ func TestFailedParityUpdateIsRepairedByItsWriter(t *testing.T) {
 			mem := iosim.NewMemFS()
 			cfg := sim.Delta(procs)
 			res := iosim.NewResilience(iosim.DefaultRetryPolicy())
-			st := NewStore(mem, cfg, procs, res)
+			st := NewStore(mem, cfg, procs)
 			disks, lafs, want := setupGroup(t, mem, st, cfg, res, procs, elems, nil)
 
 			var chaos iosim.Chaos
@@ -507,5 +532,187 @@ func TestFailedParityUpdateIsRepairedByItsWriter(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFaultOnTheDiscardHandleIsNotRepaired pins what a drawn fault does
+// to a degraded write's parity transfer: a permanent fault on the read
+// of a lost disk's parity file (iosim.Discard) ends that parity update
+// and nothing else. The data write stands, the live parity files take
+// their updates, no repair runs (the file is its host's to rebuild), no
+// other rank is asked to rebuild, and the lost disk's file still comes
+// back from the other disks' parity.
+func TestFaultOnTheDiscardHandleIsNotRepaired(t *testing.T) {
+	const procs = 4
+	const elems = 1024
+	mem := iosim.NewMemFS()
+	cfg := sim.Delta(procs)
+	res := iosim.NewResilience(iosim.DefaultRetryPolicy())
+	st := NewStore(mem, cfg, procs)
+	stats := make([]*trace.IOStats, procs)
+	for r := range stats {
+		stats[r] = &trace.IOStats{}
+	}
+	_, lafs, want := setupGroup(t, mem, st, cfg, res, procs, elems, stats)
+	*stats[0] = trace.IOStats{}
+	loseDisk(st, lafs[2], 2)
+	if err := mem.Remove(ParityFileName("c", 2)); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rank 0's whole-file write: op 0 reads the old data, op 1 writes the
+	// new, and each parity rank in turn (1, 2, 3) takes a read and a
+	// write, so op 4 is the read of disk 2's parity.
+	var chaos iosim.Chaos
+	chaos.Reset(iosim.ChaosConfig{}, 0, []mp.Fault{{Op: 4, Kind: mp.IOPermanent}})
+	lafs[0].Disk().SetChaos(&chaos)
+	patch := make([]float64, elems)
+	for i := range patch {
+		patch[i] = float64(i) - 0.75
+	}
+	writeVia(t, lafs[0], 0, patch)
+	copy(want[0], patch)
+	lafs[0].Disk().SetChaos(nil)
+	if c := chaos.Counts(); c.Permanent != 1 || c.Ops != 7 {
+		t.Fatalf("counts = %+v, want the fault fired and 7 operations (no parity write after the failed read)", c)
+	}
+	if stats[0].ParityRebuilds != 0 {
+		t.Fatalf("the writer rebuilt %d parity blocks, want no repair", stats[0].ParityRebuilds)
+	}
+	if st.NeedsRebuild(0) || !st.NeedsRebuild(2) {
+		t.Fatal("a fault on the lost disk's parity changed who must rebuild")
+	}
+	if _, err := mem.Open(ParityFileName("c", 2)); err == nil {
+		t.Fatal("a parity file was made on the lost disk")
+	}
+	got := make([]float64, elems)
+	if _, err := lafs[2].ReadChunks([]iosim.Chunk{{Off: 0, Len: elems}}, got); err != nil {
+		t.Fatalf("reconstruct the lost disk's file: %v", err)
+	}
+	if !slices.Equal(got, want[2]) {
+		t.Fatal("lost disk's file reconstructed wrong")
+	}
+}
+
+// flipAtRest flips one bit of the named file's byte off on the file
+// system itself, behind every checksum.
+func flipAtRest(t *testing.T, fs iosim.FS, name string, off int64) {
+	t.Helper()
+	f, err := fs.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x10
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestParityBlockCorruptAtRestFailsReconstruction: parity blocks carry
+// checksums in the data blocks' table, so a reconstruction that gathers
+// a parity block flipped at rest fails with an *iosim.CorruptionError
+// naming that file and block instead of returning wrong data.
+func TestParityBlockCorruptAtRestFailsReconstruction(t *testing.T) {
+	const procs = 4
+	const elems = 1024
+	mem := iosim.NewMemFS()
+	cfg := sim.Delta(procs)
+	res := iosim.NewResilience(iosim.DefaultRetryPolicy())
+	st := NewStore(mem, cfg, procs)
+	_, lafs, _ := setupGroup(t, mem, st, cfg, res, procs, elems, nil)
+
+	// Rank 0's third data block has its parity at block q of rank p's
+	// parity file.
+	s := StripeOf(procs, 0, 2)
+	p, q := ParityRankOf(procs, s), ParityIndexOf(procs, s)
+	pname := ParityFileName("c", p)
+	flipAtRest(t, mem, pname, q*BlockBytes+100)
+
+	loseDisk(st, lafs[0], 0)
+	got := make([]float64, elems)
+	_, err := lafs[0].ReadChunks([]iosim.Chunk{{Off: 0, Len: elems}}, got)
+	var ce *iosim.CorruptionError
+	if !errors.As(err, &ce) {
+		t.Fatalf("reconstruction over a corrupt parity block: %v, want a checksum mismatch", err)
+	}
+	if ce.File != pname || ce.Block != q {
+		t.Fatalf("mismatch on %s block %d, want %s block %d", ce.File, ce.Block, pname, q)
+	}
+}
+
+// TestParityReadCorruptionIsDetectedAndRetried: a bit flipped on the
+// read path of a read-modify-write's parity read is caught by the parity
+// block's checksum, counted as a corruption, and read again, so the
+// update folds into intact parity: every member still reconstructs.
+func TestParityReadCorruptionIsDetectedAndRetried(t *testing.T) {
+	const procs = 4
+	const elems = 1024
+	mem := iosim.NewMemFS()
+	cfg := sim.Delta(procs)
+	res := iosim.NewResilience(iosim.DefaultRetryPolicy())
+	st := NewStore(mem, cfg, procs)
+	stats := make([]*trace.IOStats, procs)
+	for r := range stats {
+		stats[r] = &trace.IOStats{}
+	}
+	_, lafs, want := setupGroup(t, mem, st, cfg, res, procs, elems, stats)
+	*stats[0] = trace.IOStats{}
+
+	// Op 2 of rank 0's write is the read of the first parity run.
+	var chaos iosim.Chaos
+	chaos.Reset(iosim.ChaosConfig{}, 0, []mp.Fault{{Op: 2, Kind: mp.IOCorrupt}})
+	lafs[0].Disk().SetChaos(&chaos)
+	patch := make([]float64, elems)
+	for i := range patch {
+		patch[i] = float64(i) * 0.5
+	}
+	writeVia(t, lafs[0], 0, patch)
+	copy(want[0], patch)
+	lafs[0].Disk().SetChaos(nil)
+	if c := chaos.Counts(); c.Corruptions != 1 {
+		t.Fatalf("counts = %+v, want one corruption", c)
+	}
+	if stats[0].Corruptions != 1 || stats[0].Retries != 1 {
+		t.Fatalf("the writer's statistics %+v, want one corruption detected and retried", *stats[0])
+	}
+	if st.Degraded() {
+		t.Fatal("a retried read ran a repair")
+	}
+	got := make([]float64, elems)
+	for r := 1; r < procs; r++ {
+		lafs[r].Lose()
+		if _, err := lafs[r].ReadChunks([]iosim.Chunk{{Off: 0, Len: elems}}, got); err != nil {
+			t.Fatalf("reconstruct rank %d: %v", r, err)
+		}
+		if !slices.Equal(got, want[r]) {
+			t.Fatalf("rank %d reconstructed wrong: the flipped bit reached the parity", r)
+		}
+	}
+}
+
+// TestWriteThroughOfAnUnregisteredFileFails: a write the store is asked
+// to carry for a protected file it never saw created or opened is an
+// error naming the file, and no data is written.
+func TestWriteThroughOfAnUnregisteredFileFails(t *testing.T) {
+	const procs = 4
+	mem := iosim.NewMemFS()
+	cfg := sim.Delta(procs)
+	st := NewStore(mem, cfg, procs)
+	protect(st, procs, 128)
+	d := iosim.NewDisk(mem, cfg, nil)
+	d.SetParity(st)
+	wrote := false
+	write := func() (float64, error) { wrote = true; return 0, nil }
+	_, err := st.WriteThrough(d, "c.p0.laf", 0, 8, make([]byte, 8), write)
+	if err == nil || !strings.Contains(err.Error(), "c.p0.laf") {
+		t.Fatalf("WriteThrough of an unregistered file: %v, want an error naming it", err)
+	}
+	if wrote {
+		t.Fatal("the data write ran")
 	}
 }

@@ -9,26 +9,6 @@ import (
 	"github.com/ooc-hpf/passion/internal/trace"
 )
 
-// readVerified reads want bytes at off through d (zero-filling past EOF
-// up to len(buf)) and, when a checksum store is attached, verifies the
-// content against the recorded CRC32s, retrying mismatches like the
-// resilient read path does. Reconstruction must not fold corrupted
-// survivor blocks into the XOR. Called with st.mu held.
-func (st *Store) readVerified(d *iosim.Disk, f iosim.File, name string, buf []byte, off, want int64) (float64, error) {
-	return d.Retry("parity-verify", name, true, func() error {
-		if err := readOnce(d, f, name, buf, off); err != nil {
-			return err
-		}
-		if st.res == nil || want <= 0 {
-			return nil
-		}
-		if _, ok := st.res.Check(name, off, buf[:want]); !ok {
-			return &iosim.CorruptionError{File: name, Block: off / BlockBytes}
-		}
-		return nil
-	})
-}
-
 // Recover implements iosim.ParityHook: it reconstructs the named data
 // file — whose disk failed permanently — from the P-1 surviving disks.
 // For every block of the lost file it gathers the stripe's parity block
@@ -37,7 +17,12 @@ func (st *Store) readVerified(d *iosim.Disk, f iosim.File, name string, buf []by
 // stands in for mounting a spare disk). The gather traffic is charged as
 // recovery messages on the owning rank's communication statistics, and
 // the I/O plus message time is returned for the caller to fold into the
-// interrupted operation's duration.
+// interrupted operation's duration. Every block it gathers is verified
+// against its checksums, parity blocks as well as data blocks, so a
+// survivor's corrupted block fails the reconstruction with an error that
+// names the file and the block (an *iosim.CorruptionError in its chain)
+// rather than folding into the result; the replacement's blocks record
+// their checksums as they are written.
 func (st *Store) Recover(d *iosim.Disk, name string, cause error) (float64, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -58,14 +43,11 @@ func (st *Store) Recover(d *iosim.Disk, name string, cause error) (float64, erro
 		old.Close()
 		delete(st.handles, name)
 	}
-	repl, err := st.create(d, name)
+	repl, err := d.CreateZeros(name, fi.bytes)
 	if err != nil {
 		return fail(err)
 	}
 	st.handles[name] = repl
-	if _, err := d.Retry("parity-truncate", name, false, func() error { return d.Truncate(repl, name, fi.bytes) }); err != nil {
-		return fail(err)
-	}
 
 	nBlocks := (fi.bytes + BlockBytes - 1) / BlockBytes
 	var sec float64
@@ -75,12 +57,12 @@ func (st *Store) Recover(d *iosim.Disk, name string, cause error) (float64, erro
 	defer bufpool.PutBytes(acc)
 	defer bufpool.PutBytes(blk)
 	gather := func(h iosim.File, hname string, off, want int64) error {
-		rs, err := st.readVerified(d, h, hname, blk, off, want)
+		rs, err := d.ReadVerified(h, hname, blk[:want], off)
 		sec += rs
 		if err != nil {
 			return err
 		}
-		xorInto(acc, blk)
+		xorInto(acc[:want], blk[:want])
 		requests++
 		physBytes += want
 		messages++
@@ -138,16 +120,13 @@ func (st *Store) Recover(d *iosim.Disk, name string, cause error) (float64, erro
 		if blockLen > BlockBytes {
 			blockLen = BlockBytes
 		}
-		ws, err := st.writeFull(d, repl, name, acc[:blockLen], k*BlockBytes)
+		ws, err := d.WriteChecked(repl, name, acc[:blockLen], k*BlockBytes, fi.bytes)
 		sec += ws
 		if err != nil {
 			return fail(err)
 		}
 		requests++
 		physBytes += blockLen
-		if st.res != nil {
-			st.res.Record(name, k*BlockBytes, acc[:blockLen])
-		}
 	}
 
 	sec += st.cfg.IOTime(int(requests), st.modelBytes(physBytes))
@@ -221,8 +200,10 @@ func (st *Store) RebuildRank(d *iosim.Disk, rank int) (float64, error) {
 }
 
 // rebuildParityFileLocked recomputes rank p's entire parity file for a
-// group from the group's data files (gathered from the other disks) and
-// rewrites it from scratch. Called with st.mu held.
+// group from the group's data files (gathered from the other disks, each
+// block verified) and rewrites it from scratch: the file is created
+// afresh, so its checksums start over, and each block records its own as
+// it is written. Called with st.mu held.
 func (st *Store) rebuildParityFileLocked(d *iosim.Disk, base string, p int) (float64, error) {
 	pname := ParityFileName(base, p)
 	if st.phantom {
@@ -256,7 +237,12 @@ func (st *Store) rebuildParityFileLocked(d *iosim.Disk, base string, p int) (flo
 		old.Close()
 		delete(st.handles, pname)
 	}
-	f, err := st.create(d, pname)
+	var f iosim.File
+	_, err := d.Retry("create", pname, false, func() error {
+		var err error
+		f, err = d.Create(pname)
+		return err
+	})
 	if err != nil {
 		return 0, fmt.Errorf("parity: rebuild %s: %w", pname, err)
 	}
@@ -285,19 +271,20 @@ func (st *Store) rebuildParityFileLocked(d *iosim.Disk, base string, p int) (flo
 			if err != nil {
 				return sec, fmt.Errorf("parity: rebuild %s: %w", pname, err)
 			}
-			rs, err := st.readVerified(d, h, m.name, blk, off, want)
+			rs, err := d.ReadVerified(h, m.name, blk[:want], off)
 			sec += rs
 			if err != nil {
 				return sec, fmt.Errorf("parity: rebuild %s: %w", pname, err)
 			}
-			xorInto(acc, blk)
+			xorInto(acc[:want], blk[:want])
 			requests++
 			physBytes += want
 			messages++
 			msgBytes += st.modelBytes(want)
 			sec += st.cfg.MsgTime(st.modelBytes(want))
 		}
-		ws, err := st.writeFull(d, f, pname, acc, q*BlockBytes)
+		// A whole block: the write's own end stands for the file's.
+		ws, err := d.WriteChecked(f, pname, acc, q*BlockBytes, (q+1)*BlockBytes)
 		sec += ws
 		if err != nil {
 			return sec, fmt.Errorf("parity: rebuild %s: %w", pname, err)

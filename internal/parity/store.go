@@ -2,7 +2,6 @@ package parity
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 
@@ -23,12 +22,13 @@ import (
 // depends on which rank took the mutex first: a file's owner opens the
 // store's handle on it, a parity file's host creates it at its full size,
 // and a parity update that fails is repaired by the rank whose write it
-// was (applyParityRun).
+// was (applyParityRun). Every transfer the store makes is the acting
+// disk's verified read or checksummed write, so parity blocks carry
+// checksums in the same table as data blocks.
 type Store struct {
 	fs    iosim.FS
 	cfg   sim.Config
 	procs int
-	res   *iosim.Resilience
 
 	mu      sync.Mutex
 	phantom bool
@@ -54,8 +54,8 @@ type Store struct {
 	// fault until its host's RebuildRank.
 	lostParity map[string]bool
 	// lostDisks marks the ranks whose disk was lost (LoseDisk): the
-	// parity files it hosts take no writes (degraded) until the rank's
-	// own RebuildRank, the only other writer of its entry.
+	// parity files it hosts take their updates on iosim.Discard until the
+	// rank's own RebuildRank, the only other writer of its entry.
 	lostDisks map[int]bool
 	comm      map[int]*trace.ProcStats
 	degraded  bool
@@ -68,16 +68,13 @@ type fileInfo struct {
 }
 
 // NewStore returns an empty parity store over the shared file system.
-// res may be nil; when present, reconstructed file content is re-recorded
-// in the checksum store so degraded reads keep verifying. Parity is only
-// meaningful for procs >= 2 (with one disk there are no survivors); a
-// store for procs < 2 protects nothing.
-func NewStore(fs iosim.FS, cfg sim.Config, procs int, res *iosim.Resilience) *Store {
+// Parity is only meaningful for procs >= 2 (with one disk there are no
+// survivors); a store for procs < 2 protects nothing.
+func NewStore(fs iosim.FS, cfg sim.Config, procs int) *Store {
 	return &Store{
 		fs:         fs,
 		cfg:        cfg,
 		procs:      procs,
-		res:        res,
 		bases:      make(map[string][]int64),
 		files:      make(map[string]*fileInfo),
 		members:    make(map[string]int),
@@ -99,10 +96,11 @@ func (st *Store) SetPhantom(on bool) {
 
 // Protect marks a group base name (a global array name) as
 // parity-protected. Files named "<base>.p<rank>.laf" created or opened
-// after this call are covered. memberBytes, when given, holds every
-// rank's member file size, from which each host sizes its parity file
-// when it creates it; without them parity files grow as they are
-// written.
+// after this call are covered. memberBytes holds every rank's member
+// file size, by which each host sizes its parity file when it creates it
+// (a parity transfer never reads past the end of the file). A store that
+// creates no member, only attaching files an earlier store made to
+// reconstruct and rebuild them, may leave them out.
 func (st *Store) Protect(base string, memberBytes ...int64) {
 	if st.procs < 2 {
 		return
@@ -168,7 +166,11 @@ func (st *Store) NeedsRebuild(rank int) bool {
 // LoseDisk records the loss of rank's logical disk: the store closes its
 // handles on the disk's files, and every parity file the disk hosts is
 // lost (see lostDisks) until RebuildRank(rank). The caller, rank itself,
-// removes the files and fails its own handles (iosim.LAF.Lose).
+// removes the files and fails its own handles (iosim.LAF.Lose). A lost
+// parity file keeps iosim.Discard as its handle, so a write it covers
+// still makes its parity read and write, and only the bytes are dropped;
+// its checksums, which nothing reads through Discard, go when the rebuild
+// creates the file afresh.
 func (st *Store) LoseDisk(rank int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -177,6 +179,9 @@ func (st *Store) LoseDisk(rank int) {
 			h.Close()
 			delete(st.handles, name)
 		}
+	}
+	for _, base := range st.memberBases {
+		st.handles[ParityFileName(base, rank)] = iosim.Discard
 	}
 	st.lostDisks[rank] = true
 }
@@ -274,13 +279,14 @@ func (st *Store) Protects(name string) bool {
 // Created implements iosim.ParityHook: a protected file was freshly
 // created through d, so its content is all zeros. On a member's first
 // registration its rank, through d, opens the store's handle on it and
-// creates (truncating) the group's parity file its disk hosts, sized
-// when Protect knew the member sizes: all-zero parity, which both
-// initializes it and discards any stale parity a previous execution left
-// on the shared file system. A parity file that cannot be made is lost
-// until its host's rebuild. Every member is created before any is
-// written (the executor's create/fill rendezvous), so no update reaches
-// a parity file before its host has made it.
+// creates (truncating) the group's parity file its disk hosts at the
+// size Protect's member sizes give it, with its checksums seeded
+// (iosim.Disk.CreateZeros): all-zero parity, which both initializes it
+// and discards any stale parity a previous execution left on the shared
+// file system. A parity file that cannot be made is lost until its
+// host's rebuild. Every member is created before any is written (the
+// executor's create/fill rendezvous), so no update reaches a parity file
+// before its host has made it.
 func (st *Store) Created(d *iosim.Disk, name string, bytes int64) {
 	base, rank, ok := parseLAF(name)
 	if !ok {
@@ -310,15 +316,7 @@ func (st *Store) Created(d *iosim.Disk, name string, bytes int64) {
 	if old := st.handles[pname]; old != nil {
 		old.Close()
 	}
-	f, err := st.create(d, pname)
-	if err == nil {
-		if size := st.hostedBytes(base, rank); size > 0 {
-			err = d.Truncate(f, pname, size)
-			if err != nil {
-				f.Close()
-			}
-		}
-	}
+	f, err := d.CreateZeros(pname, st.hostedBytes(base, rank))
 	if err != nil {
 		delete(st.handles, pname)
 		st.lostParity[pname] = true
@@ -437,17 +435,6 @@ func (st *Store) lookup(name string) (fileInfo, bool) {
 	return *fi, true
 }
 
-// create creates (truncating) a file through d under its retry policy.
-func (st *Store) create(d *iosim.Disk, name string) (iosim.File, error) {
-	var f iosim.File
-	_, err := d.Retry("parity-create", name, false, func() error {
-		var err error
-		f, err = d.Create(name)
-		return err
-	})
-	return f, err
-}
-
 // dataHandle returns the store's own handle to a registered file,
 // opening it through d on first use. Called with st.mu held.
 func (st *Store) dataHandle(d *iosim.Disk, name string) (iosim.File, error) {
@@ -465,38 +452,6 @@ func (st *Store) dataHandle(d *iosim.Disk, name string) (iosim.File, error) {
 	}
 	st.handles[name] = f
 	return f, nil
-}
-
-// readOnce reads len(buf) bytes at off through d, zero-filling whatever
-// lies past the end of the file (short data files zero-pad their last
-// stripe; a parity file Protect could not size grows as it is written).
-func readOnce(d *iosim.Disk, f iosim.File, name string, buf []byte, off int64) error {
-	clear(buf)
-	n, err := d.ReadAt(f, name, buf, off)
-	if err == io.EOF {
-		clear(buf[n:])
-		return nil
-	}
-	return err
-}
-
-// readFull is readOnce under d's retry policy.
-func (st *Store) readFull(d *iosim.Disk, f iosim.File, name string, buf []byte, off int64) (float64, error) {
-	return d.Retry("parity-read", name, true, func() error { return readOnce(d, f, name, buf, off) })
-}
-
-// writeFull writes buf at off through d under its retry policy.
-func (st *Store) writeFull(d *iosim.Disk, f iosim.File, name string, buf []byte, off int64) (float64, error) {
-	return d.Retry("parity-write", name, true, func() error {
-		n, err := d.WriteAt(f, name, buf, off)
-		if err != nil {
-			return err
-		}
-		if n != len(buf) {
-			return fmt.Errorf("parity: short write on %s: %d of %d bytes", name, n, len(buf))
-		}
-		return nil
-	})
 }
 
 // modelBytes converts physical file bytes into cost-model bytes so parity
@@ -580,27 +535,21 @@ func (st *Store) WriteThrough(d *iosim.Disk, name string, byteOff, n int64, buf 
 	defer st.mu.Unlock()
 	fi := st.files[name]
 	if fi == nil {
-		// Registration raced away (never happens in normal execution);
-		// fall back to the bare data write.
-		if buf == nil {
-			return 0, nil
-		}
-		return write()
+		return 0, fmt.Errorf("parity: write to %s, which is protected but was never created or opened", name)
 	}
 	sp := st.spanOf(*fi, byteOff, n)
 	runs := st.parityRunsOf(fi.rank, sp)
 
 	var sec float64
 	if buf != nil {
-		// Old data over the widened span, for the XOR delta. readFull
-		// zero-fills the pooled buffer before every attempt.
+		// Old data over the widened span, for the XOR delta.
 		old := bufpool.GetBytes(int(sp.hi - sp.lo))
 		defer bufpool.PutBytes(old)
 		h, err := st.dataHandle(d, name)
 		if err != nil {
 			return sec, err
 		}
-		rs, err := st.readFull(d, h, name, old, sp.lo)
+		rs, err := d.ReadVerified(h, name, old, sp.lo)
 		sec += rs
 		if err != nil {
 			return sec, err
@@ -643,20 +592,20 @@ func (st *Store) WriteThrough(d *iosim.Disk, name string, byteOff, n int64, buf 
 }
 
 // applyParityRun folds the delta blocks of one parity rank into its
-// parity file as a single coalesced read-modify-write. A parity file on
-// a lost disk takes none (degraded) until its host's rebuild. An update
-// that fails leaves the file without its delta, so this rank rebuilds
-// the file at once from the data files (which already hold the new
-// content), inside the write's hold of the store: no other rank ever
-// reads it stale, and no reconstruction's fate depends on host order. A
-// file whose rebuild fails too is lost until its host's rebuild; it
-// keeps taking updates, which cannot repair it, because skipping them
-// would make the writer's file operations depend on when the failure
-// happened. Called with st.mu held.
+// parity file as a single coalesced read-modify-write, whose read is
+// verified against the file's checksums and whose write records them. A
+// parity file on a lost disk takes the same read and write on
+// iosim.Discard. An update that fails (a checksum mismatch that outlasts
+// the retries among the causes) leaves the file without its delta, so
+// this rank rebuilds the file at once from the data files (which already
+// hold the new content), inside the write's hold of the store: no other
+// rank ever reads it stale, and no reconstruction's fate depends on host
+// order. A file whose rebuild fails too is lost until its host's
+// rebuild; it keeps taking updates, which cannot repair it, because
+// skipping them would make the writer's file operations depend on when
+// the failure happened. A failed update of a lost disk's file is not
+// repaired: the file is its host's to rebuild. Called with st.mu held.
 func (st *Store) applyParityRun(d *iosim.Disk, fi fileInfo, run parityRun, sp span, delta []byte) (float64, error) {
-	if st.lostDisks[run.rank] {
-		return 0, nil
-	}
 	pname := ParityFileName(fi.base, run.rank)
 	h := st.handles[pname]
 	if h == nil {
@@ -664,7 +613,8 @@ func (st *Store) applyParityRun(d *iosim.Disk, fi fileInfo, run parityRun, sp sp
 	}
 	span := bufpool.GetBytes(int((run.qHi - run.qLo + 1) * BlockBytes))
 	defer bufpool.PutBytes(span)
-	sec, err := st.readFull(d, h, pname, span, run.qLo*BlockBytes)
+	off := run.qLo * BlockBytes
+	sec, err := d.ReadVerified(h, pname, span, off)
 	if err == nil {
 		for _, k := range run.dataBlocks {
 			s := StripeOf(st.procs, fi.rank, k)
@@ -673,13 +623,14 @@ func (st *Store) applyParityRun(d *iosim.Disk, fi fileInfo, run parityRun, sp sp
 			pOff := (q - run.qLo) * BlockBytes
 			xorInto(span[pOff:pOff+BlockBytes], delta[dOff:dOff+BlockBytes])
 		}
+		// Whole blocks: the write's own end stands for the file's.
 		var ws float64
-		ws, err = st.writeFull(d, h, pname, span, run.qLo*BlockBytes)
+		ws, err = d.WriteChecked(h, pname, span, off, off+int64(len(span)))
 		sec += ws
 	}
-	if err != nil {
-		rs, rerr := st.rebuildParityFileLocked(d, fi.base, run.rank)
-		return sec + rs, rerr
+	if err == nil || h == iosim.Discard {
+		return sec, nil
 	}
-	return sec, nil
+	rs, rerr := st.rebuildParityFileLocked(d, fi.base, run.rank)
+	return sec + rs, rerr
 }

@@ -135,9 +135,11 @@ func (c Config) IOTime(requests int, bytes int64) float64 {
 }
 
 // IOTimeAt is IOTime at a given effective disk bandwidth, for callers
-// that price many operations on one machine.
+// that price many operations on one machine. The product is rounded on
+// its own (float64(x*y)), so no architecture fuses it with the sum into
+// a multiply-add and the clock keeps its bits on every host.
 func (c Config) IOTimeAt(bw float64, requests int, bytes int64) float64 {
-	return float64(requests)*c.DiskRequestOverhead + float64(bytes)/bw
+	return float64(float64(requests)*c.DiskRequestOverhead) + float64(bytes)/bw
 }
 
 // MsgTime returns the simulated seconds to move one point-to-point message
