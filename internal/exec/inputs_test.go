@@ -13,12 +13,14 @@ import (
 	"github.com/ooc-hpf/passion/internal/sim"
 )
 
-// TestInputsRunLikeFill runs each plan twice, its inputs given once as
-// separable Inputs and once as the equivalent Fill closures: the fills
-// issue the same transfers, so the runs must count the same operations
-// and give equal statistics, equal arrays and the same fired faults,
-// with no fault, with rank 1's disk lost inside the fills (its op 0 and
-// op 3) and with rank 1 killed inside them.
+// TestInputsRunLikeFill runs each plan with its inputs given as Fill
+// closures, as the equivalent separable Inputs, and twice as those
+// Inputs kept in one Images, as a served plan's jobs run (the first run
+// makes the shared images, the second fills from them): the fills issue
+// the same transfers, so the runs must count the same operations and
+// give equal statistics, equal arrays and the same fired faults, with no
+// fault, with rank 1's disk lost inside the fills (its op 0 and op 3)
+// and with rank 1 killed inside them.
 func TestInputsRunLikeFill(t *testing.T) {
 	transpose := transposeRegimes(t)["two-phase/spill"]
 	for _, prog := range []struct {
@@ -67,45 +69,60 @@ func TestInputsRunLikeFill(t *testing.T) {
 				return out, o.OpCounts
 			}
 			byFill, fillOps := run(prog.fill, nil)
-			byInputs, inputOps := run(nil, prog.inputs)
-			what := prog.name + ", " + tc.name
-			if !reflect.DeepEqual(fillOps, inputOps) {
-				t.Errorf("%s: operation counts differ: %v, %v", what, fillOps, inputOps)
+			images := oocarray.NewImages()
+			t.Cleanup(images.Release)
+			kept := map[string]oocarray.Input{}
+			for name, in := range prog.inputs {
+				kept[name] = images.Keep(in)
 			}
-			if !reflect.DeepEqual(byFill.Stats.Snapshot(), byInputs.Stats.Snapshot()) {
-				t.Errorf("%s: statistics differ:\n%+v\n%+v", what, byFill.Stats.Snapshot(), byInputs.Stats.Snapshot())
+			for i, inputs := range []map[string]oocarray.Input{prog.inputs, kept, kept} {
+				byInputs, inputOps := run(nil, inputs)
+				what := prog.name + ", " + tc.name + ", " + []string{"inputs", "kept inputs", "kept inputs again"}[i]
+				compareRuns(t, what, tc.name, byFill, byInputs, fillOps, inputOps)
 			}
-			if !reflect.DeepEqual(byFill.DiskLosses, byInputs.DiskLosses) || byFill.Attempts != byInputs.Attempts ||
-				len(byFill.Recoveries) != len(byInputs.Recoveries) {
-				t.Errorf("%s: faults differ: losses %v, %v; attempts %d, %d; recoveries %d, %d", what,
-					byFill.DiskLosses, byInputs.DiskLosses, byFill.Attempts, byInputs.Attempts,
-					len(byFill.Recoveries), len(byInputs.Recoveries))
-			}
-			if strings.HasPrefix(tc.name, "disk") && len(byInputs.DiskLosses) != 1 {
-				t.Errorf("%s: %d disk losses fired, want 1", what, len(byInputs.DiskLosses))
-			}
-			if strings.HasPrefix(tc.name, "rank") && len(byInputs.Recoveries) != 1 {
-				t.Errorf("%s: %d recoveries, want 1", what, len(byInputs.Recoveries))
-			}
-			for i, rec := range byFill.Recoveries {
-				if other := byInputs.Recoveries[i]; !reflect.DeepEqual(rec.Failed, other.Failed) ||
-					!reflect.DeepEqual(rec.Stats.Snapshot(), other.Stats.Snapshot()) || rec.RebuildIO != other.RebuildIO {
-					t.Errorf("%s: recovery %d differs", what, i)
-				}
-			}
-			for _, spec := range byFill.Program.Arrays {
-				a, err := byFill.ReadArray(spec.Name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := byInputs.ReadArray(spec.Name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(a.Data, b.Data) {
-					t.Errorf("%s: array %s differs", what, spec.Name)
-				}
-			}
+		}
+	}
+}
+
+// compareRuns holds a run of inputs to the run of the equivalent fills:
+// the same operation counts, statistics, fired faults and arrays.
+func compareRuns(t *testing.T, what, faults string, byFill, byInputs *Result, fillOps, inputOps []int64) {
+	t.Helper()
+	if !reflect.DeepEqual(fillOps, inputOps) {
+		t.Errorf("%s: operation counts differ: %v, %v", what, fillOps, inputOps)
+	}
+	if !reflect.DeepEqual(byFill.Stats.Snapshot(), byInputs.Stats.Snapshot()) {
+		t.Errorf("%s: statistics differ:\n%+v\n%+v", what, byFill.Stats.Snapshot(), byInputs.Stats.Snapshot())
+	}
+	if !reflect.DeepEqual(byFill.DiskLosses, byInputs.DiskLosses) || byFill.Attempts != byInputs.Attempts ||
+		len(byFill.Recoveries) != len(byInputs.Recoveries) {
+		t.Errorf("%s: faults differ: losses %v, %v; attempts %d, %d; recoveries %d, %d", what,
+			byFill.DiskLosses, byInputs.DiskLosses, byFill.Attempts, byInputs.Attempts,
+			len(byFill.Recoveries), len(byInputs.Recoveries))
+	}
+	if strings.HasPrefix(faults, "disk") && len(byInputs.DiskLosses) != 1 {
+		t.Errorf("%s: %d disk losses fired, want 1", what, len(byInputs.DiskLosses))
+	}
+	if strings.HasPrefix(faults, "rank") && len(byInputs.Recoveries) != 1 {
+		t.Errorf("%s: %d recoveries, want 1", what, len(byInputs.Recoveries))
+	}
+	for i, rec := range byFill.Recoveries {
+		if other := byInputs.Recoveries[i]; !reflect.DeepEqual(rec.Failed, other.Failed) ||
+			!reflect.DeepEqual(rec.Stats.Snapshot(), other.Stats.Snapshot()) || rec.RebuildIO != other.RebuildIO {
+			t.Errorf("%s: recovery %d differs", what, i)
+		}
+	}
+	for _, spec := range byFill.Program.Arrays {
+		a, err := byFill.ReadArray(spec.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := byInputs.ReadArray(spec.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a.Data, b.Data) {
+			t.Errorf("%s: array %s differs", what, spec.Name)
 		}
 	}
 }

@@ -521,6 +521,30 @@ func (v *QuietView) Of(l *LAF) *LAF {
 // Elems returns the file length in elements.
 func (l *LAF) Elems() int64 { return l.elems }
 
+// memHandle is the MemFS handle l's transfers go through, or nil when
+// the file is of another store (or wrapped, lost or closed).
+func (l *LAF) memHandle() *memHandle {
+	h, _ := l.home().file.(*memHandle)
+	return h
+}
+
+// Share makes l's file read img, the whole file's elements, instead of
+// storage of its own, when l is a MemFS file with nothing written on a
+// disk that moves data, on a host whose float64 memory is the file's
+// image: the file gives its storage back to the arena and reads img
+// below its written mark, so a transfer from img's own elements to their
+// own offsets moves the mark and copies nothing, and any other write or
+// a truncate first copies what the file has written into new storage.
+// img must not change while a file shares it. Share reports whether the
+// file took img; nothing else is changed when it did not.
+func (l *LAF) Share(img []float64) bool {
+	if int64(len(img)) != l.elems || !littleEndianHost || l.disk.phantom {
+		return false
+	}
+	h := l.memHandle()
+	return h != nil && h.share(floatBytes(img))
+}
+
 // Close releases the underlying file; closing it again, or closing an
 // LAF whose Create or Open failed, does nothing. The LAF keeps no
 // reference to the file: every transfer through it fails with

@@ -80,6 +80,13 @@ type FS interface {
 // a released file goes on a bounded free list (memFiles) for the next
 // Create, of this store or another, so a served job's files cost one
 // handle each.
+//
+// A file with nothing written can share an immutable image instead of
+// holding storage (LAF.Share): it reads the image below its written mark,
+// a write of the image's own bytes at their own offset only moves the
+// mark, and any other write or a truncate first copies the written part
+// into storage of the file's own. So every job of a plan fills its input
+// files from one image without copying it (oocarray.Images).
 type MemFS struct {
 	mu    sync.Mutex
 	files map[string]*memFile
@@ -96,6 +103,10 @@ type memFile struct {
 	// data is arena storage with arbitrary contents beyond written.
 	// len(data) is the capacity reserved, at least size.
 	data []byte
+	// shared, when non-nil, stands in for data: an image at least size
+	// bytes long, not the arena's, that the file reads below written and
+	// never writes (unshare ends the sharing), and data is nil meanwhile.
+	shared []byte
 	// size is the file length; written <= size is the high-water mark of
 	// the bytes stored so far. Bytes in [written, size) read as zeros.
 	size, written int64
@@ -231,8 +242,29 @@ func (f *memFile) releaseIfDead() bool {
 		return false
 	}
 	bufpool.PutBytes(f.data)
-	f.data = nil
+	f.data, f.shared = nil, nil
 	return true
+}
+
+// unshare gives a sharing file storage of its own holding the bytes it
+// has written, before anything changes them. Called with f.mu held.
+func (f *memFile) unshare() {
+	if f.shared == nil {
+		return
+	}
+	data := bufpool.GetBytes(int(f.size))
+	data = data[:cap(data)]
+	copy(data, f.shared[:f.written])
+	f.data, f.shared = data, nil
+}
+
+// imageWrite reports whether writing p at off only moves the mark of a
+// sharing file: p is the image's own bytes at off, and off does not skip
+// past the mark, whose gap would have to read as zeros. Called with f.mu
+// held and p non-empty.
+func (f *memFile) imageWrite(p []byte, off int64) bool {
+	return f.shared != nil && off <= f.written && off+int64(len(p)) <= int64(len(f.shared)) &&
+		unsafe.SliceData(p) == &f.shared[off]
 }
 
 // reserve makes room for n bytes, moving the written prefix when the
@@ -275,9 +307,13 @@ func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
 		return 0, io.EOF
 	}
 	n := int(min(int64(len(p)), f.size-off))
+	src := f.data
+	if f.shared != nil {
+		src = f.shared
+	}
 	stored := 0
 	if off < f.written {
-		stored = copy(p[:n], f.data[off:f.written])
+		stored = copy(p[:n], src[off:f.written])
 	}
 	clear(p[stored:n])
 	if n < len(p) {
@@ -299,6 +335,12 @@ func (h *memHandle) WriteAt(p []byte, off int64) (int, error) {
 		return 0, nil // like pwrite, an empty write does not extend the file
 	}
 	end := off + int64(len(p))
+	if f.imageWrite(p, off) {
+		f.written = max(f.written, end)
+		f.size = max(f.size, end)
+		return len(p), nil
+	}
+	f.unshare()
 	f.reserve(end)
 	if off > f.written {
 		// The gap this write skips over must read as zeros.
@@ -319,10 +361,28 @@ func (h *memHandle) Truncate(size int64) error {
 	if size < 0 {
 		return fmt.Errorf("iosim: negative truncate size %d", size)
 	}
+	f.unshare()
 	f.reserve(size)
 	f.size = size
 	f.written = min(f.written, size)
 	return nil
+}
+
+// share makes the file read img in place of storage, when it has
+// nothing written, shares nothing yet and is no longer than img; its
+// storage goes back to the arena. It reports whether it did.
+func (h *memHandle) share(img []byte) bool {
+	f, err := h.use("share")
+	if err != nil {
+		return false
+	}
+	defer f.mu.Unlock()
+	if f.written != 0 || f.shared != nil || f.size > int64(len(img)) {
+		return false
+	}
+	bufpool.PutBytes(f.data)
+	f.data, f.shared = nil, img
+	return true
 }
 
 // Size returns the file length (see FileSize); a closed handle's is 0.

@@ -7,6 +7,7 @@ import (
 	"io"
 	iofs "io/fs"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/ooc-hpf/passion/internal/bufpool"
@@ -15,8 +16,12 @@ import (
 
 // The model MemFS is checked against: a file is a flat byte slice that
 // make zero-fills, a name refers to at most one file, and a handle keeps
-// its file whatever happens to the name.
-type modelFile struct{ data []byte }
+// its file whatever happens to the name. img is the image the real file
+// was made sharing (nil: none).
+type modelFile struct {
+	data []byte
+	img  []float64
+}
 
 type modelHandle struct {
 	real   File
@@ -60,6 +65,14 @@ func (s *fuzzScript) word() int { return s.byte()<<8 | s.byte() }
 // before the recycle fails every operation with fs.ErrClosed after it,
 // checked after every step; and a handle that outlives its name keeps
 // its own file, whatever record the name moves on to.
+//
+// A file can also be made sharing an image (LAF.Share) and written from
+// the image's own bytes, through WriteAt or an LAF. The model knows
+// nothing of sharing: every read must match it all the same. A write of
+// the image's own bytes at or below the mark of a file that still shares
+// must take nothing from the arena, and every image must be bitwise what
+// it was after every step (the checked arena would poison one put back
+// to it).
 func FuzzMemFile(f *testing.F) {
 	f.Add([]byte{})
 	// create, truncate up, write past a gap, truncate down, extend again,
@@ -79,6 +92,11 @@ func FuzzMemFile(f *testing.F) {
 	// handle still reads the first file, then let go.
 	f.Add([]byte{0, 0, 4, 0, 0x00, 0x40, 2, 0, 0x00, 0x00, 0x00, 0x20, 1, 0, 6, 0, 0, 0, 2, 2, 0x00, 0x08, 0x00, 0x10, 5, 0,
 		9, 0, 3, 1, 0x00, 0x00, 0x00, 0x40, 3, 3, 0x00, 0x00, 0x00, 0x10, 5, 1, 9, 0, 4, 4, 0x00, 0x20, 3, 4, 0x00, 0x00, 0x00, 0x20})
+	// a shared file filled from its image in three writes, the last
+	// through an LAF, then copied by a foreign write; a second shared
+	// file written, and its file closed and removed.
+	f.Add([]byte{10, 0, 40, 11, 0, 0, 0, 0, 0, 100, 11, 0, 0, 0, 0, 0, 100, 11, 0, 1, 0, 0, 0, 80,
+		2, 0, 0, 10, 0, 20, 10, 1, 20, 11, 1, 0, 0, 0, 0, 50, 5, 1, 6, 1})
 	bufpool.SetChecked(true)
 	defer bufpool.SetChecked(false)
 
@@ -99,10 +117,19 @@ func FuzzMemFile(f *testing.F) {
 			}
 			return p
 		}
-		// checkAll compares every open handle's view with the model, and
-		// holds every closed handle to fs.ErrClosed.
+		// images are the images files were made sharing, each beside a
+		// copy of its bytes.
+		type keptImage struct{ img, orig []byte }
+		var images []keptImage
+		// checkAll compares every open handle's view with the model, holds
+		// every closed handle to fs.ErrClosed and every image to its bytes.
 		checkAll := func(step int) {
 			t.Helper()
+			for i, k := range images {
+				if !bytes.Equal(k.img, k.orig) {
+					t.Fatalf("step %d: image %d changed", step, i)
+				}
+			}
 			for hi, h := range handles {
 				if h.closed {
 					p := []byte{0xAA}
@@ -185,10 +212,10 @@ func FuzzMemFile(f *testing.F) {
 
 		s := &fuzzScript{b: input}
 		for step := 0; s.more() && step < 256; step++ {
-			op, target := s.byte()%10, s.byte()
-			name := names[target%len(names)] // create, open, remove, recycle
+			op, target := s.byte()%12, s.byte()
+			name := names[target%len(names)] // create, open, remove, recycle, share
 			var h *modelHandle               // everything else
-			if op >= 2 && op != 6 && op != 9 {
+			if op >= 2 && op != 6 && op != 9 && op != 10 {
 				if len(handles) == 0 {
 					continue
 				}
@@ -296,6 +323,62 @@ func FuzzMemFile(f *testing.F) {
 				if got := create(step, name).real.(*memHandle).f; got != rec {
 					t.Fatalf("step %d: %s created afresh on a new record, not the one its closed and removed file freed", step, name)
 				}
+			case 10: // create the name sharing an image
+				if full() {
+					continue
+				}
+				elems := 1 + s.byte()%80
+				pat := pattern(elems * elemBytes)
+				img := make([]float64, elems)
+				copy(floatBytes(img), pat)
+				h := create(step, name)
+				if err := h.real.Truncate(int64(elems * elemBytes)); err != nil {
+					t.Fatalf("step %d: Truncate: %v", step, err)
+				}
+				h.file.data = make([]byte, elems*elemBytes)
+				l := lafOver(h)
+				if !l.Share(img) {
+					t.Fatalf("step %d: a fresh file of %d elements refused its image", step, elems)
+				}
+				h.file.img = img
+				images = append(images, keptImage{floatBytes(img), slices.Clone(pat)})
+			case 11: // write the image's own bytes at their own offset
+				mode, off, n := s.byte(), s.word(), s.word()%700
+				rf := h.real.(*memHandle).f
+				if h.closed || h.file.img == nil {
+					continue
+				}
+				img := floatBytes(h.file.img)
+				off %= len(img) + 1
+				if mode%2 == 0 {
+					off = min(int(rf.written), len(img))
+				}
+				end := min(off+n, len(img))
+				moves := rf.shared != nil && off <= int(rf.written) && end > off
+				gets := bufpool.Snapshot().Gets
+				if mode%2 == 0 {
+					if n, err := h.real.WriteAt(img[off:end], int64(off)); n != end-off || err != nil {
+						t.Fatalf("step %d: WriteAt of the image's bytes [%d, %d) = %d, %v", step, off, end, n, err)
+					}
+				} else {
+					e0, e1 := off/elemBytes, end/elemBytes
+					if e1 > len(h.file.data)/elemBytes {
+						continue
+					}
+					off, end = e0*elemBytes, e1*elemBytes
+					moves = moves && end > off
+					chunk := []Chunk{{Off: int64(e0), Len: e1 - e0}}
+					if _, err := lafOver(h).WriteChunks(chunk, h.file.img[e0:e1]); err != nil {
+						t.Fatalf("step %d: WriteChunks of the image's elements %v: %v", step, chunk, err)
+					}
+				}
+				if moves && bufpool.Snapshot().Gets != gets {
+					t.Fatalf("step %d: a write of the image's own bytes [%d, %d) under the mark %d copied", step, off, end, rf.written)
+				}
+				if end > len(h.file.data) {
+					h.file.data = append(h.file.data, make([]byte, end-len(h.file.data))...)
+				}
+				copy(h.file.data[off:end], img[off:end])
 			case 7, 8: // LAF.WriteChunks, LAF.ReadChunks
 				elems := len(h.file.data) / elemBytes
 				if elems == 0 {

@@ -571,16 +571,83 @@ func (a *Array) Recycle(s *ICLA) {
 // is Row(gi) * Col(gj), or Row(gi) + Col(gj) with Add, so a fill calls
 // each once per local row or column and makes a column with one
 // operation per element. Otherwise At gives each element.
+//
+// An input that Images.Keep returned also names where its local images
+// are kept, so that a fill makes each rank's image once (see Images).
 type Input struct {
 	Row, Col func(g int) float64
 	Add      bool
 	At       func(gi, gj int) float64
+
+	kept *Images
+	id   int // the input's number in kept
+}
+
+// columns is what making a rank's local columns of an input takes: the
+// local-to-global translation, which is separable (one shared table per
+// dimension instead of a GlobalIndex per element), and for a separable
+// input the row values, in arena storage that release gives back.
+type columns struct {
+	in         Input
+	rowG, colG []int32
+	rowV       []float64
+}
+
+func (a *Array) columns(in Input) columns {
+	c := columns{in: in}
+	c.rowG, c.colG = a.dmap.LocalGlobals(a.proc)
+	if in.At == nil {
+		c.rowV = bufpool.GetF64(a.rows)
+		for li, gi := range c.rowG {
+			c.rowV[li] = in.Row(int(gi))
+		}
+	}
+	return c
+}
+
+// column stores local column lj in dst.
+func (c *columns) column(dst []float64, lj int) {
+	gj := int(c.colG[lj])
+	switch {
+	case c.in.At != nil:
+		for li, gi := range c.rowG {
+			dst[li] = c.in.At(int(gi), gj)
+		}
+	case c.in.Add:
+		v := c.in.Col(gj)
+		for li, r := range c.rowV {
+			dst[li] = r + v
+		}
+	default:
+		v := c.in.Col(gj)
+		for li, r := range c.rowV {
+			dst[li] = r * v
+		}
+	}
+}
+
+func (c *columns) release() { bufpool.PutF64(c.rowV) }
+
+// image stores a's whole local image of in, column-major like its file,
+// in dst: the image a plan keeps (Images).
+func (a *Array) image(in Input, dst []float64) {
+	c := a.columns(in)
+	defer c.release()
+	for lj := range c.colG {
+		c.column(dst[lj*a.rows:(lj+1)*a.rows], lj)
+	}
 }
 
 // Fill initializes the local array file with in evaluated at global
 // indices, one column transfer per local column. This models the
 // initial data distribution, whose cost the paper amortizes away; it is
 // therefore not accounted.
+//
+// Where the columns come from depends on the input, and the transfers
+// do not: an input kept in Images writes from the plan's image of the
+// share, which the file shares when it can (iosim.LAF.Share), so the
+// columns cost neither arithmetic nor a copy; any other input is made
+// one column at a time, in arena storage.
 func (a *Array) Fill(in Input) error {
 	if in.At == nil && (in.Row == nil || in.Col == nil) {
 		return fmt.Errorf("oocarray: input of %s has neither At nor both Row and Col", a.dmap.Name)
@@ -588,40 +655,28 @@ func (a *Array) Fill(in Input) error {
 	if a.rows == 0 || a.cols == 0 {
 		return nil
 	}
-	quiet := a.quiet.Of(&a.laf)
+	if img := in.kept.image(in, a); img != nil {
+		a.laf.Share(img)
+		return a.fillColumns(func(lj int) []float64 { return img[lj*a.rows : (lj+1)*a.rows] })
+	}
+	c := a.columns(in)
+	defer c.release()
 	// Every element is written before the column is: arena contents are fine.
 	buf := bufpool.GetF64(a.rows)
 	defer bufpool.PutF64(buf)
-	// The local-to-global translation is separable: one shared table per
-	// dimension instead of a GlobalIndex per element.
-	rowG, colG := a.dmap.LocalGlobals(a.proc)
-	var rowV []float64
-	if in.At == nil {
-		rowV = bufpool.GetF64(a.rows)
-		defer bufpool.PutF64(rowV)
-		for li, gi := range rowG {
-			rowV[li] = in.Row(int(gi))
-		}
-	}
-	for lj, gj := range colG {
-		switch {
-		case in.At != nil:
-			for li, gi := range rowG {
-				buf[li] = in.At(int(gi), int(gj))
-			}
-		case in.Add:
-			c := in.Col(int(gj))
-			for li, r := range rowV {
-				buf[li] = r + c
-			}
-		default:
-			c := in.Col(int(gj))
-			for li, r := range rowV {
-				buf[li] = r * c
-			}
-		}
+	return a.fillColumns(func(lj int) []float64 {
+		c.column(buf, lj)
+		return buf
+	})
+}
+
+// fillColumns writes each local column, in order, from what col returns
+// for it, one quiet transfer each.
+func (a *Array) fillColumns(col func(lj int) []float64) error {
+	quiet := a.quiet.Of(&a.laf)
+	for lj := 0; lj < a.cols; lj++ {
 		chunk := []iosim.Chunk{{Off: int64(lj) * int64(a.rows), Len: a.rows}}
-		if _, err := quiet.WriteChunks(chunk, buf); err != nil {
+		if _, err := quiet.WriteChunks(chunk, col(lj)); err != nil {
 			return err
 		}
 	}

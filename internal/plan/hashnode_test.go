@@ -69,3 +69,21 @@ func TestHashNodeCoversEveryNodeType(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeLabelIsTypeName holds NodeLabel to the rendering it replaced:
+// a plain node's label is its bare type name, which NodeSamples covers
+// for every node type the package declares.
+func TestNodeLabelIsTypeName(t *testing.T) {
+	for _, n := range NodeSamples {
+		want := reflect.TypeOf(n).Elem().Name()
+		switch n := n.(type) {
+		case *Loop:
+			want = "loop " + n.Var
+		case *Redistribute:
+			want = "redistribute " + n.Src + "->" + n.Dst
+		}
+		if got := NodeLabel(n); got != want {
+			t.Errorf("NodeLabel(%T) = %q, want %q", n, got, want)
+		}
+	}
+}

@@ -1,10 +1,5 @@
 package plan
 
-import (
-	"fmt"
-	"strings"
-)
-
 // NodeLabel names an IR node for trace overlays and disassembly: loops by
 // their variable, redistributions by their endpoints, everything else by
 // its bare type name. The bytecode compiler stores it as the node's
@@ -15,9 +10,32 @@ func NodeLabel(n Node) string {
 		return "loop " + n.Var
 	case *Redistribute:
 		return "redistribute " + n.Src + "->" + n.Dst
-	default:
-		return strings.TrimPrefix(fmt.Sprintf("%T", n), "*plan.")
+	case *ReadSlab:
+		return "ReadSlab"
+	case *NewSlab:
+		return "NewSlab"
+	case *NewStaging:
+		return "NewStaging"
+	case *AutoStage:
+		return "AutoStage"
+	case *FlushStage:
+		return "FlushStage"
+	case *WriteBuf:
+		return "WriteBuf"
+	case *ZeroVec:
+		return "ZeroVec"
+	case *Axpy:
+		return "Axpy"
+	case *SumStore:
+		return "SumStore"
+	case *ResetCounter:
+		return "ResetCounter"
+	case *Ewise:
+		return "Ewise"
+	case *Exchange:
+		return "Exchange"
 	}
+	return ""
 }
 
 // Uniform reports whether every rank runs the same trips of loop l,

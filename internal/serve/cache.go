@@ -27,12 +27,14 @@ type planCache struct {
 
 // cacheEntry is one compiled plan: the compiler's result, the plan
 // lowered once to the opcode stream every job on it runs, the inputs
-// every such job fills, and the plan's fingerprint.
+// every such job fills, whose local images the entry keeps, and the
+// plan's fingerprint.
 type cacheEntry struct {
 	key         string
 	res         *compiler.Result
 	lowered     *exec.Lowered
 	inputs      map[string]oocarray.Input
+	images      *oocarray.Images
 	fingerprint string
 }
 
@@ -86,7 +88,9 @@ func (c *planCache) getOrCompile(key string, compile func() (*compiler.Result, s
 		for c.lru.Len() > c.cap {
 			old := c.lru.Back()
 			c.lru.Remove(old)
-			delete(c.entries, old.Value.(*cacheEntry).key)
+			e := old.Value.(*cacheEntry)
+			delete(c.entries, e.key)
+			e.images.Release()
 		}
 	}
 	c.mu.Unlock()
@@ -103,7 +107,22 @@ func fill(key string, compile func() (*compiler.Result, string, error)) (*cacheE
 	if err != nil {
 		return nil, err
 	}
-	return &cacheEntry{key: key, res: res, lowered: lowered, inputs: cliutil.InputsFor(res), fingerprint: fp}, nil
+	images := oocarray.NewImages()
+	inputs := cliutil.InputsFor(res)
+	for name, in := range inputs {
+		inputs[name] = images.Keep(in)
+	}
+	return &cacheEntry{key: key, res: res, lowered: lowered, inputs: inputs, images: images, fingerprint: fp}, nil
+}
+
+// release gives back the images of every cached plan, once no job runs:
+// a closed server's plans hold none of the images' budget.
+func (c *planCache) release() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		el.Value.(*cacheEntry).images.Release()
+	}
 }
 
 // CacheStats is the cache's metrics view.

@@ -25,6 +25,13 @@ import (
 // no cache — and returns the marshalled statistics snapshot.
 func directSnapshot(t *testing.T, req Request) []byte {
 	t.Helper()
+	stats, _ := directRun(t, req)
+	return stats
+}
+
+// directRun is directSnapshot that also returns the run's arrays by name.
+func directRun(t *testing.T, req Request) ([]byte, map[string][]float64) {
+	t.Helper()
 	req = req.withDefaults()
 	machineFor, err := cliutil.MachineFor(req.Machine)
 	if err != nil {
@@ -53,7 +60,22 @@ func directSnapshot(t *testing.T, req Request) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mustJSON(t, out.Stats.Snapshot())
+	defer out.Close()
+	return mustJSON(t, out.Stats.Snapshot()), readArrays(t, out)
+}
+
+// readArrays reads every array of a finished run.
+func readArrays(t *testing.T, out *exec.Result) map[string][]float64 {
+	t.Helper()
+	arrays := map[string][]float64{}
+	for _, spec := range out.Program.Arrays {
+		m, err := out.ReadArray(spec.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrays[spec.Name] = m.Data
+	}
+	return arrays
 }
 
 func mustJSON(t *testing.T, v any) []byte {

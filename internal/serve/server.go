@@ -212,6 +212,9 @@ type Server struct {
 	// footprint and before it checks the submitter is still there — the
 	// deterministic window for the reservation-leak regression test.
 	pickupGate func(*job)
+	// ranGate, when set, sees each successful run's result before it is
+	// closed (tests read its arrays).
+	ranGate func(*exec.Result)
 
 	crashCtx    context.Context
 	crashCancel context.CancelFunc
@@ -863,6 +866,9 @@ func (s *Server) runJob(j *job) (*Response, error) {
 		return nil, err
 	}
 	resp.Attempts, resp.Recoveries = out.Attempts, len(out.Recoveries)
+	if s.ranGate != nil {
+		s.ranGate(out)
+	}
 	// The run's array files (and a durable namespace's checkpoints) are
 	// dead weight once the stats are captured; closing the result is what
 	// returns an in-memory store's file storage to the arena.
@@ -977,6 +983,7 @@ func (s *Server) Drain(ctx context.Context) error {
 func (s *Server) Close() {
 	s.stop(closed)
 	s.wg.Wait()
+	s.cache.release()
 	if s.journal != nil {
 		s.journal.close()
 	}

@@ -2,9 +2,12 @@
 # ab.sh — the benchmark's end-to-end metrics at a base commit against
 # this checkout, in alternating pairs:
 #
-#   scripts/ab.sh [-n PAIRS] [-s SEED] [-t SECONDS] [-o DIR] BASE WORKLOAD...
+#   scripts/ab.sh [-n PAIRS] [-s SEED] [-t SECONDS] [-o DIR] [BASE] WORKLOAD...
 #
-# BASE is any commit git can name (a hash, HEAD~1, a branch). Its files
+# BASE is any commit git can name (a hash, HEAD~1, a branch); when the
+# first argument is a workload BENCHMARK.json names, BASE is left out
+# and defaults to `git merge-base HEAD main`, where a branch left main,
+# or HEAD itself on main (to measure uncommitted edits). Its files
 # are exported with `git archive` into a temporary directory (nothing is
 # registered in the repository, so a killed run leaves nothing behind
 # there), and each side runs bench/run.sh from its own checkout, which
@@ -49,15 +52,27 @@ while getopts n:s:t:o: opt; do
   esac
 done
 shift $((OPTIND - 1))
-if [ $# -lt 2 ]; then
-  echo "usage: scripts/ab.sh [-n PAIRS] [-s SEED] [-t SECONDS] [-o DIR] BASE WORKLOAD..." >&2
+usage="usage: scripts/ab.sh [-n PAIRS] [-s SEED] [-t SECONDS] [-o DIR] [BASE] WORKLOAD..."
+if [ $# -lt 1 ]; then
+  echo "$usage" >&2
   exit 2
 fi
-base_rev=$1
-shift
 
 cd "$(dirname "$0")/.."
 change=$PWD
+if python3 -c 'import json, sys; sys.exit(sys.argv[1] not in [w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]])' "$1"; then
+  if ! base_rev=$(git merge-base HEAD main); then
+    echo "scripts/ab.sh: no BASE given and no merge base of HEAD and main" >&2
+    exit 2
+  fi
+else
+  base_rev=$1
+  shift
+fi
+if [ $# -lt 1 ]; then
+  echo "$usage" >&2
+  exit 2
+fi
 if [ -z "$seconds" ]; then
   seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
 fi
