@@ -222,16 +222,13 @@ func (r *twoPhaseReceiver) absorb(k int, incoming [][]float64) error {
 			for len(in) > 0 {
 				b := &blocks[0]
 				i0, i1, t0, t1 := b.part(wdx*r.winW, (wdx+1)*r.winW)
-				if n+(i1-i0)*(t1-t0) > len(room) {
+				tile := (i1 - i0) * (t1 - t0)
+				if n+tile > len(room) {
 					return fmt.Errorf("collio: window %d received more elements than it holds (non-injective transform?)", wdx)
 				}
-				for i := i0; i < i1; i++ {
-					dst := room[n : n+t1-t0]
-					src := in[i*int(b.n)+t0:][:len(dst)]
-					for j := range dst { // a loop, not copy: a few values each
-						dst[j] = src[j]
-					}
-					n += len(dst)
+				if tile > 0 {
+					gather(room[n:n+tile], in[i0*int(b.n)+t0:], t1-t0, int(b.n))
+					n += tile
 				}
 				in, blocks = in[b.size():], blocks[1:]
 			}
@@ -309,11 +306,37 @@ func (r *twoPhaseReceiver) flush(wdx int) error {
 	return nil
 }
 
+// gather copies a tile of src into dst: len(dst)/e runs of e values,
+// stride apart in src, back to back in dst. e is at least 1 and at most
+// stride. The window split cuts runs into pieces of a few values, so the
+// width it gives most (e = 4) has its own body of element assignments.
+func gather(dst, src []float64, e, stride int) {
+	switch {
+	case e == stride: // back to back in src too
+		copy(dst, src)
+	case e == 4:
+		for at, i := 0, 0; at < len(dst); at, i = at+4, i+stride {
+			d, s := dst[at:at+4:at+4], src[i:i+4:i+4]
+			d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
+		}
+	default:
+		for at, i := 0, 0; at < len(dst); at, i = at+e, i+stride {
+			d, s := dst[at:][:e], src[i:][:e]
+			for j := range d {
+				d[j] = s[j]
+			}
+		}
+	}
+}
+
 // scatter stores the part of block b in the columns [clo, chi) — its
 // next values in vals, run by run — at its places in staging, which holds
 // the local array's linear indices from base on, and returns the values
 // left. Where the runs lie side by side it writes column by column, onto
-// contiguous rows.
+// contiguous rows: four columns per pass over the runs when the part is
+// four wide and no two of its elements share a place, so that the order
+// of the stores does not matter. Where a run lies on contiguous rows it
+// is one copy.
 func scatter(staging, vals []float64, b *block, clo, chi, rows, base int) []float64 {
 	i0, i1, t0, t1 := b.part(clo, chi)
 	m, e := i1-i0, t1-t0
@@ -323,18 +346,29 @@ func scatter(staging, vals []float64, b *block, clo, chi, rows, base int) []floa
 	lin, istep, tstep := b.lin(rows)
 	at := lin - base + i0*istep + t0*tstep
 	part := vals[:m*e]
-	if istep == 1 { // the runs side by side: column by column
+	switch {
+	case istep == 1 && e == 4 && m <= max(tstep, -tstep):
+		c0, c1, c2, c3 := staging[at:][:m], staging[at+tstep:][:m], staging[at+2*tstep:][:m], staging[at+3*tstep:][:m]
+		for i := range c0 {
+			p := part[4*i : 4*i+4 : 4*i+4]
+			c0[i], c1[i], c2[i], c3[i] = p[0], p[1], p[2], p[3]
+		}
+	case istep == 1:
 		for t := range e {
 			col := staging[at+t*tstep:][:m]
 			for i := range col {
 				col[i] = part[i*e+t]
 			}
 		}
-		return vals[m*e:]
-	}
-	for i := range m {
-		for t, a := 0, at+i*istep; t < e; t, a = t+1, a+tstep {
-			staging[a] = part[i*e+t]
+	case tstep == 1:
+		for i := range m {
+			copy(staging[at+i*istep:][:e], part[i*e:])
+		}
+	default:
+		for i := range m {
+			for t, a := 0, at+i*istep; t < e; t, a = t+1, a+tstep {
+				staging[a] = part[i*e+t]
+			}
 		}
 	}
 	return vals[m*e:]
